@@ -241,15 +241,12 @@ let patterns_arg =
 let load_patterns net patterns_file =
   match patterns_file with
   | Some path ->
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let pats = Pattern.of_text text in
-    if Pattern.npis pats <> Netlist.num_pis net then
-      Error
-        (Printf.sprintf "pattern width %d does not match circuit PI count %d"
-           (Pattern.npis pats) (Netlist.num_pis net))
-    else Ok pats
+    Result.bind (Pattern.read_file path) (fun pats ->
+        if Pattern.npis pats <> Netlist.num_pis net then
+          Error
+            (Printf.sprintf "pattern width %d does not match circuit PI count %d"
+               (Pattern.npis pats) (Netlist.num_pis net))
+        else Ok pats)
   | None -> Ok (Campaign.test_set net)
 
 let or_die = function

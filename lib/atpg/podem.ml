@@ -1,198 +1,492 @@
 type result = Test of bool array | Untestable | Aborted
 
-type machines = { good : Logic.v3 array; faulty : Logic.v3 array }
+(* Dual-rail ternary state, both machines in one word pair: bit 0 is the
+   good machine, bit 1 the faulty one.  [ones.(n)] has a machine's bit
+   set when the net is 1 there, [zeros.(n)] when it is 0; neither means
+   X.  One gate evaluation over the CSR fanin slice computes both
+   machines, and the faulty bit of the fault site is forced afterwards. *)
+let good = 1
+let faulty = 2
+let both = 3
 
-let imply t fault pi_assign =
-  let good = Ternary_sim.simulate t pi_assign in
-  let faulty =
-    Ternary_sim.simulate_forced t pi_assign
-      [ (fault.Fault_list.site, Logic.v3_of_bool fault.Fault_list.stuck) ]
-  in
-  { good; faulty }
+type t = {
+  fanin : int array;
+  fanin_off : int array;
+  fanout : int array;
+  fanout_off : int array;
+  codes : int array;
+  levels : int array;
+  topo : int array;
+  topo_pos : int array;  (** Index of each net in [topo]. *)
+  pis : int array;
+  pi_pos : int array;  (** PI position of a net, -1 for gates. *)
+  is_po : bool array;
+  ones : int array;
+  zeros : int array;
+  assign : int array;  (** Per PI position: 0, 1, or -1 for unassigned. *)
+  (* Event queue: one bucket per level, each sized to its level's net
+     count; a net sits in at most one bucket at a time ([queued]). *)
+  bucket : int array;
+  bucket_off : int array;
+  bucket_len : int array;
+  queued : bool array;
+  mutable lo_level : int;
+  mutable hi_level : int;
+  (* The current fault: site, stuck value, and its fanout cone in
+     topological order ([cone_pos] are the cone's primary outputs). *)
+  mutable site : int;
+  mutable stuck : bool;
+  cone : int array;
+  mutable cone_len : int;
+  cone_pos : int array;
+  mutable cone_npos : int;
+  (* Stamped visited marks (cone construction, X-path search) and the
+     BFS queue both use. *)
+  seen : int array;
+  mutable epoch : int;
+  queue : int array;
+  (* Decision stack, at most one entry per PI. *)
+  stack_pos : int array;
+  stack_flipped : bool array;
+  mutable depth : int;
+  (* Work counters, folded into the registry by [publish_stats]. *)
+  mutable n_calls : int;
+  mutable n_backtracks : int;
+  mutable n_aborted : int;
+  mutable n_implications : int;
+}
 
-let is_d m n =
-  match (m.good.(n), m.faulty.(n)) with
-  | Logic.V0, Logic.V1 | Logic.V1, Logic.V0 -> true
-  | (Logic.V0 | Logic.V1 | Logic.X), _ -> false
-
-let is_potential m n =
-  Logic.v3_equal m.good.(n) Logic.X || Logic.v3_equal m.faulty.(n) Logic.X
-
-let detected t m =
-  Array.exists (fun po -> is_d m po) (Netlist.pos t)
-
-(* Can the fault effect still reach an output?  BFS from every D net
-   through nets that are D or undecided (X in either machine). *)
-let x_path_exists t m =
-  let n = Netlist.num_nets t in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if is_d m i then begin
-      seen.(i) <- true;
-      Queue.add i queue
-    end
+let create net =
+  let n = Netlist.num_nets net in
+  let levels = Netlist.level_array net in
+  let topo = Netlist.topo_order net in
+  let topo_pos = Array.make n 0 in
+  Array.iteri (fun i v -> topo_pos.(v) <- i) topo;
+  let pis = Netlist.pis net in
+  let npis = Array.length pis in
+  let pi_pos = Array.make n (-1) in
+  Array.iteri (fun i pi -> pi_pos.(pi) <- i) pis;
+  let is_po = Array.make n false in
+  Array.iter (fun po -> is_po.(po) <- true) (Netlist.pos net);
+  let depth = Netlist.depth net in
+  let bucket_off = Array.make (depth + 2) 0 in
+  Array.iter (fun l -> bucket_off.(l + 1) <- bucket_off.(l + 1) + 1) levels;
+  for l = 1 to depth + 1 do
+    bucket_off.(l) <- bucket_off.(l) + bucket_off.(l - 1)
   done;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    if Netlist.is_po t v then found := true
-    else
-      Array.iter
-        (fun w ->
-          if (not seen.(w)) && (is_d m w || is_potential m w) then begin
-            seen.(w) <- true;
-            Queue.add w queue
-          end)
-        (Netlist.fanout t v)
+  {
+    fanin = Netlist.fanin_csr net;
+    fanin_off = Netlist.fanin_offsets net;
+    fanout = Netlist.fanout_csr net;
+    fanout_off = Netlist.fanout_offsets net;
+    codes = Netlist.gate_codes net;
+    levels;
+    topo;
+    topo_pos;
+    pis;
+    pi_pos;
+    is_po;
+    ones = Array.make n 0;
+    zeros = Array.make n 0;
+    assign = Array.make npis (-1);
+    bucket = Array.make n 0;
+    bucket_off;
+    bucket_len = Array.make (depth + 1) 0;
+    queued = Array.make n false;
+    lo_level = max_int;
+    hi_level = -1;
+    site = 0;
+    stuck = false;
+    cone = Array.make n 0;
+    cone_len = 0;
+    cone_pos = Array.make n 0;
+    cone_npos = 0;
+    seen = Array.make n 0;
+    epoch = 0;
+    queue = Array.make n 0;
+    stack_pos = Array.make npis 0;
+    stack_flipped = Array.make npis false;
+    depth = 0;
+    n_calls = 0;
+    n_backtracks = 0;
+    n_aborted = 0;
+    n_implications = 0;
+  }
+
+(* --- Implication ------------------------------------------------------ *)
+
+let is_d e n =
+  let o = e.ones.(n) and z = e.zeros.(n) in
+  (o = good && z = faulty) || (o = faulty && z = good)
+
+(* Undecided (X) in either machine. *)
+let is_potential e n = e.ones.(n) lor e.zeros.(n) <> both
+let good_x e n = (e.ones.(n) lor e.zeros.(n)) land good = 0
+
+let good_value e n =
+  if e.ones.(n) land good <> 0 then 1 else if e.zeros.(n) land good <> 0 then 0 else -1
+
+(* Store a net's new rails (forcing the site's faulty bit); true when
+   they changed. *)
+let store e n o z =
+  let o = if n <> e.site then o else if e.stuck then o lor faulty else o land good in
+  let z = if n <> e.site then z else if e.stuck then z land good else z lor faulty in
+  if o = e.ones.(n) && z = e.zeros.(n) then false
+  else begin
+    e.ones.(n) <- o;
+    e.zeros.(n) <- z;
+    true
+  end
+
+(* Both machines of gate [g] from its fanins' rails, then [store].  An
+   inverting gate swaps the rails of its base function. *)
+let eval e g =
+  e.n_implications <- e.n_implications + 1;
+  let code = e.codes.(g) in
+  let lo = e.fanin_off.(g) and hi = e.fanin_off.(g + 1) in
+  let fanin = e.fanin and ones = e.ones and zeros = e.zeros in
+  if code = Gate.code_and || code = Gate.code_nand then begin
+    (* 1 when every input is 1, 0 when any is 0. *)
+    let o = ref both and z = ref 0 in
+    for i = lo to hi - 1 do
+      let s = fanin.(i) in
+      o := !o land ones.(s);
+      z := !z lor zeros.(s)
+    done;
+    if code = Gate.code_and then store e g !o !z else store e g !z !o
+  end
+  else if code = Gate.code_or || code = Gate.code_nor then begin
+    let o = ref 0 and z = ref both in
+    for i = lo to hi - 1 do
+      let s = fanin.(i) in
+      o := !o lor ones.(s);
+      z := !z land zeros.(s)
+    done;
+    if code = Gate.code_or then store e g !o !z else store e g !z !o
+  end
+  else if code = Gate.code_xor || code = Gate.code_xnor then begin
+    (* Known only where every input is; then the parity of the 1s. *)
+    let known = ref both and parity = ref 0 in
+    for i = lo to hi - 1 do
+      let s = fanin.(i) in
+      known := !known land (ones.(s) lor zeros.(s));
+      parity := !parity lxor ones.(s)
+    done;
+    let p = if code = Gate.code_xor then !parity else !parity lxor both in
+    store e g (!known land p) (!known land (p lxor both))
+  end
+  else if code = Gate.code_buf then store e g ones.(fanin.(lo)) zeros.(fanin.(lo))
+  else if code = Gate.code_not then store e g zeros.(fanin.(lo)) ones.(fanin.(lo))
+  else if code = Gate.code_const0 then store e g 0 both
+  else if code = Gate.code_const1 then store e g both 0
+  else invalid_arg "Podem.eval: Input or unknown opcode"
+
+let schedule_fanouts e n =
+  for i = e.fanout_off.(n) to e.fanout_off.(n + 1) - 1 do
+    let g = e.fanout.(i) in
+    if not e.queued.(g) then begin
+      e.queued.(g) <- true;
+      let l = e.levels.(g) in
+      e.bucket.(e.bucket_off.(l) + e.bucket_len.(l)) <- g;
+      e.bucket_len.(l) <- e.bucket_len.(l) + 1;
+      if l < e.lo_level then e.lo_level <- l;
+      if l > e.hi_level then e.hi_level <- l
+    end
+  done
+
+(* Drain the event queue level by level.  Fanouts sit on strictly higher
+   levels, so a bucket never grows while it is drained, and every gate
+   is evaluated once, after all its changed fanins. *)
+let propagate e =
+  let l = ref e.lo_level in
+  while !l <= e.hi_level do
+    let base = e.bucket_off.(!l) in
+    for i = 0 to e.bucket_len.(!l) - 1 do
+      let g = e.bucket.(base + i) in
+      e.queued.(g) <- false;
+      if eval e g then schedule_fanouts e g
+    done;
+    e.bucket_len.(!l) <- 0;
+    incr l
+  done;
+  e.lo_level <- max_int;
+  e.hi_level <- -1
+
+(* Set PI position [pos] to [v] (0, 1 or -1 for X) and queue its fanouts
+   when its rails change; [propagate] settles the circuit. *)
+let set_pi e pos v =
+  e.assign.(pos) <- v;
+  let pi = e.pis.(pos) in
+  let o = if v = 1 then both else 0 and z = if v = 0 then both else 0 in
+  if store e pi o z then schedule_fanouts e pi
+
+(* Every PI X, the site forced, one full sweep in topological order. *)
+let reset e =
+  Array.fill e.assign 0 (Array.length e.assign) (-1);
+  Array.iter
+    (fun n ->
+      if e.pi_pos.(n) >= 0 then ignore (store e n 0 0) else ignore (eval e n))
+    e.topo
+
+(* --- The fault's fanout cone ------------------------------------------ *)
+
+(* Outside the site's fanout cone both machines agree, so every D net,
+   every D-frontier gate and every D-or-X path to an output lies inside
+   it; scanning the cone in topological order finds the same first match
+   as scanning the whole netlist. *)
+let build_cone e =
+  e.epoch <- e.epoch + 1;
+  let ep = e.epoch in
+  e.seen.(e.site) <- ep;
+  e.queue.(0) <- e.site;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = e.queue.(!head) in
+    incr head;
+    for i = e.fanout_off.(v) to e.fanout_off.(v + 1) - 1 do
+      let w = e.fanout.(i) in
+      if e.seen.(w) <> ep then begin
+        e.seen.(w) <- ep;
+        e.queue.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  e.cone_len <- 0;
+  e.cone_npos <- 0;
+  let i = ref e.topo_pos.(e.site) in
+  while e.cone_len < !tail do
+    let v = e.topo.(!i) in
+    incr i;
+    if e.seen.(v) = ep then begin
+      e.cone.(e.cone_len) <- v;
+      e.cone_len <- e.cone_len + 1;
+      if e.is_po.(v) then begin
+        e.cone_pos.(e.cone_npos) <- v;
+        e.cone_npos <- e.cone_npos + 1
+      end
+    end
+  done
+
+let detected e =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < e.cone_npos do
+    found := is_d e e.cone_pos.(!i);
+    incr i
   done;
   !found
 
+(* Can the fault effect still reach an output?  BFS from every D net
+   through nets that are D or undecided (X in either machine). *)
+let x_path_exists e =
+  e.epoch <- e.epoch + 1;
+  let ep = e.epoch in
+  let tail = ref 0 in
+  for i = 0 to e.cone_len - 1 do
+    let v = e.cone.(i) in
+    if is_d e v then begin
+      e.seen.(v) <- ep;
+      e.queue.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 and found = ref false in
+  while (not !found) && !head < !tail do
+    let v = e.queue.(!head) in
+    incr head;
+    if e.is_po.(v) then found := true
+    else
+      for i = e.fanout_off.(v) to e.fanout_off.(v + 1) - 1 do
+        let w = e.fanout.(i) in
+        if e.seen.(w) <> ep && (is_d e w || is_potential e w) then begin
+          e.seen.(w) <- ep;
+          e.queue.(!tail) <- w;
+          incr tail
+        end
+      done
+  done;
+  !found
+
+(* --- Search ----------------------------------------------------------- *)
+
+(* First fanin of [g] whose good value is X, or -1. *)
+let first_good_x e g =
+  let r = ref (-1) and i = ref e.fanin_off.(g) in
+  while !r < 0 && !i < e.fanin_off.(g + 1) do
+    if good_x e e.fanin.(!i) then r := e.fanin.(!i);
+    incr i
+  done;
+  !r
+
 (* The gate objective to pursue next: excite the fault if not excited,
-   otherwise extend the D-frontier. *)
-let objective t fault m =
-  let site = fault.Fault_list.site in
-  if Logic.v3_equal m.good.(site) Logic.X then
-    Some (site, not fault.Fault_list.stuck)
+   otherwise extend the D-frontier — the first undecided gate in
+   topological order with a D fanin, asking for the non-controlling
+   value on its first X input.  Returns the objective net (-1 for none)
+   and leaves its value in [obj_value]. *)
+let objective e obj_value =
+  if good_x e e.site then begin
+    obj_value := not e.stuck;
+    e.site
+  end
   else begin
-    (* D-frontier: a net with undecided value having at least one D
-       fanin.  Pursue the non-controlling value on one of its X inputs. *)
-    let result = ref None in
-    let order = Netlist.topo_order t in
-    let i = ref 0 in
-    while !result = None && !i < Array.length order do
-      let g = order.(!i) in
+    let result = ref (-1) and i = ref 0 in
+    while !result < 0 && !i < e.cone_len do
+      let g = e.cone.(!i) in
       incr i;
-      if is_potential m g && not (Netlist.is_pi t g) then begin
-        let fanin = Netlist.fanin t g in
-        if Array.exists (fun src -> is_d m src) fanin then begin
-          let x_input =
-            Array.find_opt (fun src -> Logic.v3_equal m.good.(src) Logic.X) fanin
-          in
-          match x_input with
-          | Some src ->
-            let v =
-              match Gate.controlling (Netlist.kind t g) with
-              | Some c -> not c
-              | None -> false
-            in
-            result := Some (src, v)
-          | None -> ()
+      if is_potential e g && e.pi_pos.(g) < 0 then begin
+        let has_d = ref false and j = ref e.fanin_off.(g) in
+        while (not !has_d) && !j < e.fanin_off.(g + 1) do
+          has_d := is_d e e.fanin.(!j);
+          incr j
+        done;
+        if !has_d then begin
+          let src = first_good_x e g in
+          if src >= 0 then begin
+            (* Non-controlling value: 1 for AND/NAND, 0 for OR/NOR and
+               (no controlling value) everything else. *)
+            let code = e.codes.(g) in
+            obj_value := code = Gate.code_and || code = Gate.code_nand;
+            result := src
+          end
         end
       end
     done;
     !result
   end
 
-(* Walk an objective down to an unassigned primary input. *)
-let backtrace t m (net0, v0) =
-  let rec walk net v guard =
-    if guard = 0 then None
-    else if Netlist.is_pi t net then Some (net, v)
-    else
-      let kind = Netlist.kind t net in
-      let fanin = Netlist.fanin t net in
-      match kind with
-      | Gate.Input -> Some (net, v)
-      | Gate.Const _ -> None
-      | Gate.Buf -> walk fanin.(0) v (guard - 1)
-      | Gate.Not -> walk fanin.(0) (not v) (guard - 1)
-      | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
-        let v_eff = if Gate.inversion kind then not v else v in
-        (match Array.find_opt (fun src -> Logic.v3_equal m.good.(src) Logic.X) fanin with
-        | Some src -> walk src v_eff (guard - 1)
-        | None -> None)
-      | Gate.Xor | Gate.Xnor ->
-        let v_eff = if Gate.inversion kind then not v else v in
-        (match Array.find_opt (fun src -> Logic.v3_equal m.good.(src) Logic.X) fanin with
-        | Some src ->
-          let parity_known =
-            Array.fold_left
-              (fun acc other ->
-                if other = src then acc
-                else
-                  match m.good.(other) with
-                  | Logic.V1 -> not acc
-                  | Logic.V0 | Logic.X -> acc)
-              false fanin
-          in
-          walk src (v_eff <> parity_known) (guard - 1)
-        | None -> None)
-  in
-  walk net0 v0 (Netlist.num_nets t + 1)
+(* Walk an objective down to an unassigned primary input; returns the
+   PI net (-1 when the walk dead-ends) with its value in [value]. *)
+let backtrace e net0 value =
+  let net = ref net0 and result = ref (-2) and guard = ref (Array.length e.ones + 1) in
+  while !result = -2 do
+    let n = !net in
+    let code = e.codes.(n) in
+    if !guard = 0 then result := -1
+    else if e.pi_pos.(n) >= 0 || code = Gate.code_input then result := n
+    else if code = Gate.code_const0 || code = Gate.code_const1 then result := -1
+    else begin
+      decr guard;
+      if code = Gate.code_buf then net := e.fanin.(e.fanin_off.(n))
+      else if code = Gate.code_not then begin
+        net := e.fanin.(e.fanin_off.(n));
+        value := not !value
+      end
+      else begin
+        let inverting =
+          code = Gate.code_nand || code = Gate.code_nor || code = Gate.code_xnor
+        in
+        let v_eff = !value <> inverting in
+        let src = first_good_x e n in
+        if src < 0 then result := -1
+        else if code = Gate.code_xor || code = Gate.code_xnor then begin
+          (* Also account for the parity of the other fanins' known
+             good 1s. *)
+          let parity = ref false in
+          for i = e.fanin_off.(n) to e.fanin_off.(n + 1) - 1 do
+            let other = e.fanin.(i) in
+            if other <> src && good_value e other = 1 then parity := not !parity
+          done;
+          net := src;
+          value := v_eff <> !parity
+        end
+        else begin
+          net := src;
+          value := v_eff
+        end
+      end
+    end
+  done;
+  !result
 
-type decision = { pi_pos : int; mutable value : bool; mutable flipped : bool }
+let conflict e =
+  match good_value e e.site with
+  | -1 -> false
+  | v -> v = Bool.to_int e.stuck || not (x_path_exists e)
 
-let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
-  let npis = Netlist.num_pis t in
-  let pis = Netlist.pis t in
-  let pi_pos_of_net = Hashtbl.create npis in
-  Array.iteri (fun i pi -> Hashtbl.add pi_pos_of_net pi i) pis;
-  let pi_assign = Array.make npis Logic.X in
-  let stack = ref [] in
+(* Pursue one objective: assign its backtraced PI and imply.  False when
+   no objective or no PI remains. *)
+let decide e =
+  let value = ref false in
+  let obj = objective e value in
+  obj >= 0
+  &&
+  let pi = backtrace e obj value in
+  pi >= 0
+  &&
+  let pos = e.pi_pos.(pi) in
+  e.stack_pos.(e.depth) <- pos;
+  e.stack_flipped.(e.depth) <- false;
+  e.depth <- e.depth + 1;
+  set_pi e pos (Bool.to_int !value);
+  propagate e;
+  true
+
+(* Flip the most recent unflipped decision, dropping flipped ones above
+   it; false when the decision space is exhausted. *)
+let flip_last e =
+  let flipped = ref false in
+  while (not !flipped) && e.depth > 0 do
+    let d = e.depth - 1 in
+    let pos = e.stack_pos.(d) in
+    if e.stack_flipped.(d) then begin
+      set_pi e pos (-1);
+      e.depth <- d
+    end
+    else begin
+      e.stack_flipped.(d) <- true;
+      set_pi e pos (1 - e.assign.(pos));
+      flipped := true
+    end
+  done;
+  propagate e;
+  !flipped
+
+let run ?(backtrack_limit = 512) ?(fill_seed = 7) e fault =
+  e.n_calls <- e.n_calls + 1;
+  e.site <- fault.Fault_list.site;
+  e.stuck <- fault.Fault_list.stuck;
+  e.depth <- 0;
+  reset e;
+  build_cone e;
   let backtracks = ref 0 in
-  let aborted = ref false in
-  let rng = Rng.create (fill_seed + (fault.Fault_list.site * 2) + Bool.to_int fault.stuck) in
-  let rec solve m =
-    if detected t m then begin
-      let pattern =
-        Array.map
-          (fun v -> match Logic.bool_of_v3 v with Some b -> b | None -> Rng.bool rng)
-          pi_assign
-      in
-      Some pattern
+  let outcome = ref None in
+  while Option.is_none !outcome do
+    if detected e then begin
+      let rng = Rng.create (fill_seed + (e.site * 2) + Bool.to_int e.stuck) in
+      outcome :=
+        Some (Test (Array.map (fun v -> if v < 0 then Rng.bool rng else v = 1) e.assign))
     end
-    else begin
-      let conflict =
-        (* Fault can no longer be excited, or no propagation path
-           remains: every extension of this assignment fails too. *)
-        (match Logic.bool_of_v3 m.good.(fault.Fault_list.site) with
-        | Some b -> b = fault.Fault_list.stuck
-        | None -> false)
-        || ((not (Logic.v3_equal m.good.(fault.Fault_list.site) Logic.X))
-           && not (x_path_exists t m))
-      in
-      if conflict then backtrack ()
-      else
-        match objective t fault m with
-        | None -> backtrack ()
-        | Some obj -> (
-          match backtrace t m obj with
-          | None -> backtrack ()
-          | Some (pi_net, v) ->
-            let pos = Hashtbl.find pi_pos_of_net pi_net in
-            pi_assign.(pos) <- Logic.v3_of_bool v;
-            stack := { pi_pos = pos; value = v; flipped = false } :: !stack;
-            solve (imply t fault pi_assign))
+    else if conflict e || not (decide e) then begin
+      incr backtracks;
+      if !backtracks > backtrack_limit then begin
+        e.n_aborted <- e.n_aborted + 1;
+        outcome := Some Aborted
+      end
+      else if not (flip_last e) then outcome := Some Untestable
     end
-  and backtrack () =
-    incr backtracks;
-    if !backtracks > backtrack_limit then begin
-      aborted := true;
-      None
-    end
-    else begin
-      let rec pop () =
-        match !stack with
-        | [] -> None (* decision space exhausted *)
-        | d :: rest ->
-          if d.flipped then begin
-            pi_assign.(d.pi_pos) <- Logic.X;
-            stack := rest;
-            pop ()
-          end
-          else begin
-            d.flipped <- true;
-            d.value <- not d.value;
-            pi_assign.(d.pi_pos) <- Logic.v3_of_bool d.value;
-            Some ()
-          end
-      in
-      match pop () with
-      | Some () -> solve (imply t fault pi_assign)
-      | None -> None
-    end
-  in
-  match solve (imply t fault pi_assign) with
-  | Some pattern -> Test pattern
-  | None -> if !aborted then Aborted else Untestable
+  done;
+  e.n_backtracks <- e.n_backtracks + !backtracks;
+  Option.get !outcome
+
+let c_calls = Obs.counter "tpg.podem_calls"
+let c_backtracks = Obs.counter "tpg.backtracks"
+let c_aborted = Obs.counter "tpg.aborted"
+let c_implications = Obs.counter "tpg.implications"
+
+let publish_stats e =
+  if Obs.enabled () then begin
+    Obs.add c_calls e.n_calls;
+    Obs.add c_backtracks e.n_backtracks;
+    Obs.add c_aborted e.n_aborted;
+    Obs.add c_implications e.n_implications
+  end;
+  e.n_calls <- 0;
+  e.n_backtracks <- 0;
+  e.n_aborted <- 0;
+  e.n_implications <- 0
+
+let generate ?backtrack_limit ?fill_seed t fault =
+  let e = create t in
+  let r = run ?backtrack_limit ?fill_seed e fault in
+  publish_stats e;
+  r

@@ -5,7 +5,13 @@
     decision is validated by three-valued implication of the good and the
     faulty machine.  Used by {!Tpg} to top up random patterns to (near-)
     complete stuck-at coverage, which is the test-set quality diagnosis
-    experiments assume. *)
+    experiments assume.
+
+    Implication is incremental and allocation-free: both machines live
+    in one dual-rail word pair per net, a decision re-evaluates only the
+    gates whose inputs changed (level by level through the fanout CSR),
+    and the detection, X-path and D-frontier scans walk only the fault
+    site's fanout cone (DESIGN.md §6b). *)
 
 type result =
   | Test of bool array
@@ -16,11 +22,29 @@ type result =
   | Aborted
       (** Backtrack limit hit before a proof either way. *)
 
+type t
+(** Per-netlist scratch (PI index, level buckets, rails, cone buffers)
+    plus work counters.  Create one per test-generation run and reuse it
+    for every fault; not safe to share between domains. *)
+
+val create : Netlist.t -> t
+
+val run : ?backtrack_limit:int -> ?fill_seed:int -> t -> Fault_list.fault -> result
+(** [run e fault] searches for a test for [fault] on [e]'s netlist.  The
+    default backtrack limit is 512.  The result depends only on the
+    netlist, the fault and the two parameters — never on what [e] ran
+    before. *)
+
+val publish_stats : t -> unit
+(** Fold the counters accumulated since the last publish into the
+    {!Obs} registry (when enabled) and zero them: [tpg.podem_calls],
+    [tpg.backtracks], [tpg.aborted] and [tpg.implications] (gate
+    evaluations, the initial sweep per fault included). *)
+
 val generate :
   ?backtrack_limit:int ->
   ?fill_seed:int ->
   Netlist.t ->
   Fault_list.fault ->
   result
-(** [generate t fault] searches for a test for [fault].  The default
-    backtrack limit is 512. *)
+(** One-shot {!run} on fresh scratch, publishing its counters. *)

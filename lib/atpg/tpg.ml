@@ -28,6 +28,7 @@ let detect_map t pats faults =
   detected
 
 let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
+  Obs.phase "tpg" @@ fun () ->
   let rng = Rng.create seed in
   let collapsed = Fault_list.collapse t in
   let faults = Array.of_list (Fault_list.representatives collapsed) in
@@ -64,10 +65,11 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   let aborted = ref 0 in
   let extra = ref [] in
   let sim = Fault_sim.create t in
+  let podem = Podem.create t in
   Array.iteri
     (fun i f ->
       if not detected.(i) then
-        match Podem.generate ~backtrack_limit t f with
+        match Podem.run ~backtrack_limit podem f with
         | Podem.Untestable -> incr untestable
         | Podem.Aborted -> incr aborted
         | Podem.Test pattern ->
@@ -92,6 +94,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
                 if w <> 0 then detected.(j) <- true)
             faults)
     faults;
+  Podem.publish_stats podem;
   let patterns =
     Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra))
   in
@@ -107,6 +110,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
 
 let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
   assert (n >= 1);
+  Obs.phase "tpg" @@ fun () ->
   let rng = Rng.create seed in
   let collapsed = Fault_list.collapse t in
   let faults = Array.of_list (Fault_list.representatives collapsed) in
@@ -171,6 +175,7 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
           if w <> 0 then counts.(j) <- counts.(j) + 1)
       faults
   in
+  let podem = Podem.create t in
   Array.iteri
     (fun i f ->
       let attempts = ref 0 in
@@ -179,7 +184,7 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
         incr attempts;
         if !attempts > 4 * n then gave_up := true
         else
-          match Podem.generate ~backtrack_limit ~fill_seed:(Rng.int rng 1_000_000) t f with
+          match Podem.run ~backtrack_limit ~fill_seed:(Rng.int rng 1_000_000) podem f with
           | Podem.Untestable -> untestable.(i) <- true
           | Podem.Aborted ->
             incr aborted;
@@ -189,6 +194,7 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
             apply_pattern pattern
       done)
     faults;
+  Podem.publish_stats podem;
   let patterns = Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra)) in
   let n_untestable = Array.fold_left (fun acc u -> acc + Bool.to_int u) 0 untestable in
   let ndet =

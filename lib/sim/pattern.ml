@@ -87,3 +87,16 @@ let of_text text =
           | c -> invalid_arg (Printf.sprintf "Pattern.of_text: bad character %c" c))
     in
     of_list ~npis (List.map vector lines)
+
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+    match of_text text with
+    | pats -> Ok pats
+    | exception Invalid_argument reason -> Error (path ^ ": " ^ reason))

@@ -55,3 +55,9 @@ val to_text : t -> string
 val of_text : string -> t
 (** Parse {!to_text} output; the PI count is the first line's length.
     Raises [Invalid_argument] on ragged lines or foreign characters. *)
+
+val read_file : string -> (t, string) result
+(** {!of_text} of a file's contents.  Never raises: an unreadable file
+    is [Error] with the system message, a malformed one (ragged line,
+    foreign character) is [Error "<path>: <reason>"], and the channel is
+    closed either way. *)

@@ -89,6 +89,23 @@ let test_disabled_records_nothing () =
     (fun (d : Obs.dist_stat) -> Alcotest.(check int) (d.d_name ^ " empty") 0 d.d_count)
     snap.Obs.dists
 
+(* Test generation accounts for itself: one "tpg" phase per call and
+   the PODEM work counters, with aborts matching the report. *)
+let test_tpg_recorded () =
+  isolated @@ fun () ->
+  let r = Tpg.generate ~seed:1 ~backtrack_limit:4 (Generators.random_logic ~gates:300 ~pis:12 ~pos:6 ~seed:17) in
+  let snap = Obs.snapshot () in
+  Alcotest.(check bool) "podem ran" true (counter_value snap "tpg.podem_calls" > 0);
+  Alcotest.(check bool) "implications counted" true (counter_value snap "tpg.implications" > 0);
+  Alcotest.(check int) "aborts match the report" r.Tpg.aborted (counter_value snap "tpg.aborted");
+  Alcotest.(check bool) "some aborts" true (r.Tpg.aborted > 0);
+  Alcotest.(check bool)
+    "backtracks cover the aborts" true
+    (counter_value snap "tpg.backtracks" > 4 * r.Tpg.aborted);
+  match List.find_opt (fun p -> p.Obs.p_name = "tpg") snap.Obs.phases with
+  | Some p -> Alcotest.(check int) "one tpg phase" 1 p.Obs.p_count
+  | None -> Alcotest.fail "tpg phase missing"
+
 let test_reset_preserves_registrations () =
   isolated @@ fun () ->
   let c = Obs.counter "test.reset_probe" in
@@ -236,6 +253,8 @@ let suite =
       [
         Alcotest.test_case "instrumented run records counters and phases" `Quick
           test_counters_and_phases_recorded;
+        Alcotest.test_case "test generation records phase and counters" `Quick
+          test_tpg_recorded;
         Alcotest.test_case "disabled run records nothing" `Quick
           test_disabled_records_nothing;
         Alcotest.test_case "reset preserves registrations" `Quick

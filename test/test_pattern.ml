@@ -107,6 +107,36 @@ let qcheck_blocks_roundtrip =
             (List.init b.Pattern.width Fun.id))
         (Pattern.blocks p))
 
+(* [read_file] is the CLI's pattern-file boundary: a good file round-
+   trips, a malformed one is an [Error] naming the file — never a stray
+   exception — and a missing one is an [Error] too. *)
+let with_file text f =
+  let path = Filename.temp_file "mddpat" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let test_read_file () =
+  let p = Pattern.random (Rng.create 3) ~npis:5 ~count:9 in
+  with_file (Pattern.to_text p) (fun path ->
+      match Pattern.read_file path with
+      | Ok q -> Alcotest.(check string) "round trip" (Pattern.to_text p) (Pattern.to_text q)
+      | Error msg -> Alcotest.fail msg);
+  let rejects name text reason =
+    with_file text (fun path ->
+        match Pattern.read_file path with
+        | Ok _ -> Alcotest.failf "%s accepted" name
+        | Error msg ->
+          Alcotest.(check string) name (path ^ ": Pattern.of_text: " ^ reason) msg)
+  in
+  rejects "ragged" "0101\n011\n" "ragged pattern lines";
+  rejects "bad character" "0101\n01x1\n" "bad character x";
+  match Pattern.read_file "/nonexistent/mdd-patterns.txt" with
+  | Ok _ -> Alcotest.fail "missing file accepted"
+  | Error _ -> ()
+
 let suite =
   [
     ( "pattern",
@@ -119,6 +149,7 @@ let suite =
         Alcotest.test_case "append/sub" `Quick test_append_sub;
         Alcotest.test_case "blocks packing" `Quick test_blocks_packing;
         Alcotest.test_case "empty set" `Quick test_empty_set;
+        Alcotest.test_case "read_file errors" `Quick test_read_file;
         QCheck_alcotest.to_alcotest qcheck_blocks_roundtrip;
       ] );
   ]

@@ -121,6 +121,52 @@ let qcheck_random_circuits =
           | Podem.Untestable | Podem.Aborted -> true)
         (Fault_list.representatives collapsed))
 
+(* Differential oracle: the incremental dual-rail engine must return
+   exactly what the reference implication (two full ternary sweeps per
+   decision, whole-netlist scans) returns — same variant, same vector —
+   for every collapsed fault, one reused engine per circuit, and
+   backtrack limits small enough to abort. *)
+let agrees_with_oracle ~backtrack_limit ~fill_seed net =
+  let podem = Podem.create net in
+  List.for_all
+    (fun fault ->
+      Podem.run ~backtrack_limit ~fill_seed podem fault
+      = Podem_oracle.generate ~backtrack_limit ~fill_seed net fault)
+    (Fault_list.representatives (Fault_list.collapse net))
+
+let qcheck_matches_oracle =
+  QCheck.Test.make ~name:"podem matches the ternary-sweep oracle (random circuits)"
+    ~count:12
+    QCheck.(
+      quad (int_range 50 300) (int_range 1 10_000) (oneofl [ 4; 16; 128 ])
+        (int_range 0 1_000_000))
+    (fun (gates, seed, backtrack_limit, fill_seed) ->
+      let net =
+        Generators.random_logic ~gates ~pis:(4 + (seed mod 13)) ~pos:(2 + (seed mod 7)) ~seed
+      in
+      agrees_with_oracle ~backtrack_limit ~fill_seed net)
+
+(* The oracle comparison above is only as strong as the outcomes it
+   sees: on this circuit a limit of 4 yields tests, proofs and aborts. *)
+let test_oracle_all_outcomes () =
+  let net = Generators.random_logic ~gates:300 ~pis:12 ~pos:6 ~seed:17 in
+  let podem = Podem.create net in
+  let tests = ref 0 and untestable = ref 0 and aborted = ref 0 in
+  List.iter
+    (fun fault ->
+      let r = Podem.run ~backtrack_limit:4 podem fault in
+      if r <> Podem_oracle.generate ~backtrack_limit:4 net fault then
+        Alcotest.failf "oracle disagrees on %s"
+          (Format.asprintf "%a" (Fault_list.pp_fault net) fault);
+      match r with
+      | Podem.Test _ -> incr tests
+      | Podem.Untestable -> incr untestable
+      | Podem.Aborted -> incr aborted)
+    (Fault_list.representatives (Fault_list.collapse net));
+  Alcotest.(check bool) "some tests" true (!tests > 0);
+  Alcotest.(check bool) "some untestable" true (!untestable > 0);
+  Alcotest.(check bool) "some aborted" true (!aborted > 0)
+
 let suite =
   [
     ( "podem",
@@ -134,5 +180,8 @@ let suite =
         Alcotest.test_case "PI faults" `Quick test_pi_faults;
         Alcotest.test_case "deterministic" `Quick test_deterministic;
         QCheck_alcotest.to_alcotest qcheck_random_circuits;
+        Alcotest.test_case "oracle agreement covers every outcome" `Quick
+          test_oracle_all_outcomes;
+        QCheck_alcotest.to_alcotest qcheck_matches_oracle;
       ] );
   ]

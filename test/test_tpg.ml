@@ -107,6 +107,54 @@ let test_ndetect_grows_with_n () =
   Alcotest.(check bool) "more patterns" true
     (Pattern.count p3.Tpg.patterns >= Pattern.count p1.Tpg.patterns)
 
+(* The CLI's test sets, pinned byte for byte: MD5 of [Pattern.to_text]
+   of [Campaign.test_set] (seed 1, backtrack limit 128), with pattern
+   count and coverage, for every suite circuit.  Recorded before PODEM's
+   implication engine was rewritten; any change to the search, the fill
+   or the fault drop shows up here. *)
+let pinned_test_sets =
+  [
+    ("c17", "25b02c827a7df74599570558e10f7d80", 63, 1.0);
+    ("par16", "dfb20819df17c1fb131d45e64a191ab5", 63, 1.0);
+    ("dec4", "25b02c827a7df74599570558e10f7d80", 63, 1.0);
+    ("gray8", "02158e4d44fd607c39959d8f174541f3", 63, 1.0);
+    ("add8", "483f2d9923b871cac59da91c4e1f59cf", 63, 1.0);
+    ("penc4", "d03f5bbb30e9a2fbf536e5be6a2ef2a4", 72, 0.9875);
+    ("crc16", "483f2d9923b871cac59da91c4e1f59cf", 63, 1.0);
+    ("cmp16", "fbdc83b77dfb91bbfba13dbe12ba9532", 283, 1.0);
+    ("cla16", "6ee63d0d04a8e42030ae28ce4beb3fa5", 63, 1.0);
+    ("mux5", "c5ff66b0b106539a84eaf4dbcca26a1d", 257, 1.0);
+    ("maj9", "cfe36cbccaae392884bc716c518a1134", 63, 0.9730);
+    ("bshift4", "bd7528bd41921e2438ee45d2c398be4d", 126, 1.0);
+    ("alu8", "8e04974e7cb511901cafae2403c3b625", 126, 1.0);
+    ("add32", "64d6ec8470529f3c869f7fc0d8c9f569", 63, 1.0);
+    ("mult8", "490d71b6d484fde6d16e206b583f45cd", 126, 1.0);
+    ("rnd1k", "1800243af2fd595b96f86fd3597c13ce", 288, 0.9014);
+    ("rnd2k", "997a9a472c133148f4bd16b403b84d12", 321, 0.8870);
+  ]
+
+let md5_text pats = Digest.to_hex (Digest.string (Pattern.to_text pats))
+
+let test_pinned_test_sets () =
+  Alcotest.(check (list string))
+    "every suite circuit pinned"
+    (List.map fst (Generators.suite ()))
+    (List.map (fun (name, _, _, _) -> name) pinned_test_sets);
+  List.iter
+    (fun (name, digest, count, coverage) ->
+      let r = Campaign.test_report (Option.get (Generators.find_suite name)) in
+      Alcotest.(check int) (name ^ " patterns") count (Pattern.count r.Tpg.patterns);
+      Alcotest.(check (float 5e-5)) (name ^ " coverage") coverage r.Tpg.coverage;
+      Alcotest.(check string) (name ^ " digest") digest (md5_text r.Tpg.patterns))
+    pinned_test_sets
+
+(* N-detect top-off calls PODEM with a fresh fill seed per attempt;
+   cmp16 needs hundreds of such calls beyond its random slabs. *)
+let test_pinned_ndetect () =
+  let r = Tpg.generate_ndetect ~seed:1 ~n:3 (Generators.comparator 16) in
+  Alcotest.(check int) "patterns" 847 (Pattern.count r.Tpg.patterns);
+  Alcotest.(check string) "digest" "8b6b3347fcfdf53b79fba74b0b555b02" (md5_text r.Tpg.patterns)
+
 let suite =
   [
     ( "tpg",
@@ -121,5 +169,7 @@ let suite =
         Alcotest.test_case "n-detect reaches n" `Quick test_ndetect_reaches_n;
         Alcotest.test_case "n-detect n=1" `Quick test_ndetect_1_equals_detect;
         Alcotest.test_case "n-detect grows with n" `Quick test_ndetect_grows_with_n;
+        Alcotest.test_case "suite test sets pinned" `Quick test_pinned_test_sets;
+        Alcotest.test_case "n-detect test set pinned (cmp16)" `Quick test_pinned_ndetect;
       ] );
   ]
