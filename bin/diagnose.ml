@@ -32,7 +32,9 @@ let serve_arg =
   let doc =
     "Service mode: load the session once, then read datalog file paths from \
      stdin (one per line) and emit one JSON report line per die on stdout \
-     (or into --out DIR when given) until EOF."
+     (or into --out DIR when given) until EOF.  A path that cannot be read, \
+     an empty file or a malformed datalog yields a {\"name\", \"error\"} \
+     record instead and the service carries on; the exit status is then 1."
   in
   Arg.(value & flag & info [ "serve" ] ~doc)
 
@@ -66,10 +68,20 @@ let no_validate_arg =
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
 let read_file path =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  text
+  try
+    let ic = open_in path in
+    Ok
+      (Fun.protect
+         ~finally:(fun () -> close_in_noerr ic)
+         (fun () -> really_input_string ic (in_channel_length ic)))
+  with
+  | Sys_error msg -> Error msg
+  | End_of_file -> Error (path ^ ": short read")
+
+(* One serve-mode error record, in place of the die's report. *)
+let error_json name msg =
+  Obs_json.to_string (Obs_json.Obj [ ("name", Obs_json.Str name); ("error", Obs_json.Str msg) ])
+  ^ "\n"
 
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
     no_validate no_prune no_cache no_batch prewarm cache_mb cover cover_budget store_dir
@@ -92,6 +104,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     match (suite, bench) with Some s, _ -> s | None, Some b -> b | None, None -> ""
   in
   let config = { Noassume.default_config with validate = not no_validate; domains } in
+  let failed = ref 0 in
   let mode_meta =
     match (batch_dir, serve) with
     | Some dir, _ ->
@@ -123,31 +136,45 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
       (* --- Serve mode: datalog paths on stdin, reports out. -------- *)
       let die_config = { config with Noassume.domains = Some 1 } in
       let n = ref 0 in
+      let emit name status json =
+        (match out with
+        | Some dir ->
+          if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+          let oc = open_out (Filename.concat dir (name ^ ".json")) in
+          output_string oc json;
+          close_out oc;
+          Printf.printf "%s: %s\n%!" name status
+        | None -> print_string json);
+        flush stdout
+      in
+      (* A bad die is one error record, never a dead service: an empty
+         file is a truncated transfer, not a die that passed. *)
+      let load path =
+        Result.bind (read_file path) (fun text ->
+            if String.trim text = "" then Error (path ^ ": empty datalog")
+            else Result.map_error (fun msg -> path ^ ": " ^ msg) (parse_dlog text))
+      in
       (try
          while true do
            let path = String.trim (input_line stdin) in
            if path <> "" then begin
              let name = Filename.remove_extension (Filename.basename path) in
-             let dlog = Cli_common.or_die (parse_dlog (read_file path)) in
-             let r =
-               Volume.diagnose_die ~config:die_config session
-                 { Volume.name; dlog }
-             in
-             incr n;
-             let json = Volume.die_json r in
-             (match out with
-             | Some dir ->
-               if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-               let oc = open_out (Filename.concat dir (name ^ ".json")) in
-               output_string oc json;
-               close_out oc;
-               Printf.printf "%s: done\n%!" name
-             | None -> print_string json);
-             flush stdout
+             match load path with
+             | Error msg ->
+               incr failed;
+               prerr_endline ("error: " ^ msg);
+               emit name "error" (error_json name msg)
+             | Ok dlog ->
+               let r =
+                 Volume.diagnose_die ~config:die_config session
+                   { Volume.name; dlog }
+               in
+               incr n;
+               emit name "done" (Volume.die_json r)
            end
          done
        with End_of_file -> ());
-      [ ("mode", "serve"); ("dies", string_of_int !n) ]
+      [ ("mode", "serve"); ("dies", string_of_int !n); ("failed", string_of_int !failed) ]
     | None, false ->
       (* --- Single-shot mode. --------------------------------------- *)
       let datalog_file =
@@ -157,7 +184,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
           Cli_common.or_die
             (Error "a datalog is required: --datalog FILE (or --batch-dir/--serve)")
       in
-      let dlog = Cli_common.or_die (parse_dlog (read_file datalog_file)) in
+      let dlog = Cli_common.or_die (Result.bind (read_file datalog_file) parse_dlog) in
       Format.printf "circuit: %a@." Netlist.pp_stats net;
       Format.printf "datalog: %d failing patterns over %d outputs@."
         (Datalog.num_failing dlog) (Netlist.num_pos net);
@@ -196,7 +223,8 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     ~meta:
       ([ ("tool", "diagnose"); ("circuit", circuit) ]
       @ mode_meta
-      @ Cli_common.config_meta scfg)
+      @ Cli_common.config_meta scfg);
+  if !failed > 0 then exit 1
 
 let cmd =
   let doc = "locate multiple defects from tester datalogs" in

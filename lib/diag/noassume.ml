@@ -170,11 +170,12 @@ let refine config m pats chosen covers =
   let dlog = Explain.datalog m in
   let session = Explain.session m in
   let goods = Session.goods session in
+  let reach = Session.reach session in
   let batch = (Session.config session).Session.batch in
   let cand = Explain.candidates m in
   let faults_of ids = List.map (fun c -> cand.(c)) ids in
   let score_of ids =
-    Scoring.evaluate_multiplet ?domains:config.domains ~goods ~batch net pats dlog
+    Scoring.evaluate_multiplet ?domains:config.domains ~goods ~reach ~batch net pats dlog
       (faults_of ids)
   in
   let steps = ref 0 in
@@ -311,7 +312,7 @@ let max_aggressors = 16
    are ordered by how closely the predicted failures match the datalog
    (a single-defect approximation; the final confirmation re-simulates
    the whole multiplet). *)
-let infer_aggressors config m cache site members covers =
+let infer_aggressors config m pats cache site members covers =
   let net = Explain.netlist m in
   let obs = Explain.observations m in
   let dlog = Explain.datalog m in
@@ -326,64 +327,24 @@ let infer_aggressors config m cache site members covers =
     members;
   if Hashtbl.length needed = 0 then []
   else begin
-    let sim = Fault_sim.create net in
-    let npos = Array.length (Netlist.pos net) in
-    let blocks_arr = Array.of_list (List.map fst cache.blocks) in
+    let session = Explain.session m in
     let words_arr = Array.of_list (List.map snd cache.blocks) in
-    let nblocks = Array.length blocks_arr in
-    (* Observed failing bits per block — one word per output plus the
-       block's observation count — shared by every aggressor screen
-       below; the datalog lists are walked once instead of once per
-       (aggressor, pattern). *)
-    let observed_flat = Array.make (max 1 (nblocks * npos)) 0 in
-    let total_obs = ref 0 in
-    Array.iteri
-      (fun bi (block : Pattern.block) ->
-        for k = 0 to block.Pattern.width - 1 do
-          List.iter
-            (fun oi ->
-              observed_flat.((bi * npos) + oi) <-
-                observed_flat.((bi * npos) + oi) lor (1 lsl k);
-              incr total_obs)
-            (Datalog.failing_pos dlog (block.Pattern.base + k))
-        done)
-      blocks_arr;
-    let total_obs = !total_obs in
-    (* Penalty of the dominant-bridge hypothesis "site follows a".  With
-       batching on, one PPSFP sweep carries all blocks; the per-block
-       event-driven fallback keeps the [--no-batch] A/B honest.  An
-       observed failure the hypothesis does not reproduce is a miss
-       whether or not the output differs at all, so the miss count is
-       the observation total minus the explained bits. *)
-    let use_batch = (Session.config (Explain.session m)).Session.batch in
-    let batch =
-      if use_batch then
-        Some (Fault_sim.prepare_batch sim ~blocks:blocks_arr ~goods:words_arr)
-      else None
-    in
+    let nblocks = Array.length words_arr in
+    (* Penalty of the dominant-bridge hypothesis "site follows a": one
+       PPSFP sweep over all blocks on the scoring scratch refine already
+       built for this problem (shared goods slab, PO-reachability screen
+       and observed words).  An observed failure the hypothesis does not
+       reproduce is a miss whether or not the output differs at all. *)
     let deltas = Array.make (max 1 nblocks) 0 in
     let screen a =
-      let explained = ref 0 and spurious = ref 0 in
-      (match batch with
-      | Some b ->
-        for bi = 0 to nblocks - 1 do
-          deltas.(bi) <- words_arr.(bi).(site) lxor words_arr.(bi).(a)
-        done;
-        Fault_sim.batch_po_diffs_delta b ~site ~deltas (fun bi oi w ->
-            let obs = observed_flat.((bi * npos) + oi) in
-            explained := !explained + Logic.popcount (w land obs);
-            spurious := !spurious + Logic.popcount (w land lnot obs))
-      | None ->
-        for bi = 0 to nblocks - 1 do
-          let block = blocks_arr.(bi) and words = words_arr.(bi) in
-          let delta = words.(site) lxor words.(a) in
-          Fault_sim.iter_po_diffs_delta sim ~good:words ~width:block.Pattern.width
-            ~site ~delta (fun oi d ->
-              let obs = observed_flat.((bi * npos) + oi) in
-              explained := !explained + Logic.popcount (d land obs);
-              spurious := !spurious + Logic.popcount (d land lnot obs))
-        done);
-      (10 * (total_obs - !explained)) + !spurious
+      for bi = 0 to nblocks - 1 do
+        deltas.(bi) <- words_arr.(bi).(site) lxor words_arr.(bi).(a)
+      done;
+      let s =
+        Scoring.screen_delta ~goods:(Session.goods session) ~reach:(Session.reach session)
+          net pats dlog ~site ~deltas
+      in
+      (10 * s.Scoring.missed) + s.Scoring.spurious_fail + s.Scoring.spurious_pass
     in
     let physically_adjacent a =
       match config.layout with
@@ -427,11 +388,10 @@ let infer_aggressors config m cache site members covers =
       end
     done;
     let ranked = List.sort compare !candidates in
-    Fault_sim.publish_stats sim;
     List.filteri (fun i _ -> i < max_aggressors) (List.map snd ranked)
   end
 
-let build_callouts config m _pats chosen covers =
+let build_callouts config m pats chosen covers =
   let cand = Explain.candidates m in
   let members = List.map (fun c -> (c, cand.(c))) chosen in
   let sites = List.sort_uniq compare (List.map (fun (_, f) -> f.Fault_list.site) members) in
@@ -446,7 +406,7 @@ let build_callouts config m _pats chosen covers =
         let explained_obs =
           List.fold_left (fun acc (c, _) -> acc + Bitvec.popcount covers.(c)) 0 mine
         in
-        let aggressors = infer_aggressors config m cache site mine covers in
+        let aggressors = infer_aggressors config m pats cache site mine covers in
         let models =
           match (polarities, aggressors) with
           | [ v ], [] -> [ Stuck_at v ]
@@ -466,19 +426,21 @@ let build_callouts config m _pats chosen covers =
    observations. *)
 let max_validated_aggressors = 10
 
-(* Bridge confirmation stays on the overlay simulator deliberately: a
-   bridge overlay reads its aggressor's (possibly faulty) value and the
-   wired kinds read the victim's driven value, neither of which a
-   delta-propagation pin can express — and [Defect.overlay] may need the
-   overlay engine's multi-sweep fixpoint on reconvergent interactions.
-   The call count here is bounded (callouts x aggressors x kinds), so
-   the batched kernel has nothing to amortize anyway. *)
+(* Bridge confirmation runs on the multi-site PPSFP sweep
+   ([Scoring.evaluate_bridges], DESIGN.md §6a): per callout, a few read
+   sweeps of the rest of the multiplet give every hypothesis its held
+   victim (and, for wired kinds, aggressor) words — exactly, feedback
+   bridges included, by replaying the overlay simulator's capped
+   fixpoint lane by lane — and each hypothesis is then scored in one
+   event-driven sweep instead of a full-circuit overlay resimulation. *)
 let validate_bridges config m pats multiplet callouts score =
   if not config.validate then (callouts, score)
   else begin
-    let net = Explain.netlist m in
-    let dlog = Explain.datalog m in
-    let goods = Session.goods (Explain.session m) in
+    let session = Explain.session m in
+    let score_bridges =
+      Scoring.evaluate_bridges ~goods:(Session.goods session) ~reach:(Session.reach session)
+        (Explain.netlist m) pats (Explain.datalog m)
+    in
     let current_score = ref score in
     let callouts =
       List.map
@@ -491,29 +453,25 @@ let validate_bridges config m pats multiplet callouts score =
           let rest =
             List.filter (fun f -> f.Fault_list.site <> callout.site) multiplet
           in
-          let rest_overlay = Scoring.overlay_of_multiplet rest in
+          let hyps =
+            List.concat_map
+              (fun a ->
+                List.map (fun kind -> (a, kind))
+                  [ Defect.Dominant; Defect.Wired_and; Defect.Wired_or ])
+              (List.filteri (fun i _ -> i < max_validated_aggressors) aggressors)
+          in
           (* Every bridge hypothesis that strictly improves the match is
              recorded; several aggressors can be exactly tied (test-set
              resolution limit), and the analyst needs all of them. *)
           let accepted = ref [] in
-          List.iteri
-            (fun i a ->
-              if i < max_validated_aggressors then
-                List.iter
-                  (fun kind ->
-                    let bridge =
-                      Defect.Bridge { victim = callout.site; aggressor = a; kind }
-                    in
-                    let s =
-                      Scoring.evaluate ?domains:config.domains ~goods net pats dlog
-                        (rest_overlay @ Defect.overlay bridge)
-                    in
-                    if
-                      s.Scoring.explained >= !current_score.Scoring.explained
-                      && Scoring.penalty s < Scoring.penalty !current_score
-                    then accepted := (s, a, kind) :: !accepted)
-                  [ Defect.Dominant; Defect.Wired_and; Defect.Wired_or ])
-            aggressors;
+          List.iter2
+            (fun (a, kind) s ->
+              if
+                s.Scoring.explained >= !current_score.Scoring.explained
+                && Scoring.penalty s < Scoring.penalty !current_score
+              then accepted := (s, a, kind) :: !accepted)
+            hyps
+            (score_bridges ~rest ~victim:callout.site hyps);
           match !accepted with
           | [] -> callout
           | l ->
@@ -583,7 +541,7 @@ let diagnose_matrix ?(config = default_config) m pats =
       let session = Explain.session m in
       ( chosen,
         Scoring.evaluate_multiplet ?domains:config.domains
-          ~goods:(Session.goods session)
+          ~goods:(Session.goods session) ~reach:(Session.reach session)
           ~batch:(Session.config session).Session.batch net pats dlog faults,
         0 )
   in

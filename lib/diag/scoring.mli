@@ -57,6 +57,7 @@ val overlay_of_multiplet : Fault_list.fault list -> Logic_sim.override list
 val evaluate_multiplet :
   ?domains:int ->
   ?goods:Logic_sim.net_values array ->
+  ?reach:Po_reach.t ->
   ?batch:bool ->
   Netlist.t ->
   Pattern.t ->
@@ -67,6 +68,52 @@ val evaluate_multiplet :
     the multiplet is scored by one PPSFP delta-propagation sweep
     ({!Fault_sim.batch_multiplet_diffs}) instead of a full overlay
     resimulation — identical score by construction; [~batch:false] is
-    the same-binary A/B the benches use. *)
+    the same-binary A/B the benches use.  The sweep runs on a
+    domain-local scratch per (netlist, pattern set), built on first use
+    from [goods] and [reach] (session-threaded callers pass
+    [Session.goods] and [Session.reach]) and shared with
+    {!screen_delta} and {!evaluate_bridges}. *)
+
+val screen_delta :
+  ?goods:Logic_sim.net_values array ->
+  ?reach:Po_reach.t ->
+  Netlist.t ->
+  Pattern.t ->
+  Datalog.t ->
+  site:Netlist.net ->
+  deltas:int array ->
+  score
+(** Score one single-site injection of an arbitrary error word per
+    block ([deltas], as {!Fault_sim.batch_po_diffs_delta}) against the
+    datalog, on the same scratch as {!evaluate_multiplet}.  The cheap
+    single-defect screen of bridge aggressors; not counted as a
+    ["scoring.evaluations"]. *)
+
+val evaluate_bridges :
+  ?goods:Logic_sim.net_values array ->
+  ?reach:Po_reach.t ->
+  Netlist.t ->
+  Pattern.t ->
+  Datalog.t ->
+  rest:Fault_list.fault list ->
+  victim:Netlist.net ->
+  (Netlist.net * Defect.bridge_kind) list ->
+  score list
+(** [evaluate_bridges net pats dlog ~rest ~victim hyps] scores each
+    (aggressor, kind) bridge hypothesis on [victim] together with the
+    multiplet [rest] (which must not pin [victim]), in [hyps] order:
+    each score equals
+    [evaluate (overlay_of_multiplet rest @ Defect.overlay bridge)],
+    including bridges that feed back through their own fanout cone,
+    which the overlay simulator leaves wherever its
+    [Logic_sim.max_sweeps] cap stops them.  One read sweep of [rest],
+    two more (victim held at 0 and at 1) when some aggressor lies in
+    the victim's fanout cone, two per wired aggressor upstream of the
+    victim, then one {!Fault_sim.batch_multiplet_diffs} sweep per
+    hypothesis with held words derived lane by lane (DESIGN.md §6a).
+    Counts one ["scoring.evaluations"] and one ["bridges.hypotheses"]
+    per hypothesis, and ["bridges.feedback"] for those whose bridge
+    closes a loop.  Raises [Invalid_argument] when an aggressor is the
+    victim. *)
 
 val pp : Format.formatter -> score -> unit

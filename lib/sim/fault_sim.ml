@@ -707,65 +707,58 @@ let batch_po_diffs b ~site ~stuck f =
     emit_reach_diffs b ~site f
   end
 
-let batch_multiplet_diffs b ~faults f =
+let batch_multiplet_diffs ?(held = []) b ~faults f =
   let t = b.bsim in
   let nb = b.nb in
   reset_batch b;
-  (* Active blocks = union over sites: a held site contributes the
-     blocks where its stuck word differs from good, a flipped site every
-     block (its delta is all live bits).  Seeding writes whole rows, so
-     the union must be fixed before the first seed. *)
-  b.nact <- 0;
-  let actf = Array.make nb false in
-  List.iter
-    (fun (site, _) ->
-      let same_site = List.filter (fun (s, _) -> s = site) faults in
-      let stucks = List.sort_uniq compare (List.map snd same_site) in
-      let o = site * nb in
-      match stucks with
-      | [ st ] ->
-        let sw = if st then Logic.ones else 0 in
-        for bi = 0 to nb - 1 do
-          if (sw lxor b.tgood.(o + bi)) land b.masks.(bi) <> 0 then actf.(bi) <- true
-        done
-      | _ ->
-        for bi = 0 to nb - 1 do
-          actf.(bi) <- true
-        done)
-    faults;
-  for bi = 0 to nb - 1 do
-    if actf.(bi) then begin
-      b.act.(b.nact) <- bi;
-      b.nact <- b.nact + 1
-    end
-  done;
-  (* Group the multiplet by site: one polarity pins the site held at its
-     stuck word; both polarities pin it flipped ([lnot computed], the
-     Byzantine surrogate), seeded as flipped-from-good, i.e. all live
-     bits set. *)
-  let seed_one site stucks =
+  (* Every pin as (site, kind, seed delta of block [bi]).  A held word
+     pins the site at that word; of the multiplet, one polarity pins the
+     site held at its stuck word and both polarities pin it flipped
+     ([lnot computed], the Byzantine surrogate), seeded as
+     flipped-from-good, i.e. all live bits set.  A held site drops any
+     multiplet pin on the same net — the overlay's last write wins. *)
+  let held_delta site word =
     let o = site * nb in
-    match stucks with
-    | [ st ] ->
-      let sw = if st then Logic.ones else 0 in
-      for bi = 0 to nb - 1 do
-        b.acc.(bi) <- (sw lxor b.tgood.(o + bi)) land b.masks.(bi)
-      done;
-      seed_batch b ~site ~pin_kind:1 b.acc
-    | _ ->
-      seed_batch b ~site ~pin_kind:2 b.masks
+    fun bi -> (word bi lxor b.tgood.(o + bi)) land b.masks.(bi)
   in
-  let rec group = function
-    | [] -> ()
+  let rec group acc = function
+    | [] -> acc
     | (site, stuck) :: rest ->
       let same, other = List.partition (fun (s, _) -> s = site) rest in
       (* Distinct polarities only, matching [Scoring.overlay_of_multiplet]:
          a site listed twice with one polarity is still a plain stuck-at. *)
-      let stucks = List.sort_uniq compare (stuck :: List.map snd same) in
-      seed_one site stucks;
-      group other
+      let acc =
+        if List.mem_assoc site held then acc
+        else
+          match List.sort_uniq compare (stuck :: List.map snd same) with
+          | [ st ] ->
+            let sw = if st then Logic.ones else 0 in
+            (site, 1, held_delta site (fun _ -> sw)) :: acc
+          | _ -> (site, 2, fun bi -> b.masks.(bi)) :: acc
+      in
+      group acc other
   in
-  group faults;
+  let pins =
+    List.map (fun (site, words) -> (site, 1, held_delta site (Array.get words))) held
+    @ List.rev (group [] faults)
+  in
+  (* Active blocks = union over pins of the blocks with a non-zero seed
+     (a flipped site has every block).  Seeding writes whole rows, so
+     the union must be fixed before the first seed. *)
+  b.nact <- 0;
+  for bi = 0 to nb - 1 do
+    if List.exists (fun (_, _, d) -> d bi <> 0) pins then begin
+      b.act.(b.nact) <- bi;
+      b.nact <- b.nact + 1
+    end
+  done;
+  List.iter
+    (fun (site, pin_kind, d) ->
+      for bi = 0 to nb - 1 do
+        b.acc.(bi) <- d bi
+      done;
+      seed_batch b ~site ~pin_kind b.acc)
+    pins;
   drain_batch b;
   let td = b.tdelta in
   let npos = Array.length t.pos in
@@ -777,6 +770,36 @@ let batch_multiplet_diffs b ~faults f =
       if w <> 0 then f bi oi w
     done
   done
+
+(* Blocks outside the act list carry zero delta everywhere (every sweep
+   writes and resets active blocks only), so one XOR reads any block. *)
+let batch_value b ~net ~block =
+  let o = (net * b.nb) + block in
+  b.tgood.(o) lxor b.tdelta.(o)
+
+let batch_driven b ~net ~block =
+  let g = b.bsim.net in
+  let fi = Netlist.fanin_csr g and off = Netlist.fanin_offsets g in
+  let lo = off.(net) and hi = off.(net + 1) in
+  (* Inputs and constants have no fanin: their driven word is the
+     good-machine one. *)
+  if lo = hi then b.tgood.((net * b.nb) + block)
+  else begin
+    let code = (Netlist.gate_codes g).(net) in
+    let v i = batch_value b ~net:fi.(i) ~block in
+    let acc = ref (v lo) in
+    for i = lo + 1 to hi - 1 do
+      acc :=
+        if code = Gate.code_and || code = Gate.code_nand then !acc land v i
+        else if code = Gate.code_or || code = Gate.code_nor then !acc lor v i
+        else !acc lxor v i
+    done;
+    if
+      code = Gate.code_not || code = Gate.code_nand || code = Gate.code_nor
+      || code = Gate.code_xnor
+    then lnot !acc
+    else !acc
+  end
 
 let simulate_batch b ~n ~fault f =
   b.n_batches <- b.n_batches + 1;

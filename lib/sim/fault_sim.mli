@@ -70,9 +70,14 @@ val po_diffs_delta :
   (int * int) list
 (** Generalisation of {!po_diffs}: inject an arbitrary per-pattern error
     word [delta] (bit [k] set = the site's value is flipped on pattern
-    [k]) at [site] and propagate.  This is how bridge hypotheses are
-    screened cheaply: the victim's delta under "victim follows net [a]"
-    is just [good(victim) lxor good(a)]. *)
+    [k]) at [site] and propagate.  For a single injection the victim's
+    delta under "victim follows net [a]" is just
+    [good(victim) lxor good(a)]; the aggressor screens run that
+    injection over every block at once through {!batch_po_diffs_delta},
+    and bridge confirmation, which must see the rest of the multiplet
+    and the bridge's feedback, pins held words in
+    {!batch_multiplet_diffs}.  Kept as the single-block reference the
+    kernel oracles check the batch entry points against. *)
 
 val iter_po_diffs :
   t ->
@@ -159,18 +164,38 @@ val batch_po_diffs_delta :
     form of {!iter_po_diffs_delta}, used by the aggressor screens. *)
 
 val batch_multiplet_diffs :
-  batch -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
+  ?held:(Netlist.net * int array) list ->
+  batch ->
+  faults:(Netlist.net * bool) list ->
+  (int -> int -> int -> unit) ->
+  unit
 (** Multi-site sweep for multiplet scoring ([faults] lists
     (site, stuck) pairs; this layer does not know [Fault_list]): every
     site is pinned — held at its stuck word for a single polarity,
     flipped ([lnot computed]) when both polarities are present — and
-    the joint faulty machine is propagated once.  [f bi oi w] for every
+    the joint faulty machine is propagated once.  [?held] adds sites
+    held at arbitrary per-block words (indexed by block; the dead high
+    bits are ignored; sites distinct): a held site is never
+    re-evaluated and replaces any [faults] pin on the same net, as the
+    overlay simulator's last write wins.  [f bi oi w] for every
     non-zero masked PO diff, blocks ascending then PO positions
     ascending (all POs, not just reachable ones).  Bit-identical to
-    [Logic_sim.simulate_block_overlay] under
-    [Scoring.overlay_of_multiplet], which holds because pinned sites
-    read no other nets and the netlist is feedback-free, so one
-    levelized pass is the fixpoint. *)
+    [Logic_sim.simulate_block_overlay] under the equivalent overrides
+    ([Scoring.overlay_of_multiplet] plus constant-word forces), which
+    holds because pinned sites read no other nets and the netlist is
+    feedback-free, so one levelized pass is the fixpoint.  After the
+    call, {!batch_value} and {!batch_driven} read the swept machine. *)
+
+val batch_value : batch -> net:Netlist.net -> block:int -> int
+(** The resolved word of [net] in block [block] after the last sweep on
+    this batch (good XOR delta; bits above the block width are
+    unspecified).  Valid until the next sweep. *)
+
+val batch_driven : batch -> net:Netlist.net -> block:int -> int
+(** What [net]'s own driver outputs in the last sweep: its gate
+    evaluated over the fanins' {!batch_value} words, ignoring any pin on
+    [net] itself — the overlay simulator's [driven_of].  Inputs and
+    constants return their good-machine word. *)
 
 val simulate_batch :
   batch ->

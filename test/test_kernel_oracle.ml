@@ -20,7 +20,8 @@ let random_problem seed multiplicity =
 
 (* Unlike the stuck-at oracle in [Test_fault_sim], this drives
    [iter_po_diffs_delta] with an arbitrary injected error word, the
-   entry point the aggressor screen in [Noassume] relies on. *)
+   single-block reference for [batch_po_diffs_delta], which the
+   aggressor screens in [Noassume] run. *)
 let prop_delta_injection_matches_overlay =
   QCheck.Test.make
     ~name:"iter_po_diffs_delta matches overlay resimulation (random delta)"
@@ -279,6 +280,127 @@ let prop_evaluate_multiplet_batch_identity =
       let score b = Scoring.evaluate_multiplet ~domains:1 ~batch:b net pats dlog faults in
       score true = score false)
 
+(* --- evaluate_bridges against the overlay simulator ----------------- *)
+
+(* The bridge scorer derives held words from a few read sweeps and, for
+   bridges that feed back through their own cone, replays the overlay's
+   capped fixpoint lane by lane; the reference is one full overlay
+   resimulation per hypothesis.  [case] forces the structural relation
+   each derivation handles differently: 0 victim and aggressor apart,
+   1 aggressor downstream of the victim, 2 aggressor upstream, 3 the
+   aggressor also a multiplet site (a wired bridge drops its pin),
+   4 a primary input as victim or aggressor. *)
+let bridge_kinds = [ Defect.Dominant; Defect.Wired_and; Defect.Wired_or ]
+
+let bridges_agree net pats dlog ~rest ~victim ~aggressor =
+  let hyps = List.map (fun kind -> (aggressor, kind)) bridge_kinds in
+  let got = Scoring.evaluate_bridges net pats dlog ~rest ~victim hyps in
+  let want =
+    List.map
+      (fun kind ->
+        Scoring.evaluate ~domains:1 net pats dlog
+          (Scoring.overlay_of_multiplet rest
+          @ Defect.overlay (Defect.Bridge { victim; aggressor; kind })))
+      bridge_kinds
+  in
+  got = want
+
+let prop_bridge_scorer_matches_overlay =
+  QCheck.Test.make ~name:"evaluate_bridges matches overlay evaluate (all kinds)" ~count:60
+    QCheck.(pair (int_range 1 100_000) (int_range 0 4))
+    (fun (seed, case) ->
+      let gates = 50 + (seed mod 251) in
+      let net = Generators.random_logic ~gates ~pis:7 ~pos:5 ~seed in
+      let rng = Rng.create ((seed * 13) + case) in
+      let pats = Pattern.random rng ~npis:7 ~count:150 in
+      let expected = Logic_sim.responses net pats in
+      let defects = Injection.random_defects rng net Injection.default_mix 2 in
+      let observed = Injection.observed_responses net pats defects in
+      let dlog = Datalog.of_responses ~expected ~observed in
+      let n = Netlist.num_nets net in
+      let pick pred =
+        match List.filter pred (List.init n Fun.id) with
+        | [] -> None
+        | l -> Some (List.nth l (Rng.int rng (List.length l)))
+      in
+      let strictly cone v x = x <> v && cone.(x) in
+      let pair =
+        match case with
+        | 1 ->
+          Option.bind
+            (pick (fun v -> Array.length (Netlist.fanout net v) > 0))
+            (fun v -> Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanout_reach net v) v)))
+        | 2 ->
+          Option.bind
+            (pick (fun v -> not (Netlist.is_pi net v)))
+            (fun v -> Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanin_cone net v) v)))
+        | 0 ->
+          Option.bind
+            (pick (fun _ -> true))
+            (fun v ->
+              let down = Netlist.fanout_reach net v and up = Netlist.fanin_cone net v in
+              Option.map (fun a -> (v, a)) (pick (fun a -> (not down.(a)) && not up.(a))))
+        | 4 ->
+          let pis = Netlist.pis net in
+          let p = pis.(Rng.int rng (Array.length pis)) in
+          Option.map
+            (fun o -> if seed mod 2 = 0 then (p, o) else (o, p))
+            (pick (fun o -> o <> p))
+        | _ ->
+          Option.bind
+            (pick (fun _ -> true))
+            (fun v -> Option.map (fun a -> (v, a)) (pick (fun a -> a <> v)))
+      in
+      match pair with
+      | None -> true
+      | Some (victim, aggressor) ->
+        (* Rest sites: a mix of single-polarity (held) and both-polarity
+           (flipped) pins, never the victim; case 3 pins the aggressor
+           too, with a polarity mix of its own. *)
+        let site () =
+          Option.value ~default:aggressor
+            (pick (fun s -> s <> victim && s <> aggressor))
+        in
+        let pins s =
+          match Rng.int rng 3 with
+          | 0 -> [ { Fault_list.site = s; stuck = false } ]
+          | 1 -> [ { Fault_list.site = s; stuck = true } ]
+          | _ ->
+            [ { Fault_list.site = s; stuck = true }; { Fault_list.site = s; stuck = false } ]
+        in
+        let rest = List.concat_map (fun _ -> pins (site ())) (List.init (1 + Rng.int rng 3) Fun.id) in
+        let rest = if case = 3 then pins aggressor @ rest else rest in
+        bridges_agree net pats dlog ~rest ~victim ~aggressor)
+
+(* A bridge that never settles: the victim drives its aggressor through
+   one inverter, so the dominant (and, with the other side at its
+   non-controlling value, each wired) bridge inverts the victim on
+   every overlay sweep and the [Logic_sim.max_sweeps] cap alone decides
+   where the lanes stop.  Any other recurrence count lands on the other
+   phase. *)
+let test_oscillating_bridge () =
+  let b = Builder.create () in
+  let x = Builder.input b "x" and y = Builder.input b "y" and z = Builder.input b "z" in
+  let victim = Builder.and_ b ~name:"v" [ x; y ] in
+  let aggressor = Builder.not_ b ~name:"a" victim in
+  Builder.mark_output b victim;
+  Builder.mark_output b aggressor;
+  Builder.mark_output b (Builder.xor_ b ~name:"o" [ aggressor; z ]);
+  let net = Builder.finalize b in
+  let pats = Pattern.exhaustive ~npis:3 in
+  List.iter
+    (fun kind ->
+      let expected = Logic_sim.responses net pats in
+      let bridge = Defect.Bridge { victim; aggressor; kind } in
+      let observed = Injection.observed_responses net pats [ bridge ] in
+      let dlog = Datalog.of_responses ~expected ~observed in
+      let rest = [ { Fault_list.site = z; stuck = true } ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s equals overlay" (Defect.describe net bridge))
+        true
+        (bridges_agree net pats dlog ~rest ~victim ~aggressor))
+    bridge_kinds
+
 (* --- Explain.build: batched = per-fault, cold shared cache ---------- *)
 
 let explain_equal m1 m2 =
@@ -391,7 +513,9 @@ let prop_packed_arena_matches_scalar =
 let suite =
   [
     ( "kernel-oracle",
-      List.map QCheck_alcotest.to_alcotest
+      Alcotest.test_case "oscillating bridge: sweep cap decides" `Quick
+        test_oscillating_bridge
+      :: List.map QCheck_alcotest.to_alcotest
         [
           prop_delta_injection_matches_overlay;
           prop_explain_matches_naive;
@@ -399,6 +523,7 @@ let suite =
           prop_simulate_batch_matches_scalar;
           prop_batch_delta_matches_scalar;
           prop_evaluate_multiplet_batch_identity;
+          prop_bridge_scorer_matches_overlay;
           prop_explain_batch_ab_identity;
           prop_packed_arena_matches_scalar;
         ] );
