@@ -4,9 +4,9 @@
    committed next to this file, so the gate and CI read one source of
    truth instead of inline literals.
 
-   Four independent gates; the first three run against the rnd1k
+   Seven independent gates; the first three run against the rnd1k
    problem of [Parbench.run] (fixed seed, so everything but wall time
-   is deterministic), the fourth against the rnd2k batch A/B:
+   is deterministic):
 
    1. Counter gate.  The instrumented counters of one explain-build +
       diagnose run at 1 domain are compared with the committed
@@ -33,14 +33,7 @@
       a shared single CPU measures, because such hosts add tens of
       percent of run-to-run noise.
 
-   4. Batch-speedup gate.  Same-binary A/B on rnd2k: batched
-      explain-build must stay at least [min_batch_speedup] times faster
-      than the per-fault loop — the perf property the PPSFP pass
-      bought.  [Batchbench] interleaves the modes and ratios best
-      times, which is what keeps this timing gate stable enough to
-      floor at all.
-
-   5. Volume-throughput gate.  Request-level scaling of the volume
+   4. Volume-throughput gate.  Request-level scaling of the volume
       service on rnd2k: draining one warm session with >= 2 worker
       domains must reach at least [min_volume_throughput] times the
       1-worker diagnoses/sec on a multi-core host (measured well above
@@ -53,7 +46,7 @@
       bottleneck on the shared session driving 2 workers far below
       the plain overhead cost).
 
-   6. Prewarm gate.  Same report as gate 5: the prewarm+frozen arm's
+   5. Prewarm gate.  Same report as gate 4: the prewarm+frozen arm's
       diagnoses/sec over the lazy-warm arm's, best ratio across the
       worker counts, must stay above [min_prewarm_speedup].  The frozen
       tier replaces every warm hit's shard lock + hashtable probe with
@@ -64,7 +57,7 @@
       hosts measure well above the floor at 2+ workers, where freezing
       also removes the contention.
 
-   7. Exact-agreement gate.  Differential oracle on the covering step:
+   6. Exact-agreement gate.  Differential oracle on the covering step:
       the same seeded rnd1k trial stream diagnosed under the greedy and
       the exact (implicit hitting-set) backends.  Hard invariant first
       — no trial may produce an exact cover larger than greedy's (the
@@ -79,13 +72,13 @@
       backend's certificates broke.  Fully deterministic — sizes and
       certificates come from fixed-seed search, never wall time.
 
-   8. Store gate.  The perf property the persistent signature store
+   7. Store gate.  The perf property the persistent signature store
       bought: on rnd2k, adopting a saved snapshot (read + validate +
       publish + first diagnose) must stay at least [min_store_speedup]
       times faster than the cold path, where the first diagnosis
       simulates the candidate pool itself.  [Storebench] interleaves
       the arms run by run on private cache instances and ratios best
-      times, the same noise defense as gates 4-6. *)
+      times, the same noise defense as gates 4 and 5. *)
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
@@ -97,7 +90,6 @@ type thresholds = {
   min_cache_hit_rate : float;
   max_counter_growth : float;
   min_counter_ratio : float;
-  min_batch_speedup : float;
   min_volume_throughput : float;
   min_volume_throughput_1cpu : float;
   min_prewarm_speedup : float;
@@ -127,7 +119,6 @@ let load_thresholds () =
     min_cache_hit_rate = fnum "min_cache_hit_rate";
     max_counter_growth = fnum "max_counter_growth";
     min_counter_ratio = fnum "min_counter_ratio";
-    min_batch_speedup = fnum "min_batch_speedup";
     min_volume_throughput = fnum "min_volume_throughput";
     min_volume_throughput_1cpu = fnum "min_volume_throughput_1cpu";
     min_prewarm_speedup = fnum "min_prewarm_speedup";
@@ -252,24 +243,6 @@ let write_baseline () =
   Printf.printf "check_regress: wrote %s (%d counters)\n" baseline_path
     (List.length counters)
 
-(* The perf property the PPSFP pass bought: same-binary A/B on rnd2k,
-   batched explain-build versus the per-fault loop.  [Batchbench]
-   interleaves the two modes run by run and the ratio divides best
-   (minimum) times, so a shared host's speed drift cancels out of the
-   ratio instead of flaking the floor. *)
-let check_batch_speedup t =
-  let report = Batchbench.run ~circuits:[ "rnd2k" ] ~repeats:7 () in
-  match Batchbench.speedups report with
-  | [ (_, explain_speedup, diagnose_speedup) ] ->
-    Printf.printf
-      "check_regress: rnd2k batched vs per-fault: explain %.2fx, diagnose %.2fx \
-       (floor %.2fx on explain)\n%!"
-      explain_speedup diagnose_speedup t.min_batch_speedup;
-    if explain_speedup < t.min_batch_speedup then
-      die "check_regress: FAIL — batched explain-build speedup %.2fx below floor %.2fx"
-        explain_speedup t.min_batch_speedup
-  | _ -> die "check_regress: batch bench produced no rnd2k speedup"
-
 (* Request-level scaling of the volume service: one warm rnd2k session,
    the same die queue drained at 1 and at >= 2 worker domains, speedup
    as a ratio of best drain times.  The floor is core-count aware: on a
@@ -281,7 +254,7 @@ let check_volume_throughput t =
   let cores = Domain.recommended_domain_count () in
   (* The bench no longer times arms with workers > cores (they only
      measure oversubscription) — on a single-core host every multi-worker
-     arm is skipped and the scaling floor has no signal to check.  Gate 6
+     arm is skipped and the scaling floor has no signal to check.  Gate 5
      below still runs off the 1-worker arm. *)
   let timed_multi =
     List.exists (fun s -> s.Volumebench.workers > 1) report.Volumebench.samples
@@ -308,7 +281,7 @@ let check_volume_throughput t =
         "check_regress: FAIL — volume multi-worker throughput %.3fx below floor %.2fx"
         speedup floor_
   end;
-  (* Gate 6, off the same report (the two arms were interleaved run by
+  (* Gate 5, off the same report (the two arms were interleaved run by
      run): prewarm+frozen drains over lazy-warm drains. *)
   let prewarm_speedup = Volumebench.best_prewarm_speedup report in
   Printf.printf
@@ -319,7 +292,7 @@ let check_volume_throughput t =
     die "check_regress: FAIL — prewarm+frozen throughput ratio %.3fx below floor %.2fx"
       prewarm_speedup t.min_prewarm_speedup
 
-(* Differential oracle on the covering step (gate 7): greedy vs exact
+(* Differential oracle on the covering step (gate 6): greedy vs exact
    on the same seeded rnd1k trial stream.  Counter-free and wall-clock
    free — cover sizes and minimality certificates are deterministic for
    the fixed seed, so this gate never flakes. *)
@@ -345,7 +318,7 @@ let check_exact_agreement t =
     die "check_regress: FAIL — greedy/exact agreement %.3f below floor %.2f" agreement
       t.min_exact_agreement
 
-(* Gate 8: the restart path.  Snapshot adoption (load + validate +
+(* Gate 7: the restart path.  Snapshot adoption (load + validate +
    publish + first diagnose) against the cold candidate-pool
    simulation, best-over-best ratio on rnd2k.  Also re-asserts that the
    load was accepted at all — [Storebench] fails hard if the snapshot
@@ -384,7 +357,6 @@ let () =
       check_counters t current;
       check_cache_hit_rate t;
       check_timing t;
-      check_batch_speedup t;
       check_volume_throughput t;
       check_exact_agreement t;
       check_store_speedup t

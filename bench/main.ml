@@ -9,10 +9,6 @@
      dune exec bench/main.exe -- micro        # Bechamel kernels only
      dune exec bench/main.exe -- parallel     # domain scaling, writes
                                               # BENCH_parallel.json
-     dune exec bench/main.exe -- batch        # PPSFP batch A/B per tier
-                                              # (MDD_BENCH_TIER=large for
-                                              # rnd10k/rnd50k), writes
-                                              # BENCH_batch.json
      dune exec bench/main.exe -- volume       # volume-service throughput
                                               # at 1/2/4 workers, writes
                                               # BENCH_volume.json
@@ -146,34 +142,6 @@ let run_parallel () =
   | Some { Parbench.stats = None; _ } | None -> ());
   print_newline ()
 
-(* --- Batched-kernel A/B -------------------------------------------- *)
-
-(* Circuit list for the `batch` group, selected by MDD_BENCH_TIER:
-   unset/"default" runs the suite's two random-logic circuits plus every
-   vendored .bench circuit (seconds); "large" adds the rnd10k/rnd50k
-   tiers (the weekly CI job); anything else is a comma-separated
-   explicit list of suite or tier names. *)
-let batch_circuits () =
-  let vendored =
-    List.filter
-      (fun (name, _) -> name <> "rnd10k" && name <> "rnd50k")
-      (Generators.tiers ())
-    |> List.map fst
-  in
-  let default = [ "rnd1k"; "rnd2k" ] @ vendored in
-  match Sys.getenv_opt "MDD_BENCH_TIER" with
-  | None | Some "" | Some "default" -> default
-  | Some "large" -> default @ [ "rnd10k"; "rnd50k" ]
-  | Some names -> String.split_on_char ',' names |> List.map String.trim
-
-let run_batch () =
-  let circuits = batch_circuits () in
-  let report = Batchbench.run ~circuits ~repeats:(max 3 (!trials / 2)) () in
-  Table.print (Batchbench.to_table report);
-  let path = "BENCH_batch.json" in
-  Batchbench.write_json ~path report;
-  Printf.printf "(wrote %s)\n\n%!" path
-
 (* --- Volume-service throughput -------------------------------------- *)
 
 (* Diagnoses/sec of one warm rnd2k session drained at 1/2/4 worker
@@ -204,7 +172,7 @@ let run_volume () =
 
 (* Time-to-first-report of a fresh process: cold candidate simulation
    vs the live prewarm sweep vs adopting a saved snapshot
-   (EXPERIMENTS Fig 1c, regression gate 8).  MDD_BENCH_TIER=large adds
+   (EXPERIMENTS Fig 1c, regression gate 7).  MDD_BENCH_TIER=large adds
    the rnd50k point — the circuit whose full-pool arena must sit inside
    the default 64 MB budget. *)
 let run_store () =
@@ -236,7 +204,8 @@ let run_store () =
    circuit — the numbers EXPERIMENTS.md's resolution table quotes and
    the data behind the min_exact_agreement regression gate.  The
    default circuit list adds the vendored .bench circuits to the two
-   random-logic tiers; MDD_BENCH_TIER=large widens it like `batch`. *)
+   random-logic tiers; MDD_BENCH_TIER=large adds rnd10k, and any other
+   value is a comma-separated explicit list of suite or tier names. *)
 let run_cover () =
   let vendored =
     List.filter
@@ -304,7 +273,6 @@ let run_experiment name =
     match name with
     | "micro" -> run_micro ()
     | "parallel" -> run_parallel ()
-    | "batch" -> run_batch ()
     | "volume" -> run_volume ()
     | "cover" -> run_cover ()
     | "store" -> run_store ()
@@ -328,7 +296,7 @@ let () =
   let to_run =
     match List.rev !selected with
     | [] ->
-      List.map fst experiments @ [ "micro"; "parallel"; "batch"; "volume"; "cover"; "store" ]
+      List.map fst experiments @ [ "micro"; "parallel"; "volume"; "cover"; "store" ]
     | l -> l
   in
   List.iter run_experiment to_run

@@ -58,15 +58,6 @@ let domains_arg =
    environment-derived default in place. *)
 let apply_domains = Option.iter Parallel.set_domains
 
-let no_prune_arg =
-  let doc =
-    "Disable the exactness-preserving candidate prunes (activation \
-     screen and equivalence-class collapse) in the explanation matrix; \
-     the MDD_NO_PRUNE environment variable does the same.  For A/B \
-     measurement — results are identical either way."
-  in
-  Arg.(value & flag & info [ "no-prune" ] ~doc)
-
 let no_cache_arg =
   let doc =
     "Disable the cross-phase fault-signature cache; the MDD_NO_CACHE \
@@ -74,15 +65,6 @@ let no_cache_arg =
      are identical either way."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let no_batch_arg =
-  let doc =
-    "Disable the PPSFP batched fault-simulation pass and fall back to \
-     the per-fault scalar sweep; the MDD_NO_BATCH environment variable \
-     does the same.  For A/B measurement — results are identical either \
-     way."
-  in
-  Arg.(value & flag & info [ "no-batch" ] ~doc)
 
 let prewarm_arg =
   let doc =
@@ -140,12 +122,12 @@ let cover_budget_arg =
   in
   Arg.(value & opt (some int) None & info [ "cover-budget" ] ~docv:"N" ~doc)
 
-(* The MDD_NO_PRUNE / MDD_NO_CACHE / MDD_NO_BATCH / MDD_PREWARM /
-   MDD_SIG_CACHE_MB / MDD_COVER / MDD_COVER_BUDGET / MDD_SIG_STORE
-   environment switches are resolved here, once, into a
-   [Session.config] record — nothing in lib/ reads them.  Boolean flags
-   only push away from the default: leaving one off keeps the
-   environment-derived setting in place, mirroring [apply_domains]. *)
+(* The MDD_NO_CACHE / MDD_PREWARM / MDD_SIG_CACHE_MB / MDD_COVER /
+   MDD_COVER_BUDGET / MDD_SIG_STORE environment switches are resolved
+   here, once, into a [Session.config] record — nothing in lib/ reads
+   them.  Boolean flags only push away from the default: leaving one
+   off keeps the environment-derived setting in place, mirroring
+   [apply_domains]. *)
 let env_off name =
   match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
 
@@ -180,7 +162,7 @@ let env_store_dir () =
   match Sys.getenv_opt "MDD_SIG_STORE" with None | Some "" -> None | Some dir -> Some dir
 
 let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
-    ~no_prune ~no_cache ~no_batch ~domains () =
+    ~no_cache ~domains () =
   let cache_mb =
     match cache_mb with
     | Some mb when mb >= 1 -> mb
@@ -203,9 +185,7 @@ let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
   in
   let store_dir = match store_dir with Some _ as d -> d | None -> env_store_dir () in
   {
-    Session.prune = not (no_prune || env_off "MDD_NO_PRUNE");
-    cache = not (no_cache || env_off "MDD_NO_CACHE");
-    batch = not (no_batch || env_off "MDD_NO_BATCH");
+    Session.cache = not (no_cache || env_off "MDD_NO_CACHE");
     domains;
     cache_mb;
     prewarm = prewarm || env_off "MDD_PREWARM";
@@ -219,9 +199,7 @@ let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
    environment. *)
 let config_meta (c : Session.config) =
   [
-    ("prune", if c.Session.prune then "on" else "off");
     ("cache", if c.Session.cache then "on" else "off");
-    ("batch", if c.Session.batch then "on" else "off");
     ( "domains",
       string_of_int
         (match c.Session.domains with

@@ -67,74 +67,59 @@ let no_validate_arg =
   let doc = "Disable multiplet validation/refinement (ablation)." in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let read_file path =
-  try
-    let ic = open_in path in
-    Ok
-      (Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () -> really_input_string ic (in_channel_length ic)))
-  with
-  | Sys_error msg -> Error msg
-  | End_of_file -> Error (path ^ ": short read")
-
-(* One serve-mode error record, in place of the die's report. *)
-let error_json name msg =
-  Obs_json.to_string (Obs_json.Obj [ ("name", Obs_json.Str name); ("error", Obs_json.Str msg) ])
-  ^ "\n"
-
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
-    no_validate no_prune no_cache no_batch prewarm cache_mb cover cover_budget store_dir
-    domains stats =
+    no_validate no_cache prewarm cache_mb cover cover_budget store_dir domains stats =
   Cli_common.apply_domains domains;
   let scfg =
-    Cli_common.session_config ~prewarm ?cache_mb ?cover ?cover_budget ?store_dir
-      ~no_prune ~no_cache ~no_batch ~domains ()
+    Cli_common.session_config ~prewarm ?cache_mb ?cover ?cover_budget ?store_dir ~no_cache
+      ~domains ()
   in
   let stats_dest = Cli_common.init_stats stats in
   let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
   let pats = Cli_common.or_die (Cli_common.load_patterns net patterns_file) in
   let session = Session.create ~config:scfg net pats in
-  let parse_dlog text =
-    try
-      Ok (Datalog.of_text ~npatterns:(Pattern.count pats) ~npos:(Netlist.num_pos net) text)
-    with Invalid_argument msg -> Error msg
-  in
   let circuit =
     match (suite, bench) with Some s, _ -> s | None, Some b -> b | None, None -> ""
   in
-  let config = { Noassume.default_config with validate = not no_validate; domains } in
+  let config = { Noassume.default_config with validate = not no_validate } in
   let failed = ref 0 in
+  (* A bad die costs one error record, never the batch or the service. *)
+  let report_failure (f : Volume.failure) =
+    incr failed;
+    prerr_endline ("error: " ^ f.Volume.error)
+  in
   let mode_meta =
     match (batch_dir, serve) with
     | Some dir, _ ->
       (* --- Volume mode: drain a directory of datalogs. ------------- *)
-      let dies = Volume.load_dir session dir in
-      if dies = [] then Cli_common.or_die (Error ("no *.datalog files in " ^ dir));
+      let loaded = Volume.load_dir session dir in
+      if loaded = [] then Cli_common.or_die (Error ("no *.datalog files in " ^ dir));
+      let dies = List.filter_map Result.to_option loaded in
+      let bad = List.filter_map (function Error f -> Some f | Ok _ -> None) loaded in
+      List.iter report_failure bad;
       Format.printf "circuit: %a@." Netlist.pp_stats net;
-      Format.printf "volume: %d dies from %s@." (List.length dies) dir;
-      let die_config = { config with Noassume.domains = Some 1 } in
-      let results = Volume.run ~config:die_config ?workers session dies in
+      Format.printf "volume: %d dies from %s@." (List.length loaded) dir;
+      let results = Volume.run ~config ?workers session dies in
       let out = Option.value out ~default:"volume_reports" in
-      let ru = Volume.write_results ~dir:out session results in
-      Format.printf "wrote %d per-die reports + rollup.json to %s@."
-        (List.length results) out;
+      let ru = Volume.write_results ~dir:out ~failed:bad session results in
+      Format.printf "wrote %d per-die reports + %d error records + rollup.json to %s@."
+        (List.length results) !failed out;
       let top = List.filteri (fun i _ -> i < 10) ru.Volume.nets in
       List.iter
         (fun n ->
           Format.printf "  %-24s implicated on %d/%d dies (%d observations)@."
-            n.Volume.net n.Volume.dies_implicated ru.Volume.dies n.Volume.explained_obs)
+            n.Volume.net n.Volume.dies_implicated ru.Volume.diagnosed n.Volume.explained_obs)
         top;
       [
         ("mode", "volume");
         ("dies", string_of_int (List.length results));
+        ("failed", string_of_int !failed);
         ( "workers",
           string_of_int
             (match workers with Some w -> w | None -> Parallel.default_domains ()) );
       ]
     | None, true ->
       (* --- Serve mode: datalog paths on stdin, reports out. -------- *)
-      let die_config = { config with Noassume.domains = Some 1 } in
       let n = ref 0 in
       let emit name status json =
         (match out with
@@ -147,31 +132,18 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
         | None -> print_string json);
         flush stdout
       in
-      (* A bad die is one error record, never a dead service: an empty
-         file is a truncated transfer, not a die that passed. *)
-      let load path =
-        Result.bind (read_file path) (fun text ->
-            if String.trim text = "" then Error (path ^ ": empty datalog")
-            else Result.map_error (fun msg -> path ^ ": " ^ msg) (parse_dlog text))
-      in
       (try
          while true do
            let path = String.trim (input_line stdin) in
-           if path <> "" then begin
-             let name = Filename.remove_extension (Filename.basename path) in
-             match load path with
-             | Error msg ->
-               incr failed;
-               prerr_endline ("error: " ^ msg);
-               emit name "error" (error_json name msg)
-             | Ok dlog ->
-               let r =
-                 Volume.diagnose_die ~config:die_config session
-                   { Volume.name; dlog }
-               in
+           if path <> "" then
+             match Volume.load_die session path with
+             | Error f ->
+               report_failure f;
+               emit f.Volume.name "error" (Volume.error_json f)
+             | Ok d ->
+               let r = Volume.diagnose_die ~config session d in
                incr n;
-               emit name "done" (Volume.die_json r)
-           end
+               emit d.Volume.name "done" (Volume.die_json r)
          done
        with End_of_file -> ());
       [ ("mode", "serve"); ("dies", string_of_int !n); ("failed", string_of_int !failed) ]
@@ -184,7 +156,11 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
           Cli_common.or_die
             (Error "a datalog is required: --datalog FILE (or --batch-dir/--serve)")
       in
-      let dlog = Cli_common.or_die (Result.bind (read_file datalog_file) parse_dlog) in
+      let dlog =
+        match Volume.load_die session datalog_file with
+        | Ok d -> d.Volume.dlog
+        | Error f -> Cli_common.or_die (Error f.Volume.error)
+      in
       Format.printf "circuit: %a@." Netlist.pp_stats net;
       Format.printf "datalog: %d failing patterns over %d outputs@."
         (Datalog.num_failing dlog) (Netlist.num_pos net);
@@ -248,8 +224,8 @@ let cmd =
     Term.(
       const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ Cli_common.patterns_arg
       $ datalog_arg $ batch_dir_arg $ serve_arg $ workers_arg $ out_arg $ method_arg
-      $ no_validate_arg $ Cli_common.no_prune_arg $ Cli_common.no_cache_arg
-      $ Cli_common.no_batch_arg $ Cli_common.prewarm_arg $ Cli_common.cache_mb_arg
+      $ no_validate_arg $ Cli_common.no_cache_arg $ Cli_common.prewarm_arg
+      $ Cli_common.cache_mb_arg
       $ Cli_common.cover_arg $ Cli_common.cover_budget_arg $ Cli_common.store_dir_arg
       $ Cli_common.domains_arg $ Cli_common.stats_arg)
 

@@ -127,7 +127,7 @@ let build_session session dlog =
      split shows where the remaining time lives. *)
   let sp_prep = Obs.span_begin "explain.prep" in
   let net = Session.netlist session in
-  let { Session.prune; batch = use_batch; domains; _ } = Session.config session in
+  let domains = (Session.config session).Session.domains in
   let seeded = seed_candidates net dlog in
   let num_seeded = Array.length seeded in
   let observations = Datalog.observations dlog in
@@ -191,7 +191,7 @@ let build_session session dlog =
      (It may still be active on passing patterns, but its misprediction
      record is only ever read for moves with positive cover gain.) *)
   let candidates, screened =
-    if not prune || num_seeded = 0 then (seeded, 0)
+    if num_seeded = 0 then (seeded, 0)
     else begin
       let keep = Array.make num_seeded false in
       let kept = ref 0 in
@@ -235,35 +235,23 @@ let build_session session dlog =
      representatives. *)
   let row_of = Array.make (max 1 ncand) 0 in
   let nrows, row_member, row_key =
-    if not prune then begin
-      let keys = Array.make (max 1 ncand) 0 in
-      for c = 0 to ncand - 1 do
-        row_of.(c) <- c;
-        keys.(c) <-
-          Sig_cache.key ~site:candidates.(c).Fault_list.site
-            ~stuck:candidates.(c).Fault_list.stuck
-      done;
-      (ncand, Array.init ncand Fun.id, keys)
-    end
-    else begin
-      let collapsed = Fault_list.collapse net in
-      let row_of_key = Hashtbl.create (2 * ncand) in
-      let members = ref [] and keys = ref [] in
-      let n = ref 0 in
-      for c = 0 to ncand - 1 do
-        let rep = Fault_list.representative_of collapsed candidates.(c) in
-        let rk = Sig_cache.key ~site:rep.Fault_list.site ~stuck:rep.Fault_list.stuck in
-        match Hashtbl.find_opt row_of_key rk with
-        | Some r -> row_of.(c) <- r
-        | None ->
-          Hashtbl.add row_of_key rk !n;
-          row_of.(c) <- !n;
-          members := c :: !members;
-          keys := rk :: !keys;
-          incr n
-      done;
-      (!n, Array.of_list (List.rev !members), Array.of_list (List.rev !keys))
-    end
+    let collapsed = Fault_list.collapse net in
+    let row_of_key = Hashtbl.create (2 * ncand) in
+    let members = ref [] and keys = ref [] in
+    let n = ref 0 in
+    for c = 0 to ncand - 1 do
+      let rep = Fault_list.representative_of collapsed candidates.(c) in
+      let rk = Sig_cache.key ~site:rep.Fault_list.site ~stuck:rep.Fault_list.stuck in
+      match Hashtbl.find_opt row_of_key rk with
+      | Some r -> row_of.(c) <- r
+      | None ->
+        Hashtbl.add row_of_key rk !n;
+        row_of.(c) <- !n;
+        members := c :: !members;
+        keys := rk :: !keys;
+        incr n
+    done;
+    (!n, Array.of_list (List.rev !members), Array.of_list (List.rev !keys))
   in
   let covers = Array.init nrows (fun _ -> Bitvec.create nobs) in
   let matched = Array.make (max 1 (nrows * nfp)) 0 in
@@ -323,24 +311,21 @@ let build_session session dlog =
      and a per-chunk copy would not scale to the 50k tiers.  Chunk
      bodies therefore key result writes on the row/miss index only.
 
-     With batching on (the default) a chunk is a (fault-batch x
-     block-set) tile: [Fault_sim.simulate_batch] sweeps each fault's
-     cone once carrying a delta word per block, emitting every fault's
-     triples in the canonical per-block order — byte-compatible with
-     the scalar path and with every [Sig_cache] entry.  The tile cap
-     bounds the fault axis so per-batch working sets stay cache-sized
-     (and so single-domain runs still tile). *)
+     A chunk is a (fault-batch x block-set) tile:
+     [Fault_sim.simulate_batch] sweeps each fault's cone once carrying a
+     delta word per block, emitting every fault's triples in the
+     canonical per-block order of [Fault_sim.iter_po_diffs] — the order
+     of every [Sig_cache] entry.  The tile cap bounds the fault axis so
+     per-batch working sets stay cache-sized (and so single-domain runs
+     still tile). *)
   let batch_tile = 512 in
   let plan =
-    if use_batch then
-      Parallel.weighted_chunks ?domains ~min_chunk_weight ~max_chunk_size:batch_tile
-        ~weights ()
-    else Parallel.weighted_chunks ?domains ~min_chunk_weight ~weights ()
+    Parallel.weighted_chunks ?domains ~min_chunk_weight ~max_chunk_size:batch_tile ~weights ()
   in
   let nslots = Parallel.plan_slots ?domains plan in
   let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach net) in
   let batches =
-    if (not use_batch) || nslots = 0 then [||]
+    if nslots = 0 then [||]
     else begin
       let b0 = Fault_sim.prepare_batch sims.(0) ~blocks ~goods in
       Array.init nslots (fun i ->
@@ -362,140 +347,88 @@ let build_session session dlog =
   Obs.span_end sp_prep;
   let sp_sim = Obs.span_begin "explain.sim" in
   Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
-      let sim = sims.(slot) in
       let tbuf = if record then tbufs.(slot) else { buf = [||]; len = 0 } in
+      (* One [simulate_batch] call sweeps every fault of the chunk over
+         all blocks; triples arrive fault-major then block-major, so row
+         and block boundaries are detected on the fly.  Rows whose every
+         block screens produce no triples and keep their zero-length
+         extent. *)
+      let b = batches.(slot) in
       let cur_base = ref 0 in
       let cur_bi = ref (-1) in
-      let cur_oi = ref 0 in
       let any = ref 0 in
       let cur_covers = ref covers.(miss.(lo)) in
       let cur_ro = ref (miss.(lo) * nfp) in
-      let on_bit k =
-        let fp = fp_of_pattern.(!cur_base + k) in
-        if fp >= 0 then
-          if obs_of.((fp * npos) + !cur_oi) >= 0 then begin
-            Bitvec.set !cur_covers obs_of.((fp * npos) + !cur_oi) true;
-            matched.(!cur_ro + fp) <- matched.(!cur_ro + fp) + 1
-          end
-          else spurious.(!cur_ro + fp) <- spurious.(!cur_ro + fp) + 1
+      let cur_mi = ref (-1) in
+      let cur_r = ref 0 in
+      let flush_block () =
+        if !cur_bi >= 0 then begin
+          let pass_pred =
+            !any
+            land lnot fail_masks.(!cur_bi)
+            land Logic.mask_of_width blocks.(!cur_bi).Pattern.width
+          in
+          mispredict_pass.(!cur_r) <- mispredict_pass.(!cur_r) + Logic.popcount pass_pred
+        end;
+        any := 0;
+        cur_bi := -1
       in
-      if not use_batch then begin
-        (* Per-fault scalar fallback ([config.batch] off, the [--no-batch] A/B): one
-           cone walk per (fault, block), as before the PPSFP pass. *)
-        let on_po oi d =
-          any := !any lor d;
-          cur_oi := oi;
-          if record then begin
-            tbuf_push tbuf !cur_bi;
-            tbuf_push tbuf oi;
-            tbuf_push tbuf d
+      let close_row () =
+        if !cur_mi >= 0 then begin
+          flush_block ();
+          row_len.(!cur_mi) <- tbuf.len - row_start.(!cur_mi)
+        end;
+        cur_mi := -1
+      in
+      Fault_sim.simulate_batch b ~n:(hi - lo)
+        ~fault:(fun j ->
+          let f = candidates.(row_member.(miss.(lo + j))) in
+          (f.Fault_list.site, f.Fault_list.stuck))
+        (fun j bi oi w ->
+          let mi = lo + j in
+          if mi <> !cur_mi then begin
+            close_row ();
+            let r = miss.(mi) in
+            cur_mi := mi;
+            cur_r := r;
+            row_start.(mi) <- tbuf.len;
+            row_buf.(mi) <- slot;
+            cur_covers := covers.(r);
+            cur_ro := r * nfp
           end;
-          (* [on_bit] ignores passing-pattern bits (fp < 0), so only the
-             failing-pattern slice needs walking; [any] above keeps the
-             full word for the pass-misprediction count. *)
-          Logic.iter_bits (d land fail_masks.(!cur_bi)) on_bit
-        in
-        for mi = lo to hi - 1 do
-          let r = miss.(mi) in
-          let f = candidates.(row_member.(r)) in
-          cur_covers := covers.(r);
-          cur_ro := r * nfp;
-          row_start.(mi) <- tbuf.len;
-          row_buf.(mi) <- slot;
-          for bi = 0 to nblocks - 1 do
-            let block = blocks.(bi) in
-            cur_base := block.base;
-            cur_bi := bi;
-            any := 0;
-            Fault_sim.iter_po_diffs sim ~good:goods.(bi) ~width:block.width
-              ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck on_po;
-            (* Passing patterns where the candidate predicts any
-               failure. *)
-            let pass_pred =
-              !any land lnot fail_masks.(bi) land Logic.mask_of_width block.width
-            in
-            mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred
-          done;
-          row_len.(mi) <- tbuf.len - row_start.(mi)
-        done
-      end
-      else begin
-        (* Batched tile: one [simulate_batch] call sweeps every fault
-           of the chunk over all blocks; triples arrive fault-major
-           then block-major, so row and block boundaries are detected
-           on the fly.  Rows whose every block screens produce no
-           triples and keep their zero-length extent. *)
-        let b = batches.(slot) in
-        let cur_mi = ref (-1) in
-        let cur_r = ref 0 in
-        let flush_block () =
-          if !cur_bi >= 0 then begin
-            let pass_pred =
-              !any
-              land lnot fail_masks.(!cur_bi)
-              land Logic.mask_of_width blocks.(!cur_bi).Pattern.width
-            in
-            mispredict_pass.(!cur_r) <- mispredict_pass.(!cur_r) + Logic.popcount pass_pred
-          end;
-          any := 0;
-          cur_bi := -1
-        in
-        let close_row () =
-          if !cur_mi >= 0 then begin
+          if bi <> !cur_bi then begin
             flush_block ();
-            row_len.(!cur_mi) <- tbuf.len - row_start.(!cur_mi)
+            cur_bi := bi;
+            cur_base := blocks.(bi).Pattern.base
           end;
-          cur_mi := -1
-        in
-        Fault_sim.simulate_batch b ~n:(hi - lo)
-          ~fault:(fun j ->
-            let f = candidates.(row_member.(miss.(lo + j))) in
-            (f.Fault_list.site, f.Fault_list.stuck))
-          (fun j bi oi w ->
-            let mi = lo + j in
-            if mi <> !cur_mi then begin
-              close_row ();
-              let r = miss.(mi) in
-              cur_mi := mi;
-              cur_r := r;
-              row_start.(mi) <- tbuf.len;
-              row_buf.(mi) <- slot;
-              cur_covers := covers.(r);
-              cur_ro := r * nfp
-            end;
-            if bi <> !cur_bi then begin
-              flush_block ();
-              cur_bi := bi;
-              cur_base := blocks.(bi).Pattern.base
-            end;
-            any := !any lor w;
-            if record then begin
-              tbuf_push tbuf bi;
-              tbuf_push tbuf oi;
-              tbuf_push tbuf w
-            end;
-            (* Failing-pattern bits only ([on_bit] would ignore the
-               rest), split matched/spurious by [obsmask] so each bit is
-               a lookup and an increment, nothing more. *)
-            let wf = w land fail_masks.(bi) in
-            let om = obsmask.((bi * npos) + oi) in
-            let wm = ref (wf land om) in
-            while !wm <> 0 do
-              let k = Bitvec.ctz_word !wm in
-              wm := !wm land (!wm - 1);
-              let fp = fp_of_pattern.(!cur_base + k) in
-              Bitvec.set !cur_covers obs_of.((fp * npos) + oi) true;
-              matched.(!cur_ro + fp) <- matched.(!cur_ro + fp) + 1
-            done;
-            let ws = ref (wf land lnot om) in
-            while !ws <> 0 do
-              let k = Bitvec.ctz_word !ws in
-              ws := !ws land (!ws - 1);
-              let fp = fp_of_pattern.(!cur_base + k) in
-              spurious.(!cur_ro + fp) <- spurious.(!cur_ro + fp) + 1
-            done);
-        close_row ()
-      end);
+          any := !any lor w;
+          if record then begin
+            tbuf_push tbuf bi;
+            tbuf_push tbuf oi;
+            tbuf_push tbuf w
+          end;
+          (* Failing-pattern bits only (passing bits only feed [any],
+             the pass-misprediction count), split matched/spurious by
+             [obsmask] so each bit is a lookup and an increment, nothing
+             more. *)
+          let wf = w land fail_masks.(bi) in
+          let om = obsmask.((bi * npos) + oi) in
+          let wm = ref (wf land om) in
+          while !wm <> 0 do
+            let k = Bitvec.ctz_word !wm in
+            wm := !wm land (!wm - 1);
+            let fp = fp_of_pattern.(!cur_base + k) in
+            Bitvec.set !cur_covers obs_of.((fp * npos) + oi) true;
+            matched.(!cur_ro + fp) <- matched.(!cur_ro + fp) + 1
+          done;
+          let ws = ref (wf land lnot om) in
+          while !ws <> 0 do
+            let k = Bitvec.ctz_word !ws in
+            ws := !ws land (!ws - 1);
+            let fp = fp_of_pattern.(!cur_base + k) in
+            spurious.(!cur_ro + fp) <- spurious.(!cur_ro + fp) + 1
+          done);
+      close_row ());
   Obs.span_end sp_sim;
   (* Store the fresh signatures (sequential: one deterministic insertion
      order per build), then replay the warm rows into the matrices. *)
@@ -604,20 +537,10 @@ let build_session session dlog =
    the pre-session build cost (goods via the shared cache registry or a
    private resimulation, a fresh PO-reach computation) — long-running
    callers create a [Session.t] once and use [build_session]. *)
-let build ?domains ?prune ?cache ?batch net pats dlog =
+let build ?domains ?cache net pats dlog =
   let d = Session.default_config in
   let config =
-    {
-      Session.prune = Option.value prune ~default:d.Session.prune;
-      cache = Option.value cache ~default:d.Session.cache;
-      batch = Option.value batch ~default:d.Session.batch;
-      domains;
-      cache_mb = d.Session.cache_mb;
-      prewarm = false;
-      cover = d.Session.cover;
-      cover_budget = d.Session.cover_budget;
-      store_dir = d.Session.store_dir;
-    }
+    { d with Session.cache = Option.value cache ~default:d.Session.cache; domains }
   in
   build_session (Session.create ~config net pats) dlog
 

@@ -22,11 +22,10 @@ val build_session : Session.t -> Datalog.t -> t
 (** One pass of seeding + pruning + simulation against a prebuilt
     {!Session.t}, partitioned by candidate range over the session's
     domain count ({!Parallel}'s default when unset).  The matrix is
-    bit-identical for every domain count and for every
-    prune/cache/batch combination of the session config.
+    bit-identical for every domain count, with the cache on or off.
 
-    With [config.prune] two exactness-preserving prunes shrink the
-    simulated pool before any fault simulation runs: the {e activation
+    Two exactness-preserving prunes shrink the simulated pool before
+    any fault simulation runs: the {e activation
     screen} drops candidates whose stuck value equals the good value on
     every failing pattern (they flip no PO on any failing pattern, so
     they cover nothing and are never selectable), and
@@ -39,14 +38,12 @@ val build_session : Session.t -> Datalog.t -> t
     When the session holds a cache instance, per-row signatures are
     probed in, and on miss recorded into, the cross-phase
     [Sig_cache] — warm rows replay without simulation, and only the
-    misses enter the fork-join plan (batched through
-    {!Fault_sim.simulate_batch} tiles under [config.batch]). *)
+    misses enter the fork-join plan, batched through
+    {!Fault_sim.simulate_batch} tiles. *)
 
 val build :
   ?domains:int ->
-  ?prune:bool ->
   ?cache:bool ->
-  ?batch:bool ->
   Netlist.t ->
   Pattern.t ->
   Datalog.t ->
@@ -71,8 +68,8 @@ val candidates : t -> Fault_list.fault array
 
 val num_seeded : t -> int
 (** Size of the seed pool {e before} the activation screen — the
-    "candidates considered" figure reports quote, identical with
-    pruning on or off. *)
+    "candidates considered" figure reports quote: both polarities of
+    every net in the union of the failing outputs' fan-in cones. *)
 
 val observations : t -> Datalog.observation array
 (** All failing observations, the rows to be covered. *)

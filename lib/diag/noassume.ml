@@ -4,7 +4,6 @@ type config = {
   per_pattern : bool;
   max_multiplet : int;
   layout : (Layout.t * float) option;
-  domains : int option;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     per_pattern = false;
     max_multiplet = 12;
     layout = None;
-    domains = None;
   }
 
 type model =
@@ -165,19 +163,15 @@ let greedy_cover config m =
    swapping each member for an alternative candidate that covers some of
    the member's exclusive observations.  Every accepted move re-runs full
    multiplet simulation, so interactions are always accounted for. *)
-let refine config m pats chosen covers =
+let refine m pats chosen covers =
   let net = Explain.netlist m in
   let dlog = Explain.datalog m in
   let session = Explain.session m in
   let goods = Session.goods session in
   let reach = Session.reach session in
-  let batch = (Session.config session).Session.batch in
   let cand = Explain.candidates m in
   let faults_of ids = List.map (fun c -> cand.(c)) ids in
-  let score_of ids =
-    Scoring.evaluate_multiplet ?domains:config.domains ~goods ~reach ~batch net pats dlog
-      (faults_of ids)
-  in
+  let score_of ids = Scoring.evaluate_multiplet ~goods ~reach net pats dlog (faults_of ids) in
   let steps = ref 0 in
   let current = ref chosen in
   (* O(1) membership mirror of [current]; the swap pass probes every
@@ -257,8 +251,7 @@ let refine config m pats chosen covers =
             try_alts 6 alternatives
           end
         end)
-      !current;
-    ignore config
+      !current
   done;
   if Obs.enabled () then begin
     Obs.add c_refine_rounds !rounds;
@@ -535,14 +528,13 @@ let diagnose_matrix ?(config = default_config) m pats =
   let dlog = Explain.datalog m in
   let final, score, steps =
     Obs.phase "refine" @@ fun () ->
-    if config.validate && chosen <> [] then refine config m pats chosen covers
+    if config.validate && chosen <> [] then refine m pats chosen covers
     else
       let faults = List.map (fun c -> (Explain.candidates m).(c)) chosen in
       let session = Explain.session m in
       ( chosen,
-        Scoring.evaluate_multiplet ?domains:config.domains
-          ~goods:(Session.goods session) ~reach:(Session.reach session)
-          ~batch:(Session.config session).Session.batch net pats dlog faults,
+        Scoring.evaluate_multiplet ~goods:(Session.goods session)
+          ~reach:(Session.reach session) net pats dlog faults,
         0 )
   in
   let cand = Explain.candidates m in
@@ -565,17 +557,10 @@ let diagnose_matrix ?(config = default_config) m pats =
   }
 
 let diagnose_session ?config session dlog =
-  let config =
-    match config with
-    | Some c -> c
-    | None -> { default_config with domains = (Session.config session).Session.domains }
-  in
   let m = Explain.build_session session dlog in
-  diagnose_matrix ~config m (Session.patterns session)
+  diagnose_matrix ?config m (Session.patterns session)
 
-let diagnose ?(config = default_config) net pats dlog =
-  let scfg = { Session.default_config with Session.domains = config.domains } in
-  diagnose_session ~config (Session.create ~config:scfg net pats) dlog
+let diagnose ?config net pats dlog = diagnose_session ?config (Session.create net pats) dlog
 
 let callout_nets r =
   let sites = List.map (fun c -> c.site) r.callouts in

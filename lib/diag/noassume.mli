@@ -27,15 +27,11 @@ type config = {
       (** Physical placement knowledge: when present, bridge aggressor
           candidates are restricted to the victim's neighbourhood within
           the given radius — what an extracted-layout flow does. *)
-  domains : int option;
-      (** OCaml domains for the simulation kernels (matrix build and
-          multiplet scoring); [None] uses {!Parallel.default_domains}.
-          The diagnosis result is bit-identical for every value. *)
 }
 
 val default_config : config
 (** [tie_break = true; validate = true; per_pattern = false;
-    max_multiplet = 12; layout = None; domains = None]. *)
+    max_multiplet = 12; layout = None]. *)
 
 (** Fault models consistent with a called-out site. *)
 type model =
@@ -76,14 +72,14 @@ type result = {
 }
 
 val diagnose_session : ?config:config -> Session.t -> Datalog.t -> result
-(** Full pipeline against a prebuilt (warm) session.  When [config] is
-    omitted, {!default_config} with the session's domain count is used.
+(** Full pipeline against a prebuilt (warm) session ([config] defaults
+    to {!default_config}; the kernels' domain count is the session's).
     This is the volume-service entry point: one shared session, many
     datalogs. *)
 
 val diagnose : ?config:config -> Netlist.t -> Pattern.t -> Datalog.t -> result
 (** One-shot convenience over {!diagnose_session}: builds a transient
-    session ({!Session.default_config} with [config.domains]) per call. *)
+    session ({!Session.default_config}) per call. *)
 
 val diagnose_matrix : ?config:config -> Explain.t -> Pattern.t -> result
 (** Variant reusing a prebuilt explanation matrix (the campaign harness

@@ -23,88 +23,8 @@ let compare_score a b =
     | c -> c)
   | c -> c
 
-let zero = { explained = 0; missed = 0; spurious_fail = 0; spurious_pass = 0 }
-
-let add a b =
-  {
-    explained = a.explained + b.explained;
-    missed = a.missed + b.missed;
-    spurious_fail = a.spurious_fail + b.spurious_fail;
-    spurious_pass = a.spurious_pass + b.spurious_pass;
-  }
-
-(* One pattern block, scored with word-parallel bit counting: per output,
-   the predicted-failure word is the good/overlay simulation difference,
-   the observed-failure word comes from the datalog, and each score
-   component is a popcount of a mask combination — no per-(pattern,
-   output) scan.  Blocks are independent, so the whole evaluation is a
-   map-reduce over blocks (score addition is associative and [zero] its
-   identity, making the reduction order — and the domain count —
-   irrelevant to the result). *)
-let score_block net dlog overlay good (block : Pattern.block) =
-  let faulty = Logic_sim.simulate_block_overlay net block overlay in
-  let mask = Logic.mask_of_width block.width in
-  let pos = Netlist.pos net in
-  let npos = Array.length pos in
-  (* Observed failing bits, as one word per output plus the
-     pattern-failing mask. *)
-  let observed = Array.make npos 0 in
-  let fail_mask = ref 0 in
-  for k = 0 to block.width - 1 do
-    match Datalog.failing_pos dlog (block.base + k) with
-    | [] -> ()
-    | ois ->
-      fail_mask := !fail_mask lor (1 lsl k);
-      List.iter (fun oi -> observed.(oi) <- observed.(oi) lor (1 lsl k)) ois
-  done;
-  let explained = ref 0 and missed = ref 0 in
-  let spurious_fail = ref 0 and spurious_pass = ref 0 in
-  for oi = 0 to npos - 1 do
-    let predicted = (good.(pos.(oi)) lxor faulty.(pos.(oi))) land mask in
-    let obs = observed.(oi) in
-    explained := !explained + Logic.popcount (predicted land obs);
-    missed := !missed + Logic.popcount (obs land lnot predicted);
-    let spurious = predicted land lnot obs in
-    spurious_fail := !spurious_fail + Logic.popcount (spurious land !fail_mask);
-    spurious_pass := !spurious_pass + Logic.popcount (spurious land lnot !fail_mask land mask)
-  done;
-  {
-    explained = !explained;
-    missed = !missed;
-    spurious_fail = !spurious_fail;
-    spurious_pass = !spurious_pass;
-  }
-
-(* Below this many blocks one evaluation is far cheaper than the domain
-   spawns a parallel batch would cost (~1 ms each), so small pattern
-   sets score inline whatever domain count the caller asked for — the
-   greedy refinement loop in [Noassume] calls this hundreds of times.
-   The reduction is associative either way, so the result is
-   unaffected. *)
-let parallel_grain_blocks = 64
-
 let c_evaluations = Obs.counter "scoring.evaluations"
 let c_blocks_scored = Obs.counter "scoring.blocks_scored"
-
-let evaluate ?domains ?goods net pats dlog overlay =
-  let blocks = Array.of_list (Pattern.blocks pats) in
-  if Obs.enabled () then begin
-    Obs.incr c_evaluations;
-    Obs.add c_blocks_scored (Array.length blocks)
-  end;
-  (* The refinement loop re-evaluates hundreds of multiplets against one
-     test set; session-threaded callers pass the shared good words so
-     only the overlay side is resimulated. *)
-  let goods =
-    match goods with
-    | Some g -> g
-    | None -> Array.map (fun b -> Logic_sim.simulate_block net b) blocks
-  in
-  let domains = if Array.length blocks < parallel_grain_blocks then Some 1 else domains in
-  Parallel.map_reduce ?domains
-    ~map:(fun i -> score_block net dlog overlay goods.(i) blocks.(i))
-    ~reduce:add ~init:zero
-    (Array.init (Array.length blocks) Fun.id)
 
 let overlay_of_multiplet faults =
   let sites = List.sort_uniq compare (List.map (fun f -> f.Fault_list.site) faults) in
@@ -128,10 +48,11 @@ let overlay_of_multiplet faults =
 (* Batched multiplet scoring (the PPSFP pass, DESIGN.md §6a): seed every
    member of the multiplet into one delta-propagation sweep instead of
    resimulating the whole netlist under an overlay.  Identical by
-   construction to [evaluate (overlay_of_multiplet faults)]: pins read no
-   other net and the netlist is feedback-free, so one levelized pass is
-   already the overlay simulator's fixpoint, and the emitted diff words
-   equal the predicted-failure words [score_block] popcounts.
+   construction to scoring an overlay resimulation of
+   [overlay_of_multiplet faults]: pins read no other net and the netlist
+   is feedback-free, so one levelized pass is already the overlay
+   simulator's fixpoint, and the emitted diff words equal the
+   good/overlay difference words on every PO.
 
    The scratch — a simulator plus batch slabs bound to one (netlist,
    pattern set), the datalog's observed words, and the cone-marking
@@ -252,18 +173,14 @@ let count_evaluation sc =
 
 let site_pairs faults = List.map (fun f -> (f.Fault_list.site, f.Fault_list.stuck)) faults
 
-let evaluate_multiplet ?domains ?goods ?reach ?(batch = true) net pats dlog faults =
-  if not batch then evaluate ?domains ?goods net pats dlog (overlay_of_multiplet faults)
-  else begin
-    let sc, npos = scratch_for ?goods ?reach net pats dlog in
-    count_evaluation sc;
-    let s =
-      score_diffs sc npos
-        (Fault_sim.batch_multiplet_diffs sc.s_batch ~faults:(site_pairs faults))
-    in
-    Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
-    s
-  end
+let evaluate_multiplet ?goods ?reach net pats dlog faults =
+  let sc, npos = scratch_for ?goods ?reach net pats dlog in
+  count_evaluation sc;
+  let s =
+    score_diffs sc npos (Fault_sim.batch_multiplet_diffs sc.s_batch ~faults:(site_pairs faults))
+  in
+  Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
+  s
 
 let screen_delta ?goods ?reach net pats dlog ~site ~deltas =
   let sc, npos = scratch_for ?goods ?reach net pats dlog in

@@ -3,8 +3,9 @@
     Per-candidate analysis cannot see interactions: two stuck lines can
     mask each other's errors or create failures neither produces alone.
     A multiplet is therefore judged by simulating all of its members
-    *simultaneously* (overlay simulation) and comparing the predicted
-    responses against the datalog, observation by observation. *)
+    *simultaneously* — one multi-site PPSFP sweep, equal by construction
+    to an overlay resimulation — and comparing the predicted responses
+    against the datalog, observation by observation. *)
 
 type score = {
   explained : int;  (** Observed failing (pattern, PO) pairs reproduced. *)
@@ -32,21 +33,6 @@ val compare_score : score -> score -> int
 (** Ascending in {!penalty}, ties broken by fewer spurious then more
     explained. *)
 
-val evaluate :
-  ?domains:int ->
-  ?goods:Logic_sim.net_values array ->
-  Netlist.t ->
-  Pattern.t ->
-  Datalog.t ->
-  Logic_sim.override list ->
-  score
-(** Simulate the overlay over the whole set and score it, one pattern
-    block at a time across [domains] OCaml domains ({!Parallel}'s
-    default when omitted); the score is identical for every domain
-    count.  [goods] supplies the precomputed good-machine words of
-    every block (in [Pattern.blocks] order — session-threaded callers
-    pass [Session.goods]); omitted, they are resimulated here. *)
-
 val overlay_of_multiplet : Fault_list.fault list -> Logic_sim.override list
 (** A site appearing with one polarity becomes a stuck override; a site
     appearing with {e both} polarities is a byzantine hypothesis (open /
@@ -55,24 +41,22 @@ val overlay_of_multiplet : Fault_list.fault list -> Logic_sim.override list
     other and the multiplet could never explain both directions. *)
 
 val evaluate_multiplet :
-  ?domains:int ->
   ?goods:Logic_sim.net_values array ->
   ?reach:Po_reach.t ->
-  ?batch:bool ->
   Netlist.t ->
   Pattern.t ->
   Datalog.t ->
   Fault_list.fault list ->
   score
-(** [evaluate] of {!overlay_of_multiplet}.  With [batch] (the default)
-    the multiplet is scored by one PPSFP delta-propagation sweep
-    ({!Fault_sim.batch_multiplet_diffs}) instead of a full overlay
-    resimulation — identical score by construction; [~batch:false] is
-    the same-binary A/B the benches use.  The sweep runs on a
-    domain-local scratch per (netlist, pattern set), built on first use
-    from [goods] and [reach] (session-threaded callers pass
-    [Session.goods] and [Session.reach]) and shared with
-    {!screen_delta} and {!evaluate_bridges}. *)
+(** Score the multiplet by one PPSFP delta-propagation sweep
+    ({!Fault_sim.batch_multiplet_diffs}) — the same score as a full
+    overlay resimulation of {!overlay_of_multiplet}, by construction.
+    The sweep runs on a domain-local scratch per (netlist, pattern
+    set), built on first use from [goods] (the good-machine words of
+    every block, in [Pattern.blocks] order) and [reach]
+    (session-threaded callers pass [Session.goods] and
+    [Session.reach]) and shared with {!screen_delta} and
+    {!evaluate_bridges}. *)
 
 val screen_delta :
   ?goods:Logic_sim.net_values array ->
@@ -102,9 +86,8 @@ val evaluate_bridges :
 (** [evaluate_bridges net pats dlog ~rest ~victim hyps] scores each
     (aggressor, kind) bridge hypothesis on [victim] together with the
     multiplet [rest] (which must not pin [victim]), in [hyps] order:
-    each score equals
-    [evaluate (overlay_of_multiplet rest @ Defect.overlay bridge)],
-    including bridges that feed back through their own fanout cone,
+    each score equals that of an overlay resimulation of
+    [overlay_of_multiplet rest @ Defect.overlay bridge], including bridges that feed back through their own fanout cone,
     which the overlay simulator leaves wherever its
     [Logic_sim.max_sweeps] cap stops them.  One read sweep of [rest],
     two more (victim held at 0 and at 1) when some aggressor lies in

@@ -1,7 +1,7 @@
 (* The session: one warm engine context per (netlist, pattern set)
    problem, threaded through every diagnosis phase.
 
-   Before this module existed, the prune/cache/batch choices lived in
+   Before this module existed, the engine choices lived in
    process-global [Atomic] switches and each phase re-derived the shared
    read-only state (good-machine words, PO reachability) on its own.
    That shape cannot serve volume diagnosis — thousands of datalogs
@@ -22,9 +22,7 @@ type cover = Greedy | Exact
 let default_cover_budget = 2_000_000
 
 type config = {
-  prune : bool;  (* activation screen + class collapse in [Explain] *)
   cache : bool;  (* cross-phase signature cache *)
-  batch : bool;  (* PPSFP batched fault simulation *)
   domains : int option;  (* kernel fan-out; [None] = Parallel default *)
   cache_mb : int;  (* per-instance [Sig_cache] budget *)
   prewarm : bool;  (* whole-pool sweep + [Sig_cache.freeze] at create *)
@@ -35,9 +33,7 @@ type config = {
 
 let default_config =
   {
-    prune = true;
     cache = true;
-    batch = true;
     domains = None;
     cache_mb = Sig_cache.default_budget_mb;
     prewarm = false;
@@ -86,12 +82,11 @@ let with_sink t f = match t.sink with None -> f () | Some sk -> Obs.with_sink sk
 
 (* Per-fault signature triples for a whole fault list: probe the cache,
    then fill every miss through [Fault_sim.simulate_batch] slabs instead
-   of one scalar cone walk per (fault, block).  This is the cold-path
-   fix for the baselines ([Single_diag], [Dict_diag]) and anything else
-   that wants many signatures at once — on a cold 50k-gate problem the
-   per-fault path was the residual hot spot.  Triples arrive in the
-   canonical scalar order, so cache entries stay byte-compatible with
-   both paths. *)
+   of one scalar cone walk per (fault, block).  This is the cold path of
+   the baselines ([Single_diag], [Dict_diag]) and anything else that
+   wants many signatures at once.  Triples arrive in the canonical
+   per-block order of [Fault_sim.iter_po_diffs], the order every cache
+   entry uses. *)
 
 (* Tile cap on the fault axis, matching [Explain.build]: bounds the
    per-batch working set so slabs stay cache-sized. *)
@@ -107,6 +102,31 @@ let tbuf_push b v =
   end;
   b.buf.(b.len) <- v;
   b.len <- b.len + 1
+
+(* One tile: faults [lo, hi) of [faults] through one [simulate_batch]
+   call, each fault's triples handed to [emit] by fault index.  Triples
+   arrive fault-major, so a fault's run ends where the next begins;
+   [starts] holds at least [hi - lo] slots. *)
+let sweep_tile b tb starts (faults : Fault_list.fault array) ~lo ~hi emit =
+  tb.len <- 0;
+  let cur = ref (-1) in
+  let close j =
+    if j >= 0 then emit (lo + j) (Array.sub tb.buf starts.(j) (tb.len - starts.(j)))
+  in
+  Fault_sim.simulate_batch b ~n:(hi - lo)
+    ~fault:(fun j ->
+      let f = faults.(lo + j) in
+      (f.Fault_list.site, f.Fault_list.stuck))
+    (fun j bi oi w ->
+      if j <> !cur then begin
+        close !cur;
+        cur := j;
+        starts.(j) <- tb.len
+      end;
+      tbuf_push tb bi;
+      tbuf_push tb oi;
+      tbuf_push tb w);
+  close !cur
 
 let fault_triples t (faults : Fault_list.fault array) =
   let n = Array.length faults in
@@ -131,55 +151,20 @@ let fault_triples t (faults : Fault_list.fault array) =
   let nmiss = Array.length miss in
   if nmiss > 0 then begin
     let sim = Fault_sim.create ~reach:t.reach t.net in
-    if t.config.batch then begin
-      let b = Fault_sim.prepare_batch sim ~blocks:t.blocks ~goods:t.goods in
-      let tb = { buf = Array.make 4096 0; len = 0 } in
-      let starts = Array.make nmiss 0 in
-      let lo = ref 0 in
-      while !lo < nmiss do
-        let hi = min nmiss (!lo + batch_tile) in
-        let base = !lo in
-        let cur = ref (-1) in
-        let close j = if j >= 0 then out.(miss.(j)) <- Array.sub tb.buf starts.(j) (tb.len - starts.(j)) in
-        Fault_sim.simulate_batch b ~n:(hi - base)
-          ~fault:(fun j ->
-            let f = faults.(miss.(base + j)) in
-            (f.Fault_list.site, f.Fault_list.stuck))
-          (fun j bi oi w ->
-            let j = base + j in
-            if j <> !cur then begin
-              close !cur;
-              cur := j;
-              starts.(j) <- tb.len
-            end;
-            tbuf_push tb bi;
-            tbuf_push tb oi;
-            tbuf_push tb w);
-        close !cur;
-        lo := hi
-      done;
-      if Obs.enabled () then Fault_sim.publish_batch_stats b
-    end
-    else begin
-      (* Scalar fallback, the pre-batch shape: one cone walk per
-         (fault, block). *)
-      let tb = { buf = Array.make 4096 0; len = 0 } in
-      Array.iter
-        (fun i ->
-          let f = faults.(i) in
-          tb.len <- 0;
-          Array.iteri
-            (fun bi (block : Pattern.block) ->
-              Fault_sim.iter_po_diffs sim ~good:t.goods.(bi) ~width:block.Pattern.width
-                ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck (fun oi d ->
-                  tbuf_push tb bi;
-                  tbuf_push tb oi;
-                  tbuf_push tb d))
-            t.blocks;
-          out.(i) <- Array.sub tb.buf 0 tb.len)
-        miss
+    let b = Fault_sim.prepare_batch sim ~blocks:t.blocks ~goods:t.goods in
+    let tb = { buf = Array.make 4096 0; len = 0 } in
+    let starts = Array.make batch_tile 0 in
+    let cold = Array.map (fun i -> faults.(i)) miss in
+    let lo = ref 0 in
+    while !lo < nmiss do
+      let hi = min nmiss (!lo + batch_tile) in
+      sweep_tile b tb starts cold ~lo:!lo ~hi (fun j triples -> out.(miss.(j)) <- triples);
+      lo := hi
+    done;
+    if Obs.enabled () then begin
+      Fault_sim.publish_batch_stats b;
+      Fault_sim.publish_stats sim
     end;
-    if Obs.enabled () then Fault_sim.publish_stats sim;
     match t.cache with
     | None -> ()
     | Some c ->
@@ -200,11 +185,9 @@ let c_prewarm_faults = Obs.counter "prewarm.faults"
 (* One PPSFP sweep over the whole fault pool, then [Sig_cache.freeze]:
    after this, every signature a diagnosis can ask for is answered by
    the frozen tier — no hashing, no shard mutex — and the per-die work
-   of a volume run reduces to covering.  The pool matches the keys the
-   phases actually probe: class representatives when pruning (Explain
-   rows and both baselines key by [Fault_list.representative_of]), the
-   full [Fault_list.all] universe otherwise (raw candidate keys; the
-   representatives are a subset, so either pool covers the baselines).
+   of a volume run reduces to covering.  The pool is the class
+   representatives, the keys the phases actually probe (Explain rows
+   and both baselines key by [Fault_list.representative_of]).
 
    Probes use [Sig_cache.peek] so the hit/miss counters keep reflecting
    only probes a diagnosis made — the acceptance check that a frozen
@@ -220,10 +203,7 @@ let prewarm t =
   | Some c when Sig_cache.is_frozen c -> 0
   | Some c ->
     Obs.phase "prewarm" (fun () ->
-        let pool =
-          if t.config.prune then Fault_list.representatives (Fault_list.collapse t.net)
-          else Fault_list.all t.net
-        in
+        let pool = Fault_list.representatives (Fault_list.collapse t.net) in
         let cold =
           Array.of_list
             (List.filter
@@ -234,69 +214,30 @@ let prewarm t =
         in
         let n = Array.length cold in
         let out = Array.make n [||] in
-        if n > 0 then
-          if t.config.batch then begin
-            let domains = t.config.domains in
-            let plan =
-              Parallel.weighted_chunks ?domains ~min_chunk_weight:64 ~max_chunk_size:batch_tile
-                ~weights:(Array.make n 1) ()
-            in
-            let nslots = Parallel.plan_slots ?domains plan in
-            let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
-            let b0 = Fault_sim.prepare_batch sims.(0) ~blocks:t.blocks ~goods:t.goods in
-            let batches =
-              Array.init nslots (fun s ->
-                  if s = 0 then b0
-                  else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks:t.blocks ~goods:t.goods)
-            in
-            let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
-            let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
-            Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
-                let b = batches.(slot) and tb = tbs.(slot) and starts = startss.(slot) in
-                tb.len <- 0;
-                let cur = ref (-1) in
-                let close j =
-                  if j >= 0 then out.(lo + j) <- Array.sub tb.buf starts.(j) (tb.len - starts.(j))
-                in
-                Fault_sim.simulate_batch b ~n:(hi - lo)
-                  ~fault:(fun j ->
-                    let f = cold.(lo + j) in
-                    (f.Fault_list.site, f.Fault_list.stuck))
-                  (fun j bi oi w ->
-                    if j <> !cur then begin
-                      close !cur;
-                      cur := j;
-                      starts.(j) <- tb.len
-                    end;
-                    tbuf_push tb bi;
-                    tbuf_push tb oi;
-                    tbuf_push tb w);
-                close !cur);
-            if Obs.enabled () then begin
-              Array.iter Fault_sim.publish_batch_stats batches;
-              Array.iter Fault_sim.publish_stats sims
-            end
+        if n > 0 then begin
+          let domains = t.config.domains in
+          let plan =
+            Parallel.weighted_chunks ?domains ~min_chunk_weight:64 ~max_chunk_size:batch_tile
+              ~weights:(Array.make n 1) ()
+          in
+          let nslots = Parallel.plan_slots ?domains plan in
+          let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
+          let b0 = Fault_sim.prepare_batch sims.(0) ~blocks:t.blocks ~goods:t.goods in
+          let batches =
+            Array.init nslots (fun s ->
+                if s = 0 then b0
+                else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks:t.blocks ~goods:t.goods)
+          in
+          let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
+          let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
+          Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
+              sweep_tile batches.(slot) tbs.(slot) startss.(slot) cold ~lo ~hi (fun i triples ->
+                  out.(i) <- triples));
+          if Obs.enabled () then begin
+            Array.iter Fault_sim.publish_batch_stats batches;
+            Array.iter Fault_sim.publish_stats sims
           end
-          else begin
-            (* Scalar fallback so the prewarm/lazy/off byte-identity
-               oracle holds under every config corner. *)
-            let sim = Fault_sim.create ~reach:t.reach t.net in
-            let tb = { buf = Array.make 4096 0; len = 0 } in
-            Array.iteri
-              (fun i f ->
-                tb.len <- 0;
-                Array.iteri
-                  (fun bi (block : Pattern.block) ->
-                    Fault_sim.iter_po_diffs sim ~good:t.goods.(bi) ~width:block.Pattern.width
-                      ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck (fun oi d ->
-                        tbuf_push tb bi;
-                        tbuf_push tb oi;
-                        tbuf_push tb d))
-                  t.blocks;
-                out.(i) <- Array.sub tb.buf 0 tb.len)
-              cold;
-            if Obs.enabled () then Fault_sim.publish_stats sim
-          end;
+        end;
         (* Hand the sweep results straight to the packer instead of
            routing them through the mutable tier: [store] would evict
            FIFO once the pool outgrew the word budget (rnd50k's

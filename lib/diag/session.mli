@@ -6,10 +6,10 @@
     signature cache, an optional per-session {!Obs.sink}, and the
     resolved configuration record.  Every phase — {!Explain},
     {!Scoring}, {!Noassume}, {!Single_diag}, {!Dict_diag},
-    {!Slat_diag} — reads its prune/cache/batch/domains choices from the
-    session instead of process-global switches, so two concurrent
-    diagnoses can run under different configurations without touching
-    shared mutable state.
+    {!Slat_diag} — reads its cache/domains choices from the session
+    instead of process-global switches, so two concurrent diagnoses can
+    run under different configurations without touching shared mutable
+    state.
 
     Sharing contract (DESIGN.md §11): a [t] is immutable after
     {!create} and safe to share across domains.  [net], [pats],
@@ -32,10 +32,7 @@ val default_cover_budget : int
     sub-solves summed); 2,000,000. *)
 
 type config = {
-  prune : bool;
-      (** Exactness-preserving candidate prunes in {!Explain.build}. *)
   cache : bool;  (** Hold a {!Sig_cache} instance for this problem. *)
-  batch : bool;  (** PPSFP batched fault simulation on the hot paths. *)
   domains : int option;
       (** Kernel fan-out inside one diagnosis; [None] uses
           {!Parallel.default_domains}.  Results are identical for every
@@ -59,7 +56,7 @@ type config = {
 }
 
 val default_config : config
-(** Everything on except [prewarm], [domains = None],
+(** [cache] on, [prewarm] off, [domains = None],
     [cache_mb = Sig_cache.default_budget_mb], [cover = Greedy],
     [cover_budget = default_cover_budget], [store_dir = None].  No
     environment switch is read here — the CLI layer resolves them once
@@ -83,9 +80,9 @@ val create : ?config:config -> ?sink:Obs.sink -> Netlist.t -> Pattern.t -> t
     from a loaded snapshot are byte-identical to the live-sweep path. *)
 
 val prewarm : t -> int
-(** Fill the signature cache for the {e whole} fault pool — class
-    representatives when [config.prune], the full fault universe
-    otherwise — in one fork-join PPSFP sweep over
+(** Fill the signature cache for the {e whole} fault pool — the
+    equivalence-class representatives, the keys every phase probes — in
+    one fork-join PPSFP sweep over
     {!Fault_sim.prepare_batch} slabs (shared good slab, per-slot delta
     slabs, 512-fault tiles), then {!Sig_cache.freeze} it (sweep results
     go to the packer as [~extra] entries, bypassing the mutable tier's
@@ -127,9 +124,8 @@ val fault_triples : t -> Fault_list.fault array -> int array array
 (** Signature triples for every fault, in the canonical
     [(block, PO, diff-word)] order of {!Fault_sim.iter_po_diffs}.
     Cache hits replay; misses are simulated through
-    {!Fault_sim.simulate_batch} slabs in bounded tiles (scalar cone
-    walks when [config.batch] is off) and stored back.  This is the
-    batched cold path of the baselines. *)
+    {!Fault_sim.simulate_batch} slabs in bounded tiles and stored back.
+    This is the batched cold path of the baselines. *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array
 (** Expand one fault's triples into the per-PO, bit-per-pattern shape of

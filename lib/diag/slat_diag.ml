@@ -59,10 +59,7 @@ let diagnose m pats =
   in
   let score =
     let session = Explain.session m in
-    Scoring.evaluate_multiplet
-      ?domains:(Session.config session).Session.domains
-      ~goods:(Session.goods session)
-      ~batch:(Session.config session).Session.batch (Explain.netlist m) pats
+    Scoring.evaluate_multiplet ~goods:(Session.goods session) (Explain.netlist m) pats
       (Explain.datalog m) multiplet
   in
   {

@@ -43,23 +43,19 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
   (* One generator per trial, split in trial order before any trial runs:
      trial [t] draws the same defects whatever the domain count. *)
   let trial_rngs = Array.init trials (fun _ -> Rng.split rng) in
-  (* With several trials in flight, each trial's own simulation kernels
-     run on one domain — trial-level parallelism is the outer loop and
-     scales best; a single trial still fans out its kernels. *)
-  let config =
-    if trials > 1 then { config with Noassume.domains = Some 1 } else config
-  in
   (* One warm session for the whole cell: every trial shares the goods,
      the PO-reach screen and the signature-cache instance (trials differ
      only in the datalog — exactly the cross-trial reuse the cache
      exists for).  The session is immutable, so parallel trials share it
-     safely. *)
+     safely.  With several trials in flight, each trial's own simulation
+     kernels run on one domain — trial-level parallelism is the outer
+     loop and scales best; a single trial still fans out its kernels. *)
   let session =
     Session.create
       ~config:
         {
           Session.default_config with
-          Session.domains = config.Noassume.domains;
+          Session.domains = (if trials > 1 then Some 1 else None);
           cover;
         }
       net pats

@@ -70,7 +70,7 @@ let run_circuit ~trials ~multiplicity ~seed ~node_budget circuit =
   let dlogs = make_dlogs net pats ~trials ~multiplicity ~seed in
   (* Validation off: the multiplet is exactly the chosen cover, and the
      wall-clock difference is the covering step, not refinement. *)
-  let config = { Noassume.default_config with validate = false; domains = Some 1 } in
+  let config = { Noassume.default_config with validate = false } in
   let session_with cover =
     Session.create
       ~config:

@@ -92,11 +92,7 @@ let run ?(circuit = "rnd1k") ?(domain_counts = [ 1; 2; 4; 8 ]) ?(repeats = 5)
       );
       ( "diagnose",
         fun d ->
-          let config = { Noassume.default_config with domains = Some d } in
-          ignore
-            (Noassume.diagnose_session ~config
-               (Session.create ~config:(scfg d) net pats)
-               dlog) );
+          ignore (Noassume.diagnose_session (Session.create ~config:(scfg d) net pats) dlog) );
     ]
   in
   let samples =

@@ -153,7 +153,7 @@ let run ?(circuits = [ "rnd2k" ]) ?store_dir ?(repeats = 3)
   in
   { repeats; samples }
 
-(* Worst load-vs-cold ratio across circuits — the number gate 8 floors:
+(* Worst load-vs-cold ratio across circuits — the number gate 7 floors:
    every circuit's restart path must beat its cold path. *)
 let min_load_speedup r =
   List.fold_left (fun acc s -> min acc s.load_speedup) infinity r.samples

@@ -45,7 +45,7 @@ val run :
     die, seed 99. *)
 
 val min_load_speedup : report -> float
-(** Worst [load_speedup] across circuits — what regression gate 8
+(** Worst [load_speedup] across circuits — what regression gate 7
     floors ([min_store_speedup]). *)
 
 val to_table : report -> Table.t

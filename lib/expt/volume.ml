@@ -5,10 +5,12 @@
    Per-die work (explanation matrix, covering, refinement) is far
    smaller than per-problem work (goods, PO reach, signature warm-up),
    so the service loads a [Session.t] once and drains the queue with
-   {e request-level} parallelism — one whole diagnosis per domain, each
-   worker single-domain inside ([Parallel]'s nested calls run inline
-   anyway; pinning the config makes the per-die counters comparable
-   across worker counts).
+   {e request-level} parallelism — one whole diagnosis per domain.  A
+   worker's own kernel calls run inline ([Parallel]'s nested calls do),
+   whatever domain count the session carries.
+
+   A die that cannot be read, is empty or does not parse becomes one
+   [{"name", "error"}] record; it never stops the rest of the queue.
 
    Each die runs under a private [Obs.sink], so its run report carries
    its own counters even with many diagnoses in flight, and the sink is
@@ -34,39 +36,56 @@ type net_rollup = {
   explained_obs : int;
 }
 
-type rollup = { dies : int; diagnosed : int; minimal : int; nets : net_rollup list }
+type rollup = {
+  dies : int;
+  diagnosed : int;
+  failed : int;
+  minimal : int;
+  nets : net_rollup list;
+}
+
+type failure = { name : string; error : string }
 
 let c_dies = Obs.counter "volume.dies"
 
-let datalog_ext = ".datalog"
+let read_file path =
+  try
+    (* [Fun.protect]: a short read must not leak the descriptor — a
+       volume directory can hold thousands of dies, enough to exhaust
+       the fd table mid-load. *)
+    let ic = open_in path in
+    Ok
+      (Fun.protect
+         ~finally:(fun () -> close_in_noerr ic)
+         (fun () -> really_input_string ic (in_channel_length ic)))
+  with
+  | Sys_error msg -> Error msg
+  | End_of_file -> Error (path ^ ": short read")
+
+(* An empty file is a truncated transfer, not a die that passed. *)
+let load_die session path =
+  let name = Filename.remove_extension (Filename.basename path) in
+  let npatterns = Pattern.count (Session.patterns session) in
+  let npos = Netlist.num_pos (Session.netlist session) in
+  let parsed =
+    Result.bind (read_file path) (fun text ->
+        if String.trim text = "" then Error (path ^ ": empty datalog")
+        else
+          try Ok (Datalog.of_text ~npatterns ~npos text)
+          with Invalid_argument msg -> Error (path ^ ": " ^ msg))
+  in
+  match parsed with
+  | Ok dlog -> Ok { name; dlog }
+  | Error error -> Error { name; error }
 
 let load_dir session dir =
   let files = Sys.readdir dir in
   Array.sort compare files;
-  let npatterns = Pattern.count (Session.patterns session) in
-  let npos = Netlist.num_pos (Session.netlist session) in
   Array.to_list files
-  |> List.filter (fun f -> Filename.check_suffix f datalog_ext)
-  |> List.map (fun f ->
-         let path = Filename.concat dir f in
-         (* [Fun.protect]: a short read or a datalog parse error must not
-            leak the descriptor — a volume directory can hold thousands
-            of dies, enough to exhaust the fd table mid-load. *)
-         let ic = open_in path in
-         let text =
-           Fun.protect
-             ~finally:(fun () -> close_in_noerr ic)
-             (fun () -> really_input_string ic (in_channel_length ic))
-         in
-         try { name = Filename.chop_suffix f datalog_ext; dlog = Datalog.of_text ~npatterns ~npos text }
-         with Invalid_argument msg -> invalid_arg (Printf.sprintf "%s: %s" path msg))
+  |> List.filter (fun f -> Filename.check_suffix f ".datalog")
+  |> List.map (fun f -> load_die session (Filename.concat dir f))
 
-let diagnose_die ?config session d =
-  let config =
-    match config with
-    | Some c -> c
-    | None -> { Noassume.default_config with domains = Some 1 }
-  in
+let diagnose_die ?(config = Noassume.default_config) session d =
   let sink = Obs.sink () in
   let result =
     Obs.with_sink sink (fun () -> Noassume.diagnose_session ~config session d.dlog)
@@ -155,6 +174,7 @@ let rollup session results =
   {
     dies = List.length results;
     diagnosed = List.length results;
+    failed = 0;
     minimal = !minimal_total;
     nets;
   }
@@ -179,6 +199,11 @@ let json_of_die r =
 
 let die_json r = Obs_json.to_string (json_of_die r) ^ "\n"
 
+let error_json f =
+  Obs_json.to_string
+    (Obs_json.Obj [ ("name", Obs_json.Str f.name); ("error", Obs_json.Str f.error) ])
+  ^ "\n"
+
 let rollup_json ru =
   let nets =
     List.map
@@ -197,6 +222,7 @@ let rollup_json ru =
        [
          ("dies", Obs_json.Num (float_of_int ru.dies));
          ("diagnosed", Obs_json.Num (float_of_int ru.diagnosed));
+         ("failed", Obs_json.Num (float_of_int ru.failed));
          ("minimal", Obs_json.Num (float_of_int ru.minimal));
          ("nets", Obs_json.List nets);
        ])
@@ -207,11 +233,15 @@ let write_file path text =
   output_string oc text;
   close_out oc
 
-let write_results ~dir session results =
+let write_results ~dir ~failed session results =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   List.iter
     (fun r -> write_file (Filename.concat dir (r.die ^ ".json")) (die_json r))
     results;
-  let ru = rollup session results in
+  List.iter (fun f -> write_file (Filename.concat dir (f.name ^ ".json")) (error_json f)) failed;
+  let nfailed = List.length failed in
+  let ru =
+    { (rollup session results) with dies = List.length results + nfailed; failed = nfailed }
+  in
   write_file (Filename.concat dir "rollup.json") (rollup_json ru);
   ru

@@ -5,9 +5,11 @@
     signature cache — only the datalog differs.  The service creates one
     {!Session.t}, then drains the die queue with request-level
     parallelism: one whole diagnosis per OCaml domain, each worker
-    running its kernels single-domain.  Per-die observability comes
-    from a private {!Obs.sink} per diagnosis, merged into the process
-    registry after capture.
+    running its kernels inline.  Per-die observability comes from a
+    private {!Obs.sink} per diagnosis, merged into the process registry
+    after capture.  A die that cannot be read, is empty or is malformed
+    becomes one {!failure} record and never stops the rest of the
+    queue.
 
     Rendered diagnosis reports are byte-identical to single-shot
     [diagnose] runs of the same die; the per-die counter splits (cache
@@ -32,23 +34,31 @@ type net_rollup = {
 }
 
 type rollup = {
-  dies : int;
+  dies : int;  (** Dies in the queue, failed ones included. *)
   diagnosed : int;
+  failed : int;  (** Dies that could not be loaded (see {!failure}). *)
   minimal : int;  (** Dies diagnosed with a proven-minimal cover. *)
   nets : net_rollup list;
 }
 
-val load_dir : Session.t -> string -> die list
-(** All [*.datalog] files of a directory, sorted by name; die names are
-    the basenames.  Raises [Invalid_argument] on malformed datalogs
-    (message prefixed with the offending die file's path), [Sys_error]
-    on unreadable paths.  Never leaks a descriptor, whichever die
-    fails. *)
+type failure = { name : string; error : string }
+(** A die that could not be loaded: its name and why, the message
+    prefixed with the file's path. *)
+
+val load_die : Session.t -> string -> (die, failure) result
+(** Read and parse one datalog file; the die is named by the file's
+    basename without its extension.  An unreadable path, an empty file
+    (a truncated transfer, not a passing die) and a malformed datalog
+    are each a [failure].  Never raises on bad input and never leaks a
+    descriptor. *)
+
+val load_dir : Session.t -> string -> (die, failure) result list
+(** {!load_die} over every [*.datalog] file of a directory, sorted by
+    name. *)
 
 val diagnose_die : ?config:Noassume.config -> Session.t -> die -> die_result
 (** One die under a private sink.  [config] defaults to
-    {!Noassume.default_config} with [domains = Some 1] (request-level
-    parallelism owns the domains). *)
+    {!Noassume.default_config}. *)
 
 val run :
   ?config:Noassume.config -> ?workers:int -> Session.t -> die list -> die_result list
@@ -57,7 +67,7 @@ val run :
     order whatever the worker count. *)
 
 val rollup : Session.t -> die_result list -> rollup
-(** Rank nets by how many dies implicate them (ties: dies with a
+(** [failed = 0]; {!write_results} counts the failures.  Rank nets by how many dies implicate them (ties: dies with a
     proven-minimal cover, then explained observations, then name) — the
     volume signal that separates a systematic defect from random spot
     defects.  Under [--cover=exact] the tie-break prefers sites backed
@@ -68,8 +78,15 @@ val die_json : die_result -> string
     per-die run report (timings off, so the text is deterministic up to
     drain-order cache splits). *)
 
+val error_json : failure -> string
+(** One failed die as a [{"name", "error"}] JSON line — the record both
+    [--batch-dir] and [--serve] write in place of its report. *)
+
 val rollup_json : rollup -> string
 
-val write_results : dir:string -> Session.t -> die_result list -> rollup
-(** Write [<die>.json] per die plus [rollup.json] into [dir] (created
-    if missing, one level), returning the rollup. *)
+val write_results :
+  dir:string -> failed:failure list -> Session.t -> die_result list -> rollup
+(** Write [<die>.json] per diagnosed die, an {!error_json} record as
+    [<name>.json] per [failed] die, and [rollup.json] into [dir]
+    (created if missing, one level), returning the rollup; its [dies]
+    and [failed] count the failures. *)

@@ -1,11 +1,12 @@
 (* Volume-throughput bench: diagnoses/second of the volume service at
    several worker counts, against one warm session.
 
-   Methodology follows [Batchbench]: seeded-random patterns (the bench
-   measures the service loop, not ATPG), wall clock, worker counts
-   interleaved run by run so machine-speed drift lands on every arm
-   equally, and speedups as ratios of best (minimum) drain times —
-   scheduling noise only ever adds time.
+   Methodology: seeded-random patterns (the bench measures the service
+   loop, not ATPG), wall clock, worker counts interleaved run by run so
+   machine-speed drift lands on every arm equally, and speedups as
+   ratios of best (minimum) drain times — scheduling noise only ever
+   adds time, so the minimum estimates true cost far more stably than
+   the median.
 
    Two arms per worker count, interleaved run by run:
 
@@ -168,7 +169,7 @@ let best_speedup r =
     0.0 r.samples
 
 (* Best frozen-over-lazy throughput ratio across all worker counts —
-   gate 6 ([min_prewarm_speedup]).  On one core the 1-worker arm
+   gate 5 ([min_prewarm_speedup]).  On one core the 1-worker arm
    carries the signal (no contention to remove, the ratio floors near
    1.0); with real cores the multi-worker arms show the
    contention-removal win. *)

@@ -3,9 +3,11 @@
     (cache filled by an untimed drain, every hit through the shard
     mutex) and a {e prewarm+frozen} session ({!Session.prewarm}, every
     hit a lock-free frozen-tier read) on distinct cache instances.
-    Arms and worker counts are interleaved run by run and speedups
-    divide best (minimum) drain times, the same noise defenses as
-    {!Batchbench}. *)
+    Arms and worker counts are interleaved run by run, so machine-speed
+    drift on a shared host hits both sides of each ratio equally, and
+    speedups divide best (minimum) drain times: scheduling noise only
+    ever adds time, so minima estimate true cost far more stably than
+    medians. *)
 
 type sample = {
   workers : int;
@@ -60,7 +62,7 @@ val best_speedup : report -> float
 
 val best_prewarm_speedup : report -> float
 (** Best frozen-over-lazy throughput ratio across all worker counts —
-    what gate 6 floors ([min_prewarm_speedup]).  Near 1.0 on one core
+    what gate 5 floors ([min_prewarm_speedup]).  Near 1.0 on one core
     (uncontended mutex ops are cheap); the win appears with real
     cores. *)
 

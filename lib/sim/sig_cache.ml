@@ -278,39 +278,6 @@ let store t k triples =
   Mutex.unlock s.lock;
   if !evicted > 0 && Obs.enabled () then Obs.add c_evictions !evicted
 
-(* Triples of one fault over the whole set, in the canonical order
-   (blocks ascending, POs ascending within a block). *)
-let compute t sim ~site ~stuck =
-  let buf = ref (Array.make 96 0) in
-  let len = ref 0 in
-  let push v =
-    if !len = Array.length !buf then begin
-      let bigger = Array.make (2 * !len) 0 in
-      Array.blit !buf 0 bigger 0 !len;
-      buf := bigger
-    end;
-    !buf.(!len) <- v;
-    incr len
-  in
-  Array.iteri
-    (fun bi (block : Pattern.block) ->
-      Fault_sim.iter_po_diffs sim ~good:t.goods.(bi) ~width:block.width ~site ~stuck
-        (fun oi d ->
-          push bi;
-          push oi;
-          push d))
-    t.blocks;
-  Array.sub !buf 0 !len
-
-let lookup t sim ~site ~stuck =
-  let k = key ~site ~stuck in
-  match find t k with
-  | Some triples -> triples
-  | None ->
-    let triples = compute t sim ~site ~stuck in
-    store t k triples;
-    triples
-
 (* Resident footprint of the published arena, in bytes (0 before a
    freeze), and the boxed-representation cost it replaced — the pair
    the store bench quotes as the packing ratio. *)

@@ -170,11 +170,6 @@ val store : t -> int -> int array -> unit
     of the shard past its budget share.  The array is owned by the
     cache afterwards; do not mutate it. *)
 
-val lookup : t -> Fault_sim.t -> site:Netlist.net -> stuck:bool -> int array
-(** [find] under {!key}, computing the triples with the given simulator
-    (and storing them) on a miss.  The simulator must belong to the
-    calling domain. *)
-
 val signature_of_triples : t -> int array -> Bitvec.t array
 (** Expand triples into the per-PO, bit-per-pattern signature shape of
     {!Fault_sim.signature}. *)

@@ -64,65 +64,27 @@ let prop_delta_injection_matches_overlay =
 
 (* --- Explain.build against a brute-force reference ------------------ *)
 
-(* Same accumulators as [Explain.build], computed the slow way: one full
-   overlay resimulation per (candidate, block), per-bit scans, and an
-   association list for the observation index.  No CSR, no reachability
-   screen, no event queue. *)
-let naive_matrices net pats dlog (candidates : Fault_list.fault array) =
-  let observations = Datalog.observations dlog in
-  let nobs = Array.length observations in
-  let failing = Array.of_list (Datalog.failing_patterns dlog) in
-  let nfp = Array.length failing in
-  let fp_of p =
-    let r = ref (-1) in
-    Array.iteri (fun i q -> if q = p then r := i) failing;
-    !r
+(* Every accumulator of a built matrix against [Reference.naive_matrices]
+   over its own candidate pool. *)
+let matches_naive net pats dlog m =
+  let candidates = Explain.candidates m in
+  let covers, matched, spurious, mispredict_pass =
+    Reference.naive_matrices net pats dlog candidates
   in
-  let obs_index p po =
-    let r = ref (-1) in
-    Array.iteri
-      (fun i (ob : Datalog.observation) ->
-        if ob.pattern = p && ob.po = po then r := i)
-      observations;
-    !r
-  in
-  let ncand = Array.length candidates in
-  let covers = Array.init ncand (fun _ -> Bitvec.create nobs) in
-  let matched = Array.make_matrix ncand nfp 0 in
-  let spurious = Array.make_matrix ncand nfp 0 in
-  let mispredict_pass = Array.make ncand 0 in
+  let nfp = Array.length (Explain.failing m) in
+  let ok = ref true in
   Array.iteri
-    (fun c (f : Fault_list.fault) ->
-      List.iter
-        (fun (block : Pattern.block) ->
-          let good = Logic_sim.simulate_block net block in
-          let faulty =
-            Logic_sim.simulate_block_overlay net block
-              [ Logic_sim.force f.site f.stuck ]
-          in
-          for k = 0 to block.width - 1 do
-            let p = block.base + k in
-            let any = ref false in
-            Array.iteri
-              (fun oi po ->
-                if (good.(po) lxor faulty.(po)) lsr k land 1 = 1 then begin
-                  any := true;
-                  let fp = fp_of p in
-                  if fp >= 0 then
-                    let i = obs_index p oi in
-                    if i >= 0 then begin
-                      Bitvec.set covers.(c) i true;
-                      matched.(c).(fp) <- matched.(c).(fp) + 1
-                    end
-                    else spurious.(c).(fp) <- spurious.(c).(fp) + 1
-                end)
-              (Netlist.pos net);
-            if !any && fp_of p < 0 then
-              mispredict_pass.(c) <- mispredict_pass.(c) + 1
-          done)
-        (Pattern.blocks pats))
+    (fun c _ ->
+      if not (Bitvec.equal (Explain.covers m c) covers.(c)) then ok := false;
+      if Explain.mispredict_pass m c <> mispredict_pass.(c) then ok := false;
+      for fp = 0 to nfp - 1 do
+        if
+          Explain.matched m c fp <> matched.(c).(fp)
+          || Explain.spurious m c fp <> spurious.(c).(fp)
+        then ok := false
+      done)
     candidates;
-  (covers, matched, spurious, mispredict_pass)
+  !ok
 
 let prop_explain_matches_naive =
   QCheck.Test.make
@@ -131,27 +93,7 @@ let prop_explain_matches_naive =
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
-      else begin
-        let m = Explain.build ~domains:1 net pats dlog in
-        let candidates = Explain.candidates m in
-        let covers, matched, spurious, mispredict_pass =
-          naive_matrices net pats dlog candidates
-        in
-        let nfp = Array.length (Explain.failing m) in
-        let ok = ref true in
-        Array.iteri
-          (fun c _ ->
-            if not (Bitvec.equal (Explain.covers m c) covers.(c)) then ok := false;
-            if Explain.mispredict_pass m c <> mispredict_pass.(c) then ok := false;
-            for fp = 0 to nfp - 1 do
-              if
-                Explain.matched m c fp <> matched.(c).(fp)
-                || Explain.spurious m c fp <> spurious.(c).(fp)
-              then ok := false
-            done)
-          candidates;
-        !ok
-      end)
+      else matches_naive net pats dlog (Explain.build ~domains:1 net pats dlog))
 
 (* --- signature ~goods ----------------------------------------------- *)
 
@@ -249,14 +191,15 @@ let prop_batch_delta_matches_scalar =
         blocks;
       got = want)
 
-(* --- evaluate_multiplet: batched = per-fault ------------------------ *)
+(* --- evaluate_multiplet against the overlay scorer -------------------- *)
 
-(* Whole-multiplet scoring must not depend on which kernel ran it.  Odd
-   seeds pin one site at both polarities, the byzantine (value-flip)
-   overlay case with its own batch code path. *)
-let prop_evaluate_multiplet_batch_identity =
+(* The multi-site sweep must score a multiplet exactly as a whole-block
+   overlay resimulation does.  Odd seeds pin one site at both
+   polarities, the byzantine (value-flip) overlay case with its own
+   batch code path. *)
+let prop_evaluate_multiplet_matches_overlay =
   QCheck.Test.make
-    ~name:"evaluate_multiplet: batched = per-fault scores" ~count:12
+    ~name:"evaluate_multiplet: batched = per-block overlay resimulation" ~count:12
     QCheck.(pair (int_range 1 100_000) (int_range 1 3))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
@@ -277,8 +220,8 @@ let prop_evaluate_multiplet_batch_identity =
           :: faults
         else faults
       in
-      let score b = Scoring.evaluate_multiplet ~domains:1 ~batch:b net pats dlog faults in
-      score true = score false)
+      Scoring.evaluate_multiplet net pats dlog faults
+      = Reference.evaluate_multiplet net pats dlog faults)
 
 (* --- evaluate_bridges against the overlay simulator ----------------- *)
 
@@ -298,7 +241,7 @@ let bridges_agree net pats dlog ~rest ~victim ~aggressor =
   let want =
     List.map
       (fun kind ->
-        Scoring.evaluate ~domains:1 net pats dlog
+        Reference.evaluate net pats dlog
           (Scoring.overlay_of_multiplet rest
           @ Defect.overlay (Defect.Bridge { victim; aggressor; kind })))
       bridge_kinds
@@ -401,7 +344,7 @@ let test_oscillating_bridge () =
         (bridges_agree net pats dlog ~rest ~victim ~aggressor))
     bridge_kinds
 
-(* --- Explain.build: batched = per-fault, cold shared cache ---------- *)
+(* --- Explain.build: brute force and warm replay, cold shared cache --- *)
 
 let explain_equal m1 m2 =
   let c1 = Explain.candidates m1 and c2 = Explain.candidates m2 in
@@ -427,13 +370,13 @@ let explain_equal m1 m2 =
             !ok)
           c1)
 
-(* The same-binary A/B the benchmarks rely on: with a cold shared
-   [Sig_cache] and four domains racing to fill it, the batched build,
-   the per-fault build, and a warm replay of either must produce
-   identical matrices. *)
-let prop_explain_batch_ab_identity =
+(* With a cold shared [Sig_cache] and four domains racing to fill it,
+   the batched build must match the per-fault brute-force reference,
+   and a warm replay from the cache it filled must produce the
+   identical matrix. *)
+let prop_explain_brute_force_and_replay =
   QCheck.Test.make
-    ~name:"Explain.build: batched = per-fault = warm replay (4 domains)"
+    ~name:"Explain.build: batched = per-fault brute force = warm replay (4 domains)"
     ~count:8
     QCheck.(pair (int_range 1 100_000) (int_range 1 3))
     (fun (seed, multiplicity) ->
@@ -442,15 +385,13 @@ let prop_explain_batch_ab_identity =
       else begin
         (* Each build wraps the problem in a transient cache-on session;
            [Sig_cache.for_problem] hands consecutive builds the shared
-           registry instance, so the second batched build replays warm. *)
-        let build b = Explain.build ~domains:4 ~cache:true ~batch:b net pats dlog in
+           registry instance, so the second build replays warm. *)
+        let build () = Explain.build ~domains:4 ~cache:true net pats dlog in
         Sig_cache.clear ();
-        let batched = build true in
-        let warm = build true in
+        let batched = build () in
+        let warm = build () in
         Sig_cache.clear ();
-        let scalar = build false in
-        Sig_cache.clear ();
-        explain_equal batched scalar && explain_equal batched warm
+        matches_naive net pats dlog batched && explain_equal batched warm
       end)
 
 (* --- Packed frozen arena against scalar-computed triples ------------ *)
@@ -478,7 +419,7 @@ let prop_packed_arena_matches_scalar =
             let k = Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck in
             ( k,
               Array.copy
-                (Sig_cache.lookup c sim ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
+                (Reference.lookup c sim ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
             ))
           faults
       in
@@ -522,9 +463,9 @@ let suite =
           prop_signature_goods_equivalent;
           prop_simulate_batch_matches_scalar;
           prop_batch_delta_matches_scalar;
-          prop_evaluate_multiplet_batch_identity;
+          prop_evaluate_multiplet_matches_overlay;
           prop_bridge_scorer_matches_overlay;
-          prop_explain_batch_ab_identity;
+          prop_explain_brute_force_and_replay;
           prop_packed_arena_matches_scalar;
         ] );
   ]

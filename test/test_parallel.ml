@@ -162,9 +162,9 @@ let prop_diagnosis_identical_across_domains =
       if Datalog.num_failing dlog = 0 then true
       else begin
         let diagnose d =
-          Noassume.diagnose
-            ~config:{ Noassume.default_config with domains = Some d }
-            net pats dlog
+          Noassume.diagnose_session
+            (Session.create ~config:{ Session.default_config with Session.domains = Some d } net pats)
+            dlog
         in
         let r1 = diagnose 1 and r4 = diagnose 4 in
         r1.Noassume.multiplet = r4.Noassume.multiplet
@@ -172,23 +172,6 @@ let prop_diagnosis_identical_across_domains =
         && Noassume.callout_nets r1 = Noassume.callout_nets r4
         && r1.Noassume.refinement_steps = r4.Noassume.refinement_steps
       end)
-
-let prop_scoring_identical_across_domains =
-  QCheck.Test.make ~name:"Scoring.evaluate: identical across domain counts" ~count:20
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let net, pats, dlog = random_problem seed 3 in
-      let rng = Rng.create (seed + 17) in
-      let faults =
-        List.init 3 (fun _ ->
-            {
-              Fault_list.site = Rng.int rng (Netlist.num_nets net);
-              stuck = Rng.bool rng;
-            })
-      in
-      let s d = Scoring.evaluate_multiplet ~domains:d net pats dlog faults in
-      let s1 = s 1 in
-      List.for_all (fun d -> s d = s1) [ 2; 3; 8 ])
 
 let suite =
   [
@@ -209,6 +192,5 @@ let suite =
           [
             prop_matrix_identical_across_domains;
             prop_diagnosis_identical_across_domains;
-            prop_scoring_identical_across_domains;
           ] );
   ]

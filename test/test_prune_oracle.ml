@@ -1,8 +1,11 @@
 (* Oracle for the exactness-preserving prunes and the cross-phase
-   signature cache: with pruning and caching on, every diagnosis report
-   must be byte-identical to the unpruned, uncached reference — on random
-   circuits, all defect kinds, multiplicities 1-4 — and a shared cache
-   hammered from several domains at once must not change any result. *)
+   signature cache.  The pruned matrix must answer, candidate by
+   candidate, exactly as brute-force simulation of the full seed pool
+   does, and every seed the activation screen dropped must explain
+   nothing; with the cache on, every diagnosis report must be
+   byte-identical to the uncached one — on random circuits, all defect
+   kinds, multiplicities 1-4 — and a shared cache hammered from several
+   domains at once must not change any result. *)
 
 let random_problem seed multiplicity =
   let gates = 30 + (seed mod 150) in
@@ -16,78 +19,81 @@ let random_problem seed multiplicity =
   let dlog = Datalog.of_responses ~expected ~observed in
   (net, pats, dlog)
 
-(* A session with the given prune/cache choices, from a cold cache:
-   clearing the registry first means [Session.create] builds a fresh
-   cache instance instead of adopting a warm shared one.  No process
-   state to restore — the switches live in the session config now. *)
-let cold_session ~prune ~cache net pats =
+(* A session with the cache on or off, from a cold cache: clearing the
+   registry first means [Session.create] builds a fresh cache instance
+   instead of adopting a warm shared one. *)
+let cold_session ~cache net pats =
   Sig_cache.clear ();
-  Session.create ~config:{ Session.default_config with Session.prune; cache } net pats
+  Session.create ~config:{ Session.default_config with Session.cache } net pats
 
 let prop_noassume_report_identical =
   QCheck.Test.make
-    ~name:"Noassume report: pruned+cached = unpruned+uncached (byte-identical)"
+    ~name:"Noassume report: pruned+cached = pruned+uncached (byte-identical)"
     ~count:12
     QCheck.(pair (int_range 1 100_000) (int_range 1 4))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
       else begin
-        let report ~prune ~cache =
-          let session = cold_session ~prune ~cache net pats in
+        let report ~cache =
+          let session = cold_session ~cache net pats in
           Report.render net (Noassume.diagnose_session session dlog)
         in
-        let fast = report ~prune:true ~cache:true in
-        let slow = report ~prune:false ~cache:false in
-        String.equal fast slow
+        String.equal (report ~cache:true) (report ~cache:false)
       end)
 
-(* Matrix-level oracle, finer than the report: every candidate the pruned
-   build keeps answers exactly as in the unpruned build, and every
-   candidate the activation screen dropped covers nothing there. *)
+(* Matrix-level oracle, finer than the report: the test rebuilds the
+   full seed pool itself (both polarities of every net in the failing
+   outputs' fan-in cones) and simulates every seed by brute force.
+   Every candidate the pruned build keeps — class members answer from a
+   shared row — must match its brute-force row exactly, and every seed
+   the activation screen dropped must cover nothing. *)
 let prop_matrix_rows_match =
   QCheck.Test.make
-    ~name:"Explain.build: pruned rows = unpruned rows; screened rows empty"
+    ~name:"Explain.build: pruned rows = unpruned brute-force rows; screened seeds cover nothing"
     ~count:15
     QCheck.(pair (int_range 1 100_000) (int_range 1 4))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
-      let mp = Explain.build ~prune:true ~cache:false net pats dlog in
-      let mu = Explain.build ~prune:false ~cache:false net pats dlog in
-      let nfp = Array.length (Explain.failing mp) in
-      let rows_equal cp cu =
-        Bitvec.equal (Explain.covers mp cp) (Explain.covers mu cu)
-        && Explain.mispredict_pass mp cp = Explain.mispredict_pass mu cu
-        && Explain.mispredict_fail mp cp = Explain.mispredict_fail mu cu
+      let m = Explain.build ~cache:false net pats dlog in
+      let pool = Reference.seed_pool net dlog in
+      let covers, matched, spurious, mispredict_pass =
+        Reference.naive_matrices net pats dlog pool
+      in
+      let failing = Explain.failing m in
+      let nfp = Array.length failing in
+      let nfail_pos = Array.map (fun p -> List.length (Datalog.failing_pos dlog p)) failing in
+      let row_equal c i =
+        Bitvec.equal (Explain.covers m c) covers.(i)
+        && Explain.mispredict_pass m c = mispredict_pass.(i)
+        && Explain.mispredict_fail m c = Array.fold_left ( + ) 0 spurious.(i)
         &&
         let ok = ref true in
         for fp = 0 to nfp - 1 do
+          let exact = matched.(i).(fp) = nfail_pos.(fp) && spurious.(i).(fp) = 0 in
           if
-            Explain.matched mp cp fp <> Explain.matched mu cu fp
-            || Explain.spurious mp cp fp <> Explain.spurious mu cu fp
-            || Explain.exact mp cp fp <> Explain.exact mu cu fp
+            Explain.matched m c fp <> matched.(i).(fp)
+            || Explain.spurious m c fp <> spurious.(i).(fp)
+            || Explain.exact m c fp <> exact
           then ok := false
         done;
         !ok
       in
-      Explain.num_seeded mp = Explain.num_seeded mu
-      && Array.length (Explain.candidates mp) <= Array.length (Explain.candidates mu)
-      && Array.for_all
-           (fun (cp, f) ->
-             match Explain.find_candidate mu f with
-             | None -> false
-             | Some cu -> rows_equal cp cu)
-           (Array.mapi (fun i f -> (i, f)) (Explain.candidates mp))
-      && Array.for_all
-           (fun f ->
-             match Explain.find_candidate mp f with
-             | Some _ -> true (* kept: covered by the row check above *)
-             | None -> (
-               (* screened out: must have explained nothing *)
-               match Explain.find_candidate mu f with
-               | None -> false
-               | Some cu -> Bitvec.is_empty (Explain.covers mu cu)))
-           (Explain.candidates mu))
+      let kept = ref 0 in
+      let rows_ok =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i f ->
+               match Explain.find_candidate m f with
+               | Some c ->
+                 incr kept;
+                 row_equal c i
+               | None -> Bitvec.is_empty covers.(i))
+             pool)
+      in
+      Array.length pool = Explain.num_seeded m
+      && rows_ok
+      && !kept = Array.length (Explain.candidates m))
 
 let prop_single_and_slat_reports_identical =
   QCheck.Test.make
@@ -98,16 +104,16 @@ let prop_single_and_slat_reports_identical =
       if Datalog.num_failing dlog = 0 then true
       else begin
         let single ~cache =
-          let session = cold_session ~prune:true ~cache net pats in
+          let session = cold_session ~cache net pats in
           Report.render_single net (Single_diag.diagnose_session session dlog)
         in
-        let slat ~prune ~cache =
-          let session = cold_session ~prune ~cache net pats in
+        let slat ~cache =
+          let session = cold_session ~cache net pats in
           let m = Explain.build_session session dlog in
           Report.render_slat net (Slat_diag.diagnose m pats)
         in
         String.equal (single ~cache:true) (single ~cache:false)
-        && String.equal (slat ~prune:true ~cache:true) (slat ~prune:false ~cache:false)
+        && String.equal (slat ~cache:true) (slat ~cache:false)
       end)
 
 (* Several domains race on one cold shared cache, each running a full
@@ -117,17 +123,12 @@ let prop_single_and_slat_reports_identical =
 let test_concurrent_shared_cache () =
   let net, pats, dlog = random_problem 4242 3 in
   Alcotest.(check bool) "problem has failures" true (Datalog.num_failing dlog > 0);
-  let diagnose session () =
-    Report.render net
-      (Noassume.diagnose_session
-         ~config:{ Noassume.default_config with domains = Some 1 }
-         session dlog)
-  in
-  let reference = diagnose (cold_session ~prune:true ~cache:true net pats) () in
+  let diagnose session () = Report.render net (Noassume.diagnose_session session dlog) in
+  let reference = diagnose (cold_session ~cache:true net pats) () in
   for round = 1 to 3 do
     (* A fresh session per round re-creates the cache instance cold, so
        the four domains race on an empty shared cache every time. *)
-    let session = cold_session ~prune:true ~cache:true net pats in
+    let session = cold_session ~cache:true net pats in
     let workers = Array.init 4 (fun _ -> Domain.spawn (diagnose session)) in
     Array.iteri
       (fun i d ->

@@ -19,7 +19,7 @@ let test_truth_scores_perfect () =
     ]
   in
   let _, pats, dlog = problem defects in
-  let s = Scoring.evaluate net pats dlog (Defect.overlay_all defects) in
+  let s = Reference.evaluate net pats dlog (Defect.overlay_all defects) in
   Alcotest.(check bool) "perfect" true (Scoring.perfect s);
   Alcotest.(check int) "penalty 0" 0 (Scoring.penalty s);
   Alcotest.(check int) "explains all" (Array.length (Datalog.observations dlog))
@@ -28,7 +28,7 @@ let test_truth_scores_perfect () =
 let test_empty_overlay_misses_everything () =
   let net = Generators.c17 () in
   let _, pats, dlog = problem [ Defect.Stuck (g net "G16", false) ] in
-  let s = Scoring.evaluate net pats dlog [] in
+  let s = Reference.evaluate net pats dlog [] in
   Alcotest.(check int) "explained 0" 0 s.Scoring.explained;
   Alcotest.(check int) "missed all" (Array.length (Datalog.observations dlog))
     s.Scoring.missed;

@@ -1,9 +1,9 @@
-(* Session-scoped configuration oracle: the config record must be the
-   only thing the switches do.  Every prune x cache x batch combination
-   of [Session.config] must yield a byte-identical diagnosis report on
-   the rnd1k suite circuit, and concurrent diagnoses sharing one warm
-   session must match their sequential runs byte for byte — the
-   properties the volume service stands on. *)
+(* Session-scoped configuration oracle: the config record must change
+   speed, never results.  The cache on and off, at 1 and at 4 kernel
+   domains, must yield a byte-identical diagnosis report on the rnd1k
+   suite circuit, and concurrent diagnoses sharing one warm session
+   must match their sequential runs byte for byte — the properties the
+   volume service stands on. *)
 
 let net =
   lazy
@@ -34,36 +34,32 @@ let cold_session config =
   Sig_cache.clear ();
   Session.create ~config (Lazy.force net) (Lazy.force pats)
 
-let config ~prune ~cache ~batch =
-  { Session.default_config with Session.prune; cache; batch; domains = Some 1 }
+let tmpdir () =
+  let dir = Filename.temp_file "mddsession" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
 
-(* All 8 prune x cache x batch corners produce one report, byte for
+let config ~cache ~domains = { Session.default_config with Session.cache; domains = Some domains }
+
+(* All four cache x domain-count corners produce one report, byte for
    byte, from a cold cache each time. *)
 let prop_all_combos_identical =
-  QCheck.Test.make ~name:"all 8 prune x cache x batch combos: byte-identical reports"
+  QCheck.Test.make ~name:"cache on/off at one and four domains: byte-identical reports"
     ~count:2
     QCheck.(pair (int_range 1 100_000) (int_range 2 3))
     (fun (seed, multiplicity) ->
       match make_dlog seed multiplicity with
       | None -> true
       | Some dlog ->
-        let report ~prune ~cache ~batch =
-          let session = cold_session (config ~prune ~cache ~batch) in
+        let report ~cache ~domains =
+          let session = cold_session (config ~cache ~domains) in
           Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
         in
-        let reference = report ~prune:true ~cache:true ~batch:true in
+        let reference = report ~cache:true ~domains:1 in
         List.for_all
-          (fun (prune, cache, batch) ->
-            String.equal reference (report ~prune ~cache ~batch))
-          [
-            (true, true, false);
-            (true, false, true);
-            (true, false, false);
-            (false, true, true);
-            (false, true, false);
-            (false, false, true);
-            (false, false, false);
-          ])
+          (fun (cache, domains) -> String.equal reference (report ~cache ~domains))
+          [ (true, 4); (false, 1); (false, 4) ])
 
 (* Four dies drained concurrently over one shared warm session must
    produce exactly the reports their one-at-a-time runs produce —
@@ -83,7 +79,7 @@ let prop_concurrent_matches_sequential =
         |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
       in
       QCheck.assume (dies <> []);
-      let session = cold_session (config ~prune:true ~cache:true ~batch:true) in
+      let session = cold_session (config ~cache:true ~domains:1) in
       (* Sequential reference also warms the session's cache, so the
          concurrent drain below runs the warm-session fast path. *)
       let sequential = Volume.run ~workers:1 session dies in
@@ -112,7 +108,7 @@ let prop_prewarm_identical =
         let frozen =
           let session =
             cold_session
-              { (config ~prune:true ~cache:true ~batch:true) with Session.prewarm = true }
+              { (config ~cache:true ~domains:1) with Session.prewarm = true }
           in
           (match Session.cache session with
           | Some c when Sig_cache.is_frozen c -> ()
@@ -121,13 +117,13 @@ let prop_prewarm_identical =
           render session
         in
         let lazy_warm =
-          let session = cold_session (config ~prune:true ~cache:true ~batch:true) in
+          let session = cold_session (config ~cache:true ~domains:1) in
           (* First diagnosis fills the mutable tier; the rendered rerun
              is the lazy-warm steady state. *)
           ignore (Noassume.diagnose_session session dlog);
           render session
         in
-        let off = render (cold_session (config ~prune:true ~cache:false ~batch:true)) in
+        let off = render (cold_session (config ~cache:false ~domains:1)) in
         Sig_cache.clear ();
         String.equal frozen lazy_warm && String.equal frozen off)
 
@@ -146,23 +142,15 @@ let prop_store_round_trip_identical =
       match make_dlog seed multiplicity with
       | None -> true
       | Some dlog ->
-        let dir = Filename.temp_file "mddsession" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o755;
+        let dir = tmpdir () in
         let render session =
           Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
         in
-        let with_domains d base = { base with Session.domains = Some d } in
         let ok =
           List.for_all
             (fun domains ->
               let base =
-                with_domains domains
-                  {
-                    (config ~prune:true ~cache:true ~batch:true) with
-                    Session.prewarm = true;
-                    store_dir = Some dir;
-                  }
+                { (config ~cache:true ~domains) with Session.prewarm = true; store_dir = Some dir }
               in
               (* First create sweeps live and saves the snapshot... *)
               let saver = render (cold_session base) in
@@ -174,10 +162,7 @@ let prop_store_round_trip_identical =
               | Some _ -> QCheck.Test.fail_report "loaded session not frozen"
               | None -> QCheck.Test.fail_report "loaded session lost its cache");
               let loaded = render loaded_session in
-              let off =
-                render
-                  (cold_session (with_domains domains (config ~prune:true ~cache:false ~batch:true)))
-              in
+              let off = render (cold_session (config ~cache:false ~domains)) in
               String.equal saver loaded && String.equal saver off)
             [ 1; 4 ]
         in
@@ -203,7 +188,7 @@ let prop_frozen_concurrent_matches_sequential =
       QCheck.assume (dies <> []);
       let session =
         cold_session
-          { (config ~prune:true ~cache:true ~batch:true) with Session.prewarm = true }
+          { (config ~cache:true ~domains:1) with Session.prewarm = true }
       in
       let sequential = Volume.run ~workers:1 session dies in
       let concurrent = Volume.run ~workers:4 session dies in
@@ -225,7 +210,7 @@ let test_frozen_counter_delta () =
   Alcotest.(check bool) "got dies" true (dies <> []);
   let session =
     cold_session
-      { (config ~prune:true ~cache:true ~batch:true) with Session.prewarm = true }
+      { (config ~cache:true ~domains:1) with Session.prewarm = true }
   in
   (match Session.cache session with
   | Some c -> Alcotest.(check bool) "cache frozen after prewarm" true (Sig_cache.is_frozen c)
@@ -255,7 +240,7 @@ let test_rollup () =
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = cold_session (config ~prune:true ~cache:true ~batch:true) in
+  let session = cold_session (config ~cache:true ~domains:1) in
   let results = Volume.run ~workers:1 session dies in
   let ru = Volume.rollup session results in
   Alcotest.(check int) "rollup die count" (List.length dies) ru.Volume.dies;
@@ -286,7 +271,7 @@ let test_per_die_sinks () =
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = cold_session (config ~prune:true ~cache:true ~batch:true) in
+  let session = cold_session (config ~cache:true ~domains:1) in
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
@@ -296,6 +281,52 @@ let test_per_die_sinks () =
         (Printf.sprintf "%s scored at least one multiplet" r.Volume.die)
         true (evals > 0))
     results;
+  Sig_cache.clear ()
+
+(* One bad die must not kill a --batch-dir drain: a directory holding
+   one valid, one empty and one malformed datalog yields the valid die's
+   report, byte-identical to a single-shot run, plus one error record
+   per bad die, counted in the rollup. *)
+let test_batch_dir_bad_dies () =
+  let dlog =
+    match make_dlog 4000 2 with Some d -> d | None -> Alcotest.fail "no failing draw"
+  in
+  let dir = tmpdir () in
+  let write name text =
+    let oc = open_out (Filename.concat dir name) in
+    output_string oc text;
+    close_out oc
+  in
+  write "valid.datalog" (Datalog.to_text dlog);
+  write "empty.datalog" "";
+  write "malformed.datalog" "garbage line\n";
+  let session = cold_session (config ~cache:true ~domains:1) in
+  let loaded = Volume.load_dir session dir in
+  let dies = List.filter_map Result.to_option loaded in
+  let failed = List.filter_map (function Error f -> Some f | Ok _ -> None) loaded in
+  Alcotest.(check (list string)) "diagnosable dies" [ "valid" ]
+    (List.map (fun (d : Volume.die) -> d.Volume.name) dies);
+  Alcotest.(check (list string)) "failed dies" [ "empty"; "malformed" ]
+    (List.map (fun (f : Volume.failure) -> f.Volume.name) failed);
+  let out = Filename.concat dir "out" in
+  let ru = Volume.write_results ~dir:out ~failed session (Volume.run ~workers:1 session dies) in
+  Alcotest.(check int) "rollup dies" 3 ru.Volume.dies;
+  Alcotest.(check int) "rollup failed" 2 ru.Volume.failed;
+  let json name =
+    match Obs_json.parse_file (Filename.concat out (name ^ ".json")) with
+    | Ok j -> j
+    | Error msg -> Alcotest.fail msg
+  in
+  let single_shot = Report.render (Lazy.force net) (Noassume.diagnose_session session dlog) in
+  Alcotest.(check (option string)) "valid report = single-shot" (Some single_shot)
+    (Option.bind (Obs_json.member "report" (json "valid")) Obs_json.str);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " error record") true
+        (Option.bind (Obs_json.member "error" (json name)) Obs_json.str <> None))
+    [ "empty"; "malformed" ];
+  Alcotest.(check (option int)) "rollup.json failed" (Some 2)
+    (Option.bind (Obs_json.member "failed" (json "rollup")) Obs_json.int);
   Sig_cache.clear ()
 
 let suite =
@@ -314,5 +345,9 @@ let suite =
             prop_prewarm_identical;
             prop_store_round_trip_identical;
             prop_frozen_concurrent_matches_sequential;
-          ] );
+          ]
+      @ [
+          Alcotest.test_case "batch-dir: bad dies become error records" `Quick
+            test_batch_dir_bad_dies;
+        ] );
   ]

@@ -39,7 +39,7 @@ let populate_and_freeze c net =
   List.iter
     (fun (f : Fault_list.fault) ->
       ignore
-        (Sig_cache.lookup c sim ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
+        (Reference.lookup c sim ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
           : int array))
     faults;
   Sig_cache.freeze c;
