@@ -9,25 +9,29 @@
    is deterministic):
 
    1. Counter gate.  The instrumented counters of one explain-build +
-      diagnose run at 1 domain are compared with the committed
-      baseline_stats.json.  Work counters (faults simulated, gate
-      events, scoring evaluations, candidate-pool size) must not grow
-      past [max_counter_growth] — the kernel-event regressions the
+      diagnose run at 1 domain, each on a session one untimed call has
+      warmed, are compared with the committed baseline_stats.json.
+      Work counters (faults simulated, gate events, scoring
+      evaluations, candidate-pool size) must not grow past
+      [max_counter_growth] — the kernel-event regressions the
       observability layer exists to catch — nor collapse below
       [min_counter_ratio] of the baseline, which would mean the
       instrumentation itself broke (a counter silently stuck at zero
-      passes any growth-only bound).  Counters are domain-count- and
-      machine-independent, so this gate never flakes.  Regenerate the
-      baseline after an intentional kernel change with:
+      passes any growth-only bound).  Every counter the baseline names
+      must still be registered, so a stale key cannot sit there
+      unnoticed.  Counters are domain-count- and machine-independent,
+      so this gate never flakes.  Regenerate the baseline after an
+      intentional kernel change with:
         dune exec bench/check_regress.exe -- --write-baseline
 
    2. Cache gate.  The cross-trial hit rate of the fault-signature
       cache over one sequential campaign cell must stay above
       [min_cache_hit_rate] — deterministic for the fixed seed, and the
-      first thing to collapse if the cache key or registry regresses.
+      first thing to collapse if the cache key or the session's
+      cache sharing regresses.
 
    3. Timing gate.  The fork-join property PR 2 bought: adding domains
-      must not make [Explain.build] meaningfully slower than one domain
+      must not make a cold explain build meaningfully slower than one domain
       even on a single-CPU host (the old parked-pool collapse measured
       0.47x at 4 domains).  The floor leaves headroom below the ~0.7-0.9x
       a shared single CPU measures, because such hosts add tens of
@@ -77,7 +81,7 @@
       publish + first diagnose) must stay at least [min_store_speedup]
       times faster than the cold path, where the first diagnosis
       simulates the candidate pool itself.  [Storebench] interleaves
-      the arms run by run on private cache instances and ratios best
+      the arms run by run on fresh sessions and ratios best
       times, the same noise defense as gates 4 and 5. *)
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
@@ -157,6 +161,16 @@ let check_counters t current =
   in
   let failures = ref 0 in
   List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name current) then begin
+        Printf.eprintf
+          "check_regress: FAIL — %s names counter %s, which the program no longer \
+           registers (regenerate the baseline)\n"
+          baseline_path name;
+        incr failures
+      end)
+    baseline;
+  List.iter
     (fun name ->
       match (List.assoc_opt name baseline, List.assoc_opt name current) with
       | None, _ -> die "check_regress: %s lacks gated counter %S" baseline_path name
@@ -189,9 +203,9 @@ let check_counters t current =
 (* Cross-trial cache effectiveness: a sequential campaign cell re-runs
    diagnosis on the same circuit and test set with fresh defects each
    trial, so from trial 2 on the signature cache should answer most
-   probes.  A collapsed hit rate means the cache key, the registry or
-   the eviction budget broke — results stay correct, but the cross-phase
-   reuse the cache exists for is gone. *)
+   probes.  A collapsed hit rate means the cache key, the campaign's
+   shared session or the eviction budget broke — results stay correct,
+   but the cross-phase reuse the cache exists for is gone. *)
 let check_cache_hit_rate t =
   let rate, hits, misses = Parbench.campaign_hit_rate () in
   Printf.printf
@@ -201,13 +215,13 @@ let check_cache_hit_rate t =
     die "check_regress: FAIL — campaign cache hit rate %.3f below floor %.2f" rate
       t.min_cache_hit_rate
 
-(* The timing gate measures the fork-join kernel itself, so it runs
-   against cache-off sessions: with a warm cache the timed runs replay
-   stored signatures sequentially and the domain count stops mattering. *)
+(* The timing gate measures the fork-join kernel itself: [Parbench]
+   times every call on a fresh session, so the timed runs simulate
+   rather than replay stored signatures sequentially (where the domain
+   count would stop mattering). *)
 let check_timing t =
   let report =
-    Parbench.run ~circuit:"rnd1k" ~domain_counts:[ 1; 4 ] ~repeats:7 ~with_stats:false
-      ~cache:false ()
+    Parbench.run ~circuit:"rnd1k" ~domain_counts:[ 1; 4 ] ~repeats:7 ~with_stats:false ()
   in
   let sample d =
     match
@@ -329,12 +343,11 @@ let check_store_speedup t =
     (fun (s : Storebench.sample) ->
       Printf.printf
         "check_regress: store on %s: cold %.1f ms, sweep %.1f ms, load %.1f + first \
-         %.1f ms => %.2fx (floor %.2fx); arena %.2f MB (boxed %.2f MB, file %.2f MB)\n%!"
+         %.1f ms => %.2fx (floor %.2fx); arena %.2f MB (file %.2f MB)\n%!"
         s.Storebench.circuit s.Storebench.cold_ms s.Storebench.prewarm_ms
         s.Storebench.load_ms s.Storebench.load_first_ms s.Storebench.load_speedup
         t.min_store_speedup
         (float_of_int s.Storebench.arena_bytes /. 1048576.0)
-        (float_of_int s.Storebench.boxed_bytes /. 1048576.0)
         (float_of_int s.Storebench.file_bytes /. 1048576.0);
       if not s.Storebench.fits_budget then
         die "check_regress: FAIL — packed arena for %s exceeds the default budget"

@@ -85,9 +85,9 @@ let micro_tests () =
       circuits
   in
   let diagnose =
-    kernel ~name:"diagnose" (fun p () ->
-        let m = Explain.build p.net p.pats p.dlog in
-        Noassume.diagnose_matrix m p.pats)
+    kernel ~name:"diagnose" (fun p ->
+        let session = Session.create p.net p.pats in
+        fun () -> Noassume.diagnose_session session p.dlog)
   in
   Test.make_grouped ~name:"mdd" (good_sim @ fault_sims @ diagnose)
 
@@ -117,7 +117,7 @@ let run_micro () =
 
 (* --- Parallel scaling ---------------------------------------------- *)
 
-(* Median wall-clock of Explain.build and diagnose on the rnd1k suite
+(* Median wall-clock of the cold explain build and diagnose on the rnd1k suite
    circuit at 1/2/4/8 domains; the JSON gives later PRs a trajectory to
    beat.  Medians are per-kernel so a later sequential regression is
    visible even when the speedup column still looks right. *)

@@ -58,14 +58,6 @@ let domains_arg =
    environment-derived default in place. *)
 let apply_domains = Option.iter Parallel.set_domains
 
-let no_cache_arg =
-  let doc =
-    "Disable the cross-phase fault-signature cache; the MDD_NO_CACHE \
-     environment variable does the same.  For A/B measurement — results \
-     are identical either way."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
 let prewarm_arg =
   let doc =
     "Before the first diagnosis, fault-simulate the whole collapsed \
@@ -122,12 +114,11 @@ let cover_budget_arg =
   in
   Arg.(value & opt (some int) None & info [ "cover-budget" ] ~docv:"N" ~doc)
 
-(* The MDD_NO_CACHE / MDD_PREWARM / MDD_SIG_CACHE_MB / MDD_COVER /
-   MDD_COVER_BUDGET / MDD_SIG_STORE environment switches are resolved
-   here, once, into a [Session.config] record — nothing in lib/ reads
-   them.  Boolean flags only push away from the default: leaving one
-   off keeps the environment-derived setting in place, mirroring
-   [apply_domains]. *)
+(* The MDD_PREWARM / MDD_SIG_CACHE_MB / MDD_COVER / MDD_COVER_BUDGET /
+   MDD_SIG_STORE environment switches are resolved here, once, into a
+   [Session.config] record — nothing in lib/ reads them.  The boolean
+   flag only pushes away from the default: leaving it off keeps the
+   environment-derived setting in place, mirroring [apply_domains]. *)
 let env_off name =
   match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
 
@@ -161,8 +152,8 @@ let env_cover_budget () =
 let env_store_dir () =
   match Sys.getenv_opt "MDD_SIG_STORE" with None | Some "" -> None | Some dir -> Some dir
 
-let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
-    ~no_cache ~domains () =
+let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir ~domains
+    () =
   let cache_mb =
     match cache_mb with
     | Some mb when mb >= 1 -> mb
@@ -185,8 +176,7 @@ let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
   in
   let store_dir = match store_dir with Some _ as d -> d | None -> env_store_dir () in
   {
-    Session.cache = not (no_cache || env_off "MDD_NO_CACHE");
-    domains;
+    Session.domains;
     cache_mb;
     prewarm = prewarm || env_off "MDD_PREWARM";
     cover;
@@ -199,7 +189,6 @@ let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
    environment. *)
 let config_meta (c : Session.config) =
   [
-    ("cache", if c.Session.cache then "on" else "off");
     ( "domains",
       string_of_int
         (match c.Session.domains with

@@ -68,11 +68,11 @@ let no_validate_arg =
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
-    no_validate no_cache prewarm cache_mb cover cover_budget store_dir domains stats =
+    no_validate prewarm cache_mb cover cover_budget store_dir domains stats =
   Cli_common.apply_domains domains;
   let scfg =
-    Cli_common.session_config ~prewarm ?cache_mb ?cover ?cover_budget ?store_dir ~no_cache
-      ~domains ()
+    Cli_common.session_config ~prewarm ?cache_mb ?cover ?cover_budget ?store_dir ~domains
+      ()
   in
   let stats_dest = Cli_common.init_stats stats in
   let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
@@ -179,7 +179,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
           | None -> [])
         | `Slat ->
           let m = Explain.build_session session dlog in
-          let r = Slat_diag.diagnose m pats in
+          let r = Slat_diag.diagnose m in
           print_string (Report.render_slat net r);
           []
         | `Single ->
@@ -224,7 +224,7 @@ let cmd =
     Term.(
       const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ Cli_common.patterns_arg
       $ datalog_arg $ batch_dir_arg $ serve_arg $ workers_arg $ out_arg $ method_arg
-      $ no_validate_arg $ Cli_common.no_cache_arg $ Cli_common.prewarm_arg
+      $ no_validate_arg $ Cli_common.prewarm_arg
       $ Cli_common.cache_mb_arg
       $ Cli_common.cover_arg $ Cli_common.cover_budget_arg $ Cli_common.store_dir_arg
       $ Cli_common.domains_arg $ Cli_common.stats_arg)

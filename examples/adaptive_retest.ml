@@ -28,7 +28,7 @@ let () =
   Format.printf "initial evidence: %d patterns, %d failing@." (Pattern.count pats)
     (Datalog.num_failing dlog);
 
-  let m = Explain.build net pats dlog in
+  let m = Explain.build_session (Session.create net pats) dlog in
   let exact = Exact_cover.solve ~max_solutions:8 m in
   Format.printf "minimum explanations consistent with the evidence: %d@."
     (List.length exact.Exact_cover.multiplets);

@@ -24,7 +24,7 @@ let () =
   Format.printf "tester datalog: %d failing patterns out of %d@."
     (Datalog.num_failing dlog) (Pattern.count pats);
 
-  let result = Noassume.diagnose net pats dlog in
+  let result = Noassume.diagnose_session (Session.create net pats) dlog in
   print_string (Report.render net result);
 
   (* Was the bridge confirmed with the right aggressor? *)

@@ -35,8 +35,11 @@ let () =
   let dlog = Datalog.of_responses ~expected ~observed in
   Format.printf "datalog: %d failing patterns@." (Datalog.num_failing dlog);
 
-  (* 5. Diagnosis. *)
-  let result = Noassume.diagnose net pats dlog in
+  (* 5. Diagnosis: a session holds everything the circuit and test set
+     determine (good-machine values, signature cache); each die's
+     datalog is then diagnosed against it. *)
+  let session = Session.create net pats in
+  let result = Noassume.diagnose_session session dlog in
   print_string (Report.render net result);
 
   (* 6. Score against ground truth. *)

@@ -25,7 +25,7 @@ let () =
   let dlog = Datalog.of_responses ~expected ~observed in
   Format.printf "datalog: %d failing patterns@.@." (Datalog.num_failing dlog);
 
-  let matrix = Explain.build net pats dlog in
+  let matrix = Explain.build_session (Session.create net pats) dlog in
 
   (* 1. What a SLAT classifier sees. *)
   let classification = Slat.classify matrix in
@@ -36,7 +36,7 @@ let () =
     (100.0 *. Slat.slat_fraction classification);
 
   (* 2. The SLAT baseline: diagnoses only the SLAT patterns. *)
-  let slat_result = Slat_diag.diagnose matrix pats in
+  let slat_result = Slat_diag.diagnose matrix in
   Format.printf "@.--- SLAT-based baseline ---@.";
   print_string (Report.render_slat net slat_result);
   let slat_q =
@@ -45,7 +45,7 @@ let () =
   Format.printf "located %d of %d defects@." slat_q.Metrics.hits slat_q.Metrics.injected;
 
   (* 3. The proposed method: every observation counts. *)
-  let result = Noassume.diagnose_matrix matrix pats in
+  let result = Noassume.diagnose_matrix matrix in
   Format.printf "@.--- no-assumption diagnosis ---@.";
   print_string (Report.render net result);
   let q =

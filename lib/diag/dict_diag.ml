@@ -39,8 +39,6 @@ let build_session flavour session =
   in
   { flavour; npatterns; npos = Netlist.num_pos net; entries }
 
-let build flavour net pats = build_session flavour (Session.create net pats)
-
 let size_bits t =
   let per_entry =
     match t.flavour with

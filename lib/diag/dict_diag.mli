@@ -25,10 +25,6 @@ val build_session : flavour -> Session.t -> t
 (** Build against a warm session: entry signatures resolve through
     {!Session.fault_triples} (cache replay + batched miss fill). *)
 
-val build : flavour -> Netlist.t -> Pattern.t -> t
-(** One-shot convenience over {!build_session} (transient default
-    session per call). *)
-
 val flavour : t -> flavour
 
 val num_entries : t -> int

@@ -84,7 +84,7 @@ let rec separable_pair net rng = function
 let max_tracked = 16
 
 let sharpen ?(rounds = 8) net pats0 dlog0 ~tester ~rng =
-  let m0 = Explain.build net pats0 dlog0 in
+  let m0 = Explain.build_session (Session.create net pats0) dlog0 in
   let before = Exact_cover.solve ~max_solutions:max_tracked m0 in
   let solutions_before = List.length before.Exact_cover.multiplets in
   let pats = ref pats0 in
@@ -115,8 +115,9 @@ let sharpen ?(rounds = 8) net pats0 dlog0 ~tester ~rng =
       (* Re-solve on the extended evidence — new failing observations can
          both eliminate hypotheses and surface ones a truncated earlier
          enumeration missed — then keep only hypotheses consistent with
-         every adaptive observation. *)
-      let m = Explain.build net !pats !dlog in
+         every adaptive observation.  The extended test set is a new
+         problem, hence a new session. *)
+      let m = Explain.build_session (Session.create net !pats) !dlog in
       let r = Exact_cover.solve ~max_solutions:max_tracked m in
       if not r.Exact_cover.complete then stop := true
       else current := survivors r.Exact_cover.multiplets

@@ -147,11 +147,11 @@ let build_session session dlog =
   let nfail_pos = Array.map (fun p -> List.length (Datalog.failing_pos dlog p)) failing in
   (* Good-machine words, pattern blocks and the PO-reachability screen
      all come precomputed from the session, shared read-only by all
-     workers; the cache instance (when the session holds one) is the
-     shared per-problem memo. *)
+     workers; the session's cache instance is the shared per-problem
+     memo. *)
   let blocks = Session.blocks session in
   let nblocks = Array.length blocks in
-  let scache = Session.cache session in
+  let scache = Option.get (Session.cache session) in
   let goods = Session.goods session in
   let fail_masks =
     Array.map
@@ -267,20 +267,13 @@ let build_session session dlog =
   let hit = Array.make (max 1 nrows) Sig_cache.Cold in
   let miss = ref [] in
   let nmiss = ref 0 in
-  (match scache with
-  | None ->
-    for r = nrows - 1 downto 0 do
+  for r = nrows - 1 downto 0 do
+    match Sig_cache.probe scache row_key.(r) with
+    | Sig_cache.Cold ->
       miss := r :: !miss;
       incr nmiss
-    done
-  | Some sc ->
-    for r = nrows - 1 downto 0 do
-      match Sig_cache.probe sc row_key.(r) with
-      | Sig_cache.Cold ->
-        miss := r :: !miss;
-        incr nmiss
-      | (Sig_cache.Frozen | Sig_cache.Warm _) as h -> hit.(r) <- h
-    done);
+    | (Sig_cache.Frozen | Sig_cache.Warm _) as h -> hit.(r) <- h
+  done;
   let miss = Array.of_list !miss in
   let reach = Session.reach session in
   (* Cost-weighted chunking over the *miss* rows: a row's simulation
@@ -332,22 +325,17 @@ let build_session session dlog =
           if i = 0 then b0 else Fault_sim.prepare_batch ~share:b0 sims.(i) ~blocks ~goods)
     end
   in
-  let tbufs =
-    match scache with
-    | None -> [||]
-    | Some _ -> Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 })
-  in
+  let tbufs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
   (* Per-miss triple extents into the owning slot's buffer; disjoint
      writes keyed on the miss index (the slot is recorded per miss so
      the sequential store below finds the right buffer). *)
   let row_start = Array.make (max 1 !nmiss) 0 in
   let row_len = Array.make (max 1 !nmiss) 0 in
   let row_buf = Array.make (max 1 !nmiss) 0 in
-  let record = scache <> None in
   Obs.span_end sp_prep;
   let sp_sim = Obs.span_begin "explain.sim" in
   Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
-      let tbuf = if record then tbufs.(slot) else { buf = [||]; len = 0 } in
+      let tbuf = tbufs.(slot) in
       (* One [simulate_batch] call sweeps every fault of the chunk over
          all blocks; triples arrive fault-major then block-major, so row
          and block boundaries are detected on the fly.  Rows whose every
@@ -402,11 +390,9 @@ let build_session session dlog =
             cur_base := blocks.(bi).Pattern.base
           end;
           any := !any lor w;
-          if record then begin
-            tbuf_push tbuf bi;
-            tbuf_push tbuf oi;
-            tbuf_push tbuf w
-          end;
+          tbuf_push tbuf bi;
+          tbuf_push tbuf oi;
+          tbuf_push tbuf w;
           (* Failing-pattern bits only (passing bits only feed [any],
              the pass-misprediction count), split matched/spurious by
              [obsmask] so each bit is a lookup and an increment, nothing
@@ -433,68 +419,65 @@ let build_session session dlog =
   (* Store the fresh signatures (sequential: one deterministic insertion
      order per build), then replay the warm rows into the matrices. *)
   let sp_replay = Obs.span_begin "explain.replay" in
-  (match scache with
-  | None -> ()
-  | Some sc ->
-    for mi = 0 to !nmiss - 1 do
-      Sig_cache.store sc row_key.(miss.(mi))
-        (Array.sub tbufs.(row_buf.(mi)).buf row_start.(mi) row_len.(mi))
-    done;
-    for r = 0 to nrows - 1 do
-      match hit.(r) with
-      | Sig_cache.Cold -> ()
-      | (Sig_cache.Frozen | Sig_cache.Warm _) as h ->
-        let rc = covers.(r) in
-        let ro = r * nfp in
-        let prev_bi = ref (-1) in
-        let any = ref 0 in
-        let flush () =
-          if !prev_bi >= 0 then begin
-            let block = blocks.(!prev_bi) in
-            let pass_pred =
-              !any land lnot fail_masks.(!prev_bi) land Logic.mask_of_width block.width
-            in
-            mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred
-          end;
-          any := 0
-        in
-        let visit bi oi d =
-          if bi <> !prev_bi then begin
-            flush ();
-            prev_bi := bi
-          end;
-          any := !any lor d;
-          let base = blocks.(bi).Pattern.base in
-          let wf = d land fail_masks.(bi) in
-          let om = obsmask.((bi * npos) + oi) in
-          let wm = ref (wf land om) in
-          while !wm <> 0 do
-            let k = Bitvec.ctz_word !wm in
-            wm := !wm land (!wm - 1);
-            let fp = fp_of_pattern.(base + k) in
-            Bitvec.set rc obs_of.((fp * npos) + oi) true;
-            matched.(ro + fp) <- matched.(ro + fp) + 1
-          done;
-          let ws = ref (wf land lnot om) in
-          while !ws <> 0 do
-            let k = Bitvec.ctz_word !ws in
-            ws := !ws land (!ws - 1);
-            let fp = fp_of_pattern.(base + k) in
-            spurious.(ro + fp) <- spurious.(ro + fp) + 1
-          done
-        in
-        (match h with
-        | Sig_cache.Warm triples ->
-          let i = ref 0 in
-          let n = Array.length triples in
-          while !i < n do
-            visit triples.(!i) triples.(!i + 1) triples.(!i + 2);
-            i := !i + 3
-          done
-        | Sig_cache.Frozen -> Sig_cache.iter_frozen sc row_key.(r) visit
-        | Sig_cache.Cold -> ());
-        flush ()
-    done);
+  for mi = 0 to !nmiss - 1 do
+    Sig_cache.store scache row_key.(miss.(mi))
+      (Array.sub tbufs.(row_buf.(mi)).buf row_start.(mi) row_len.(mi))
+  done;
+  for r = 0 to nrows - 1 do
+    match hit.(r) with
+    | Sig_cache.Cold -> ()
+    | (Sig_cache.Frozen | Sig_cache.Warm _) as h ->
+      let rc = covers.(r) in
+      let ro = r * nfp in
+      let prev_bi = ref (-1) in
+      let any = ref 0 in
+      let flush () =
+        if !prev_bi >= 0 then begin
+          let block = blocks.(!prev_bi) in
+          let pass_pred =
+            !any land lnot fail_masks.(!prev_bi) land Logic.mask_of_width block.width
+          in
+          mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred
+        end;
+        any := 0
+      in
+      let visit bi oi d =
+        if bi <> !prev_bi then begin
+          flush ();
+          prev_bi := bi
+        end;
+        any := !any lor d;
+        let base = blocks.(bi).Pattern.base in
+        let wf = d land fail_masks.(bi) in
+        let om = obsmask.((bi * npos) + oi) in
+        let wm = ref (wf land om) in
+        while !wm <> 0 do
+          let k = Bitvec.ctz_word !wm in
+          wm := !wm land (!wm - 1);
+          let fp = fp_of_pattern.(base + k) in
+          Bitvec.set rc obs_of.((fp * npos) + oi) true;
+          matched.(ro + fp) <- matched.(ro + fp) + 1
+        done;
+        let ws = ref (wf land lnot om) in
+        while !ws <> 0 do
+          let k = Bitvec.ctz_word !ws in
+          ws := !ws land (!ws - 1);
+          let fp = fp_of_pattern.(base + k) in
+          spurious.(ro + fp) <- spurious.(ro + fp) + 1
+        done
+      in
+      (match h with
+      | Sig_cache.Warm triples ->
+        let i = ref 0 in
+        let n = Array.length triples in
+        while !i < n do
+          visit triples.(!i) triples.(!i + 1) triples.(!i + 2);
+          i := !i + 3
+        done
+      | Sig_cache.Frozen -> Sig_cache.iter_frozen scache row_key.(r) visit
+      | Sig_cache.Cold -> ());
+      flush ()
+  done;
   Obs.span_end sp_replay;
   if Obs.enabled () then begin
     Obs.incr c_builds;
@@ -532,17 +515,6 @@ let build_session session dlog =
     mispredict_pass;
     nfail_pos;
   }
-
-(* One-shot entry: wrap the problem in a transient session.  Costs what
-   the pre-session build cost (goods via the shared cache registry or a
-   private resimulation, a fresh PO-reach computation) — long-running
-   callers create a [Session.t] once and use [build_session]. *)
-let build ?domains ?cache net pats dlog =
-  let d = Session.default_config in
-  let config =
-    { d with Session.cache = Option.value cache ~default:d.Session.cache; domains }
-  in
-  build_session (Session.create ~config net pats) dlog
 
 let find_candidate t f =
   let n = Array.length t.candidates in

@@ -22,7 +22,8 @@ val build_session : Session.t -> Datalog.t -> t
 (** One pass of seeding + pruning + simulation against a prebuilt
     {!Session.t}, partitioned by candidate range over the session's
     domain count ({!Parallel}'s default when unset).  The matrix is
-    bit-identical for every domain count, with the cache on or off.
+    bit-identical for every domain count and whether its rows came from
+    simulation or from the cache.
 
     Two exactness-preserving prunes shrink the simulated pool before
     any fault simulation runs: the {e activation
@@ -35,23 +36,10 @@ val build_session : Session.t -> Datalog.t -> t
     class members remain individually listed and indirect to the shared
     row.  Neither prune can change a diagnosis (DESIGN.md §10).
 
-    When the session holds a cache instance, per-row signatures are
-    probed in, and on miss recorded into, the cross-phase
-    [Sig_cache] — warm rows replay without simulation, and only the
-    misses enter the fork-join plan, batched through
+    Per-row signatures are probed in, and on miss recorded into, the
+    session's [Sig_cache] — warm rows replay without simulation, and
+    only the misses enter the fork-join plan, batched through
     {!Fault_sim.simulate_batch} tiles. *)
-
-val build :
-  ?domains:int ->
-  ?cache:bool ->
-  Netlist.t ->
-  Pattern.t ->
-  Datalog.t ->
-  t
-(** One-shot convenience over {!build_session}: wraps the problem in a
-    transient session whose config is {!Session.default_config} with
-    the given overrides.  Equivalent output; pays session construction
-    (goods, PO reach) per call. *)
 
 val session : t -> Session.t
 (** The session the matrix was built against — downstream phases pull

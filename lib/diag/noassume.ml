@@ -497,7 +497,7 @@ let validate_bridges config m pats multiplet callouts score =
     (callouts, !current_score)
   end
 
-let diagnose_matrix ?(config = default_config) m pats =
+let diagnose_matrix ?(config = default_config) m =
   (* The cover phase runs the paper's greedy pass always; under
      [cover = Exact] the greedy result then seeds the implicit
      hitting-set loop as an upper bound.  When the loop proves greedy
@@ -524,14 +524,15 @@ let diagnose_matrix ?(config = default_config) m pats =
           end
           else (r.Hitting_set.cover, covers, r.Hitting_set.minimum, true))
   in
+  let session = Explain.session m in
   let net = Explain.netlist m in
+  let pats = Session.patterns session in
   let dlog = Explain.datalog m in
   let final, score, steps =
     Obs.phase "refine" @@ fun () ->
     if config.validate && chosen <> [] then refine m pats chosen covers
     else
       let faults = List.map (fun c -> (Explain.candidates m).(c)) chosen in
-      let session = Explain.session m in
       ( chosen,
         Scoring.evaluate_multiplet ~goods:(Session.goods session)
           ~reach:(Session.reach session) net pats dlog faults,
@@ -557,10 +558,7 @@ let diagnose_matrix ?(config = default_config) m pats =
   }
 
 let diagnose_session ?config session dlog =
-  let m = Explain.build_session session dlog in
-  diagnose_matrix ?config m (Session.patterns session)
-
-let diagnose ?config net pats dlog = diagnose_session ?config (Session.create net pats) dlog
+  diagnose_matrix ?config (Explain.build_session session dlog)
 
 let callout_nets r =
   let sites = List.map (fun c -> c.site) r.callouts in

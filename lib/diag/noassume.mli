@@ -77,13 +77,10 @@ val diagnose_session : ?config:config -> Session.t -> Datalog.t -> result
     This is the volume-service entry point: one shared session, many
     datalogs. *)
 
-val diagnose : ?config:config -> Netlist.t -> Pattern.t -> Datalog.t -> result
-(** One-shot convenience over {!diagnose_session}: builds a transient
-    session ({!Session.default_config}) per call. *)
-
-val diagnose_matrix : ?config:config -> Explain.t -> Pattern.t -> result
+val diagnose_matrix : ?config:config -> Explain.t -> result
 (** Variant reusing a prebuilt explanation matrix (the campaign harness
-    shares one matrix between this method and the SLAT baseline). *)
+    shares one matrix between this method and the SLAT baseline); the
+    test set is the matrix's session's. *)
 
 val callout_nets : result -> Netlist.net list
 (** Sites in report order, followed by the aggressors of confirmed

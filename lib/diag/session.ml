@@ -10,7 +10,9 @@
    must be able to run under different configurations without racing on
    globals.  A [t] is created once, is immutable, and is safe to share
    across domains: every field is either frozen after [create] or
-   internally synchronised ([Sig_cache]). *)
+   internally synchronised ([Sig_cache]).  The session owns its
+   signature cache outright — it builds it in [create] and nothing else
+   holds it — so a dropped session frees its cache. *)
 
 type cover = Greedy | Exact
 
@@ -22,7 +24,6 @@ type cover = Greedy | Exact
 let default_cover_budget = 2_000_000
 
 type config = {
-  cache : bool;  (* cross-phase signature cache *)
   domains : int option;  (* kernel fan-out; [None] = Parallel default *)
   cache_mb : int;  (* per-instance [Sig_cache] budget *)
   prewarm : bool;  (* whole-pool sweep + [Sig_cache.freeze] at create *)
@@ -33,7 +34,6 @@ type config = {
 
 let default_config =
   {
-    cache = true;
     domains = None;
     cache_mb = Sig_cache.default_budget_mb;
     prewarm = false;
@@ -45,34 +45,18 @@ let default_config =
 type t = {
   net : Netlist.t;
   pats : Pattern.t;
-  blocks : Pattern.block array;
-  goods : Logic_sim.net_values array;
   reach : Po_reach.t;
-  cache : Sig_cache.t option;
+  cache : Sig_cache.t;
   sink : Obs.sink option;
   config : config;
 }
 
-let make ?(config = default_config) ?sink net pats =
-  let cache =
-    if config.cache then Some (Sig_cache.for_problem ~budget_mb:config.cache_mb net pats)
-    else None
-  in
-  let blocks, goods =
-    match cache with
-    | Some c -> (Sig_cache.blocks c, Sig_cache.goods c)
-    | None ->
-      let blocks = Array.of_list (Pattern.blocks pats) in
-      (blocks, Array.map (fun b -> Logic_sim.simulate_block net b) blocks)
-  in
-  { net; pats; blocks; goods; reach = Po_reach.compute net; cache; sink; config }
-
 let netlist t = t.net
 let patterns t = t.pats
-let blocks t = t.blocks
-let goods t = t.goods
+let blocks t = Sig_cache.blocks t.cache
+let goods t = Sig_cache.goods t.cache
 let reach t = t.reach
-let cache t = t.cache
+let cache t = Some t.cache
 let sink t = t.sink
 let config t = t.config
 
@@ -88,7 +72,7 @@ let with_sink t f = match t.sink with None -> f () | Some sk -> Obs.with_sink sk
    per-block order of [Fault_sim.iter_po_diffs], the order every cache
    entry uses. *)
 
-(* Tile cap on the fault axis, matching [Explain.build]: bounds the
+(* Tile cap on the fault axis, matching [Explain.build_session]: bounds the
    per-batch working set so slabs stay cache-sized. *)
 let batch_tile = 512
 
@@ -132,17 +116,15 @@ let fault_triples t (faults : Fault_list.fault array) =
   let n = Array.length faults in
   let out = Array.make n [||] in
   let hit = Array.make n false in
-  (match t.cache with
-  | None -> ()
-  | Some c ->
-    for i = 0 to n - 1 do
-      let f = faults.(i) in
-      match Sig_cache.find c (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck) with
-      | Some triples ->
-        out.(i) <- triples;
-        hit.(i) <- true
-      | None -> ()
-    done);
+  for i = 0 to n - 1 do
+    let f = faults.(i) in
+    let k = Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck in
+    match Sig_cache.find t.cache k with
+    | Some triples ->
+      out.(i) <- triples;
+      hit.(i) <- true
+    | None -> ()
+  done;
   let miss = ref [] in
   for i = n - 1 downto 0 do
     if not hit.(i) then miss := i :: !miss
@@ -151,7 +133,7 @@ let fault_triples t (faults : Fault_list.fault array) =
   let nmiss = Array.length miss in
   if nmiss > 0 then begin
     let sim = Fault_sim.create ~reach:t.reach t.net in
-    let b = Fault_sim.prepare_batch sim ~blocks:t.blocks ~goods:t.goods in
+    let b = Fault_sim.prepare_batch sim ~blocks:(blocks t) ~goods:(goods t) in
     let tb = { buf = Array.make 4096 0; len = 0 } in
     let starts = Array.make batch_tile 0 in
     let cold = Array.map (fun i -> faults.(i)) miss in
@@ -165,16 +147,13 @@ let fault_triples t (faults : Fault_list.fault array) =
       Fault_sim.publish_batch_stats b;
       Fault_sim.publish_stats sim
     end;
-    match t.cache with
-    | None -> ()
-    | Some c ->
-      Array.iter
-        (fun i ->
-          let f = faults.(i) in
-          Sig_cache.store c
-            (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
-            out.(i))
-        miss
+    Array.iter
+      (fun i ->
+        let f = faults.(i) in
+        Sig_cache.store t.cache
+          (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
+          out.(i))
+      miss
   end;
   out
 
@@ -198,10 +177,9 @@ let c_prewarm_faults = Obs.counter "prewarm.faults"
    and therefore every later diagnosis — are identical for any domain
    count. *)
 let prewarm t =
-  match t.cache with
-  | None -> 0
-  | Some c when Sig_cache.is_frozen c -> 0
-  | Some c ->
+  let c = t.cache in
+  if Sig_cache.is_frozen c then 0
+  else
     Obs.phase "prewarm" (fun () ->
         let pool = Fault_list.representatives (Fault_list.collapse t.net) in
         let cold =
@@ -222,11 +200,12 @@ let prewarm t =
           in
           let nslots = Parallel.plan_slots ?domains plan in
           let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
-          let b0 = Fault_sim.prepare_batch sims.(0) ~blocks:t.blocks ~goods:t.goods in
+          let blocks = blocks t and goods = goods t in
+          let b0 = Fault_sim.prepare_batch sims.(0) ~blocks ~goods in
           let batches =
             Array.init nslots (fun s ->
                 if s = 0 then b0
-                else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks:t.blocks ~goods:t.goods)
+                else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks ~goods)
           in
           let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
           let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
@@ -254,43 +233,32 @@ let prewarm t =
         if Obs.enabled () then Obs.add c_prewarm_faults n;
         n)
 
-let create ?config ?sink net pats =
-  let t = make ?config ?sink net pats in
-  if t.config.prewarm then
+let create ?(config = default_config) ?sink net pats =
+  let t =
+    {
+      net;
+      pats;
+      reach = Po_reach.compute net;
+      cache = Sig_cache.create ~budget_mb:config.cache_mb net pats;
+      sink;
+      config;
+    }
+  in
+  if config.prewarm then
     ignore
       (with_sink t (fun () ->
            (* Load-or-sweep: a valid snapshot publishes the frozen tier
               with zero simulation; anything else (no dir, no file, or a
               rejected file — [store.rejects]) falls through to the live
               sweep, which is then saved so the next process loads. *)
-           let loaded =
-             match (t.cache, t.config.store_dir) with
-             | Some c, Some dir -> Sig_cache.load_frozen ~dir c
-             | _ -> false
-           in
-           if loaded then 0
-           else begin
+           match config.store_dir with
+           | Some dir when Sig_cache.load_frozen ~dir t.cache -> 0
+           | Some dir ->
              let n = prewarm t in
-             (match (t.cache, t.config.store_dir) with
-             | Some c, Some dir when Sig_cache.is_frozen c ->
-               ignore (Sig_cache.save_frozen ~dir c : bool)
-             | _ -> ());
+             ignore (Sig_cache.save_frozen ~dir t.cache : bool);
              n
-           end)
+           | None -> prewarm t)
         : int);
   t
 
-(* Expansion mirror of [Sig_cache.signature_of_triples], usable when the
-   session runs cache-off (no instance to delegate to). *)
-let signature_of_triples t triples =
-  let npos = Netlist.num_pos t.net in
-  let npatterns = Pattern.count t.pats in
-  let signature = Array.init npos (fun _ -> Bitvec.create npatterns) in
-  let i = ref 0 in
-  while !i < Array.length triples do
-    let bi = triples.(!i) and oi = triples.(!i + 1) and d = triples.(!i + 2) in
-    let base = t.blocks.(bi).Pattern.base in
-    Logic.iter_bits d (fun bit -> Bitvec.set signature.(oi) (base + bit) true);
-    i := !i + 3
-  done;
-  signature
+let signature_of_triples t triples = Sig_cache.signature_of_triples t.cache triples

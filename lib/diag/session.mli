@@ -6,8 +6,8 @@
     signature cache, an optional per-session {!Obs.sink}, and the
     resolved configuration record.  Every phase — {!Explain},
     {!Scoring}, {!Noassume}, {!Single_diag}, {!Dict_diag},
-    {!Slat_diag} — reads its cache/domains choices from the session
-    instead of process-global switches, so two concurrent diagnoses can
+    {!Slat_diag} — reads its cache and configuration from the session
+    instead of process-global state, so two concurrent diagnoses can
     run under different configurations without touching shared mutable
     state.
 
@@ -17,7 +17,13 @@
     internally sharded and domain-safe; per-diagnosis scratch (fault
     simulators, batch slabs, triple buffers) is never stored here — each
     call allocates its own.  The volume service creates one session and
-    drains thousands of datalogs against it, one diagnosis per domain. *)
+    drains thousands of datalogs against it, one diagnosis per domain.
+
+    Ownership: {!create} always builds a fresh signature cache, and the
+    session is its only holder.  One session is one problem with one
+    cache: phases and trials that should share signatures share the
+    session; two sessions on the same [(net, pats)] never share
+    anything; a dropped session frees its cache. *)
 
 (** Covering backend for {!Noassume}: the paper's greedy cover, or the
     exact minimum-cardinality cover via the implicit hitting-set loop
@@ -32,7 +38,6 @@ val default_cover_budget : int
     sub-solves summed); 2,000,000. *)
 
 type config = {
-  cache : bool;  (** Hold a {!Sig_cache} instance for this problem. *)
   domains : int option;
       (** Kernel fan-out inside one diagnosis; [None] uses
           {!Parallel.default_domains}.  Results are identical for every
@@ -52,11 +57,11 @@ type config = {
           the whole sweep with one file read — and saves the arena back
           ({!Sig_cache.save_frozen}) after a live sweep, so the fleet
           pays the sweep once per (netlist, pattern set).  Ignored
-          without [prewarm] or with [cache] off. *)
+          without [prewarm]. *)
 }
 
 val default_config : config
-(** [cache] on, [prewarm] off, [domains = None],
+(** [prewarm] off, [domains = None],
     [cache_mb = Sig_cache.default_budget_mb], [cover = Greedy],
     [cover_budget = default_cover_budget], [store_dir = None].  No
     environment switch is read here — the CLI layer resolves them once
@@ -67,9 +72,8 @@ val default_config : config
 type t
 
 val create : ?config:config -> ?sink:Obs.sink -> Netlist.t -> Pattern.t -> t
-(** Build the context: obtain (or create) the shared cache instance via
-    {!Sig_cache.for_problem} when [config.cache], compute the goods
-    (from the cache instance when available) and the PO-reachability
+(** Build the context: a fresh {!Sig_cache.create} instance owned by
+    this session (which computes the goods) and the PO-reachability
     screen.  Creation is the expensive, once-per-problem step; every
     diagnosis against the session then starts warm.  When
     [config.prewarm], also warms the frozen tier (under the session's
@@ -92,8 +96,7 @@ val prewarm : t -> int
     mutable tier stays available for keys outside the pool.  Returns
     the number of faults simulated, counted as ["prewarm.faults"] under
     the ["prewarm"] phase.  Returns [0] without side effects when the
-    session runs cache-off or the instance is already frozen (so
-    concurrent sessions sharing one instance prewarm it once).  Cold
+    cache is already frozen, so a second call costs nothing.  Cold
     probes use {!Sig_cache.peek}: hit/miss counters keep reflecting
     only probes a diagnosis made.  Diagnosis results are byte-identical
     with and without a prewarm, for every domain count. *)
@@ -111,7 +114,8 @@ val reach : t -> Po_reach.t
 (** Per-net reachable-PO screen.  Frozen. *)
 
 val cache : t -> Sig_cache.t option
-(** The signature-cache instance; [None] when [config.cache] is off. *)
+(** The session's signature-cache instance.  Always [Some]; the option
+    type is kept for existing callers. *)
 
 val sink : t -> Obs.sink option
 val config : t -> config
@@ -128,5 +132,6 @@ val fault_triples : t -> Fault_list.fault array -> int array array
     This is the batched cold path of the baselines. *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array
-(** Expand one fault's triples into the per-PO, bit-per-pattern shape of
+(** {!Sig_cache.signature_of_triples} on the session's cache: expand one
+    fault's triples into the per-PO, bit-per-pattern shape of
     {!Fault_sim.signature}. *)

@@ -66,7 +66,5 @@ let diagnose_session ?(keep = 20) session dlog =
     let ranking = List.filteri (fun i _ -> i < keep) sorted in
     { best; ranking }
 
-let diagnose ?keep net pats dlog = diagnose_session ?keep (Session.create net pats) dlog
-
 let callout_nets r =
   List.sort_uniq compare (List.map (fun r -> r.fault.Fault_list.site) r.best)

@@ -19,9 +19,5 @@ val diagnose_session : ?keep:int -> Session.t -> Datalog.t -> result
     replay, misses fill through {!Session.fault_triples} batched slabs
     and warm the cache for later trials. *)
 
-val diagnose : ?keep:int -> Netlist.t -> Pattern.t -> Datalog.t -> result
-(** One-shot convenience over {!diagnose_session} (transient default
-    session per call). *)
-
 val callout_nets : result -> Netlist.net list
 (** Sites of the best-tied faults. *)

@@ -7,7 +7,7 @@ type result = {
 
 let max_multiplet = 12
 
-let diagnose m pats =
+let diagnose m =
   let classification = Slat.classify m in
   let cand = Explain.candidates m in
   let ncand = Array.length cand in
@@ -59,8 +59,8 @@ let diagnose m pats =
   in
   let score =
     let session = Explain.session m in
-    Scoring.evaluate_multiplet ~goods:(Session.goods session) (Explain.netlist m) pats
-      (Explain.datalog m) multiplet
+    Scoring.evaluate_multiplet ~goods:(Session.goods session) (Explain.netlist m)
+      (Session.patterns session) (Explain.datalog m) multiplet
   in
   {
     multiplet;

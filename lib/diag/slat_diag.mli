@@ -15,8 +15,8 @@ type result = {
   score : Scoring.score;  (** Simultaneous simulation, for comparability. *)
 }
 
-val diagnose : Explain.t -> Pattern.t -> result
+val diagnose : Explain.t -> result
 (** Runs on a prebuilt explanation matrix (shared with {!Noassume} in the
-    campaigns). *)
+    campaigns), scoring against the matrix's session's test set. *)
 
 val callout_nets : result -> Netlist.net list

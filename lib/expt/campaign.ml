@@ -82,7 +82,7 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
       let classification = Slat.classify matrix in
       let noassume =
         if methods.run_noassume then begin
-          let r = Noassume.diagnose_matrix ~config matrix pats in
+          let r = Noassume.diagnose_matrix ~config matrix in
           Some
             (Metrics.evaluate net ~injected:defects ~callouts:(Noassume.callout_nets r))
         end
@@ -90,7 +90,7 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
       in
       let slat =
         if methods.run_slat then begin
-          let r = Slat_diag.diagnose matrix pats in
+          let r = Slat_diag.diagnose matrix in
           Some
             (Metrics.evaluate net ~injected:defects ~callouts:(Slat_diag.callout_nets r))
         end

@@ -38,8 +38,6 @@ type report = {
   rows : row list;
 }
 
-let now_ms () = Unix.gettimeofday () *. 1e3
-
 let find_circuit name =
   match Generators.find_suite name with
   | Some n -> n
@@ -84,11 +82,11 @@ let run_circuit ~trials ~multiplicity ~seed ~node_budget circuit =
   in
   let arm cover =
     let session = session_with cover in
-    let t0 = now_ms () in
+    let t0 = Obs.now_ns () in
     let results =
       List.map (fun dlog -> Noassume.diagnose_session ~config session dlog) dlogs
     in
-    (results, now_ms () -. t0)
+    (results, (Obs.now_ns () -. t0) /. 1e6)
   in
   let greedy_results, greedy_ms = arm Session.Greedy in
   let exact_results, exact_ms = arm Session.Exact in

@@ -1,7 +1,7 @@
 (* Parallel-scaling bench: wall-clock medians of the two dominant
    diagnosis kernels at several domain counts, against one fixed problem
    instance.  Wall clock (not [Sys.time], which sums CPU seconds across
-   domains and would hide any speedup) via [Unix.gettimeofday]. *)
+   domains and would hide any speedup) via [Obs.now_ns]. *)
 
 type sample = {
   kernel : string;
@@ -13,8 +13,6 @@ type sample = {
 }
 
 type report = { circuit : string; repeats : int; samples : sample list }
-
-let now_ns () = Unix.gettimeofday () *. 1e9
 
 let median a =
   let a = Array.copy a in
@@ -30,9 +28,9 @@ let time_median ~repeats f =
   ignore (Sys.opaque_identity (f ()));
   let times =
     Array.init repeats (fun _ ->
-        let t0 = now_ns () in
+        let t0 = Obs.now_ns () in
         ignore (Sys.opaque_identity (f ()));
-        now_ns () -. t0)
+        Obs.now_ns () -. t0)
   in
   median times
 
@@ -60,7 +58,9 @@ let prepare ~circuit ~multiplicity ~seed =
    runs stay uninstrumented (collection off costs nothing, but the
    capture run also pays [Obs.reset]/snapshot), and the counters it
    yields are deterministic for the fixed seed, so the JSON is diffable
-   run to run.  Resets the process-global registry. *)
+   run to run.  The capture runs on a session that one untimed call has
+   already warmed, so it counts the steady state of a session serving
+   its second die.  Resets the process-global registry. *)
 let capture_stats ~circuit ~kernel ~domains f =
   let was_enabled = Obs.enabled () in
   Obs.reset ();
@@ -79,28 +79,26 @@ let capture_stats ~circuit ~kernel ~domains f =
   report
 
 let run ?(circuit = "rnd1k") ?(domain_counts = [ 1; 2; 4; 8 ]) ?(repeats = 5)
-    ?(multiplicity = 3) ?(seed = 99) ?(with_stats = true) ?(cache = true) () =
+    ?(multiplicity = 3) ?(seed = 99) ?(with_stats = true) () =
   let net, pats, dlog = prepare ~circuit ~multiplicity ~seed in
-  (* Session construction stays inside the timed region — the bench
-     tracks whole-call cost, and the one-shot wrappers pay it too. *)
-  let scfg d = { Session.default_config with Session.cache; domains = Some d } in
+  let session d =
+    let config = { Session.default_config with Session.domains = Some d } in
+    Session.create ~config net pats
+  in
   let kernels =
     [
-      ( "explain-build",
-        fun d ->
-          ignore (Explain.build_session (Session.create ~config:(scfg d) net pats) dlog)
-      );
-      ( "diagnose",
-        fun d ->
-          ignore (Noassume.diagnose_session (Session.create ~config:(scfg d) net pats) dlog) );
+      ("explain-build", fun s -> ignore (Explain.build_session s dlog));
+      ("diagnose", fun s -> ignore (Noassume.diagnose_session s dlog));
     ]
   in
   let samples =
     List.concat_map
       (fun (kernel, f) ->
+        (* Every timed call gets a fresh session, so it pays session
+           construction and simulates every candidate: the cold kernel. *)
         let timed =
           List.map
-            (fun d -> (d, time_median ~repeats (fun () -> f d)))
+            (fun d -> (d, time_median ~repeats (fun () -> f (session d))))
             domain_counts
         in
         let base =
@@ -111,8 +109,11 @@ let run ?(circuit = "rnd1k") ?(domain_counts = [ 1; 2; 4; 8 ]) ?(repeats = 5)
         List.map
           (fun (d, ns) ->
             let stats =
-              if with_stats then
-                Some (capture_stats ~circuit ~kernel ~domains:d (fun () -> f d))
+              if with_stats then begin
+                let s = session d in
+                f s;
+                Some (capture_stats ~circuit ~kernel ~domains:d (fun () -> f s))
+              end
               else None
             in
             {
@@ -141,7 +142,6 @@ let campaign_hit_rate ?(circuit = "rnd1k") ?(trials = 4) ?(multiplicity = 3) ?(s
     | None -> invalid_arg ("Parbench: unknown suite circuit " ^ circuit)
   in
   let was_obs = Obs.enabled () in
-  Sig_cache.clear ();
   Obs.reset ();
   Obs.enable ();
   ignore

@@ -1,8 +1,11 @@
 (** Parallel-scaling benchmark of the diagnosis kernels.
 
-    Times [Explain.build] and the end-to-end [Noassume.diagnose] on one
-    fixed multi-defect problem at several domain counts and reports
-    wall-clock medians plus speedups versus one domain.  The bench
+    Times [Explain.build_session] and the end-to-end
+    [Noassume.diagnose_session] on one fixed multi-defect problem at
+    several domain counts and reports wall-clock medians plus speedups
+    versus one domain.  Every timed call runs on a fresh session, so it
+    measures the cold kernel: session construction plus simulation of
+    every candidate.  The bench
     executable runs this on the [rnd1k] suite circuit at 1/2/4/8 domains
     and writes [BENCH_parallel.json]; the test suite runs a tiny [c17]
     configuration as a smoke test of the domain pool. *)
@@ -15,7 +18,8 @@ type sample = {
   speedup_vs_1 : float;  (** [median at 1 domain / median at this count]. *)
   stats : Run_report.t option;
       (** Counters of one extra untimed, instrumented run of the same
-          kernel (see [Obs]); [None] when [run] was told not to capture. *)
+          kernel on a session one earlier untimed call has warmed (see
+          [Obs]); [None] when [run] was told not to capture. *)
 }
 
 type report = { circuit : string; repeats : int; samples : sample list }
@@ -27,16 +31,12 @@ val run :
   ?multiplicity:int ->
   ?seed:int ->
   ?with_stats:bool ->
-  ?cache:bool ->
   unit ->
   report
 (** Defaults: [rnd1k], domain counts [1; 2; 4; 8], 5 repeats, 3 injected
-    defects, seed 99, stats capture on, signature cache on.
-    [~cache:false] times cache-off sessions — the regression gate's
-    timing check uses it so the timed kernels simulate instead of
-    replaying warm signatures.  Stats capture resets the global [Obs]
-    registry.  Raises [Invalid_argument] on an unknown suite circuit
-    name. *)
+    defects, seed 99, stats capture on.  Stats capture resets the global
+    [Obs] registry.  Raises [Invalid_argument] on an unknown suite
+    circuit name. *)
 
 val campaign_hit_rate :
   ?circuit:string ->
@@ -50,8 +50,9 @@ val campaign_hit_rate :
     trials share the circuit and test set, so later trials hit what
     earlier trials simulated.  Deterministic for a fixed seed (parallel
     trials could race on a cold key and count an extra miss); used by the
-    bench regression gate.  Clears the cache registry and temporarily
-    enables the [Obs] registry, resetting it before returning.
+    bench regression gate.  The campaign creates its own session, so the
+    cache starts cold.  Temporarily enables the [Obs] registry,
+    resetting it before returning.
     Defaults: [rnd1k], 4 trials, multiplicity 3, seed 99. *)
 
 val to_table : report -> Table.t

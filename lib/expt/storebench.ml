@@ -13,15 +13,14 @@
    Methodology follows [Volumebench]: seeded-random patterns, wall
    clock, arms interleaved run by run so machine-speed drift lands on
    every arm equally, and the headline ratio divides best (minimum)
-   times — scheduling noise only ever adds time.  The registry is
-   cleared before every arm so each one builds a private cache instance
-   (a shared instance would leak one arm's warmth into another).
+   times — scheduling noise only ever adds time.  Every arm run gets a
+   fresh session, and with it a private cache, so no arm inherits
+   another's warmth.
 
    Alongside the timings the report pins the footprint story: the
-   packed arena's resident bytes ([Sig_cache.frozen_bytes]) against
-   what the former boxed representation would cost, the snapshot file
-   size, and whether the full-pool arena sits inside the default cache
-   budget — the rnd50k acceptance number. *)
+   packed arena's resident bytes ([Sig_cache.frozen_bytes]), the
+   snapshot file size, and whether the full-pool arena sits inside the
+   default cache budget — the rnd50k acceptance number. *)
 
 type sample = {
   circuit : string;
@@ -34,15 +33,12 @@ type sample = {
   load_first_ms : float;  (* best first-diagnose after the load *)
   load_speedup : float;  (* cold_ms / (load_ms + load_first_ms) *)
   arena_bytes : int;  (* packed frozen tier, resident *)
-  boxed_bytes : int;  (* the same entries in the pre-arena boxed shape *)
   file_bytes : int;  (* snapshot on disk (header + packed body) *)
   budget_bytes : int;  (* default cache budget the arena must fit *)
   fits_budget : bool;  (* arena_bytes <= budget_bytes *)
 }
 
 type report = { repeats : int; samples : sample list }
-
-let now_ms () = Unix.gettimeofday () *. 1e3
 
 let find_circuit name =
   match Generators.find_suite name with
@@ -74,21 +70,12 @@ let prepare ~circuit ~patterns ~multiplicity ~seed =
 let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
   let net, pats, dlog = prepare ~circuit ~patterns ~multiplicity ~seed in
   let diagnose session =
-    let t0 = now_ms () in
+    let t0 = Obs.now_ns () in
     ignore (Sys.opaque_identity (Noassume.diagnose_session session dlog));
-    now_ms () -. t0
+    (Obs.now_ns () -. t0) /. 1e6
   in
-  let fresh_session () =
-    (* A private instance per arm: an inherited one would carry another
-       arm's warmth (or its frozen tier) into this measurement. *)
-    Sig_cache.clear ();
-    Session.create net pats
-  in
-  let cache session =
-    match Session.cache session with
-    | Some c -> c
-    | None -> failwith "Storebench: session runs cache-off"
-  in
+  let fresh_session () = Session.create net pats in
+  let cache session = Option.get (Session.cache session) in
   (* Seed the snapshot once, outside the timed runs, and keep the pool
      size and footprint numbers from it (identical on every sweep). *)
   let seed_session = fresh_session () in
@@ -98,7 +85,6 @@ let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
   let path = Sig_cache.store_path ~dir:store_dir (cache seed_session) in
   let file_bytes = (Unix.stat path).Unix.st_size in
   let arena_bytes = Sig_cache.frozen_bytes (cache seed_session) in
-  let boxed_bytes = Sig_cache.frozen_boxed_bytes (cache seed_session) in
   let cold = Array.make repeats 0.0 in
   let sweep = Array.make repeats 0.0 in
   let sweep_first = Array.make repeats 0.0 in
@@ -110,16 +96,16 @@ let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
     cold.(i) <- diagnose s;
     (* Prewarm arm. *)
     let s = fresh_session () in
-    let t0 = now_ms () in
+    let t0 = Obs.now_ns () in
     ignore (Session.prewarm s);
-    sweep.(i) <- now_ms () -. t0;
+    sweep.(i) <- (Obs.now_ns () -. t0) /. 1e6;
     sweep_first.(i) <- diagnose s;
     (* Load arm. *)
     let s = fresh_session () in
-    let t0 = now_ms () in
+    let t0 = Obs.now_ns () in
     if not (Sig_cache.load_frozen ~dir:store_dir (cache s)) then
       failwith "Storebench: snapshot load rejected";
-    load.(i) <- now_ms () -. t0;
+    load.(i) <- (Obs.now_ns () -. t0) /. 1e6;
     load_first.(i) <- diagnose s
   done;
   let best a = Array.fold_left min a.(0) a in
@@ -135,7 +121,6 @@ let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
     load_first_ms = best load_first;
     load_speedup = best cold /. (best load +. best load_first);
     arena_bytes;
-    boxed_bytes;
     file_bytes;
     budget_bytes;
     fits_budget = arena_bytes <= budget_bytes;
@@ -178,7 +163,6 @@ let to_table r =
         ("load+1st ms", Table.Right);
         ("speedup", Table.Right);
         ("arena MB", Table.Right);
-        ("boxed MB", Table.Right);
         ("file MB", Table.Right);
         ("fits 64MB", Table.Left);
       ]
@@ -196,7 +180,6 @@ let to_table r =
           Table.cell_float ~decimals:1 (s.load_ms +. s.load_first_ms);
           Table.cell_float ~decimals:2 s.load_speedup;
           Table.cell_float ~decimals:2 (mb s.arena_bytes);
-          Table.cell_float ~decimals:2 (mb s.boxed_bytes);
           Table.cell_float ~decimals:2 (mb s.file_bytes);
           (if s.fits_budget then "yes" else "NO");
         ])
@@ -214,10 +197,9 @@ let json_of_report r =
         "    {\"circuit\": %S, \"runs\": %d, \"faults\": %d, \"cold_ms\": %.3f, \
          \"prewarm_ms\": %.3f, \"prewarm_first_ms\": %.3f, \"load_ms\": %.3f, \
          \"load_first_ms\": %.3f, \"load_speedup\": %.4f, \"arena_bytes\": %d, \
-         \"boxed_bytes\": %d, \"file_bytes\": %d, \"budget_bytes\": %d, \
-         \"fits_budget\": %b}%s\n"
+         \"file_bytes\": %d, \"budget_bytes\": %d, \"fits_budget\": %b}%s\n"
         s.circuit s.runs s.faults s.cold_ms s.prewarm_ms s.prewarm_first_ms s.load_ms
-        s.load_first_ms s.load_speedup s.arena_bytes s.boxed_bytes s.file_bytes
+        s.load_first_ms s.load_speedup s.arena_bytes s.file_bytes
         s.budget_bytes s.fits_budget
         (if i = List.length r.samples - 1 then "" else ","))
     r.samples;

@@ -3,12 +3,11 @@
     diagnosis simulates the candidate pool), {e prewarm}
     ({!Session.prewarm} sweep + frozen first diagnose), and {e load}
     ({!Sig_cache.load_frozen} snapshot adoption + frozen first
-    diagnose).  Arms are interleaved run by run on private cache
-    instances and the headline ratio divides best (minimum) times, the
+    diagnose).  Arms are interleaved run by run, each on a fresh
+    session, and the headline ratio divides best (minimum) times, the
     same noise defenses as {!Volumebench}.  Also pins the footprint
-    story: packed arena bytes vs the former boxed representation, the
-    snapshot file size, and whether the full-pool arena fits the
-    default cache budget. *)
+    story: packed arena bytes, the snapshot file size, and whether the
+    full-pool arena fits the default cache budget. *)
 
 type sample = {
   circuit : string;
@@ -23,7 +22,6 @@ type sample = {
       (** [cold_ms / (load_ms + load_first_ms)] — what a process restart
           saves by loading instead of simulating. *)
   arena_bytes : int;  (** Packed frozen tier, resident. *)
-  boxed_bytes : int;  (** Same entries in the pre-arena boxed shape. *)
   file_bytes : int;  (** Snapshot on disk. *)
   budget_bytes : int;  (** Default cache budget the arena must fit. *)
   fits_budget : bool;  (** [arena_bytes <= budget_bytes]. *)

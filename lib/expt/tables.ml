@@ -178,9 +178,10 @@ let table6 ~trials ~seed =
     (fun (name, net) ->
       let pats = Campaign.test_set net in
       let t0 = Sys.time () in
-      let full = Dict_diag.build Dict_diag.Full_response net pats in
+      let session = Session.create net pats in
+      let full = Dict_diag.build_session Dict_diag.Full_response session in
       let build_ms = (Sys.time () -. t0) *. 1000.0 in
-      let passfail = Dict_diag.build Dict_diag.Pass_fail net pats in
+      let passfail = Dict_diag.build_session Dict_diag.Pass_fail session in
       let expected = Logic_sim.responses net pats in
       let run_dict k =
         let rng = Rng.create (cell_seed seed (name ^ "dict") k) in
@@ -278,6 +279,7 @@ let fig1 ~trials =
   List.iter
     (fun (name, net) ->
       let pats = Campaign.test_set net in
+      let session = Session.create net pats in
       let expected = Logic_sim.responses net pats in
       let rng = Rng.create 42 in
       let times = ref [] in
@@ -291,8 +293,7 @@ let fig1 ~trials =
         let dlog = Datalog.of_responses ~expected ~observed in
         if Datalog.num_failing dlog > 0 then begin
           let t0 = Sys.time () in
-          let m = Explain.build net pats dlog in
-          let r = Noassume.diagnose_matrix m pats in
+          let r = Noassume.diagnose_session session dlog in
           let t1 = Sys.time () in
           cands := max !cands r.Noassume.candidates_considered;
           times := ((t1 -. t0) *. 1000.0) :: !times;
@@ -544,7 +545,7 @@ let table10 ~trials ~seed =
             Array.init (Netlist.num_pos net) (fun oi -> Bitvec.get obs.(oi) 0)
           in
           let quality p d =
-            let r = Noassume.diagnose net p d in
+            let r = Noassume.diagnose_session (Session.create net p) d in
             (Metrics.evaluate net ~injected:defects ~callouts:(Noassume.callout_nets r))
               .Metrics.diagnosability
           in
@@ -613,7 +614,7 @@ let table11 ~trials ~seed =
         match draw 50 with
         | None -> ()
         | Some (site, stuck, pats, dlog) ->
-          let r = Noassume.diagnose net pats dlog in
+          let r = Noassume.diagnose_session (Session.create net pats) dlog in
           let collapsed = Unroll.collapse_callouts u (Noassume.callout_nets r) in
           qs :=
             Metrics.evaluate core
@@ -692,6 +693,7 @@ let table8 ~trials ~seed =
         (fun k ->
           let pats = Campaign.test_set net in
           let launch, capture = Delay.loc_pairs pats in
+          let session = Session.create net capture in
           let expected = Logic_sim.responses net capture in
           let rng = Rng.create (cell_seed seed (name ^ "delay") k) in
           let qs = ref [] in
@@ -723,7 +725,7 @@ let table8 ~trials ~seed =
             | None -> ()
             | Some (defects, dlog) ->
               fails := float_of_int (Datalog.num_failing dlog) :: !fails;
-              let r = Noassume.diagnose net capture dlog in
+              let r = Noassume.diagnose_session session dlog in
               (* Score against the contributing slow sites, reusing the
                  stuck-defect hit semantics (site or equivalent). *)
               let defects = Delay.contributing net ~launch ~capture defects in
@@ -831,6 +833,13 @@ let ablation_exact ~trials ~seed =
         ("exact min (mean)", Right); ("nodes (mean)", Right); ("incomplete", Right);
       ]
   in
+  (* One session per circuit, shared by every multiplicity row: the
+     test set is fixed, so trials differ only in the datalog. *)
+  let sessions =
+    List.map
+      (fun (name, net) -> (name, net, Session.create net (Campaign.test_set net)))
+      (campaign_circuits ())
+  in
   List.iter
     (fun k ->
       let minimal = ref 0 in
@@ -840,8 +849,8 @@ let ablation_exact ~trials ~seed =
       let node_counts = ref [] in
       let incomplete = ref 0 in
       List.iter
-        (fun (name, net) ->
-          let pats = Campaign.test_set net in
+        (fun (name, net, session) ->
+          let pats = Session.patterns session in
           let expected = Logic_sim.responses net pats in
           let rng = Rng.create (cell_seed seed (name ^ "exact") k) in
           for _ = 1 to trials do
@@ -856,11 +865,11 @@ let ablation_exact ~trials ~seed =
             match draw 50 with
             | None -> ()
             | Some dlog ->
-              let m = Explain.build net pats dlog in
+              let m = Explain.build_session session dlog in
               let greedy =
                 Noassume.diagnose_matrix
                   ~config:{ Noassume.default_config with validate = false }
-                  m pats
+                  m
               in
               let exact = Exact_cover.solve m in
               if not exact.Exact_cover.complete then incr incomplete
@@ -876,7 +885,7 @@ let ablation_exact ~trials ~seed =
                 node_counts := float_of_int exact.Exact_cover.nodes :: !node_counts
               end
           done)
-        (campaign_circuits ());
+        sessions;
       add_row t
         [
           cell_int k;

@@ -47,6 +47,7 @@ type rollup = {
 type failure = { name : string; error : string }
 
 let c_dies = Obs.counter "volume.dies"
+let c_failed = Obs.counter "volume.failed"
 
 let read_file path =
   try
@@ -76,7 +77,9 @@ let load_die session path =
   in
   match parsed with
   | Ok dlog -> Ok { name; dlog }
-  | Error error -> Error { name; error }
+  | Error error ->
+    if Obs.enabled () then Obs.incr c_failed;
+    Error { name; error }
 
 let load_dir session dir =
   let files = Sys.readdir dir in

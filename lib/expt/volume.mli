@@ -49,8 +49,8 @@ val load_die : Session.t -> string -> (die, failure) result
 (** Read and parse one datalog file; the die is named by the file's
     basename without its extension.  An unreadable path, an empty file
     (a truncated transfer, not a passing die) and a malformed datalog
-    are each a [failure].  Never raises on bad input and never leaks a
-    descriptor. *)
+    are each a [failure], counted as ["volume.failed"].  Never raises
+    on bad input and never leaks a descriptor. *)
 
 val load_dir : Session.t -> string -> (die, failure) result list
 (** {!load_die} over every [*.datalog] file of a directory, sorted by

@@ -17,11 +17,8 @@
      [Session.prewarm] and frozen — every hit is a lock-free
      frozen-tier read.
 
-   The two sessions hold {e distinct} cache instances: the registry is
-   cleared between creations, else [Sig_cache.for_problem]'s
-   physical-equality sharing would hand both sessions one instance and
-   freezing it would contaminate the lazy arm.  Session handles survive
-   registry clears.  The one-time sweep cost is reported separately as
+   Each session owns its cache, so freezing one arm's cannot touch the
+   other's.  The one-time sweep cost is reported separately as
    [prewarm_ms] — it amortises over the die count, which is the
    rnd50k cold-start story (EXPERIMENTS Fig 1a). *)
 
@@ -46,8 +43,6 @@ type report = {
   samples : sample list;
   skipped_workers : int list;  (* arms above the available core count, not timed *)
 }
-
-let now_ms () = Unix.gettimeofday () *. 1e3
 
 let median a =
   let a = Array.copy a in
@@ -98,15 +93,12 @@ let run ?(circuit = "rnd2k") ?(worker_counts = [ 1; 2; 4 ]) ?(repeats = 3)
   let skipped_workers = List.filter (fun w -> w > cores) worker_counts in
   let worker_counts = List.filter (fun w -> w <= cores) worker_counts in
   let net, pats, queue = prepare ~circuit ~patterns ~dies ~multiplicity ~seed in
-  (* Lazy arm: a private cache instance warmed by one untimed drain (and
-     never frozen).  Clear the registry first so this creation cannot
-     adopt — or later donate — an instance shared with the other arm. *)
-  Sig_cache.clear ();
+  (* Lazy arm: a cache warmed by one untimed drain (and never frozen). *)
   let lazy_session = Session.create net pats in
   let drain session workers =
-    let t0 = now_ms () in
+    let t0 = Obs.now_ns () in
     ignore (Sys.opaque_identity (Volume.run ~workers session queue));
-    now_ms () -. t0
+    (Obs.now_ns () -. t0) /. 1e6
   in
   (* Warm-up drain: fills the signature cache and pays allocation
      ramp-up outside every timed run. *)
@@ -115,12 +107,10 @@ let run ?(circuit = "rnd2k") ?(worker_counts = [ 1; 2; 4 ]) ?(repeats = 3)
      frozen.  The sweep is timed once — the number the cold-start story
      quotes — then a cheap untimed drain pays the same allocation
      ramp-up the lazy arm got. *)
-  Sig_cache.clear ();
   let frozen_session = Session.create net pats in
-  let t0 = now_ms () in
+  let t0 = Obs.now_ns () in
   ignore (Session.prewarm frozen_session);
-  let prewarm_ms = now_ms () -. t0 in
-  Sig_cache.clear ();
+  let prewarm_ms = (Obs.now_ns () -. t0) /. 1e6 in
   ignore (drain frozen_session 1);
   let times =
     Array.of_list

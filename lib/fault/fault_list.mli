@@ -10,7 +10,7 @@
 
     Every fold is behaviorally exact — class members produce the same
     PO response on every pattern — which is what lets the diagnosis
-    layer simulate one matrix row per class ({!Explain.build}'s
+    layer simulate one matrix row per class ({!Explain.build_session}'s
     equivalence-class prune) and key the cross-phase signature cache
     ([Sig_cache]) by {!representative_of}, sharing entries between the
     explanation matrix and the single-fault/dictionary baselines

@@ -163,7 +163,7 @@ let reset () =
 
 (* --- Phase timers --------------------------------------------------- *)
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 type span = { s_name : string; s_t0 : float; s_gc0 : int; mutable s_open : bool }
 

@@ -18,10 +18,9 @@
       listings are sorted by name.  Only span durations and GC deltas are
       nondeterministic, and {!Run_report.to_json} can exclude them.
 
-    The clock is [Unix.gettimeofday] scaled to nanoseconds — the only
-    always-available clock without an external dependency; phase timings
-    are for reporting, not for the determinism contract, so wall clock
-    standing in for a monotonic clock is acceptable here. *)
+    The clock is {!now_ns}, a monotonic clock: it never steps backwards
+    when the wall clock is adjusted, so a phase time is never
+    negative. *)
 
 val enabled : unit -> bool
 (** True when statistics collection is on: either the process-global
@@ -62,6 +61,11 @@ val record : dist -> int -> unit
 
 (** {1 Phase timers} *)
 
+val now_ns : unit -> float
+(** Monotonic clock reading in nanoseconds, from an arbitrary origin.
+    Only differences are meaningful.  Phase spans and the bench
+    harnesses time with it. *)
+
 type span
 (** One open phase timing.  Spans are values, so they nest arbitrarily
     ([span_begin "a"] … [span_begin "b"] … [span_end b] … [span_end a])
@@ -72,7 +76,7 @@ val span_begin : string -> span
 (** Starts timing when {!enabled}; otherwise returns an inert span. *)
 
 val span_end : span -> unit
-(** Adds elapsed wall time, one completion, and the major-GC-collection
+(** Adds elapsed time, one completion, and the major-GC-collection
     delta to the span's phase aggregate.  Ending an inert or
     already-ended span is a no-op. *)
 

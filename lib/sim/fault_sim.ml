@@ -14,7 +14,7 @@ type t = {
   mutable ntouched : int;
   (* Plain mutable stats, always maintained: one add per frontier level
      and per call, nothing per gate event, so the cost is noise even
-     with observability off.  [Explain.build] folds them into the global
+     with observability off.  [Explain.build_session] folds them into the global
      [Obs] counters after its parallel region. *)
   mutable n_propagates : int;
   mutable n_screened : int;

@@ -5,7 +5,7 @@
     and as a CSR index list in ascending PO order (for iteration).  The
     fault simulator uses it to scan only the outputs an injection site
     can possibly disturb, instead of every PO per candidate and block;
-    {!Explain.build} additionally uses the reachable counts as chunk
+    {!Explain.build_session} additionally uses the reachable counts as chunk
     weights for load balancing.
 
     The structure is immutable after {!compute} and safe to share

@@ -1,12 +1,9 @@
 (* Sharded, bounded-memory memo of per-fault PO-diff triples, shared by
    every diagnosis phase that fault-simulates against one (netlist,
    pattern set) problem.  See the interface for the concurrency and
-   determinism contract.
-
-   Whether caching happens at all is no longer a process-global switch:
-   a phase that holds a [t] caches, a phase handed no instance simulates
-   directly.  The session layer ([Diag.Session]) makes that choice once
-   per engine from its config record. *)
+   determinism contract.  Each [Diag.Session] creates and owns exactly
+   one instance; there is no registry, so a dropped session frees its
+   cache with it. *)
 
 let c_hits = Obs.counter "cache.hits"
 let c_misses = Obs.counter "cache.misses"
@@ -27,11 +24,6 @@ let c_frozen_bytes = Obs.counter "cache.frozen_bytes"
 let c_store_saves = Obs.counter "store.saves"
 let c_store_loads = Obs.counter "store.loads"
 let c_store_rejects = Obs.counter "store.rejects"
-
-(* Live instance count in the registry below.  Kept as a counter (with
-   negative deltas on eviction) so run reports show how many problems
-   the service era keeps warm at once. *)
-let c_instances = Obs.counter "cache.instances"
 
 (* Default word budget across all shards of one instance.  Entries are
    int arrays, so the budget is an honest (if approximate) bound on the
@@ -69,7 +61,6 @@ type frozen = {
   offs : int array; (* nkeys + 1 byte offsets into [slab], monotone *)
   present : Bytes.t; (* nkeys-bit membership bitmap *)
   arena_bytes : int; (* slab + index + bitmap, the resident footprint *)
-  boxed_bytes : int; (* what the former boxed representation would cost *)
 }
 
 type t = {
@@ -279,13 +270,9 @@ let store t k triples =
   if !evicted > 0 && Obs.enabled () then Obs.add c_evictions !evicted
 
 (* Resident footprint of the published arena, in bytes (0 before a
-   freeze), and the boxed-representation cost it replaced — the pair
-   the store bench quotes as the packing ratio. *)
+   freeze). *)
 let frozen_bytes t =
   match Atomic.get t.frozen with Some fr -> fr.arena_bytes | None -> 0
-
-let frozen_boxed_bytes t =
-  match Atomic.get t.frozen with Some fr -> fr.boxed_bytes | None -> 0
 
 let word_bytes = Sys.word_size / 8
 
@@ -323,17 +310,13 @@ let freeze ?(extra = [||]) t =
   let buf = Buffer.create 4096 in
   let offs = Array.make (nkeys + 1) 0 in
   let present = Bytes.make ((nkeys + 7) / 8) '\000' in
-  let boxed = ref (nkeys * word_bytes) in
   for k = 0 to nkeys - 1 do
     offs.(k) <- Buffer.length buf;
     match Hashtbl.find_opt staged k with
     | None -> ()
     | Some triples ->
       bit_mark present k;
-      encode_triples buf triples;
-      (* One boxed entry was a [Some] block (2 words) plus the triple
-         array (header word + payload). *)
-      boxed := !boxed + ((3 + Array.length triples) * word_bytes)
+      encode_triples buf triples
   done;
   offs.(nkeys) <- Buffer.length buf;
   let slab = Buffer.to_bytes buf in
@@ -343,7 +326,6 @@ let freeze ?(extra = [||]) t =
       offs;
       present;
       arena_bytes = Bytes.length slab + ((nkeys + 1) * word_bytes) + Bytes.length present;
-      boxed_bytes = !boxed;
     }
 
 let signature_of_triples t triples =
@@ -556,10 +538,8 @@ let load_frozen ~dir t =
          path decodes unchecked and must never see it.  An absent key
          with a non-empty range (or vice versa, a present key whose
          range cannot hold its count) is equally malformed. *)
-      let boxed = ref (nkeys * word_bytes) in
       for k = 0 to nkeys - 1 do
-        if bit_set present k then
-          boxed := !boxed + ((3 + (3 * scan_key slab offs.(k) offs.(k + 1))) * word_bytes)
+        if bit_set present k then ignore (scan_key slab offs.(k) offs.(k + 1) : int)
         else if offs.(k) <> offs.(k + 1) then raise Invalid_snapshot
       done;
       publish t
@@ -568,7 +548,6 @@ let load_frozen ~dir t =
           offs;
           present;
           arena_bytes = Bytes.length slab + ((nkeys + 1) * word_bytes) + bitmap_len;
-          boxed_bytes = !boxed;
         };
       if Obs.enabled () then Obs.incr c_store_loads;
       true
@@ -576,11 +555,7 @@ let load_frozen ~dir t =
       if Obs.enabled () then Obs.incr c_store_rejects;
       false)
 
-(* --- Instance registry ---------------------------------------------- *)
-
-let registry_lock = Mutex.create ()
-let registry : t list ref = ref []
-let max_instances = 4
+(* --- Construction ---------------------------------------------------- *)
 
 let create ?budget_mb net pats =
   let mb = match budget_mb with Some mb when mb >= 1 -> mb | _ -> default_budget_mb in
@@ -596,29 +571,3 @@ let create ?budget_mb net pats =
     budget_words = mb * 1024 * 1024 / 8;
     frozen = Atomic.make None;
   }
-
-let for_problem ?budget_mb net pats =
-  Mutex.lock registry_lock;
-  let t =
-    match List.find_opt (fun t -> t.net == net && t.pats == pats) !registry with
-    | Some t ->
-      (* LRU by reinsertion: the registry is tiny, a list suffices. *)
-      registry := t :: List.filter (fun u -> u != t) !registry;
-      t
-    | None ->
-      let t = create ?budget_mb net pats in
-      let before = List.length !registry in
-      registry := t :: List.filteri (fun i _ -> i < max_instances - 1) !registry;
-      let after = List.length !registry in
-      if Obs.enabled () then Obs.add c_instances (after - before);
-      t
-  in
-  Mutex.unlock registry_lock;
-  t
-
-let clear () =
-  Mutex.lock registry_lock;
-  let n = List.length !registry in
-  registry := [];
-  Mutex.unlock registry_lock;
-  if n > 0 && Obs.enabled () then Obs.add c_instances (-n)

@@ -15,7 +15,13 @@
     matrix without touching the simulator and expands into the
     per-output {!Bitvec.t} signatures the baselines consume.
 
-    Concurrency and determinism: instances are shared across domains.
+    Ownership: each [Diag.Session] creates exactly one instance with
+    {!create} and owns it.  There is no process-wide registry and no
+    on/off switch: two sessions on the same problem hold two independent
+    caches, sharing a cache means sharing the session, and a dropped
+    session frees its cache.
+
+    Concurrency and determinism: an instance is shared across domains.
     The cache is {e two-tier} (DESIGN.md §12).  The mutable tier —
     buckets sharded under per-shard mutexes, so concurrent probes and
     stores never block the whole cache — is the write path and serves
@@ -39,28 +45,18 @@
     re-simulation.  The frozen tier is exempt: it snapshots whatever
     the mutable tier holds at {!freeze} time and never grows.
 
-    There is no process-wide on/off switch: a phase that holds an
-    instance caches, a phase handed none simulates directly.
-    [Diag.Session] makes that choice once per engine from its config
-    record.  Counters (DESIGN.md §9): ["cache.hits"],
-    ["cache.misses"], ["cache.frozen_hits"], ["cache.evictions"],
-    ["cache.instances"]. *)
+    Counters (DESIGN.md §9): ["cache.hits"], ["cache.misses"],
+    ["cache.frozen_hits"], ["cache.evictions"]. *)
 
 type t
-(** One per-(netlist, pattern-set) cache instance.  Instances live in a
-    small process-global registry keyed by physical equality of the
-    netlist and pattern set, so repeated {!for_problem} calls — e.g.
-    campaign trials sharing one circuit — share one instance. *)
+(** One cache for one (netlist, pattern set) problem, owned by the
+    session that created it. *)
 
-val for_problem : ?budget_mb:int -> Netlist.t -> Pattern.t -> t
-(** The instance for this problem, created on first use.  Creation
-    computes the good-machine words of every block eagerly (they are
-    shared by all phases through {!goods}).  The registry holds at most
-    four instances, evicted least-recently-used: a {!for_problem} hit
-    refreshes an instance's recency, a miss that creates a fifth
-    instance drops the stalest.  The live count is the
-    ["cache.instances"] counter.  [budget_mb] only applies when this
-    call creates the instance. *)
+val create : ?budget_mb:int -> Netlist.t -> Pattern.t -> t
+(** A fresh, empty instance.  Creation computes the good-machine words
+    of every block eagerly (they are shared by all phases through
+    {!goods}).  [budget_mb] bounds the mutable tier
+    ({!default_budget_mb} when absent or below 1). *)
 
 val goods : t -> Logic_sim.net_values array
 (** Good-machine words of every block, in [Pattern.blocks] order.
@@ -129,11 +125,6 @@ val frozen_bytes : t -> int
 (** Resident footprint of the published arena in bytes (slab + offset
     index + presence bitmap); 0 before a freeze. *)
 
-val frozen_boxed_bytes : t -> int
-(** What the pre-arena boxed representation ([int array option array])
-    of the same entries would occupy, in bytes — the packing ratio's
-    denominator, quoted by [bench store]. *)
-
 (** {1 Disk snapshots}
 
     The frozen arena is position-independent bytes, so it doubles as an
@@ -179,7 +170,3 @@ val default_budget_mb : int
     A plain constant: the [MDD_SIG_CACHE_MB] environment override is
     resolved once at CLI startup into the session config
     ([Cli_common.session_config]), never read here. *)
-
-val clear : unit -> unit
-(** Drop every instance from the registry (entries become unreachable).
-    For benchmarks that must measure the cold path and for tests. *)

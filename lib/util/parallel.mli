@@ -61,7 +61,7 @@ val parallel_for_weighted :
     oversplit into [chunks_per_domain] (default 4) chunks per domain so
     the shared cursor absorbs weight-estimate error.  Use when
     per-index cost varies widely (e.g. candidate fanout-cone size in
-    [Explain.build]); weights below 1 count as 1.  Chunk boundaries
+    [Explain.build_session]); weights below 1 count as 1.  Chunk boundaries
     depend only on the weights, so results of disjoint-write bodies
     remain deterministic for every domain count. *)
 
@@ -91,7 +91,7 @@ val weighted_chunks :
     [max_chunk_size] (default: unbounded) splits any chunk longer than
     that many {e indices} into near-equal pieces, after the weight
     balancing and merging.  This turns the plan into a sequence of
-    bounded tiles: the batched fault simulation in [Explain.build]
+    bounded tiles: the batched fault simulation in [Explain.build_session]
     treats each chunk as a (fault-batch x block-set) tile whose fault
     axis must stay small, whatever weight the balancer packed into it —
     and, unlike the pure balancing path, the cap applies even at an

@@ -86,7 +86,7 @@ let seed_pool net dlog =
   done;
   Array.of_list !pool
 
-(* Same accumulators as [Explain.build], computed the slow way: one full
+(* Same accumulators as [Explain.build_session], computed the slow way: one full
    overlay resimulation per (candidate, block), per-bit scans, and an
    association list for the observation index.  No CSR, no reachability
    screen, no event queue. *)

@@ -94,7 +94,7 @@ let test_diagnosis_through_compactor () =
   let dlog = Datalog.of_responses ~expected ~observed in
   Alcotest.(check bool) "failures visible through compactor" true
     (Datalog.num_failing dlog > 0);
-  let r = Noassume.diagnose wrapped pats dlog in
+  let r = Noassume.diagnose_session (Session.create wrapped pats) dlog in
   let q = Metrics.evaluate wrapped ~injected:defects ~callouts:(Noassume.callout_nets r) in
   Alcotest.(check bool) "located" true (q.Metrics.hits = 1)
 

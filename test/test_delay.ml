@@ -76,7 +76,7 @@ let test_diagnose_slow_defect () =
   let observed = Delay.observed_responses net ~launch ~capture [ defect ] in
   let dlog = Datalog.of_responses ~expected ~observed in
   Alcotest.(check bool) "failures" true (Datalog.num_failing dlog > 0);
-  let r = Noassume.diagnose net capture dlog in
+  let r = Noassume.diagnose_session (Session.create net capture) dlog in
   let q =
     Metrics.evaluate net
       ~injected:[ Defect.Stuck (site, true) ]

@@ -9,8 +9,9 @@ let problem ?(net = Generators.c17 ()) ?(pats = Pattern.exhaustive ~npis:5) defe
 let test_sizes () =
   let net = Generators.c17 () in
   let pats = Pattern.exhaustive ~npis:5 in
-  let full = Dict_diag.build Dict_diag.Full_response net pats in
-  let pf = Dict_diag.build Dict_diag.Pass_fail net pats in
+  let session = Session.create net pats in
+  let full = Dict_diag.build_session Dict_diag.Full_response session in
+  let pf = Dict_diag.build_session Dict_diag.Pass_fail session in
   Alcotest.(check int) "same entries" (Dict_diag.num_entries full)
     (Dict_diag.num_entries pf);
   (* c17: 2 POs, so the full dictionary is exactly 2x the pass/fail one. *)
@@ -25,9 +26,9 @@ let test_full_matches_single_diag () =
   let net = Generators.c17 () in
   let g16 = g net "G16" in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g16, true) ] in
-  let dict = Dict_diag.build Dict_diag.Full_response net pats in
+  let dict = Dict_diag.build_session Dict_diag.Full_response (Session.create net pats) in
   let d = Dict_diag.diagnose dict dlog in
-  let s = Single_diag.diagnose net pats dlog in
+  let s = Single_diag.diagnose_session (Session.create net pats) dlog in
   Alcotest.(check (list int)) "same callouts" (Single_diag.callout_nets s)
     (Dict_diag.callout_nets d);
   let top_d = List.hd d.Dict_diag.best and top_s = List.hd s.Single_diag.best in
@@ -40,7 +41,7 @@ let test_single_stuck_hit () =
   let net, pats, dlog = problem ~net ~pats [ Defect.Stuck (site, true) ] in
   List.iter
     (fun flavour ->
-      let dict = Dict_diag.build flavour net pats in
+      let dict = Dict_diag.build_session flavour (Session.create net pats) in
       let r = Dict_diag.diagnose dict dlog in
       let q =
         Metrics.evaluate net ~injected:[ Defect.Stuck (site, true) ]
@@ -54,15 +55,19 @@ let test_passfail_coarser_than_full () =
      the same case: its best set is a superset-or-equal in size. *)
   let net = Generators.c17 () in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g net "G19", false) ] in
-  let full = Dict_diag.diagnose (Dict_diag.build Dict_diag.Full_response net pats) dlog in
-  let pf = Dict_diag.diagnose (Dict_diag.build Dict_diag.Pass_fail net pats) dlog in
+  let session = Session.create net pats in
+  let diagnose flavour =
+    Dict_diag.diagnose (Dict_diag.build_session flavour session) dlog
+  in
+  let full = diagnose Dict_diag.Full_response in
+  let pf = diagnose Dict_diag.Pass_fail in
   Alcotest.(check bool) "coarser" true
     (List.length pf.Dict_diag.best >= List.length full.Dict_diag.best)
 
 let test_pattern_count_check () =
   let net = Generators.c17 () in
   let pats = Pattern.exhaustive ~npis:5 in
-  let dict = Dict_diag.build Dict_diag.Pass_fail net pats in
+  let dict = Dict_diag.build_session Dict_diag.Pass_fail (Session.create net pats) in
   let bad = Datalog.of_entries ~npatterns:5 ~npos:2 [ (1, [ 0 ]) ] in
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Dict_diag.diagnose: datalog pattern count differs from dictionary")
@@ -71,7 +76,7 @@ let test_pattern_count_check () =
 let test_ranking_bounded () =
   let net = Generators.c17 () in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g net "G10", true) ] in
-  let dict = Dict_diag.build Dict_diag.Full_response net pats in
+  let dict = Dict_diag.build_session Dict_diag.Full_response (Session.create net pats) in
   let r = Dict_diag.diagnose ~keep:3 dict dlog in
   Alcotest.(check bool) "bounded" true (List.length r.Dict_diag.ranking <= 3)
 

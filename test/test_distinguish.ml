@@ -48,7 +48,7 @@ let test_sharpen_reduces_ambiguity () =
     let observed = Injection.observed_responses net pats defect in
     let dlog = Datalog.of_responses ~expected ~observed in
     if Datalog.num_failing dlog > 0 then begin
-      let m = Explain.build net pats dlog in
+      let m = Explain.build_session (Session.create net pats) dlog in
       let r = Exact_cover.solve ~max_solutions:8 m in
       let distinct_classes =
         List.sort_uniq compare (List.map class_signature r.Exact_cover.multiplets)
@@ -71,7 +71,9 @@ let test_sharpen_reduces_ambiguity () =
     Alcotest.(check bool) "patterns were added" true (progress.Distinguish.added > 0);
     (* Re-diagnose with the sharpened evidence: the defect site is hit. *)
     let r =
-      Noassume.diagnose net progress.Distinguish.patterns progress.Distinguish.dlog
+      Noassume.diagnose_session
+        (Session.create net progress.Distinguish.patterns)
+        progress.Distinguish.dlog
     in
     let q =
       Metrics.evaluate net ~injected:defect ~callouts:(Noassume.callout_nets r)
@@ -87,7 +89,7 @@ let test_sharpen_noop_when_unambiguous () =
   let dlog = Datalog.of_responses ~expected ~observed in
   let rng = Rng.create 124 in
   let tester _ = Alcotest.fail "tester must not be called when unambiguous" in
-  let m = Explain.build net pats dlog in
+  let m = Explain.build_session (Session.create net pats) dlog in
   let r = Exact_cover.solve ~max_solutions:8 m in
   if List.length r.Exact_cover.multiplets <= 1 then begin
     let progress = Distinguish.sharpen net pats dlog ~tester ~rng in

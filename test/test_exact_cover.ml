@@ -4,7 +4,7 @@ let problem defects =
   let expected = Logic_sim.responses net pats in
   let observed = Injection.observed_responses net pats defects in
   let dlog = Datalog.of_responses ~expected ~observed in
-  (net, pats, Explain.build net pats dlog)
+  (net, pats, Explain.build_session (Session.create net pats) dlog)
 
 let g net name = Option.get (Netlist.find net name)
 
@@ -64,11 +64,11 @@ let test_greedy_never_below_minimum () =
     let observed = Injection.observed_responses net pats defects in
     let dlog = Datalog.of_responses ~expected ~observed in
     if Datalog.num_failing dlog > 0 then begin
-      let m = Explain.build net pats dlog in
+      let m = Explain.build_session (Session.create net pats) dlog in
       let greedy =
         Noassume.diagnose_matrix
           ~config:{ Noassume.default_config with validate = false }
-          m pats
+          m
       in
       let r = Exact_cover.solve m in
       match (r.Exact_cover.complete, r.Exact_cover.minimum) with
@@ -84,7 +84,7 @@ let test_empty_datalog () =
   let pats = Pattern.exhaustive ~npis:5 in
   let resp = Logic_sim.responses net pats in
   let dlog = Datalog.of_responses ~expected:resp ~observed:resp in
-  let m = Explain.build net pats dlog in
+  let m = Explain.build_session (Session.create net pats) dlog in
   let r = Exact_cover.solve m in
   Alcotest.(check (option int)) "minimum 0" (Some 0) r.Exact_cover.minimum;
   Alcotest.(check bool) "empty multiplet" true (r.Exact_cover.multiplets = [ [] ])
@@ -97,7 +97,7 @@ let test_budget_reported () =
   let defects = Injection.random_defects rng net Injection.default_mix 3 in
   let observed = Injection.observed_responses net pats defects in
   let dlog = Datalog.of_responses ~expected ~observed in
-  let m = Explain.build net pats dlog in
+  let m = Explain.build_session (Session.create net pats) dlog in
   let r = Exact_cover.solve ~node_budget:3 m in
   Alcotest.(check bool) "budget exhaustion flagged" false r.Exact_cover.complete
 

@@ -4,7 +4,7 @@ let build_problem defects =
   let expected = Logic_sim.responses net pats in
   let observed = Injection.observed_responses net pats defects in
   let dlog = Datalog.of_responses ~expected ~observed in
-  (net, pats, dlog, Explain.build net pats dlog)
+  (net, pats, dlog, Explain.build_session (Session.create net pats) dlog)
 
 let g net name = Option.get (Netlist.find net name)
 

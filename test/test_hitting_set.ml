@@ -52,7 +52,7 @@ let prop_oracle =
       | None -> true
       | Some dlog ->
         let net = Lazy.force c17 and pats = Lazy.force c17_pats in
-        let m = Explain.build net pats dlog in
+        let m = Explain.build_session (Session.create net pats) dlog in
         let direct = Exact_cover.solve m in
         (match (direct.Exact_cover.complete, direct.Exact_cover.minimum) with
         | true, Some k ->
@@ -74,11 +74,11 @@ let prop_seeded_never_larger =
       | None -> true
       | Some dlog ->
         let net = Lazy.force c17 and pats = Lazy.force c17_pats in
-        let m = Explain.build net pats dlog in
+        let m = Explain.build_session (Session.create net pats) dlog in
         let greedy =
           Noassume.diagnose_matrix
             ~config:{ Noassume.default_config with validate = false }
-            m pats
+            m
         in
         let seed_ids =
           List.filter_map (Explain.find_candidate m) greedy.Noassume.multiplet
@@ -92,7 +92,6 @@ let prop_seeded_never_larger =
         | _ -> true))
 
 let cold_session cover =
-  Sig_cache.clear ();
   Session.create
     ~config:{ Session.default_config with Session.domains = Some 1; cover }
     (Lazy.force c17) (Lazy.force c17_pats)
@@ -155,7 +154,6 @@ let test_budget_fallback_byte_identity () =
   | None -> Alcotest.fail "no failing c17 datalog"
   | Some dlog ->
     let greedy_r = Noassume.diagnose_session (cold_session Session.Greedy) dlog in
-    Sig_cache.clear ();
     let starved =
       Session.create
         ~config:
@@ -181,7 +179,7 @@ let test_empty_instance () =
   let net = Lazy.force c17 and pats = Lazy.force c17_pats in
   let resp = Logic_sim.responses net pats in
   let dlog = Datalog.of_responses ~expected:resp ~observed:resp in
-  let m = Explain.build net pats dlog in
+  let m = Explain.build_session (Session.create net pats) dlog in
   let r = Hitting_set.solve m in
   Alcotest.(check bool) "complete" true r.Hitting_set.complete;
   Alcotest.(check (option int)) "minimum 0" (Some 0) r.Hitting_set.minimum;

@@ -51,7 +51,7 @@ let prop_diagnosis_wellformed =
       let net, pats, _, _, _, dlog = random_problem seed 3 in
       if Datalog.num_failing dlog = 0 then true
       else begin
-        let r = Noassume.diagnose net pats dlog in
+        let r = Noassume.diagnose_session (Session.create net pats) dlog in
         let nets_ok =
           List.for_all
             (fun n -> n >= 0 && n < Netlist.num_nets net)
@@ -104,7 +104,9 @@ let prop_single_stuck_slat =
       let observed = Injection.observed_responses net pats defects in
       let dlog = Datalog.of_responses ~expected ~observed in
       Datalog.num_failing dlog = 0
-      || Slat.slat_fraction (Slat.classify (Explain.build net pats dlog)) = 1.0)
+      ||
+      let m = Explain.build_session (Session.create net pats) dlog in
+      Slat.slat_fraction (Slat.classify m) = 1.0)
 
 (* Contributing defects: by definition, removing a single defect that
    the filter kept must change some response.  (Removing all the

@@ -1,6 +1,6 @@
 (* End-to-end oracles for the allocation-free simulation kernel: every
    fast path (event-driven propagation with PO-reachability screening,
-   the direct-indexed [Explain.build] accumulators, precomputed-goods
+   the direct-indexed [Explain.build_session] accumulators, precomputed-goods
    signatures) must agree bit for bit with a brute-force overlay
    resimulation that shares none of its code. *)
 
@@ -62,7 +62,7 @@ let prop_delta_injection_matches_overlay =
           !ok)
         (Pattern.blocks pats))
 
-(* --- Explain.build against a brute-force reference ------------------ *)
+(* --- Explain.build_session against a brute-force reference ------- *)
 
 (* Every accumulator of a built matrix against [Reference.naive_matrices]
    over its own candidate pool. *)
@@ -88,12 +88,16 @@ let matches_naive net pats dlog m =
 
 let prop_explain_matches_naive =
   QCheck.Test.make
-    ~name:"Explain.build matches brute-force overlay reference" ~count:10
+    ~name:"Explain.build_session matches brute-force overlay reference" ~count:10
     QCheck.(pair (int_range 1 100_000) (int_range 1 3))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
-      else matches_naive net pats dlog (Explain.build ~domains:1 net pats dlog))
+      else
+        let session =
+          Session.create ~config:{ Session.default_config with domains = Some 1 } net pats
+        in
+        matches_naive net pats dlog (Explain.build_session session dlog))
 
 (* --- signature ~goods ----------------------------------------------- *)
 
@@ -344,7 +348,7 @@ let test_oscillating_bridge () =
         (bridges_agree net pats dlog ~rest ~victim ~aggressor))
     bridge_kinds
 
-(* --- Explain.build: brute force and warm replay, cold shared cache --- *)
+(* --- Explain.build_session: brute force and warm replay ------------- *)
 
 let explain_equal m1 m2 =
   let c1 = Explain.candidates m1 and c2 = Explain.candidates m2 in
@@ -370,10 +374,9 @@ let explain_equal m1 m2 =
             !ok)
           c1)
 
-(* With a cold shared [Sig_cache] and four domains racing to fill it,
-   the batched build must match the per-fault brute-force reference,
-   and a warm replay from the cache it filled must produce the
-   identical matrix. *)
+(* On a cold session with four domains filling its cache, the batched
+   build must match the per-fault brute-force reference, and a warm
+   replay from the cache it filled must produce the identical matrix. *)
 let prop_explain_brute_force_and_replay =
   QCheck.Test.make
     ~name:"Explain.build: batched = per-fault brute force = warm replay (4 domains)"
@@ -383,14 +386,11 @@ let prop_explain_brute_force_and_replay =
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
       else begin
-        (* Each build wraps the problem in a transient cache-on session;
-           [Sig_cache.for_problem] hands consecutive builds the shared
-           registry instance, so the second build replays warm. *)
-        let build () = Explain.build ~domains:4 ~cache:true net pats dlog in
-        Sig_cache.clear ();
-        let batched = build () in
-        let warm = build () in
-        Sig_cache.clear ();
+        let session =
+          Session.create ~config:{ Session.default_config with domains = Some 4 } net pats
+        in
+        let batched = Explain.build_session session dlog in
+        let warm = Explain.build_session session dlog in
         matches_naive net pats dlog batched && explain_equal batched warm
       end)
 
@@ -409,8 +409,7 @@ let prop_packed_arena_matches_scalar =
     (fun seed ->
       let net = Generators.random_logic ~gates:(40 + (seed mod 60)) ~pis:6 ~pos:5 ~seed in
       let pats = Pattern.random (Rng.create (seed * 3)) ~npis:6 ~count:70 in
-      Sig_cache.clear ();
-      let c = Sig_cache.for_problem net pats in
+      let c = Sig_cache.create net pats in
       let sim = Fault_sim.create net in
       let faults = Fault_list.representatives (Fault_list.collapse net) in
       let reference =
@@ -444,11 +443,9 @@ let prop_packed_arena_matches_scalar =
       Unix.mkdir dir 0o755;
       let saved = Sig_cache.save_frozen ~dir c in
       let in_memory = agrees c in
-      Sig_cache.clear ();
-      let c2 = Sig_cache.for_problem net pats in
+      let c2 = Sig_cache.create net pats in
       let loaded = Sig_cache.load_frozen ~dir c2 in
       let from_disk = agrees c2 in
-      Sig_cache.clear ();
       saved && loaded && in_memory && from_disk)
 
 let suite =

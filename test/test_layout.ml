@@ -76,7 +76,7 @@ let test_layout_aware_aggressor_filter () =
     let observed = Injection.observed_responses net pats defects in
     let dlog = Datalog.of_responses ~expected ~observed in
     if Datalog.num_failing dlog > 0 then begin
-      let r = Noassume.diagnose ~config net pats dlog in
+      let r = Noassume.diagnose_session ~config (Session.create net pats) dlog in
       List.iter
         (fun (c : Noassume.callout) ->
           List.iter

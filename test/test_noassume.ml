@@ -10,7 +10,7 @@ let test_single_stuck_exact_localisation () =
   let net = Generators.c17 () in
   let g16 = g net "G16" in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g16, true) ] in
-  let r = Noassume.diagnose net pats dlog in
+  let r = Noassume.diagnose_session (Session.create net pats) dlog in
   (* G16 sa1 collapses with G2 sa0 etc.; the callout must be in the
      equivalence neighbourhood, and scored as a hit. *)
   let q =
@@ -29,7 +29,7 @@ let test_two_disjoint_stucks () =
   let pats = Pattern.random (Rng.create 61) ~npis:(Netlist.num_pis net) ~count:64 in
   let defects = [ Defect.Stuck (s0, true); Defect.Stuck (s7, false) ] in
   let net, pats, dlog = problem ~net ~pats defects in
-  let r = Noassume.diagnose net pats dlog in
+  let r = Noassume.diagnose_session (Session.create net pats) dlog in
   let q = Metrics.evaluate net ~injected:defects ~callouts:(Noassume.callout_nets r) in
   Alcotest.(check bool) "both found" true q.Metrics.success;
   Alcotest.(check bool) "diagnosability 1" true (q.Metrics.diagnosability = 1.0)
@@ -38,8 +38,8 @@ let test_deterministic () =
   let net = Generators.c17 () in
   let defects = [ Defect.Stuck (g net "G10", true); Defect.Stuck (g net "G19", false) ] in
   let net, pats, dlog = problem ~net defects in
-  let a = Noassume.diagnose net pats dlog in
-  let b = Noassume.diagnose net pats dlog in
+  let a = Noassume.diagnose_session (Session.create net pats) dlog in
+  let b = Noassume.diagnose_session (Session.create net pats) dlog in
   Alcotest.(check bool) "same multiplet" true (a.Noassume.multiplet = b.Noassume.multiplet);
   Alcotest.(check bool) "same callouts" true
     (Noassume.callout_nets a = Noassume.callout_nets b)
@@ -53,7 +53,7 @@ let test_dominant_bridge_confirmed () =
   let pats = Pattern.random (Rng.create 62) ~npis:(Netlist.num_pis net) ~count:96 in
   let defects = [ Defect.Bridge { victim; aggressor; kind = Defect.Dominant } ] in
   let net, pats, dlog = problem ~net ~pats defects in
-  let r = Noassume.diagnose net pats dlog in
+  let r = Noassume.diagnose_session (Session.create net pats) dlog in
   let q = Metrics.evaluate net ~injected:defects ~callouts:(Noassume.callout_nets r) in
   Alcotest.(check bool) "victim located" true (q.Metrics.hits = 1)
 
@@ -62,7 +62,7 @@ let test_intermittent_byzantine_callout () =
   let g11 = g net "G11" in
   let defects = [ Defect.Intermittent { site = g11; salt = 9; rate_pct = 50 } ] in
   let net, pats, dlog = problem ~net defects in
-  let r = Noassume.diagnose net pats dlog in
+  let r = Noassume.diagnose_session (Session.create net pats) dlog in
   let q = Metrics.evaluate net ~injected:defects ~callouts:(Noassume.callout_nets r) in
   Alcotest.(check bool) "site located" true (q.Metrics.hits = 1)
 
@@ -71,7 +71,7 @@ let test_empty_datalog () =
   let pats = Pattern.exhaustive ~npis:5 in
   let r = Logic_sim.responses net pats in
   let dlog = Datalog.of_responses ~expected:r ~observed:r in
-  let result = Noassume.diagnose net pats dlog in
+  let result = Noassume.diagnose_session (Session.create net pats) dlog in
   Alcotest.(check int) "empty multiplet" 0 (List.length result.Noassume.multiplet);
   Alcotest.(check int) "no callouts" 0 (List.length result.Noassume.callouts);
   Alcotest.(check bool) "perfect trivially" true (Scoring.perfect result.Noassume.score)
@@ -83,7 +83,7 @@ let test_max_multiplet_respected () =
   let defects = Injection.random_defects rng net Injection.default_mix 4 in
   let net, pats, dlog = problem ~net ~pats defects in
   let config = { Noassume.default_config with max_multiplet = 2 } in
-  let r = Noassume.diagnose ~config net pats dlog in
+  let r = Noassume.diagnose_session ~config (Session.create net pats) dlog in
   Alcotest.(check bool) "capped" true (List.length r.Noassume.multiplet <= 2)
 
 let test_config_variants_run () =
@@ -96,7 +96,7 @@ let test_config_variants_run () =
   let net, pats, dlog = problem ~net ~pats defects in
   List.iter
     (fun config ->
-      let r = Noassume.diagnose ~config net pats dlog in
+      let r = Noassume.diagnose_session ~config (Session.create net pats) dlog in
       Alcotest.(check bool) "has candidates" true (r.Noassume.candidates_considered > 0))
     [
       Noassume.default_config;
@@ -111,7 +111,7 @@ let test_callout_order_by_explained () =
   let pats = Pattern.random rng ~npis:(Netlist.num_pis net) ~count:64 in
   let defects = Injection.random_defects rng net Injection.default_mix 3 in
   let net, pats, dlog = problem ~net ~pats defects in
-  let r = Noassume.diagnose net pats dlog in
+  let r = Noassume.diagnose_session (Session.create net pats) dlog in
   let explained = List.map (fun c -> c.Noassume.explained_obs) r.Noassume.callouts in
   Alcotest.(check (list int)) "descending" (List.sort (fun a b -> compare b a) explained)
     explained
@@ -128,13 +128,13 @@ let test_refinement_never_worsens () =
     let observed = Injection.observed_responses net pats defects in
     let dlog = Datalog.of_responses ~expected ~observed in
     if Datalog.num_failing dlog > 0 then begin
-      let m = Explain.build net pats dlog in
+      let m = Explain.build_session (Session.create net pats) dlog in
       let raw =
         Noassume.diagnose_matrix
           ~config:{ Noassume.default_config with validate = false }
-          m pats
+          m
       in
-      let refined = Noassume.diagnose_matrix m pats in
+      let refined = Noassume.diagnose_matrix m in
       Alcotest.(check bool) "refinement helps or holds" true
         (Scoring.penalty refined.Noassume.score <= Scoring.penalty raw.Noassume.score)
     end

@@ -36,7 +36,7 @@ let problem seed =
 
 let diagnose_once seed =
   let net, pats, dlog = problem seed in
-  ignore (Noassume.diagnose net pats dlog)
+  ignore (Noassume.diagnose_session (Session.create net pats) dlog)
 
 let counter_value snap name =
   match List.assoc_opt name snap.Obs.counters with

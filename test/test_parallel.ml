@@ -149,9 +149,11 @@ let prop_matrix_identical_across_domains =
     QCheck.(pair (int_range 1 100_000) (int_range 1 4))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
-      let m1 = Explain.build ~domains:1 net pats dlog in
-      let m4 = Explain.build ~domains:4 net pats dlog in
-      matrices_identical m1 m4)
+      let build d =
+        let config = { Session.default_config with Session.domains = Some d } in
+        Explain.build_session (Session.create ~config net pats) dlog
+      in
+      matrices_identical (build 1) (build 4))
 
 let prop_diagnosis_identical_across_domains =
   QCheck.Test.make ~name:"Noassume.diagnose: domains=1 = domains=4 (end to end)"

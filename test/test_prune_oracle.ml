@@ -2,9 +2,11 @@
    signature cache.  The pruned matrix must answer, candidate by
    candidate, exactly as brute-force simulation of the full seed pool
    does, and every seed the activation screen dropped must explain
-   nothing; with the cache on, every diagnosis report must be
-   byte-identical to the uncached one — on random circuits, all defect
-   kinds, multiplicities 1-4 — and a shared cache hammered from several
+   nothing; every diagnosis report must be byte-identical whether its
+   signatures were simulated (a cold session), replayed from the
+   mutable tier (the same session, warm) or read from the frozen arena
+   (a prewarmed session) — on random circuits, all defect kinds,
+   multiplicities 1-4 — and a shared cache hammered from several
    domains at once must not change any result. *)
 
 let random_problem seed multiplicity =
@@ -19,12 +21,21 @@ let random_problem seed multiplicity =
   let dlog = Datalog.of_responses ~expected ~observed in
   (net, pats, dlog)
 
-(* A session with the cache on or off, from a cold cache: clearing the
-   registry first means [Session.create] builds a fresh cache instance
-   instead of adopting a warm shared one. *)
-let cold_session ~cache net pats =
-  Sig_cache.clear ();
-  Session.create ~config:{ Session.default_config with Session.cache } net pats
+(* [render] on a cold session (its first diagnosis simulates every
+   signature: the uncached computation), on the same session again (now
+   warm: every signature is a cache hit) and on a prewarmed session
+   (every signature comes from the frozen arena). *)
+let cold_warm_frozen net pats render =
+  let session = Session.create net pats in
+  let cold = render session in
+  let warm = render session in
+  let frozen =
+    let config = { Session.default_config with prewarm = true } in
+    render (Session.create ~config net pats)
+  in
+  [ cold; warm; frozen ]
+
+let all_equal = function [] -> true | x :: rest -> List.for_all (String.equal x) rest
 
 let prop_noassume_report_identical =
   QCheck.Test.make
@@ -35,11 +46,9 @@ let prop_noassume_report_identical =
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
       else begin
-        let report ~cache =
-          let session = cold_session ~cache net pats in
-          Report.render net (Noassume.diagnose_session session dlog)
-        in
-        String.equal (report ~cache:true) (report ~cache:false)
+        all_equal
+          (cold_warm_frozen net pats (fun session ->
+               Report.render net (Noassume.diagnose_session session dlog)))
       end)
 
 (* Matrix-level oracle, finer than the report: the test rebuilds the
@@ -55,7 +64,7 @@ let prop_matrix_rows_match =
     QCheck.(pair (int_range 1 100_000) (int_range 1 4))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
-      let m = Explain.build ~cache:false net pats dlog in
+      let m = Explain.build_session (Session.create net pats) dlog in
       let pool = Reference.seed_pool net dlog in
       let covers, matched, spurious, mispredict_pass =
         Reference.naive_matrices net pats dlog pool
@@ -103,17 +112,13 @@ let prop_single_and_slat_reports_identical =
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
       else begin
-        let single ~cache =
-          let session = cold_session ~cache net pats in
-          Report.render_single net (Single_diag.diagnose_session session dlog)
-        in
-        let slat ~cache =
-          let session = cold_session ~cache net pats in
-          let m = Explain.build_session session dlog in
-          Report.render_slat net (Slat_diag.diagnose m pats)
-        in
-        String.equal (single ~cache:true) (single ~cache:false)
-        && String.equal (slat ~cache:true) (slat ~cache:false)
+        all_equal
+          (cold_warm_frozen net pats (fun session ->
+               Report.render_single net (Single_diag.diagnose_session session dlog)))
+        && all_equal
+             (cold_warm_frozen net pats (fun session ->
+                  let m = Explain.build_session session dlog in
+                  Report.render_slat net (Slat_diag.diagnose m)))
       end)
 
 (* Several domains race on one cold shared cache, each running a full
@@ -124,11 +129,11 @@ let test_concurrent_shared_cache () =
   let net, pats, dlog = random_problem 4242 3 in
   Alcotest.(check bool) "problem has failures" true (Datalog.num_failing dlog > 0);
   let diagnose session () = Report.render net (Noassume.diagnose_session session dlog) in
-  let reference = diagnose (cold_session ~cache:true net pats) () in
+  let reference = diagnose (Session.create net pats) () in
   for round = 1 to 3 do
     (* A fresh session per round re-creates the cache instance cold, so
        the four domains race on an empty shared cache every time. *)
-    let session = cold_session ~cache:true net pats in
+    let session = Session.create net pats in
     let workers = Array.init 4 (fun _ -> Domain.spawn (diagnose session)) in
     Array.iteri
       (fun i d ->
@@ -136,8 +141,7 @@ let test_concurrent_shared_cache () =
           (Printf.sprintf "round %d worker %d" round i)
           reference (Domain.join d))
       workers
-  done;
-  Sig_cache.clear ()
+  done
 
 let suite =
   [

@@ -16,7 +16,7 @@ let g net name = Option.get (Netlist.find net name)
 let test_render_noassume () =
   let net = Generators.c17 () in
   let net, pats, dlog = problem [ Defect.Stuck (g net "G16", true) ] in
-  let r = Noassume.diagnose net pats dlog in
+  let r = Noassume.diagnose_session (Session.create net pats) dlog in
   let s = Report.render net r in
   List.iter
     (fun needle ->
@@ -31,7 +31,7 @@ let test_render_noassume () =
 let test_render_single () =
   let net = Generators.c17 () in
   let net, pats, dlog = problem [ Defect.Stuck (g net "G10", false) ] in
-  let r = Single_diag.diagnose net pats dlog in
+  let r = Single_diag.diagnose_session (Session.create net pats) dlog in
   let s = Report.render_single net r in
   Alcotest.(check bool) "header" true (contains ~needle:"single-fault baseline" s);
   Alcotest.(check bool) "has sa notation" true (contains ~needle:" sa" s)
@@ -39,8 +39,8 @@ let test_render_single () =
 let test_render_slat () =
   let net = Generators.c17 () in
   let net, pats, dlog = problem [ Defect.Stuck (g net "G19", true) ] in
-  let m = Explain.build net pats dlog in
-  let r = Slat_diag.diagnose m pats in
+  let m = Explain.build_session (Session.create net pats) dlog in
+  let r = Slat_diag.diagnose m in
   let s = Report.render_slat net r in
   Alcotest.(check bool) "header" true (contains ~needle:"SLAT baseline" s);
   Alcotest.(check bool) "ignored count" true (contains ~needle:"non-SLAT" s)

@@ -153,7 +153,7 @@ let test_scan_diagnosis_end_to_end () =
     Array.exists (fun (o : Datalog.observation) -> Scan_design.cell_of_ppo d o.po <> None) obs
   in
   Alcotest.(check bool) "fails at scan cells" true on_cells;
-  let r = Noassume.diagnose core pats dlog in
+  let r = Noassume.diagnose_session (Session.create core pats) dlog in
   let q = Metrics.evaluate core ~injected:defects ~callouts:(Noassume.callout_nets r) in
   Alcotest.(check bool) "located" true (q.Metrics.hits = 1)
 

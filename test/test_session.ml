@@ -1,9 +1,11 @@
-(* Session-scoped configuration oracle: the config record must change
-   speed, never results.  The cache on and off, at 1 and at 4 kernel
+(* Session oracle: how warm a session is must change speed, never
+   results.  A cold, a warm and a frozen session, at 1 and at 4 kernel
    domains, must yield a byte-identical diagnosis report on the rnd1k
    suite circuit, and concurrent diagnoses sharing one warm session
    must match their sequential runs byte for byte — the properties the
-   volume service stands on. *)
+   volume service stands on.  Each session owns its cache: two sessions
+   on one problem share nothing, and a dropped session frees its
+   cache. *)
 
 let net =
   lazy
@@ -28,11 +30,8 @@ let make_dlog seed multiplicity =
   in
   draw 20
 
-(* A cold session: clearing the registry first forces [Session.create]
-   to build a fresh cache instance instead of adopting a warm one. *)
-let cold_session config =
-  Sig_cache.clear ();
-  Session.create ~config (Lazy.force net) (Lazy.force pats)
+(* A cold session: [Session.create] always builds a fresh cache. *)
+let cold_session config = Session.create ~config (Lazy.force net) (Lazy.force pats)
 
 let tmpdir () =
   let dir = Filename.temp_file "mddsession" "" in
@@ -40,26 +39,73 @@ let tmpdir () =
   Unix.mkdir dir 0o755;
   dir
 
-let config ~cache ~domains = { Session.default_config with Session.cache; domains = Some domains }
+let config ~domains = { Session.default_config with Session.domains = Some domains }
 
-(* All four cache x domain-count corners produce one report, byte for
-   byte, from a cold cache each time. *)
+(* Cold (every row simulated), warm (the mutable tier, filled by a first
+   diagnosis, answers every row) and frozen (prewarm: the packed arena
+   answers) sessions, at 1 and 4 domains, produce one report byte for
+   byte — the cache may change who answers a probe, never the answer. *)
 let prop_all_combos_identical =
-  QCheck.Test.make ~name:"cache on/off at one and four domains: byte-identical reports"
+  QCheck.Test.make
+    ~name:"cold/warm/frozen sessions at one and four domains: byte-identical reports"
     ~count:2
     QCheck.(pair (int_range 1 100_000) (int_range 2 3))
     (fun (seed, multiplicity) ->
       match make_dlog seed multiplicity with
       | None -> true
       | Some dlog ->
-        let report ~cache ~domains =
-          let session = cold_session (config ~cache ~domains) in
+        let render session =
           Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
         in
-        let reference = report ~cache:true ~domains:1 in
-        List.for_all
-          (fun (cache, domains) -> String.equal reference (report ~cache ~domains))
-          [ (true, 4); (false, 1); (false, 4) ])
+        let reports domains =
+          let session = cold_session (config ~domains) in
+          let cold = render session in
+          let warm = render session in
+          let frozen_session =
+            cold_session { (config ~domains) with Session.prewarm = true }
+          in
+          if not (Sig_cache.is_frozen (Option.get (Session.cache frozen_session))) then
+            QCheck.Test.fail_report "prewarm left the cache unfrozen";
+          [ cold; warm; render frozen_session ]
+        in
+        let all = reports 1 @ reports 4 in
+        List.for_all (String.equal (List.hd all)) all)
+
+(* Two sessions on the very same (net, pats) values hold two caches: the
+   second session's first build starts cold and simulates. *)
+let test_sessions_do_not_share () =
+  let net = Generators.c17 () in
+  let pats = Pattern.exhaustive ~npis:(Netlist.num_pis net) in
+  let g19 = Option.get (Netlist.find net "G19") in
+  let expected = Logic_sim.responses net pats in
+  let observed = Injection.observed_responses net pats [ Defect.Stuck (g19, true) ] in
+  let dlog = Datalog.of_responses ~expected ~observed in
+  let misses session =
+    let sk = Obs.sink () in
+    ignore (Obs.with_sink sk (fun () -> Explain.build_session session dlog));
+    let counters = (Obs.sink_snapshot sk).Obs.counters in
+    Option.value ~default:0 (List.assoc_opt "cache.misses" counters)
+  in
+  let first = Session.create net pats in
+  Alcotest.(check bool) "first session starts cold" true (misses first > 0);
+  Alcotest.(check int) "first session is warm on its second build" 0 (misses first);
+  Alcotest.(check bool) "second session on the same problem starts cold" true
+    (misses (Session.create net pats) > 0)
+
+(* A dropped session frees its cache: nothing outside the session keeps
+   the instance reachable. *)
+let test_dropped_session_frees_cache () =
+  let net = Generators.c17 () in
+  let pats = Pattern.exhaustive ~npis:(Netlist.num_pis net) in
+  let w = Weak.create 1 in
+  let[@inline never] fill () =
+    let config = { Session.default_config with prewarm = true } in
+    let session = Session.create ~config net pats in
+    Weak.set w 0 (Session.cache session)
+  in
+  fill ();
+  Gc.full_major ();
+  Alcotest.(check bool) "cache collected with its session" false (Weak.check w 0)
 
 (* Four dies drained concurrently over one shared warm session must
    produce exactly the reports their one-at-a-time runs produce —
@@ -79,63 +125,25 @@ let prop_concurrent_matches_sequential =
         |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
       in
       QCheck.assume (dies <> []);
-      let session = cold_session (config ~cache:true ~domains:1) in
+      let session = cold_session (config ~domains:1) in
       (* Sequential reference also warms the session's cache, so the
          concurrent drain below runs the warm-session fast path. *)
       let sequential = Volume.run ~workers:1 session dies in
       let concurrent = Volume.run ~workers:4 session dies in
-      Sig_cache.clear ();
       List.for_all2
         (fun (a : Volume.die_result) (b : Volume.die_result) ->
           String.equal a.Volume.text b.Volume.text && String.equal a.Volume.die b.Volume.die)
         sequential concurrent)
 
-(* Prewarm oracle: a prewarm+frozen session, a lazy-warm session (cache
-   filled by a first diagnosis, never frozen) and a cache-off session
-   must render byte-identical reports — the freeze may change who
-   answers a probe, never the answer. *)
-let prop_prewarm_identical =
-  QCheck.Test.make
-    ~name:"prewarm+frozen / lazy-warm / cache-off: byte-identical reports" ~count:2
-    QCheck.(pair (int_range 1 100_000) (int_range 2 3))
-    (fun (seed, multiplicity) ->
-      match make_dlog seed multiplicity with
-      | None -> true
-      | Some dlog ->
-        let render session =
-          Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
-        in
-        let frozen =
-          let session =
-            cold_session
-              { (config ~cache:true ~domains:1) with Session.prewarm = true }
-          in
-          (match Session.cache session with
-          | Some c when Sig_cache.is_frozen c -> ()
-          | Some _ -> QCheck.Test.fail_report "prewarm left the cache unfrozen"
-          | None -> QCheck.Test.fail_report "prewarm session lost its cache");
-          render session
-        in
-        let lazy_warm =
-          let session = cold_session (config ~cache:true ~domains:1) in
-          (* First diagnosis fills the mutable tier; the rendered rerun
-             is the lazy-warm steady state. *)
-          ignore (Noassume.diagnose_session session dlog);
-          render session
-        in
-        let off = render (cold_session (config ~cache:false ~domains:1)) in
-        Sig_cache.clear ();
-        String.equal frozen lazy_warm && String.equal frozen off)
-
 (* Disk round trip through the session layer, at 1 and 4 domains: a
    session that adopts its frozen tier from a snapshot (store.loads =
    1, zero simulation) must render the same bytes as the prewarming
-   session that saved it and as a cache-off session — the packed
+   session that saved it and as a cold session — the packed
    arena's decode is the same whether the bytes came from a live
    freeze or from disk, and the domain count may change neither. *)
 let prop_store_round_trip_identical =
   QCheck.Test.make
-    ~name:"store round trip: loaded session = prewarm = cache-off (1 and 4 domains)"
+    ~name:"store round trip: loaded session = prewarm = cold session (1 and 4 domains)"
     ~count:2
     QCheck.(pair (int_range 1 100_000) (int_range 2 3))
     (fun (seed, multiplicity) ->
@@ -150,23 +158,21 @@ let prop_store_round_trip_identical =
           List.for_all
             (fun domains ->
               let base =
-                { (config ~cache:true ~domains) with Session.prewarm = true; store_dir = Some dir }
+                { (config ~domains) with Session.prewarm = true; store_dir = Some dir }
               in
               (* First create sweeps live and saves the snapshot... *)
               let saver = render (cold_session base) in
               (* ...the second must adopt it from disk: a prewarm that
                  actually loaded leaves prewarm.faults at zero. *)
               let loaded_session = cold_session base in
-              (match Session.cache loaded_session with
-              | Some c when Sig_cache.is_frozen c -> ()
-              | Some _ -> QCheck.Test.fail_report "loaded session not frozen"
-              | None -> QCheck.Test.fail_report "loaded session lost its cache");
+              let cache = Option.get (Session.cache loaded_session) in
+              if not (Sig_cache.is_frozen cache) then
+                QCheck.Test.fail_report "loaded session not frozen";
               let loaded = render loaded_session in
-              let off = render (cold_session (config ~cache:false ~domains)) in
-              String.equal saver loaded && String.equal saver off)
+              let cold = render (cold_session (config ~domains)) in
+              String.equal saver loaded && String.equal saver cold)
             [ 1; 4 ]
         in
-        Sig_cache.clear ();
         ok)
 
 (* Request-level parallelism on a frozen cache: 4 workers hammering the
@@ -186,13 +192,9 @@ let prop_frozen_concurrent_matches_sequential =
         |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
       in
       QCheck.assume (dies <> []);
-      let session =
-        cold_session
-          { (config ~cache:true ~domains:1) with Session.prewarm = true }
-      in
+      let session = cold_session { (config ~domains:1) with Session.prewarm = true } in
       let sequential = Volume.run ~workers:1 session dies in
       let concurrent = Volume.run ~workers:4 session dies in
-      Sig_cache.clear ();
       List.for_all2
         (fun (a : Volume.die_result) (b : Volume.die_result) ->
           String.equal a.Volume.text b.Volume.text && String.equal a.Volume.die b.Volume.die)
@@ -208,13 +210,9 @@ let test_frozen_counter_delta () =
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session =
-    cold_session
-      { (config ~cache:true ~domains:1) with Session.prewarm = true }
-  in
-  (match Session.cache session with
-  | Some c -> Alcotest.(check bool) "cache frozen after prewarm" true (Sig_cache.is_frozen c)
-  | None -> Alcotest.fail "prewarm session lost its cache");
+  let session = cold_session { (config ~domains:1) with Session.prewarm = true } in
+  Alcotest.(check bool) "cache frozen after prewarm" true
+    (Sig_cache.is_frozen (Option.get (Session.cache session)));
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
@@ -230,8 +228,7 @@ let test_frozen_counter_delta () =
         (Printf.sprintf "%s: frozen-tier hits observed" r.Volume.die)
         true
         (get "cache.frozen_hits" > 0))
-    results;
-  Sig_cache.clear ()
+    results
 
 (* The volume rollup ranks by dies-implicated and carries every die. *)
 let test_rollup () =
@@ -240,7 +237,7 @@ let test_rollup () =
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = cold_session (config ~cache:true ~domains:1) in
+  let session = cold_session (config ~domains:1) in
   let results = Volume.run ~workers:1 session dies in
   let ru = Volume.rollup session results in
   Alcotest.(check int) "rollup die count" (List.length dies) ru.Volume.dies;
@@ -259,8 +256,7 @@ let test_rollup () =
         (Printf.sprintf "net %s within die count" n.Volume.net)
         true
         (n.Volume.dies_implicated >= 1 && n.Volume.dies_implicated <= ru.Volume.dies))
-    ru.Volume.nets;
-  Sig_cache.clear ()
+    ru.Volume.nets
 
 (* Per-die sinks: each die's report carries its own counters (a
    diagnosis always runs the explain phase at least once), and the
@@ -271,7 +267,7 @@ let test_per_die_sinks () =
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = cold_session (config ~cache:true ~domains:1) in
+  let session = cold_session (config ~domains:1) in
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
@@ -280,13 +276,12 @@ let test_per_die_sinks () =
       Alcotest.(check bool)
         (Printf.sprintf "%s scored at least one multiplet" r.Volume.die)
         true (evals > 0))
-    results;
-  Sig_cache.clear ()
+    results
 
 (* One bad die must not kill a --batch-dir drain: a directory holding
    one valid, one empty and one malformed datalog yields the valid die's
    report, byte-identical to a single-shot run, plus one error record
-   per bad die, counted in the rollup. *)
+   per bad die, counted in the rollup and in [volume.failed]. *)
 let test_batch_dir_bad_dies () =
   let dlog =
     match make_dlog 4000 2 with Some d -> d | None -> Alcotest.fail "no failing draw"
@@ -300,8 +295,11 @@ let test_batch_dir_bad_dies () =
   write "valid.datalog" (Datalog.to_text dlog);
   write "empty.datalog" "";
   write "malformed.datalog" "garbage line\n";
-  let session = cold_session (config ~cache:true ~domains:1) in
-  let loaded = Volume.load_dir session dir in
+  let session = cold_session (config ~domains:1) in
+  let sk = Obs.sink () in
+  let loaded = Obs.with_sink sk (fun () -> Volume.load_dir session dir) in
+  Alcotest.(check (option int)) "volume.failed counter" (Some 2)
+    (List.assoc_opt "volume.failed" (Obs.sink_snapshot sk).Obs.counters);
   let dies = List.filter_map Result.to_option loaded in
   let failed = List.filter_map (function Error f -> Some f | Ok _ -> None) loaded in
   Alcotest.(check (list string)) "diagnosable dies" [ "valid" ]
@@ -326,8 +324,7 @@ let test_batch_dir_bad_dies () =
         (Option.bind (Obs_json.member "error" (json name)) Obs_json.str <> None))
     [ "empty"; "malformed" ];
   Alcotest.(check (option int)) "rollup.json failed" (Some 2)
-    (Option.bind (Obs_json.member "failed" (json "rollup")) Obs_json.int);
-  Sig_cache.clear ()
+    (Option.bind (Obs_json.member "failed" (json "rollup")) Obs_json.int)
 
 let suite =
   [
@@ -337,12 +334,15 @@ let suite =
         Alcotest.test_case "per-die sinks carry counters" `Quick test_per_die_sinks;
         Alcotest.test_case "frozen counter delta (hits -> frozen_hits)" `Quick
           test_frozen_counter_delta;
+        Alcotest.test_case "two sessions on one problem share no signatures" `Quick
+          test_sessions_do_not_share;
+        Alcotest.test_case "a dropped session frees its cache" `Quick
+          test_dropped_session_frees_cache;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [
             prop_all_combos_identical;
             prop_concurrent_matches_sequential;
-            prop_prewarm_identical;
             prop_store_round_trip_identical;
             prop_frozen_concurrent_matches_sequential;
           ]

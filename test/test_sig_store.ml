@@ -24,12 +24,11 @@ let problem =
      let pats = Pattern.random rng ~npis:(Netlist.num_pis net) ~count:64 in
      (net, pats))
 
-(* A fresh instance for the problem: the registry is cleared first so
-   each test populates its own cache rather than adopting a warm one. *)
+(* A fresh, empty instance for the problem: each test populates its own
+   cache. *)
 let fresh_instance () =
   let net, pats = Lazy.force problem in
-  Sig_cache.clear ();
-  (Sig_cache.for_problem net pats, net, pats)
+  (Sig_cache.create net pats, net, pats)
 
 (* Populate the mutable tier with real signatures — one per collapsed
    fault — and freeze, exactly as [Session.prewarm] would. *)
@@ -57,8 +56,7 @@ let test_round_trip () =
   let dir = tmpdir () in
   Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c1);
   Alcotest.(check int) "store.saves bumped" (saves0 + 1) (counter_value "store.saves");
-  Sig_cache.clear ();
-  let c2 = Sig_cache.for_problem net pats in
+  let c2 = Sig_cache.create net pats in
   Alcotest.(check bool) "load succeeds" true (Sig_cache.load_frozen ~dir c2);
   Alcotest.(check int) "store.loads bumped" (loads0 + 1) (counter_value "store.loads");
   Alcotest.(check bool) "loaded instance is frozen" true (Sig_cache.is_frozen c2);
@@ -74,7 +72,6 @@ let test_round_trip () =
       | Some x, Some y -> x = y
       | _ -> false)
   done;
-  Sig_cache.clear ();
   Obs.disable ()
 
 (* A key stored with zero triples (a fault that diffs nowhere) must
@@ -88,12 +85,10 @@ let test_empty_signature_round_trip () =
   Alcotest.(check bool) "absent key stays None" true (Sig_cache.find c1 2 = None);
   let dir = tmpdir () in
   Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c1);
-  Sig_cache.clear ();
-  let c2 = Sig_cache.for_problem net pats in
+  let c2 = Sig_cache.create net pats in
   Alcotest.(check bool) "load succeeds" true (Sig_cache.load_frozen ~dir c2);
   Alcotest.(check bool) "loaded find = Some [||]" true (Sig_cache.find c2 0 = Some [||]);
-  Alcotest.(check bool) "loaded absent key stays None" true (Sig_cache.find c2 2 = None);
-  Sig_cache.clear ()
+  Alcotest.(check bool) "loaded absent key stays None" true (Sig_cache.find c2 2 = None)
 
 (* One rejection scenario: corrupt the snapshot with [mangle], then
    check the load is refused, ["store.rejects"] is bumped, the
@@ -115,8 +110,7 @@ let reject_case name mangle () =
   let oc = open_out_bin path in
   output_bytes oc (mangle (Bytes.of_string raw));
   close_out oc;
-  Sig_cache.clear ();
-  let c2 = Sig_cache.for_problem net pats in
+  let c2 = Sig_cache.create net pats in
   let rejects0 = counter_value "store.rejects" in
   Alcotest.(check bool) (name ^ ": load refused") false (Sig_cache.load_frozen ~dir c2);
   Alcotest.(check int)
@@ -129,11 +123,9 @@ let reject_case name mangle () =
   ignore (populate_and_freeze c2 net : Fault_list.fault list);
   Alcotest.(check bool) (name ^ ": fallback freeze") true (Sig_cache.is_frozen c2);
   Alcotest.(check bool) (name ^ ": overwrite save") true (Sig_cache.save_frozen ~dir c2);
-  Sig_cache.clear ();
-  let c3 = Sig_cache.for_problem net pats in
+  let c3 = Sig_cache.create net pats in
   Alcotest.(check bool) (name ^ ": reload after overwrite") true
     (Sig_cache.load_frozen ~dir c3);
-  Sig_cache.clear ();
   Obs.disable ()
 
 let flip b i =
@@ -155,8 +147,7 @@ let test_foreign_netlist_rejected () =
   let other_pats =
     Pattern.random (Rng.create 11) ~npis:(Netlist.num_pis other_net) ~count:64
   in
-  Sig_cache.clear ();
-  let other = Sig_cache.for_problem other_net other_pats in
+  let other = Sig_cache.create other_net other_pats in
   ignore (populate_and_freeze other other_net : Fault_list.fault list);
   let dir = tmpdir () in
   Alcotest.(check bool) "foreign save succeeds" true (Sig_cache.save_frozen ~dir other);
@@ -179,7 +170,6 @@ let test_foreign_netlist_rejected () =
   Alcotest.(check int) "store.rejects bumped" (rejects0 + 1)
     (counter_value "store.rejects");
   Alcotest.(check bool) "instance left cold" false (Sig_cache.is_frozen c);
-  Sig_cache.clear ();
   Obs.disable ()
 
 (* Same structure, different pattern set: the file is found (the path
@@ -188,14 +178,12 @@ let test_foreign_netlist_rejected () =
 let test_foreign_patterns_rejected () =
   Obs.enable ();
   let net, pats = Lazy.force problem in
-  Sig_cache.clear ();
-  let c1 = Sig_cache.for_problem net pats in
+  let c1 = Sig_cache.create net pats in
   ignore (populate_and_freeze c1 net : Fault_list.fault list);
   let dir = tmpdir () in
   Alcotest.(check bool) "seed save succeeds" true (Sig_cache.save_frozen ~dir c1);
-  Sig_cache.clear ();
   let other_pats = Pattern.random (Rng.create 8) ~npis:(Netlist.num_pis net) ~count:64 in
-  let c2 = Sig_cache.for_problem net other_pats in
+  let c2 = Sig_cache.create net other_pats in
   Alcotest.(check string)
     "same structure, same path"
     (Sig_cache.store_path ~dir c1)
@@ -205,7 +193,6 @@ let test_foreign_patterns_rejected () =
   Alcotest.(check int) "store.rejects bumped" (rejects0 + 1)
     (counter_value "store.rejects");
   Alcotest.(check bool) "instance left cold" false (Sig_cache.is_frozen c2);
-  Sig_cache.clear ();
   Obs.disable ()
 
 (* A missing file is a cold fleet, not a rejection. *)
@@ -216,7 +203,6 @@ let test_missing_file_not_a_reject () =
   let rejects0 = counter_value "store.rejects" in
   Alcotest.(check bool) "load from empty dir" false (Sig_cache.load_frozen ~dir c);
   Alcotest.(check int) "no reject counted" rejects0 (counter_value "store.rejects");
-  Sig_cache.clear ();
   Obs.disable ()
 
 (* Codec round trip through the public API: arbitrary triples —
@@ -240,11 +226,9 @@ let prop_codec_round_trip =
       let from_memory = Sig_cache.find c1 0 in
       let dir = tmpdir () in
       let saved = Sig_cache.save_frozen ~dir c1 in
-      Sig_cache.clear ();
-      let c2 = Sig_cache.for_problem net pats in
+      let c2 = Sig_cache.create net pats in
       let loaded = Sig_cache.load_frozen ~dir c2 in
       let from_disk = Sig_cache.find c2 0 in
-      Sig_cache.clear ();
       saved && loaded && from_memory = Some triples && from_disk = Some triples)
 
 let suite =

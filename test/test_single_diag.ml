@@ -10,7 +10,7 @@ let test_single_stuck_top_ranked () =
   let net = Generators.c17 () in
   let g16 = g net "G16" in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g16, true) ] in
-  let r = Single_diag.diagnose net pats dlog in
+  let r = Single_diag.diagnose_session (Session.create net pats) dlog in
   (* The best candidates score perfectly and include the (collapsed
      representative of the) true fault. *)
   List.iter
@@ -26,7 +26,7 @@ let test_single_stuck_top_ranked () =
 let test_ranking_sorted_and_bounded () =
   let net = Generators.c17 () in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g net "G10", false) ] in
-  let r = Single_diag.diagnose ~keep:5 net pats dlog in
+  let r = Single_diag.diagnose_session ~keep:5 (Session.create net pats) dlog in
   Alcotest.(check bool) "bounded" true (List.length r.Single_diag.ranking <= 5);
   let rec sorted = function
     | (a : Single_diag.ranked) :: (b :: _ as rest) ->
@@ -38,7 +38,7 @@ let test_ranking_sorted_and_bounded () =
 let test_best_nonempty_and_tied () =
   let net = Generators.c17 () in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g net "G19", true) ] in
-  let r = Single_diag.diagnose net pats dlog in
+  let r = Single_diag.diagnose_session (Session.create net pats) dlog in
   Alcotest.(check bool) "nonempty" true (r.Single_diag.best <> []);
   let top = List.hd r.Single_diag.best in
   List.iter
@@ -59,7 +59,7 @@ let test_breaks_under_two_defects () =
     [ Defect.Stuck (g net "fa0_axb", true); Defect.Stuck (g net "fa7_axb", true) ]
   in
   let net, pats, dlog = problem ~net ~pats defects in
-  let r = Single_diag.diagnose net pats dlog in
+  let r = Single_diag.diagnose_session (Session.create net pats) dlog in
   List.iter
     (fun (rk : Single_diag.ranked) ->
       Alcotest.(check bool) "imperfect" false (Scoring.perfect rk.score))

@@ -4,7 +4,7 @@ let problem defects =
   let expected = Logic_sim.responses net pats in
   let observed = Injection.observed_responses net pats defects in
   let dlog = Datalog.of_responses ~expected ~observed in
-  (net, pats, dlog, Explain.build net pats dlog)
+  (net, pats, dlog, Explain.build_session (Session.create net pats) dlog)
 
 let g net name = Option.get (Netlist.find net name)
 
@@ -75,7 +75,7 @@ let test_multiplicity_reduces_slat () =
     let observed = Injection.observed_responses net pats defects in
     let dlog = Datalog.of_responses ~expected ~observed in
     if Datalog.num_failing dlog > 0 then begin
-      let m = Explain.build net pats dlog in
+      let m = Explain.build_session (Session.create net pats) dlog in
       fractions := Slat.slat_fraction (Slat.classify m) :: !fractions
     end
   done;

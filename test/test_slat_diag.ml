@@ -4,13 +4,13 @@ let problem ?(net = Generators.c17 ()) ?(pats = Pattern.exhaustive ~npis:5) defe
   let expected = Logic_sim.responses net pats in
   let observed = Injection.observed_responses net pats defects in
   let dlog = Datalog.of_responses ~expected ~observed in
-  (net, pats, dlog, Explain.build net pats dlog)
+  (net, pats, dlog, Explain.build_session (Session.create net pats) dlog)
 
 let test_single_stuck_works () =
   let net = Generators.c17 () in
   let g16 = g net "G16" in
-  let net, pats, _, m = problem ~net [ Defect.Stuck (g16, true) ] in
-  let r = Slat_diag.diagnose m pats in
+  let net, _, _, m = problem ~net [ Defect.Stuck (g16, true) ] in
+  let r = Slat_diag.diagnose m in
   Alcotest.(check int) "nothing ignored" 0 (List.length r.Slat_diag.ignored_patterns);
   let q =
     Metrics.evaluate net ~injected:[ Defect.Stuck (g16, true) ]
@@ -23,10 +23,10 @@ let test_covers_all_slat_patterns () =
   let rng = Rng.create 71 in
   let pats = Pattern.random rng ~npis:(Netlist.num_pis net) ~count:64 in
   let defects = Injection.random_defects rng net Injection.default_mix 2 in
-  let net, pats, dlog, m = problem ~net ~pats defects in
+  let net, _, dlog, m = problem ~net ~pats defects in
   ignore net;
   ignore dlog;
-  let r = Slat_diag.diagnose m pats in
+  let r = Slat_diag.diagnose m in
   let classification = Slat.classify m in
   (* covered + non-covered slat + ignored = failing patterns, and the
      multiplet covers every SLAT pattern (each has an explainer, so the
@@ -53,8 +53,8 @@ let test_ignores_non_slat () =
       Defect.Stuck (g net "fa6_c1", true);
     ]
   in
-  let _, pats, _, m = problem ~net ~pats defects in
-  let r = Slat_diag.diagnose m pats in
+  let _, _, _, m = problem ~net ~pats defects in
+  let r = Slat_diag.diagnose m in
   (* Diagnose runs and produces a multiplet no larger than the cap. *)
   Alcotest.(check bool) "bounded" true (List.length r.Slat_diag.multiplet <= 12)
 
@@ -63,8 +63,8 @@ let test_empty_datalog () =
   let pats = Pattern.exhaustive ~npis:5 in
   let resp = Logic_sim.responses net pats in
   let dlog = Datalog.of_responses ~expected:resp ~observed:resp in
-  let m = Explain.build net pats dlog in
-  let r = Slat_diag.diagnose m pats in
+  let m = Explain.build_session (Session.create net pats) dlog in
+  let r = Slat_diag.diagnose m in
   Alcotest.(check int) "empty" 0 (List.length r.Slat_diag.multiplet)
 
 let suite =

@@ -88,7 +88,7 @@ let test_nonscan_diagnosis () =
   let observed = Logic_sim.responses_overlay net pats overlay in
   let dlog = Datalog.of_responses ~expected ~observed in
   Alcotest.(check bool) "failures observed" true (Datalog.num_failing dlog > 0);
-  let r = Noassume.diagnose net pats dlog in
+  let r = Noassume.diagnose_session (Session.create net pats) dlog in
   let collapsed = Unroll.collapse_callouts u (Noassume.callout_nets r) in
   let q =
     Metrics.evaluate core
