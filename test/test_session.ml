@@ -334,10 +334,6 @@ let suite =
         Alcotest.test_case "per-die sinks carry counters" `Quick test_per_die_sinks;
         Alcotest.test_case "frozen counter delta (hits -> frozen_hits)" `Quick
           test_frozen_counter_delta;
-        Alcotest.test_case "two sessions on one problem share no signatures" `Quick
-          test_sessions_do_not_share;
-        Alcotest.test_case "a dropped session frees its cache" `Quick
-          test_dropped_session_frees_cache;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [
@@ -347,6 +343,10 @@ let suite =
             prop_frozen_concurrent_matches_sequential;
           ]
       @ [
+          Alcotest.test_case "two sessions on one problem share no signatures" `Quick
+            test_sessions_do_not_share;
+          Alcotest.test_case "a dropped session frees its cache" `Quick
+            test_dropped_session_frees_cache;
           Alcotest.test_case "batch-dir: bad dies become error records" `Quick
             test_batch_dir_bad_dies;
         ] );
