@@ -1,25 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the
    reconstructed evaluation (see EXPERIMENTS.md) and runs Bechamel
-   micro-benchmarks of the diagnosis kernels.
+   micro-benchmarks of the diagnosis kernels.  End-to-end timing lives
+   in benchmark/ (see benchmark/README.md).
 
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table3 fig2  # a subset
      dune exec bench/main.exe -- --trials 30 table4
-     dune exec bench/main.exe -- micro        # Bechamel kernels only
-     dune exec bench/main.exe -- parallel     # domain scaling, writes
-                                              # BENCH_parallel.json
-     dune exec bench/main.exe -- volume       # volume-service throughput
-                                              # at 1/2/4 workers, writes
-                                              # BENCH_volume.json
-     dune exec bench/main.exe -- cover        # greedy vs exact minimum
-                                              # cover per circuit, writes
-                                              # BENCH_cover.json
-     dune exec bench/main.exe -- store        # cold vs prewarm vs
-                                              # snapshot-load first
-                                              # diagnose (MDD_BENCH_TIER=
-                                              # large adds rnd50k), writes
-                                              # BENCH_store.json *)
+     dune exec bench/main.exe -- micro        # Bechamel kernels only *)
 
 let trials = ref 10
 let seed = ref 2024
@@ -115,117 +103,6 @@ let run_micro () =
     (List.sort compare rows);
   Table.print table
 
-(* --- Parallel scaling ---------------------------------------------- *)
-
-(* Median wall-clock of the cold explain build and diagnose on the rnd1k suite
-   circuit at 1/2/4/8 domains; the JSON gives later PRs a trajectory to
-   beat.  Medians are per-kernel so a later sequential regression is
-   visible even when the speedup column still looks right. *)
-let run_parallel () =
-  let report = Parbench.run ~circuit:"rnd1k" ~domain_counts:[ 1; 2; 4; 8 ] ~repeats:5 () in
-  Table.print (Parbench.to_table report);
-  let path = "BENCH_parallel.json" in
-  Parbench.write_json ~path report;
-  Printf.printf "(wrote %s)\n%!" path;
-  (* The instrumented counters of the full diagnose run at 1 domain,
-     standalone: the deterministic run report CI uploads next to the
-     scaling numbers (the same data is embedded per sample above). *)
-  (match
-     List.find_opt
-       (fun s -> s.Parbench.kernel = "diagnose" && s.Parbench.domains = 1)
-       report.Parbench.samples
-   with
-  | Some { Parbench.stats = Some stats; _ } ->
-    let stats_path = "BENCH_stats.json" in
-    Run_report.write ~timings:false ~path:stats_path stats;
-    Printf.printf "(wrote %s)\n%!" stats_path
-  | Some { Parbench.stats = None; _ } | None -> ());
-  print_newline ()
-
-(* --- Volume-service throughput -------------------------------------- *)
-
-(* Diagnoses/sec of one warm rnd2k session drained at 1/2/4 worker
-   domains, lazy-warm vs prewarm+frozen arms — request-level
-   parallelism, the scaling axis volume diagnosis actually ships.  On a
-   single-CPU host expect parity across worker counts; the JSON records
-   the curve either way.  MDD_BENCH_TIER=large (the weekly CI job) adds
-   an rnd50k point with a small die queue, tracking the cold-start
-   amortisation ([prewarm_ms] against the per-die drain) at the scale
-   where it matters. *)
-let run_volume () =
-  let points =
-    (* (circuit, dies, repeats, output path) *)
-    let default = [ ("rnd2k", 8, 3, "BENCH_volume.json") ] in
-    match Sys.getenv_opt "MDD_BENCH_TIER" with
-    | Some "large" -> default @ [ ("rnd50k", 3, 2, "BENCH_volume_rnd50k.json") ]
-    | None | Some _ -> default
-  in
-  List.iter
-    (fun (circuit, dies, repeats, path) ->
-      let report = Volumebench.run ~circuit ~worker_counts:[ 1; 2; 4 ] ~dies ~repeats () in
-      Table.print (Volumebench.to_table report);
-      Volumebench.write_json ~path report;
-      Printf.printf "(wrote %s)\n\n%!" path)
-    points
-
-(* --- Persistent signature store ------------------------------------- *)
-
-(* Time-to-first-report of a fresh process: cold candidate simulation
-   vs the live prewarm sweep vs adopting a saved snapshot
-   (EXPERIMENTS Fig 1c, regression gate 7).  MDD_BENCH_TIER=large adds
-   the rnd50k point — the circuit whose full-pool arena must sit inside
-   the default 64 MB budget. *)
-let run_store () =
-  let circuits =
-    match Sys.getenv_opt "MDD_BENCH_TIER" with
-    | Some "large" -> [ "rnd2k"; "rnd50k" ]
-    | None | Some _ -> [ "rnd2k" ]
-  in
-  let report = Storebench.run ~circuits () in
-  Table.print (Storebench.to_table report);
-  let path = "BENCH_store.json" in
-  Storebench.write_json ~path report;
-  Printf.printf "(wrote %s)\n\n%!" path;
-  (* Hard acceptance, not a soft report: every circuit's full-pool
-     packed arena must sit inside the default cache budget. *)
-  List.iter
-    (fun (s : Storebench.sample) ->
-      if not s.Storebench.fits_budget then begin
-        Printf.eprintf "store bench: %s arena (%d bytes) exceeds the %d-byte budget\n"
-          s.Storebench.circuit s.Storebench.arena_bytes s.Storebench.budget_bytes;
-        exit 1
-      end)
-    report.Storebench.samples
-
-(* --- Greedy-vs-exact covering differential -------------------------- *)
-
-(* Cover-size resolution of the exact (implicit hitting-set) backend
-   against the greedy default, on the same seeded trial stream per
-   circuit — the numbers EXPERIMENTS.md's resolution table quotes and
-   the data behind the min_exact_agreement regression gate.  The
-   default circuit list adds the vendored .bench circuits to the two
-   random-logic tiers; MDD_BENCH_TIER=large adds rnd10k, and any other
-   value is a comma-separated explicit list of suite or tier names. *)
-let run_cover () =
-  let vendored =
-    List.filter
-      (fun (name, _) -> name <> "rnd10k" && name <> "rnd50k")
-      (Generators.tiers ())
-    |> List.map fst
-  in
-  let circuits =
-    let default = [ "rnd1k"; "rnd2k" ] @ vendored in
-    match Sys.getenv_opt "MDD_BENCH_TIER" with
-    | None | Some "" | Some "default" -> default
-    | Some "large" -> default @ [ "rnd10k" ]
-    | Some names -> String.split_on_char ',' names |> List.map String.trim
-  in
-  let report = Coverbench.run ~circuits ~trials:(max 6 !trials) () in
-  Table.print (Coverbench.to_table report);
-  let path = "BENCH_cover.json" in
-  Coverbench.write_json ~path report;
-  Printf.printf "(wrote %s)\n\n%!" path
-
 (* --- Table/figure drivers ------------------------------------------ *)
 
 let experiments : (string * (unit -> Table.t)) list =
@@ -272,10 +149,6 @@ let run_experiment name =
   | None -> (
     match name with
     | "micro" -> run_micro ()
-    | "parallel" -> run_parallel ()
-    | "volume" -> run_volume ()
-    | "cover" -> run_cover ()
-    | "store" -> run_store ()
     | _ ->
       prerr_endline ("unknown experiment: " ^ name);
       exit 2)
@@ -295,8 +168,7 @@ let () =
   Arg.parse spec (fun name -> selected := name :: !selected) "bench/main.exe [experiments]";
   let to_run =
     match List.rev !selected with
-    | [] ->
-      List.map fst experiments @ [ "micro"; "parallel"; "volume"; "cover"; "store" ]
+    | [] -> List.map fst experiments @ [ "micro" ]
     | l -> l
   in
   List.iter run_experiment to_run

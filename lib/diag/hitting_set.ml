@@ -26,9 +26,10 @@
    that early exit fires often; on rnd1k-sized instances the loop
    instead routinely {e halves} the cover — greedy's pair moves and
    misprediction discounts trade cardinality for diagnostic caution
-   (Coverbench measures ~7 greedy vs ~3.5 proven minimum) — and the
-   lazily-revealed instances stay small enough that the exact backend
-   costs well under 2x greedy wall time. *)
+   (the greedy-vs-exact gate of bench/check_regress.ml measures ~7
+   greedy vs ~3.5 proven minimum) — and the lazily-revealed instances
+   stay small enough that the exact backend costs well under 2x greedy
+   wall time. *)
 
 type result = {
   cover : int list;

@@ -37,8 +37,8 @@ val write : ?timings:bool -> path:string -> t -> unit
 
 val to_obs_json : ?timings:bool -> t -> Obs_json.t
 (** Same content as {!to_json} as an {!Obs_json.t} value — for embedding
-    a report inside another JSON document (the bench harness embeds one
-    per sample).  [Obs_json.to_string] of it is compact (one line). *)
+    a report inside another JSON document (the volume service embeds
+    one per die).  [Obs_json.to_string] of it is compact (one line). *)
 
 val counters : t -> (string * int) list
 (** The counter listing, sorted by name — what regression gates compare

@@ -11,5 +11,4 @@ let () =
    @ Test_campaign.suite @ Test_tables.suite @ Test_dict_diag.suite @ Test_scan.suite @ Test_layout.suite @ Test_compactor.suite @ Test_delay.suite @ Test_chain.suite @ Test_verilog_io.suite @ Test_exact_cover.suite @ Test_hitting_set.suite @ Test_distinguish.suite @ Test_invariants.suite @ Test_unroll.suite @ Test_report.suite @ Test_seq_invariants.suite
    @ Test_parallel.suite @ Test_kernel_oracle.suite @ Test_prune_oracle.suite
    @ Test_session.suite @ Test_sig_store.suite
-   @ Test_bench_smoke.suite
    @ Test_obs.suite)
