@@ -69,13 +69,6 @@ let prewarm_arg =
   in
   Arg.(value & flag & info [ "prewarm" ] ~doc)
 
-let cache_mb_arg =
-  let doc =
-    "Signature-cache memory budget per problem, in MB (default 64); the \
-     MDD_SIG_CACHE_MB environment variable is the documented fallback."
-  in
-  Arg.(value & opt (some int) None & info [ "cache-mb" ] ~docv:"MB" ~doc)
-
 let cover_arg =
   let doc =
     "Covering backend for the noassume engine: $(b,greedy) (the paper's \
@@ -114,23 +107,13 @@ let cover_budget_arg =
   in
   Arg.(value & opt (some int) None & info [ "cover-budget" ] ~docv:"N" ~doc)
 
-(* The MDD_PREWARM / MDD_SIG_CACHE_MB / MDD_COVER / MDD_COVER_BUDGET /
-   MDD_SIG_STORE environment switches are resolved here, once, into a
+(* The MDD_PREWARM / MDD_COVER / MDD_COVER_BUDGET / MDD_SIG_STORE
+   environment switches are resolved here, once, into a
    [Session.config] record — nothing in lib/ reads them.  The boolean
    flag only pushes away from the default: leaving it off keeps the
    environment-derived setting in place, mirroring [apply_domains]. *)
 let env_off name =
   match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
-
-(* MDD_SIG_CACHE_MB fallback: positive integers only, anything else is
-   ignored (same leniency the pre-session reader had). *)
-let env_cache_mb () =
-  match Sys.getenv_opt "MDD_SIG_CACHE_MB" with
-  | None -> None
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some mb when mb >= 1 -> Some mb
-    | Some _ | None -> None)
 
 (* MDD_COVER fallback: the same names the flag accepts; anything else is
    ignored. *)
@@ -152,14 +135,7 @@ let env_cover_budget () =
 let env_store_dir () =
   match Sys.getenv_opt "MDD_SIG_STORE" with None | Some "" -> None | Some dir -> Some dir
 
-let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir ~domains
-    () =
-  let cache_mb =
-    match cache_mb with
-    | Some mb when mb >= 1 -> mb
-    | Some _ | None -> (
-      match env_cache_mb () with Some mb -> mb | None -> Sig_cache.default_budget_mb)
-  in
+let session_config ?(prewarm = false) ?cover ?cover_budget ?store_dir ~domains () =
   let cover =
     match cover with
     | Some c -> c
@@ -177,7 +153,6 @@ let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir 
   let store_dir = match store_dir with Some _ as d -> d | None -> env_store_dir () in
   {
     Session.domains;
-    cache_mb;
     prewarm = prewarm || env_off "MDD_PREWARM";
     cover;
     cover_budget;
@@ -194,7 +169,6 @@ let config_meta (c : Session.config) =
         (match c.Session.domains with
         | Some d -> d
         | None -> Parallel.default_domains ()) );
-    ("cache_mb", string_of_int c.Session.cache_mb);
     ("prewarm", if c.Session.prewarm then "on" else "off");
     ("cover", match c.Session.cover with Session.Greedy -> "greedy" | Session.Exact -> "exact");
     ("store_dir", match c.Session.store_dir with Some d -> d | None -> "off");

@@ -68,12 +68,9 @@ let no_validate_arg =
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
-    no_validate prewarm cache_mb cover cover_budget store_dir domains stats =
+    no_validate prewarm cover cover_budget store_dir domains stats =
   Cli_common.apply_domains domains;
-  let scfg =
-    Cli_common.session_config ~prewarm ?cache_mb ?cover ?cover_budget ?store_dir ~domains
-      ()
-  in
+  let scfg = Cli_common.session_config ~prewarm ?cover ?cover_budget ?store_dir ~domains () in
   let stats_dest = Cli_common.init_stats stats in
   let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
   let pats = Cli_common.or_die (Cli_common.load_patterns net patterns_file) in
@@ -224,9 +221,8 @@ let cmd =
     Term.(
       const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ Cli_common.patterns_arg
       $ datalog_arg $ batch_dir_arg $ serve_arg $ workers_arg $ out_arg $ method_arg
-      $ no_validate_arg $ Cli_common.prewarm_arg
-      $ Cli_common.cache_mb_arg
-      $ Cli_common.cover_arg $ Cli_common.cover_budget_arg $ Cli_common.store_dir_arg
+      $ no_validate_arg $ Cli_common.prewarm_arg $ Cli_common.cover_arg
+      $ Cli_common.cover_budget_arg $ Cli_common.store_dir_arg
       $ Cli_common.domains_arg $ Cli_common.stats_arg)
 
 let () = exit (Cmd.eval cmd)

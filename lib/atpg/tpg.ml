@@ -8,9 +8,10 @@ type report = {
 }
 
 (* Which of [faults] does [pats] detect?  Returns a bool array aligned
-   with [faults]. *)
-let detect_map t pats faults =
-  let sim = Fault_sim.create t in
+   with [faults].  Each entry point computes the netlist's PO
+   reachability once and shares it with every simulator it creates. *)
+let detect_map t ~reach pats faults =
+  let sim = Fault_sim.create ~reach t in
   let detected = Array.make (Array.length faults) false in
   List.iter
     (fun block ->
@@ -34,6 +35,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   let faults = Array.of_list (Fault_list.representatives collapsed) in
   let nfaults = Array.length faults in
   let npis = Netlist.num_pis t in
+  let reach = Po_reach.compute t in
   (* Phase 1: random patterns in word-sized slabs, dropping as we go and
      stopping early when a slab stops detecting anything new. *)
   let slab = Bitvec.word_bits in
@@ -44,7 +46,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   while !continue && !used < random_budget do
     let pats = Pattern.random rng ~npis ~count:(min slab (random_budget - !used)) in
     used := !used + Pattern.count pats;
-    let newly = detect_map t pats faults in
+    let newly = detect_map t ~reach pats faults in
     let gained = ref 0 in
     Array.iteri
       (fun i d ->
@@ -64,7 +66,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   let untestable = ref 0 in
   let aborted = ref 0 in
   let extra = ref [] in
-  let sim = Fault_sim.create t in
+  let sim = Fault_sim.create ~reach t in
   let podem = Podem.create t in
   Array.iteri
     (fun i f ->
@@ -243,6 +245,6 @@ let compact t pats =
 let coverage_of t pats =
   let collapsed = Fault_list.collapse t in
   let faults = Array.of_list (Fault_list.representatives collapsed) in
-  let detected = detect_map t pats faults in
+  let detected = detect_map t ~reach:(Po_reach.compute t) pats faults in
   let ndet = Array.fold_left (fun acc d -> acc + Bool.to_int d) 0 detected in
   Stats.ratio ndet (Array.length faults)

@@ -45,6 +45,27 @@ let observations t =
   Array.of_list
     (List.concat_map (fun (p, pos) -> List.map (fun o -> { pattern = p; po = o }) pos) t.entries)
 
+type words = { fail : int array; obs : int array; total : int }
+
+let observed_words t (blocks : Pattern.block array) =
+  let nblocks = Array.length blocks in
+  let fail = Array.make (max 1 nblocks) 0 in
+  let obs = Array.make (max 1 (nblocks * t.npos)) 0 in
+  let total = ref 0 in
+  Array.iteri
+    (fun bi (block : Pattern.block) ->
+      for k = 0 to block.width - 1 do
+        let pos = failing_pos t (block.base + k) in
+        if pos <> [] then fail.(bi) <- fail.(bi) lor (1 lsl k);
+        List.iter
+          (fun oi ->
+            obs.((bi * t.npos) + oi) <- obs.((bi * t.npos) + oi) lor (1 lsl k);
+            incr total)
+          pos
+      done)
+    blocks;
+  { fail; obs; total = !total }
+
 let to_text t =
   let buf = Buffer.create 256 in
   List.iter

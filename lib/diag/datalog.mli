@@ -35,6 +35,20 @@ val failing_pos : t -> int -> int list
 val observations : t -> observation array
 (** Every failing (pattern, PO) pair, ordered by pattern then PO. *)
 
+type words = {
+  fail : int array;
+      (** Per pattern block: bit [k] of [fail.(bi)] is set iff pattern
+          [base + k] of block [bi] failed. *)
+  obs : int array;
+      (** Per (block, PO), at [bi * npos + oi]: bit [k] is set iff PO
+          [oi] failed on pattern [base + k]. *)
+  total : int;  (** Failing (pattern, PO) pairs: the set bits of [obs]. *)
+}
+(** The datalog as words over a pattern blocking.  The explanation
+    matrix and every scorer split each diff word with these tables. *)
+
+val observed_words : t -> Pattern.block array -> words
+
 val to_text : t -> string
 (** Line-oriented text form: [fail <pattern> : <po> <po> ...]. *)
 

@@ -7,7 +7,7 @@
     Candidates are net-level stuck lines (both polarities) seeded from
     the union of fan-in cones of the failing outputs — a structurally
     complete pool, unlike value-based critical path tracing, which can
-    drop the true origin at reconvergent stems (see {!Path_trace}) — and
+    drop the true origin at reconvergent stems — and
     then validated by explicit single-fault simulation: candidate [c]
     {e covers} observation [(p, o)] iff simulating [c] alone on pattern
     [p] flips output [o].  What [c] predicts at {e other} outputs is
@@ -20,10 +20,8 @@ type t
 
 val build_session : Session.t -> Datalog.t -> t
 (** One pass of seeding + pruning + simulation against a prebuilt
-    {!Session.t}, partitioned by candidate range over the session's
-    domain count ({!Parallel}'s default when unset).  The matrix is
-    bit-identical for every domain count and whether its rows came from
-    simulation or from the cache.
+    {!Session.t}.  The matrix is bit-identical for every domain count
+    and whether its rows came from simulation or from the cache.
 
     Two exactness-preserving prunes shrink the simulated pool before
     any fault simulation runs: the {e activation
@@ -37,9 +35,9 @@ val build_session : Session.t -> Datalog.t -> t
     row.  Neither prune can change a diagnosis (DESIGN.md §10).
 
     Per-row signatures are probed in, and on miss recorded into, the
-    session's [Sig_cache] — warm rows replay without simulation, and
-    only the misses enter the fork-join plan, batched through
-    {!Fault_sim.simulate_batch} tiles. *)
+    session's [Sig_cache]: only the misses are simulated, by one
+    {!Session.simulate} sweep over the session's domains.  Every row,
+    fresh or cached, then fills the matrix through one loop. *)
 
 val session : t -> Session.t
 (** The session the matrix was built against — downstream phases pull

@@ -66,10 +66,8 @@ type batch_scratch = {
   s_pats : Pattern.t;
   s_blocks : Pattern.block array;
   s_batch : Fault_sim.batch;
-  mutable s_dlog : Datalog.t option; (* tables below are for this log *)
-  mutable s_obs : int array; (* observed-failing words, [bi * npos + oi] *)
-  mutable s_fail : int array; (* per block: observed-failing pattern mask *)
-  mutable s_totobs : int; (* total observations in the datalog *)
+  mutable s_dlog : Datalog.t option; (* [s_words] are for this log *)
+  mutable s_words : Datalog.words;
   s_mark : int array; (* per net: stamp of the last cone that reached it *)
   s_stack : int array; (* cone-walk stack *)
   mutable s_epoch : int;
@@ -98,9 +96,7 @@ let get_scratch ?goods ?reach net pats =
         s_blocks = blocks;
         s_batch = Fault_sim.prepare_batch sim ~blocks ~goods;
         s_dlog = None;
-        s_obs = [||];
-        s_fail = [||];
-        s_totobs = 0;
+        s_words = { Datalog.fail = [||]; obs = [||]; total = 0 };
         s_mark = Array.make nets 0;
         s_stack = Array.make nets 0;
         s_epoch = 0;
@@ -109,46 +105,25 @@ let get_scratch ?goods ?reach net pats =
     (r := match !r with [] -> [ sc ] | keep :: _ -> [ sc; keep ]);
     sc
 
-let prep_dlog sc dlog npos =
+let prep_dlog sc dlog =
   match sc.s_dlog with
   | Some d when d == dlog -> ()
   | _ ->
-    let nblocks = Array.length sc.s_blocks in
-    let obs = Array.make (max 1 (nblocks * npos)) 0 in
-    let fail = Array.make (max 1 nblocks) 0 in
-    let tot = ref 0 in
-    Array.iteri
-      (fun bi (block : Pattern.block) ->
-        for k = 0 to block.width - 1 do
-          match Datalog.failing_pos dlog (block.base + k) with
-          | [] -> ()
-          | ois ->
-            fail.(bi) <- fail.(bi) lor (1 lsl k);
-            List.iter
-              (fun oi ->
-                obs.((bi * npos) + oi) <- obs.((bi * npos) + oi) lor (1 lsl k);
-                incr tot)
-              ois
-        done)
-      sc.s_blocks;
-    sc.s_obs <- obs;
-    sc.s_fail <- fail;
-    sc.s_totobs <- !tot;
+    sc.s_words <- Datalog.observed_words dlog sc.s_blocks;
     sc.s_dlog <- Some dlog
 
 let scratch_for ?goods ?reach net pats dlog =
   let sc = get_scratch ?goods ?reach net pats in
-  let npos = Datalog.npos dlog in
-  prep_dlog sc dlog npos;
-  (sc, npos)
+  prep_dlog sc dlog;
+  (sc, Datalog.npos dlog)
 
 (* Score the diff words of one sweep.  Each [w] is already masked to its
    block's live width; unemitted (block, PO) words predict nothing, so
    every observation they carry is missed: total minus explained needs
    no scan. *)
-let score_diffs sc npos sweep =
+let score_words (words : Datalog.words) npos sweep =
   let explained = ref 0 and spurious_fail = ref 0 and spurious_pass = ref 0 in
-  let s_obs = sc.s_obs and s_fail = sc.s_fail in
+  let s_obs = words.obs and s_fail = words.fail in
   sweep (fun bi oi w ->
       let obs = s_obs.((bi * npos) + oi) in
       let fm = s_fail.(bi) in
@@ -160,10 +135,18 @@ let score_diffs sc npos sweep =
       spurious_pass := !spurious_pass + Logic.popcount (w land lnot fm));
   {
     explained = !explained;
-    missed = sc.s_totobs - !explained;
+    missed = words.total - !explained;
     spurious_fail = !spurious_fail;
     spurious_pass = !spurious_pass;
   }
+
+let score_triples words ~npos triples =
+  score_words words npos (fun f ->
+      let i = ref 0 in
+      while !i < Array.length triples do
+        f triples.(!i) triples.(!i + 1) triples.(!i + 2);
+        i := !i + 3
+      done)
 
 let count_evaluation sc =
   if Obs.enabled () then begin
@@ -177,14 +160,17 @@ let evaluate_multiplet ?goods ?reach net pats dlog faults =
   let sc, npos = scratch_for ?goods ?reach net pats dlog in
   count_evaluation sc;
   let s =
-    score_diffs sc npos (Fault_sim.batch_multiplet_diffs sc.s_batch ~faults:(site_pairs faults))
+    score_words sc.s_words npos
+      (Fault_sim.batch_multiplet_diffs sc.s_batch ~faults:(site_pairs faults))
   in
   Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
   s
 
 let screen_delta ?goods ?reach net pats dlog ~site ~deltas =
   let sc, npos = scratch_for ?goods ?reach net pats dlog in
-  let s = score_diffs sc npos (Fault_sim.batch_po_diffs_delta sc.s_batch ~site ~deltas) in
+  let s =
+    score_words sc.s_words npos (Fault_sim.batch_po_diffs_delta sc.s_batch ~site ~deltas)
+  in
   Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
   s
 
@@ -339,7 +325,8 @@ let evaluate_bridges ?goods ?reach net pats dlog ~rest ~victim hyps =
             | Upstream when is_wired kind -> Obs.incr c_bridge_feedback
             | Upstream | Apart -> ()
           end;
-          score_diffs sc npos (Fault_sim.batch_multiplet_diffs ~held:(held_of h) b ~faults))
+          score_words sc.s_words npos
+            (Fault_sim.batch_multiplet_diffs ~held:(held_of h) b ~faults))
         hyps
     in
     Fault_sim.publish_stats (Fault_sim.batch_sim b);

@@ -40,6 +40,14 @@ val overlay_of_multiplet : Fault_list.fault list -> Logic_sim.override list
     contradictory stuck overrides on one net would otherwise shadow each
     other and the multiplet could never explain both directions. *)
 
+val score_triples : Datalog.words -> npos:int -> int array -> score
+(** Score one single-fault signature, given as the canonical
+    [(block, PO, diff-word)] triples of {!Sig_cache} with every word
+    masked to its block's live width, against the datalog's
+    {!Datalog.observed_words}: a single stuck line's predicted failures
+    are exactly its signature, so no simulation is needed.  [npos] is
+    the datalog's PO count. *)
+
 val evaluate_multiplet :
   ?goods:Logic_sim.net_values array ->
   ?reach:Po_reach.t ->

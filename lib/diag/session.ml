@@ -25,7 +25,6 @@ let default_cover_budget = 2_000_000
 
 type config = {
   domains : int option;  (* kernel fan-out; [None] = Parallel default *)
-  cache_mb : int;  (* per-instance [Sig_cache] budget *)
   prewarm : bool;  (* whole-pool sweep + [Sig_cache.freeze] at create *)
   cover : cover;  (* covering backend: greedy (paper) or exact (minimal) *)
   cover_budget : int;  (* exact backend's hitting-set node budget *)
@@ -35,7 +34,6 @@ type config = {
 let default_config =
   {
     domains = None;
-    cache_mb = Sig_cache.default_budget_mb;
     prewarm = false;
     cover = Greedy;
     cover_budget = default_cover_budget;
@@ -62,18 +60,15 @@ let config t = t.config
 
 let with_sink t f = match t.sink with None -> f () | Some sk -> Obs.with_sink sk f
 
-(* --- Batched signature retrieval ------------------------------------ *)
+(* --- The one signature sweep ----------------------------------------- *)
 
-(* Per-fault signature triples for a whole fault list: probe the cache,
-   then fill every miss through [Fault_sim.simulate_batch] slabs instead
-   of one scalar cone walk per (fault, block).  This is the cold path of
-   the baselines ([Single_diag], [Dict_diag]) and anything else that
-   wants many signatures at once.  Triples arrive in the canonical
-   per-block order of [Fault_sim.iter_po_diffs], the order every cache
-   entry uses. *)
+(* Every cold signature in the engine comes from [simulate]: the
+   explanation matrix's misses, the baselines' misses and the
+   whole-pool prewarm.  Triples arrive in the canonical per-block order
+   of [Fault_sim.iter_po_diffs], the order every cache entry uses. *)
 
-(* Tile cap on the fault axis, matching [Explain.build_session]: bounds the
-   per-batch working set so slabs stay cache-sized. *)
+(* Tile cap on the fault axis: bounds the per-batch working set so slabs
+   stay cache-sized, and gives single-domain runs the same tiles. *)
 let batch_tile = 512
 
 type tbuf = { mutable buf : int array; mutable len : int }
@@ -90,7 +85,8 @@ let tbuf_push b v =
 (* One tile: faults [lo, hi) of [faults] through one [simulate_batch]
    call, each fault's triples handed to [emit] by fault index.  Triples
    arrive fault-major, so a fault's run ends where the next begins;
-   [starts] holds at least [hi - lo] slots. *)
+   [starts] holds at least [hi - lo] slots.  A fault whose every block
+   screens emits nothing and keeps its empty entry. *)
 let sweep_tile b tb starts (faults : Fault_list.fault array) ~lo ~hi emit =
   tb.len <- 0;
   let cur = ref (-1) in
@@ -112,70 +108,85 @@ let sweep_tile b tb starts (faults : Fault_list.fault array) ~lo ~hi emit =
       tbuf_push tb w);
   close !cur
 
-let fault_triples t (faults : Fault_list.fault array) =
+(* Cost-weighted chunking: a fault's simulation cost scales with its
+   fanout cone, proxied by reachable-PO count times remaining depth.
+   Uniform index ranges would pack all the cheap near-output faults into
+   the last chunk and stall the other domains; the minimum chunk weight
+   collapses the plan when only a light residue is left, so a handful
+   of faults never pays domain spawns.  Scratch — [Fault_sim.t], the
+   PPSFP batch slabs (the transposed delta slab is O(nets x blocks)),
+   the triple buffers — is allocated before the parallel region, one per
+   drain slot, never per chunk.  Results are written per fault index,
+   so the output is identical for every domain count. *)
+let simulate t (faults : Fault_list.fault array) =
   let n = Array.length faults in
   let out = Array.make n [||] in
-  let hit = Array.make n false in
-  for i = 0 to n - 1 do
-    let f = faults.(i) in
-    let k = Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck in
-    match Sig_cache.find t.cache k with
-    | Some triples ->
-      out.(i) <- triples;
-      hit.(i) <- true
-    | None -> ()
-  done;
-  let miss = ref [] in
-  for i = n - 1 downto 0 do
-    if not hit.(i) then miss := i :: !miss
-  done;
-  let miss = Array.of_list !miss in
-  let nmiss = Array.length miss in
-  if nmiss > 0 then begin
-    let sim = Fault_sim.create ~reach:t.reach t.net in
-    let b = Fault_sim.prepare_batch sim ~blocks:(blocks t) ~goods:(goods t) in
-    let tb = { buf = Array.make 4096 0; len = 0 } in
-    let starts = Array.make batch_tile 0 in
-    let cold = Array.map (fun i -> faults.(i)) miss in
-    let lo = ref 0 in
-    while !lo < nmiss do
-      let hi = min nmiss (!lo + batch_tile) in
-      sweep_tile b tb starts cold ~lo:!lo ~hi (fun j triples -> out.(miss.(j)) <- triples);
-      lo := hi
-    done;
+  if n > 0 then begin
+    let domains = t.config.domains in
+    let depth = Netlist.depth t.net in
+    let levels = Netlist.level_array t.net in
+    let weights =
+      Array.map
+        (fun f ->
+          let site = f.Fault_list.site in
+          (1 + Po_reach.num_reachable t.reach site) * (1 + depth - levels.(site)))
+        faults
+    in
+    let min_chunk_weight = 16 * (Array.fold_left ( + ) 0 weights / n) in
+    let plan =
+      Parallel.weighted_chunks ?domains ~min_chunk_weight ~max_chunk_size:batch_tile ~weights ()
+    in
+    let nslots = Parallel.plan_slots ?domains plan in
+    let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
+    let blocks = blocks t and goods = goods t in
+    let b0 = Fault_sim.prepare_batch sims.(0) ~blocks ~goods in
+    let batches =
+      Array.init nslots (fun s ->
+          if s = 0 then b0 else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks ~goods)
+    in
+    let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
+    let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
+    Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
+        sweep_tile batches.(slot) tbs.(slot) startss.(slot) faults ~lo ~hi (fun i triples ->
+            out.(i) <- triples));
     if Obs.enabled () then begin
-      Fault_sim.publish_batch_stats b;
-      Fault_sim.publish_stats sim
-    end;
-    Array.iter
-      (fun i ->
-        let f = faults.(i) in
-        Sig_cache.store t.cache
-          (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
-          out.(i))
-      miss
+      Array.iter Fault_sim.publish_batch_stats batches;
+      Array.iter Fault_sim.publish_stats sims
+    end
   end;
   out
+
+let key_of (f : Fault_list.fault) = Sig_cache.key ~site:f.site ~stuck:f.stuck
+
+(* The baselines' cold path ([Single_diag], [Dict_diag]): probe, simulate
+   the misses, store them back in index order. *)
+let fault_triples t (faults : Fault_list.fault array) =
+  let out = Array.map (fun f -> Sig_cache.find t.cache (key_of f)) faults in
+  let miss =
+    List.filter (fun i -> Option.is_none out.(i)) (List.init (Array.length faults) Fun.id)
+  in
+  let fresh = simulate t (Array.of_list (List.map (fun i -> faults.(i)) miss)) in
+  List.iteri
+    (fun j i ->
+      Sig_cache.store t.cache (key_of faults.(i)) fresh.(j);
+      out.(i) <- Some fresh.(j))
+    miss;
+  Array.map Option.get out
 
 (* --- Whole-pool prewarm --------------------------------------------- *)
 
 let c_prewarm_faults = Obs.counter "prewarm.faults"
 
-(* One PPSFP sweep over the whole fault pool, then [Sig_cache.freeze]:
-   after this, every signature a diagnosis can ask for is answered by
-   the frozen tier — no hashing, no shard mutex — and the per-die work
-   of a volume run reduces to covering.  The pool is the class
+(* One sweep over the whole fault pool, then [Sig_cache.freeze]: after
+   this, every signature a diagnosis can ask for is answered by the
+   frozen tier — no hashing, no shard mutex — and the per-die work of a
+   volume run reduces to covering.  The pool is the class
    representatives, the keys the phases actually probe (Explain rows
    and both baselines key by [Fault_list.representative_of]).
 
    Probes use [Sig_cache.peek] so the hit/miss counters keep reflecting
    only probes a diagnosis made — the acceptance check that a frozen
-   session serves dies with [cache.hits = 0] depends on that.  Results
-   are written per fault index (chunks are contiguous, writes disjoint),
-   heavy scratch (simulator, delta slabs, triple buffers) is per slot,
-   and stores run sequentially after the join, so the cache contents —
-   and therefore every later diagnosis — are identical for any domain
-   count. *)
+   session serves dies with [cache.hits = 0] depends on that. *)
 let prewarm t =
   let c = t.cache in
   if Sig_cache.is_frozen c then 0
@@ -183,53 +194,17 @@ let prewarm t =
     Obs.phase "prewarm" (fun () ->
         let pool = Fault_list.representatives (Fault_list.collapse t.net) in
         let cold =
-          Array.of_list
-            (List.filter
-               (fun f ->
-                 Sig_cache.peek c (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
-                 = None)
-               pool)
+          Array.of_list (List.filter (fun f -> Sig_cache.peek c (key_of f) = None) pool)
         in
-        let n = Array.length cold in
-        let out = Array.make n [||] in
-        if n > 0 then begin
-          let domains = t.config.domains in
-          let plan =
-            Parallel.weighted_chunks ?domains ~min_chunk_weight:64 ~max_chunk_size:batch_tile
-              ~weights:(Array.make n 1) ()
-          in
-          let nslots = Parallel.plan_slots ?domains plan in
-          let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
-          let blocks = blocks t and goods = goods t in
-          let b0 = Fault_sim.prepare_batch sims.(0) ~blocks ~goods in
-          let batches =
-            Array.init nslots (fun s ->
-                if s = 0 then b0
-                else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks ~goods)
-          in
-          let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
-          let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
-          Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
-              sweep_tile batches.(slot) tbs.(slot) startss.(slot) cold ~lo ~hi (fun i triples ->
-                  out.(i) <- triples));
-          if Obs.enabled () then begin
-            Array.iter Fault_sim.publish_batch_stats batches;
-            Array.iter Fault_sim.publish_stats sims
-          end
-        end;
+        let out = simulate t cold in
         (* Hand the sweep results straight to the packer instead of
            routing them through the mutable tier: [store] would evict
            FIFO once the pool outgrew the word budget (rnd50k's
            100k-fault pool would), and evicted entries can't be frozen.
            [~extra] bypasses the budget, so the arena always holds the
            complete pool. *)
-        let extra =
-          Array.mapi
-            (fun i f ->
-              (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck, out.(i)))
-            cold
-        in
-        Sig_cache.freeze ~extra c;
+        Sig_cache.freeze ~extra:(Array.mapi (fun i f -> (key_of f, out.(i))) cold) c;
+        let n = Array.length cold in
         if Obs.enabled () then Obs.add c_prewarm_faults n;
         n)
 
@@ -239,7 +214,7 @@ let create ?(config = default_config) ?sink net pats =
       net;
       pats;
       reach = Po_reach.compute net;
-      cache = Sig_cache.create ~budget_mb:config.cache_mb net pats;
+      cache = Sig_cache.create net pats;
       sink;
       config;
     }

@@ -42,7 +42,6 @@ type config = {
       (** Kernel fan-out inside one diagnosis; [None] uses
           {!Parallel.default_domains}.  Results are identical for every
           value. *)
-  cache_mb : int;  (** Signature-cache budget for this problem. *)
   prewarm : bool;
       (** Run {!prewarm} (whole-pool sweep + {!Sig_cache.freeze}) as
           part of {!create}. *)
@@ -61,13 +60,12 @@ type config = {
 }
 
 val default_config : config
-(** [prewarm] off, [domains = None],
-    [cache_mb = Sig_cache.default_budget_mb], [cover = Greedy],
+(** [prewarm] off, [domains = None], [cover = Greedy],
     [cover_budget = default_cover_budget], [store_dir = None].  No
     environment switch is read here — the CLI layer resolves them once
     into a config record ([Cli_common.session_config]), including
-    [MDD_SIG_CACHE_MB], [MDD_PREWARM], [MDD_COVER], [MDD_COVER_BUDGET]
-    and [MDD_SIG_STORE]. *)
+    [MDD_PREWARM], [MDD_COVER], [MDD_COVER_BUDGET] and
+    [MDD_SIG_STORE]. *)
 
 type t
 
@@ -86,14 +84,12 @@ val create : ?config:config -> ?sink:Obs.sink -> Netlist.t -> Pattern.t -> t
 val prewarm : t -> int
 (** Fill the signature cache for the {e whole} fault pool — the
     equivalence-class representatives, the keys every phase probes — in
-    one fork-join PPSFP sweep over
-    {!Fault_sim.prepare_batch} slabs (shared good slab, per-slot delta
-    slabs, 512-fault tiles), then {!Sig_cache.freeze} it (sweep results
+    one {!simulate} sweep, then {!Sig_cache.freeze} it (sweep results
     go to the packer as [~extra] entries, bypassing the mutable tier's
     eviction budget so the arena always holds the complete pool).
-    Every later
-    probe of the session's cache is a lock-free frozen-tier read; the
-    mutable tier stays available for keys outside the pool.  Returns
+    Every later probe of the session's cache is a lock-free
+    frozen-tier read; the mutable tier stays available for keys outside
+    the pool.  Returns
     the number of faults simulated, counted as ["prewarm.faults"] under
     the ["prewarm"] phase.  Returns [0] without side effects when the
     cache is already frozen, so a second call costs nothing.  Cold
@@ -124,12 +120,22 @@ val with_sink : t -> (unit -> 'a) -> 'a
 (** Run under the session's sink when it has one ({!Obs.with_sink});
     plain call otherwise. *)
 
-val fault_triples : t -> Fault_list.fault array -> int array array
+val simulate : t -> Fault_list.fault array -> int array array
 (** Signature triples for every fault, in the canonical
-    [(block, PO, diff-word)] order of {!Fault_sim.iter_po_diffs}.
-    Cache hits replay; misses are simulated through
-    {!Fault_sim.simulate_batch} slabs in bounded tiles and stored back.
-    This is the batched cold path of the baselines. *)
+    [(block, PO, diff-word)] order of {!Fault_sim.iter_po_diffs},
+    freshly simulated: the cache is neither probed nor stored.  The
+    engine's one cold path — {!Explain.build_session}'s misses,
+    {!fault_triples} and {!prewarm} all call it.  One fork-join PPSFP
+    sweep over {!Fault_sim.prepare_batch} slabs (shared good slab,
+    per-slot delta slabs and simulators), chunked by cost (reachable
+    POs x remaining depth) into tiles of at most 512 faults.  Results
+    are written per fault index, so they are identical for every
+    [config.domains]. *)
+
+val fault_triples : t -> Fault_list.fault array -> int array array
+(** {!simulate}, through the cache: hits replay, misses are simulated
+    and stored back in index order.  The cold path of the baselines
+    ({!Single_diag}, {!Dict_diag}). *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array
 (** {!Sig_cache.signature_of_triples} on the session's cache: expand one

@@ -2,35 +2,6 @@ type ranked = { fault : Fault_list.fault; score : Scoring.score }
 
 type result = { best : ranked list; ranking : ranked list }
 
-(* Score one fault from its signature without a full overlay simulation:
-   a single stuck line's predicted failures are exactly its signature. *)
-let score_signature dlog signature =
-  let npos = Array.length signature in
-  let npatterns = if npos = 0 then 0 else Bitvec.length signature.(0) in
-  let explained = ref 0 in
-  let missed = ref 0 in
-  let spurious_fail = ref 0 in
-  let spurious_pass = ref 0 in
-  for p = 0 to npatterns - 1 do
-    let failing = Datalog.is_failing dlog p in
-    let fail_set = Datalog.failing_pos dlog p in
-    for oi = 0 to npos - 1 do
-      let predicted = Bitvec.get signature.(oi) p in
-      let observed = failing && List.mem oi fail_set in
-      match (observed, predicted) with
-      | true, true -> incr explained
-      | true, false -> incr missed
-      | false, true -> if failing then incr spurious_fail else incr spurious_pass
-      | false, false -> ()
-    done
-  done;
-  {
-    Scoring.explained = !explained;
-    missed = !missed;
-    spurious_fail = !spurious_fail;
-    spurious_pass = !spurious_pass;
-  }
-
 let diagnose_session ?(keep = 20) session dlog =
   let net = Session.netlist session in
   let collapsed = Fault_list.collapse net in
@@ -41,13 +12,11 @@ let diagnose_session ?(keep = 20) session dlog =
      baseline.  Warm rows come from the explanation matrix and every
      earlier trial on this problem. *)
   let triples = Session.fault_triples session faults in
+  let words = Datalog.observed_words dlog (Session.blocks session) in
+  let npos = Datalog.npos dlog in
   let scored =
     List.init (Array.length faults) (fun i ->
-        {
-          fault = faults.(i);
-          score =
-            score_signature dlog (Session.signature_of_triples session triples.(i));
-        })
+        { fault = faults.(i); score = Scoring.score_triples words ~npos triples.(i) })
   in
   let sorted =
     List.sort

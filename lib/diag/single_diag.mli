@@ -16,7 +16,7 @@ type result = {
 val diagnose_session : ?keep:int -> Session.t -> Datalog.t -> result
 (** [keep] bounds the returned ranking (default 20); the full universe is
     still scored.  Signatures resolve through the session: cache hits
-    replay, misses fill through {!Session.fault_triples} batched slabs
+    replay, misses fill through {!Session.fault_triples}' batched sweep
     and warm the cache for later trials. *)
 
 val callout_nets : result -> Netlist.net list

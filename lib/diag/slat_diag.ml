@@ -59,8 +59,8 @@ let diagnose m =
   in
   let score =
     let session = Explain.session m in
-    Scoring.evaluate_multiplet ~goods:(Session.goods session) (Explain.netlist m)
-      (Session.patterns session) (Explain.datalog m) multiplet
+    Scoring.evaluate_multiplet ~goods:(Session.goods session) ~reach:(Session.reach session)
+      (Explain.netlist m) (Session.patterns session) (Explain.datalog m) multiplet
   in
   {
     multiplet;

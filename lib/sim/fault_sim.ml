@@ -14,8 +14,8 @@ type t = {
   mutable ntouched : int;
   (* Plain mutable stats, always maintained: one add per frontier level
      and per call, nothing per gate event, so the cost is noise even
-     with observability off.  [Explain.build_session] folds them into the global
-     [Obs] counters after its parallel region. *)
+     with observability off.  Owners fold them into the global [Obs]
+     counters after their parallel region ([publish_stats]). *)
   mutable n_propagates : int;
   mutable n_screened : int;
   mutable n_gate_events : int;
@@ -219,7 +219,7 @@ let iter_po_diffs_delta t ~good ~width ~site ~delta f =
     let csr = Po_reach.reachable_csr t.reach in
     let d = t.delta in
     for i = off.(site) to off.(site + 1) - 1 do
-      let oi = csr.(i) in
+      let oi = Int32.to_int (Bigarray.Array1.unsafe_get csr i) in
       let w = d.(t.pos.(oi)) land mask in
       if w <> 0 then f oi w
     done
@@ -642,7 +642,7 @@ let emit_reach_diffs b ~site f =
     let bi = Array.unsafe_get b.act a in
     let mask = Array.unsafe_get b.masks bi in
     for i = lo to hi - 1 do
-      let oi = Array.unsafe_get csr i in
+      let oi = Int32.to_int (Bigarray.Array1.unsafe_get csr i) in
       let w =
         Array.unsafe_get td ((Array.unsafe_get t.pos oi * nb) + bi) land mask
       in

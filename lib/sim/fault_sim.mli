@@ -89,7 +89,7 @@ val iter_po_diffs :
   unit
 (** Allocation-free variant of {!po_diffs}: [f po_position diff_word]
     for every differing PO, ascending.  The hot-loop entry point of
-    {!Explain.build_session}. *)
+    the scalar signature paths. *)
 
 val iter_po_diffs_delta :
   t ->

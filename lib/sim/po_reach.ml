@@ -1,14 +1,19 @@
+(* The CSR entries are 32-bit.  Every session computes its own [t]; on
+   rnd2k the entries are 148,502 reachable (net, PO) pairs, 1.2 MB as
+   an [int array].  A process that creates sessions in turn on one
+   netlist (a volume drain, one session per lot) holds several dead
+   ones until the major GC reclaims them, so the entry width shows in
+   peak RSS. *)
+type csr = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  npos : int;
-  nwords : int;
-  masks : int array; (* num_nets * nwords, row-major *)
-  po_csr : int array;
+  po_csr : csr;
   po_off : int array; (* length num_nets + 1 *)
 }
 
 let word_bits = Bitvec.word_bits
 
-let compute_uncached net =
+let compute net =
   let n = Netlist.num_nets net in
   let npos = Netlist.num_pos net in
   let nwords = max 1 ((npos + word_bits - 1) / word_bits) in
@@ -42,44 +47,21 @@ let compute_uncached net =
     done;
     po_off.(v + 1) <- po_off.(v) + !count
   done;
-  let po_csr = Array.make po_off.(n) 0 in
+  let po_csr = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout po_off.(n) in
   for v = 0 to n - 1 do
     let fill = ref po_off.(v) in
     for w = 0 to nwords - 1 do
       let bits = ref masks.((v * nwords) + w) in
       while !bits <> 0 do
-        po_csr.(!fill) <- (w * word_bits) + Bitvec.ctz_word !bits;
+        po_csr.{!fill} <- Int32.of_int ((w * word_bits) + Bitvec.ctz_word !bits);
         incr fill;
         bits := !bits land (!bits - 1)
       done
     done
   done;
-  { npos; nwords; masks; po_csr; po_off }
-
-(* One-slot memo keyed on physical netlist identity: every phase of a
-   diagnosis (matrix builds, aggressor screens, validation) recomputes
-   reachability for the same netlist.  The result is a pure function of
-   the netlist, so a racing overwrite by another domain stores an
-   equivalent value — last write wins, reads never block. *)
-let memo : (Netlist.t * t) option Atomic.t = Atomic.make None
-
-let compute net =
-  match Atomic.get memo with
-  | Some (n, r) when n == net -> r
-  | _ ->
-    let r = compute_uncached net in
-    Atomic.set memo (Some (net, r));
-    r
+  { po_csr; po_off }
 
 let num_reachable t n = t.po_off.(n + 1) - t.po_off.(n)
-
-let mem t n oi =
-  t.masks.((n * t.nwords) + (oi / word_bits)) lsr (oi mod word_bits) land 1 = 1
-
-let iter_reachable t n f =
-  for i = t.po_off.(n) to t.po_off.(n + 1) - 1 do
-    f t.po_csr.(i)
-  done
 
 let offsets t = t.po_off
 let reachable_csr t = t.po_csr

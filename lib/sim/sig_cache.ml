@@ -25,11 +25,10 @@ let c_store_saves = Obs.counter "store.saves"
 let c_store_loads = Obs.counter "store.loads"
 let c_store_rejects = Obs.counter "store.rejects"
 
-(* Default word budget across all shards of one instance.  Entries are
-   int arrays, so the budget is an honest (if approximate) bound on the
-   cache's major-heap footprint.  A plain constant: the MDD_SIG_CACHE_MB
-   environment variable is resolved once at CLI startup into the session
-   config ([Cli_common.session_config]), never read down here. *)
+(* Word budget across all shards of one instance.  Entries are int
+   arrays, so the budget is an honest (if approximate) bound on the
+   cache's major-heap footprint.  A constant: only tests override it,
+   through [create ?budget_mb], to reach eviction on small circuits. *)
 let default_budget_mb = 64
 
 let nshards = 16

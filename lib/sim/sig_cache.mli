@@ -38,10 +38,8 @@
     when several domains race on a cold key.
 
     Memory is bounded per instance: each shard of the {e mutable} tier
-    evicts in insertion (FIFO) order once its share of the word budget
-    ({!default_budget_mb} unless [?budget_mb] overrides it; the
-    [MDD_SIG_CACHE_MB] environment variable is resolved once at CLI
-    startup, not here) is exceeded.  Eviction only ever costs a
+    evicts in insertion (FIFO) order once its share of the 64 MB word
+    budget is exceeded.  Eviction only ever costs a
     re-simulation.  The frozen tier is exempt: it snapshots whatever
     the mutable tier holds at {!freeze} time and never grows.
 
@@ -55,8 +53,9 @@ type t
 val create : ?budget_mb:int -> Netlist.t -> Pattern.t -> t
 (** A fresh, empty instance.  Creation computes the good-machine words
     of every block eagerly (they are shared by all phases through
-    {!goods}).  [budget_mb] bounds the mutable tier
-    ({!default_budget_mb} when absent or below 1). *)
+    {!goods}).  The mutable tier's budget is 64 MB; [budget_mb] (used
+    when at least 1) exists so tests can reach FIFO eviction on small
+    problems. *)
 
 val goods : t -> Logic_sim.net_values array
 (** Good-machine words of every block, in [Pattern.blocks] order.
@@ -164,9 +163,3 @@ val store : t -> int -> int array -> unit
 val signature_of_triples : t -> int array -> Bitvec.t array
 (** Expand triples into the per-PO, bit-per-pattern signature shape of
     {!Fault_sim.signature}. *)
-
-val default_budget_mb : int
-(** The instance budget (64 MB) used when [?budget_mb] is not given.
-    A plain constant: the [MDD_SIG_CACHE_MB] environment override is
-    resolved once at CLI startup into the session config
-    ([Cli_common.session_config]), never read here. *)

@@ -41,10 +41,22 @@ let tmpdir () =
 
 let config ~domains = { Session.default_config with Session.domains = Some domains }
 
+let render_ranking ranked =
+  String.concat "\n"
+    (List.map
+       (fun ((f : Fault_list.fault), (s : Scoring.score)) ->
+         Printf.sprintf "%d/%b %d %d %d %d" f.site f.stuck s.explained s.missed s.spurious_fail
+           s.spurious_pass)
+       ranked)
+
 (* Cold (every row simulated), warm (the mutable tier, filled by a first
    diagnosis, answers every row) and frozen (prewarm: the packed arena
    answers) sessions, at 1 and 4 domains, produce one report byte for
-   byte — the cache may change who answers a probe, never the answer. *)
+   byte — the cache may change who answers a probe, never the answer.
+   The baselines' cold path ([Session.fault_triples], which simulates
+   its misses across the session's domains) is held to the same
+   contract: the single-fault and pass/fail dictionary results on a
+   cold session match the frozen session's at both domain counts. *)
 let prop_all_combos_identical =
   QCheck.Test.make
     ~name:"cold/warm/frozen sessions at one and four domains: byte-identical reports"
@@ -54,8 +66,22 @@ let prop_all_combos_identical =
       match make_dlog seed multiplicity with
       | None -> true
       | Some dlog ->
-        let render session =
-          Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
+        let net = Lazy.force net in
+        let render session = Report.render net (Noassume.diagnose_session session dlog) in
+        (* The whole ranking, so a wrong signature anywhere in the
+           fault universe shows, not only in the top few. *)
+        let single session =
+          render_ranking
+            (List.map
+               (fun (r : Single_diag.ranked) -> (r.fault, r.score))
+               (Single_diag.diagnose_session ~keep:max_int session dlog).ranking)
+        in
+        let dict session =
+          let dict = Dict_diag.build_session Dict_diag.Pass_fail session in
+          render_ranking
+            (List.map
+               (fun (r : Dict_diag.ranked) -> (r.fault, r.score))
+               (Dict_diag.diagnose ~keep:max_int dict dlog).ranking)
         in
         let reports domains =
           let session = cold_session (config ~domains) in
@@ -66,10 +92,13 @@ let prop_all_combos_identical =
           in
           if not (Sig_cache.is_frozen (Option.get (Session.cache frozen_session))) then
             QCheck.Test.fail_report "prewarm left the cache unfrozen";
-          [ cold; warm; render frozen_session ]
+          ( [ cold; warm; render frozen_session ],
+            [ single (cold_session (config ~domains)); single frozen_session ],
+            [ dict (cold_session (config ~domains)); dict frozen_session ] )
         in
-        let all = reports 1 @ reports 4 in
-        List.for_all (String.equal (List.hd all)) all)
+        let r1, s1, d1 = reports 1 and r4, s4, d4 = reports 4 in
+        let same l = List.for_all (String.equal (List.hd l)) l in
+        same (r1 @ r4) && same (s1 @ s4) && same (d1 @ d4))
 
 (* Two sessions on the very same (net, pats) values hold two caches: the
    second session's first build starts cold and simulates. *)

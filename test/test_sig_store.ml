@@ -128,6 +128,40 @@ let reject_case name mangle () =
     (Sig_cache.load_frozen ~dir c3);
   Obs.disable ()
 
+(* FIFO eviction of the mutable tier.  Every session runs at the 64 MB
+   budget, which no suite workload fills, so eviction is reached here
+   through the test seam: a 1 MB instance filled with every class
+   representative of rnd2k must evict, and afterwards each key is
+   either gone or holds exactly its scalar signature — an eviction may
+   cost a re-simulation, never a wrong answer. *)
+let test_fifo_eviction () =
+  Obs.enable ();
+  let net = Option.get (Generators.find_suite "rnd2k") in
+  let pats = Pattern.random (Rng.create 11) ~npis:(Netlist.num_pis net) ~count:256 in
+  let c = Sig_cache.create ~budget_mb:1 net pats in
+  let sim = Fault_sim.create net in
+  let faults = Fault_list.representatives (Fault_list.collapse net) in
+  let evictions0 = counter_value "cache.evictions" in
+  List.iter
+    (fun (f : Fault_list.fault) ->
+      ignore (Reference.lookup c sim ~site:f.site ~stuck:f.stuck : int array))
+    faults;
+  let evicted = counter_value "cache.evictions" - evictions0 in
+  Obs.disable ();
+  Alcotest.(check bool) (Printf.sprintf "cache.evictions = %d > 0" evicted) true (evicted > 0);
+  let gone = ref 0 in
+  List.iter
+    (fun (f : Fault_list.fault) ->
+      match Sig_cache.find c (Sig_cache.key ~site:f.site ~stuck:f.stuck) with
+      | None -> incr gone
+      | Some triples ->
+        Alcotest.(check (array int))
+          (Printf.sprintf "site %d stuck %b survives intact" f.site f.stuck)
+          (Reference.signature_triples c sim ~site:f.site ~stuck:f.stuck)
+          triples)
+    faults;
+  Alcotest.(check bool) "evicted keys read as misses" true (!gone > 0)
+
 let flip b i =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
   b
@@ -256,5 +290,9 @@ let suite =
         Alcotest.test_case "missing file is cold, not a reject" `Quick
           test_missing_file_not_a_reject;
       ]
-      @ List.map QCheck_alcotest.to_alcotest [ prop_codec_round_trip ] );
+      @ List.map QCheck_alcotest.to_alcotest [ prop_codec_round_trip ]
+      @ [
+          Alcotest.test_case "mutable tier evicts FIFO past its budget" `Quick
+            test_fifo_eviction;
+        ] );
   ]
