@@ -43,16 +43,18 @@ type result = {
 let effective_covers config m c =
   if not config.per_pattern then Explain.covers m c
   else begin
-    let obs = Explain.observations m in
     let failing = Explain.failing m in
-    let fp_of_pattern = Hashtbl.create (Array.length failing) in
-    Array.iteri (fun i p -> Hashtbl.add fp_of_pattern p i) failing;
     let cov = Bitvec.copy (Explain.covers m c) in
+    (* Observations are ordered by pattern, as [failing] is: the
+       failing-pattern index advances with them. *)
+    let fp = ref 0 in
     Array.iteri
       (fun i (ob : Datalog.observation) ->
-        let fp = Hashtbl.find fp_of_pattern ob.pattern in
-        if not (Explain.exact m c fp) then Bitvec.set cov i false)
-      obs;
+        while failing.(!fp) <> ob.pattern do
+          incr fp
+        done;
+        if not (Explain.exact m c !fp) then Bitvec.set cov i false)
+      (Explain.observations m);
     cov
   end
 
@@ -163,15 +165,11 @@ let greedy_cover config m =
    swapping each member for an alternative candidate that covers some of
    the member's exclusive observations.  Every accepted move re-runs full
    multiplet simulation, so interactions are always accounted for. *)
-let refine m pats chosen covers =
-  let net = Explain.netlist m in
-  let dlog = Explain.datalog m in
-  let session = Explain.session m in
-  let goods = Session.goods session in
-  let reach = Session.reach session in
+let refine m scorer chosen covers =
   let cand = Explain.candidates m in
-  let faults_of ids = List.map (fun c -> cand.(c)) ids in
-  let score_of ids = Scoring.evaluate_multiplet ~goods ~reach net pats dlog (faults_of ids) in
+  let score_of ids =
+    Scoring.evaluate_multiplet scorer (List.map (fun c -> cand.(c)) ids)
+  in
   let steps = ref 0 in
   let current = ref chosen in
   (* O(1) membership mirror of [current]; the swap pass probes every
@@ -259,41 +257,6 @@ let refine m pats chosen covers =
   end;
   (!current, !current_score, !steps)
 
-(* Full good-machine words of every net, block by block, shared by the
-   aggressor inference below. *)
-type good_cache = {
-  blocks : (Pattern.block * Logic_sim.net_values) list;
-  fp_of_pattern : (int, int) Hashtbl.t;
-  slot_of_fp : (int * int) array; (* failing pattern -> (block index, bit) *)
-  good_at : fp:int -> Netlist.net -> bool; (* value on a failing pattern *)
-}
-
-let build_good_cache session failing =
-  let fp_of_pattern = Hashtbl.create (Array.length failing) in
-  Array.iteri (fun i p -> Hashtbl.add fp_of_pattern p i) failing;
-  (* Good words come straight from the session — the explanation matrix
-     already shares them. *)
-  let goods = Session.goods session in
-  let blocks =
-    List.mapi (fun i b -> (b, goods.(i)))
-      (Array.to_list (Session.blocks session))
-  in
-  let slot_of_fp = Array.make (max 1 (Array.length failing)) (0, 0) in
-  List.iteri
-    (fun bi (block, _) ->
-      for k = 0 to block.Pattern.width - 1 do
-        match Hashtbl.find_opt fp_of_pattern (block.Pattern.base + k) with
-        | Some fp -> slot_of_fp.(fp) <- (bi, k)
-        | None -> ()
-      done)
-    blocks;
-  let words = Array.of_list (List.map snd blocks) in
-  let good_at ~fp n =
-    let bi, k = slot_of_fp.(fp) in
-    words.(bi).(n) lsr k land 1 = 1
-  in
-  { blocks; fp_of_pattern; slot_of_fp; good_at }
-
 let max_aggressors = 16
 
 (* Aggressor inference for a bridge-victim hypothesis.  Hard filter: the
@@ -305,38 +268,41 @@ let max_aggressors = 16
    are ordered by how closely the predicted failures match the datalog
    (a single-defect approximation; the final confirmation re-simulates
    the whole multiplet). *)
-let infer_aggressors config m pats cache site members covers =
+let infer_aggressors config m scorer site members covers =
   let net = Explain.netlist m in
   let obs = Explain.observations m in
-  let dlog = Explain.datalog m in
-  let needed = Hashtbl.create 8 in
+  let goods = Session.goods (Explain.session m) in
+  let nblocks = Array.length goods in
+  (* Word-parallel hard filter: the needed (failing pattern, value)
+     pairs as a (mask, expected) word pair per block, so testing an
+     aggressor is a couple of word compares — this runs once per net in
+     the netlist.  A pattern two members need takes the last one's
+     value. *)
+  let need_mask = Array.make (max 1 nblocks) 0 in
+  let need_val = Array.make (max 1 nblocks) 0 in
   List.iter
     (fun (c, f) ->
       if f.Fault_list.site = site then
         Bitvec.iter_set covers.(c) (fun oi ->
             let p = obs.(oi).Datalog.pattern in
-            let fp = Hashtbl.find cache.fp_of_pattern p in
-            Hashtbl.replace needed fp f.Fault_list.stuck))
+            let bi = p / Bitvec.word_bits and bit = 1 lsl (p mod Bitvec.word_bits) in
+            need_mask.(bi) <- need_mask.(bi) lor bit;
+            need_val.(bi) <-
+              (if f.Fault_list.stuck then need_val.(bi) lor bit
+               else need_val.(bi) land lnot bit)))
     members;
-  if Hashtbl.length needed = 0 then []
+  if Array.for_all (fun w -> w = 0) need_mask then []
   else begin
-    let session = Explain.session m in
-    let words_arr = Array.of_list (List.map snd cache.blocks) in
-    let nblocks = Array.length words_arr in
     (* Penalty of the dominant-bridge hypothesis "site follows a": one
-       PPSFP sweep over all blocks on the scoring scratch refine already
-       built for this problem (shared goods slab, PO-reachability screen
-       and observed words).  An observed failure the hypothesis does not
-       reproduce is a miss whether or not the output differs at all. *)
+       PPSFP sweep over all blocks on the diagnosis's scorer.  An
+       observed failure the hypothesis does not reproduce is a miss
+       whether or not the output differs at all. *)
     let deltas = Array.make (max 1 nblocks) 0 in
     let screen a =
       for bi = 0 to nblocks - 1 do
-        deltas.(bi) <- words_arr.(bi).(site) lxor words_arr.(bi).(a)
+        deltas.(bi) <- goods.(bi).(site) lxor goods.(bi).(a)
       done;
-      let s =
-        Scoring.screen_delta ~goods:(Session.goods session) ~reach:(Session.reach session)
-          net pats dlog ~site ~deltas
-      in
+      let s = Scoring.screen_delta scorer ~site ~deltas in
       (10 * s.Scoring.missed) + s.Scoring.spurious_fail + s.Scoring.spurious_pass
     in
     let physically_adjacent a =
@@ -344,18 +310,6 @@ let infer_aggressors config m pats cache site members covers =
       | None -> true
       | Some (placement, radius) -> Layout.distance placement site a <= radius
     in
-    (* Word-parallel hard filter: the needed (failing pattern, value)
-       pairs regrouped as a (mask, expected) word pair per block, so
-       testing an aggressor is a couple of word compares instead of a
-       hash fold — this runs once per net in the netlist. *)
-    let need_mask = Array.make (max 1 nblocks) 0 in
-    let need_val = Array.make (max 1 nblocks) 0 in
-    Hashtbl.iter
-      (fun fp v ->
-        let bi, k = cache.slot_of_fp.(fp) in
-        need_mask.(bi) <- need_mask.(bi) lor (1 lsl k);
-        if v then need_val.(bi) <- need_val.(bi) lor (1 lsl k))
-      needed;
     let need_blocks = ref [] in
     for bi = nblocks - 1 downto 0 do
       if need_mask.(bi) <> 0 then need_blocks := bi :: !need_blocks
@@ -367,7 +321,7 @@ let infer_aggressors config m pats cache site members covers =
       let n = Array.length need_blocks in
       while !ok && !i < n do
         let bi = need_blocks.(!i) in
-        if (words_arr.(bi).(a) lxor need_val.(bi)) land need_mask.(bi) <> 0 then
+        if (goods.(bi).(a) lxor need_val.(bi)) land need_mask.(bi) <> 0 then
           ok := false;
         incr i
       done;
@@ -384,11 +338,10 @@ let infer_aggressors config m pats cache site members covers =
     List.filteri (fun i _ -> i < max_aggressors) (List.map snd ranked)
   end
 
-let build_callouts config m pats chosen covers =
+let build_callouts config m scorer chosen covers =
   let cand = Explain.candidates m in
   let members = List.map (fun c -> (c, cand.(c))) chosen in
   let sites = List.sort_uniq compare (List.map (fun (_, f) -> f.Fault_list.site) members) in
-  let cache = build_good_cache (Explain.session m) (Explain.failing m) in
   let callouts =
     List.map
       (fun site ->
@@ -399,7 +352,7 @@ let build_callouts config m pats chosen covers =
         let explained_obs =
           List.fold_left (fun acc (c, _) -> acc + Bitvec.popcount covers.(c)) 0 mine
         in
-        let aggressors = infer_aggressors config m pats cache site mine covers in
+        let aggressors = infer_aggressors config m scorer site mine covers in
         let models =
           match (polarities, aggressors) with
           | [ v ], [] -> [ Stuck_at v ]
@@ -426,14 +379,9 @@ let max_validated_aggressors = 10
    bridges included, by replaying the overlay simulator's capped
    fixpoint lane by lane — and each hypothesis is then scored in one
    event-driven sweep instead of a full-circuit overlay resimulation. *)
-let validate_bridges config m pats multiplet callouts score =
+let validate_bridges config scorer multiplet callouts score =
   if not config.validate then (callouts, score)
   else begin
-    let session = Explain.session m in
-    let score_bridges =
-      Scoring.evaluate_bridges ~goods:(Session.goods session) ~reach:(Session.reach session)
-        (Explain.netlist m) pats (Explain.datalog m)
-    in
     let current_score = ref score in
     let callouts =
       List.map
@@ -464,7 +412,7 @@ let validate_bridges config m pats multiplet callouts score =
                 && Scoring.penalty s < Scoring.penalty !current_score
               then accepted := (s, a, kind) :: !accepted)
             hyps
-            (score_bridges ~rest ~victim:callout.site hyps);
+            (Scoring.evaluate_bridges scorer ~rest ~victim:callout.site hyps);
           match !accepted with
           | [] -> callout
           | l ->
@@ -524,28 +472,27 @@ let diagnose_matrix ?(config = default_config) m =
           end
           else (r.Hitting_set.cover, covers, r.Hitting_set.minimum, true))
   in
-  let session = Explain.session m in
-  let net = Explain.netlist m in
-  let pats = Session.patterns session in
-  let dlog = Explain.datalog m in
-  let final, score, steps =
+  let scorer, (final, score, steps) =
     Obs.phase "refine" @@ fun () ->
-    if config.validate && chosen <> [] then refine m pats chosen covers
-    else
-      let faults = List.map (fun c -> (Explain.candidates m).(c)) chosen in
-      ( chosen,
-        Scoring.evaluate_multiplet ~goods:(Session.goods session)
-          ~reach:(Session.reach session) net pats dlog faults,
-        0 )
+    (* One scorer per diagnosis, built by its first user: refine, the
+       aggressor screens and bridge validation all score on it. *)
+    let scorer = Scoring.create (Explain.session m) (Explain.datalog m) in
+    ( scorer,
+      if config.validate && chosen <> [] then refine m scorer chosen covers
+      else
+        let faults = List.map (fun c -> (Explain.candidates m).(c)) chosen in
+        (chosen, Scoring.evaluate_multiplet scorer faults, 0) )
   in
   let cand = Explain.candidates m in
   let multiplet =
     List.sort Fault_list.compare_fault (List.map (fun c -> cand.(c)) final)
   in
-  let callouts = Obs.phase "callouts" (fun () -> build_callouts config m pats final covers) in
+  let callouts =
+    Obs.phase "callouts" (fun () -> build_callouts config m scorer final covers)
+  in
   let callouts, score =
     Obs.phase "validate-bridges" (fun () ->
-        validate_bridges config m pats multiplet callouts score)
+        validate_bridges config scorer multiplet callouts score)
   in
   {
     multiplet;

@@ -54,68 +54,38 @@ let overlay_of_multiplet faults =
    simulator's fixpoint, and the emitted diff words equal the
    good/overlay difference words on every PO.
 
-   The scratch — a simulator plus batch slabs bound to one (netlist,
-   pattern set), the datalog's observed words, and the cone-marking
-   arrays of the bridge scorer — is domain-local and keyed on physical
-   identity: the refinement loop, the aggressor screens and bridge
-   validation score hundreds of hypotheses against one problem, and a
-   diagnosis touches at most a couple of problems at once (two slots,
-   oldest evicted). *)
-type batch_scratch = {
-  s_net : Netlist.t;
-  s_pats : Pattern.t;
-  s_blocks : Pattern.block array;
-  s_batch : Fault_sim.batch;
-  mutable s_dlog : Datalog.t option; (* [s_words] are for this log *)
-  mutable s_words : Datalog.words;
-  s_mark : int array; (* per net: stamp of the last cone that reached it *)
-  s_stack : int array; (* cone-walk stack *)
-  mutable s_epoch : int;
+   A scorer is the scratch of one diagnosis — a simulator plus batch
+   slabs over the session's blocks and goods, the datalog's observed
+   words, and the cone-marking arrays of the bridge scorer.  The
+   refinement loop, the aggressor screens and bridge validation score
+   hundreds of hypotheses against it; the diagnosis that built it is
+   its only holder. *)
+type t = {
+  net : Netlist.t;
+  nblocks : int;
+  batch : Fault_sim.batch;
+  words : Datalog.words;
+  npos : int;
+  mark : int array; (* per net: stamp of the last cone that reached it *)
+  stack : int array; (* cone-walk stack *)
+  mutable epoch : int;
 }
 
-let scratch_key : batch_scratch list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let get_scratch ?goods ?reach net pats =
-  let r = Domain.DLS.get scratch_key in
-  match List.find_opt (fun sc -> sc.s_net == net && sc.s_pats == pats) !r with
-  | Some sc -> sc
-  | None ->
-    let blocks = Array.of_list (Pattern.blocks pats) in
-    let goods =
-      match goods with
-      | Some g -> g
-      | None -> Array.map (fun b -> Logic_sim.simulate_block net b) blocks
-    in
-    let sim = Fault_sim.create ?reach net in
-    let nets = max 1 (Netlist.num_nets net) in
-    let sc =
-      {
-        s_net = net;
-        s_pats = pats;
-        s_blocks = blocks;
-        s_batch = Fault_sim.prepare_batch sim ~blocks ~goods;
-        s_dlog = None;
-        s_words = { Datalog.fail = [||]; obs = [||]; total = 0 };
-        s_mark = Array.make nets 0;
-        s_stack = Array.make nets 0;
-        s_epoch = 0;
-      }
-    in
-    (r := match !r with [] -> [ sc ] | keep :: _ -> [ sc; keep ]);
-    sc
-
-let prep_dlog sc dlog =
-  match sc.s_dlog with
-  | Some d when d == dlog -> ()
-  | _ ->
-    sc.s_words <- Datalog.observed_words dlog sc.s_blocks;
-    sc.s_dlog <- Some dlog
-
-let scratch_for ?goods ?reach net pats dlog =
-  let sc = get_scratch ?goods ?reach net pats in
-  prep_dlog sc dlog;
-  (sc, Datalog.npos dlog)
+let create session dlog =
+  let net = Session.netlist session in
+  let blocks = Session.blocks session in
+  let sim = Fault_sim.create ~reach:(Session.reach session) net in
+  let nets = max 1 (Netlist.num_nets net) in
+  {
+    net;
+    nblocks = Array.length blocks;
+    batch = Fault_sim.prepare_batch sim ~blocks ~goods:(Session.goods session);
+    words = Datalog.observed_words dlog blocks;
+    npos = Datalog.npos dlog;
+    mark = Array.make nets 0;
+    stack = Array.make nets 0;
+    epoch = 0;
+  }
 
 (* Score the diff words of one sweep.  Each [w] is already masked to its
    block's live width; unemitted (block, PO) words predict nothing, so
@@ -151,27 +121,25 @@ let score_triples words ~npos triples =
 let count_evaluation sc =
   if Obs.enabled () then begin
     Obs.incr c_evaluations;
-    Obs.add c_blocks_scored (Array.length sc.s_blocks)
+    Obs.add c_blocks_scored sc.nblocks
   end
 
 let site_pairs faults = List.map (fun f -> (f.Fault_list.site, f.Fault_list.stuck)) faults
 
-let evaluate_multiplet ?goods ?reach net pats dlog faults =
-  let sc, npos = scratch_for ?goods ?reach net pats dlog in
+let evaluate_multiplet sc faults =
   count_evaluation sc;
   let s =
-    score_words sc.s_words npos
-      (Fault_sim.batch_multiplet_diffs sc.s_batch ~faults:(site_pairs faults))
+    score_words sc.words sc.npos
+      (Fault_sim.batch_multiplet_diffs sc.batch ~faults:(site_pairs faults))
   in
-  Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
+  Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
   s
 
-let screen_delta ?goods ?reach net pats dlog ~site ~deltas =
-  let sc, npos = scratch_for ?goods ?reach net pats dlog in
+let screen_delta sc ~site ~deltas =
   let s =
-    score_words sc.s_words npos (Fault_sim.batch_po_diffs_delta sc.s_batch ~site ~deltas)
+    score_words sc.words sc.npos (Fault_sim.batch_po_diffs_delta sc.batch ~site ~deltas)
   in
-  Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
+  Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
   s
 
 (* --- Bridge hypotheses on the multi-site sweep (DESIGN.md §6a) ------- *)
@@ -183,7 +151,7 @@ let c_bridge_feedback = Obs.counter "bridges.feedback"
    cone, [from] itself excluded.  Each net is pushed at most once per
    stamp, so the stack never outgrows the netlist. *)
 let mark_cone sc ~csr ~off ~stamp from =
-  let mark = sc.s_mark and stack = sc.s_stack in
+  let mark = sc.mark and stack = sc.stack in
   let top = ref 0 in
   let push_next m =
     for e = off.(m) to off.(m + 1) - 1 do
@@ -223,15 +191,13 @@ let settle ~pre on0 on1 =
   done;
   !y
 
-let evaluate_bridges ?goods ?reach net pats dlog ~rest ~victim hyps =
+let evaluate_bridges sc ~rest ~victim hyps =
   if hyps = [] then []
   else begin
-    let sc, npos = scratch_for ?goods ?reach net pats dlog in
-    let b = sc.s_batch in
-    let nb = Array.length sc.s_blocks in
+    let net = sc.net and b = sc.batch and nb = sc.nblocks in
     let faults = site_pairs rest in
-    sc.s_epoch <- sc.s_epoch + 2;
-    let down = sc.s_epoch - 1 and up = sc.s_epoch in
+    sc.epoch <- sc.epoch + 2;
+    let down = sc.epoch - 1 and up = sc.epoch in
     mark_cone sc ~csr:(Netlist.fanout_csr net) ~off:(Netlist.fanout_offsets net)
       ~stamp:down victim;
     if List.exists (fun (_, k) -> is_wired k) hyps then
@@ -239,8 +205,8 @@ let evaluate_bridges ?goods ?reach net pats dlog ~rest ~victim hyps =
         victim;
     let relation a =
       if a = victim then invalid_arg "Scoring.evaluate_bridges: aggressor = victim"
-      else if sc.s_mark.(a) = down then Downstream
-      else if sc.s_mark.(a) = up then Upstream
+      else if sc.mark.(a) = down then Downstream
+      else if sc.mark.(a) = up then Upstream
       else Apart
     in
     let sweep ?held () = Fault_sim.batch_multiplet_diffs ?held b ~faults (fun _ _ _ -> ()) in
@@ -325,7 +291,7 @@ let evaluate_bridges ?goods ?reach net pats dlog ~rest ~victim hyps =
             | Upstream when is_wired kind -> Obs.incr c_bridge_feedback
             | Upstream | Apart -> ()
           end;
-          score_words sc.s_words npos
+          score_words sc.words sc.npos
             (Fault_sim.batch_multiplet_diffs ~held:(held_of h) b ~faults))
         hyps
     in

@@ -48,50 +48,38 @@ val score_triples : Datalog.words -> npos:int -> int array -> score
     are exactly its signature, so no simulation is needed.  [npos] is
     the datalog's PO count. *)
 
-val evaluate_multiplet :
-  ?goods:Logic_sim.net_values array ->
-  ?reach:Po_reach.t ->
-  Netlist.t ->
-  Pattern.t ->
-  Datalog.t ->
-  Fault_list.fault list ->
-  score
+type t
+(** A scorer: the scratch one diagnosis scores its hypotheses on — a
+    {!Fault_sim} simulator and PPSFP batch slabs over the session's
+    blocks and good-machine words, the datalog's
+    {!Datalog.observed_words}, and the bridge scorer's cone-marking
+    arrays.  The diagnosis that creates it owns it; it is not shared
+    across domains, and nothing else holds it, so it goes with the
+    diagnosis (DESIGN.md §6a, §11). *)
+
+val create : Session.t -> Datalog.t -> t
+(** [create session dlog] builds a scorer for [dlog] on [session]'s
+    problem, reading {!Session.goods} and {!Session.reach} (no
+    simulation).  Costs one transpose of the good-machine words. *)
+
+val evaluate_multiplet : t -> Fault_list.fault list -> score
 (** Score the multiplet by one PPSFP delta-propagation sweep
     ({!Fault_sim.batch_multiplet_diffs}) — the same score as a full
-    overlay resimulation of {!overlay_of_multiplet}, by construction.
-    The sweep runs on a domain-local scratch per (netlist, pattern
-    set), built on first use from [goods] (the good-machine words of
-    every block, in [Pattern.blocks] order) and [reach]
-    (session-threaded callers pass [Session.goods] and
-    [Session.reach]) and shared with {!screen_delta} and
-    {!evaluate_bridges}. *)
+    overlay resimulation of {!overlay_of_multiplet}, by construction. *)
 
-val screen_delta :
-  ?goods:Logic_sim.net_values array ->
-  ?reach:Po_reach.t ->
-  Netlist.t ->
-  Pattern.t ->
-  Datalog.t ->
-  site:Netlist.net ->
-  deltas:int array ->
-  score
+val screen_delta : t -> site:Netlist.net -> deltas:int array -> score
 (** Score one single-site injection of an arbitrary error word per
     block ([deltas], as {!Fault_sim.batch_po_diffs_delta}) against the
-    datalog, on the same scratch as {!evaluate_multiplet}.  The cheap
-    single-defect screen of bridge aggressors; not counted as a
-    ["scoring.evaluations"]. *)
+    datalog.  The cheap single-defect screen of bridge aggressors; not
+    counted as a ["scoring.evaluations"]. *)
 
 val evaluate_bridges :
-  ?goods:Logic_sim.net_values array ->
-  ?reach:Po_reach.t ->
-  Netlist.t ->
-  Pattern.t ->
-  Datalog.t ->
+  t ->
   rest:Fault_list.fault list ->
   victim:Netlist.net ->
   (Netlist.net * Defect.bridge_kind) list ->
   score list
-(** [evaluate_bridges net pats dlog ~rest ~victim hyps] scores each
+(** [evaluate_bridges t ~rest ~victim hyps] scores each
     (aggressor, kind) bridge hypothesis on [victim] together with the
     multiplet [rest] (which must not pin [victim]), in [hyps] order:
     each score equals that of an overlay resimulation of

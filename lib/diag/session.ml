@@ -184,18 +184,17 @@ let c_prewarm_faults = Obs.counter "prewarm.faults"
    representatives, the keys the phases actually probe (Explain rows
    and both baselines key by [Fault_list.representative_of]).
 
-   Probes use [Sig_cache.peek] so the hit/miss counters keep reflecting
-   only probes a diagnosis made — the acceptance check that a frozen
-   session serves dies with [cache.hits = 0] depends on that. *)
+   The whole pool is swept without probing the cache: prewarm runs on a
+   fresh session, whose mutable tier is empty, so there is nothing to
+   skip — and the hit/miss counters keep reflecting only probes a
+   diagnosis made. *)
 let prewarm t =
   let c = t.cache in
   if Sig_cache.is_frozen c then 0
   else
     Obs.phase "prewarm" (fun () ->
         let pool = Fault_list.representatives (Fault_list.collapse t.net) in
-        let cold =
-          Array.of_list (List.filter (fun f -> Sig_cache.peek c (key_of f) = None) pool)
-        in
+        let cold = Array.of_list pool in
         let out = simulate t cold in
         (* Hand the sweep results straight to the packer instead of
            routing them through the mutable tier: [store] would evict

@@ -15,9 +15,10 @@
     {!create} and safe to share across domains.  [net], [pats],
     [blocks], [goods] and [reach] are frozen; the cache instance is
     internally sharded and domain-safe; per-diagnosis scratch (fault
-    simulators, batch slabs, triple buffers) is never stored here — each
-    call allocates its own.  The volume service creates one session and
-    drains thousands of datalogs against it, one diagnosis per domain.
+    simulators, batch slabs, triple buffers, the {!Scoring.t} scorer) is
+    never stored here — each call allocates its own.  The volume
+    service creates one session and drains thousands of datalogs
+    against it, one diagnosis per domain.
 
     Ownership: {!create} always builds a fresh signature cache, and the
     session is its only holder.  One session is one problem with one
@@ -89,13 +90,15 @@ val prewarm : t -> int
     eviction budget so the arena always holds the complete pool).
     Every later probe of the session's cache is a lock-free
     frozen-tier read; the mutable tier stays available for keys outside
-    the pool.  Returns
-    the number of faults simulated, counted as ["prewarm.faults"] under
-    the ["prewarm"] phase.  Returns [0] without side effects when the
-    cache is already frozen, so a second call costs nothing.  Cold
-    probes use {!Sig_cache.peek}: hit/miss counters keep reflecting
-    only probes a diagnosis made.  Diagnosis results are byte-identical
-    with and without a prewarm, for every domain count. *)
+    the pool.  Returns the number of faults simulated, counted as
+    ["prewarm.faults"] under the ["prewarm"] phase.  Returns [0]
+    without side effects when the cache is already frozen, so a second
+    call costs nothing.  The sweep covers the whole pool without
+    probing the cache — it is meant for a fresh session, whose mutable
+    tier is empty (entries already there are simulated again and packed
+    with the same triples) — so hit/miss counters keep reflecting only
+    probes a diagnosis made.  Diagnosis results are byte-identical with
+    and without a prewarm, for every domain count. *)
 
 val netlist : t -> Netlist.t
 val patterns : t -> Pattern.t

@@ -58,9 +58,8 @@ let diagnose m =
     List.map (fun fp -> failing.(fp)) (Bitvec.to_list covered)
   in
   let score =
-    let session = Explain.session m in
-    Scoring.evaluate_multiplet ~goods:(Session.goods session) ~reach:(Session.reach session)
-      (Explain.netlist m) (Session.patterns session) (Explain.datalog m) multiplet
+    let scorer = Scoring.create (Explain.session m) (Explain.datalog m) in
+    Scoring.evaluate_multiplet scorer multiplet
   in
   {
     multiplet;

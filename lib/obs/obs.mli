@@ -8,7 +8,8 @@
       sites check {!enabled} once per batch — never per event — and the
       innermost kernels keep plain [mutable int] fields that are folded
       into the registry only after the hot region (see
-      [Fault_sim.stats]).  Nothing here allocates on the increment path.
+      [Fault_sim.publish_stats]).  Nothing here allocates on the increment
+      path.
     - {b Domain-safe.}  Counters are [int Atomic.t]; distribution and
       phase aggregation take a [Mutex] but are only touched at batch
       granularity.  Spans are plain values, so nested and concurrent

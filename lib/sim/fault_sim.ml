@@ -21,8 +21,6 @@ type t = {
   mutable n_gate_events : int;
 }
 
-type stats = { propagates : int; screened : int; gate_events : int }
-
 let create ?reach net =
   let n = Netlist.num_nets net in
   let depth = Netlist.depth net in
@@ -45,17 +43,6 @@ let create ?reach net =
     n_gate_events = 0;
   }
 
-let netlist t = t.net
-let reach t = t.reach
-
-let stats t =
-  { propagates = t.n_propagates; screened = t.n_screened; gate_events = t.n_gate_events }
-
-let reset_stats t =
-  t.n_propagates <- 0;
-  t.n_screened <- 0;
-  t.n_gate_events <- 0
-
 let c_faults_simulated = Obs.counter "sim.faults_simulated"
 let c_faults_screened = Obs.counter "sim.faults_screened"
 let c_gate_events = Obs.counter "sim.gate_events"
@@ -68,7 +55,9 @@ let publish_stats t =
     Obs.add c_faults_screened t.n_screened;
     Obs.add c_gate_events t.n_gate_events
   end;
-  reset_stats t
+  t.n_propagates <- 0;
+  t.n_screened <- 0;
+  t.n_gate_events <- 0
 
 (* Faulty-machine gate evaluation: operand [i] is
    [good.(src) lxor delta.(src)] for the gate's CSR fanin slice.  A
@@ -229,14 +218,10 @@ let iter_po_diffs t ~good ~width ~site ~stuck f =
   let stuck_word = if stuck then Logic.ones else 0 in
   iter_po_diffs_delta t ~good ~width ~site ~delta:(stuck_word lxor good.(site)) f
 
-let po_diffs_delta t ~good ~width ~site ~delta =
-  let out = ref [] in
-  iter_po_diffs_delta t ~good ~width ~site ~delta (fun oi d -> out := (oi, d) :: !out);
-  List.rev !out
-
 let po_diffs t ~good ~width ~site ~stuck =
-  let stuck_word = if stuck then Logic.ones else 0 in
-  po_diffs_delta t ~good ~width ~site ~delta:(stuck_word lxor good.(site))
+  let out = ref [] in
+  iter_po_diffs t ~good ~width ~site ~stuck (fun oi d -> out := (oi, d) :: !out);
+  List.rev !out
 
 let detects t ~good ~width ~site ~stuck =
   let acc = ref 0 in
@@ -340,7 +325,6 @@ let prepare_batch ?share t ~blocks ~goods =
   }
 
 let batch_sim b = b.bsim
-let num_blocks b = b.nb
 
 (* The batch keeps its own touched stack (rather than borrowing
    [t.touched]) so scalar [propagate] calls and batch sweeps can
@@ -678,35 +662,6 @@ let batch_po_diffs_delta b ~site ~deltas f =
     emit_reach_diffs b ~site f
   end
 
-let batch_po_diffs b ~site ~stuck f =
-  let t = b.bsim in
-  let nb = b.nb in
-  let off = Po_reach.offsets t.reach in
-  let stuck_word = if stuck then Logic.ones else 0 in
-  let tg = b.tgood in
-  let o = site * nb in
-  let any = ref false in
-  for bi = 0 to nb - 1 do
-    if (stuck_word lxor tg.(o + bi)) land b.masks.(bi) <> 0 then any := true
-  done;
-  if (not !any) || off.(site + 1) = off.(site) then
-    t.n_screened <- t.n_screened + 1
-  else begin
-    reset_batch b;
-    b.nact <- 0;
-    for bi = 0 to nb - 1 do
-      let d = (stuck_word lxor tg.(o + bi)) land b.masks.(bi) in
-      b.acc.(bi) <- d;
-      if d <> 0 then begin
-        b.act.(b.nact) <- bi;
-        b.nact <- b.nact + 1
-      end
-    done;
-    seed_batch b ~site ~pin_kind:1 b.acc;
-    drain_batch b;
-    emit_reach_diffs b ~site f
-  end
-
 let batch_multiplet_diffs ?(held = []) b ~faults f =
   let t = b.bsim in
   let nb = b.nb in
@@ -801,12 +756,21 @@ let batch_driven b ~net ~block =
     else !acc
   end
 
+(* A stuck-at fault is the injection of its stuck word against the good
+   one in every block.  The deltas go through the batch's own [acc]
+   scratch: [batch_po_diffs_delta] reads each word before it rewrites
+   it. *)
 let simulate_batch b ~n ~fault f =
   b.n_batches <- b.n_batches + 1;
   b.batch_faults <- n :: b.batch_faults;
   for i = 0 to n - 1 do
     let site, stuck = fault i in
-    batch_po_diffs b ~site ~stuck (fun bi oi w -> f i bi oi w)
+    let stuck_word = if stuck then Logic.ones else 0 in
+    let o = site * b.nb in
+    for bi = 0 to b.nb - 1 do
+      b.acc.(bi) <- stuck_word lxor b.tgood.(o + bi)
+    done;
+    batch_po_diffs_delta b ~site ~deltas:b.acc (fun bi oi w -> f i bi oi w)
   done
 
 let publish_batch_stats b =

@@ -20,34 +20,16 @@ val create : ?reach:Po_reach.t -> Netlist.t -> t
 (** [?reach] shares a precomputed PO-reachability structure (it is
     immutable); when omitted one is computed, an O(edges) sweep. *)
 
-val netlist : t -> Netlist.t
-
-val reach : t -> Po_reach.t
-(** The PO-reachability structure the simulator screens with. *)
-
-type stats = {
-  propagates : int;  (** Fault propagations actually run. *)
-  screened : int;
-      (** Injections screened away without simulating: zero delta on
-          every live pattern, or no PO reachable from the site. *)
-  gate_events : int;  (** Frontier entries drained across all levels. *)
-}
-
-val stats : t -> stats
-(** Since creation or the last {!reset_stats}.  Maintained
-    unconditionally (plain field adds at frontier granularity — cheap
-    enough to never gate); deterministic for a given workload, so
-    regression gates may compare them exactly.  Callers that publish
-    them into the global registry do so through [Obs] counters after
-    their batch. *)
-
-val reset_stats : t -> unit
-
 val publish_stats : t -> unit
-(** Fold this simulator's stats into the global [Obs] counters
-    ["sim.faults_simulated"], ["sim.faults_screened"] and
+(** Fold this simulator's stats — fault propagations run, injections
+    screened away (zero delta on every live pattern, or no PO reachable
+    from the site) and frontier entries drained — into the global [Obs]
+    counters ["sim.faults_simulated"], ["sim.faults_screened"] and
     ["sim.gate_events"] (when observability is on), then reset them.
-    Owners call it once per batch, after their parallel region. *)
+    The stats are maintained unconditionally (plain field adds at
+    frontier granularity) and are deterministic for a given workload,
+    so regression gates may compare them exactly.  Owners call it once
+    per batch, after their parallel region. *)
 
 val po_diffs :
   t ->
@@ -60,24 +42,6 @@ val po_diffs :
     [stuck] against the block whose good-machine words are [good] (live
     pattern bits [0 .. width-1]).  Returns [(po_position, diff_word)]
     for every PO whose masked diff word is non-zero, ascending. *)
-
-val po_diffs_delta :
-  t ->
-  good:Logic_sim.net_values ->
-  width:int ->
-  site:Netlist.net ->
-  delta:int ->
-  (int * int) list
-(** Generalisation of {!po_diffs}: inject an arbitrary per-pattern error
-    word [delta] (bit [k] set = the site's value is flipped on pattern
-    [k]) at [site] and propagate.  For a single injection the victim's
-    delta under "victim follows net [a]" is just
-    [good(victim) lxor good(a)]; the aggressor screens run that
-    injection over every block at once through {!batch_po_diffs_delta},
-    and bridge confirmation, which must see the rest of the multiplet
-    and the bridge's feedback, pins held words in
-    {!batch_multiplet_diffs}.  Kept as the single-block reference the
-    kernel oracles check the batch entry points against. *)
 
 val iter_po_diffs :
   t ->
@@ -99,7 +63,16 @@ val iter_po_diffs_delta :
   delta:int ->
   (int -> int -> unit) ->
   unit
-(** Allocation-free variant of {!po_diffs_delta}. *)
+(** Generalisation of {!iter_po_diffs}: inject an arbitrary
+    per-pattern error word [delta] (bit [k] set = the site's value is
+    flipped on pattern [k]) at [site] and propagate.  For a single
+    injection the victim's delta under "victim follows net [a]" is just
+    [good(victim) lxor good(a)]; the aggressor screens run that
+    injection over every block at once through {!batch_po_diffs_delta},
+    and bridge confirmation, which must see the rest of the multiplet
+    and the bridge's feedback, pins held words in
+    {!batch_multiplet_diffs}.  The single-block reference the kernel
+    oracles check {!batch_po_diffs_delta} against. *)
 
 val detects :
   t ->
@@ -146,22 +119,19 @@ val prepare_batch :
     slab. *)
 
 val batch_sim : batch -> t
-val num_blocks : batch -> int
-
-val batch_po_diffs :
-  batch -> site:Netlist.net -> stuck:bool -> (int -> int -> int -> unit) -> unit
-(** Simulate one stuck-at fault against {e every} block in one sweep:
-    [f bi oi w] for every non-zero masked diff word, blocks ascending,
-    then the site's reachable POs in CSR order — exactly the triple
-    order of the per-block scalar sweep, hence of [Sig_cache] entries.
-    Screens (all-blocks-inactive, no reachable PO) count once per
-    fault, not once per (fault, block). *)
 
 val batch_po_diffs_delta :
   batch -> site:Netlist.net -> deltas:int array -> (int -> int -> int -> unit) -> unit
-(** Generalisation injecting an arbitrary error word per block
-    ([deltas], indexed by block, masked internally) — the multi-block
-    form of {!iter_po_diffs_delta}, used by the aggressor screens. *)
+(** Inject an arbitrary error word per block ([deltas], indexed by
+    block, masked internally) at [site] and propagate it through
+    {e every} block in one sweep — the multi-block form of
+    {!iter_po_diffs_delta}, used by the aggressor screens and, with the
+    stuck word's delta, by {!simulate_batch}.  [f bi oi w] for every
+    non-zero masked diff word, blocks ascending, then the site's
+    reachable POs in CSR order — exactly the triple order of the
+    per-block scalar sweep, hence of [Sig_cache] entries.  Screens
+    (all-blocks-inactive, no reachable PO) count once per injection,
+    not once per (injection, block). *)
 
 val batch_multiplet_diffs :
   ?held:(Netlist.net * int array) list ->
@@ -205,9 +175,9 @@ val simulate_batch :
   unit
 (** Simulate a slice of [n] faults ([fault i] gives the [i]th as a
     (site, stuck) pair) against the batch's whole block group:
-    [f i bi oi w] with the triples of each fault in {!batch_po_diffs}
-    order, faults in slice order.  Counts one batch of [n] faults
-    towards {!publish_batch_stats}. *)
+    [f i bi oi w] with the triples of each fault in
+    {!batch_po_diffs_delta} order, faults in slice order.  Counts one
+    batch of [n] faults towards {!publish_batch_stats}. *)
 
 val publish_batch_stats : batch -> unit
 (** Fold this batch's tile counts into the global [Obs] counter

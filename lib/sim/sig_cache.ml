@@ -110,7 +110,7 @@ let put_uvarint buf v =
 let put_svarint buf v = put_uvarint buf ((v lsl 1) lxor (v asr 62))
 
 (* Decode one unsigned varint at [!pos], advancing it.  Bounds are the
-   caller's job ([decode_key] walks a pre-validated range). *)
+   caller's job ([walk] reads a pre-validated range). *)
 let get_uvarint bytes pos =
   let v = ref 0 and shift = ref 0 and cont = ref true in
   while !cont do
@@ -147,55 +147,56 @@ let encode_triples buf (triples : int array) =
     prev_oi := oi
   done
 
-let decode_triples bytes pos =
-  let n = get_uvarint bytes pos in
-  let triples = Array.make (3 * n) 0 in
-  let prev_bi = ref 0 and prev_oi = ref (-1) in
-  for i = 0 to n - 1 do
-    let dbi = get_svarint bytes pos in
-    if dbi <> 0 then prev_oi := -1;
-    let bi = !prev_bi + dbi in
-    let oi = !prev_oi + get_svarint bytes pos in
-    let w = get_uvarint bytes pos in
-    triples.(3 * i) <- bi;
-    triples.((3 * i) + 1) <- oi;
-    triples.((3 * i) + 2) <- w;
-    prev_bi := bi;
-    prev_oi := oi
-  done;
-  triples
-
 let bit_set bytes k = Char.code (Bytes.unsafe_get bytes (k lsr 3)) land (1 lsl (k land 7)) <> 0
 
 let bit_mark bytes k =
   Bytes.unsafe_set bytes (k lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get bytes (k lsr 3)) lor (1 lsl (k land 7))))
 
-let probe_mutable t k =
+let find_mutable t k =
   let s = shard_of t k in
   Mutex.lock s.lock;
   let r = Hashtbl.find_opt s.tbl k in
   Mutex.unlock s.lock;
-  r
-
-let find_mutable t k =
-  let r = probe_mutable t k in
   if Obs.enabled () then Obs.incr (match r with Some _ -> c_hits | None -> c_misses);
   r
 
-let frozen_probe t k =
-  match Atomic.get t.frozen with
-  | Some fr when k >= 0 && k < Array.length fr.offs - 1 && bit_set fr.present k ->
-    let pos = ref fr.offs.(k) in
-    Some (decode_triples fr.slab pos)
-  | Some _ | None -> None
+(* --- Frozen-tier reads ------------------------------------------------ *)
+
+(* Whether arena [fr] holds key [k]: the one membership test. *)
+let holds fr k = k >= 0 && k < Array.length fr.offs - 1 && bit_set fr.present k
+
+(* The one decoder: stream key [k]'s triples out of [fr] as [f block po
+   word] calls, inverting [encode_triples].  [fr] must hold [k]. *)
+let walk fr k f =
+  let bytes = fr.slab in
+  let pos = ref fr.offs.(k) in
+  let n = get_uvarint bytes pos in
+  let prev_bi = ref 0 and prev_oi = ref (-1) in
+  for _ = 1 to n do
+    let dbi = get_svarint bytes pos in
+    if dbi <> 0 then prev_oi := -1;
+    let bi = !prev_bi + dbi in
+    let oi = !prev_oi + get_svarint bytes pos in
+    let w = get_uvarint bytes pos in
+    f bi oi w;
+    prev_bi := bi;
+    prev_oi := oi
+  done
 
 let find t k =
-  match frozen_probe t k with
-  | Some _ as r ->
+  match Atomic.get t.frozen with
+  | Some fr when holds fr k ->
     if Obs.enabled () then Obs.incr c_frozen_hits;
-    r
-  | None -> find_mutable t k
+    let triples = Array.make (3 * get_uvarint fr.slab (ref fr.offs.(k))) 0 in
+    let i = ref 0 in
+    walk fr k (fun bi oi w ->
+        triples.(!i) <- bi;
+        triples.(!i + 1) <- oi;
+        triples.(!i + 2) <- w;
+        i := !i + 3);
+    Some triples
+  | Some _ | None -> find_mutable t k
 
 (* Decode-free probe + streaming decode: the explanation matrix replays
    a thousand-odd rows per build, and materialising an [int array] per
@@ -210,7 +211,7 @@ type probe_result = Frozen | Warm of int array | Cold
 
 let probe t k =
   match Atomic.get t.frozen with
-  | Some fr when k >= 0 && k < Array.length fr.offs - 1 && bit_set fr.present k ->
+  | Some fr when holds fr k ->
     if Obs.enabled () then Obs.incr c_frozen_hits;
     Frozen
   | Some _ | None -> (
@@ -218,28 +219,8 @@ let probe t k =
 
 let iter_frozen t k f =
   match Atomic.get t.frozen with
-  | Some fr when k >= 0 && k < Array.length fr.offs - 1 && bit_set fr.present k ->
-    let bytes = fr.slab in
-    let pos = ref fr.offs.(k) in
-    let n = get_uvarint bytes pos in
-    let prev_bi = ref 0 and prev_oi = ref (-1) in
-    for _ = 1 to n do
-      let dbi = get_svarint bytes pos in
-      if dbi <> 0 then prev_oi := -1;
-      let bi = !prev_bi + dbi in
-      let oi = !prev_oi + get_svarint bytes pos in
-      let w = get_uvarint bytes pos in
-      f bi oi w;
-      prev_bi := bi;
-      prev_oi := oi
-    done
+  | Some fr when holds fr k -> walk fr k f
   | Some _ | None -> invalid_arg "Sig_cache.iter_frozen: key not in the frozen tier"
-
-(* Counter-free probe for warm-up sweeps: [Session.prewarm] uses it to
-   find the cold keys without charging the hit/miss split for probes no
-   diagnosis made. *)
-let peek t k =
-  match frozen_probe t k with Some _ as r -> r | None -> probe_mutable t k
 
 let store t k triples =
   let s = shard_of t k in

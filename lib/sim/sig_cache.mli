@@ -75,11 +75,6 @@ val find : t -> int -> int array option
     probes go through the shard mutex and bump the hit/miss
     counters. *)
 
-val peek : t -> int -> int array option
-(** {!find} without touching any counter — for warm-up sweeps probing
-    which keys are still cold ([Session.prewarm]), so the hit/miss
-    split only ever reflects probes a diagnosis actually made. *)
-
 type probe_result =
   | Frozen  (** In the frozen arena — stream it with {!iter_frozen}. *)
   | Warm of int array  (** In the mutable tier (the shared boxed array). *)
@@ -105,7 +100,7 @@ val freeze : ?extra:(int * int array) array -> t -> unit
 (** Pack the mutable tier into the frozen arena and publish it: one
     contiguous byte slab of varint-delta-encoded triples with a flat
     per-key offset index (no hashing, no per-key boxing — DESIGN.md
-    §12), read by {!find}/{!peek} with no locks (one [Atomic.get]
+    §12), read by {!find}, {!probe} and {!iter_frozen} with no locks (one [Atomic.get]
     publishes the arena safely across domains; the bytes are never
     written again).  [extra] entries are packed as well, {e without}
     passing through the mutable tier or its eviction budget —

@@ -118,8 +118,6 @@ let run_chunks_slotted w chunks body =
   end;
   match Atomic.get failure with Some e -> raise e | None -> ()
 
-let run_chunks w chunks body = run_chunks_slotted w chunks (fun ~slot:_ i lo hi -> body i lo hi)
-
 let chunk_bounds n k =
   let k = min k n in
   let base = n / k and rem = n mod k in
@@ -158,16 +156,6 @@ let chunk_bounds_weighted weights nchunks =
   Array.of_list (List.rev !chunks)
 
 (* --- Public entry points -------------------------------------------- *)
-
-let parallel_for ?domains n body =
-  if n > 0 then begin
-    let d = width domains n in
-    if d <= 1 then begin
-      note_serial 1;
-      body 0 n
-    end
-    else run_chunks d (chunk_bounds n d) (fun _ lo hi -> body lo hi)
-  end
 
 (* Merge adjacent chunks until each (except possibly the only one left)
    carries at least [min_w] weight.  Cache-aware callers use this to
@@ -227,8 +215,11 @@ let split_large_chunks cap chunks =
                   (chunk_bounds len ((len + cap - 1) / cap)))
             chunks))
 
-let weighted_chunks ?domains ?(chunks_per_domain = 4) ?(min_chunk_weight = 0)
-    ?max_chunk_size ~weights () =
+(* Oversplit factor of a weighted plan: chunks per domain, so the shared
+   cursor absorbs weight-estimate error. *)
+let chunks_per_domain = 4
+
+let weighted_chunks ?domains ?(min_chunk_weight = 0) ?max_chunk_size ~weights () =
   let n = Array.length weights in
   if n = 0 then [||]
   else begin
@@ -237,7 +228,7 @@ let weighted_chunks ?domains ?(chunks_per_domain = 4) ?(min_chunk_weight = 0)
       if d <= 1 then [| (0, n) |]
       else
         merge_small_chunks weights min_chunk_weight
-          (chunk_bounds_weighted weights (d * max 1 chunks_per_domain))
+          (chunk_bounds_weighted weights (d * chunks_per_domain))
     in
     match max_chunk_size with
     | None -> base
@@ -268,13 +259,6 @@ let run_plan_slotted ?domains plan body =
     end
     else run_chunks_slotted d plan body
 
-let run_plan ?domains plan body = run_plan_slotted ?domains plan (fun ~slot:_ i lo hi -> body i lo hi)
-
-let parallel_for_weighted ?domains ?chunks_per_domain ~weights body =
-  run_plan ?domains
-    (weighted_chunks ?domains ?chunks_per_domain ~weights ())
-    (fun _ lo hi -> body lo hi)
-
 let mapi_array ?domains f a =
   let n = Array.length a in
   if n = 0 then [||]
@@ -287,32 +271,10 @@ let mapi_array ?domains f a =
     else begin
       let chunks = chunk_bounds n d in
       let parts = Array.make (Array.length chunks) [||] in
-      run_chunks d chunks (fun i lo hi ->
+      run_chunks_slotted d chunks (fun ~slot:_ i lo hi ->
           parts.(i) <- Array.init (hi - lo) (fun j -> f (lo + j) a.(lo + j)));
       Array.concat (Array.to_list parts)
     end
   end
 
 let map_array ?domains f a = mapi_array ?domains (fun _ x -> f x) a
-
-let map_reduce ?domains ~map ~reduce ~init a =
-  let n = Array.length a in
-  if n = 0 then init
-  else begin
-    let d = width domains n in
-    if d <= 1 then begin
-      note_serial 1;
-      Array.fold_left (fun acc x -> reduce acc (map x)) init a
-    end
-    else begin
-      let chunks = chunk_bounds n d in
-      let parts = Array.make (Array.length chunks) init in
-      run_chunks d chunks (fun i lo hi ->
-          let acc = ref (map a.(lo)) in
-          for j = lo + 1 to hi - 1 do
-            acc := reduce !acc (map a.(j))
-          done;
-          parts.(i) <- !acc);
-      Array.fold_left reduce init parts
-    end
-  end

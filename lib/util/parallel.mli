@@ -1,9 +1,11 @@
 (** Fork-join domain batches for data-parallel kernels.
 
-    The diagnosis hot paths — candidate-matrix construction, multiplet
-    scoring, campaign trials — are all loops over independent index
-    ranges.  This module runs such loops across OCaml 5 domains
-    (stdlib [Domain] + [Atomic] only, no external dependencies).
+    The parallel hot paths are loops over independent index ranges:
+    the signature sweep runs a cost-weighted plan with per-slot scratch
+    ({!weighted_chunks}, {!run_plan_slotted}); campaign trials and
+    volume dies map over an array ({!map_array}).  This module runs
+    them across OCaml 5 domains (stdlib [Domain] + [Atomic] only, no
+    external dependencies).
 
     Each batch spawns its worker domains and joins them before
     returning, leaving no idle domains behind.  That is deliberate: an
@@ -18,8 +20,8 @@
 
     Determinism contract: work is partitioned into contiguous index
     chunks whose boundaries depend only on the inputs, each chunk's
-    writes are keyed on its chunk index, and reductions combine chunk
-    results in index order on the calling domain.  Given a pure (or
+    writes are keyed on its chunk index, and mapped chunks are
+    concatenated in index order on the calling domain.  Given a pure (or
     disjoint-write) body, results are identical for every domain count,
     including the sequential [domains <= 1] fallback — which runs the
     body inline and pays no spawn or synchronisation overhead.
@@ -42,45 +44,26 @@ val set_domains : int -> unit
     Used by the [--domains] CLI flag; takes precedence over
     [MDD_DOMAINS]. *)
 
-val parallel_for : ?domains:int -> int -> (int -> int -> unit) -> unit
-(** [parallel_for n body] partitions [0, n) into at most [domains]
-    contiguous chunks and calls [body lo hi] (half-open) once per chunk,
-    in parallel.  [body] must only write state disjoint per chunk.
-    Returns when every chunk is complete; completed-chunk writes are
-    visible to the caller. *)
-
-val parallel_for_weighted :
-  ?domains:int ->
-  ?chunks_per_domain:int ->
-  weights:int array ->
-  (int -> int -> unit) ->
-  unit
-(** [parallel_for_weighted ~weights body] is {!parallel_for} over
-    [0, Array.length weights), but chunk boundaries equalise the sum of
-    per-index [weights] instead of the index count, and the range is
-    oversplit into [chunks_per_domain] (default 4) chunks per domain so
-    the shared cursor absorbs weight-estimate error.  Use when
-    per-index cost varies widely (e.g. fault fanout-cone size in
-    [Session.simulate]); weights below 1 count as 1.  Chunk boundaries
-    depend only on the weights, so results of disjoint-write bodies
-    remain deterministic for every domain count. *)
-
 val weighted_chunks :
   ?domains:int ->
-  ?chunks_per_domain:int ->
   ?min_chunk_weight:int ->
   ?max_chunk_size:int ->
   weights:int array ->
   unit ->
   (int * int) array
-(** The chunk plan behind {!parallel_for_weighted}, exposed so callers
-    can preallocate per-chunk scratch {e before} entering the parallel
-    region (allocation inside a region triggers stop-the-world
-    collections that stall every active domain — ruinous when domains
-    outnumber cores).  Chunks are non-empty, contiguous, in index
-    order, and cover [0, Array.length weights); a single chunk is
-    returned when the effective width is 1 and no [max_chunk_size] is
-    given.
+(** A chunk plan over [0, Array.length weights) for
+    {!run_plan_slotted}: chunk boundaries equalise the sum of per-index
+    [weights] (weights below 1 count as 1) instead of the index count,
+    and the range is oversplit into 4 chunks per domain so the shared
+    cursor absorbs weight-estimate error.  Use when per-index cost
+    varies widely (e.g. fault fanout-cone size in [Session.simulate]).
+    The plan is computed {e before} the parallel region so callers can
+    preallocate per-slot scratch (allocation inside a region triggers
+    stop-the-world collections that stall every active domain — ruinous
+    when domains outnumber cores).  Chunks are non-empty, contiguous,
+    in index order, and cover [0, Array.length weights); a single chunk
+    is returned when the effective width is 1 and no [max_chunk_size]
+    is given.
 
     [min_chunk_weight] (default 0: off) merges adjacent chunks until
     each carries at least that much weight — so a batch left almost
@@ -99,14 +82,6 @@ val weighted_chunks :
     boundaries.  The plan still depends only on the weights and the
     arguments, preserving determinism. *)
 
-val run_plan : ?domains:int -> (int * int) array -> (int -> int -> int -> unit) -> unit
-(** [run_plan plan body] calls [body i lo hi] once per chunk of a
-    {!weighted_chunks} plan, across at most [domains] domains (the
-    caller is one of them; a 1-chunk plan runs entirely inline).
-    [body] must only write state disjoint per chunk — key the writes on
-    the chunk index [i], since chunk-to-domain assignment is dynamic.
-    Pass the same [?domains] given to {!weighted_chunks}. *)
-
 val plan_slots : ?domains:int -> (int * int) array -> int
 (** Number of drain slots {!run_plan_slotted} will use for the plan
     under the same [?domains]: 1 when the plan runs inline, otherwise
@@ -115,14 +90,17 @@ val plan_slots : ?domains:int -> (int * int) array -> int
 
 val run_plan_slotted :
   ?domains:int -> (int * int) array -> (slot:int -> int -> int -> int -> unit) -> unit
-(** {!run_plan}, but the body also receives the drain [slot] (in
-    [0 .. plan_slots plan - 1]) of the participant running the chunk.
-    Chunk-to-slot assignment is dynamic and non-deterministic; a body
-    may key {e scratch reuse} on the slot (heavy per-worker state such
-    as the batched simulator's transposed delta slabs is allocated per
-    slot, not per chunk) but must still key all {e result} writes on
-    the chunk index, so the output never depends on the assignment.
-    Pass the same [?domains] given to {!weighted_chunks}. *)
+(** [run_plan_slotted plan body] calls [body ~slot i lo hi] once per
+    chunk of a {!weighted_chunks} plan, across at most [domains]
+    domains (the caller is one of them; a 1-chunk plan runs entirely
+    inline).  [slot] (in [0 .. plan_slots plan - 1]) is the drain slot
+    of the participant running the chunk.  Chunk-to-slot assignment is
+    dynamic and non-deterministic; a body may key {e scratch reuse} on
+    the slot (heavy per-worker state such as the batched simulator's
+    transposed delta slabs is allocated per slot, not per chunk) but
+    must only write results disjoint per chunk, keyed on the chunk
+    index [i], so the output never depends on the assignment.  Pass the
+    same [?domains] given to {!weighted_chunks}. *)
 
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f a] is [Array.map f a], chunked across domains.  [f] is
@@ -130,11 +108,3 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val mapi_array : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** [mapi_array f a] is [Array.mapi f a], chunked across domains. *)
-
-val map_reduce :
-  ?domains:int -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** [map_reduce ~map ~reduce ~init a] folds [reduce] left-to-right over
-    [map a.(i)] in index order.  Each chunk folds its own elements;
-    chunk partials are combined in chunk order starting from [init], so
-    [reduce] must be associative with [init] as identity for the result
-    to be independent of the domain count. *)

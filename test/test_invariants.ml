@@ -60,7 +60,11 @@ let prop_diagnosis_wellformed =
         (* The reported score must equal a fresh evaluation of the
            multiplet, unless a confirmed bridge replaced a member's
            behaviour (then it can only be better or equal). *)
-        let fresh = Scoring.evaluate_multiplet net pats dlog r.Noassume.multiplet in
+        let fresh =
+          Scoring.evaluate_multiplet
+            (Scoring.create (Session.create net pats) dlog)
+            r.Noassume.multiplet
+        in
         nets_ok && Scoring.penalty r.Noassume.score <= Scoring.penalty fresh
       end)
 

@@ -224,7 +224,7 @@ let prop_evaluate_multiplet_matches_overlay =
           :: faults
         else faults
       in
-      Scoring.evaluate_multiplet net pats dlog faults
+      Scoring.evaluate_multiplet (Scoring.create (Session.create net pats) dlog) faults
       = Reference.evaluate_multiplet net pats dlog faults)
 
 (* --- evaluate_bridges against the overlay simulator ----------------- *)
@@ -241,7 +241,11 @@ let bridge_kinds = [ Defect.Dominant; Defect.Wired_and; Defect.Wired_or ]
 
 let bridges_agree net pats dlog ~rest ~victim ~aggressor =
   let hyps = List.map (fun kind -> (aggressor, kind)) bridge_kinds in
-  let got = Scoring.evaluate_bridges net pats dlog ~rest ~victim hyps in
+  let got =
+    Scoring.evaluate_bridges
+      (Scoring.create (Session.create net pats) dlog)
+      ~rest ~victim hyps
+  in
   let want =
     List.map
       (fun kind ->

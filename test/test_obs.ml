@@ -141,11 +141,7 @@ let test_span_nesting () =
 
 let test_parallel_chunk_dist () =
   isolated @@ fun () ->
-  let acc = Array.make 100 0 in
-  Parallel.parallel_for ~domains:2 100 (fun lo hi ->
-      for i = lo to hi - 1 do
-        acc.(i) <- 1
-      done);
+  ignore (Parallel.map_array ~domains:2 succ (Array.make 100 0) : int array);
   let snap = Obs.snapshot () in
   Alcotest.(check int) "one batch" 1 (counter_value snap "parallel.batches");
   Alcotest.(check int) "one spawn" 1 (counter_value snap "parallel.spawns");

@@ -30,49 +30,33 @@ let test_mapi_array_passes_indices () =
         (Parallel.mapi_array ~domains:d (fun i x -> (10 * i) + x) a))
     domain_counts
 
-let test_parallel_for_covers_each_index_once () =
+(* A weighted, tile-capped plan drained through its slots covers every
+   index exactly once, at every domain count and tile cap, and hands
+   each chunk a slot inside [plan_slots]. *)
+let test_plan_covers_each_index_once () =
   List.iter
     (fun n ->
+      let weights = Array.init n (fun i -> (i * 7) mod 5) in
       List.iter
-        (fun d ->
-          let hits = Array.make (max n 1) 0 in
-          Parallel.parallel_for ~domains:d n (fun lo hi ->
-              for i = lo to hi - 1 do
-                hits.(i) <- hits.(i) + 1
-              done);
-          Alcotest.(check bool)
-            (Printf.sprintf "n=%d domains=%d" n d)
-            true
-            (Array.for_all (fun h -> h = if n = 0 then 0 else 1) (Array.sub hits 0 (max n 1))
-            && (n = 0 || Array.for_all (fun h -> h = 1) (Array.sub hits 0 n))))
-        domain_counts)
-    sizes
-
-let test_map_reduce_ordered () =
-  (* String concatenation is associative but not commutative: an
-     out-of-order chunk reduction changes the answer. *)
-  let a = Array.init 37 (fun i -> string_of_int i ^ ";") in
-  let expect = Array.fold_left ( ^ ) "" a in
-  List.iter
-    (fun d ->
-      Alcotest.(check string)
-        (Printf.sprintf "domains=%d" d)
-        expect
-        (Parallel.map_reduce ~domains:d ~map:Fun.id ~reduce:( ^ ) ~init:"" a))
-    domain_counts
-
-let test_map_reduce_sum_and_empty () =
-  List.iter
-    (fun n ->
-      let a = Array.init n (fun i -> i) in
-      let expect = n * (n - 1) / 2 in
-      List.iter
-        (fun d ->
-          Alcotest.(check int)
-            (Printf.sprintf "n=%d domains=%d" n d)
-            expect
-            (Parallel.map_reduce ~domains:d ~map:Fun.id ~reduce:( + ) ~init:0 a))
-        domain_counts)
+        (fun cap ->
+          List.iter
+            (fun d ->
+              let plan =
+                Parallel.weighted_chunks ~domains:d ~max_chunk_size:cap ~weights ()
+              in
+              let nslots = Parallel.plan_slots ~domains:d plan in
+              let hits = Array.make n 0 in
+              let slots_ok = Atomic.make true in
+              Parallel.run_plan_slotted ~domains:d plan (fun ~slot _ lo hi ->
+                  if slot < 0 || slot >= nslots then Atomic.set slots_ok false;
+                  for i = lo to hi - 1 do
+                    hits.(i) <- hits.(i) + 1
+                  done);
+              let name = Printf.sprintf "n=%d cap=%d domains=%d" n cap d in
+              Alcotest.(check bool) name true (Array.for_all (fun h -> h = 1) hits);
+              Alcotest.(check bool) (name ^ " slots") true (Atomic.get slots_ok))
+            domain_counts)
+        [ 1; 3; 16 ])
     sizes
 
 let test_nested_calls () =
@@ -84,19 +68,22 @@ let test_nested_calls () =
   let got =
     Parallel.map_array ~domains:4
       (fun i ->
-        Parallel.map_reduce ~domains:4 ~map:Fun.id ~reduce:( + ) ~init:0
-          (Array.init (i + 5) (fun j -> i * j)))
+        Array.fold_left ( + ) 0
+          (Parallel.map_array ~domains:4 Fun.id (Array.init (i + 5) (fun j -> i * j))))
       (Array.init 9 Fun.id)
   in
   Alcotest.(check (array int)) "nested" (Array.init 9 expect) got
 
 let test_chunk_failure_propagates () =
   Alcotest.check_raises "worker exception reaches the caller" Exit (fun () ->
-      Parallel.parallel_for ~domains:4 100 (fun lo _ -> if lo > 0 then raise Exit));
+      ignore
+        (Parallel.map_array ~domains:4
+           (fun i -> if i >= 50 then raise Exit else i)
+           (Array.init 100 Fun.id)
+          : int array));
   (* The pool must survive a failed batch. *)
   Alcotest.(check int) "pool alive after failure" 10
-    (Parallel.map_reduce ~domains:4 ~map:Fun.id ~reduce:( + ) ~init:0
-       (Array.init 5 Fun.id))
+    (Array.fold_left ( + ) 0 (Parallel.map_array ~domains:4 Fun.id (Array.init 5 Fun.id)))
 
 let test_set_domains () =
   let orig = Parallel.default_domains () in
@@ -183,9 +170,7 @@ let suite =
           test_map_array_matches_sequential;
         Alcotest.test_case "mapi_array indices" `Quick test_mapi_array_passes_indices;
         Alcotest.test_case "parallel_for covers exactly once" `Quick
-          test_parallel_for_covers_each_index_once;
-        Alcotest.test_case "map_reduce ordered" `Quick test_map_reduce_ordered;
-        Alcotest.test_case "map_reduce sum + empty" `Quick test_map_reduce_sum_and_empty;
+          test_plan_covers_each_index_once;
         Alcotest.test_case "nested calls" `Quick test_nested_calls;
         Alcotest.test_case "chunk failure propagates" `Quick test_chunk_failure_propagates;
         Alcotest.test_case "set_domains" `Quick test_set_domains;

@@ -38,7 +38,8 @@ let test_single_stuck_multiplet () =
   let net = Generators.c17 () in
   let g16 = g net "G16" in
   let _, pats, dlog = problem [ Defect.Stuck (g16, true) ] in
-  let s = Scoring.evaluate_multiplet net pats dlog [ { Fault_list.site = g16; stuck = true } ] in
+  let s = Scoring.evaluate_multiplet (Scoring.create (Session.create net pats) dlog)
+      [ { Fault_list.site = g16; stuck = true } ] in
   Alcotest.(check bool) "perfect" true (Scoring.perfect s)
 
 let test_byzantine_overlay () =
@@ -62,7 +63,7 @@ let test_byzantine_explains_intermittent () =
   let g16 = g net "G16" in
   let _, pats, dlog = problem [ Defect.Intermittent { site = g16; salt = 3; rate_pct = 40 } ] in
   let s =
-    Scoring.evaluate_multiplet net pats dlog
+    Scoring.evaluate_multiplet (Scoring.create (Session.create net pats) dlog)
       [ { Fault_list.site = g16; stuck = false }; { Fault_list.site = g16; stuck = true } ]
   in
   Alcotest.(check int) "no misses" 0 s.Scoring.missed

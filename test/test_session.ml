@@ -121,20 +121,29 @@ let test_sessions_do_not_share () =
   Alcotest.(check bool) "second session on the same problem starts cold" true
     (misses (Session.create net pats) > 0)
 
-(* A dropped session frees its cache: nothing outside the session keeps
-   the instance reachable. *)
+(* A dropped session frees its cache and its pattern set: nothing
+   outside the session — no scorer a diagnosis built on it — keeps
+   either reachable. *)
 let test_dropped_session_frees_cache () =
   let net = Generators.c17 () in
-  let pats = Pattern.exhaustive ~npis:(Netlist.num_pis net) in
-  let w = Weak.create 1 in
+  let cache = Weak.create 1 and patterns = Weak.create 1 in
   let[@inline never] fill () =
+    let pats = Pattern.exhaustive ~npis:(Netlist.num_pis net) in
     let config = { Session.default_config with prewarm = true } in
     let session = Session.create ~config net pats in
-    Weak.set w 0 (Session.cache session)
+    let dlog =
+      Datalog.of_entries ~npatterns:(Pattern.count pats) ~npos:(Netlist.num_pos net)
+        [ (3, [ 0 ]) ]
+    in
+    ignore (Noassume.diagnose_session session dlog : Noassume.result);
+    Weak.set cache 0 (Session.cache session);
+    Weak.set patterns 0 (Some pats)
   in
   fill ();
   Gc.full_major ();
-  Alcotest.(check bool) "cache collected with its session" false (Weak.check w 0)
+  Alcotest.(check bool) "cache collected with its session" false (Weak.check cache 0);
+  Alcotest.(check bool) "pattern set collected with its session" false
+    (Weak.check patterns 0)
 
 (* Four dies drained concurrently over one shared warm session must
    produce exactly the reports their one-at-a-time runs produce —
