@@ -24,7 +24,8 @@ type t = {
   covers : Bitvec.t array; (* per row *)
   nfp : int; (* failing-pattern count, the minor stride below *)
   matched : int array; (* flat row x failing-pattern, [row * nfp + fp] *)
-  spurious : int array;
+  spurious_any : Bytes.t; (* same layout: '\001' iff any spurious bit *)
+  mispredict_fail : int array; (* per row *)
   mispredict_pass : int array;
   nfail_pos : int array; (* failing-pattern -> #failing POs *)
 }
@@ -38,20 +39,13 @@ let observations t = t.observations
 let failing t = t.failing
 let covers t c = t.covers.(t.row_of.(c))
 let matched t c fp = t.matched.((t.row_of.(c) * t.nfp) + fp)
-let spurious t c fp = t.spurious.((t.row_of.(c) * t.nfp) + fp)
+let spurious_any t c fp = Bytes.get t.spurious_any ((t.row_of.(c) * t.nfp) + fp) <> '\000'
 
 let exact t c fp =
   let o = (t.row_of.(c) * t.nfp) + fp in
-  t.matched.(o) = t.nfail_pos.(fp) && t.spurious.(o) = 0
+  t.matched.(o) = t.nfail_pos.(fp) && Bytes.get t.spurious_any o = '\000'
 
-let mispredict_fail t c =
-  let o = t.row_of.(c) * t.nfp in
-  let acc = ref 0 in
-  for fp = 0 to t.nfp - 1 do
-    acc := !acc + t.spurious.(o + fp)
-  done;
-  !acc
-
+let mispredict_fail t c = t.mispredict_fail.(t.row_of.(c))
 let mispredict_pass t c = t.mispredict_pass.(t.row_of.(c))
 
 (* Candidate seeds: both stuck polarities of every net in the union of
@@ -119,8 +113,9 @@ let build_session session dlog =
   let failing = Array.of_list (Datalog.failing_patterns dlog) in
   let nfp = Array.length failing in
   let npos = Datalog.npos dlog in
-  (* Direct-indexed lookup tables — the inner loop below runs once per
-     error *bit*, so hash probes there dominated the whole build. *)
+  (* Direct-indexed lookup tables — the matched loop below runs once per
+     covered observation, so hash probes there dominated the whole
+     build. *)
   let fp_of_pattern = Array.make (max 1 (Datalog.npatterns dlog)) (-1) in
   Array.iteri (fun i p -> fp_of_pattern.(p) <- i) failing;
   let obs_of = Array.make (max 1 (nfp * npos)) (-1) in
@@ -138,7 +133,8 @@ let build_session session dlog =
   (* Word-level observed-bit masks: the matrix fill splits each diff
      word into matched ([w land obsmask]) and spurious
      ([w land fail_mask land lnot obsmask]) bits up front, so the
-     per-bit loop carries no observation lookup or branch. *)
+     matched loop carries no observation lookup or branch and the
+     spurious bits are only counted and ORed, never visited. *)
   let { Datalog.fail = fail_masks; obs = obsmask; _ } = Datalog.observed_words dlog blocks in
   (* Activation screen (exactness-preserving, DESIGN.md §10): a stuck-at
      fault only injects an error on patterns where the good value
@@ -212,7 +208,8 @@ let build_session session dlog =
   in
   let covers = Array.init nrows (fun _ -> Bitvec.create nobs) in
   let matched = Array.make (max 1 (nrows * nfp)) 0 in
-  let spurious = Array.make (max 1 (nrows * nfp)) 0 in
+  let spurious_any = Bytes.make (max 1 (nrows * nfp)) '\000' in
+  let mispredict_fail = Array.make (max 1 nrows) 0 in
   let mispredict_pass = Array.make (max 1 nrows) 0 in
   (* Cache probe, sequential on the calling domain (deterministic hit
      pattern and eviction order within one build).  Only the misses
@@ -246,21 +243,32 @@ let build_session session dlog =
     let rc = covers.(r) in
     let ro = r * nfp in
     let prev_bi = ref (-1) in
-    let any = ref 0 in
-    (* Passing-pattern bits only feed [any], the pass-misprediction
-       count, flushed once per block. *)
+    let any = ref 0 and spur = ref 0 in
+    (* Per-block accumulators, flushed once per block: passing-pattern
+       bits of [any] give the pass-misprediction count, and each set bit
+       of [spur] — the OR of the block's spurious words — flags its
+       failing pattern.  One [ctz] per flagged pattern per block, however
+       many POs mispredicted there. *)
     let flush () =
       if !prev_bi >= 0 then begin
         let block = blocks.(!prev_bi) in
         let pass_pred =
           !any land lnot fail_masks.(!prev_bi) land Logic.mask_of_width block.width
         in
-        mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred
+        mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred;
+        let ws = ref !spur in
+        while !ws <> 0 do
+          let k = Bitvec.ctz_word !ws in
+          ws := !ws land (!ws - 1);
+          Bytes.set spurious_any (ro + fp_of_pattern.(block.base + k)) '\001'
+        done
       end;
-      any := 0
+      any := 0;
+      spur := 0
     in
-    (* Failing-pattern bits, split matched/spurious by [obsmask], so
-       each bit is a lookup and an increment, nothing more. *)
+    (* Failing-pattern bits, split matched/spurious by [obsmask]: each
+       matched bit is a lookup and an increment, and the spurious bits
+       of a word are one popcount and one OR. *)
     let visit bi oi d =
       if bi <> !prev_bi then begin
         flush ();
@@ -278,13 +286,9 @@ let build_session session dlog =
         Bitvec.set rc obs_of.((fp * npos) + oi) true;
         matched.(ro + fp) <- matched.(ro + fp) + 1
       done;
-      let ws = ref (wf land lnot om) in
-      while !ws <> 0 do
-        let k = Bitvec.ctz_word !ws in
-        ws := !ws land (!ws - 1);
-        let fp = fp_of_pattern.(base + k) in
-        spurious.(ro + fp) <- spurious.(ro + fp) + 1
-      done
+      let ws = wf land lnot om in
+      mispredict_fail.(r) <- mispredict_fail.(r) + Logic.popcount ws;
+      spur := !spur lor ws
     in
     (match src.(r) with
     | Sig_cache.Warm triples ->
@@ -330,7 +334,8 @@ let build_session session dlog =
     covers;
     nfp;
     matched;
-    spurious;
+    spurious_any;
+    mispredict_fail;
     mispredict_pass;
     nfail_pos;
   }

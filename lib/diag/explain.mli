@@ -71,16 +71,22 @@ val matched : t -> int -> int -> int
 (** [matched t c fp]: on failing pattern [failing t.(fp)], how many of
     its observed failing outputs candidate [c] flips. *)
 
-val spurious : t -> int -> int -> int
-(** [spurious t c fp]: outputs candidate [c] flips on that failing
-    pattern that were observed passing. *)
+val spurious_any : t -> int -> int -> bool
+(** [spurious_any t c fp]: candidate [c] flips at least one output on
+    failing pattern [failing t.(fp)] that was observed passing.  Only
+    this flag is kept per pattern; the count lives in
+    {!mispredict_fail}, summed per row. *)
 
 val exact : t -> int -> int -> bool
 (** SLAT exactness: candidate [c] reproduces failing pattern [fp]'s
-    response exactly (all failing outputs, nothing else). *)
+    response exactly (all failing outputs, nothing else) —
+    [matched t c fp] equals the pattern's failing-output count and
+    [not (spurious_any t c fp)]. *)
 
 val mispredict_fail : t -> int -> int
-(** Total spurious predictions over all failing patterns. *)
+(** Total spurious predictions over all failing patterns: outputs
+    observed passing that candidate [c] flips, summed over every
+    failing pattern.  An O(1) read of a count the fill keeps per row. *)
 
 val mispredict_pass : t -> int -> int
 (** Number of passing patterns on which the candidate predicts at least

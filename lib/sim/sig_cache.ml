@@ -45,16 +45,17 @@ type shard = {
   mutable words : int;
 }
 
-(* Frozen tier: one contiguous bit-packed arena.  [slab] holds every
-   key's triples varint-delta-encoded back to back; key [k]'s bytes are
+(* Frozen tier: one contiguous packed arena.  [slab] holds every key's
+   triples back to back ([encode_triples]); key [k]'s bytes are
    [slab[offs.(k) .. offs.(k+1))] and bit [k] of [present] says whether
    the key has an entry at all (a key can legitimately have zero
    triples — a fault that diffs nowhere — which the offsets alone
    cannot distinguish from absence).  Compared with the former
    [int array option array] (three boxed words per triple plus a header
    per key), the packed form costs a decode per probe but shrinks the
-   resident footprint 4-8x — and, being position-independent bytes, it
-   is exactly what the disk snapshot writes and reads. *)
+   resident footprint (~2.3x on rnd2k) — and, being
+   position-independent bytes, it is exactly what the disk snapshot
+   writes and reads. *)
 type frozen = {
   slab : Bytes.t;
   offs : int array; (* nkeys + 1 byte offsets into [slab], monotone *)
@@ -93,9 +94,9 @@ let is_frozen t = Atomic.get t.frozen <> None
 (* --- Varint codec ---------------------------------------------------- *)
 
 (* LEB128 over the 63-bit unsigned view of an OCaml int: [lsr] pulls the
-   tag-free bit pattern down regardless of sign, so diff words with bit
-   62 set (a 63-pattern block whose last pattern diffs) round-trip
-   exactly; at most ceil(63/7) = 9 bytes per value. *)
+   tag-free bit pattern down regardless of sign, so any value, negative
+   ones included, round-trips exactly; at most ceil(63/7) = 9 bytes per
+   value. *)
 let put_uvarint buf v =
   let v = ref v in
   while !v lsr 7 <> 0 do
@@ -109,29 +110,41 @@ let put_uvarint buf v =
    non-canonical store — nothing forbids one — into corruption. *)
 let put_svarint buf v = put_uvarint buf ((v lsl 1) lxor (v asr 62))
 
-(* Decode one unsigned varint at [!pos], advancing it.  Bounds are the
-   caller's job ([walk] reads a pre-validated range). *)
-let get_uvarint bytes pos =
-  let v = ref 0 and shift = ref 0 and cont = ref true in
+let unzigzag u = (u lsr 1) lxor -(u land 1)
+
+(* The unsigned varint starting at byte [p] ([uvarint_at]) and the
+   position just past it ([uvarint_end]).  Unchecked: [walk] only reads
+   ranges [scan_key] has walked, or that [encode_triples] wrote. *)
+let uvarint_at bytes p =
+  let v = ref 0 and shift = ref 0 and p = ref p and cont = ref true in
   while !cont do
-    let b = Char.code (Bytes.unsafe_get bytes !pos) in
-    incr pos;
+    let b = Char.code (Bytes.unsafe_get bytes !p) in
+    incr p;
     v := !v lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
     cont := b land 0x80 <> 0
   done;
   !v
 
-let get_svarint bytes pos =
-  let u = get_uvarint bytes pos in
-  (u lsr 1) lxor (-(u land 1))
+let uvarint_end bytes p =
+  let p = ref p in
+  while Char.code (Bytes.unsafe_get bytes !p) land 0x80 <> 0 do
+    incr p
+  done;
+  !p + 1
 
 (* One key's triples, encoded as [uvarint count] then per triple
-   [svarint d_block; svarint d_po; uvarint word].  The block index is
-   delta-coded against the previous triple's; the PO index is
-   delta-coded within a block (reset at each block change), exploiting
-   the canonical order — blocks ascending, POs ascending within a
-   block — for one-byte deltas. *)
+   [svarint d_block; svarint d_po; int64 word] (little-endian, 8
+   bytes).  The block index is delta-coded against the previous
+   triple's; the PO index is delta-coded within a block (reset at each
+   block change), exploiting the canonical order — blocks ascending,
+   POs ascending within a block — for one-byte deltas.  The word is
+   fixed-width: a diff word's set bits are patterns spread across the
+   block, so as a varint most words would take 8 or 9 bytes (rnd2k:
+   76,348 of 127,910), each byte read with a branch; one 8-byte load
+   costs a little space and no loop.  [Int64.of_int] sign-extends the
+   63-bit word and [Int64.to_int] drops the copy of bit 62, so every
+   word round-trips. *)
 let encode_triples buf (triples : int array) =
   let n = Array.length triples / 3 in
   put_uvarint buf n;
@@ -142,7 +155,7 @@ let encode_triples buf (triples : int array) =
     if dbi <> 0 then prev_oi := -1;
     put_svarint buf dbi;
     put_svarint buf (oi - !prev_oi);
-    put_uvarint buf w;
+    Buffer.add_int64_le buf (Int64.of_int w);
     prev_bi := bi;
     prev_oi := oi
   done
@@ -167,28 +180,37 @@ let find_mutable t k =
 let holds fr k = k >= 0 && k < Array.length fr.offs - 1 && bit_set fr.present k
 
 (* The one decoder: stream key [k]'s triples out of [fr] as [f block po
-   word] calls, inverting [encode_triples].  [fr] must hold [k]. *)
+   word] calls, inverting [encode_triples].  [fr] must hold [k].  The
+   deltas decode inline on a local position — one byte each in the
+   canonical order, with [uvarint_at] only for the rare longer one —
+   and the word is a single 8-byte load. *)
 let walk fr k f =
   let bytes = fr.slab in
-  let pos = ref fr.offs.(k) in
-  let n = get_uvarint bytes pos in
-  let prev_bi = ref 0 and prev_oi = ref (-1) in
+  let start = fr.offs.(k) in
+  let n = uvarint_at bytes start in
+  let pos = ref (uvarint_end bytes start) in
+  let bi = ref 0 and oi = ref (-1) in
   for _ = 1 to n do
-    let dbi = get_svarint bytes pos in
-    if dbi <> 0 then prev_oi := -1;
-    let bi = !prev_bi + dbi in
-    let oi = !prev_oi + get_svarint bytes pos in
-    let w = get_uvarint bytes pos in
-    f bi oi w;
-    prev_bi := bi;
-    prev_oi := oi
+    let b = Char.code (Bytes.unsafe_get bytes !pos) in
+    let dbi = if b < 0x80 then b else uvarint_at bytes !pos in
+    pos := if b < 0x80 then !pos + 1 else uvarint_end bytes !pos;
+    if dbi <> 0 then begin
+      bi := !bi + unzigzag dbi;
+      oi := -1
+    end;
+    let b = Char.code (Bytes.unsafe_get bytes !pos) in
+    let doi = if b < 0x80 then b else uvarint_at bytes !pos in
+    pos := if b < 0x80 then !pos + 1 else uvarint_end bytes !pos;
+    oi := !oi + unzigzag doi;
+    f !bi !oi (Int64.to_int (Bytes.get_int64_le bytes !pos));
+    pos := !pos + 8
   done
 
 let find t k =
   match Atomic.get t.frozen with
   | Some fr when holds fr k ->
     if Obs.enabled () then Obs.incr c_frozen_hits;
-    let triples = Array.make (3 * get_uvarint fr.slab (ref fr.offs.(k))) 0 in
+    let triples = Array.make (3 * uvarint_at fr.slab fr.offs.(k)) 0 in
     let i = ref 0 in
     walk fr k (fun bi oi w ->
         triples.(!i) <- bi;
@@ -325,7 +347,7 @@ let signature_of_triples t triples =
 
 (* Bump when the arena encoding or the file layout changes: a snapshot
    written by an older binary must be rejected, not misdecoded. *)
-let encode_version = 1
+let encode_version = 2
 
 let magic = "MDDSIGST"
 
@@ -443,31 +465,27 @@ let safe_uvarint bytes pos limit =
   done;
   !v
 
-(* Walk one key's encoding without allocating, returning its triple
-   count; raises [Invalid_snapshot] unless the varint stream fills
-   [start, limit) exactly.  The only guarantee the unchecked reader
-   needs for memory safety is that each of its [3 * count] varint scans
-   stops before [limit] — i.e. the range holds exactly [3 * count]
-   terminator bytes (high bit clear) and ends on one.  So after
-   decoding the leading count this just sums terminators, one add per
-   byte with no branch, which keeps a multi-megabyte snapshot's
-   load-time validation out of the restart path's way.  Overlong
-   varints (shift past the word) merely yield unspecified {e values} —
-   [lsl] by >= 64 is unspecified, not unsafe — and are reachable only
-   by forging both digests, where the attacker chooses the values
-   anyway; every downstream consumer indexes with bounds-checked
-   reads. *)
+(* Walk one key's encoding checked, returning its triple count; raises
+   [Invalid_snapshot] unless the triples fill [start, limit) exactly.
+   What the unchecked [walk] needs for memory safety is that each of
+   its varint scans and 8-byte word loads stays inside the range, so
+   this walks the same steps with every read bounded: per triple two
+   [safe_uvarint]s and a word that must fit before [limit], and the
+   last triple must end on [limit].  Counting varint terminators cannot
+   stand in for the walk: word bytes carry arbitrary high bits.  A
+   triple is at least 10 bytes, which bounds the count before the walk
+   starts. *)
 let scan_key bytes start limit =
   let pos = ref start in
   let n = safe_uvarint bytes pos limit in
-  if n < 0 || n > (limit - !pos) / 3 then raise Invalid_snapshot;
-  let terms = ref 0 in
-  for i = !pos to limit - 1 do
-    terms := !terms + (1 - (Char.code (Bytes.unsafe_get bytes i) lsr 7))
+  if n < 0 || n > (limit - !pos) / 10 then raise Invalid_snapshot;
+  for _ = 1 to n do
+    ignore (safe_uvarint bytes pos limit : int);
+    ignore (safe_uvarint bytes pos limit : int);
+    if !pos + 8 > limit then raise Invalid_snapshot;
+    pos := !pos + 8
   done;
-  if !terms <> 3 * n then raise Invalid_snapshot;
-  if limit > !pos && Char.code (Bytes.unsafe_get bytes (limit - 1)) land 0x80 <> 0
-  then raise Invalid_snapshot;
+  if !pos <> limit then raise Invalid_snapshot;
   n
 
 let load_frozen ~dir t =
@@ -512,8 +530,8 @@ let load_frozen ~dir t =
       if !pos <> index_len || offs.(nkeys) <> slab_len then raise Invalid_snapshot;
       let present = Bytes.sub body index_len bitmap_len in
       let slab = Bytes.sub body (index_len + bitmap_len) slab_len in
-      (* Walk every key's stream once, bounds-checked: a snapshot that
-         passed the digests but whose varints overrun their offset
+      (* Walk every key's triples once, bounds-checked: a snapshot that
+         passed the digests but whose triples overrun their offset
          range must be rejected here, at load — the lock-free probe
          path decodes unchecked and must never see it.  An absent key
          with a non-empty range (or vice versa, a present key whose

@@ -98,7 +98,8 @@ val iter_frozen : t -> int -> (int -> int -> int -> unit) -> unit
 
 val freeze : ?extra:(int * int array) array -> t -> unit
 (** Pack the mutable tier into the frozen arena and publish it: one
-    contiguous byte slab of varint-delta-encoded triples with a flat
+    contiguous byte slab of triples — block and PO indices as varint
+    deltas, each diff word as 8 fixed little-endian bytes — with a flat
     per-key offset index (no hashing, no per-key boxing — DESIGN.md
     §12), read by {!find}, {!probe} and {!iter_frozen} with no locks (one [Atomic.get]
     publishes the arena safely across domains; the bytes are never
@@ -142,7 +143,8 @@ val load_frozen : dir:string -> t -> bool
     frozen tier — no simulation.  False when no file exists (a cold
     fleet, not counted) or validation rejected it (truncation, foreign
     magic, stale encode version, problem-digest mismatch, body
-    corruption — each bumping ["store.rejects"]); the instance is left
+    corruption, a key whose triples do not fill its byte range exactly
+    — each bumping ["store.rejects"]); the instance is left
     exactly as it was, so the caller's live-prewarm fallback sees a
     clean cache.  True bumps ["store.loads"]. *)
 

@@ -44,9 +44,16 @@ let copy t = { len = t.len; words = Array.copy t.words }
 
 let equal a b = a.len = b.len && a.words = b.words
 
+(* Branch-free SWAR popcount over the 63-bit int.  The masks are the
+   usual 64-bit constants truncated to 63 bits, so bit 62 forms a field
+   on its own at every step; the final multiply sums the byte counts
+   into bits 56-62, which hold any total up to 63 exactly (arithmetic is
+   mod 2^63, so the low bits of the product are exact). *)
 let popcount_word w =
-  let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-  go 0 w
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 (* Branchy binary search beats the naive shift-one-at-a-time loop by a
    large factor on sparse high bits and is portable (no unboxed int64

@@ -127,6 +127,19 @@ let qcheck_ops_vs_reference =
       && Bitvec.to_list i = List.filter (fun x -> List.mem x ys) xs
       && Bitvec.to_list d = List.filter (fun x -> not (List.mem x ys)) xs)
 
+(* The branch-free popcount against a clear-lowest-bit reference loop,
+   on random 63-bit words plus the sign and top-bit edges every run. *)
+let qcheck_popcount_word =
+  let kernighan w =
+    let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
+    go 0 w
+  in
+  QCheck.Test.make ~name:"popcount_word matches Kernighan loop" ~count:1000 QCheck.int
+    (fun w ->
+      List.for_all
+        (fun w -> Bitvec.popcount_word w = kernighan w)
+        [ w; 0; -1; min_int; max_int; 1 lsl 62; (1 lsl 62) - 1 ])
+
 let suite =
   [
     ( "bitvec",
@@ -145,5 +158,6 @@ let suite =
         Alcotest.test_case "pp" `Quick test_pp;
         QCheck_alcotest.to_alcotest qcheck_vs_reference;
         QCheck_alcotest.to_alcotest qcheck_ops_vs_reference;
+        QCheck_alcotest.to_alcotest qcheck_popcount_word;
       ] );
   ]

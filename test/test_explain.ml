@@ -104,12 +104,17 @@ let test_matched_spurious_counts () =
         total_matched;
       Array.iteri
         (fun fp p ->
-          Alcotest.(check bool) "matched bounded" true
-            (Explain.matched m c fp <= List.length (Datalog.failing_pos dlog p));
-          Alcotest.(check bool) "spurious bounded" true
-            (Explain.spurious m c fp
-            <= Datalog.npos dlog - List.length (Datalog.failing_pos dlog p)))
-        failing)
+          let nfail = List.length (Datalog.failing_pos dlog p) in
+          Alcotest.(check bool) "matched bounded" true (Explain.matched m c fp <= nfail);
+          Alcotest.(check bool) "exact = all matched, none spurious"
+            (Explain.matched m c fp = nfail && not (Explain.spurious_any m c fp))
+            (Explain.exact m c fp))
+        failing;
+      Alcotest.(check bool) "spurious bounded" true
+        (Explain.mispredict_fail m c
+        <= Array.fold_left
+             (fun acc p -> acc + Datalog.npos dlog - List.length (Datalog.failing_pos dlog p))
+             0 failing))
     (Explain.candidates m)
 
 let test_find_candidate () =

@@ -77,10 +77,11 @@ let matches_naive net pats dlog m =
     (fun c _ ->
       if not (Bitvec.equal (Explain.covers m c) covers.(c)) then ok := false;
       if Explain.mispredict_pass m c <> mispredict_pass.(c) then ok := false;
+      if Explain.mispredict_fail m c <> Array.fold_left ( + ) 0 spurious.(c) then ok := false;
       for fp = 0 to nfp - 1 do
         if
           Explain.matched m c fp <> matched.(c).(fp)
-          || Explain.spurious m c fp <> spurious.(c).(fp)
+          || Explain.spurious_any m c fp <> (spurious.(c).(fp) > 0)
         then ok := false
       done)
     candidates;
@@ -371,7 +372,7 @@ let explain_equal m1 m2 =
             for fp = 0 to nfp - 1 do
               if
                 Explain.matched m1 c fp <> Explain.matched m2 c fp
-                || Explain.spurious m1 c fp <> Explain.spurious m2 c fp
+                || Explain.spurious_any m1 c fp <> Explain.spurious_any m2 c fp
                 || Explain.exact m1 c fp <> Explain.exact m2 c fp
               then ok := false
             done;

@@ -124,7 +124,7 @@ let matrices_identical m1 m2 =
          for fp = 0 to nfp1 - 1 do
            if
              Explain.matched m1 c fp <> Explain.matched m2 c fp
-             || Explain.spurious m1 c fp <> Explain.spurious m2 c fp
+             || Explain.spurious_any m1 c fp <> Explain.spurious_any m2 c fp
            then ok := false
          done;
          !ok)

@@ -172,6 +172,55 @@ let stale_version b = flip b 8 (* the encode-version int64's low byte *)
 let flipped_header_digest b = flip b 20 (* inside the problem digest *)
 let flipped_body b = flip b (Bytes.length b - 3) (* in the slab, content-digest land *)
 
+(* A consistent forgery only the structural walk can catch: drop the
+   final byte of the last non-empty key's range — the tail of its last
+   diff word — and shorten that key's index entry, [slab_len] and the
+   content digest to match.  Header, digests and offsets all agree; the
+   key's triples no longer fill its range. *)
+let truncated_word b =
+  let header_len = 72 in
+  let get64 off = Int64.to_int (Bytes.get_int64_le b off) in
+  let nkeys = get64 48 and index_len = get64 56 and slab_len = get64 64 in
+  let pos = ref header_len in
+  let lens =
+    Array.init nkeys (fun _ ->
+        let v = ref 0 and shift = ref 0 and cont = ref true in
+        while !cont do
+          let c = Char.code (Bytes.get b !pos) in
+          incr pos;
+          v := !v lor ((c land 0x7f) lsl !shift);
+          shift := !shift + 7;
+          cont := c land 0x80 <> 0
+        done;
+        !v)
+  in
+  let last = ref (nkeys - 1) in
+  while lens.(!last) = 0 do
+    decr last
+  done;
+  lens.(!last) <- lens.(!last) - 1;
+  let body = Buffer.create (Bytes.length b) in
+  Array.iter
+    (fun len ->
+      let v = ref len in
+      while !v lsr 7 <> 0 do
+        Buffer.add_char body (Char.chr (!v land 0x7f lor 0x80));
+        v := !v lsr 7
+      done;
+      Buffer.add_char body (Char.chr !v))
+    lens;
+  let new_index_len = Buffer.length body in
+  (* The bitmap, then the slab minus its final byte: every key after
+     [last] is empty, so [last]'s range ends the slab. *)
+  Buffer.add_subbytes body b (header_len + index_len)
+    (Bytes.length b - header_len - index_len - 1);
+  let body = Buffer.to_bytes body in
+  let header = Bytes.sub b 0 header_len in
+  Bytes.set_int64_le header 56 (Int64.of_int new_index_len);
+  Bytes.set_int64_le header 64 (Int64.of_int (slab_len - 1));
+  Bytes.blit_string (Digest.bytes body) 0 header 32 16;
+  Bytes.cat header body
+
 (* A snapshot saved for a different netlist, byte-copied onto this
    problem's path (the path is structure-keyed, so only a copy can put
    a foreign arena there): the problem digest must refuse it. *)
@@ -283,6 +332,8 @@ let suite =
           (reject_case "header digest" flipped_header_digest);
         Alcotest.test_case "flipped body byte rejected" `Quick
           (reject_case "body" flipped_body);
+        Alcotest.test_case "truncated diff word rejected" `Quick
+          (reject_case "truncated word" truncated_word);
         Alcotest.test_case "snapshot for another netlist rejected" `Quick
           test_foreign_netlist_rejected;
         Alcotest.test_case "snapshot for another pattern set rejected" `Quick
