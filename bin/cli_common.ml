@@ -85,13 +85,17 @@ let cover_arg =
 
 let store_dir_arg =
   let doc =
-    "Directory for persistent signature snapshots.  With $(b,--prewarm), \
-     a valid snapshot for this (circuit, pattern set) is loaded instead \
-     of running the sweep — the fleet pays the whole-pool simulation \
-     once per design — and a live sweep saves its arena back here.  \
-     Snapshots are validated against a digest of the problem and the \
-     encode version; a stale or corrupt file is rejected (counter \
-     store.rejects) and the run falls back to the live sweep.  The \
+    "Directory for the design's persistent store.  Without \
+     $(b,--patterns), the ATPG test set is loaded from here when a valid \
+     copy exists, and otherwise generated and saved here (counters \
+     tests.loads, tests.saves, tests.rejects) — with or without \
+     $(b,--prewarm).  With $(b,--prewarm), a valid signature snapshot \
+     for this (circuit, pattern set) is loaded instead of running the \
+     sweep — the fleet pays the whole-pool simulation once per design \
+     — and a live sweep saves its arena back here.  Every file is \
+     validated against a digest of what it answers for and its \
+     encoding version; a stale or corrupt file is rejected (counter \
+     store.rejects or tests.rejects) and the run regenerates it.  The \
      MDD_SIG_STORE environment variable is the fallback.  Results are \
      identical either way."
   in
@@ -179,16 +183,20 @@ let patterns_arg =
   let doc = "Read test patterns from a file (one 0/1 line per pattern)." in
   Arg.(value & opt (some file) None & info [ "patterns" ] ~docv:"FILE" ~doc)
 
-let load_patterns net patterns_file =
+(* Without a file, the ATPG set comes from [store_dir] when one is
+   given and holds a valid copy (see [Campaign.test_set]). *)
+let load_patterns ?store_dir net patterns_file =
   match patterns_file with
   | Some path ->
-    Result.bind (Pattern.read_file path) (fun pats ->
+    Result.bind
+      (Obs.phase "pattern.parse" (fun () -> Pattern.read_file path))
+      (fun pats ->
         if Pattern.npis pats <> Netlist.num_pis net then
           Error
             (Printf.sprintf "pattern width %d does not match circuit PI count %d"
                (Pattern.npis pats) (Netlist.num_pis net))
         else Ok pats)
-  | None -> Ok (Campaign.test_set net)
+  | None -> Ok (Campaign.test_set ?store_dir net)
 
 let or_die = function
   | Ok v -> v

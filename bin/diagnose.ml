@@ -72,9 +72,20 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
   Cli_common.apply_domains domains;
   let scfg = Cli_common.session_config ~prewarm ?cover ?cover_budget ?store_dir ~domains () in
   let stats_dest = Cli_common.init_stats stats in
-  let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
-  let pats = Cli_common.or_die (Cli_common.load_patterns net patterns_file) in
-  let session = Session.create ~config:scfg net pats in
+  (* Each layer of a run is a phase of the run report: netlist.load,
+     then pattern.parse or tests.load/tpg, session.create, datalog.parse,
+     the engine's own phases and report.render. *)
+  let net =
+    Cli_common.or_die
+      (Obs.phase "netlist.load" (fun () -> Cli_common.load_circuit bench suite))
+  in
+  let pats =
+    Cli_common.or_die
+      (Cli_common.load_patterns ?store_dir:scfg.Session.store_dir net patterns_file)
+  in
+  let session =
+    Obs.phase "session.create" (fun () -> Session.create ~config:scfg net pats)
+  in
   let circuit =
     match (suite, bench) with Some s, _ -> s | None, Some b -> b | None, None -> ""
   in
@@ -89,7 +100,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     match (batch_dir, serve) with
     | Some dir, _ ->
       (* --- Volume mode: drain a directory of datalogs. ------------- *)
-      let loaded = Volume.load_dir session dir in
+      let loaded = Obs.phase "datalog.parse" (fun () -> Volume.load_dir session dir) in
       if loaded = [] then Cli_common.or_die (Error ("no *.datalog files in " ^ dir));
       let dies = List.filter_map Result.to_option loaded in
       let bad = List.filter_map (function Error f -> Some f | Ok _ -> None) loaded in
@@ -133,14 +144,15 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
          while true do
            let path = String.trim (input_line stdin) in
            if path <> "" then
-             match Volume.load_die session path with
+             match Obs.phase "datalog.parse" (fun () -> Volume.load_die session path) with
              | Error f ->
                report_failure f;
                emit f.Volume.name "error" (Volume.error_json f)
              | Ok d ->
                let r = Volume.diagnose_die ~config session d in
                incr n;
-               emit d.Volume.name "done" (Volume.die_json r)
+               emit d.Volume.name "done"
+                 (Obs.phase "report.render" (fun () -> Volume.die_json r))
          done
        with End_of_file -> ());
       [ ("mode", "serve"); ("dies", string_of_int !n); ("failed", string_of_int !failed) ]
@@ -154,18 +166,21 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
             (Error "a datalog is required: --datalog FILE (or --batch-dir/--serve)")
       in
       let dlog =
-        match Volume.load_die session datalog_file with
+        match
+          Obs.phase "datalog.parse" (fun () -> Volume.load_die session datalog_file)
+        with
         | Ok d -> d.Volume.dlog
         | Error f -> Cli_common.or_die (Error f.Volume.error)
       in
       Format.printf "circuit: %a@." Netlist.pp_stats net;
       Format.printf "datalog: %d failing patterns over %d outputs@."
         (Datalog.num_failing dlog) (Netlist.num_pos net);
+      let render text = Obs.phase "report.render" (fun () -> print_string (text ())) in
       let cover_meta =
         match method_ with
         | `Noassume ->
           let r = Noassume.diagnose_session ~config session dlog in
-          print_string (Report.render net r);
+          render (fun () -> Report.render net r);
           (* Surfaced so an exact-cover run can be checked for faithful
              budget reporting from the stats file alone (the CI stress
              step greps for cover_complete). *)
@@ -177,11 +192,11 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
         | `Slat ->
           let m = Explain.build_session session dlog in
           let r = Slat_diag.diagnose m in
-          print_string (Report.render_slat net r);
+          render (fun () -> Report.render_slat net r);
           []
         | `Single ->
           let r = Single_diag.diagnose_session session dlog in
-          print_string (Report.render_single net r);
+          render (fun () -> Report.render_single net r);
           []
       in
       let method_name =

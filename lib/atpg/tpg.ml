@@ -28,6 +28,8 @@ let detect_map t ~reach pats faults =
     (Pattern.blocks pats);
   detected
 
+let flow_version = 1
+
 let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   Obs.phase "tpg" @@ fun () ->
   let rng = Rng.create seed in

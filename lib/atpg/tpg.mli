@@ -15,6 +15,13 @@ type report = {
   coverage : float;  (** detected / (total - untestable). *)
 }
 
+val flow_version : int
+(** Version of {!generate}'s output.  Bump it whenever a change to the
+    flow (random phase, PODEM, fill, fault dropping, compaction) changes
+    the patterns it returns for any input: stored test sets key on it,
+    so a bump makes every stored set stale.  The pinned test-set MD5s
+    in the test suite catch such a change. *)
+
 val generate :
   ?seed:int ->
   ?random_budget:int ->

@@ -51,13 +51,15 @@ type config = {
       (** Node budget for the exact backend's hitting-set loop;
           ignored under [Greedy]. *)
   store_dir : string option;
-      (** Signature-snapshot directory ([--store-dir]/[MDD_SIG_STORE]).
+      (** The design's store directory ([--store-dir]/[MDD_SIG_STORE]).
           With [prewarm], {!create} first tries
           {!Sig_cache.load_frozen} from here — a valid snapshot replaces
           the whole sweep with one file read — and saves the arena back
           ({!Sig_cache.save_frozen}) after a live sweep, so the fleet
-          pays the sweep once per (netlist, pattern set).  Ignored
-          without [prewarm]. *)
+          pays the sweep once per (netlist, pattern set).  {!create}
+          ignores it without [prewarm].  The CLI also reads and writes
+          the design's ATPG test set here ([Campaign.test_set
+          ~store_dir]), with or without [prewarm]. *)
 }
 
 val default_config : config

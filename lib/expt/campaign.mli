@@ -40,8 +40,21 @@ val test_report : Netlist.t -> Tpg.report
     backtracking).  Memoised per netlist — Table 1, the campaigns and the
     runtime figure all share one run per circuit. *)
 
-val test_set : Netlist.t -> Pattern.t
-(** [(test_report net).patterns]. *)
+val test_set : ?store_dir:string -> Netlist.t -> Pattern.t
+(** [(test_report net).patterns].  With [store_dir], the set is first
+    read from {!test_store_path} under the ["tests.load"] phase; a
+    missing or rejected file means the set is generated and saved
+    there.  The file carries the {!Store_file} envelope (magic
+    ["MDDTESTS"], version 1) keyed by the netlist structure, the flow
+    parameters and {!Tpg.flow_version}, and its body must walk as
+    [npis]-wide '0'/'1' rows.  A loaded set is identical to the
+    generated one; a load does not fill {!test_report}'s memo.
+    Counters: ["tests.loads"], ["tests.saves"], ["tests.rejects"] (a
+    missing file is not counted). *)
+
+val test_store_path : dir:string -> Netlist.t -> string
+(** [dir/tests-<12 hex>.mddtst], named by the netlist structure
+    (exposed for tests and tooling). *)
 
 val run :
   ?methods:methods ->

@@ -211,6 +211,18 @@ let output_cone t root =
   let reach = fanout_reach t root in
   Array.to_list (Array.of_seq (Seq.filter (fun p -> reach.(p)) (Array.to_seq t.pos)))
 
+(* The fields a net's logic depends on, in a fixed order: names are
+   left out, so a renamed netlist has the same structure. *)
+let add_structure buf t =
+  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
+  add (num_nets t);
+  add (num_pis t);
+  add (num_pos t);
+  Array.iter add t.codes;
+  Array.iter add t.fanin_off;
+  Array.iter add t.fanin_csr;
+  Array.iter add t.pos
+
 let pp_stats ppf t =
   Format.fprintf ppf "%d PI, %d PO, %d gates, %d nets, depth %d" (num_pis t)
     (num_pos t) (num_gates t) (num_nets t) (depth t)

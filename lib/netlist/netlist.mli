@@ -90,6 +90,13 @@ val level_array : t -> int array
 
 val iter_nets : t -> (net -> unit) -> unit
 
+val add_structure : Buffer.t -> t -> unit
+(** Append the netlist's structure to a buffer as little-endian int64s:
+    net, PI and PO counts, {!gate_codes}, {!fanin_offsets},
+    {!fanin_csr} and the PO list.  Net names are left out.  Every
+    on-disk store keys on this one identity: two netlists with equal
+    bytes here simulate identically under every pattern. *)
+
 (** {1 Analysis helpers} *)
 
 val fanin_cone : t -> net -> bool array

@@ -349,7 +349,14 @@ let signature_of_triples t triples =
    written by an older binary must be rejected, not misdecoded. *)
 let encode_version = 2
 
-let magic = "MDDSIGST"
+let store_kind =
+  {
+    Store_file.magic = "MDDSIGST";
+    version = encode_version;
+    saves = c_store_saves;
+    loads = c_store_loads;
+    rejects = c_store_rejects;
+  }
 
 (* Identity of the problem a snapshot answers for: a digest over the
    netlist structure (gate kinds, fanin adjacency, PO list — names are
@@ -359,94 +366,45 @@ let magic = "MDDSIGST"
 let problem_digest t =
   let buf = Buffer.create (1 lsl 16) in
   let add v = Buffer.add_int64_le buf (Int64.of_int v) in
-  let add_arr a = Array.iter add a in
-  add (Netlist.num_nets t.net);
-  add (Netlist.num_pis t.net);
-  add (Netlist.num_pos t.net);
-  add_arr (Netlist.gate_codes t.net);
-  add_arr (Netlist.fanin_offsets t.net);
-  add_arr (Netlist.fanin_csr t.net);
-  add_arr (Netlist.pos t.net);
+  Netlist.add_structure buf t.net;
   add (Pattern.count t.pats);
   add (Pattern.npis t.pats);
   Array.iter
     (fun (b : Pattern.block) ->
       add b.Pattern.base;
       add b.Pattern.width;
-      add_arr b.Pattern.pi_words)
+      Array.iter add b.Pattern.pi_words)
     t.blocks;
   Digest.bytes (Buffer.to_bytes buf)
 
-(* One snapshot file per netlist structure: keyed on the structure-only
-   digest, so re-running with a different pattern set or encode version
-   finds the *same* file and rejects it via the header (an observable
-   [store.rejects], then an overwrite on the next save) instead of
-   silently accumulating stale siblings. *)
-let store_path ~dir t =
-  let buf = Buffer.create 4096 in
-  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
-  add (Netlist.num_nets t.net);
-  Array.iter add (Netlist.gate_codes t.net);
-  Array.iter add (Netlist.fanin_csr t.net);
-  let hex = Digest.to_hex (Digest.bytes (Buffer.to_bytes buf)) in
-  Filename.concat dir ("sig-" ^ String.sub hex 0 12 ^ ".mddsig")
+(* One snapshot file per netlist structure: re-running with a different
+   pattern set or encode version finds the *same* file and rejects it
+   via the header (an observable [store.rejects], then an overwrite on
+   the next save) instead of silently accumulating stale siblings. *)
+let store_path ~dir t = Store_file.path ~dir ~prefix:"sig" ~ext:"mddsig" t.net
 
-(* File layout, all integers little-endian int64:
+(* Body layout, after the envelope's header with the trailing ints
+   [nkeys | index_len | slab_len]:
 
-     magic (8 bytes) | encode_version | problem digest (16 bytes)
-     | content digest (16 bytes) | nkeys | index_len | slab_len
-     | packed index (index_len bytes) | present bitmap | slab
+     packed index (index_len bytes) | present bitmap | slab
 
    The packed index is the offset array delta-varint-coded (offsets are
-   monotone, so deltas are the per-key byte lengths).  The content
-   digest covers everything after the header — index, bitmap, slab —
-   so a flipped byte anywhere in the body is as loudly rejected as a
-   flipped header byte. *)
-let header_len = 8 + 8 + 16 + 16 + (3 * 8)
-
+   monotone, so deltas are the per-key byte lengths). *)
 let save_frozen ~dir t =
   match Atomic.get t.frozen with
   | None -> false
-  | Some fr -> (
+  | Some fr ->
     let nkeys = Array.length fr.offs - 1 in
-    let index_buf = Buffer.create (nkeys + 1) in
+    let body = Buffer.create (Bytes.length fr.slab + nkeys + 64) in
     for k = 0 to nkeys - 1 do
-      put_uvarint index_buf (fr.offs.(k + 1) - fr.offs.(k))
+      put_uvarint body (fr.offs.(k + 1) - fr.offs.(k))
     done;
-    let index = Buffer.to_bytes index_buf in
-    let body = Buffer.create (Bytes.length fr.slab + Bytes.length index + 64) in
-    Buffer.add_bytes body index;
+    let index_len = Buffer.length body in
     Buffer.add_bytes body fr.present;
     Buffer.add_bytes body fr.slab;
-    let body = Buffer.to_bytes body in
-    let header = Bytes.create header_len in
-    Bytes.blit_string magic 0 header 0 8;
-    Bytes.set_int64_le header 8 (Int64.of_int encode_version);
-    Bytes.blit_string (problem_digest t) 0 header 16 16;
-    Bytes.blit_string (Digest.bytes body) 0 header 32 16;
-    Bytes.set_int64_le header 48 (Int64.of_int nkeys);
-    Bytes.set_int64_le header 56 (Int64.of_int (Bytes.length index));
-    Bytes.set_int64_le header 64 (Int64.of_int (Bytes.length fr.slab));
-    let path = store_path ~dir t in
-    let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-    try
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_bytes oc header;
-          output_bytes oc body);
-      (* Atomic publication: a concurrent loader sees the old complete
-         file or the new complete file, never a half-written one. *)
-      Sys.rename tmp path;
-      if Obs.enabled () then Obs.incr c_store_saves;
-      true
-    with Sys_error _ | Unix.Unix_error _ ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      false)
-
-exception Invalid_snapshot
+    Store_file.save store_kind ~path:(store_path ~dir t) ~key:(problem_digest t)
+      ~ints:[| nkeys; index_len; Bytes.length fr.slab |]
+      (Buffer.contents body)
 
 (* Bounds-checked varint read for untrusted bytes: the unsafe decoder
    above is only ever pointed at ranges this function has fully walked
@@ -456,7 +414,7 @@ let safe_uvarint bytes pos limit =
   while !cont do
     (* [> 62]: a 9-byte group ends at shift 56; any continuation past
        shift 62 would need an [lsl] of 63+, unspecified on native ints. *)
-    if !pos >= limit || !shift > 62 then raise Invalid_snapshot;
+    if !pos >= limit || !shift > 62 then raise Store_file.Invalid;
     let b = Char.code (Bytes.get bytes !pos) in
     incr pos;
     v := !v lor ((b land 0x7f) lsl !shift);
@@ -466,7 +424,7 @@ let safe_uvarint bytes pos limit =
   !v
 
 (* Walk one key's encoding checked, returning its triple count; raises
-   [Invalid_snapshot] unless the triples fill [start, limit) exactly.
+   [Store_file.Invalid] unless the triples fill [start, limit) exactly.
    What the unchecked [walk] needs for memory safety is that each of
    its varint scans and 8-byte word loads stays inside the range, so
    this walks the same steps with every read bounded: per triple two
@@ -478,80 +436,61 @@ let safe_uvarint bytes pos limit =
 let scan_key bytes start limit =
   let pos = ref start in
   let n = safe_uvarint bytes pos limit in
-  if n < 0 || n > (limit - !pos) / 10 then raise Invalid_snapshot;
+  if n < 0 || n > (limit - !pos) / 10 then raise Store_file.Invalid;
   for _ = 1 to n do
     ignore (safe_uvarint bytes pos limit : int);
     ignore (safe_uvarint bytes pos limit : int);
-    if !pos + 8 > limit then raise Invalid_snapshot;
+    if !pos + 8 > limit then raise Store_file.Invalid;
     pos := !pos + 8
   done;
-  if !pos <> limit then raise Invalid_snapshot;
+  if !pos <> limit then raise Store_file.Invalid;
   n
 
+(* Rebuild the arena from a body the envelope has checked, or raise. *)
+let decode_arena t ints body =
+  let nkeys = ints.(0) and index_len = ints.(1) and slab_len = ints.(2) in
+  if nkeys <> num_keys t then raise Store_file.Invalid;
+  let bitmap_len = (nkeys + 7) / 8 in
+  if
+    index_len < 0 || slab_len < 0
+    || Bytes.length body <> index_len + bitmap_len + slab_len
+  then raise Store_file.Invalid;
+  let pos = ref 0 in
+  let offs = Array.make (nkeys + 1) 0 in
+  for k = 0 to nkeys - 1 do
+    let len = safe_uvarint body pos index_len in
+    if len < 0 || offs.(k) > slab_len - len then raise Store_file.Invalid;
+    offs.(k + 1) <- offs.(k) + len
+  done;
+  if !pos <> index_len || offs.(nkeys) <> slab_len then raise Store_file.Invalid;
+  let present = Bytes.sub body index_len bitmap_len in
+  let slab = Bytes.sub body (index_len + bitmap_len) slab_len in
+  (* Walk every key's triples once, bounds-checked: a snapshot that
+     passed the digests but whose triples overrun their offset range
+     must be rejected here, at load — the lock-free probe path decodes
+     unchecked and must never see it.  An absent key with a non-empty
+     range (or vice versa, a present key whose range cannot hold its
+     count) is equally malformed. *)
+  for k = 0 to nkeys - 1 do
+    if bit_set present k then ignore (scan_key slab offs.(k) offs.(k + 1) : int)
+    else if offs.(k) <> offs.(k + 1) then raise Store_file.Invalid
+  done;
+  {
+    slab;
+    offs;
+    present;
+    arena_bytes = slab_len + ((nkeys + 1) * word_bytes) + bitmap_len;
+  }
+
 let load_frozen ~dir t =
-  let path = store_path ~dir t in
   match
-    if not (Sys.file_exists path) then None
-    else
-      let ic = open_in_bin path in
-      Some
-        (Fun.protect
-           ~finally:(fun () -> close_in_noerr ic)
-           (fun () -> really_input_string ic (in_channel_length ic)))
+    Store_file.load store_kind ~path:(store_path ~dir t) ~key:(problem_digest t) ~nints:3
+      (decode_arena t)
   with
-  | None -> false (* a cold fleet, not a rejection *)
-  | exception Sys_error _ -> false
-  | Some raw -> (
-    try
-      let raw = Bytes.unsafe_of_string raw in
-      if Bytes.length raw < header_len then raise Invalid_snapshot;
-      if Bytes.sub_string raw 0 8 <> magic then raise Invalid_snapshot;
-      if Bytes.get_int64_le raw 8 <> Int64.of_int encode_version then
-        raise Invalid_snapshot;
-      if Bytes.sub_string raw 16 16 <> problem_digest t then raise Invalid_snapshot;
-      let nkeys = Int64.to_int (Bytes.get_int64_le raw 48) in
-      let index_len = Int64.to_int (Bytes.get_int64_le raw 56) in
-      let slab_len = Int64.to_int (Bytes.get_int64_le raw 64) in
-      if nkeys <> num_keys t then raise Invalid_snapshot;
-      let bitmap_len = (nkeys + 7) / 8 in
-      if
-        index_len < 0 || slab_len < 0
-        || Bytes.length raw <> header_len + index_len + bitmap_len + slab_len
-      then raise Invalid_snapshot;
-      let body = Bytes.sub raw header_len (Bytes.length raw - header_len) in
-      if Digest.bytes body <> Bytes.sub_string raw 32 16 then raise Invalid_snapshot;
-      let pos = ref 0 in
-      let offs = Array.make (nkeys + 1) 0 in
-      for k = 0 to nkeys - 1 do
-        let len = safe_uvarint body pos index_len in
-        if len < 0 || offs.(k) > slab_len - len then raise Invalid_snapshot;
-        offs.(k + 1) <- offs.(k) + len
-      done;
-      if !pos <> index_len || offs.(nkeys) <> slab_len then raise Invalid_snapshot;
-      let present = Bytes.sub body index_len bitmap_len in
-      let slab = Bytes.sub body (index_len + bitmap_len) slab_len in
-      (* Walk every key's triples once, bounds-checked: a snapshot that
-         passed the digests but whose triples overrun their offset
-         range must be rejected here, at load — the lock-free probe
-         path decodes unchecked and must never see it.  An absent key
-         with a non-empty range (or vice versa, a present key whose
-         range cannot hold its count) is equally malformed. *)
-      for k = 0 to nkeys - 1 do
-        if bit_set present k then ignore (scan_key slab offs.(k) offs.(k + 1) : int)
-        else if offs.(k) <> offs.(k + 1) then raise Invalid_snapshot
-      done;
-      publish t
-        {
-          slab;
-          offs;
-          present;
-          arena_bytes = Bytes.length slab + ((nkeys + 1) * word_bytes) + bitmap_len;
-        };
-      if Obs.enabled () then Obs.incr c_store_loads;
-      true
-    with Invalid_snapshot | Invalid_argument _ ->
-      if Obs.enabled () then Obs.incr c_store_rejects;
-      false)
+  | Some fr ->
+    publish t fr;
+    true
+  | None -> false
 
 (* --- Construction ---------------------------------------------------- *)
 

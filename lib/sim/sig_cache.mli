@@ -125,7 +125,8 @@ val frozen_bytes : t -> int
     The frozen arena is position-independent bytes, so it doubles as an
     on-disk format: a volume fleet pays the whole-pool prewarm sweep
     once per (netlist, pattern set) and every later process adopts the
-    arena with zero simulation.  Files are named by a digest of the
+    arena with zero simulation.  The file is a {!Store_file} envelope
+    (magic ["MDDSIGST"], encode version 2): named by a digest of the
     netlist structure and validated against a header carrying the
     encode version and a digest of (netlist structure, pattern set) —
     plus a content digest over the body — so a snapshot either

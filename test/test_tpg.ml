@@ -111,7 +111,9 @@ let test_ndetect_grows_with_n () =
    of [Campaign.test_set] (seed 1, backtrack limit 128), with pattern
    count and coverage, for every suite circuit.  Recorded before PODEM's
    implication engine was rewritten; any change to the search, the fill
-   or the fault drop shows up here. *)
+   or the fault drop shows up here.  A change that moves one of these
+   digests must also bump [Tpg.flow_version], or a stored test set
+   written before it would still be loaded. *)
 let pinned_test_sets =
   [
     ("c17", "25b02c827a7df74599570558e10f7d80", 63, 1.0);
