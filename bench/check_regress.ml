@@ -189,8 +189,7 @@ let check_counters t current =
    trial, so from trial 2 on the signature cache should answer most
    probes.  Sequential, so no two trials race on a cold key and the
    hit/miss split is deterministic.  A collapsed hit rate means the
-   cache key, the campaign's shared session or the eviction budget
-   broke — results stay correct, but the cross-phase reuse the cache
+   cache key or the campaign's shared session broke — results stay correct, but the cross-phase reuse the cache
    exists for is gone. *)
 let check_cache_hit_rate t =
   let net = rnd1k () in

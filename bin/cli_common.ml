@@ -61,9 +61,9 @@ let apply_domains = Option.iter Parallel.set_domains
 let prewarm_arg =
   let doc =
     "Before the first diagnosis, fault-simulate the whole collapsed \
-     fault pool in one batched sweep and freeze the signature cache: \
-     every later signature read is lock-free, and the cold first-die \
-     path disappears.  Pays off when many datalogs share one circuit \
+     fault pool in one batched sweep into the signature arena: every \
+     later signature read is an arena hit, and the cold first-die path \
+     disappears.  Pays off when many datalogs share one circuit \
      ($(b,--batch-dir), $(b,--serve)); the MDD_PREWARM environment \
      variable does the same.  Results are identical either way."
   in

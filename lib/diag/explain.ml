@@ -101,9 +101,10 @@ let build_session session dlog =
   Obs.phase "explain-build" @@ fun () ->
   (* Sub-phases (nested spans, see [Obs]): prep = seeding, screening,
      class collapse, lookup tables and the cache probe; sim = the
-     session's sweep over cache misses; replay = signature store plus
-     the matrix fill of every row.  On warm-cache rebuilds sim is empty
-     and the split shows where the remaining time lives. *)
+     session's sweep over cache misses; replay = the append of the
+     misses plus the matrix fill of every row.  On warm-cache rebuilds
+     sim is empty and the split shows where the remaining time
+     lives. *)
   let sp_prep = Obs.span_begin "explain.prep" in
   let net = Session.netlist session in
   let seeded = seed_candidates net dlog in
@@ -211,34 +212,21 @@ let build_session session dlog =
   let spurious_any = Bytes.make (max 1 (nrows * nfp)) '\000' in
   let mispredict_fail = Array.make (max 1 nrows) 0 in
   let mispredict_pass = Array.make (max 1 nrows) 0 in
-  (* Cache probe, sequential on the calling domain (deterministic hit
-     pattern and eviction order within one build).  Only the misses
-     simulate.  Frozen rows are only flagged here — the fill streams
-     them out of the packed arena ([Sig_cache.iter_frozen]) without
-     materialising an array per row; mutable-tier rows keep the shared
-     boxed array so a FIFO eviction between probe and fill cannot lose
-     them. *)
-  let src = Array.make (max 1 nrows) Sig_cache.Cold in
+  (* Cache probe, sequential on the calling domain (a deterministic hit
+     pattern within one build).  Only the misses simulate. *)
   let miss = ref [] in
   for r = nrows - 1 downto 0 do
-    match Sig_cache.probe scache row_key.(r) with
-    | Sig_cache.Cold -> miss := r :: !miss
-    | (Sig_cache.Frozen | Sig_cache.Warm _) as h -> src.(r) <- h
+    if not (Sig_cache.probe scache row_key.(r)) then miss := r :: !miss
   done;
   let miss = Array.of_list !miss in
   Obs.span_end sp_prep;
   let sp_sim = Obs.span_begin "explain.sim" in
   let fresh = Session.simulate session (Array.map (fun r -> candidates.(row_member.(r))) miss) in
   Obs.span_end sp_sim;
-  (* Store the fresh signatures (sequential: one deterministic insertion
-     order per build) and keep each one as its row's source, then fill
-     every row the same way, whichever tier answered it. *)
+  (* Append the fresh signatures as one batch, then fill every row the
+     same way: streamed out of the arena, with no array per row. *)
   let sp_replay = Obs.span_begin "explain.replay" in
-  Array.iteri
-    (fun mi r ->
-      Sig_cache.store scache row_key.(r) fresh.(mi);
-      src.(r) <- Sig_cache.Warm fresh.(mi))
-    miss;
+  Sig_cache.store scache (Array.map (fun r -> row_key.(r)) miss) fresh;
   for r = 0 to nrows - 1 do
     let rc = covers.(r) in
     let ro = r * nfp in
@@ -290,16 +278,7 @@ let build_session session dlog =
       mispredict_fail.(r) <- mispredict_fail.(r) + Logic.popcount ws;
       spur := !spur lor ws
     in
-    (match src.(r) with
-    | Sig_cache.Warm triples ->
-      let i = ref 0 in
-      let n = Array.length triples in
-      while !i < n do
-        visit triples.(!i) triples.(!i + 1) triples.(!i + 2);
-        i := !i + 3
-      done
-    | Sig_cache.Frozen -> Sig_cache.iter_frozen scache row_key.(r) visit
-    | Sig_cache.Cold -> ());
+    Sig_cache.iter scache row_key.(r) visit;
     flush ()
   done;
   Obs.span_end sp_replay;

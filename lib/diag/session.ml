@@ -25,7 +25,7 @@ let default_cover_budget = 2_000_000
 
 type config = {
   domains : int option;  (* kernel fan-out; [None] = Parallel default *)
-  prewarm : bool;  (* whole-pool sweep + [Sig_cache.freeze] at create *)
+  prewarm : bool;  (* whole-pool sweep into the arena at create *)
   cover : cover;  (* covering backend: greedy (paper) or exact (minimal) *)
   cover_budget : int;  (* exact backend's hitting-set node budget *)
   store_dir : string option;  (* snapshot dir: load instead of sweeping, save after *)
@@ -158,54 +158,42 @@ let simulate t (faults : Fault_list.fault array) =
 
 let key_of (f : Fault_list.fault) = Sig_cache.key ~site:f.site ~stuck:f.stuck
 
-(* The baselines' cold path ([Single_diag], [Dict_diag]): probe, simulate
-   the misses, store them back in index order. *)
+(* The baselines' cold path ([Single_diag], [Dict_diag]): probe,
+   simulate the misses, store them back as one batch. *)
 let fault_triples t (faults : Fault_list.fault array) =
   let out = Array.map (fun f -> Sig_cache.find t.cache (key_of f)) faults in
   let miss =
     List.filter (fun i -> Option.is_none out.(i)) (List.init (Array.length faults) Fun.id)
+    |> Array.of_list
   in
-  let fresh = simulate t (Array.of_list (List.map (fun i -> faults.(i)) miss)) in
-  List.iteri
-    (fun j i ->
-      Sig_cache.store t.cache (key_of faults.(i)) fresh.(j);
-      out.(i) <- Some fresh.(j))
-    miss;
+  let fresh = simulate t (Array.map (fun i -> faults.(i)) miss) in
+  Sig_cache.store t.cache (Array.map (fun i -> key_of faults.(i)) miss) fresh;
+  Array.iteri (fun j i -> out.(i) <- Some fresh.(j)) miss;
   Array.map Option.get out
 
 (* --- Whole-pool prewarm --------------------------------------------- *)
 
 let c_prewarm_faults = Obs.counter "prewarm.faults"
 
-(* One sweep over the whole fault pool, then [Sig_cache.freeze]: after
-   this, every signature a diagnosis can ask for is answered by the
-   frozen tier — no hashing, no shard mutex — and the per-die work of a
-   volume run reduces to covering.  The pool is the class
-   representatives, the keys the phases actually probe (Explain rows
-   and both baselines key by [Fault_list.representative_of]).
-
-   The whole pool is swept without probing the cache: prewarm runs on a
-   fresh session, whose mutable tier is empty, so there is nothing to
-   skip — and the hit/miss counters keep reflecting only probes a
-   diagnosis made. *)
+(* One sweep over the pool keys the arena still lacks, stored as one
+   batch: after this, every signature a diagnosis can ask for is an
+   arena read, and the per-die work of a volume run reduces to
+   covering.  The pool is the class representatives, the keys the
+   phases actually probe (Explain rows and both baselines key by
+   [Fault_list.representative_of]).  Presence is tested with
+   [Sig_cache.mem], not [probe], so the hit/miss counters keep
+   reflecting only probes a diagnosis made. *)
 let prewarm t =
   let c = t.cache in
-  if Sig_cache.is_frozen c then 0
-  else
-    Obs.phase "prewarm" (fun () ->
-        let pool = Fault_list.representatives (Fault_list.collapse t.net) in
-        let cold = Array.of_list pool in
-        let out = simulate t cold in
-        (* Hand the sweep results straight to the packer instead of
-           routing them through the mutable tier: [store] would evict
-           FIFO once the pool outgrew the word budget (rnd50k's
-           100k-fault pool would), and evicted entries can't be frozen.
-           [~extra] bypasses the budget, so the arena always holds the
-           complete pool. *)
-        Sig_cache.freeze ~extra:(Array.mapi (fun i f -> (key_of f, out.(i))) cold) c;
-        let n = Array.length cold in
-        if Obs.enabled () then Obs.add c_prewarm_faults n;
-        n)
+  Obs.phase "prewarm" (fun () ->
+      let pool = Fault_list.representatives (Fault_list.collapse t.net) in
+      let cold =
+        Array.of_list (List.filter (fun f -> not (Sig_cache.mem c (key_of f))) pool)
+      in
+      Sig_cache.store c (Array.map key_of cold) (simulate t cold);
+      let n = Array.length cold in
+      if Obs.enabled () then Obs.add c_prewarm_faults n;
+      n)
 
 let create ?(config = default_config) ?sink net pats =
   let t =
@@ -221,7 +209,7 @@ let create ?(config = default_config) ?sink net pats =
   if config.prewarm then
     ignore
       (with_sink t (fun () ->
-           (* Load-or-sweep: a valid snapshot publishes the frozen tier
+           (* Load-or-sweep: a valid snapshot publishes the whole arena
               with zero simulation; anything else (no dir, no file, or a
               rejected file — [store.rejects]) falls through to the live
               sweep, which is then saved so the next process loads. *)

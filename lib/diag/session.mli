@@ -14,7 +14,7 @@
     Sharing contract (DESIGN.md §11): a [t] is immutable after
     {!create} and safe to share across domains.  [net], [pats],
     [blocks], [goods] and [reach] are frozen; the cache instance is
-    internally sharded and domain-safe; per-diagnosis scratch (fault
+    domain-safe (lock-free reads, appends under one mutex); per-diagnosis scratch (fault
     simulators, batch slabs, triple buffers, the {!Scoring.t} scorer) is
     never stored here — each call allocates its own.  The volume
     service creates one session and drains thousands of datalogs
@@ -44,8 +44,8 @@ type config = {
           {!Parallel.default_domains}.  Results are identical for every
           value. *)
   prewarm : bool;
-      (** Run {!prewarm} (whole-pool sweep + {!Sig_cache.freeze}) as
-          part of {!create}. *)
+      (** Run {!prewarm} (whole-pool sweep into the arena) as part of
+          {!create}. *)
   cover : cover;  (** Covering backend for {!Noassume} diagnoses. *)
   cover_budget : int;
       (** Node budget for the exact backend's hitting-set loop;
@@ -74,33 +74,29 @@ type t
 
 val create : ?config:config -> ?sink:Obs.sink -> Netlist.t -> Pattern.t -> t
 (** Build the context: a fresh {!Sig_cache.create} instance owned by
-    this session (which computes the goods) and the PO-reachability
-    screen.  Creation is the expensive, once-per-problem step; every
-    diagnosis against the session then starts warm.  When
-    [config.prewarm], also warms the frozen tier (under the session's
-    sink if any), so the session comes back already frozen: with
+    this session (which computes the goods), with an empty arena, and
+    the PO-reachability screen.  Creation is the expensive,
+    once-per-problem step; every diagnosis against the session then
+    reuses it, and each miss a diagnosis simulates is appended to the
+    arena for the next.  When [config.prewarm], also fills the arena
+    with the whole pool (under the session's sink if any): with
     [config.store_dir] it first tries {!Sig_cache.load_frozen} — zero
     simulation on a hit — and otherwise runs {!prewarm}, saving the
-    swept arena back to the store for the next process.  Reports served
-    from a loaded snapshot are byte-identical to the live-sweep path. *)
+    arena back to the store for the next process.  Reports served from
+    a loaded snapshot are byte-identical to the live-sweep path. *)
 
 val prewarm : t -> int
-(** Fill the signature cache for the {e whole} fault pool — the
-    equivalence-class representatives, the keys every phase probes — in
-    one {!simulate} sweep, then {!Sig_cache.freeze} it (sweep results
-    go to the packer as [~extra] entries, bypassing the mutable tier's
-    eviction budget so the arena always holds the complete pool).
-    Every later probe of the session's cache is a lock-free
-    frozen-tier read; the mutable tier stays available for keys outside
-    the pool.  Returns the number of faults simulated, counted as
-    ["prewarm.faults"] under the ["prewarm"] phase.  Returns [0]
-    without side effects when the cache is already frozen, so a second
-    call costs nothing.  The sweep covers the whole pool without
-    probing the cache — it is meant for a fresh session, whose mutable
-    tier is empty (entries already there are simulated again and packed
-    with the same triples) — so hit/miss counters keep reflecting only
-    probes a diagnosis made.  Diagnosis results are byte-identical with
-    and without a prewarm, for every domain count. *)
+(** Fill the signature arena for the {e whole} fault pool — the
+    equivalence-class representatives, the keys every phase probes —
+    with one {!simulate} sweep over the pool keys the arena lacks,
+    stored as one batch.  Every later probe of those keys is an arena
+    hit.  Returns the number of faults simulated, counted as
+    ["prewarm.faults"] under the ["prewarm"] phase: the whole pool on a
+    fresh session, 0 after a store load or a previous prewarm.
+    Presence is tested without touching the hit/miss counters, so they
+    keep reflecting only probes a diagnosis made.  Diagnosis results
+    are byte-identical with and without a prewarm, for every domain
+    count. *)
 
 val netlist : t -> Netlist.t
 val patterns : t -> Pattern.t
@@ -138,8 +134,8 @@ val simulate : t -> Fault_list.fault array -> int array array
     [config.domains]. *)
 
 val fault_triples : t -> Fault_list.fault array -> int array array
-(** {!simulate}, through the cache: hits replay, misses are simulated
-    and stored back in index order.  The cold path of the baselines
+(** {!simulate}, through the cache: hits are decoded from the arena,
+    misses are simulated and stored back as one batch.  The cold path of the baselines
     ({!Single_diag}, {!Dict_diag}). *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array

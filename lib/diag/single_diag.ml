@@ -9,7 +9,7 @@ let diagnose_session ?(keep = 20) session dlog =
   (* All representative signatures at once: cache hits replay, misses go
      through the session's PPSFP slabs instead of one scalar cone walk
      per (fault, block) — the former cold-path hot spot of this
-     baseline.  Warm rows come from the explanation matrix and every
+     baseline.  Cached rows come from the explanation matrix and every
      earlier trial on this problem. *)
   let triples = Session.fault_triples session faults in
   let words = Datalog.observed_words dlog (Session.blocks session) in

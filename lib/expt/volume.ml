@@ -15,9 +15,10 @@
    Each die runs under a private [Obs.sink], so its run report carries
    its own counters even with many diagnoses in flight, and the sink is
    merged into the process registry afterwards so `--stats` totals
-   still add up.  Note the per-die cache.hits/misses split depends on
-   drain order (whoever reaches a cold signature first pays the miss);
-   the rendered diagnosis reports do not — they are byte-identical to
+   still add up.  Note the per-die cache.hits/misses split and the
+   cache.frozen_bytes growth depend on drain order (whoever reaches a
+   cold signature first pays the miss and appends it to the session's
+   arena); the rendered diagnosis reports do not — they are byte-identical to
    single-shot runs of the same die. *)
 
 type die = { name : string; dlog : Datalog.t }
@@ -195,8 +196,8 @@ let json_of_die r =
       ( "spurious",
         Obs_json.Num (float_of_int (s.Scoring.spurious_fail + s.Scoring.spurious_pass)) );
       ("report", Obs_json.Str r.text);
-      (* Deterministic report body (timings off); the cache hit/miss
-         split still depends on drain order — see the module comment. *)
+      (* Deterministic report body (timings off); the cache counters
+         still depend on drain order — see the module comment. *)
       ("stats", Run_report.to_obs_json ~timings:false r.report);
     ]
 

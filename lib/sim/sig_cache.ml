@@ -1,18 +1,16 @@
-(* Sharded, bounded-memory memo of per-fault PO-diff triples, shared by
-   every diagnosis phase that fault-simulates against one (netlist,
-   pattern set) problem.  See the interface for the concurrency and
-   determinism contract.  Each [Diag.Session] creates and owns exactly
-   one instance; there is no registry, so a dropped session frees its
-   cache with it. *)
+(* Append-only packed memo of per-fault PO-diff triples, shared by every
+   diagnosis phase that fault-simulates against one (netlist, pattern
+   set) problem.  See the interface for the concurrency and determinism
+   contract.  Each [Diag.Session] creates and owns exactly one instance;
+   there is no registry, so a dropped session frees its cache with
+   it. *)
 
 let c_hits = Obs.counter "cache.hits"
 let c_misses = Obs.counter "cache.misses"
-let c_evictions = Obs.counter "cache.evictions"
-let c_frozen_hits = Obs.counter "cache.frozen_hits"
 
-(* Resident footprint of the packed frozen arena (slab + offset index +
-   presence bitmap, in bytes); published as a counter delta at each
-   freeze/load so `--stats` shows what the frozen tier actually holds. *)
+(* Footprint of the packed arena (slab bytes in use + start
+   index + presence bitmap, in bytes); published as a counter delta at
+   each append/load so `--stats` shows what the arena actually holds. *)
 let c_frozen_bytes = Obs.counter "cache.frozen_bytes"
 
 (* Snapshot store traffic: arenas written to disk, arenas adopted from
@@ -25,42 +23,22 @@ let c_store_saves = Obs.counter "store.saves"
 let c_store_loads = Obs.counter "store.loads"
 let c_store_rejects = Obs.counter "store.rejects"
 
-(* Word budget across all shards of one instance.  Entries are int
-   arrays, so the budget is an honest (if approximate) bound on the
-   cache's major-heap footprint.  A constant: only tests override it,
-   through [create ?budget_mb], to reach eviction on small circuits. *)
-let default_budget_mb = 64
-
-let nshards = 16
-
-(* Per-entry accounting overhead: hashtable bucket + queue cell + header
-   words, rounded generously so many tiny entries cannot blow past the
-   budget through bookkeeping alone. *)
-let entry_overhead = 16
-
-type shard = {
-  lock : Mutex.t;
-  tbl : (int, int array) Hashtbl.t;
-  order : int Queue.t; (* insertion order; each live key appears once *)
-  mutable words : int;
-}
-
-(* Frozen tier: one contiguous packed arena.  [slab] holds every key's
-   triples back to back ([encode_triples]); key [k]'s bytes are
-   [slab[offs.(k) .. offs.(k+1))] and bit [k] of [present] says whether
+(* One published version of the packed arena.  [slab] holds every
+   present key's triples ([encode_triples]) in append order; key [k]'s
+   encoding starts at [starts.(k)] and bit [k] of [present] says whether
    the key has an entry at all (a key can legitimately have zero
-   triples — a fault that diffs nowhere — which the offsets alone
-   cannot distinguish from absence).  Compared with the former
-   [int array option array] (three boxed words per triple plus a header
-   per key), the packed form costs a decode per probe but shrinks the
-   resident footprint (~2.3x on rnd2k) — and, being
-   position-independent bytes, it is exactly what the disk snapshot
-   writes and reads. *)
-type frozen = {
+   triples — a fault that diffs nowhere).  [starts.(k)] is only read
+   when the bit is set, and bytes of [slab] at or past [used] belong to
+   no key of this version, so neither is reachable through this
+   version: the next append writes there, under the append lock, before
+   publishing the version that makes them reachable.  The empty arena
+   has zero-length arrays; the first append allocates the
+   [nkeys]-sized index. *)
+type arena = {
   slab : Bytes.t;
-  offs : int array; (* nkeys + 1 byte offsets into [slab], monotone *)
-  present : Bytes.t; (* nkeys-bit membership bitmap *)
-  arena_bytes : int; (* slab + index + bitmap, the resident footprint *)
+  used : int;
+  starts : int array;
+  present : Bytes.t;
 }
 
 type t = {
@@ -68,28 +46,25 @@ type t = {
   pats : Pattern.t;
   blocks : Pattern.block array;
   goods : Logic_sim.net_values array;
-  shards : shard array;
-  budget_words : int;
-  (* The packed arena above, published once by [freeze] (or adopted from
-     disk by [load_frozen]).  Reads are a single [Atomic.get] plus a
-     bounded decode of one key's byte range — no hashing, no mutex —
-     and the publication through the atomic is what makes every byte
-     written before the freeze safely visible to all domains (OCaml
-     memory model: the freezing domain's writes happen-before the
-     [Atomic.set], which happens-before any reader's [Atomic.get]).
-     The arena is never written again; keys it lacks fall through to
-     the mutable tier, which keeps accepting writes. *)
-  frozen : frozen option Atomic.t;
+  (* Reads are one [Atomic.get] plus a bounded decode of one key's byte
+     range — no hashing, no mutex.  Every byte a published version can
+     reach is written before the [Atomic.set] that publishes it (OCaml
+     memory model: the appending domain's writes happen-before the
+     [Atomic.set], which happens-before any reader's [Atomic.get] that
+     observes it), and no byte an earlier version can reach is written
+     again. *)
+  arena : arena Atomic.t;
+  append_lock : Mutex.t; (* serialises appends and loads; readers never take it *)
 }
 
+let empty = { slab = Bytes.empty; used = 0; starts = [||]; present = Bytes.empty }
 let goods t = t.goods
 let blocks t = t.blocks
 let key ~site ~stuck = (2 * site) + Bool.to_int stuck
-let shard_of t k = t.shards.(k mod nshards)
-let cost triples = Array.length triples + entry_overhead
 let num_keys t = 2 * Netlist.num_nets t.net
+let word_bytes = Sys.word_size / 8
 
-let is_frozen t = Atomic.get t.frozen <> None
+let arena_bytes a = a.used + (Array.length a.starts * word_bytes) + Bytes.length a.present
 
 (* --- Varint codec ---------------------------------------------------- *)
 
@@ -160,33 +135,33 @@ let encode_triples buf (triples : int array) =
     prev_oi := oi
   done
 
+(* The position just past the encoding that starts at [start]. *)
+let encoding_end bytes start =
+  let pos = ref (uvarint_end bytes start) in
+  for _ = 1 to uvarint_at bytes start do
+    pos := uvarint_end bytes (uvarint_end bytes !pos) + 8
+  done;
+  !pos
+
 let bit_set bytes k = Char.code (Bytes.unsafe_get bytes (k lsr 3)) land (1 lsl (k land 7)) <> 0
 
 let bit_mark bytes k =
   Bytes.unsafe_set bytes (k lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get bytes (k lsr 3)) lor (1 lsl (k land 7))))
 
-let find_mutable t k =
-  let s = shard_of t k in
-  Mutex.lock s.lock;
-  let r = Hashtbl.find_opt s.tbl k in
-  Mutex.unlock s.lock;
-  if Obs.enabled () then Obs.incr (match r with Some _ -> c_hits | None -> c_misses);
-  r
+(* --- Reads ----------------------------------------------------------- *)
 
-(* --- Frozen-tier reads ------------------------------------------------ *)
+(* Whether arena [a] holds key [k]: the one membership test. *)
+let holds a k = k >= 0 && k < Array.length a.starts && bit_set a.present k
 
-(* Whether arena [fr] holds key [k]: the one membership test. *)
-let holds fr k = k >= 0 && k < Array.length fr.offs - 1 && bit_set fr.present k
-
-(* The one decoder: stream key [k]'s triples out of [fr] as [f block po
-   word] calls, inverting [encode_triples].  [fr] must hold [k].  The
+(* The one decoder: stream key [k]'s triples out of [a] as [f block po
+   word] calls, inverting [encode_triples].  [a] must hold [k].  The
    deltas decode inline on a local position — one byte each in the
    canonical order, with [uvarint_at] only for the rare longer one —
    and the word is a single 8-byte load. *)
-let walk fr k f =
-  let bytes = fr.slab in
-  let start = fr.offs.(k) in
+let walk a k f =
+  let bytes = a.slab in
+  let start = a.starts.(k) in
   let n = uvarint_at bytes start in
   let pos = ref (uvarint_end bytes start) in
   let bi = ref 0 and oi = ref (-1) in
@@ -206,129 +181,107 @@ let walk fr k f =
     pos := !pos + 8
   done
 
+let count_probe hit = if Obs.enabled () then Obs.incr (if hit then c_hits else c_misses)
+let mem t k = holds (Atomic.get t.arena) k
+
+let probe t k =
+  let hit = mem t k in
+  count_probe hit;
+  hit
+
 let find t k =
-  match Atomic.get t.frozen with
-  | Some fr when holds fr k ->
-    if Obs.enabled () then Obs.incr c_frozen_hits;
-    let triples = Array.make (3 * uvarint_at fr.slab fr.offs.(k)) 0 in
+  let a = Atomic.get t.arena in
+  let hit = holds a k in
+  count_probe hit;
+  if not hit then None
+  else begin
+    let triples = Array.make (3 * uvarint_at a.slab a.starts.(k)) 0 in
     let i = ref 0 in
-    walk fr k (fun bi oi w ->
+    walk a k (fun bi oi w ->
         triples.(!i) <- bi;
         triples.(!i + 1) <- oi;
         triples.(!i + 2) <- w;
         i := !i + 3);
     Some triples
-  | Some _ | None -> find_mutable t k
+  end
 
-(* Decode-free probe + streaming decode: the explanation matrix replays
-   a thousand-odd rows per build, and materialising an [int array] per
-   frozen row (as [find] must) costs more than the shard mutex the
-   frozen tier exists to avoid.  [probe] answers {e where} a key lives
-   without touching the slab body; [iter_frozen] then streams the
-   triples straight out of the arena into the caller's fill loop, no
-   allocation at all.  Mutable-tier hits still hand out the boxed array
-   — it is shared, not copied, and holding it keeps the row immune to a
-   FIFO eviction between probe and replay. *)
-type probe_result = Frozen | Warm of int array | Cold
+let iter t k f =
+  let a = Atomic.get t.arena in
+  if holds a k then walk a k f else invalid_arg "Sig_cache.iter: key not in the arena"
 
-let probe t k =
-  match Atomic.get t.frozen with
-  | Some fr when holds fr k ->
-    if Obs.enabled () then Obs.incr c_frozen_hits;
-    Frozen
-  | Some _ | None -> (
-    match find_mutable t k with Some a -> Warm a | None -> Cold)
+let frozen_bytes t = arena_bytes (Atomic.get t.arena)
 
-let iter_frozen t k f =
-  match Atomic.get t.frozen with
-  | Some fr when holds fr k -> walk fr k f
-  | Some _ | None -> invalid_arg "Sig_cache.iter_frozen: key not in the frozen tier"
+(* --- Appends --------------------------------------------------------- *)
 
-let store t k triples =
-  let s = shard_of t k in
-  let budget = t.budget_words / nshards in
-  Mutex.lock s.lock;
-  (match Hashtbl.find_opt s.tbl k with
-  | Some old ->
-    (* Overwrite (same value recomputed by a racing domain): keep the
-       key's queue position, swap the payload accounting. *)
-    s.words <- s.words - cost old + cost triples;
-    Hashtbl.replace s.tbl k triples
-  | None ->
-    Hashtbl.replace s.tbl k triples;
-    Queue.push k s.order;
-    s.words <- s.words + cost triples);
-  let evicted = ref 0 in
-  while s.words > budget && not (Queue.is_empty s.order) do
-    let victim = Queue.pop s.order in
-    match Hashtbl.find_opt s.tbl victim with
-    | None -> ()
-    | Some v ->
-      Hashtbl.remove s.tbl victim;
-      s.words <- s.words - cost v;
-      incr evicted
-  done;
-  Mutex.unlock s.lock;
-  if !evicted > 0 && Obs.enabled () then Obs.add c_evictions !evicted
-
-(* Resident footprint of the published arena, in bytes (0 before a
-   freeze). *)
-let frozen_bytes t =
-  match Atomic.get t.frozen with Some fr -> fr.arena_bytes | None -> 0
-
-let word_bytes = Sys.word_size / 8
-
-(* Publish a fully built arena, keeping the [cache.frozen_bytes]
-   counter equal to the resident footprint across re-freezes. *)
-let publish t fr =
+(* Publish [a] as the current version, keeping the [cache.frozen_bytes]
+   counter equal to the resident footprint.  The caller holds the
+   append lock. *)
+let publish t a =
   let old = frozen_bytes t in
-  Atomic.set t.frozen (Some fr);
-  if Obs.enabled () then Obs.add c_frozen_bytes (fr.arena_bytes - old)
+  Atomic.set t.arena a;
+  if Obs.enabled () then Obs.add c_frozen_bytes (arena_bytes a - old)
 
-(* Pack the mutable tier — plus [extra] entries that never went through
-   it — into one arena and publish it.  [extra] exists for the prewarm
-   sweep: routing a whole 100k-fault pool through the mutable tier
-   first would trip its FIFO budget (evicting entries before the freeze
-   could pack them) and briefly double the footprint; handing the sweep
-   results straight to the packer keeps the full pool, which is the
-   point of the 4-8x size reduction.  [extra] wins over the mutable
-   tier on duplicate keys (values are pure functions of the key, so the
-   choice is cosmetic).  Idempotent: a second freeze re-snapshots.
-   Shards are locked one at a time, so stores racing with a freeze land
-   either in the arena or in the mutable tier — both readable
-   afterwards. *)
-let freeze ?(extra = [||]) t =
+(* Encode the batch outside the lock, then, under it, copy the rows
+   whose keys the current version lacks (first writer wins — values are
+   pure, so a racing writer's row is the same bytes) into the slab past
+   [used], record their starts, mark them in a fresh bitmap and
+   publish.  The bitmap is copied rather than marked in place: an
+   older version's readers still test neighbouring bits of the same
+   bytes.  The slab and the index are shared with older versions, which
+   reach neither the bytes past their [used] nor the start of a key
+   their bitmap lacks; a slab that is out of room is copied into one at
+   least twice the size.  A triple takes at least 10 bytes, so the
+   buffer is sized for the batch up front. *)
+let store t keys rows =
+  let n = Array.length keys in
+  if Array.length rows <> n then invalid_arg "Sig_cache.store: keys and rows differ in length";
   let nkeys = num_keys t in
-  let staged : (int, int array) Hashtbl.t = Hashtbl.create 1024 in
   Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      Hashtbl.iter (fun k v -> if k >= 0 && k < nkeys then Hashtbl.replace staged k v) s.tbl;
-      Mutex.unlock s.lock)
-    t.shards;
-  Array.iter
-    (fun (k, v) -> if k >= 0 && k < nkeys then Hashtbl.replace staged k v)
-    extra;
-  let buf = Buffer.create 4096 in
-  let offs = Array.make (nkeys + 1) 0 in
-  let present = Bytes.make ((nkeys + 7) / 8) '\000' in
-  for k = 0 to nkeys - 1 do
-    offs.(k) <- Buffer.length buf;
-    match Hashtbl.find_opt staged k with
-    | None -> ()
-    | Some triples ->
-      bit_mark present k;
-      encode_triples buf triples
-  done;
-  offs.(nkeys) <- Buffer.length buf;
-  let slab = Buffer.to_bytes buf in
-  publish t
-    {
-      slab;
-      offs;
-      present;
-      arena_bytes = Bytes.length slab + ((nkeys + 1) * word_bytes) + Bytes.length present;
-    }
+    (fun k -> if k < 0 || k >= nkeys then invalid_arg "Sig_cache.store: key out of range")
+    keys;
+  let size = Array.fold_left (fun acc row -> acc + 1 + (10 * Array.length row / 3)) 16 rows in
+  let buf = Buffer.create size in
+  let offs = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i row ->
+      encode_triples buf row;
+      offs.(i + 1) <- Buffer.length buf)
+    rows;
+  Mutex.protect t.append_lock (fun () ->
+      let a = Atomic.get t.arena in
+      (* Every row takes at least one byte, so [need > 0] iff some key
+         is new. *)
+      let need = ref 0 in
+      Array.iteri
+        (fun i k -> if not (holds a k) then need := !need + offs.(i + 1) - offs.(i))
+        keys;
+      if !need > 0 then begin
+        let starts = if a.starts = [||] then Array.make nkeys 0 else a.starts in
+        let present =
+          if a.starts = [||] then Bytes.make ((nkeys + 7) / 8) '\000' else Bytes.copy a.present
+        in
+        let slab =
+          if a.used + !need <= Bytes.length a.slab then a.slab
+          else begin
+            let s = Bytes.create (max (2 * Bytes.length a.slab) (a.used + !need)) in
+            Bytes.blit a.slab 0 s 0 a.used;
+            s
+          end
+        in
+        let used = ref a.used in
+        Array.iteri
+          (fun i k ->
+            (* Also skips a key repeated earlier in this batch. *)
+            if not (bit_set present k) then begin
+              let len = offs.(i + 1) - offs.(i) in
+              Buffer.blit buf offs.(i) slab !used len;
+              starts.(k) <- !used;
+              bit_mark present k;
+              used := !used + len
+            end)
+          keys;
+        publish t { slab; used = !used; starts; present }
+      end)
 
 let signature_of_triples t triples =
   let npos = Netlist.num_pos t.net in
@@ -388,23 +341,31 @@ let store_path ~dir t = Store_file.path ~dir ~prefix:"sig" ~ext:"mddsig" t.net
 
      packed index (index_len bytes) | present bitmap | slab
 
-   The packed index is the offset array delta-varint-coded (offsets are
-   monotone, so deltas are the per-key byte lengths). *)
+   The slab holds the present keys' encodings in key order, whatever
+   order they were appended in, so the file depends only on which keys
+   are present.  The packed index is the per-key byte lengths
+   varint-coded (0 for an absent key). *)
 let save_frozen ~dir t =
-  match Atomic.get t.frozen with
-  | None -> false
-  | Some fr ->
-    let nkeys = Array.length fr.offs - 1 in
-    let body = Buffer.create (Bytes.length fr.slab + nkeys + 64) in
+  let a = Atomic.get t.arena in
+  if a.starts = [||] then false
+  else begin
+    let nkeys = Array.length a.starts in
+    let len k =
+      if bit_set a.present k then encoding_end a.slab a.starts.(k) - a.starts.(k) else 0
+    in
+    let body = Buffer.create (a.used + nkeys + 64) in
     for k = 0 to nkeys - 1 do
-      put_uvarint body (fr.offs.(k + 1) - fr.offs.(k))
+      put_uvarint body (len k)
     done;
     let index_len = Buffer.length body in
-    Buffer.add_bytes body fr.present;
-    Buffer.add_bytes body fr.slab;
+    Buffer.add_bytes body a.present;
+    for k = 0 to nkeys - 1 do
+      if bit_set a.present k then Buffer.add_subbytes body a.slab a.starts.(k) (len k)
+    done;
     Store_file.save store_kind ~path:(store_path ~dir t) ~key:(problem_digest t)
-      ~ints:[| nkeys; index_len; Bytes.length fr.slab |]
+      ~ints:[| nkeys; index_len; Buffer.length body - index_len - Bytes.length a.present |]
       (Buffer.contents body)
+  end
 
 (* Bounds-checked varint read for untrusted bytes: the unsafe decoder
    above is only ever pointed at ranges this function has fully walked
@@ -475,36 +436,27 @@ let decode_arena t ints body =
     if bit_set present k then ignore (scan_key slab offs.(k) offs.(k + 1) : int)
     else if offs.(k) <> offs.(k + 1) then raise Store_file.Invalid
   done;
-  {
-    slab;
-    offs;
-    present;
-    arena_bytes = slab_len + ((nkeys + 1) * word_bytes) + bitmap_len;
-  }
+  { slab; used = slab_len; starts = Array.sub offs 0 nkeys; present }
 
 let load_frozen ~dir t =
   match
     Store_file.load store_kind ~path:(store_path ~dir t) ~key:(problem_digest t) ~nints:3
       (decode_arena t)
   with
-  | Some fr ->
-    publish t fr;
+  | Some a ->
+    Mutex.protect t.append_lock (fun () -> publish t a);
     true
   | None -> false
 
 (* --- Construction ---------------------------------------------------- *)
 
-let create ?budget_mb net pats =
-  let mb = match budget_mb with Some mb when mb >= 1 -> mb | _ -> default_budget_mb in
+let create net pats =
   let blocks = Array.of_list (Pattern.blocks pats) in
   {
     net;
     pats;
     blocks;
     goods = Array.map (fun b -> Logic_sim.simulate_block net b) blocks;
-    shards =
-      Array.init nshards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 256; order = Queue.create (); words = 0 });
-    budget_words = mb * 1024 * 1024 / 8;
-    frozen = Atomic.make None;
+    arena = Atomic.make empty;
+    append_lock = Mutex.create ();
   }

@@ -168,5 +168,5 @@ let lookup c sim ~site ~stuck =
   | Some triples -> triples
   | None ->
     let triples = signature_triples c sim ~site ~stuck in
-    Sig_cache.store c k triples;
+    Sig_cache.store c [| k |] [| triples |];
     triples

@@ -401,11 +401,11 @@ let prop_explain_brute_force_and_replay =
 
 (* --- Packed frozen arena against scalar-computed triples ------------ *)
 
-(* The frozen tier answers [find] by decoding the varint arena and
-   [iter_frozen] by streaming it; both must reproduce, bit for bit, the
-   triples the scalar simulator computed into the mutable tier — and
-   still must after a save/load cycle replaces the arena with bytes
-   read back from disk. *)
+(* The arena answers [find] by decoding its packed bytes and [iter] by
+   streaming them; both must reproduce, bit for bit, the triples the
+   scalar simulator computed and stored one key at a time — and still
+   must after a save/load cycle replaces the arena with bytes read back
+   from disk. *)
 let prop_packed_arena_matches_scalar =
   QCheck.Test.make
     ~name:"packed frozen arena (in-memory and loaded) decodes = scalar triples"
@@ -427,18 +427,16 @@ let prop_packed_arena_matches_scalar =
             ))
           faults
       in
-      Sig_cache.freeze c;
       let agrees cache =
         List.for_all
           (fun (k, triples) ->
             let decoded = Sig_cache.find cache k = Some triples in
             let streamed =
-              match Sig_cache.probe cache k with
-              | Sig_cache.Frozen ->
-                let buf = ref [] in
-                Sig_cache.iter_frozen cache k (fun bi oi w -> buf := w :: oi :: bi :: !buf);
-                Array.of_list (List.rev !buf) = triples
-              | Sig_cache.Warm _ | Sig_cache.Cold -> false
+              Sig_cache.mem cache k
+              &&
+              let buf = ref [] in
+              Sig_cache.iter cache k (fun bi oi w -> buf := w :: oi :: bi :: !buf);
+              Array.of_list (List.rev !buf) = triples
             in
             decoded && streamed)
           reference

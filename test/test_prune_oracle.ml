@@ -3,9 +3,9 @@
    candidate, exactly as brute-force simulation of the full seed pool
    does, and every seed the activation screen dropped must explain
    nothing; every diagnosis report must be byte-identical whether its
-   signatures were simulated (a cold session), replayed from the
-   mutable tier (the same session, warm) or read from the frozen arena
-   (a prewarmed session) — on random circuits, all defect kinds,
+   signatures were simulated (a cold session), replayed from what the
+   first diagnosis appended to the arena (the same session, warm) or
+   from an arena filled before any diagnosis (a prewarmed session) — on random circuits, all defect kinds,
    multiplicities 1-4 — and a shared cache hammered from several
    domains at once must not change any result. *)
 
@@ -24,7 +24,7 @@ let random_problem seed multiplicity =
 (* [render] on a cold session (its first diagnosis simulates every
    signature: the uncached computation), on the same session again (now
    warm: every signature is a cache hit) and on a prewarmed session
-   (every signature comes from the frozen arena). *)
+   (every signature is in the arena before the first diagnosis). *)
 let cold_warm_frozen net pats render =
   let session = Session.create net pats in
   let cold = render session in

@@ -49,9 +49,9 @@ let render_ranking ranked =
            s.spurious_pass)
        ranked)
 
-(* Cold (every row simulated), warm (the mutable tier, filled by a first
-   diagnosis, answers every row) and frozen (prewarm: the packed arena
-   answers) sessions, at 1 and 4 domains, produce one report byte for
+(* Cold (every row simulated), warm (the arena, filled by a first
+   diagnosis, answers every row) and frozen (prewarm: the arena holds
+   the whole pool before any diagnosis) sessions, at 1 and 4 domains, produce one report byte for
    byte — the cache may change who answers a probe, never the answer.
    The baselines' cold path ([Session.fault_triples], which simulates
    its misses across the session's domains) is held to the same
@@ -90,8 +90,8 @@ let prop_all_combos_identical =
           let frozen_session =
             cold_session { (config ~domains) with Session.prewarm = true }
           in
-          if not (Sig_cache.is_frozen (Option.get (Session.cache frozen_session))) then
-            QCheck.Test.fail_report "prewarm left the cache unfrozen";
+          if Sig_cache.frozen_bytes (Option.get (Session.cache frozen_session)) = 0 then
+            QCheck.Test.fail_report "prewarm left the arena empty";
           ( [ cold; warm; render frozen_session ],
             [ single (cold_session (config ~domains)); single frozen_session ],
             [ dict (cold_session (config ~domains)); dict frozen_session ] )
@@ -145,12 +145,14 @@ let test_dropped_session_frees_cache () =
   Alcotest.(check bool) "pattern set collected with its session" false
     (Weak.check patterns 0)
 
-(* Four dies drained concurrently over one shared warm session must
-   produce exactly the reports their one-at-a-time runs produce —
-   request-level parallelism may not leak state between diagnoses. *)
+(* Four dies drained concurrently over one shared session must produce
+   exactly the reports their one-at-a-time runs produce — request-level
+   parallelism may not leak state between diagnoses.  Two arms: a warm
+   session, whose drain only reads the arena, and a fresh one, whose
+   four workers miss and append to the arena concurrently. *)
 let prop_concurrent_matches_sequential =
   QCheck.Test.make
-    ~name:"4 concurrent diagnoses on one warm session = sequential (byte-identical)"
+    ~name:"4 concurrent diagnoses on one warm session = sequential, and on a cold one"
     ~count:2
     QCheck.(int_range 1 100_000)
     (fun seed ->
@@ -163,22 +165,25 @@ let prop_concurrent_matches_sequential =
         |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
       in
       QCheck.assume (dies <> []);
+      let same =
+        List.for_all2 (fun (a : Volume.die_result) (b : Volume.die_result) ->
+            String.equal a.Volume.text b.Volume.text
+            && String.equal a.Volume.die b.Volume.die)
+      in
       let session = cold_session (config ~domains:1) in
-      (* Sequential reference also warms the session's cache, so the
-         concurrent drain below runs the warm-session fast path. *)
+      (* The sequential reference runs on a fresh session and warms it,
+         so the second drain runs the warm-session fast path. *)
       let sequential = Volume.run ~workers:1 session dies in
-      let concurrent = Volume.run ~workers:4 session dies in
-      List.for_all2
-        (fun (a : Volume.die_result) (b : Volume.die_result) ->
-          String.equal a.Volume.text b.Volume.text && String.equal a.Volume.die b.Volume.die)
-        sequential concurrent)
+      let warm = Volume.run ~workers:4 session dies in
+      let cold = Volume.run ~workers:4 (cold_session (config ~domains:1)) dies in
+      same sequential warm && same sequential cold)
 
 (* Disk round trip through the session layer, at 1 and 4 domains: a
-   session that adopts its frozen tier from a snapshot (store.loads =
+   session that adopts its arena from a snapshot (store.loads =
    1, zero simulation) must render the same bytes as the prewarming
    session that saved it and as a cold session — the packed
    arena's decode is the same whether the bytes came from a live
-   freeze or from disk, and the domain count may change neither. *)
+   sweep or from disk, and the domain count may change neither. *)
 let prop_store_round_trip_identical =
   QCheck.Test.make
     ~name:"store round trip: loaded session = prewarm = cold session (1 and 4 domains)"
@@ -201,9 +206,9 @@ let prop_store_round_trip_identical =
               (* First create sweeps live and saves the snapshot... *)
               let saver = render (cold_session base) in
               (* ...the second must adopt it from disk: one load and no
-                 prewarm simulation.  A frozen cache alone would not
+                 prewarm simulation.  A full arena alone would not
                  show it, since a rejected snapshot falls back to a live
-                 sweep that freezes too. *)
+                 sweep that fills it too. *)
               let sk = Obs.sink () in
               let loaded_session = Obs.with_sink sk (fun () -> cold_session base) in
               let counter name =
@@ -222,8 +227,8 @@ let prop_store_round_trip_identical =
         in
         ok)
 
-(* Request-level parallelism on a frozen cache: 4 workers hammering the
-   lock-free read path must reproduce the sequential drain byte for
+(* Request-level parallelism on a prewarmed arena: 4 workers hammering
+   the lock-free read path must reproduce the sequential drain byte for
    byte. *)
 let prop_frozen_concurrent_matches_sequential =
   QCheck.Test.make
@@ -247,42 +252,36 @@ let prop_frozen_concurrent_matches_sequential =
           String.equal a.Volume.text b.Volume.text && String.equal a.Volume.die b.Volume.die)
         sequential concurrent)
 
-(* Counter delta after a freeze: every signature probe a die makes must
-   be answered by the frozen tier — [cache.hits] (and misses) fully
-   replaced by [cache.frozen_hits].  This is the 1-CPU acceptance proxy
-   for "zero Mutex.lock on the hit path". *)
-let test_frozen_counter_delta () =
+(* Counters after a prewarm: the arena already holds every key a die
+   probes, so each die's probes all hit and none misses — no die
+   simulates a signature. *)
+let test_prewarmed_probes_hit () =
   let dies =
     List.filter_map (fun i -> make_dlog (3000 + i) 2) [ 1; 2 ]
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
   let session = cold_session { (config ~domains:1) with Session.prewarm = true } in
-  Alcotest.(check bool) "cache frozen after prewarm" true
-    (Sig_cache.is_frozen (Option.get (Session.cache session)));
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
       let counters = Run_report.counters r.Volume.report in
       let get n = Option.value ~default:0 (List.assoc_opt n counters) in
       Alcotest.(check int)
-        (Printf.sprintf "%s: no mutable-tier hits" r.Volume.die)
-        0 (get "cache.hits");
-      Alcotest.(check int)
-        (Printf.sprintf "%s: no mutable-tier misses" r.Volume.die)
+        (Printf.sprintf "%s: no misses" r.Volume.die)
         0 (get "cache.misses");
       Alcotest.(check bool)
-        (Printf.sprintf "%s: frozen-tier hits observed" r.Volume.die)
+        (Printf.sprintf "%s: hits observed" r.Volume.die)
         true
-        (get "cache.frozen_hits" > 0))
+        (get "cache.hits" > 0))
     results
 
-(* The frozen tier streams each row's triples straight out of the packed
-   arena, so replaying a frozen session allocates no more than replaying
-   the same rows from the warm mutable tier, whose arrays already exist.
-   Decoding every row into a fresh array would cost about three words
-   per triple here.  Allocation is deterministic at one domain, unlike
-   the time it costs. *)
+(* Replay streams each row's triples straight out of the packed arena,
+   so replaying a prewarmed arena allocates no more than replaying the
+   same rows from an arena the first build filled lazily.  Decoding
+   every row into a fresh array would cost about three words per triple
+   here.  Allocation is deterministic at one domain, unlike the time it
+   costs. *)
 let test_frozen_replay_allocation () =
   let dlog =
     match make_dlog 5000 3 with Some d -> d | None -> Alcotest.fail "no failing draw"
@@ -293,13 +292,15 @@ let test_frozen_replay_allocation () =
     ignore (Sys.opaque_identity (Explain.build_session session dlog));
     Gc.minor_words () -. before
   in
-  let warm = replay_words (cold_session (config ~domains:1)) in
-  let frozen =
+  let lazily_filled = replay_words (cold_session (config ~domains:1)) in
+  let prewarmed =
     replay_words (cold_session { (config ~domains:1) with Session.prewarm = true })
   in
   Alcotest.(check bool)
-    (Printf.sprintf "frozen replay %.0f words <= warm replay %.0f words" frozen warm)
-    true (frozen <= warm)
+    (Printf.sprintf
+       "prewarmed arena replay %.0f words <= lazily filled arena replay %.0f words" prewarmed
+       lazily_filled)
+    true (prewarmed <= lazily_filled)
 
 (* The volume rollup ranks by dies-implicated and carries every die. *)
 let test_rollup () =
@@ -403,8 +404,8 @@ let suite =
       [
         Alcotest.test_case "volume rollup shape" `Quick test_rollup;
         Alcotest.test_case "per-die sinks carry counters" `Quick test_per_die_sinks;
-        Alcotest.test_case "frozen counter delta (hits -> frozen_hits)" `Quick
-          test_frozen_counter_delta;
+        Alcotest.test_case "prewarmed session: every die probe hits" `Quick
+          test_prewarmed_probes_hit;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [
