@@ -15,8 +15,9 @@ let load_circuit bench suite =
     | Sys_error msg -> Error msg)
   | None, Some name -> (
     (* Suite first, then the large benchmark tiers (rnd10k/rnd50k and
-       vendored .bench circuits) — forced lazily, so suite lookups never
-       pay tier construction. *)
+       vendored .bench circuits).  Both are lazy: a lookup builds only
+       the circuit it names, and an unknown name builds none — the
+       error lists names only. *)
     match Generators.find_suite name with
     | Some net -> Ok net
     | None -> (
@@ -26,8 +27,7 @@ let load_circuit bench suite =
         Error
           (Printf.sprintf "unknown circuit %S (try: %s)" name
              (String.concat ", "
-                (List.map fst (Generators.suite ())
-                @ List.map fst (Generators.tiers ()))))))
+                (Generators.suite_names @ List.map fst (Generators.tiers ()))))))
   | Some _, Some _ -> Error "give either --bench or --circuit, not both"
   | None, None -> Error "a circuit is required: --bench FILE or --circuit NAME"
 
@@ -193,8 +193,8 @@ let load_patterns ?store_dir net patterns_file =
       (fun pats ->
         if Pattern.npis pats <> Netlist.num_pis net then
           Error
-            (Printf.sprintf "pattern width %d does not match circuit PI count %d"
-               (Pattern.npis pats) (Netlist.num_pis net))
+            (Printf.sprintf "%s: pattern width %d does not match circuit PI count %d"
+               path (Pattern.npis pats) (Netlist.num_pis net))
         else Ok pats)
   | None -> Ok (Campaign.test_set ?store_dir net)
 

@@ -58,7 +58,8 @@ let cache t = Some t.cache
 let sink t = t.sink
 let config t = t.config
 
-let with_sink t f = match t.sink with None -> f () | Some sk -> Obs.with_sink sk f
+let in_sink sink f = match sink with None -> f () | Some sk -> Obs.with_sink sk f
+let with_sink t f = in_sink t.sink f
 
 (* --- The one signature sweep ----------------------------------------- *)
 
@@ -195,12 +196,16 @@ let prewarm t =
       if Obs.enabled () then Obs.add c_prewarm_faults n;
       n)
 
+(* The costly steps of a create are phases of their own ([po_reach],
+   [store.load], [prewarm]), so a run report shows how the caller's
+   [session.create] splits. *)
 let create ?(config = default_config) ?sink net pats =
   let t =
     {
       net;
       pats;
-      reach = Po_reach.compute net;
+      reach =
+        in_sink sink (fun () -> Obs.phase "po_reach" (fun () -> Po_reach.compute net));
       cache = Sig_cache.create net pats;
       sink;
       config;
@@ -214,7 +219,9 @@ let create ?(config = default_config) ?sink net pats =
               rejected file — [store.rejects]) falls through to the live
               sweep, which is then saved so the next process loads. *)
            match config.store_dir with
-           | Some dir when Sig_cache.load_frozen ~dir t.cache -> 0
+           | Some dir
+             when Obs.phase "store.load" (fun () -> Sig_cache.load_frozen ~dir t.cache) ->
+             0
            | Some dir ->
              let n = prewarm t in
              ignore (Sig_cache.save_frozen ~dir t.cache : bool);

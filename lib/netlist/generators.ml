@@ -449,12 +449,12 @@ let random_logic ~gates ~pis ~pos ~seed =
   let rng = Rng.create seed in
   let b = Builder.create () in
   let kinds = [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Not; Gate.Buf |] in
-  let nets = ref [] in
+  (* Builder numbers nets in creation order: PI [i] is net [i] and gate
+     [g] is net [pis + g].  [read] marks the nets some gate reads. *)
+  let read = Array.make (pis + gates) false in
   for i = 0 to pis - 1 do
-    nets := Builder.input b (Printf.sprintf "pi%d" i) :: !nets
+    ignore (Builder.input b (Printf.sprintf "pi%d" i) : Netlist.net)
   done;
-  let all = Array.make (pis + gates) (-1) in
-  List.iteri (fun i n -> all.(pis - 1 - i) <- n) !nets;
   for g = 0 to gates - 1 do
     let avail = pis + g in
     let kind = Rng.pick rng kinds in
@@ -478,40 +478,26 @@ let random_logic ~gates ~pis ~pos ~seed =
     in
     let arity = min arity avail in
     let kind = if arity = 1 then (if Rng.bool rng then Gate.Not else Gate.Buf) else kind in
-    let fanins = List.map (fun i -> all.(i)) (distinct arity []) in
-    all.(pis + g) <- Builder.gate b (Printf.sprintf "g%d" g) kind fanins
+    let fanins = distinct arity [] in
+    List.iter (fun i -> read.(i) <- true) fanins;
+    ignore (Builder.gate b (Printf.sprintf "g%d" g) kind fanins : Netlist.net)
   done;
-  (* Outputs: requested count from the last gates, then cover any
-     still-unread nets so there is no dead logic. *)
-  let chosen = ref [] in
-  let used = Hashtbl.create 64 in
+  (* Outputs: requested count from the last gates, then, in net order,
+     every gate no other gate reads, so there is no dead logic. *)
+  let marked = Array.make (pis + gates) false in
   let mark n =
-    if not (Hashtbl.mem used n) then begin
-      Hashtbl.add used n ();
-      chosen := n :: !chosen
+    if not marked.(n) then begin
+      marked.(n) <- true;
+      Builder.mark_output b n
     end
   in
   for i = 0 to pos - 1 do
-    mark all.(pis + gates - 1 - (i mod gates))
+    mark (pis + gates - 1 - (i mod gates))
   done;
-  let t0 = Builder.finalize b in
-  (* Re-derive: count fanout in t0 to find unread nets; rebuild outputs. *)
-  let unread =
-    List.filter
-      (fun n ->
-        Array.length (Netlist.fanout t0 n) = 0 && not (Hashtbl.mem used n)
-        && not (Netlist.is_pi t0 n))
-      (List.init (Netlist.num_nets t0) Fun.id)
-  in
-  List.iter mark unread;
-  (* Rebuild with the final output list (Builder is single-use, so
-     reconstruct from raw arrays). *)
-  let n = Netlist.num_nets t0 in
-  Netlist.make
-    ~names:(Array.init n (Netlist.name t0))
-    ~kinds:(Array.init n (Netlist.kind t0))
-    ~fanins:(Array.init n (fun i -> Array.copy (Netlist.fanin t0 i)))
-    ~pos:(Array.of_list (List.rev !chosen))
+  for n = pis to pis + gates - 1 do
+    if not read.(n) then mark n
+  done;
+  Builder.finalize b
 
 (* Like [random_logic], but dead logic is folded into balanced XOR
    compaction trees merged into the [pos] declared outputs instead of
@@ -590,37 +576,32 @@ let random_logic_sink ~gates ~pis ~pos ~seed =
   done;
   Builder.finalize bl
 
-let suite_list = ref None
+(* Lazy, as the {!tiers} are: a lookup builds only the circuit it
+   names (rnd2k alone is half the suite's build time). *)
+let suite_lazy =
+  [
+    ("c17", lazy (c17 ()));
+    ("par16", lazy (parity 16));
+    ("dec4", lazy (decoder 4));
+    ("gray8", lazy (gray_decoder 8));
+    ("add8", lazy (ripple_adder 8));
+    ("penc4", lazy (priority_encoder 4));
+    ("crc16", lazy (crc_step 16));
+    ("cmp16", lazy (comparator 16));
+    ("cla16", lazy (carry_lookahead_adder 16));
+    ("mux5", lazy (mux_tree 5));
+    ("maj9", lazy (majority 9));
+    ("bshift4", lazy (barrel_shifter 4));
+    ("alu8", lazy (alu 8));
+    ("add32", lazy (ripple_adder 32));
+    ("mult8", lazy (multiplier 8));
+    ("rnd1k", lazy (random_logic ~gates:1000 ~pis:32 ~pos:16 ~seed:11));
+    ("rnd2k", lazy (random_logic ~gates:2000 ~pis:48 ~pos:24 ~seed:12));
+  ]
 
-let suite () =
-  match !suite_list with
-  | Some l -> l
-  | None ->
-    let l =
-      [
-        ("c17", c17 ());
-        ("par16", parity 16);
-        ("dec4", decoder 4);
-        ("gray8", gray_decoder 8);
-        ("add8", ripple_adder 8);
-        ("penc4", priority_encoder 4);
-        ("crc16", crc_step 16);
-        ("cmp16", comparator 16);
-        ("cla16", carry_lookahead_adder 16);
-        ("mux5", mux_tree 5);
-        ("maj9", majority 9);
-        ("bshift4", barrel_shifter 4);
-        ("alu8", alu 8);
-        ("add32", ripple_adder 32);
-        ("mult8", multiplier 8);
-        ("rnd1k", random_logic ~gates:1000 ~pis:32 ~pos:16 ~seed:11);
-        ("rnd2k", random_logic ~gates:2000 ~pis:48 ~pos:24 ~seed:12);
-      ]
-    in
-    suite_list := Some l;
-    l
-
-let find_suite name = List.assoc_opt name (suite ())
+let suite_names = List.map fst suite_lazy
+let suite () = List.map (fun (name, net) -> (name, Lazy.force net)) suite_lazy
+let find_suite name = Option.map Lazy.force (List.assoc_opt name suite_lazy)
 
 (* Large netlist tiers (10k/50k gates) for the PPSFP kernel benchmarks.
    Deliberately *outside* {!suite}: every paper table iterates the

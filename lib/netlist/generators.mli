@@ -66,8 +66,8 @@ val crc_step : int -> Netlist.t
 val random_logic : gates:int -> pis:int -> pos:int -> seed:int -> Netlist.t
 (** Random reconvergent DAG: each gate draws a kind and 1–4 distinct
     fanins from earlier nets with locality bias.  Dead logic is avoided by
-    marking as additional outputs the nets that would otherwise be
-    unread. *)
+    marking as additional outputs, in net order after the [pos]
+    requested ones, the gates that would otherwise be unread. *)
 
 val random_logic_sink : gates:int -> pis:int -> pos:int -> seed:int -> Netlist.t
 (** Same random DAG, but dead logic is folded into balanced XOR
@@ -83,10 +83,15 @@ val suite : unit -> (string * Netlist.t) list
 (** The benchmark suite used by every table in `bench/main.exe`, ordered
     roughly by gate count: c17, par16, dec4, gray8, add8, penc4, crc16,
     cmp16, cla16, mux5, maj9, bshift4, alu8, add32, mult8, rnd1k,
-    rnd2k. *)
+    rnd2k.  Builds every circuit not built yet. *)
+
+val suite_names : string list
+(** The names of {!suite}, in the same order, without building any
+    circuit. *)
 
 val find_suite : string -> Netlist.t option
-(** Look a suite circuit up by name. *)
+(** Look a suite circuit up by name, building only that circuit (once
+    per process: it is the same value {!suite} returns). *)
 
 val tiers : unit -> (string * Netlist.t Lazy.t) list
 (** Large netlist tiers for the kernel-scaling benchmarks: rnd10k and

@@ -31,11 +31,15 @@ let c_store_rejects = Obs.counter "store.rejects"
    when the bit is set, and bytes of [slab] at or past [used] belong to
    no key of this version, so neither is reachable through this
    version: the next append writes there, under the append lock, before
-   publishing the version that makes them reachable.  The empty arena
-   has zero-length arrays; the first append allocates the
-   [nkeys]-sized index. *)
+   publishing the version that makes them reachable.  Bytes before
+   [base] belong to no key either: a loaded arena keeps the snapshot
+   body it was read into as its slab, index and bitmap included,
+   instead of copying the encodings out.  The empty arena has
+   zero-length arrays; the first append allocates the [nkeys]-sized
+   index. *)
 type arena = {
   slab : Bytes.t;
+  base : int;
   used : int;
   starts : int array;
   present : Bytes.t;
@@ -57,14 +61,16 @@ type t = {
   append_lock : Mutex.t; (* serialises appends and loads; readers never take it *)
 }
 
-let empty = { slab = Bytes.empty; used = 0; starts = [||]; present = Bytes.empty }
+let empty =
+  { slab = Bytes.empty; base = 0; used = 0; starts = [||]; present = Bytes.empty }
 let goods t = t.goods
 let blocks t = t.blocks
 let key ~site ~stuck = (2 * site) + Bool.to_int stuck
 let num_keys t = 2 * Netlist.num_nets t.net
 let word_bytes = Sys.word_size / 8
 
-let arena_bytes a = a.used + (Array.length a.starts * word_bytes) + Bytes.length a.present
+let arena_bytes a =
+  a.used - a.base + (Array.length a.starts * word_bytes) + Bytes.length a.present
 
 (* --- Varint codec ---------------------------------------------------- *)
 
@@ -280,7 +286,7 @@ let store t keys rows =
               used := !used + len
             end)
           keys;
-        publish t { slab; used = !used; starts; present }
+        publish t { slab; base = a.base; used = !used; starts; present }
       end)
 
 let signature_of_triples t triples =
@@ -393,21 +399,37 @@ let safe_uvarint bytes pos limit =
    last triple must end on [limit].  Counting varint terminators cannot
    stand in for the walk: word bytes carry arbitrary high bits.  A
    triple is at least 10 bytes, which bounds the count before the walk
-   starts. *)
+   starts.  The canonical triple — both deltas one byte — takes the
+   fast path: when 10 bytes remain and neither delta byte has its
+   continuation bit, the slow path would read exactly those two bytes
+   and the word after them, all inside the range, so stepping 10 bytes
+   accepts and rejects what it does. *)
 let scan_key bytes start limit =
   let pos = ref start in
   let n = safe_uvarint bytes pos limit in
   if n < 0 || n > (limit - !pos) / 10 then raise Store_file.Invalid;
+  if limit > Bytes.length bytes then raise Store_file.Invalid;
   for _ = 1 to n do
-    ignore (safe_uvarint bytes pos limit : int);
-    ignore (safe_uvarint bytes pos limit : int);
-    if !pos + 8 > limit then raise Store_file.Invalid;
-    pos := !pos + 8
+    let p = !pos in
+    if
+      p + 10 <= limit
+      && Char.code (Bytes.unsafe_get bytes p) < 0x80
+      && Char.code (Bytes.unsafe_get bytes (p + 1)) < 0x80
+    then pos := p + 10
+    else begin
+      ignore (safe_uvarint bytes pos limit : int);
+      ignore (safe_uvarint bytes pos limit : int);
+      if !pos + 8 > limit then raise Store_file.Invalid;
+      pos := !pos + 8
+    end
   done;
   if !pos <> limit then raise Store_file.Invalid;
   n
 
-(* Rebuild the arena from a body the envelope has checked, or raise. *)
+(* Rebuild the arena from a body the envelope has checked, or raise.
+   The body itself becomes the slab, its encodings starting at [base]:
+   the envelope read it into a buffer of its own, so nothing else
+   holds it. *)
 let decode_arena t ints body =
   let nkeys = ints.(0) and index_len = ints.(1) and slab_len = ints.(2) in
   if nkeys <> num_keys t then raise Store_file.Invalid;
@@ -425,7 +447,7 @@ let decode_arena t ints body =
   done;
   if !pos <> index_len || offs.(nkeys) <> slab_len then raise Store_file.Invalid;
   let present = Bytes.sub body index_len bitmap_len in
-  let slab = Bytes.sub body (index_len + bitmap_len) slab_len in
+  let base = index_len + bitmap_len in
   (* Walk every key's triples once, bounds-checked: a snapshot that
      passed the digests but whose triples overrun their offset range
      must be rejected here, at load — the lock-free probe path decodes
@@ -433,10 +455,17 @@ let decode_arena t ints body =
      range (or vice versa, a present key whose range cannot hold its
      count) is equally malformed. *)
   for k = 0 to nkeys - 1 do
-    if bit_set present k then ignore (scan_key slab offs.(k) offs.(k + 1) : int)
+    if bit_set present k then
+      ignore (scan_key body (base + offs.(k)) (base + offs.(k + 1)) : int)
     else if offs.(k) <> offs.(k + 1) then raise Store_file.Invalid
   done;
-  { slab; used = slab_len; starts = Array.sub offs 0 nkeys; present }
+  {
+    slab = body;
+    base;
+    used = Bytes.length body;
+    starts = Array.init nkeys (fun k -> base + offs.(k));
+    present;
+  }
 
 let load_frozen ~dir t =
   match

@@ -47,7 +47,12 @@ let save kind ~path ~key ~ints body =
     (try Sys.remove tmp with Sys_error _ -> ());
     false
 
+(* The header and the body are read separately, each with one read
+   into its own buffer, so the decoder gets a body nothing else holds
+   and may keep it.  A file shorter than the header reads as a short
+   header and is rejected by the first check. *)
 let load kind ~path ~key ~nints decode =
+  let hlen = header_len nints in
   match
     if not (Sys.file_exists path) then None
     else
@@ -55,21 +60,25 @@ let load kind ~path ~key ~nints decode =
       Some
         (Fun.protect
            ~finally:(fun () -> close_in_noerr ic)
-           (fun () -> really_input_string ic (in_channel_length ic)))
+           (fun () ->
+             let len = in_channel_length ic in
+             let header = really_input_string ic (min len hlen) in
+             let body = Bytes.create (max 0 (len - hlen)) in
+             really_input ic body 0 (Bytes.length body);
+             (header, body)))
   with
   | None -> None (* a cold store, not a rejection *)
   | exception Sys_error _ -> None
-  | Some raw -> (
+  | Some (header, body) -> (
     try
-      let hlen = header_len nints in
-      if String.length raw < hlen then raise Invalid;
-      if String.sub raw 0 8 <> kind.magic then raise Invalid;
-      if String.get_int64_le raw 8 <> Int64.of_int kind.version then raise Invalid;
-      if String.sub raw 16 16 <> key then raise Invalid;
-      let body = Bytes.sub (Bytes.unsafe_of_string raw) hlen (String.length raw - hlen) in
-      if Digest.bytes body <> String.sub raw 32 16 then raise Invalid;
+      if String.length header < hlen then raise Invalid;
+      if String.sub header 0 8 <> kind.magic then raise Invalid;
+      if String.get_int64_le header 8 <> Int64.of_int kind.version then raise Invalid;
+      if String.sub header 16 16 <> key then raise Invalid;
+      if Digest.bytes body <> String.sub header 32 16 then raise Invalid;
       let ints =
-        Array.init nints (fun i -> Int64.to_int (String.get_int64_le raw (48 + (8 * i))))
+        Array.init nints (fun i ->
+            Int64.to_int (String.get_int64_le header (48 + (8 * i))))
       in
       let v = decode ints body in
       if Obs.enabled () then Obs.incr kind.loads;

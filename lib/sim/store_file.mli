@@ -45,7 +45,8 @@ val load :
   (int array -> Bytes.t -> 'a) ->
   'a option
 (** Read [path], check magic, version, key digest and content digest,
-    and hand the header ints and the body to the decoder.  [None] when
-    no file exists (not counted) or when a check or the decoder
-    rejected it ([Invalid] or [Invalid_argument], counted in
-    [kind.rejects]).  [Some] bumps [kind.loads]. *)
+    and hand the header ints and the body to the decoder; the body is a
+    fresh buffer the decoder may keep.  [None] when no file exists (not
+    counted) or when a check or the decoder rejected it ([Invalid] or
+    [Invalid_argument], counted in [kind.rejects]).  [Some] bumps
+    [kind.loads]. *)

@@ -297,6 +297,57 @@ let test_suite_unique_names () =
   Alcotest.(check bool) "find works" true (Generators.find_suite "c17" <> None);
   Alcotest.(check bool) "find missing" true (Generators.find_suite "nope" = None)
 
+(* MD5 of every net's name plus {!Netlist.add_structure}, pinned from
+   the generators as they stood when the suite became lazy and
+   [random_logic] started building its netlist once: the same names,
+   gates, fanin order and PO order, so every table and every stored
+   file keyed on the structure is unchanged. *)
+let suite_digests =
+  [
+    ("c17", "d1970ea0b3732cf2bcfddfe02349afb8");
+    ("par16", "af84f01c4ace37ccffba4c66cd13acf9");
+    ("dec4", "c02f7be765519e070bdfd61b9f067208");
+    ("gray8", "429a4fdc619e1bd35d1c33e5bd84c779");
+    ("add8", "d5291c7a55a0abaf9802660f7a92f68b");
+    ("penc4", "5f5e9435a966abdb4a42fb81da68d47d");
+    ("crc16", "fdf8fa38ce7db19f47f55408311e2322");
+    ("cmp16", "87555c111df0e6bac7e0b4b022eb4c30");
+    ("cla16", "dafccb0917a9b8c18819d731acddb887");
+    ("mux5", "0d5dbc087f46a5ec30d2b5abed096ac5");
+    ("maj9", "eacd2f0ffeeaf4831819f5f8e79e7cab");
+    ("bshift4", "91c9b8d78bb05e7f01a5fd2047a2fe1c");
+    ("alu8", "733725fd551a9511fdbda04d8e033218");
+    ("add32", "12f9372c88d753a5f4e622f15969a8e6");
+    ("mult8", "d44c08d35cb3627f06fcdcabd0e543c8");
+    ("rnd1k", "0a7f955d0a489e4a88605bdbc7d1302b");
+    ("rnd2k", "04c984005b3c1c96d48b155630d70d7f");
+  ]
+
+let netlist_digest net =
+  let buf = Buffer.create 4096 in
+  Netlist.iter_nets net (fun n ->
+      Buffer.add_string buf (Netlist.name net n);
+      Buffer.add_char buf '\n');
+  Netlist.add_structure buf net;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_suite_digests () =
+  Alcotest.(check (list string)) "suite names" (List.map fst suite_digests)
+    Generators.suite_names;
+  List.iter
+    (fun (name, net) ->
+      Alcotest.(check string) name (List.assoc name suite_digests) (netlist_digest net))
+    (Generators.suite ())
+
+(* A lookup forces the same lazy entry the whole suite does. *)
+let test_find_suite_shares () =
+  List.iter
+    (fun name ->
+      let one = Option.get (Generators.find_suite name) in
+      Alcotest.(check bool) (name ^ " physically shared") true
+        (one == List.assoc name (Generators.suite ())))
+    Generators.suite_names
+
 let suite =
   [
     ( "generators",
@@ -320,5 +371,9 @@ let suite =
         Alcotest.test_case "random logic no dead nets" `Quick test_random_logic_no_dead_nets;
         Alcotest.test_case "c17 known responses" `Quick test_c17_known_response;
         Alcotest.test_case "suite unique names" `Quick test_suite_unique_names;
+        Alcotest.test_case "suite netlists match pinned digests" `Quick
+          test_suite_digests;
+        Alcotest.test_case "find_suite shares the suite's netlist" `Quick
+          test_find_suite_shares;
       ] );
   ]

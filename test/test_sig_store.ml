@@ -360,6 +360,228 @@ let test_fill_order_independent () =
   Alcotest.(check bool) "identical snapshot bytes" true
     (String.equal (save in_order) (save reversed))
 
+(* A loaded arena keeps growing like a live one: load a snapshot of
+   half the pool, append the other half, and the arena's footprint,
+   every decoded row and the re-saved file equal those of an arena
+   filled live with the whole pool. *)
+let test_append_after_load () =
+  let net, pats, rows = reference_rows () in
+  let n = Array.length rows in
+  let half = Array.sub rows 0 (n / 2) and rest = Array.sub rows (n / 2) (n - (n / 2)) in
+  let c1 = Sig_cache.create net pats in
+  Sig_cache.store c1 (Array.map fst half) (Array.map snd half);
+  let dir = tmpdir () in
+  Alcotest.(check bool) "half saved" true (Sig_cache.save_frozen ~dir c1);
+  let c2 = Sig_cache.create net pats in
+  Alcotest.(check bool) "half loaded" true (Sig_cache.load_frozen ~dir c2);
+  Sig_cache.store c2 (Array.map fst rest) (Array.map snd rest);
+  let live = Sig_cache.create net pats in
+  Sig_cache.store live (Array.map fst rows) (Array.map snd rows);
+  Alcotest.(check int) "footprint" (Sig_cache.frozen_bytes live)
+    (Sig_cache.frozen_bytes c2);
+  Array.iter
+    (fun (k, triples) ->
+      Alcotest.(check (option (array int)))
+        (Printf.sprintf "key %d" k)
+        (Some triples) (Sig_cache.find c2 k))
+    rows;
+  let saved c =
+    let dir = tmpdir () in
+    Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c);
+    In_channel.with_open_bin (Sig_cache.store_path ~dir c) In_channel.input_all
+  in
+  Alcotest.(check bool) "identical snapshot bytes" true
+    (String.equal (saved live) (saved c2))
+
+(* --- Resealed forgeries aimed at the structural walk ---------------- *)
+
+(* The header of a snapshot: the envelope's 48 bytes plus the ints
+   [nkeys | index_len | slab_len]. *)
+let snapshot_header_len = 72
+
+let read_uvarint b pos =
+  let v = ref 0 and shift = ref 0 and cont = ref true in
+  while !cont do
+    let c = Char.code (Bytes.get b !pos) in
+    incr pos;
+    v := !v lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    cont := c land 0x80 <> 0
+  done;
+  !v
+
+let add_uvarint buf v =
+  let v = ref v in
+  while !v lsr 7 <> 0 do
+    Buffer.add_char buf (Char.chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !v)
+
+(* A snapshot's per-key byte lengths, presence bitmap and slab. *)
+let split_snapshot b =
+  let get64 off = Int64.to_int (Bytes.get_int64_le b off) in
+  let nkeys = get64 48 and index_len = get64 56 and slab_len = get64 64 in
+  let pos = ref snapshot_header_len in
+  let lens = Array.init nkeys (fun _ -> read_uvarint b pos) in
+  let bitmap_at = snapshot_header_len + index_len in
+  let bitmap_len = (nkeys + 7) / 8 in
+  ( lens,
+    Bytes.sub b bitmap_at bitmap_len,
+    Bytes.sub b (bitmap_at + bitmap_len) slab_len )
+
+(* Reassemble a snapshot from edited parts, with the header's
+   [index_len], [slab_len] and content digest recomputed to match:
+   every envelope check passes, so only the body's own checks can
+   refuse it. *)
+let reseal b ~lens ~bitmap ~slab =
+  let body = Buffer.create (Bytes.length b) in
+  Array.iter (add_uvarint body) lens;
+  let index_len = Buffer.length body in
+  Buffer.add_bytes body bitmap;
+  Buffer.add_bytes body slab;
+  let body = Buffer.to_bytes body in
+  let header = Bytes.sub b 0 snapshot_header_len in
+  Bytes.set_int64_le header 56 (Int64.of_int index_len);
+  Bytes.set_int64_le header 64 (Int64.of_int (Bytes.length slab));
+  Bytes.blit_string (Digest.bytes body) 0 header 32 16;
+  Bytes.cat header body
+
+(* Where each key's encoding starts in the slab. *)
+let key_starts lens =
+  let starts = Array.make (Array.length lens) 0 in
+  for k = 1 to Array.length lens - 1 do
+    starts.(k) <- starts.(k - 1) + lens.(k - 1)
+  done;
+  starts
+
+(* The triples of the encoding at [start]: each one's offset in the
+   slab and the byte widths of its block and PO deltas. *)
+let triples_at slab start =
+  let pos = ref start in
+  let n = read_uvarint slab pos in
+  Array.init n (fun _ ->
+      let at = !pos in
+      ignore (read_uvarint slab pos : int);
+      let dblock = !pos - at in
+      ignore (read_uvarint slab pos : int);
+      let dpo = !pos - at - dblock in
+      pos := !pos + 8;
+      (at, dblock, dpo))
+
+let last_present lens =
+  let k = ref (Array.length lens - 1) in
+  while lens.(!k) = 0 do
+    decr k
+  done;
+  !k
+
+(* Set the continuation bit of the PO delta in the last triple of the
+   last non-empty key.  The delta then runs into the diff word, and the
+   word into the end of the range. *)
+let continuation_in_last_triple b =
+  let lens, bitmap, slab = split_snapshot b in
+  let k = last_present lens in
+  let triples = triples_at slab (key_starts lens).(k) in
+  let at, dblock, dpo = triples.(Array.length triples - 1) in
+  Alcotest.(check (pair int int)) "last triple has one-byte deltas" (1, 1) (dblock, dpo);
+  Bytes.set slab (at + 1) (Char.chr (Char.code (Bytes.get slab (at + 1)) lor 0x80));
+  reseal b ~lens ~bitmap ~slab
+
+(* Cut the last key holding a two-byte delta so that its range ends
+   after the delta's first byte, and shorten its index entry to match:
+   the following keys' ranges are untouched. *)
+let truncated_in_two_byte_delta b =
+  let lens, bitmap, slab = split_snapshot b in
+  let starts = key_starts lens in
+  let cut = ref None in
+  Array.iteri
+    (fun k len ->
+      if len > 0 then
+        Array.iter
+          (fun (at, dblock, dpo) ->
+            if dblock = 2 then cut := Some (k, at + 1)
+            else if dpo = 2 then cut := Some (k, at + dblock + 1))
+          (triples_at slab starts.(k)))
+    lens;
+  let k, cut =
+    match !cut with
+    | Some c -> c
+    | None -> Alcotest.fail "no two-byte delta in the snapshot"
+  in
+  let rest = starts.(k) + lens.(k) in
+  let lens = Array.copy lens in
+  lens.(k) <- cut - starts.(k);
+  let slab =
+    Bytes.cat (Bytes.sub slab 0 cut) (Bytes.sub slab rest (Bytes.length slab - rest))
+  in
+  reseal b ~lens ~bitmap ~slab
+
+(* rnd2k (363 POs) over two blocks, every key of both polarities
+   stored with its scalar triples and saved: PO deltas past 63 take two
+   bytes, so the walk's slow path runs on real data. *)
+let rnd2k_snapshot =
+  lazy
+    (let net = Option.get (Generators.find_suite "rnd2k") in
+     let pats = Pattern.random (Rng.create 12) ~npis:(Netlist.num_pis net) ~count:128 in
+     let c = Sig_cache.create net pats in
+     let sim = Fault_sim.create net in
+     let rows =
+       Array.init
+         (2 * Netlist.num_nets net)
+         (fun k -> Reference.signature_triples c sim ~site:(k / 2) ~stuck:(k land 1 = 1))
+     in
+     Sig_cache.store c (Array.init (Array.length rows) Fun.id) rows;
+     let dir = tmpdir () in
+     if not (Sig_cache.save_frozen ~dir c) then failwith "rnd2k snapshot save failed";
+     let path = Sig_cache.store_path ~dir c in
+     let raw = In_channel.with_open_bin path In_channel.input_all in
+     (net, pats, rows, dir, raw))
+
+let test_two_byte_deltas_load () =
+  let net, pats, rows, dir, raw = Lazy.force rnd2k_snapshot in
+  Alcotest.(check int) "rnd2k POs" 363 (Netlist.num_pos net);
+  let lens, _, slab = split_snapshot (Bytes.of_string raw) in
+  let starts = key_starts lens in
+  let two_byte = ref 0 in
+  Array.iteri
+    (fun k len ->
+      if len > 0 then
+        Array.iter
+          (fun (_, _, dpo) -> if dpo = 2 then incr two_byte)
+          (triples_at slab starts.(k)))
+    lens;
+  Alcotest.(check bool) "some PO delta takes two bytes" true (!two_byte > 0);
+  let c = Sig_cache.create net pats in
+  Alcotest.(check bool) "load succeeds" true (Sig_cache.load_frozen ~dir c);
+  Array.iteri
+    (fun k triples ->
+      Alcotest.(check (option (array int)))
+        (Printf.sprintf "key %d finds its scalar triples" k)
+        (Some triples) (Sig_cache.find c k))
+    rows
+
+(* [reject_case] on the rnd2k snapshot, without the fallback fill. *)
+let reject_rnd2k name mangle () =
+  Obs.enable ();
+  let net, pats, _, _, raw = Lazy.force rnd2k_snapshot in
+  let dir = tmpdir () in
+  let c = Sig_cache.create net pats in
+  let oc = open_out_bin (Sig_cache.store_path ~dir c) in
+  output_bytes oc (mangle (Bytes.of_string raw));
+  close_out oc;
+  let rejects0 = counter_value "store.rejects" in
+  Alcotest.(check bool) (name ^ ": load refused") false (Sig_cache.load_frozen ~dir c);
+  Alcotest.(check int)
+    (name ^ ": store.rejects bumped")
+    (rejects0 + 1)
+    (counter_value "store.rejects");
+  Alcotest.(check bool)
+    (name ^ ": instance left cold")
+    true
+    (Sig_cache.frozen_bytes c = 0);
+  Obs.disable ()
+
 let suite =
   [
     ( "sig_store",
@@ -393,5 +615,13 @@ let suite =
             test_concurrent_appends;
           Alcotest.test_case "snapshot bytes independent of fill order" `Quick
             test_fill_order_independent;
+          Alcotest.test_case "loaded arena appends and re-saves like a live one" `Quick
+            test_append_after_load;
+          Alcotest.test_case "resealed continuation byte in last triple rejected" `Quick
+            (reject_case "continuation byte" continuation_in_last_triple);
+          Alcotest.test_case "resealed cut inside a two-byte delta rejected" `Quick
+            (reject_rnd2k "two-byte delta cut" truncated_in_two_byte_delta);
+          Alcotest.test_case "two-byte PO deltas load and decode (rnd2k)" `Quick
+            test_two_byte_deltas_load;
         ] );
   ]
