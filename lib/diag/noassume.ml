@@ -329,11 +329,10 @@ let infer_aggressors config m scorer site members covers =
     in
     let candidates = ref [] in
     for a = Netlist.num_nets net - 1 downto 0 do
-      if a <> site && physically_adjacent a && carries_needed a then begin
-        if Obs.enabled () then Obs.incr c_aggressor_screens;
+      if a <> site && physically_adjacent a && carries_needed a then
         candidates := (screen a, a) :: !candidates
-      end
     done;
+    if Obs.enabled () then Obs.add c_aggressor_screens (List.length !candidates);
     let ranked = List.sort compare !candidates in
     List.filteri (fun i _ -> i < max_aggressors) (List.map snd ranked)
   end

@@ -45,7 +45,6 @@ type t = {
   pats : Pattern.t;
   reach : Po_reach.t;
   cache : Sig_cache.t;
-  sink : Obs.sink option;
   config : config;
 }
 
@@ -55,11 +54,7 @@ let blocks t = Sig_cache.blocks t.cache
 let goods t = Sig_cache.goods t.cache
 let reach t = t.reach
 let cache t = Some t.cache
-let sink t = t.sink
 let config t = t.config
-
-let in_sink sink f = match sink with None -> f () | Some sk -> Obs.with_sink sk f
-let with_sink t f = in_sink t.sink f
 
 (* --- The one signature sweep ----------------------------------------- *)
 
@@ -199,35 +194,29 @@ let prewarm t =
 (* The costly steps of a create are phases of their own ([po_reach],
    [store.load], [prewarm]), so a run report shows how the caller's
    [session.create] splits. *)
-let create ?(config = default_config) ?sink net pats =
+let create ?(config = default_config) net pats =
   let t =
     {
       net;
       pats;
-      reach =
-        in_sink sink (fun () -> Obs.phase "po_reach" (fun () -> Po_reach.compute net));
+      reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net);
       cache = Sig_cache.create net pats;
-      sink;
       config;
     }
   in
-  if config.prewarm then
-    ignore
-      (with_sink t (fun () ->
-           (* Load-or-sweep: a valid snapshot publishes the whole arena
-              with zero simulation; anything else (no dir, no file, or a
-              rejected file — [store.rejects]) falls through to the live
-              sweep, which is then saved so the next process loads. *)
-           match config.store_dir with
-           | Some dir
-             when Obs.phase "store.load" (fun () -> Sig_cache.load_frozen ~dir t.cache) ->
-             0
-           | Some dir ->
-             let n = prewarm t in
-             ignore (Sig_cache.save_frozen ~dir t.cache : bool);
-             n
-           | None -> prewarm t)
-        : int);
+  (* Load-or-sweep: a valid snapshot publishes the whole arena with
+     zero simulation; anything else (no dir, no file, or a rejected
+     file — [store.rejects]) falls through to the live sweep, which is
+     then saved so the next process loads. *)
+  (if config.prewarm then
+     match config.store_dir with
+     | None -> ignore (prewarm t : int)
+     | Some dir ->
+       let load () = Sig_cache.load_frozen ~dir t.cache in
+       if not (Obs.phase "store.load" load) then begin
+         ignore (prewarm t : int);
+         ignore (Sig_cache.save_frozen ~dir t.cache : bool)
+       end);
   t
 
 let signature_of_triples t triples = Sig_cache.signature_of_triples t.cache triples

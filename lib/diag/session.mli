@@ -72,17 +72,17 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?sink:Obs.sink -> Netlist.t -> Pattern.t -> t
+val create : ?config:config -> Netlist.t -> Pattern.t -> t
 (** Build the context: a fresh {!Sig_cache.create} instance owned by
     this session (which computes the goods), with an empty arena, and
     the PO-reachability screen.  Creation is the expensive,
     once-per-problem step; every diagnosis against the session then
     reuses it, and each miss a diagnosis simulates is appended to the
     arena for the next.  When [config.prewarm], also fills the arena
-    with the whole pool (under the session's sink if any): with
-    [config.store_dir] it first tries {!Sig_cache.load_frozen} — zero
-    simulation on a hit — and otherwise runs {!prewarm}, saving the
-    arena back to the store for the next process.  Reports served from
+    with the whole pool: with [config.store_dir] it first tries
+    {!Sig_cache.load_frozen} — zero simulation on a hit — and otherwise
+    runs {!prewarm}, saving the arena back to the store for the next
+    process.  Reports served from
     a loaded snapshot are byte-identical to the live-sweep path. *)
 
 val prewarm : t -> int
@@ -114,12 +114,7 @@ val cache : t -> Sig_cache.t option
 (** The session's signature-cache instance.  Always [Some]; the option
     type is kept for existing callers. *)
 
-val sink : t -> Obs.sink option
 val config : t -> config
-
-val with_sink : t -> (unit -> 'a) -> 'a
-(** Run under the session's sink when it has one ({!Obs.with_sink});
-    plain call otherwise. *)
 
 val simulate : t -> Fault_list.fault array -> int array array
 (** Signature triples for every fault, in the canonical

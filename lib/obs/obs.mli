@@ -1,6 +1,8 @@
 (** Observability primitives: counters, value distributions and phase
-    timers, aggregated in a process-global registry and snapshotted into
-    {!Run_report} JSON.
+    timers, aggregated in a registry and snapshotted into {!Run_report}
+    JSON.  There is one registry type, {!sink}: the process-global
+    registry is one sink, and every event bumps the sink bound in the
+    current domain ({!with_sink}), else the global one.
 
     Design contract (see DESIGN.md §9):
 
@@ -10,10 +12,11 @@
       into the registry only after the hot region (see
       [Fault_sim.publish_stats]).  Nothing here allocates on the increment
       path.
-    - {b Domain-safe.}  Counters are [int Atomic.t]; distribution and
-      phase aggregation take a [Mutex] but are only touched at batch
-      granularity.  Spans are plain values, so nested and concurrent
-      phases need no domain-local state.
+    - {b Domain-safe.}  Each registry keeps name-keyed tallies behind
+      one [Mutex]; counters, dists and phases are only touched at batch
+      granularity, so the lock is never a hot point.  Spans are plain
+      values, so nested and concurrent phases need no domain-local
+      state.
     - {b Deterministic.}  Counter and distribution values depend only on
       the work performed, never on timing or domain scheduling; snapshot
       listings are sorted by name.  Only span durations and GC deltas are
@@ -33,23 +36,25 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Zero every registered counter and distribution and drop all phase
-    aggregates.  Registrations (the handles held by instrumented
-    modules) survive and keep working. *)
+(** Zero every registered counter and distribution of the
+    process-global registry and drop its phase aggregates.
+    Registrations (the handles held by instrumented modules) survive
+    and keep working. *)
 
 (** {1 Counters} *)
 
 type counter
-(** A named monotone event count.  Handles are interned: [counter name]
-    returns the same cell for the same name, so modules register theirs
-    once at initialisation. *)
+(** A named monotone event count.  Handles are interned names:
+    [counter name] registers [name] in the inventory every snapshot
+    lists, so modules register theirs once at initialisation. *)
 
 val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 
 val value : counter -> int
-(** Current count (sum over all domains). *)
+(** Current count in the process-global registry (sum over all
+    domains and merged sinks). *)
 
 (** {1 Distributions} *)
 
@@ -117,13 +122,11 @@ val snapshot : unit -> snapshot
     A sink is a private registry.  While one is bound in the current
     domain (via {!with_sink}), every counter increment, dist sample and
     completed span routes into the sink instead of the process-global
-    tables — so concurrent diagnoses, each under its own sink, don't
-    interleave their statistics.  Binding is domain-local: nested
-    fork-join workers spawned {e inside} a sink-bound region do not
-    inherit the binding (their batch-granularity publishes land in the
-    global registry as before); the volume service runs one whole
-    diagnosis per domain, where everything executes in the binding
-    domain and the sink captures it all. *)
+    one — so concurrent diagnoses, each under its own sink, don't
+    interleave their statistics.  Binding is domain-local, and
+    [Parallel]'s fork-join workers re-bind their caller's sink
+    ({!bound_sink}), so a sink captures the work of every domain its
+    region fans out to. *)
 
 type sink
 
@@ -135,13 +138,19 @@ val with_sink : sink -> (unit -> 'a) -> 'a
     duration of [f] (restoring any previous binding after), and turns
     {!enabled} on for that domain regardless of the global flag. *)
 
+val bound_sink : unit -> sink option
+(** The sink bound in the current domain, [None] when events go to the
+    process-global registry.  A fork-join primitive reads it before
+    spawning and re-binds it in each worker with {!with_sink}. *)
+
 val merge : sink -> unit
 (** Fold the sink's tallies into the process-global registry and empty
-    the sink.  Counter values add, dists combine count/sum/min/max,
-    phase aggregates add.  Call after the sink's region has finished. *)
+    the sink, through the same per-kind updates an event makes: counter
+    values add, dists combine count/sum/min/max, phase aggregates add.
+    Call after the sink's region has finished. *)
 
 val sink_snapshot : sink -> snapshot
-(** Snapshot the sink's private tallies.  Like {!snapshot}, the counter
-    and dist listings enumerate every {e globally registered} name
-    (zero-valued when the sink never saw it), so per-session reports
-    keep the inventory property. *)
+(** Snapshot the sink's private tallies; [snapshot ()] is this applied
+    to the process-global registry.  The counter and dist listings
+    enumerate every registered name (zero-valued when the sink never
+    saw it), so per-session reports keep the inventory property. *)

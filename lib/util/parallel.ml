@@ -103,11 +103,16 @@ let run_chunks_slotted w chunks body =
       end
     done
   in
+  (* Workers re-bind the caller's Obs sink, so a sink-bound region
+     keeps the counters of every domain it fans out to. *)
+  let sink = Obs.bound_sink () in
   let workers =
     Array.init nworkers (fun i ->
         Domain.spawn (fun () ->
             Domain.DLS.set in_worker true;
-            drain (i + 1)))
+            match sink with
+            | Some sk -> Obs.with_sink sk (fun () -> drain (i + 1))
+            | None -> drain (i + 1)))
   in
   drain 0;
   Array.iter Domain.join workers;

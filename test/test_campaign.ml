@@ -86,6 +86,36 @@ let test_pattern_override () =
   in
   Alcotest.(check int) "ran" 2 (List.length c.Campaign.outcomes)
 
+(* Fork-join workers inherit the caller's sink: a campaign whose trials
+   fan out over four domains records the same work into the sink as one
+   that runs them all on the caller.  Cache hit/miss splits (and the
+   simulation paid for misses) and the parallel.* counters depend on
+   drain order, so they are left out. *)
+let test_sink_inherited_by_workers () =
+  let net = Option.get (Generators.find_suite "rnd1k") in
+  let patterns = Campaign.test_set net in
+  let counters domains =
+    let sk = Obs.sink () in
+    Obs.with_sink sk (fun () ->
+        ignore
+          (Campaign.run ~methods:Campaign.only_noassume ~patterns ~domains ~name:"rnd1k"
+             net ~multiplicity:2 ~trials:6 ~seed:3));
+    (Obs.sink_snapshot sk).Obs.counters
+  in
+  let one = counters 1 and four = counters 4 in
+  List.iter
+    (fun name ->
+      let v c = List.assoc name c in
+      Alcotest.(check bool) (name ^ " recorded") true (v one > 0);
+      Alcotest.(check int) (name ^ " at 1 and 4 domains") (v one) (v four))
+    [
+      "explain.builds";
+      "explain.candidates";
+      "cover.chosen";
+      "scoring.evaluations";
+      "bridges.hypotheses";
+    ]
+
 let suite =
   [
     ( "campaign",
@@ -99,5 +129,7 @@ let suite =
         Alcotest.test_case "stuck singles all SLAT" `Quick
           test_slat_fraction_single_defect_with_stuck_mix;
         Alcotest.test_case "pattern override" `Quick test_pattern_override;
+        Alcotest.test_case "workers inherit the caller's sink" `Quick
+          test_sink_inherited_by_workers;
       ] );
   ]

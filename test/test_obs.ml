@@ -154,6 +154,57 @@ let test_parallel_chunk_dist () =
   Alcotest.(check int) "two participants" 2 d.Obs.d_count;
   Alcotest.(check int) "two chunks drained" 2 d.Obs.d_sum
 
+(* [merge] folds a sink into the global registry through the same
+   per-kind updates events make, and leaves the sink empty. *)
+let test_merge () =
+  isolated @@ fun () ->
+  let c = Obs.counter "test.merge_count" and d = Obs.dist "test.merge_dist" in
+  let dist_of snap =
+    let d =
+      List.find (fun (d : Obs.dist_stat) -> d.d_name = "test.merge_dist") snap.Obs.dists
+    in
+    [ d.d_count; d.d_sum; d.d_min; d.d_max ]
+  in
+  let phases snap = List.map (fun p -> (p.Obs.p_name, p.Obs.p_count)) snap.Obs.phases in
+  let fresh = Obs.sink_snapshot (Obs.sink ()) and global = Obs.snapshot () in
+  Alcotest.(check (list (pair string int)))
+    "fresh sink lists every registered counter at zero"
+    (List.map (fun (name, _) -> (name, 0)) global.Obs.counters)
+    fresh.Obs.counters;
+  Alcotest.(check (list string))
+    "fresh sink lists every registered dist"
+    (List.map (fun (d : Obs.dist_stat) -> d.d_name) global.Obs.dists)
+    (List.map (fun (d : Obs.dist_stat) -> d.d_name) fresh.Obs.dists);
+  Alcotest.(check bool)
+    "fresh sink dists are zero" true
+    (List.for_all
+       (fun (d : Obs.dist_stat) ->
+         d.d_count = 0 && d.d_sum = 0 && d.d_min = 0 && d.d_max = 0)
+       fresh.Obs.dists);
+  Obs.add c 3;
+  Obs.record d 10;
+  Obs.record d 20;
+  Obs.phase "test.merge_phase" ignore;
+  let sk = Obs.sink () in
+  Obs.with_sink sk (fun () ->
+      Obs.add c 4;
+      Obs.record d 5;
+      Obs.record d 15;
+      Obs.phase "test.merge_phase" ignore;
+      Obs.phase "test.merge_phase" ignore);
+  Alcotest.(check int) "global count untouched before merge" 3 (Obs.value c);
+  Obs.merge sk;
+  let snap = Obs.snapshot () in
+  Alcotest.(check int) "counters add" 7 (counter_value snap "test.merge_count");
+  Alcotest.(check (list int))
+    "dists combine count, sum, min and max" [ 4; 50; 5; 20 ] (dist_of snap);
+  Alcotest.(check (list (pair string int)))
+    "phases add" [ ("test.merge_phase", 3) ] (phases snap);
+  let after = Obs.sink_snapshot sk in
+  Alcotest.(check int) "sink counter emptied" 0 (counter_value after "test.merge_count");
+  Alcotest.(check (list int)) "sink dist emptied" [ 0; 0; 0; 0 ] (dist_of after);
+  Alcotest.(check (list (pair string int))) "sink phases emptied" [] (phases after)
+
 (* --- Run reports ----------------------------------------------------- *)
 
 let capture_of_run seed =
@@ -258,6 +309,8 @@ let suite =
         Alcotest.test_case "span nesting" `Quick test_span_nesting;
         Alcotest.test_case "chunks-per-domain distribution" `Quick
           test_parallel_chunk_dist;
+        Alcotest.test_case "merge folds a sink into the global registry" `Quick
+          test_merge;
         Alcotest.test_case "run-report JSON parses and round-trips" `Quick
           test_report_json_parses;
         Alcotest.test_case "JSON reader accessors" `Quick test_json_parse_accessors;
