@@ -103,14 +103,6 @@ let greedy_cover config m =
     then pairs := Pair (c, c + 1) :: !pairs
   done;
   let moves = Array.of_list (List.init ncand (fun c -> Single c) @ List.rev !pairs) in
-  (* Always a fresh vector: callers intersect into the result. *)
-  let move_cover = function
-    | Single c -> Bitvec.copy covers.(c)
-    | Pair (c0, c1) ->
-      let u = Bitvec.copy covers.(c0) in
-      Bitvec.union_into ~dst:u covers.(c1);
-      u
-  in
   let move_cost = function
     | Single c -> discount c
     | Pair (c0, c1) -> discount c0 + discount c1
@@ -118,34 +110,107 @@ let greedy_cover config m =
   let move_members = function Single c -> [ c ] | Pair (c0, c1) -> [ c0; c1 ] in
   let uncovered = Bitvec.create nobs in
   Bitvec.fill uncovered true;
+  (* Observations a move would newly cover: a word loop over the
+     uncovered set, which allocates nothing. *)
+  let gain mv =
+    let n = ref 0 in
+    for i = 0 to Bitvec.num_words uncovered - 1 do
+      let w =
+        match mv with
+        | Single c -> Bitvec.word covers.(c) i
+        | Pair (c0, c1) -> Bitvec.word covers.(c0) i lor Bitvec.word covers.(c1) i
+      in
+      n := !n + Bitvec.popcount_word (w land Bitvec.word uncovered i)
+    done;
+    !n
+  in
   let chosen = ref [] in
-  (* O(1) membership keyed by candidate id: the selection loop probes
-     every move each round, and [List.mem] on the chosen list made that
-     quadratic in the multiplet size. *)
+  (* O(1) membership keyed by candidate id. *)
   let in_chosen = Array.make ncand false in
+  let free = function
+    | Single c -> not in_chosen.(c)
+    | Pair (c0, c1) -> not (in_chosen.(c0) || in_chosen.(c1))
+  in
+  (* Each round takes the free move of largest (3 * gain - cost, -cost,
+     -index) with a positive gain.  Lazily: a move's gain only shrinks
+     as [uncovered] does and its cost is fixed, so the value it was last
+     scored at bounds its value now.  Moves wait in a max-heap on their
+     last value; the top is rescored, and it is the round's move once
+     rescoring leaves its value unchanged — no other move can exceed a
+     bound that is below it.  A move that loses its gain or a member
+     never gets them back, and leaves the heap. *)
+  let nmoves = Array.length moves in
+  let cost = Array.map move_cost moves in
+  let value = Array.make nmoves 0 in
+  let above i j =
+    value.(i) > value.(j)
+    || (value.(i) = value.(j) && (cost.(i) < cost.(j) || (cost.(i) = cost.(j) && i < j)))
+  in
+  let heap = Array.make (max 1 nmoves) 0 and size = ref 0 in
+  let swap a b =
+    let t = heap.(a) in
+    heap.(a) <- heap.(b);
+    heap.(b) <- t
+  in
+  let rec sift_up k =
+    let p = (k - 1) / 2 in
+    if k > 0 && above heap.(k) heap.(p) then begin
+      swap k p;
+      sift_up p
+    end
+  in
+  let rec sift_down k =
+    let l = (2 * k) + 1 in
+    let top = if l < !size && above heap.(l) heap.(k) then l else k in
+    let top = if l + 1 < !size && above heap.(l + 1) heap.(top) then l + 1 else top in
+    if top <> k then begin
+      swap k top;
+      sift_down top
+    end
+  in
+  let pop () =
+    decr size;
+    heap.(0) <- heap.(!size);
+    sift_down 0
+  in
+  Array.iteri
+    (fun mi mv ->
+      let g = gain mv in
+      if g > 0 then begin
+        value.(mi) <- (3 * g) - cost.(mi);
+        heap.(!size) <- mi;
+        incr size;
+        sift_up (!size - 1)
+      end)
+    moves;
+  let rec best () =
+    if !size = 0 then None
+    else begin
+      let mi = heap.(0) in
+      let g = if free moves.(mi) then gain moves.(mi) else 0 in
+      if g = 0 then begin
+        pop ();
+        best ()
+      end
+      else if (3 * g) - cost.(mi) = value.(mi) then begin
+        pop ();
+        Some moves.(mi)
+      end
+      else begin
+        value.(mi) <- (3 * g) - cost.(mi);
+        sift_down 0;
+        best ()
+      end
+    end
+  in
   let nchosen = ref 0 in
   let rounds = ref 0 in
   let continue = ref true in
   while !continue && !nchosen < config.max_multiplet do
     incr rounds;
-    let best = ref None in
-    Array.iteri
-      (fun mi mv ->
-        if List.for_all (fun c -> not in_chosen.(c)) (move_members mv) then begin
-          let inter = move_cover mv in
-          Bitvec.inter_into ~dst:inter uncovered;
-          let gain = Bitvec.popcount inter in
-          if gain > 0 then begin
-            let key = ((3 * gain) - move_cost mv, -move_cost mv, -mi) in
-            match !best with
-            | Some (bkey, _) when compare bkey key >= 0 -> ()
-            | _ -> best := Some (key, mv)
-          end
-        end)
-      moves;
-    match !best with
+    match best () with
     | None -> continue := false
-    | Some (_, mv) ->
+    | Some mv ->
       List.iter
         (fun c ->
           chosen := c :: !chosen;
@@ -262,12 +327,13 @@ let max_aggressors = 16
 (* Aggressor inference for a bridge-victim hypothesis.  Hard filter: the
    aggressor must carry the needed faulty value of [site] on every
    failing pattern one of the site's stuck hypotheses explains.  Ranking
-   among survivors: each survivor's dominant-bridge hypothesis is
-   screened by event-driven simulation — the victim's error word under
-   "victim follows [a]" is [good(victim) lxor good(a)] — and survivors
-   are ordered by how closely the predicted failures match the datalog
-   (a single-defect approximation; the final confirmation re-simulates
-   the whole multiplet). *)
+   among survivors: each survivor's dominant-bridge hypothesis — the
+   victim's error word under "victim follows [a]" is
+   [good(victim) lxor good(a)] — is screened on the site's one flip
+   sweep ([Scoring.screen_aggressors]), and survivors are ordered by how
+   closely the predicted failures match the datalog (a single-defect
+   approximation; the final confirmation re-simulates the whole
+   multiplet). *)
 let infer_aggressors config m scorer site members covers =
   let net = Explain.netlist m in
   let obs = Explain.observations m in
@@ -293,18 +359,6 @@ let infer_aggressors config m scorer site members covers =
     members;
   if Array.for_all (fun w -> w = 0) need_mask then []
   else begin
-    (* Penalty of the dominant-bridge hypothesis "site follows a": one
-       PPSFP sweep over all blocks on the diagnosis's scorer.  An
-       observed failure the hypothesis does not reproduce is a miss
-       whether or not the output differs at all. *)
-    let deltas = Array.make (max 1 nblocks) 0 in
-    let screen a =
-      for bi = 0 to nblocks - 1 do
-        deltas.(bi) <- goods.(bi).(site) lxor goods.(bi).(a)
-      done;
-      let s = Scoring.screen_delta scorer ~site ~deltas in
-      (10 * s.Scoring.missed) + s.Scoring.spurious_fail + s.Scoring.spurious_pass
-    in
     let physically_adjacent a =
       match config.layout with
       | None -> true
@@ -330,10 +384,24 @@ let infer_aggressors config m scorer site members covers =
     let candidates = ref [] in
     for a = Netlist.num_nets net - 1 downto 0 do
       if a <> site && physically_adjacent a && carries_needed a then
-        candidates := (screen a, a) :: !candidates
+        candidates := a :: !candidates
     done;
     if Obs.enabled () then Obs.add c_aggressor_screens (List.length !candidates);
-    let ranked = List.sort compare !candidates in
+    (* Penalty of "site follows a".  An observed failure the hypothesis
+       does not reproduce is a miss whether or not the output differs
+       at all. *)
+    let penalty s =
+      (10 * s.Scoring.missed) + s.Scoring.spurious_fail + s.Scoring.spurious_pass
+    in
+    let ranked =
+      List.sort
+        (fun (p1, a1) (p2, a2) ->
+          match Int.compare p1 p2 with 0 -> Int.compare a1 a2 | c -> c)
+        (List.map2
+           (fun s a -> (penalty s, a))
+           (Scoring.screen_aggressors scorer ~victim:site !candidates)
+           !candidates)
+    in
     List.filteri (fun i _ -> i < max_aggressors) (List.map snd ranked)
   end
 

@@ -63,9 +63,11 @@ let overlay_of_multiplet faults =
 type t = {
   net : Netlist.t;
   nblocks : int;
+  goods : Logic_sim.net_values array;
   batch : Fault_sim.batch;
   words : Datalog.words;
   npos : int;
+  mutable flip : int array; (* the aggressor screens' flip triples, grown on demand *)
   mark : int array; (* per net: stamp of the last cone that reached it *)
   stack : int array; (* cone-walk stack *)
   mutable epoch : int;
@@ -74,12 +76,15 @@ type t = {
 let create session dlog =
   let net = Session.netlist session in
   let blocks = Session.blocks session in
+  let goods = Session.goods session in
   let sim = Fault_sim.create ~reach:(Session.reach session) net in
   let nets = max 1 (Netlist.num_nets net) in
   {
     net;
     nblocks = Array.length blocks;
-    batch = Fault_sim.prepare_batch sim ~blocks ~goods:(Session.goods session);
+    goods;
+    batch = Fault_sim.prepare_batch sim ~blocks ~goods;
+    flip = [||];
     words = Datalog.observed_words dlog blocks;
     npos = Datalog.npos dlog;
     mark = Array.make nets 0;
@@ -135,12 +140,43 @@ let evaluate_multiplet sc faults =
   Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
   s
 
-let screen_delta sc ~site ~deltas =
-  let s =
-    score_words sc.words sc.npos (Fault_sim.batch_po_diffs_delta sc.batch ~site ~deltas)
-  in
-  Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
-  s
+(* Aggressor screens (DESIGN.md §10).  "Victim follows [a]" injects
+   [good(victim) lxor good(a)] at the victim alone.  Pattern lanes are
+   independent and the netlist is feedback-free, so a lane whose delta
+   bit is 0 stays good and a lane whose bit is 1 carries exactly the
+   all-lanes flip: every diff word of the injection is its block's
+   delta masked onto the flip sweep's word.  One sweep per victim, then
+   popcounts per aggressor. *)
+let screen_aggressors sc ~victim aggressors =
+  if aggressors = [] then []
+  else begin
+    let n = ref 0 in
+    Fault_sim.batch_po_diffs_delta sc.batch ~site:victim
+      ~deltas:(Array.make sc.nblocks Logic.ones)
+      (fun bi oi w ->
+        if !n + 3 > Array.length sc.flip then begin
+          let grown = Array.make ((2 * Array.length sc.flip) + 48) 0 in
+          Array.blit sc.flip 0 grown 0 !n;
+          sc.flip <- grown
+        end;
+        sc.flip.(!n) <- bi;
+        sc.flip.(!n + 1) <- oi;
+        sc.flip.(!n + 2) <- w;
+        n := !n + 3);
+    Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
+    let flip = sc.flip and n = !n and goods = sc.goods in
+    List.map
+      (fun a ->
+        score_words sc.words sc.npos (fun f ->
+            let i = ref 0 in
+            while !i < n do
+              let bi = flip.(!i) in
+              let g = goods.(bi) in
+              f bi flip.(!i + 1) ((g.(victim) lxor g.(a)) land flip.(!i + 2));
+              i := !i + 3
+            done))
+      aggressors
+  end
 
 (* --- Bridge hypotheses on the multi-site sweep (DESIGN.md §6a) ------- *)
 

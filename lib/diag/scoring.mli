@@ -52,10 +52,11 @@ type t
 (** A scorer: the scratch one diagnosis scores its hypotheses on — a
     {!Fault_sim} simulator and PPSFP batch slabs over the session's
     blocks and good-machine words, the datalog's
-    {!Datalog.observed_words}, and the bridge scorer's cone-marking
-    arrays.  The diagnosis that creates it owns it; it is not shared
-    across domains, and nothing else holds it, so it goes with the
-    diagnosis (DESIGN.md §6a, §11). *)
+    {!Datalog.observed_words}, the aggressor screens' flip triples and
+    the bridge scorer's cone-marking arrays.  The diagnosis that
+    creates it owns it; it is not shared across domains, and nothing
+    else holds it, so it goes with the diagnosis (DESIGN.md §6a,
+    §11). *)
 
 val create : Session.t -> Datalog.t -> t
 (** [create session dlog] builds a scorer for [dlog] on [session]'s
@@ -67,11 +68,18 @@ val evaluate_multiplet : t -> Fault_list.fault list -> score
     ({!Fault_sim.batch_multiplet_diffs}) — the same score as a full
     overlay resimulation of {!overlay_of_multiplet}, by construction. *)
 
-val screen_delta : t -> site:Netlist.net -> deltas:int array -> score
-(** Score one single-site injection of an arbitrary error word per
-    block ([deltas], as {!Fault_sim.batch_po_diffs_delta}) against the
-    datalog.  The cheap single-defect screen of bridge aggressors; not
-    counted as a ["scoring.evaluations"]. *)
+val screen_aggressors : t -> victim:Netlist.net -> Netlist.net list -> score list
+(** [screen_aggressors t ~victim aggressors] scores, in [aggressors]
+    order, each dominant-bridge hypothesis "[victim] follows [a]" as a
+    single defect: the single-site injection at [victim] of the error
+    word [good(victim) lxor good(a)] in every block, against the
+    datalog.  The cheap screen that ranks bridge aggressors.
+    Single-site injection is lane-wise, so one sweep with every live
+    pattern of [victim] flipped serves the whole list: each hypothesis'
+    diff words are the flip sweep's words masked by its per-block delta
+    (DESIGN.md §10), and scoring one is popcounts only.  Runs at most
+    one {!Fault_sim.batch_po_diffs_delta} sweep per call — none for an
+    empty list.  Not counted as ["scoring.evaluations"]. *)
 
 val evaluate_bridges :
   t ->

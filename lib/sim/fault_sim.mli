@@ -67,12 +67,15 @@ val iter_po_diffs_delta :
     per-pattern error word [delta] (bit [k] set = the site's value is
     flipped on pattern [k]) at [site] and propagate.  For a single
     injection the victim's delta under "victim follows net [a]" is just
-    [good(victim) lxor good(a)]; the aggressor screens run that
-    injection over every block at once through {!batch_po_diffs_delta},
-    and bridge confirmation, which must see the rest of the multiplet
-    and the bridge's feedback, pins held words in
-    {!batch_multiplet_diffs}.  The single-block reference the kernel
-    oracles check {!batch_po_diffs_delta} against. *)
+    [good(victim) lxor good(a)].  Lanes are independent, so the diff
+    words under any delta are the delta masked onto the diff words of
+    the all-ones delta: the aggressor screens run that one flip
+    injection per victim, over every block at once, through
+    {!batch_po_diffs_delta} and mask it per aggressor.  Bridge
+    confirmation, which must see the rest of the multiplet and the
+    bridge's feedback, pins held words in {!batch_multiplet_diffs}.
+    The single-block reference the kernel oracles check
+    {!batch_po_diffs_delta} against. *)
 
 val detects :
   t ->
@@ -125,8 +128,9 @@ val batch_po_diffs_delta :
 (** Inject an arbitrary error word per block ([deltas], indexed by
     block, masked internally) at [site] and propagate it through
     {e every} block in one sweep — the multi-block form of
-    {!iter_po_diffs_delta}, used by the aggressor screens and, with the
-    stuck word's delta, by {!simulate_batch}.  [f bi oi w] for every
+    {!iter_po_diffs_delta}, used with the all-ones delta by the
+    aggressor screens (one sweep per victim) and, with the stuck word's
+    delta, by {!simulate_batch}.  [f bi oi w] for every
     non-zero masked diff word, blocks ascending, then the site's
     reachable POs in CSR order — exactly the triple order of the
     per-block scalar sweep, hence of [Sig_cache] entries.  Screens

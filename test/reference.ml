@@ -1,6 +1,7 @@
 (* Slow references the oracles compare the engine against: the overlay
-   scorer, the brute-force explanation matrix, the structural seed pool
-   and the scalar signature fill.  Each one is the simplest correct
+   scorer, the brute-force explanation matrix, the structural seed pool,
+   the scalar signature fill, the per-aggressor bridge screen and the
+   cover pass that probes every move every round.  Each one is the simplest correct
    computation of its quantity — whole-block overlay resimulation, or
    the per-fault per-block scalar sweep — and shares nothing with the
    batched kernels under test. *)
@@ -170,3 +171,85 @@ let lookup c sim ~site ~stuck =
     let triples = signature_triples c sim ~site ~stuck in
     Sig_cache.store c [| k |] [| triples |];
     triples
+
+(* --- Aggressor screens ---------------------------------------------- *)
+
+(* The oracle of [Scoring.screen_aggressors]: one
+   [batch_po_diffs_delta] injection of [good(victim) lxor good(a)] per
+   aggressor, its triples scored as a signature. *)
+let screen_per_aggressor session dlog ~victim aggressors =
+  let blocks = Session.blocks session and goods = Session.goods session in
+  let sim = Fault_sim.create ~reach:(Session.reach session) (Session.netlist session) in
+  let b = Fault_sim.prepare_batch sim ~blocks ~goods in
+  let words = Datalog.observed_words dlog blocks in
+  List.map
+    (fun a ->
+      let triples = ref [] in
+      Fault_sim.batch_po_diffs_delta b ~site:victim
+        ~deltas:(Array.map (fun g -> g.(victim) lxor g.(a)) goods)
+        (fun bi oi w -> triples := w :: oi :: bi :: !triples);
+      Scoring.score_triples words ~npos:(Datalog.npos dlog)
+        (Array.of_list (List.rev !triples)))
+    aggressors
+
+(* --- Greedy cover --------------------------------------------------- *)
+
+(* [Noassume]'s greedy cover with every move probed every round: the
+   moves are the single candidates, then each same-site sa0/sa1 pair;
+   a round takes the free move of largest (3 * gain - cost, -cost,
+   -index) with a positive gain, until none is left or [max_multiplet]
+   members are chosen.  Returns the chosen candidate ids in order. *)
+let greedy_cover ~tie_break ~max_multiplet m =
+  let cand = Explain.candidates m in
+  let n = Array.length cand in
+  let nobs = Array.length (Explain.observations m) in
+  let discount c =
+    if tie_break then (2 * Explain.mispredict_fail m c) + Explain.mispredict_pass m c
+    else 0
+  in
+  let pairs =
+    List.filter_map
+      (fun c ->
+        if
+          c + 1 < n
+          && cand.(c).Fault_list.site = cand.(c + 1).Fault_list.site
+          && cand.(c).Fault_list.stuck <> cand.(c + 1).Fault_list.stuck
+        then Some [ c; c + 1 ]
+        else None)
+      (List.init n Fun.id)
+  in
+  let moves = Array.of_list (List.init n (fun c -> [ c ]) @ pairs) in
+  let uncovered = Bitvec.create nobs in
+  Bitvec.fill uncovered true;
+  let chosen = ref [] in
+  let rec round () =
+    if List.length !chosen < max_multiplet then begin
+      let best = ref None in
+      Array.iteri
+        (fun mi mv ->
+          if not (List.exists (fun c -> List.mem c !chosen) mv) then begin
+            let u = Bitvec.create nobs in
+            List.iter (fun c -> Bitvec.union_into ~dst:u (Explain.covers m c)) mv;
+            Bitvec.inter_into ~dst:u uncovered;
+            let gain = Bitvec.popcount u in
+            let cost = List.fold_left (fun acc c -> acc + discount c) 0 mv in
+            let key = ((3 * gain) - cost, -cost, -mi) in
+            if gain > 0 then
+              match !best with
+              | Some (k, _) when compare k key >= 0 -> ()
+              | _ -> best := Some (key, mv)
+          end)
+        moves;
+      match !best with
+      | None -> ()
+      | Some (_, mv) ->
+        List.iter
+          (fun c ->
+            chosen := c :: !chosen;
+            Bitvec.diff_into ~dst:uncovered (Explain.covers m c))
+          mv;
+        round ()
+    end
+  in
+  round ();
+  List.rev !chosen

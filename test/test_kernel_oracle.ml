@@ -196,6 +196,156 @@ let prop_batch_delta_matches_scalar =
         blocks;
       got = want)
 
+(* --- aggressor screens against per-aggressor sweeps ------------------ *)
+
+let complement = function
+  | Gate.And -> Gate.Nand
+  | Gate.Nand -> Gate.And
+  | Gate.Or -> Gate.Nor
+  | Gate.Nor -> Gate.Or
+  | Gate.Xor -> Gate.Xnor
+  | Gate.Xnor -> Gate.Xor
+  | Gate.Not -> Gate.Buf
+  | Gate.Buf -> Gate.Not
+  | (Gate.Input | Gate.Const _) as k -> k
+
+(* A random circuit (XOR gates, reconvergent fanins) with the screen's
+   edge cases built in, and a victim picked by [case]: 0 any net, 1 a
+   primary output with no fanout, 2 a gate no output reaches, 3 a
+   primary input.  Screening every net of the circuit against the
+   victim then covers an all-zero delta (the victim itself), an
+   all-ones delta (a complement of the victim, built over its own
+   fanins so the victim gains no fanout), uniformly random per-block
+   deltas (a primary input no gate reads) and the structured deltas of
+   every other net. *)
+let screen_problem seed case =
+  let rng = Rng.create ((seed * 17) + case) in
+  let b = Builder.create () in
+  let npis = 6 in
+  let pis = Array.init npis (fun i -> Builder.input b (Printf.sprintf "pi%d" i)) in
+  let noise = Builder.input b "noise" in
+  let ngates = 30 + Rng.int rng 60 in
+  let kinds =
+    [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor; Gate.Not; Gate.Buf |]
+  in
+  let nets = ref (Array.to_list pis) in
+  let read = Hashtbl.create 64 and def = Hashtbl.create 64 in
+  for g = 0 to ngates - 1 do
+    let avail = Array.of_list !nets in
+    let kind = Rng.pick rng kinds in
+    let arity = match kind with Gate.Not | Gate.Buf -> 1 | _ -> 2 + Rng.int rng 2 in
+    let rec distinct k acc =
+      if k = 0 then acc
+      else
+        let c = avail.(Rng.int rng (Array.length avail)) in
+        if List.mem c acc then distinct k acc else distinct (k - 1) (c :: acc)
+    in
+    let fanins = distinct arity [] in
+    List.iter (fun f -> Hashtbl.replace read f ()) fanins;
+    let n = Builder.gate b (Printf.sprintf "g%d" g) kind fanins in
+    Hashtbl.replace def n (kind, fanins);
+    nets := n :: !nets
+  done;
+  let gates = List.filter (Hashtbl.mem def) !nets in
+  let dead = Builder.gate b "dead" Gate.Xor [ pis.(0); pis.(1) ] in
+  Hashtbl.replace def dead (Gate.Xor, [ pis.(0); pis.(1) ]);
+  let sinks = List.filter (fun n -> not (Hashtbl.mem read n)) gates in
+  List.iter (Builder.mark_output b) sinks;
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let victim =
+    match case with
+    | 0 -> pick !nets
+    | 1 -> pick sinks
+    | 2 -> dead
+    | _ -> pis.(Rng.int rng npis)
+  in
+  ignore
+    (match Hashtbl.find_opt def victim with
+     | Some (kind, fanins) -> Builder.gate b "complement" (complement kind) fanins
+     | None -> Builder.gate b "complement" Gate.Not [ victim ]
+      : Netlist.net);
+  let net = Builder.finalize b in
+  (* Over 63 patterns, never a multiple: the last block is partial. *)
+  let count = 64 + Rng.int rng 150 in
+  let count = if count mod Bitvec.word_bits = 0 then count + 1 else count in
+  let pats = Pattern.random rng ~npis:(npis + 1) ~count in
+  let expected = Logic_sim.responses net pats in
+  let defects = Injection.random_defects rng net Injection.default_mix 2 in
+  let observed = Injection.observed_responses net pats defects in
+  (net, pats, Datalog.of_responses ~expected ~observed, victim, noise)
+
+let prop_screen_matches_per_aggressor =
+  QCheck.Test.make
+    ~name:"screen_aggressors: flip sweep masked = per-aggressor delta sweeps" ~count:40
+    QCheck.(pair (int_range 1 100_000) (int_range 0 3))
+    (fun (seed, case) ->
+      let net, pats, dlog, victim, noise = screen_problem seed case in
+      let session = Session.create net pats in
+      let goods = Session.goods session in
+      let comp = Option.get (Netlist.find net "complement") in
+      let nblocks = Array.length goods in
+      let last = (Session.blocks session).(nblocks - 1) in
+      let aggressors = List.init (Netlist.num_nets net) Fun.id in
+      let got =
+        Scoring.screen_aggressors (Scoring.create session dlog) ~victim aggressors
+      in
+      let want = Reference.screen_per_aggressor session dlog ~victim aggressors in
+      let live bi = Logic.mask_of_width (Session.blocks session).(bi).Pattern.width in
+      (* The cases the circuit was built to hold really hold. *)
+      nblocks > 1
+      && last.Pattern.width < Bitvec.word_bits
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun bi g -> (g.(victim) lxor g.(comp)) land live bi = live bi)
+              goods)
+      && Netlist.fanout net noise = [||]
+      && (case <> 1 || (Netlist.is_po net victim && Netlist.fanout net victim = [||]))
+      && (case <> 2 || not (Netlist.is_po net victim))
+      && got = want)
+
+(* The screen runs one sweep for its whole aggressor list, none for an
+   empty one. *)
+let test_screen_one_sweep () =
+  let net, pats, dlog, victim, _ = screen_problem 5 0 in
+  let session = Session.create net pats in
+  let sweeps aggressors =
+    let sk = Obs.sink () in
+    Obs.with_sink sk (fun () ->
+        ignore
+          (Scoring.screen_aggressors (Scoring.create session dlog) ~victim aggressors
+            : Scoring.score list));
+    let c = (Obs.sink_snapshot sk).Obs.counters in
+    List.assoc "sim.faults_simulated" c + List.assoc "sim.faults_screened" c
+  in
+  Alcotest.(check int) "no aggressor, no sweep" 0 (sweeps []);
+  Alcotest.(check int) "every net, one sweep" 1
+    (sweeps (List.init (Netlist.num_nets net) Fun.id))
+
+(* --- greedy cover against probing every move every round ------------ *)
+
+(* The cover pass rescores only the moves that can still win a round;
+   without refinement its choice is the multiplet, which must be the
+   one probing every move picks — with and without the misprediction
+   discount, and under a multiplet cap small enough to bind. *)
+let prop_greedy_cover_matches_exhaustive =
+  QCheck.Test.make ~name:"greedy cover: lazy rescoring = probing every move" ~count:30
+    QCheck.(triple (int_range 1 100_000) (int_range 1 4) bool)
+    (fun (seed, multiplicity, tie_break) ->
+      let net, pats, dlog = random_problem seed multiplicity in
+      let m = Explain.build_session (Session.create net pats) dlog in
+      let max_multiplet = if seed mod 3 = 0 then 2 else 12 in
+      let config =
+        { Noassume.default_config with validate = false; tie_break; max_multiplet }
+      in
+      let cand = Explain.candidates m in
+      let want =
+        List.sort Fault_list.compare_fault
+          (List.map
+             (fun c -> cand.(c))
+             (Reference.greedy_cover ~tie_break ~max_multiplet m))
+      in
+      (Noassume.diagnose_matrix ~config m).Noassume.multiplet = want)
+
 (* --- evaluate_multiplet against the overlay scorer -------------------- *)
 
 (* The multi-site sweep must score a multiplet exactly as a whole-block
@@ -456,6 +606,8 @@ let suite =
     ( "kernel-oracle",
       Alcotest.test_case "oscillating bridge: sweep cap decides" `Quick
         test_oscillating_bridge
+      :: Alcotest.test_case "aggressor screen: one sweep per victim" `Quick
+           test_screen_one_sweep
       :: List.map QCheck_alcotest.to_alcotest
         [
           prop_delta_injection_matches_overlay;
@@ -463,6 +615,8 @@ let suite =
           prop_signature_goods_equivalent;
           prop_simulate_batch_matches_scalar;
           prop_batch_delta_matches_scalar;
+          prop_screen_matches_per_aggressor;
+          prop_greedy_cover_matches_exhaustive;
           prop_evaluate_multiplet_matches_overlay;
           prop_bridge_scorer_matches_overlay;
           prop_explain_brute_force_and_replay;

@@ -140,6 +140,97 @@ let test_refinement_never_worsens () =
     end
   done
 
+(* [Noassume]'s aggressor ranking on the per-aggressor screen: the
+   hard filter (the aggressor carries the needed value
+   of [site] on every failing pattern a member at [site] explains, the
+   later member taking a pattern two of them need), each survivor's
+   penalty from {!Reference.screen_per_aggressor}, the best 16.
+   Members come in multiplet order here and in refinement order in
+   [Noassume]; the two differ only where a site's opposite polarities
+   both explain one failing pattern. *)
+let per_aggressor_ranking session m (r : Noassume.result) site =
+  let goods = Session.goods session in
+  let obs = Explain.observations m in
+  let nblocks = Array.length goods in
+  let need_mask = Array.make nblocks 0 and need_val = Array.make nblocks 0 in
+  List.iter
+    (fun (f : Fault_list.fault) ->
+      if f.site = site then
+        Bitvec.iter_set
+          (Explain.covers m (Option.get (Explain.find_candidate m f)))
+          (fun oi ->
+            let p = obs.(oi).Datalog.pattern in
+            let bi = p / Bitvec.word_bits and bit = 1 lsl (p mod Bitvec.word_bits) in
+            need_mask.(bi) <- need_mask.(bi) lor bit;
+            need_val.(bi) <-
+              (if f.stuck then need_val.(bi) lor bit else need_val.(bi) land lnot bit)))
+    r.multiplet;
+  let survivors =
+    List.filter
+      (fun a ->
+        a <> site
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun bi g -> (g.(a) lxor need_val.(bi)) land need_mask.(bi) = 0)
+                goods))
+      (List.init (Netlist.num_nets (Session.netlist session)) Fun.id)
+  in
+  if Array.for_all (fun w -> w = 0) need_mask then []
+  else
+    let scores =
+      Reference.screen_per_aggressor session (Explain.datalog m) ~victim:site survivors
+    in
+    List.map2
+      (fun (s : Scoring.score) a ->
+        ((10 * s.missed) + s.spurious_fail + s.spurious_pass, a))
+      scores survivors
+    |> List.sort compare
+    |> List.filteri (fun i _ -> i < 16)
+    |> List.map snd
+
+(* Every bridge-victim list of a report equals the per-aggressor
+   ranking.  Those lists are all the screen feeds — bridge validation
+   tries exactly their heads — so equal lists mean the whole report is
+   the one the per-aggressor screen produced.  Three-defect rnd1k dies
+   on the campaign test set, as the counter gate draws them. *)
+let test_reports_match_per_aggressor_screen () =
+  let net = Option.get (Generators.find_suite "rnd1k") in
+  let pats = Campaign.test_set net in
+  let session =
+    Session.create ~config:{ Session.default_config with domains = Some 1 } net pats
+  in
+  let expected = Logic_sim.responses net pats in
+  let rng = Rng.create 41 in
+  let rec die attempts =
+    let defects = Injection.random_defects rng net Injection.default_mix 3 in
+    let observed = Injection.observed_responses net pats defects in
+    let dlog = Datalog.of_responses ~expected ~observed in
+    if Datalog.num_failing dlog > 0 || attempts = 0 then dlog else die (attempts - 1)
+  in
+  let lists = ref 0 in
+  for _ = 1 to 3 do
+    let dlog = die 50 in
+    let r = Noassume.diagnose_session session dlog in
+    let m = Explain.build_session session dlog in
+    List.iter
+      (fun (c : Noassume.callout) ->
+        let got =
+          List.concat_map
+            (function
+              | Noassume.Bridge_victim ags -> ags
+              | Noassume.Stuck_at _ | Noassume.Bridge_confirmed _ | Noassume.Byzantine ->
+                [])
+            c.models
+        in
+        if got <> [] then incr lists;
+        Alcotest.(check (list int))
+          (Printf.sprintf "aggressors of %s" (Netlist.name net c.site))
+          (per_aggressor_ranking session m r c.site)
+          got)
+      r.callouts
+  done;
+  Alcotest.(check bool) "some bridge-victim callouts" true (!lists > 0)
+
 let suite =
   [
     ( "noassume",
@@ -154,5 +245,7 @@ let suite =
         Alcotest.test_case "config variants run" `Quick test_config_variants_run;
         Alcotest.test_case "callout order" `Quick test_callout_order_by_explained;
         Alcotest.test_case "refinement never worsens" `Quick test_refinement_never_worsens;
+        Alcotest.test_case "reports = per-aggressor screen (rnd1k)" `Quick
+          test_reports_match_per_aggressor_screen;
       ] );
   ]
