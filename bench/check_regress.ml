@@ -19,8 +19,11 @@
       passes any growth-only bound).  Every counter the baseline names
       must still be registered, so a stale key cannot sit there
       unnoticed.  Regenerate the baseline after an intentional kernel
-      change with:
+      change, from the repo root or from bench/, with:
         dune exec bench/check_regress.exe -- --write-baseline
+      Both files are read from the directory that holds them — the
+      working directory, else bench/ — and the baseline is written back
+      next to the thresholds it was read with.
 
    2. Cache gate.  The cross-trial hit rate of the fault-signature
       cache over one sequential campaign cell must stay above
@@ -45,8 +48,19 @@
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
-let thresholds_path = "thresholds.json"
-let baseline_path = "baseline_stats.json"
+(* The gate's data directory: the working directory when it holds
+   thresholds.json (bench/ itself, or dune's build copy of it), else
+   bench/ under it (the repo root). *)
+let data_dir =
+  lazy
+    (let holds d = Sys.file_exists (Filename.concat d "thresholds.json") in
+     match List.find_opt holds [ "."; "bench" ] with
+     | Some d -> d
+     | None -> die "check_regress: cannot find thresholds.json in . or bench/")
+
+let data_path name = Filename.concat (Lazy.force data_dir) name
+let thresholds_path () = data_path "thresholds.json"
+let baseline_path () = data_path "baseline_stats.json"
 
 type thresholds = {
   min_cache_hit_rate : float;
@@ -57,6 +71,7 @@ type thresholds = {
 }
 
 let load_thresholds () =
+  let thresholds_path = thresholds_path () in
   let json =
     match Obs_json.parse_file thresholds_path with
     | Ok j -> j
@@ -138,6 +153,7 @@ let capture_current () =
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) tally [] |> List.sort compare
 
 let check_counters t current =
+  let baseline_path = baseline_path () in
   let baseline =
     match Obs_json.parse_file baseline_path with
     | Ok j -> Run_report.counters_of_json j
@@ -249,12 +265,13 @@ let check_exact_agreement t =
       t.min_exact_agreement
 
 let write_baseline () =
+  let baseline_path = baseline_path () in
   let counters = capture_current () in
   let oc = open_out baseline_path in
   Printf.fprintf oc "{\n  \"comment\": %S,\n  \"counters\": {"
     "Deterministic counters of one rnd1k explain-build + diagnose capture at 1 domain \
-     (check_regress seed 99).  Regenerate: dune exec bench/check_regress.exe -- \
-     --write-baseline";
+     (check_regress seed 99).  Regenerate from the repo root or bench/: dune exec \
+     bench/check_regress.exe -- --write-baseline";
   List.iteri
     (fun i (name, v) ->
       Printf.fprintf oc "%s\n    \"%s\": %d" (if i > 0 then "," else "")

@@ -19,14 +19,13 @@ let num_entries t = List.length t.entries
 let build_session flavour session =
   let net = Session.netlist session in
   let pats = Session.patterns session in
-  let collapsed = Fault_list.collapse net in
   let npatterns = Pattern.count pats in
   (* All entry signatures in one pass: cache hits replay (keyed by class
      representative, exactly the faults enumerated here), misses fill
      through the session's PPSFP slabs rather than per-fault cone
      walks — dictionary construction is the most signature-hungry
      consumer in the repo. *)
-  let faults = Array.of_list (Fault_list.representatives collapsed) in
+  let faults = Session.representatives session in
   let triples = Session.fault_triples session faults in
   let entries =
     List.init (Array.length faults) (fun i ->

@@ -21,13 +21,14 @@ type t = {
   row_of : int array; (* candidate -> matrix row (class-shared) *)
   observations : Datalog.observation array;
   failing : int array;
+  obs_lo : int array; (* failing pattern -> its first observation; [nfp] -> nobs *)
   covers : Bitvec.t array; (* per row *)
-  nfp : int; (* failing-pattern count, the minor stride below *)
-  matched : int array; (* flat row x failing-pattern, [row * nfp + fp] *)
-  spurious_any : Bytes.t; (* same layout: '\001' iff any spurious bit *)
+  nblocks : int; (* the minor stride of [spurious] *)
+  spurious : int array; (* row x block, [row * nblocks + bi]: OR of the spurious words *)
+  fp_block : int array; (* failing pattern -> its block *)
+  fp_bit : int array; (* failing pattern -> its bit in that block's words *)
   mispredict_fail : int array; (* per row *)
   mispredict_pass : int array;
-  nfail_pos : int array; (* failing-pattern -> #failing POs *)
 }
 
 let session t = t.session
@@ -38,12 +39,18 @@ let num_seeded t = t.num_seeded
 let observations t = t.observations
 let failing t = t.failing
 let covers t c = t.covers.(t.row_of.(c))
-let matched t c fp = t.matched.((t.row_of.(c) * t.nfp) + fp)
-let spurious_any t c fp = Bytes.get t.spurious_any ((t.row_of.(c) * t.nfp) + fp) <> '\000'
+
+(* Observations are ordered by pattern, so failing pattern [fp]'s are
+   the index range [obs_lo.(fp), obs_lo.(fp + 1)) of every [covers]
+   row: [matched] counts that range a word at a time, and [exact] asks
+   whether it is full. *)
+let matched t c fp = Bitvec.count_range (covers t c) t.obs_lo.(fp) t.obs_lo.(fp + 1)
+
+let spurious_any t c fp =
+  (t.spurious.((t.row_of.(c) * t.nblocks) + t.fp_block.(fp)) lsr t.fp_bit.(fp)) land 1 = 1
 
 let exact t c fp =
-  let o = (t.row_of.(c) * t.nfp) + fp in
-  t.matched.(o) = t.nfail_pos.(fp) && Bytes.get t.spurious_any o = '\000'
+  (not (spurious_any t c fp)) && matched t c fp = t.obs_lo.(fp + 1) - t.obs_lo.(fp)
 
 let mispredict_fail t c = t.mispredict_fail.(t.row_of.(c))
 let mispredict_pass t c = t.mispredict_pass.(t.row_of.(c))
@@ -57,86 +64,124 @@ let mispredict_pass t c = t.mispredict_pass.(t.row_of.(c))
    observation is never selected.
 
    One reverse BFS over the fan-in CSR, seeded with every failing PO at
-   once, marks the union directly — the old per-output
-   [Netlist.fanin_cone] calls each allocated and swept a full bool
-   array, O(failing POs x nets) on wide datalogs. *)
-let seed_candidates net dlog =
+   once, marks the union directly; each net enters the array stack at
+   most once. *)
+let seed_candidates net observations =
   let nnets = Netlist.num_nets net in
-  let in_pool = Array.make nnets false in
-  let stack = ref [] in
+  let in_pool = Bytes.make nnets '\000' in
+  let stack = Array.make (max 1 nnets) 0 in
+  let top = ref 0 in
+  let mark n =
+    if Bytes.get in_pool n = '\000' then begin
+      Bytes.set in_pool n '\001';
+      stack.(!top) <- n;
+      incr top
+    end
+  in
   let pos = Netlist.pos net in
-  Array.iter
-    (fun (ob : Datalog.observation) ->
-      let n = pos.(ob.po) in
-      if not in_pool.(n) then begin
-        in_pool.(n) <- true;
-        stack := n :: !stack
-      end)
-    (Datalog.observations dlog);
+  Array.iter (fun (ob : Datalog.observation) -> mark pos.(ob.po)) observations;
   let fanin = Netlist.fanin_csr net in
   let off = Netlist.fanin_offsets net in
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | n :: rest ->
-      stack := rest;
-      for i = off.(n) to off.(n + 1) - 1 do
-        let a = fanin.(i) in
-        if not in_pool.(a) then begin
-          in_pool.(a) <- true;
-          stack := a :: !stack
-        end
-      done;
-      drain ()
-  in
-  drain ();
-  let l = ref [] in
-  for n = nnets - 1 downto 0 do
-    if in_pool.(n) then
-      l := { Fault_list.site = n; stuck = false } :: { site = n; stuck = true } :: !l
+  let marked = ref 0 in
+  while !top > 0 do
+    decr top;
+    let n = stack.(!top) in
+    incr marked;
+    for i = off.(n) to off.(n + 1) - 1 do
+      mark fanin.(i)
+    done
   done;
-  Array.of_list !l
+  let pool = Array.make (2 * !marked) { Fault_list.site = 0; stuck = false } in
+  let j = ref 0 in
+  for n = 0 to nnets - 1 do
+    if Bytes.get in_pool n <> '\000' then begin
+      pool.(!j) <- { Fault_list.site = n; stuck = false };
+      pool.(!j + 1) <- { site = n; stuck = true };
+      j := !j + 2
+    end
+  done;
+  pool
+
+(* [Bitvec.popcount_word], repeated here so that the fill's popcounts
+   (one per diff word, one per matched bit) compile inline: dune's
+   default (dev) profile compiles every library [-opaque], which makes
+   each call into another module an indirect call. *)
+let[@inline] popcount w =
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 let build_session session dlog =
   Obs.phase "explain-build" @@ fun () ->
   (* Sub-phases (nested spans, see [Obs]): prep = seeding, screening,
-     class collapse, lookup tables and the cache probe; sim = the
+     class collapse, lookup tables and the cache lookup; sim = the
      session's sweep over cache misses; replay = the append of the
      misses plus the matrix fill of every row.  On warm-cache rebuilds
      sim is empty and the split shows where the remaining time
      lives. *)
   let sp_prep = Obs.span_begin "explain.prep" in
   let net = Session.netlist session in
-  let seeded = seed_candidates net dlog in
-  let num_seeded = Array.length seeded in
   let observations = Datalog.observations dlog in
+  let seeded = seed_candidates net observations in
+  let num_seeded = Array.length seeded in
   let nobs = Array.length observations in
   let failing = Array.of_list (Datalog.failing_patterns dlog) in
   let nfp = Array.length failing in
   let npos = Datalog.npos dlog in
-  (* Direct-indexed lookup tables — the matched loop below runs once per
-     covered observation, so hash probes there dominated the whole
-     build. *)
-  let fp_of_pattern = Array.make (max 1 (Datalog.npatterns dlog)) (-1) in
-  Array.iteri (fun i p -> fp_of_pattern.(p) <- i) failing;
-  let obs_of = Array.make (max 1 (nfp * npos)) (-1) in
-  Array.iteri
-    (fun i (ob : Datalog.observation) ->
-      obs_of.((fp_of_pattern.(ob.pattern) * npos) + ob.po) <- i)
-    observations;
-  let nfail_pos = Array.map (fun p -> List.length (Datalog.failing_pos dlog p)) failing in
   (* Good-machine words and pattern blocks come precomputed from the
      session; the session's cache instance is the per-problem memo. *)
   let blocks = Session.blocks session in
   let nblocks = Array.length blocks in
   let scache = Option.get (Session.cache session) in
   let goods = Session.goods session in
-  (* Word-level observed-bit masks: the matrix fill splits each diff
-     word into matched ([w land obsmask]) and spurious
-     ([w land fail_mask land lnot obsmask]) bits up front, so the
-     matched loop carries no observation lookup or branch and the
-     spurious bits are only counted and ORed, never visited. *)
+  (* Word-level observed-bit masks: the fill splits each diff word into
+     matched ([w land obsmask]) and spurious
+     ([w land fail_mask land lnot obsmask]) bits up front, so only
+     matched bits are visited one at a time. *)
   let { Datalog.fail = fail_masks; obs = obsmask; _ } = Datalog.observed_words dlog blocks in
+  let pass_masks =
+    Array.mapi
+      (fun bi (b : Pattern.block) -> lnot fail_masks.(bi) land Logic.mask_of_width b.width)
+      blocks
+  in
+  (* Failing pattern -> (block, bit), merging the two ascending
+     orders. *)
+  let fp_block = Array.make nfp 0 and fp_bit = Array.make nfp 0 in
+  (let b = ref 0 in
+   Array.iteri
+     (fun fp p ->
+       while p >= blocks.(!b).Pattern.base + blocks.(!b).Pattern.width do
+         incr b
+       done;
+       fp_block.(fp) <- !b;
+       fp_bit.(fp) <- p - blocks.(!b).Pattern.base)
+     failing);
+  (* One pass over the observations, which come in pattern order, fills
+     each failing pattern's range start [obs_lo] and the slot tables:
+     the matched bits of (block [bi], PO [oi]) are the set bits of
+     [om = obsmask.(s)], [s = bi * npos + oi], and the one of rank [j]
+     among them is observation [slot_obs.(slot_base.(s) + j)].  A slot
+     fills in bit order. *)
+  let obs_lo = Array.make (nfp + 1) nobs in
+  let nslots = nblocks * npos in
+  let slot_base = Array.make (nslots + 1) 0 in
+  for s = 0 to nslots - 1 do
+    slot_base.(s + 1) <- slot_base.(s) + popcount obsmask.(s)
+  done;
+  let slot_obs = Array.make (max 1 nobs) 0 in
+  let slot_next = Array.sub slot_base 0 (max 1 nslots) in
+  let fp = ref (-1) in
+  Array.iteri
+    (fun i (ob : Datalog.observation) ->
+      if !fp < 0 || failing.(!fp) <> ob.pattern then begin
+        incr fp;
+        obs_lo.(!fp) <- i
+      end;
+      let s = (fp_block.(!fp) * npos) + ob.po in
+      slot_obs.(slot_next.(s)) <- i;
+      slot_next.(s) <- slot_next.(s) + 1)
+    observations;
   (* Activation screen (exactness-preserving, DESIGN.md §10): a stuck-at
      fault only injects an error on patterns where the good value
      differs from the stuck value.  A candidate inactive on every
@@ -184,102 +229,102 @@ let build_session session dlog =
      row serves the whole class.  Candidates stay individually listed —
      selection, pairing and reporting see the full pool — but their
      accessors indirect through [row_of], and only one member per class
-     is simulated.  Rows are keyed by the class representative so the
-     signature cache shares entries with the baselines, which iterate
-     representatives. *)
+     is simulated.  Rows are keyed by the class representative, read
+     from the session's table, so the signature cache shares entries
+     with the baselines, which look up representatives. *)
   let row_of = Array.make (max 1 ncand) 0 in
   let nrows, row_member, row_key =
-    let collapsed = Fault_list.collapse net in
-    let row_of_key = Hashtbl.create (2 * ncand) in
-    let members = ref [] and keys = ref [] in
+    let row_of_key = Array.make (2 * Netlist.num_nets net) (-1) in
+    let members = Array.make ncand 0 and keys = Array.make ncand 0 in
     let n = ref 0 in
     for c = 0 to ncand - 1 do
-      let rep = Fault_list.representative_of collapsed candidates.(c) in
-      let rk = Sig_cache.key ~site:rep.Fault_list.site ~stuck:rep.Fault_list.stuck in
-      match Hashtbl.find_opt row_of_key rk with
-      | Some r -> row_of.(c) <- r
-      | None ->
-        Hashtbl.add row_of_key rk !n;
+      let f = candidates.(c) in
+      let rk = Session.representative_key session (Sig_cache.key ~site:f.site ~stuck:f.stuck) in
+      let r = row_of_key.(rk) in
+      if r >= 0 then row_of.(c) <- r
+      else begin
+        row_of_key.(rk) <- !n;
         row_of.(c) <- !n;
-        members := c :: !members;
-        keys := rk :: !keys;
+        members.(!n) <- c;
+        keys.(!n) <- rk;
         incr n
+      end
     done;
-    (!n, Array.of_list (List.rev !members), Array.of_list (List.rev !keys))
+    (!n, Array.sub members 0 !n, Array.sub keys 0 !n)
   in
   let covers = Array.init nrows (fun _ -> Bitvec.create nobs) in
-  let matched = Array.make (max 1 (nrows * nfp)) 0 in
-  let spurious_any = Bytes.make (max 1 (nrows * nfp)) '\000' in
+  let spurious = Array.make (max 1 (nrows * nblocks)) 0 in
   let mispredict_fail = Array.make (max 1 nrows) 0 in
   let mispredict_pass = Array.make (max 1 nrows) 0 in
-  (* Cache probe, sequential on the calling domain (a deterministic hit
-     pattern within one build).  Only the misses simulate. *)
-  let miss = ref [] in
-  for r = nrows - 1 downto 0 do
-    if not (Sig_cache.probe scache row_key.(r)) then miss := r :: !miss
-  done;
-  let miss = Array.of_list !miss in
+  (* One cache lookup for every row, on the calling domain (a
+     deterministic hit pattern within one build).  Only the misses
+     simulate. *)
+  let miss = Sig_cache.missing scache row_key in
   Obs.span_end sp_prep;
   let sp_sim = Obs.span_begin "explain.sim" in
   let fresh = Session.simulate session (Array.map (fun r -> candidates.(row_member.(r))) miss) in
   Obs.span_end sp_sim;
   (* Append the fresh signatures as one batch, then fill every row the
-     same way: streamed out of the arena, with no array per row. *)
+     same way: decoded out of the arena into one reused buffer. *)
   let sp_replay = Obs.span_begin "explain.replay" in
   Sig_cache.store scache (Array.map (fun r -> row_key.(r)) miss) fresh;
+  let buf = Sig_cache.buffer () in
   for r = 0 to nrows - 1 do
-    let rc = covers.(r) in
-    let ro = r * nfp in
-    let prev_bi = ref (-1) in
-    let any = ref 0 and spur = ref 0 in
-    (* Per-block accumulators, flushed once per block: passing-pattern
-       bits of [any] give the pass-misprediction count, and each set bit
-       of [spur] — the OR of the block's spurious words — flags its
-       failing pattern.  One [ctz] per flagged pattern per block, however
-       many POs mispredicted there. *)
-    let flush () =
-      if !prev_bi >= 0 then begin
-        let block = blocks.(!prev_bi) in
-        let pass_pred =
-          !any land lnot fail_masks.(!prev_bi) land Logic.mask_of_width block.width
-        in
-        mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred;
-        let ws = ref !spur in
-        while !ws <> 0 do
-          let k = Bitvec.ctz_word !ws in
-          ws := !ws land (!ws - 1);
-          Bytes.set spurious_any (ro + fp_of_pattern.(block.base + k)) '\001'
+    Sig_cache.decode scache row_key.(r) buf;
+    let d = buf.data and n = buf.len in
+    let rc = covers.(r) and ro = r * nblocks in
+    let mfail = ref 0 and mpass = ref 0 in
+    (* Per-block accumulators, flushed once per block: the passing bits
+       of [any] count the pass mispredictions, and [spur] — the OR of
+       the block's spurious words — is stored as the row's word for the
+       block. *)
+    let prev = ref (-1) and any = ref 0 and spur = ref 0 in
+    (* Unchecked reads only where the index is in range by construction:
+       [i + 2 < n <= Array.length d], and a matched bit's rank is below
+       its slot's size.  Indices read out of the arena ([bi], [oi]) stay
+       checked. *)
+    let i = ref 0 in
+    while !i < n do
+      let bi = Array.unsafe_get d !i
+      and oi = Array.unsafe_get d (!i + 1)
+      and w = Array.unsafe_get d (!i + 2) in
+      if bi <> !prev then begin
+        if !prev >= 0 then begin
+          mpass := !mpass + popcount (!any land pass_masks.(!prev));
+          spurious.(ro + !prev) <- !spur
+        end;
+        prev := bi;
+        any := 0;
+        spur := 0
+      end;
+      any := !any lor w;
+      (* Failing-pattern bits, split matched/spurious by [om]: a matched
+         bit's observation is its slot's entry at the bit's rank among
+         [om]'s bits, the lowest bit isolated without a branch; the
+         spurious bits are one popcount and one OR. *)
+      let wf = w land fail_masks.(bi) in
+      let s = (bi * npos) + oi in
+      let om = obsmask.(s) in
+      let wm = ref (wf land om) in
+      if !wm <> 0 then begin
+        let sb = slot_base.(s) in
+        while !wm <> 0 do
+          let low = !wm land - !wm in
+          Bitvec.set rc (Array.unsafe_get slot_obs (sb + popcount (om land (low - 1)))) true;
+          wm := !wm lxor low
         done
       end;
-      any := 0;
-      spur := 0
-    in
-    (* Failing-pattern bits, split matched/spurious by [obsmask]: each
-       matched bit is a lookup and an increment, and the spurious bits
-       of a word are one popcount and one OR. *)
-    let visit bi oi d =
-      if bi <> !prev_bi then begin
-        flush ();
-        prev_bi := bi
-      end;
-      any := !any lor d;
-      let base = blocks.(bi).Pattern.base in
-      let wf = d land fail_masks.(bi) in
-      let om = obsmask.((bi * npos) + oi) in
-      let wm = ref (wf land om) in
-      while !wm <> 0 do
-        let k = Bitvec.ctz_word !wm in
-        wm := !wm land (!wm - 1);
-        let fp = fp_of_pattern.(base + k) in
-        Bitvec.set rc obs_of.((fp * npos) + oi) true;
-        matched.(ro + fp) <- matched.(ro + fp) + 1
-      done;
       let ws = wf land lnot om in
-      mispredict_fail.(r) <- mispredict_fail.(r) + Logic.popcount ws;
-      spur := !spur lor ws
-    in
-    Sig_cache.iter scache row_key.(r) visit;
-    flush ()
+      mfail := !mfail + popcount ws;
+      spur := !spur lor ws;
+      i := !i + 3
+    done;
+    if !prev >= 0 then begin
+      mpass := !mpass + popcount (!any land pass_masks.(!prev));
+      spurious.(ro + !prev) <- !spur
+    end;
+    mispredict_fail.(r) <- !mfail;
+    mispredict_pass.(r) <- !mpass
   done;
   Obs.span_end sp_replay;
   if Obs.enabled () then begin
@@ -310,13 +355,14 @@ let build_session session dlog =
     row_of;
     observations;
     failing;
+    obs_lo;
     covers;
-    nfp;
-    matched;
-    spurious_any;
+    nblocks;
+    spurious;
+    fp_block;
+    fp_bit;
     mispredict_fail;
     mispredict_pass;
-    nfail_pos;
   }
 
 let find_candidate t f =

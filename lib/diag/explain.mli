@@ -34,10 +34,16 @@ val build_session : Session.t -> Datalog.t -> t
     class members remain individually listed and indirect to the shared
     row.  Neither prune can change a diagnosis (DESIGN.md §10).
 
-    Per-row signatures are probed in, and on miss recorded into, the
-    session's [Sig_cache]: only the misses are simulated, by one
-    {!Session.simulate} sweep over the session's domains.  Every row,
-    fresh or cached, then fills the matrix through one loop. *)
+    Per-row signatures are looked up in, and on miss recorded into, the
+    session's [Sig_cache] (one {!Sig_cache.missing} per build, keyed by
+    {!Session.representative_key}): only the misses are simulated, by
+    one {!Session.simulate} sweep over the session's domains.  Every
+    row, fresh or cached, is then decoded into one reused buffer
+    ({!Sig_cache.decode}) and fills the matrix through one loop.
+
+    The build keeps per row only the {!covers} bits, one spurious word
+    per pattern block and the two misprediction counts (DESIGN.md
+    §12): nothing it allocates grows as rows × failing patterns. *)
 
 val session : t -> Session.t
 (** The session the matrix was built against — downstream phases pull
@@ -69,19 +75,23 @@ val covers : t -> int -> Bitvec.t
 
 val matched : t -> int -> int -> int
 (** [matched t c fp]: on failing pattern [failing t.(fp)], how many of
-    its observed failing outputs candidate [c] flips. *)
+    its observed failing outputs candidate [c] flips.  Derived from
+    {!covers}: the pattern's observations are a contiguous index range
+    (observations are in pattern order), counted a word at a time. *)
 
 val spurious_any : t -> int -> int -> bool
 (** [spurious_any t c fp]: candidate [c] flips at least one output on
-    failing pattern [failing t.(fp)] that was observed passing.  Only
-    this flag is kept per pattern; the count lives in
-    {!mispredict_fail}, summed per row. *)
+    failing pattern [failing t.(fp)] that was observed passing.  A bit
+    test in the row's spurious word for the pattern's block; the count
+    lives in {!mispredict_fail}, summed per row. *)
 
 val exact : t -> int -> int -> bool
 (** SLAT exactness: candidate [c] reproduces failing pattern [fp]'s
     response exactly (all failing outputs, nothing else) —
     [matched t c fp] equals the pattern's failing-output count and
-    [not (spurious_any t c fp)]. *)
+    [not (spurious_any t c fp)].  Derived from {!covers} like
+    {!matched}: the pattern's observation range must be full, which
+    costs a few words whatever the pattern count. *)
 
 val mispredict_fail : t -> int -> int
 (** Total spurious predictions over all failing patterns: outputs

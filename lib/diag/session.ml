@@ -44,6 +44,7 @@ type t = {
   net : Netlist.t;
   pats : Pattern.t;
   reach : Po_reach.t;
+  rep_keys : int array; (* fault key -> its class representative's key; never written *)
   cache : Sig_cache.t;
   config : config;
 }
@@ -55,6 +56,14 @@ let goods t = Sig_cache.goods t.cache
 let reach t = t.reach
 let cache t = Some t.cache
 let config t = t.config
+let representative_key t k = t.rep_keys.(k)
+
+let representatives t =
+  let reps = ref [] in
+  for k = Array.length t.rep_keys - 1 downto 0 do
+    if t.rep_keys.(k) = k then reps := { Fault_list.site = k / 2; stuck = k land 1 = 1 } :: !reps
+  done;
+  Array.of_list !reps
 
 (* --- The one signature sweep ----------------------------------------- *)
 
@@ -67,15 +76,13 @@ let config t = t.config
    stay cache-sized, and gives single-domain runs the same tiles. *)
 let batch_tile = 512
 
-type tbuf = { mutable buf : int array; mutable len : int }
-
-let tbuf_push b v =
-  if b.len = Array.length b.buf then begin
+let tbuf_push (b : Sig_cache.buf) v =
+  if b.len = Array.length b.data then begin
     let bigger = Array.make (2 * max 64 b.len) 0 in
-    Array.blit b.buf 0 bigger 0 b.len;
-    b.buf <- bigger
+    Array.blit b.data 0 bigger 0 b.len;
+    b.data <- bigger
   end;
-  b.buf.(b.len) <- v;
+  b.data.(b.len) <- v;
   b.len <- b.len + 1
 
 (* One tile: faults [lo, hi) of [faults] through one [simulate_batch]
@@ -83,11 +90,11 @@ let tbuf_push b v =
    arrive fault-major, so a fault's run ends where the next begins;
    [starts] holds at least [hi - lo] slots.  A fault whose every block
    screens emits nothing and keeps its empty entry. *)
-let sweep_tile b tb starts (faults : Fault_list.fault array) ~lo ~hi emit =
+let sweep_tile b (tb : Sig_cache.buf) starts (faults : Fault_list.fault array) ~lo ~hi emit =
   tb.len <- 0;
   let cur = ref (-1) in
   let close j =
-    if j >= 0 then emit (lo + j) (Array.sub tb.buf starts.(j) (tb.len - starts.(j)))
+    if j >= 0 then emit (lo + j) (Array.sub tb.data starts.(j) (tb.len - starts.(j)))
   in
   Fault_sim.simulate_batch b ~n:(hi - lo)
     ~fault:(fun j ->
@@ -140,7 +147,7 @@ let simulate t (faults : Fault_list.fault array) =
       Array.init nslots (fun s ->
           if s = 0 then b0 else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks ~goods)
     in
-    let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
+    let tbs = Array.init nslots (fun _ -> { Sig_cache.data = Array.make 4096 0; len = 0 }) in
     let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
     Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
         sweep_tile batches.(slot) tbs.(slot) startss.(slot) faults ~lo ~hi (fun i triples ->
@@ -154,18 +161,20 @@ let simulate t (faults : Fault_list.fault array) =
 
 let key_of (f : Fault_list.fault) = Sig_cache.key ~site:f.site ~stuck:f.stuck
 
-(* The baselines' cold path ([Single_diag], [Dict_diag]): probe,
-   simulate the misses, store them back as one batch. *)
+(* The baselines' cold path ([Single_diag], [Dict_diag]): look the
+   batch up, simulate the misses, store them back as one batch, then
+   decode every row out of the arena. *)
 let fault_triples t (faults : Fault_list.fault array) =
-  let out = Array.map (fun f -> Sig_cache.find t.cache (key_of f)) faults in
-  let miss =
-    List.filter (fun i -> Option.is_none out.(i)) (List.init (Array.length faults) Fun.id)
-    |> Array.of_list
-  in
+  let keys = Array.map key_of faults in
+  let miss = Sig_cache.missing t.cache keys in
   let fresh = simulate t (Array.map (fun i -> faults.(i)) miss) in
-  Sig_cache.store t.cache (Array.map (fun i -> key_of faults.(i)) miss) fresh;
-  Array.iteri (fun j i -> out.(i) <- Some fresh.(j)) miss;
-  Array.map Option.get out
+  Sig_cache.store t.cache (Array.map (fun i -> keys.(i)) miss) fresh;
+  let b = Sig_cache.buffer () in
+  Array.map
+    (fun k ->
+      Sig_cache.decode t.cache k b;
+      Array.sub b.data 0 b.len)
+    keys
 
 (* --- Whole-pool prewarm --------------------------------------------- *)
 
@@ -175,16 +184,17 @@ let c_prewarm_faults = Obs.counter "prewarm.faults"
    batch: after this, every signature a diagnosis can ask for is an
    arena read, and the per-die work of a volume run reduces to
    covering.  The pool is the class representatives, the keys the
-   phases actually probe (Explain rows and both baselines key by
-   [Fault_list.representative_of]).  Presence is tested with
-   [Sig_cache.mem], not [probe], so the hit/miss counters keep
-   reflecting only probes a diagnosis made. *)
+   phases actually look up (Explain rows and both baselines key by
+   [representative_key]).  Presence is tested with [Sig_cache.mem], not
+   [missing], so the hit/miss counters keep reflecting only lookups a
+   diagnosis made. *)
 let prewarm t =
   let c = t.cache in
   Obs.phase "prewarm" (fun () ->
-      let pool = Fault_list.representatives (Fault_list.collapse t.net) in
       let cold =
-        Array.of_list (List.filter (fun f -> not (Sig_cache.mem c (key_of f))) pool)
+        Array.to_seq (representatives t)
+        |> Seq.filter (fun f -> not (Sig_cache.mem c (key_of f)))
+        |> Array.of_seq
       in
       Sig_cache.store c (Array.map key_of cold) (simulate t cold);
       let n = Array.length cold in
@@ -193,13 +203,18 @@ let prewarm t =
 
 (* The costly steps of a create are phases of their own ([po_reach],
    [store.load], [prewarm]), so a run report shows how the caller's
-   [session.create] splits. *)
+   [session.create] splits.  The representative table is the whole
+   class collapse flattened once ([Fault_list.representative_indices]):
+   every diagnosis reads it instead of collapsing the netlist again, and
+   no reader writes it, where the union-find compresses paths as it
+   reads. *)
 let create ?(config = default_config) net pats =
   let t =
     {
       net;
       pats;
       reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net);
+      rep_keys = Fault_list.representative_indices (Fault_list.collapse net);
       cache = Sig_cache.create net pats;
       config;
     }

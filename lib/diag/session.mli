@@ -13,7 +13,7 @@
 
     Sharing contract (DESIGN.md §11): a [t] is immutable after
     {!create} and safe to share across domains.  [net], [pats],
-    [blocks], [goods] and [reach] are frozen; the cache instance is
+    [blocks], [goods], [reach] and the representative table are frozen; the cache instance is
     domain-safe (lock-free reads, appends under one mutex); per-diagnosis scratch (fault
     simulators, batch slabs, triple buffers, the {!Scoring.t} scorer) is
     never stored here — each call allocates its own.  The volume
@@ -74,8 +74,9 @@ type t
 
 val create : ?config:config -> Netlist.t -> Pattern.t -> t
 (** Build the context: a fresh {!Sig_cache.create} instance owned by
-    this session (which computes the goods), with an empty arena, and
-    the PO-reachability screen.  Creation is the expensive,
+    this session (which computes the goods), with an empty arena, the
+    PO-reachability screen and the class-representative table
+    ({!representative_key}).  Creation is the expensive,
     once-per-problem step; every diagnosis against the session then
     reuses it, and each miss a diagnosis simulates is appended to the
     arena for the next.  When [config.prewarm], also fills the arena
@@ -110,6 +111,19 @@ val goods : t -> Logic_sim.net_values array
 val reach : t -> Po_reach.t
 (** Per-net reachable-PO screen.  Frozen. *)
 
+val representative_key : t -> int -> int
+(** [representative_key t k]: the {!Sig_cache.key} of the class
+    representative of the fault with key [k], read from a table
+    {!create} flattens once from {!Fault_list.collapse}.  Frozen, so
+    any number of domains may read it.  Every signature lookup keys by
+    it: {!Explain} rows, {!prewarm} and the baselines share one arena
+    entry per class. *)
+
+val representatives : t -> Fault_list.fault array
+(** One fault per structural equivalence class, ascending — what
+    {!Fault_list.representatives} lists, read from the same table: the
+    pool {!prewarm}, [Single_diag] and [Dict_diag] look up. *)
+
 val cache : t -> Sig_cache.t option
 (** The session's signature-cache instance.  Always [Some]; the option
     type is kept for existing callers. *)
@@ -129,9 +143,10 @@ val simulate : t -> Fault_list.fault array -> int array array
     [config.domains]. *)
 
 val fault_triples : t -> Fault_list.fault array -> int array array
-(** {!simulate}, through the cache: hits are decoded from the arena,
-    misses are simulated and stored back as one batch.  The cold path of the baselines
-    ({!Single_diag}, {!Dict_diag}). *)
+(** {!simulate}, through the cache: the batch is looked up with one
+    {!Sig_cache.missing}, the misses are simulated and stored back as
+    one batch, and every row is decoded from the arena.  The cold path
+    of the baselines ({!Single_diag}, {!Dict_diag}). *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array
 (** {!Sig_cache.signature_of_triples} on the session's cache: expand one

@@ -3,9 +3,7 @@ type ranked = { fault : Fault_list.fault; score : Scoring.score }
 type result = { best : ranked list; ranking : ranked list }
 
 let diagnose_session ?(keep = 20) session dlog =
-  let net = Session.netlist session in
-  let collapsed = Fault_list.collapse net in
-  let faults = Array.of_list (Fault_list.representatives collapsed) in
+  let faults = Session.representatives session in
   (* All representative signatures at once: cache hits replay, misses go
      through the session's PPSFP slabs instead of one scalar cone walk
      per (fault, block) — the former cold-path hot spot of this

@@ -32,16 +32,14 @@ let union parent i j =
 
 let collapse net =
   let parent = Array.init (2 * Netlist.num_nets net) Fun.id in
-  let idx site stuck = index { site; stuck } in
+  let idx site stuck = (2 * site) + Bool.to_int stuck in
+  (* A fault may be folded into the gate output only if the input net
+     is read nowhere else AND is not itself observed: a fault on a
+     primary-output net is directly visible there, its gate-output
+     image is not. *)
+  let single_fanout a = Array.length (Netlist.fanout net a) = 1 && not (Netlist.is_po net a) in
   Netlist.iter_nets net (fun z ->
       let fanin = Netlist.fanin net z in
-      (* A fault may be folded into the gate output only if the input net
-         is read nowhere else AND is not itself observed: a fault on a
-         primary-output net is directly visible there, its gate-output
-         image is not. *)
-      let single_fanout a =
-        Array.length (Netlist.fanout net a) = 1 && not (Netlist.is_po net a)
-      in
       match Netlist.kind net z with
       | Gate.Buf ->
         let a = fanin.(0) in
@@ -68,6 +66,14 @@ let collapse net =
   { net; parent }
 
 let representative_of c f = fault_of_index (find c.parent (index f))
+(* [union] keeps the smaller root and [find] compresses to the root, so
+   [parent.(i) <= i] always: one ascending pass resolves each index
+   from its parent's already resolved entry, without [find]'s writes. *)
+let representative_indices c =
+  let p = c.parent in
+  let r = Array.make (Array.length p) 0 in
+  Array.iteri (fun i pi -> r.(i) <- (if pi = i then i else r.(pi))) p;
+  r
 
 let representatives c =
   let reps = ref [] in

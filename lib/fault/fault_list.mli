@@ -37,6 +37,13 @@ val representatives : collapsed -> fault list
 val representative_of : collapsed -> fault -> fault
 (** Map any fault to its class representative. *)
 
+val representative_indices : collapsed -> int array
+(** The whole {!representative_of} map as a fresh array over fault
+    indices [2 * site + (1 if stuck-at-1)]: entry [i] is the index of
+    fault [i]'s representative.  {!representative_of} compresses the
+    union-find's paths as it reads, so it writes; the returned array
+    is never written, and can be shared across domains. *)
+
 val class_of : collapsed -> fault -> fault list
 (** All members of the fault's class. *)
 

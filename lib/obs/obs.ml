@@ -4,7 +4,9 @@
    [global]).  Handles are interned names: instrumented modules register
    theirs once at initialisation, which also records the name in the
    inventory every snapshot lists.  Events are batch-granularity, so the
-   per-event lock and Hashtbl lookup stay off every hot path.  OCaml 5's
+   per-event lock and Hashtbl lookup stay off every hot path: even the
+   signature cache's hits and misses are added once per looked-up
+   batch ([Sig_cache.missing]), not once per row.  OCaml 5's
    stdlib Mutex is domain-safe, so the library needs no dependency beyond
    the monotonic clock. *)
 

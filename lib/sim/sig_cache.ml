@@ -160,60 +160,90 @@ let bit_mark bytes k =
 (* Whether arena [a] holds key [k]: the one membership test. *)
 let holds a k = k >= 0 && k < Array.length a.starts && bit_set a.present k
 
-(* The one decoder: stream key [k]'s triples out of [a] as [f block po
-   word] calls, inverting [encode_triples].  [a] must hold [k].  The
-   deltas decode inline on a local position — one byte each in the
-   canonical order, with [uvarint_at] only for the rare longer one —
-   and the word is a single 8-byte load. *)
-let walk a k f =
+(* A growable triple buffer the caller owns: [data.(0 .. len - 1)]
+   holds the last decoded row. *)
+type buf = { mutable data : int array; mutable len : int }
+
+let buffer () = { data = [||]; len = 0 }
+
+(* The diff word's 8-byte little-endian load without a bounds check:
+   [walk] only reads ranges that [scan_key] or [encode_triples] has
+   proved whole, as it already does for the varint bytes. *)
+external get64u_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get64u_le b i = if Sys.big_endian then swap64 (get64u_ne b i) else get64u_ne b i
+
+(* The one decoder: key [k]'s triples out of [a] into [b], inverting
+   [encode_triples].  [a] must hold [k].  The buffer grows to the row's
+   length, or to twice its capacity if that is more, so a buffer grown
+   from empty holds exactly the row, and the row's stores need no
+   bounds check.  The deltas decode inline on a local position — one
+   byte each in the canonical order, with [uvarint_at] only for the
+   rare longer one — and the word is a single 8-byte load. *)
+let walk a k b =
   let bytes = a.slab in
   let start = a.starts.(k) in
-  let n = uvarint_at bytes start in
+  let len = 3 * uvarint_at bytes start in
+  if Array.length b.data < len then b.data <- Array.make (max len (2 * Array.length b.data)) 0;
+  let data = b.data in
   let pos = ref (uvarint_end bytes start) in
   let bi = ref 0 and oi = ref (-1) in
-  for _ = 1 to n do
-    let b = Char.code (Bytes.unsafe_get bytes !pos) in
-    let dbi = if b < 0x80 then b else uvarint_at bytes !pos in
-    pos := if b < 0x80 then !pos + 1 else uvarint_end bytes !pos;
+  let i = ref 0 in
+  while !i < len do
+    let c = Char.code (Bytes.unsafe_get bytes !pos) in
+    let dbi = if c < 0x80 then c else uvarint_at bytes !pos in
+    pos := if c < 0x80 then !pos + 1 else uvarint_end bytes !pos;
     if dbi <> 0 then begin
       bi := !bi + unzigzag dbi;
       oi := -1
     end;
-    let b = Char.code (Bytes.unsafe_get bytes !pos) in
-    let doi = if b < 0x80 then b else uvarint_at bytes !pos in
-    pos := if b < 0x80 then !pos + 1 else uvarint_end bytes !pos;
+    let c = Char.code (Bytes.unsafe_get bytes !pos) in
+    let doi = if c < 0x80 then c else uvarint_at bytes !pos in
+    pos := if c < 0x80 then !pos + 1 else uvarint_end bytes !pos;
     oi := !oi + unzigzag doi;
-    f !bi !oi (Int64.to_int (Bytes.get_int64_le bytes !pos));
-    pos := !pos + 8
-  done
+    Array.unsafe_set data !i !bi;
+    Array.unsafe_set data (!i + 1) !oi;
+    Array.unsafe_set data (!i + 2) (Int64.to_int (get64u_le bytes !pos));
+    pos := !pos + 8;
+    i := !i + 3
+  done;
+  b.len <- len
 
-let count_probe hit = if Obs.enabled () then Obs.incr (if hit then c_hits else c_misses)
 let mem t k = holds (Atomic.get t.arena) k
 
-let probe t k =
-  let hit = mem t k in
-  count_probe hit;
-  hit
+let decode t k b =
+  let a = Atomic.get t.arena in
+  if holds a k then walk a k b else invalid_arg "Sig_cache.decode: key not in the arena"
 
 let find t k =
   let a = Atomic.get t.arena in
   let hit = holds a k in
-  count_probe hit;
+  if Obs.enabled () then Obs.incr (if hit then c_hits else c_misses);
   if not hit then None
   else begin
-    let triples = Array.make (3 * uvarint_at a.slab a.starts.(k)) 0 in
-    let i = ref 0 in
-    walk a k (fun bi oi w ->
-        triples.(!i) <- bi;
-        triples.(!i + 1) <- oi;
-        triples.(!i + 2) <- w;
-        i := !i + 3);
-    Some triples
+    let b = buffer () in
+    walk a k b;
+    Some b.data
   end
 
-let iter t k f =
+(* One read of the arena for the whole batch, and one bump of each
+   counter. *)
+let missing t keys =
   let a = Atomic.get t.arena in
-  if holds a k then walk a k f else invalid_arg "Sig_cache.iter: key not in the arena"
+  let n = Array.length keys in
+  let miss = Array.make n 0 and nmiss = ref 0 in
+  for i = 0 to n - 1 do
+    if not (holds a keys.(i)) then begin
+      miss.(!nmiss) <- i;
+      incr nmiss
+    end
+  done;
+  if Obs.enabled () then begin
+    Obs.add c_hits (n - !nmiss);
+    Obs.add c_misses !nmiss
+  end;
+  Array.sub miss 0 !nmiss
 
 let frozen_bytes t = arena_bytes (Atomic.get t.arena)
 
@@ -450,7 +480,7 @@ let decode_arena t ints body =
   let base = index_len + bitmap_len in
   (* Walk every key's triples once, bounds-checked: a snapshot that
      passed the digests but whose triples overrun their offset range
-     must be rejected here, at load — the lock-free probe path decodes
+     must be rejected here, at load — the lock-free decoder reads
      unchecked and must never see it.  An absent key with a non-empty
      range (or vice versa, a present key whose range cannot hold its
      count) is equally malformed. *)

@@ -29,9 +29,9 @@
     never changes, so nothing is ever evicted.
 
     Concurrency and determinism: an instance is shared across domains.
-    Reads ({!probe}, {!mem}, {!find}, {!iter}) take no lock: each is
-    one [Atomic.get] of the current arena version plus a decode of one
-    key's bytes.  Appends are serialised by one mutex and publish a new
+    Reads ({!mem}, {!missing}, {!find}, {!decode}) take no lock: each
+    is one [Atomic.get] of the current arena version plus, for a
+    decode, one key's bytes.  Appends are serialised by one mutex and publish a new
     version with one [Atomic.set]; nothing a published version can reach
     is ever written again.  A key's value is a pure function of the
     problem, so when two domains race to store one key the first writer
@@ -41,8 +41,8 @@
     several domains race on a cold key.
 
     Counters (DESIGN.md §9): ["cache.hits"], ["cache.misses"] (one per
-    {!probe} or {!find}), ["cache.frozen_bytes"] (the arena's
-    footprint). *)
+    key a {!find} or {!missing} looked up, added once per call),
+    ["cache.frozen_bytes"] (the arena's footprint). *)
 
 type t
 (** One cache for one (netlist, pattern set) problem, owned by the
@@ -65,28 +65,39 @@ val key : site:Netlist.net -> stuck:bool -> int
     that collapse equivalence classes should key by the class
     representative so all phases share one entry per class. *)
 
-val find : t -> int -> int array option
-(** Cached triples for a key, decoded into a fresh array.  Bumps
-    ["cache.hits"] or ["cache.misses"]. *)
+type buf = { mutable data : int array; mutable len : int }
+(** A growable triple buffer owned by its caller: after {!decode},
+    [data.(0 .. len - 1)] holds one key's triples,
+    [block; po; word; block; po; word; ...] in canonical order.  Reuse
+    one buffer across keys and no row allocates. *)
 
-val probe : t -> int -> bool
-(** Whether the arena holds a key, with {!find}'s counter semantics but
-    {e without} decoding: the answer comes from the presence bitmap
-    alone.  Replay loops pair it with {!iter} and never allocate a row;
-    callers that need the whole array use {!find}. *)
+val buffer : unit -> buf
+(** An empty buffer; it grows on the first {!decode} that needs room. *)
+
+val decode : t -> int -> buf -> unit
+(** The one decoder: [decode t k b] writes key [k]'s triples into [b]
+    straight out of the arena, growing [b.data] only when the row does
+    not fit.  The key must be in the arena (reported present by
+    {!missing} or {!mem}, or passed to a {!store} that returned — keys
+    are never removed, so the answer cannot go stale); raises
+    [Invalid_argument] otherwise.  Touches no counters. *)
+
+val find : t -> int -> int array option
+(** Cached triples for one key, decoded by {!decode} into a fresh
+    array.  Bumps ["cache.hits"] or ["cache.misses"]. *)
+
+val missing : t -> int array -> int array
+(** [missing t keys]: the positions [i], ascending, of the keys the
+    arena lacks, tested against one arena version.  Bumps
+    ["cache.hits"] and ["cache.misses"] once each, by the batch's
+    totals — what one {!find} per key would add, without a counter
+    bump per key.  Callers that look up a batch ([Explain]'s rows, the
+    baselines' pool) use it, then {!decode} the hits. *)
 
 val mem : t -> int -> bool
-(** {!probe} without the counters, for callers that are not a
-    diagnosis looking up a signature ([Session.prewarm] picking the
-    keys it still has to sweep). *)
-
-val iter : t -> int -> (int -> int -> int -> unit) -> unit
-(** Stream one key's triples as [f block po_word diff_word] calls, in
-    canonical order, decoding straight out of the arena with no
-    allocation.  The key must be in the arena (a {!probe} that answered
-    [true], or a {!store} that returned — keys are never removed, so
-    the answer cannot go stale); raises [Invalid_argument] otherwise.
-    Touches no counters. *)
+(** Whether the arena holds a key, without the counters, for callers
+    that are not a diagnosis looking up a signature ([Session.prewarm]
+    picking the keys it still has to sweep). *)
 
 val store : t -> int array -> int array array -> unit
 (** [store t keys rows] appends [rows.(i)] as the triples of

@@ -85,6 +85,25 @@ let ctz_word w =
 
 let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
+(* Word-level: the end words are masked ([-1 lsl a] keeps bits a..62,
+   [-1 lsr (62 - b)] bits 0..b), the words between are counted whole. *)
+let count_range t lo hi =
+  if lo < 0 || hi > t.len || lo > hi then invalid_arg "Bitvec.count_range";
+  if lo = hi then 0
+  else begin
+    let wl = lo / word_bits and wh = (hi - 1) / word_bits in
+    let lo_mask = -1 lsl (lo mod word_bits)
+    and hi_mask = -1 lsr (word_bits - 1 - ((hi - 1) mod word_bits)) in
+    if wl = wh then popcount_word (t.words.(wl) land lo_mask land hi_mask)
+    else begin
+      let n = ref (popcount_word (t.words.(wl) land lo_mask)) in
+      for i = wl + 1 to wh - 1 do
+        n := !n + popcount_word t.words.(i)
+      done;
+      !n + popcount_word (t.words.(wh) land hi_mask)
+    end
+  end
+
 let check_same a b = if a.len <> b.len then invalid_arg "Bitvec: length mismatch"
 
 let union_into ~dst src =

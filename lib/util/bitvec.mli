@@ -41,6 +41,11 @@ val equal : t -> t -> bool
 val popcount : t -> int
 (** Number of set bits. *)
 
+val count_range : t -> int -> int -> int
+(** [count_range t lo hi]: number of set bits [i] with
+    [lo <= i < hi], counted a word at a time.  Raises [Invalid_argument]
+    unless [0 <= lo <= hi <= length t]. *)
+
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] ors [src] into [dst].  Lengths must match. *)
 

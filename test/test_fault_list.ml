@@ -105,7 +105,9 @@ let test_classes_partition () =
         (Fault_list.class_of c r))
     reps
 
-(* Semantic check: equivalent faults produce identical signatures. *)
+(* Semantic check: equivalent faults produce identical signatures.  The
+   flattened table ([representative_indices], taken before any read
+   compresses a path) agrees with [representative_of] on every fault. *)
 let qcheck_equivalent_faults_same_signature =
   QCheck.Test.make ~name:"collapsed classes are behaviourally equivalent" ~count:10
     QCheck.(int_range 1 5000)
@@ -113,8 +115,16 @@ let qcheck_equivalent_faults_same_signature =
       let net = Generators.random_logic ~gates:40 ~pis:5 ~pos:3 ~seed in
       let pats = Pattern.random (Rng.create seed) ~npis:5 ~count:32 in
       let c = Fault_list.collapse net in
+      let flat = Fault_list.representative_indices c in
       let sim = Fault_sim.create net in
-      List.for_all
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i r ->
+             let f = { Fault_list.site = i / 2; stuck = i mod 2 = 1 } in
+             let rep = Fault_list.representative_of c f in
+             r = (2 * rep.site) + Bool.to_int rep.stuck)
+           flat)
+      && List.for_all
         (fun r ->
           let sig_of f =
             Fault_sim.signature sim pats ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck

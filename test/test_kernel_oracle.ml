@@ -100,6 +100,131 @@ let prop_explain_matches_naive =
         in
         matches_naive net pats dlog (Explain.build_session session dlog))
 
+(* --- Explain's layout against triples, brute force ----------------- *)
+
+(* Every accessor of a built matrix, recomputed bit by bit from each
+   candidate's own scalar triples ([Reference.signature_triples], so
+   class members are checked against their own simulation, not the
+   shared row): a covered observation is found by scanning the
+   observation list, and counts come from walking every set bit.
+   Returns whether all accessors agree, plus which corner cases the
+   matrix exercised: a candidate with no triples at all, and a failing
+   pattern with several failing outputs. *)
+let layout_matches_triples net session dlog m =
+  let cache = Option.get (Session.cache session) in
+  let sim = Fault_sim.create net in
+  let blocks = Session.blocks session in
+  let observations = Explain.observations m in
+  let failing = Explain.failing m in
+  let nfp = Array.length failing in
+  let fp_of p =
+    let r = ref (-1) in
+    Array.iteri (fun i q -> if q = p then r := i) failing;
+    !r
+  in
+  let obs_index p oi =
+    let r = ref (-1) in
+    Array.iteri
+      (fun i (ob : Datalog.observation) -> if ob.pattern = p && ob.po = oi then r := i)
+      observations;
+    !r
+  in
+  let nfail_pos = Array.map (fun p -> List.length (Datalog.failing_pos dlog p)) failing in
+  let ok = ref true and empty_row = ref false in
+  Array.iteri
+    (fun c (f : Fault_list.fault) ->
+      let triples = Reference.signature_triples cache sim ~site:f.site ~stuck:f.stuck in
+      if triples = [||] then empty_row := true;
+      let covers = Bitvec.create (Array.length observations) in
+      let matched = Array.make nfp 0 and spurious = Array.make nfp 0 in
+      let pass_predicted = Hashtbl.create 16 in
+      for t = 0 to (Array.length triples / 3) - 1 do
+        let bi = triples.(3 * t) and oi = triples.((3 * t) + 1) and w = triples.((3 * t) + 2) in
+        for k = 0 to blocks.(bi).Pattern.width - 1 do
+          if (w lsr k) land 1 = 1 then begin
+            let p = blocks.(bi).Pattern.base + k in
+            let fp = fp_of p in
+            if fp < 0 then Hashtbl.replace pass_predicted p ()
+            else
+              match obs_index p oi with
+              | -1 -> spurious.(fp) <- spurious.(fp) + 1
+              | i ->
+                Bitvec.set covers i true;
+                matched.(fp) <- matched.(fp) + 1
+          end
+        done
+      done;
+      if
+        (not (Bitvec.equal (Explain.covers m c) covers))
+        || Explain.mispredict_fail m c <> Array.fold_left ( + ) 0 spurious
+        || Explain.mispredict_pass m c <> Hashtbl.length pass_predicted
+      then ok := false;
+      for fp = 0 to nfp - 1 do
+        if
+          Explain.matched m c fp <> matched.(fp)
+          || Explain.spurious_any m c fp <> (spurious.(fp) > 0)
+          || Explain.exact m c fp <> (matched.(fp) = nfail_pos.(fp) && spurious.(fp) = 0)
+        then ok := false
+      done)
+    (Explain.candidates m);
+  (!ok, !empty_row, Array.exists (fun n -> n > 1) nfail_pos)
+
+(* A random tester datalog: each pattern fails with probability 1/3, on
+   a random non-empty subset of the outputs — several outputs per
+   pattern as often as not, and no relation to any defect, so matched
+   and spurious bits mix freely in every diff word. *)
+let random_datalog rng ~npatterns ~npos =
+  let entries =
+    List.filter_map
+      (fun p ->
+        if not (Rng.chance rng (1. /. 3.)) then None
+        else
+          let pos = List.filter (fun _ -> Rng.bool rng) (List.init npos Fun.id) in
+          Some (p, if pos = [] then [ Rng.int rng npos ] else pos))
+      (List.init npatterns Fun.id)
+  in
+  Datalog.of_entries ~npatterns ~npos entries
+
+(* Pattern counts that are never a multiple of 63, so the last block is
+   partial; a lazily filled arena (the build simulates its rows) and a
+   prewarmed one (every row decoded) must both agree with the triples.
+   Returns the corner cases seen, for the coverage check below. *)
+let layout_case seed =
+  let rng = Rng.create (seed * 13) in
+  let npos = 3 + (seed mod 5) in
+  let net = Generators.random_logic ~gates:(30 + (seed mod 90)) ~pis:6 ~pos:npos ~seed in
+  let count = 64 + (seed mod 130) in
+  let count = if count mod 63 = 0 then count + 1 else count in
+  let pats = Pattern.random rng ~npis:6 ~count in
+  let dlog = random_datalog rng ~npatterns:count ~npos:(Netlist.num_pos net) in
+  let arena prewarm =
+    let config = { Session.default_config with domains = Some 1; prewarm } in
+    let session = Session.create ~config net pats in
+    layout_matches_triples net session dlog (Explain.build_session session dlog)
+  in
+  let ok_lazy, empty_lazy, multi = arena false in
+  let ok_warm, empty_warm, _ = arena true in
+  (ok_lazy && ok_warm, empty_lazy || empty_warm, multi)
+
+let prop_layout_matches_triples =
+  QCheck.Test.make
+    ~name:"Explain layout (partial block, multi-PO, lazy and prewarmed) = triples"
+    ~count:20 QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let ok, _, _ = layout_case seed in
+      ok)
+
+(* The corner cases the property is there for must actually occur: over
+   a fixed run of seeds some candidate has no triples (its row decodes
+   empty) and some failing pattern fails several outputs. *)
+let test_layout_corner_cases () =
+  let cases = List.map layout_case (List.init 12 (fun i -> 1 + (i * 7919))) in
+  Alcotest.(check bool) "every case agrees" true (List.for_all (fun (ok, _, _) -> ok) cases);
+  Alcotest.(check bool) "some row has no triples" true
+    (List.exists (fun (_, empty, _) -> empty) cases);
+  Alcotest.(check bool) "some pattern fails several outputs" true
+    (List.exists (fun (_, _, multi) -> multi) cases)
+
 (* --- signature ~goods ----------------------------------------------- *)
 
 let prop_signature_goods_equivalent =
@@ -551,8 +676,9 @@ let prop_explain_brute_force_and_replay =
 
 (* --- Packed frozen arena against scalar-computed triples ------------ *)
 
-(* The arena answers [find] by decoding its packed bytes and [iter] by
-   streaming them; both must reproduce, bit for bit, the triples the
+(* The arena answers [find] by decoding its packed bytes into a fresh
+   array and [decode] into a reused buffer; both must reproduce, bit
+   for bit, the triples the
    scalar simulator computed and stored one key at a time — and still
    must after a save/load cycle replaces the arena with bytes read back
    from disk. *)
@@ -577,18 +703,21 @@ let prop_packed_arena_matches_scalar =
             ))
           faults
       in
+      (* One buffer for every key and both arenas, as a replay loop
+         reuses it: a row shorter than the last must not read its
+         tail. *)
+      let buf = Sig_cache.buffer () in
       let agrees cache =
         List.for_all
           (fun (k, triples) ->
             let decoded = Sig_cache.find cache k = Some triples in
-            let streamed =
+            let buffered =
               Sig_cache.mem cache k
               &&
-              let buf = ref [] in
-              Sig_cache.iter cache k (fun bi oi w -> buf := w :: oi :: bi :: !buf);
-              Array.of_list (List.rev !buf) = triples
+              (Sig_cache.decode cache k buf;
+               Array.sub buf.Sig_cache.data 0 buf.Sig_cache.len = triples)
             in
-            decoded && streamed)
+            decoded && buffered)
           reference
       in
       let dir = Filename.temp_file "mddoracle" "" in
@@ -608,10 +737,13 @@ let suite =
         test_oscillating_bridge
       :: Alcotest.test_case "aggressor screen: one sweep per victim" `Quick
            test_screen_one_sweep
+      :: Alcotest.test_case "explain layout oracle reaches its corner cases" `Quick
+           test_layout_corner_cases
       :: List.map QCheck_alcotest.to_alcotest
         [
           prop_delta_injection_matches_overlay;
           prop_explain_matches_naive;
+          prop_layout_matches_triples;
           prop_signature_goods_equivalent;
           prop_simulate_batch_matches_scalar;
           prop_batch_delta_matches_scalar;

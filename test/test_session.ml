@@ -276,11 +276,11 @@ let test_prewarmed_probes_hit () =
         (get "cache.hits" > 0))
     results
 
-(* Replay streams each row's triples straight out of the packed arena,
-   so replaying a prewarmed arena allocates no more than replaying the
-   same rows from an arena the first build filled lazily.  Decoding
-   every row into a fresh array would cost about three words per triple
-   here.  Allocation is deterministic at one domain, unlike the time it
+(* Replay decodes each row out of the packed arena into one reused
+   buffer, so replaying a prewarmed arena allocates no more than
+   replaying the same rows from an arena the first build filled lazily.
+   Decoding every row into a fresh array would cost about three words
+   per triple here.  Allocation is deterministic at one domain, unlike the time it
    costs. *)
 let test_frozen_replay_allocation () =
   let dlog =
@@ -301,6 +301,34 @@ let test_frozen_replay_allocation () =
        "prewarmed arena replay %.0f words <= lazily filled arena replay %.0f words" prewarmed
        lazily_filled)
     true (prewarmed <= lazily_filled)
+
+(* The matrix a build allocates is what its consumers read: the covers
+   rows, one spurious word per (row, block) and two counts per row.
+   A warm build at one domain (deterministic allocation) must allocate
+   less than a row x failing-pattern int matrix alone would take,
+   8 bytes per (row, failing pattern), on a die where that product is
+   large.  A row is a class representative. *)
+let test_build_allocates_below_matrix () =
+  let dlog =
+    match make_dlog 6000 4 with Some d -> d | None -> Alcotest.fail "no failing draw"
+  in
+  let session = cold_session (config ~domains:1) in
+  let m = Explain.build_session session dlog in
+  let collapsed = Fault_list.collapse (Lazy.force net) in
+  let rows =
+    Array.to_list (Explain.candidates m)
+    |> List.map (Fault_list.representative_of collapsed)
+    |> List.sort_uniq Fault_list.compare_fault |> List.length
+  in
+  let matrix_bytes = 8. *. float_of_int (rows * Array.length (Explain.failing m)) in
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Explain.build_session session dlog));
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm build allocated %.0f B < %d rows x %d failing patterns x 8 B = %.0f B"
+       allocated rows (Array.length (Explain.failing m)) matrix_bytes)
+    true
+    (matrix_bytes >= 400_000. && allocated < matrix_bytes)
 
 (* The volume rollup ranks by dies-implicated and carries every die. *)
 let test_rollup () =
@@ -423,5 +451,7 @@ let suite =
             test_batch_dir_bad_dies;
           Alcotest.test_case "frozen replay allocates no more than warm replay" `Quick
             test_frozen_replay_allocation;
+          Alcotest.test_case "warm build allocates less than a row x pattern matrix" `Quick
+            test_build_allocates_below_matrix;
         ] );
   ]
