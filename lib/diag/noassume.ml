@@ -226,21 +226,39 @@ let greedy_cover config m =
   end;
   (List.rev !chosen, covers)
 
+let max_alternatives = 6
+
+(* [Bitvec.popcount_word], repeated here so the swap ranking's popcounts
+   compile inline: dune's default (dev) profile compiles every library
+   [-opaque], which makes each call into another module an indirect
+   call. *)
+let[@inline] popcount w =
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
+
 (* Drop members whose removal does not worsen the penalty; then try
    swapping each member for an alternative candidate that covers some of
-   the member's exclusive observations.  Every accepted move re-runs full
-   multiplet simulation, so interactions are always accounted for. *)
+   the member's exclusive observations.  Every trial is scored by
+   simulating the whole trial multiplet at once, so interactions are
+   always accounted for — as a change sweep against a held base that
+   differs from it at one site: the current multiplet for the drop
+   trials, the member's [others] for its swap alternatives
+   ([Scoring.hold], [Scoring.evaluate_trial]; DESIGN.md §6a). *)
 let refine m scorer chosen covers =
   let cand = Explain.candidates m in
-  let score_of ids =
-    Scoring.evaluate_multiplet scorer (List.map (fun c -> cand.(c)) ids)
-  in
+  let faults ids = List.map (fun c -> cand.(c)) ids in
+  let hold ids = ignore (Scoring.hold scorer (faults ids) : Scoring.score) in
+  let score_of ids = Scoring.evaluate_trial scorer (faults ids) in
+  let cover_words = Array.map Bitvec.words covers in
   let steps = ref 0 in
   let current = ref chosen in
   (* O(1) membership mirror of [current]; the swap pass probes every
      candidate in the pool against it. *)
   let in_current = Array.make (Array.length cand) false in
   List.iter (fun c -> in_current.(c) <- true) chosen;
+  hold chosen;
   let current_score = ref (score_of chosen) in
   let improved = ref true in
   let rounds = ref 0 in
@@ -253,6 +271,7 @@ let refine m scorer chosen covers =
     List.iter
       (fun c ->
         if List.length !current > 1 && in_current.(c) then begin
+          hold !current;
           let trial = List.filter (fun x -> x <> c) !current in
           let s = score_of trial in
           if
@@ -276,26 +295,49 @@ let refine m scorer chosen covers =
           let exclusive = Bitvec.copy covers.(c) in
           List.iter (fun o -> Bitvec.diff_into ~dst:exclusive covers.(o)) others;
           if not (Bitvec.is_empty exclusive) then begin
-            (* Alternatives ranked by overlap with the exclusive set. *)
-            let scored = ref [] in
-            Array.iteri
-              (fun a _ ->
-                if a <> c && not in_current.(a) then begin
-                  let inter = Bitvec.copy covers.(a) in
-                  Bitvec.inter_into ~dst:inter exclusive;
-                  let overlap = Bitvec.popcount inter in
-                  if overlap > 0 then scored := (overlap, a) :: !scored
-                end)
-              cand;
-            let alternatives =
-              List.sort (fun (o1, a1) (o2, a2) ->
-                  match compare o2 o1 with 0 -> compare a1 a2 | x -> x)
-                !scored
-            in
-            let rec try_alts n = function
-              | [] -> ()
-              | _ when n = 0 -> ()
-              | (_, a) :: rest ->
+            (* Alternatives ranked by overlap with the exclusive set,
+               largest first, ties to the lower id; only the first
+               [max_alternatives] are tried, so only they are kept, in
+               a small sorted buffer.  Each overlap is a word loop over
+               the exclusive set's non-zero words, which reads the
+               candidate's cover words in place and allocates nothing. *)
+            let ex_at = ref [] in
+            for i = Bitvec.num_words exclusive - 1 downto 0 do
+              if Bitvec.word exclusive i <> 0 then ex_at := i :: !ex_at
+            done;
+            let ex_at = Array.of_list !ex_at in
+            let ex_w = Array.map (Bitvec.word exclusive) ex_at in
+            let top = Array.make max_alternatives 0 in
+            let top_overlap = Array.make max_alternatives 0 in
+            let ntop = ref 0 in
+            for a = 0 to Array.length cand - 1 do
+              if a <> c && not in_current.(a) then begin
+                let cw = cover_words.(a) in
+                let overlap = ref 0 in
+                for j = 0 to Array.length ex_at - 1 do
+                  overlap := !overlap + popcount (cw.(ex_at.(j)) land ex_w.(j))
+                done;
+                (* Ids ascend, so an equal overlap never displaces. *)
+                if
+                  !overlap > 0
+                  && (!ntop < max_alternatives || !overlap > top_overlap.(!ntop - 1))
+                then begin
+                  if !ntop < max_alternatives then incr ntop;
+                  let j = ref (!ntop - 1) in
+                  while !j > 0 && !overlap > top_overlap.(!j - 1) do
+                    top.(!j) <- top.(!j - 1);
+                    top_overlap.(!j) <- top_overlap.(!j - 1);
+                    decr j
+                  done;
+                  top.(!j) <- a;
+                  top_overlap.(!j) <- !overlap
+                end
+              end
+            done;
+            if !ntop > 0 then hold others;
+            let rec try_alts i =
+              if i < !ntop then begin
+                let a = top.(i) in
                 let trial = a :: others in
                 let s = score_of trial in
                 if
@@ -309,9 +351,10 @@ let refine m scorer chosen covers =
                   incr steps;
                   improved := true
                 end
-                else try_alts (n - 1) rest
+                else try_alts (i + 1)
+              end
             in
-            try_alts 6 alternatives
+            try_alts 0
           end
         end)
       !current
@@ -440,12 +483,14 @@ let build_callouts config m scorer chosen covers =
 let max_validated_aggressors = 10
 
 (* Bridge confirmation runs on the multi-site PPSFP sweep
-   ([Scoring.evaluate_bridges], DESIGN.md §6a): per callout, a few read
-   sweeps of the rest of the multiplet give every hypothesis its held
-   victim (and, for wired kinds, aggressor) words — exactly, feedback
-   bridges included, by replaying the overlay simulator's capped
-   fixpoint lane by lane — and each hypothesis is then scored in one
-   event-driven sweep instead of a full-circuit overlay resimulation. *)
+   ([Scoring.evaluate_bridges], DESIGN.md §6a): per callout, one base
+   sweep of the rest of the multiplet and a flip sweep or two on top of
+   it give every hypothesis its held victim (and, for wired kinds,
+   aggressor) words — exactly, feedback bridges included, by replaying
+   the overlay simulator's capped fixpoint lane by lane — and each
+   hypothesis is then scored against that base: a dominant one by
+   masking the victim's flip sweep, a wired one by one change sweep,
+   instead of a full-circuit overlay resimulation. *)
 let validate_bridges config scorer multiplet callouts score =
   if not config.validate then (callouts, score)
   else begin

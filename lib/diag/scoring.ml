@@ -56,10 +56,10 @@ let overlay_of_multiplet faults =
 
    A scorer is the scratch of one diagnosis — a simulator plus batch
    slabs over the session's blocks and goods, the datalog's observed
-   words, and the cone-marking arrays of the bridge scorer.  The
-   refinement loop, the aggressor screens and bridge validation score
-   hundreds of hypotheses against it; the diagnosis that built it is
-   its only holder. *)
+   words, the held base's diff words and score, and the cone-marking
+   arrays of the bridge scorer.  The refinement loop, the aggressor
+   screens and bridge validation score hundreds of hypotheses against
+   it; the diagnosis that built it is its only holder. *)
 type t = {
   net : Netlist.t;
   nblocks : int;
@@ -67,7 +67,13 @@ type t = {
   batch : Fault_sim.batch;
   words : Datalog.words;
   npos : int;
-  mutable flip : int array; (* the aggressor screens' flip triples, grown on demand *)
+  mutable flip : int array;
+      (* Flip-sweep words, grown on demand.  The aggressor screens keep
+         per diff word its block and the word split into its explained,
+         spurious-fail and spurious-pass parts; bridge validation keeps
+         the victim flip sweep's (block, slot, change word) triples. *)
+  bdiff : int array; (* [bi * npos + oi]: the held base's masked diff words *)
+  mutable base : (Fault_list.fault list * score) option; (* the held base *)
   mark : int array; (* per net: stamp of the last cone that reached it *)
   stack : int array; (* cone-walk stack *)
   mutable epoch : int;
@@ -87,27 +93,48 @@ let create session dlog =
     flip = [||];
     words = Datalog.observed_words dlog blocks;
     npos = Datalog.npos dlog;
+    bdiff = Array.make (Array.length blocks * Datalog.npos dlog) 0;
+    base = None;
     mark = Array.make nets 0;
     stack = Array.make nets 0;
     epoch = 0;
   }
 
+(* [Bitvec.popcount_word], repeated here so the scoring loops' popcounts
+   compile inline: dune's default (dev) profile compiles every library
+   [-opaque], which makes each call into another module an indirect
+   call. *)
+let[@inline] popcount w =
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
+
 (* Score the diff words of one sweep.  Each [w] is already masked to its
    block's live width; unemitted (block, PO) words predict nothing, so
    every observation they carry is missed: total minus explained needs
    no scan. *)
+(* Room for [k <= 64] more words after the first [n] of the flip
+   buffer. *)
+let reserve sc n k =
+  if n + k > Array.length sc.flip then begin
+    let grown = Array.make ((2 * Array.length sc.flip) + 64) 0 in
+    Array.blit sc.flip 0 grown 0 n;
+    sc.flip <- grown
+  end
+
 let score_words (words : Datalog.words) npos sweep =
   let explained = ref 0 and spurious_fail = ref 0 and spurious_pass = ref 0 in
   let s_obs = words.obs and s_fail = words.fail in
   sweep (fun bi oi w ->
       let obs = s_obs.((bi * npos) + oi) in
       let fm = s_fail.(bi) in
-      explained := !explained + Logic.popcount (w land obs);
-      spurious_fail := !spurious_fail + Logic.popcount (w land lnot obs land fm);
+      explained := !explained + popcount (w land obs);
+      spurious_fail := !spurious_fail + popcount (w land lnot obs land fm);
       (* Observed bits only occur on failing patterns, so
          [w land lnot fm] is exactly predicted-and-not-observed on
          passing patterns. *)
-      spurious_pass := !spurious_pass + Logic.popcount (w land lnot fm));
+      spurious_pass := !spurious_pass + popcount (w land lnot fm));
   {
     explained = !explained;
     missed = words.total - !explained;
@@ -133,12 +160,94 @@ let site_pairs faults = List.map (fun f -> (f.Fault_list.site, f.Fault_list.stuc
 
 let evaluate_multiplet sc faults =
   count_evaluation sc;
+  sc.base <- None;
   let s =
     score_words sc.words sc.npos
       (Fault_sim.batch_multiplet_diffs sc.batch ~faults:(site_pairs faults))
   in
   Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
   s
+
+(* --- One-change scoring against a held base (DESIGN.md §6a) ---------- *)
+
+(* The base sweep's diff words are kept, so a change sweep's word [c]
+   at (bi, oi) turns that PO's diff from [old] into [old lxor c]: the
+   base score is corrected on exactly the words that changed. *)
+let hold sc faults =
+  match sc.base with
+  | Some (held, s) when held = faults -> s
+  | Some _ | None ->
+    let bdiff = sc.bdiff and npos = sc.npos in
+    Array.fill bdiff 0 (Array.length bdiff) 0;
+    let s =
+      score_words sc.words npos (fun f ->
+          Fault_sim.batch_base_diffs sc.batch ~faults:(site_pairs faults) (fun bi oi w ->
+              bdiff.((bi * npos) + oi) <- w;
+              f bi oi w))
+    in
+    Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
+    sc.base <- Some (faults, s);
+    s
+
+let corrected sc (base : score) sweep =
+  let explained = ref base.explained in
+  let spurious_fail = ref base.spurious_fail and spurious_pass = ref base.spurious_pass in
+  let bdiff = sc.bdiff and s_obs = sc.words.obs and s_fail = sc.words.fail in
+  sweep (fun bi i c ->
+      let old = bdiff.(i) in
+      let w = old lxor c in
+      let obs = s_obs.(i) and fm = s_fail.(bi) in
+      explained := !explained + popcount (w land obs) - popcount (old land obs);
+      spurious_fail :=
+        !spurious_fail + popcount (w land lnot obs land fm)
+        - popcount (old land lnot obs land fm);
+      spurious_pass :=
+        !spurious_pass + popcount (w land lnot fm) - popcount (old land lnot fm));
+  {
+    explained = !explained;
+    missed = sc.words.total - !explained;
+    spurious_fail = !spurious_fail;
+    spurious_pass = !spurious_pass;
+  }
+
+let score_change sc base changes =
+  let npos = sc.npos in
+  corrected sc base (fun f ->
+      Fault_sim.batch_change_diffs sc.batch changes (fun bi oi c ->
+          f bi ((bi * npos) + oi) c))
+
+let polarities faults site =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun f -> if f.Fault_list.site = site then Some f.Fault_list.stuck else None)
+       faults)
+
+(* The sites whose polarity set differs between the base and the trial,
+   each with the pin the trial gives it — the pin rule of
+   [overlay_of_multiplet]: none frees the site, one holds it, both flip
+   it. *)
+let repins base trial =
+  List.filter_map
+    (fun site ->
+      match polarities trial site with
+      | p when p = polarities base site -> None
+      | [] -> Some (site, Fault_sim.Free)
+      | [ v ] -> Some (site, Fault_sim.Stuck v)
+      | _ -> Some (site, Fault_sim.Flip))
+    (List.sort_uniq compare (List.map (fun f -> f.Fault_list.site) (base @ trial)))
+
+let evaluate_trial sc trial =
+  match sc.base with
+  | None -> invalid_arg "Scoring.evaluate_trial: no base held"
+  | Some (base, base_score) ->
+    count_evaluation sc;
+    let s =
+      match repins base trial with
+      | [] -> base_score
+      | changes -> score_change sc base_score changes
+    in
+    Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
+    s
 
 (* Aggressor screens (DESIGN.md §10).  "Victim follows [a]" injects
    [good(victim) lxor good(a)] at the victim alone.  Pattern lanes are
@@ -150,31 +259,41 @@ let evaluate_multiplet sc faults =
 let screen_aggressors sc ~victim aggressors =
   if aggressors = [] then []
   else begin
+    sc.base <- None;
     let n = ref 0 in
+    let s_obs = sc.words.obs and s_fail = sc.words.fail and npos = sc.npos in
+    (* Each flip word is split once, here, into the parts the three
+       score components count; an aggressor's delta masks all three. *)
     Fault_sim.batch_po_diffs_delta sc.batch ~site:victim
       ~deltas:(Array.make sc.nblocks Logic.ones)
       (fun bi oi w ->
-        if !n + 3 > Array.length sc.flip then begin
-          let grown = Array.make ((2 * Array.length sc.flip) + 48) 0 in
-          Array.blit sc.flip 0 grown 0 !n;
-          sc.flip <- grown
-        end;
+        reserve sc !n 4;
+        let obs = s_obs.((bi * npos) + oi) and fm = s_fail.(bi) in
         sc.flip.(!n) <- bi;
-        sc.flip.(!n + 1) <- oi;
-        sc.flip.(!n + 2) <- w;
-        n := !n + 3);
+        sc.flip.(!n + 1) <- w land obs;
+        sc.flip.(!n + 2) <- w land lnot obs land fm;
+        sc.flip.(!n + 3) <- w land lnot fm;
+        n := !n + 4);
     Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
-    let flip = sc.flip and n = !n and goods = sc.goods in
+    let flip = sc.flip and n = !n and goods = sc.goods and total = sc.words.total in
     List.map
       (fun a ->
-        score_words sc.words sc.npos (fun f ->
-            let i = ref 0 in
-            while !i < n do
-              let bi = flip.(!i) in
-              let g = goods.(bi) in
-              f bi flip.(!i + 1) ((g.(victim) lxor g.(a)) land flip.(!i + 2));
-              i := !i + 3
-            done))
+        let explained = ref 0 and spurious_fail = ref 0 and spurious_pass = ref 0 in
+        let i = ref 0 in
+        while !i < n do
+          let g = goods.(flip.(!i)) in
+          let d = g.(victim) lxor g.(a) in
+          explained := !explained + popcount (d land flip.(!i + 1));
+          spurious_fail := !spurious_fail + popcount (d land flip.(!i + 2));
+          spurious_pass := !spurious_pass + popcount (d land flip.(!i + 3));
+          i := !i + 4
+        done;
+        {
+          explained = !explained;
+          missed = total - !explained;
+          spurious_fail = !spurious_fail;
+          spurious_pass = !spurious_pass;
+        })
       aggressors
   end
 
@@ -231,7 +350,6 @@ let evaluate_bridges sc ~rest ~victim hyps =
   if hyps = [] then []
   else begin
     let net = sc.net and b = sc.batch and nb = sc.nblocks in
-    let faults = site_pairs rest in
     sc.epoch <- sc.epoch + 2;
     let down = sc.epoch - 1 and up = sc.epoch in
     mark_cone sc ~csr:(Netlist.fanout_csr net) ~off:(Netlist.fanout_offsets net)
@@ -245,76 +363,110 @@ let evaluate_bridges sc ~rest ~victim hyps =
       else if sc.mark.(a) = up then Upstream
       else Apart
     in
-    let sweep ?held () = Fault_sim.batch_multiplet_diffs ?held b ~faults (fun _ _ _ -> ()) in
+    let held_pins held = List.map (fun (s, w) -> (s, Fault_sim.Held w)) held in
     let read f n = Array.init nb (fun block -> f b ~net:n ~block) in
-    let const w = Array.make nb w in
     let aggressors = List.sort_uniq compare (List.map fst hyps) in
     let reads_of ags =
       List.map (fun a -> (a, (read Fault_sim.batch_value a, read Fault_sim.batch_driven a))) ags
     in
-    (* Rest-of-multiplet pass: everything a bridge reads where it cannot
-       feed back — the aggressor's resolved word (dominant), and both
-       sides' driven words (wired). *)
-    sweep ();
+    (* Rest-of-multiplet pass, held as the callout's base: everything a
+       bridge reads where it cannot feed back — the aggressor's
+       resolved word (dominant), and both sides' driven words (wired).
+       Every sweep below is a change sweep on top of it. *)
+    let rest_score = hold sc rest in
     let dv = read Fault_sim.batch_driven victim in
+    let bv = read Fault_sim.batch_value victim in
     let base = reads_of aggressors in
-    (* Aggressors in the victim's fanout cone: their response to the
-       victim held at 0 and at 1, i.e. the lane-wise map of the back
-       edge. *)
-    let downs = List.filter (fun a -> relation a = Downstream) aggressors in
-    let victim_held w =
-      if downs = [] then []
-      else begin
-        sweep ~held:[ (victim, const w) ] ();
-        reads_of downs
-      end
+    (* Lane by lane, the machine with one site held at a word [w] is the
+       base's where [w] agrees with the site's base word, and where it
+       does not, that of the change sweep flipping the site on every
+       live lane (DESIGN.md §10).  One flip sweep per held site thus
+       answers every [w]: [under site_base base_w flip_w w] reads a word
+       of that machine off the base's and the flip sweep's. *)
+    let under site_base base_w flip_w w =
+      Array.init nb (fun bi ->
+          base_w.(bi) lxor ((w lxor site_base.(bi)) land (flip_w.(bi) lxor base_w.(bi))))
     in
-    let held0 = victim_held 0 in
-    let held1 = victim_held Logic.ones in
+    let flip site site_base f =
+      Fault_sim.batch_change_diffs b
+        [ (site, Fault_sim.Held (Array.map lnot site_base)) ]
+        f
+    in
+    (* The victim's flip sweep, its PO change words kept as
+       (block, slot, word) triples: a dominant hypothesis holds the
+       victim alone, so its change words are these masked by the lanes
+       its held word changes. *)
+    let n = ref 0 in
+    flip victim bv (fun bi oi c ->
+        reserve sc !n 3;
+        sc.flip.(!n) <- bi;
+        sc.flip.(!n + 1) <- (bi * sc.npos) + oi;
+        sc.flip.(!n + 2) <- c;
+        n := !n + 3);
+    let nflip = !n in
+    let dominant word =
+      let flip = sc.flip and lanes = Array.init nb (fun bi -> word.(bi) lxor bv.(bi)) in
+      corrected sc rest_score (fun f ->
+          let t = ref 0 in
+          while !t < nflip do
+            let bi = flip.(!t) in
+            let c = lanes.(bi) land flip.(!t + 2) in
+            if c <> 0 then f bi flip.(!t + 1) c;
+            t := !t + 3
+          done)
+    in
+    (* Aggressors in the victim's fanout cone: their resolved and driven
+       words with the victim held at 0 and at 1, i.e. the lane-wise map
+       of the back edge. *)
+    let down_flips = reads_of (List.filter (fun a -> relation a = Downstream) aggressors) in
+    let victim_held a w =
+      let value_a, da = List.assoc a base and fv, fd = List.assoc a down_flips in
+      (under bv value_a fv w, under bv da fd w)
+    in
     (* Wired aggressors upstream of the victim: the victim's driven
        response to the aggressor held at 0 and at 1. *)
-    let ups =
-      List.filter
-        (fun a -> relation a = Upstream && List.exists (fun (x, k) -> x = a && is_wired k) hyps)
+    let up_maps =
+      List.filter_map
+        (fun a ->
+          if relation a = Upstream && List.exists (fun (x, k) -> x = a && is_wired k) hyps
+          then begin
+            let value_a, _ = List.assoc a base in
+            flip a value_a (fun _ _ _ -> ());
+            let fdv = read Fault_sim.batch_driven victim in
+            Some (a, (under value_a dv fdv 0, under value_a dv fdv Logic.ones))
+          end
+          else None)
         aggressors
     in
-    let aggressor_held a w =
-      sweep ~held:[ (a, const w) ] ();
-      read Fault_sim.batch_driven victim
-    in
-    let up_maps =
-      List.map
-        (fun a ->
-          let h0 = aggressor_held a 0 in
-          (a, (h0, aggressor_held a Logic.ones)))
-        ups
-    in
-    let held_of (a, kind) =
+    let score_of (a, kind) =
       let op x y = if kind = Defect.Wired_and then x land y else x lor y in
       let word f = Array.init nb f in
+      let held l = score_change sc rest_score (held_pins l) in
       let value_a, da = List.assoc a base in
       match (kind, relation a) with
-      | Defect.Dominant, (Apart | Upstream) -> [ (victim, value_a) ]
+      | Defect.Dominant, (Apart | Upstream) -> dominant value_a
       | Defect.Dominant, Downstream ->
-        let f0, _ = List.assoc a held0 and f1, _ = List.assoc a held1 in
-        [ (victim, word (fun bi -> settle ~pre:Fun.id f0.(bi) f1.(bi))) ]
+        let f0, _ = victim_held a 0 and f1, _ = victim_held a Logic.ones in
+        dominant (word (fun bi -> settle ~pre:Fun.id f0.(bi) f1.(bi)))
       | (Defect.Wired_and | Defect.Wired_or), Apart ->
         let w = word (fun bi -> op dv.(bi) da.(bi)) in
-        [ (victim, w); (a, w) ]
+        held [ (victim, w); (a, w) ]
       | (Defect.Wired_and | Defect.Wired_or), Downstream ->
         (* Back edge: the aggressor's driven word, read by the victim. *)
-        let _, g0 = List.assoc a held0 and _, g1 = List.assoc a held1 in
+        let _, g0 = victim_held a 0 and _, g1 = victim_held a Logic.ones in
         let v =
           word (fun bi -> op dv.(bi) (settle ~pre:(op dv.(bi)) g0.(bi) g1.(bi)))
         in
-        [ (victim, v); (a, word (fun bi -> op (mux v.(bi) g0.(bi) g1.(bi)) dv.(bi))) ]
+        held
+          [ (victim, v); (a, word (fun bi -> op (mux v.(bi) g0.(bi) g1.(bi)) dv.(bi))) ]
       | (Defect.Wired_and | Defect.Wired_or), Upstream ->
         (* Back edge: the victim's driven word, read by the aggressor. *)
         let h0, h1 = List.assoc a up_maps in
         let av =
           word (fun bi -> op da.(bi) (settle ~pre:(op da.(bi)) h0.(bi) h1.(bi)))
         in
-        [ (victim, word (fun bi -> op (mux av.(bi) h0.(bi) h1.(bi)) da.(bi))); (a, av) ]
+        held
+          [ (victim, word (fun bi -> op (mux av.(bi) h0.(bi) h1.(bi)) da.(bi))); (a, av) ]
     in
     let scores =
       List.map
@@ -327,8 +479,7 @@ let evaluate_bridges sc ~rest ~victim hyps =
             | Upstream when is_wired kind -> Obs.incr c_bridge_feedback
             | Upstream | Apart -> ()
           end;
-          score_words sc.words sc.npos
-            (Fault_sim.batch_multiplet_diffs ~held:(held_of h) b ~faults))
+          score_of h)
         hyps
     in
     Fault_sim.publish_stats (Fault_sim.batch_sim b);

@@ -3,9 +3,11 @@
     Per-candidate analysis cannot see interactions: two stuck lines can
     mask each other's errors or create failures neither produces alone.
     A multiplet is therefore judged by simulating all of its members
-    *simultaneously* — one multi-site PPSFP sweep, equal by construction
-    to an overlay resimulation — and comparing the predicted responses
-    against the datalog, observation by observation. *)
+    *simultaneously* — one multi-site PPSFP sweep, or a change sweep
+    against a held multiplet it differs from at a site or two, equal
+    by construction to an overlay resimulation — and comparing the
+    predicted responses against the datalog, observation by
+    observation. *)
 
 type score = {
   explained : int;  (** Observed failing (pattern, PO) pairs reproduced. *)
@@ -52,8 +54,9 @@ type t
 (** A scorer: the scratch one diagnosis scores its hypotheses on — a
     {!Fault_sim} simulator and PPSFP batch slabs over the session's
     blocks and good-machine words, the datalog's
-    {!Datalog.observed_words}, the aggressor screens' flip triples and
-    the bridge scorer's cone-marking arrays.  The diagnosis that
+    {!Datalog.observed_words}, the held base's diff words and score,
+    the flip-sweep buffer of the screens and bridges, and the bridge
+    scorer's cone-marking arrays.  The diagnosis that
     creates it owns it; it is not shared across domains, and nothing
     else holds it, so it goes with the diagnosis (DESIGN.md §6a,
     §11). *)
@@ -64,9 +67,32 @@ val create : Session.t -> Datalog.t -> t
     simulation).  Costs one transpose of the good-machine words. *)
 
 val evaluate_multiplet : t -> Fault_list.fault list -> score
-(** Score the multiplet by one PPSFP delta-propagation sweep
-    ({!Fault_sim.batch_multiplet_diffs}) — the same score as a full
-    overlay resimulation of {!overlay_of_multiplet}, by construction. *)
+(** Score the multiplet by one PPSFP delta-propagation sweep from the
+    good machine ({!Fault_sim.batch_multiplet_diffs}) — the same score
+    as a full overlay resimulation of {!overlay_of_multiplet}, by
+    construction.  The scorer of one-shot scores (no-validate, SLAT);
+    hypothesis searches hold a base and score trials against it
+    ({!hold}, {!evaluate_trial}).  Ends any held base. *)
+
+val hold : t -> Fault_list.fault list -> score
+(** [hold t base] sweeps [base] as {!evaluate_multiplet} does and holds
+    its faulty machine, diff words and score as the base of
+    {!evaluate_trial}, replacing any earlier base — no sweep when the
+    held base is already [base].  Returns the base's score; not counted
+    as ["scoring.evaluations"]. *)
+
+val evaluate_trial : t -> Fault_list.fault list -> score
+(** [evaluate_trial t trial] scores a multiplet that differs from the
+    held base at a site or two — a member dropped, one added — by one
+    change sweep ({!Fault_sim.batch_change_diffs}): each site whose
+    polarity set differs is re-pinned (no polarity frees it, one holds
+    it, both flip it), only those sites' cones propagate, and the base
+    score is corrected on the (block, PO) words that changed.  The
+    same score as {!evaluate_multiplet} [t trial], exactly (DESIGN.md
+    §10); a trial equal to the base costs no sweep.  Counts one
+    ["scoring.evaluations"].  Raises [Invalid_argument] when no base is
+    held: {!evaluate_multiplet} and {!screen_aggressors} end the held
+    base, and {!evaluate_bridges} holds its [rest] instead. *)
 
 val screen_aggressors : t -> victim:Netlist.net -> Netlist.net list -> score list
 (** [screen_aggressors t ~victim aggressors] scores, in [aggressors]
@@ -93,14 +119,18 @@ val evaluate_bridges :
     each score equals that of an overlay resimulation of
     [overlay_of_multiplet rest @ Defect.overlay bridge], including bridges that feed back through their own fanout cone,
     which the overlay simulator leaves wherever its
-    [Logic_sim.max_sweeps] cap stops them.  One read sweep of [rest],
-    two more (victim held at 0 and at 1) when some aggressor lies in
-    the victim's fanout cone, two per wired aggressor upstream of the
-    victim, then one {!Fault_sim.batch_multiplet_diffs} sweep per
-    hypothesis with held words derived lane by lane (DESIGN.md §6a).
-    Counts one ["scoring.evaluations"] and one ["bridges.hypotheses"]
-    per hypothesis, and ["bridges.feedback"] for those whose bridge
-    closes a loop.  Raises [Invalid_argument] when an aggressor is the
+    [Logic_sim.max_sweeps] cap stops them.  One base sweep of [rest]
+    ({!hold}, which it leaves held), then change sweeps on top of it:
+    one with the victim flipped on every live lane, one with the
+    aggressor flipped per wired aggressor upstream of the victim, and
+    one per wired hypothesis, with held words derived lane by lane
+    (DESIGN.md §6a).  A dominant hypothesis holds the victim alone, so
+    it is scored off the victim's flip sweep, masked by the lanes its
+    held word changes (DESIGN.md §10).  Each score is the rest's,
+    corrected on the words that changed.  Counts one
+    ["scoring.evaluations"] and one ["bridges.hypotheses"] per
+    hypothesis, and ["bridges.feedback"] for those whose bridge closes
+    a loop.  Raises [Invalid_argument] when an aggressor is the
     victim. *)
 
 val pp : Format.formatter -> score -> unit

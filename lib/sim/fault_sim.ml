@@ -253,17 +253,37 @@ let detects t ~good ~width ~site ~stuck =
    automatically, because with equal high bits on every fanin the gate
    evaluation reproduces the good machine's high bits exactly (all
    operators are bitwise), so the XOR against the good word clears
-   them.  Flip pins re-mask explicitly after the inversion. *)
+   them.  Flip pins re-mask explicitly after the inversion.
+
+   The drain reads its reference machine from [tref]: the good words,
+   or — after [batch_base_diffs] — the [frame] a base sweep left, whose
+   words keep the good machine's high bits (its deltas were masked), so
+   the invariant holds against either. *)
+
+(* A held base: one multiplet sweep's resolved words and pins, the
+   reference of later one-change sweeps.  Only the rows the base
+   touched differ from the good slab, so rebasing rewrites those. *)
+type frame = {
+  base : int array; (* [net * nb + bi]: the base machine's words *)
+  bpin : int array; (* per net: its pin kind in the base *)
+  rows : int array; (* nets whose base row or pin differs from good *)
+  mutable nrows : int;
+  po_of : int array; (* per net: its PO position, or -1 *)
+  mutable live : bool; (* [pin] carries [bpin] and the drain reads [base] *)
+}
+
 type batch = {
   bsim : t;
   nb : int; (* number of pattern blocks *)
   masks : int array; (* per block: live-width mask *)
   tgood : int array; (* shared read-only; [net * nb + bi] *)
-  tdelta : int array; (* private faulty-XOR-good slab, same layout *)
+  mutable tref : int array; (* the reference the drain reads: [tgood] or a frame *)
+  tdelta : int array; (* private faulty-XOR-reference slab, same layout *)
   acc : int array; (* per-gate-event eval scratch, one word per block *)
   pin : int array; (* 0 = free, 1 = held, 2 = flipped *)
   pinned : int array; (* stack of pinned sites, for O(seeds) reset *)
   mutable npinned : int;
+  mutable frame : frame option; (* allocated by the first base sweep *)
   btouched : int array; (* batch-private touched stack (see below) *)
   mutable nbtouched : int;
   mutable minl : int; (* frontier level bounds of the current sweep *)
@@ -309,11 +329,13 @@ let prepare_batch ?share t ~blocks ~goods =
     nb;
     masks = Array.map (fun (b : Pattern.block) -> Logic.mask_of_width b.width) blocks;
     tgood;
+    tref = tgood;
     tdelta = Array.make (nets * nb) 0;
     acc = Array.make nb 0;
     pin = Array.make nets 0;
     pinned = Array.make (max 1 nets) 0;
     npinned = 0;
+    frame = None;
     btouched = Array.make (max 1 nets) 0;
     nbtouched = 0;
     minl = max_int;
@@ -330,7 +352,9 @@ let batch_sim b = b.bsim
    [t.touched]) so scalar [propagate] calls and batch sweeps can
    interleave on one simulator: each resets only the slab it dirtied.
    The queued flags and level buckets *are* shared — both drains restore
-   them to all-false / all-zero on exit. *)
+   them to all-false / all-zero on exit.  Under a live frame a pinned
+   site gets its base pin back, not a free one: the base pins stay in
+   force from one change sweep to the next. *)
 let reset_batch b =
   let td = b.tdelta and nb = b.nb and act = b.act in
   for i = 0 to b.nbtouched - 1 do
@@ -340,9 +364,9 @@ let reset_batch b =
     done
   done;
   b.nbtouched <- 0;
-  for i = 0 to b.npinned - 1 do
+  for i = b.npinned - 1 downto 0 do
     let s = b.pinned.(i) in
-    b.pin.(s) <- 0;
+    b.pin.(s) <- (match b.frame with Some fr when fr.live -> fr.bpin.(s) | _ -> 0);
     let o = s * nb in
     for a = 0 to b.nact - 1 do
       td.(o + act.(a)) <- 0
@@ -351,6 +375,19 @@ let reset_batch b =
   b.npinned <- 0;
   b.minl <- max_int;
   b.maxl <- -1
+
+(* Leave the frame for an ordinary sweep from the good machine: clear
+   the base pins and read the good slab again.  The base rows stay
+   written until the next base sweep restores them. *)
+let unframe b =
+  match b.frame with
+  | Some fr when fr.live ->
+    for i = 0 to fr.nrows - 1 do
+      b.pin.(fr.rows.(i)) <- 0
+    done;
+    fr.live <- false;
+    b.tref <- b.tgood
+  | Some _ | None -> ()
 
 (* Batch gate evaluation into [b.acc]: the non-inverting base operator
    folds over the fanin slice with the block loop innermost (contiguous
@@ -373,7 +410,7 @@ let reset_batch b =
    the dense twin below wins. *)
 let eval_batch_act b (codes : int array) (fi : int array) (fi_off : int array) m =
   let nb = b.nb in
-  let tg = b.tgood and td = b.tdelta and acc = b.acc in
+  let tg = b.tref and td = b.tdelta and acc = b.acc in
   let act = b.act and nact = b.nact in
   let lo = Array.unsafe_get fi_off m and hi = Array.unsafe_get fi_off (m + 1) in
   let code = Array.unsafe_get codes m in
@@ -428,7 +465,7 @@ let eval_batch_act b (codes : int array) (fi : int array) (fi_off : int array) m
    sequential slab access, no index indirection. *)
 let eval_batch b (codes : int array) (fi : int array) (fi_off : int array) m =
   let nb = b.nb in
-  let tg = b.tgood and td = b.tdelta and acc = b.acc in
+  let tg = b.tref and td = b.tdelta and acc = b.acc in
   let lo = Array.unsafe_get fi_off m and hi = Array.unsafe_get fi_off (m + 1) in
   let code = Array.unsafe_get codes m in
   let o0 = Array.unsafe_get fi lo * nb in
@@ -522,7 +559,7 @@ let drain_batch b =
   let fi_off = Netlist.fanin_offsets net in
   let fo = Netlist.fanout_csr net in
   let fo_off = Netlist.fanout_offsets net in
-  let tg = b.tgood and td = b.tdelta and acc = b.acc in
+  let tg = b.tref and td = b.tdelta and acc = b.acc in
   let act = b.act and nact = b.nact in
   let dense = nact = nb in
   let lvl = ref b.minl in
@@ -641,13 +678,14 @@ let batch_po_diffs_delta b ~site ~deltas f =
   for bi = 0 to b.nb - 1 do
     if deltas.(bi) land b.masks.(bi) <> 0 then any := true
   done;
+  reset_batch b;
+  unframe b;
   (* Same two screens as the scalar kernel, now at whole-fault
      granularity: one screened injection here stands for [nb] scalar
      ones. *)
   if (not !any) || off.(site + 1) = off.(site) then
     t.n_screened <- t.n_screened + 1
   else begin
-    reset_batch b;
     b.nact <- 0;
     for bi = 0 to b.nb - 1 do
       let d = deltas.(bi) land b.masks.(bi) in
@@ -662,41 +700,31 @@ let batch_po_diffs_delta b ~site ~deltas f =
     emit_reach_diffs b ~site f
   end
 
-let batch_multiplet_diffs ?(held = []) b ~faults f =
+let batch_multiplet_diffs b ~faults f =
   let t = b.bsim in
   let nb = b.nb in
   reset_batch b;
-  (* Every pin as (site, kind, seed delta of block [bi]).  A held word
-     pins the site at that word; of the multiplet, one polarity pins the
-     site held at its stuck word and both polarities pin it flipped
-     ([lnot computed], the Byzantine surrogate), seeded as
-     flipped-from-good, i.e. all live bits set.  A held site drops any
-     multiplet pin on the same net — the overlay's last write wins. *)
-  let held_delta site word =
-    let o = site * nb in
-    fun bi -> (word bi lxor b.tgood.(o + bi)) land b.masks.(bi)
-  in
+  unframe b;
+  (* Every pin as (site, kind, seed delta of block [bi]): one polarity
+     pins the site held at its stuck word, and both polarities pin it
+     flipped ([lnot computed], the Byzantine surrogate), seeded as
+     flipped-from-good, i.e. all live bits set. *)
   let rec group acc = function
     | [] -> acc
     | (site, stuck) :: rest ->
       let same, other = List.partition (fun (s, _) -> s = site) rest in
       (* Distinct polarities only, matching [Scoring.overlay_of_multiplet]:
          a site listed twice with one polarity is still a plain stuck-at. *)
-      let acc =
-        if List.mem_assoc site held then acc
-        else
-          match List.sort_uniq compare (stuck :: List.map snd same) with
-          | [ st ] ->
-            let sw = if st then Logic.ones else 0 in
-            (site, 1, held_delta site (fun _ -> sw)) :: acc
-          | _ -> (site, 2, fun bi -> b.masks.(bi)) :: acc
+      let pin =
+        match List.sort_uniq compare (stuck :: List.map snd same) with
+        | [ st ] ->
+          let sw = if st then Logic.ones else 0 and o = site * nb in
+          (site, 1, fun bi -> (sw lxor b.tgood.(o + bi)) land b.masks.(bi))
+        | _ -> (site, 2, fun bi -> b.masks.(bi))
       in
-      group acc other
+      group (pin :: acc) other
   in
-  let pins =
-    List.map (fun (site, words) -> (site, 1, held_delta site (Array.get words))) held
-    @ List.rev (group [] faults)
-  in
+  let pins = List.rev (group [] faults) in
   (* Active blocks = union over pins of the blocks with a non-zero seed
      (a flipped site has every block).  Seeding writes whole rows, so
      the union must be fixed before the first seed. *)
@@ -726,11 +754,163 @@ let batch_multiplet_diffs ?(held = []) b ~faults f =
     done
   done
 
+(* --- Base frames and one-change sweeps --------------------------------
+
+   A trial that differs from an already-swept multiplet at one or two
+   sites need not re-propagate the whole multiplet from the good
+   machine.  [batch_base_diffs] runs an ordinary multiplet sweep and
+   keeps its resolved words and pins as the frame; a change sweep then
+   seeds only the re-pinned sites, against the frame, and the drain
+   reads the frame where it used to read the good words.  Exact by the
+   same argument as the multiplet sweep: evaluation is lane-wise and
+   the netlist feedback-free, so a net outside the changed sites'
+   fanout cones keeps its base word, and each net inside is evaluated
+   once, after its fanins, under the same pin rules (DESIGN.md §10). *)
+
+type repin = Free | Stuck of bool | Flip | Held of int array
+
+let frame_of b =
+  match b.frame with
+  | Some fr -> fr
+  | None ->
+    let t = b.bsim in
+    let nets = Netlist.num_nets t.net in
+    let po_of = Array.make nets (-1) in
+    Array.iteri (fun oi n -> po_of.(n) <- oi) t.pos;
+    let fr =
+      {
+        base = Array.copy b.tgood;
+        bpin = Array.make nets 0;
+        rows = Array.make (max 1 nets) 0;
+        nrows = 0;
+        po_of;
+        live = false;
+      }
+    in
+    b.frame <- Some fr;
+    fr
+
+(* The swept machine becomes the frame: restore the old base's rows to
+   the good words, write the rows this sweep touched or pinned, then
+   clear the delta slab — relative to the frame, nothing differs yet —
+   and put the base pins back in force. *)
+let batch_base_diffs b ~faults f =
+  batch_multiplet_diffs b ~faults f;
+  let fr = frame_of b in
+  let nb = b.nb and tg = b.tgood and td = b.tdelta and base = fr.base in
+  for i = 0 to fr.nrows - 1 do
+    let s = fr.rows.(i) in
+    Array.blit tg (s * nb) base (s * nb) nb;
+    fr.bpin.(s) <- 0
+  done;
+  fr.nrows <- 0;
+  let keep s =
+    let o = s * nb in
+    for bi = 0 to nb - 1 do
+      base.(o + bi) <- tg.(o + bi) lxor td.(o + bi)
+    done;
+    fr.rows.(fr.nrows) <- s;
+    fr.nrows <- fr.nrows + 1
+  in
+  for i = 0 to b.npinned - 1 do
+    let s = b.pinned.(i) in
+    keep s;
+    fr.bpin.(s) <- b.pin.(s)
+  done;
+  for i = 0 to b.nbtouched - 1 do
+    keep b.btouched.(i)
+  done;
+  reset_batch b;
+  for i = 0 to fr.nrows - 1 do
+    let s = fr.rows.(i) in
+    b.pin.(s) <- fr.bpin.(s)
+  done;
+  fr.live <- true;
+  b.tref <- base
+
+let batch_change_diffs b changes f =
+  let fr =
+    match b.frame with
+    | Some fr when fr.live -> fr
+    | Some _ | None -> invalid_arg "Fault_sim.batch_change_diffs: no base frame"
+  in
+  let t = b.bsim in
+  let nb = b.nb and base = fr.base and tg = b.tgood and masks = b.masks in
+  reset_batch b;
+  let fi_off = Netlist.fanin_offsets t.net in
+  let gated s = fi_off.(s) < fi_off.(s + 1) in
+  (* A freed or flipped gate is re-evaluated by the drain from its
+     fanins' frame words: it is enqueued itself, not seeded.  Every
+     other re-pin (and a freed or flipped input, whose driven word is
+     the good one) is seeded with its new word against the frame's. *)
+  let redriven s = function Free | Flip -> gated s | Stuck _ | Held _ -> false in
+  let seed_word s p bi =
+    let o = (s * nb) + bi in
+    let w =
+      match p with
+      | Stuck v -> if v then Logic.ones else 0
+      | Held words -> words.(bi)
+      | Free -> tg.(o)
+      | Flip -> lnot tg.(o)
+    in
+    (w lxor base.(o)) land masks.(bi)
+  in
+  (* Active blocks: all of them when a site is re-evaluated (its change
+     is not known before the drain), else those with a non-zero seed. *)
+  let all = List.exists (fun (s, p) -> redriven s p) changes in
+  b.nact <- 0;
+  for bi = 0 to nb - 1 do
+    if all || List.exists (fun (s, p) -> seed_word s p bi <> 0) changes then begin
+      b.act.(b.nact) <- bi;
+      b.nact <- b.nact + 1
+    end
+  done;
+  let levels = Netlist.level_array t.net in
+  List.iter
+    (fun (s, p) ->
+      let kind = match p with Free -> 0 | Stuck _ | Held _ -> 1 | Flip -> 2 in
+      if redriven s p then begin
+        b.pin.(s) <- kind;
+        b.pinned.(b.npinned) <- s;
+        b.npinned <- b.npinned + 1;
+        enqueue_batch b levels s
+      end
+      else begin
+        for bi = 0 to nb - 1 do
+          b.acc.(bi) <- seed_word s p bi
+        done;
+        seed_batch b ~site:s ~pin_kind:kind b.acc
+      end)
+    changes;
+  drain_batch b;
+  (* Every net whose word changed is a seeded site or on the drain's
+     touched stack (a re-evaluated site is on the latter when it
+     changed), never both: scan those for POs. *)
+  let td = b.tdelta and po_of = fr.po_of in
+  let emit n =
+    let oi = po_of.(n) in
+    if oi >= 0 then begin
+      let o = n * nb in
+      for a = 0 to b.nact - 1 do
+        let bi = b.act.(a) in
+        let w = td.(o + bi) in
+        if w <> 0 then f bi oi w
+      done
+    end
+  in
+  for i = 0 to b.nbtouched - 1 do
+    emit b.btouched.(i)
+  done;
+  for i = 0 to b.npinned - 1 do
+    let s = b.pinned.(i) in
+    if b.pin.(s) = 1 || not (gated s) then emit s
+  done
+
 (* Blocks outside the act list carry zero delta everywhere (every sweep
    writes and resets active blocks only), so one XOR reads any block. *)
 let batch_value b ~net ~block =
   let o = (net * b.nb) + block in
-  b.tgood.(o) lxor b.tdelta.(o)
+  b.tref.(o) lxor b.tdelta.(o)
 
 let batch_driven b ~net ~block =
   let g = b.bsim.net in

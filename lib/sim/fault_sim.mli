@@ -73,7 +73,8 @@ val iter_po_diffs_delta :
     injection per victim, over every block at once, through
     {!batch_po_diffs_delta} and mask it per aggressor.  Bridge
     confirmation, which must see the rest of the multiplet and the
-    bridge's feedback, pins held words in {!batch_multiplet_diffs}.
+    bridge's feedback, holds words in {!batch_change_diffs} on top of
+    a base sweep of the rest.
     The single-block reference the kernel oracles check
     {!batch_po_diffs_delta} against. *)
 
@@ -138,32 +139,64 @@ val batch_po_diffs_delta :
     not once per (injection, block). *)
 
 val batch_multiplet_diffs :
-  ?held:(Netlist.net * int array) list ->
-  batch ->
-  faults:(Netlist.net * bool) list ->
-  (int -> int -> int -> unit) ->
-  unit
+  batch -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
 (** Multi-site sweep for multiplet scoring ([faults] lists
     (site, stuck) pairs; this layer does not know [Fault_list]): every
     site is pinned — held at its stuck word for a single polarity,
     flipped ([lnot computed]) when both polarities are present — and
-    the joint faulty machine is propagated once.  [?held] adds sites
-    held at arbitrary per-block words (indexed by block; the dead high
-    bits are ignored; sites distinct): a held site is never
-    re-evaluated and replaces any [faults] pin on the same net, as the
-    overlay simulator's last write wins.  [f bi oi w] for every
-    non-zero masked PO diff, blocks ascending then PO positions
-    ascending (all POs, not just reachable ones).  Bit-identical to
-    [Logic_sim.simulate_block_overlay] under the equivalent overrides
-    ([Scoring.overlay_of_multiplet] plus constant-word forces), which
-    holds because pinned sites read no other nets and the netlist is
-    feedback-free, so one levelized pass is the fixpoint.  After the
-    call, {!batch_value} and {!batch_driven} read the swept machine. *)
+    the joint faulty machine is propagated once from the good machine.
+    [f bi oi w] for every non-zero masked PO diff, blocks ascending
+    then PO positions ascending (all POs, not just reachable ones).
+    Bit-identical to [Logic_sim.simulate_block_overlay] under
+    [Scoring.overlay_of_multiplet], which holds because pinned sites
+    read no other nets and the netlist is feedback-free, so one
+    levelized pass is the fixpoint.  After the call, {!batch_value}
+    and {!batch_driven} read the swept machine. *)
+
+(** {2 Base frames and one-change sweeps}
+
+    Hypothesis scoring sweeps many multiplets that differ from one
+    already swept at a site or two.  A {e base sweep} keeps its faulty
+    machine — the resolved word of every net and every pin — as the
+    batch's frame; a {e change sweep} then re-pins a few sites and
+    propagates only what differs from the frame.  The frame's words
+    live in a second net-major slab, allocated by the first base sweep;
+    a rebase rewrites only the rows the old and the new base touched. *)
+
+type repin =
+  | Free  (** Unpinned: the site's own gate drives it again. *)
+  | Stuck of bool  (** Held at the stuck word. *)
+  | Flip  (** [lnot computed], the both-polarities pin. *)
+  | Held of int array  (** Held at a word per block (dead bits ignored). *)
+(** A site's pin in a change sweep, replacing its base pin. *)
+
+val batch_base_diffs :
+  batch -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
+(** {!batch_multiplet_diffs}, whose swept machine then becomes the
+    batch's frame: [f] sees the base's own masked PO diffs against the
+    good machine.  Any ordinary sweep on the batch
+    ({!batch_multiplet_diffs}, {!batch_po_diffs_delta},
+    {!simulate_batch}) ends the frame. *)
+
+val batch_change_diffs :
+  batch -> (Netlist.net * repin) list -> (int -> int -> int -> unit) -> unit
+(** [batch_change_diffs b changes f] sweeps the frame's machine with
+    each listed site (sites distinct) re-pinned: every other base pin
+    stays in force, a held or stuck site is seeded with its word XOR
+    the frame's, a freed or flipped gate is re-evaluated from its
+    fanins' frame words, and the change propagates through the changed
+    sites' fanout cones only.  [f bi oi c] for every non-zero masked
+    change word [c] at a PO, in no particular order: the PO's diff
+    against the good machine is the base sweep's diff XOR [c].  Equal,
+    bit for bit, to {!batch_multiplet_diffs} of the re-pinned multiplet
+    (DESIGN.md §10).  {!batch_value} and {!batch_driven} read the
+    changed machine afterwards.  Raises [Invalid_argument] when no
+    frame is in force. *)
 
 val batch_value : batch -> net:Netlist.net -> block:int -> int
 (** The resolved word of [net] in block [block] after the last sweep on
-    this batch (good XOR delta; bits above the block width are
-    unspecified).  Valid until the next sweep. *)
+    this batch (bits above the block width are unspecified).  Valid
+    until the next sweep. *)
 
 val batch_driven : batch -> net:Netlist.net -> block:int -> int
 (** What [net]'s own driver outputs in the last sweep: its gate

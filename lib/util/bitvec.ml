@@ -39,6 +39,7 @@ let fill t b =
 
 let num_words t = Array.length t.words
 let word t i = t.words.(i)
+let words t = t.words
 
 let copy t = { len = t.len; words = Array.copy t.words }
 

@@ -34,6 +34,12 @@ val word : t -> int -> int
     [i * word_bits .. i * word_bits + word_bits - 1].  Bits at or past
     [length t] are always zero.  Read-only view for word-level kernels. *)
 
+val words : t -> int array
+(** The backing words themselves, shared with [t]: index [i] is
+    [word t i].  A kernel that reads many words of one vector pays one
+    call for all of them.  Read it only — a write through it could set
+    the bits past [length t] that every operation here keeps zero. *)
+
 val copy : t -> t
 
 val equal : t -> t -> bool

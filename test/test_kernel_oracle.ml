@@ -532,72 +532,229 @@ let bridges_agree net pats dlog ~rest ~victim ~aggressor =
   in
   got = want
 
+(* Returns whether every hypothesis agreed, and whether the case's
+   relation was reached (a circuit may have no such pair). *)
+let bridge_case seed case =
+  let gates = 50 + (seed mod 251) in
+  let net = Generators.random_logic ~gates ~pis:7 ~pos:5 ~seed in
+  let rng = Rng.create ((seed * 13) + case) in
+  let pats = Pattern.random rng ~npis:7 ~count:150 in
+  let expected = Logic_sim.responses net pats in
+  let defects = Injection.random_defects rng net Injection.default_mix 2 in
+  let observed = Injection.observed_responses net pats defects in
+  let dlog = Datalog.of_responses ~expected ~observed in
+  let n = Netlist.num_nets net in
+  let pick pred =
+    match List.filter pred (List.init n Fun.id) with
+    | [] -> None
+    | l -> Some (List.nth l (Rng.int rng (List.length l)))
+  in
+  let strictly cone v x = x <> v && cone.(x) in
+  let pair =
+    match case with
+    | 1 ->
+      Option.bind
+        (pick (fun v -> Array.length (Netlist.fanout net v) > 0))
+        (fun v ->
+          Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanout_reach net v) v)))
+    | 2 ->
+      Option.bind
+        (pick (fun v -> not (Netlist.is_pi net v)))
+        (fun v ->
+          Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanin_cone net v) v)))
+    | 0 ->
+      Option.bind
+        (pick (fun _ -> true))
+        (fun v ->
+          let down = Netlist.fanout_reach net v and up = Netlist.fanin_cone net v in
+          Option.map (fun a -> (v, a)) (pick (fun a -> (not down.(a)) && not up.(a))))
+    | 4 ->
+      let pis = Netlist.pis net in
+      let p = pis.(Rng.int rng (Array.length pis)) in
+      Option.map
+        (fun o -> if seed mod 2 = 0 then (p, o) else (o, p))
+        (pick (fun o -> o <> p))
+    | _ ->
+      Option.bind
+        (pick (fun _ -> true))
+        (fun v -> Option.map (fun a -> (v, a)) (pick (fun a -> a <> v)))
+  in
+  match pair with
+  | None -> (true, false)
+  | Some (victim, aggressor) ->
+    (* Rest sites: a mix of single-polarity (held) and both-polarity
+       (flipped) pins, never the victim; case 3 pins the aggressor
+       too, with a polarity mix of its own. *)
+    let site () =
+      Option.value ~default:aggressor
+        (pick (fun s -> s <> victim && s <> aggressor))
+    in
+    let pins s =
+      match Rng.int rng 3 with
+      | 0 -> [ { Fault_list.site = s; stuck = false } ]
+      | 1 -> [ { Fault_list.site = s; stuck = true } ]
+      | _ ->
+        [ { Fault_list.site = s; stuck = true }; { Fault_list.site = s; stuck = false } ]
+    in
+    let rest =
+      List.concat_map (fun _ -> pins (site ())) (List.init (1 + Rng.int rng 3) Fun.id)
+    in
+    let rest = if case = 3 then pins aggressor @ rest else rest in
+    (bridges_agree net pats dlog ~rest ~victim ~aggressor, true)
+
 let prop_bridge_scorer_matches_overlay =
   QCheck.Test.make ~name:"evaluate_bridges matches overlay evaluate (all kinds)" ~count:60
     QCheck.(pair (int_range 1 100_000) (int_range 0 4))
-    (fun (seed, case) ->
-      let gates = 50 + (seed mod 251) in
-      let net = Generators.random_logic ~gates ~pis:7 ~pos:5 ~seed in
-      let rng = Rng.create ((seed * 13) + case) in
-      let pats = Pattern.random rng ~npis:7 ~count:150 in
-      let expected = Logic_sim.responses net pats in
-      let defects = Injection.random_defects rng net Injection.default_mix 2 in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      let n = Netlist.num_nets net in
-      let pick pred =
-        match List.filter pred (List.init n Fun.id) with
-        | [] -> None
-        | l -> Some (List.nth l (Rng.int rng (List.length l)))
+    (fun (seed, case) -> fst (bridge_case seed case))
+
+(* Every relation the property forces is reached on fixed seeds — the
+   feedback bridges downstream (every kind) and upstream (wired), and
+   an aggressor that is itself a rest site — and agrees there. *)
+let test_bridge_corner_cases () =
+  List.iter
+    (fun case ->
+      let runs =
+        List.map (fun i -> bridge_case (1 + (i * 7717)) case) (List.init 6 Fun.id)
       in
-      let strictly cone v x = x <> v && cone.(x) in
-      let pair =
-        match case with
-        | 1 ->
-          Option.bind
-            (pick (fun v -> Array.length (Netlist.fanout net v) > 0))
-            (fun v -> Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanout_reach net v) v)))
-        | 2 ->
-          Option.bind
-            (pick (fun v -> not (Netlist.is_pi net v)))
-            (fun v -> Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanin_cone net v) v)))
-        | 0 ->
-          Option.bind
-            (pick (fun _ -> true))
-            (fun v ->
-              let down = Netlist.fanout_reach net v and up = Netlist.fanin_cone net v in
-              Option.map (fun a -> (v, a)) (pick (fun a -> (not down.(a)) && not up.(a))))
-        | 4 ->
-          let pis = Netlist.pis net in
-          let p = pis.(Rng.int rng (Array.length pis)) in
-          Option.map
-            (fun o -> if seed mod 2 = 0 then (p, o) else (o, p))
-            (pick (fun o -> o <> p))
-        | _ ->
-          Option.bind
-            (pick (fun _ -> true))
-            (fun v -> Option.map (fun a -> (v, a)) (pick (fun a -> a <> v)))
-      in
-      match pair with
-      | None -> true
-      | Some (victim, aggressor) ->
-        (* Rest sites: a mix of single-polarity (held) and both-polarity
-           (flipped) pins, never the victim; case 3 pins the aggressor
-           too, with a polarity mix of its own. *)
-        let site () =
-          Option.value ~default:aggressor
-            (pick (fun s -> s <> victim && s <> aggressor))
-        in
-        let pins s =
-          match Rng.int rng 3 with
-          | 0 -> [ { Fault_list.site = s; stuck = false } ]
-          | 1 -> [ { Fault_list.site = s; stuck = true } ]
-          | _ ->
-            [ { Fault_list.site = s; stuck = true }; { Fault_list.site = s; stuck = false } ]
-        in
-        let rest = List.concat_map (fun _ -> pins (site ())) (List.init (1 + Rng.int rng 3) Fun.id) in
-        let rest = if case = 3 then pins aggressor @ rest else rest in
-        bridges_agree net pats dlog ~rest ~victim ~aggressor)
+      Alcotest.(check bool)
+        (Printf.sprintf "case %d agrees" case)
+        true
+        (List.for_all fst runs);
+      Alcotest.(check bool)
+        (Printf.sprintf "case %d reached" case)
+        true (List.exists snd runs))
+    [ 0; 1; 2; 3; 4 ]
+
+(* --- one-change sweeps against the overlay scorer ------------------- *)
+
+(* [Scoring.evaluate_trial] scores a trial against a held base by a
+   change sweep; the reference scores the trial by whole-block overlay
+   resimulation.  The base holds a site [a], a member inside [a]'s
+   fanout cone where it has one (dropping [a] then changes the inputs
+   of a pinned net), a site at both polarities and a primary input.
+   The trials are every drop (one polarity of the flipped site among
+   them), the other polarity added at each single-polarity site (a
+   flip), a pin added at a free site, and the base itself — run twice
+   over, so a change sweep follows every other kind.  A second base,
+   held after an ordinary sweep, repeats the trials: the frame's rows
+   and pins must come back from the first.  Pattern counts are never a
+   multiple of 63, so the last block is partial.  Returns whether every
+   score agreed, and which corners the case reached: a dropped member
+   whose cone holds another member, an added flip, a dropped polarity
+   of a flipped site. *)
+let one_change_case seed =
+  let rng = Rng.create ((seed * 29) + 1) in
+  let net = Generators.random_logic ~gates:(40 + (seed mod 120)) ~pis:6 ~pos:5 ~seed in
+  let count = 64 + Rng.int rng 150 in
+  let count = if count mod Bitvec.word_bits = 0 then count + 1 else count in
+  let pats = Pattern.random rng ~npis:6 ~count in
+  let expected = Logic_sim.responses net pats in
+  let defects = Injection.random_defects rng net Injection.default_mix 2 in
+  let observed = Injection.observed_responses net pats defects in
+  let dlog = Datalog.of_responses ~expected ~observed in
+  let n = Netlist.num_nets net in
+  let fault site stuck = { Fault_list.site; stuck } in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let a = Rng.int rng n in
+  let down = Netlist.fanout_reach net a in
+  let b =
+    match List.filter (fun x -> x <> a && down.(x)) (List.init n Fun.id) with
+    | [] -> Rng.int rng n
+    | l -> pick l
+  in
+  let c = Rng.int rng n in
+  let pi = pick (Array.to_list (Netlist.pis net)) in
+  let base =
+    List.sort_uniq compare
+      [
+        fault a (Rng.bool rng);
+        fault b (Rng.bool rng);
+        fault c true;
+        fault c false;
+        fault pi (Rng.bool rng);
+      ]
+  in
+  let polarities faults site =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (f : Fault_list.fault) -> if f.site = site then Some f.stuck else None)
+         faults)
+  in
+  let trials base =
+    let drops = List.map (fun f -> (`Drop f, List.filter (( <> ) f) base)) base in
+    let flips =
+      List.filter_map
+        (fun (f : Fault_list.fault) ->
+          match polarities base f.site with
+          | [ v ] -> Some (`Flip, fault f.site (not v) :: base)
+          | _ -> None)
+        base
+    in
+    let free = List.filter (fun x -> polarities base x = []) (List.init n Fun.id) in
+    let adds =
+      List.map (fun x -> (`Add, fault x (Rng.bool rng) :: base)) [ pick free; pick free ]
+    in
+    ((`Same, base) :: drops) @ flips @ adds
+  in
+  let session = Session.create net pats in
+  let sc = Scoring.create session dlog in
+  let ok = ref true in
+  let overlap = ref false and flip_add = ref false and flip_drop = ref false in
+  let reference trial = Reference.evaluate_multiplet net pats dlog trial in
+  let check trial =
+    if Scoring.evaluate_trial sc trial <> reference trial then ok := false
+  in
+  let run base =
+    ignore (Scoring.hold sc base : Scoring.score);
+    let ts = trials base in
+    List.iter
+      (fun (kind, trial) ->
+        check trial;
+        match kind with
+        | `Drop (f : Fault_list.fault) ->
+          let cone = Netlist.fanout_reach net f.site in
+          let in_cone (g : Fault_list.fault) = g.site <> f.site && cone.(g.site) in
+          if List.exists in_cone base then overlap := true;
+          if List.length (polarities base f.site) = 2 then flip_drop := true
+        | `Flip -> flip_add := true
+        | `Add | `Same -> ())
+      (ts @ ts)
+  in
+  run base;
+  let other = fault (Rng.int rng n) (Rng.bool rng) :: base in
+  if Scoring.evaluate_multiplet sc other <> reference other then ok := false;
+  run (List.filter (fun (f : Fault_list.fault) -> f.site <> a) base);
+  let blocks = Session.blocks session in
+  let partial = blocks.(Array.length blocks - 1).Pattern.width < Bitvec.word_bits in
+  (!ok && partial, !overlap, !flip_add, !flip_drop)
+
+let prop_one_change_matches_overlay =
+  QCheck.Test.make
+    ~name:"evaluate_trial: change sweep on a held base = overlay resimulation" ~count:25
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let ok, _, _, _ = one_change_case seed in
+      ok)
+
+let test_one_change_corner_cases () =
+  let cases = List.map one_change_case (List.init 8 (fun i -> 1 + (i * 6151))) in
+  Alcotest.(check bool)
+    "every case agrees" true
+    (List.for_all (fun (ok, _, _, _) -> ok) cases);
+  Alcotest.(check bool) "a dropped member's cone holds another member" true
+    (List.exists (fun (_, o, _, _) -> o) cases);
+  Alcotest.(check bool) "an added polarity flips a held site" true
+    (List.exists (fun (_, _, f, _) -> f) cases);
+  Alcotest.(check bool) "a dropped polarity unflips a site" true
+    (List.exists (fun (_, _, _, d) -> d) cases)
+
+(* Without a held base there is nothing to change. *)
+let test_trial_needs_base () =
+  let net, pats, dlog = random_problem 3 2 in
+  let sc = Scoring.create (Session.create net pats) dlog in
+  Alcotest.check_raises "no base"
+    (Invalid_argument "Scoring.evaluate_trial: no base held")
+    (fun () -> ignore (Scoring.evaluate_trial sc [] : Scoring.score))
 
 (* A bridge that never settles: the victim drives its aggressor through
    one inverter, so the dominant (and, with the other side at its
@@ -739,6 +896,12 @@ let suite =
            test_screen_one_sweep
       :: Alcotest.test_case "explain layout oracle reaches its corner cases" `Quick
            test_layout_corner_cases
+      :: Alcotest.test_case "bridge oracle reaches every relation" `Quick
+           test_bridge_corner_cases
+      :: Alcotest.test_case "one-change oracle reaches its corner cases" `Quick
+           test_one_change_corner_cases
+      :: Alcotest.test_case "evaluate_trial needs a held base" `Quick
+           test_trial_needs_base
       :: List.map QCheck_alcotest.to_alcotest
         [
           prop_delta_injection_matches_overlay;
@@ -751,6 +914,7 @@ let suite =
           prop_greedy_cover_matches_exhaustive;
           prop_evaluate_multiplet_matches_overlay;
           prop_bridge_scorer_matches_overlay;
+          prop_one_change_matches_overlay;
           prop_explain_brute_force_and_replay;
           prop_packed_arena_matches_scalar;
         ] );
