@@ -7,26 +7,80 @@ type report = {
   coverage : float;
 }
 
-(* Which of [faults] does [pats] detect?  Returns a bool array aligned
-   with [faults].  Each entry point computes the netlist's PO
-   reachability once and shares it with every simulator it creates. *)
-let detect_map t ~reach pats faults =
-  let sim = Fault_sim.create ~reach t in
-  let detected = Array.make (Array.length faults) false in
-  List.iter
-    (fun block ->
-      let good = Logic_sim.simulate_block t block in
-      Array.iteri
-        (fun i f ->
-          if not detected.(i) then
-            let w =
-              Fault_sim.detects sim ~good ~width:block.Pattern.width
-                ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
-            in
-            if w <> 0 then detected.(i) <- true)
-        faults)
-    (Pattern.blocks pats);
-  detected
+(* Fault dropping through the batch kernel.  Each entry point holds one
+   dropper for its whole run: a simulator over one pattern block, whose
+   good words [load] rebinds to the next block, and the fault list it
+   drops from. *)
+type dropper = {
+  net : Netlist.t;
+  sim : Fault_sim.t;
+  faults : Fault_list.fault array;
+  idx : int array; (* the faults of the current sweep *)
+  det : int array; (* per fault: its detection word in the current block *)
+}
+
+let unit_block vec =
+  { Pattern.base = 0; width = 1; pi_words = Array.map (fun b -> if b then 1 else 0) vec }
+
+let load d block =
+  Fault_sim.rebind d.sim ~blocks:[| block |]
+    ~goods:[| Logic_sim.simulate_block d.net block |]
+
+let dropper net faults =
+  let block = unit_block (Array.make (Netlist.num_pis net) false) in
+  let n = Array.length faults in
+  {
+    net;
+    sim =
+      Fault_sim.create net ~blocks:[| block |]
+        ~goods:[| Logic_sim.simulate_block net block |];
+    faults;
+    idx = Array.make n 0;
+    det = Array.make n 0;
+  }
+
+(* One sweep of the faults [live] keeps against the loaded block: [f i w]
+   for each, in fault order, with [w] the OR of fault [i]'s masked PO
+   diff words — bit [k] set iff the block's pattern [k] detects it. *)
+let detections d ~live f =
+  let n = ref 0 in
+  for i = 0 to Array.length d.faults - 1 do
+    if live i then begin
+      d.idx.(!n) <- i;
+      d.det.(i) <- 0;
+      incr n
+    end
+  done;
+  Fault_sim.simulate_batch d.sim ~n:!n
+    ~fault:(fun j ->
+      let f = d.faults.(d.idx.(j)) in
+      (f.Fault_list.site, f.Fault_list.stuck))
+    (fun j _ _ w ->
+      let i = d.idx.(j) in
+      d.det.(i) <- d.det.(i) lor w);
+  for j = 0 to !n - 1 do
+    let i = d.idx.(j) in
+    f i d.det.(i)
+  done
+
+(* Mark in [detected] the faults [block] detects that it does not hold
+   yet; returns how many. *)
+let drop_block d block detected =
+  load d block;
+  let gained = ref 0 in
+  detections d
+    ~live:(fun i -> not detected.(i))
+    (fun i w ->
+      if w <> 0 then begin
+        detected.(i) <- true;
+        incr gained
+      end);
+  !gained
+
+let drop d pats detected =
+  List.fold_left
+    (fun acc block -> acc + drop_block d block detected)
+    0 (Pattern.blocks pats)
 
 let flow_version = 1
 
@@ -37,7 +91,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   let faults = Array.of_list (Fault_list.representatives collapsed) in
   let nfaults = Array.length faults in
   let npis = Netlist.num_pis t in
-  let reach = Po_reach.compute t in
+  let d = dropper t faults in
   (* Phase 1: random patterns in word-sized slabs, dropping as we go and
      stopping early when a slab stops detecting anything new. *)
   let slab = Bitvec.word_bits in
@@ -48,16 +102,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   while !continue && !used < random_budget do
     let pats = Pattern.random rng ~npis ~count:(min slab (random_budget - !used)) in
     used := !used + Pattern.count pats;
-    let newly = detect_map t ~reach pats faults in
-    let gained = ref 0 in
-    Array.iteri
-      (fun i d ->
-        if d && not detected.(i) then begin
-          detected.(i) <- true;
-          incr gained
-        end)
-      newly;
-    if !gained > 0 then kept := pats :: !kept else continue := false
+    if drop d pats detected > 0 then kept := pats :: !kept else continue := false
   done;
   let random_pats =
     match !kept with
@@ -68,7 +113,6 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   let untestable = ref 0 in
   let aborted = ref 0 in
   let extra = ref [] in
-  let sim = Fault_sim.create ~reach t in
   let podem = Podem.create t in
   Array.iteri
     (fun i f ->
@@ -80,29 +124,14 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
           extra := pattern :: !extra;
           detected.(i) <- true;
           (* Drop other survivors detected by the new pattern. *)
-          let block =
-            {
-              Pattern.base = 0;
-              width = 1;
-              pi_words = Array.map (fun b -> if b then 1 else 0) pattern;
-            }
-          in
-          let good = Logic_sim.simulate_block t block in
-          Array.iteri
-            (fun j g ->
-              if (not detected.(j)) && j <> i then
-                let w =
-                  Fault_sim.detects sim ~good ~width:1 ~site:g.Fault_list.site
-                    ~stuck:g.Fault_list.stuck
-                in
-                if w <> 0 then detected.(j) <- true)
-            faults)
+          ignore (drop_block d (unit_block pattern) detected : int))
     faults;
   Podem.publish_stats podem;
+  Fault_sim.publish_stats d.sim;
   let patterns =
     Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra))
   in
-  let ndet = Array.fold_left (fun acc d -> acc + Bool.to_int d) 0 detected in
+  let ndet = Array.fold_left (fun acc hit -> acc + Bool.to_int hit) 0 detected in
   {
     patterns;
     total_faults = nfaults;
@@ -121,11 +150,8 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
   let nfaults = Array.length faults in
   let npis = Netlist.num_pis t in
   let counts = Array.make nfaults 0 in
-  let sim = Fault_sim.create t in
-  let popcount w =
-    let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-    go w 0
-  in
+  let d = dropper t faults in
+  let live i = counts.(i) < n in
   (* Phase 1: random slabs; each pattern of a slab is a distinct
      detection opportunity.  Stop at the first slab that helps nobody. *)
   let kept = ref [] in
@@ -134,23 +160,14 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
   while !continue && !slabs < 8 * n do
     incr slabs;
     let pats = Pattern.random rng ~npis ~count:Bitvec.word_bits in
-    let block = List.hd (Pattern.blocks pats) in
-    let good = Logic_sim.simulate_block t block in
+    load d (List.hd (Pattern.blocks pats));
     let gained = ref 0 in
-    Array.iteri
-      (fun i f ->
-        if counts.(i) < n then begin
-          let w =
-            Fault_sim.detects sim ~good ~width:block.Pattern.width
-              ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
-          in
-          let add = min (n - counts.(i)) (popcount w) in
-          if add > 0 then begin
-            counts.(i) <- counts.(i) + add;
-            gained := !gained + add
-          end
-        end)
-      faults;
+    detections d ~live (fun i w ->
+        let add = min (n - counts.(i)) (Logic.popcount w) in
+        if add > 0 then begin
+          counts.(i) <- counts.(i) + add;
+          gained := !gained + add
+        end);
     if !gained > 0 then kept := pats :: !kept else continue := false
   done;
   let random_pats =
@@ -165,19 +182,8 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
   let aborted = ref 0 in
   let extra = ref [] in
   let apply_pattern pattern =
-    let block =
-      { Pattern.base = 0; width = 1; pi_words = Array.map (fun b -> if b then 1 else 0) pattern }
-    in
-    let good = Logic_sim.simulate_block t block in
-    Array.iteri
-      (fun j g ->
-        if counts.(j) < n then
-          let w =
-            Fault_sim.detects sim ~good ~width:1 ~site:g.Fault_list.site
-              ~stuck:g.Fault_list.stuck
-          in
-          if w <> 0 then counts.(j) <- counts.(j) + 1)
-      faults
+    load d (unit_block pattern);
+    detections d ~live (fun j w -> if w <> 0 then counts.(j) <- counts.(j) + 1)
   in
   let podem = Podem.create t in
   Array.iteri
@@ -199,6 +205,7 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
       done)
     faults;
   Podem.publish_stats podem;
+  Fault_sim.publish_stats d.sim;
   let patterns = Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra)) in
   let n_untestable = Array.fold_left (fun acc u -> acc + Bool.to_int u) 0 untestable in
   let ndet =
@@ -216,37 +223,22 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
 let compact t pats =
   let collapsed = Fault_list.collapse t in
   let faults = Array.of_list (Fault_list.representatives collapsed) in
-  let sim = Fault_sim.create t in
+  let d = dropper t faults in
   let covered = Array.make (Array.length faults) false in
   let keep = ref [] in
   (* Reverse order: later patterns (typically PODEM-targeted) are more
      specific, so giving them first claim drops redundant early randoms. *)
   for p = Pattern.count pats - 1 downto 0 do
     let vec = Pattern.pattern pats p in
-    let block =
-      { Pattern.base = 0; width = 1; pi_words = Array.map (fun b -> if b then 1 else 0) vec }
-    in
-    let good = Logic_sim.simulate_block t block in
-    let useful = ref false in
-    Array.iteri
-      (fun i f ->
-        if not covered.(i) then
-          let w =
-            Fault_sim.detects sim ~good ~width:1 ~site:f.Fault_list.site
-              ~stuck:f.Fault_list.stuck
-          in
-          if w <> 0 then begin
-            covered.(i) <- true;
-            useful := true
-          end)
-      faults;
-    if !useful then keep := vec :: !keep
+    if drop_block d (unit_block vec) covered > 0 then keep := vec :: !keep
   done;
+  Fault_sim.publish_stats d.sim;
   Pattern.of_list ~npis:(Pattern.npis pats) !keep
 
 let coverage_of t pats =
   let collapsed = Fault_list.collapse t in
   let faults = Array.of_list (Fault_list.representatives collapsed) in
-  let detected = detect_map t ~reach:(Po_reach.compute t) pats faults in
-  let ndet = Array.fold_left (fun acc d -> acc + Bool.to_int d) 0 detected in
+  let d = dropper t faults in
+  let ndet = drop d pats (Array.make (Array.length faults) false) in
+  Fault_sim.publish_stats d.sim;
   Stats.ratio ndet (Array.length faults)

@@ -54,17 +54,17 @@ let overlay_of_multiplet faults =
    simulator's fixpoint, and the emitted diff words equal the
    good/overlay difference words on every PO.
 
-   A scorer is the scratch of one diagnosis — a simulator plus batch
-   slabs over the session's blocks and goods, the datalog's observed
-   words, the held base's diff words and score, and the cone-marking
-   arrays of the bridge scorer.  The refinement loop, the aggressor
+   A scorer is the scratch of one diagnosis — a simulator reading the
+   session's good slab, the datalog's observed words, the held base's
+   diff words and score, and the cone-marking arrays of the bridge
+   scorer.  The refinement loop, the aggressor
    screens and bridge validation score hundreds of hypotheses against
    it; the diagnosis that built it is its only holder. *)
 type t = {
   net : Netlist.t;
   nblocks : int;
   goods : Logic_sim.net_values array;
-  batch : Fault_sim.batch;
+  sim : Fault_sim.t;
   words : Datalog.words;
   npos : int;
   mutable flip : int array;
@@ -83,13 +83,12 @@ let create session dlog =
   let net = Session.netlist session in
   let blocks = Session.blocks session in
   let goods = Session.goods session in
-  let sim = Fault_sim.create ~reach:(Session.reach session) net in
   let nets = max 1 (Netlist.num_nets net) in
   {
     net;
     nblocks = Array.length blocks;
     goods;
-    batch = Fault_sim.prepare_batch sim ~blocks ~goods;
+    sim = Session.simulator session;
     flip = [||];
     words = Datalog.observed_words dlog blocks;
     npos = Datalog.npos dlog;
@@ -163,9 +162,9 @@ let evaluate_multiplet sc faults =
   sc.base <- None;
   let s =
     score_words sc.words sc.npos
-      (Fault_sim.batch_multiplet_diffs sc.batch ~faults:(site_pairs faults))
+      (Fault_sim.batch_multiplet_diffs sc.sim ~faults:(site_pairs faults))
   in
-  Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
+  Fault_sim.publish_stats sc.sim;
   s
 
 (* --- One-change scoring against a held base (DESIGN.md §6a) ---------- *)
@@ -181,11 +180,11 @@ let hold sc faults =
     Array.fill bdiff 0 (Array.length bdiff) 0;
     let s =
       score_words sc.words npos (fun f ->
-          Fault_sim.batch_base_diffs sc.batch ~faults:(site_pairs faults) (fun bi oi w ->
+          Fault_sim.batch_base_diffs sc.sim ~faults:(site_pairs faults) (fun bi oi w ->
               bdiff.((bi * npos) + oi) <- w;
               f bi oi w))
     in
-    Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
+    Fault_sim.publish_stats sc.sim;
     sc.base <- Some (faults, s);
     s
 
@@ -213,7 +212,7 @@ let corrected sc (base : score) sweep =
 let score_change sc base changes =
   let npos = sc.npos in
   corrected sc base (fun f ->
-      Fault_sim.batch_change_diffs sc.batch changes (fun bi oi c ->
+      Fault_sim.batch_change_diffs sc.sim changes (fun bi oi c ->
           f bi ((bi * npos) + oi) c))
 
 let polarities faults site =
@@ -246,7 +245,7 @@ let evaluate_trial sc trial =
       | [] -> base_score
       | changes -> score_change sc base_score changes
     in
-    Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
+    Fault_sim.publish_stats sc.sim;
     s
 
 (* Aggressor screens (DESIGN.md §10).  "Victim follows [a]" injects
@@ -264,7 +263,7 @@ let screen_aggressors sc ~victim aggressors =
     let s_obs = sc.words.obs and s_fail = sc.words.fail and npos = sc.npos in
     (* Each flip word is split once, here, into the parts the three
        score components count; an aggressor's delta masks all three. *)
-    Fault_sim.batch_po_diffs_delta sc.batch ~site:victim
+    Fault_sim.batch_po_diffs_delta sc.sim ~site:victim
       ~deltas:(Array.make sc.nblocks Logic.ones)
       (fun bi oi w ->
         reserve sc !n 4;
@@ -274,7 +273,7 @@ let screen_aggressors sc ~victim aggressors =
         sc.flip.(!n + 2) <- w land lnot obs land fm;
         sc.flip.(!n + 3) <- w land lnot fm;
         n := !n + 4);
-    Fault_sim.publish_stats (Fault_sim.batch_sim sc.batch);
+    Fault_sim.publish_stats sc.sim;
     let flip = sc.flip and n = !n and goods = sc.goods and total = sc.words.total in
     List.map
       (fun a ->
@@ -349,7 +348,7 @@ let settle ~pre on0 on1 =
 let evaluate_bridges sc ~rest ~victim hyps =
   if hyps = [] then []
   else begin
-    let net = sc.net and b = sc.batch and nb = sc.nblocks in
+    let net = sc.net and b = sc.sim and nb = sc.nblocks in
     sc.epoch <- sc.epoch + 2;
     let down = sc.epoch - 1 and up = sc.epoch in
     mark_cone sc ~csr:(Netlist.fanout_csr net) ~off:(Netlist.fanout_offsets net)
@@ -482,7 +481,7 @@ let evaluate_bridges sc ~rest ~victim hyps =
           score_of h)
         hyps
     in
-    Fault_sim.publish_stats (Fault_sim.batch_sim b);
+    Fault_sim.publish_stats b;
     scores
   end
 

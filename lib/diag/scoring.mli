@@ -52,8 +52,7 @@ val score_triples : Datalog.words -> npos:int -> int array -> score
 
 type t
 (** A scorer: the scratch one diagnosis scores its hypotheses on — a
-    {!Fault_sim} simulator and PPSFP batch slabs over the session's
-    blocks and good-machine words, the datalog's
+    {!Session.simulator} over the session's blocks, the datalog's
     {!Datalog.observed_words}, the held base's diff words and score,
     the flip-sweep buffer of the screens and bridges, and the bridge
     scorer's cone-marking arrays.  The diagnosis that
@@ -63,8 +62,9 @@ type t
 
 val create : Session.t -> Datalog.t -> t
 (** [create session dlog] builds a scorer for [dlog] on [session]'s
-    problem, reading {!Session.goods} and {!Session.reach} (no
-    simulation).  Costs one transpose of the good-machine words. *)
+    problem (no simulation).  Its simulator reads the session's
+    transposed good words; the scorer allocates only its own delta
+    slab and scratch. *)
 
 val evaluate_multiplet : t -> Fault_list.fault list -> score
 (** Score the multiplet by one PPSFP delta-propagation sweep from the

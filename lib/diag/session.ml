@@ -10,9 +10,10 @@
    must be able to run under different configurations without racing on
    globals.  A [t] is created once, is immutable, and is safe to share
    across domains: every field is either frozen after [create] or
-   internally synchronised ([Sig_cache]).  The session owns its
-   signature cache outright — it builds it in [create] and nothing else
-   holds it — so a dropped session frees its cache. *)
+   internally synchronised ([Sig_cache]); its simulator is never swept,
+   only lent.  The session owns its signature cache outright — it
+   builds it in [create] and nothing else holds it — so a dropped
+   session frees its cache. *)
 
 type cover = Greedy | Exact
 
@@ -46,6 +47,10 @@ type t = {
   reach : Po_reach.t;
   rep_keys : int array; (* fault key -> its class representative's key; never written *)
   cache : Sig_cache.t;
+  slab : Fault_sim.t option;
+      (* The good words transposed once, lent to every simulator the
+         session hands out and never swept itself; [None] for an empty
+         pattern set. *)
   config : config;
 }
 
@@ -58,6 +63,9 @@ let cache t = Some t.cache
 let config t = t.config
 let representative_key t k = t.rep_keys.(k)
 
+let simulator t =
+  Fault_sim.create ?share:t.slab ~reach:t.reach t.net ~blocks:(blocks t) ~goods:(goods t)
+
 let representatives t =
   let reps = ref [] in
   for k = Array.length t.rep_keys - 1 downto 0 do
@@ -69,8 +77,9 @@ let representatives t =
 
 (* Every cold signature in the engine comes from [simulate]: the
    explanation matrix's misses, the baselines' misses and the
-   whole-pool prewarm.  Triples arrive in the canonical per-block order
-   of [Fault_sim.iter_po_diffs], the order every cache entry uses. *)
+   whole-pool prewarm.  Triples arrive blocks ascending, then each
+   fault's reachable POs in CSR order, the order every cache entry
+   uses. *)
 
 (* Tile cap on the fault axis: bounds the per-batch working set so slabs
    stay cache-sized, and gives single-domain runs the same tiles. *)
@@ -116,11 +125,11 @@ let sweep_tile b (tb : Sig_cache.buf) starts (faults : Fault_list.fault array) ~
    Uniform index ranges would pack all the cheap near-output faults into
    the last chunk and stall the other domains; the minimum chunk weight
    collapses the plan when only a light residue is left, so a handful
-   of faults never pays domain spawns.  Scratch — [Fault_sim.t], the
-   PPSFP batch slabs (the transposed delta slab is O(nets x blocks)),
-   the triple buffers — is allocated before the parallel region, one per
-   drain slot, never per chunk.  Results are written per fault index,
-   so the output is identical for every domain count. *)
+   of faults never pays domain spawns.  Scratch — a [Fault_sim.t] with
+   its O(nets x blocks) delta slab, the triple buffers — is allocated
+   before the parallel region, one per drain slot, never per chunk.
+   Results are written per fault index, so the output is identical for
+   every domain count. *)
 let simulate t (faults : Fault_list.fault array) =
   let n = Array.length faults in
   let out = Array.make n [||] in
@@ -140,22 +149,13 @@ let simulate t (faults : Fault_list.fault array) =
       Parallel.weighted_chunks ?domains ~min_chunk_weight ~max_chunk_size:batch_tile ~weights ()
     in
     let nslots = Parallel.plan_slots ?domains plan in
-    let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
-    let blocks = blocks t and goods = goods t in
-    let b0 = Fault_sim.prepare_batch sims.(0) ~blocks ~goods in
-    let batches =
-      Array.init nslots (fun s ->
-          if s = 0 then b0 else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks ~goods)
-    in
+    let sims = Array.init nslots (fun _ -> simulator t) in
     let tbs = Array.init nslots (fun _ -> { Sig_cache.data = Array.make 4096 0; len = 0 }) in
     let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
     Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
-        sweep_tile batches.(slot) tbs.(slot) startss.(slot) faults ~lo ~hi (fun i triples ->
+        sweep_tile sims.(slot) tbs.(slot) startss.(slot) faults ~lo ~hi (fun i triples ->
             out.(i) <- triples));
-    if Obs.enabled () then begin
-      Array.iter Fault_sim.publish_batch_stats batches;
-      Array.iter Fault_sim.publish_stats sims
-    end
+    Array.iter Fault_sim.publish_stats sims
   end;
   out
 
@@ -209,13 +209,19 @@ let prewarm t =
    no reader writes it, where the union-find compresses paths as it
    reads. *)
 let create ?(config = default_config) net pats =
+  let reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net) in
+  let cache = Sig_cache.create net pats in
+  let blocks = Sig_cache.blocks cache in
   let t =
     {
       net;
       pats;
-      reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net);
+      reach;
       rep_keys = Fault_list.representative_indices (Fault_list.collapse net);
-      cache = Sig_cache.create net pats;
+      cache;
+      slab =
+        (if Array.length blocks = 0 then None
+         else Some (Fault_sim.create ~reach net ~blocks ~goods:(Sig_cache.goods cache)));
       config;
     }
   in

@@ -14,9 +14,11 @@
     Sharing contract (DESIGN.md §11): a [t] is immutable after
     {!create} and safe to share across domains.  [net], [pats],
     [blocks], [goods], [reach] and the representative table are frozen; the cache instance is
-    domain-safe (lock-free reads, appends under one mutex); per-diagnosis scratch (fault
-    simulators, batch slabs, triple buffers, the {!Scoring.t} scorer) is
-    never stored here — each call allocates its own.  The volume
+    domain-safe (lock-free reads, appends under one mutex); the good
+    words are transposed once, at {!create}, into a slab that every
+    {!simulator} reads and no sweep writes; per-diagnosis scratch (fault
+    simulators with their delta slabs, triple buffers, the {!Scoring.t}
+    scorer) is never stored here — each call allocates its own.  The volume
     service creates one session and drains thousands of datalogs
     against it, one diagnosis per domain.
 
@@ -111,6 +113,13 @@ val goods : t -> Logic_sim.net_values array
 val reach : t -> Po_reach.t
 (** Per-net reachable-PO screen.  Frozen. *)
 
+val simulator : t -> Fault_sim.t
+(** A fresh fault simulator over the session's blocks, reading the
+    session's transposed good slab ([Fault_sim.create ?share]) and
+    owning only its delta slab and scratch: one per worker or scorer,
+    never shared across domains.  Raises [Invalid_argument] on an empty
+    pattern set. *)
+
 val representative_key : t -> int -> int
 (** [representative_key t k]: the {!Sig_cache.key} of the class
     representative of the fault with key [k], read from a table
@@ -132,12 +141,12 @@ val config : t -> config
 
 val simulate : t -> Fault_list.fault array -> int array array
 (** Signature triples for every fault, in the canonical
-    [(block, PO, diff-word)] order of {!Fault_sim.iter_po_diffs},
+    [(block, PO, diff-word)] order of {!Fault_sim.simulate_batch}
+    (blocks ascending, then the fault's reachable POs in CSR order),
     freshly simulated: the cache is neither probed nor stored.  The
     engine's one cold path — {!Explain.build_session}'s misses,
     {!fault_triples} and {!prewarm} all call it.  One fork-join PPSFP
-    sweep over {!Fault_sim.prepare_batch} slabs (shared good slab,
-    per-slot delta slabs and simulators), chunked by cost (reachable
+    sweep, one {!simulator} per drain slot, chunked by cost (reachable
     POs x remaining depth) into tiles of at most 512 faults.  Results
     are written per fault index, so they are identical for every
     [config.domains]. *)
@@ -150,5 +159,4 @@ val fault_triples : t -> Fault_list.fault array -> int array array
 
 val signature_of_triples : t -> int array -> Bitvec.t array
 (** {!Sig_cache.signature_of_triples} on the session's cache: expand one
-    fault's triples into the per-PO, bit-per-pattern shape of
-    {!Fault_sim.signature}. *)
+    fault's triples into the per-PO, bit-per-pattern signature shape. *)

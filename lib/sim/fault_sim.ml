@@ -1,243 +1,13 @@
-(* Scratch layout: everything the steady-state path touches is a flat
-   preallocated int array — per-level frontiers with cursor lengths, a
-   touched stack for O(|cone|) reset, and the netlist's CSR adjacency.
-   [propagate] therefore performs no heap allocation at all. *)
-type t = {
-  net : Netlist.t;
-  reach : Po_reach.t;
-  pos : int array; (* PO net ids, by PO position *)
-  delta : int array; (* faulty XOR good, for touched nets only *)
-  queued : bool array;
-  bucket : int array array; (* per level; capacity = nets at that level *)
-  bucket_len : int array;
-  touched : int array; (* stack of nets whose delta may be non-zero *)
-  mutable ntouched : int;
-  (* Plain mutable stats, always maintained: one add per frontier level
-     and per call, nothing per gate event, so the cost is noise even
-     with observability off.  Owners fold them into the global [Obs]
-     counters after their parallel region ([publish_stats]). *)
-  mutable n_propagates : int;
-  mutable n_screened : int;
-  mutable n_gate_events : int;
-}
-
-let create ?reach net =
-  let n = Netlist.num_nets net in
-  let depth = Netlist.depth net in
-  let levels = Netlist.level_array net in
-  let counts = Array.make (depth + 1) 0 in
-  Array.iter (fun l -> counts.(l) <- counts.(l) + 1) levels;
-  let reach = match reach with Some r -> r | None -> Po_reach.compute net in
-  {
-    net;
-    reach;
-    pos = Netlist.pos net;
-    delta = Array.make n 0;
-    queued = Array.make n false;
-    bucket = Array.map (fun c -> Array.make (max 1 c) 0) counts;
-    bucket_len = Array.make (depth + 1) 0;
-    touched = Array.make (max 1 n) 0;
-    ntouched = 0;
-    n_propagates = 0;
-    n_screened = 0;
-    n_gate_events = 0;
-  }
-
-let c_faults_simulated = Obs.counter "sim.faults_simulated"
-let c_faults_screened = Obs.counter "sim.faults_screened"
-let c_gate_events = Obs.counter "sim.gate_events"
-let c_batches = Obs.counter "sim.batches"
-let d_faults_per_batch = Obs.dist "sim.faults_per_batch"
-
-let publish_stats t =
-  if Obs.enabled () then begin
-    Obs.add c_faults_simulated t.n_propagates;
-    Obs.add c_faults_screened t.n_screened;
-    Obs.add c_gate_events t.n_gate_events
-  end;
-  t.n_propagates <- 0;
-  t.n_screened <- 0;
-  t.n_gate_events <- 0
-
-(* Faulty-machine gate evaluation: operand [i] is
-   [good.(src) lxor delta.(src)] for the gate's CSR fanin slice.  A
-   twin of [Gate.eval_flat] specialised to the two-array read so no
-   argument array (and no closure) is ever built.  Only reachable from
-   fanout edges, so the driver is never an Input/Const. *)
-(* The operand reads are written out longhand in every arm (rather than
-   through a local helper function) because without flambda a local
-   closure over [good]/[delta] is heap-allocated per gate event — the
-   exact per-event garbage this kernel exists to avoid. *)
-let eval_faulty code (good : int array) (delta : int array) (fanin : int array)
-    lo hi =
-  if code = Gate.code_buf then begin
-    let s = fanin.(lo) in
-    good.(s) lxor delta.(s)
-  end
-  else if code = Gate.code_not then begin
-    let s = fanin.(lo) in
-    lnot (good.(s) lxor delta.(s))
-  end
-  else if code = Gate.code_and then begin
-    let s0 = fanin.(lo) in
-    let acc = ref (good.(s0) lxor delta.(s0)) in
-    for i = lo + 1 to hi - 1 do
-      let s = fanin.(i) in
-      acc := !acc land (good.(s) lxor delta.(s))
-    done;
-    !acc
-  end
-  else if code = Gate.code_nand then begin
-    let s0 = fanin.(lo) in
-    let acc = ref (good.(s0) lxor delta.(s0)) in
-    for i = lo + 1 to hi - 1 do
-      let s = fanin.(i) in
-      acc := !acc land (good.(s) lxor delta.(s))
-    done;
-    lnot !acc
-  end
-  else if code = Gate.code_or then begin
-    let s0 = fanin.(lo) in
-    let acc = ref (good.(s0) lxor delta.(s0)) in
-    for i = lo + 1 to hi - 1 do
-      let s = fanin.(i) in
-      acc := !acc lor (good.(s) lxor delta.(s))
-    done;
-    !acc
-  end
-  else if code = Gate.code_nor then begin
-    let s0 = fanin.(lo) in
-    let acc = ref (good.(s0) lxor delta.(s0)) in
-    for i = lo + 1 to hi - 1 do
-      let s = fanin.(i) in
-      acc := !acc lor (good.(s) lxor delta.(s))
-    done;
-    lnot !acc
-  end
-  else if code = Gate.code_xor then begin
-    let s0 = fanin.(lo) in
-    let acc = ref (good.(s0) lxor delta.(s0)) in
-    for i = lo + 1 to hi - 1 do
-      let s = fanin.(i) in
-      acc := !acc lxor (good.(s) lxor delta.(s))
-    done;
-    !acc
-  end
-  else if code = Gate.code_xnor then begin
-    let s0 = fanin.(lo) in
-    let acc = ref (good.(s0) lxor delta.(s0)) in
-    for i = lo + 1 to hi - 1 do
-      let s = fanin.(i) in
-      acc := !acc lxor (good.(s) lxor delta.(s))
-    done;
-    lnot !acc
-  end
-  else invalid_arg "Fault_sim: unexpected gate in fanout cone"
-
-let[@inline] enqueue queued (levels : int array) bucket (bucket_len : int array)
-    m =
-  if not queued.(m) then begin
-    queued.(m) <- true;
-    let l = levels.(m) in
-    bucket.(l).(bucket_len.(l)) <- m;
-    bucket_len.(l) <- bucket_len.(l) + 1
-  end
-
-(* Propagate the word-level difference [d0] injected at [site] through
-   the fanout cone, level by level.  [t.delta] holds faulty XOR good for
-   every net known to differ; fanout levels are strictly greater than a
-   gate's own, so a frontier never grows while it is drained. *)
-let propagate t ~good ~site d0 =
-  t.n_propagates <- t.n_propagates + 1;
-  let delta = t.delta in
-  for i = 0 to t.ntouched - 1 do
-    delta.(t.touched.(i)) <- 0
-  done;
-  t.ntouched <- 0;
-  delta.(site) <- d0;
-  t.touched.(0) <- site;
-  t.ntouched <- 1;
-  let net = t.net in
-  let levels = Netlist.level_array net in
-  let codes = Netlist.gate_codes net in
-  let fi = Netlist.fanin_csr net in
-  let fi_off = Netlist.fanin_offsets net in
-  let fo = Netlist.fanout_csr net in
-  let fo_off = Netlist.fanout_offsets net in
-  let queued = t.queued in
-  let bucket = t.bucket in
-  let bucket_len = t.bucket_len in
-  for e = fo_off.(site) to fo_off.(site + 1) - 1 do
-    enqueue queued levels bucket bucket_len fo.(e)
-  done;
-  for lvl = 0 to Array.length bucket - 1 do
-    let frontier = bucket.(lvl) in
-    let len = bucket_len.(lvl) in
-    t.n_gate_events <- t.n_gate_events + len;
-    bucket_len.(lvl) <- 0;
-    for i = 0 to len - 1 do
-      let m = frontier.(i) in
-      queued.(m) <- false;
-      let faulty = eval_faulty codes.(m) good delta fi fi_off.(m) fi_off.(m + 1) in
-      let d = faulty lxor good.(m) in
-      let old = delta.(m) in
-      if old = 0 && d <> 0 then begin
-        t.touched.(t.ntouched) <- m;
-        t.ntouched <- t.ntouched + 1
-      end;
-      if d <> old then begin
-        delta.(m) <- d;
-        for e = fo_off.(m) to fo_off.(m + 1) - 1 do
-          enqueue queued levels bucket bucket_len fo.(e)
-        done
-      end
-    done
-  done
-
-let iter_po_diffs_delta t ~good ~width ~site ~delta f =
-  let mask = Logic.mask_of_width width in
-  let d0 = delta land mask in
-  let off = Po_reach.offsets t.reach in
-  (* Two screens, counted as such: a zero injected delta (the stuck
-     value equals the good value on every live pattern) and a site from
-     which no PO is reachable both make propagation pointless. *)
-  if d0 = 0 || off.(site + 1) = off.(site) then
-    t.n_screened <- t.n_screened + 1
-  else begin
-    propagate t ~good ~site d0;
-    let csr = Po_reach.reachable_csr t.reach in
-    let d = t.delta in
-    for i = off.(site) to off.(site + 1) - 1 do
-      let oi = Int32.to_int (Bigarray.Array1.unsafe_get csr i) in
-      let w = d.(t.pos.(oi)) land mask in
-      if w <> 0 then f oi w
-    done
-  end
-
-let iter_po_diffs t ~good ~width ~site ~stuck f =
-  let stuck_word = if stuck then Logic.ones else 0 in
-  iter_po_diffs_delta t ~good ~width ~site ~delta:(stuck_word lxor good.(site)) f
-
-let po_diffs t ~good ~width ~site ~stuck =
-  let out = ref [] in
-  iter_po_diffs t ~good ~width ~site ~stuck (fun oi d -> out := (oi, d) :: !out);
-  List.rev !out
-
-let detects t ~good ~width ~site ~stuck =
-  let acc = ref 0 in
-  iter_po_diffs t ~good ~width ~site ~stuck (fun _ d -> acc := !acc lor d);
-  !acc
-
-(* --- PPSFP batch pass ------------------------------------------------ *)
-
-(* Multi-block fault propagation: where [propagate] walks a fault's
-   fanout cone once per pattern block, the batch pass walks it *once*
-   carrying one delta word per block.  Good and delta words live in
-   transposed, net-major slabs ([net * nb + bi]) so the per-gate inner
-   loop over blocks is a contiguous scan; the frontier, queued flags and
-   level buckets — the per-event bookkeeping that dominates small-cone
-   propagation — are paid once per gate event instead of once per
-   (gate event, block).
+(* PPSFP fault propagation: a fault's fanout cone is walked *once*,
+   carrying one delta word per pattern block.  Good and delta words live
+   in transposed, net-major slabs ([net * nb + bi]) so the per-gate
+   inner loop over blocks is a contiguous scan; the frontier, queued
+   flags and level buckets — the per-event bookkeeping that dominates
+   small-cone propagation — are paid once per gate event instead of
+   once per (gate event, block).  Everything the steady-state path
+   touches is a flat preallocated array reset by cursor: per-level
+   frontiers, a touched stack for O(|cone|) reset, the netlist's CSR
+   adjacency.
 
    Sites may additionally be *pinned* for multi-site (multiplet)
    evaluation: a held site keeps its injected delta and is never
@@ -272,11 +42,18 @@ type frame = {
   mutable live : bool; (* [pin] carries [bpin] and the drain reads [base] *)
 }
 
-type batch = {
-  bsim : t;
+type t = {
+  net : Netlist.t;
+  reach : Po_reach.t;
+  pos : int array; (* PO net ids, by PO position *)
+  queued : bool array;
+  bucket : int array array; (* per level; capacity = nets at that level *)
+  bucket_len : int array;
   nb : int; (* number of pattern blocks *)
   masks : int array; (* per block: live-width mask *)
-  tgood : int array; (* shared read-only; [net * nb + bi] *)
+  tgood : int array; (* read-only once lent; [net * nb + bi] *)
+  borrowed : bool; (* [tgood] belongs to the [?share] simulator *)
+  lent : bool Atomic.t; (* some simulator reads this one's [tgood] *)
   mutable tref : int array; (* the reference the drain reads: [tgood] or a frame *)
   tdelta : int array; (* private faulty-XOR-reference slab, same layout *)
   acc : int array; (* per-gate-event eval scratch, one word per block *)
@@ -284,51 +61,74 @@ type batch = {
   pinned : int array; (* stack of pinned sites, for O(seeds) reset *)
   mutable npinned : int;
   mutable frame : frame option; (* allocated by the first base sweep *)
-  btouched : int array; (* batch-private touched stack (see below) *)
-  mutable nbtouched : int;
+  touched : int array; (* stack of nets whose delta may be non-zero *)
+  mutable ntouched : int;
   mutable minl : int; (* frontier level bounds of the current sweep *)
   mutable maxl : int;
   act : int array;
       (* Active blocks of the current sweep, ascending: the seed delta
          was non-zero there.  A zero seed in a block keeps the whole
          cone at zero for that block, so eval, update, emission and the
-         next reset all restrict to this list — the batch does strictly
-         less word work than the scalar sweep, which walks the cone once
-         per active block.  [reset_batch] reads the list of the sweep it
-         is clearing; callers refill it afterwards. *)
+         next reset all restrict to this list.  [reset_batch] reads the
+         list of the sweep it is clearing; callers refill it
+         afterwards. *)
   mutable nact : int;
-  (* Plain batch stats, published by the owner after its region. *)
+  (* Plain mutable stats, always maintained: one add per frontier level
+     and per sweep, nothing per gate event, so the cost is noise even
+     with observability off.  Owners fold them into the global [Obs]
+     counters after their parallel region ([publish_stats]). *)
+  mutable n_propagates : int;
+  mutable n_screened : int;
+  mutable n_gate_events : int;
   mutable n_batches : int;
   mutable batch_faults : int list; (* per-batch fault counts, newest first *)
 }
 
-let transpose_goods nets nb (goods : Logic_sim.net_values array) =
-  let tg = Array.make (nets * nb) 0 in
+let transpose_into tg nb (goods : Logic_sim.net_values array) =
+  let nets = Array.length tg / nb in
   for bi = 0 to nb - 1 do
     let g = goods.(bi) in
     for s = 0 to nets - 1 do
       tg.((s * nb) + bi) <- g.(s)
     done
-  done;
-  tg
+  done
 
-let prepare_batch ?share t ~blocks ~goods =
+let check_blocks fn ~nb ~blocks ~goods =
+  if Array.length blocks <> nb then invalid_arg (fn ^ ": block count mismatch");
+  if Array.length goods <> nb then invalid_arg (fn ^ ": goods/blocks length mismatch")
+
+let create ?share ?reach net ~blocks ~goods =
   let nb = Array.length blocks in
-  if nb = 0 then invalid_arg "Fault_sim.prepare_batch: empty block set";
-  if Array.length goods <> nb then
-    invalid_arg "Fault_sim.prepare_batch: goods/blocks length mismatch";
-  let nets = Netlist.num_nets t.net in
+  if nb = 0 then invalid_arg "Fault_sim.create: empty block set";
+  check_blocks "Fault_sim.create" ~nb ~blocks ~goods;
+  let nets = Netlist.num_nets net in
+  let depth = Netlist.depth net in
+  let counts = Array.make (depth + 1) 0 in
+  Array.iter (fun l -> counts.(l) <- counts.(l) + 1) (Netlist.level_array net);
+  let reach = match reach with Some r -> r | None -> Po_reach.compute net in
   let tgood =
     match share with
-    | Some b when b.bsim.net == t.net && b.nb = nb -> b.tgood
-    | Some _ -> invalid_arg "Fault_sim.prepare_batch: incompatible ?share"
-    | None -> transpose_goods nets nb goods
+    | Some s when s.net == net && s.nb = nb ->
+      Atomic.set s.lent true;
+      s.tgood
+    | Some _ -> invalid_arg "Fault_sim.create: incompatible ?share"
+    | None ->
+      let tg = Array.make (nets * nb) 0 in
+      transpose_into tg nb goods;
+      tg
   in
   {
-    bsim = t;
+    net;
+    reach;
+    pos = Netlist.pos net;
+    queued = Array.make nets false;
+    bucket = Array.map (fun c -> Array.make (max 1 c) 0) counts;
+    bucket_len = Array.make (depth + 1) 0;
     nb;
     masks = Array.map (fun (b : Pattern.block) -> Logic.mask_of_width b.width) blocks;
     tgood;
+    borrowed = Option.is_some share;
+    lent = Atomic.make false;
     tref = tgood;
     tdelta = Array.make (nets * nb) 0;
     acc = Array.make nb 0;
@@ -336,34 +136,68 @@ let prepare_batch ?share t ~blocks ~goods =
     pinned = Array.make (max 1 nets) 0;
     npinned = 0;
     frame = None;
-    btouched = Array.make (max 1 nets) 0;
-    nbtouched = 0;
+    touched = Array.make (max 1 nets) 0;
+    ntouched = 0;
     minl = max_int;
     maxl = -1;
     act = Array.make nb 0;
     nact = 0;
+    n_propagates = 0;
+    n_screened = 0;
+    n_gate_events = 0;
     n_batches = 0;
     batch_faults = [];
   }
 
-let batch_sim b = b.bsim
+(* Writing the good slab in place is safe only while no other simulator
+   reads it and no frame copied it.  The delta slab needs no clearing:
+   every sweep resets what the previous one wrote, and that reset reads
+   the act list, not the masks. *)
+let rebind t ~blocks ~goods =
+  if t.borrowed || Atomic.get t.lent then
+    invalid_arg "Fault_sim.rebind: the good slab is shared";
+  if Option.is_some t.frame then
+    invalid_arg "Fault_sim.rebind: the simulator holds a frame";
+  check_blocks "Fault_sim.rebind" ~nb:t.nb ~blocks ~goods;
+  Array.iteri
+    (fun bi (b : Pattern.block) -> t.masks.(bi) <- Logic.mask_of_width b.width)
+    blocks;
+  transpose_into t.tgood t.nb goods
 
-(* The batch keeps its own touched stack (rather than borrowing
-   [t.touched]) so scalar [propagate] calls and batch sweeps can
-   interleave on one simulator: each resets only the slab it dirtied.
-   The queued flags and level buckets *are* shared — both drains restore
-   them to all-false / all-zero on exit.  Under a live frame a pinned
+let c_faults_simulated = Obs.counter "sim.faults_simulated"
+let c_faults_screened = Obs.counter "sim.faults_screened"
+let c_gate_events = Obs.counter "sim.gate_events"
+let c_batches = Obs.counter "sim.batches"
+let d_faults_per_batch = Obs.dist "sim.faults_per_batch"
+
+let publish_stats t =
+  if Obs.enabled () then begin
+    Obs.add c_faults_simulated t.n_propagates;
+    Obs.add c_faults_screened t.n_screened;
+    Obs.add c_gate_events t.n_gate_events;
+    Obs.add c_batches t.n_batches;
+    List.iter (fun n -> Obs.record d_faults_per_batch n) (List.rev t.batch_faults)
+  end;
+  t.n_propagates <- 0;
+  t.n_screened <- 0;
+  t.n_gate_events <- 0;
+  t.n_batches <- 0;
+  t.batch_faults <- []
+
+(* Clear what the last sweep wrote: its touched rows and pinned sites,
+   over its active blocks.  The drain leaves the queued flags and level
+   buckets all-false / all-zero on exit.  Under a live frame a pinned
    site gets its base pin back, not a free one: the base pins stay in
    force from one change sweep to the next. *)
 let reset_batch b =
   let td = b.tdelta and nb = b.nb and act = b.act in
-  for i = 0 to b.nbtouched - 1 do
-    let o = b.btouched.(i) * nb in
+  for i = 0 to b.ntouched - 1 do
+    let o = b.touched.(i) * nb in
     for a = 0 to b.nact - 1 do
       td.(o + act.(a)) <- 0
     done
   done;
-  b.nbtouched <- 0;
+  b.ntouched <- 0;
   for i = b.npinned - 1 downto 0 do
     let s = b.pinned.(i) in
     b.pin.(s) <- (match b.frame with Some fr when fr.live -> fr.bpin.(s) | _ -> 0);
@@ -395,10 +229,9 @@ let unframe b =
    only from fanout edges, so the driver is never an Input/Const.
 
    This loop and the drain below are the only places in the repository
-   using unchecked array access.  The batch kernel performs an order of
-   magnitude more reads per gate event than the scalar one (two slab
-   words per (fanin, block)), so bounds checks — cheap noise in the
-   scalar kernel — became its dominant cost.  Every index is
+   using unchecked array access.  The kernel performs two slab reads per
+   (fanin, block) at every gate event, so bounds checks became its
+   dominant cost.  Every index is
    structurally in range: fanin/fanout slices come from the netlist's
    own CSR offsets, net ids are below [num_nets] by construction, slab
    offsets are [net * nb + bi] with [bi < nb], and each level bucket
@@ -514,12 +347,11 @@ let eval_batch b (codes : int array) (fi : int array) (fi_off : int array) m =
    drain scans only [minl .. maxl] instead of the whole depth — a
    near-output seed touches a handful of levels, not the circuit's. *)
 let enqueue_batch b (levels : int array) m =
-  let t = b.bsim in
-  if not t.queued.(m) then begin
-    t.queued.(m) <- true;
+  if not b.queued.(m) then begin
+    b.queued.(m) <- true;
     let l = levels.(m) in
-    t.bucket.(l).(t.bucket_len.(l)) <- m;
-    t.bucket_len.(l) <- t.bucket_len.(l) + 1;
+    b.bucket.(l).(b.bucket_len.(l)) <- m;
+    b.bucket_len.(l) <- b.bucket_len.(l) + 1;
     if l < b.minl then b.minl <- l;
     if l > b.maxl then b.maxl <- l
   end
@@ -527,7 +359,6 @@ let enqueue_batch b (levels : int array) m =
 (* Seed one site: write its per-block deltas (already masked), record
    the pin kind, and enqueue its fanouts.  [deltas] is read, not kept. *)
 let seed_batch b ~site ~pin_kind (deltas : int array) =
-  let t = b.bsim in
   let nb = b.nb in
   let o = site * nb in
   for bi = 0 to nb - 1 do
@@ -536,22 +367,19 @@ let seed_batch b ~site ~pin_kind (deltas : int array) =
   b.pin.(site) <- pin_kind;
   b.pinned.(b.npinned) <- site;
   b.npinned <- b.npinned + 1;
-  let levels = Netlist.level_array t.net in
-  let fo = Netlist.fanout_csr t.net in
-  let fo_off = Netlist.fanout_offsets t.net in
+  let levels = Netlist.level_array b.net in
+  let fo = Netlist.fanout_csr b.net in
+  let fo_off = Netlist.fanout_offsets b.net in
   for e = fo_off.(site) to fo_off.(site + 1) - 1 do
     enqueue_batch b levels fo.(e)
   done
 
 (* Drain the frontier level by level across [minl .. maxl] ([maxl] only
    grows, fanouts being strictly deeper than their gate).  One gate
-   event per popped net, exactly as the scalar kernel counts them — the
-   batch saving shows up as roughly [nb] times fewer events for the
-   same diagnosis. *)
+   event per popped net, however many blocks it carries. *)
 let drain_batch b =
-  let t = b.bsim in
-  t.n_propagates <- t.n_propagates + 1;
-  let net = t.net in
+  b.n_propagates <- b.n_propagates + 1;
+  let net = b.net in
   let nb = b.nb in
   let levels = Netlist.level_array net in
   let codes = Netlist.gate_codes net in
@@ -564,13 +392,13 @@ let drain_batch b =
   let dense = nact = nb in
   let lvl = ref b.minl in
   while !lvl <= b.maxl do
-    let frontier = t.bucket.(!lvl) in
-    let len = t.bucket_len.(!lvl) in
-    t.n_gate_events <- t.n_gate_events + len;
-    t.bucket_len.(!lvl) <- 0;
+    let frontier = b.bucket.(!lvl) in
+    let len = b.bucket_len.(!lvl) in
+    b.n_gate_events <- b.n_gate_events + len;
+    b.bucket_len.(!lvl) <- 0;
     for i = 0 to len - 1 do
       let m = Array.unsafe_get frontier i in
-      Array.unsafe_set t.queued m false;
+      Array.unsafe_set b.queued m false;
       let pin = Array.unsafe_get b.pin m in
       if pin <> 1 then begin
         if dense then eval_batch b codes fi fi_off m
@@ -633,8 +461,8 @@ let drain_batch b =
              Array.unsafe_set td (o + bi) d
            done);
         if !old_or = 0 && !new_or <> 0 then begin
-          b.btouched.(b.nbtouched) <- m;
-          b.nbtouched <- b.nbtouched + 1
+          b.touched.(b.ntouched) <- m;
+          b.ntouched <- b.ntouched + 1
         end;
         if !diff_or <> 0 then
           for e = fo_off.(m) to fo_off.(m + 1) - 1 do
@@ -647,16 +475,13 @@ let drain_batch b =
 
 (* Canonical triple emission for one single-site injection: blocks
    ascending, then the site's reachable POs in CSR order, masked words
-   only — byte-compatible with the per-fault [iter_po_diffs] sweep and
-   therefore with every [Sig_cache] entry.  Blocks where the seed delta
-   was zero are skipped outright: the whole cone carries zero there, so
-   no PO word can differ (the scalar sweep screens exactly those
-   (fault, block) pairs). *)
+   only — the order of every [Sig_cache] entry.  Blocks where the seed
+   delta was zero are skipped outright: the whole cone carries zero
+   there, so no PO word can differ. *)
 let emit_reach_diffs b ~site f =
-  let t = b.bsim in
   let nb = b.nb in
-  let off = Po_reach.offsets t.reach in
-  let csr = Po_reach.reachable_csr t.reach in
+  let off = Po_reach.offsets b.reach in
+  let csr = Po_reach.reachable_csr b.reach in
   let td = b.tdelta in
   let lo = off.(site) and hi = off.(site + 1) in
   for a = 0 to b.nact - 1 do
@@ -665,26 +490,25 @@ let emit_reach_diffs b ~site f =
     for i = lo to hi - 1 do
       let oi = Int32.to_int (Bigarray.Array1.unsafe_get csr i) in
       let w =
-        Array.unsafe_get td ((Array.unsafe_get t.pos oi * nb) + bi) land mask
+        Array.unsafe_get td ((Array.unsafe_get b.pos oi * nb) + bi) land mask
       in
       if w <> 0 then f bi oi w
     done
   done
 
 let batch_po_diffs_delta b ~site ~deltas f =
-  let t = b.bsim in
-  let off = Po_reach.offsets t.reach in
+  let off = Po_reach.offsets b.reach in
   let any = ref false in
   for bi = 0 to b.nb - 1 do
     if deltas.(bi) land b.masks.(bi) <> 0 then any := true
   done;
   reset_batch b;
   unframe b;
-  (* Same two screens as the scalar kernel, now at whole-fault
-     granularity: one screened injection here stands for [nb] scalar
-     ones. *)
+  (* Two screens, counted as such: a zero injected delta on every live
+     pattern, and a site from which no PO is reachable, both make
+     propagation pointless. *)
   if (not !any) || off.(site + 1) = off.(site) then
-    t.n_screened <- t.n_screened + 1
+    b.n_screened <- b.n_screened + 1
   else begin
     b.nact <- 0;
     for bi = 0 to b.nb - 1 do
@@ -701,7 +525,6 @@ let batch_po_diffs_delta b ~site ~deltas f =
   end
 
 let batch_multiplet_diffs b ~faults f =
-  let t = b.bsim in
   let nb = b.nb in
   reset_batch b;
   unframe b;
@@ -744,12 +567,12 @@ let batch_multiplet_diffs b ~faults f =
     pins;
   drain_batch b;
   let td = b.tdelta in
-  let npos = Array.length t.pos in
+  let npos = Array.length b.pos in
   for a = 0 to b.nact - 1 do
     let bi = b.act.(a) in
     let mask = b.masks.(bi) in
     for oi = 0 to npos - 1 do
-      let w = td.((t.pos.(oi) * nb) + bi) land mask in
+      let w = td.((b.pos.(oi) * nb) + bi) land mask in
       if w <> 0 then f bi oi w
     done
   done
@@ -773,10 +596,9 @@ let frame_of b =
   match b.frame with
   | Some fr -> fr
   | None ->
-    let t = b.bsim in
-    let nets = Netlist.num_nets t.net in
+    let nets = Netlist.num_nets b.net in
     let po_of = Array.make nets (-1) in
-    Array.iteri (fun oi n -> po_of.(n) <- oi) t.pos;
+    Array.iteri (fun oi n -> po_of.(n) <- oi) b.pos;
     let fr =
       {
         base = Array.copy b.tgood;
@@ -817,8 +639,8 @@ let batch_base_diffs b ~faults f =
     keep s;
     fr.bpin.(s) <- b.pin.(s)
   done;
-  for i = 0 to b.nbtouched - 1 do
-    keep b.btouched.(i)
+  for i = 0 to b.ntouched - 1 do
+    keep b.touched.(i)
   done;
   reset_batch b;
   for i = 0 to fr.nrows - 1 do
@@ -834,10 +656,9 @@ let batch_change_diffs b changes f =
     | Some fr when fr.live -> fr
     | Some _ | None -> invalid_arg "Fault_sim.batch_change_diffs: no base frame"
   in
-  let t = b.bsim in
   let nb = b.nb and base = fr.base and tg = b.tgood and masks = b.masks in
   reset_batch b;
-  let fi_off = Netlist.fanin_offsets t.net in
+  let fi_off = Netlist.fanin_offsets b.net in
   let gated s = fi_off.(s) < fi_off.(s + 1) in
   (* A freed or flipped gate is re-evaluated by the drain from its
      fanins' frame words: it is enqueued itself, not seeded.  Every
@@ -865,7 +686,7 @@ let batch_change_diffs b changes f =
       b.nact <- b.nact + 1
     end
   done;
-  let levels = Netlist.level_array t.net in
+  let levels = Netlist.level_array b.net in
   List.iter
     (fun (s, p) ->
       let kind = match p with Free -> 0 | Stuck _ | Held _ -> 1 | Flip -> 2 in
@@ -898,8 +719,8 @@ let batch_change_diffs b changes f =
       done
     end
   in
-  for i = 0 to b.nbtouched - 1 do
-    emit b.btouched.(i)
+  for i = 0 to b.ntouched - 1 do
+    emit b.touched.(i)
   done;
   for i = 0 to b.npinned - 1 do
     let s = b.pinned.(i) in
@@ -913,7 +734,7 @@ let batch_value b ~net ~block =
   b.tref.(o) lxor b.tdelta.(o)
 
 let batch_driven b ~net ~block =
-  let g = b.bsim.net in
+  let g = b.net in
   let fi = Netlist.fanin_csr g and off = Netlist.fanin_offsets g in
   let lo = off.(net) and hi = off.(net + 1) in
   (* Inputs and constants have no fanin: their driven word is the
@@ -937,7 +758,7 @@ let batch_driven b ~net ~block =
   end
 
 (* A stuck-at fault is the injection of its stuck word against the good
-   one in every block.  The deltas go through the batch's own [acc]
+   one in every block.  The deltas go through the simulator's own [acc]
    scratch: [batch_po_diffs_delta] reads each word before it rewrites
    it. *)
 let simulate_batch b ~n ~fault f =
@@ -952,32 +773,3 @@ let simulate_batch b ~n ~fault f =
     done;
     batch_po_diffs_delta b ~site ~deltas:b.acc (fun bi oi w -> f i bi oi w)
   done
-
-let publish_batch_stats b =
-  if Obs.enabled () then begin
-    Obs.add c_batches b.n_batches;
-    List.iter (fun n -> Obs.record d_faults_per_batch n) (List.rev b.batch_faults)
-  end;
-  b.n_batches <- 0;
-  b.batch_faults <- []
-
-let signature t ?goods pats ~site ~stuck =
-  let npat = Pattern.count pats in
-  let blocks = Pattern.blocks pats in
-  (match goods with
-  | Some g when Array.length g <> List.length blocks ->
-    invalid_arg "Fault_sim.signature: goods/blocks length mismatch"
-  | Some _ | None -> ());
-  let sig_ = Array.init (Netlist.num_pos t.net) (fun _ -> Bitvec.create npat) in
-  List.iteri
-    (fun bi block ->
-      let good =
-        match goods with
-        | Some g -> g.(bi)
-        | None -> Logic_sim.simulate_block t.net block
-      in
-      iter_po_diffs t ~good ~width:block.Pattern.width ~site ~stuck (fun oi d ->
-          Logic.iter_bits d (fun k ->
-              Bitvec.set sig_.(oi) (block.Pattern.base + k) true)))
-    blocks;
-  sig_

@@ -1,145 +1,87 @@
-(** Event-driven bit-parallel single-stuck-at fault simulation.
+(** PPSFP fault simulation: parallel-pattern, batched-fault.
 
-    The inner loop of diagnosis: given the good-machine words of a
-    pattern block, propagate the effect of one stuck line through its
-    fanout cone only, and report which primary outputs differ on which
-    patterns.  Amortised cost is proportional to the size of the
-    affected region, not the circuit.
+    The one fault simulator of the engine.  Diagnosis fills its
+    signature cache and scores every hypothesis with it, and test
+    generation drops detected faults with it.  A simulator is bound to
+    the good-machine words of a block group (every block of a pattern
+    set); it propagates an injected difference through the fanout cone
+    only, carrying one delta word {e per block} through a single
+    levelized sweep, so the frontier, queued flags and level buckets
+    are paid once per gate event instead of once per (gate event,
+    block).  Amortised cost is proportional to the size of the affected
+    region, not the circuit.  Good and delta words live in transposed
+    net-major slabs, so the per-gate block loop is a contiguous scan.
 
     The steady-state path is allocation-free: the per-level event
-    frontiers, the touched stack and the delta words are preallocated
+    frontiers, the touched stack and the delta slab are preallocated
     flat arrays reset by cursor, gates evaluate straight out of the
-    netlist's CSR views, and output scans visit only the POs reachable
-    from the injection site (see {!Po_reach}). *)
+    netlist's CSR views, and single-site output scans visit only the
+    POs reachable from the injection site (see {!Po_reach}).
+
+    The sweeps are exact: their masked PO diff words are bit-identical
+    to a whole-block overlay resimulation ([Logic_sim.simulate_block_overlay])
+    under the equivalent overrides, which the test suite's kernel
+    oracles check against a per-block scalar reference. *)
 
 type t
-(** Reusable simulator (scratch buffers) bound to one netlist.  Not
+(** Simulator scratch bound to one netlist and one block group.  Not
     shareable across domains — give each worker its own. *)
 
-val create : ?reach:Po_reach.t -> Netlist.t -> t
-(** [?reach] shares a precomputed PO-reachability structure (it is
-    immutable); when omitted one is computed, an O(edges) sweep. *)
-
-val publish_stats : t -> unit
-(** Fold this simulator's stats — fault propagations run, injections
-    screened away (zero delta on every live pattern, or no PO reachable
-    from the site) and frontier entries drained — into the global [Obs]
-    counters ["sim.faults_simulated"], ["sim.faults_screened"] and
-    ["sim.gate_events"] (when observability is on), then reset them.
-    The stats are maintained unconditionally (plain field adds at
-    frontier granularity) and are deterministic for a given workload,
-    so regression gates may compare them exactly.  Owners call it once
-    per batch, after their parallel region. *)
-
-val po_diffs :
-  t ->
-  good:Logic_sim.net_values ->
-  width:int ->
-  site:Netlist.net ->
-  stuck:bool ->
-  (int * int) list
-(** [po_diffs t ~good ~width ~site ~stuck]: simulate [site] stuck at
-    [stuck] against the block whose good-machine words are [good] (live
-    pattern bits [0 .. width-1]).  Returns [(po_position, diff_word)]
-    for every PO whose masked diff word is non-zero, ascending. *)
-
-val iter_po_diffs :
-  t ->
-  good:Logic_sim.net_values ->
-  width:int ->
-  site:Netlist.net ->
-  stuck:bool ->
-  (int -> int -> unit) ->
-  unit
-(** Allocation-free variant of {!po_diffs}: [f po_position diff_word]
-    for every differing PO, ascending.  The hot-loop entry point of
-    the scalar signature paths. *)
-
-val iter_po_diffs_delta :
-  t ->
-  good:Logic_sim.net_values ->
-  width:int ->
-  site:Netlist.net ->
-  delta:int ->
-  (int -> int -> unit) ->
-  unit
-(** Generalisation of {!iter_po_diffs}: inject an arbitrary
-    per-pattern error word [delta] (bit [k] set = the site's value is
-    flipped on pattern [k]) at [site] and propagate.  For a single
-    injection the victim's delta under "victim follows net [a]" is just
-    [good(victim) lxor good(a)].  Lanes are independent, so the diff
-    words under any delta are the delta masked onto the diff words of
-    the all-ones delta: the aggressor screens run that one flip
-    injection per victim, over every block at once, through
-    {!batch_po_diffs_delta} and mask it per aggressor.  Bridge
-    confirmation, which must see the rest of the multiplet and the
-    bridge's feedback, holds words in {!batch_change_diffs} on top of
-    a base sweep of the rest.
-    The single-block reference the kernel oracles check
-    {!batch_po_diffs_delta} against. *)
-
-val detects :
-  t ->
-  good:Logic_sim.net_values ->
-  width:int ->
-  site:Netlist.net ->
-  stuck:bool ->
-  int
-(** Word whose bit [k] is set iff the fault is detected (any PO differs)
-    on pattern [k] of the block. *)
-
-(** {1 PPSFP batch pass}
-
-    Parallel-pattern, batched-fault simulation: where the scalar entry
-    points above walk a fault's fanout cone once per pattern block, a
-    {!batch} carries one delta word {e per block} through a single
-    levelized sweep — the frontier, queued flags and level buckets are
-    paid once per gate event instead of once per (gate event, block).
-    Good and delta words live in transposed net-major slabs so the
-    per-gate block loop is a contiguous scan.
-
-    The pass is exact: for every entry point below the masked PO diff
-    words are bit-identical to the corresponding scalar sweep (and, for
-    multi-site pins, to [Logic_sim.simulate_block_overlay] under the
-    equivalent overrides), so signature-cache entries and paper tables
-    are byte-compatible whichever path produced them. *)
-
-type batch
-(** Batch scratch bound to one simulator and one block group (the
-    good-machine words of every block of a pattern set).  Like {!t},
-    not shareable across domains — give each worker its own.  Scalar
-    calls on the underlying {!t} may interleave with batch sweeps. *)
-
-val prepare_batch :
-  ?share:batch ->
-  t ->
+val create :
+  ?share:t ->
+  ?reach:Po_reach.t ->
+  Netlist.t ->
   blocks:Pattern.block array ->
   goods:Logic_sim.net_values array ->
-  batch
-(** Build batch scratch for [blocks] (with [goods] their good-machine
-    words, same order).  [?share] reuses the read-only transposed
-    good-value slab of an existing batch over the same netlist and
-    block count — workers share it, each owning only its private delta
-    slab. *)
+  t
+(** [create net ~blocks ~goods]: a simulator for [blocks], with [goods]
+    their good-machine words in the same order; it transposes [goods]
+    into its own slab.  [?share] instead reads the transposed good slab
+    of an existing simulator over the same netlist and block count —
+    workers share it, each owning only its private delta slab; a lender
+    that is never swept itself may be read from several domains.
+    [?reach] shares a precomputed PO-reachability structure (it is
+    immutable); when omitted one is computed, an O(edges) sweep.
+    Raises [Invalid_argument] on an empty block set, on [goods] of the
+    wrong length, or on an incompatible [?share]. *)
 
-val batch_sim : batch -> t
+val rebind : t -> blocks:Pattern.block array -> goods:Logic_sim.net_values array -> unit
+(** Rewrite the simulator's good words (and live widths) in place for a
+    new block group of the same block count: a caller that simulates
+    one short pattern block after another keeps one simulator.  Raises
+    [Invalid_argument] when the good slab is shared (the simulator was
+    made with [?share] or lent to one) or the simulator holds a frame
+    (it ran a {!batch_base_diffs}), and on a block count mismatch. *)
+
+val publish_stats : t -> unit
+(** Fold this simulator's stats — sweeps run, injections screened away
+    (zero delta on every live pattern, or no PO reachable from the site)
+    and frontier entries drained, {!simulate_batch} calls and their
+    fault counts — into the global [Obs] counters
+    ["sim.faults_simulated"], ["sim.faults_screened"],
+    ["sim.gate_events"], ["sim.batches"] and the
+    ["sim.faults_per_batch"] distribution (when observability is on),
+    then reset them.  The stats are maintained unconditionally (plain
+    field adds at frontier granularity) and are deterministic for a
+    given workload, so regression gates may compare them exactly.
+    Owners call it after their parallel region. *)
 
 val batch_po_diffs_delta :
-  batch -> site:Netlist.net -> deltas:int array -> (int -> int -> int -> unit) -> unit
+  t -> site:Netlist.net -> deltas:int array -> (int -> int -> int -> unit) -> unit
 (** Inject an arbitrary error word per block ([deltas], indexed by
-    block, masked internally) at [site] and propagate it through
-    {e every} block in one sweep — the multi-block form of
-    {!iter_po_diffs_delta}, used with the all-ones delta by the
-    aggressor screens (one sweep per victim) and, with the stuck word's
-    delta, by {!simulate_batch}.  [f bi oi w] for every
-    non-zero masked diff word, blocks ascending, then the site's
-    reachable POs in CSR order — exactly the triple order of the
-    per-block scalar sweep, hence of [Sig_cache] entries.  Screens
-    (all-blocks-inactive, no reachable PO) count once per injection,
-    not once per (injection, block). *)
+    block, masked internally; bit [k] set = the site's value is flipped
+    on pattern [k]) at [site] and propagate it through {e every} block
+    in one sweep — used with the all-ones delta by the aggressor screens
+    (one sweep per victim) and, with the stuck word's delta, by
+    {!simulate_batch}.  Lanes are independent, so the diff words under
+    any delta are the delta masked onto the diff words of the all-ones
+    delta.  [f bi oi w] for every non-zero masked diff word, blocks
+    ascending, then the site's reachable POs in CSR order — the triple
+    order of [Sig_cache] entries.  Screens (all-blocks-inactive, no
+    reachable PO) count once per injection. *)
 
 val batch_multiplet_diffs :
-  batch -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
+  t -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
 (** Multi-site sweep for multiplet scoring ([faults] lists
     (site, stuck) pairs; this layer does not know [Fault_list]): every
     site is pinned — held at its stuck word for a single polarity,
@@ -158,7 +100,7 @@ val batch_multiplet_diffs :
     Hypothesis scoring sweeps many multiplets that differ from one
     already swept at a site or two.  A {e base sweep} keeps its faulty
     machine — the resolved word of every net and every pin — as the
-    batch's frame; a {e change sweep} then re-pins a few sites and
+    simulator's frame; a {e change sweep} then re-pins a few sites and
     propagates only what differs from the frame.  The frame's words
     live in a second net-major slab, allocated by the first base sweep;
     a rebase rewrites only the rows the old and the new base touched. *)
@@ -171,15 +113,15 @@ type repin =
 (** A site's pin in a change sweep, replacing its base pin. *)
 
 val batch_base_diffs :
-  batch -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
+  t -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
 (** {!batch_multiplet_diffs}, whose swept machine then becomes the
-    batch's frame: [f] sees the base's own masked PO diffs against the
-    good machine.  Any ordinary sweep on the batch
+    simulator's frame: [f] sees the base's own masked PO diffs against the
+    good machine.  Any ordinary sweep on the simulator
     ({!batch_multiplet_diffs}, {!batch_po_diffs_delta},
     {!simulate_batch}) ends the frame. *)
 
 val batch_change_diffs :
-  batch -> (Netlist.net * repin) list -> (int -> int -> int -> unit) -> unit
+  t -> (Netlist.net * repin) list -> (int -> int -> int -> unit) -> unit
 (** [batch_change_diffs b changes f] sweeps the frame's machine with
     each listed site (sites distinct) re-pinned: every other base pin
     stays in force, a held or stuck site is seeded with its word XOR
@@ -193,46 +135,25 @@ val batch_change_diffs :
     changed machine afterwards.  Raises [Invalid_argument] when no
     frame is in force. *)
 
-val batch_value : batch -> net:Netlist.net -> block:int -> int
+val batch_value : t -> net:Netlist.net -> block:int -> int
 (** The resolved word of [net] in block [block] after the last sweep on
-    this batch (bits above the block width are unspecified).  Valid
+    this simulator (bits above the block width are unspecified).  Valid
     until the next sweep. *)
 
-val batch_driven : batch -> net:Netlist.net -> block:int -> int
+val batch_driven : t -> net:Netlist.net -> block:int -> int
 (** What [net]'s own driver outputs in the last sweep: its gate
     evaluated over the fanins' {!batch_value} words, ignoring any pin on
     [net] itself — the overlay simulator's [driven_of].  Inputs and
     constants return their good-machine word. *)
 
 val simulate_batch :
-  batch ->
+  t ->
   n:int ->
   fault:(int -> Netlist.net * bool) ->
   (int -> int -> int -> int -> unit) ->
   unit
 (** Simulate a slice of [n] faults ([fault i] gives the [i]th as a
-    (site, stuck) pair) against the batch's whole block group:
+    (site, stuck) pair) against the simulator's whole block group:
     [f i bi oi w] with the triples of each fault in
     {!batch_po_diffs_delta} order, faults in slice order.  Counts one
-    batch of [n] faults towards {!publish_batch_stats}. *)
-
-val publish_batch_stats : batch -> unit
-(** Fold this batch's tile counts into the global [Obs] counter
-    ["sim.batches"] and the ["sim.faults_per_batch"] distribution (when
-    observability is on), then reset them.  Owners call it once per
-    build, after their parallel region; gate-event and screen totals
-    flow through the underlying simulator's {!publish_stats} as
-    before. *)
-
-val signature :
-  t ->
-  ?goods:Logic_sim.net_values array ->
-  Pattern.t ->
-  site:Netlist.net ->
-  stuck:bool ->
-  Bitvec.t array
-(** Full-set fault signature: per PO position, a bit per pattern set iff
-    that PO differs from the good machine.  [?goods] supplies the
-    good-machine words of every block (in [Pattern.blocks] order) so
-    repeated calls against one test set stop paying good-machine
-    resimulation; when omitted each block is simulated on the fly. *)
+    batch of [n] faults towards {!publish_stats}. *)

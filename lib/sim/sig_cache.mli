@@ -9,8 +9,8 @@
 
     A cached signature is the flat triple list
     [(block index, PO position, diff word); ...] exactly as
-    {!Fault_sim.iter_po_diffs} reports it block by block: blocks
-    ascending, PO positions ascending within a block, only non-zero
+    {!Fault_sim.simulate_batch} reports it: blocks ascending, PO
+    positions ascending within a block, only non-zero
     masked diff words.  That compact form replays into an explanation
     matrix without touching the simulator and expands into the
     per-output {!Bitvec.t} signatures the baselines consume.
@@ -151,5 +151,6 @@ val store_path : dir:string -> t -> string
     problem under [dir] (exposed for tests and tooling). *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array
-(** Expand triples into the per-PO, bit-per-pattern signature shape of
-    {!Fault_sim.signature}. *)
+(** Expand triples into the per-PO signatures: bit [p] of PO [oi]'s
+    vector is set iff that PO differs from the good machine on pattern
+    [p]. *)

@@ -1,10 +1,164 @@
-(* Slow references the oracles compare the engine against: the overlay
-   scorer, the brute-force explanation matrix, the structural seed pool,
-   the scalar signature fill, the per-aggressor bridge screen and the
-   cover pass that probes every move every round.  Each one is the simplest correct
-   computation of its quantity — whole-block overlay resimulation, or
-   the per-fault per-block scalar sweep — and shares nothing with the
-   batched kernels under test. *)
+(* Slow references the oracles compare the engine against: the scalar
+   fault simulator, the overlay scorer, the brute-force explanation
+   matrix, the structural seed pool, the scalar signature fill, the
+   per-aggressor bridge screen and the cover pass that probes every move
+   every round.  Each one is the simplest correct computation of its
+   quantity — whole-block overlay resimulation, or the per-fault
+   per-block scalar sweep — and shares no kernel code with the batched
+   simulator under test. *)
+
+(* --- Scalar fault simulator ------------------------------------------ *)
+
+(* Event-driven single-block fault simulation: one fault's difference
+   word is propagated through its fanout cone level by level, one block
+   at a time.  [delta] holds faulty XOR good for every net known to
+   differ; [touched] lists those nets for an O(|cone|) reset. *)
+type scalar = {
+  net : Netlist.t;
+  reach : Po_reach.t;
+  pos : int array;
+  delta : int array;
+  queued : bool array;
+  bucket : int array array; (* per level; capacity = nets at that level *)
+  bucket_len : int array;
+  touched : int array;
+  mutable ntouched : int;
+}
+
+let scalar ?reach net =
+  let n = Netlist.num_nets net in
+  let depth = Netlist.depth net in
+  let counts = Array.make (depth + 1) 0 in
+  Array.iter (fun l -> counts.(l) <- counts.(l) + 1) (Netlist.level_array net);
+  {
+    net;
+    reach = (match reach with Some r -> r | None -> Po_reach.compute net);
+    pos = Netlist.pos net;
+    delta = Array.make n 0;
+    queued = Array.make n false;
+    bucket = Array.map (fun c -> Array.make (max 1 c) 0) counts;
+    bucket_len = Array.make (depth + 1) 0;
+    touched = Array.make (max 1 n) 0;
+    ntouched = 0;
+  }
+
+(* Faulty-machine gate evaluation: operand [i] is
+   [good.(src) lxor delta.(src)] over the gate's CSR fanin slice.  Only
+   reachable from fanout edges, so the driver is never an Input/Const. *)
+let eval_faulty code (good : int array) (delta : int array) (fanin : int array) lo hi =
+  let v i = good.(fanin.(i)) lxor delta.(fanin.(i)) in
+  let fold op =
+    let acc = ref (v lo) in
+    for i = lo + 1 to hi - 1 do
+      acc := op !acc (v i)
+    done;
+    !acc
+  in
+  if code = Gate.code_buf then v lo
+  else if code = Gate.code_not then lnot (v lo)
+  else if code = Gate.code_and then fold ( land )
+  else if code = Gate.code_nand then lnot (fold ( land ))
+  else if code = Gate.code_or then fold ( lor )
+  else if code = Gate.code_nor then lnot (fold ( lor ))
+  else if code = Gate.code_xor then fold ( lxor )
+  else if code = Gate.code_xnor then lnot (fold ( lxor ))
+  else invalid_arg "Reference.eval_faulty: unexpected gate in fanout cone"
+
+let enqueue s m =
+  if not s.queued.(m) then begin
+    s.queued.(m) <- true;
+    let l = (Netlist.level_array s.net).(m) in
+    s.bucket.(l).(s.bucket_len.(l)) <- m;
+    s.bucket_len.(l) <- s.bucket_len.(l) + 1
+  end
+
+(* Propagate the difference [d0] injected at [site]; fanout levels are
+   strictly greater than a gate's own, so a frontier never grows while
+   it is drained. *)
+let propagate s ~good ~site d0 =
+  for i = 0 to s.ntouched - 1 do
+    s.delta.(s.touched.(i)) <- 0
+  done;
+  s.delta.(site) <- d0;
+  s.touched.(0) <- site;
+  s.ntouched <- 1;
+  let net = s.net in
+  let codes = Netlist.gate_codes net in
+  let fi = Netlist.fanin_csr net and fi_off = Netlist.fanin_offsets net in
+  let fo = Netlist.fanout_csr net and fo_off = Netlist.fanout_offsets net in
+  for e = fo_off.(site) to fo_off.(site + 1) - 1 do
+    enqueue s fo.(e)
+  done;
+  for lvl = 0 to Array.length s.bucket - 1 do
+    let len = s.bucket_len.(lvl) in
+    s.bucket_len.(lvl) <- 0;
+    for i = 0 to len - 1 do
+      let m = s.bucket.(lvl).(i) in
+      s.queued.(m) <- false;
+      let faulty = eval_faulty codes.(m) good s.delta fi fi_off.(m) fi_off.(m + 1) in
+      let d = faulty lxor good.(m) in
+      let old = s.delta.(m) in
+      if old = 0 && d <> 0 then begin
+        s.touched.(s.ntouched) <- m;
+        s.ntouched <- s.ntouched + 1
+      end;
+      if d <> old then begin
+        s.delta.(m) <- d;
+        for e = fo_off.(m) to fo_off.(m + 1) - 1 do
+          enqueue s fo.(e)
+        done
+      end
+    done
+  done
+
+(* Inject the error word [delta] at [site] against the block whose good
+   words are [good] (live bits [0 .. width-1]): [f po_position diff_word]
+   for every PO whose masked diff word is non-zero, ascending.  A zero
+   injected delta or a site that reaches no PO propagates nothing. *)
+let iter_po_diffs_delta s ~good ~width ~site ~delta f =
+  let mask = Logic.mask_of_width width in
+  let d0 = delta land mask in
+  let off = Po_reach.offsets s.reach in
+  if d0 <> 0 && off.(site + 1) > off.(site) then begin
+    propagate s ~good ~site d0;
+    let csr = Po_reach.reachable_csr s.reach in
+    for i = off.(site) to off.(site + 1) - 1 do
+      let oi = Int32.to_int (Bigarray.Array1.get csr i) in
+      let w = s.delta.(s.pos.(oi)) land mask in
+      if w <> 0 then f oi w
+    done
+  end
+
+let iter_po_diffs s ~good ~width ~site ~stuck f =
+  let stuck_word = if stuck then Logic.ones else 0 in
+  iter_po_diffs_delta s ~good ~width ~site ~delta:(stuck_word lxor good.(site)) f
+
+let po_diffs s ~good ~width ~site ~stuck =
+  let out = ref [] in
+  iter_po_diffs s ~good ~width ~site ~stuck (fun oi d -> out := (oi, d) :: !out);
+  List.rev !out
+
+(* Bit [k] set iff some PO differs on pattern [k] of the block. *)
+let detects s ~good ~width ~site ~stuck =
+  let acc = ref 0 in
+  iter_po_diffs s ~good ~width ~site ~stuck (fun _ d -> acc := !acc lor d);
+  !acc
+
+(* Per PO position, a bit per pattern set iff that PO differs from the
+   good machine; [?goods] supplies every block's good words (in
+   [Pattern.blocks] order) instead of simulating them. *)
+let signature s ?goods pats ~site ~stuck =
+  let npat = Pattern.count pats in
+  let sig_ = Array.init (Netlist.num_pos s.net) (fun _ -> Bitvec.create npat) in
+  List.iteri
+    (fun bi (block : Pattern.block) ->
+      let good =
+        match goods with Some g -> g.(bi) | None -> Logic_sim.simulate_block s.net block
+      in
+      iter_po_diffs s ~good ~width:block.width ~site ~stuck (fun oi d ->
+          Logic.iter_bits d (fun k -> Bitvec.set sig_.(oi) (block.base + k) true)))
+    (Pattern.blocks pats);
+  sig_
 
 (* --- Overlay scorer -------------------------------------------------- *)
 
@@ -157,7 +311,7 @@ let signature_triples c sim ~site ~stuck =
   let acc = ref [] in
   Array.iteri
     (fun bi (block : Pattern.block) ->
-      Fault_sim.iter_po_diffs sim ~good:goods.(bi) ~width:block.width ~site ~stuck
+      iter_po_diffs sim ~good:goods.(bi) ~width:block.width ~site ~stuck
         (fun oi d -> acc := d :: oi :: bi :: !acc))
     (Sig_cache.blocks c);
   Array.of_list (List.rev !acc)
@@ -179,8 +333,7 @@ let lookup c sim ~site ~stuck =
    aggressor, its triples scored as a signature. *)
 let screen_per_aggressor session dlog ~victim aggressors =
   let blocks = Session.blocks session and goods = Session.goods session in
-  let sim = Fault_sim.create ~reach:(Session.reach session) (Session.netlist session) in
-  let b = Fault_sim.prepare_batch sim ~blocks ~goods in
+  let b = Session.simulator session in
   let words = Datalog.observed_words dlog blocks in
   List.map
     (fun a ->

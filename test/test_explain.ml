@@ -31,11 +31,11 @@ let test_pool_structure () =
 let test_covers_matches_direct_simulation () =
   let net, pats, dlog, m = build_problem [ Defect.Stuck (6, true) ] in
   let obs = Explain.observations m in
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   Array.iteri
     (fun c f ->
       let signature =
-        Fault_sim.signature sim pats ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
+        Reference.signature sim pats ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
       in
       Array.iteri
         (fun oi (ob : Datalog.observation) ->
@@ -51,11 +51,11 @@ let test_covers_matches_direct_simulation () =
 let test_exact_definition () =
   let net, pats, dlog, m = build_problem [ Defect.Stuck (6, false) ] in
   let failing = Explain.failing m in
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   Array.iteri
     (fun c f ->
       let signature =
-        Fault_sim.signature sim pats ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
+        Reference.signature sim pats ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
       in
       Array.iteri
         (fun fp p ->

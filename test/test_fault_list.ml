@@ -116,7 +116,7 @@ let qcheck_equivalent_faults_same_signature =
       let pats = Pattern.random (Rng.create seed) ~npis:5 ~count:32 in
       let c = Fault_list.collapse net in
       let flat = Fault_list.representative_indices c in
-      let sim = Fault_sim.create net in
+      let sim = Reference.scalar net in
       Array.for_all Fun.id
         (Array.mapi
            (fun i r ->
@@ -127,7 +127,7 @@ let qcheck_equivalent_faults_same_signature =
       && List.for_all
         (fun r ->
           let sig_of f =
-            Fault_sim.signature sim pats ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
+            Reference.signature sim pats ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
           in
           let ref_sig = sig_of r in
           List.for_all

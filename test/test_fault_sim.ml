@@ -1,31 +1,46 @@
-(* Oracle: the event-driven fault simulator must agree exactly with a
-   full overlay simulation of the same stuck fault. *)
+(* Oracle: both fault simulators — the batch kernel in [Fault_sim],
+   over every block at once, and the scalar reference, one block at a
+   time — must agree exactly with a full overlay simulation of the same
+   stuck fault. *)
+
+(* The batch kernel's masked diff words of one fault, by (block, PO). *)
+let batch_words sim ~nblocks ~npos ~site ~stuck =
+  let words = Array.make_matrix nblocks npos 0 in
+  Fault_sim.simulate_batch sim ~n:1
+    ~fault:(fun _ -> (site, stuck))
+    (fun _ bi oi w -> words.(bi).(oi) <- w);
+  words
 
 let check_against_overlay name net pats =
-  let sim = Fault_sim.create net in
-  List.iter
-    (fun block ->
-      let good = Logic_sim.simulate_block net block in
-      Netlist.iter_nets net (fun site ->
-          List.iter
-            (fun stuck ->
-              let diffs =
-                Fault_sim.po_diffs sim ~good ~width:block.Pattern.width ~site ~stuck
-              in
+  let blocks = Array.of_list (Pattern.blocks pats) in
+  let goods = Array.map (Logic_sim.simulate_block net) blocks in
+  let sim = Reference.scalar net in
+  let batch = Fault_sim.create net ~blocks ~goods in
+  let npos = Netlist.num_pos net in
+  Netlist.iter_nets net (fun site ->
+      List.iter
+        (fun stuck ->
+          let nblocks = Array.length blocks in
+          let batched = batch_words batch ~nblocks ~npos ~site ~stuck in
+          Array.iteri
+            (fun bi (block : Pattern.block) ->
+              let good = goods.(bi) in
+              let diffs = Reference.po_diffs sim ~good ~width:block.width ~site ~stuck in
               let overlay_words =
                 Logic_sim.simulate_block_overlay net block [ Logic_sim.force site stuck ]
               in
-              let mask = Logic.mask_of_width block.Pattern.width in
+              let mask = Logic.mask_of_width block.width in
               Array.iteri
                 (fun oi po ->
                   let expect = (overlay_words.(po) lxor good.(po)) land mask in
                   let got = match List.assoc_opt oi diffs with Some d -> d | None -> 0 in
-                  if expect <> got then
-                    Alcotest.failf "%s: %s sa%d at PO %d: diff %x vs overlay %x" name
-                      (Netlist.name net site) (Bool.to_int stuck) oi got expect)
+                  if expect <> got || expect <> batched.(bi).(oi) then
+                    Alcotest.failf "%s: %s sa%d at PO %d: diff %x, batch %x vs overlay %x"
+                      name (Netlist.name net site) (Bool.to_int stuck) oi got
+                      batched.(bi).(oi) expect)
                 (Netlist.pos net))
-            [ false; true ]))
-    (Pattern.blocks pats)
+            blocks)
+        [ false; true ])
 
 let test_oracle_c17 () =
   check_against_overlay "c17" (Generators.c17 ()) (Pattern.exhaustive ~npis:5)
@@ -52,7 +67,7 @@ let qcheck_oracle_random_circuits =
 let test_no_effect_when_value_matches () =
   (* Stuck at the good value on all patterns -> no diffs at all. *)
   let net = Generators.c17 () in
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let pats = Pattern.of_list ~npis:5 [ Array.make 5 false ] in
   let block = List.hd (Pattern.blocks pats) in
   let good = Logic_sim.simulate_block net block in
@@ -60,20 +75,20 @@ let test_no_effect_when_value_matches () =
       let v = good.(site) land 1 = 1 in
       Alcotest.(check (list (pair int int)))
         "no diff" []
-        (Fault_sim.po_diffs sim ~good ~width:1 ~site ~stuck:v))
+        (Reference.po_diffs sim ~good ~width:1 ~site ~stuck:v))
 
 let test_detects_word () =
   let net = Generators.c17 () in
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let pats = Pattern.exhaustive ~npis:5 in
   let block = List.hd (Pattern.blocks pats) in
   let good = Logic_sim.simulate_block net block in
   let g16 = Option.get (Netlist.find net "G16") in
-  let w = Fault_sim.detects sim ~good ~width:block.Pattern.width ~site:g16 ~stuck:true in
+  let w = Reference.detects sim ~good ~width:block.Pattern.width ~site:g16 ~stuck:true in
   (* detects = OR over po_diffs. *)
   let expect =
     List.fold_left (fun acc (_, d) -> acc lor d) 0
-      (Fault_sim.po_diffs sim ~good ~width:block.Pattern.width ~site:g16 ~stuck:true)
+      (Reference.po_diffs sim ~good ~width:block.Pattern.width ~site:g16 ~stuck:true)
   in
   Alcotest.(check int) "or of diffs" expect w;
   Alcotest.(check bool) "detected somewhere" true (w <> 0)
@@ -82,13 +97,13 @@ let test_signature_consistency () =
   (* signature must equal the per-block po_diffs, pattern by pattern. *)
   let net = Generators.ripple_adder 4 in
   let pats = Pattern.random (Rng.create 23) ~npis:9 ~count:100 in
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let site = (Netlist.pos net).(1) in
-  let signature = Fault_sim.signature sim pats ~site ~stuck:false in
+  let signature = Reference.signature sim pats ~site ~stuck:false in
   List.iter
     (fun block ->
       let good = Logic_sim.simulate_block net block in
-      let diffs = Fault_sim.po_diffs sim ~good ~width:block.Pattern.width ~site ~stuck:false in
+      let diffs = Reference.po_diffs sim ~good ~width:block.Pattern.width ~site ~stuck:false in
       Array.iteri
         (fun oi _ ->
           let d = match List.assoc_opt oi diffs with Some d -> d | None -> 0 in
@@ -100,18 +115,60 @@ let test_signature_consistency () =
     (Pattern.blocks pats)
 
 let test_reusable_across_faults () =
-  (* The scratch state must fully reset between calls: interleave faults
-     and compare against fresh simulators. *)
+  (* The scratch state must fully reset between sweeps: interleave
+     faults on one simulator and compare against fresh simulators. *)
   let net = Generators.ripple_adder 4 in
   let pats = Pattern.random (Rng.create 24) ~npis:9 ~count:60 in
-  let shared = Fault_sim.create net in
-  let block = List.hd (Pattern.blocks pats) in
-  let good = Logic_sim.simulate_block net block in
+  let blocks = Array.of_list (Pattern.blocks pats) in
+  let goods = Array.map (Logic_sim.simulate_block net) blocks in
+  let nblocks = Array.length blocks and npos = Netlist.num_pos net in
+  let shared = Fault_sim.create net ~blocks ~goods in
   Netlist.iter_nets net (fun site ->
-      let fresh = Fault_sim.create net in
-      let a = Fault_sim.po_diffs shared ~good ~width:block.Pattern.width ~site ~stuck:true in
-      let b = Fault_sim.po_diffs fresh ~good ~width:block.Pattern.width ~site ~stuck:true in
-      Alcotest.(check (list (pair int int))) "same" b a)
+      let fresh = Fault_sim.create net ~blocks ~goods in
+      let a = batch_words shared ~nblocks ~npos ~site ~stuck:true in
+      let b = batch_words fresh ~nblocks ~npos ~site ~stuck:true in
+      Alcotest.(check (array (array int))) "same" b a)
+
+(* [rebind] rewrites the good words in place: a simulator rebound to a
+   block sweeps exactly like one created for it, and a simulator whose
+   good slab is shared, or that holds a frame, refuses. *)
+let test_rebind () =
+  let net = Generators.ripple_adder 4 in
+  let pats = Pattern.random (Rng.create 25) ~npis:9 ~count:100 in
+  let blocks = Array.of_list (Pattern.blocks pats) in
+  let goods = Array.map (Logic_sim.simulate_block net) blocks in
+  let one bi = ([| blocks.(bi) |], [| goods.(bi) |]) in
+  let npos = Netlist.num_pos net in
+  let blocks0, goods0 = one 0 in
+  let sim = Fault_sim.create net ~blocks:blocks0 ~goods:goods0 in
+  Array.iteri
+    (fun bi _ ->
+      let blocks, goods = one bi in
+      Fault_sim.rebind sim ~blocks ~goods;
+      let fresh = Fault_sim.create net ~blocks ~goods in
+      Netlist.iter_nets net (fun site ->
+          List.iter
+            (fun stuck ->
+              Alcotest.(check (array (array int)))
+                "rebound = fresh"
+                (batch_words fresh ~nblocks:1 ~npos ~site ~stuck)
+                (batch_words sim ~nblocks:1 ~npos ~site ~stuck))
+            [ false; true ]))
+    blocks;
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "rebind of %s did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  let borrower = Fault_sim.create ~share:sim net ~blocks:blocks0 ~goods:goods0 in
+  refuses "a borrower" (fun () -> Fault_sim.rebind borrower ~blocks:blocks0 ~goods:goods0);
+  refuses "a lender" (fun () -> Fault_sim.rebind sim ~blocks:blocks0 ~goods:goods0);
+  let framed = Fault_sim.create net ~blocks:blocks0 ~goods:goods0 in
+  Fault_sim.batch_base_diffs framed ~faults:[ (0, true) ] (fun _ _ _ -> ());
+  refuses "a framed simulator" (fun () ->
+      Fault_sim.rebind framed ~blocks:blocks0 ~goods:goods0);
+  refuses "a block count mismatch" (fun () ->
+      Fault_sim.rebind (Fault_sim.create net ~blocks:blocks0 ~goods:goods0) ~blocks ~goods)
 
 let suite =
   [
@@ -124,6 +181,7 @@ let suite =
         Alcotest.test_case "detects word" `Quick test_detects_word;
         Alcotest.test_case "signature consistency" `Quick test_signature_consistency;
         Alcotest.test_case "reusable across faults" `Quick test_reusable_across_faults;
+        Alcotest.test_case "rebind" `Quick test_rebind;
         QCheck_alcotest.to_alcotest qcheck_oracle_random_circuits;
       ] );
   ]

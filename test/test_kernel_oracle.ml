@@ -16,12 +16,13 @@ let random_problem seed multiplicity =
   let dlog = Datalog.of_responses ~expected ~observed in
   (net, pats, dlog)
 
-(* --- po_diffs against overlay resimulation -------------------------- *)
+(* --- Scalar reference against overlay resimulation ------------------ *)
 
 (* Unlike the stuck-at oracle in [Test_fault_sim], this drives
-   [iter_po_diffs_delta] with an arbitrary injected error word, the
-   single-block reference for [batch_po_diffs_delta], which the
-   aggressor screens in [Noassume] run. *)
+   [Reference.iter_po_diffs_delta] with an arbitrary injected error
+   word: the single-block reference for [batch_po_diffs_delta], which
+   the aggressor screens in [Noassume] run, must itself match a
+   whole-block resimulation. *)
 let prop_delta_injection_matches_overlay =
   QCheck.Test.make
     ~name:"iter_po_diffs_delta matches overlay resimulation (random delta)"
@@ -30,7 +31,7 @@ let prop_delta_injection_matches_overlay =
     (fun (seed, delta_bits) ->
       let net = Generators.random_logic ~gates:60 ~pis:6 ~pos:4 ~seed in
       let pats = Pattern.random (Rng.create seed) ~npis:6 ~count:50 in
-      let sim = Fault_sim.create net in
+      let sim = Reference.scalar net in
       let site = Rng.int (Rng.create (seed + 1)) (Netlist.num_nets net) in
       List.for_all
         (fun (block : Pattern.block) ->
@@ -51,7 +52,7 @@ let prop_delta_injection_matches_overlay =
               ]
           in
           let got = Array.make (Netlist.num_pos net) 0 in
-          Fault_sim.iter_po_diffs_delta sim ~good ~width:block.width ~site ~delta
+          Reference.iter_po_diffs_delta sim ~good ~width:block.width ~site ~delta
             (fun oi w -> got.(oi) <- w);
           let ok = ref true in
           Array.iteri
@@ -112,7 +113,7 @@ let prop_explain_matches_naive =
    pattern with several failing outputs. *)
 let layout_matches_triples net session dlog m =
   let cache = Option.get (Session.cache session) in
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let blocks = Session.blocks session in
   let observations = Explain.observations m in
   let failing = Explain.failing m in
@@ -227,6 +228,8 @@ let test_layout_corner_cases () =
 
 (* --- signature ~goods ----------------------------------------------- *)
 
+(* The scalar signature with precomputed goods, recomputing them, and
+   the batch kernel's triples expanded by [Sig_cache] all agree. *)
 let prop_signature_goods_equivalent =
   QCheck.Test.make
     ~name:"signature ~goods = signature recomputing goods" ~count:25
@@ -234,17 +237,26 @@ let prop_signature_goods_equivalent =
     (fun seed ->
       let net = Generators.random_logic ~gates:50 ~pis:6 ~pos:4 ~seed in
       let pats = Pattern.random (Rng.create (seed + 3)) ~npis:6 ~count:70 in
-      let sim = Fault_sim.create net in
+      let sim = Reference.scalar net in
       let goods =
         Array.of_list
           (List.map (Logic_sim.simulate_block net) (Pattern.blocks pats))
       in
       let site = Rng.int (Rng.create (seed + 4)) (Netlist.num_nets net) in
+      let c = Sig_cache.create net pats in
+      let batch =
+        Fault_sim.create net ~blocks:(Sig_cache.blocks c) ~goods:(Sig_cache.goods c)
+      in
       List.for_all
         (fun stuck ->
-          let a = Fault_sim.signature sim ~goods pats ~site ~stuck in
-          let b = Fault_sim.signature sim pats ~site ~stuck in
-          Array.for_all2 Bitvec.equal a b)
+          let a = Reference.signature sim ~goods pats ~site ~stuck in
+          let b = Reference.signature sim pats ~site ~stuck in
+          let triples = ref [] in
+          Fault_sim.simulate_batch batch ~n:1
+            ~fault:(fun _ -> (site, stuck))
+            (fun _ bi oi w -> triples := w :: oi :: bi :: !triples);
+          let k = Sig_cache.signature_of_triples c (Array.of_list (List.rev !triples)) in
+          Array.for_all2 Bitvec.equal a b && Array.for_all2 Bitvec.equal a k)
         [ false; true ])
 
 (* --- PPSFP batch pass against the scalar sweep ---------------------- *)
@@ -264,8 +276,8 @@ let prop_simulate_batch_matches_scalar =
       let pats = Pattern.random (Rng.create (seed + 11)) ~npis:7 ~count:150 in
       let blocks = Array.of_list (Pattern.blocks pats) in
       let goods = Array.map (Logic_sim.simulate_block net) blocks in
-      let sim = Fault_sim.create net in
-      let b = Fault_sim.prepare_batch sim ~blocks ~goods in
+      let sim = Reference.scalar net in
+      let b = Fault_sim.create net ~blocks ~goods in
       let rng = Rng.create (seed + 23) in
       let faults =
         Array.init nfaults (fun _ ->
@@ -282,7 +294,7 @@ let prop_simulate_batch_matches_scalar =
         (fun i (site, stuck) ->
           Array.iteri
             (fun bi (block : Pattern.block) ->
-              Fault_sim.iter_po_diffs sim ~good:goods.(bi) ~width:block.width
+              Reference.iter_po_diffs sim ~good:goods.(bi) ~width:block.width
                 ~site ~stuck (fun oi w -> want.(i).((bi * npos) + oi) <- w))
             blocks)
         faults;
@@ -300,8 +312,8 @@ let prop_batch_delta_matches_scalar =
       let pats = Pattern.random (Rng.create (seed + 5)) ~npis:6 ~count:140 in
       let blocks = Array.of_list (Pattern.blocks pats) in
       let goods = Array.map (Logic_sim.simulate_block net) blocks in
-      let sim = Fault_sim.create net in
-      let b = Fault_sim.prepare_batch sim ~blocks ~goods in
+      let sim = Reference.scalar net in
+      let b = Fault_sim.create net ~blocks ~goods in
       let rng = Rng.create delta_seed in
       let site = Rng.int (Rng.create (seed + 6)) (Netlist.num_nets net) in
       let deltas =
@@ -315,7 +327,7 @@ let prop_batch_delta_matches_scalar =
       let want = Array.make (nb * npos) 0 in
       Array.iteri
         (fun bi (block : Pattern.block) ->
-          Fault_sim.iter_po_diffs_delta sim ~good:goods.(bi) ~width:block.width
+          Reference.iter_po_diffs_delta sim ~good:goods.(bi) ~width:block.width
             ~site ~delta:deltas.(bi)
             (fun oi w -> want.((bi * npos) + oi) <- w))
         blocks;
@@ -848,7 +860,7 @@ let prop_packed_arena_matches_scalar =
       let net = Generators.random_logic ~gates:(40 + (seed mod 60)) ~pis:6 ~pos:5 ~seed in
       let pats = Pattern.random (Rng.create (seed * 3)) ~npis:6 ~count:70 in
       let c = Sig_cache.create net pats in
-      let sim = Fault_sim.create net in
+      let sim = Reference.scalar net in
       let faults = Fault_list.representatives (Fault_list.collapse net) in
       let reference =
         List.map

@@ -3,7 +3,7 @@
    only returned for genuinely redundant faults. *)
 
 let check_detects net fault pattern =
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let block =
     {
       Pattern.base = 0;
@@ -12,7 +12,7 @@ let check_detects net fault pattern =
     }
   in
   let good = Logic_sim.simulate_block net block in
-  Fault_sim.detects sim ~good ~width:1 ~site:fault.Fault_list.site
+  Reference.detects sim ~good ~width:1 ~site:fault.Fault_list.site
     ~stuck:fault.Fault_list.stuck
   <> 0
 

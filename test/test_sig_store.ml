@@ -35,7 +35,7 @@ let fresh_instance () =
 (* Populate the arena with real signatures — one per collapsed fault,
    the keys [Session.prewarm] would sweep. *)
 let populate c net =
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let faults = Fault_list.representatives (Fault_list.collapse net) in
   List.iter
     (fun (f : Fault_list.fault) ->
@@ -286,7 +286,7 @@ let reference_rows () =
   let net = Generators.random_logic ~gates:300 ~pis:10 ~pos:8 ~seed:5 in
   let pats = Pattern.random (Rng.create 5) ~npis:10 ~count:128 in
   let c = Sig_cache.create net pats in
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let rows =
     List.map
       (fun (f : Fault_list.fault) ->
@@ -525,7 +525,7 @@ let rnd2k_snapshot =
     (let net = Option.get (Generators.find_suite "rnd2k") in
      let pats = Pattern.random (Rng.create 12) ~npis:(Netlist.num_pis net) ~count:128 in
      let c = Sig_cache.create net pats in
-     let sim = Fault_sim.create net in
+     let sim = Reference.scalar net in
      let rows =
        Array.init
          (2 * Netlist.num_nets net)

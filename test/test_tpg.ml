@@ -66,13 +66,13 @@ let test_redundant_circuit_reports_untestable () =
 
 (* Count distinct patterns of [pats] detecting [f]. *)
 let detection_count net pats f =
-  let sim = Fault_sim.create net in
+  let sim = Reference.scalar net in
   let count = ref 0 in
   List.iter
     (fun block ->
       let good = Logic_sim.simulate_block net block in
       let w =
-        Fault_sim.detects sim ~good ~width:block.Pattern.width ~site:f.Fault_list.site
+        Reference.detects sim ~good ~width:block.Pattern.width ~site:f.Fault_list.site
           ~stuck:f.Fault_list.stuck
       in
       let rec pop w = if w = 0 then 0 else 1 + pop (w land (w - 1)) in
@@ -150,6 +150,32 @@ let test_pinned_test_sets () =
       Alcotest.(check string) (name ^ " digest") digest (md5_text r.Tpg.patterns))
     pinned_test_sets
 
+(* [Tpg.compact] of each circuit's pinned test set, with the MD5 and
+   pattern count of the compacted set, and [Tpg.coverage_of] of the
+   pinned set, which compaction must keep.  Recorded while faults were
+   still dropped by the per-pattern scalar sweep, so they also pin the
+   batch kernel's fault drop. *)
+let pinned_compactions =
+  [
+    ("rnd1k", "11c69206b4ad48f644823c4a14899f91", 67, 0.820540540541);
+    ("cmp16", "34eb6961d1e3c3dfe7cac11958945dc7", 38, 1.0);
+    ("alu8", "27d55b11c9eb8382bac2d9b8bad5fa26", 27, 0.958715596330);
+  ]
+
+let test_pinned_compactions () =
+  List.iter
+    (fun (name, digest, count, coverage) ->
+      let net = Option.get (Generators.find_suite name) in
+      let pats = (Campaign.test_report net).Tpg.patterns in
+      let compacted = Tpg.compact net pats in
+      Alcotest.(check int) (name ^ " compacted patterns") count (Pattern.count compacted);
+      Alcotest.(check string) (name ^ " compacted digest") digest (md5_text compacted);
+      Alcotest.(check (float 1e-9))
+        (name ^ " coverage_of") coverage (Tpg.coverage_of net pats);
+      Alcotest.(check (float 1e-9))
+        (name ^ " compacted coverage_of") coverage (Tpg.coverage_of net compacted))
+    pinned_compactions
+
 (* N-detect top-off calls PODEM with a fresh fill seed per attempt;
    cmp16 needs hundreds of such calls beyond its random slabs. *)
 let test_pinned_ndetect () =
@@ -173,5 +199,6 @@ let suite =
         Alcotest.test_case "n-detect grows with n" `Quick test_ndetect_grows_with_n;
         Alcotest.test_case "suite test sets pinned" `Quick test_pinned_test_sets;
         Alcotest.test_case "n-detect test set pinned (cmp16)" `Quick test_pinned_ndetect;
+        Alcotest.test_case "compactions and coverage pinned" `Quick test_pinned_compactions;
       ] );
   ]
