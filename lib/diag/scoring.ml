@@ -26,24 +26,35 @@ let compare_score a b =
 let c_evaluations = Obs.counter "scoring.evaluations"
 let c_blocks_scored = Obs.counter "scoring.blocks_scored"
 
+(* The pin rule, written once: a site with no polarity in [faults] is
+   free, one holds it at its stuck word, both flip it ([lnot computed],
+   the byzantine surrogate) — two contradictory stuck pins on one net
+   would otherwise shadow each other.  A site listed twice with one
+   polarity is still a plain stuck-at. *)
+let pin_of faults site =
+  match
+    List.sort_uniq compare
+      (List.filter_map
+         (fun f -> if f.Fault_list.site = site then Some f.Fault_list.stuck else None)
+         faults)
+  with
+  | [] -> Fault_sim.Free
+  | [ v ] -> Fault_sim.Stuck v
+  | _ -> Fault_sim.Flip
+
+let sites faults = List.sort_uniq compare (List.map (fun f -> f.Fault_list.site) faults)
+let pins faults = List.map (fun site -> (site, pin_of faults site)) (sites faults)
+
 let overlay_of_multiplet faults =
-  let sites = List.sort_uniq compare (List.map (fun f -> f.Fault_list.site) faults) in
   List.map
-    (fun site ->
-      let polarities =
-        List.sort_uniq compare
-          (List.filter_map
-             (fun f -> if f.Fault_list.site = site then Some f.Fault_list.stuck else None)
-             faults)
-      in
-      match polarities with
-      | [ v ] -> Logic_sim.force site v
-      | _ ->
+    (function
+      | site, Fault_sim.Stuck v -> Logic_sim.force site v
+      | site, _ ->
         {
           Logic_sim.target = site;
           behave = (fun ~computed ~value_of:_ ~driven_of:_ ~base:_ -> lnot computed);
         })
-    sites
+    (pins faults)
 
 (* Batched multiplet scoring (the PPSFP pass, DESIGN.md §6a): seed every
    member of the multiplet into one delta-propagation sweep instead of
@@ -155,38 +166,35 @@ let count_evaluation sc =
     Obs.add c_blocks_scored sc.nblocks
   end
 
-let site_pairs faults = List.map (fun f -> (f.Fault_list.site, f.Fault_list.stuck)) faults
-
-let evaluate_multiplet sc faults =
-  count_evaluation sc;
-  sc.base <- None;
-  let s =
-    score_words sc.words sc.npos
-      (Fault_sim.batch_multiplet_diffs sc.sim ~faults:(site_pairs faults))
-  in
-  Fault_sim.publish_stats sc.sim;
-  s
-
 (* --- One-change scoring against a held base (DESIGN.md §6a) ---------- *)
 
 (* The base sweep's diff words are kept, so a change sweep's word [c]
    at (bi, oi) turns that PO's diff from [old] into [old lxor c]: the
-   base score is corrected on exactly the words that changed. *)
+   base score is corrected on exactly the words that changed.  Held
+   again, the base needs no sweep, but the simulator must drop the last
+   change sweep so that it reads the base machine. *)
 let hold sc faults =
   match sc.base with
-  | Some (held, s) when held = faults -> s
+  | Some (held, s) when held = faults ->
+    Fault_sim.sweep sc.sim [] (fun _ _ _ -> ());
+    s
   | Some _ | None ->
     let bdiff = sc.bdiff and npos = sc.npos in
     Array.fill bdiff 0 (Array.length bdiff) 0;
     let s =
       score_words sc.words npos (fun f ->
-          Fault_sim.batch_base_diffs sc.sim ~faults:(site_pairs faults) (fun bi oi w ->
+          Fault_sim.hold sc.sim (pins faults) (fun bi oi w ->
               bdiff.((bi * npos) + oi) <- w;
               f bi oi w))
     in
     Fault_sim.publish_stats sc.sim;
     sc.base <- Some (faults, s);
     s
+
+let evaluate_multiplet sc faults =
+  let s = hold sc faults in
+  count_evaluation sc;
+  s
 
 let corrected sc (base : score) sweep =
   let explained = ref base.explained in
@@ -212,28 +220,17 @@ let corrected sc (base : score) sweep =
 let score_change sc base changes =
   let npos = sc.npos in
   corrected sc base (fun f ->
-      Fault_sim.batch_change_diffs sc.sim changes (fun bi oi c ->
-          f bi ((bi * npos) + oi) c))
+      Fault_sim.sweep sc.sim changes (fun bi oi c -> f bi ((bi * npos) + oi) c))
 
-let polarities faults site =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun f -> if f.Fault_list.site = site then Some f.Fault_list.stuck else None)
-       faults)
-
-(* The sites whose polarity set differs between the base and the trial,
-   each with the pin the trial gives it — the pin rule of
-   [overlay_of_multiplet]: none frees the site, one holds it, both flip
-   it. *)
+(* The sites whose pin differs between the base and the trial, each with
+   the pin the trial gives it. *)
 let repins base trial =
   List.filter_map
     (fun site ->
-      match polarities trial site with
-      | p when p = polarities base site -> None
-      | [] -> Some (site, Fault_sim.Free)
-      | [ v ] -> Some (site, Fault_sim.Stuck v)
-      | _ -> Some (site, Fault_sim.Flip))
-    (List.sort_uniq compare (List.map (fun f -> f.Fault_list.site) (base @ trial)))
+      match pin_of trial site with
+      | p when p = pin_of base site -> None
+      | p -> Some (site, p))
+    (sites (base @ trial))
 
 let evaluate_trial sc trial =
   match sc.base with
@@ -253,18 +250,18 @@ let evaluate_trial sc trial =
    independent and the netlist is feedback-free, so a lane whose delta
    bit is 0 stays good and a lane whose bit is 1 carries exactly the
    all-lanes flip: every diff word of the injection is its block's
-   delta masked onto the flip sweep's word.  One sweep per victim, then
-   popcounts per aggressor. *)
+   delta masked onto the flip sweep's word.  One sweep per victim, from
+   the empty base, then popcounts per aggressor. *)
 let screen_aggressors sc ~victim aggressors =
   if aggressors = [] then []
   else begin
-    sc.base <- None;
+    ignore (hold sc [] : score);
     let n = ref 0 in
     let s_obs = sc.words.obs and s_fail = sc.words.fail and npos = sc.npos in
     (* Each flip word is split once, here, into the parts the three
        score components count; an aggressor's delta masks all three. *)
-    Fault_sim.batch_po_diffs_delta sc.sim ~site:victim
-      ~deltas:(Array.make sc.nblocks Logic.ones)
+    Fault_sim.sweep sc.sim
+      [ (victim, Fault_sim.Held (Array.map (fun g -> lnot g.(victim)) sc.goods)) ]
       (fun bi oi w ->
         reserve sc !n 4;
         let obs = s_obs.((bi * npos) + oi) and fm = s_fail.(bi) in
@@ -387,9 +384,7 @@ let evaluate_bridges sc ~rest ~victim hyps =
           base_w.(bi) lxor ((w lxor site_base.(bi)) land (flip_w.(bi) lxor base_w.(bi))))
     in
     let flip site site_base f =
-      Fault_sim.batch_change_diffs b
-        [ (site, Fault_sim.Held (Array.map lnot site_base)) ]
-        f
+      Fault_sim.sweep b [ (site, Fault_sim.Held (Array.map lnot site_base)) ] f
     in
     (* The victim's flip sweep, its PO change words kept as
        (block, slot, word) triples: a dominant hypothesis holds the

@@ -3,9 +3,10 @@
     Per-candidate analysis cannot see interactions: two stuck lines can
     mask each other's errors or create failures neither produces alone.
     A multiplet is therefore judged by simulating all of its members
-    *simultaneously* — one multi-site PPSFP sweep, or a change sweep
-    against a held multiplet it differs from at a site or two, equal
-    by construction to an overlay resimulation — and comparing the
+    *simultaneously* — one multi-site PPSFP sweep from the good
+    machine, or a change sweep against a held multiplet it differs from
+    at a site or two, equal by construction to an overlay resimulation
+    — and comparing the
     predicted responses against the datalog, observation by
     observation. *)
 
@@ -36,7 +37,8 @@ val compare_score : score -> score -> int
     explained. *)
 
 val overlay_of_multiplet : Fault_list.fault list -> Logic_sim.override list
-(** A site appearing with one polarity becomes a stuck override; a site
+(** The pin rule every scorer sweep follows, as overrides: a site
+    appearing with one polarity becomes a stuck override; a site
     appearing with {e both} polarities is a byzantine hypothesis (open /
     intermittent / bridge victim) and becomes a value {e flip} — two
     contradictory stuck overrides on one net would otherwise shadow each
@@ -66,33 +68,34 @@ val create : Session.t -> Datalog.t -> t
     transposed good words; the scorer allocates only its own delta
     slab and scratch. *)
 
-val evaluate_multiplet : t -> Fault_list.fault list -> score
-(** Score the multiplet by one PPSFP delta-propagation sweep from the
-    good machine ({!Fault_sim.batch_multiplet_diffs}) — the same score
-    as a full overlay resimulation of {!overlay_of_multiplet}, by
-    construction.  The scorer of one-shot scores (no-validate, SLAT);
-    hypothesis searches hold a base and score trials against it
-    ({!hold}, {!evaluate_trial}).  Ends any held base. *)
-
 val hold : t -> Fault_list.fault list -> score
-(** [hold t base] sweeps [base] as {!evaluate_multiplet} does and holds
-    its faulty machine, diff words and score as the base of
-    {!evaluate_trial}, replacing any earlier base — no sweep when the
-    held base is already [base].  Returns the base's score; not counted
-    as ["scoring.evaluations"]. *)
+(** [hold t base] sweeps [base] from the good machine
+    ({!Fault_sim.hold}), every site pinned as {!overlay_of_multiplet}
+    pins it, and holds its faulty machine, diff words and score as the
+    base of {!evaluate_trial}, replacing any earlier base — no sweep
+    when the held base is already [base].  Either way the simulator then
+    reads the base's machine.  Returns the base's score — the same
+    score as a full overlay resimulation of {!overlay_of_multiplet}
+    [base], by construction; not counted as ["scoring.evaluations"]. *)
+
+val evaluate_multiplet : t -> Fault_list.fault list -> score
+(** {!hold} plus one counted ["scoring.evaluations"]: the scorer of
+    one-shot scores (no-validate, SLAT).  Hypothesis searches hold a
+    base and score trials against it ({!evaluate_trial}). *)
 
 val evaluate_trial : t -> Fault_list.fault list -> score
 (** [evaluate_trial t trial] scores a multiplet that differs from the
     held base at a site or two — a member dropped, one added — by one
-    change sweep ({!Fault_sim.batch_change_diffs}): each site whose
+    change sweep ({!Fault_sim.sweep}): each site whose
     polarity set differs is re-pinned (no polarity frees it, one holds
     it, both flip it), only those sites' cones propagate, and the base
     score is corrected on the (block, PO) words that changed.  The
     same score as {!evaluate_multiplet} [t trial], exactly (DESIGN.md
     §10); a trial equal to the base costs no sweep.  Counts one
     ["scoring.evaluations"].  Raises [Invalid_argument] when no base is
-    held: {!evaluate_multiplet} and {!screen_aggressors} end the held
-    base, and {!evaluate_bridges} holds its [rest] instead. *)
+    held yet; {!evaluate_multiplet} holds its multiplet,
+    {!screen_aggressors} the empty one and {!evaluate_bridges} its
+    [rest]. *)
 
 val screen_aggressors : t -> victim:Netlist.net -> Netlist.net list -> score list
 (** [screen_aggressors t ~victim aggressors] scores, in [aggressors]
@@ -103,9 +106,10 @@ val screen_aggressors : t -> victim:Netlist.net -> Netlist.net list -> score lis
     Single-site injection is lane-wise, so one sweep with every live
     pattern of [victim] flipped serves the whole list: each hypothesis'
     diff words are the flip sweep's words masked by its per-block delta
-    (DESIGN.md §10), and scoring one is popcounts only.  Runs at most
-    one {!Fault_sim.batch_po_diffs_delta} sweep per call — none for an
-    empty list.  Not counted as ["scoring.evaluations"]. *)
+    (DESIGN.md §10), and scoring one is popcounts only.  Holds the empty
+    multiplet and runs one {!Fault_sim.sweep} per call, the victim held
+    at [lnot good(victim)] — none for an empty list.  Not counted as
+    ["scoring.evaluations"]. *)
 
 val evaluate_bridges :
   t ->

@@ -78,7 +78,7 @@ let representatives t =
 (* Every cold signature in the engine comes from [simulate]: the
    explanation matrix's misses, the baselines' misses and the
    whole-pool prewarm.  Triples arrive blocks ascending, then each
-   fault's reachable POs in CSR order, the order every cache entry
+   fault's reachable POs ascending, the order every cache entry
    uses. *)
 
 (* Tile cap on the fault axis: bounds the per-batch working set so slabs

@@ -3,13 +3,12 @@
     A session bundles everything a diagnosis needs beyond the datalog:
     the netlist and its CSR views, the test set, the good-machine words
     of every pattern block, the PO-reachability screen, the cross-phase
-    signature cache, an optional per-session {!Obs.sink}, and the
-    resolved configuration record.  Every phase — {!Explain},
-    {!Scoring}, {!Noassume}, {!Single_diag}, {!Dict_diag},
-    {!Slat_diag} — reads its cache and configuration from the session
-    instead of process-global state, so two concurrent diagnoses can
-    run under different configurations without touching shared mutable
-    state.
+    signature cache and the resolved configuration record.  Every
+    phase — {!Explain}, {!Scoring}, {!Noassume}, {!Single_diag},
+    {!Dict_diag}, {!Slat_diag} — reads its cache and configuration from
+    the session instead of process-global state, so two concurrent
+    diagnoses can run under different configurations without touching
+    shared mutable state.
 
     Sharing contract (DESIGN.md §11): a [t] is immutable after
     {!create} and safe to share across domains.  [net], [pats],
@@ -142,7 +141,7 @@ val config : t -> config
 val simulate : t -> Fault_list.fault array -> int array array
 (** Signature triples for every fault, in the canonical
     [(block, PO, diff-word)] order of {!Fault_sim.simulate_batch}
-    (blocks ascending, then the fault's reachable POs in CSR order),
+    (blocks ascending, then the fault's reachable POs ascending),
     freshly simulated: the cache is neither probed nor stored.  The
     engine's one cold path — {!Explain.build_session}'s misses,
     {!fault_triples} and {!prewarm} all call it.  One fork-join PPSFP

@@ -12,11 +12,10 @@
    Sites may additionally be *pinned* for multi-site (multiplet)
    evaluation: a held site keeps its injected delta and is never
    re-evaluated (stuck-at semantics), a flipped site re-evaluates and
-   then inverts (the Byzantine both-polarities callout surrogate,
-   [lnot computed] exactly as [Scoring.overlay_of_multiplet] behaves).
-   Because neither pin kind reads any other net and the netlist is
-   feedback-free, one levelized sweep reaches the same fixpoint as the
-   overlay simulator, bit for bit.
+   then inverts ([lnot computed], the Byzantine both-polarities callout
+   surrogate).  Because neither pin kind reads any other net and the
+   netlist is feedback-free, one levelized sweep reaches the same
+   fixpoint as the overlay simulator, bit for bit.
 
    Invariant: every [tdelta] word is masked to its block's live width.
    Seeds are injected masked; interior deltas then stay masked
@@ -26,26 +25,27 @@
    them.  Flip pins re-mask explicitly after the inversion.
 
    The drain reads its reference machine from [tref]: the good words,
-   or — after [batch_base_diffs] — the [frame] a base sweep left, whose
-   words keep the good machine's high bits (its deltas were masked), so
-   the invariant holds against either. *)
+   or — once a frame exists — the frame a [hold] left, whose words keep
+   the good machine's high bits (its deltas were masked), so the
+   invariant holds against either. *)
 
-(* A held base: one multiplet sweep's resolved words and pins, the
-   reference of later one-change sweeps.  Only the rows the base
-   touched differ from the good slab, so rebasing rewrites those. *)
+(* A held base: one sweep's resolved words and pins, the reference of
+   later change sweeps.  Only the rows the base touched differ from the
+   good slab, so emptying it rewrites those; the empty frame is the
+   good machine. *)
 type frame = {
   base : int array; (* [net * nb + bi]: the base machine's words *)
   bpin : int array; (* per net: its pin kind in the base *)
   rows : int array; (* nets whose base row or pin differs from good *)
   mutable nrows : int;
-  po_of : int array; (* per net: its PO position, or -1 *)
-  mutable live : bool; (* [pin] carries [bpin] and the drain reads [base] *)
 }
 
 type t = {
   net : Netlist.t;
   reach : Po_reach.t;
   pos : int array; (* PO net ids, by PO position *)
+  po_of : int array; (* per net: its PO position, or -1 *)
+  reached : int array; (* an injection site's reachable PO positions *)
   queued : bool array;
   bucket : int array array; (* per level; capacity = nets at that level *)
   bucket_len : int array;
@@ -60,7 +60,7 @@ type t = {
   pin : int array; (* 0 = free, 1 = held, 2 = flipped *)
   pinned : int array; (* stack of pinned sites, for O(seeds) reset *)
   mutable npinned : int;
-  mutable frame : frame option; (* allocated by the first base sweep *)
+  mutable frame : frame option; (* allocated by the first non-empty hold *)
   touched : int array; (* stack of nets whose delta may be non-zero *)
   mutable ntouched : int;
   mutable minl : int; (* frontier level bounds of the current sweep *)
@@ -106,6 +106,9 @@ let create ?share ?reach net ~blocks ~goods =
   let counts = Array.make (depth + 1) 0 in
   Array.iter (fun l -> counts.(l) <- counts.(l) + 1) (Netlist.level_array net);
   let reach = match reach with Some r -> r | None -> Po_reach.compute net in
+  let pos = Netlist.pos net in
+  let po_of = Array.make nets (-1) in
+  Array.iteri (fun oi n -> po_of.(n) <- oi) pos;
   let tgood =
     match share with
     | Some s when s.net == net && s.nb = nb ->
@@ -120,7 +123,9 @@ let create ?share ?reach net ~blocks ~goods =
   {
     net;
     reach;
-    pos = Netlist.pos net;
+    pos;
+    po_of;
+    reached = Array.make (max 1 (Array.length pos)) 0;
     queued = Array.make nets false;
     bucket = Array.map (fun c -> Array.make (max 1 c) 0) counts;
     bucket_len = Array.make (depth + 1) 0;
@@ -186,9 +191,9 @@ let publish_stats t =
 
 (* Clear what the last sweep wrote: its touched rows and pinned sites,
    over its active blocks.  The drain leaves the queued flags and level
-   buckets all-false / all-zero on exit.  Under a live frame a pinned
-   site gets its base pin back, not a free one: the base pins stay in
-   force from one change sweep to the next. *)
+   buckets all-false / all-zero on exit.  A pinned site gets its base
+   pin back: the base pins stay in force from one change sweep to the
+   next. *)
 let reset_batch b =
   let td = b.tdelta and nb = b.nb and act = b.act in
   for i = 0 to b.ntouched - 1 do
@@ -200,7 +205,7 @@ let reset_batch b =
   b.ntouched <- 0;
   for i = b.npinned - 1 downto 0 do
     let s = b.pinned.(i) in
-    b.pin.(s) <- (match b.frame with Some fr when fr.live -> fr.bpin.(s) | _ -> 0);
+    b.pin.(s) <- (match b.frame with Some fr -> fr.bpin.(s) | None -> 0);
     let o = s * nb in
     for a = 0 to b.nact - 1 do
       td.(o + act.(a)) <- 0
@@ -210,18 +215,21 @@ let reset_batch b =
   b.minl <- max_int;
   b.maxl <- -1
 
-(* Leave the frame for an ordinary sweep from the good machine: clear
-   the base pins and read the good slab again.  The base rows stay
-   written until the next base sweep restores them. *)
-let unframe b =
+(* Back to the empty frame, the good machine: the base rows get their
+   good words and free pins back.  Call after [reset_batch], which puts
+   the base pins back first. *)
+let clear_frame b =
   match b.frame with
-  | Some fr when fr.live ->
+  | None -> ()
+  | Some fr ->
+    let nb = b.nb in
     for i = 0 to fr.nrows - 1 do
-      b.pin.(fr.rows.(i)) <- 0
+      let s = fr.rows.(i) in
+      Array.blit b.tgood (s * nb) fr.base (s * nb) nb;
+      fr.bpin.(s) <- 0;
+      b.pin.(s) <- 0
     done;
-    fr.live <- false;
-    b.tref <- b.tgood
-  | Some _ | None -> ()
+    fr.nrows <- 0
 
 (* Batch gate evaluation into [b.acc]: the non-inverting base operator
    folds over the fanin slice with the block loop innermost (contiguous
@@ -473,122 +481,18 @@ let drain_batch b =
     incr lvl
   done
 
-(* Canonical triple emission for one single-site injection: blocks
-   ascending, then the site's reachable POs in CSR order, masked words
-   only — the order of every [Sig_cache] entry.  Blocks where the seed
-   delta was zero are skipped outright: the whole cone carries zero
-   there, so no PO word can differ. *)
-let emit_reach_diffs b ~site f =
-  let nb = b.nb in
-  let off = Po_reach.offsets b.reach in
-  let csr = Po_reach.reachable_csr b.reach in
-  let td = b.tdelta in
-  let lo = off.(site) and hi = off.(site + 1) in
-  for a = 0 to b.nact - 1 do
-    let bi = Array.unsafe_get b.act a in
-    let mask = Array.unsafe_get b.masks bi in
-    for i = lo to hi - 1 do
-      let oi = Int32.to_int (Bigarray.Array1.unsafe_get csr i) in
-      let w =
-        Array.unsafe_get td ((Array.unsafe_get b.pos oi * nb) + bi) land mask
-      in
-      if w <> 0 then f bi oi w
-    done
-  done
-
-let batch_po_diffs_delta b ~site ~deltas f =
-  let off = Po_reach.offsets b.reach in
-  let any = ref false in
-  for bi = 0 to b.nb - 1 do
-    if deltas.(bi) land b.masks.(bi) <> 0 then any := true
-  done;
-  reset_batch b;
-  unframe b;
-  (* Two screens, counted as such: a zero injected delta on every live
-     pattern, and a site from which no PO is reachable, both make
-     propagation pointless. *)
-  if (not !any) || off.(site + 1) = off.(site) then
-    b.n_screened <- b.n_screened + 1
-  else begin
-    b.nact <- 0;
-    for bi = 0 to b.nb - 1 do
-      let d = deltas.(bi) land b.masks.(bi) in
-      b.acc.(bi) <- d;
-      if d <> 0 then begin
-        b.act.(b.nact) <- bi;
-        b.nact <- b.nact + 1
-      end
-    done;
-    seed_batch b ~site ~pin_kind:1 b.acc;
-    drain_batch b;
-    emit_reach_diffs b ~site f
-  end
-
-let batch_multiplet_diffs b ~faults f =
-  let nb = b.nb in
-  reset_batch b;
-  unframe b;
-  (* Every pin as (site, kind, seed delta of block [bi]): one polarity
-     pins the site held at its stuck word, and both polarities pin it
-     flipped ([lnot computed], the Byzantine surrogate), seeded as
-     flipped-from-good, i.e. all live bits set. *)
-  let rec group acc = function
-    | [] -> acc
-    | (site, stuck) :: rest ->
-      let same, other = List.partition (fun (s, _) -> s = site) rest in
-      (* Distinct polarities only, matching [Scoring.overlay_of_multiplet]:
-         a site listed twice with one polarity is still a plain stuck-at. *)
-      let pin =
-        match List.sort_uniq compare (stuck :: List.map snd same) with
-        | [ st ] ->
-          let sw = if st then Logic.ones else 0 and o = site * nb in
-          (site, 1, fun bi -> (sw lxor b.tgood.(o + bi)) land b.masks.(bi))
-        | _ -> (site, 2, fun bi -> b.masks.(bi))
-      in
-      group (pin :: acc) other
-  in
-  let pins = List.rev (group [] faults) in
-  (* Active blocks = union over pins of the blocks with a non-zero seed
-     (a flipped site has every block).  Seeding writes whole rows, so
-     the union must be fixed before the first seed. *)
-  b.nact <- 0;
-  for bi = 0 to nb - 1 do
-    if List.exists (fun (_, _, d) -> d bi <> 0) pins then begin
-      b.act.(b.nact) <- bi;
-      b.nact <- b.nact + 1
-    end
-  done;
-  List.iter
-    (fun (site, pin_kind, d) ->
-      for bi = 0 to nb - 1 do
-        b.acc.(bi) <- d bi
-      done;
-      seed_batch b ~site ~pin_kind b.acc)
-    pins;
-  drain_batch b;
-  let td = b.tdelta in
-  let npos = Array.length b.pos in
-  for a = 0 to b.nact - 1 do
-    let bi = b.act.(a) in
-    let mask = b.masks.(bi) in
-    for oi = 0 to npos - 1 do
-      let w = td.((b.pos.(oi) * nb) + bi) land mask in
-      if w <> 0 then f bi oi w
-    done
-  done
-
-(* --- Base frames and one-change sweeps --------------------------------
+(* --- Frames and change sweeps -----------------------------------------
 
    A trial that differs from an already-swept multiplet at one or two
    sites need not re-propagate the whole multiplet from the good
-   machine.  [batch_base_diffs] runs an ordinary multiplet sweep and
-   keeps its resolved words and pins as the frame; a change sweep then
-   seeds only the re-pinned sites, against the frame, and the drain
-   reads the frame where it used to read the good words.  Exact by the
-   same argument as the multiplet sweep: evaluation is lane-wise and
-   the netlist feedback-free, so a net outside the changed sites'
-   fanout cones keeps its base word, and each net inside is evaluated
-   once, after its fanins, under the same pin rules (DESIGN.md §10). *)
+   machine.  [hold] sweeps its pins from the empty frame and keeps the
+   resolved words and pins as the frame; a change sweep then seeds only
+   the re-pinned sites, against the frame, and the drain reads the
+   frame where it used to read the good words.  Exact: evaluation is
+   lane-wise and the netlist feedback-free, so a net outside the
+   changed sites' fanout cones keeps its base word, and each net inside
+   is evaluated once, after its fanins, under the same pin rules
+   (DESIGN.md §10). *)
 
 type repin = Free | Stuck of bool | Flip | Held of int array
 
@@ -597,67 +501,22 @@ let frame_of b =
   | Some fr -> fr
   | None ->
     let nets = Netlist.num_nets b.net in
-    let po_of = Array.make nets (-1) in
-    Array.iteri (fun oi n -> po_of.(n) <- oi) b.pos;
     let fr =
       {
         base = Array.copy b.tgood;
         bpin = Array.make nets 0;
         rows = Array.make (max 1 nets) 0;
         nrows = 0;
-        po_of;
-        live = false;
       }
     in
     b.frame <- Some fr;
+    b.tref <- fr.base;
     fr
 
-(* The swept machine becomes the frame: restore the old base's rows to
-   the good words, write the rows this sweep touched or pinned, then
-   clear the delta slab — relative to the frame, nothing differs yet —
-   and put the base pins back in force. *)
-let batch_base_diffs b ~faults f =
-  batch_multiplet_diffs b ~faults f;
-  let fr = frame_of b in
-  let nb = b.nb and tg = b.tgood and td = b.tdelta and base = fr.base in
-  for i = 0 to fr.nrows - 1 do
-    let s = fr.rows.(i) in
-    Array.blit tg (s * nb) base (s * nb) nb;
-    fr.bpin.(s) <- 0
-  done;
-  fr.nrows <- 0;
-  let keep s =
-    let o = s * nb in
-    for bi = 0 to nb - 1 do
-      base.(o + bi) <- tg.(o + bi) lxor td.(o + bi)
-    done;
-    fr.rows.(fr.nrows) <- s;
-    fr.nrows <- fr.nrows + 1
-  in
-  for i = 0 to b.npinned - 1 do
-    let s = b.pinned.(i) in
-    keep s;
-    fr.bpin.(s) <- b.pin.(s)
-  done;
-  for i = 0 to b.ntouched - 1 do
-    keep b.touched.(i)
-  done;
-  reset_batch b;
-  for i = 0 to fr.nrows - 1 do
-    let s = fr.rows.(i) in
-    b.pin.(s) <- fr.bpin.(s)
-  done;
-  fr.live <- true;
-  b.tref <- base
-
-let batch_change_diffs b changes f =
-  let fr =
-    match b.frame with
-    | Some fr when fr.live -> fr
-    | Some _ | None -> invalid_arg "Fault_sim.batch_change_diffs: no base frame"
-  in
-  let nb = b.nb and base = fr.base and tg = b.tgood and masks = b.masks in
-  reset_batch b;
+(* The change sweep proper, on a reset simulator and a non-empty change
+   list. *)
+let change b changes f =
+  let nb = b.nb and base = b.tref and tg = b.tgood and masks = b.masks in
   let fi_off = Netlist.fanin_offsets b.net in
   let gated s = fi_off.(s) < fi_off.(s + 1) in
   (* A freed or flipped gate is re-evaluated by the drain from its
@@ -705,9 +564,9 @@ let batch_change_diffs b changes f =
     changes;
   drain_batch b;
   (* Every net whose word changed is a seeded site or on the drain's
-     touched stack (a re-evaluated site is on the latter when it
-     changed), never both: scan those for POs. *)
-  let td = b.tdelta and po_of = fr.po_of in
+     touched stack (a re-evaluated site, pinned too, is on the latter
+     when it changed): scan those for POs. *)
+  let td = b.tdelta and po_of = b.po_of in
   let emit n =
     let oi = po_of.(n) in
     if oi >= 0 then begin
@@ -726,6 +585,43 @@ let batch_change_diffs b changes f =
     let s = b.pinned.(i) in
     if b.pin.(s) = 1 || not (gated s) then emit s
   done
+
+let sweep b changes f =
+  reset_batch b;
+  if changes <> [] then change b changes f
+
+(* The swept machine becomes the frame: each row the sweep pinned or
+   touched is written once (a re-evaluated pin is on both stacks), then
+   the delta slab is cleared — relative to the frame, nothing differs
+   yet — and [reset_batch] puts the base pins in force.  A free pin
+   against the empty frame is no pin at all. *)
+let hold b pins f =
+  reset_batch b;
+  clear_frame b;
+  let pins = List.filter (fun (_, p) -> match p with Free -> false | _ -> true) pins in
+  if pins <> [] then begin
+    let fr = frame_of b in
+    change b pins f;
+    let nb = b.nb and td = b.tdelta and base = fr.base in
+    let keep s =
+      let o = s * nb in
+      for bi = 0 to nb - 1 do
+        base.(o + bi) <- base.(o + bi) lxor td.(o + bi)
+      done;
+      fr.rows.(fr.nrows) <- s;
+      fr.nrows <- fr.nrows + 1
+    in
+    for i = 0 to b.npinned - 1 do
+      let s = b.pinned.(i) in
+      keep s;
+      fr.bpin.(s) <- b.pin.(s)
+    done;
+    for i = 0 to b.ntouched - 1 do
+      let s = b.touched.(i) in
+      if b.pin.(s) = 0 then keep s
+    done;
+    reset_batch b
+  end
 
 (* Blocks outside the act list carry zero delta everywhere (every sweep
    writes and resets active blocks only), so one XOR reads any block. *)
@@ -758,18 +654,50 @@ let batch_driven b ~net ~block =
   end
 
 (* A stuck-at fault is the injection of its stuck word against the good
-   one in every block.  The deltas go through the simulator's own [acc]
-   scratch: [batch_po_diffs_delta] reads each word before it rewrites
-   it. *)
+   one in every block, from the empty frame.  The deltas go through the
+   simulator's own [acc] scratch, and the site's reachable POs are
+   gathered once into [reached]: triples come out blocks ascending,
+   then POs ascending, masked words only — the order of every
+   [Sig_cache] entry.  Blocks where the seed delta is zero are skipped
+   outright: the whole cone carries zero there, so no PO word can
+   differ. *)
 let simulate_batch b ~n ~fault f =
   b.n_batches <- b.n_batches + 1;
   b.batch_faults <- n :: b.batch_faults;
+  reset_batch b;
+  clear_frame b;
+  let nb = b.nb and tg = b.tgood and td = b.tdelta and pos = b.pos in
   for i = 0 to n - 1 do
     let site, stuck = fault i in
     let stuck_word = if stuck then Logic.ones else 0 in
-    let o = site * b.nb in
-    for bi = 0 to b.nb - 1 do
-      b.acc.(bi) <- stuck_word lxor b.tgood.(o + bi)
+    let o = site * nb in
+    reset_batch b;
+    b.nact <- 0;
+    for bi = 0 to nb - 1 do
+      let d = (stuck_word lxor tg.(o + bi)) land b.masks.(bi) in
+      b.acc.(bi) <- d;
+      if d <> 0 then begin
+        b.act.(b.nact) <- bi;
+        b.nact <- b.nact + 1
+      end
     done;
-    batch_po_diffs_delta b ~site ~deltas:b.acc (fun bi oi w -> f i bi oi w)
+    (* Two screens, counted as such: a zero injected delta on every live
+       pattern, and a site from which no PO is reachable, both make
+       propagation pointless. *)
+    if b.nact = 0 || Po_reach.num_reachable b.reach site = 0 then
+      b.n_screened <- b.n_screened + 1
+    else begin
+      let nreached = Po_reach.reachable_into b.reach site b.reached in
+      seed_batch b ~site ~pin_kind:1 b.acc;
+      drain_batch b;
+      for a = 0 to b.nact - 1 do
+        let bi = Array.unsafe_get b.act a in
+        let mask = Array.unsafe_get b.masks bi in
+        for k = 0 to nreached - 1 do
+          let oi = Array.unsafe_get b.reached k in
+          let w = Array.unsafe_get td ((Array.unsafe_get pos oi * nb) + bi) land mask in
+          if w <> 0 then f i bi oi w
+        done
+      done
+    end
   done

@@ -15,13 +15,17 @@
     The steady-state path is allocation-free: the per-level event
     frontiers, the touched stack and the delta slab are preallocated
     flat arrays reset by cursor, gates evaluate straight out of the
-    netlist's CSR views, and single-site output scans visit only the
-    POs reachable from the injection site (see {!Po_reach}).
+    netlist's CSR views, and a single fault's output scan visits only
+    the POs reachable from its site (see {!Po_reach}).
 
-    The sweeps are exact: their masked PO diff words are bit-identical
-    to a whole-block overlay resimulation ([Logic_sim.simulate_block_overlay])
-    under the equivalent overrides, which the test suite's kernel
-    oracles check against a per-block scalar reference. *)
+    Two kinds of sweep share one drain: {!simulate_batch} injects single
+    stuck faults for the signature cache and test generation, and
+    {!sweep} re-pins sites against the frame {!hold} left — the good
+    machine when none is held — for hypothesis scoring.  The sweeps are
+    exact: their masked PO diff words are bit-identical to a whole-block
+    overlay resimulation ([Logic_sim.simulate_block_overlay]) under the
+    equivalent overrides, which the test suite's kernel oracles check
+    against a per-block scalar reference. *)
 
 type t
 (** Simulator scratch bound to one netlist and one block group.  Not
@@ -50,11 +54,12 @@ val rebind : t -> blocks:Pattern.block array -> goods:Logic_sim.net_values array
     new block group of the same block count: a caller that simulates
     one short pattern block after another keeps one simulator.  Raises
     [Invalid_argument] when the good slab is shared (the simulator was
-    made with [?share] or lent to one) or the simulator holds a frame
-    (it ran a {!batch_base_diffs}), and on a block count mismatch. *)
+    made with [?share] or lent to one) or the simulator has a frame
+    (it ran a {!hold} of some pin), and on a block count mismatch. *)
 
 val publish_stats : t -> unit
-(** Fold this simulator's stats — sweeps run, injections screened away
+(** Fold this simulator's stats — sweeps run (a {!hold} or {!sweep}
+    that pins nothing runs none), {!simulate_batch} faults screened away
     (zero delta on every live pattern, or no PO reachable from the site)
     and frontier entries drained, {!simulate_batch} calls and their
     fault counts — into the global [Obs] counters
@@ -66,74 +71,47 @@ val publish_stats : t -> unit
     given workload, so regression gates may compare them exactly.
     Owners call it after their parallel region. *)
 
-val batch_po_diffs_delta :
-  t -> site:Netlist.net -> deltas:int array -> (int -> int -> int -> unit) -> unit
-(** Inject an arbitrary error word per block ([deltas], indexed by
-    block, masked internally; bit [k] set = the site's value is flipped
-    on pattern [k]) at [site] and propagate it through {e every} block
-    in one sweep — used with the all-ones delta by the aggressor screens
-    (one sweep per victim) and, with the stuck word's delta, by
-    {!simulate_batch}.  Lanes are independent, so the diff words under
-    any delta are the delta masked onto the diff words of the all-ones
-    delta.  [f bi oi w] for every non-zero masked diff word, blocks
-    ascending, then the site's reachable POs in CSR order — the triple
-    order of [Sig_cache] entries.  Screens (all-blocks-inactive, no
-    reachable PO) count once per injection. *)
-
-val batch_multiplet_diffs :
-  t -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
-(** Multi-site sweep for multiplet scoring ([faults] lists
-    (site, stuck) pairs; this layer does not know [Fault_list]): every
-    site is pinned — held at its stuck word for a single polarity,
-    flipped ([lnot computed]) when both polarities are present — and
-    the joint faulty machine is propagated once from the good machine.
-    [f bi oi w] for every non-zero masked PO diff, blocks ascending
-    then PO positions ascending (all POs, not just reachable ones).
-    Bit-identical to [Logic_sim.simulate_block_overlay] under
-    [Scoring.overlay_of_multiplet], which holds because pinned sites
-    read no other nets and the netlist is feedback-free, so one
-    levelized pass is the fixpoint.  After the call, {!batch_value}
-    and {!batch_driven} read the swept machine. *)
-
-(** {2 Base frames and one-change sweeps}
+(** {2 Frames and change sweeps}
 
     Hypothesis scoring sweeps many multiplets that differ from one
-    already swept at a site or two.  A {e base sweep} keeps its faulty
+    already swept at a site or two.  {!hold} keeps one sweep's faulty
     machine — the resolved word of every net and every pin — as the
-    simulator's frame; a {e change sweep} then re-pins a few sites and
-    propagates only what differs from the frame.  The frame's words
-    live in a second net-major slab, allocated by the first base sweep;
-    a rebase rewrites only the rows the old and the new base touched. *)
+    simulator's {e frame}; {!sweep} then re-pins a few sites and
+    propagates only what differs from the frame.  The good machine is
+    the empty frame.  The frame's words live in a second net-major
+    slab, allocated by the first hold of some pin; a new hold rewrites
+    only the rows the old and the new frame touched. *)
 
 type repin =
   | Free  (** Unpinned: the site's own gate drives it again. *)
   | Stuck of bool  (** Held at the stuck word. *)
-  | Flip  (** [lnot computed], the both-polarities pin. *)
+  | Flip  (** [lnot computed]: the site's own gate, inverted. *)
   | Held of int array  (** Held at a word per block (dead bits ignored). *)
-(** A site's pin in a change sweep, replacing its base pin. *)
+(** A site's pin in a sweep, replacing its frame pin. *)
 
-val batch_base_diffs :
-  t -> faults:(Netlist.net * bool) list -> (int -> int -> int -> unit) -> unit
-(** {!batch_multiplet_diffs}, whose swept machine then becomes the
-    simulator's frame: [f] sees the base's own masked PO diffs against the
-    good machine.  Any ordinary sweep on the simulator
-    ({!batch_multiplet_diffs}, {!batch_po_diffs_delta},
-    {!simulate_batch}) ends the frame. *)
+val hold : t -> (Netlist.net * repin) list -> (int -> int -> int -> unit) -> unit
+(** [hold b pins f] sweeps [pins] (sites distinct) from the good machine,
+    as {!sweep} on the empty frame does, and keeps the swept machine as
+    the frame, replacing any earlier one: [f bi oi w] for every non-zero
+    masked PO diff word against the good machine, in no particular
+    order.  Pinned sites read no other nets and the netlist is
+    feedback-free, so one levelized pass is the overlay simulator's
+    fixpoint.  An empty [pins] list empties the frame and sweeps
+    nothing.  Afterwards {!batch_value} and {!batch_driven} read the
+    frame's machine. *)
 
-val batch_change_diffs :
-  t -> (Netlist.net * repin) list -> (int -> int -> int -> unit) -> unit
-(** [batch_change_diffs b changes f] sweeps the frame's machine with
-    each listed site (sites distinct) re-pinned: every other base pin
-    stays in force, a held or stuck site is seeded with its word XOR
-    the frame's, a freed or flipped gate is re-evaluated from its
-    fanins' frame words, and the change propagates through the changed
-    sites' fanout cones only.  [f bi oi c] for every non-zero masked
-    change word [c] at a PO, in no particular order: the PO's diff
-    against the good machine is the base sweep's diff XOR [c].  Equal,
-    bit for bit, to {!batch_multiplet_diffs} of the re-pinned multiplet
-    (DESIGN.md §10).  {!batch_value} and {!batch_driven} read the
-    changed machine afterwards.  Raises [Invalid_argument] when no
-    frame is in force. *)
+val sweep : t -> (Netlist.net * repin) list -> (int -> int -> int -> unit) -> unit
+(** [sweep b changes f] sweeps the frame's machine with each listed
+    site (sites distinct) re-pinned: every other frame pin stays in
+    force, a held or stuck site is seeded with its word XOR the frame's,
+    a freed or flipped gate is re-evaluated from its fanins' frame
+    words, and the change propagates through the changed sites' fanout
+    cones only.  [f bi oi c] for every non-zero masked change word [c]
+    at a PO, in no particular order: the PO's diff against the good
+    machine is the frame's diff XOR [c].  Equal, bit for bit, to a
+    {!hold} of the re-pinned multiplet (DESIGN.md §10).  {!batch_value}
+    and {!batch_driven} read the changed machine afterwards; an empty
+    [changes] list sweeps nothing, and they read the frame's. *)
 
 val batch_value : t -> net:Netlist.net -> block:int -> int
 (** The resolved word of [net] in block [block] after the last sweep on
@@ -153,7 +131,11 @@ val simulate_batch :
   (int -> int -> int -> int -> unit) ->
   unit
 (** Simulate a slice of [n] faults ([fault i] gives the [i]th as a
-    (site, stuck) pair) against the simulator's whole block group:
-    [f i bi oi w] with the triples of each fault in
-    {!batch_po_diffs_delta} order, faults in slice order.  Counts one
-    batch of [n] faults towards {!publish_stats}. *)
+    (site, stuck) pair) against the simulator's whole block group, each
+    one injected alone into the good machine: [f i bi oi w] for every
+    non-zero masked PO diff word of fault [i], blocks ascending, then
+    the site's reachable POs ascending — the triple order of [Sig_cache]
+    entries — faults in slice order.  Empties the frame.  A fault that
+    changes no live pattern, or whose site reaches no PO, is screened:
+    it propagates nothing.  Counts one batch of [n] faults towards
+    {!publish_stats}. *)

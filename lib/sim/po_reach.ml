@@ -1,14 +1,7 @@
-(* The CSR entries are 32-bit.  Every session computes its own [t]; on
-   rnd2k the entries are 148,502 reachable (net, PO) pairs, 1.2 MB as
-   an [int array].  A process that creates sessions in turn on one
-   netlist (a volume drain, one session per lot) holds several dead
-   ones until the major GC reclaims them, so the entry width shows in
-   peak RSS. *)
-type csr = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type t = {
-  po_csr : csr;
-  po_off : int array; (* length num_nets + 1 *)
+  nwords : int; (* mask words per net *)
+  masks : int array; (* [net * nwords + w]: bit [oi mod 63] of word [oi / 63] *)
+  counts : int array; (* per net: POs reachable *)
 }
 
 let word_bits = Bitvec.word_bits
@@ -39,29 +32,26 @@ let compute net =
       done
     done
   done;
-  let po_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    let count = ref 0 in
-    for w = 0 to nwords - 1 do
-      count := !count + Bitvec.popcount_word masks.((v * nwords) + w)
-    done;
-    po_off.(v + 1) <- po_off.(v) + !count
-  done;
-  let po_csr = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout po_off.(n) in
-  for v = 0 to n - 1 do
-    let fill = ref po_off.(v) in
-    for w = 0 to nwords - 1 do
-      let bits = ref masks.((v * nwords) + w) in
-      while !bits <> 0 do
-        po_csr.{!fill} <- Int32.of_int ((w * word_bits) + Bitvec.ctz_word !bits);
-        incr fill;
-        bits := !bits land (!bits - 1)
-      done
+  let counts =
+    Array.init n (fun v ->
+        let c = ref 0 in
+        for w = 0 to nwords - 1 do
+          c := !c + Bitvec.popcount_word masks.((v * nwords) + w)
+        done;
+        !c)
+  in
+  { nwords; masks; counts }
+
+let num_reachable t n = t.counts.(n)
+
+let reachable_into t n dst =
+  let k = ref 0 in
+  for w = 0 to t.nwords - 1 do
+    let bits = ref t.masks.((n * t.nwords) + w) in
+    while !bits <> 0 do
+      dst.(!k) <- (w * word_bits) + Bitvec.ctz_word !bits;
+      incr k;
+      bits := !bits land (!bits - 1)
     done
   done;
-  { po_csr; po_off }
-
-let num_reachable t n = t.po_off.(n + 1) - t.po_off.(n)
-
-let offsets t = t.po_off
-let reachable_csr t = t.po_csr
+  !k

@@ -17,6 +17,7 @@ type scalar = {
   net : Netlist.t;
   reach : Po_reach.t;
   pos : int array;
+  reached : int array; (* the injection site's reachable PO positions *)
   delta : int array;
   queued : bool array;
   bucket : int array array; (* per level; capacity = nets at that level *)
@@ -34,6 +35,7 @@ let scalar ?reach net =
     net;
     reach = (match reach with Some r -> r | None -> Po_reach.compute net);
     pos = Netlist.pos net;
+    reached = Array.make (max 1 (Netlist.num_pos net)) 0;
     delta = Array.make n 0;
     queued = Array.make n false;
     bucket = Array.map (fun c -> Array.make (max 1 c) 0) counts;
@@ -118,12 +120,10 @@ let propagate s ~good ~site d0 =
 let iter_po_diffs_delta s ~good ~width ~site ~delta f =
   let mask = Logic.mask_of_width width in
   let d0 = delta land mask in
-  let off = Po_reach.offsets s.reach in
-  if d0 <> 0 && off.(site + 1) > off.(site) then begin
+  if d0 <> 0 && Po_reach.num_reachable s.reach site > 0 then begin
     propagate s ~good ~site d0;
-    let csr = Po_reach.reachable_csr s.reach in
-    for i = off.(site) to off.(site + 1) - 1 do
-      let oi = Int32.to_int (Bigarray.Array1.get csr i) in
+    for i = 0 to Po_reach.reachable_into s.reach site s.reached - 1 do
+      let oi = s.reached.(i) in
       let w = s.delta.(s.pos.(oi)) land mask in
       if w <> 0 then f oi w
     done
@@ -328,9 +328,9 @@ let lookup c sim ~site ~stuck =
 
 (* --- Aggressor screens ---------------------------------------------- *)
 
-(* The oracle of [Scoring.screen_aggressors]: one
-   [batch_po_diffs_delta] injection of [good(victim) lxor good(a)] per
-   aggressor, its triples scored as a signature. *)
+(* The oracle of [Scoring.screen_aggressors]: one sweep per aggressor
+   from the good machine, the victim held at [good(a)], its triples
+   scored as a signature. *)
 let screen_per_aggressor session dlog ~victim aggressors =
   let blocks = Session.blocks session and goods = Session.goods session in
   let b = Session.simulator session in
@@ -338,8 +338,8 @@ let screen_per_aggressor session dlog ~victim aggressors =
   List.map
     (fun a ->
       let triples = ref [] in
-      Fault_sim.batch_po_diffs_delta b ~site:victim
-        ~deltas:(Array.map (fun g -> g.(victim) lxor g.(a)) goods)
+      Fault_sim.sweep b
+        [ (victim, Fault_sim.Held (Array.map (fun g -> g.(a)) goods)) ]
         (fun bi oi w -> triples := w :: oi :: bi :: !triples);
       Scoring.score_triples words ~npos:(Datalog.npos dlog)
         (Array.of_list (List.rev !triples)))

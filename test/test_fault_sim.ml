@@ -64,6 +64,63 @@ let qcheck_oracle_random_circuits =
       check_against_overlay "rnd" net pats;
       true)
 
+(* [Po_reach] against a per-net depth-first walk over the fanouts, on
+   random circuits with more than 63 outputs (a net's mask spans several
+   words), outputs that also feed gates, and dead gates that reach no
+   output. *)
+let qcheck_po_reach_matches_dfs =
+  QCheck.Test.make ~name:"Po_reach = per-net fanout DFS (random, > 63 POs)" ~count:30
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let b = Builder.create () in
+      let nets = ref (List.init 4 (fun i -> Builder.input b (Printf.sprintf "pi%d" i))) in
+      let kinds = [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Not |] in
+      (* A gate over distinct earlier nets, added to the pool. *)
+      let gate name =
+        let avail = Array.of_list !nets in
+        let kind = Rng.pick rng kinds in
+        let rec distinct k acc =
+          if k = 0 then acc
+          else
+            let c = avail.(Rng.int rng (Array.length avail)) in
+            if List.mem c acc then distinct k acc else distinct (k - 1) (c :: acc)
+        in
+        let g = Builder.gate b name kind (distinct (if kind = Gate.Not then 1 else 2) []) in
+        nets := g :: !nets;
+        g
+      in
+      let gates = List.init (100 + Rng.int rng 100) (fun i -> gate (Printf.sprintf "g%d" i)) in
+      List.iteri (fun i g -> if i < 64 || Rng.int rng 3 = 0 then Builder.mark_output b g) gates;
+      ignore (List.init 3 (fun i -> gate (Printf.sprintf "dead%d" i)) : Netlist.net list);
+      let net = Builder.finalize b in
+      let reach = Po_reach.compute net in
+      let pos = Netlist.pos net and n = Netlist.num_nets net in
+      let got = Array.make (Array.length pos) 0 in
+      let dfs v =
+        let seen = Array.make n false in
+        let rec walk u =
+          if not seen.(u) then begin
+            seen.(u) <- true;
+            Array.iter walk (Netlist.fanout net u)
+          end
+        in
+        walk v;
+        List.filter (fun oi -> seen.(pos.(oi))) (List.init (Array.length pos) Fun.id)
+      in
+      let agrees v =
+        let want = dfs v in
+        let k = Po_reach.reachable_into reach v got in
+        Po_reach.num_reachable reach v = List.length want
+        && Array.to_list (Array.sub got 0 k) = want
+      in
+      let all = List.init n Fun.id in
+      (* The cases the circuit was built to hold really hold. *)
+      Array.length pos > Bitvec.word_bits
+      && Array.exists (fun po -> Netlist.fanout net po <> [||]) pos
+      && List.exists (fun v -> Po_reach.num_reachable reach v = 0) all
+      && List.for_all agrees all)
+
 let test_no_effect_when_value_matches () =
   (* Stuck at the good value on all patterns -> no diffs at all. *)
   let net = Generators.c17 () in
@@ -164,7 +221,7 @@ let test_rebind () =
   refuses "a borrower" (fun () -> Fault_sim.rebind borrower ~blocks:blocks0 ~goods:goods0);
   refuses "a lender" (fun () -> Fault_sim.rebind sim ~blocks:blocks0 ~goods:goods0);
   let framed = Fault_sim.create net ~blocks:blocks0 ~goods:goods0 in
-  Fault_sim.batch_base_diffs framed ~faults:[ (0, true) ] (fun _ _ _ -> ());
+  Fault_sim.hold framed [ (0, Fault_sim.Stuck true) ] (fun _ _ _ -> ());
   refuses "a framed simulator" (fun () ->
       Fault_sim.rebind framed ~blocks:blocks0 ~goods:goods0);
   refuses "a block count mismatch" (fun () ->
@@ -183,5 +240,6 @@ let suite =
         Alcotest.test_case "reusable across faults" `Quick test_reusable_across_faults;
         Alcotest.test_case "rebind" `Quick test_rebind;
         QCheck_alcotest.to_alcotest qcheck_oracle_random_circuits;
+        QCheck_alcotest.to_alcotest qcheck_po_reach_matches_dfs;
       ] );
   ]

@@ -20,8 +20,8 @@ let random_problem seed multiplicity =
 
 (* Unlike the stuck-at oracle in [Test_fault_sim], this drives
    [Reference.iter_po_diffs_delta] with an arbitrary injected error
-   word: the single-block reference for [batch_po_diffs_delta], which
-   the aggressor screens in [Noassume] run, must itself match a
+   word: the single-block reference for a held-site sweep, which the
+   aggressor screens in [Noassume] run, must itself match a
    whole-block resimulation. *)
 let prop_delta_injection_matches_overlay =
   QCheck.Test.make
@@ -300,11 +300,13 @@ let prop_simulate_batch_matches_scalar =
         faults;
       got = want)
 
-(* Same property for the arbitrary-delta entry point (the aggressor
-   screens): one sweep over all blocks vs. one scalar sweep per block. *)
-let prop_batch_delta_matches_scalar =
+(* The arbitrary-delta injection the aggressor screens run: a site held
+   at [good lxor delta] and swept from the good machine, against one
+   scalar sweep per block — on a fresh simulator, and on one whose
+   frame held a multiplet and was then emptied. *)
+let prop_held_sweep_matches_scalar =
   QCheck.Test.make
-    ~name:"batch_po_diffs_delta matches per-block iter_po_diffs_delta"
+    ~name:"sweep of a held site matches per-block iter_po_diffs_delta"
     ~count:20
     QCheck.(pair (int_range 1 100_000) (int_range 0 max_int))
     (fun (seed, delta_seed) ->
@@ -313,7 +315,6 @@ let prop_batch_delta_matches_scalar =
       let blocks = Array.of_list (Pattern.blocks pats) in
       let goods = Array.map (Logic_sim.simulate_block net) blocks in
       let sim = Reference.scalar net in
-      let b = Fault_sim.create net ~blocks ~goods in
       let rng = Rng.create delta_seed in
       let site = Rng.int (Rng.create (seed + 6)) (Netlist.num_nets net) in
       let deltas =
@@ -321,9 +322,19 @@ let prop_batch_delta_matches_scalar =
       in
       let npos = Netlist.num_pos net in
       let nb = Array.length blocks in
-      let got = Array.make (nb * npos) 0 in
-      Fault_sim.batch_po_diffs_delta b ~site ~deltas (fun bi oi w ->
-          got.((bi * npos) + oi) <- w);
+      let swept b =
+        let got = Array.make (nb * npos) 0 in
+        Fault_sim.sweep b
+          [ (site, Fault_sim.Held (Array.mapi (fun bi g -> g.(site) lxor deltas.(bi)) goods)) ]
+          (fun bi oi w -> got.((bi * npos) + oi) <- w);
+        got
+      in
+      let emptied = Fault_sim.create net ~blocks ~goods in
+      let other = Rng.int rng (Netlist.num_nets net) in
+      Fault_sim.hold emptied
+        [ (other, Fault_sim.Flip); ((other + 1) mod Netlist.num_nets net, Fault_sim.Stuck true) ]
+        (fun _ _ _ -> ());
+      Fault_sim.hold emptied [] (fun _ _ _ -> ());
       let want = Array.make (nb * npos) 0 in
       Array.iteri
         (fun bi (block : Pattern.block) ->
@@ -331,7 +342,7 @@ let prop_batch_delta_matches_scalar =
             ~site ~delta:deltas.(bi)
             (fun oi w -> want.((bi * npos) + oi) <- w))
         blocks;
-      got = want)
+      swept (Fault_sim.create net ~blocks ~goods) = want && swept emptied = want)
 
 (* --- aggressor screens against per-aggressor sweeps ------------------ *)
 
@@ -527,14 +538,15 @@ let prop_evaluate_multiplet_matches_overlay =
    4 a primary input as victim or aggressor. *)
 let bridge_kinds = [ Defect.Dominant; Defect.Wired_and; Defect.Wired_or ]
 
+(* Each hypothesis is scored on a fresh scorer, and on one scorer used
+   in the order a diagnosis uses it — the victim's aggressor screen,
+   then bridge validation twice over the same rest — for [rest] and for
+   the empty rest: the second validation finds its rest already held,
+   and the sweeps before it must not leak into its reads. *)
 let bridges_agree net pats dlog ~rest ~victim ~aggressor =
+  let session = Session.create net pats in
   let hyps = List.map (fun kind -> (aggressor, kind)) bridge_kinds in
-  let got =
-    Scoring.evaluate_bridges
-      (Scoring.create (Session.create net pats) dlog)
-      ~rest ~victim hyps
-  in
-  let want =
+  let want rest =
     List.map
       (fun kind ->
         Reference.evaluate net pats dlog
@@ -542,7 +554,17 @@ let bridges_agree net pats dlog ~rest ~victim ~aggressor =
           @ Defect.overlay (Defect.Bridge { victim; aggressor; kind })))
       bridge_kinds
   in
-  got = want
+  let sc = Scoring.create session dlog in
+  let in_order rest want =
+    ignore (Scoring.screen_aggressors sc ~victim [ aggressor ] : Scoring.score list);
+    let first = Scoring.evaluate_bridges sc ~rest ~victim hyps in
+    let second = Scoring.evaluate_bridges sc ~rest ~victim hyps in
+    first = want && second = want
+  in
+  let want_rest = want rest in
+  Scoring.evaluate_bridges (Scoring.create session dlog) ~rest ~victim hyps = want_rest
+  && in_order rest want_rest
+  && in_order [] (want [])
 
 (* Returns whether every hypothesis agreed, and whether the case's
    relation was reached (a circuit may have no such pair). *)
@@ -921,7 +943,7 @@ let suite =
           prop_layout_matches_triples;
           prop_signature_goods_equivalent;
           prop_simulate_batch_matches_scalar;
-          prop_batch_delta_matches_scalar;
+          prop_held_sweep_matches_scalar;
           prop_screen_matches_per_aggressor;
           prop_greedy_cover_matches_exhaustive;
           prop_evaluate_multiplet_matches_overlay;
