@@ -49,12 +49,11 @@ type t = {
   stack_pos : int array;
   stack_flipped : bool array;
   mutable depth : int;
-  (* Work counters, folded into the registry by [publish_stats]. *)
-  mutable n_calls : int;
-  mutable n_backtracks : int;
-  mutable n_aborted : int;
+  (* Gate evaluations of the current run. *)
   mutable n_implications : int;
 }
+
+type work = { calls : int; backtracks : int; aborted : int; implications : int }
 
 let create net =
   let n = Netlist.num_nets net in
@@ -107,9 +106,6 @@ let create net =
     stack_pos = Array.make npis 0;
     stack_flipped = Array.make npis false;
     depth = 0;
-    n_calls = 0;
-    n_backtracks = 0;
-    n_aborted = 0;
     n_implications = 0;
   }
 
@@ -442,10 +438,10 @@ let flip_last e =
   !flipped
 
 let run ?(backtrack_limit = 512) ?(fill_seed = 7) e fault =
-  e.n_calls <- e.n_calls + 1;
   e.site <- fault.Fault_list.site;
   e.stuck <- fault.Fault_list.stuck;
   e.depth <- 0;
+  e.n_implications <- 0;
   reset e;
   build_cone e;
   let backtracks = ref 0 in
@@ -458,35 +454,38 @@ let run ?(backtrack_limit = 512) ?(fill_seed = 7) e fault =
     end
     else if conflict e || not (decide e) then begin
       incr backtracks;
-      if !backtracks > backtrack_limit then begin
-        e.n_aborted <- e.n_aborted + 1;
-        outcome := Some Aborted
-      end
+      if !backtracks > backtrack_limit then outcome := Some Aborted
       else if not (flip_last e) then outcome := Some Untestable
     end
   done;
-  e.n_backtracks <- e.n_backtracks + !backtracks;
-  Option.get !outcome
+  let result = Option.get !outcome in
+  ( result,
+    {
+      calls = 1;
+      backtracks = !backtracks;
+      aborted = (match result with Aborted -> 1 | Test _ | Untestable -> 0);
+      implications = e.n_implications;
+    } )
+
+let no_work = { calls = 0; backtracks = 0; aborted = 0; implications = 0 }
+
+let add_work a b =
+  {
+    calls = a.calls + b.calls;
+    backtracks = a.backtracks + b.backtracks;
+    aborted = a.aborted + b.aborted;
+    implications = a.implications + b.implications;
+  }
 
 let c_calls = Obs.counter "tpg.podem_calls"
 let c_backtracks = Obs.counter "tpg.backtracks"
 let c_aborted = Obs.counter "tpg.aborted"
 let c_implications = Obs.counter "tpg.implications"
 
-let publish_stats e =
+let publish w =
   if Obs.enabled () then begin
-    Obs.add c_calls e.n_calls;
-    Obs.add c_backtracks e.n_backtracks;
-    Obs.add c_aborted e.n_aborted;
-    Obs.add c_implications e.n_implications
-  end;
-  e.n_calls <- 0;
-  e.n_backtracks <- 0;
-  e.n_aborted <- 0;
-  e.n_implications <- 0
-
-let generate ?backtrack_limit ?fill_seed t fault =
-  let e = create t in
-  let r = run ?backtrack_limit ?fill_seed e fault in
-  publish_stats e;
-  r
+    Obs.add c_calls w.calls;
+    Obs.add c_backtracks w.backtracks;
+    Obs.add c_aborted w.aborted;
+    Obs.add c_implications w.implications
+  end

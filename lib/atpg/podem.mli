@@ -23,28 +23,34 @@ type result =
       (** Backtrack limit hit before a proof either way. *)
 
 type t
-(** Per-netlist scratch (PI index, level buckets, rails, cone buffers)
-    plus work counters.  Create one per test-generation run and reuse it
-    for every fault; not safe to share between domains. *)
+(** Per-netlist scratch: PI index, level buckets, rails, cone buffers.
+    Create one per test-generation run, or one per domain of a parallel
+    one, and reuse it for every fault; not safe to share between
+    domains. *)
 
 val create : Netlist.t -> t
 
-val run : ?backtrack_limit:int -> ?fill_seed:int -> t -> Fault_list.fault -> result
+type work = {
+  calls : int;  (** Runs: 1 for one {!run}. *)
+  backtracks : int;  (** An aborted run counts limit + 1. *)
+  aborted : int;  (** Runs that hit the backtrack limit. *)
+  implications : int;
+      (** Gate evaluations in the implication engine, the initial sweep
+          per fault included. *)
+}
+(** What runs cost.  Each {!run} returns its own, so a caller that
+    runs faults speculatively can count only the runs it keeps. *)
+
+val run :
+  ?backtrack_limit:int -> ?fill_seed:int -> t -> Fault_list.fault -> result * work
 (** [run e fault] searches for a test for [fault] on [e]'s netlist.  The
-    default backtrack limit is 512.  The result depends only on the
-    netlist, the fault and the two parameters — never on what [e] ran
-    before. *)
+    default backtrack limit is 512.  The result and its work depend only
+    on the netlist, the fault and the two parameters — never on what [e]
+    ran before. *)
 
-val publish_stats : t -> unit
-(** Fold the counters accumulated since the last publish into the
-    {!Obs} registry (when enabled) and zero them: [tpg.podem_calls],
-    [tpg.backtracks], [tpg.aborted] and [tpg.implications] (gate
-    evaluations, the initial sweep per fault included). *)
+val no_work : work
+val add_work : work -> work -> work
 
-val generate :
-  ?backtrack_limit:int ->
-  ?fill_seed:int ->
-  Netlist.t ->
-  Fault_list.fault ->
-  result
-(** One-shot {!run} on fresh scratch, publishing its counters. *)
+val publish : work -> unit
+(** Add [work] to the {!Obs} registry (when enabled): [tpg.podem_calls],
+    [tpg.backtracks], [tpg.aborted] and [tpg.implications]. *)

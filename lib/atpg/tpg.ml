@@ -84,6 +84,13 @@ let drop d pats detected =
 
 let flow_version = 1
 
+(* Survivors per round of phase 2's PODEM runs.  A constant, not the
+   domain count, so the runs, commits and discards are the same on
+   every domain count. *)
+let window = 32
+
+let c_discards = Obs.counter "tpg.speculative_discards"
+
 let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
   Obs.phase "tpg" @@ fun () ->
   let rng = Rng.create seed in
@@ -109,24 +116,54 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
     | [] -> Pattern.of_list ~npis []
     | l -> List.fold_left Pattern.append (List.hd l) (List.tl l)
   in
-  (* Phase 2: PODEM top-off for every survivor. *)
+  (* Phase 2: PODEM top-off for every survivor, [window] survivors at a
+     time.  A window's runs go across domains, one engine per drain
+     slot; [Podem.run] is a pure function of the fault, so running one
+     early changes nothing.  The window then commits in fault order, as
+     if its faults had run one by one: a fault an earlier commit's
+     pattern already dropped discards its run. *)
   let untestable = ref 0 in
   let aborted = ref 0 in
   let extra = ref [] in
-  let podem = Podem.create t in
-  Array.iteri
-    (fun i f ->
-      if not detected.(i) then
-        match Podem.run ~backtrack_limit podem f with
+  let work = ref Podem.no_work in
+  let discards = ref 0 in
+  let plan n = Parallel.weighted_chunks ~max_chunk_size:1 ~weights:(Array.make n 1) () in
+  let engines =
+    Array.init (Parallel.plan_slots (plan window)) (fun _ -> Podem.create t)
+  in
+  let members = Array.make window 0 in
+  let runs = Array.make window (Podem.Aborted, Podem.no_work) in
+  let next = ref 0 in
+  while !next < nfaults do
+    let n = ref 0 in
+    while !n < window && !next < nfaults do
+      if not detected.(!next) then begin
+        members.(!n) <- !next;
+        incr n
+      end;
+      incr next
+    done;
+    Parallel.run_plan_slotted (plan !n) (fun ~slot j _ _ ->
+        runs.(j) <- Podem.run ~backtrack_limit engines.(slot) faults.(members.(j)));
+    for j = 0 to !n - 1 do
+      let i = members.(j) in
+      if detected.(i) then incr discards
+      else begin
+        let result, w = runs.(j) in
+        work := Podem.add_work !work w;
+        match result with
         | Podem.Untestable -> incr untestable
         | Podem.Aborted -> incr aborted
         | Podem.Test pattern ->
           extra := pattern :: !extra;
           detected.(i) <- true;
           (* Drop other survivors detected by the new pattern. *)
-          ignore (drop_block d (unit_block pattern) detected : int))
-    faults;
-  Podem.publish_stats podem;
+          ignore (drop_block d (unit_block pattern) detected : int)
+      end
+    done
+  done;
+  Podem.publish !work;
+  if Obs.enabled () then Obs.add c_discards !discards;
   Fault_sim.publish_stats d.sim;
   let patterns =
     Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra))
@@ -186,6 +223,7 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
     detections d ~live (fun j w -> if w <> 0 then counts.(j) <- counts.(j) + 1)
   in
   let podem = Podem.create t in
+  let work = ref Podem.no_work in
   Array.iteri
     (fun i f ->
       let attempts = ref 0 in
@@ -193,8 +231,12 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
       while counts.(i) < n && (not untestable.(i)) && not !gave_up do
         incr attempts;
         if !attempts > 4 * n then gave_up := true
-        else
-          match Podem.run ~backtrack_limit ~fill_seed:(Rng.int rng 1_000_000) podem f with
+        else begin
+          let result, w =
+            Podem.run ~backtrack_limit ~fill_seed:(Rng.int rng 1_000_000) podem f
+          in
+          work := Podem.add_work !work w;
+          match result with
           | Podem.Untestable -> untestable.(i) <- true
           | Podem.Aborted ->
             incr aborted;
@@ -202,9 +244,10 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
           | Podem.Test pattern ->
             extra := pattern :: !extra;
             apply_pattern pattern
+        end
       done)
     faults;
-  Podem.publish_stats podem;
+  Podem.publish !work;
   Fault_sim.publish_stats d.sim;
   let patterns = Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra)) in
   let n_untestable = Array.fold_left (fun acc u -> acc + Bool.to_int u) 0 untestable in

@@ -30,7 +30,9 @@ val generate :
   report
 (** Run the flow.  [random_budget] (default [4 * 63]) bounds the initial
     random-pattern phase; PODEM then targets every remaining collapsed
-    fault. *)
+    fault.  The PODEM runs go across domains a window of survivors at a
+    time and commit in fault order, so the report and the [tpg.*] work
+    counters are the same on every domain count (DESIGN.md §6b). *)
 
 val generate_ndetect :
   ?seed:int ->
@@ -44,7 +46,9 @@ val generate_ndetect :
     fault observes it through a (usually) different propagation path,
     which separates candidates the 1-detect set leaves tied.  [detected]
     counts faults that reached [n] detections; PODEM tops off with
-    random-filled tests until no progress is possible. *)
+    random-filled tests until no progress is possible.  The top-off
+    runs on the calling domain: each run's fill seed is drawn from the
+    flow's RNG in attempt order. *)
 
 val compact : Netlist.t -> Pattern.t -> Pattern.t
 (** Reverse-order static compaction: keep a pattern only if it detects a

@@ -1,5 +1,6 @@
 (* Slow references the oracles compare the engine against: the scalar
-   fault simulator, the overlay scorer, the brute-force explanation
+   fault simulator, the one-fault-at-a-time test generation flow, the
+   overlay scorer, the brute-force explanation
    matrix, the structural seed pool, the scalar signature fill, the
    per-aggressor bridge screen and the cover pass that probes every move
    every round.  Each one is the simplest correct computation of its
@@ -159,6 +160,82 @@ let signature s ?goods pats ~site ~stuck =
           Logic.iter_bits d (fun k -> Bitvec.set sig_.(oi) (block.base + k) true)))
     (Pattern.blocks pats);
   sig_
+
+(* --- Test generation ------------------------------------------------- *)
+
+(* [Tpg.generate] one fault at a time, dropping through the scalar
+   simulator: random word-sized slabs until one detects nothing new,
+   then one PODEM run per fault still undetected, in fault order, each
+   test dropping the survivors it detects.  Returns the report and the
+   summed work of every run. *)
+let tpg_generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) net =
+  let s = scalar net in
+  let faults = Array.of_list (Fault_list.representatives (Fault_list.collapse net)) in
+  let nfaults = Array.length faults in
+  let npis = Netlist.num_pis net in
+  let detected = Array.make nfaults false in
+  let drop pats =
+    let gained = ref 0 in
+    List.iter
+      (fun (block : Pattern.block) ->
+        let good = Logic_sim.simulate_block net block in
+        Array.iteri
+          (fun i (f : Fault_list.fault) ->
+            if
+              (not detected.(i))
+              && detects s ~good ~width:block.width ~site:f.site ~stuck:f.stuck <> 0
+            then begin
+              detected.(i) <- true;
+              incr gained
+            end)
+          faults)
+      (Pattern.blocks pats);
+    !gained
+  in
+  let rng = Rng.create seed in
+  let kept = ref [] in
+  let continue = ref true in
+  let used = ref 0 in
+  while !continue && !used < random_budget do
+    let count = min Bitvec.word_bits (random_budget - !used) in
+    let pats = Pattern.random rng ~npis ~count in
+    used := !used + Pattern.count pats;
+    if drop pats > 0 then kept := pats :: !kept else continue := false
+  done;
+  let random_pats =
+    match !kept with
+    | [] -> Pattern.of_list ~npis []
+    | l -> List.fold_left Pattern.append (List.hd l) (List.tl l)
+  in
+  let untestable = ref 0 in
+  let aborted = ref 0 in
+  let extra = ref [] in
+  let work = ref Podem.no_work in
+  let podem = Podem.create net in
+  Array.iteri
+    (fun i f ->
+      if not detected.(i) then begin
+        let result, w = Podem.run ~backtrack_limit podem f in
+        work := Podem.add_work !work w;
+        match result with
+        | Podem.Untestable -> incr untestable
+        | Podem.Aborted -> incr aborted
+        | Podem.Test pattern ->
+          extra := pattern :: !extra;
+          detected.(i) <- true;
+          ignore (drop (Pattern.of_list ~npis [ pattern ]) : int)
+      end)
+    faults;
+  let ndet = Array.fold_left (fun acc hit -> acc + Bool.to_int hit) 0 detected in
+  ( {
+      Tpg.patterns = Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra));
+      total_faults = nfaults;
+      detected = ndet;
+      untestable = !untestable;
+      aborted = !aborted;
+      coverage = Stats.ratio ndet (nfaults - !untestable);
+    },
+    !work )
 
 (* --- Overlay scorer -------------------------------------------------- *)
 

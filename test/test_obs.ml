@@ -90,21 +90,42 @@ let test_disabled_records_nothing () =
     snap.Obs.dists
 
 (* Test generation accounts for itself: one "tpg" phase per call and
-   the PODEM work counters, with aborts matching the report. *)
+   the PODEM work counters, with aborts matching the report.  PODEM's
+   speculative windows commit in fault order, so every [tpg.*] counter
+   reads the same at 1 and 4 domains. *)
 let test_tpg_recorded () =
-  isolated @@ fun () ->
-  let r = Tpg.generate ~seed:1 ~backtrack_limit:4 (Generators.random_logic ~gates:300 ~pis:12 ~pos:6 ~seed:17) in
-  let snap = Obs.snapshot () in
-  Alcotest.(check bool) "podem ran" true (counter_value snap "tpg.podem_calls" > 0);
-  Alcotest.(check bool) "implications counted" true (counter_value snap "tpg.implications" > 0);
-  Alcotest.(check int) "aborts match the report" r.Tpg.aborted (counter_value snap "tpg.aborted");
-  Alcotest.(check bool) "some aborts" true (r.Tpg.aborted > 0);
+  let net = Generators.random_logic ~gates:300 ~pis:12 ~pos:6 ~seed:17 in
+  let tpg_counters domains =
+    let orig = Parallel.default_domains () in
+    Parallel.set_domains domains;
+    Fun.protect ~finally:(fun () -> Parallel.set_domains orig) @@ fun () ->
+    isolated @@ fun () ->
+    let r = Tpg.generate ~seed:1 ~backtrack_limit:4 net in
+    let snap = Obs.snapshot () in
+    Alcotest.(check bool) "podem ran" true (counter_value snap "tpg.podem_calls" > 0);
+    Alcotest.(check bool)
+      "implications counted" true
+      (counter_value snap "tpg.implications" > 0);
+    Alcotest.(check int)
+      "aborts match the report" r.Tpg.aborted
+      (counter_value snap "tpg.aborted");
+    Alcotest.(check bool) "some aborts" true (r.Tpg.aborted > 0);
+    Alcotest.(check bool)
+      "backtracks cover the aborts" true
+      (counter_value snap "tpg.backtracks" > 4 * r.Tpg.aborted);
+    (match List.find_opt (fun p -> p.Obs.p_name = "tpg") snap.Obs.phases with
+    | Some p -> Alcotest.(check int) "one tpg phase" 1 p.Obs.p_count
+    | None -> Alcotest.fail "tpg phase missing");
+    List.filter
+      (fun (name, _) -> String.length name > 4 && String.sub name 0 4 = "tpg.")
+      snap.Obs.counters
+  in
+  let at1 = tpg_counters 1 in
   Alcotest.(check bool)
-    "backtracks cover the aborts" true
-    (counter_value snap "tpg.backtracks" > 4 * r.Tpg.aborted);
-  match List.find_opt (fun p -> p.Obs.p_name = "tpg") snap.Obs.phases with
-  | Some p -> Alcotest.(check int) "one tpg phase" 1 p.Obs.p_count
-  | None -> Alcotest.fail "tpg phase missing"
+    "speculative_discards registered" true
+    (List.mem_assoc "tpg.speculative_discards" at1);
+  Alcotest.(check (list (pair string int))) "tpg.* counters at 1 and 4 domains" at1
+    (tpg_counters 4)
 
 let test_reset_preserves_registrations () =
   isolated @@ fun () ->

@@ -16,12 +16,15 @@ let check_detects net fault pattern =
     ~stuck:fault.Fault_list.stuck
   <> 0
 
+(* One run on fresh scratch. *)
+let generate net fault = fst (Podem.run (Podem.create net) fault)
+
 let exercise_all_faults name net =
   let collapsed = Fault_list.collapse net in
   let aborted = ref 0 in
   List.iter
     (fun fault ->
-      match Podem.generate net fault with
+      match generate net fault with
       | Podem.Test pattern ->
         if not (check_detects net fault pattern) then
           Alcotest.failf "%s: pattern does not detect %s" name
@@ -37,7 +40,7 @@ let test_c17_all_faults () =
   let collapsed = Fault_list.collapse net in
   List.iter
     (fun fault ->
-      match Podem.generate net fault with
+      match generate net fault with
       | Podem.Test pattern ->
         Alcotest.(check bool) "detects" true (check_detects net fault pattern)
       | Podem.Untestable | Podem.Aborted ->
@@ -65,12 +68,12 @@ let test_untestable_redundant () =
   let z = Builder.or_ b ~name:"z" [ a; na ] in
   Builder.mark_output b z;
   let net = Builder.finalize b in
-  (match Podem.generate net { Fault_list.site = z; stuck = true } with
+  (match generate net { Fault_list.site = z; stuck = true } with
   | Podem.Untestable -> ()
   | Podem.Test _ -> Alcotest.fail "z sa1 should be untestable"
   | Podem.Aborted -> Alcotest.fail "should prove redundancy, not abort");
   (* z sa0 is testable (any pattern). *)
-  match Podem.generate net { Fault_list.site = z; stuck = false } with
+  match generate net { Fault_list.site = z; stuck = false } with
   | Podem.Test p -> Alcotest.(check bool) "detects" true
       (check_detects net { Fault_list.site = z; stuck = false } p)
   | Podem.Untestable | Podem.Aborted -> Alcotest.fail "z sa0 must be testable"
@@ -85,7 +88,7 @@ let test_masked_internal_redundancy () =
   let z = Builder.or_ b ~name:"z" [ y; a ] in
   Builder.mark_output b z;
   let net = Builder.finalize b in
-  match Podem.generate net { Fault_list.site = y; stuck = false } with
+  match generate net { Fault_list.site = y; stuck = false } with
   | Podem.Untestable -> ()
   | Podem.Test _ -> Alcotest.fail "absorbed fault should be untestable"
   | Podem.Aborted -> Alcotest.fail "small circuit must not abort"
@@ -93,7 +96,7 @@ let test_masked_internal_redundancy () =
 let test_pi_faults () =
   let net = Generators.c17 () in
   let g1 = Option.get (Netlist.find net "G1") in
-  (match Podem.generate net { Fault_list.site = g1; stuck = true } with
+  (match generate net { Fault_list.site = g1; stuck = true } with
   | Podem.Test p ->
     Alcotest.(check bool) "detects" true
       (check_detects net { Fault_list.site = g1; stuck = true } p);
@@ -104,8 +107,8 @@ let test_pi_faults () =
 let test_deterministic () =
   let net = Generators.ripple_adder 4 in
   let fault = { Fault_list.site = (Netlist.pos net).(2); stuck = true } in
-  let a = Podem.generate net fault in
-  let b = Podem.generate net fault in
+  let a = generate net fault in
+  let b = generate net fault in
   Alcotest.(check bool) "same result" true (a = b)
 
 let qcheck_random_circuits =
@@ -116,7 +119,7 @@ let qcheck_random_circuits =
       let collapsed = Fault_list.collapse net in
       List.for_all
         (fun fault ->
-          match Podem.generate net fault with
+          match generate net fault with
           | Podem.Test pattern -> check_detects net fault pattern
           | Podem.Untestable | Podem.Aborted -> true)
         (Fault_list.representatives collapsed))
@@ -130,7 +133,7 @@ let agrees_with_oracle ~backtrack_limit ~fill_seed net =
   let podem = Podem.create net in
   List.for_all
     (fun fault ->
-      Podem.run ~backtrack_limit ~fill_seed podem fault
+      fst (Podem.run ~backtrack_limit ~fill_seed podem fault)
       = Podem_oracle.generate ~backtrack_limit ~fill_seed net fault)
     (Fault_list.representatives (Fault_list.collapse net))
 
@@ -154,7 +157,7 @@ let test_oracle_all_outcomes () =
   let tests = ref 0 and untestable = ref 0 and aborted = ref 0 in
   List.iter
     (fun fault ->
-      let r = Podem.run ~backtrack_limit:4 podem fault in
+      let r = fst (Podem.run ~backtrack_limit:4 podem fault) in
       if r <> Podem_oracle.generate ~backtrack_limit:4 net fault then
         Alcotest.failf "oracle disagrees on %s"
           (Format.asprintf "%a" (Fault_list.pp_fault net) fault);

@@ -183,6 +183,71 @@ let test_pinned_ndetect () =
   Alcotest.(check int) "patterns" 847 (Pattern.count r.Tpg.patterns);
   Alcotest.(check string) "digest" "8b6b3347fcfdf53b79fba74b0b555b02" (md5_text r.Tpg.patterns)
 
+(* The windowed PODEM top-off against [Reference.tpg_generate], one
+   fault at a time: the same patterns, report and committed PODEM work
+   ([tpg.*] counters) at 1, 2 and 4 domains.  Returns the windows'
+   discards, equal at every domain count too. *)
+let windowed_matches_reference ~backtrack_limit ~seed net =
+  let want, work = Reference.tpg_generate ~seed ~backtrack_limit net in
+  let orig = Parallel.default_domains () in
+  let runs =
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_domains orig)
+      (fun () ->
+        List.map
+          (fun domains ->
+            Parallel.set_domains domains;
+            let sk = Obs.sink () in
+            let got =
+              Obs.with_sink sk (fun () -> Tpg.generate ~seed ~backtrack_limit net)
+            in
+            let counters = (Obs.sink_snapshot sk).Obs.counters in
+            let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
+            let same =
+              md5_text got.Tpg.patterns = md5_text want.Tpg.patterns
+              && { got with Tpg.patterns = want.Tpg.patterns } = want
+              && counter "tpg.podem_calls" = work.Podem.calls
+              && counter "tpg.backtracks" = work.Podem.backtracks
+              && counter "tpg.aborted" = work.Podem.aborted
+              && counter "tpg.implications" = work.Podem.implications
+            in
+            (same, counter "tpg.speculative_discards"))
+          [ 1; 2; 4 ])
+  in
+  match runs with
+  | (_, discards) :: _ when List.for_all (fun (same, d) -> same && d = discards) runs ->
+    Some discards
+  | _ -> None
+
+let random_circuit ~gates ~seed =
+  Generators.random_logic ~gates ~pis:(4 + (seed mod 13)) ~pos:(2 + (seed mod 7)) ~seed
+
+let qcheck_windowed_matches_reference =
+  QCheck.Test.make
+    ~name:"windowed PODEM top-off = one-at-a-time reference (domains 1/2/4)" ~count:12
+    QCheck.(triple (int_range 50 300) (int_range 1 10_000) (oneofl [ 4; 16; 128 ]))
+    (fun (gates, seed, backtrack_limit) ->
+      Option.is_some
+        (windowed_matches_reference ~backtrack_limit ~seed (random_circuit ~gates ~seed)))
+
+(* The property above is only as strong as the windows it sees: over
+   this fixed sample, some window's commit drops a later member, whose
+   speculative run is then discarded. *)
+let test_windowed_discards () =
+  let discards =
+    List.fold_left
+      (fun acc (gates, seed, backtrack_limit) ->
+        let net = random_circuit ~gates ~seed in
+        match windowed_matches_reference ~backtrack_limit ~seed net with
+        | Some d -> acc + d
+        | None ->
+          Alcotest.failf "gates %d seed %d limit %d: differs from the reference" gates seed
+            backtrack_limit)
+      0
+      [ (300, 17, 4); (300, 42, 16); (250, 7, 128); (200, 99, 16) ]
+  in
+  Alcotest.(check bool) "some run discarded" true (discards > 0)
+
 let suite =
   [
     ( "tpg",
@@ -200,5 +265,8 @@ let suite =
         Alcotest.test_case "suite test sets pinned" `Quick test_pinned_test_sets;
         Alcotest.test_case "n-detect test set pinned (cmp16)" `Quick test_pinned_ndetect;
         Alcotest.test_case "compactions and coverage pinned" `Quick test_pinned_compactions;
+        QCheck_alcotest.to_alcotest qcheck_windowed_matches_reference;
+        Alcotest.test_case "windowed top-off discards some runs" `Quick
+          test_windowed_discards;
       ] );
   ]
