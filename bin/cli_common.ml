@@ -3,6 +3,10 @@
 
 open Cmdliner
 
+let unknown_circuit name =
+  Printf.sprintf "unknown circuit %S (try: %s)" name
+    (String.concat ", " (Generators.suite_names @ List.map fst (Generators.tiers ())))
+
 let load_circuit bench suite =
   match (bench, suite) with
   | Some path, None -> (
@@ -23,13 +27,29 @@ let load_circuit bench suite =
     | None -> (
       match Generators.find_tier name with
       | Some net -> Ok net
-      | None ->
-        Error
-          (Printf.sprintf "unknown circuit %S (try: %s)" name
-             (String.concat ", "
-                (Generators.suite_names @ List.map fst (Generators.tiers ()))))))
+      | None -> Error (unknown_circuit name)))
   | Some _, Some _ -> Error "give either --bench or --circuit, not both"
   | None, None -> Error "a circuit is required: --bench FILE or --circuit NAME"
+
+(* The [Netlist.source] of the circuit [load_circuit] would build, found
+   without building it: a netlist file's content digest, or the suite
+   or tier generator's key. *)
+let circuit_source bench suite =
+  match (bench, suite) with
+  | Some path, None -> (
+    match Bench_io.read_text path with
+    | text ->
+      Ok
+        (if Filename.check_suffix path ".v" then Verilog_io.source_key text
+         else Bench_io.source_key text)
+    | exception Sys_error msg -> Error msg)
+  | None, Some name -> (
+    match Generators.source_key name with
+    | Some key -> Ok key
+    | None -> Error (unknown_circuit name))
+  | Some _, Some _ | None, None ->
+    (* Neither or both: [load_circuit]'s error, without a build. *)
+    load_circuit bench suite |> Result.map Netlist.source
 
 let bench_arg =
   let doc =
@@ -65,7 +85,9 @@ let prewarm_arg =
      later signature read is an arena hit, and the cold first-die path \
      disappears.  Pays off when many datalogs share one circuit \
      ($(b,--batch-dir), $(b,--serve)); the MDD_PREWARM environment \
-     variable does the same.  Results are identical either way."
+     variable does the same.  With $(b,--store-dir), only signatures the \
+     design image lacks are swept, and the image is saved with them.  \
+     Results are identical either way."
   in
   Arg.(value & flag & info [ "prewarm" ] ~doc)
 
@@ -85,19 +107,21 @@ let cover_arg =
 
 let store_dir_arg =
   let doc =
-    "Directory for the design's persistent store.  Without \
-     $(b,--patterns), the ATPG test set is loaded from here when a valid \
-     copy exists, and otherwise generated and saved here (counters \
-     tests.loads, tests.saves, tests.rejects) — with or without \
-     $(b,--prewarm).  With $(b,--prewarm), a valid signature snapshot \
-     for this (circuit, pattern set) is loaded instead of running the \
-     sweep — the fleet pays the whole-pool simulation once per design \
-     — and a live sweep saves its arena back here.  Every file is \
-     validated against a digest of what it answers for and its \
-     encoding version; a stale or corrupt file is rejected (counter \
-     store.rejects or tests.rejects) and the run regenerates it.  The \
-     MDD_SIG_STORE environment variable is the fallback.  Results are \
-     identical either way."
+    "Directory of the design's store: one image file per design, holding \
+     the netlist, the test set and the signature arena.  The rule is one, \
+     with or without $(b,--prewarm): a valid image for this circuit and \
+     test set is loaded — no netlist build, no ATPG run, and no \
+     simulation for the signatures it holds — and otherwise the run \
+     builds what it needs and saves the image here.  $(b,--prewarm) only \
+     decides whether signatures the image lacks are swept before the \
+     first die (and saved with it).  An image is keyed by the circuit's \
+     source (a suite name and generator version, or a netlist file's \
+     content digest) and the test set (the ATPG flow's parameters, or \
+     the $(b,--patterns) set's digest), and checked against a checksum \
+     and its encoding version; a stale or corrupt image is rejected \
+     (counter store.rejects) and rewritten.  The MDD_SIG_STORE \
+     environment variable is the fallback.  Results are identical \
+     either way."
   in
   Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR" ~doc)
 
@@ -183,20 +207,75 @@ let patterns_arg =
   let doc = "Read test patterns from a file (one 0/1 line per pattern)." in
   Arg.(value & opt (some file) None & info [ "patterns" ] ~docv:"FILE" ~doc)
 
-(* Without a file, the ATPG set comes from [store_dir] when one is
-   given and holds a valid copy (see [Campaign.test_set]). *)
-let load_patterns ?store_dir net patterns_file =
+let check_width path net pats =
+  if Pattern.npis pats <> Netlist.num_pis net then
+    Error
+      (Printf.sprintf "%s: pattern width %d does not match circuit PI count %d" path
+         (Pattern.npis pats) (Netlist.num_pis net))
+  else Ok pats
+
+let load_patterns net patterns_file =
   match patterns_file with
   | Some path ->
     Result.bind
       (Obs.phase "pattern.parse" (fun () -> Pattern.read_file path))
-      (fun pats ->
-        if Pattern.npis pats <> Netlist.num_pis net then
-          Error
-            (Printf.sprintf "%s: pattern width %d does not match circuit PI count %d"
-               path (Pattern.npis pats) (Netlist.num_pis net))
-        else Ok pats)
-  | None -> Ok (Campaign.test_set ?store_dir net)
+      (check_width path net)
+  | None -> Ok (Campaign.test_set net)
+
+(* The netlist and test set a diagnosis runs on, and, with a store
+   directory, the design image they came from ([None] when there was no
+   valid one; [Session.create ~image] takes it from here, so the file is
+   read once).  The image is looked up by what the run names — the
+   circuit's source and the test set's origin — before anything is
+   built: a hit decodes the netlist (and the ATPG set) from the image,
+   a miss builds the netlist under [netlist.build] and generates the
+   set under [tpg]. *)
+let load_design ?store_dir bench suite patterns_file =
+  let ( let* ) = Result.bind in
+  let* given =
+    match patterns_file with
+    | Some path ->
+      Result.map Option.some
+        (Obs.phase "pattern.parse" (fun () -> Pattern.read_file path))
+    | None -> Ok None
+  in
+  let lookup dir source =
+    Obs.phase "store.load" (fun () ->
+        let origin =
+          match given with Some p -> Pattern.origin p | None -> Campaign.atpg_origin
+        in
+        Store_file.load ~path:(Store_file.path ~dir ~source)
+          ~key:(Store_file.key_of ~source ~origin) (fun image ->
+            let net = Store_file.decode_netlist ~source image in
+            let stored =
+              match given with
+              | Some _ -> None
+              | None ->
+                Some (Store_file.decode_tests ~origin ~npis:(Netlist.num_pis net) image)
+            in
+            (net, stored, image)))
+  in
+  let* net, stored, image =
+    Obs.phase "netlist.load" (fun () ->
+        let* found =
+          match store_dir with
+          | None -> Ok None
+          | Some dir -> Result.map (lookup dir) (circuit_source bench suite)
+        in
+        match found with
+        | Some (net, stored, image) -> Ok (net, stored, Some image)
+        | None ->
+          Result.map
+            (fun net -> (net, None, None))
+            (Obs.phase "netlist.build" (fun () -> load_circuit bench suite)))
+  in
+  let* pats =
+    match (given, stored, patterns_file) with
+    | Some pats, _, Some path -> check_width path net pats
+    | _, Some pats, _ -> Ok pats
+    | _ -> Ok (Campaign.test_set net)
+  in
+  Ok (net, pats, image)
 
 let or_die = function
   | Ok v -> v

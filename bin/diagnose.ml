@@ -72,19 +72,16 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
   Cli_common.apply_domains domains;
   let scfg = Cli_common.session_config ~prewarm ?cover ?cover_budget ?store_dir ~domains () in
   let stats_dest = Cli_common.init_stats stats in
-  (* Each layer of a run is a phase of the run report: netlist.load,
-     then pattern.parse or tests.load/tpg, session.create, datalog.parse,
-     the engine's own phases and report.render. *)
-  let net =
+  (* Each layer of a run is a phase of the run report: pattern.parse,
+     netlist.load (store.load, or netlist.build), tpg when the ATPG set
+     is generated, session.create, datalog.parse, the engine's own
+     phases and report.render. *)
+  let net, pats, image =
     Cli_common.or_die
-      (Obs.phase "netlist.load" (fun () -> Cli_common.load_circuit bench suite))
-  in
-  let pats =
-    Cli_common.or_die
-      (Cli_common.load_patterns ?store_dir:scfg.Session.store_dir net patterns_file)
+      (Cli_common.load_design ?store_dir:scfg.Session.store_dir bench suite patterns_file)
   in
   let session =
-    Obs.phase "session.create" (fun () -> Session.create ~config:scfg net pats)
+    Obs.phase "session.create" (fun () -> Session.create ~config:scfg ~image net pats)
   in
   let circuit =
     match (suite, bench) with Some s, _ -> s | None, Some b -> b | None, None -> ""

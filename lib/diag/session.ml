@@ -29,7 +29,7 @@ type config = {
   prewarm : bool;  (* whole-pool sweep into the arena at create *)
   cover : cover;  (* covering backend: greedy (paper) or exact (minimal) *)
   cover_budget : int;  (* exact backend's hitting-set node budget *)
-  store_dir : string option;  (* snapshot dir: load instead of sweeping, save after *)
+  store_dir : string option;  (* the design image's dir: load, else build and save *)
 }
 
 let default_config =
@@ -202,13 +202,13 @@ let prewarm t =
       n)
 
 (* The costly steps of a create are phases of their own ([po_reach],
-   [store.load], [prewarm]), so a run report shows how the caller's
-   [session.create] splits.  The representative table is the whole
-   class collapse flattened once ([Fault_list.representative_indices]):
-   every diagnosis reads it instead of collapsing the netlist again, and
-   no reader writes it, where the union-find compresses paths as it
-   reads. *)
-let create ?(config = default_config) net pats =
+   [store.load], [store.adopt], [prewarm], [store.save]), so a run
+   report shows how the caller's [session.create] splits.  The
+   representative table is the whole class collapse flattened once
+   ([Fault_list.representative_indices]): every diagnosis reads it
+   instead of collapsing the netlist again, and no reader writes it,
+   where the union-find compresses paths as it reads. *)
+let create ?(config = default_config) ?image net pats =
   let reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net) in
   let cache = Sig_cache.create net pats in
   let blocks = Sig_cache.blocks cache in
@@ -225,19 +225,42 @@ let create ?(config = default_config) net pats =
       config;
     }
   in
-  (* Load-or-sweep: a valid snapshot publishes the whole arena with
-     zero simulation; anything else (no dir, no file, or a rejected
-     file — [store.rejects]) falls through to the live sweep, which is
-     then saved so the next process loads. *)
-  (if config.prewarm then
-     match config.store_dir with
-     | None -> ignore (prewarm t : int)
-     | Some dir ->
-       let load () = Sig_cache.load_frozen ~dir t.cache in
-       if not (Obs.phase "store.load" load) then begin
-         ignore (prewarm t : int);
-         ignore (Sig_cache.save_frozen ~dir t.cache : bool)
-       end);
+  (* Load-or-build: a valid image publishes the whole arena with zero
+     simulation; anything else (no dir, no file, or a rejected file —
+     [store.rejects]) falls through to the live sweep when [prewarm]
+     asks for one.  An image that is missing, or that lacks the
+     signatures this create just swept or found corrupt, is then
+     (re)written so the next process loads. *)
+  (match config.store_dir with
+  | None -> if config.prewarm then ignore (prewarm t : int)
+  | Some dir ->
+    let path = Sig_cache.store_path ~dir cache in
+    let image =
+      match image with
+      | Some looked -> looked
+      | None ->
+        Obs.phase "store.load" (fun () ->
+            Store_file.load ~path ~key:(Store_file.key net pats) Fun.id)
+    in
+    let adopted =
+      match image with
+      | Some img -> Obs.phase "store.adopt" (fun () -> Sig_cache.adopt cache img)
+      | None -> false
+    in
+    if (not adopted) && config.prewarm then ignore (prewarm t : int);
+    let stale =
+      match image with
+      | None -> true
+      | Some img ->
+        let sigs = img.Store_file.sections.(Store_file.signatures_section) in
+        (not adopted) && (config.prewarm || sigs.Store_file.len > 0)
+    in
+    if stale then
+      Obs.phase "store.save" (fun () ->
+          ignore
+            (Store_file.save ~path ~key:(Store_file.key net pats) net pats
+               ~signatures:(Sig_cache.section cache)
+              : bool)));
   t
 
 let signature_of_triples t triples = Sig_cache.signature_of_triples t.cache triples

@@ -52,15 +52,16 @@ type config = {
       (** Node budget for the exact backend's hitting-set loop;
           ignored under [Greedy]. *)
   store_dir : string option;
-      (** The design's store directory ([--store-dir]/[MDD_SIG_STORE]).
-          With [prewarm], {!create} first tries
-          {!Sig_cache.load_frozen} from here — a valid snapshot replaces
-          the whole sweep with one file read — and saves the arena back
-          ({!Sig_cache.save_frozen}) after a live sweep, so the fleet
-          pays the sweep once per (netlist, pattern set).  {!create}
-          ignores it without [prewarm].  The CLI also reads and writes
-          the design's ATPG test set here ([Campaign.test_set
-          ~store_dir]), with or without [prewarm]. *)
+      (** The design's store directory ([--store-dir]/[MDD_SIG_STORE]):
+          one {!Store_file} image per design, holding the netlist, the
+          test set and the signature arena.  One rule, with or without
+          [prewarm]: {!create} adopts the image's signatures when a
+          valid image for this (netlist, pattern set) holds them, and
+          otherwise (re)writes the image after whatever it built —
+          with the signatures when [prewarm] swept them, without them
+          when it did not.  [prewarm] only decides whether missing
+          signatures are swept before the first diagnosis.  Reports
+          are byte-identical either way. *)
 }
 
 val default_config : config
@@ -73,19 +74,26 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> Netlist.t -> Pattern.t -> t
+val create :
+  ?config:config -> ?image:Store_file.image option -> Netlist.t -> Pattern.t -> t
 (** Build the context: a fresh {!Sig_cache.create} instance owned by
     this session (which computes the goods), with an empty arena, the
     PO-reachability screen and the class-representative table
     ({!representative_key}).  Creation is the expensive,
     once-per-problem step; every diagnosis against the session then
     reuses it, and each miss a diagnosis simulates is appended to the
-    arena for the next.  When [config.prewarm], also fills the arena
-    with the whole pool: with [config.store_dir] it first tries
-    {!Sig_cache.load_frozen} — zero simulation on a hit — and otherwise
-    runs {!prewarm}, saving the arena back to the store for the next
-    process.  Reports served from
-    a loaded snapshot are byte-identical to the live-sweep path. *)
+    arena for the next.  With [config.store_dir], the design image
+    decides the rest (see {!config}): a valid image's signature section
+    is adopted ({!Sig_cache.adopt}, zero simulation), else [prewarm]
+    sweeps and the image is saved for the next process.  [image] is
+    the caller's own lookup of that image ({!Store_file.load} with
+    {!Store_file.key} of [net] and [pats]), when it read the file to
+    get [net] or [pats] from it: [Some (Some img)] adopts [img] and
+    [Some None] means there was none, so the file is read once per
+    process either way; when omitted, [create] reads it itself.
+    Without [config.store_dir], [config.prewarm] sweeps and [image] is
+    ignored.  Reports served from a loaded image are byte-identical to
+    the live-sweep path. *)
 
 val prewarm : t -> int
 (** Fill the signature arena for the {e whole} fault pool — the

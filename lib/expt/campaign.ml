@@ -15,11 +15,18 @@ type outcome = {
 
 type t = { circuit : string; outcomes : outcome list; redraws : int }
 
-(* The campaign ATPG flow's parameters; the stored test set keys on
-   them. *)
+(* The campaign ATPG flow's parameters; a stored test set's origin
+   names them. *)
 let flow_seed = 1
 let flow_random_budget = 252
 let flow_backtrack_limit = 128
+
+(* What a generated set answers for, beside the netlist's source: the
+   parameters that steer the flow.  A flow change that keeps these
+   bumps [Tpg.flow_version]. *)
+let atpg_origin =
+  Printf.sprintf "atpg seed=%d random=%d backtrack=%d flow=%d" flow_seed
+    flow_random_budget flow_backtrack_limit Tpg.flow_version
 
 let test_report_cache : (Netlist.t * Tpg.report) list ref = ref []
 
@@ -31,57 +38,25 @@ let test_report net =
       Tpg.generate ~seed:flow_seed ~random_budget:flow_random_budget
         ~backtrack_limit:flow_backtrack_limit net
     in
+    let report =
+      { report with Tpg.patterns = Pattern.with_origin atpg_origin report.Tpg.patterns }
+    in
     test_report_cache := (net, report) :: !test_report_cache;
     report
 
 (* --- Stored test set ------------------------------------------------- *)
 
-let tests_kind =
-  {
-    Store_file.magic = "MDDTESTS";
-    version = 1;
-    saves = Obs.counter "tests.saves";
-    loads = Obs.counter "tests.loads";
-    rejects = Obs.counter "tests.rejects";
-  }
-
-let test_store_path ~dir net = Store_file.path ~dir ~prefix:"tests" ~ext:"mddtst" net
-
-(* What a stored set answers for: the netlist structure and everything
-   that steers the flow.  A flow change that keeps these bumps
-   [Tpg.flow_version]. *)
-let test_key net =
-  let buf = Buffer.create 4096 in
-  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
-  Netlist.add_structure buf net;
-  List.iter add [ flow_seed; flow_random_budget; flow_backtrack_limit; Tpg.flow_version ];
-  Digest.string (Buffer.contents buf)
-
-(* The body is [Pattern.to_text]: [count] rows of [npis] '0'/'1' chars
-   and a newline.  The walk checks exactly that before [Pattern.of_text]
-   sees it — [of_text] trims blanks and drops empty lines, so alone it
-   would accept a body of narrower rows as a narrower set. *)
-let decode_tests net ints body =
-  let npis = ints.(0) and count = ints.(1) in
-  if npis <> Netlist.num_pis net || count < 1 || Bytes.length body <> count * (npis + 1)
-  then raise Store_file.Invalid;
-  for p = 0 to count - 1 do
-    let row = p * (npis + 1) in
-    for i = row to row + npis - 1 do
-      match Bytes.get body i with '0' | '1' -> () | _ -> raise Store_file.Invalid
-    done;
-    if Bytes.get body (row + npis) <> '\n' then raise Store_file.Invalid
-  done;
-  Pattern.of_text (Bytes.unsafe_to_string body)
-
 let test_set ?store_dir net =
   match store_dir with
   | None -> (test_report net).Tpg.patterns
   | Some dir -> (
-    let path = test_store_path ~dir net and key = test_key net in
+    let source = Netlist.source net in
+    let path = Store_file.path ~dir ~source
+    and key = Store_file.key_of ~source ~origin:atpg_origin in
     match
-      Obs.phase "tests.load" (fun () ->
-          Store_file.load tests_kind ~path ~key ~nints:2 (decode_tests net))
+      Obs.phase "store.load" (fun () ->
+          Store_file.load ~path ~key
+            (Store_file.decode_tests ~origin:atpg_origin ~npis:(Netlist.num_pis net)))
     with
     | Some pats -> pats
     | None ->
@@ -89,11 +64,7 @@ let test_set ?store_dir net =
       (* A set over no PIs would read back empty, and an empty set
          fails the walk: neither is worth a file. *)
       if Netlist.num_pis net > 0 && Pattern.count pats > 0 then
-        ignore
-          (Store_file.save tests_kind ~path ~key
-             ~ints:[| Pattern.npis pats; Pattern.count pats |]
-             (Pattern.to_text pats)
-            : bool);
+        ignore (Store_file.save ~path ~key net pats ~signatures:None : bool);
       pats)
 
 let max_redraws_per_trial = 50

@@ -38,23 +38,26 @@ type t = {
 val test_report : Netlist.t -> Tpg.report
 (** The campaign ATPG run for a circuit (canonical seed, bounded PODEM
     backtracking).  Memoised per netlist — Table 1, the campaigns and the
-    runtime figure all share one run per circuit. *)
+    runtime figure all share one run per circuit.  Its patterns carry
+    {!atpg_origin}. *)
+
+val atpg_origin : string
+(** The {!Pattern.origin} of every set {!test_report} generates: the
+    flow's seed, random budget and backtrack limit and
+    {!Tpg.flow_version}.  With the netlist's {!Netlist.source} it keys
+    the design image that stores the set, so a process can find the set
+    before it has one. *)
 
 val test_set : ?store_dir:string -> Netlist.t -> Pattern.t
 (** [(test_report net).patterns].  With [store_dir], the set is first
-    read from {!test_store_path} under the ["tests.load"] phase; a
-    missing or rejected file means the set is generated and saved
-    there.  The file carries the {!Store_file} envelope (magic
-    ["MDDTESTS"], version 1) keyed by the netlist structure, the flow
-    parameters and {!Tpg.flow_version}, and its body must walk as
-    [npis]-wide '0'/'1' rows.  A loaded set is identical to the
-    generated one; a load does not fill {!test_report}'s memo.
-    Counters: ["tests.loads"], ["tests.saves"], ["tests.rejects"] (a
-    missing file is not counted). *)
-
-val test_store_path : dir:string -> Netlist.t -> string
-(** [dir/tests-<12 hex>.mddtst], named by the netlist structure
-    (exposed for tests and tooling). *)
+    read from the design's {!Store_file} image under the
+    ["store.load"] phase (its test-set section, keyed by the netlist's
+    source and {!atpg_origin}); a missing or rejected image means the
+    set is generated and saved there as an image without signatures.
+    A loaded set is identical to the generated one; a load does not
+    fill {!test_report}'s memo.  Counters: ["store.loads"],
+    ["store.saves"], ["store.rejects"] (a missing file is not
+    counted). *)
 
 val run :
   ?methods:methods ->

@@ -116,12 +116,17 @@ let parse_string text =
   try Netlist.make ~names ~kinds ~fanins ~pos:(Array.of_list (List.rev !outputs))
   with Invalid_argument msg -> raise (Parse_error (0, msg))
 
+let source_key text = "bench " ^ Digest.to_hex (Digest.string text)
+
+let read_text path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+  let text = read_text path in
+  Netlist.with_source (source_key text) (parse_string text)
 
 let to_string t =
   let buf = Buffer.create 4096 in

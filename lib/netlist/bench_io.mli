@@ -21,7 +21,15 @@ val parse_string : string -> Netlist.t
 (** Parse a whole `.bench` file held in a string. *)
 
 val parse_file : string -> Netlist.t
-(** Read and parse a file from disk. *)
+(** Read and parse a file from disk; the netlist carries
+    {!source_key} of the file's bytes as its {!Netlist.source}. *)
+
+val source_key : string -> string
+(** ["bench <hex>"], the MD5 of a file's bytes: the store key of the
+    netlist parsed from them. *)
+
+val read_text : string -> string
+(** A file's bytes.  Raises [Sys_error]. *)
 
 val to_string : Netlist.t -> string
 (** Emit `.bench` text; [parse_string (to_string t)] is structurally

@@ -128,6 +128,12 @@ let code = function
   | Xor -> code_xor
   | Xnor -> code_xnor
 
+let kinds_by_code =
+  [| Input; Const false; Const true; Buf; Not; And; Nand; Or; Nor; Xor; Xnor |]
+
+let of_code c =
+  if c >= 0 && c < Array.length kinds_by_code then Some kinds_by_code.(c) else None
+
 (* Word-level evaluation over a CSR fanin slice: operand [i] is
    [values.(fanin.(i))] for [i] in [lo, hi).  No argument array is ever
    materialized; arity was validated at netlist construction. *)

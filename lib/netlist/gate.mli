@@ -51,6 +51,10 @@ val code : kind -> int
     two constant polarities get distinct codes, so kernels never inspect
     the variant payload. *)
 
+val of_code : int -> kind option
+(** The kind of an opcode; [None] for an int no kind has.
+    [of_code (code k) = Some k]. *)
+
 val code_input : int
 val code_const0 : int
 val code_const1 : int

@@ -576,27 +576,38 @@ let random_logic_sink ~gates ~pis ~pos ~seed =
   done;
   Builder.finalize bl
 
+(* Bump when any generator's output changes: a stored design image is
+   keyed by [source_key], so a stale image would otherwise load. *)
+let version = 1
+
+let generated_key name = Printf.sprintf "generator %s v%d" name version
+
+(* A named generator's netlist, built on first use, carrying its
+   source key. *)
+let generated name build =
+  (name, lazy (Netlist.with_source (generated_key name) (build ())))
+
 (* Lazy, as the {!tiers} are: a lookup builds only the circuit it
    names (rnd2k alone is half the suite's build time). *)
 let suite_lazy =
   [
-    ("c17", lazy (c17 ()));
-    ("par16", lazy (parity 16));
-    ("dec4", lazy (decoder 4));
-    ("gray8", lazy (gray_decoder 8));
-    ("add8", lazy (ripple_adder 8));
-    ("penc4", lazy (priority_encoder 4));
-    ("crc16", lazy (crc_step 16));
-    ("cmp16", lazy (comparator 16));
-    ("cla16", lazy (carry_lookahead_adder 16));
-    ("mux5", lazy (mux_tree 5));
-    ("maj9", lazy (majority 9));
-    ("bshift4", lazy (barrel_shifter 4));
-    ("alu8", lazy (alu 8));
-    ("add32", lazy (ripple_adder 32));
-    ("mult8", lazy (multiplier 8));
-    ("rnd1k", lazy (random_logic ~gates:1000 ~pis:32 ~pos:16 ~seed:11));
-    ("rnd2k", lazy (random_logic ~gates:2000 ~pis:48 ~pos:24 ~seed:12));
+    generated "c17" c17;
+    generated "par16" (fun () -> parity 16);
+    generated "dec4" (fun () -> decoder 4);
+    generated "gray8" (fun () -> gray_decoder 8);
+    generated "add8" (fun () -> ripple_adder 8);
+    generated "penc4" (fun () -> priority_encoder 4);
+    generated "crc16" (fun () -> crc_step 16);
+    generated "cmp16" (fun () -> comparator 16);
+    generated "cla16" (fun () -> carry_lookahead_adder 16);
+    generated "mux5" (fun () -> mux_tree 5);
+    generated "maj9" (fun () -> majority 9);
+    generated "bshift4" (fun () -> barrel_shifter 4);
+    generated "alu8" (fun () -> alu 8);
+    generated "add32" (fun () -> ripple_adder 32);
+    generated "mult8" (fun () -> multiplier 8);
+    generated "rnd1k" (fun () -> random_logic ~gates:1000 ~pis:32 ~pos:16 ~seed:11);
+    generated "rnd2k" (fun () -> random_logic ~gates:2000 ~pis:48 ~pos:24 ~seed:12);
   ]
 
 let suite_names = List.map fst suite_lazy
@@ -618,34 +629,51 @@ let circuits_dir () =
   | Some d when d <> "" -> d
   | _ -> Filename.concat "bench" "circuits"
 
+let generated_tiers =
+  [
+    generated "rnd10k" (fun () ->
+        random_logic_sink ~gates:9_000 ~pis:96 ~pos:48 ~seed:13);
+    generated "rnd50k" (fun () ->
+        random_logic_sink ~gates:46_000 ~pis:192 ~pos:96 ~seed:14);
+  ]
+
+(* The vendored [.bench] files by tier name, in name order. *)
+let vendored () =
+  let dir = circuits_dir () in
+  match Sys.readdir dir with
+  | files ->
+    Array.sort compare files;
+    Array.to_list files
+    |> List.filter_map (fun f ->
+           if Filename.check_suffix f ".bench" then
+             Some (Filename.chop_suffix f ".bench", Filename.concat dir f)
+           else None)
+  | exception Sys_error _ -> []
+
 let tier_list = ref None
 
 let tiers () =
   match !tier_list with
   | Some l -> l
   | None ->
-    let vendored =
-      let dir = circuits_dir () in
-      match Sys.readdir dir with
-      | files ->
-        Array.sort compare files;
-        Array.to_list files
-        |> List.filter_map (fun f ->
-               if Filename.check_suffix f ".bench" then
-                 Some
-                   ( Filename.chop_suffix f ".bench",
-                     lazy (Bench_io.parse_file (Filename.concat dir f)) )
-               else None)
-      | exception Sys_error _ -> []
-    in
     let l =
-      [
-        ("rnd10k", lazy (random_logic_sink ~gates:9_000 ~pis:96 ~pos:48 ~seed:13));
-        ("rnd50k", lazy (random_logic_sink ~gates:46_000 ~pis:192 ~pos:96 ~seed:14));
-      ]
-      @ vendored
+      generated_tiers
+      @ List.map
+          (fun (name, path) -> (name, lazy (Bench_io.parse_file path)))
+          (vendored ())
     in
     tier_list := Some l;
     l
 
 let find_tier name = Option.map Lazy.force (List.assoc_opt name (tiers ()))
+
+let source_key name =
+  if List.mem_assoc name suite_lazy || List.mem_assoc name generated_tiers then
+    Some (generated_key name)
+  else
+    match List.assoc_opt name (vendored ()) with
+    | Some path -> (
+      match Bench_io.read_text path with
+      | text -> Some (Bench_io.source_key text)
+      | exception Sys_error _ -> None)
+    | None -> None

@@ -105,3 +105,20 @@ val tiers : unit -> (string * Netlist.t Lazy.t) list
 
 val find_tier : string -> Netlist.t option
 (** Look a tier circuit up by name, forcing its construction. *)
+
+(** {1 Source keys} *)
+
+val version : int
+(** The generators' output version.  Every suite and generated tier
+    netlist carries ["generator <name> v<version>"] as its
+    {!Netlist.source}, the key its stored design image is found by, so
+    a change to any generator's output must bump it: an unbumped change
+    would load images of the old circuit.  The test suite pins every
+    generated circuit's structure digest next to this number. *)
+
+val source_key : string -> string option
+(** The {!Netlist.source} of the suite or tier circuit [name] — what
+    {!find_suite} or {!find_tier} would attach — without building it:
+    the generator key for a suite or generated tier, the file's
+    {!Bench_io.source_key} for a vendored one.  [None] for an unknown
+    name or an unreadable vendored file. *)

@@ -10,7 +10,12 @@ type t = {
   po_index : int array; (* -1 when not a PO *)
   levels : int array;
   topo : net array;
-  by_name : (string, net) Hashtbl.t;
+  by_name : (string, net) Hashtbl.t option Atomic.t;
+      (* Built on the first [find]: a netlist decoded from an image
+         never needs it on the diagnosis path.  Two domains racing on
+         the first lookup each build the same table; either one is
+         kept. *)
+  source : string option; (* see [source] *)
   (* Flat CSR mirrors of the adjacency, plus a per-net opcode table: the
      simulation kernels index these directly instead of walking
      per-gate sub-arrays. *)
@@ -51,7 +56,16 @@ let is_pi t n = match t.kinds.(n) with Gate.Input -> true | _ -> false
 let is_po t n = t.po_index.(n) >= 0
 let po_index t n = if t.po_index.(n) >= 0 then Some t.po_index.(n) else None
 
-let find t s = Hashtbl.find_opt t.by_name s
+let by_name t =
+  match Atomic.get t.by_name with
+  | Some h -> h
+  | None ->
+    let h = Hashtbl.create (2 * Array.length t.names) in
+    Array.iteri (fun i s -> Hashtbl.replace h s i) t.names;
+    Atomic.set t.by_name (Some h);
+    h
+
+let find t s = Hashtbl.find_opt (by_name t) s
 
 let iter_nets t f =
   for n = 0 to num_nets t - 1 do
@@ -90,6 +104,64 @@ let toposort names kinds fanins fanouts =
   end;
   topo
 
+(* Per-net arrays of a CSR. *)
+let slices csr off =
+  Array.init (Array.length off - 1) (fun i -> Array.sub csr off.(i) (off.(i + 1) - off.(i)))
+
+(* The fanout views [make] and [decode] both derive from the fanin CSR,
+   the same way, so a decoded netlist equals the one that was encoded:
+   the fanout CSR by a counting sort (each net's fanouts ascending) and
+   its per-net arrays. *)
+let fanouts_of ~fanin_csr ~fanin_off =
+  let n = Array.length fanin_off - 1 in
+  let fanout_off = Array.make (n + 1) 0 in
+  Array.iter (fun src -> fanout_off.(src + 1) <- fanout_off.(src + 1) + 1) fanin_csr;
+  for i = 0 to n - 1 do
+    fanout_off.(i + 1) <- fanout_off.(i + 1) + fanout_off.(i)
+  done;
+  let fanout_csr = Array.make (Array.length fanin_csr) 0 in
+  let fill = Array.sub fanout_off 0 n in
+  for dst = 0 to n - 1 do
+    for j = fanin_off.(dst) to fanin_off.(dst + 1) - 1 do
+      let src = fanin_csr.(j) in
+      fanout_csr.(fill.(src)) <- dst;
+      fill.(src) <- fill.(src) + 1
+    done
+  done;
+  (fanout_csr, fanout_off, slices fanout_csr fanout_off)
+
+let freeze ~names ~kinds ~codes ~fanins ~fanin_csr ~fanin_off
+    ~fanout:(fanout_csr, fanout_off, fanouts) ~pos ~po_index ~levels ~topo ~by_name ~source =
+  let n = Array.length kinds in
+  let npis = ref 0 in
+  Array.iter (fun c -> if c = Gate.code_input then incr npis) codes;
+  let pis = Array.make !npis 0 in
+  let next = ref 0 in
+  for i = 0 to n - 1 do
+    if codes.(i) = Gate.code_input then begin
+      pis.(!next) <- i;
+      incr next
+    end
+  done;
+  {
+    names;
+    kinds;
+    fanins;
+    fanouts;
+    pis;
+    pos;
+    po_index;
+    levels;
+    topo;
+    by_name = Atomic.make by_name;
+    source;
+    fanin_csr;
+    fanin_off;
+    fanout_csr;
+    fanout_off;
+    codes;
+  }
+
 let make ~names ~kinds ~fanins ~pos =
   let n = Array.length kinds in
   if Array.length names <> n || Array.length fanins <> n then
@@ -111,19 +183,12 @@ let make ~names ~kinds ~fanins ~pos =
     (fun p ->
       if p < 0 || p >= n then invalid_arg "Netlist.make: dangling primary output")
     pos;
-  (* Fanout adjacency. *)
-  let degree = Array.make n 0 in
-  Array.iter (Array.iter (fun src -> degree.(src) <- degree.(src) + 1)) fanins;
-  let fanouts = Array.map (fun d -> Array.make d (-1)) degree in
-  let fill = Array.make n 0 in
-  Array.iteri
-    (fun dst srcs ->
-      Array.iter
-        (fun src ->
-          fanouts.(src).(fill.(src)) <- dst;
-          fill.(src) <- fill.(src) + 1)
-        srcs)
-    fanins;
+  let fanin_off = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    fanin_off.(i + 1) <- fanin_off.(i) + Array.length fanins.(i)
+  done;
+  let fanin_csr = Array.concat (Array.to_list fanins) in
+  let ((_, _, fanouts) as fanout) = fanouts_of ~fanin_csr ~fanin_off in
   let topo = toposort names kinds fanins fanouts in
   let levels = Array.make n 0 in
   Array.iter
@@ -133,12 +198,6 @@ let make ~names ~kinds ~fanins ~pos =
       in
       levels.(v) <- if Array.length fanins.(v) = 0 then 0 else lvl)
     topo;
-  let pis =
-    Array.of_list
-      (List.filter
-         (fun i -> match kinds.(i) with Gate.Input -> true | _ -> false)
-         (List.init n Fun.id))
-  in
   let po_index = Array.make n (-1) in
   Array.iteri
     (fun i p ->
@@ -153,37 +212,8 @@ let make ~names ~kinds ~fanins ~pos =
         invalid_arg (Printf.sprintf "Netlist.make: duplicate net name %S" s);
       Hashtbl.add by_name s i)
     names;
-  let csr_of adj =
-    let off = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      off.(i + 1) <- off.(i) + Array.length adj.(i)
-    done;
-    let csr = Array.make off.(n) 0 in
-    Array.iteri
-      (fun i srcs -> Array.blit srcs 0 csr off.(i) (Array.length srcs))
-      adj;
-    (csr, off)
-  in
-  let fanin_csr, fanin_off = csr_of fanins in
-  let fanout_csr, fanout_off = csr_of fanouts in
-  let codes = Array.map Gate.code kinds in
-  {
-    names;
-    kinds;
-    fanins;
-    fanouts;
-    pis;
-    pos;
-    po_index;
-    levels;
-    topo;
-    by_name;
-    fanin_csr;
-    fanin_off;
-    fanout_csr;
-    fanout_off;
-    codes;
-  }
+  freeze ~names ~kinds ~codes:(Array.map Gate.code kinds) ~fanins ~fanin_csr ~fanin_off
+    ~fanout ~pos ~po_index ~levels ~topo ~by_name:(Some by_name) ~source:None
 
 let fanin_cone t root =
   let seen = Array.make (num_nets t) false in
@@ -222,6 +252,152 @@ let add_structure buf t =
   Array.iter add t.fanin_off;
   Array.iter add t.fanin_csr;
   Array.iter add t.pos
+
+(* --- Source and image section ----------------------------------------- *)
+
+let with_source source t = { t with source = Some source }
+
+let source t =
+  match t.source with
+  | Some s -> s
+  | None ->
+    let buf = Buffer.create 4096 in
+    add_structure buf t;
+    "structure " ^ Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Section layout, every integer a little-endian int64:
+
+     nnets | npos | nfanin | names_len
+     | codes (nnets) | fanin_off (nnets + 1) | fanin_csr (nfanin)
+     | pos (npos) | levels (nnets) | topo (nnets) | name_off (nnets + 1)
+     | names (names_len bytes, concatenated)
+
+   The derived views (fanouts, PIs, the PO index, kinds) are rebuilt
+   from these; levels and the topological order are stored because
+   checking them costs one pass, where deriving them again costs a
+   sort. *)
+let encode buf t =
+  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
+  add (num_nets t);
+  add (num_pos t);
+  add (Array.length t.fanin_csr);
+  add (Array.fold_left (fun acc s -> acc + String.length s) 0 t.names);
+  Array.iter add t.codes;
+  Array.iter add t.fanin_off;
+  Array.iter add t.fanin_csr;
+  Array.iter add t.pos;
+  Array.iter add t.levels;
+  Array.iter add t.topo;
+  add 0;
+  ignore
+    (Array.fold_left
+       (fun off s ->
+         let off = off + String.length s in
+         add off;
+         off)
+       0 t.names
+      : int);
+  Array.iter (Buffer.add_string buf) t.names
+
+exception Malformed
+
+(* Whether any two names are equal, without a string-keyed table: names go
+   into an open-addressed table of indices by hash, and only names
+   whose hashes collide are compared. *)
+let has_duplicate names =
+  let size = ref 16 in
+  while !size < 2 * Array.length names do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  let slots = Array.make !size (-1) in
+  let dup = ref false in
+  Array.iteri
+    (fun i s ->
+      let h = ref (Hashtbl.hash s land mask) in
+      while (not !dup) && slots.(!h) >= 0 do
+        if String.equal names.(slots.(!h)) s then dup := true else h := (!h + 1) land mask
+      done;
+      slots.(!h) <- i)
+    names;
+  !dup
+
+(* Every check [make] makes, on untrusted ints: the section must be
+   exactly as long as its counts say, every index in range, every
+   arity legal, no PO listed twice and no name used twice; the stored
+   order must list each net once and after all its fanins (which rules
+   out a cycle), and each stored level must be the one [make] would
+   compute.  Any failure, an out-of-range read included, is [None]. *)
+let decode ?source bytes ~off ~len =
+  let word i = Int64.to_int (Bytes.get_int64_le bytes (off + (8 * i))) in
+  let check ok = if not ok then raise Malformed in
+  try
+    check (off >= 0 && len >= 32 && off <= Bytes.length bytes - len);
+    let n = word 0 and npos = word 1 and nfanin = word 2 and names_len = word 3 in
+    let words = len / 8 in
+    check (n >= 0 && n <= words && npos >= 0 && npos <= words);
+    check (nfanin >= 0 && nfanin <= words && names_len >= 0 && names_len <= len);
+    check ((8 * (4 + (5 * n) + 2 + nfanin + npos)) + names_len = len);
+    let cursor = ref (off + 32) in
+    let take k =
+      let a = Array.make k 0 in
+      for i = 0 to k - 1 do
+        a.(i) <- Int64.to_int (Bytes.get_int64_le bytes (!cursor + (8 * i)))
+      done;
+      cursor := !cursor + (8 * k);
+      a
+    in
+    let codes = take n in
+    let fanin_off = take (n + 1) in
+    let fanin_csr = take nfanin in
+    let pos = take npos in
+    let levels = take n in
+    let topo = take n in
+    let name_off = take (n + 1) in
+    let kinds =
+      Array.map
+        (fun c -> match Gate.of_code c with Some k -> k | None -> raise Malformed)
+        codes
+    in
+    check (fanin_off.(0) = 0 && fanin_off.(n) = nfanin);
+    for i = 0 to n - 1 do
+      let arity = fanin_off.(i + 1) - fanin_off.(i) in
+      check (arity >= 0 && Gate.arity_ok kinds.(i) arity)
+    done;
+    Array.iter (fun src -> check (src >= 0 && src < n)) fanin_csr;
+    let po_index = Array.make n (-1) in
+    Array.iteri
+      (fun i p ->
+        check (p >= 0 && p < n && po_index.(p) < 0);
+        po_index.(p) <- i)
+      pos;
+    let seen = Array.make n false in
+    Array.iter
+      (fun v ->
+        check (v >= 0 && v < n && not seen.(v));
+        let lvl = ref 0 in
+        for j = fanin_off.(v) to fanin_off.(v + 1) - 1 do
+          let src = fanin_csr.(j) in
+          check seen.(src);
+          lvl := max !lvl (levels.(src) + 1)
+        done;
+        check (levels.(v) = !lvl);
+        seen.(v) <- true)
+      topo;
+    check (name_off.(0) = 0 && name_off.(n) = names_len);
+    let blob = off + len - names_len in
+    let names =
+      Array.init n (fun i ->
+          let l = name_off.(i + 1) - name_off.(i) in
+          check (l >= 0);
+          Bytes.sub_string bytes (blob + name_off.(i)) l)
+    in
+    check (not (has_duplicate names));
+    Some
+      (freeze ~names ~kinds ~codes ~fanins:(slices fanin_csr fanin_off) ~fanin_csr
+         ~fanin_off ~fanout:(fanouts_of ~fanin_csr ~fanin_off) ~pos ~po_index ~levels ~topo
+         ~by_name:None ~source)
+  with Malformed | Invalid_argument _ -> None
 
 let pp_stats ppf t =
   Format.fprintf ppf "%d PI, %d PO, %d gates, %d nets, depth %d" (num_pis t)

@@ -64,7 +64,9 @@ val topo_order : t -> net array
 
 val name : t -> net -> string
 val find : t -> string -> net option
-(** Look a net up by name. *)
+(** Look a net up by name.  The name table is built on the first
+    lookup, so a netlist that is never searched by name never pays for
+    it. *)
 
 (** {1 Flat CSR views}
 
@@ -96,6 +98,37 @@ val add_structure : Buffer.t -> t -> unit
     {!fanin_csr} and the PO list.  Net names are left out.  Every
     on-disk store keys on this one identity: two netlists with equal
     bytes here simulate identically under every pattern. *)
+
+(** {1 Source and design images}
+
+    A store keys a design's image by what the netlist was built from,
+    never by hashing a built netlist: a restarted process finds the
+    image before it has a netlist to hash. *)
+
+val source : t -> string
+(** The identity of what the netlist was built from: the string
+    {!with_source} attached ([Generators.source_key], a [.bench] or
+    Verilog file's content digest), or, for a netlist built in code,
+    ["structure <hex>"] from the MD5 of {!add_structure}, computed on
+    each call. *)
+
+val with_source : string -> t -> t
+(** The same netlist, carrying [source]. *)
+
+val encode : Buffer.t -> t -> unit
+(** Append the netlist as a design-image section: counts, {!gate_codes},
+    the fanin CSR, the PO list, the levels, the topological order and
+    the names, every integer a little-endian int64. *)
+
+val decode : ?source:string -> Bytes.t -> off:int -> len:int -> t option
+(** Rebuild the netlist {!encode} wrote into [bytes] at [off, off + len),
+    equal to the encoded one in every accessor, carrying [source].
+    The bytes are untrusted: [None], never an exception, unless every
+    count fits the section exactly, every fanin and PO is in range,
+    every arity is legal, no PO is listed twice and no name repeats,
+    the stored order lists each net once after all its fanins (so
+    there is no cycle) and each stored level is one more than its
+    highest fanin's.  The name table is left for {!find} to build. *)
 
 (** {1 Analysis helpers} *)
 

@@ -257,11 +257,11 @@ let build stmts =
 
 let parse_string text = build (parse_tokens (tokenize text))
 
+let source_key text = "verilog " ^ Digest.to_hex (Digest.string text)
+
 let parse_file path =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  parse_string text
+  let text = Bench_io.read_text path in
+  Netlist.with_source (source_key text) (parse_string text)
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)

@@ -25,7 +25,13 @@ exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
 val parse_string : string -> Netlist.t
+
 val parse_file : string -> Netlist.t
+(** Read and parse a file; the netlist carries {!source_key} of the
+    file's bytes as its {!Netlist.source}. *)
+
+val source_key : string -> string
+(** ["verilog <hex>"], the MD5 of a file's bytes. *)
 
 val to_string : ?module_name:string -> Netlist.t -> string
 (** Emit the subset above; [parse_string (to_string t)] is structurally

@@ -1,11 +1,11 @@
-type t = { npis : int; data : bool array array }
+type t = { npis : int; data : bool array array; origin : string option }
 
 let check_width npis a =
   if Array.length a <> npis then invalid_arg "Pattern: PI vector width mismatch"
 
 let of_array ~npis data =
   Array.iter (check_width npis) data;
-  { npis; data = Array.map Array.copy data }
+  { npis; data = Array.map Array.copy data; origin = None }
 
 let of_list ~npis l = of_array ~npis (Array.of_list l)
 
@@ -13,6 +13,7 @@ let random rng ~npis ~count =
   {
     npis;
     data = Array.init count (fun _ -> Array.init npis (fun _ -> Rng.bool rng));
+    origin = None;
   }
 
 let exhaustive ~npis =
@@ -22,6 +23,7 @@ let exhaustive ~npis =
     data =
       Array.init (1 lsl npis) (fun v ->
           Array.init npis (fun i -> v land (1 lsl i) <> 0));
+    origin = None;
   }
 
 let count t = Array.length t.data
@@ -32,9 +34,9 @@ let pattern t p = Array.copy t.data.(p)
 
 let append a b =
   if a.npis <> b.npis then invalid_arg "Pattern.append: PI count mismatch";
-  { npis = a.npis; data = Array.append a.data b.data }
+  { npis = a.npis; data = Array.append a.data b.data; origin = None }
 
-let sub t off len = { npis = t.npis; data = Array.sub t.data off len }
+let sub t off len = { npis = t.npis; data = Array.sub t.data off len; origin = None }
 
 type block = { base : int; width : int; pi_words : int array }
 
@@ -60,12 +62,14 @@ let to_string t p =
   String.init t.npis (fun i -> if get t p i then '1' else '0')
 
 let to_text t =
-  let buf = Buffer.create (count t * (t.npis + 1)) in
-  for p = 0 to count t - 1 do
-    Buffer.add_string buf (to_string t p);
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
+  let width = t.npis + 1 in
+  let b = Bytes.create (count t * width) in
+  Array.iteri
+    (fun p row ->
+      Array.iteri (fun i v -> Bytes.set b ((p * width) + i) (if v then '1' else '0')) row;
+      Bytes.set b ((p * width) + t.npis) '\n')
+    t.data;
+  Bytes.unsafe_to_string b
 
 let of_text text =
   let lines =
@@ -100,3 +104,10 @@ let read_file path =
     match of_text text with
     | pats -> Ok pats
     | exception Invalid_argument reason -> Error (path ^ ": " ^ reason))
+
+let with_origin origin t = { t with origin = Some origin }
+
+let origin t =
+  match t.origin with
+  | Some o -> o
+  | None -> "patterns " ^ Digest.to_hex (Digest.string (to_text t))

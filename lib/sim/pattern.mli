@@ -61,3 +61,17 @@ val read_file : string -> (t, string) result
     is [Error] with the system message, a malformed one (ragged line,
     foreign character) is [Error "<path>: <reason>"], and the channel is
     closed either way. *)
+
+(** {1 Origin}
+
+    What a stored design image's test set answers for. *)
+
+val origin : t -> string
+(** The string {!with_origin} attached (the ATPG flow's parameters, for
+    a generated set), or else ["patterns <hex>"], the MD5 of {!to_text}
+    — the [--patterns] file's bytes when the file is in that canonical
+    form.  An attached origin names the set only together with the
+    netlist it was generated for. *)
+
+val with_origin : string -> t -> t
+(** The same set, carrying [origin]; {!append} and {!sub} drop it. *)

@@ -13,16 +13,6 @@ let c_misses = Obs.counter "cache.misses"
    each append/load so `--stats` shows what the arena actually holds. *)
 let c_frozen_bytes = Obs.counter "cache.frozen_bytes"
 
-(* Snapshot store traffic: arenas written to disk, arenas adopted from
-   disk, and candidate files rejected by validation (truncation, header
-   corruption, digest mismatch, stale encode version).  A reject is
-   never an error — the caller falls back to a live prewarm — but a
-   fleet where rejects dominate loads has a stale or misconfigured
-   store directory, which is exactly what these counters surface. *)
-let c_store_saves = Obs.counter "store.saves"
-let c_store_loads = Obs.counter "store.loads"
-let c_store_rejects = Obs.counter "store.rejects"
-
 (* One published version of the packed arena.  [slab] holds every
    present key's triples ([encode_triples]) in append order; key [k]'s
    encoding starts at [starts.(k)] and bit [k] of [present] says whether
@@ -332,58 +322,27 @@ let signature_of_triples t triples =
   done;
   signature
 
-(* --- Disk snapshot store -------------------------------------------- *)
+(* --- The design image's signature section ---------------------------- *)
 
-(* Bump when the arena encoding or the file layout changes: a snapshot
-   written by an older binary must be rejected, not misdecoded. *)
-let encode_version = 2
+(* One image per design ([Store_file]): its name comes from the
+   netlist's source, so re-running with a different pattern set finds
+   the same file and rejects it by its key (an observable
+   [store.rejects], then an overwrite on the next save) instead of
+   silently accumulating stale siblings. *)
+let store_path ~dir t = Store_file.path ~dir ~source:(Netlist.source t.net)
 
-let store_kind =
-  {
-    Store_file.magic = "MDDSIGST";
-    version = encode_version;
-    saves = c_store_saves;
-    loads = c_store_loads;
-    rejects = c_store_rejects;
-  }
-
-(* Identity of the problem a snapshot answers for: a digest over the
-   netlist structure (gate kinds, fanin adjacency, PO list — names are
-   irrelevant to signatures) and the exact pattern set.  Anything that
-   could change one cached triple changes this digest, so a loaded
-   arena is byte-equivalent to a live sweep or it is rejected. *)
-let problem_digest t =
-  let buf = Buffer.create (1 lsl 16) in
-  let add v = Buffer.add_int64_le buf (Int64.of_int v) in
-  Netlist.add_structure buf t.net;
-  add (Pattern.count t.pats);
-  add (Pattern.npis t.pats);
-  Array.iter
-    (fun (b : Pattern.block) ->
-      add b.Pattern.base;
-      add b.Pattern.width;
-      Array.iter add b.Pattern.pi_words)
-    t.blocks;
-  Digest.bytes (Buffer.to_bytes buf)
-
-(* One snapshot file per netlist structure: re-running with a different
-   pattern set or encode version finds the *same* file and rejects it
-   via the header (an observable [store.rejects], then an overwrite on
-   the next save) instead of silently accumulating stale siblings. *)
-let store_path ~dir t = Store_file.path ~dir ~prefix:"sig" ~ext:"mddsig" t.net
-
-(* Body layout, after the envelope's header with the trailing ints
-   [nkeys | index_len | slab_len]:
+(* Section layout: the ints [nkeys | index_len | slab_len], then
 
      packed index (index_len bytes) | present bitmap | slab
 
    The slab holds the present keys' encodings in key order, whatever
-   order they were appended in, so the file depends only on which keys
-   are present.  The packed index is the per-key byte lengths
-   varint-coded (0 for an absent key). *)
-let save_frozen ~dir t =
+   order they were appended in, so the section depends only on which
+   keys are present.  The packed index is the per-key byte lengths
+   varint-coded (0 for an absent key).  [None] while the arena is
+   empty. *)
+let section t =
   let a = Atomic.get t.arena in
-  if a.starts = [||] then false
+  if a.starts = [||] then None
   else begin
     let nkeys = Array.length a.starts in
     let len k =
@@ -398,10 +357,17 @@ let save_frozen ~dir t =
     for k = 0 to nkeys - 1 do
       if bit_set a.present k then Buffer.add_subbytes body a.slab a.starts.(k) (len k)
     done;
-    Store_file.save store_kind ~path:(store_path ~dir t) ~key:(problem_digest t)
-      ~ints:[| nkeys; index_len; Buffer.length body - index_len - Bytes.length a.present |]
-      (Buffer.contents body)
+    Some
+      ( [| nkeys; index_len; Buffer.length body - index_len - Bytes.length a.present |],
+        Buffer.contents body )
   end
+
+let save_frozen ~dir t =
+  match section t with
+  | None -> false
+  | Some _ as signatures ->
+    Store_file.save ~path:(store_path ~dir t) ~key:(Store_file.key t.net t.pats) t.net
+      t.pats ~signatures
 
 (* Bounds-checked varint read for untrusted bytes: the unsafe decoder
    above is only ever pointed at ranges this function has fully walked
@@ -456,56 +422,78 @@ let scan_key bytes start limit =
   if !pos <> limit then raise Store_file.Invalid;
   n
 
-(* Rebuild the arena from a body the envelope has checked, or raise.
-   The body itself becomes the slab, its encodings starting at [base]:
-   the envelope read it into a buffer of its own, so nothing else
-   holds it. *)
-let decode_arena t ints body =
-  let nkeys = ints.(0) and index_len = ints.(1) and slab_len = ints.(2) in
-  if nkeys <> num_keys t then raise Store_file.Invalid;
-  let bitmap_len = (nkeys + 7) / 8 in
-  if
-    index_len < 0 || slab_len < 0
-    || Bytes.length body <> index_len + bitmap_len + slab_len
-  then raise Store_file.Invalid;
-  let pos = ref 0 in
-  let offs = Array.make (nkeys + 1) 0 in
-  for k = 0 to nkeys - 1 do
-    let len = safe_uvarint body pos index_len in
-    if len < 0 || offs.(k) > slab_len - len then raise Store_file.Invalid;
-    offs.(k + 1) <- offs.(k) + len
-  done;
-  if !pos <> index_len || offs.(nkeys) <> slab_len then raise Store_file.Invalid;
-  let present = Bytes.sub body index_len bitmap_len in
-  let base = index_len + bitmap_len in
-  (* Walk every key's triples once, bounds-checked: a snapshot that
-     passed the digests but whose triples overrun their offset range
-     must be rejected here, at load — the lock-free decoder reads
-     unchecked and must never see it.  An absent key with a non-empty
-     range (or vice versa, a present key whose range cannot hold its
-     count) is equally malformed. *)
-  for k = 0 to nkeys - 1 do
-    if bit_set present k then
-      ignore (scan_key body (base + offs.(k)) (base + offs.(k + 1)) : int)
-    else if offs.(k) <> offs.(k + 1) then raise Store_file.Invalid
-  done;
-  {
-    slab = body;
-    base;
-    used = Bytes.length body;
-    starts = Array.init nkeys (fun k -> base + offs.(k));
-    present;
-  }
+(* Rebuild the arena from a checked image's signature section, or
+   raise; [None] when the image has no such section.  The image's
+   buffer itself becomes the slab, the encodings starting at [base]:
+   the loader read it into a buffer of its own, so nothing else holds
+   it.  The section is the image's last, so the slab's free space
+   starts at its end and an append never writes over another
+   section. *)
+let decode_arena t (image : Store_file.image) =
+  let s = image.Store_file.sections.(Store_file.signatures_section) in
+  if s.Store_file.ints = [||] && s.Store_file.len = 0 then None
+  else begin
+    let body = image.Store_file.data in
+    if Array.length s.ints <> 3 || s.off + s.len <> Bytes.length body then
+      raise Store_file.Invalid;
+    let nkeys = s.ints.(0) and index_len = s.ints.(1) and slab_len = s.ints.(2) in
+    if nkeys <> num_keys t then raise Store_file.Invalid;
+    let bitmap_len = (nkeys + 7) / 8 in
+    if index_len < 0 || slab_len < 0 || s.len <> index_len + bitmap_len + slab_len then
+      raise Store_file.Invalid;
+    let pos = ref s.off in
+    let offs = Array.make (nkeys + 1) 0 in
+    for k = 0 to nkeys - 1 do
+      let len = safe_uvarint body pos (s.off + index_len) in
+      if len < 0 || offs.(k) > slab_len - len then raise Store_file.Invalid;
+      offs.(k + 1) <- offs.(k) + len
+    done;
+    if !pos <> s.off + index_len || offs.(nkeys) <> slab_len then
+      raise Store_file.Invalid;
+    let present = Bytes.sub body (s.off + index_len) bitmap_len in
+    let base = s.off + index_len + bitmap_len in
+    (* Walk every key's triples once, bounds-checked: a section that
+       passed the checksum but whose triples overrun their offset range
+       must be rejected here, at load — the lock-free decoder reads
+       unchecked and must never see it.  An absent key with a non-empty
+       range (or vice versa, a present key whose range cannot hold its
+       count) is equally malformed. *)
+    for k = 0 to nkeys - 1 do
+      if bit_set present k then
+        ignore (scan_key body (base + offs.(k)) (base + offs.(k + 1)) : int)
+      else if offs.(k) <> offs.(k + 1) then raise Store_file.Invalid
+    done;
+    Some
+      {
+        slab = body;
+        base;
+        used = Bytes.length body;
+        starts = Array.init nkeys (fun k -> base + offs.(k));
+        present;
+      }
+  end
+
+let adopt_arena t a = Mutex.protect t.append_lock (fun () -> publish t a)
+
+let adopt t image =
+  match decode_arena t image with
+  | Some a ->
+    adopt_arena t a;
+    true
+  | None -> false
+  | exception (Store_file.Invalid | Invalid_argument _) ->
+    Store_file.reject ();
+    false
 
 let load_frozen ~dir t =
   match
-    Store_file.load store_kind ~path:(store_path ~dir t) ~key:(problem_digest t) ~nints:3
+    Store_file.load ~path:(store_path ~dir t) ~key:(Store_file.key t.net t.pats)
       (decode_arena t)
   with
-  | Some a ->
-    Mutex.protect t.append_lock (fun () -> publish t a);
+  | Some (Some a) ->
+    adopt_arena t a;
     true
-  | None -> false
+  | Some None | None -> false
 
 (* --- Construction ---------------------------------------------------- *)
 

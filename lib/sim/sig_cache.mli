@@ -120,34 +120,47 @@ val frozen_bytes : t -> int
     The arena is position-independent bytes, so it doubles as an
     on-disk format: a volume fleet pays the whole-pool prewarm sweep
     once per (netlist, pattern set) and every later process adopts the
-    arena with zero simulation.  The file is a {!Store_file} envelope
-    (magic ["MDDSIGST"], encode version 2): named by a digest of the
-    netlist structure and validated against a header carrying the
-    encode version and a digest of (netlist structure, pattern set) —
-    plus a content digest over the body — so a snapshot either
-    reproduces the live sweep byte for byte or is rejected (counter
-    ["store.rejects"]) and the caller falls back to prewarming.
-    Counters: ["store.saves"], ["store.loads"], ["store.rejects"]. *)
+    arena with zero simulation.  It is the signature section of the
+    design's {!Store_file} image, beside the netlist and the test set:
+    the file is named by the netlist's {!Netlist.source} and keyed by
+    {!Store_file.key} of the netlist and the pattern set, so a
+    snapshot either reproduces the live sweep byte for byte or is
+    rejected (counter ["store.rejects"]) and the caller falls back to
+    prewarming.  Counters: ["store.saves"], ["store.loads"],
+    ["store.rejects"]. *)
 
 val save_frozen : dir:string -> t -> bool
-(** Write the current arena under [dir] (created if missing),
-    atomically (temp file + rename).  Keys are written in key order, so
-    the file depends only on which keys are present, never on the order
-    they were stored in.  False when the arena is empty or the write
-    failed; true bumps ["store.saves"]. *)
+(** Write the design image — the netlist, the pattern set and the
+    current arena — under [dir] (created if missing), atomically (temp
+    file + rename).  Keys are written in key order, so the file depends
+    only on which keys are present, never on the order they were stored
+    in.  False when the arena is empty or the write failed; true bumps
+    ["store.saves"]. *)
+
+val section : t -> (int array * string) option
+(** The arena as an image's signature section (its ints and bytes), as
+    {!save_frozen} writes it; [None] while the arena is empty. *)
 
 val load_frozen : dir:string -> t -> bool
-(** Read, validate and publish a snapshot from [dir] as this instance's
-    arena, replacing whatever it held — no simulation.  False when no
-    file exists (a cold fleet, not counted) or validation rejected it
-    (truncation, foreign magic, stale encode version, problem-digest
-    mismatch, body corruption, a key whose triples do not fill its byte
-    range exactly — each bumping ["store.rejects"]); the instance is
-    left exactly as it was, so the caller's live-prewarm fallback sees a
-    clean cache.  True bumps ["store.loads"]. *)
+(** Read and check the design image under [dir] and publish its
+    signature section as this instance's arena, replacing whatever it
+    held — no simulation.  False when no file exists (a cold fleet, not
+    counted), when the image holds no signature section, or when
+    validation rejected it (truncation, foreign magic, stale version,
+    key mismatch, a failed checksum, a key whose triples do not fill
+    its byte range exactly — each bumping ["store.rejects"]); the
+    instance is left exactly as it was, so the caller's live-prewarm
+    fallback sees a clean cache.  An accepted image bumps
+    ["store.loads"]. *)
+
+val adopt : t -> Store_file.image -> bool
+(** {!load_frozen} on an image the caller already loaded for this
+    problem: walk its signature section and publish it.  False when
+    the image has none, or when the walk rejects it (counted in
+    ["store.rejects"]); the instance is then left as it was. *)
 
 val store_path : dir:string -> t -> string
-(** The snapshot file {!save_frozen}/{!load_frozen} use for this
+(** The image file {!save_frozen}/{!load_frozen} use for this
     problem under [dir] (exposed for tests and tooling). *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array

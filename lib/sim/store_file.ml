@@ -1,58 +1,207 @@
-(* The envelope of every on-disk store: header write, atomic publish and
-   the magic/version/key/content-digest checks.  See the interface for
-   the layout. *)
+(* The design image: envelope, checksum, section table and atomic
+   publication.  See the interface for the layout. *)
 
 exception Invalid
 
-type kind = {
-  magic : string;
-  version : int;
-  saves : Obs.counter;
-  loads : Obs.counter;
-  rejects : Obs.counter;
-}
+let c_saves = Obs.counter "store.saves"
+let c_loads = Obs.counter "store.loads"
+let c_rejects = Obs.counter "store.rejects"
 
-let path ~dir ~prefix ~ext net =
-  let buf = Buffer.create 4096 in
-  Netlist.add_structure buf net;
-  let hex = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-  Filename.concat dir (Printf.sprintf "%s-%s.%s" prefix (String.sub hex 0 12) ext)
+let magic = "MDDIMAGE"
 
-let header_len nints = 8 + 8 + 16 + 16 + (8 * nints)
+(* Bump when the layout or any section's encoding changes: an image an
+   older binary wrote must be rejected, not misdecoded. *)
+let version = 1
 
-let save kind ~path ~key ~ints body =
-  let nints = Array.length ints in
-  let header = Bytes.create (header_len nints) in
-  Bytes.blit_string kind.magic 0 header 0 8;
-  Bytes.set_int64_le header 8 (Int64.of_int kind.version);
-  Bytes.blit_string key 0 header 16 16;
-  Bytes.blit_string (Digest.string body) 0 header 32 16;
-  Array.iteri (fun i v -> Bytes.set_int64_le header (48 + (8 * i)) (Int64.of_int v)) ints;
+type section = { ints : int array; off : int; len : int }
+type image = { data : Bytes.t; sections : section array }
+
+let netlist_section = 0
+let tests_section = 1
+let signatures_section = 2
+let nsections = 3
+
+(* magic, version, key, s1, s2: everything before the checksummed
+   bytes. *)
+let header_len = 48
+
+let path ~dir ~source =
+  let hex = Digest.to_hex (Digest.string source) in
+  Filename.concat dir (Printf.sprintf "design-%s.mddimg" (String.sub hex 0 12))
+
+let key_of ~source ~origin = Digest.string (source ^ "\000" ^ origin)
+let key net pats = key_of ~source:(Netlist.source net) ~origin:(Pattern.origin pats)
+
+(* --- Checksum -------------------------------------------------------- *)
+
+(* Two sums modulo the Mersenne prime p = 2^61 - 1 over the 32-bit
+   words w_1 .. w_m of the length and the bytes: s1 = sum w_i and
+   s2 = sum of s1's running values = sum (m + 1 - i) w_i.  Each word is
+   below 2^32 < p, and m < p for any file, so:
+
+   - a change confined to one word — every single-bit flip among them —
+     moves s1 by d with 0 < |d| < 2^32 < p, never a multiple of p;
+   - a swap of two unequal words w_i, w_j (i < j) leaves s1 and moves
+     s2 by (j - i)(w_i - w_j); both factors are nonzero and smaller
+     than p in magnitude, and p is prime, so the product is not a
+     multiple of p;
+   - a truncation or extension changes the length word; the loader
+     also requires the section table to add up to the file size.
+
+   MD5 over the same bytes costs several times as much, and a restarted
+   process checks the whole image on every start. *)
+let p61 = (1 lsl 61) - 1
+
+external get64u_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get64u_le b i =
+  if Sys.big_endian then swap64 (get64u_ne b i) else get64u_ne b i
+
+(* [x] modulo p up to a small excess: 2^61 = 1 (mod p), so the bits
+   above 61 fold onto the low ones.  Exact for any [x] below 2^63 read
+   as unsigned — native ints wrap modulo 2^63 and [lsr] is logical —
+   and the result is below 2^61 + 4. *)
+let[@inline] fold x = (x land p61) + (x lsr 61)
+
+let[@inline] canonical x = if x >= p61 then x - p61 else x
+
+(* One word into the sums. *)
+let step (s1, s2) w =
+  let a = fold (s1 + w) in
+  (a, fold (s2 + a))
+
+(* The loop takes a 64-bit load as two words at once: with [lo] then
+   [hi], s1 gains [lo + hi] and s2 gains [(s1 + lo) + (s1 + lo + hi)].
+   Every operand is below 2^61 + 4 (or 2^32), so each sum stays below
+   2^63 before its fold, and the two chains only meet through [s1]. *)
+let checksum b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Store_file.checksum";
+  let s1, s2 = step (step (0, 0) (len land 0xffff_ffff)) (len lsr 32) in
+  let s1 = ref s1 and s2 = ref s2 in
+  let full = len / 8 in
+  for i = 0 to full - 1 do
+    let x = get64u_le b (pos + (8 * i)) in
+    let lo = Int64.to_int x land 0xffff_ffff
+    and hi = Int64.to_int (Int64.shift_right_logical x 32) in
+    let s = !s1 in
+    s2 := fold (!s2 + (2 * s) + (2 * lo) + hi);
+    s1 := fold (s + lo + hi)
+  done;
+  let rest = len - (8 * full) in
+  let s1, s2 =
+    if rest = 0 then (!s1, !s2)
+    else begin
+      let x = ref 0 in
+      for j = rest - 1 downto 0 do
+        x := (!x lsl 8) lor Char.code (Bytes.get b (pos + (8 * full) + j))
+      done;
+      step (step (!s1, !s2) (!x land 0xffff_ffff)) (!x lsr 32)
+    end
+  in
+  (canonical s1, canonical s2)
+
+(* --- Save ------------------------------------------------------------ *)
+
+let save ~path ~key net pats ~signatures =
+  let netlist =
+    let buf = Buffer.create (1 lsl 16) in
+    Netlist.encode buf net;
+    Buffer.contents buf
+  in
+  let sections =
+    [|
+      ([||], netlist);
+      ([| Pattern.npis pats; Pattern.count pats |], Pattern.to_text pats);
+      Option.value signatures ~default:([||], "");
+    |]
+  in
+  let table = Buffer.create 128 in
+  let add v = Buffer.add_int64_le table (Int64.of_int v) in
+  add (Array.length sections);
+  Array.iter
+    (fun (ints, bytes) ->
+      add (Array.length ints);
+      Array.iter add ints;
+      add (String.length bytes))
+    sections;
+  let body_len =
+    Array.fold_left
+      (fun acc (_, bytes) -> acc + String.length bytes)
+      (Buffer.length table) sections
+  in
+  let data = Bytes.create (header_len + body_len) in
+  Bytes.blit_string magic 0 data 0 8;
+  Bytes.set_int64_le data 8 (Int64.of_int version);
+  Bytes.blit_string key 0 data 16 16;
+  Buffer.blit table 0 data header_len (Buffer.length table);
+  ignore
+    (Array.fold_left
+       (fun at (_, bytes) ->
+         Bytes.blit_string bytes 0 data at (String.length bytes);
+         at + String.length bytes)
+       (header_len + Buffer.length table) sections
+      : int);
+  let s1, s2 = checksum data ~pos:header_len ~len:body_len in
+  Bytes.set_int64_le data 32 (Int64.of_int s1);
+  Bytes.set_int64_le data 40 (Int64.of_int s2);
   let dir = Filename.dirname path in
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   try
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
     let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_bytes oc header;
-        output_string oc body);
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_bytes oc data);
     (* Atomic publication: a concurrent loader sees the old complete
        file or the new complete file, never a half-written one. *)
     Sys.rename tmp path;
-    if Obs.enabled () then Obs.incr kind.saves;
+    if Obs.enabled () then Obs.incr c_saves;
     true
   with Sys_error _ | Unix.Unix_error _ ->
     (try Sys.remove tmp with Sys_error _ -> ());
     false
 
-(* The header and the body are read separately, each with one read
-   into its own buffer, so the decoder gets a body nothing else holds
-   and may keep it.  A file shorter than the header reads as a short
-   header and is rejected by the first check. *)
-let load kind ~path ~key ~nints decode =
-  let hlen = header_len nints in
+(* --- Load ------------------------------------------------------------ *)
+
+let reject () = if Obs.enabled () then Obs.incr c_rejects
+
+(* The section table, bounds-checked: every count is read from the
+   file, so each one is range-checked before it sizes anything, and the
+   sections must end exactly at the end of the file. *)
+let sections data =
+  let len = Bytes.length data in
+  let pos = ref header_len in
+  let word () =
+    if !pos > len - 8 then raise Invalid;
+    let v = Int64.to_int (Bytes.get_int64_le data !pos) in
+    pos := !pos + 8;
+    v
+  in
+  let n = word () in
+  if n <> nsections then raise Invalid;
+  let table =
+    Array.init n (fun _ ->
+        let nints = word () in
+        if nints < 0 || nints > 8 then raise Invalid;
+        let ints = Array.init nints (fun _ -> word ()) in
+        let slen = word () in
+        if slen < 0 || slen > len then raise Invalid;
+        (ints, slen))
+  in
+  let at = ref !pos in
+  let sections =
+    Array.map
+      (fun (ints, slen) ->
+        let off = !at in
+        if off > len - slen then raise Invalid;
+        at := off + slen;
+        { ints; off; len = slen })
+      table
+  in
+  if !at <> len then raise Invalid;
+  sections
+
+let load ~path ~key decode =
   match
     if not (Sys.file_exists path) then None
     else
@@ -61,28 +210,54 @@ let load kind ~path ~key ~nints decode =
         (Fun.protect
            ~finally:(fun () -> close_in_noerr ic)
            (fun () ->
-             let len = in_channel_length ic in
-             let header = really_input_string ic (min len hlen) in
-             let body = Bytes.create (max 0 (len - hlen)) in
-             really_input ic body 0 (Bytes.length body);
-             (header, body)))
+             let data = Bytes.create (in_channel_length ic) in
+             really_input ic data 0 (Bytes.length data);
+             data))
   with
   | None -> None (* a cold store, not a rejection *)
   | exception Sys_error _ -> None
-  | Some (header, body) -> (
+  | Some data -> (
     try
-      if String.length header < hlen then raise Invalid;
-      if String.sub header 0 8 <> kind.magic then raise Invalid;
-      if String.get_int64_le header 8 <> Int64.of_int kind.version then raise Invalid;
-      if String.sub header 16 16 <> key then raise Invalid;
-      if Digest.bytes body <> String.sub header 32 16 then raise Invalid;
-      let ints =
-        Array.init nints (fun i ->
-            Int64.to_int (String.get_int64_le header (48 + (8 * i))))
-      in
-      let v = decode ints body in
-      if Obs.enabled () then Obs.incr kind.loads;
+      let len = Bytes.length data in
+      if len < header_len then raise Invalid;
+      if Bytes.sub_string data 0 8 <> magic then raise Invalid;
+      if Bytes.get_int64_le data 8 <> Int64.of_int version then raise Invalid;
+      if Bytes.sub_string data 16 16 <> key then raise Invalid;
+      let s1, s2 = checksum data ~pos:header_len ~len:(len - header_len) in
+      if
+        Bytes.get_int64_le data 32 <> Int64.of_int s1
+        || Bytes.get_int64_le data 40 <> Int64.of_int s2
+      then raise Invalid;
+      let v = decode { data; sections = sections data } in
+      if Obs.enabled () then Obs.incr c_loads;
       Some v
     with Invalid | Invalid_argument _ ->
-      if Obs.enabled () then Obs.incr kind.rejects;
+      reject ();
       None)
+
+(* --- Sections -------------------------------------------------------- *)
+
+let decode_netlist ?source image =
+  let s = image.sections.(netlist_section) in
+  match Netlist.decode ?source image.data ~off:s.off ~len:s.len with
+  | Some net -> net
+  | None -> raise Invalid
+
+let decode_tests ?origin ~npis image =
+  let s = image.sections.(tests_section) in
+  if Array.length s.ints <> 2 then raise Invalid;
+  let count = s.ints.(1) in
+  if
+    s.ints.(0) <> npis || npis < 1 || count < 1 || count > s.len
+    || s.len <> count * (npis + 1)
+  then raise Invalid;
+  let b = image.data in
+  for p = 0 to count - 1 do
+    let row = s.off + (p * (npis + 1)) in
+    for i = row to row + npis - 1 do
+      match Bytes.get b i with '0' | '1' -> () | _ -> raise Invalid
+    done;
+    if Bytes.get b (row + npis) <> '\n' then raise Invalid
+  done;
+  let pats = Pattern.of_text (Bytes.sub_string b s.off s.len) in
+  match origin with Some o -> Pattern.with_origin o pats | None -> pats

@@ -1,52 +1,91 @@
-(** The on-disk envelope shared by the persistent stores: the signature
-    snapshot ({!Sig_cache.save_frozen}) and the design's stored test set
-    ([Campaign.test_set ~store_dir]).
+(** The design image: one file per design in a store directory, holding
+    everything a restarted process would otherwise rebuild — the
+    netlist, the test set and the signature arena — behind one read and
+    one integrity check.
 
     File layout, every integer a little-endian int64:
 
-    {v magic (8 bytes) | version | key digest (16 bytes)
-    | content digest (16 bytes) | ints (nints × 8 bytes) | body v}
+    {v magic "MDDIMAGE" (8 bytes) | version | key (16 bytes)
+    | checksum s1 | checksum s2
+    | nsections | per section: nints | ints (nints) | len
+    | section bytes, in section order v}
 
-    The key digest names the problem the body answers for; the content
-    digest covers the body, so a flipped byte anywhere in the file is
-    rejected.  The trailing header ints are the store's own sizes; the
-    envelope only carries them.  A file is named by a digest of
-    {!Netlist.add_structure}, so a stale file for the same design is
-    found, rejected and overwritten instead of piling up beside the
-    fresh one. *)
+    The file is named by the design's {!Netlist.source} alone, so an
+    image for another test set, or one an older binary wrote, is found,
+    rejected and overwritten instead of piling up beside the fresh one.
+    The key is the MD5 of the source and the test set's
+    {!Pattern.origin}: a short string, hashed in microseconds, where
+    keying on a built netlist would mean building it first.  The
+    checksum ({!checksum}) covers every byte after it. *)
 
 exception Invalid
-(** Raised by a store's decoder to reject a file whose envelope checked
-    out but whose body does not (a failed structural walk). *)
+(** Raised by a section decoder to reject an image whose envelope
+    checked out but whose section does not. *)
 
-type kind = {
-  magic : string;  (** 8 bytes. *)
-  version : int;  (** Bump when the body's encoding changes. *)
-  saves : Obs.counter;
-  loads : Obs.counter;
-  rejects : Obs.counter;
-}
-(** One store's identity and its traffic counters. *)
+type section = { ints : int array; off : int; len : int }
+(** A section's header ints and its bytes, [data.(off) .. off + len - 1]
+    of the image's buffer.  An absent section has no ints and no
+    bytes. *)
 
-val path : dir:string -> prefix:string -> ext:string -> Netlist.t -> string
-(** [dir/prefix-<12 hex>.ext], the hex taken from the MD5 of the
-    netlist's {!Netlist.add_structure} bytes. *)
+type image = { data : Bytes.t; sections : section array }
+(** A checked image: its envelope, key and checksum held, and its
+    section table fits the file exactly.  [data] is the whole file, in
+    a buffer nothing else holds, so a decoder may keep it. *)
 
-val save : kind -> path:string -> key:Digest.t -> ints:int array -> string -> bool
-(** Write header and body atomically (temp file + rename), creating the
-    directory if it is missing.  True bumps [kind.saves]; false means
-    the write failed and left no file behind. *)
+val netlist_section : int
+val tests_section : int
+val signatures_section : int
 
-val load :
-  kind ->
+val path : dir:string -> source:string -> string
+(** [dir/design-<12 hex>.mddimg], the hex taken from the MD5 of
+    [source]. *)
+
+val key : Netlist.t -> Pattern.t -> Digest.t
+(** The MD5 of the netlist's {!Netlist.source} and the set's
+    {!Pattern.origin}. *)
+
+val key_of : source:string -> origin:string -> Digest.t
+(** {!key} before either value is built: the ATPG flow's origin is
+    known before its set is. *)
+
+val checksum : Bytes.t -> pos:int -> len:int -> int * int
+(** The image checksum of [len] bytes at [pos]: two sums modulo the
+    prime [p = 2^61 - 1] over the 32-bit little-endian words of the
+    length followed by the bytes (the last word zero-padded).  [s1] is
+    the plain sum and [s2] the sum of [s1]'s running values, i.e. each
+    word weighted by its distance from the end.  See the
+    implementation for what it detects. *)
+
+val save :
   path:string ->
   key:Digest.t ->
-  nints:int ->
-  (int array -> Bytes.t -> 'a) ->
-  'a option
-(** Read [path], check magic, version, key digest and content digest,
-    and hand the header ints and the body to the decoder; the body is a
-    fresh buffer the decoder may keep.  [None] when no file exists (not
-    counted) or when a check or the decoder rejected it ([Invalid] or
-    [Invalid_argument], counted in [kind.rejects]).  [Some] bumps
-    [kind.loads]. *)
+  Netlist.t ->
+  Pattern.t ->
+  signatures:(int array * string) option ->
+  bool
+(** Write the image of a netlist, its test set and optionally a
+    signature section (its ints and bytes) atomically (temp file +
+    rename), creating the directory if it is missing.  True bumps
+    ["store.saves"]; false means the write failed and left no file
+    behind. *)
+
+val load : path:string -> key:Digest.t -> (image -> 'a) -> 'a option
+(** Read [path] with one read, check magic, version, key, checksum and
+    the section table, and hand the image to the decoder.  [None] when
+    no file exists (not counted) or when a check or the decoder
+    rejected it ([Invalid] or [Invalid_argument], counted in
+    ["store.rejects"]).  [Some] bumps ["store.loads"]. *)
+
+val reject : unit -> unit
+(** Count a rejection a caller found in a section it decodes after
+    {!load} returned: ["store.rejects"]. *)
+
+val decode_netlist : ?source:string -> image -> Netlist.t
+(** The netlist section, through {!Netlist.decode}.  Raises [Invalid]. *)
+
+val decode_tests : ?origin:string -> npis:int -> image -> Pattern.t
+(** The test-set section: [count] rows of [npis] '0'/'1' characters
+    and a newline each ({!Pattern.to_text}), with the section ints
+    [npis; count].  The rows are walked before {!Pattern.of_text} sees
+    them: [of_text] trims blanks, so alone it would accept narrower
+    rows as a narrower set.  Raises [Invalid]. *)

@@ -348,6 +348,59 @@ let test_find_suite_shares () =
         (one == List.assoc name (Generators.suite ())))
     Generators.suite_names
 
+(* The generated tiers, pinned the same way. *)
+let tier_digests =
+  [
+    ("rnd10k", "09ae857197d67d9bf0bc1c03e7821bdb");
+    ("rnd50k", "322485f0e88e4d8b453e8d11d079fb11");
+  ]
+
+(* The source-key guard.  A stored design image is found by
+   "generator <name> v<Generators.version>", never by hashing the built
+   circuit, so a generator change that keeps the version would load
+   images of the old circuit.  The pins above are recorded here per
+   version, as one digest over all of them: a change to any generator
+   fails its pin, re-pinning fails this check unless the new combined
+   digest is recorded under a new version, and that version must be
+   [Generators.version].  Append, never edit, an entry. *)
+let version_history = [ (1, "0e384021bd708a8199494d86d08be295") ]
+
+let pins_digest () =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map
+             (fun (name, d) -> name ^ "=" ^ d ^ "\n")
+             (suite_digests @ tier_digests))))
+
+let test_source_key_guard () =
+  List.iter
+    (fun (name, pinned) ->
+      Alcotest.(check string) name pinned
+        (netlist_digest (Option.get (Generators.find_tier name))))
+    tier_digests;
+  let versions = List.map fst version_history in
+  Alcotest.(check bool) "versions ascend" true
+    (List.sort_uniq compare versions = versions);
+  Alcotest.(check int) "the last recorded version is Generators.version"
+    Generators.version
+    (List.nth versions (List.length versions - 1));
+  Alcotest.(check string) "pins recorded under the current version"
+    (List.assoc Generators.version version_history) (pins_digest ());
+  (* The key a lookup computes without building is the one the built
+     netlist carries. *)
+  List.iter
+    (fun name ->
+      let net =
+        match Generators.find_suite name with
+        | Some net -> net
+        | None -> Option.get (Generators.find_tier name)
+      in
+      Alcotest.(check (option string)) (name ^ " source key") (Some (Netlist.source net))
+        (Generators.source_key name))
+    (Generators.suite_names @ List.map fst tier_digests);
+  Alcotest.(check (option string)) "unknown name" None (Generators.source_key "nope")
+
 let suite =
   [
     ( "generators",
@@ -375,5 +428,7 @@ let suite =
           test_suite_digests;
         Alcotest.test_case "find_suite shares the suite's netlist" `Quick
           test_find_suite_shares;
+        Alcotest.test_case "generator digests pinned to Generators.version" `Quick
+          test_source_key_guard;
       ] );
   ]

@@ -1,14 +1,15 @@
-(* Disk-snapshot robustness for the packed signature store.  The
-   contract under test (Sig_cache mli, "Disk snapshots"): a loaded
-   arena either reproduces the live sweep byte for byte or the file is
-   rejected — bumping ["store.rejects"] — and the instance is left
-   clean for the caller's live-prewarm fallback.  Every corruption a
-   deployment can plausibly produce is exercised: truncation, a
-   flipped header byte, a flipped body byte, a snapshot for another
-   netlist, a snapshot for another pattern set, and a stale encode
-   version.  A qcheck property drives the varint codec itself through
-   store -> find and through a full save/load cycle with adversarial
-   triple values (negative words, max_int, non-canonical order).  The
+(* Disk-snapshot robustness for the packed signature store, the
+   signature section of the design image ([Store_file]).  The contract
+   under test (Sig_cache mli, "Disk snapshots"): a loaded arena either
+   reproduces the live sweep byte for byte or the file is rejected —
+   bumping ["store.rejects"] — and the instance is left clean for the
+   caller's live-prewarm fallback.  Every corruption a deployment can
+   plausibly produce is exercised: truncation, a flipped header byte, a
+   flipped body byte, an image for another netlist, an image for
+   another pattern set, and a stale encode version.  A qcheck property
+   drives the varint codec itself through store -> find and through a
+   full save/load cycle with adversarial triple values (negative words,
+   max_int, non-canonical order).  The
    arena is append-only and shared across domains, so concurrent
    appends and the order keys arrive in must change neither a decoded
    row nor a saved byte. *)
@@ -135,61 +136,74 @@ let flip b i =
 let truncated b = Bytes.sub b 0 (Bytes.length b / 2)
 let flipped_magic b = flip b 0
 let stale_version b = flip b 8 (* the encode-version int64's low byte *)
-let flipped_header_digest b = flip b 20 (* inside the problem digest *)
-let flipped_body b = flip b (Bytes.length b - 3) (* in the slab, content-digest land *)
+let flipped_header_digest b = flip b 20 (* inside the key *)
+let flipped_body b = flip b (Bytes.length b - 3) (* in the slab, checksum land *)
+
+(* The signature section's per-key byte lengths, presence bitmap and
+   slab. *)
+let read_uvarint b pos =
+  let v = ref 0 and shift = ref 0 and cont = ref true in
+  while !cont do
+    let c = Char.code (Bytes.get b !pos) in
+    incr pos;
+    v := !v lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    cont := c land 0x80 <> 0
+  done;
+  !v
+
+let add_uvarint buf v =
+  let v = ref v in
+  while !v lsr 7 <> 0 do
+    Buffer.add_char buf (Char.chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !v)
+
+let split_snapshot b =
+  let sections = (Image_edit.split b).Image_edit.sections in
+  let ints, sec = sections.(Store_file.signatures_section) in
+  let nkeys = ints.(0) and index_len = ints.(1) and slab_len = ints.(2) in
+  let pos = ref 0 in
+  let lens = Array.init nkeys (fun _ -> read_uvarint sec pos) in
+  let bitmap_len = (nkeys + 7) / 8 in
+  ( lens,
+    Bytes.sub sec index_len bitmap_len,
+    Bytes.sub sec (index_len + bitmap_len) slab_len )
+
+(* Reassemble an image from an edited signature section, with its
+   [index_len], [slab_len] and the checksum recomputed to match: every
+   envelope check passes, so only the section's own checks can refuse
+   it. *)
+let reseal b ~lens ~bitmap ~slab =
+  Image_edit.reseal_section b Store_file.signatures_section (fun (ints, _) ->
+      let body = Buffer.create (Bytes.length b) in
+      Array.iter (add_uvarint body) lens;
+      let index_len = Buffer.length body in
+      Buffer.add_bytes body bitmap;
+      Buffer.add_bytes body slab;
+      ([| ints.(0); index_len; Bytes.length slab |], Buffer.to_bytes body))
 
 (* A consistent forgery only the structural walk can catch: drop the
    final byte of the last non-empty key's range — the tail of its last
-   diff word — and shorten that key's index entry, [slab_len] and the
-   content digest to match.  Header, digests and offsets all agree; the
-   key's triples no longer fill its range. *)
+   diff word — and shorten that key's index entry and [slab_len] to
+   match.  Table, checksum and offsets all agree; the key's triples no
+   longer fill its range. *)
 let truncated_word b =
-  let header_len = 72 in
-  let get64 off = Int64.to_int (Bytes.get_int64_le b off) in
-  let nkeys = get64 48 and index_len = get64 56 and slab_len = get64 64 in
-  let pos = ref header_len in
-  let lens =
-    Array.init nkeys (fun _ ->
-        let v = ref 0 and shift = ref 0 and cont = ref true in
-        while !cont do
-          let c = Char.code (Bytes.get b !pos) in
-          incr pos;
-          v := !v lor ((c land 0x7f) lsl !shift);
-          shift := !shift + 7;
-          cont := c land 0x80 <> 0
-        done;
-        !v)
-  in
-  let last = ref (nkeys - 1) in
+  let lens, bitmap, slab = split_snapshot b in
+  let last = ref (Array.length lens - 1) in
   while lens.(!last) = 0 do
     decr last
   done;
+  let lens = Array.copy lens in
   lens.(!last) <- lens.(!last) - 1;
-  let body = Buffer.create (Bytes.length b) in
-  Array.iter
-    (fun len ->
-      let v = ref len in
-      while !v lsr 7 <> 0 do
-        Buffer.add_char body (Char.chr (!v land 0x7f lor 0x80));
-        v := !v lsr 7
-      done;
-      Buffer.add_char body (Char.chr !v))
-    lens;
-  let new_index_len = Buffer.length body in
-  (* The bitmap, then the slab minus its final byte: every key after
-     [last] is empty, so [last]'s range ends the slab. *)
-  Buffer.add_subbytes body b (header_len + index_len)
-    (Bytes.length b - header_len - index_len - 1);
-  let body = Buffer.to_bytes body in
-  let header = Bytes.sub b 0 header_len in
-  Bytes.set_int64_le header 56 (Int64.of_int new_index_len);
-  Bytes.set_int64_le header 64 (Int64.of_int (slab_len - 1));
-  Bytes.blit_string (Digest.bytes body) 0 header 32 16;
-  Bytes.cat header body
+  (* Every key after [last] is empty, so [last]'s range ends the
+     slab. *)
+  reseal b ~lens ~bitmap ~slab:(Bytes.sub slab 0 (Bytes.length slab - 1))
 
-(* A snapshot saved for a different netlist, byte-copied onto this
-   problem's path (the path is structure-keyed, so only a copy can put
-   a foreign arena there): the problem digest must refuse it. *)
+(* An image saved for a different netlist, byte-copied onto this
+   problem's path (the path is source-keyed, so only a copy can put a
+   foreign arena there): the key must refuse it. *)
 let test_foreign_netlist_rejected () =
   Obs.enable ();
   let other_net = Generators.ripple_adder 4 in
@@ -221,9 +235,9 @@ let test_foreign_netlist_rejected () =
   Alcotest.(check bool) "instance left cold" true (Sig_cache.frozen_bytes c = 0);
   Obs.disable ()
 
-(* Same structure, different pattern set: the file is found (the path
-   only keys on netlist structure, by design — see [store_path]) but
-   the header's problem digest covers the patterns and must refuse. *)
+(* Same netlist, different pattern set: the file is found (the path
+   only keys on the netlist's source, by design — see [store_path]) but
+   the header's key covers the patterns' origin and must refuse. *)
 let test_foreign_patterns_rejected () =
   Obs.enable ();
   let net, pats = Lazy.force problem in
@@ -394,58 +408,6 @@ let test_append_after_load () =
     (String.equal (saved live) (saved c2))
 
 (* --- Resealed forgeries aimed at the structural walk ---------------- *)
-
-(* The header of a snapshot: the envelope's 48 bytes plus the ints
-   [nkeys | index_len | slab_len]. *)
-let snapshot_header_len = 72
-
-let read_uvarint b pos =
-  let v = ref 0 and shift = ref 0 and cont = ref true in
-  while !cont do
-    let c = Char.code (Bytes.get b !pos) in
-    incr pos;
-    v := !v lor ((c land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    cont := c land 0x80 <> 0
-  done;
-  !v
-
-let add_uvarint buf v =
-  let v = ref v in
-  while !v lsr 7 <> 0 do
-    Buffer.add_char buf (Char.chr (!v land 0x7f lor 0x80));
-    v := !v lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !v)
-
-(* A snapshot's per-key byte lengths, presence bitmap and slab. *)
-let split_snapshot b =
-  let get64 off = Int64.to_int (Bytes.get_int64_le b off) in
-  let nkeys = get64 48 and index_len = get64 56 and slab_len = get64 64 in
-  let pos = ref snapshot_header_len in
-  let lens = Array.init nkeys (fun _ -> read_uvarint b pos) in
-  let bitmap_at = snapshot_header_len + index_len in
-  let bitmap_len = (nkeys + 7) / 8 in
-  ( lens,
-    Bytes.sub b bitmap_at bitmap_len,
-    Bytes.sub b (bitmap_at + bitmap_len) slab_len )
-
-(* Reassemble a snapshot from edited parts, with the header's
-   [index_len], [slab_len] and content digest recomputed to match:
-   every envelope check passes, so only the body's own checks can
-   refuse it. *)
-let reseal b ~lens ~bitmap ~slab =
-  let body = Buffer.create (Bytes.length b) in
-  Array.iter (add_uvarint body) lens;
-  let index_len = Buffer.length body in
-  Buffer.add_bytes body bitmap;
-  Buffer.add_bytes body slab;
-  let body = Buffer.to_bytes body in
-  let header = Bytes.sub b 0 snapshot_header_len in
-  Bytes.set_int64_le header 56 (Int64.of_int index_len);
-  Bytes.set_int64_le header 64 (Int64.of_int (Bytes.length slab));
-  Bytes.blit_string (Digest.bytes body) 0 header 32 16;
-  Bytes.cat header body
 
 (* Where each key's encoding starts in the slab. *)
 let key_starts lens =

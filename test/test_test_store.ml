@@ -1,9 +1,10 @@
-(* The stored test set ([Campaign.test_set ~store_dir]).  The contract:
-   a loaded set is the generated set byte for byte, and a file that is
-   not exactly what a save would write for this design and flow is
-   rejected — counted in ["tests.rejects"] — and replaced by a freshly
-   generated, freshly saved set.  Each call runs under its own sink, so
-   its counters and phases are read in isolation. *)
+(* The stored test set ([Campaign.test_set ~store_dir]): the test-set
+   section of the design image.  The contract: a loaded set is the
+   generated set byte for byte, and a file that is not exactly what a
+   save would write for this design and flow is rejected — counted in
+   ["store.rejects"] — and replaced by a freshly generated, freshly
+   saved set.  Each call runs under its own sink, so its counters and
+   phases are read in isolation. *)
 
 let tmpdir () =
   let f = Filename.temp_file "mddtests" "" in
@@ -34,20 +35,14 @@ let stored_set dir =
         | None -> 0);
   }
 
-let read path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> Bytes.of_string (really_input_string ic (in_channel_length ic)))
-
-let write path b =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_bytes oc b)
+let read = Image_edit.read
+let write = Image_edit.write
+let image_path ~dir net = Store_file.path ~dir ~source:(Netlist.source net)
 
 let check_counts name t ~loads ~saves ~rejects =
-  Alcotest.(check int) (name ^ ": tests.loads") loads (t.counter "tests.loads");
-  Alcotest.(check int) (name ^ ": tests.saves") saves (t.counter "tests.saves");
-  Alcotest.(check int) (name ^ ": tests.rejects") rejects (t.counter "tests.rejects")
+  Alcotest.(check int) (name ^ ": store.loads") loads (t.counter "store.loads");
+  Alcotest.(check int) (name ^ ": store.saves") saves (t.counter "store.saves");
+  Alcotest.(check int) (name ^ ": store.rejects") rejects (t.counter "store.rejects")
 
 let test_round_trip () =
   let dir = tmpdir () in
@@ -56,15 +51,13 @@ let test_round_trip () =
   Alcotest.(check bool) "generated on a miss" true (first.phase_count "tpg" = 1);
   Alcotest.(check string) "generated set" (Lazy.force reference) first.text;
   Alcotest.(check bool) "file written" true
-    (Sys.file_exists (Campaign.test_store_path ~dir (design ())));
+    (Sys.file_exists (image_path ~dir (design ())));
   let second = stored_set dir in
   check_counts "primed store" second ~loads:1 ~saves:0 ~rejects:0;
   Alcotest.(check int) "no PODEM call" 0 (second.counter "tpg.podem_calls");
   Alcotest.(check int) "no tpg phase" 0 (second.phase_count "tpg");
-  Alcotest.(check int) "one tests.load phase" 1 (second.phase_count "tests.load");
+  Alcotest.(check int) "one store.load phase" 1 (second.phase_count "store.load");
   Alcotest.(check string) "loaded set = generated set" (Lazy.force reference) second.text
-
-let header_len = 64 (* 8 magic + 8 version + 16 key + 16 content + 2 ints *)
 
 let set_int64 off v b =
   Bytes.set_int64_le b off (Int64.of_int v);
@@ -74,34 +67,35 @@ let flip i b =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
   b
 
-(* Rewrite the content digest over the (edited) body, so only the checks
-   past the digest can catch the edit. *)
-let redigest b =
-  let body = Bytes.sub b header_len (Bytes.length b - header_len) in
-  Bytes.blit_string (Digest.bytes body) 0 b 32 16;
-  b
-
 (* Every row loses its last bit to a blank.  [Pattern.of_text] trims
-   blanks, so it would read the body as a consistent set one PI
-   narrower; only the row walk knows the width. *)
+   blanks, so it would read the section as a consistent set one PI
+   narrower; only the row walk knows the width.  The checksum is
+   recomputed over the edit, so only the checks past it can catch
+   it. *)
 let narrowed_rows b =
-  let npis = Int64.to_int (Bytes.get_int64_le b 48) in
-  let count = Int64.to_int (Bytes.get_int64_le b 56) in
-  for p = 0 to count - 1 do
-    Bytes.set b (header_len + (p * (npis + 1)) + npis - 1) ' '
-  done;
-  redigest b
+  Image_edit.reseal_section b Store_file.tests_section (fun (ints, rows) ->
+      let npis = ints.(0) and count = ints.(1) in
+      let rows = Bytes.copy rows in
+      for p = 0 to count - 1 do
+        Bytes.set rows ((p * (npis + 1)) + npis - 1) ' '
+      done;
+      (ints, rows))
+
+(* The section's PI count one more than the design's, resealed. *)
+let npis_mismatch b =
+  Image_edit.reseal_section b Store_file.tests_section (fun (ints, rows) ->
+      ([| ints.(0) + 1; ints.(1) |], rows))
 
 (* Another design's valid file, copied onto this design's path. *)
 let foreign_netlist dir _ =
   let other = Generators.ripple_adder 4 in
   ignore (Campaign.test_set ~store_dir:dir other : Pattern.t);
-  read (Campaign.test_store_path ~dir other)
+  read (image_path ~dir other)
 
 let reject_case name mangle () =
   let dir = tmpdir () in
   ignore (stored_set dir : tally);
-  let path = Campaign.test_store_path ~dir (design ()) in
+  let path = image_path ~dir (design ()) in
   write path (mangle dir (read path));
   let rejected = stored_set dir in
   check_counts name rejected ~loads:0 ~saves:1 ~rejects:1;
@@ -126,8 +120,7 @@ let suite =
         Alcotest.test_case "flipped body byte rejected" `Quick
           (reject_case "body" (fun _ b -> flip (Bytes.length b - 3) b));
         Alcotest.test_case "npis mismatch rejected" `Quick
-          (reject_case "npis" (fun _ b ->
-               set_int64 48 (Int64.to_int (Bytes.get_int64_le b 48) + 1) b));
+          (reject_case "npis" (fun _ -> npis_mismatch));
         Alcotest.test_case "narrowed rows rejected by the walk" `Quick
           (reject_case "narrowed rows" (fun _ -> narrowed_rows));
       ] );
