@@ -118,16 +118,10 @@ let experiments : (string * (unit -> Table.t)) list =
     ("table4", fun () -> Tables.table4 ~trials:!trials ~seed:!seed);
     ("table5", fun () -> Tables.table5 ~trials:!trials ~seed:!seed);
     ("table6", fun () -> Tables.table6 ~trials:(max 3 (!trials / 2)) ~seed:!seed);
-    ("table7", fun () -> Tables.table7 ~trials:!trials ~seed:!seed);
-    ("table8", fun () -> Tables.table8 ~trials:!trials ~seed:!seed);
-    ("table9", fun () -> Tables.table9 ~trials:(2 * !trials) ~seed:!seed);
-    ("table10", fun () -> Tables.table10 ~trials:!trials ~seed:!seed);
-    ("table11", fun () -> Tables.table11 ~trials:!trials ~seed:!seed);
     ("fig1", fun () -> Tables.fig1 ~trials:(max 3 (!trials / 2)));
     ("fig2", fun () -> Tables.fig2 ~trials:!trials ~seed:!seed);
     ("fig3", fun () -> Tables.fig3 ~trials:!trials ~seed:!seed);
     ("fig4", fun () -> Tables.fig4 ~trials:(max 3 (!trials / 2)) ~seed:!seed);
-    ("fig5", fun () -> Tables.fig5 ~trials:!trials ~seed:!seed);
     ("fig6", fun () -> Tables.fig6 ~trials:(max 3 (!trials / 2)) ~seed:!seed);
     ("ablation-exact", fun () -> Tables.ablation_exact ~trials:(max 3 (!trials / 2)) ~seed:!seed);
     ("ablation-layout", fun () -> Tables.ablation_layout ~trials:!trials ~seed:!seed);

@@ -232,44 +232,6 @@ let table6 ~trials ~seed =
     (campaign_circuits ());
   t
 
-let table7 ~trials ~seed =
-  let open Table in
-  let t =
-    create
-      ~title:
-        "Table 7: full-scan sequential designs (diagnosis on the combinational core)"
-      [
-        ("design", Left); ("cells", Right); ("chains", Right); ("k", Right);
-        ("diagnosability", Right); ("success", Right); ("resolution", Right);
-      ]
-  in
-  List.iter
-    (fun (name, design) ->
-      let core = Scan_design.core design in
-      List.iter
-        (fun k ->
-          let c =
-            Campaign.run ~methods:Campaign.only_noassume ~name core ~multiplicity:k
-              ~trials ~seed:(cell_seed seed name k)
-          in
-          let diag, success, resolution =
-            Metrics.aggregate (Campaign.qualities c (fun o -> o.Campaign.noassume))
-          in
-          add_row t
-            [
-              name;
-              cell_int (Scan_design.num_cells design);
-              cell_int (Scan_design.num_chains design);
-              cell_int k;
-              cell_pct diag;
-              cell_pct success;
-              cell_float resolution;
-            ])
-        [ 1; 2; 3 ];
-      add_rule t)
-    (Seq_generators.seq_suite ());
-  t
-
 let fig1 ~trials =
   let open Table in
   let t =
@@ -432,318 +394,6 @@ let ablation ~title ~configs ~trials ~seed =
         [ 2; 4 ];
       add_rule t)
     configs;
-  t
-
-let table9 ~trials ~seed =
-  let open Table in
-  let t =
-    create
-      ~title:
-        "Table 9: scan-chain fault diagnosis (flush classification + capture-test localisation)"
-      [
-        ("design", Left); ("cells", Right); ("chain+polarity found", Right);
-        ("position exact", Right); ("mean candidates", Right);
-      ]
-  in
-  List.iter
-    (fun (name, d) ->
-      let rng = Rng.create (cell_seed seed (name ^ "chain") 1) in
-      let found = ref 0 in
-      let exact = ref 0 in
-      let cand_counts = ref [] in
-      for _ = 1 to trials do
-        let chain = Rng.int rng (Scan_design.num_chains d) in
-        let len =
-          let n = ref 0 in
-          for cell = 0 to Scan_design.num_cells d - 1 do
-            let c, _ = Scan_design.chain_position d cell in
-            if c = chain then incr n
-          done;
-          !n
-        in
-        let truth =
-          {
-            Chain_defect.chain;
-            position = Rng.int rng len;
-            stuck = Rng.bool rng;
-          }
-        in
-        let findings =
-          Chain_diag.diagnose d ~flush:(fun ~chain ~fill ->
-              Chain_defect.flush d (Some truth) ~chain ~fill)
-        in
-        (match findings.(chain) with
-        | Chain_diag.Chain_stuck { stuck } when stuck = truth.Chain_defect.stuck ->
-          incr found;
-          let tests =
-            List.init 8 (fun _ ->
-                let load =
-                  Array.init (Scan_design.num_cells d) (fun _ -> Rng.bool rng)
-                in
-                let inputs = Array.init (Scan_design.num_pis d) (fun _ -> Rng.bool rng) in
-                let observed_po, observed_unload =
-                  Chain_defect.observed_scan_test d (Some truth) ~load ~inputs
-                in
-                { Chain_diag.load; inputs; observed_po; observed_unload })
-          in
-          let candidates = Chain_diag.locate_position d ~chain ~stuck ~tests in
-          cand_counts := float_of_int (List.length candidates) :: !cand_counts;
-          if candidates = [ truth.Chain_defect.position ] then incr exact
-        | Chain_diag.Chain_ok | Chain_diag.Chain_stuck _ | Chain_diag.Chain_inconsistent
-          -> ())
-      done;
-      add_row t
-        [
-          name;
-          cell_int (Scan_design.num_cells d);
-          cell_pct (Stats.ratio !found trials);
-          cell_pct (Stats.ratio !exact trials);
-          cell_float (Stats.mean !cand_counts);
-        ])
-    (Seq_generators.seq_suite ());
-  t
-
-let table10 ~trials ~seed =
-  let open Table in
-  let t =
-    create
-      ~title:
-        "Table 10: adaptive diagnosis — distinguishing patterns applied on the tester (k=1, 12 initial patterns)"
-      [
-        ("circuit", Left); ("hypotheses before", Right); ("hypotheses after", Right);
-        ("patterns added", Right); ("diagnosability before", Right);
-        ("diagnosability after", Right);
-      ]
-  in
-  List.iter
-    (fun (name, net) ->
-      let rng = Rng.create (cell_seed seed (name ^ "adapt") 1) in
-      let before_counts = ref [] in
-      let after_counts = ref [] in
-      let added = ref [] in
-      let q_before = ref [] in
-      let q_after = ref [] in
-      for _ = 1 to trials do
-        let rec draw attempts =
-          if attempts = 0 then None
-          else begin
-            let defects = Injection.random_defects rng net Injection.default_mix 1 in
-            let pats = Pattern.random rng ~npis:(Netlist.num_pis net) ~count:12 in
-            let expected = Logic_sim.responses net pats in
-            let observed = Injection.observed_responses net pats defects in
-            let dlog = Datalog.of_responses ~expected ~observed in
-            if Datalog.num_failing dlog = 0 then draw (attempts - 1)
-            else Some (defects, pats, dlog)
-          end
-        in
-        match draw 50 with
-        | None -> ()
-        | Some (defects, pats, dlog) ->
-          let tester vector =
-            let p1 = Pattern.of_list ~npis:(Netlist.num_pis net) [ vector ] in
-            let obs = Injection.observed_responses net p1 defects in
-            Array.init (Netlist.num_pos net) (fun oi -> Bitvec.get obs.(oi) 0)
-          in
-          let quality p d =
-            let r = Noassume.diagnose_session (Session.create net p) d in
-            (Metrics.evaluate net ~injected:defects ~callouts:(Noassume.callout_nets r))
-              .Metrics.diagnosability
-          in
-          q_before := quality pats dlog :: !q_before;
-          let progress = Distinguish.sharpen net pats dlog ~tester ~rng in
-          before_counts := float_of_int progress.Distinguish.solutions_before :: !before_counts;
-          after_counts := float_of_int progress.Distinguish.solutions_after :: !after_counts;
-          added := float_of_int progress.Distinguish.added :: !added;
-          q_after := quality progress.Distinguish.patterns progress.Distinguish.dlog :: !q_after
-      done;
-      add_row t
-        [
-          name;
-          cell_float (Stats.mean !before_counts);
-          cell_float (Stats.mean !after_counts);
-          cell_float (Stats.mean !added);
-          cell_pct (Stats.mean !q_before);
-          cell_pct (Stats.mean !q_after);
-        ])
-    (campaign_circuits ());
-  t
-
-let table11 ~trials ~seed =
-  let open Table in
-  let t =
-    create
-      ~title:
-        "Table 11: non-scan sequential diagnosis via time-frame expansion (random stuck sites)"
-      [
-        ("design", Left); ("frames", Right); ("unrolled gates", Right);
-        ("diagnosability", Right); ("resolution", Right);
-      ]
-  in
-  List.iter
-    (fun (name, design, frames) ->
-      let core = Scan_design.core design in
-      let u = Unroll.make design ~frames in
-      let net = Unroll.netlist u in
-      let rng = Rng.create (cell_seed seed (name ^ "unroll") frames) in
-      let sites =
-        Array.of_list
-          (List.filter
-             (fun n -> not (Netlist.is_pi core n))
-             (List.init (Netlist.num_nets core) Fun.id))
-      in
-      let qs = ref [] in
-      for _ = 1 to trials do
-        let rec draw attempts =
-          if attempts = 0 then None
-          else begin
-            let site = Rng.pick rng sites in
-            let stuck = Rng.bool rng in
-            let overlay = Unroll.inject_stuck u site stuck in
-            let pats =
-              Pattern.of_list ~npis:(Netlist.num_pis net)
-                (List.init 48 (fun _ ->
-                     Array.init (Netlist.num_pis net) (fun _ -> Rng.bool rng)))
-            in
-            let expected = Logic_sim.responses net pats in
-            let observed = Logic_sim.responses_overlay net pats overlay in
-            let dlog = Datalog.of_responses ~expected ~observed in
-            if Datalog.num_failing dlog = 0 then draw (attempts - 1)
-            else Some (site, stuck, pats, dlog)
-          end
-        in
-        match draw 50 with
-        | None -> ()
-        | Some (site, stuck, pats, dlog) ->
-          let r = Noassume.diagnose_session (Session.create net pats) dlog in
-          let collapsed = Unroll.collapse_callouts u (Noassume.callout_nets r) in
-          qs :=
-            Metrics.evaluate core
-              ~injected:[ Defect.Stuck (site, stuck) ]
-              ~callouts:collapsed
-            :: !qs
-      done;
-      let diag, _, resolution = Metrics.aggregate !qs in
-      add_row t
-        [
-          name; cell_int frames;
-          cell_int (Netlist.num_gates net);
-          cell_pct diag; cell_float resolution;
-        ])
-    [
-      ("acc8", Seq_generators.accumulator 8, 6);
-      ("lfsr16", Seq_generators.lfsr 16, 8);
-      ("pipe8", Seq_generators.pipelined_adder 8, 4);
-    ];
-  t
-
-let fig5 ~trials ~seed =
-  let open Table in
-  let t =
-    create
-      ~title:
-        "Figure 5: diagnosing through an XOR space compactor (k=2, aggregate over circuits)"
-      [
-        ("outputs per pin", Left); ("diagnosability", Right); ("success", Right);
-        ("resolution", Right); ("bar", Left);
-      ]
-  in
-  let variants =
-    [ ("no compaction", None); ("2:1", Some 2); ("4:1", Some 4); ("8:1", Some 8) ]
-  in
-  List.iter
-    (fun (label, arity) ->
-      let qs =
-        List.concat_map
-          (fun (name, net) ->
-            (* Compaction only means something with several outputs. *)
-            if Netlist.num_pos net < 4 then []
-            else
-              let target =
-                match arity with
-                | None -> net
-                | Some a -> fst (Compactor.wrap net ~arity:a)
-              in
-              let c =
-                Campaign.run ~methods:Campaign.only_noassume ~name:(name ^ label) target
-                  ~multiplicity:2 ~trials ~seed:(cell_seed seed (name ^ label) 2)
-              in
-              Campaign.qualities c (fun o -> o.Campaign.noassume))
-          (campaign_circuits ())
-      in
-      let diag, success, resolution = Metrics.aggregate qs in
-      add_row t
-        [ label; cell_pct diag; cell_pct success; cell_float resolution; bar 30 diag ])
-    variants;
-  t
-
-let table8 ~trials ~seed =
-  let open Table in
-  let t =
-    create
-      ~title:
-        "Table 8: transition-delay defects under launch-on-capture pairs (slow nets)"
-      [
-        ("circuit", Left); ("k", Right); ("fail pairs", Right);
-        ("diagnosability", Right); ("success", Right); ("resolution", Right);
-      ]
-  in
-  List.iter
-    (fun (name, net) ->
-      List.iter
-        (fun k ->
-          let pats = Campaign.test_set net in
-          let launch, capture = Delay.loc_pairs pats in
-          let session = Session.create net capture in
-          let expected = Logic_sim.responses net capture in
-          let rng = Rng.create (cell_seed seed (name ^ "delay") k) in
-          let qs = ref [] in
-          let fails = ref [] in
-          for _ = 1 to trials do
-            let rec draw attempts =
-              if attempts = 0 then None
-              else begin
-                (* Distinct slow sites. *)
-                let rec sites acc n guard =
-                  if n = 0 || guard = 0 then acc
-                  else
-                    let d = Delay.random rng net in
-                    if List.exists (fun d' -> Delay.site d' = Delay.site d) acc then
-                      sites acc n (guard - 1)
-                    else sites (d :: acc) (n - 1) guard
-                in
-                let defects = sites [] k 500 in
-                if List.length defects < k then None
-                else begin
-                  let observed = Delay.observed_responses net ~launch ~capture defects in
-                  let dlog = Datalog.of_responses ~expected ~observed in
-                  if Datalog.num_failing dlog = 0 then draw (attempts - 1)
-                  else Some (defects, dlog)
-                end
-              end
-            in
-            match draw 50 with
-            | None -> ()
-            | Some (defects, dlog) ->
-              fails := float_of_int (Datalog.num_failing dlog) :: !fails;
-              let r = Noassume.diagnose_session session dlog in
-              (* Score against the contributing slow sites, reusing the
-                 stuck-defect hit semantics (site or equivalent). *)
-              let defects = Delay.contributing net ~launch ~capture defects in
-              let injected = List.map (fun d -> Defect.Stuck (Delay.site d, true)) defects in
-              qs :=
-                Metrics.evaluate net ~injected ~callouts:(Noassume.callout_nets r)
-                :: !qs
-          done;
-          let diag, success, resolution = Metrics.aggregate !qs in
-          add_row t
-            [
-              name; cell_int k;
-              cell_float (Stats.mean !fails);
-              cell_pct diag; cell_pct success; cell_float resolution;
-            ])
-        [ 1; 2 ];
-      add_rule t)
-    (campaign_circuits ());
   t
 
 let fig6 ~trials ~seed =

@@ -33,10 +33,6 @@ val table6 : trials:int -> seed:int -> Table.t
     response vs pass/fail), build time, and accuracy at multiplicity 1
     and 3 against the proposed method. *)
 
-val table7 : trials:int -> seed:int -> Table.t
-(** Extension: sequential (full-scan) designs — the method runs
-    unchanged on the combinational core; quality at multiplicity 1–3. *)
-
 val fig1 : trials:int -> Table.t
 (** Diagnosis runtime vs circuit size (gate count), mean wall-clock per
     trial. *)
@@ -50,29 +46,6 @@ val fig3 : trials:int -> seed:int -> Table.t
 
 val fig4 : trials:int -> seed:int -> Table.t
 (** Diagnosability vs test-set size (random sets of 16..256 patterns). *)
-
-val table8 : trials:int -> seed:int -> Table.t
-(** Extension: slow (transition-delay) defects under launch-on-capture
-    pattern pairs, diagnosed by the unchanged engine (byzantine pair
-    hypotheses absorb the pattern-dependent flips). *)
-
-val table9 : trials:int -> seed:int -> Table.t
-(** Extension: scan-chain fault diagnosis — flush tests identify chain
-    and polarity; random capture tests localise the break position. *)
-
-val table10 : trials:int -> seed:int -> Table.t
-(** Extension: adaptive diagnosis — distinguishing patterns generated
-    against the surviving hypotheses and applied on the (simulated)
-    tester; ambiguity and diagnosability before vs after. *)
-
-val table11 : trials:int -> seed:int -> Table.t
-(** Extension: non-scan sequential diagnosis — the design is unrolled
-    into time frames (reset start), the engine diagnoses the iterative
-    array, callouts collapse back to core nets. *)
-
-val fig5 : trials:int -> seed:int -> Table.t
-(** Extension: diagnosability/resolution as output responses are
-    space-compacted (XOR trees of 2, 4, 8 outputs per tester pin). *)
 
 val fig6 : trials:int -> seed:int -> Table.t
 (** Extension: diagnosability as the test set moves from 1-detect to

@@ -37,18 +37,21 @@ let collapse net =
      is read nowhere else AND is not itself observed: a fault on a
      primary-output net is directly visible there, its gate-output
      image is not. *)
-  let single_fanout a = Array.length (Netlist.fanout net a) = 1 && not (Netlist.is_po net a) in
+  let fanin_csr = Netlist.fanin_csr net and fanin_off = Netlist.fanin_offsets net in
+  let fanout_off = Netlist.fanout_offsets net in
+  let single_fanout a =
+    fanout_off.(a + 1) - fanout_off.(a) = 1 && not (Netlist.is_po net a)
+  in
   Netlist.iter_nets net (fun z ->
-      let fanin = Netlist.fanin net z in
       match Netlist.kind net z with
       | Gate.Buf ->
-        let a = fanin.(0) in
+        let a = fanin_csr.(fanin_off.(z)) in
         if single_fanout a then begin
           union parent (idx a false) (idx z false);
           union parent (idx a true) (idx z true)
         end
       | Gate.Not ->
-        let a = fanin.(0) in
+        let a = fanin_csr.(fanin_off.(z)) in
         if single_fanout a then begin
           union parent (idx a false) (idx z true);
           union parent (idx a true) (idx z false)
@@ -59,9 +62,10 @@ let collapse net =
           match Gate.controlling kind with Some c -> c | None -> assert false
         in
         let out_v = if Gate.inversion kind then not c else c in
-        Array.iter
-          (fun a -> if single_fanout a then union parent (idx a c) (idx z out_v))
-          fanin
+        for j = fanin_off.(z) to fanin_off.(z + 1) - 1 do
+          let a = fanin_csr.(j) in
+          if single_fanout a then union parent (idx a c) (idx z out_v)
+        done
       | Gate.Input | Gate.Const _ | Gate.Xor | Gate.Xnor -> ());
   { net; parent }
 

@@ -3,8 +3,6 @@ type net = int
 type t = {
   names : string array;
   kinds : Gate.kind array;
-  fanins : net array array;
-  fanouts : net array array;
   pis : net array;
   pos : net array;
   po_index : int array; (* -1 when not a PO *)
@@ -16,9 +14,9 @@ type t = {
          the first lookup each build the same table; either one is
          kept. *)
   source : string option; (* see [source] *)
-  (* Flat CSR mirrors of the adjacency, plus a per-net opcode table: the
-     simulation kernels index these directly instead of walking
-     per-gate sub-arrays. *)
+  (* The adjacency, as flat CSR arrays (the fanins of net [n] are
+     [fanin_csr.(fanin_off.(n)) .. fanin_csr.(fanin_off.(n + 1) - 1)],
+     likewise fanouts), plus a per-net opcode table. *)
   fanin_csr : int array;
   fanin_off : int array; (* length num_nets + 1 *)
   fanout_csr : int array;
@@ -39,8 +37,9 @@ let num_pis t = Array.length t.pis
 let num_pos t = Array.length t.pos
 
 let kind t n = t.kinds.(n)
-let fanin t n = t.fanins.(n)
-let fanout t n = t.fanouts.(n)
+let slice csr off n = Array.sub csr off.(n) (off.(n + 1) - off.(n))
+let fanin t n = slice t.fanin_csr t.fanin_off n
+let fanout t n = slice t.fanout_csr t.fanout_off n
 let level t n = t.levels.(n)
 let topo_order t = t.topo
 let name t n = t.names.(n)
@@ -76,9 +75,9 @@ let depth t = Array.fold_left max 0 t.levels
 
 (* Topological sort by Kahn's algorithm; detects cycles and reports one
    offending net by name in the failure message. *)
-let toposort names kinds fanins fanouts =
-  let n = Array.length kinds in
-  let indeg = Array.map Array.length fanins in
+let toposort names ~fanin_off ~fanout:(fanout_csr, fanout_off) =
+  let n = Array.length names in
+  let indeg = Array.init n (fun i -> fanin_off.(i + 1) - fanin_off.(i)) in
   let queue = Queue.create () in
   for i = 0 to n - 1 do
     if indeg.(i) = 0 then Queue.add i queue
@@ -89,11 +88,11 @@ let toposort names kinds fanins fanouts =
     let v = Queue.pop queue in
     topo.(!count) <- v;
     incr count;
-    Array.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w queue)
-      fanouts.(v)
+    for j = fanout_off.(v) to fanout_off.(v + 1) - 1 do
+      let w = fanout_csr.(j) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then Queue.add w queue
+    done
   done;
   if !count <> n then begin
     let offender = ref "" in
@@ -104,14 +103,9 @@ let toposort names kinds fanins fanouts =
   end;
   topo
 
-(* Per-net arrays of a CSR. *)
-let slices csr off =
-  Array.init (Array.length off - 1) (fun i -> Array.sub csr off.(i) (off.(i + 1) - off.(i)))
-
-(* The fanout views [make] and [decode] both derive from the fanin CSR,
+(* The fanout CSR [make] and [decode] both derive from the fanin CSR,
    the same way, so a decoded netlist equals the one that was encoded:
-   the fanout CSR by a counting sort (each net's fanouts ascending) and
-   its per-net arrays. *)
+   a counting sort, each net's fanouts ascending. *)
 let fanouts_of ~fanin_csr ~fanin_off =
   let n = Array.length fanin_off - 1 in
   let fanout_off = Array.make (n + 1) 0 in
@@ -128,10 +122,10 @@ let fanouts_of ~fanin_csr ~fanin_off =
       fill.(src) <- fill.(src) + 1
     done
   done;
-  (fanout_csr, fanout_off, slices fanout_csr fanout_off)
+  (fanout_csr, fanout_off)
 
-let freeze ~names ~kinds ~codes ~fanins ~fanin_csr ~fanin_off
-    ~fanout:(fanout_csr, fanout_off, fanouts) ~pos ~po_index ~levels ~topo ~by_name ~source =
+let freeze ~names ~kinds ~codes ~fanin_csr ~fanin_off ~fanout:(fanout_csr, fanout_off) ~pos
+    ~po_index ~levels ~topo ~by_name ~source =
   let n = Array.length kinds in
   let npis = ref 0 in
   Array.iter (fun c -> if c = Gate.code_input then incr npis) codes;
@@ -146,8 +140,6 @@ let freeze ~names ~kinds ~codes ~fanins ~fanin_csr ~fanin_off
   {
     names;
     kinds;
-    fanins;
-    fanouts;
     pis;
     pos;
     po_index;
@@ -188,15 +180,14 @@ let make ~names ~kinds ~fanins ~pos =
     fanin_off.(i + 1) <- fanin_off.(i) + Array.length fanins.(i)
   done;
   let fanin_csr = Array.concat (Array.to_list fanins) in
-  let ((_, _, fanouts) as fanout) = fanouts_of ~fanin_csr ~fanin_off in
-  let topo = toposort names kinds fanins fanouts in
+  let fanout = fanouts_of ~fanin_csr ~fanin_off in
+  let topo = toposort names ~fanin_off ~fanout in
   let levels = Array.make n 0 in
   Array.iter
     (fun v ->
-      let lvl =
-        Array.fold_left (fun acc src -> max acc (levels.(src) + 1)) 0 fanins.(v)
-      in
-      levels.(v) <- if Array.length fanins.(v) = 0 then 0 else lvl)
+      for j = fanin_off.(v) to fanin_off.(v + 1) - 1 do
+        levels.(v) <- max levels.(v) (levels.(fanin_csr.(j)) + 1)
+      done)
     topo;
   let po_index = Array.make n (-1) in
   Array.iteri
@@ -212,30 +203,25 @@ let make ~names ~kinds ~fanins ~pos =
         invalid_arg (Printf.sprintf "Netlist.make: duplicate net name %S" s);
       Hashtbl.add by_name s i)
     names;
-  freeze ~names ~kinds ~codes:(Array.map Gate.code kinds) ~fanins ~fanin_csr ~fanin_off
-    ~fanout ~pos ~po_index ~levels ~topo ~by_name:(Some by_name) ~source:None
+  freeze ~names ~kinds ~codes:(Array.map Gate.code kinds) ~fanin_csr ~fanin_off ~fanout ~pos
+    ~po_index ~levels ~topo ~by_name:(Some by_name) ~source:None
 
-let fanin_cone t root =
-  let seen = Array.make (num_nets t) false in
+(* Every net reachable from [root] along one CSR, [root] included. *)
+let reach csr off root =
+  let seen = Array.make (Array.length off - 1) false in
   let rec visit n =
     if not seen.(n) then begin
       seen.(n) <- true;
-      Array.iter visit t.fanins.(n)
+      for j = off.(n) to off.(n + 1) - 1 do
+        visit csr.(j)
+      done
     end
   in
   visit root;
   seen
 
-let fanout_reach t root =
-  let seen = Array.make (num_nets t) false in
-  let rec visit n =
-    if not seen.(n) then begin
-      seen.(n) <- true;
-      Array.iter visit t.fanouts.(n)
-    end
-  in
-  visit root;
-  seen
+let fanin_cone t root = reach t.fanin_csr t.fanin_off root
+let fanout_reach t root = reach t.fanout_csr t.fanout_off root
 
 let output_cone t root =
   let reach = fanout_reach t root in
@@ -272,7 +258,7 @@ let source t =
      | pos (npos) | levels (nnets) | topo (nnets) | name_off (nnets + 1)
      | names (names_len bytes, concatenated)
 
-   The derived views (fanouts, PIs, the PO index, kinds) are rebuilt
+   The derived views (the fanout CSR, PIs, the PO index, kinds) are rebuilt
    from these; levels and the topological order are stored because
    checking them costs one pass, where deriving them again costs a
    sort. *)
@@ -394,9 +380,9 @@ let decode ?source bytes ~off ~len =
     in
     check (not (has_duplicate names));
     Some
-      (freeze ~names ~kinds ~codes ~fanins:(slices fanin_csr fanin_off) ~fanin_csr
-         ~fanin_off ~fanout:(fanouts_of ~fanin_csr ~fanin_off) ~pos ~po_index ~levels ~topo
-         ~by_name:None ~source)
+      (freeze ~names ~kinds ~codes ~fanin_csr ~fanin_off
+         ~fanout:(fanouts_of ~fanin_csr ~fanin_off) ~pos ~po_index ~levels ~topo ~by_name:None
+         ~source)
   with Malformed | Invalid_argument _ -> None
 
 let pp_stats ppf t =

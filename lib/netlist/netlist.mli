@@ -55,7 +55,12 @@ val depth : t -> int
 
 val kind : t -> net -> Gate.kind
 val fanin : t -> net -> net array
+(** A fresh copy of the net's fanins, in the order given to {!make};
+    code that reads the adjacency per gate reads {!fanin_csr}. *)
+
 val fanout : t -> net -> net array
+(** A fresh copy of the nets that read the net, ascending. *)
+
 val level : t -> net -> int
 
 val topo_order : t -> net array
@@ -70,11 +75,11 @@ val find : t -> string -> net option
 
 (** {1 Flat CSR views}
 
-    Read-only mirrors of the adjacency and gate kinds as flat integer
-    arrays, for the allocation-free simulation kernels.  The fanins of
-    net [n] are [fanin_csr.(i)] for [i] in
-    [fanin_offsets.(n), fanin_offsets.(n+1)); likewise fanouts.  The
-    arrays are the netlist's own — callers must not mutate them. *)
+    The adjacency and gate kinds as flat integer arrays, the netlist's
+    one representation of its structure.  The fanins of net [n] are
+    [fanin_csr.(i)] for [i] in [fanin_offsets.(n), fanin_offsets.(n+1));
+    likewise fanouts, each net's ascending.  The arrays are the
+    netlist's own — callers must not mutate them. *)
 
 val fanin_csr : t -> int array
 val fanin_offsets : t -> int array

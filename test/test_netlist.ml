@@ -126,6 +126,63 @@ let test_fanout_reach_includes_self () =
   Alcotest.(check bool) "self" true reach.(a);
   Alcotest.(check bool) "z reachable" true reach.(z)
 
+(* The adjacency and the cones against the [~fanins] given to [make],
+   on random circuits, both as made and as decoded from their image
+   section.  Each gate's fanins are reversed from the generator's order
+   so that [fanin] must keep the order it was given. *)
+let qcheck_adjacency_matches_fanins =
+  QCheck.Test.make ~count:40
+    ~name:"fanin/fanout/cones = the make input (random, made and decoded)"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let g =
+        Generators.random_logic ~gates:(20 + (seed mod 100)) ~pis:(3 + (seed mod 6))
+          ~pos:(1 + (seed mod 5)) ~seed
+      in
+      let n = Netlist.num_nets g in
+      let fanins =
+        Array.init n (fun i ->
+            Array.of_list (List.rev (Array.to_list (Netlist.fanin g i))))
+      in
+      let made =
+        Netlist.make
+          ~names:(Array.init n (Netlist.name g))
+          ~kinds:(Array.init n (Netlist.kind g))
+          ~fanins ~pos:(Netlist.pos g)
+      in
+      let buf = Buffer.create 4096 in
+      Netlist.encode buf made;
+      let b = Buffer.to_bytes buf in
+      let decoded = Option.get (Netlist.decode b ~off:0 ~len:(Bytes.length b)) in
+      let readers = Array.make n [] in
+      for dst = n - 1 downto 0 do
+        Array.iter (fun src -> readers.(src) <- dst :: readers.(src)) fanins.(dst)
+      done;
+      let dfs next root =
+        let seen = Array.make n false in
+        let rec visit v =
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            List.iter visit (next v)
+          end
+        in
+        visit root;
+        seen
+      in
+      List.for_all
+        (fun net ->
+          List.for_all
+            (fun v ->
+              let reach = dfs (fun u -> readers.(u)) v in
+              Netlist.fanin net v = fanins.(v)
+              && Array.to_list (Netlist.fanout net v) = readers.(v)
+              && Netlist.fanin_cone net v = dfs (fun u -> Array.to_list fanins.(u)) v
+              && Netlist.fanout_reach net v = reach
+              && Netlist.output_cone net v
+                 = List.filter (fun p -> reach.(p)) (Array.to_list (Netlist.pos g)))
+            (List.init n Fun.id))
+        [ made; decoded ])
+
 let test_pp_stats () =
   let net, _, _, _, _ = tiny () in
   Alcotest.(check string) "stats" "2 PI, 1 PO, 2 gates, 4 nets, depth 2"
@@ -147,5 +204,6 @@ let suite =
         Alcotest.test_case "c17 cones" `Quick test_cones_c17;
         Alcotest.test_case "fanout reach includes self" `Quick test_fanout_reach_includes_self;
         Alcotest.test_case "pp stats" `Quick test_pp_stats;
+        QCheck_alcotest.to_alcotest qcheck_adjacency_matches_fanins;
       ] );
   ]

@@ -1,124 +1,6 @@
-(* Sequential-stack properties on RANDOM designs: any combinational DAG
-   becomes a sequential machine by declaring a suffix of its PIs to be
-   state inputs and a suffix of its POs the matching next-state — the
-   fixed generators only cover five structures, these cover the space. *)
-
-let random_design seed =
-  (* Build a random core with npis total inputs and >= cells outputs;
-     declare the last [cells] of each as the state boundary. *)
-  let rng = Rng.create seed in
-  let cells = 2 + Rng.int rng 5 in
-  let true_pis = 2 + Rng.int rng 4 in
-  let true_pos = 1 + Rng.int rng 3 in
-  let gates = 25 + Rng.int rng 60 in
-  let net =
-    Generators.random_logic ~gates ~pis:(true_pis + cells) ~pos:(true_pos + cells)
-      ~seed:(seed + 17)
-  in
-  (* random_logic marks extra POs to avoid dead nets, so the PO count is
-     only a lower bound; recompute the true-PO count from the actual
-     netlist. *)
-  let total_pos = Netlist.num_pos net in
-  let design =
-    Scan_design.make ~core:net ~pis:true_pis ~pos:(total_pos - cells)
-      ~chains:(1 + Rng.int rng (min 3 cells))
-  in
-  (design, rng)
-
-(* step on the core equals a direct simulation of the core with the same
-   PI vector split. *)
-let prop_step_matches_core_sim =
-  QCheck.Test.make ~name:"scan step = core simulation" ~count:30
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let design, rng = random_design seed in
-      let core = Scan_design.core design in
-      let ok = ref true in
-      for _ = 1 to 10 do
-        let state =
-          Array.init (Scan_design.num_cells design) (fun _ -> Rng.bool rng)
-        in
-        let inputs = Array.init (Scan_design.num_pis design) (fun _ -> Rng.bool rng) in
-        let po, next = Scan_design.step design ~state ~inputs in
-        let values =
-          Logic_sim.simulate_pattern core (Scan_design.scan_pattern design ~load:state ~inputs)
-        in
-        let pos = Netlist.pos core in
-        Array.iteri
-          (fun oi v -> if values.(pos.(oi)) <> v then ok := false)
-          po;
-        Array.iteri
-          (fun cell v ->
-            if values.(pos.(Scan_design.num_pos design + cell)) <> v then ok := false)
-          next
-      done;
-      !ok)
-
-(* Unrolled simulation equals the sequential run from reset, for random
-   designs and random frame counts. *)
-let prop_unroll_matches_sequential =
-  QCheck.Test.make ~name:"unroll = sequential run (random designs)" ~count:20
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let design, rng = random_design seed in
-      let frames = 2 + Rng.int rng 4 in
-      let u = Unroll.make design ~frames in
-      let net = Unroll.netlist u in
-      let npis = Scan_design.num_pis design in
-      let npos = Scan_design.num_pos design in
-      let ok = ref true in
-      for _ = 1 to 5 do
-        let vectors = List.init frames (fun _ -> Array.init npis (fun _ -> Rng.bool rng)) in
-        let values = Logic_sim.simulate_pattern net (Unroll.sequence_pattern u vectors) in
-        let sequential, _ =
-          Scan_design.run design ~state:(Scan_design.initial_state design) vectors
-        in
-        List.iteri
-          (fun frame po_values ->
-            for oi = 0 to npos - 1 do
-              let unrolled_po = (Netlist.pos net).((frame * npos) + oi) in
-              if values.(unrolled_po) <> po_values.(oi) then ok := false
-            done)
-          sequential
-      done;
-      !ok)
-
-(* Chain-defect flush diagnosis identifies chain and polarity for every
-   random design and fault placement. *)
-let prop_flush_finds_chain =
-  QCheck.Test.make ~name:"flush diagnosis finds chain+polarity (random designs)"
-    ~count:30
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let design, rng = random_design seed in
-      let chain = Rng.int rng (Scan_design.num_chains design) in
-      let len =
-        let n = ref 0 in
-        for cell = 0 to Scan_design.num_cells design - 1 do
-          let c, _ = Scan_design.chain_position design cell in
-          if c = chain then incr n
-        done;
-        !n
-      in
-      len = 0
-      ||
-      let defect =
-        { Chain_defect.chain; position = Rng.int rng len; stuck = Rng.bool rng }
-      in
-      let findings =
-        Chain_diag.diagnose design ~flush:(fun ~chain ~fill ->
-            Chain_defect.flush design (Some defect) ~chain ~fill)
-      in
-      let ok = ref true in
-      Array.iteri
-        (fun c finding ->
-          let expected =
-            if c = chain then finding = Chain_diag.Chain_stuck { stuck = defect.stuck }
-            else finding = Chain_diag.Chain_ok
-          in
-          if not expected then ok := false)
-        findings;
-      !ok)
+(* Properties of the two-frame delay overlay and the XOR output compactor
+   on RANDOM circuits: the unit tests cover hand-built cases, these cover
+   the space. *)
 
 (* Delay overlays are quiescent without transitions: repeating the same
    launch vector as capture produces no failures for any slow net. *)
@@ -164,11 +46,5 @@ let suite =
   [
     ( "seq_invariants",
       List.map QCheck_alcotest.to_alcotest
-        [
-          prop_step_matches_core_sim;
-          prop_unroll_matches_sequential;
-          prop_flush_finds_chain;
-          prop_delay_quiescent_without_transitions;
-          prop_compactor_commutes;
-        ] );
+        [ prop_delay_quiescent_without_transitions; prop_compactor_commutes ] );
   ]

@@ -39,34 +39,10 @@ let test_table6 () =
     (Tables.table6 ~trials:1 ~seed:5)
     [ "full dict KiB"; "proposed k=3" ]
 
-let test_table7 () =
-  check_renders "table7" (Tables.table7 ~trials:1 ~seed:5) [ "cnt8"; "pipe8"; "chains" ]
-
 let test_ablation_layout () =
   check_renders "ablation-layout"
     (Tables.ablation_layout ~trials:1 ~seed:5)
     [ "layout-aware"; "layout-blind" ]
-
-let test_table8 () =
-  check_renders "table8" (Tables.table8 ~trials:1 ~seed:5) [ "fail pairs"; "alu8" ]
-
-let test_table9 () =
-  check_renders "table9"
-    (Tables.table9 ~trials:2 ~seed:5)
-    [ "chain+polarity found"; "position exact" ]
-
-let test_table10 () =
-  check_renders "table10"
-    (Tables.table10 ~trials:1 ~seed:5)
-    [ "hypotheses before"; "patterns added" ]
-
-let test_table11 () =
-  check_renders "table11"
-    (Tables.table11 ~trials:1 ~seed:5)
-    [ "unrolled gates"; "pipe8" ]
-
-let test_fig5 () =
-  check_renders "fig5" (Tables.fig5 ~trials:1 ~seed:5) [ "no compaction"; "8:1" ]
 
 let test_ablation_exact () =
   check_renders "ablation-exact"
@@ -109,13 +85,7 @@ let suite =
         Alcotest.test_case "table4" `Quick test_table4;
         Alcotest.test_case "table5" `Quick test_table5;
         Alcotest.test_case "table6" `Slow test_table6;
-        Alcotest.test_case "table7" `Quick test_table7;
         Alcotest.test_case "ablation layout" `Quick test_ablation_layout;
-        Alcotest.test_case "table8" `Quick test_table8;
-        Alcotest.test_case "table9" `Quick test_table9;
-        Alcotest.test_case "table10" `Quick test_table10;
-        Alcotest.test_case "table11" `Quick test_table11;
-        Alcotest.test_case "fig5" `Quick test_fig5;
         Alcotest.test_case "ablation exact" `Quick test_ablation_exact;
         Alcotest.test_case "fig2" `Quick test_fig2;
         Alcotest.test_case "fig3" `Quick test_fig3;
