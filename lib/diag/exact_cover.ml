@@ -210,11 +210,3 @@ let solve ?(max_size = 8) ?(max_solutions = 16) ?(node_budget = 200_000)
       { multiplets; minimum; complete = !complete; nodes = !nodes }
     end
   end
-
-let agrees_with_greedy m greedy =
-  let r = solve m in
-  if not r.complete then None
-  else
-    match r.minimum with
-    | None -> Some false
-    | Some minimum -> Some (List.length greedy = minimum)

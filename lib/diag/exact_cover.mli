@@ -80,7 +80,3 @@ val solve :
     [minimum = None] with [complete = true] then proves no such cover
     exists (the caller's bound-sized cover is minimum), and the bound
     prunes the search. *)
-
-val agrees_with_greedy : Explain.t -> Fault_list.fault list -> bool option
-(** Does the greedy multiplet have minimum cardinality?  [None] when the
-    exact search did not complete. *)

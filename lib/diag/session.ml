@@ -202,8 +202,10 @@ let prewarm t =
       n)
 
 (* The costly steps of a create are phases of their own ([po_reach],
-   [store.load], [store.adopt], [prewarm], [store.save]), so a run
-   report shows how the caller's [session.create] splits.  The
+   [session.goods] inside [Sig_cache.create], [session.collapse],
+   [session.simulator], [store.load], [store.adopt], [prewarm],
+   [store.save]), so a run report shows how the caller's
+   [session.create] splits.  The
    representative table is the whole class collapse flattened once
    ([Fault_list.representative_indices]): every diagnosis reads it
    instead of collapsing the netlist again, and no reader writes it,
@@ -217,11 +219,16 @@ let create ?(config = default_config) ?image net pats =
       net;
       pats;
       reach;
-      rep_keys = Fault_list.representative_indices (Fault_list.collapse net);
+      rep_keys =
+        Obs.phase "session.collapse" (fun () ->
+            Fault_list.representative_indices (Fault_list.collapse net));
       cache;
       slab =
         (if Array.length blocks = 0 then None
-         else Some (Fault_sim.create ~reach net ~blocks ~goods:(Sig_cache.goods cache)));
+         else
+           Some
+             (Obs.phase "session.simulator" (fun () ->
+                  Fault_sim.create ~reach net ~blocks ~goods:(Sig_cache.goods cache))));
       config;
     }
   in

@@ -2,12 +2,6 @@ type kind_mix = { stuck : int; bridge : int; open_ : int; intermittent : int }
 
 let default_mix = { stuck = 30; bridge = 30; open_ = 25; intermittent = 15 }
 
-let pure = function
-  | Defect.Stuck _ -> { stuck = 1; bridge = 0; open_ = 0; intermittent = 0 }
-  | Defect.Bridge _ -> { stuck = 0; bridge = 1; open_ = 0; intermittent = 0 }
-  | Defect.Open_cond _ -> { stuck = 0; bridge = 0; open_ = 1; intermittent = 0 }
-  | Defect.Intermittent _ -> { stuck = 0; bridge = 0; open_ = 0; intermittent = 1 }
-
 let mix_of_string = function
   | "stuck" -> Some { stuck = 1; bridge = 0; open_ = 0; intermittent = 0 }
   | "bridge" -> Some { stuck = 0; bridge = 1; open_ = 0; intermittent = 0 }

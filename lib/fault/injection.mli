@@ -20,10 +20,6 @@ val default_mix : kind_mix
     experiments use (mirrors the share reported in silicon studies of
     defective parts: a large fraction of real defects is not stuck-at). *)
 
-val pure : Defect.t -> kind_mix
-(** A mix selecting only the kind of the given defect (helper for
-    Table 5's type-pure campaigns). *)
-
 val mix_of_string : string -> kind_mix option
 (** ["stuck"], ["bridge"], ["open"], ["intermittent"], ["mixed"]. *)
 

@@ -194,5 +194,3 @@ let controlling = function
 let inversion = function
   | Not | Nand | Nor | Xnor -> true
   | Input | Const _ | Buf | And | Or | Xor -> false
-
-let pp ppf kind = Format.pp_print_string ppf (name kind)

@@ -82,5 +82,3 @@ val controlling : kind -> bool option
 
 val inversion : kind -> bool
 (** Whether the kind inverts: true for NOT, NAND, NOR, XNOR. *)
-
-val pp : Format.formatter -> kind -> unit

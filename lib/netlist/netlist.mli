@@ -68,6 +68,8 @@ val topo_order : t -> net array
     come first. *)
 
 val name : t -> net -> string
+(** A fresh copy: the netlist keeps every name in one string. *)
+
 val find : t -> string -> net option
 (** Look a net up by name.  The name table is built on the first
     lookup, so a netlist that is never searched by name never pays for
@@ -125,7 +127,7 @@ val encode : Buffer.t -> t -> unit
     the fanin CSR, the PO list, the levels, the topological order and
     the names, every integer a little-endian int64. *)
 
-val decode : ?source:string -> Bytes.t -> off:int -> len:int -> t option
+val decode : ?source:string -> Bigstring.t -> off:int -> len:int -> t option
 (** Rebuild the netlist {!encode} wrote into [bytes] at [off, off + len),
     equal to the encoded one in every accessor, carrying [source].
     The bytes are untrusted: [None], never an exception, unless every
@@ -133,7 +135,9 @@ val decode : ?source:string -> Bytes.t -> off:int -> len:int -> t option
     every arity is legal, no PO is listed twice and no name repeats,
     the stored order lists each net once after all its fanins (so
     there is no cycle) and each stored level is one more than its
-    highest fanin's.  The name table is left for {!find} to build. *)
+    highest fanin's.  The names are copied out as the one string they
+    are stored as; {!name} cuts a net's out when asked, and the name
+    table is left for {!find} to build. *)
 
 (** {1 Analysis helpers} *)
 

@@ -30,9 +30,6 @@ val pattern : t -> int -> bool array
 val append : t -> t -> t
 (** Concatenate two sets over the same PI count. *)
 
-val sub : t -> int -> int -> t
-(** [sub t off len]: patterns [off .. off+len-1]. *)
-
 (** {1 Bit-parallel blocks} *)
 
 type block = {
@@ -74,4 +71,4 @@ val origin : t -> string
     netlist it was generated for. *)
 
 val with_origin : string -> t -> t
-(** The same set, carrying [origin]; {!append} and {!sub} drop it. *)
+(** The same set, carrying [origin]; {!append} drops it. *)

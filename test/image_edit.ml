@@ -15,8 +15,14 @@ let header_len = 48
 
 let read path = In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string
 
+(* Replace the file the way [Store_file.save] does, temp file + rename:
+   a loaded image is a mapping of the file, and an image rewritten in
+   place under it would change (or, shorter, fault) what the mapping
+   reads. *)
 let write path b =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+  let tmp = path ^ ".edit" in
+  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_bytes oc b);
+  Sys.rename tmp path
 
 let split b =
   let pos = ref header_len in
@@ -62,7 +68,9 @@ let assemble t =
   Bytes.set_int64_le b 8 (Int64.of_int t.version);
   Bytes.blit_string t.key 0 b 16 16;
   Buffer.blit body 0 b header_len (Buffer.length body);
-  let s1, s2 = Store_file.checksum b ~pos:header_len ~len:(Buffer.length body) in
+  let s1, s2 =
+    Store_file.checksum (Bigstring.of_bytes b) ~pos:header_len ~len:(Buffer.length body)
+  in
   Bytes.set_int64_le b 32 (Int64.of_int s1);
   Bytes.set_int64_le b 40 (Int64.of_int s2);
   b

@@ -153,7 +153,9 @@ let qcheck_adjacency_matches_fanins =
       let buf = Buffer.create 4096 in
       Netlist.encode buf made;
       let b = Buffer.to_bytes buf in
-      let decoded = Option.get (Netlist.decode b ~off:0 ~len:(Bytes.length b)) in
+      let decoded =
+        Option.get (Netlist.decode (Bigstring.of_bytes b) ~off:0 ~len:(Bytes.length b))
+      in
       let readers = Array.make n [] in
       for dst = n - 1 downto 0 do
         Array.iter (fun src -> readers.(src) <- dst :: readers.(src)) fanins.(dst)
