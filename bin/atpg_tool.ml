@@ -18,7 +18,9 @@ let backtrack_arg =
   Arg.(value & opt int 512 & info [ "backtrack-limit" ] ~docv:"N" ~doc)
 
 let run bench suite seed compact output backtrack_limit =
-  let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
+  let net =
+    Cli_common.or_die (Result.bind (Cli_common.circuit bench suite) Design.load_circuit)
+  in
   Format.printf "circuit: %a@." Netlist.pp_stats net;
   let report = Tpg.generate ~seed ~backtrack_limit net in
   Format.printf "collapsed faults: %d@." report.Tpg.total_faults;

@@ -1,55 +1,8 @@
-(* Shared pieces of the command-line tools: circuit loading (from a
-   `.bench` file or the built-in suite) and pattern-set sourcing. *)
+(* Shared pieces of the command-line tools: flag definitions and the
+   environment switches, resolved into the arguments of the library's
+   loaders ([Design]). *)
 
 open Cmdliner
-
-let unknown_circuit name =
-  Printf.sprintf "unknown circuit %S (try: %s)" name
-    (String.concat ", " (Generators.suite_names @ List.map fst (Generators.tiers ())))
-
-let load_circuit bench suite =
-  match (bench, suite) with
-  | Some path, None -> (
-    try
-      if Filename.check_suffix path ".v" then Ok (Verilog_io.parse_file path)
-      else Ok (Bench_io.parse_file path)
-    with
-    | Bench_io.Parse_error (line, msg) | Verilog_io.Parse_error (line, msg) ->
-      Error (Printf.sprintf "%s:%d: %s" path line msg)
-    | Sys_error msg -> Error msg)
-  | None, Some name -> (
-    (* Suite first, then the large benchmark tiers (rnd10k/rnd50k and
-       vendored .bench circuits).  Both are lazy: a lookup builds only
-       the circuit it names, and an unknown name builds none — the
-       error lists names only. *)
-    match Generators.find_suite name with
-    | Some net -> Ok net
-    | None -> (
-      match Generators.find_tier name with
-      | Some net -> Ok net
-      | None -> Error (unknown_circuit name)))
-  | Some _, Some _ -> Error "give either --bench or --circuit, not both"
-  | None, None -> Error "a circuit is required: --bench FILE or --circuit NAME"
-
-(* The [Netlist.source] of the circuit [load_circuit] would build, found
-   without building it: a netlist file's content digest, or the suite
-   or tier generator's key. *)
-let circuit_source bench suite =
-  match (bench, suite) with
-  | Some path, None -> (
-    match Bench_io.read_text path with
-    | text ->
-      Ok
-        (if Filename.check_suffix path ".v" then Verilog_io.source_key text
-         else Bench_io.source_key text)
-    | exception Sys_error msg -> Error msg)
-  | None, Some name -> (
-    match Generators.source_key name with
-    | Some key -> Ok key
-    | None -> Error (unknown_circuit name))
-  | Some _, Some _ | None, None ->
-    (* Neither or both: [load_circuit]'s error, without a build. *)
-    load_circuit bench suite |> Result.map Netlist.source
 
 let bench_arg =
   let doc =
@@ -61,6 +14,14 @@ let bench_arg =
 let suite_arg =
   let doc = "Use a built-in benchmark circuit (see Table 1: c17, add8, alu8, ...)." in
   Arg.(value & opt (some string) None & info [ "c"; "circuit" ] ~docv:"NAME" ~doc)
+
+(* The circuit the two flags name; building it is [Design]'s. *)
+let circuit bench suite =
+  match (bench, suite) with
+  | Some path, None -> Ok (Design.File path)
+  | None, Some name -> Ok (Design.Named name)
+  | Some _, Some _ -> Error "give either --bench or --circuit, not both"
+  | None, None -> Error "a circuit is required: --bench FILE or --circuit NAME"
 
 let seed_arg =
   let doc = "Deterministic seed." in
@@ -97,8 +58,7 @@ let cover_arg =
      iterative cover, the default) or $(b,exact) (minimum-cardinality \
      cover via the implicit hitting-set loop, seeded with the greedy \
      result as an upper bound — never larger than greedy, and proven \
-     minimum when the search completes).  The MDD_COVER environment \
-     variable is the fallback."
+     minimum when the search completes)."
   in
   Arg.(
     value
@@ -130,152 +90,49 @@ let cover_budget_arg =
     "Node budget for the exact covering backend (branch-and-bound nodes \
      summed over the whole hitting-set loop; default 2000000).  On \
      exhaustion the run falls back to the greedy cover, counts \
-     cover.budget_fallbacks and reports cover_complete=false.  The \
-     MDD_COVER_BUDGET environment variable is the fallback."
+     cover.budget_fallbacks and reports cover_complete=false."
   in
   Arg.(value & opt (some int) None & info [ "cover-budget" ] ~docv:"N" ~doc)
 
-(* The MDD_PREWARM / MDD_COVER / MDD_COVER_BUDGET / MDD_SIG_STORE
-   environment switches are resolved here, once, into a
-   [Session.config] record — nothing in lib/ reads them.  The boolean
-   flag only pushes away from the default: leaving it off keeps the
-   environment-derived setting in place, mirroring [apply_domains]. *)
-let env_off name =
-  match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
+(* The MDD_PREWARM and MDD_SIG_STORE environment switches are resolved
+   here, once — nothing in lib/ reads them.  A flag wins; the boolean
+   flag only pushes away from the default, so leaving it off keeps the
+   environment-derived setting in place, mirroring [apply_domains].
+   Any non-empty value switches prewarm on or names the store
+   directory. *)
+let env name = match Sys.getenv_opt name with None | Some "" -> None | Some v -> Some v
+let prewarm flag = flag || env "MDD_PREWARM" <> None
+let store_dir flag = match flag with Some _ -> flag | None -> env "MDD_SIG_STORE"
 
-(* MDD_COVER fallback: the same names the flag accepts; anything else is
-   ignored. *)
-let env_cover () =
-  match Sys.getenv_opt "MDD_COVER" with
-  | Some "greedy" -> Some Session.Greedy
-  | Some "exact" -> Some Session.Exact
-  | Some _ | None -> None
-
-let env_cover_budget () =
-  match Sys.getenv_opt "MDD_COVER_BUDGET" with
-  | None -> None
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some n when n >= 1 -> Some n
-    | Some _ | None -> None)
-
-(* MDD_SIG_STORE fallback: any non-empty value is a directory path. *)
-let env_store_dir () =
-  match Sys.getenv_opt "MDD_SIG_STORE" with None | Some "" -> None | Some dir -> Some dir
-
-let session_config ?(prewarm = false) ?cover ?cover_budget ?store_dir ~domains () =
-  let cover =
-    match cover with
-    | Some c -> c
-    | None -> (
-      match env_cover () with Some c -> c | None -> Session.default_config.Session.cover)
-  in
-  let cover_budget =
-    match cover_budget with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> (
-      match env_cover_budget () with
-      | Some n -> n
-      | None -> Session.default_cover_budget)
-  in
-  let store_dir = match store_dir with Some _ as d -> d | None -> env_store_dir () in
+let session_config ?cover ?cover_budget ~domains () =
   {
     Session.domains;
-    prewarm = prewarm || env_off "MDD_PREWARM";
-    cover;
-    cover_budget;
-    store_dir;
+    cover = Option.value cover ~default:Session.default_config.Session.cover;
+    cover_budget =
+      (match cover_budget with
+      | Some n when n >= 1 -> n
+      | Some _ | None -> Session.default_cover_budget);
   }
 
 (* Resolved-configuration metadata for `--stats` reports: read back from
-   the config record the run actually used, never re-derived from the
-   environment. *)
-let config_meta (c : Session.config) =
+   the config record and switches the run actually used, never
+   re-derived from the environment. *)
+let config_meta (c : Session.config) ~prewarm ~store_dir =
   [
     ( "domains",
       string_of_int
         (match c.Session.domains with
         | Some d -> d
         | None -> Parallel.default_domains ()) );
-    ("prewarm", if c.Session.prewarm then "on" else "off");
+    ("prewarm", if prewarm then "on" else "off");
     ("cover", match c.Session.cover with Session.Greedy -> "greedy" | Session.Exact -> "exact");
-    ("store_dir", match c.Session.store_dir with Some d -> d | None -> "off");
+    ("store_dir", Option.value store_dir ~default:"off");
   ]
 
 (* Pattern source: an explicit file, or the in-repo ATPG flow. *)
 let patterns_arg =
   let doc = "Read test patterns from a file (one 0/1 line per pattern)." in
   Arg.(value & opt (some file) None & info [ "patterns" ] ~docv:"FILE" ~doc)
-
-let check_width path net pats =
-  if Pattern.npis pats <> Netlist.num_pis net then
-    Error
-      (Printf.sprintf "%s: pattern width %d does not match circuit PI count %d" path
-         (Pattern.npis pats) (Netlist.num_pis net))
-  else Ok pats
-
-let load_patterns net patterns_file =
-  match patterns_file with
-  | Some path ->
-    Result.bind
-      (Obs.phase "pattern.parse" (fun () -> Pattern.read_file path))
-      (check_width path net)
-  | None -> Ok (Campaign.test_set net)
-
-(* The netlist and test set a diagnosis runs on, and, with a store
-   directory, the design image they came from ([None] when there was no
-   valid one; [Session.create ~image] takes it from here, so the file is
-   read once).  The image is looked up by what the run names — the
-   circuit's source and the test set's origin — before anything is
-   built: a hit decodes the netlist (and the ATPG set) from the image,
-   a miss builds the netlist under [netlist.build] and generates the
-   set under [tpg]. *)
-let load_design ?store_dir bench suite patterns_file =
-  let ( let* ) = Result.bind in
-  let* given =
-    match patterns_file with
-    | Some path ->
-      Result.map Option.some
-        (Obs.phase "pattern.parse" (fun () -> Pattern.read_file path))
-    | None -> Ok None
-  in
-  let lookup dir source =
-    Obs.phase "store.load" (fun () ->
-        let origin =
-          match given with Some p -> Pattern.origin p | None -> Campaign.atpg_origin
-        in
-        Store_file.load ~path:(Store_file.path ~dir ~source)
-          ~key:(Store_file.key_of ~source ~origin) (fun image ->
-            let net = Store_file.decode_netlist ~source image in
-            let stored =
-              match given with
-              | Some _ -> None
-              | None ->
-                Some (Store_file.decode_tests ~origin ~npis:(Netlist.num_pis net) image)
-            in
-            (net, stored, image)))
-  in
-  let* net, stored, image =
-    Obs.phase "netlist.load" (fun () ->
-        let* found =
-          match store_dir with
-          | None -> Ok None
-          | Some dir -> Result.map (lookup dir) (circuit_source bench suite)
-        in
-        match found with
-        | Some (net, stored, image) -> Ok (net, stored, Some image)
-        | None ->
-          Result.map
-            (fun net -> (net, None, None))
-            (Obs.phase "netlist.build" (fun () -> load_circuit bench suite)))
-  in
-  let* pats =
-    match (given, stored, patterns_file) with
-    | Some pats, _, Some path -> check_width path net pats
-    | _, Some pats, _ -> Ok pats
-    | _ -> Ok (Campaign.test_set net)
-  in
-  Ok (net, pats, image)
 
 let or_die = function
   | Ok v -> v

@@ -70,19 +70,20 @@ let no_validate_arg =
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
     no_validate prewarm cover cover_budget store_dir domains stats =
   Cli_common.apply_domains domains;
-  let scfg = Cli_common.session_config ~prewarm ?cover ?cover_budget ?store_dir ~domains () in
+  let scfg = Cli_common.session_config ?cover ?cover_budget ~domains () in
+  let prewarm = Cli_common.prewarm prewarm in
+  let store_dir = Cli_common.store_dir store_dir in
   let stats_dest = Cli_common.init_stats stats in
   (* Each layer of a run is a phase of the run report: pattern.parse,
      netlist.load (store.load, or netlist.build), tpg when the ATPG set
      is generated, session.create, datalog.parse, the engine's own
      phases and report.render. *)
-  let net, pats, image =
-    Cli_common.or_die
-      (Cli_common.load_design ?store_dir:scfg.Session.store_dir bench suite patterns_file)
-  in
   let session =
-    Obs.phase "session.create" (fun () -> Session.create ~config:scfg ~image net pats)
+    Cli_common.or_die
+      (Result.bind (Cli_common.circuit bench suite) (fun circuit ->
+           Design.session ~config:scfg ~prewarm ?store_dir circuit ~patterns:patterns_file))
   in
+  let net = Session.netlist session in
   let circuit =
     match (suite, bench) with Some s, _ -> s | None, Some b -> b | None, None -> ""
   in
@@ -208,7 +209,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     ~meta:
       ([ ("tool", "diagnose"); ("circuit", circuit) ]
       @ mode_meta
-      @ Cli_common.config_meta scfg);
+      @ Cli_common.config_meta scfg ~prewarm ~store_dir);
   if !failed > 0 then exit 1
 
 let cmd =

@@ -20,13 +20,15 @@ let datalog_arg =
   Arg.(value & opt (some string) None & info [ "datalog" ] ~docv:"FILE" ~doc)
 
 let run bench suite patterns_file seed multiplicity mix_name datalog_out =
-  let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
+  let net =
+    Cli_common.or_die (Result.bind (Cli_common.circuit bench suite) Design.load_circuit)
+  in
   let mix =
     match Injection.mix_of_string mix_name with
     | Some m -> m
     | None -> Cli_common.or_die (Error ("unknown mix " ^ mix_name))
   in
-  let pats = Cli_common.or_die (Cli_common.load_patterns net patterns_file) in
+  let pats = Cli_common.or_die (Design.load_patterns net patterns_file) in
   let rng = Rng.create seed in
   let expected = Logic_sim.responses net pats in
   let rec draw attempts =

@@ -15,13 +15,15 @@ let exhaustive_arg =
   Arg.(value & flag & info [ "exhaustive" ] ~doc)
 
 let run bench suite patterns_file random exhaustive seed =
-  let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
+  let net =
+    Cli_common.or_die (Result.bind (Cli_common.circuit bench suite) Design.load_circuit)
+  in
   let pats =
     if exhaustive then Pattern.exhaustive ~npis:(Netlist.num_pis net)
     else
       match random with
       | Some n -> Pattern.random (Rng.create seed) ~npis:(Netlist.num_pis net) ~count:n
-      | None -> Cli_common.or_die (Cli_common.load_patterns net patterns_file)
+      | None -> Cli_common.or_die (Design.load_patterns net patterns_file)
   in
   Format.printf "# %a@." Netlist.pp_stats net;
   Format.printf "# inputs: %s@."

@@ -13,7 +13,6 @@ type t = {
   entries : entry list;
 }
 
-let flavour t = t.flavour
 let num_entries t = List.length t.entries
 
 let build_session flavour session =

@@ -25,8 +25,6 @@ val build_session : flavour -> Session.t -> t
 (** Build against a warm session: entry signatures resolve through
     {!Session.fault_triples} (cache replay + batched miss fill). *)
 
-val flavour : t -> flavour
-
 val num_entries : t -> int
 (** Collapsed faults stored. *)
 

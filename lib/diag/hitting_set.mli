@@ -39,9 +39,6 @@ type result = {
   nodes : int;  (** Branch-and-bound nodes summed over all sub-solves. *)
 }
 
-val default_node_budget : int
-(** = {!Session.default_cover_budget}. *)
-
 val solve :
   ?node_budget:int ->
   ?max_size:int ->
@@ -59,7 +56,7 @@ val solve :
     bound (typically the greedy result); if it does not cover every
     coverable observation it seeds nothing and the search runs up to
     [max_size] (default 12).  [node_budget] (default
-    {!default_node_budget}) bounds the summed branch-and-bound nodes.
+    {!Session.default_cover_budget}) bounds the summed branch-and-bound nodes.
 
     Deterministic: observation and element orders are fixed, ties break
     to the lowest index.  Counts ["cover.hs_iterations"] and

@@ -26,20 +26,11 @@ let default_cover_budget = 2_000_000
 
 type config = {
   domains : int option;  (* kernel fan-out; [None] = Parallel default *)
-  prewarm : bool;  (* whole-pool sweep into the arena at create *)
   cover : cover;  (* covering backend: greedy (paper) or exact (minimal) *)
   cover_budget : int;  (* exact backend's hitting-set node budget *)
-  store_dir : string option;  (* the design image's dir: load, else build and save *)
 }
 
-let default_config =
-  {
-    domains = None;
-    prewarm = false;
-    cover = Greedy;
-    cover_budget = default_cover_budget;
-    store_dir = None;
-  }
+let default_config = { domains = None; cover = Greedy; cover_budget = default_cover_budget }
 
 type t = {
   net : Netlist.t;
@@ -203,71 +194,31 @@ let prewarm t =
 
 (* The costly steps of a create are phases of their own ([po_reach],
    [session.goods] inside [Sig_cache.create], [session.collapse],
-   [session.simulator], [store.load], [store.adopt], [prewarm],
-   [store.save]), so a run report shows how the caller's
-   [session.create] splits.  The
-   representative table is the whole class collapse flattened once
-   ([Fault_list.representative_indices]): every diagnosis reads it
-   instead of collapsing the netlist again, and no reader writes it,
-   where the union-find compresses paths as it reads. *)
-let create ?(config = default_config) ?image net pats =
+   [session.simulator]), so a run report shows how the caller's
+   [session.create] splits.  The representative table is the whole
+   class collapse flattened once ([Fault_list.representative_indices]):
+   every diagnosis reads it instead of collapsing the netlist again,
+   and no reader writes it, where the union-find compresses paths as it
+   reads. *)
+let create ?(config = default_config) net pats =
   let reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net) in
   let cache = Sig_cache.create net pats in
   let blocks = Sig_cache.blocks cache in
-  let t =
-    {
-      net;
-      pats;
-      reach;
-      rep_keys =
-        Obs.phase "session.collapse" (fun () ->
-            Fault_list.representative_indices (Fault_list.collapse net));
-      cache;
-      slab =
-        (if Array.length blocks = 0 then None
-         else
-           Some
-             (Obs.phase "session.simulator" (fun () ->
-                  Fault_sim.create ~reach net ~blocks ~goods:(Sig_cache.goods cache))));
-      config;
-    }
-  in
-  (* Load-or-build: a valid image publishes the whole arena with zero
-     simulation; anything else (no dir, no file, or a rejected file —
-     [store.rejects]) falls through to the live sweep when [prewarm]
-     asks for one.  An image that is missing, or that lacks the
-     signatures this create just swept or found corrupt, is then
-     (re)written so the next process loads. *)
-  (match config.store_dir with
-  | None -> if config.prewarm then ignore (prewarm t : int)
-  | Some dir ->
-    let path = Sig_cache.store_path ~dir cache in
-    let image =
-      match image with
-      | Some looked -> looked
-      | None ->
-        Obs.phase "store.load" (fun () ->
-            Store_file.load ~path ~key:(Store_file.key net pats) Fun.id)
-    in
-    let adopted =
-      match image with
-      | Some img -> Obs.phase "store.adopt" (fun () -> Sig_cache.adopt cache img)
-      | None -> false
-    in
-    if (not adopted) && config.prewarm then ignore (prewarm t : int);
-    let stale =
-      match image with
-      | None -> true
-      | Some img ->
-        let sigs = img.Store_file.sections.(Store_file.signatures_section) in
-        (not adopted) && (config.prewarm || sigs.Store_file.len > 0)
-    in
-    if stale then
-      Obs.phase "store.save" (fun () ->
-          ignore
-            (Store_file.save ~path ~key:(Store_file.key net pats) net pats
-               ~signatures:(Sig_cache.section cache)
-              : bool)));
-  t
+  {
+    net;
+    pats;
+    reach;
+    rep_keys =
+      Obs.phase "session.collapse" (fun () ->
+          Fault_list.representative_indices (Fault_list.collapse net));
+    cache;
+    slab =
+      (if Array.length blocks = 0 then None
+       else
+         Some
+           (Obs.phase "session.simulator" (fun () ->
+                Fault_sim.create ~reach net ~blocks ~goods:(Sig_cache.goods cache))));
+    config;
+  }
 
 let signature_of_triples t triples = Sig_cache.signature_of_triples t.cache triples

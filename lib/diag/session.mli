@@ -25,7 +25,12 @@
     session is its only holder.  One session is one problem with one
     cache: phases and trials that should share signatures share the
     session; two sessions on the same [(net, pats)] never share
-    anything; a dropped session frees its cache. *)
+    anything; a dropped session frees its cache.
+
+    {!create} does no file I/O.  The design image's load-or-build rule
+    (find the image, adopt its signatures, prewarm, re-save a missing
+    or stale image) is [Design.session]'s, in [lib/expt]: it creates
+    the session and fills its cache through {!cache} and {!prewarm}. *)
 
 (** Covering backend for {!Noassume}: the paper's greedy cover, or the
     exact minimum-cardinality cover via the implicit hitting-set loop
@@ -44,56 +49,28 @@ type config = {
       (** Kernel fan-out inside one diagnosis; [None] uses
           {!Parallel.default_domains}.  Results are identical for every
           value. *)
-  prewarm : bool;
-      (** Run {!prewarm} (whole-pool sweep into the arena) as part of
-          {!create}. *)
   cover : cover;  (** Covering backend for {!Noassume} diagnoses. *)
   cover_budget : int;
       (** Node budget for the exact backend's hitting-set loop;
           ignored under [Greedy]. *)
-  store_dir : string option;
-      (** The design's store directory ([--store-dir]/[MDD_SIG_STORE]):
-          one {!Store_file} image per design, holding the netlist, the
-          test set and the signature arena.  One rule, with or without
-          [prewarm]: {!create} adopts the image's signatures when a
-          valid image for this (netlist, pattern set) holds them, and
-          otherwise (re)writes the image after whatever it built —
-          with the signatures when [prewarm] swept them, without them
-          when it did not.  [prewarm] only decides whether missing
-          signatures are swept before the first diagnosis.  Reports
-          are byte-identical either way. *)
 }
 
 val default_config : config
-(** [prewarm] off, [domains = None], [cover = Greedy],
-    [cover_budget = default_cover_budget], [store_dir = None].  No
-    environment switch is read here — the CLI layer resolves them once
-    into a config record ([Cli_common.session_config]), including
-    [MDD_PREWARM], [MDD_COVER], [MDD_COVER_BUDGET] and
-    [MDD_SIG_STORE]. *)
+(** [domains = None], [cover = Greedy],
+    [cover_budget = default_cover_budget].  No environment switch is
+    read here — the CLI layer resolves them once into a config record
+    ([Cli_common.session_config]). *)
 
 type t
 
-val create :
-  ?config:config -> ?image:Store_file.image option -> Netlist.t -> Pattern.t -> t
+val create : ?config:config -> Netlist.t -> Pattern.t -> t
 (** Build the context: a fresh {!Sig_cache.create} instance owned by
     this session (which computes the goods), with an empty arena, the
     PO-reachability screen and the class-representative table
     ({!representative_key}).  Creation is the expensive,
     once-per-problem step; every diagnosis against the session then
     reuses it, and each miss a diagnosis simulates is appended to the
-    arena for the next.  With [config.store_dir], the design image
-    decides the rest (see {!config}): a valid image's signature section
-    is adopted ({!Sig_cache.adopt}, zero simulation), else [prewarm]
-    sweeps and the image is saved for the next process.  [image] is
-    the caller's own lookup of that image ({!Store_file.load} with
-    {!Store_file.key} of [net] and [pats]), when it read the file to
-    get [net] or [pats] from it: [Some (Some img)] adopts [img] and
-    [Some None] means there was none, so the file is read once per
-    process either way; when omitted, [create] reads it itself.
-    Without [config.store_dir], [config.prewarm] sweeps and [image] is
-    ignored.  Reports served from a loaded image are byte-identical to
-    the live-sweep path. *)
+    arena for the next.  No file is read or written. *)
 
 val prewarm : t -> int
 (** Fill the signature arena for the {e whole} fault pool — the

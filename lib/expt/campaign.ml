@@ -44,28 +44,7 @@ let test_report net =
     test_report_cache := (net, report) :: !test_report_cache;
     report
 
-(* --- Stored test set ------------------------------------------------- *)
-
-let test_set ?store_dir net =
-  match store_dir with
-  | None -> (test_report net).Tpg.patterns
-  | Some dir -> (
-    let source = Netlist.source net in
-    let path = Store_file.path ~dir ~source
-    and key = Store_file.key_of ~source ~origin:atpg_origin in
-    match
-      Obs.phase "store.load" (fun () ->
-          Store_file.load ~path ~key
-            (Store_file.decode_tests ~origin:atpg_origin ~npis:(Netlist.num_pis net)))
-    with
-    | Some pats -> pats
-    | None ->
-      let pats = (test_report net).Tpg.patterns in
-      (* A set over no PIs would read back empty, and an empty set
-         fails the walk: neither is worth a file. *)
-      if Netlist.num_pis net > 0 && Pattern.count pats > 0 then
-        ignore (Store_file.save ~path ~key net pats ~signatures:None : bool);
-      pats)
+let test_set net = (test_report net).Tpg.patterns
 
 let max_redraws_per_trial = 50
 

@@ -48,16 +48,9 @@ val atpg_origin : string
     the design image that stores the set, so a process can find the set
     before it has one. *)
 
-val test_set : ?store_dir:string -> Netlist.t -> Pattern.t
-(** [(test_report net).patterns].  With [store_dir], the set is first
-    read from the design's {!Store_file} image under the
-    ["store.load"] phase (its test-set section, keyed by the netlist's
-    source and {!atpg_origin}); a missing or rejected image means the
-    set is generated and saved there as an image without signatures.
-    A loaded set is identical to the generated one; a load does not
-    fill {!test_report}'s memo.  Counters: ["store.loads"],
-    ["store.saves"], ["store.rejects"] (a missing file is not
-    counted). *)
+val test_set : Netlist.t -> Pattern.t
+(** [(test_report net).patterns].  A stored set is read back by
+    {!Design.session}, from the design image's test-set section. *)
 
 val run :
   ?methods:methods ->

@@ -82,8 +82,6 @@ val error_json : failure -> string
 (** One failed die as a [{"name", "error"}] JSON line — the record both
     [--batch-dir] and [--serve] write in place of its report. *)
 
-val rollup_json : rollup -> string
-
 val write_results :
   dir:string -> failed:failure list -> Session.t -> die_result list -> rollup
 (** Write [<die>.json] per diagnosed die, an {!error_json} record as

@@ -10,8 +10,6 @@ val of_list : npis:int -> bool array list -> t
 (** Build from per-pattern PI vectors; every array must have length
     [npis]. *)
 
-val of_array : npis:int -> bool array array -> t
-
 val random : Rng.t -> npis:int -> count:int -> t
 (** [count] uniform random patterns. *)
 

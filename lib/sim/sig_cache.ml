@@ -375,11 +375,8 @@ let section t =
   end
 
 let save_frozen ~dir t =
-  match section t with
-  | None -> false
-  | Some _ as signatures ->
-    Store_file.save ~path:(store_path ~dir t) ~key:(Store_file.key t.net t.pats) t.net
-      t.pats ~signatures
+  Store_file.save ~path:(store_path ~dir t) ~key:(Store_file.key t.net t.pats) t.net
+    t.pats ~signatures:(section t)
 
 (* Bounds-checked varint read for untrusted bytes: the unsafe decoder
    above is only ever pointed at ranges this function has fully walked

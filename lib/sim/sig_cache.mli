@@ -126,20 +126,18 @@ val frozen_bytes : t -> int
     {!Store_file.key} of the netlist and the pattern set, so a
     snapshot either reproduces the live sweep byte for byte or is
     rejected (counter ["store.rejects"]) and the caller falls back to
-    prewarming.  Counters: ["store.saves"], ["store.loads"],
+    prewarming.  When to load, adopt, prewarm and re-save is decided in
+    one place, [Design.session] in [lib/expt]; {!save_frozen} is the
+    one image writer.  Counters: ["store.saves"], ["store.loads"],
     ["store.rejects"]. *)
 
 val save_frozen : dir:string -> t -> bool
 (** Write the design image — the netlist, the pattern set and the
-    current arena — under [dir] (created if missing), atomically (temp
-    file + rename).  Keys are written in key order, so the file depends
-    only on which keys are present, never on the order they were stored
-    in.  False when the arena is empty or the write failed; true bumps
-    ["store.saves"]. *)
-
-val section : t -> (int array * string) option
-(** The arena as an image's signature section (its ints and bytes), as
-    {!save_frozen} writes it; [None] while the arena is empty. *)
+    current arena, or no signature section while the arena is empty —
+    under [dir] (created if missing), atomically (temp file + rename).
+    Keys are written in key order, so the file depends only on which
+    keys are present, never on the order they were stored in.  False
+    when the write failed; true bumps ["store.saves"]. *)
 
 val load_frozen : dir:string -> t -> bool
 (** Read and check the design image under [dir] and publish its
@@ -158,10 +156,6 @@ val adopt : t -> Store_file.image -> bool
     problem: walk its signature section and publish it.  False when
     the image has none, or when the walk rejects it (counted in
     ["store.rejects"]); the instance is then left as it was. *)
-
-val store_path : dir:string -> t -> string
-(** The image file {!save_frozen}/{!load_frozen} use for this
-    problem under [dir] (exposed for tests and tooling). *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array
 (** Expand triples into the per-PO signatures: bit [p] of PO [oi]'s

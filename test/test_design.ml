@@ -1,0 +1,227 @@
+(* The design store ([Design.session]): the one load-or-build path the
+   diagnose tool runs.  The contract: a loaded test set is the generated
+   set byte for byte, and a file that is not exactly what a save would
+   write for this design and flow is rejected — counted in
+   ["store.rejects"] — and replaced by a freshly generated, freshly
+   saved set.  A restart builds nothing, a pattern file of the wrong
+   width is an error, and an image saved without signatures is loaded
+   as it is.  Each call runs under its own sink, so its counters and
+   phases are read in isolation. *)
+
+let tmpdir () =
+  let f = Filename.temp_file "mddtests" "" in
+  Sys.remove f;
+  Unix.mkdir f 0o755;
+  f
+
+(* penc4 has untestable faults, so generating its set runs PODEM; each
+   call builds a fresh netlist, so [Campaign.test_report]'s per-netlist
+   memo never answers for a store miss. *)
+let design () = Design.Built (Generators.priority_encoder 4)
+
+let reference =
+  lazy (Pattern.to_text (Campaign.test_set (Generators.priority_encoder 4)))
+
+type tally = {
+  session : Session.t;
+  text : string;
+  counter : string -> int;
+  phase_count : string -> int;
+}
+
+let opened ?(prewarm = false) dir circuit =
+  let sk = Obs.sink () in
+  let session =
+    Obs.with_sink sk (fun () ->
+        Result.get_ok (Design.session ~prewarm ~store_dir:dir circuit ~patterns:None))
+  in
+  let snap = Obs.sink_snapshot sk in
+  {
+    session;
+    text = Pattern.to_text (Session.patterns session);
+    counter = (fun name -> List.assoc name snap.Obs.counters);
+    phase_count =
+      (fun name ->
+        match List.find_opt (fun p -> p.Obs.p_name = name) snap.Obs.phases with
+        | Some p -> p.Obs.p_count
+        | None -> 0);
+  }
+
+let stored_set dir = opened dir (design ())
+let read = Image_edit.read
+let write = Image_edit.write
+
+let image_path ~dir circuit =
+  let net = Result.get_ok (Design.load_circuit circuit) in
+  Store_file.path ~dir ~source:(Netlist.source net)
+
+let check_counts name t ~loads ~saves ~rejects =
+  Alcotest.(check int) (name ^ ": store.loads") loads (t.counter "store.loads");
+  Alcotest.(check int) (name ^ ": store.saves") saves (t.counter "store.saves");
+  Alcotest.(check int) (name ^ ": store.rejects") rejects (t.counter "store.rejects")
+
+let test_round_trip () =
+  let dir = tmpdir () in
+  let first = stored_set dir in
+  check_counts "cold store" first ~loads:0 ~saves:1 ~rejects:0;
+  Alcotest.(check bool) "generated on a miss" true (first.phase_count "tpg" = 1);
+  Alcotest.(check string) "generated set" (Lazy.force reference) first.text;
+  Alcotest.(check bool) "file written" true
+    (Sys.file_exists (image_path ~dir (design ())));
+  let second = stored_set dir in
+  check_counts "primed store" second ~loads:1 ~saves:0 ~rejects:0;
+  Alcotest.(check int) "no PODEM call" 0 (second.counter "tpg.podem_calls");
+  Alcotest.(check int) "no tpg phase" 0 (second.phase_count "tpg");
+  Alcotest.(check int) "one store.load phase" 1 (second.phase_count "store.load");
+  Alcotest.(check string) "loaded set = generated set" (Lazy.force reference) second.text
+
+let set_int64 off v b =
+  Bytes.set_int64_le b off (Int64.of_int v);
+  b
+
+let flip i b =
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+  b
+
+(* Every row loses its last bit to a blank.  [Pattern.of_text] trims
+   blanks, so it would read the section as a consistent set one PI
+   narrower; only the row walk knows the width.  The checksum is
+   recomputed over the edit, so only the checks past it can catch
+   it. *)
+let narrowed_rows b =
+  Image_edit.reseal_section b Store_file.tests_section (fun (ints, rows) ->
+      let npis = ints.(0) and count = ints.(1) in
+      let rows = Bytes.copy rows in
+      for p = 0 to count - 1 do
+        Bytes.set rows ((p * (npis + 1)) + npis - 1) ' '
+      done;
+      (ints, rows))
+
+(* The section's PI count one more than the design's, resealed. *)
+let npis_mismatch b =
+  Image_edit.reseal_section b Store_file.tests_section (fun (ints, rows) ->
+      ([| ints.(0) + 1; ints.(1) |], rows))
+
+(* Another design's valid file, copied onto this design's path. *)
+let foreign_netlist dir _ =
+  let other = Design.Built (Generators.ripple_adder 4) in
+  ignore (opened dir other : tally);
+  read (image_path ~dir other)
+
+let reject_case name mangle () =
+  let dir = tmpdir () in
+  ignore (stored_set dir : tally);
+  let path = image_path ~dir (design ()) in
+  write path (mangle dir (read path));
+  let rejected = stored_set dir in
+  check_counts name rejected ~loads:0 ~saves:1 ~rejects:1;
+  Alcotest.(check string)
+    (name ^ ": regenerated set")
+    (Lazy.force reference) rejected.text;
+  let reloaded = stored_set dir in
+  check_counts (name ^ ", re-saved file") reloaded ~loads:1 ~saves:0 ~rejects:0;
+  Alcotest.(check string) (name ^ ": reloaded set") (Lazy.force reference) reloaded.text
+
+(* A restart of a suite circuit named as the CLI names it: the image is
+   found by the name's source key, and the second open builds nothing —
+   one store.load, one load, no netlist.build and no tpg phase — and
+   gets the same netlist and set back, with the signatures the first
+   open swept. *)
+let test_restart_builds_nothing () =
+  let dir = tmpdir () in
+  let circuit = Design.Named "alu8" in
+  let first = opened ~prewarm:true dir circuit in
+  check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
+  Alcotest.(check int) "first open builds" 1 (first.phase_count "netlist.build");
+  let again = opened ~prewarm:true dir circuit in
+  check_counts "restart" again ~loads:1 ~saves:0 ~rejects:0;
+  let phases count names =
+    List.iter
+      (fun name ->
+        Alcotest.(check int) (Printf.sprintf "restart: %s x%d" name count) count
+          (again.phase_count name))
+      names
+  in
+  phases 0 [ "netlist.build"; "tpg"; "prewarm"; "store.save" ];
+  phases 1 [ "netlist.load"; "store.load"; "session.create"; "store.adopt" ];
+  Alcotest.(check int) "restart: no PODEM call" 0 (again.counter "tpg.podem_calls");
+  Alcotest.(check string) "same set" first.text again.text;
+  Alcotest.(check string) "same netlist"
+    (Netlist.source (Session.netlist first.session))
+    (Netlist.source (Session.netlist again.session));
+  let footprint t = Sig_cache.frozen_bytes (Option.get (Session.cache t.session)) in
+  Alcotest.(check int) "adopted arena = swept arena" (footprint first) (footprint again)
+
+(* A pattern file one PI too wide is an [Error] naming the file, with
+   and without a store, and writes no image. *)
+let test_wrong_width_is_an_error () =
+  let dir = tmpdir () in
+  let net = Generators.priority_encoder 4 in
+  let path = Filename.concat (tmpdir ()) "wide.txt" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.make (Netlist.num_pis net + 1) '0' ^ "\n"));
+  List.iter
+    (fun (name, store_dir) ->
+      match Design.session ?store_dir (Design.Built net) ~patterns:(Some path) with
+      | Ok _ -> Alcotest.failf "%s: a wrong-width set was accepted" name
+      | Error msg ->
+        Alcotest.(check bool)
+          (name ^ ": error names the file")
+          true
+          (String.starts_with ~prefix:path msg))
+    [ ("no store", None); ("store", Some dir) ];
+  Alcotest.(check int) "no image written" 0 (Array.length (Sys.readdir dir))
+
+(* Without prewarm the image holds no signatures; the next open loads it
+   as it is and does not rewrite it.  A prewarmed open then sweeps and
+   re-saves it with them. *)
+let test_unprewarmed_image_kept () =
+  let dir = tmpdir () in
+  let first = stored_set dir in
+  check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
+  let path = image_path ~dir (design ()) in
+  let signatures () =
+    let source = Netlist.source (Session.netlist first.session) in
+    Store_file.load ~path
+      ~key:(Store_file.key_of ~source ~origin:Campaign.atpg_origin)
+      (fun img -> img.Store_file.sections.(Store_file.signatures_section).Store_file.len)
+  in
+  Alcotest.(check (option int)) "no signature section" (Some 0) (signatures ());
+  let bytes = read path in
+  let again = stored_set dir in
+  check_counts "restart" again ~loads:1 ~saves:0 ~rejects:0;
+  Alcotest.(check int) "restart: no store.save" 0 (again.phase_count "store.save");
+  Alcotest.(check bool) "file unchanged" true (Bytes.equal bytes (read path));
+  let warmed = opened ~prewarm:true dir (design ()) in
+  check_counts "prewarmed open" warmed ~loads:1 ~saves:1 ~rejects:0;
+  Alcotest.(check bool) "prewarmed open swept" true (warmed.counter "prewarm.faults" > 0);
+  Alcotest.(check bool) "signatures saved" true
+    (match signatures () with Some n -> n > 0 | None -> false)
+
+let suite =
+  [
+    ( "test_store",
+      [
+        Alcotest.test_case "stored set round trip" `Quick test_round_trip;
+        Alcotest.test_case "foreign magic rejected" `Quick
+          (reject_case "magic" (fun _ -> flip 0));
+        Alcotest.test_case "stale version rejected" `Quick
+          (reject_case "version" (fun _ -> set_int64 8 99));
+        Alcotest.test_case "another netlist's file rejected" `Quick
+          (reject_case "foreign netlist" foreign_netlist);
+        Alcotest.test_case "flipped body byte rejected" `Quick
+          (reject_case "body" (fun _ b -> flip (Bytes.length b - 3) b));
+        Alcotest.test_case "npis mismatch rejected" `Quick
+          (reject_case "npis" (fun _ -> npis_mismatch));
+        Alcotest.test_case "narrowed rows rejected by the walk" `Quick
+          (reject_case "narrowed rows" (fun _ -> narrowed_rows));
+      ] );
+    ( "design",
+      [
+        Alcotest.test_case "restart builds nothing" `Quick test_restart_builds_nothing;
+        Alcotest.test_case "wrong-width pattern file is an error" `Quick
+          test_wrong_width_is_an_error;
+        Alcotest.test_case "image without signatures kept" `Quick
+          test_unprewarmed_image_kept;
+      ] );
+  ]

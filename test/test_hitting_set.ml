@@ -157,12 +157,7 @@ let test_budget_fallback_byte_identity () =
     let starved =
       Session.create
         ~config:
-          {
-            Session.default_config with
-            Session.domains = Some 1;
-            cover = Session.Exact;
-            cover_budget = 1;
-          }
+          { Session.domains = Some 1; cover = Session.Exact; cover_budget = 1 }
         (Lazy.force c17) (Lazy.force c17_pats)
     in
     let exact_r = Noassume.diagnose_session starved dlog in

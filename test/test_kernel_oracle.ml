@@ -199,8 +199,9 @@ let layout_case seed =
   let pats = Pattern.random rng ~npis:6 ~count in
   let dlog = random_datalog rng ~npatterns:count ~npos:(Netlist.num_pos net) in
   let arena prewarm =
-    let config = { Session.default_config with domains = Some 1; prewarm } in
+    let config = { Session.default_config with domains = Some 1 } in
     let session = Session.create ~config net pats in
+    if prewarm then ignore (Session.prewarm session : int);
     layout_matches_triples net session dlog (Explain.build_session session dlog)
   in
   let ok_lazy, empty_lazy, multi = arena false in

@@ -9,10 +9,9 @@ let () =
    @ Test_explain.suite @ Test_slat.suite @ Test_scoring.suite @ Test_noassume.suite
    @ Test_single_diag.suite @ Test_slat_diag.suite @ Test_metrics.suite
    @ Test_campaign.suite @ Test_tables.suite @ Test_dict_diag.suite @ Test_layout.suite
-   @ Test_compactor.suite
    @ Test_verilog_io.suite @ Test_exact_cover.suite @ Test_hitting_set.suite
-   @ Test_invariants.suite @ Test_report.suite @ Test_seq_invariants.suite
+   @ Test_invariants.suite @ Test_report.suite
    @ Test_parallel.suite @ Test_kernel_oracle.suite @ Test_prune_oracle.suite
-   @ Test_session.suite @ Test_sig_store.suite @ Test_test_store.suite
+   @ Test_session.suite @ Test_sig_store.suite @ Test_design.suite
    @ Test_store_file.suite
    @ Test_obs.suite)

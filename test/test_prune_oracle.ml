@@ -30,8 +30,9 @@ let cold_warm_frozen net pats render =
   let cold = render session in
   let warm = render session in
   let frozen =
-    let config = { Session.default_config with prewarm = true } in
-    render (Session.create ~config net pats)
+    let session = Session.create net pats in
+    ignore (Session.prewarm session : int);
+    render session
   in
   [ cold; warm; frozen ]
 

@@ -33,6 +33,13 @@ let make_dlog seed multiplicity =
 (* A cold session: [Session.create] always builds a fresh cache. *)
 let cold_session config = Session.create ~config (Lazy.force net) (Lazy.force pats)
 
+(* A frozen session: the arena holds the whole pool before any
+   diagnosis. *)
+let prewarmed_session config =
+  let session = cold_session config in
+  ignore (Session.prewarm session : int);
+  session
+
 let tmpdir () =
   let dir = Filename.temp_file "mddsession" "" in
   Sys.remove dir;
@@ -87,9 +94,7 @@ let prop_all_combos_identical =
           let session = cold_session (config ~domains) in
           let cold = render session in
           let warm = render session in
-          let frozen_session =
-            cold_session { (config ~domains) with Session.prewarm = true }
-          in
+          let frozen_session = prewarmed_session (config ~domains) in
           if Sig_cache.frozen_bytes (Option.get (Session.cache frozen_session)) = 0 then
             QCheck.Test.fail_report "prewarm left the arena empty";
           ( [ cold; warm; render frozen_session ],
@@ -129,8 +134,8 @@ let test_dropped_session_frees_cache () =
   let cache = Weak.create 1 and patterns = Weak.create 1 in
   let[@inline never] fill () =
     let pats = Pattern.exhaustive ~npis:(Netlist.num_pis net) in
-    let config = { Session.default_config with prewarm = true } in
-    let session = Session.create ~config net pats in
+    let session = Session.create net pats in
+    ignore (Session.prewarm session : int);
     let dlog =
       Datalog.of_entries ~npatterns:(Pattern.count pats) ~npos:(Netlist.num_pos net)
         [ (3, [ 0 ]) ]
@@ -178,12 +183,12 @@ let prop_concurrent_matches_sequential =
       let cold = Volume.run ~workers:4 (cold_session (config ~domains:1)) dies in
       same sequential warm && same sequential cold)
 
-(* Disk round trip through the session layer, at 1 and 4 domains: a
-   session that adopts its arena from a snapshot (store.loads =
-   1, zero simulation) must render the same bytes as the prewarming
-   session that saved it and as a cold session — the packed
-   arena's decode is the same whether the bytes came from a live
-   sweep or from disk, and the domain count may change neither. *)
+(* Disk round trip through the design store ([Design.session]), at 1
+   and 4 domains: a session that adopts its arena from the design image
+   (store.loads = 1, zero simulation) must render the same bytes as the
+   prewarming session that saved it and as a cold session — the packed
+   arena's decode is the same whether the bytes came from a live sweep
+   or from disk, and the domain count may change neither. *)
 let prop_store_round_trip_identical =
   QCheck.Test.make
     ~name:"store round trip: loaded session = prewarm = cold session (1 and 4 domains)"
@@ -197,20 +202,24 @@ let prop_store_round_trip_identical =
         let render session =
           Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
         in
+        let stored config =
+          Result.get_ok
+            (Design.session ~config ~prewarm:true ~store_dir:dir
+               (Design.Built (Lazy.force net)) ~patterns:None)
+        in
         let ok =
           List.for_all
             (fun domains ->
-              let base =
-                { (config ~domains) with Session.prewarm = true; store_dir = Some dir }
-              in
-              (* First create sweeps live and saves the snapshot... *)
-              let saver = render (cold_session base) in
+              (* First open sweeps live and saves the image... *)
+              let saver = render (stored (config ~domains)) in
               (* ...the second must adopt it from disk: one load and no
                  prewarm simulation.  A full arena alone would not
-                 show it, since a rejected snapshot falls back to a live
+                 show it, since a rejected image falls back to a live
                  sweep that fills it too. *)
               let sk = Obs.sink () in
-              let loaded_session = Obs.with_sink sk (fun () -> cold_session base) in
+              let loaded_session =
+                Obs.with_sink sk (fun () -> stored (config ~domains))
+              in
               let counter name =
                 Option.value ~default:0
                   (List.assoc_opt name (Obs.sink_snapshot sk).Obs.counters)
@@ -244,7 +253,7 @@ let prop_frozen_concurrent_matches_sequential =
         |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
       in
       QCheck.assume (dies <> []);
-      let session = cold_session { (config ~domains:1) with Session.prewarm = true } in
+      let session = prewarmed_session (config ~domains:1) in
       let sequential = Volume.run ~workers:1 session dies in
       let concurrent = Volume.run ~workers:4 session dies in
       List.for_all2
@@ -261,7 +270,7 @@ let test_prewarmed_probes_hit () =
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = cold_session { (config ~domains:1) with Session.prewarm = true } in
+  let session = prewarmed_session (config ~domains:1) in
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
@@ -293,9 +302,7 @@ let test_frozen_replay_allocation () =
     Gc.minor_words () -. before
   in
   let lazily_filled = replay_words (cold_session (config ~domains:1)) in
-  let prewarmed =
-    replay_words (cold_session { (config ~domains:1) with Session.prewarm = true })
-  in
+  let prewarmed = replay_words (prewarmed_session (config ~domains:1)) in
   Alcotest.(check bool)
     (Printf.sprintf
        "prewarmed arena replay %.0f words <= lazily filled arena replay %.0f words" prewarmed

@@ -48,6 +48,10 @@ let populate c net =
 
 let counter_value name = Obs.value (Obs.counter name)
 
+(* The design image [Sig_cache.save_frozen] writes for [net] under
+   [dir]: named by the netlist's source alone. *)
+let image_path ~dir net = Store_file.path ~dir ~source:(Netlist.source net)
+
 (* Save a populated arena, load it into a fresh instance, and compare
    every key's decode — plus the save/load counter deltas. *)
 let test_round_trip () =
@@ -101,7 +105,7 @@ let reject_case name mangle () =
   ignore (populate c1 net : Fault_list.fault list);
   let dir = tmpdir () in
   Alcotest.(check bool) "seed save succeeds" true (Sig_cache.save_frozen ~dir c1);
-  let path = Sig_cache.store_path ~dir c1 in
+  let path = image_path ~dir net in
   let raw =
     let ic = open_in_bin path in
     Fun.protect
@@ -214,11 +218,9 @@ let test_foreign_netlist_rejected () =
   ignore (populate other other_net : Fault_list.fault list);
   let dir = tmpdir () in
   Alcotest.(check bool) "foreign save succeeds" true (Sig_cache.save_frozen ~dir other);
-  let foreign_path = Sig_cache.store_path ~dir other in
-  let c, net, pats = fresh_instance () in
-  ignore pats;
-  ignore net;
-  let path = Sig_cache.store_path ~dir c in
+  let foreign_path = image_path ~dir other_net in
+  let c, net, _ = fresh_instance () in
+  let path = image_path ~dir net in
   let raw =
     let ic = open_in_bin foreign_path in
     Fun.protect
@@ -236,8 +238,9 @@ let test_foreign_netlist_rejected () =
   Obs.disable ()
 
 (* Same netlist, different pattern set: the file is found (the path
-   only keys on the netlist's source, by design — see [store_path]) but
-   the header's key covers the patterns' origin and must refuse. *)
+   only keys on the netlist's source, by design) but the header's key
+   covers the patterns' origin and must refuse; the next save
+   overwrites it rather than adding a sibling. *)
 let test_foreign_patterns_rejected () =
   Obs.enable ();
   let net, pats = Lazy.force problem in
@@ -247,15 +250,16 @@ let test_foreign_patterns_rejected () =
   Alcotest.(check bool) "seed save succeeds" true (Sig_cache.save_frozen ~dir c1);
   let other_pats = Pattern.random (Rng.create 8) ~npis:(Netlist.num_pis net) ~count:64 in
   let c2 = Sig_cache.create net other_pats in
-  Alcotest.(check string)
-    "same structure, same path"
-    (Sig_cache.store_path ~dir c1)
-    (Sig_cache.store_path ~dir c2);
   let rejects0 = counter_value "store.rejects" in
   Alcotest.(check bool) "foreign patterns refused" false (Sig_cache.load_frozen ~dir c2);
   Alcotest.(check int) "store.rejects bumped" (rejects0 + 1)
     (counter_value "store.rejects");
   Alcotest.(check bool) "instance left cold" true (Sig_cache.frozen_bytes c2 = 0);
+  Alcotest.(check bool) "overwrite save" true (Sig_cache.save_frozen ~dir c2);
+  Alcotest.(check (array string))
+    "same structure, same path"
+    [| Filename.basename (image_path ~dir net) |]
+    (Sys.readdir dir);
   Obs.disable ()
 
 (* A missing file is a cold fleet, not a rejection. *)
@@ -360,7 +364,7 @@ let test_fill_order_independent () =
   let save c =
     let dir = tmpdir () in
     Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c);
-    let path = Sig_cache.store_path ~dir c in
+    let path = image_path ~dir net in
     let ic = open_in_bin path in
     let raw =
       Fun.protect
@@ -402,7 +406,7 @@ let test_append_after_load () =
   let saved c =
     let dir = tmpdir () in
     Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c);
-    In_channel.with_open_bin (Sig_cache.store_path ~dir c) In_channel.input_all
+    In_channel.with_open_bin (image_path ~dir net) In_channel.input_all
   in
   Alcotest.(check bool) "identical snapshot bytes" true
     (String.equal (saved live) (saved c2))
@@ -496,7 +500,7 @@ let rnd2k_snapshot =
      Sig_cache.store c (Array.init (Array.length rows) Fun.id) rows;
      let dir = tmpdir () in
      if not (Sig_cache.save_frozen ~dir c) then failwith "rnd2k snapshot save failed";
-     let path = Sig_cache.store_path ~dir c in
+     let path = image_path ~dir net in
      let raw = In_channel.with_open_bin path In_channel.input_all in
      (net, pats, rows, dir, raw))
 
@@ -529,7 +533,7 @@ let reject_rnd2k name mangle () =
   let net, pats, _, _, raw = Lazy.force rnd2k_snapshot in
   let dir = tmpdir () in
   let c = Sig_cache.create net pats in
-  let oc = open_out_bin (Sig_cache.store_path ~dir c) in
+  let oc = open_out_bin (image_path ~dir net) in
   output_bytes oc (mangle (Bytes.of_string raw));
   close_out oc;
   let rejects0 = counter_value "store.rejects" in

@@ -20,10 +20,9 @@ let saved =
     (let net = Generators.c17 () in
      let pats = Pattern.random (Rng.create 7) ~npis:(Netlist.num_pis net) ~count:64 in
      let dir = tmpdir () in
-     let config =
-       { Session.default_config with Session.prewarm = true; store_dir = Some dir }
-     in
-     ignore (Session.create ~config net pats : Session.t);
+     let session = Session.create net pats in
+     ignore (Session.prewarm session : int);
+     ignore (Sig_cache.save_frozen ~dir (Option.get (Session.cache session)) : bool);
      let path = Store_file.path ~dir ~source:(Netlist.source net) in
      (path, Store_file.key net pats, Image_edit.read path))
 
@@ -320,13 +319,14 @@ let test_mutated_sections () =
 
 (* --- The mapping contract ------------------------------------------- *)
 
-(* A session that adopted a mapped image keeps diagnosing right while
-   the file under it is replaced twice — [Sig_cache.save_frozen] writes
-   a temp file and renames it, so the mapping keeps the old inode whole.
-   The adopted image holds only the rows one die needed, so the second
-   die misses: its rows go through the first append to a mapped slab,
-   which copies it.  Both reports must be byte-identical to a fresh
-   lazy session's, and a later load sees the re-saved image. *)
+(* A session that adopted a mapped image ([Design.session]) keeps
+   diagnosing right while the file under it is replaced twice —
+   [Sig_cache.save_frozen] writes a temp file and renames it, so the
+   mapping keeps the old inode whole.  The adopted image holds only the
+   rows one die needed, so the second die misses: its rows go through
+   the first append to a mapped slab, which copies it.  Both reports
+   must be byte-identical to a fresh lazy session's, and a later load
+   sees the re-saved image. *)
 let test_resave_under_mapping () =
   Obs.enable ();
   let net = Generators.random_logic ~gates:200 ~pis:12 ~pos:8 ~seed:11 in
@@ -354,8 +354,13 @@ let test_resave_under_mapping () =
   Alcotest.(check bool) "partial image saved" true
     (Sig_cache.save_frozen ~dir (cache partial));
   let loads0 = counter_value "store.loads" in
-  let config = { Session.default_config with Session.store_dir = Some dir } in
-  let mapped = Session.create ~config net pats in
+  let patterns = Filename.concat (tmpdir ()) "patterns.txt" in
+  Out_channel.with_open_bin patterns (fun oc -> output_string oc (Pattern.to_text pats));
+  let stored () =
+    Result.get_ok
+      (Design.session ~store_dir:dir (Design.Built net) ~patterns:(Some patterns))
+  in
+  let mapped = stored () in
   Alcotest.(check int) "image adopted" (loads0 + 1) (counter_value "store.loads");
   let adopted = Sig_cache.frozen_bytes (cache mapped) in
   Alcotest.(check int) "adopted arena = saved arena"
@@ -374,7 +379,7 @@ let test_resave_under_mapping () =
     [ ("first die", first); ("second die", second) ];
   Alcotest.(check bool) "second die's rows appended" true
     (Sig_cache.frozen_bytes (cache mapped) > adopted);
-  let reloaded = Session.create ~config net pats in
+  let reloaded = stored () in
   Alcotest.(check int) "later load sees the re-saved image"
     (Sig_cache.frozen_bytes (cache full))
     (Sig_cache.frozen_bytes (cache reloaded));
