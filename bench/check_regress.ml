@@ -104,16 +104,10 @@ let rnd1k () =
 let draw_dlogs net pats ~seed n =
   let rng = Rng.create seed in
   let expected = Logic_sim.responses net pats in
-  let rec draw attempts =
-    if attempts = 0 then die "check_regress: no failing defect combination found"
-    else begin
-      let defects = Injection.random_defects rng net Injection.default_mix 3 in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then draw (attempts - 1) else dlog
-    end
-  in
-  List.init n (fun _ -> draw 50)
+  List.init n (fun _ ->
+      match fst (Campaign.failing_die rng net pats ~expected ~multiplicity:3) with
+      | Some (_, dlog) -> dlog
+      | None -> die "check_regress: no failing defect combination found")
 
 (* Every registered counter after [f] runs under a private sink. *)
 let counters_of f =

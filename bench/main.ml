@@ -22,7 +22,7 @@ type prepared = {
   net : Netlist.t;
   pats : Pattern.t;
   block : Pattern.block;
-  good : Logic_sim.net_values;
+  good : Fault_sim.good;
   dlog : Datalog.t;
   site : Netlist.net;
 }
@@ -35,18 +35,14 @@ let prepare name =
   in
   let pats = Campaign.test_set net in
   let block = List.hd (Pattern.blocks pats) in
-  let good = Logic_sim.simulate_block net block in
+  let good = Fault_sim.good net [| block |] in
   let rng = Rng.create 99 in
   let expected = Logic_sim.responses net pats in
-  let rec make_dlog attempts =
-    if attempts = 0 then failwith "no failing combination found"
-    else
-      let defects = Injection.random_defects rng net Injection.default_mix 3 in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then make_dlog (attempts - 1) else dlog
+  let dlog =
+    match fst (Campaign.failing_die rng net pats ~expected ~multiplicity:3) with
+    | Some (_, dlog) -> dlog
+    | None -> failwith "no failing combination found"
   in
-  let dlog = make_dlog 50 in
   let site = (Netlist.pos net).(0) in
   { p_name = name; net; pats; block; good; dlog; site }
 
@@ -67,7 +63,7 @@ let micro_tests () =
         (* One stuck-at fault through the batch kernel, on a simulator
            over the one block; publishing drops the per-batch count
            each call records. *)
-        let sim = Fault_sim.create p.net ~blocks:[| p.block |] ~goods:[| p.good |] in
+        let sim = Fault_sim.create p.net p.good in
         let fault _ = (p.site, true) in
         let sink _ _ _ _ = () in
         Test.make

@@ -22,18 +22,14 @@ type dropper = {
 let unit_block vec =
   { Pattern.base = 0; width = 1; pi_words = Array.map (fun b -> if b then 1 else 0) vec }
 
-let load d block =
-  Fault_sim.rebind d.sim ~blocks:[| block |]
-    ~goods:[| Logic_sim.simulate_block d.net block |]
+let load d block = Fault_sim.rebind d.sim (Fault_sim.good d.net [| block |])
 
 let dropper net faults =
   let block = unit_block (Array.make (Netlist.num_pis net) false) in
   let n = Array.length faults in
   {
     net;
-    sim =
-      Fault_sim.create net ~blocks:[| block |]
-        ~goods:[| Logic_sim.simulate_block net block |];
+    sim = Fault_sim.create net (Fault_sim.good net [| block |]);
     faults;
     idx = Array.make n 0;
     det = Array.make n 0;

@@ -134,7 +134,7 @@ let build_session session dlog =
   let blocks = Session.blocks session in
   let nblocks = Array.length blocks in
   let scache = Option.get (Session.cache session) in
-  let goods = Session.goods session in
+  let good = (Session.good session).Fault_sim.words in
   (* Word-level observed-bit masks: the fill splits each diff word into
      matched ([w land obsmask]) and spurious
      ([w land fail_mask land lnot obsmask]) bits up front, so only
@@ -197,11 +197,12 @@ let build_session session dlog =
       for i = 0 to num_seeded - 1 do
         let f = seeded.(i) in
         let stuck_word = if f.Fault_list.stuck then -1 else 0 in
+        let o = f.Fault_list.site * nblocks in
         let active = ref false in
         let bi = ref 0 in
         while (not !active) && !bi < nblocks do
-          if (goods.(!bi).(f.Fault_list.site) lxor stuck_word) land fail_masks.(!bi) <> 0
-          then active := true;
+          if (good.(o + !bi) lxor stuck_word) land fail_masks.(!bi) <> 0 then
+            active := true;
           incr bi
         done;
         if !active then begin

@@ -47,7 +47,7 @@ val build_session : Session.t -> Datalog.t -> t
 
 val session : t -> Session.t
 (** The session the matrix was built against — downstream phases pull
-    the shared goods, cache and config from here. *)
+    the shared good machine, cache and config from here. *)
 
 val netlist : t -> Netlist.t
 val datalog : t -> Datalog.t

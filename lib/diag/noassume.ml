@@ -380,8 +380,7 @@ let max_aggressors = 16
 let infer_aggressors config m scorer site members covers =
   let net = Explain.netlist m in
   let obs = Explain.observations m in
-  let goods = Session.goods (Explain.session m) in
-  let nblocks = Array.length goods in
+  let { Fault_sim.words = good; nb = nblocks; _ } = Session.good (Explain.session m) in
   (* Word-parallel hard filter: the needed (failing pattern, value)
      pairs as a (mask, expected) word pair per block, so testing an
      aggressor is a couple of word compares — this runs once per net in
@@ -418,7 +417,7 @@ let infer_aggressors config m scorer site members covers =
       let n = Array.length need_blocks in
       while !ok && !i < n do
         let bi = need_blocks.(!i) in
-        if (goods.(bi).(a) lxor need_val.(bi)) land need_mask.(bi) <> 0 then
+        if (good.((a * nblocks) + bi) lxor need_val.(bi)) land need_mask.(bi) <> 0 then
           ok := false;
         incr i
       done;

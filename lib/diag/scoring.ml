@@ -66,7 +66,7 @@ let overlay_of_multiplet faults =
    good/overlay difference words on every PO.
 
    A scorer is the scratch of one diagnosis — a simulator reading the
-   session's good slab, the datalog's observed words, the held base's
+   session's good machine, the datalog's observed words, the held base's
    diff words and score, and the cone-marking arrays of the bridge
    scorer.  The refinement loop, the aggressor
    screens and bridge validation score hundreds of hypotheses against
@@ -74,7 +74,7 @@ let overlay_of_multiplet faults =
 type t = {
   net : Netlist.t;
   nblocks : int;
-  goods : Logic_sim.net_values array;
+  good : int array; (* the session's good words, [net * nblocks + bi] *)
   sim : Fault_sim.t;
   words : Datalog.words;
   npos : int;
@@ -93,12 +93,11 @@ type t = {
 let create session dlog =
   let net = Session.netlist session in
   let blocks = Session.blocks session in
-  let goods = Session.goods session in
   let nets = max 1 (Netlist.num_nets net) in
   {
     net;
     nblocks = Array.length blocks;
-    goods;
+    good = (Session.good session).Fault_sim.words;
     sim = Session.simulator session;
     flip = [||];
     words = Datalog.observed_words dlog blocks;
@@ -258,10 +257,11 @@ let screen_aggressors sc ~victim aggressors =
     ignore (hold sc [] : score);
     let n = ref 0 in
     let s_obs = sc.words.obs and s_fail = sc.words.fail and npos = sc.npos in
+    let good = sc.good and nb = sc.nblocks in
     (* Each flip word is split once, here, into the parts the three
        score components count; an aggressor's delta masks all three. *)
-    Fault_sim.sweep sc.sim
-      [ (victim, Fault_sim.Held (Array.map (fun g -> lnot g.(victim)) sc.goods)) ]
+    let flipped = Array.init nb (fun bi -> lnot good.((victim * nb) + bi)) in
+    Fault_sim.sweep sc.sim [ (victim, Fault_sim.Held flipped) ]
       (fun bi oi w ->
         reserve sc !n 4;
         let obs = s_obs.((bi * npos) + oi) and fm = s_fail.(bi) in
@@ -271,14 +271,14 @@ let screen_aggressors sc ~victim aggressors =
         sc.flip.(!n + 3) <- w land lnot fm;
         n := !n + 4);
     Fault_sim.publish_stats sc.sim;
-    let flip = sc.flip and n = !n and goods = sc.goods and total = sc.words.total in
+    let flip = sc.flip and n = !n and total = sc.words.total in
     List.map
       (fun a ->
         let explained = ref 0 and spurious_fail = ref 0 and spurious_pass = ref 0 in
         let i = ref 0 in
         while !i < n do
-          let g = goods.(flip.(!i)) in
-          let d = g.(victim) lxor g.(a) in
+          let bi = flip.(!i) in
+          let d = good.((victim * nb) + bi) lxor good.((a * nb) + bi) in
           explained := !explained + popcount (d land flip.(!i + 1));
           spurious_fail := !spurious_fail + popcount (d land flip.(!i + 2));
           spurious_pass := !spurious_pass + popcount (d land flip.(!i + 3));

@@ -10,10 +10,10 @@
    must be able to run under different configurations without racing on
    globals.  A [t] is created once, is immutable, and is safe to share
    across domains: every field is either frozen after [create] or
-   internally synchronised ([Sig_cache]); its simulator is never swept,
-   only lent.  The session owns its signature cache outright — it
-   builds it in [create] and nothing else holds it — so a dropped
-   session frees its cache. *)
+   internally synchronised ([Sig_cache]); the good machine is read by
+   every simulator it hands out and written by none.  The session owns
+   its signature cache outright — it builds it in [create] and nothing
+   else holds it — so a dropped session frees its cache. *)
 
 type cover = Greedy | Exact
 
@@ -37,25 +37,22 @@ type t = {
   pats : Pattern.t;
   reach : Po_reach.t;
   rep_keys : int array; (* fault key -> its class representative's key; never written *)
+  blocks : Pattern.block array;
+  good : Fault_sim.good; (* read by every simulator, never written *)
   cache : Sig_cache.t;
-  slab : Fault_sim.t option;
-      (* The good words transposed once, lent to every simulator the
-         session hands out and never swept itself; [None] for an empty
-         pattern set. *)
   config : config;
 }
 
 let netlist t = t.net
 let patterns t = t.pats
-let blocks t = Sig_cache.blocks t.cache
-let goods t = Sig_cache.goods t.cache
+let blocks t = t.blocks
+let good t = t.good
 let reach t = t.reach
 let cache t = Some t.cache
 let config t = t.config
 let representative_key t k = t.rep_keys.(k)
 
-let simulator t =
-  Fault_sim.create ?share:t.slab ~reach:t.reach t.net ~blocks:(blocks t) ~goods:(goods t)
+let simulator t = Fault_sim.create ~reach:t.reach t.net t.good
 
 let representatives t =
   let reps = ref [] in
@@ -193,32 +190,32 @@ let prewarm t =
       n)
 
 (* The costly steps of a create are phases of their own ([po_reach],
-   [session.goods] inside [Sig_cache.create], [session.collapse],
-   [session.simulator]), so a run report shows how the caller's
-   [session.create] splits.  The representative table is the whole
-   class collapse flattened once ([Fault_list.representative_indices]):
-   every diagnosis reads it instead of collapsing the netlist again,
-   and no reader writes it, where the union-find compresses paths as it
-   reads. *)
+   [session.goods], [session.collapse]), so a run report shows how the
+   caller's [session.create] splits.  The representative table is the
+   whole class collapse flattened once
+   ([Fault_list.representative_indices]): every diagnosis reads it
+   instead of collapsing the netlist again, and no reader writes it,
+   where the union-find compresses paths as it reads. *)
 let create ?(config = default_config) net pats =
   let reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net) in
-  let cache = Sig_cache.create net pats in
-  let blocks = Sig_cache.blocks cache in
-  {
-    net;
-    pats;
-    reach;
-    rep_keys =
-      Obs.phase "session.collapse" (fun () ->
-          Fault_list.representative_indices (Fault_list.collapse net));
-    cache;
-    slab =
-      (if Array.length blocks = 0 then None
-       else
-         Some
-           (Obs.phase "session.simulator" (fun () ->
-                Fault_sim.create ~reach net ~blocks ~goods:(Sig_cache.goods cache))));
-    config;
-  }
+  let blocks = Array.of_list (Pattern.blocks pats) in
+  let good = Obs.phase "session.goods" (fun () -> Fault_sim.good net blocks) in
+  let rep_keys =
+    Obs.phase "session.collapse" (fun () ->
+        Fault_list.representative_indices (Fault_list.collapse net))
+  in
+  { net; pats; reach; rep_keys; blocks; good; cache = Sig_cache.create net pats; config }
 
-let signature_of_triples t triples = Sig_cache.signature_of_triples t.cache triples
+(* Bit [p] of PO [oi]'s vector is set iff that PO differs from the good
+   machine on pattern [p]. *)
+let signature_of_triples t triples =
+  let npatterns = Pattern.count t.pats in
+  let signature = Array.init (Netlist.num_pos t.net) (fun _ -> Bitvec.create npatterns) in
+  let i = ref 0 in
+  while !i < Array.length triples do
+    let bi = triples.(!i) and oi = triples.(!i + 1) and d = triples.(!i + 2) in
+    let base = t.blocks.(bi).Pattern.base in
+    Logic.iter_bits d (fun bit -> Bitvec.set signature.(oi) (base + bit) true);
+    i := !i + 3
+  done;
+  signature

@@ -12,14 +12,15 @@
 
     Sharing contract (DESIGN.md §11): a [t] is immutable after
     {!create} and safe to share across domains.  [net], [pats],
-    [blocks], [goods], [reach] and the representative table are frozen; the cache instance is
-    domain-safe (lock-free reads, appends under one mutex); the good
-    words are transposed once, at {!create}, into a slab that every
-    {!simulator} reads and no sweep writes; per-diagnosis scratch (fault
-    simulators with their delta slabs, triple buffers, the {!Scoring.t}
-    scorer) is never stored here — each call allocates its own.  The volume
-    service creates one session and drains thousands of datalogs
-    against it, one diagnosis per domain.
+    [blocks], [reach] and the representative table are frozen; the
+    cache instance is domain-safe (lock-free reads, appends under one
+    mutex); the good machine is simulated and transposed once, at
+    {!create}, into one {!Fault_sim.good} that every {!simulator} and
+    every good-value screen reads and nothing writes; per-diagnosis
+    scratch (fault simulators with their delta slabs, triple buffers,
+    the {!Scoring.t} scorer) is never stored here — each call allocates
+    its own.  The volume service creates one session and drains
+    thousands of datalogs against it, one diagnosis per domain.
 
     Ownership: {!create} always builds a fresh signature cache, and the
     session is its only holder.  One session is one problem with one
@@ -64,10 +65,11 @@ val default_config : config
 type t
 
 val create : ?config:config -> Netlist.t -> Pattern.t -> t
-(** Build the context: a fresh {!Sig_cache.create} instance owned by
-    this session (which computes the goods), with an empty arena, the
-    PO-reachability screen and the class-representative table
-    ({!representative_key}).  Creation is the expensive,
+(** Build the context: the pattern blocks and their good machine
+    (phase ["session.goods"]), the PO-reachability screen, the
+    class-representative table ({!representative_key}) and a fresh
+    {!Sig_cache.create} instance owned by this session, with an empty
+    arena.  Creation is the expensive,
     once-per-problem step; every diagnosis against the session then
     reuses it, and each miss a diagnosis simulates is appended to the
     arena for the next.  No file is read or written. *)
@@ -91,17 +93,17 @@ val patterns : t -> Pattern.t
 val blocks : t -> Pattern.block array
 (** The pattern blocks, in [Pattern.blocks] order.  Frozen. *)
 
-val goods : t -> Logic_sim.net_values array
-(** Good-machine words of every block.  Frozen; shared read-only. *)
+val good : t -> Fault_sim.good
+(** The good machine of every block, net-major.  Frozen; shared
+    read-only by every simulator and screen. *)
 
 val reach : t -> Po_reach.t
 (** Per-net reachable-PO screen.  Frozen. *)
 
 val simulator : t -> Fault_sim.t
-(** A fresh fault simulator over the session's blocks, reading the
-    session's transposed good slab ([Fault_sim.create ?share]) and
-    owning only its delta slab and scratch: one per worker or scorer,
-    never shared across domains.  Raises [Invalid_argument] on an empty
+(** A fresh fault simulator over the session's {!good}, reading it in
+    place and owning only its delta slab and scratch: one per worker or
+    scorer, never shared across domains.  Raises [Invalid_argument] on an empty
     pattern set. *)
 
 val representative_key : t -> int -> int
@@ -142,5 +144,6 @@ val fault_triples : t -> Fault_list.fault array -> int array array
     of the baselines ({!Single_diag}, {!Dict_diag}). *)
 
 val signature_of_triples : t -> int array -> Bitvec.t array
-(** {!Sig_cache.signature_of_triples} on the session's cache: expand one
-    fault's triples into the per-PO, bit-per-pattern signature shape. *)
+(** Expand one fault's triples into the per-PO, bit-per-pattern
+    signature shape: bit [p] of PO [oi]'s vector is set iff that PO
+    differs from the good machine on pattern [p]. *)

@@ -48,6 +48,21 @@ let test_set net = (test_report net).Tpg.patterns
 
 let max_redraws_per_trial = 50
 
+(* Redraw until the injected combination actually fails the test. *)
+let failing_die ?(mix = Injection.default_mix) ?layout rng net pats ~expected
+    ~multiplicity =
+  let rec draw attempts redrawn =
+    if attempts = 0 then (None, redrawn)
+    else begin
+      let defects = Injection.random_defects ?layout rng net mix multiplicity in
+      let observed = Injection.observed_responses net pats defects in
+      let dlog = Datalog.of_responses ~expected ~observed in
+      if Datalog.num_failing dlog = 0 then draw (attempts - 1) (redrawn + 1)
+      else (Some (defects, dlog), redrawn)
+    end
+  in
+  draw max_redraws_per_trial 0
+
 let c_trials = Obs.counter "campaign.trials"
 let c_redraws = Obs.counter "campaign.redraws"
 let c_masked_trials = Obs.counter "campaign.masked_trials"
@@ -80,18 +95,7 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
       net pats
   in
   let run_trial trial_rng =
-    (* Redraw until the injected combination actually fails the test. *)
-    let rec draw attempts redrawn =
-      if attempts = 0 then (None, redrawn)
-      else begin
-        let defects = Injection.random_defects ?layout trial_rng net mix multiplicity in
-        let observed = Injection.observed_responses net pats defects in
-        let dlog = Datalog.of_responses ~expected ~observed in
-        if Datalog.num_failing dlog = 0 then draw (attempts - 1) (redrawn + 1)
-        else (Some (defects, dlog), redrawn)
-      end
-    in
-    match draw max_redraws_per_trial 0 with
+    match failing_die ~mix ?layout trial_rng net pats ~expected ~multiplicity with
     | None, redrawn -> (None, redrawn)
     | Some (defects, dlog), redrawn ->
       (* Score against the defects that left a trace; fully masked ones

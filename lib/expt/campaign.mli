@@ -52,6 +52,25 @@ val test_set : Netlist.t -> Pattern.t
 (** [(test_report net).patterns].  A stored set is read back by
     {!Design.session}, from the design image's test-set section. *)
 
+val failing_die :
+  ?mix:Injection.kind_mix ->
+  ?layout:Layout.t * float ->
+  Rng.t ->
+  Netlist.t ->
+  Pattern.t ->
+  expected:Logic_sim.responses ->
+  multiplicity:int ->
+  (Defect.t list * Datalog.t) option * int
+(** One failing die: draw [multiplicity] defects from [rng]
+    ({!Injection.random_defects} under [mix], default
+    {!Injection.default_mix}, and [layout]), simulate them over the
+    pattern set and redraw until the datalog against [expected] (the
+    good responses to the set) has a failing pattern, at most 50 draws.
+    Returns the defects as drawn with their datalog, or [None] when no
+    draw failed, and the number of draws discarded.  The stream is read
+    in the same order by every caller, so a seed names the same dies in
+    a campaign, a table and a regression gate. *)
+
 val run :
   ?methods:methods ->
   ?config:Noassume.config ->

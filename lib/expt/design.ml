@@ -8,15 +8,35 @@ let unknown_circuit name =
   Printf.sprintf "unknown circuit %S (try: %s)" name
     (String.concat ", " (Generators.suite_names @ List.map fst (Generators.tiers ())))
 
-let load_circuit = function
-  | File path -> (
-    try
-      if Filename.check_suffix path ".v" then Ok (Verilog_io.parse_file path)
-      else Ok (Bench_io.parse_file path)
-    with
-    | Bench_io.Parse_error (line, msg) | Verilog_io.Parse_error (line, msg) ->
-      Error (Printf.sprintf "%s:%d: %s" path line msg)
-    | Sys_error msg -> Error msg)
+let read path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg -> Error msg
+
+let is_verilog path = Filename.check_suffix path ".v"
+
+(* The store key of a netlist file: the digest of its bytes. *)
+let file_source path text =
+  if is_verilog path then Verilog_io.source_key text else Bench_io.source_key text
+
+let parse path text =
+  let parse_string =
+    if is_verilog path then Verilog_io.parse_string else Bench_io.parse_string
+  in
+  match parse_string text with
+  | net -> Ok (Netlist.with_source (file_source path text) net)
+  | exception (Bench_io.Parse_error (line, msg) | Verilog_io.Parse_error (line, msg)) ->
+    Error (Printf.sprintf "%s:%d: %s" path line msg)
+
+(* A netlist file's bytes, read when first forced: the image lookup
+   digests them and a build on a miss parses them, so one read serves
+   both.  Never forced for a circuit that is not a file. *)
+let file_text = function
+  | File path -> lazy (read path)
+  | Named _ | Built _ -> lazy (Error "not a netlist file")
+
+let build text = function
+  | File path -> Result.bind (Lazy.force text) (parse path)
   | Named name -> (
     (* Suite first, then the large benchmark tiers (rnd10k/rnd50k and
        vendored .bench circuits).  Both are lazy: a lookup builds only
@@ -30,17 +50,13 @@ let load_circuit = function
       | None -> Error (unknown_circuit name)))
   | Built net -> Ok net
 
-(* The [Netlist.source] of the circuit [load_circuit] would build, found
+let load_circuit circuit = build (file_text circuit) circuit
+
+(* The [Netlist.source] of the circuit [build] would build, found
    without building it: a netlist file's content digest, or the suite
    or tier generator's key. *)
-let source = function
-  | File path -> (
-    match Bench_io.read_text path with
-    | text ->
-      Ok
-        (if Filename.check_suffix path ".v" then Verilog_io.source_key text
-         else Bench_io.source_key text)
-    | exception Sys_error msg -> Error msg)
+let source text = function
+  | File path -> Result.map (file_source path) (Lazy.force text)
   | Named name ->
     Option.to_result ~none:(unknown_circuit name) (Generators.source_key name)
   | Built net -> Ok (Netlist.source net)
@@ -113,19 +129,20 @@ let session ?(config = Session.default_config) ?(prewarm = false) ?store_dir cir
             in
             (net, stored, image)))
   in
+  let text = file_text circuit in
   let* net, stored, image =
     Obs.phase "netlist.load" (fun () ->
         let* found =
           match store_dir with
           | None -> Ok None
-          | Some dir -> Result.map (lookup dir) (source circuit)
+          | Some dir -> Result.map (lookup dir) (source text circuit)
         in
         match found with
         | Some (net, stored, image) -> Ok (net, stored, Some image)
         | None ->
           Result.map
             (fun net -> (net, None, None))
-            (Obs.phase "netlist.build" (fun () -> load_circuit circuit)))
+            (Obs.phase "netlist.build" (fun () -> build text circuit)))
   in
   let* pats =
     match (given, stored) with

@@ -187,18 +187,10 @@ let table6 ~trials ~seed =
         let rng = Rng.create (cell_seed seed (name ^ "dict") k) in
         let qs = ref [] in
         for _ = 1 to trials do
-          let rec draw attempts =
-            if attempts = 0 then None
-            else
-              let defects = Injection.random_defects rng net Injection.default_mix k in
-              let observed = Injection.observed_responses net pats defects in
-              let dlog = Datalog.of_responses ~expected ~observed in
-              if Datalog.num_failing dlog = 0 then draw (attempts - 1)
-              else Some (Injection.contributing net pats defects, dlog)
-          in
-          match draw 50 with
+          match fst (Campaign.failing_die rng net pats ~expected ~multiplicity:k) with
           | None -> ()
           | Some (defects, dlog) ->
+            let defects = Injection.contributing net pats defects in
             let r = Dict_diag.diagnose full dlog in
             qs :=
               Metrics.evaluate net ~injected:defects
@@ -246,21 +238,15 @@ let fig1 ~trials =
       let rng = Rng.create 42 in
       let times = ref [] in
       let cands = ref 0 in
-      let done_ = ref 0 in
-      let attempts = ref 0 in
-      while !done_ < trials && !attempts < trials * 20 do
-        incr attempts;
-        let defects = Injection.random_defects rng net Injection.default_mix 3 in
-        let observed = Injection.observed_responses net pats defects in
-        let dlog = Datalog.of_responses ~expected ~observed in
-        if Datalog.num_failing dlog > 0 then begin
+      for _ = 1 to trials do
+        match fst (Campaign.failing_die rng net pats ~expected ~multiplicity:3) with
+        | None -> ()
+        | Some (_, dlog) ->
           let t0 = Sys.time () in
           let r = Noassume.diagnose_session session dlog in
           let t1 = Sys.time () in
           cands := max !cands r.Noassume.candidates_considered;
-          times := ((t1 -. t0) *. 1000.0) :: !times;
-          incr done_
-        end
+          times := ((t1 -. t0) *. 1000.0) :: !times
       done;
       add_row t
         [
@@ -504,17 +490,9 @@ let ablation_exact ~trials ~seed =
           let expected = Logic_sim.responses net pats in
           let rng = Rng.create (cell_seed seed (name ^ "exact") k) in
           for _ = 1 to trials do
-            let rec draw attempts =
-              if attempts = 0 then None
-              else
-                let defects = Injection.random_defects rng net Injection.default_mix k in
-                let observed = Injection.observed_responses net pats defects in
-                let dlog = Datalog.of_responses ~expected ~observed in
-                if Datalog.num_failing dlog = 0 then draw (attempts - 1) else Some dlog
-            in
-            match draw 50 with
+            match fst (Campaign.failing_die rng net pats ~expected ~multiplicity:k) with
             | None -> ()
-            | Some dlog ->
+            | Some (_, dlog) ->
               let m = Explain.build_session session dlog in
               let greedy =
                 Noassume.diagnose_matrix

@@ -50,19 +50,12 @@ type failure = { name : string; error : string }
 let c_dies = Obs.counter "volume.dies"
 let c_failed = Obs.counter "volume.failed"
 
+(* [with_open_bin] closes the channel on every path: a failed read must
+   not leak the descriptor — a volume directory can hold thousands of
+   dies, enough to exhaust the fd table mid-load. *)
 let read_file path =
-  try
-    (* [Fun.protect]: a short read must not leak the descriptor — a
-       volume directory can hold thousands of dies, enough to exhaust
-       the fd table mid-load. *)
-    let ic = open_in path in
-    Ok
-      (Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () -> really_input_string ic (in_channel_length ic)))
-  with
-  | Sys_error msg -> Error msg
-  | End_of_file -> Error (path ^ ": short read")
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> Error msg
 
 (* An empty file is a truncated transfer, not a die that passed. *)
 let load_die session path =

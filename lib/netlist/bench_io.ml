@@ -118,14 +118,8 @@ let parse_string text =
 
 let source_key text = "bench " ^ Digest.to_hex (Digest.string text)
 
-let read_text path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse_file path =
-  let text = read_text path in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   Netlist.with_source (source_key text) (parse_string text)
 
 let to_string t =

@@ -28,9 +28,6 @@ val source_key : string -> string
 (** ["bench <hex>"], the MD5 of a file's bytes: the store key of the
     netlist parsed from them. *)
 
-val read_text : string -> string
-(** A file's bytes.  Raises [Sys_error]. *)
-
 val to_string : Netlist.t -> string
 (** Emit `.bench` text; [parse_string (to_string t)] is structurally
     identical to [t]. *)

@@ -673,7 +673,7 @@ let source_key name =
   else
     match List.assoc_opt name (vendored ()) with
     | Some path -> (
-      match Bench_io.read_text path with
+      match In_channel.with_open_bin path In_channel.input_all with
       | text -> Some (Bench_io.source_key text)
       | exception Sys_error _ -> None)
     | None -> None

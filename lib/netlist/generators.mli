@@ -69,16 +69,6 @@ val random_logic : gates:int -> pis:int -> pos:int -> seed:int -> Netlist.t
     marking as additional outputs, in net order after the [pos]
     requested ones, the gates that would otherwise be unread. *)
 
-val random_logic_sink : gates:int -> pis:int -> pos:int -> seed:int -> Netlist.t
-(** Same random DAG, but dead logic is folded into balanced XOR
-    compaction trees merged into the [pos] declared outputs, keeping
-    the PO count at the requested (ISCAS-like) figure instead of
-    growing with circuit size — at 10k+ gates [random_logic]'s
-    promotion rule would yield thousands of POs, ~100x past anything
-    physical, distorting every PO-proportional cost downstream.  Every
-    net stays observable (XOR propagates any single fanin change).
-    Used by the large {!tiers}. *)
-
 val suite : unit -> (string * Netlist.t) list
 (** The benchmark suite used by every table in `bench/main.exe`, ordered
     roughly by gate count: c17, par16, dec4, gray8, add8, penc4, crc16,
@@ -95,7 +85,10 @@ val find_suite : string -> Netlist.t option
 
 val tiers : unit -> (string * Netlist.t Lazy.t) list
 (** Large netlist tiers for the kernel-scaling benchmarks: rnd10k and
-    rnd50k (10k / 50k random reconvergent gates), plus every vendored
+    rnd50k (10k / 50k random reconvergent gates, whose would-be-dead
+    logic is folded into XOR compaction trees merged into the declared
+    outputs, so the PO count stays ISCAS-like instead of growing with
+    the circuit as {!random_logic}'s would), plus every vendored
     ISCAS-85-style [.bench] circuit found under [bench/circuits]
     (override the directory with MDD_CIRCUITS_DIR), parsed through
     {!Bench_io}.  Not part of {!suite} — the paper tables iterate the

@@ -260,7 +260,7 @@ let parse_string text = build (parse_tokens (tokenize text))
 let source_key text = "verilog " ^ Digest.to_hex (Digest.string text)
 
 let parse_file path =
-  let text = Bench_io.read_text path in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   Netlist.with_source (source_key text) (parse_string text)
 
 (* ------------------------------------------------------------------ *)

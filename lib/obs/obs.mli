@@ -22,7 +22,7 @@
       listings are sorted by name.  Only span durations and GC deltas are
       nondeterministic, and {!Run_report.to_json} can exclude them.
 
-    The clock is {!now_ns}, a monotonic clock: it never steps backwards
+    The clock is bechamel's [Monotonic_clock]: it never steps backwards
     when the wall clock is adjusted, so a phase time is never
     negative. *)
 
@@ -66,11 +66,6 @@ val dist : string -> dist
 val record : dist -> int -> unit
 
 (** {1 Phase timers} *)
-
-val now_ns : unit -> float
-(** Monotonic clock reading in nanoseconds, from an arbitrary origin.
-    Only differences are meaningful.  Phase spans and the bench
-    harnesses time with it. *)
 
 type span
 (** One open phase timing.  Spans are values, so they nest arbitrarily

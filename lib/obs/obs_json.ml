@@ -185,12 +185,7 @@ let parse text =
   | exception Fail (pos, msg) -> Error (Printf.sprintf "JSON error at offset %d: %s" pos msg)
 
 let parse_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> parse text
   | exception Sys_error msg -> Error msg
 

@@ -31,7 +31,7 @@
 
 (* A held base: one sweep's resolved words and pins, the reference of
    later change sweeps.  Only the rows the base touched differ from the
-   good slab, so emptying it rewrites those; the empty frame is the
+   good words, so emptying it rewrites those; the empty frame is the
    good machine. *)
 type frame = {
   base : int array; (* [net * nb + bi]: the base machine's words *)
@@ -39,6 +39,30 @@ type frame = {
   rows : int array; (* nets whose base row or pin differs from good *)
   mutable nrows : int;
 }
+
+(* The good machine of one block group: written once, by [good], and
+   read by every simulator bound to it. *)
+type good = { nb : int; words : int array; masks : int array }
+
+let good net blocks =
+  let nb = Array.length blocks in
+  let words =
+    if nb = 1 then Logic_sim.simulate_block net blocks.(0)
+    else begin
+      let nets = Netlist.num_nets net in
+      let words = Array.make (nets * nb) 0 in
+      Array.iteri
+        (fun bi block ->
+          let g = Logic_sim.simulate_block net block in
+          for s = 0 to nets - 1 do
+            words.((s * nb) + bi) <- g.(s)
+          done)
+        blocks;
+      words
+    end
+  in
+  let masks = Array.map (fun (b : Pattern.block) -> Logic.mask_of_width b.width) blocks in
+  { nb; words; masks }
 
 type t = {
   net : Netlist.t;
@@ -50,12 +74,9 @@ type t = {
   bucket : int array array; (* per level; capacity = nets at that level *)
   bucket_len : int array;
   nb : int; (* number of pattern blocks *)
-  masks : int array; (* per block: live-width mask *)
-  tgood : int array; (* read-only once lent; [net * nb + bi] *)
-  borrowed : bool; (* [tgood] belongs to the [?share] simulator *)
-  lent : bool Atomic.t; (* some simulator reads this one's [tgood] *)
-  mutable tref : int array; (* the reference the drain reads: [tgood] or a frame *)
-  tdelta : int array; (* private faulty-XOR-reference slab, same layout *)
+  mutable good : good; (* read, never written; [rebind] swaps it *)
+  mutable tref : int array; (* the reference the drain reads: [good.words] or a frame *)
+  tdelta : int array; (* private faulty-XOR-reference slab, [net * nb + bi] *)
   acc : int array; (* per-gate-event eval scratch, one word per block *)
   pin : int array; (* 0 = free, 1 = held, 2 = flipped *)
   pinned : int array; (* stack of pinned sites, for O(seeds) reset *)
@@ -84,23 +105,16 @@ type t = {
   mutable batch_faults : int list; (* per-batch fault counts, newest first *)
 }
 
-let transpose_into tg nb (goods : Logic_sim.net_values array) =
-  let nets = Array.length tg / nb in
-  for bi = 0 to nb - 1 do
-    let g = goods.(bi) in
-    for s = 0 to nets - 1 do
-      tg.((s * nb) + bi) <- g.(s)
-    done
-  done
+(* The kernel reads the good words unchecked, so a good machine of
+   another netlist is refused here. *)
+let check_good fn net (g : good) =
+  if Array.length g.words <> Netlist.num_nets net * g.nb then
+    invalid_arg (fn ^ ": good machine of another netlist")
 
-let check_blocks fn ~nb ~blocks ~goods =
-  if Array.length blocks <> nb then invalid_arg (fn ^ ": block count mismatch");
-  if Array.length goods <> nb then invalid_arg (fn ^ ": goods/blocks length mismatch")
-
-let create ?share ?reach net ~blocks ~goods =
-  let nb = Array.length blocks in
+let create ?reach net (good : good) =
+  let nb = good.nb in
   if nb = 0 then invalid_arg "Fault_sim.create: empty block set";
-  check_blocks "Fault_sim.create" ~nb ~blocks ~goods;
+  check_good "Fault_sim.create" net good;
   let nets = Netlist.num_nets net in
   let depth = Netlist.depth net in
   let counts = Array.make (depth + 1) 0 in
@@ -109,17 +123,6 @@ let create ?share ?reach net ~blocks ~goods =
   let pos = Netlist.pos net in
   let po_of = Array.make nets (-1) in
   Array.iteri (fun oi n -> po_of.(n) <- oi) pos;
-  let tgood =
-    match share with
-    | Some s when s.net == net && s.nb = nb ->
-      Atomic.set s.lent true;
-      s.tgood
-    | Some _ -> invalid_arg "Fault_sim.create: incompatible ?share"
-    | None ->
-      let tg = Array.make (nets * nb) 0 in
-      transpose_into tg nb goods;
-      tg
-  in
   {
     net;
     reach;
@@ -130,11 +133,8 @@ let create ?share ?reach net ~blocks ~goods =
     bucket = Array.map (fun c -> Array.make (max 1 c) 0) counts;
     bucket_len = Array.make (depth + 1) 0;
     nb;
-    masks = Array.map (fun (b : Pattern.block) -> Logic.mask_of_width b.width) blocks;
-    tgood;
-    borrowed = Option.is_some share;
-    lent = Atomic.make false;
-    tref = tgood;
+    good;
+    tref = good.words;
     tdelta = Array.make (nets * nb) 0;
     acc = Array.make nb 0;
     pin = Array.make nets 0;
@@ -154,20 +154,17 @@ let create ?share ?reach net ~blocks ~goods =
     batch_faults = [];
   }
 
-(* Writing the good slab in place is safe only while no other simulator
-   reads it and no frame copied it.  The delta slab needs no clearing:
-   every sweep resets what the previous one wrote, and that reset reads
-   the act list, not the masks. *)
-let rebind t ~blocks ~goods =
-  if t.borrowed || Atomic.get t.lent then
-    invalid_arg "Fault_sim.rebind: the good slab is shared";
+(* A frame's base rows were copied from the old good machine, so a
+   framed simulator keeps its binding.  The delta slab needs no
+   clearing: every sweep resets what the previous one wrote, and that
+   reset reads the act list, not the masks. *)
+let rebind t (good : good) =
   if Option.is_some t.frame then
     invalid_arg "Fault_sim.rebind: the simulator holds a frame";
-  check_blocks "Fault_sim.rebind" ~nb:t.nb ~blocks ~goods;
-  Array.iteri
-    (fun bi (b : Pattern.block) -> t.masks.(bi) <- Logic.mask_of_width b.width)
-    blocks;
-  transpose_into t.tgood t.nb goods
+  if good.nb <> t.nb then invalid_arg "Fault_sim.rebind: block count mismatch";
+  check_good "Fault_sim.rebind" t.net good;
+  t.good <- good;
+  t.tref <- good.words
 
 let c_faults_simulated = Obs.counter "sim.faults_simulated"
 let c_faults_screened = Obs.counter "sim.faults_screened"
@@ -225,7 +222,7 @@ let clear_frame b =
     let nb = b.nb in
     for i = 0 to fr.nrows - 1 do
       let s = fr.rows.(i) in
-      Array.blit b.tgood (s * nb) fr.base (s * nb) nb;
+      Array.blit b.good.words (s * nb) fr.base (s * nb) nb;
       fr.bpin.(s) <- 0;
       b.pin.(s) <- 0
     done;
@@ -396,7 +393,7 @@ let drain_batch b =
   let fo = Netlist.fanout_csr net in
   let fo_off = Netlist.fanout_offsets net in
   let tg = b.tref and td = b.tdelta and acc = b.acc in
-  let act = b.act and nact = b.nact in
+  let act = b.act and nact = b.nact and masks = b.good.masks in
   let dense = nact = nb in
   let lvl = ref b.minl in
   while !lvl <= b.maxl do
@@ -429,7 +426,7 @@ let drain_batch b =
                let old = Array.unsafe_get td (o + bi) in
                let d =
                  lnot (Array.unsafe_get acc bi lxor Array.unsafe_get tg (o + bi))
-                 land Array.unsafe_get b.masks bi
+                 land Array.unsafe_get masks bi
                in
                old_or := !old_or lor old;
                new_or := !new_or lor d;
@@ -442,7 +439,7 @@ let drain_batch b =
                let old = Array.unsafe_get td (o + bi) in
                let d =
                  lnot (Array.unsafe_get acc bi lxor Array.unsafe_get tg (o + bi))
-                 land Array.unsafe_get b.masks bi
+                 land Array.unsafe_get masks bi
                in
                old_or := !old_or lor old;
                new_or := !new_or lor d;
@@ -503,7 +500,7 @@ let frame_of b =
     let nets = Netlist.num_nets b.net in
     let fr =
       {
-        base = Array.copy b.tgood;
+        base = Array.copy b.good.words;
         bpin = Array.make nets 0;
         rows = Array.make (max 1 nets) 0;
         nrows = 0;
@@ -516,7 +513,7 @@ let frame_of b =
 (* The change sweep proper, on a reset simulator and a non-empty change
    list. *)
 let change b changes f =
-  let nb = b.nb and base = b.tref and tg = b.tgood and masks = b.masks in
+  let nb = b.nb and base = b.tref and tg = b.good.words and masks = b.good.masks in
   let fi_off = Netlist.fanin_offsets b.net in
   let gated s = fi_off.(s) < fi_off.(s + 1) in
   (* A freed or flipped gate is re-evaluated by the drain from its
@@ -635,7 +632,7 @@ let batch_driven b ~net ~block =
   let lo = off.(net) and hi = off.(net + 1) in
   (* Inputs and constants have no fanin: their driven word is the
      good-machine one. *)
-  if lo = hi then b.tgood.((net * b.nb) + block)
+  if lo = hi then b.good.words.((net * b.nb) + block)
   else begin
     let code = (Netlist.gate_codes g).(net) in
     let v i = batch_value b ~net:fi.(i) ~block in
@@ -666,7 +663,8 @@ let simulate_batch b ~n ~fault f =
   b.batch_faults <- n :: b.batch_faults;
   reset_batch b;
   clear_frame b;
-  let nb = b.nb and tg = b.tgood and td = b.tdelta and pos = b.pos in
+  let nb = b.nb and tg = b.good.words and td = b.tdelta and pos = b.pos in
+  let masks = b.good.masks in
   for i = 0 to n - 1 do
     let site, stuck = fault i in
     let stuck_word = if stuck then Logic.ones else 0 in
@@ -674,7 +672,7 @@ let simulate_batch b ~n ~fault f =
     reset_batch b;
     b.nact <- 0;
     for bi = 0 to nb - 1 do
-      let d = (stuck_word lxor tg.(o + bi)) land b.masks.(bi) in
+      let d = (stuck_word lxor tg.(o + bi)) land masks.(bi) in
       b.acc.(bi) <- d;
       if d <> 0 then begin
         b.act.(b.nact) <- bi;
@@ -692,7 +690,7 @@ let simulate_batch b ~n ~fault f =
       drain_batch b;
       for a = 0 to b.nact - 1 do
         let bi = Array.unsafe_get b.act a in
-        let mask = Array.unsafe_get b.masks bi in
+        let mask = Array.unsafe_get masks bi in
         for k = 0 to nreached - 1 do
           let oi = Array.unsafe_get b.reached k in
           let w = Array.unsafe_get td ((Array.unsafe_get pos oi * nb) + bi) land mask in

@@ -9,8 +9,10 @@
     levelized sweep, so the frontier, queued flags and level buckets
     are paid once per gate event instead of once per (gate event,
     block).  Amortised cost is proportional to the size of the affected
-    region, not the circuit.  Good and delta words live in transposed
-    net-major slabs, so the per-gate block loop is a contiguous scan.
+    region, not the circuit.  Good words (one immutable {!good} that
+    any number of simulators read) and each simulator's delta words are
+    transposed net-major, so the per-gate block loop is a contiguous
+    scan.
 
     The steady-state path is allocation-free: the per-level event
     frontiers, the touched stack and the delta slab are preallocated
@@ -18,44 +20,53 @@
     netlist's CSR views, and a single fault's output scan visits only
     the POs reachable from its site (see {!Po_reach}).
 
-    Two kinds of sweep share one drain: {!simulate_batch} injects single
-    stuck faults for the signature cache and test generation, and
+    Two kinds of sweep run through one drain: {!simulate_batch} injects
+    single stuck faults for the signature cache and test generation, and
     {!sweep} re-pins sites against the frame {!hold} left — the good
     machine when none is held — for hypothesis scoring.  The sweeps are
     exact: their masked PO diff words are bit-identical to a whole-block
     overlay resimulation ([Logic_sim.simulate_block_overlay]) under the
-    equivalent overrides, which the test suite's kernel oracles check
+    matching overrides, which the test suite's kernel oracles check
     against a per-block scalar reference. *)
 
+type good = private {
+  nb : int;  (** Number of pattern blocks. *)
+  words : int array;
+      (** [words.(net * nb + bi)]: the good-machine word of [net] in
+          block [bi], net-major, so one net's blocks are contiguous.
+          Bits above a block's width are what the gates compute from
+          zero PI bits. *)
+  masks : int array;  (** Per block: its live-width mask. *)
+}
+(** The good machine of one block group.  Immutable by contract: built
+    once by {!good}, read by every simulator bound to it and by the
+    screens that test good values in place, written by none — so one
+    value serves any number of simulators on any number of domains. *)
+
+val good : Netlist.t -> Pattern.block array -> good
+(** Simulate every block ([Logic_sim.simulate_block]) and transpose the
+    words once into {!good}'s net-major layout. *)
+
 type t
-(** Simulator scratch bound to one netlist and one block group.  Not
-    shareable across domains — give each worker its own. *)
+(** Simulator scratch bound to one netlist and one good machine.  Owned
+    by one domain at a time — give each worker its own; they may all
+    read one {!good}. *)
 
-val create :
-  ?share:t ->
-  ?reach:Po_reach.t ->
-  Netlist.t ->
-  blocks:Pattern.block array ->
-  goods:Logic_sim.net_values array ->
-  t
-(** [create net ~blocks ~goods]: a simulator for [blocks], with [goods]
-    their good-machine words in the same order; it transposes [goods]
-    into its own slab.  [?share] instead reads the transposed good slab
-    of an existing simulator over the same netlist and block count —
-    workers share it, each owning only its private delta slab; a lender
-    that is never swept itself may be read from several domains.
-    [?reach] shares a precomputed PO-reachability structure (it is
+val create : ?reach:Po_reach.t -> Netlist.t -> good -> t
+(** [create net good]: a simulator over [good]'s blocks, reading its
+    words in place and owning only its delta slab and scratch.
+    [?reach] reuses a precomputed PO-reachability structure (it is
     immutable); when omitted one is computed, an O(edges) sweep.
-    Raises [Invalid_argument] on an empty block set, on [goods] of the
-    wrong length, or on an incompatible [?share]. *)
+    Raises [Invalid_argument] on an empty block set, or when [good] was
+    built for a netlist of another size. *)
 
-val rebind : t -> blocks:Pattern.block array -> goods:Logic_sim.net_values array -> unit
-(** Rewrite the simulator's good words (and live widths) in place for a
-    new block group of the same block count: a caller that simulates
-    one short pattern block after another keeps one simulator.  Raises
-    [Invalid_argument] when the good slab is shared (the simulator was
-    made with [?share] or lent to one) or the simulator has a frame
-    (it ran a {!hold} of some pin), and on a block count mismatch. *)
+val rebind : t -> good -> unit
+(** Point the simulator at another good machine of the same block
+    count, without copying: a caller that simulates one short pattern
+    block after another keeps one simulator.  Raises [Invalid_argument]
+    when the simulator has a frame (it ran a {!hold} of some pin), on a
+    block count mismatch, or when [good] was built for a netlist of
+    another size. *)
 
 val publish_stats : t -> unit
 (** Fold this simulator's stats — sweeps run (a {!hold} or {!sweep}

@@ -1,13 +1,15 @@
 (** Bit-parallel good-machine simulation and the overlay simulator.
 
-    The overlay simulator is the single mechanism behind every faulty
-    simulation in the repository: defect injection, multiplet validation
-    and bridge modelling all express themselves as per-net overrides of
-    the combinational evaluation.  Overrides may reference the value of
-    any other net (e.g. a bridge aggressor), so evaluation iterates to a
-    fixpoint; feedback bridges that oscillate are cut off after a bounded
-    number of sweeps (the last sweep's value wins, mirroring a tester
-    sampling a metastable line). *)
+    The engine's one fault simulator is [Fault_sim], which reads the
+    good words {!simulate_block} computes.  The overlay simulator here
+    serves defect injection — a chip's observed responses under its
+    defects — and the test suite's oracles, which check [Fault_sim]
+    against a whole-block resimulation.  A defect expresses itself as
+    per-net overrides of the combinational evaluation.  Overrides may
+    reference the value of any other net (e.g. a bridge aggressor), so
+    evaluation iterates to a fixpoint; feedback bridges that oscillate
+    are cut off after a bounded number of sweeps (the last sweep's value
+    wins, mirroring a tester sampling a metastable line). *)
 
 type net_values = int array
 (** One word per net: bit [k] = value under pattern [base + k] of the

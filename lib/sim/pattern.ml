@@ -116,12 +116,7 @@ let of_text text =
   { npis = max 0 !npis; count = !count; rows = Buffer.to_bytes rows; origin = None }
 
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | text -> (
     match of_text text with

@@ -42,8 +42,6 @@ type arena = {
 type t = {
   net : Netlist.t;
   pats : Pattern.t;
-  blocks : Pattern.block array;
-  goods : Logic_sim.net_values array;
   (* Reads are one [Atomic.get] plus a bounded decode of one key's byte
      range — no hashing, no mutex.  Every byte a published version can
      reach is written before the [Atomic.set] that publishes it (OCaml
@@ -57,8 +55,6 @@ type t = {
 
 let empty =
   { slab = Bigstring.empty; base = 0; used = 0; starts = [||]; present = Bytes.empty }
-let goods t = t.goods
-let blocks t = t.blocks
 let key ~site ~stuck = (2 * site) + Bool.to_int stuck
 let num_keys t = 2 * Netlist.num_nets t.net
 let word_bytes = Sys.word_size / 8
@@ -315,19 +311,6 @@ let store t keys rows =
         publish t { slab; base = a.base; used = !used; starts; present }
       end)
 
-let signature_of_triples t triples =
-  let npos = Netlist.num_pos t.net in
-  let npatterns = Pattern.count t.pats in
-  let signature = Array.init npos (fun _ -> Bitvec.create npatterns) in
-  let i = ref 0 in
-  while !i < Array.length triples do
-    let bi = triples.(!i) and oi = triples.(!i + 1) and d = triples.(!i + 2) in
-    let base = t.blocks.(bi).Pattern.base in
-    Logic.iter_bits d (fun bit -> Bitvec.set signature.(oi) (base + bit) true);
-    i := !i + 3
-  done;
-  signature
-
 (* --- The design image's signature section ---------------------------- *)
 
 (* One image per design ([Store_file]): its name comes from the
@@ -511,14 +494,4 @@ let load_frozen ~dir t =
 (* --- Construction ---------------------------------------------------- *)
 
 let create net pats =
-  let blocks = Array.of_list (Pattern.blocks pats) in
-  {
-    net;
-    pats;
-    blocks;
-    goods =
-      Obs.phase "session.goods" (fun () ->
-          Array.map (fun b -> Logic_sim.simulate_block net b) blocks);
-    arena = Atomic.make empty;
-    append_lock = Mutex.create ();
-  }
+  { net; pats; arena = Atomic.make empty; append_lock = Mutex.create () }

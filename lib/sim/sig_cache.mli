@@ -12,8 +12,9 @@
     {!Fault_sim.simulate_batch} reports it: blocks ascending, PO
     positions ascending within a block, only non-zero
     masked diff words.  That compact form replays into an explanation
-    matrix without touching the simulator and expands into the
-    per-output {!Bitvec.t} signatures the baselines consume.
+    matrix without touching the simulator, and
+    [Session.signature_of_triples] expands it into the per-output
+    {!Bitvec.t} signatures the baselines consume.
 
     Ownership: each [Diag.Session] creates exactly one instance with
     {!create} and owns it.  There is no process-wide registry and no
@@ -49,16 +50,8 @@ type t
     session that created it. *)
 
 val create : Netlist.t -> Pattern.t -> t
-(** A fresh instance with an empty arena.  Creation computes the
-    good-machine words of every block eagerly (they are shared by all
-    phases through {!goods}). *)
-
-val goods : t -> Logic_sim.net_values array
-(** Good-machine words of every block, in [Pattern.blocks] order.
-    Read-only; shared across domains. *)
-
-val blocks : t -> Pattern.block array
-(** The pattern blocks, in [Pattern.blocks] order. *)
+(** A fresh instance with an empty arena.  Simulates nothing: the
+    problem is kept only to key and write its design image. *)
 
 val key : site:Netlist.net -> stuck:bool -> int
 (** Canonical bucket key of a stuck fault ([2*site + stuck]).  Callers
@@ -156,8 +149,3 @@ val adopt : t -> Store_file.image -> bool
     problem: walk its signature section and publish it.  False when
     the image has none, or when the walk rejects it (counted in
     ["store.rejects"]); the instance is then left as it was. *)
-
-val signature_of_triples : t -> int array -> Bitvec.t array
-(** Expand triples into the per-PO signatures: bit [p] of PO [oi]'s
-    vector is set iff that PO differs from the good machine on pattern
-    [p]. *)

@@ -29,18 +29,15 @@
     The effective domain count of a call is, in decreasing precedence:
     the [?domains] argument, the value given to {!set_domains}, the
     [MDD_DOMAINS] environment variable, then
-    [Domain.recommended_domain_count ()] capped at {!max_domains}.
+    [Domain.recommended_domain_count ()] capped at 64.
     Nested calls from inside a worker run sequentially (no domain
     explosion, no deadlock). *)
-
-val max_domains : int
-(** Hard cap on the per-batch domain count (64). *)
 
 val default_domains : unit -> int
 (** The domain count used when [?domains] is omitted; at least 1. *)
 
 val set_domains : int -> unit
-(** Override the process-wide default (clamped to [1 .. max_domains]).
+(** Override the process-wide default (clamped to [1 .. 64]).
     Used by the [--domains] CLI flag; takes precedence over
     [MDD_DOMAINS]. *)
 

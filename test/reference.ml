@@ -380,26 +380,33 @@ let naive_matrices net pats dlog (candidates : Fault_list.fault array) =
 
 (* --- Scalar signature fill ------------------------------------------- *)
 
+(* A pattern set's blocks and their good words, block-major: the
+   reference the scalar sweeps read. *)
+type good = { blocks : Pattern.block array; goods : Logic_sim.net_values array }
+
+let good net pats =
+  let blocks = Array.of_list (Pattern.blocks pats) in
+  { blocks; goods = Array.map (Logic_sim.simulate_block net) blocks }
+
 (* Triples of one fault over the whole set in the canonical order
    (blocks ascending, POs ascending within a block): one scalar cone
    walk per block. *)
-let signature_triples c sim ~site ~stuck =
-  let goods = Sig_cache.goods c in
+let signature_triples sim g ~site ~stuck =
   let acc = ref [] in
   Array.iteri
     (fun bi (block : Pattern.block) ->
-      iter_po_diffs sim ~good:goods.(bi) ~width:block.width ~site ~stuck
-        (fun oi d -> acc := d :: oi :: bi :: !acc))
-    (Sig_cache.blocks c);
+      iter_po_diffs sim ~good:g.goods.(bi) ~width:block.width ~site ~stuck (fun oi d ->
+          acc := d :: oi :: bi :: !acc))
+    g.blocks;
   Array.of_list (List.rev !acc)
 
 (* [Sig_cache.find], filling a miss with the scalar triples. *)
-let lookup c sim ~site ~stuck =
+let lookup c sim g ~site ~stuck =
   let k = Sig_cache.key ~site ~stuck in
   match Sig_cache.find c k with
   | Some triples -> triples
   | None ->
-    let triples = signature_triples c sim ~site ~stuck in
+    let triples = signature_triples sim g ~site ~stuck in
     Sig_cache.store c [| k |] [| triples |];
     triples
 
@@ -409,14 +416,15 @@ let lookup c sim ~site ~stuck =
    from the good machine, the victim held at [good(a)], its triples
    scored as a signature. *)
 let screen_per_aggressor session dlog ~victim aggressors =
-  let blocks = Session.blocks session and goods = Session.goods session in
+  let blocks = Session.blocks session in
+  let { Fault_sim.words = good; nb; _ } = Session.good session in
   let b = Session.simulator session in
   let words = Datalog.observed_words dlog blocks in
   List.map
     (fun a ->
       let triples = ref [] in
       Fault_sim.sweep b
-        [ (victim, Fault_sim.Held (Array.map (fun g -> g.(a)) goods)) ]
+        [ (victim, Fault_sim.Held (Array.init nb (fun bi -> good.((a * nb) + bi)))) ]
         (fun bi oi w -> triples := w :: oi :: bi :: !triples);
       Scoring.score_triples words ~npos:(Datalog.npos dlog)
         (Array.of_list (List.rev !triples)))

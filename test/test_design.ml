@@ -8,12 +8,6 @@
    as it is.  Each call runs under its own sink, so its counters and
    phases are read in isolation. *)
 
-let tmpdir () =
-  let f = Filename.temp_file "mddtests" "" in
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
 (* penc4 has untestable faults, so generating its set runs PODEM; each
    call builds a fresh netlist, so [Campaign.test_report]'s per-netlist
    memo never answers for a store miss. *)
@@ -61,7 +55,7 @@ let check_counts name t ~loads ~saves ~rejects =
   Alcotest.(check int) (name ^ ": store.rejects") rejects (t.counter "store.rejects")
 
 let test_round_trip () =
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   let first = stored_set dir in
   check_counts "cold store" first ~loads:0 ~saves:1 ~rejects:0;
   Alcotest.(check bool) "generated on a miss" true (first.phase_count "tpg" = 1);
@@ -109,7 +103,7 @@ let foreign_netlist dir _ =
   read (image_path ~dir other)
 
 let reject_case name mangle () =
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   ignore (stored_set dir : tally);
   let path = image_path ~dir (design ()) in
   write path (mangle dir (read path));
@@ -128,7 +122,7 @@ let reject_case name mangle () =
    gets the same netlist and set back, with the signatures the first
    open swept. *)
 let test_restart_builds_nothing () =
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   let circuit = Design.Named "alu8" in
   let first = opened ~prewarm:true dir circuit in
   check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
@@ -152,12 +146,48 @@ let test_restart_builds_nothing () =
   let footprint t = Sig_cache.frozen_bytes (Option.get (Session.cache t.session)) in
   Alcotest.(check int) "adopted arena = swept arena" (footprint first) (footprint again)
 
+(* A [.bench] file through the store: the first open misses and
+   builds the netlist from the bytes it digested to look the image up;
+   the restart finds the image by that digest and builds nothing.  Both
+   must carry the file's digest as their source and render the same
+   report. *)
+let test_bench_file_restart () =
+  Temp_dir.with_dir @@ fun dir ->
+  let text = Bench_io.to_string (Generators.alu 8) in
+  let path = Filename.concat dir "alu8.bench" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let store = Filename.concat dir "store" in
+  let first = opened ~prewarm:true store (Design.File path) in
+  check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
+  Alcotest.(check int) "first open builds" 1 (first.phase_count "netlist.build");
+  let again = opened ~prewarm:true store (Design.File path) in
+  check_counts "restart" again ~loads:1 ~saves:0 ~rejects:0;
+  Alcotest.(check int) "restart builds nothing" 0 (again.phase_count "netlist.build");
+  let source t = Netlist.source (Session.netlist t.session) in
+  Alcotest.(check string) "source is the file's digest" (Bench_io.source_key text)
+    (source first);
+  Alcotest.(check string) "same source" (source first) (source again);
+  let net = Session.netlist first.session and pats = Session.patterns first.session in
+  let dlog =
+    match
+      Campaign.failing_die (Rng.create 5) net pats
+        ~expected:(Logic_sim.responses net pats) ~multiplicity:2
+    with
+    | Some (_, dlog), _ -> dlog
+    | None, _ -> Alcotest.fail "no failing draw"
+  in
+  let report t =
+    Report.render (Session.netlist t.session) (Noassume.diagnose_session t.session dlog)
+  in
+  Alcotest.(check string) "same report" (report first) (report again)
+
 (* A pattern file one PI too wide is an [Error] naming the file, with
    and without a store, and writes no image. *)
 let test_wrong_width_is_an_error () =
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
+  Temp_dir.with_dir @@ fun files ->
   let net = Generators.priority_encoder 4 in
-  let path = Filename.concat (tmpdir ()) "wide.txt" in
+  let path = Filename.concat files "wide.txt" in
   Out_channel.with_open_bin path (fun oc ->
       output_string oc (String.make (Netlist.num_pis net + 1) '0' ^ "\n"));
   List.iter
@@ -176,7 +206,7 @@ let test_wrong_width_is_an_error () =
    as it is and does not rewrite it.  A prewarmed open then sweeps and
    re-saves it with them. *)
 let test_unprewarmed_image_kept () =
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   let first = stored_set dir in
   check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
   let path = image_path ~dir (design ()) in
@@ -219,6 +249,8 @@ let suite =
     ( "design",
       [
         Alcotest.test_case "restart builds nothing" `Quick test_restart_builds_nothing;
+        Alcotest.test_case "bench file: miss, then restart" `Quick
+          test_bench_file_restart;
         Alcotest.test_case "wrong-width pattern file is an error" `Quick
           test_wrong_width_is_an_error;
         Alcotest.test_case "image without signatures kept" `Quick

@@ -15,7 +15,7 @@ let check_against_overlay name net pats =
   let blocks = Array.of_list (Pattern.blocks pats) in
   let goods = Array.map (Logic_sim.simulate_block net) blocks in
   let sim = Reference.scalar net in
-  let batch = Fault_sim.create net ~blocks ~goods in
+  let batch = Fault_sim.create net (Fault_sim.good net blocks) in
   let npos = Netlist.num_pos net in
   Netlist.iter_nets net (fun site ->
       List.iter
@@ -177,32 +177,30 @@ let test_reusable_across_faults () =
   let net = Generators.ripple_adder 4 in
   let pats = Pattern.random (Rng.create 24) ~npis:9 ~count:60 in
   let blocks = Array.of_list (Pattern.blocks pats) in
-  let goods = Array.map (Logic_sim.simulate_block net) blocks in
+  let good = Fault_sim.good net blocks in
   let nblocks = Array.length blocks and npos = Netlist.num_pos net in
-  let shared = Fault_sim.create net ~blocks ~goods in
+  let shared = Fault_sim.create net good in
   Netlist.iter_nets net (fun site ->
-      let fresh = Fault_sim.create net ~blocks ~goods in
+      let fresh = Fault_sim.create net good in
       let a = batch_words shared ~nblocks ~npos ~site ~stuck:true in
       let b = batch_words fresh ~nblocks ~npos ~site ~stuck:true in
       Alcotest.(check (array (array int))) "same" b a)
 
-(* [rebind] rewrites the good words in place: a simulator rebound to a
-   block sweeps exactly like one created for it, and a simulator whose
-   good slab is shared, or that holds a frame, refuses. *)
+(* [rebind] points a simulator at another good machine: a simulator
+   rebound to a block sweeps exactly like one created for it, and one
+   that holds a frame, or is offered a good machine of another block
+   count or netlist, refuses. *)
 let test_rebind () =
   let net = Generators.ripple_adder 4 in
   let pats = Pattern.random (Rng.create 25) ~npis:9 ~count:100 in
   let blocks = Array.of_list (Pattern.blocks pats) in
-  let goods = Array.map (Logic_sim.simulate_block net) blocks in
-  let one bi = ([| blocks.(bi) |], [| goods.(bi) |]) in
+  let one bi = Fault_sim.good net [| blocks.(bi) |] in
   let npos = Netlist.num_pos net in
-  let blocks0, goods0 = one 0 in
-  let sim = Fault_sim.create net ~blocks:blocks0 ~goods:goods0 in
+  let sim = Fault_sim.create net (one 0) in
   Array.iteri
     (fun bi _ ->
-      let blocks, goods = one bi in
-      Fault_sim.rebind sim ~blocks ~goods;
-      let fresh = Fault_sim.create net ~blocks ~goods in
+      Fault_sim.rebind sim (one bi);
+      let fresh = Fault_sim.create net (one bi) in
       Netlist.iter_nets net (fun site ->
           List.iter
             (fun stuck ->
@@ -217,15 +215,16 @@ let test_rebind () =
     | () -> Alcotest.failf "rebind of %s did not raise" what
     | exception Invalid_argument _ -> ()
   in
-  let borrower = Fault_sim.create ~share:sim net ~blocks:blocks0 ~goods:goods0 in
-  refuses "a borrower" (fun () -> Fault_sim.rebind borrower ~blocks:blocks0 ~goods:goods0);
-  refuses "a lender" (fun () -> Fault_sim.rebind sim ~blocks:blocks0 ~goods:goods0);
-  let framed = Fault_sim.create net ~blocks:blocks0 ~goods:goods0 in
+  let framed = Fault_sim.create net (one 0) in
   Fault_sim.hold framed [ (0, Fault_sim.Stuck true) ] (fun _ _ _ -> ());
-  refuses "a framed simulator" (fun () ->
-      Fault_sim.rebind framed ~blocks:blocks0 ~goods:goods0);
+  refuses "a framed simulator" (fun () -> Fault_sim.rebind framed (one 0));
   refuses "a block count mismatch" (fun () ->
-      Fault_sim.rebind (Fault_sim.create net ~blocks:blocks0 ~goods:goods0) ~blocks ~goods)
+      Fault_sim.rebind (Fault_sim.create net (one 0)) (Fault_sim.good net blocks));
+  refuses "another netlist's good machine" (fun () ->
+      let other = Generators.ripple_adder 5 in
+      let pats = Pattern.random (Rng.create 26) ~npis:11 ~count:8 in
+      let block = List.hd (Pattern.blocks pats) in
+      Fault_sim.rebind (Fault_sim.create net (one 0)) (Fault_sim.good other [| block |]))
 
 let suite =
   [

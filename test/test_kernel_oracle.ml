@@ -112,8 +112,8 @@ let prop_explain_matches_naive =
    matrix exercised: a candidate with no triples at all, and a failing
    pattern with several failing outputs. *)
 let layout_matches_triples net session dlog m =
-  let cache = Option.get (Session.cache session) in
   let sim = Reference.scalar net in
+  let good = Reference.good net (Session.patterns session) in
   let blocks = Session.blocks session in
   let observations = Explain.observations m in
   let failing = Explain.failing m in
@@ -134,7 +134,7 @@ let layout_matches_triples net session dlog m =
   let ok = ref true and empty_row = ref false in
   Array.iteri
     (fun c (f : Fault_list.fault) ->
-      let triples = Reference.signature_triples cache sim ~site:f.site ~stuck:f.stuck in
+      let triples = Reference.signature_triples sim good ~site:f.site ~stuck:f.stuck in
       if triples = [||] then empty_row := true;
       let covers = Bitvec.create (Array.length observations) in
       let matched = Array.make nfp 0 and spurious = Array.make nfp 0 in
@@ -230,7 +230,7 @@ let test_layout_corner_cases () =
 (* --- signature ~goods ----------------------------------------------- *)
 
 (* The scalar signature with precomputed goods, recomputing them, and
-   the batch kernel's triples expanded by [Sig_cache] all agree. *)
+   the batch kernel's triples expanded by [Session] all agree. *)
 let prop_signature_goods_equivalent =
   QCheck.Test.make
     ~name:"signature ~goods = signature recomputing goods" ~count:25
@@ -244,10 +244,8 @@ let prop_signature_goods_equivalent =
           (List.map (Logic_sim.simulate_block net) (Pattern.blocks pats))
       in
       let site = Rng.int (Rng.create (seed + 4)) (Netlist.num_nets net) in
-      let c = Sig_cache.create net pats in
-      let batch =
-        Fault_sim.create net ~blocks:(Sig_cache.blocks c) ~goods:(Sig_cache.goods c)
-      in
+      let session = Session.create net pats in
+      let batch = Session.simulator session in
       List.for_all
         (fun stuck ->
           let a = Reference.signature sim ~goods pats ~site ~stuck in
@@ -256,7 +254,8 @@ let prop_signature_goods_equivalent =
           Fault_sim.simulate_batch batch ~n:1
             ~fault:(fun _ -> (site, stuck))
             (fun _ bi oi w -> triples := w :: oi :: bi :: !triples);
-          let k = Sig_cache.signature_of_triples c (Array.of_list (List.rev !triples)) in
+          let triples = Array.of_list (List.rev !triples) in
+          let k = Session.signature_of_triples session triples in
           Array.for_all2 Bitvec.equal a b && Array.for_all2 Bitvec.equal a k)
         [ false; true ])
 
@@ -278,7 +277,7 @@ let prop_simulate_batch_matches_scalar =
       let blocks = Array.of_list (Pattern.blocks pats) in
       let goods = Array.map (Logic_sim.simulate_block net) blocks in
       let sim = Reference.scalar net in
-      let b = Fault_sim.create net ~blocks ~goods in
+      let b = Fault_sim.create net (Fault_sim.good net blocks) in
       let rng = Rng.create (seed + 23) in
       let faults =
         Array.init nfaults (fun _ ->
@@ -330,7 +329,7 @@ let prop_held_sweep_matches_scalar =
           (fun bi oi w -> got.((bi * npos) + oi) <- w);
         got
       in
-      let emptied = Fault_sim.create net ~blocks ~goods in
+      let emptied = Fault_sim.create net (Fault_sim.good net blocks) in
       let other = Rng.int rng (Netlist.num_nets net) in
       Fault_sim.hold emptied
         [ (other, Fault_sim.Flip); ((other + 1) mod Netlist.num_nets net, Fault_sim.Stuck true) ]
@@ -343,7 +342,8 @@ let prop_held_sweep_matches_scalar =
             ~site ~delta:deltas.(bi)
             (fun oi w -> want.((bi * npos) + oi) <- w))
         blocks;
-      swept (Fault_sim.create net ~blocks ~goods) = want && swept emptied = want)
+      swept (Fault_sim.create net (Fault_sim.good net blocks)) = want
+      && swept emptied = want)
 
 (* --- aggressor screens against per-aggressor sweeps ------------------ *)
 
@@ -430,7 +430,7 @@ let prop_screen_matches_per_aggressor =
     (fun (seed, case) ->
       let net, pats, dlog, victim, noise = screen_problem seed case in
       let session = Session.create net pats in
-      let goods = Session.goods session in
+      let { Reference.goods; _ } = Reference.good net pats in
       let comp = Option.get (Netlist.find net "complement") in
       let nblocks = Array.length goods in
       let last = (Session.blocks session).(nblocks - 1) in
@@ -883,7 +883,7 @@ let prop_packed_arena_matches_scalar =
       let net = Generators.random_logic ~gates:(40 + (seed mod 60)) ~pis:6 ~pos:5 ~seed in
       let pats = Pattern.random (Rng.create (seed * 3)) ~npis:6 ~count:70 in
       let c = Sig_cache.create net pats in
-      let sim = Reference.scalar net in
+      let sim = Reference.scalar net and good = Reference.good net pats in
       let faults = Fault_list.representatives (Fault_list.collapse net) in
       let reference =
         List.map
@@ -891,7 +891,8 @@ let prop_packed_arena_matches_scalar =
             let k = Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck in
             ( k,
               Array.copy
-                (Reference.lookup c sim ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
+                (Reference.lookup c sim good ~site:f.Fault_list.site
+                   ~stuck:f.Fault_list.stuck)
             ))
           faults
       in
@@ -912,9 +913,7 @@ let prop_packed_arena_matches_scalar =
             decoded && buffered)
           reference
       in
-      let dir = Filename.temp_file "mddoracle" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o755;
+      Temp_dir.with_dir @@ fun dir ->
       let saved = Sig_cache.save_frozen ~dir c in
       let in_memory = agrees c in
       let c2 = Sig_cache.create net pats in

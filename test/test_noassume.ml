@@ -149,7 +149,9 @@ let test_refinement_never_worsens () =
    [Noassume]; the two differ only where a site's opposite polarities
    both explain one failing pattern. *)
 let per_aggressor_ranking session m (r : Noassume.result) site =
-  let goods = Session.goods session in
+  let { Reference.goods; _ } =
+    Reference.good (Session.netlist session) (Session.patterns session)
+  in
   let obs = Explain.observations m in
   let nblocks = Array.length goods in
   let need_mask = Array.make nblocks 0 and need_val = Array.make nblocks 0 in

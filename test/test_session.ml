@@ -40,12 +40,6 @@ let prewarmed_session config =
   ignore (Session.prewarm session : int);
   session
 
-let tmpdir () =
-  let dir = Filename.temp_file "mddsession" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  dir
-
 let config ~domains = { Session.default_config with Session.domains = Some domains }
 
 let render_ranking ranked =
@@ -198,7 +192,7 @@ let prop_store_round_trip_identical =
       match make_dlog seed multiplicity with
       | None -> true
       | Some dlog ->
-        let dir = tmpdir () in
+        Temp_dir.with_dir @@ fun dir ->
         let render session =
           Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
         in
@@ -393,7 +387,7 @@ let test_batch_dir_bad_dies () =
   let dlog =
     match make_dlog 4000 2 with Some d -> d | None -> Alcotest.fail "no failing draw"
   in
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   let write name text =
     let oc = open_out (Filename.concat dir name) in
     output_string oc text;

@@ -14,12 +14,6 @@
    appends and the order keys arrive in must change neither a decoded
    row nor a saved byte. *)
 
-let tmpdir () =
-  let f = Filename.temp_file "mddstore" "" in
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
 let problem =
   lazy
     (let net = Generators.c17 () in
@@ -35,13 +29,13 @@ let fresh_instance () =
 
 (* Populate the arena with real signatures — one per collapsed fault,
    the keys [Session.prewarm] would sweep. *)
-let populate c net =
-  let sim = Reference.scalar net in
+let populate c net pats =
+  let sim = Reference.scalar net and good = Reference.good net pats in
   let faults = Fault_list.representatives (Fault_list.collapse net) in
   List.iter
     (fun (f : Fault_list.fault) ->
       ignore
-        (Reference.lookup c sim ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
+        (Reference.lookup c sim good ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
           : int array))
     faults;
   faults
@@ -58,8 +52,8 @@ let test_round_trip () =
   Obs.enable ();
   let saves0 = counter_value "store.saves" and loads0 = counter_value "store.loads" in
   let c1, net, pats = fresh_instance () in
-  ignore (populate c1 net : Fault_list.fault list);
-  let dir = tmpdir () in
+  ignore (populate c1 net pats : Fault_list.fault list);
+  Temp_dir.with_dir @@ fun dir ->
   Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c1);
   Alcotest.(check int) "store.saves bumped" (saves0 + 1) (counter_value "store.saves");
   let c2 = Sig_cache.create net pats in
@@ -88,7 +82,7 @@ let test_empty_signature_round_trip () =
   Sig_cache.store c1 [| 0 |] [| [||] |];
   Alcotest.(check bool) "find = Some [||]" true (Sig_cache.find c1 0 = Some [||]);
   Alcotest.(check bool) "absent key stays None" true (Sig_cache.find c1 2 = None);
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c1);
   let c2 = Sig_cache.create net pats in
   Alcotest.(check bool) "load succeeds" true (Sig_cache.load_frozen ~dir c2);
@@ -102,19 +96,13 @@ let test_empty_signature_round_trip () =
 let reject_case name mangle () =
   Obs.enable ();
   let c1, net, pats = fresh_instance () in
-  ignore (populate c1 net : Fault_list.fault list);
-  let dir = tmpdir () in
+  ignore (populate c1 net pats : Fault_list.fault list);
+  Temp_dir.with_dir @@ fun dir ->
   Alcotest.(check bool) "seed save succeeds" true (Sig_cache.save_frozen ~dir c1);
   let path = image_path ~dir net in
-  let raw =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let oc = open_out_bin path in
-  output_bytes oc (mangle (Bytes.of_string raw));
-  close_out oc;
+  let raw = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      output_bytes oc (mangle (Bytes.of_string raw)));
   let c2 = Sig_cache.create net pats in
   let rejects0 = counter_value "store.rejects" in
   Alcotest.(check bool) (name ^ ": load refused") false (Sig_cache.load_frozen ~dir c2);
@@ -125,7 +113,7 @@ let reject_case name mangle () =
   Alcotest.(check bool) (name ^ ": instance left cold") true (Sig_cache.frozen_bytes c2 = 0);
   (* Clean fallback: the rejected instance prewarms and re-saves as if
      the file had never existed. *)
-  ignore (populate c2 net : Fault_list.fault list);
+  ignore (populate c2 net pats : Fault_list.fault list);
   Alcotest.(check bool) (name ^ ": fallback fill") true (Sig_cache.frozen_bytes c2 > 0);
   Alcotest.(check bool) (name ^ ": overwrite save") true (Sig_cache.save_frozen ~dir c2);
   let c3 = Sig_cache.create net pats in
@@ -215,21 +203,14 @@ let test_foreign_netlist_rejected () =
     Pattern.random (Rng.create 11) ~npis:(Netlist.num_pis other_net) ~count:64
   in
   let other = Sig_cache.create other_net other_pats in
-  ignore (populate other other_net : Fault_list.fault list);
-  let dir = tmpdir () in
+  ignore (populate other other_net other_pats : Fault_list.fault list);
+  Temp_dir.with_dir @@ fun dir ->
   Alcotest.(check bool) "foreign save succeeds" true (Sig_cache.save_frozen ~dir other);
   let foreign_path = image_path ~dir other_net in
   let c, net, _ = fresh_instance () in
   let path = image_path ~dir net in
-  let raw =
-    let ic = open_in_bin foreign_path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let oc = open_out_bin path in
-  output_string oc raw;
-  close_out oc;
+  let raw = In_channel.with_open_bin foreign_path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc -> output_string oc raw);
   let rejects0 = counter_value "store.rejects" in
   Alcotest.(check bool) "foreign netlist refused" false (Sig_cache.load_frozen ~dir c);
   Alcotest.(check int) "store.rejects bumped" (rejects0 + 1)
@@ -245,8 +226,8 @@ let test_foreign_patterns_rejected () =
   Obs.enable ();
   let net, pats = Lazy.force problem in
   let c1 = Sig_cache.create net pats in
-  ignore (populate c1 net : Fault_list.fault list);
-  let dir = tmpdir () in
+  ignore (populate c1 net pats : Fault_list.fault list);
+  Temp_dir.with_dir @@ fun dir ->
   Alcotest.(check bool) "seed save succeeds" true (Sig_cache.save_frozen ~dir c1);
   let other_pats = Pattern.random (Rng.create 8) ~npis:(Netlist.num_pis net) ~count:64 in
   let c2 = Sig_cache.create net other_pats in
@@ -266,7 +247,7 @@ let test_foreign_patterns_rejected () =
 let test_missing_file_not_a_reject () =
   Obs.enable ();
   let c, _, _ = fresh_instance () in
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   let rejects0 = counter_value "store.rejects" in
   Alcotest.(check bool) "load from empty dir" false (Sig_cache.load_frozen ~dir c);
   Alcotest.(check int) "no reject counted" rejects0 (counter_value "store.rejects");
@@ -290,7 +271,7 @@ let prop_codec_round_trip =
       let c1, net, pats = fresh_instance () in
       Sig_cache.store c1 [| 0 |] [| triples |];
       let from_memory = Sig_cache.find c1 0 in
-      let dir = tmpdir () in
+      Temp_dir.with_dir @@ fun dir ->
       let saved = Sig_cache.save_frozen ~dir c1 in
       let c2 = Sig_cache.create net pats in
       let loaded = Sig_cache.load_frozen ~dir c2 in
@@ -303,13 +284,12 @@ let prop_codec_round_trip =
 let reference_rows () =
   let net = Generators.random_logic ~gates:300 ~pis:10 ~pos:8 ~seed:5 in
   let pats = Pattern.random (Rng.create 5) ~npis:10 ~count:128 in
-  let c = Sig_cache.create net pats in
-  let sim = Reference.scalar net in
+  let sim = Reference.scalar net and good = Reference.good net pats in
   let rows =
     List.map
       (fun (f : Fault_list.fault) ->
         ( Sig_cache.key ~site:f.site ~stuck:f.stuck,
-          Reference.signature_triples c sim ~site:f.site ~stuck:f.stuck ))
+          Reference.signature_triples sim good ~site:f.site ~stuck:f.stuck ))
       (Fault_list.representatives (Fault_list.collapse net))
     |> List.sort compare |> Array.of_list
   in
@@ -362,15 +342,9 @@ let test_fill_order_independent () =
   let reversed = Sig_cache.create net pats in
   store_batches reversed rows (Array.init n (fun i -> n - 1 - i)) ~size:7;
   let save c =
-    let dir = tmpdir () in
+    Temp_dir.with_dir @@ fun dir ->
     Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c);
-    let path = image_path ~dir net in
-    let ic = open_in_bin path in
-    let raw =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let raw = In_channel.with_open_bin (image_path ~dir net) In_channel.input_all in
     Alcotest.(check bool) "saved file loads" true
       (Sig_cache.load_frozen ~dir (Sig_cache.create net pats));
     raw
@@ -388,7 +362,7 @@ let test_append_after_load () =
   let half = Array.sub rows 0 (n / 2) and rest = Array.sub rows (n / 2) (n - (n / 2)) in
   let c1 = Sig_cache.create net pats in
   Sig_cache.store c1 (Array.map fst half) (Array.map snd half);
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   Alcotest.(check bool) "half saved" true (Sig_cache.save_frozen ~dir c1);
   let c2 = Sig_cache.create net pats in
   Alcotest.(check bool) "half loaded" true (Sig_cache.load_frozen ~dir c2);
@@ -404,7 +378,7 @@ let test_append_after_load () =
         (Some triples) (Sig_cache.find c2 k))
     rows;
   let saved c =
-    let dir = tmpdir () in
+    Temp_dir.with_dir @@ fun dir ->
     Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c);
     In_channel.with_open_bin (image_path ~dir net) In_channel.input_all
   in
@@ -491,21 +465,23 @@ let rnd2k_snapshot =
     (let net = Option.get (Generators.find_suite "rnd2k") in
      let pats = Pattern.random (Rng.create 12) ~npis:(Netlist.num_pis net) ~count:128 in
      let c = Sig_cache.create net pats in
-     let sim = Reference.scalar net in
+     let sim = Reference.scalar net and good = Reference.good net pats in
      let rows =
        Array.init
          (2 * Netlist.num_nets net)
-         (fun k -> Reference.signature_triples c sim ~site:(k / 2) ~stuck:(k land 1 = 1))
+         (fun k ->
+           Reference.signature_triples sim good ~site:(k / 2) ~stuck:(k land 1 = 1))
      in
      Sig_cache.store c (Array.init (Array.length rows) Fun.id) rows;
-     let dir = tmpdir () in
-     if not (Sig_cache.save_frozen ~dir c) then failwith "rnd2k snapshot save failed";
-     let path = image_path ~dir net in
-     let raw = In_channel.with_open_bin path In_channel.input_all in
-     (net, pats, rows, dir, raw))
+     let raw =
+       Temp_dir.with_dir @@ fun dir ->
+       if not (Sig_cache.save_frozen ~dir c) then failwith "rnd2k snapshot save failed";
+       In_channel.with_open_bin (image_path ~dir net) In_channel.input_all
+     in
+     (net, pats, rows, raw))
 
 let test_two_byte_deltas_load () =
-  let net, pats, rows, dir, raw = Lazy.force rnd2k_snapshot in
+  let net, pats, rows, raw = Lazy.force rnd2k_snapshot in
   Alcotest.(check int) "rnd2k POs" 363 (Netlist.num_pos net);
   let lens, _, slab = split_snapshot (Bytes.of_string raw) in
   let starts = key_starts lens in
@@ -518,6 +494,8 @@ let test_two_byte_deltas_load () =
           (triples_at slab starts.(k)))
     lens;
   Alcotest.(check bool) "some PO delta takes two bytes" true (!two_byte > 0);
+  Temp_dir.with_dir @@ fun dir ->
+  Out_channel.with_open_bin (image_path ~dir net) (fun oc -> output_string oc raw);
   let c = Sig_cache.create net pats in
   Alcotest.(check bool) "load succeeds" true (Sig_cache.load_frozen ~dir c);
   Array.iteri
@@ -530,8 +508,8 @@ let test_two_byte_deltas_load () =
 (* [reject_case] on the rnd2k snapshot, without the fallback fill. *)
 let reject_rnd2k name mangle () =
   Obs.enable ();
-  let net, pats, _, _, raw = Lazy.force rnd2k_snapshot in
-  let dir = tmpdir () in
+  let net, pats, _, raw = Lazy.force rnd2k_snapshot in
+  Temp_dir.with_dir @@ fun dir ->
   let c = Sig_cache.create net pats in
   let oc = open_out_bin (image_path ~dir net) in
   output_bytes oc (mangle (Bytes.of_string raw));

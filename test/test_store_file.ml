@@ -5,12 +5,6 @@
    mutated section must be refused — [None] from the decoder, a counted
    rejection from the loader — never an exception. *)
 
-let tmpdir () =
-  let f = Filename.temp_file "mddimage" "" in
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
 let counter_value name = Obs.value (Obs.counter name)
 
 (* A small image with all three sections: c17, 64 patterns, every
@@ -19,23 +13,27 @@ let saved =
   lazy
     (let net = Generators.c17 () in
      let pats = Pattern.random (Rng.create 7) ~npis:(Netlist.num_pis net) ~count:64 in
-     let dir = tmpdir () in
+     Temp_dir.with_dir @@ fun dir ->
      let session = Session.create net pats in
      ignore (Session.prewarm session : int);
      ignore (Sig_cache.save_frozen ~dir (Option.get (Session.cache session)) : bool);
      let path = Store_file.path ~dir ~source:(Netlist.source net) in
-     (path, Store_file.key net pats, Image_edit.read path))
+     (Store_file.key net pats, Image_edit.read path))
 
-(* Whether the loader refuses [b] at the checksum or before: the
-   decoder accepts anything. *)
-let refused b =
-  let path, key, _ = Lazy.force saved in
-  let probe = Filename.concat (Filename.dirname path) "probe.mddimg" in
-  Image_edit.write probe b;
-  Store_file.load ~path:probe ~key ignore = None
+(* [f raw refused] on the saved image's bytes, where [refused b] tells
+   whether the loader refuses [b] at the checksum or before — the
+   decoder accepts anything.  The probe file lives in the case's own
+   temp dir. *)
+let with_saved f =
+  let key, raw = Lazy.force saved in
+  Temp_dir.with_dir @@ fun dir ->
+  let probe = Filename.concat dir "probe.mddimg" in
+  f raw (fun b ->
+      Image_edit.write probe b;
+      Store_file.load ~path:probe ~key ignore = None)
 
 let test_pristine_loads () =
-  let _, _, raw = Lazy.force saved in
+  with_saved @@ fun raw refused ->
   Alcotest.(check bool) "pristine image loads" false (refused raw);
   let sections = (Image_edit.split raw).Image_edit.sections in
   Alcotest.(check int) "three sections" 3 (Array.length sections);
@@ -51,7 +49,7 @@ let test_pristine_loads () =
    and every byte of the last eight, so a checksum that skipped the
    final (possibly partial) word would show — flipped one at a time. *)
 let test_bit_flips () =
-  let _, _, raw = Lazy.force saved in
+  with_saved @@ fun raw refused ->
   let len = Bytes.length raw in
   let positions =
     List.init len Fun.id |> List.filter (fun i -> i / 8 mod 3 = 0 || i >= len - 8)
@@ -66,7 +64,7 @@ let test_bit_flips () =
     positions
 
 let test_truncations () =
-  let _, _, raw = Lazy.force saved in
+  with_saved @@ fun raw refused ->
   for cut = 0 to Bytes.length raw - 1 do
     if not (refused (Bytes.sub raw 0 cut)) then
       Alcotest.failf "truncation to %d accepted" cut
@@ -77,7 +75,7 @@ let test_truncations () =
 (* Swap pairs of unequal 32-bit words of the checksummed bytes: the
    plain sum stays, the weighted one must move. *)
 let test_word_swaps () =
-  let _, _, raw = Lazy.force saved in
+  with_saved @@ fun raw refused ->
   let words = (Bytes.length raw - Image_edit.header_len) / 4 in
   let word b k = Bytes.get_int32_le b (Image_edit.header_len + (4 * k)) in
   let swaps = ref 0 in
@@ -287,7 +285,7 @@ let test_mutated_sections () =
   let good = encode net in
   Alcotest.(check bool) "re-encoded parts decode" true
     (decode (bytes_of (parts_of good)) <> None);
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   let path = Store_file.path ~dir ~source:(Netlist.source net) in
   let key = Store_file.key net pats in
   Alcotest.(check bool) "image saved" true
@@ -348,13 +346,14 @@ let test_resave_under_mapping () =
   let render session dlog = Report.render net (Noassume.diagnose_session session dlog) in
   let lazy_session () = Session.create net pats in
   let cache session = Option.get (Session.cache session) in
-  let dir = tmpdir () in
+  Temp_dir.with_dir @@ fun dir ->
   let partial = lazy_session () in
   ignore (render partial first : string);
   Alcotest.(check bool) "partial image saved" true
     (Sig_cache.save_frozen ~dir (cache partial));
   let loads0 = counter_value "store.loads" in
-  let patterns = Filename.concat (tmpdir ()) "patterns.txt" in
+  Temp_dir.with_dir @@ fun files ->
+  let patterns = Filename.concat files "patterns.txt" in
   Out_channel.with_open_bin patterns (fun oc -> output_string oc (Pattern.to_text pats));
   let stored () =
     Result.get_ok
