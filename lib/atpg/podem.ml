@@ -14,7 +14,7 @@ type t = {
   fanin_off : int array;
   fanout : int array;
   fanout_off : int array;
-  codes : int array;
+  kinds : Gate.kind array;
   levels : int array;
   topo : int array;
   topo_pos : int array;  (** Index of each net in [topo]. *)
@@ -40,15 +40,26 @@ type t = {
   mutable cone_len : int;
   cone_pos : int array;
   mutable cone_npos : int;
+  (* The fault's region: its cone and every net that drives it, the
+     only nets the search reads.  [region.(n) = region_id] marks them. *)
+  region : int array;
+  mutable region_id : int;
   (* Stamped visited marks (cone construction, X-path search) and the
-     BFS queue both use. *)
+     BFS queue they and the region construction use. *)
   seen : int array;
   mutable epoch : int;
   queue : int array;
-  (* Decision stack, at most one entry per PI. *)
+  (* Decision stack, at most one entry per PI; [stack_mark] is the
+     trail length before the decision was applied. *)
   stack_pos : int array;
   stack_flipped : bool array;
+  stack_mark : int array;
   mutable depth : int;
+  (* Undo trail: every rail change made above depth 0, packed as
+     [net lsl 4 lor old ones lsl 2 lor old zeros].  Grows by doubling;
+     emptied at the start of each run. *)
+  mutable trail : int array;
+  mutable trail_len : int;
   (* Gate evaluations of the current run. *)
   mutable n_implications : int;
 }
@@ -78,7 +89,7 @@ let create net =
     fanin_off = Netlist.fanin_offsets net;
     fanout = Netlist.fanout_csr net;
     fanout_off = Netlist.fanout_offsets net;
-    codes = Netlist.gate_codes net;
+    kinds = Array.init n (Netlist.kind net);
     levels;
     topo;
     topo_pos;
@@ -100,12 +111,17 @@ let create net =
     cone_len = 0;
     cone_pos = Array.make n 0;
     cone_npos = 0;
+    region = Array.make n 0;
+    region_id = 0;
     seen = Array.make n 0;
     epoch = 0;
     queue = Array.make n 0;
     stack_pos = Array.make npis 0;
     stack_flipped = Array.make npis false;
+    stack_mark = Array.make npis 0;
     depth = 0;
+    trail = Array.make (max 64 n) 0;
+    trail_len = 0;
     n_implications = 0;
   }
 
@@ -122,69 +138,109 @@ let good_x e n = (e.ones.(n) lor e.zeros.(n)) land good = 0
 let good_value e n =
   if e.ones.(n) land good <> 0 then 1 else if e.zeros.(n) land good <> 0 then 0 else -1
 
-(* Store a net's new rails (forcing the site's faulty bit); true when
-   they changed. *)
-let store e n o z =
-  let o = if n <> e.site then o else if e.stuck then o lor faulty else o land good in
-  let z = if n <> e.site then z else if e.stuck then z land good else z lor faulty in
-  if o = e.ones.(n) && z = e.zeros.(n) then false
+let grow e =
+  let bigger = Array.make (2 * e.trail_len) 0 in
+  Array.blit e.trail 0 bigger 0 e.trail_len;
+  e.trail <- bigger
+
+(* Record net [n]'s rails [o], [z] before a change, so that [undo] can
+   restore them. *)
+let push e n o z =
+  if e.trail_len = Array.length e.trail then grow e;
+  Array.unsafe_set e.trail e.trail_len ((n lsl 4) lor (o lsl 2) lor z);
+  e.trail_len <- e.trail_len + 1
+
+(* Restore every rail changed since trail length [mark], newest first,
+   so a net changed more than once ends at its oldest value. *)
+let undo e mark =
+  for i = e.trail_len - 1 downto mark do
+    let x = e.trail.(i) in
+    let n = x lsr 4 in
+    e.ones.(n) <- (x lsr 2) land 3;
+    e.zeros.(n) <- x land 3
+  done;
+  e.trail_len <- mark
+
+(* Write a net's rails, trailing the old ones above depth 0 (the sweep
+   that seeds a run is never undone); true when they changed.  [n] is a
+   net of the netlist — a [topo] or bucket entry, a PI — so the rails
+   are indexed unchecked. *)
+let write e n o z =
+  let o0 = Array.unsafe_get e.ones n and z0 = Array.unsafe_get e.zeros n in
+  if o = o0 && z = z0 then false
   else begin
-    e.ones.(n) <- o;
-    e.zeros.(n) <- z;
+    if e.depth > 0 then push e n o0 z0;
+    Array.unsafe_set e.ones n o;
+    Array.unsafe_set e.zeros n z;
     true
   end
 
-(* Both machines of gate [g] from its fanins' rails, then [store].  An
-   inverting gate swaps the rails of its base function. *)
+(* Store a net's new rails, forcing the site's faulty bit. *)
+let store e n o z =
+  if n <> e.site then write e n o z
+  else if e.stuck then write e n (o lor faulty) (z land good)
+  else write e n (o land good) (z lor faulty)
+
+(* The gate evaluators read [fanin.(lo .. hi - 1)], a gate's slice of
+   the fanin CSR, and the rails of the nets it names: every index is in
+   range by the CSR's construction, so the reads are unchecked. *)
+
+(* AND over rails [a] and [b]: [a] set where every input's is, [b] set
+   where any input's is; stored as (ones, zeros), or swapped when
+   [swap].  AND (and BUF, its one-input case) reads (ones, zeros) and
+   OR, its De Morgan dual, (zeros, ones); an inverting gate swaps once
+   more. *)
+let eval_and e g lo hi a b swap =
+  let fanin = e.fanin in
+  let all = ref both and any = ref 0 in
+  for i = lo to hi - 1 do
+    let s = Array.unsafe_get fanin i in
+    all := !all land Array.unsafe_get a s;
+    any := !any lor Array.unsafe_get b s
+  done;
+  if swap then store e g !any !all else store e g !all !any
+
+(* Known only where every input is; then the parity of the 1s, complemented
+   by [flip] ([both] for XNOR). *)
+let eval_xor e g lo hi flip =
+  let fanin = e.fanin and ones = e.ones and zeros = e.zeros in
+  let known = ref both and parity = ref flip in
+  for i = lo to hi - 1 do
+    let s = Array.unsafe_get fanin i in
+    let o = Array.unsafe_get ones s in
+    known := !known land (o lor Array.unsafe_get zeros s);
+    parity := !parity lxor o
+  done;
+  store e g (!known land !parity) (!known land (!parity lxor both))
+
+(* Both machines of gate [g] from its fanins' rails, then [store]. *)
 let eval e g =
   e.n_implications <- e.n_implications + 1;
-  let code = e.codes.(g) in
-  let lo = e.fanin_off.(g) and hi = e.fanin_off.(g + 1) in
-  let fanin = e.fanin and ones = e.ones and zeros = e.zeros in
-  if code = Gate.code_and || code = Gate.code_nand then begin
-    (* 1 when every input is 1, 0 when any is 0. *)
-    let o = ref both and z = ref 0 in
-    for i = lo to hi - 1 do
-      let s = fanin.(i) in
-      o := !o land ones.(s);
-      z := !z lor zeros.(s)
-    done;
-    if code = Gate.code_and then store e g !o !z else store e g !z !o
-  end
-  else if code = Gate.code_or || code = Gate.code_nor then begin
-    let o = ref 0 and z = ref both in
-    for i = lo to hi - 1 do
-      let s = fanin.(i) in
-      o := !o lor ones.(s);
-      z := !z land zeros.(s)
-    done;
-    if code = Gate.code_or then store e g !o !z else store e g !z !o
-  end
-  else if code = Gate.code_xor || code = Gate.code_xnor then begin
-    (* Known only where every input is; then the parity of the 1s. *)
-    let known = ref both and parity = ref 0 in
-    for i = lo to hi - 1 do
-      let s = fanin.(i) in
-      known := !known land (ones.(s) lor zeros.(s));
-      parity := !parity lxor ones.(s)
-    done;
-    let p = if code = Gate.code_xor then !parity else !parity lxor both in
-    store e g (!known land p) (!known land (p lxor both))
-  end
-  else if code = Gate.code_buf then store e g ones.(fanin.(lo)) zeros.(fanin.(lo))
-  else if code = Gate.code_not then store e g zeros.(fanin.(lo)) ones.(fanin.(lo))
-  else if code = Gate.code_const0 then store e g 0 both
-  else if code = Gate.code_const1 then store e g both 0
-  else invalid_arg "Podem.eval: Input or unknown opcode"
+  let lo = Array.unsafe_get e.fanin_off g and hi = Array.unsafe_get e.fanin_off (g + 1) in
+  match Array.unsafe_get e.kinds g with
+  | Gate.And | Gate.Buf -> eval_and e g lo hi e.ones e.zeros false
+  | Gate.Nand | Gate.Not -> eval_and e g lo hi e.ones e.zeros true
+  | Gate.Or -> eval_and e g lo hi e.zeros e.ones true
+  | Gate.Nor -> eval_and e g lo hi e.zeros e.ones false
+  | Gate.Xor -> eval_xor e g lo hi 0
+  | Gate.Xnor -> eval_xor e g lo hi both
+  | Gate.Const false -> store e g 0 both
+  | Gate.Const true -> store e g both 0
+  | Gate.Input -> invalid_arg "Podem.eval: Input"
 
+(* Queue the fanouts of [n] that lie in the fault's region.  Each level's
+   bucket has room for every net of that level and a net is queued at
+   most once, so the CSR and bucket slots are indexed unchecked. *)
 let schedule_fanouts e n =
-  for i = e.fanout_off.(n) to e.fanout_off.(n + 1) - 1 do
-    let g = e.fanout.(i) in
-    if not e.queued.(g) then begin
-      e.queued.(g) <- true;
-      let l = e.levels.(g) in
-      e.bucket.(e.bucket_off.(l) + e.bucket_len.(l)) <- g;
-      e.bucket_len.(l) <- e.bucket_len.(l) + 1;
+  for i = Array.unsafe_get e.fanout_off n to Array.unsafe_get e.fanout_off (n + 1) - 1 do
+    let g = Array.unsafe_get e.fanout i in
+    if Array.unsafe_get e.region g = e.region_id && not (Array.unsafe_get e.queued g)
+    then begin
+      Array.unsafe_set e.queued g true;
+      let l = Array.unsafe_get e.levels g in
+      let len = Array.unsafe_get e.bucket_len l in
+      Array.unsafe_set e.bucket (Array.unsafe_get e.bucket_off l + len) g;
+      Array.unsafe_set e.bucket_len l (len + 1);
       if l < e.lo_level then e.lo_level <- l;
       if l > e.hi_level then e.hi_level <- l
     end
@@ -198,8 +254,8 @@ let propagate e =
   while !l <= e.hi_level do
     let base = e.bucket_off.(!l) in
     for i = 0 to e.bucket_len.(!l) - 1 do
-      let g = e.bucket.(base + i) in
-      e.queued.(g) <- false;
+      let g = Array.unsafe_get e.bucket (base + i) in
+      Array.unsafe_set e.queued g false;
       if eval e g then schedule_fanouts e g
     done;
     e.bucket_len.(!l) <- 0;
@@ -208,28 +264,37 @@ let propagate e =
   e.lo_level <- max_int;
   e.hi_level <- -1
 
-(* Set PI position [pos] to [v] (0, 1 or -1 for X) and queue its fanouts
-   when its rails change; [propagate] settles the circuit. *)
+(* Set PI position [pos] to [v] (0 or 1) and queue its fanouts when its
+   rails change; [propagate] settles the circuit. *)
 let set_pi e pos v =
   e.assign.(pos) <- v;
   let pi = e.pis.(pos) in
-  let o = if v = 1 then both else 0 and z = if v = 0 then both else 0 in
-  if store e pi o z then schedule_fanouts e pi
+  if store e pi (if v = 1 then both else 0) (if v = 0 then both else 0) then
+    schedule_fanouts e pi
 
-(* Every PI X, the site forced, one full sweep in topological order. *)
+(* Every PI X, the site forced, one sweep of the region in topological
+   order. *)
 let reset e =
   Array.fill e.assign 0 (Array.length e.assign) (-1);
   Array.iter
     (fun n ->
-      if e.pi_pos.(n) >= 0 then ignore (store e n 0 0) else ignore (eval e n))
+      if e.region.(n) = e.region_id then
+        if e.pi_pos.(n) >= 0 then ignore (store e n 0 0) else ignore (eval e n))
     e.topo
 
-(* --- The fault's fanout cone ------------------------------------------ *)
+(* --- The fault's fanout cone and region -------------------------------- *)
 
 (* Outside the site's fanout cone both machines agree, so every D net,
    every D-frontier gate and every D-or-X path to an output lies inside
    it; scanning the cone in topological order finds the same first match
-   as scanning the whole netlist. *)
+   as scanning the whole netlist.
+
+   The search reads the rails of the cone, of the cone gates' fanins
+   (D-frontier, objective, backtrace) and, walking a backtrace down, of
+   their fanins in turn: the region, the cone closed under fanin.  A
+   region gate's fanins are in the region, so implying only region gates
+   gives every region net the rails a whole-netlist implication would;
+   the nets outside keep stale rails no step reads. *)
 let build_cone e =
   e.epoch <- e.epoch + 1;
   let ep = e.epoch in
@@ -248,10 +313,29 @@ let build_cone e =
       end
     done
   done;
+  let size = !tail in
+  e.region_id <- e.region_id + 1;
+  let id = e.region_id in
+  for i = 0 to size - 1 do
+    e.region.(e.queue.(i)) <- id
+  done;
+  head := 0;
+  while !head < !tail do
+    let v = e.queue.(!head) in
+    incr head;
+    for i = e.fanin_off.(v) to e.fanin_off.(v + 1) - 1 do
+      let w = e.fanin.(i) in
+      if e.region.(w) <> id then begin
+        e.region.(w) <- id;
+        e.queue.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
   e.cone_len <- 0;
   e.cone_npos <- 0;
   let i = ref e.topo_pos.(e.site) in
-  while e.cone_len < !tail do
+  while e.cone_len < size do
     let v = e.topo.(!i) in
     incr i;
     if e.seen.(v) = ep then begin
@@ -340,8 +424,12 @@ let objective e obj_value =
           if src >= 0 then begin
             (* Non-controlling value: 1 for AND/NAND, 0 for OR/NOR and
                (no controlling value) everything else. *)
-            let code = e.codes.(g) in
-            obj_value := code = Gate.code_and || code = Gate.code_nand;
+            obj_value :=
+              (match e.kinds.(g) with
+              | Gate.And | Gate.Nand -> true
+              | Gate.Input | Gate.Const _ | Gate.Buf | Gate.Not | Gate.Or | Gate.Nor
+              | Gate.Xor | Gate.Xnor ->
+                false);
             result := src
           end
         end
@@ -350,46 +438,43 @@ let objective e obj_value =
     !result
   end
 
+(* One backtrace step through gate [n]: its first good-X fanin (-1 for
+   none), with [value] set to [v] there — flipped by the parity of the
+   other fanins' known good 1s when [parity]. *)
+let step e n value v ~parity =
+  let src = first_good_x e n in
+  if src >= 0 then begin
+    let flip = ref false in
+    if parity then
+      for i = e.fanin_off.(n) to e.fanin_off.(n + 1) - 1 do
+        let other = e.fanin.(i) in
+        if other <> src && good_value e other = 1 then flip := not !flip
+      done;
+    value := v <> !flip
+  end;
+  src
+
 (* Walk an objective down to an unassigned primary input; returns the
    PI net (-1 when the walk dead-ends) with its value in [value]. *)
 let backtrace e net0 value =
   let net = ref net0 and result = ref (-2) and guard = ref (Array.length e.ones + 1) in
   while !result = -2 do
     let n = !net in
-    let code = e.codes.(n) in
-    if !guard = 0 then result := -1
-    else if e.pi_pos.(n) >= 0 || code = Gate.code_input then result := n
-    else if code = Gate.code_const0 || code = Gate.code_const1 then result := -1
+    if n < 0 || !guard = 0 then result := -1
+    else if e.pi_pos.(n) >= 0 then result := n
     else begin
       decr guard;
-      if code = Gate.code_buf then net := e.fanin.(e.fanin_off.(n))
-      else if code = Gate.code_not then begin
+      match e.kinds.(n) with
+      | Gate.Input -> result := n
+      | Gate.Const _ -> result := -1
+      | Gate.Buf -> net := e.fanin.(e.fanin_off.(n))
+      | Gate.Not ->
         net := e.fanin.(e.fanin_off.(n));
         value := not !value
-      end
-      else begin
-        let inverting =
-          code = Gate.code_nand || code = Gate.code_nor || code = Gate.code_xnor
-        in
-        let v_eff = !value <> inverting in
-        let src = first_good_x e n in
-        if src < 0 then result := -1
-        else if code = Gate.code_xor || code = Gate.code_xnor then begin
-          (* Also account for the parity of the other fanins' known
-             good 1s. *)
-          let parity = ref false in
-          for i = e.fanin_off.(n) to e.fanin_off.(n + 1) - 1 do
-            let other = e.fanin.(i) in
-            if other <> src && good_value e other = 1 then parity := not !parity
-          done;
-          net := src;
-          value := v_eff <> !parity
-        end
-        else begin
-          net := src;
-          value := v_eff
-        end
-      end
+      | Gate.And | Gate.Or -> net := step e n value !value ~parity:false
+      | Gate.Nand | Gate.Nor -> net := step e n value (not !value) ~parity:false
+      | Gate.Xor -> net := step e n value !value ~parity:true
+      | Gate.Xnor -> net := step e n value (not !value) ~parity:true
     end
   done;
   !result
@@ -412,38 +497,45 @@ let decide e =
   let pos = e.pi_pos.(pi) in
   e.stack_pos.(e.depth) <- pos;
   e.stack_flipped.(e.depth) <- false;
+  e.stack_mark.(e.depth) <- e.trail_len;
   e.depth <- e.depth + 1;
   set_pi e pos (Bool.to_int !value);
   propagate e;
   true
 
-(* Flip the most recent unflipped decision, dropping flipped ones above
-   it; false when the decision space is exhausted. *)
+(* Flip the most recent unflipped decision, dropping the flipped ones
+   above it; false when the decision space is exhausted.  The rails are
+   restored to the trail mark the decision was applied at — the state
+   before it, with its PI X again — and only its PI is implied at the
+   other value.  The region's rails after [propagate] are a function of
+   the PI assignment and the fault alone, so this is the state that
+   un-assigning and re-implying every popped PI would reach. *)
 let flip_last e =
-  let flipped = ref false in
-  while (not !flipped) && e.depth > 0 do
-    let d = e.depth - 1 in
-    let pos = e.stack_pos.(d) in
-    if e.stack_flipped.(d) then begin
-      set_pi e pos (-1);
-      e.depth <- d
-    end
-    else begin
-      e.stack_flipped.(d) <- true;
-      set_pi e pos (1 - e.assign.(pos));
-      flipped := true
-    end
+  let d = ref (e.depth - 1) in
+  while !d >= 0 && e.stack_flipped.(!d) do
+    e.assign.(e.stack_pos.(!d)) <- -1;
+    decr d
   done;
+  let d = !d in
+  d >= 0
+  &&
+  let pos = e.stack_pos.(d) in
+  undo e e.stack_mark.(d);
+  e.depth <- d + 1;
+  e.stack_flipped.(d) <- true;
+  set_pi e pos (1 - e.assign.(pos));
   propagate e;
-  !flipped
+  true
 
 let run ?(backtrack_limit = 512) ?(fill_seed = 7) e fault =
   e.site <- fault.Fault_list.site;
   e.stuck <- fault.Fault_list.stuck;
   e.depth <- 0;
+  e.trail_len <- 0;
   e.n_implications <- 0;
-  reset e;
   build_cone e;
+  (* [reset] sweeps the region [build_cone] just marked. *)
+  reset e;
   let backtracks = ref 0 in
   let outcome = ref None in
   while Option.is_none !outcome do

@@ -7,11 +7,14 @@
     complete stuck-at coverage, which is the test-set quality diagnosis
     experiments assume.
 
-    Implication is incremental and allocation-free: both machines live
-    in one dual-rail word pair per net, a decision re-evaluates only the
-    gates whose inputs changed (level by level through the fanout CSR),
-    and the detection, X-path and D-frontier scans walk only the fault
-    site's fanout cone (DESIGN.md §6b). *)
+    Implication is incremental: both machines live in one dual-rail
+    word pair per net, a decision re-evaluates only the gates whose
+    inputs changed (level by level through the fanout CSR) and only
+    inside the fault's region (its fanout cone closed under fanin, the
+    nets the search reads), a backtrack restores the rails from an undo
+    trail instead of re-implying, and the detection, X-path and
+    D-frontier scans walk only the fault site's fanout cone (DESIGN.md
+    §6b). *)
 
 type result =
   | Test of bool array
@@ -23,7 +26,8 @@ type result =
       (** Backtrack limit hit before a proof either way. *)
 
 type t
-(** Per-netlist scratch: PI index, level buckets, rails, cone buffers.
+(** Per-netlist scratch: PI index, level buckets, rails, cone and
+    region buffers, decision stack and undo trail.
     Create one per test-generation run, or one per domain of a parallel
     one, and reuse it for every fault; not safe to share between
     domains. *)
@@ -35,8 +39,9 @@ type work = {
   backtracks : int;  (** An aborted run counts limit + 1. *)
   aborted : int;  (** Runs that hit the backtrack limit. *)
   implications : int;
-      (** Gate evaluations in the implication engine, the initial sweep
-          per fault included. *)
+      (** Forward gate evaluations in the implication engine: the sweep
+          that seeds each run, and each decision's and flip's drain.  An
+          undo evaluates nothing. *)
 }
 (** What runs cost.  Each {!run} returns its own, so a caller that
     runs faults speculatively can count only the runs it keeps. *)

@@ -637,33 +637,44 @@ let generated_tiers =
         random_logic_sink ~gates:46_000 ~pis:192 ~pos:96 ~seed:14);
   ]
 
-(* The vendored [.bench] files by tier name, in name order. *)
-let vendored () =
-  let dir = circuits_dir () in
+(* The vendored [.bench] files of the circuits directory, by tier name
+   in name order: each file's bytes, read when first forced, and the
+   netlist parsed from them.  [source_key] digests the bytes and
+   [find_tier] parses the same bytes, so a lookup that does both reads
+   the file once. *)
+type vendored = { text : string Lazy.t; net : Netlist.t Lazy.t }
+
+let scan_vendored dir =
+  let vendored path =
+    let text = lazy (In_channel.with_open_bin path In_channel.input_all) in
+    let parse text = Netlist.with_source (Bench_io.source_key text) (Bench_io.parse_string text) in
+    { text; net = Lazy.map parse text }
+  in
   match Sys.readdir dir with
   | files ->
     Array.sort compare files;
     Array.to_list files
     |> List.filter_map (fun f ->
            if Filename.check_suffix f ".bench" then
-             Some (Filename.chop_suffix f ".bench", Filename.concat dir f)
+             Some (Filename.chop_suffix f ".bench", vendored (Filename.concat dir f))
            else None)
   | exception Sys_error _ -> []
 
-let tier_list = ref None
+(* Scanned once per circuits directory: a process that points
+   MDD_CIRCUITS_DIR elsewhere sees the new directory's files. *)
+let vendored_cache = ref None
+
+let vendored () =
+  let dir = circuits_dir () in
+  match !vendored_cache with
+  | Some (d, l) when d = dir -> l
+  | Some _ | None ->
+    let l = scan_vendored dir in
+    vendored_cache := Some (dir, l);
+    l
 
 let tiers () =
-  match !tier_list with
-  | Some l -> l
-  | None ->
-    let l =
-      generated_tiers
-      @ List.map
-          (fun (name, path) -> (name, lazy (Bench_io.parse_file path)))
-          (vendored ())
-    in
-    tier_list := Some l;
-    l
+  generated_tiers @ List.map (fun (name, v) -> (name, v.net)) (vendored ())
 
 let find_tier name = Option.map Lazy.force (List.assoc_opt name (tiers ()))
 
@@ -672,8 +683,8 @@ let source_key name =
     Some (generated_key name)
   else
     match List.assoc_opt name (vendored ()) with
-    | Some path -> (
-      match In_channel.with_open_bin path In_channel.input_all with
+    | Some v -> (
+      match Lazy.force v.text with
       | text -> Some (Bench_io.source_key text)
       | exception Sys_error _ -> None)
     | None -> None

@@ -1,8 +1,10 @@
 (* Reference PODEM: the same search as [Podem], with the straightforward
    implication it replaced — two full [Ternary_sim] sweeps (good machine,
    then faulty machine with the site forced) per decision and whole-
-   netlist scans for detection, X-path and D-frontier.  Kept only as the
-   differential oracle for [Podem]'s incremental dual-rail engine. *)
+   netlist scans for detection, X-path and D-frontier — and backtracking
+   that flips a decision by re-implying the whole assignment.  Kept only
+   as the differential oracle for [Podem]'s incremental dual-rail engine
+   and its undo trail. *)
 
 type result = Podem.result = Test of bool array | Untestable | Aborted
 
@@ -129,6 +131,8 @@ let backtrace t m (net0, v0) =
 
 type decision = { pi_pos : int; mutable value : bool; mutable flipped : bool }
 
+(* The result and the backtracks taken (an aborted run counts
+   limit + 1, as [Podem.run]'s work does). *)
 let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
   let npis = Netlist.num_pis t in
   let pis = Netlist.pis t in
@@ -199,6 +203,9 @@ let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
       | None -> None
     end
   in
-  match solve (imply t fault pi_assign) with
-  | Some pattern -> Test pattern
-  | None -> if !aborted then Aborted else Untestable
+  let result =
+    match solve (imply t fault pi_assign) with
+    | Some pattern -> Test pattern
+    | None -> if !aborted then Aborted else Untestable
+  in
+  (result, !backtracks)

@@ -146,21 +146,16 @@ let test_restart_builds_nothing () =
   let footprint t = Sig_cache.frozen_bytes (Option.get (Session.cache t.session)) in
   Alcotest.(check int) "adopted arena = swept arena" (footprint first) (footprint again)
 
-(* A [.bench] file through the store: the first open misses and
-   builds the netlist from the bytes it digested to look the image up;
-   the restart finds the image by that digest and builds nothing.  Both
-   must carry the file's digest as their source and render the same
-   report. *)
-let test_bench_file_restart () =
-  Temp_dir.with_dir @@ fun dir ->
-  let text = Bench_io.to_string (Generators.alu 8) in
-  let path = Filename.concat dir "alu8.bench" in
-  Out_channel.with_open_bin path (fun oc -> output_string oc text);
-  let store = Filename.concat dir "store" in
-  let first = opened ~prewarm:true store (Design.File path) in
+(* A [.bench] file's bytes [text] through the store as [circuit]: the
+   first open misses and builds the netlist from the bytes it digested
+   to look the image up; the restart finds the image by that digest and
+   builds nothing.  Both must carry the file's digest as their source
+   and render the same report. *)
+let check_bench_restart ~store ~text circuit =
+  let first = opened ~prewarm:true store circuit in
   check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
   Alcotest.(check int) "first open builds" 1 (first.phase_count "netlist.build");
-  let again = opened ~prewarm:true store (Design.File path) in
+  let again = opened ~prewarm:true store circuit in
   check_counts "restart" again ~loads:1 ~saves:0 ~rejects:0;
   Alcotest.(check int) "restart builds nothing" 0 (again.phase_count "netlist.build");
   let source t = Netlist.source (Session.netlist t.session) in
@@ -180,6 +175,37 @@ let test_bench_file_restart () =
     Report.render (Session.netlist t.session) (Noassume.diagnose_session t.session dlog)
   in
   Alcotest.(check string) "same report" (report first) (report again)
+
+let bench_text = lazy (Bench_io.to_string (Generators.alu 8))
+
+let test_bench_file_restart () =
+  Temp_dir.with_dir @@ fun dir ->
+  let text = Lazy.force bench_text in
+  let path = Filename.concat dir "alu8.bench" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  check_bench_restart ~store:(Filename.concat dir "store") ~text (Design.File path)
+
+(* The same bytes as a vendored tier: a [.bench] under MDD_CIRCUITS_DIR,
+   named like a suite circuit.  The lookup's digest reads the file once
+   and the miss's build parses those bytes, so the build still succeeds
+   after the file is gone. *)
+let test_vendored_tier_restart () =
+  Temp_dir.with_dir @@ fun dir ->
+  let text = Lazy.force bench_text in
+  let circuits = Filename.concat dir "circuits" in
+  Sys.mkdir circuits 0o755;
+  let path = Filename.concat circuits "valu8.bench" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let saved = Option.value (Sys.getenv_opt "MDD_CIRCUITS_DIR") ~default:"" in
+  Unix.putenv "MDD_CIRCUITS_DIR" circuits;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "MDD_CIRCUITS_DIR" saved)
+    (fun () ->
+      Alcotest.(check (option string))
+        "source key" (Some (Bench_io.source_key text)) (Generators.source_key "valu8");
+      Sys.remove path;
+      check_bench_restart ~store:(Filename.concat dir "store") ~text
+        (Design.Named "valu8"))
 
 (* A pattern file one PI too wide is an [Error] naming the file, with
    and without a store, and writes no image. *)
@@ -255,5 +281,7 @@ let suite =
           test_wrong_width_is_an_error;
         Alcotest.test_case "image without signatures kept" `Quick
           test_unprewarmed_image_kept;
+        Alcotest.test_case "vendored bench tier: miss, then restart" `Quick
+          test_vendored_tier_restart;
       ] );
   ]
