@@ -90,9 +90,18 @@ let cover_budget_arg =
     "Node budget for the exact covering backend (branch-and-bound nodes \
      summed over the whole hitting-set loop; default 2000000).  On \
      exhaustion the run falls back to the greedy cover, counts \
-     cover.budget_fallbacks and reports cover_complete=false."
+     cover.budget_fallbacks and reports cover_complete=false.  N must be \
+     at least 1."
   in
-  Arg.(value & opt (some int) None & info [ "cover-budget" ] ~docv:"N" ~doc)
+  let positive =
+    let parse s =
+      match Arg.conv_parser Arg.int s with
+      | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "%d is below 1" n))
+      | r -> r
+    in
+    Arg.conv (parse, Arg.conv_printer Arg.int)
+  in
+  Arg.(value & opt (some positive) None & info [ "cover-budget" ] ~docv:"N" ~doc)
 
 (* The MDD_PREWARM and MDD_SIG_STORE environment switches are resolved
    here, once — nothing in lib/ reads them.  A flag wins; the boolean
@@ -108,10 +117,7 @@ let session_config ?cover ?cover_budget ~domains () =
   {
     Session.domains;
     cover = Option.value cover ~default:Session.default_config.Session.cover;
-    cover_budget =
-      (match cover_budget with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> Session.default_cover_budget);
+    cover_budget = Option.value cover_budget ~default:Session.default_cover_budget;
   }
 
 (* Resolved-configuration metadata for `--stats` reports: read back from

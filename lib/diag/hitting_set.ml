@@ -31,6 +31,132 @@
    stay small enough that the exact backend costs well under 2x greedy
    wall time. *)
 
+(* --- Incremental minimum hitting-set core --------------------------- *)
+
+(* The branch and bound the loop below drives incrementally: sets are
+   added one violated constraint at a time and each re-solve carries the
+   previous optimum forward as a lower bound (adding constraints can
+   only grow the optimum).  Elements are opaque non-negative ints — the
+   loop passes candidate indices of an [Explain.t]. *)
+module Solver = struct
+  type t = {
+    mutable sets : int array list;  (* newest first *)
+    mutable max_elem : int;  (* largest element id seen, -1 when empty *)
+    mutable floor : int;  (* proven lower bound on the optimum *)
+  }
+
+  type outcome = {
+    hitting : int list option;
+    proved : bool;
+    nodes : int;
+    ub_cuts : int;
+  }
+
+  let create () = { sets = []; max_elem = -1; floor = 0 }
+
+  let add_set t set =
+    if Array.length set = 0 then invalid_arg "Hitting_set.Solver.add_set: empty set";
+    t.sets <- set :: t.sets;
+    Array.iter (fun e -> if e > t.max_elem then t.max_elem <- e) set
+
+  let lower_bound t = t.floor
+
+  (* Minimum hitting set of the current collection, restricted to
+     solutions strictly smaller than [upper_bound].  [hitting = None]
+     with [proved = true] means no hitting set of size < upper_bound
+     exists — the caller's upper bound is the optimum.  [proved = false]
+     means the node budget ran out; [hitting] is then the best
+     (unproven) solution found so far, if any.  Deterministic: branches
+     on the unhit set with the fewest elements (first added wins ties),
+     tries elements in array order. *)
+  let solve ?(upper_bound = max_int) ~node_budget t =
+    let sets = Array.of_list (List.rev t.sets) in
+    let nsets = Array.length sets in
+    let width = t.max_elem + 2 in
+    let in_chosen = Array.make width false in
+    (* Epoch-stamped scratch for the per-node disjoint-set scan — no
+       clearing between nodes. *)
+    let used = Array.make width 0 in
+    let epoch = ref 0 in
+    let best = ref None in
+    (* [bound] = size every explored solution must stay strictly
+       below: the caller's upper bound, tightened as solutions land. *)
+    let bound = ref upper_bound in
+    let nodes = ref 0 in
+    let ub_cuts = ref 0 in
+    let out_of_budget = ref false in
+    (* Once a solution matches the proven floor it is optimal — no
+       smaller one can exist, stop descending anywhere. *)
+    let done_ = ref false in
+    let rec go depth chosen =
+      if (not !done_) && not !out_of_budget then begin
+        incr nodes;
+        if !nodes > node_budget then out_of_budget := true
+        else begin
+          incr epoch;
+          let e = !epoch in
+          (* One scan finds the most constrained unhit set (fewest
+             elements, first added wins ties) and greedily counts
+             pairwise-disjoint unhit sets — each such set needs its own
+             element, so the count lower-bounds the remaining work and
+             cuts far above the leaf level. *)
+          let pivot = ref (-1) in
+          let pivot_width = ref max_int in
+          let disjoint = ref 0 in
+          for si = 0 to nsets - 1 do
+            let s = sets.(si) in
+            if not (Array.exists (fun x -> in_chosen.(x)) s) then begin
+              let w = Array.length s in
+              if w < !pivot_width then begin
+                pivot_width := w;
+                pivot := si
+              end;
+              if not (Array.exists (fun x -> used.(x) = e) s) then begin
+                incr disjoint;
+                Array.iter (fun x -> used.(x) <- e) s
+              end
+            end
+          done;
+          if !pivot < 0 then begin
+            (* Everything hit: record only strict improvements, so the
+               first solution of the final size wins (sibling branches
+               of the node that set [bound] can still reach equal-size
+               leaves). *)
+            if depth < !bound then begin
+              best := Some (List.rev chosen);
+              bound := depth;
+              if depth <= t.floor then done_ := true
+            end
+          end
+          else if depth + !disjoint >= !bound then
+            (* Even the optimistic completion reaches the bound: cut.
+               This is the pruning the greedy seed buys. *)
+            incr ub_cuts
+          else
+            Array.iter
+              (fun x ->
+                if not in_chosen.(x) then begin
+                  in_chosen.(x) <- true;
+                  go (depth + 1) (x :: chosen);
+                  in_chosen.(x) <- false
+                end)
+              sets.(!pivot)
+        end
+      end
+    in
+    go 0 [];
+    let proved = not !out_of_budget in
+    (* A proved search raises the floor: either to the optimum found,
+       or to the upper bound when nothing below it exists. *)
+    if proved then
+      t.floor <-
+        max t.floor
+          (match !best with
+          | Some sol -> List.length sol
+          | None -> min upper_bound (nsets + 1));
+    { hitting = !best; proved; nodes = !nodes; ub_cuts = !ub_cuts }
+end
+
 type result = {
   cover : int list;
   minimum : int option;
@@ -52,7 +178,7 @@ let covered_by covers nobs ids =
   List.iter (fun c -> Bitvec.union_into ~dst:u covers.(c)) ids;
   u
 
-let solve ?(node_budget = default_node_budget) ?(max_size = 12) ?covers ?(seed = []) m =
+let solve ?(node_budget = default_node_budget) ~max_size ?covers ?(seed = []) m =
   let ncand = Array.length (Explain.candidates m) in
   let nobs = Array.length (Explain.observations m) in
   let covers =
@@ -84,7 +210,7 @@ let solve ?(node_budget = default_node_budget) ?(max_size = 12) ?covers ?(seed =
       Bitvec.popcount u = ncoverable
     in
     let ub = if seed_full then List.length seed else max_size + 1 in
-    let solver = Exact_cover.Solver.create () in
+    let solver = Solver.create () in
     let iterations = ref 0 in
     let nodes = ref 0 in
     let ub_cuts = ref 0 in
@@ -128,21 +254,21 @@ let solve ?(node_budget = default_node_budget) ?(max_size = 12) ?covers ?(seed =
           }
       | oi ->
         incr iterations;
-        Exact_cover.Solver.add_set solver (Array.of_list per_obs.(oi));
+        Solver.add_set solver (Array.of_list per_obs.(oi));
         let o =
-          Exact_cover.Solver.solve ~upper_bound:ub
+          Solver.solve ~upper_bound:ub
             ~node_budget:(node_budget - !nodes) solver
         in
-        nodes := !nodes + o.Exact_cover.Solver.nodes;
-        ub_cuts := !ub_cuts + o.Exact_cover.Solver.ub_cuts;
-        if not o.Exact_cover.Solver.proved then
+        nodes := !nodes + o.Solver.nodes;
+        ub_cuts := !ub_cuts + o.Solver.ub_cuts;
+        if not o.Solver.proved then
           (* Budget exhausted mid-proof: no minimality claim.  The
              caller falls back to its seed. *)
           finish
             { cover = seed; minimum = None; complete = false; improved = false;
               iterations = !iterations; nodes = !nodes }
         else begin
-          match o.Exact_cover.Solver.hitting with
+          match o.Solver.hitting with
           | Some h -> loop h
           | None ->
             (* Nothing below the bound hits even this constraint

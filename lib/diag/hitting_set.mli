@@ -17,7 +17,55 @@
     sub-instances dry, and the result can never be larger than the
     seed.  On larger matrices greedy routinely overshoots (its pair
     moves and misprediction discounts trade cardinality for caution)
-    and the loop proves a strictly smaller cover. *)
+    and the loop proves a strictly smaller cover.
+
+    This is the library's one exact covering search: {!Solver} is its
+    incremental core, and [Tables.ablation_exact] measures greedy
+    against it.  The tests check it against a whole-matrix branch and
+    bound that lives only in the test suite ([Reference.exact_cover]). *)
+
+(** Incremental minimum hitting-set core — the sub-solver of the
+    implicit hitting-set loop below (DESIGN.md §13).
+
+    Elements are opaque non-negative ints (the diagnosis layer passes
+    candidate indices of an {!Explain.t}); a {e set} is a group of
+    elements of which at least one must be chosen.  Sets are added one
+    at a time as the loop discovers violated constraints, and each
+    re-solve carries the previous proven optimum forward as a lower
+    bound — adding constraints can only grow the optimum, which is what
+    makes re-solving incremental rather than from scratch. *)
+module Solver : sig
+  type t
+
+  type outcome = {
+    hitting : int list option;
+        (** A minimum hitting set strictly smaller than [upper_bound];
+            [None] with [proved = true] proves none exists. *)
+    proved : bool;
+        (** False when the node budget ran out; [hitting] is then the
+            best unproven solution found, if any. *)
+    nodes : int;  (** Search nodes expanded by this solve. *)
+    ub_cuts : int;  (** Branches cut by the (tightening) upper bound. *)
+  }
+
+  val create : unit -> t
+
+  val add_set : t -> int array -> unit
+  (** Raises [Invalid_argument] on an empty set (it can never be hit —
+      the caller must filter unhittable constraints out). *)
+
+  val lower_bound : t -> int
+  (** Proven lower bound on the optimum, raised by every proved
+      {!solve}; 0 initially. *)
+
+  val solve : ?upper_bound:int -> node_budget:int -> t -> outcome
+  (** Branch and bound: branch on the unhit set with the fewest
+      elements (first added wins ties), try its elements in array
+      order, cut when depth plus a greedy count of pairwise-disjoint
+      unhit sets reaches [min upper_bound best_so_far], and stop
+      descending once a solution matching {!lower_bound} lands (it is
+      optimal).  Deterministic for a fixed add-sequence. *)
+end
 
 type result = {
   cover : int list;
@@ -41,7 +89,7 @@ type result = {
 
 val solve :
   ?node_budget:int ->
-  ?max_size:int ->
+  max_size:int ->
   ?covers:Bitvec.t array ->
   ?seed:int list ->
   Explain.t ->
@@ -54,8 +102,9 @@ val solve :
     ablation-adjusted vectors {!Noassume} computed so both backends
     solve the same instance.  [seed] is a known cover used as the upper
     bound (typically the greedy result); if it does not cover every
-    coverable observation it seeds nothing and the search runs up to
-    [max_size] (default 12).  [node_budget] (default
+    coverable observation (greedy stopped at its multiplet cap) it
+    seeds nothing and the search runs up to [max_size], the caller's
+    cap ({!Noassume} passes its [max_multiplet]).  [node_budget] (default
     {!Session.default_cover_budget}) bounds the summed branch-and-bound nodes.
 
     Deterministic: observation and element orders are fixed, ties break

@@ -2,8 +2,8 @@
    fault simulator, the one-fault-at-a-time test generation flow, the
    overlay scorer, the brute-force explanation
    matrix, the structural seed pool, the scalar signature fill, the
-   per-aggressor bridge screen and the cover pass that probes every move
-   every round.  Each one is the simplest correct computation of its
+   per-aggressor bridge screen, the cover pass that probes every move
+   every round and the whole-matrix exact cover.  Each one is the simplest correct computation of its
    quantity — whole-block overlay resimulation, or the per-fault
    per-block scalar sweep — and shares no kernel code with the batched
    simulator under test. *)
@@ -491,3 +491,95 @@ let greedy_cover ~tie_break ~max_multiplet m =
   in
   round ();
   List.rev !chosen
+
+(* --- Exact cover ------------------------------------------------------ *)
+
+(* The whole-matrix branch and bound that [Hitting_set] is checked
+   against: it transposes every candidate's cover up front, branches on
+   the uncovered observation with the fewest explainers, and enumerates
+   up to [max_solutions] minimum covers of at most [max_size] members
+   within [node_budget] nodes.  With [upper_bound] only covers strictly
+   smaller than it count, so [minimum = None] with [complete = true]
+   proves the bound minimum.  [multiplets] are sorted candidate lists;
+   empty when some observation has no explainer. *)
+type exact_cover = {
+  multiplets : Fault_list.fault list list;
+  minimum : int option;
+  complete : bool;  (* false when [node_budget] ran out *)
+  nodes : int;
+}
+
+let exact_cover ?(max_size = 8) ?(max_solutions = 16) ?(node_budget = 200_000)
+    ?upper_bound m =
+  let candidates = Explain.candidates m in
+  let ncand = Array.length candidates in
+  let nobs = Array.length (Explain.observations m) in
+  if nobs = 0 then { multiplets = [ [] ]; minimum = Some 0; complete = true; nodes = 0 }
+  else begin
+    let covers = Array.init ncand (fun c -> Explain.covers m c) in
+    (* Candidates able to explain each observation. *)
+    let per_obs = Array.make nobs [] in
+    for c = ncand - 1 downto 0 do
+      Bitvec.iter_set covers.(c) (fun oi -> per_obs.(oi) <- c :: per_obs.(oi))
+    done;
+    if Array.exists (fun l -> l = []) per_obs then
+      { multiplets = []; minimum = None; complete = true; nodes = 0 }
+    else begin
+      (* With an upper bound only covers strictly smaller than it are
+         enumerated: an empty result then proves the bound (the caller's
+         known cover) is already minimum. *)
+      let ub = Option.value upper_bound ~default:max_int in
+      let best = ref (min (max_size + 1) ub) in
+      let solutions = Hashtbl.create 16 in
+      let nodes = ref 0 in
+      let complete = ref true in
+      let record chosen =
+        let size = List.length chosen in
+        if size <= max_size && size < ub then begin
+          if size < !best then begin
+            best := size;
+            Hashtbl.reset solutions
+          end;
+          if size = !best && Hashtbl.length solutions < max_solutions then begin
+            let key = List.sort compare chosen in
+            Hashtbl.replace solutions key ()
+          end
+        end
+      in
+      (* Branch on the uncovered observation with the fewest explainers
+         (most constrained first), trying each of its candidates. *)
+      let rec go uncovered chosen =
+        incr nodes;
+        if !nodes > node_budget then complete := false
+        else if Bitvec.is_empty uncovered then record chosen
+        else if List.length chosen + 1 <= !best then begin
+          let pivot = ref (-1) in
+          let pivot_width = ref max_int in
+          Bitvec.iter_set uncovered (fun oi ->
+              let width = List.length per_obs.(oi) in
+              if width < !pivot_width then begin
+                pivot_width := width;
+                pivot := oi
+              end);
+          List.iter
+            (fun c ->
+              if (not (List.mem c chosen)) && !complete then begin
+                let remaining = Bitvec.copy uncovered in
+                Bitvec.diff_into ~dst:remaining covers.(c);
+                go remaining (c :: chosen)
+              end)
+            per_obs.(!pivot)
+        end
+      in
+      let all = Bitvec.create nobs in
+      Bitvec.fill all true;
+      go all [];
+      let multiplets =
+        Hashtbl.fold (fun key () acc -> List.map (fun c -> candidates.(c)) key :: acc)
+          solutions []
+        |> List.sort compare
+      in
+      let minimum = if multiplets = [] then None else Some !best in
+      { multiplets; minimum; complete = !complete; nodes = !nodes }
+    end
+  end

@@ -1,3 +1,7 @@
+(* The whole-matrix exact cover of the test oracle
+   ([Reference.exact_cover]) on small instances, and the incremental
+   core of the exact backend ([Hitting_set.Solver]). *)
+
 let problem defects =
   let net = Generators.c17 () in
   let pats = Pattern.exhaustive ~npis:5 in
@@ -23,35 +27,35 @@ let cover_is_valid m multiplet =
 let test_single_stuck_minimum_one () =
   let net = Generators.c17 () in
   let _, _, m = problem [ Defect.Stuck (g net "G16", true) ] in
-  let r = Exact_cover.solve m in
-  Alcotest.(check bool) "complete" true r.Exact_cover.complete;
-  Alcotest.(check (option int)) "minimum 1" (Some 1) r.Exact_cover.minimum;
+  let r = Reference.exact_cover m in
+  Alcotest.(check bool) "complete" true r.Reference.complete;
+  Alcotest.(check (option int)) "minimum 1" (Some 1) r.Reference.minimum;
   List.iter
     (fun sol -> Alcotest.(check bool) "valid cover" true (cover_is_valid m sol))
-    r.Exact_cover.multiplets;
+    r.Reference.multiplets;
   (* The true fault is one of the minimum covers. *)
   Alcotest.(check bool) "truth among solutions" true
     (List.exists
        (fun sol ->
          List.exists (fun f -> f.Fault_list.site = g net "G16" && f.Fault_list.stuck) sol)
-       r.Exact_cover.multiplets)
+       r.Reference.multiplets)
 
 let test_all_solutions_are_minimum_and_valid () =
   let net = Generators.c17 () in
   let _, _, m =
     problem [ Defect.Stuck (g net "G10", true); Defect.Stuck (g net "G19", false) ]
   in
-  let r = Exact_cover.solve m in
-  Alcotest.(check bool) "complete" true r.Exact_cover.complete;
-  match r.Exact_cover.minimum with
+  let r = Reference.exact_cover m in
+  Alcotest.(check bool) "complete" true r.Reference.complete;
+  match r.Reference.minimum with
   | None -> Alcotest.fail "cover must exist"
   | Some minimum ->
-    Alcotest.(check bool) "nonempty" true (r.Exact_cover.multiplets <> []);
+    Alcotest.(check bool) "nonempty" true (r.Reference.multiplets <> []);
     List.iter
       (fun sol ->
         Alcotest.(check int) "size = minimum" minimum (List.length sol);
         Alcotest.(check bool) "valid" true (cover_is_valid m sol))
-      r.Exact_cover.multiplets
+      r.Reference.multiplets
 
 let test_greedy_never_below_minimum () =
   (* Sanity: greedy cannot beat the exact minimum; usually it matches. *)
@@ -70,8 +74,8 @@ let test_greedy_never_below_minimum () =
           ~config:{ Noassume.default_config with validate = false }
           m
       in
-      let r = Exact_cover.solve m in
-      match (r.Exact_cover.complete, r.Exact_cover.minimum) with
+      let r = Reference.exact_cover m in
+      match (r.Reference.complete, r.Reference.minimum) with
       | true, Some minimum ->
         Alcotest.(check bool) "greedy >= minimum" true
           (List.length greedy.Noassume.multiplet >= minimum)
@@ -85,9 +89,9 @@ let test_empty_datalog () =
   let resp = Logic_sim.responses net pats in
   let dlog = Datalog.of_responses ~expected:resp ~observed:resp in
   let m = Explain.build_session (Session.create net pats) dlog in
-  let r = Exact_cover.solve m in
-  Alcotest.(check (option int)) "minimum 0" (Some 0) r.Exact_cover.minimum;
-  Alcotest.(check bool) "empty multiplet" true (r.Exact_cover.multiplets = [ [] ])
+  let r = Reference.exact_cover m in
+  Alcotest.(check (option int)) "minimum 0" (Some 0) r.Reference.minimum;
+  Alcotest.(check bool) "empty multiplet" true (r.Reference.multiplets = [ [] ])
 
 let test_budget_reported () =
   let net = Generators.ripple_adder 8 in
@@ -98,14 +102,14 @@ let test_budget_reported () =
   let observed = Injection.observed_responses net pats defects in
   let dlog = Datalog.of_responses ~expected ~observed in
   let m = Explain.build_session (Session.create net pats) dlog in
-  let r = Exact_cover.solve ~node_budget:3 m in
-  Alcotest.(check bool) "budget exhaustion flagged" false r.Exact_cover.complete
+  let r = Reference.exact_cover ~node_budget:3 m in
+  Alcotest.(check bool) "budget exhaustion flagged" false r.Reference.complete
 
 let test_max_solutions_respected () =
   let net = Generators.c17 () in
   let _, _, m = problem [ Defect.Stuck (g net "G11", true) ] in
-  let r = Exact_cover.solve ~max_solutions:2 m in
-  Alcotest.(check bool) "bounded" true (List.length r.Exact_cover.multiplets <= 2)
+  let r = Reference.exact_cover ~max_solutions:2 m in
+  Alcotest.(check bool) "bounded" true (List.length r.Reference.multiplets <= 2)
 
 (* [?upper_bound] restricts the search to strictly smaller covers: at
    the known minimum the result proves emptiness (the caller's cover is
@@ -115,79 +119,79 @@ let test_upper_bound_cutoff () =
   let _, _, m =
     problem [ Defect.Stuck (g net "G10", true); Defect.Stuck (g net "G19", false) ]
   in
-  let r = Exact_cover.solve m in
-  match (r.Exact_cover.complete, r.Exact_cover.minimum) with
+  let r = Reference.exact_cover m in
+  match (r.Reference.complete, r.Reference.minimum) with
   | true, Some k ->
-    let at = Exact_cover.solve ~upper_bound:k m in
-    Alcotest.(check bool) "complete at bound" true at.Exact_cover.complete;
+    let at = Reference.exact_cover ~upper_bound:k m in
+    Alcotest.(check bool) "complete at bound" true at.Reference.complete;
     Alcotest.(check (option int)) "nothing below the minimum" None
-      at.Exact_cover.minimum;
-    Alcotest.(check bool) "no multiplets" true (at.Exact_cover.multiplets = []);
-    let above = Exact_cover.solve ~upper_bound:(k + 1) m in
+      at.Reference.minimum;
+    Alcotest.(check bool) "no multiplets" true (at.Reference.multiplets = []);
+    let above = Reference.exact_cover ~upper_bound:(k + 1) m in
     Alcotest.(check (option int)) "minimum found below bound" (Some k)
-      above.Exact_cover.minimum
+      above.Reference.minimum
   | _ -> Alcotest.fail "reference solve must complete with a minimum"
 
 (* --- Incremental Solver unit tests --------------------------------- *)
 
 let solve ?upper_bound ?(node_budget = 100_000) t =
-  Exact_cover.Solver.solve ?upper_bound ~node_budget t
+  Hitting_set.Solver.solve ?upper_bound ~node_budget t
 
 let test_solver_rejects_empty_set () =
-  let t = Exact_cover.Solver.create () in
+  let t = Hitting_set.Solver.create () in
   Alcotest.check_raises "empty set"
-    (Invalid_argument "Exact_cover.Solver.add_set: empty set") (fun () ->
-      Exact_cover.Solver.add_set t [||])
+    (Invalid_argument "Hitting_set.Solver.add_set: empty set") (fun () ->
+      Hitting_set.Solver.add_set t [||])
 
 let test_solver_incremental_sets_and_floor () =
-  let t = Exact_cover.Solver.create () in
-  Exact_cover.Solver.add_set t [| 0; 1 |];
+  let t = Hitting_set.Solver.create () in
+  Hitting_set.Solver.add_set t [| 0; 1 |];
   let o = solve t in
-  Alcotest.(check bool) "proved" true o.Exact_cover.Solver.proved;
+  Alcotest.(check bool) "proved" true o.Hitting_set.Solver.proved;
   Alcotest.(check (option (list int))) "one element hits" (Some [ 0 ])
-    o.Exact_cover.Solver.hitting;
-  Alcotest.(check int) "floor raised to 1" 1 (Exact_cover.Solver.lower_bound t);
+    o.Hitting_set.Solver.hitting;
+  Alcotest.(check int) "floor raised to 1" 1 (Hitting_set.Solver.lower_bound t);
   (* A disjoint set forces a second element; the floor carries forward
      and then rises again. *)
-  Exact_cover.Solver.add_set t [| 2; 3 |];
+  Hitting_set.Solver.add_set t [| 2; 3 |];
   let o = solve t in
-  Alcotest.(check bool) "proved" true o.Exact_cover.Solver.proved;
-  (match o.Exact_cover.Solver.hitting with
+  Alcotest.(check bool) "proved" true o.Hitting_set.Solver.proved;
+  (match o.Hitting_set.Solver.hitting with
   | Some h -> Alcotest.(check int) "two elements" 2 (List.length h)
   | None -> Alcotest.fail "hitting set must exist");
-  Alcotest.(check int) "floor raised to 2" 2 (Exact_cover.Solver.lower_bound t);
+  Alcotest.(check int) "floor raised to 2" 2 (Hitting_set.Solver.lower_bound t);
   (* An overlapping set changes nothing: {1,2} is hit by neither 0 nor
      3 necessarily, but a size-2 solution (1,2 one each) still exists. *)
-  Exact_cover.Solver.add_set t [| 1; 2 |];
+  Hitting_set.Solver.add_set t [| 1; 2 |];
   let o = solve t in
-  (match o.Exact_cover.Solver.hitting with
+  (match o.Hitting_set.Solver.hitting with
   | Some h -> Alcotest.(check int) "still two elements" 2 (List.length h)
   | None -> Alcotest.fail "hitting set must exist");
-  Alcotest.(check int) "floor stays 2" 2 (Exact_cover.Solver.lower_bound t)
+  Alcotest.(check int) "floor stays 2" 2 (Hitting_set.Solver.lower_bound t)
 
 let test_solver_upper_bound_proves_emptiness () =
-  let t = Exact_cover.Solver.create () in
-  Exact_cover.Solver.add_set t [| 0 |];
-  Exact_cover.Solver.add_set t [| 1 |];
+  let t = Hitting_set.Solver.create () in
+  Hitting_set.Solver.add_set t [| 0 |];
+  Hitting_set.Solver.add_set t [| 1 |];
   (* Minimum is 2; below an upper bound of 2 nothing exists. *)
   let o = solve ~upper_bound:2 t in
-  Alcotest.(check bool) "proved" true o.Exact_cover.Solver.proved;
+  Alcotest.(check bool) "proved" true o.Hitting_set.Solver.proved;
   Alcotest.(check (option (list int))) "nothing below the bound" None
-    o.Exact_cover.Solver.hitting;
+    o.Hitting_set.Solver.hitting;
   Alcotest.(check int) "emptiness raises the floor to the bound" 2
-    (Exact_cover.Solver.lower_bound t);
+    (Hitting_set.Solver.lower_bound t);
   let o = solve ~upper_bound:3 t in
   Alcotest.(check (option (list int))) "optimum below a loose bound" (Some [ 0; 1 ])
-    o.Exact_cover.Solver.hitting
+    o.Hitting_set.Solver.hitting
 
 let test_solver_budget_exhaustion () =
-  let t = Exact_cover.Solver.create () in
-  Exact_cover.Solver.add_set t [| 0; 1 |];
-  Exact_cover.Solver.add_set t [| 2; 3 |];
-  let o = Exact_cover.Solver.solve ~node_budget:1 t in
-  Alcotest.(check bool) "not proved" false o.Exact_cover.Solver.proved;
+  let t = Hitting_set.Solver.create () in
+  Hitting_set.Solver.add_set t [| 0; 1 |];
+  Hitting_set.Solver.add_set t [| 2; 3 |];
+  let o = Hitting_set.Solver.solve ~node_budget:1 t in
+  Alcotest.(check bool) "not proved" false o.Hitting_set.Solver.proved;
   Alcotest.(check int) "floor untouched on unproved solve" 0
-    (Exact_cover.Solver.lower_bound t)
+    (Hitting_set.Solver.lower_bound t)
 
 let suite =
   [

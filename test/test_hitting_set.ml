@@ -2,11 +2,14 @@
    oracle, and the byte-identity contract of [--cover=exact]:
 
    - on every qcheck instance the loop's proven minimum must equal the
-     minimum [Exact_cover.solve] finds by materialising the whole
+     minimum [Reference.exact_cover] finds by materialising the whole
      matrix up front, and the returned cover must actually cover every
      coverable observation at exactly that cardinality;
    - seeded with the greedy cover the result can never be larger than
      the seed;
+   - when greedy stops at its multiplet cap short of a cover, the loop
+     searches up to the cap on its own: it proves a cover within the
+     cap, or claims no minimum and leaves the greedy report as it is;
    - when the exact backend proves the greedy cover minimal (or runs
      out of budget and falls back), the rendered [Noassume] report must
      be byte-identical to the greedy backend's — the exact path may
@@ -30,6 +33,9 @@ let make_dlog seed multiplicity =
   in
   draw 20
 
+(* The engine's multiplet cap, which [Noassume] passes as [max_size]. *)
+let max_size = Noassume.default_config.Noassume.max_multiplet
+
 let coverable_covered m cover =
   let nobs = Array.length (Explain.observations m) in
   let ncand = Array.length (Explain.candidates m) in
@@ -42,6 +48,9 @@ let coverable_covered m cover =
   Bitvec.inter_into ~dst:covered coverable;
   Bitvec.popcount covered = Bitvec.popcount coverable
 
+(* The candidate indices of a [Noassume] multiplet. *)
+let multiplet_ids m r = List.filter_map (Explain.find_candidate m) r.Noassume.multiplet
+
 (* The loop's proven minimum is exactly the direct solver's minimum, on
    every random instance the direct solver can finish. *)
 let prop_oracle =
@@ -53,10 +62,10 @@ let prop_oracle =
       | Some dlog ->
         let net = Lazy.force c17 and pats = Lazy.force c17_pats in
         let m = Explain.build_session (Session.create net pats) dlog in
-        let direct = Exact_cover.solve m in
-        (match (direct.Exact_cover.complete, direct.Exact_cover.minimum) with
+        let direct = Reference.exact_cover m in
+        (match (direct.Reference.complete, direct.Reference.minimum) with
         | true, Some k ->
-          let hs = Hitting_set.solve m in
+          let hs = Hitting_set.solve ~max_size m in
           hs.Hitting_set.complete
           && hs.Hitting_set.minimum = Some k
           && List.length hs.Hitting_set.cover = k
@@ -64,7 +73,10 @@ let prop_oracle =
         | _ -> true))
 
 (* Seeded with the greedy cover, the result never exceeds the seed and
-   still matches the direct oracle's minimum. *)
+   still matches the direct oracle's minimum.  Greedy capped at one
+   member seeds a partial cover whenever one pick leaves something
+   uncovered; the loop then searches up to that cap on its own and
+   proves the oracle's minimum if it fits, and no cover otherwise. *)
 let prop_seeded_never_larger =
   QCheck.Test.make ~name:"greedy-seeded hitting set: never larger, same minimum"
     ~count:25
@@ -80,15 +92,27 @@ let prop_seeded_never_larger =
             ~config:{ Noassume.default_config with validate = false }
             m
         in
-        let seed_ids =
-          List.filter_map (Explain.find_candidate m) greedy.Noassume.multiplet
+        let seed_ids = multiplet_ids m greedy in
+        let hs = Hitting_set.solve ~max_size ~seed:seed_ids m in
+        let capped =
+          Noassume.diagnose_matrix
+            ~config:{ Noassume.default_config with validate = false; max_multiplet = 1 }
+            m
         in
-        let hs = Hitting_set.solve ~seed:seed_ids m in
+        let capped_ids = multiplet_ids m capped in
+        let hs1 = Hitting_set.solve ~max_size:1 ~seed:capped_ids m in
+        let reach =
+          if coverable_covered m capped_ids then List.length capped_ids else 1
+        in
         List.length hs.Hitting_set.cover <= List.length seed_ids
+        && hs1.Hitting_set.complete
+        && List.length hs1.Hitting_set.cover <= max 1 (List.length capped_ids)
         &&
-        let direct = Exact_cover.solve m in
-        (match (direct.Exact_cover.complete, direct.Exact_cover.minimum) with
-        | true, Some k -> hs.Hitting_set.minimum = Some k
+        let direct = Reference.exact_cover m in
+        (match (direct.Reference.complete, direct.Reference.minimum) with
+        | true, Some k ->
+          hs.Hitting_set.minimum = Some k
+          && hs1.Hitting_set.minimum = (if k <= reach then Some k else None)
         | _ -> true))
 
 let cold_session cover =
@@ -126,16 +150,27 @@ let prop_byte_identity_when_greedy_minimal =
             (Report.render net exact_r)
         | _ -> true))
 
-let test_single_stuck_byte_identity () =
+(* A c17 die with a stuck-at-1 on each named net, and its matrix. *)
+let stuck_die names =
   let net = Lazy.force c17 and pats = Lazy.force c17_pats in
   let g name = Option.get (Netlist.find net name) in
   let expected = Logic_sim.responses net pats in
   let observed =
-    Injection.observed_responses net pats [ Defect.Stuck (g "G16", true) ]
+    Injection.observed_responses net pats
+      (List.map (fun name -> Defect.Stuck (g name, true)) names)
   in
   let dlog = Datalog.of_responses ~expected ~observed in
-  let greedy_r = Noassume.diagnose_session (cold_session Session.Greedy) dlog in
-  let exact_r = Noassume.diagnose_session (cold_session Session.Exact) dlog in
+  (Explain.build_session (Session.create net pats) dlog, dlog)
+
+(* [Noassume] under both backends, one config. *)
+let both_backends config dlog =
+  ( Noassume.diagnose_session ~config (cold_session Session.Greedy) dlog,
+    Noassume.diagnose_session ~config (cold_session Session.Exact) dlog )
+
+let test_single_stuck_byte_identity () =
+  let net = Lazy.force c17 in
+  let _, dlog = stuck_die [ "G16" ] in
+  let greedy_r, exact_r = both_backends Noassume.default_config dlog in
   Alcotest.(check bool) "complete" true exact_r.Noassume.cover_complete;
   Alcotest.(check (option int)) "minimum 1" (Some 1) exact_r.Noassume.cover_minimum;
   Alcotest.(check string) "byte-identical report"
@@ -144,6 +179,42 @@ let test_single_stuck_byte_identity () =
   Alcotest.(check (option int)) "greedy reports no minimum" None
     greedy_r.Noassume.cover_minimum;
   Alcotest.(check bool) "greedy complete" true greedy_r.Noassume.cover_complete
+
+(* Capped at one member on a die that needs two sites: greedy stops at
+   the cap with a partial cover, the loop finds no cover within it and
+   claims nothing, and the report is the greedy backend's. *)
+let test_cap_below_minimum () =
+  let net = Lazy.force c17 in
+  let m, dlog = stuck_die [ "G1"; "G3" ] in
+  let direct = Reference.exact_cover m in
+  Alcotest.(check (option int)) "die needs two sites" (Some 2) direct.Reference.minimum;
+  let config = { Noassume.default_config with max_multiplet = 1 } in
+  let greedy_r, exact_r = both_backends config dlog in
+  Alcotest.(check bool) "greedy stopped short" false
+    (coverable_covered m (multiplet_ids m greedy_r));
+  Alcotest.(check bool) "complete" true exact_r.Noassume.cover_complete;
+  Alcotest.(check (option int)) "no cover within the cap" None
+    exact_r.Noassume.cover_minimum;
+  Alcotest.(check string) "byte-identical report"
+    (Report.render net greedy_r)
+    (Report.render net exact_r)
+
+(* Capped at one member on a die one site covers, but not the site
+   greedy picks first: the seed is partial, and the loop proves the
+   one-member cover within the cap. *)
+let test_partial_seed_proven () =
+  let m, dlog = stuck_die [ "G1"; "G2" ] in
+  let direct = Reference.exact_cover m in
+  Alcotest.(check (option int)) "one site covers" (Some 1) direct.Reference.minimum;
+  let config = { Noassume.default_config with validate = false; max_multiplet = 1 } in
+  let greedy_r, exact_r = both_backends config dlog in
+  Alcotest.(check bool) "partial seed" false
+    (coverable_covered m (multiplet_ids m greedy_r));
+  Alcotest.(check bool) "complete" true exact_r.Noassume.cover_complete;
+  Alcotest.(check (option int)) "proven minimum" (Some 1) exact_r.Noassume.cover_minimum;
+  Alcotest.(check bool) "within the cap" true (List.length exact_r.Noassume.multiplet <= 1);
+  Alcotest.(check bool) "covers the die" true
+    (coverable_covered m (multiplet_ids m exact_r))
 
 (* Budget exhaustion: fall back to the greedy cover with
    [cover_complete = false] — the report stays byte-identical to the
@@ -175,7 +246,7 @@ let test_empty_instance () =
   let resp = Logic_sim.responses net pats in
   let dlog = Datalog.of_responses ~expected:resp ~observed:resp in
   let m = Explain.build_session (Session.create net pats) dlog in
-  let r = Hitting_set.solve m in
+  let r = Hitting_set.solve ~max_size m in
   Alcotest.(check bool) "complete" true r.Hitting_set.complete;
   Alcotest.(check (option int)) "minimum 0" (Some 0) r.Hitting_set.minimum;
   Alcotest.(check bool) "empty cover" true (r.Hitting_set.cover = [])
@@ -192,5 +263,7 @@ let suite =
         Alcotest.test_case "budget fallback byte identity" `Quick
           test_budget_fallback_byte_identity;
         Alcotest.test_case "empty instance" `Quick test_empty_instance;
+        Alcotest.test_case "cap below the minimum" `Quick test_cap_below_minimum;
+        Alcotest.test_case "partial seed proven" `Quick test_partial_seed_proven;
       ] );
   ]
