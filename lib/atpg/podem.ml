@@ -14,7 +14,7 @@ type t = {
   fanin_off : int array;
   fanout : int array;
   fanout_off : int array;
-  kinds : Gate.kind array;
+  kinds : Gate.kind array; (* the netlist's own: read, never written *)
   levels : int array;
   topo : int array;
   topo_pos : int array;  (** Index of each net in [topo]. *)
@@ -89,7 +89,7 @@ let create net =
     fanin_off = Netlist.fanin_offsets net;
     fanout = Netlist.fanout_csr net;
     fanout_off = Netlist.fanout_offsets net;
-    kinds = Array.init n (Netlist.kind net);
+    kinds = Netlist.kinds net;
     levels;
     topo;
     topo_pos;

@@ -196,7 +196,7 @@ let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
     load d (List.hd (Pattern.blocks pats));
     let gained = ref 0 in
     detections d ~live (fun i w ->
-        let add = min (n - counts.(i)) (Logic.popcount w) in
+        let add = min (n - counts.(i)) (Bitvec.popcount_word w) in
         if add > 0 then begin
           counts.(i) <- counts.(i) + add;
           gained := !gained + add

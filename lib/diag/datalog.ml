@@ -41,9 +41,23 @@ let is_failing t p = Hashtbl.mem t.by_pattern p
 
 let failing_pos t p = match Hashtbl.find_opt t.by_pattern p with Some l -> l | None -> []
 
+(* Made with a static filler, then filled: [Array.of_list] would seed a
+   long array with a young record and force a minor collection. *)
+let no_observation = { pattern = 0; po = 0 }
+
 let observations t =
-  Array.of_list
-    (List.concat_map (fun (p, pos) -> List.map (fun o -> { pattern = p; po = o }) pos) t.entries)
+  let n = List.fold_left (fun acc (_, pos) -> acc + List.length pos) 0 t.entries in
+  let out = Array.make n no_observation in
+  let i = ref 0 in
+  List.iter
+    (fun (p, pos) ->
+      List.iter
+        (fun o ->
+          out.(!i) <- { pattern = p; po = o };
+          incr i)
+        pos)
+    t.entries;
+  out
 
 type words = { fail : int array; obs : int array; total : int }
 

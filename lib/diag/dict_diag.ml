@@ -2,12 +2,15 @@ type flavour = Full_response | Pass_fail
 
 type entry = {
   fault : Fault_list.fault;
-  full : Bitvec.t array; (* per PO, bit per pattern; [||] for pass/fail *)
-  detect : Bitvec.t; (* bit per pattern: any output fails *)
+  response : int array;
+      (* Full-response: the fault's signature triples.  Pass/fail: per
+         block, the OR of its diff words, a bit per pattern that fails
+         on some output. *)
 }
 
 type t = {
   flavour : flavour;
+  blocks : Pattern.block array;
   npatterns : int;
   npos : int;
   entries : entry list;
@@ -15,10 +18,19 @@ type t = {
 
 let num_entries t = List.length t.entries
 
+let detect_words nblocks triples =
+  let detect = Array.make nblocks 0 in
+  let i = ref 0 in
+  while !i < Array.length triples do
+    let bi = triples.(!i) in
+    detect.(bi) <- detect.(bi) lor triples.(!i + 2);
+    i := !i + 3
+  done;
+  detect
+
 let build_session flavour session =
   let net = Session.netlist session in
-  let pats = Session.patterns session in
-  let npatterns = Pattern.count pats in
+  let blocks = Session.blocks session in
   (* All entry signatures in one pass: cache hits replay (keyed by class
      representative, exactly the faults enumerated here), misses fill
      through the session's PPSFP slabs rather than per-fault cone
@@ -28,14 +40,20 @@ let build_session flavour session =
   let triples = Session.fault_triples session faults in
   let entries =
     List.init (Array.length faults) (fun i ->
-        let fault = faults.(i) in
-        let signature = Session.signature_of_triples session triples.(i) in
-        let detect = Bitvec.create npatterns in
-        Array.iter (fun po_bits -> Bitvec.union_into ~dst:detect po_bits) signature;
-        let full = match flavour with Full_response -> signature | Pass_fail -> [||] in
-        { fault; full; detect })
+        let response =
+          match flavour with
+          | Full_response -> triples.(i)
+          | Pass_fail -> detect_words (Array.length blocks) triples.(i)
+        in
+        { fault = faults.(i); response })
   in
-  { flavour; npatterns; npos = Netlist.num_pos net; entries }
+  {
+    flavour;
+    blocks;
+    npatterns = Pattern.count (Session.patterns session);
+    npos = Netlist.num_pos net;
+    entries;
+  }
 
 let size_bits t =
   let per_entry =
@@ -49,43 +67,18 @@ type ranked = { fault : Fault_list.fault; score : Scoring.score }
 
 type result = { best : ranked list; ranking : ranked list }
 
-(* Full-response matching: per-observation confusion counts, identical in
-   spirit to Single_diag but read from storage instead of simulated. *)
-let score_full t dlog entry =
-  let explained = ref 0 and missed = ref 0 in
-  let spurious_fail = ref 0 and spurious_pass = ref 0 in
-  for p = 0 to t.npatterns - 1 do
-    let failing = Datalog.is_failing dlog p in
-    let fail_set = Datalog.failing_pos dlog p in
-    for oi = 0 to t.npos - 1 do
-      let predicted = Bitvec.get entry.full.(oi) p in
-      let observed = failing && List.mem oi fail_set in
-      match (observed, predicted) with
-      | true, true -> incr explained
-      | true, false -> incr missed
-      | false, true -> if failing then incr spurious_fail else incr spurious_pass
-      | false, false -> ()
-    done
-  done;
-  {
-    Scoring.explained = !explained;
-    missed = !missed;
-    spurious_fail = !spurious_fail;
-    spurious_pass = !spurious_pass;
-  }
-
-(* Pass/fail matching: pattern-granular confusion counts. *)
-let score_passfail t dlog entry =
+(* Pass/fail matching: pattern-granular confusion counts, a word of
+   patterns at a time against the datalog's failing-pattern words.
+   Both sides hold no bit past a block's live width. *)
+let score_passfail (words : Datalog.words) detect =
   let explained = ref 0 and missed = ref 0 and spurious = ref 0 in
-  for p = 0 to t.npatterns - 1 do
-    let observed = Datalog.is_failing dlog p in
-    let predicted = Bitvec.get entry.detect p in
-    match (observed, predicted) with
-    | true, true -> incr explained
-    | true, false -> incr missed
-    | false, true -> incr spurious
-    | false, false -> ()
-  done;
+  Array.iteri
+    (fun bi d ->
+      let fail = words.fail.(bi) in
+      explained := !explained + Bitvec.popcount_word (d land fail);
+      missed := !missed + Bitvec.popcount_word (fail land lnot d);
+      spurious := !spurious + Bitvec.popcount_word (d land lnot fail))
+    detect;
   {
     Scoring.explained = !explained;
     missed = !missed;
@@ -96,10 +89,14 @@ let score_passfail t dlog entry =
 let diagnose ?(keep = 20) t dlog =
   if Datalog.npatterns dlog <> t.npatterns then
     invalid_arg "Dict_diag.diagnose: datalog pattern count differs from dictionary";
-  let score =
+  let words = Datalog.observed_words dlog t.blocks in
+  let score (e : entry) =
     match t.flavour with
-    | Full_response -> score_full t dlog
-    | Pass_fail -> score_passfail t dlog
+    | Full_response ->
+      (* Per observation, read from the stored signature exactly as
+         [Single_diag] scores a simulated one. *)
+      Scoring.score_triples words ~npos:t.npos e.response
+    | Pass_fail -> score_passfail words e.response
   in
   let scored =
     List.map (fun (e : entry) -> { fault = e.fault; score = score e }) t.entries

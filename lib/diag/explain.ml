@@ -55,6 +55,12 @@ let exact t c fp =
 let mispredict_fail t c = t.mispredict_fail.(t.row_of.(c))
 let mispredict_pass t c = t.mispredict_pass.(t.row_of.(c))
 
+(* Static fillers for the arrays [build_session] allocates and then
+   fills: an array longer than 256 words made with a young first element
+   forces a minor collection, one of these does not. *)
+let no_fault = { Fault_list.site = 0; stuck = false }
+let no_bits = Bitvec.create 0
+
 (* Candidate seeds: both stuck polarities of every net in the union of
    the fan-in cones of the outputs that failed at least once.  Any single
    site whose error reached an observed-failing output lies in that
@@ -212,7 +218,7 @@ let build_session session dlog =
       done;
       if !kept = num_seeded then (seeded, 0)
       else begin
-        let out = Array.make !kept seeded.(0) in
+        let out = Array.make !kept no_fault in
         let j = ref 0 in
         for i = 0 to num_seeded - 1 do
           if keep.(i) then begin
@@ -253,7 +259,10 @@ let build_session session dlog =
     done;
     (!n, Array.sub members 0 !n, Array.sub keys 0 !n)
   in
-  let covers = Array.init nrows (fun _ -> Bitvec.create nobs) in
+  let covers = Array.make nrows no_bits in
+  for r = 0 to nrows - 1 do
+    covers.(r) <- Bitvec.create nobs
+  done;
   let spurious = Array.make (max 1 (nrows * nblocks)) 0 in
   let mispredict_fail = Array.make (max 1 nrows) 0 in
   let mispredict_pass = Array.make (max 1 nrows) 0 in

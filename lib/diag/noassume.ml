@@ -102,7 +102,13 @@ let greedy_cover config m =
       && candidates.(c).Fault_list.stuck <> candidates.(c + 1).Fault_list.stuck
     then pairs := Pair (c, c + 1) :: !pairs
   done;
-  let moves = Array.of_list (List.init ncand (fun c -> Single c) @ List.rev !pairs) in
+  (* Filled after a static [Single 0]: a long array made from a young
+     move forces a minor collection. *)
+  let moves = Array.make (ncand + List.length !pairs) (Single 0) in
+  for c = 0 to ncand - 1 do
+    moves.(c) <- Single c
+  done;
+  List.iteri (fun i mv -> moves.(ncand + i) <- mv) (List.rev !pairs);
   let move_cost = function
     | Single c -> discount c
     | Pair (c0, c1) -> discount c0 + discount c1

@@ -361,16 +361,17 @@ let evaluate_bridges sc ~rest ~victim hyps =
     in
     let held_pins held = List.map (fun (s, w) -> (s, Fault_sim.Held w)) held in
     let read f n = Array.init nb (fun block -> f b ~net:n ~block) in
+    let driven n = Fault_sim.batch_driven b ~net:n in
     let aggressors = List.sort_uniq compare (List.map fst hyps) in
     let reads_of ags =
-      List.map (fun a -> (a, (read Fault_sim.batch_value a, read Fault_sim.batch_driven a))) ags
+      List.map (fun a -> (a, (read Fault_sim.batch_value a, driven a))) ags
     in
     (* Rest-of-multiplet pass, held as the callout's base: everything a
        bridge reads where it cannot feed back — the aggressor's
        resolved word (dominant), and both sides' driven words (wired).
        Every sweep below is a change sweep on top of it. *)
     let rest_score = hold sc rest in
-    let dv = read Fault_sim.batch_driven victim in
+    let dv = driven victim in
     let bv = read Fault_sim.batch_value victim in
     let base = reads_of aggressors in
     (* Lane by lane, the machine with one site held at a word [w] is the
@@ -426,7 +427,7 @@ let evaluate_bridges sc ~rest ~victim hyps =
           then begin
             let value_a, _ = List.assoc a base in
             flip a value_a (fun _ _ _ -> ());
-            let fdv = read Fault_sim.batch_driven victim in
+            let fdv = driven victim in
             Some (a, (under value_a dv fdv 0, under value_a dv fdv Logic.ones))
           end
           else None)

@@ -205,17 +205,3 @@ let create ?(config = default_config) net pats =
         Fault_list.representative_indices (Fault_list.collapse net))
   in
   { net; pats; reach; rep_keys; blocks; good; cache = Sig_cache.create net pats; config }
-
-(* Bit [p] of PO [oi]'s vector is set iff that PO differs from the good
-   machine on pattern [p]. *)
-let signature_of_triples t triples =
-  let npatterns = Pattern.count t.pats in
-  let signature = Array.init (Netlist.num_pos t.net) (fun _ -> Bitvec.create npatterns) in
-  let i = ref 0 in
-  while !i < Array.length triples do
-    let bi = triples.(!i) and oi = triples.(!i + 1) and d = triples.(!i + 2) in
-    let base = t.blocks.(bi).Pattern.base in
-    Logic.iter_bits d (fun bit -> Bitvec.set signature.(oi) (base + bit) true);
-    i := !i + 3
-  done;
-  signature

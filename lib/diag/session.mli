@@ -142,8 +142,3 @@ val fault_triples : t -> Fault_list.fault array -> int array array
     {!Sig_cache.missing}, the misses are simulated and stored back as
     one batch, and every row is decoded from the arena.  The cold path
     of the baselines ({!Single_diag}, {!Dict_diag}). *)
-
-val signature_of_triples : t -> int array -> Bitvec.t array
-(** Expand one fault's triples into the per-PO, bit-per-pattern
-    signature shape: bit [p] of PO [oi]'s vector is set iff that PO
-    differs from the good machine on pattern [p]. *)

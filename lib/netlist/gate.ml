@@ -46,145 +46,67 @@ let of_name s =
   | "XNOR" -> Some Xnor
   | _ -> None
 
-let bad_eval kind =
-  invalid_arg (Printf.sprintf "Gate.eval: %s with wrong arity" (name kind))
-
-let eval_bool kind args =
-  match (kind, args) with
-  | Const b, [] -> b
-  | Buf, [ a ] -> a
-  | Not, [ a ] -> not a
-  | And, _ :: _ :: _ -> List.for_all Fun.id args
-  | Nand, _ :: _ :: _ -> not (List.for_all Fun.id args)
-  | Or, _ :: _ :: _ -> List.exists Fun.id args
-  | Nor, _ :: _ :: _ -> not (List.exists Fun.id args)
-  | Xor, _ :: _ :: _ -> List.fold_left (fun acc a -> acc <> a) false args
-  | Xnor, _ :: _ :: _ -> not (List.fold_left (fun acc a -> acc <> a) false args)
-  | (Input | Const _ | Buf | Not | And | Nand | Or | Nor | Xor | Xnor), _ ->
-    bad_eval kind
-
-let eval_v3 kind args =
-  let open Logic in
-  match (kind, args) with
-  | Const b, [] -> v3_of_bool b
-  | Buf, [ a ] -> a
-  | Not, [ a ] -> v3_not a
-  | And, a :: rest -> List.fold_left v3_and a rest
-  | Nand, a :: rest -> v3_not (List.fold_left v3_and a rest)
-  | Or, a :: rest -> List.fold_left v3_or a rest
-  | Nor, a :: rest -> v3_not (List.fold_left v3_or a rest)
-  | Xor, a :: rest -> List.fold_left v3_xor a rest
-  | Xnor, a :: rest -> v3_not (List.fold_left v3_xor a rest)
-  | (And | Nand | Or | Nor | Xor | Xnor), [] -> bad_eval kind
-  | (Input | Const _ | Buf | Not), _ -> bad_eval kind
-
-let eval_word kind args =
-  let n = Array.length args in
-  let fold f init =
-    let acc = ref init in
-    for i = 0 to n - 1 do
-      acc := f !acc args.(i)
-    done;
-    !acc
-  in
-  match kind with
-  | Const false -> 0
-  | Const true -> Logic.ones
-  | Buf when n = 1 -> args.(0)
-  | Not when n = 1 -> lnot args.(0)
-  | And when n >= 2 -> fold ( land ) Logic.ones
-  | Nand when n >= 2 -> lnot (fold ( land ) Logic.ones)
-  | Or when n >= 2 -> fold ( lor ) 0
-  | Nor when n >= 2 -> lnot (fold ( lor ) 0)
-  | Xor when n >= 2 -> fold ( lxor ) 0
-  | Xnor when n >= 2 -> lnot (fold ( lxor ) 0)
-  | Input | Buf | Not | And | Nand | Or | Nor | Xor | Xnor -> bad_eval kind
-
-(* Dense opcodes for the flat-array kernels: every kind, including the
-   two constant polarities, gets a small int so hot loops dispatch on an
-   immediate instead of a boxed-payload variant. *)
-let code_input = 0
-let code_const0 = 1
-let code_const1 = 2
-let code_buf = 3
-let code_not = 4
-let code_and = 5
-let code_nand = 6
-let code_or = 7
-let code_nor = 8
-let code_xor = 9
-let code_xnor = 10
-
-let code = function
-  | Input -> code_input
-  | Const false -> code_const0
-  | Const true -> code_const1
-  | Buf -> code_buf
-  | Not -> code_not
-  | And -> code_and
-  | Nand -> code_nand
-  | Or -> code_or
-  | Nor -> code_nor
-  | Xor -> code_xor
-  | Xnor -> code_xnor
-
-let kinds_by_code =
-  [| Input; Const false; Const true; Buf; Not; And; Nand; Or; Nor; Xor; Xnor |]
-
-let of_code c =
-  if c >= 0 && c < Array.length kinds_by_code then Some kinds_by_code.(c) else None
-
 (* Word-level evaluation over a CSR fanin slice: operand [i] is
    [values.(fanin.(i))] for [i] in [lo, hi).  No argument array is ever
-   materialized; arity was validated at netlist construction. *)
-let eval_flat code values (fanin : int array) lo hi =
-  if code = code_const0 then 0
-  else if code = code_const1 then Logic.ones
-  else if code = code_buf then values.(fanin.(lo))
-  else if code = code_not then lnot values.(fanin.(lo))
-  else if code = code_and then begin
+   materialized; arity was validated at netlist construction.
+
+   The kind is tested with [==] in a fixed order, n-ary kinds first: a
+   constant constructor is an immediate, so each test is one compare,
+   and a [Const] block equals none of them.  A [match] here compiles to
+   a jump table, whose indirect branch the mix of kinds along a
+   topological order defeats: Logic_sim over rnd2k ran ~1.9x as long
+   with one.  The folds are written out in every arm for the same
+   reason the slab loops are: a shared fold is a call per gate. *)
+let eval kind values (fanin : int array) lo hi =
+  if kind == And then begin
     let acc = ref values.(fanin.(lo)) in
     for i = lo + 1 to hi - 1 do
       acc := !acc land values.(fanin.(i))
     done;
     !acc
   end
-  else if code = code_nand then begin
+  else if kind == Nand then begin
     let acc = ref values.(fanin.(lo)) in
     for i = lo + 1 to hi - 1 do
       acc := !acc land values.(fanin.(i))
     done;
     lnot !acc
   end
-  else if code = code_or then begin
+  else if kind == Or then begin
     let acc = ref values.(fanin.(lo)) in
     for i = lo + 1 to hi - 1 do
       acc := !acc lor values.(fanin.(i))
     done;
     !acc
   end
-  else if code = code_nor then begin
+  else if kind == Nor then begin
     let acc = ref values.(fanin.(lo)) in
     for i = lo + 1 to hi - 1 do
       acc := !acc lor values.(fanin.(i))
     done;
     lnot !acc
   end
-  else if code = code_xor then begin
+  else if kind == Xor then begin
     let acc = ref values.(fanin.(lo)) in
     for i = lo + 1 to hi - 1 do
       acc := !acc lxor values.(fanin.(i))
     done;
     !acc
   end
-  else if code = code_xnor then begin
+  else if kind == Xnor then begin
     let acc = ref values.(fanin.(lo)) in
     for i = lo + 1 to hi - 1 do
       acc := !acc lxor values.(fanin.(i))
     done;
     lnot !acc
   end
-  else invalid_arg "Gate.eval_flat: Input or unknown opcode"
+  else if kind == Buf then values.(fanin.(lo))
+  else if kind == Not then lnot values.(fanin.(lo))
+  else
+    match kind with
+    | Const b -> if b then Logic.ones else 0
+    | Input | Buf | Not | And | Nand | Or | Nor | Xor | Xnor ->
+      invalid_arg "Gate.eval: Input"
 
 let controlling = function
   | And | Nand -> Some false

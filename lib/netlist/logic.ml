@@ -1,41 +1,3 @@
-type v3 = V0 | V1 | X
-
-let v3_of_bool b = if b then V1 else V0
-
-let bool_of_v3 = function V0 -> Some false | V1 -> Some true | X -> None
-
-let v3_not = function V0 -> V1 | V1 -> V0 | X -> X
-
-let v3_and a b =
-  match (a, b) with
-  | V0, _ | _, V0 -> V0
-  | V1, V1 -> V1
-  | X, (V1 | X) | V1, X -> X
-
-let v3_or a b =
-  match (a, b) with
-  | V1, _ | _, V1 -> V1
-  | V0, V0 -> V0
-  | X, (V0 | X) | V0, X -> X
-
-let v3_xor a b =
-  match (a, b) with
-  | X, _ | _, X -> X
-  | V0, V0 | V1, V1 -> V0
-  | V0, V1 | V1, V0 -> V1
-
-let v3_equal (a : v3) (b : v3) = a = b
-
-let char_of_v3 = function V0 -> '0' | V1 -> '1' | X -> 'X'
-
-let v3_of_char = function
-  | '0' -> V0
-  | '1' -> V1
-  | 'x' | 'X' -> X
-  | c -> invalid_arg (Printf.sprintf "Logic.v3_of_char: %c" c)
-
-let pp_v3 ppf v = Format.pp_print_char ppf (char_of_v3 v)
-
 (* All 63 usable bits of an OCaml int set: exactly the representation of
    -1 on a 63-bit tagged integer. *)
 let ones = -1
@@ -43,8 +5,6 @@ let ones = -1
 let mask_of_width k =
   assert (k >= 0 && k <= Bitvec.word_bits);
   if k = Bitvec.word_bits then ones else (1 lsl k) - 1
-
-let popcount = Bitvec.popcount_word
 
 let iter_bits w f =
   let w = ref w in

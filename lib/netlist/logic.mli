@@ -1,39 +1,13 @@
-(** Logic values and word-parallel logic operations.
+(** Word-parallel two-valued logic.
 
-    Two domains are used throughout the repository:
+    The library's one logic domain: two-valued values packed 63
+    patterns per OCaml [int] word, for the bit-parallel good-machine and
+    fault simulators.  PODEM packs its ternary state into its own
+    dual-rail words (DESIGN.md §6b); the scalar and three-valued
+    evaluators survive only as test oracles.
 
-    - two-valued logic packed 63 patterns per OCaml [int] word, for the
-      bit-parallel good-machine and fault simulators;
-    - three-valued logic (0, 1, X) for ATPG, X-injection analysis and the
-      dual-rail ternary simulator. *)
-
-(** Three-valued logic. *)
-type v3 = V0 | V1 | X
-
-val v3_of_bool : bool -> v3
-
-val bool_of_v3 : v3 -> bool option
-(** [None] on [X]. *)
-
-val v3_not : v3 -> v3
-val v3_and : v3 -> v3 -> v3
-val v3_or : v3 -> v3 -> v3
-val v3_xor : v3 -> v3 -> v3
-
-val v3_equal : v3 -> v3 -> bool
-
-val pp_v3 : Format.formatter -> v3 -> unit
-(** Prints [0], [1] or [X]. *)
-
-val char_of_v3 : v3 -> char
-val v3_of_char : char -> v3
-(** Accepts ['0'], ['1'], ['x'], ['X']; raises [Invalid_argument]
-    otherwise. *)
-
-(** {1 Word-level helpers}
-
-    A word carries up to {!Bitvec.word_bits} pattern bits.  Words
-    are not masked during simulation; consumers mask with [mask_of_width]
+    A word carries up to {!Bitvec.word_bits} pattern bits.  Words are
+    not masked during simulation; consumers mask with [mask_of_width]
     before comparing or counting. *)
 
 val ones : int
@@ -41,9 +15,6 @@ val ones : int
 
 val mask_of_width : int -> int
 (** [mask_of_width k] has the low [k] bits set, [0 <= k <= 63]. *)
-
-val popcount : int -> int
-(** Set bits in a word. *)
 
 val iter_bits : int -> (int -> unit) -> unit
 (** [iter_bits w f] applies [f] to the index of every set bit of [w],

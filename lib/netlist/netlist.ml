@@ -20,12 +20,11 @@ type t = {
   source : string option; (* see [source] *)
   (* The adjacency, as flat CSR arrays (the fanins of net [n] are
      [fanin_csr.(fanin_off.(n)) .. fanin_csr.(fanin_off.(n + 1) - 1)],
-     likewise fanouts), plus a per-net opcode table. *)
+     likewise fanouts). *)
   fanin_csr : int array;
   fanin_off : int array; (* length num_nets + 1 *)
   fanout_csr : int array;
   fanout_off : int array; (* length num_nets + 1 *)
-  codes : int array; (* Gate.code per net *)
 }
 
 let num_nets t = Array.length t.kinds
@@ -52,7 +51,7 @@ let fanin_csr t = t.fanin_csr
 let fanin_offsets t = t.fanin_off
 let fanout_csr t = t.fanout_csr
 let fanout_offsets t = t.fanout_off
-let gate_codes t = t.codes
+let kinds t = t.kinds
 let level_array t = t.levels
 
 let is_pi t n = match t.kinds.(n) with Gate.Input -> true | _ -> false
@@ -130,15 +129,16 @@ let fanouts_of ~fanin_csr ~fanin_off =
   done;
   (fanout_csr, fanout_off)
 
-let freeze ~names ~name_off ~kinds ~codes ~fanin_csr ~fanin_off
+let freeze ~names ~name_off ~kinds ~fanin_csr ~fanin_off
     ~fanout:(fanout_csr, fanout_off) ~pos ~po_index ~levels ~topo ~by_name ~source =
   let n = Array.length kinds in
+  let is_input = function Gate.Input -> true | _ -> false in
   let npis = ref 0 in
-  Array.iter (fun c -> if c = Gate.code_input then incr npis) codes;
+  Array.iter (fun k -> if is_input k then incr npis) kinds;
   let pis = Array.make !npis 0 in
   let next = ref 0 in
   for i = 0 to n - 1 do
-    if codes.(i) = Gate.code_input then begin
+    if is_input kinds.(i) then begin
       pis.(!next) <- i;
       incr next
     end
@@ -158,7 +158,6 @@ let freeze ~names ~name_off ~kinds ~codes ~fanin_csr ~fanin_off
     fanin_off;
     fanout_csr;
     fanout_off;
-    codes;
   }
 
 let make ~names ~kinds ~fanins ~pos =
@@ -212,9 +211,8 @@ let make ~names ~kinds ~fanins ~pos =
     names;
   let name_off = Array.make (n + 1) 0 in
   Array.iteri (fun i s -> name_off.(i + 1) <- name_off.(i) + String.length s) names;
-  freeze ~names:(String.concat "" (Array.to_list names)) ~name_off ~kinds
-    ~codes:(Array.map Gate.code kinds) ~fanin_csr ~fanin_off ~fanout ~pos
-    ~po_index ~levels ~topo ~by_name:(Some by_name) ~source:None
+  freeze ~names:(String.concat "" (Array.to_list names)) ~name_off ~kinds ~fanin_csr
+    ~fanin_off ~fanout ~pos ~po_index ~levels ~topo ~by_name:(Some by_name) ~source:None
 
 (* Every net reachable from [root] along one CSR, [root] included. *)
 let reach csr off root =
@@ -237,6 +235,25 @@ let output_cone t root =
   let reach = fanout_reach t root in
   Array.to_list (Array.of_seq (Seq.filter (fun p -> reach.(p)) (Array.to_seq t.pos)))
 
+(* The opcode of each kind in the structure digest and the image
+   section: a file format, not a kernel representation.  Renumbering
+   changes every [source] key and every stored image. *)
+let code_of_kind = function
+  | Gate.Input -> 0
+  | Gate.Const false -> 1
+  | Gate.Const true -> 2
+  | Gate.Buf -> 3
+  | Gate.Not -> 4
+  | Gate.And -> 5
+  | Gate.Nand -> 6
+  | Gate.Or -> 7
+  | Gate.Nor -> 8
+  | Gate.Xor -> 9
+  | Gate.Xnor -> 10
+
+let kinds_by_code =
+  Gate.[| Input; Const false; Const true; Buf; Not; And; Nand; Or; Nor; Xor; Xnor |]
+
 (* The fields a net's logic depends on, in a fixed order: names are
    left out, so a renamed netlist has the same structure. *)
 let add_structure buf t =
@@ -244,7 +261,7 @@ let add_structure buf t =
   add (num_nets t);
   add (num_pis t);
   add (num_pos t);
-  Array.iter add t.codes;
+  Array.iter (fun k -> add (code_of_kind k)) t.kinds;
   Array.iter add t.fanin_off;
   Array.iter add t.fanin_csr;
   Array.iter add t.pos
@@ -268,7 +285,7 @@ let source t =
      | pos (npos) | levels (nnets) | topo (nnets) | name_off (nnets + 1)
      | names (names_len bytes, concatenated)
 
-   The derived views (the fanout CSR, PIs, the PO index, kinds) are rebuilt
+   The derived views (the fanout CSR, PIs, the PO index) are rebuilt
    from these; levels and the topological order are stored because
    checking them costs one pass, where deriving them again costs a
    sort. *)
@@ -278,7 +295,7 @@ let encode buf t =
   add (num_pos t);
   add (Array.length t.fanin_csr);
   add (String.length t.names);
-  Array.iter add t.codes;
+  Array.iter (fun k -> add (code_of_kind k)) t.kinds;
   Array.iter add t.fanin_off;
   Array.iter add t.fanin_csr;
   Array.iter add t.pos;
@@ -365,18 +382,19 @@ let decode ?source (bytes : Bigstring.t) ~off ~len =
       cursor := !cursor + (8 * k);
       a
     in
-    let codes = take n in
+    let kinds =
+      Array.map
+        (fun c ->
+          check (c >= 0 && c < Array.length kinds_by_code);
+          kinds_by_code.(c))
+        (take n)
+    in
     let fanin_off = take (n + 1) in
     let fanin_csr = take nfanin in
     let pos = take npos in
     let levels = take n in
     let topo = take n in
     let name_off = take (n + 1) in
-    let kinds =
-      Array.map
-        (fun c -> match Gate.of_code c with Some k -> k | None -> raise Malformed)
-        codes
-    in
     check (fanin_off.(0) = 0 && fanin_off.(n) = nfanin);
     for i = 0 to n - 1 do
       let arity = fanin_off.(i + 1) - fanin_off.(i) in
@@ -409,7 +427,7 @@ let decode ?source (bytes : Bigstring.t) ~off ~len =
     let names = Bigstring.sub_string bytes (off + len - names_len) names_len in
     check (not (has_duplicate names name_off));
     Some
-      (freeze ~names ~name_off ~kinds ~codes ~fanin_csr ~fanin_off
+      (freeze ~names ~name_off ~kinds ~fanin_csr ~fanin_off
          ~fanout:(fanouts_of ~fanin_csr ~fanin_off) ~pos ~po_index ~levels ~topo ~by_name:None
          ~source)
   with Malformed | Invalid_argument _ -> None

@@ -75,13 +75,14 @@ val find : t -> string -> net option
     lookup, so a netlist that is never searched by name never pays for
     it. *)
 
-(** {1 Flat CSR views}
+(** {1 Flat views}
 
-    The adjacency and gate kinds as flat integer arrays, the netlist's
-    one representation of its structure.  The fanins of net [n] are
-    [fanin_csr.(i)] for [i] in [fanin_offsets.(n), fanin_offsets.(n+1));
-    likewise fanouts, each net's ascending.  The arrays are the
-    netlist's own — callers must not mutate them. *)
+    The adjacency as flat CSR integer arrays and the gate kinds as one
+    array, the netlist's one representation of its structure.  The
+    fanins of net [n] are [fanin_csr.(i)] for [i] in
+    [fanin_offsets.(n), fanin_offsets.(n+1)); likewise fanouts, each
+    net's ascending.  The arrays are the netlist's own, frozen by
+    contract — callers must not mutate them. *)
 
 val fanin_csr : t -> int array
 val fanin_offsets : t -> int array
@@ -91,8 +92,9 @@ val fanout_csr : t -> int array
 val fanout_offsets : t -> int array
 (** Length [num_nets + 1]. *)
 
-val gate_codes : t -> int array
-(** [Gate.code] of every net's driver, indexed by net. *)
+val kinds : t -> Gate.kind array
+(** Every net's driver kind, indexed by net (same values as {!kind}).
+    The kernels dispatch on it with one [match] per gate. *)
 
 val level_array : t -> int array
 (** All levels at once (same values as {!level}). *)
@@ -101,10 +103,11 @@ val iter_nets : t -> (net -> unit) -> unit
 
 val add_structure : Buffer.t -> t -> unit
 (** Append the netlist's structure to a buffer as little-endian int64s:
-    net, PI and PO counts, {!gate_codes}, {!fanin_offsets},
-    {!fanin_csr} and the PO list.  Net names are left out.  Every
-    on-disk store keys on this one identity: two netlists with equal
-    bytes here simulate identically under every pattern. *)
+    net, PI and PO counts, each net's kind as its image opcode (see
+    {!encode}), {!fanin_offsets}, {!fanin_csr} and the PO list.  Net
+    names are left out.  Every on-disk store keys on this one identity:
+    two netlists with equal bytes here simulate identically under every
+    pattern. *)
 
 (** {1 Source and design images}
 
@@ -123,9 +126,13 @@ val with_source : string -> t -> t
 (** The same netlist, carrying [source]. *)
 
 val encode : Buffer.t -> t -> unit
-(** Append the netlist as a design-image section: counts, {!gate_codes},
-    the fanin CSR, the PO list, the levels, the topological order and
-    the names, every integer a little-endian int64. *)
+(** Append the netlist as a design-image section: counts, each net's
+    kind as an opcode, the fanin CSR, the PO list, the levels, the
+    topological order and the names, every integer a little-endian
+    int64.  The opcodes (0 INPUT, 1 GND, 2 VDD, 3 BUF, 4 NOT, 5 AND,
+    6 NAND, 7 OR, 8 NOR, 9 XOR, 10 XNOR) are a file format known only
+    to this module; renumbering them changes every image and every
+    {!source} of a netlist built in code. *)
 
 val decode : ?source:string -> Bigstring.t -> off:int -> len:int -> t option
 (** Rebuild the netlist {!encode} wrote into [bytes] at [off, off + len),

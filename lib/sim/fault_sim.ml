@@ -228,10 +228,13 @@ let clear_frame b =
     done;
     fr.nrows <- 0
 
-(* Batch gate evaluation into [b.acc]: the non-inverting base operator
-   folds over the fanin slice with the block loop innermost (contiguous
-   in the transposed slabs); inverting codes flip afterwards.  Reachable
-   only from fanout edges, so the driver is never an Input/Const.
+(* Batch gate evaluation into [b.acc]: the kind picks the
+   non-inverting base operator, folded over the fanin slice with the
+   block loop innermost (contiguous in the transposed slabs); inverting
+   kinds flip afterwards.  The drain reaches a gate only along fanout
+   edges, so the driver is never an Input/Const.  The kind is tested
+   with [==] in a fixed order, as [Gate.eval] does and for its reason:
+   a [match] would dispatch through a jump table.
 
    This loop and the drain below are the only places in the repository
    using unchecked array access.  The kernel performs two slab reads per
@@ -246,19 +249,19 @@ let clear_frame b =
    indirect [act] index defeats the sequential-access pattern, so the
    drain picks this only when some blocks are inactive; at full activity
    the dense twin below wins. *)
-let eval_batch_act b (codes : int array) (fi : int array) (fi_off : int array) m =
+let eval_batch_act b (kinds : Gate.kind array) (fi : int array) (fi_off : int array) m =
   let nb = b.nb in
   let tg = b.tref and td = b.tdelta and acc = b.acc in
   let act = b.act and nact = b.nact in
   let lo = Array.unsafe_get fi_off m and hi = Array.unsafe_get fi_off (m + 1) in
-  let code = Array.unsafe_get codes m in
+  let kind = Array.unsafe_get kinds m in
   let o0 = Array.unsafe_get fi lo * nb in
   for a = 0 to nact - 1 do
     let bi = Array.unsafe_get act a in
     Array.unsafe_set acc bi
       (Array.unsafe_get tg (o0 + bi) lxor Array.unsafe_get td (o0 + bi))
   done;
-  if code = Gate.code_and || code = Gate.code_nand then
+  if kind == Gate.And || kind == Gate.Nand then
     for i = lo + 1 to hi - 1 do
       let o = Array.unsafe_get fi i * nb in
       for a = 0 to nact - 1 do
@@ -268,7 +271,7 @@ let eval_batch_act b (codes : int array) (fi : int array) (fi_off : int array) m
           land (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
       done
     done
-  else if code = Gate.code_or || code = Gate.code_nor then
+  else if kind == Gate.Or || kind == Gate.Nor then
     for i = lo + 1 to hi - 1 do
       let o = Array.unsafe_get fi i * nb in
       for a = 0 to nact - 1 do
@@ -278,7 +281,7 @@ let eval_batch_act b (codes : int array) (fi : int array) (fi_off : int array) m
           lor (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
       done
     done
-  else if code = Gate.code_xor || code = Gate.code_xnor then
+  else if kind == Gate.Xor || kind == Gate.Xnor then
     for i = lo + 1 to hi - 1 do
       let o = Array.unsafe_get fi i * nb in
       for a = 0 to nact - 1 do
@@ -288,12 +291,9 @@ let eval_batch_act b (codes : int array) (fi : int array) (fi_off : int array) m
           lxor (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
       done
     done
-  else if code = Gate.code_buf || code = Gate.code_not then ()
-  else invalid_arg "Fault_sim: unexpected gate in fanout cone";
-  if
-    code = Gate.code_not || code = Gate.code_nand || code = Gate.code_nor
-    || code = Gate.code_xnor
-  then
+  else if not (kind == Gate.Buf || kind == Gate.Not) then
+    invalid_arg "Fault_sim: unexpected gate in fanout cone";
+  if kind == Gate.Not || kind == Gate.Nand || kind == Gate.Nor || kind == Gate.Xnor then
     for a = 0 to nact - 1 do
       let bi = Array.unsafe_get act a in
       Array.unsafe_set acc bi (lnot (Array.unsafe_get acc bi))
@@ -301,17 +301,17 @@ let eval_batch_act b (codes : int array) (fi : int array) (fi_off : int array) m
 
 (* Dense twin of [eval_batch_act] for fully-active sweeps: straight-line
    sequential slab access, no index indirection. *)
-let eval_batch b (codes : int array) (fi : int array) (fi_off : int array) m =
+let eval_batch b (kinds : Gate.kind array) (fi : int array) (fi_off : int array) m =
   let nb = b.nb in
   let tg = b.tref and td = b.tdelta and acc = b.acc in
   let lo = Array.unsafe_get fi_off m and hi = Array.unsafe_get fi_off (m + 1) in
-  let code = Array.unsafe_get codes m in
+  let kind = Array.unsafe_get kinds m in
   let o0 = Array.unsafe_get fi lo * nb in
   for bi = 0 to nb - 1 do
     Array.unsafe_set acc bi
       (Array.unsafe_get tg (o0 + bi) lxor Array.unsafe_get td (o0 + bi))
   done;
-  if code = Gate.code_and || code = Gate.code_nand then
+  if kind == Gate.And || kind == Gate.Nand then
     for i = lo + 1 to hi - 1 do
       let o = Array.unsafe_get fi i * nb in
       for bi = 0 to nb - 1 do
@@ -320,7 +320,7 @@ let eval_batch b (codes : int array) (fi : int array) (fi_off : int array) m =
           land (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
       done
     done
-  else if code = Gate.code_or || code = Gate.code_nor then
+  else if kind == Gate.Or || kind == Gate.Nor then
     for i = lo + 1 to hi - 1 do
       let o = Array.unsafe_get fi i * nb in
       for bi = 0 to nb - 1 do
@@ -329,7 +329,7 @@ let eval_batch b (codes : int array) (fi : int array) (fi_off : int array) m =
           lor (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
       done
     done
-  else if code = Gate.code_xor || code = Gate.code_xnor then
+  else if kind == Gate.Xor || kind == Gate.Xnor then
     for i = lo + 1 to hi - 1 do
       let o = Array.unsafe_get fi i * nb in
       for bi = 0 to nb - 1 do
@@ -338,12 +338,9 @@ let eval_batch b (codes : int array) (fi : int array) (fi_off : int array) m =
           lxor (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
       done
     done
-  else if code = Gate.code_buf || code = Gate.code_not then ()
-  else invalid_arg "Fault_sim: unexpected gate in fanout cone";
-  if
-    code = Gate.code_not || code = Gate.code_nand || code = Gate.code_nor
-    || code = Gate.code_xnor
-  then
+  else if not (kind == Gate.Buf || kind == Gate.Not) then
+    invalid_arg "Fault_sim: unexpected gate in fanout cone";
+  if kind == Gate.Not || kind == Gate.Nand || kind == Gate.Nor || kind == Gate.Xnor then
     for bi = 0 to nb - 1 do
       Array.unsafe_set acc bi (lnot (Array.unsafe_get acc bi))
     done
@@ -387,7 +384,7 @@ let drain_batch b =
   let net = b.net in
   let nb = b.nb in
   let levels = Netlist.level_array net in
-  let codes = Netlist.gate_codes net in
+  let kinds = Netlist.kinds net in
   let fi = Netlist.fanin_csr net in
   let fi_off = Netlist.fanin_offsets net in
   let fo = Netlist.fanout_csr net in
@@ -406,8 +403,8 @@ let drain_batch b =
       Array.unsafe_set b.queued m false;
       let pin = Array.unsafe_get b.pin m in
       if pin <> 1 then begin
-        if dense then eval_batch b codes fi fi_off m
-        else eval_batch_act b codes fi fi_off m;
+        if dense then eval_batch b kinds fi fi_off m
+        else eval_batch_act b kinds fi fi_off m;
         let o = m * nb in
         (* Branch-free change tracking: one OR-accumulator per question
            (any old word non-zero, any new word non-zero, any word
@@ -626,28 +623,18 @@ let batch_value b ~net ~block =
   let o = (net * b.nb) + block in
   b.tref.(o) lxor b.tdelta.(o)
 
-let batch_driven b ~net ~block =
-  let g = b.net in
-  let fi = Netlist.fanin_csr g and off = Netlist.fanin_offsets g in
-  let lo = off.(net) and hi = off.(net + 1) in
-  (* Inputs and constants have no fanin: their driven word is the
-     good-machine one. *)
-  if lo = hi then b.good.words.((net * b.nb) + block)
+(* The dense evaluator over every block: blocks outside the act list
+   read their zero delta, so each word is the gate over the fanins'
+   [batch_value]s. *)
+let batch_driven b ~net =
+  let g = b.net and nb = b.nb in
+  let off = Netlist.fanin_offsets g in
+  (* Inputs and constants have no fanin: their driven words are the
+     good-machine ones. *)
+  if off.(net) = off.(net + 1) then Array.sub b.good.words (net * nb) nb
   else begin
-    let code = (Netlist.gate_codes g).(net) in
-    let v i = batch_value b ~net:fi.(i) ~block in
-    let acc = ref (v lo) in
-    for i = lo + 1 to hi - 1 do
-      acc :=
-        if code = Gate.code_and || code = Gate.code_nand then !acc land v i
-        else if code = Gate.code_or || code = Gate.code_nor then !acc lor v i
-        else !acc lxor v i
-    done;
-    if
-      code = Gate.code_not || code = Gate.code_nand || code = Gate.code_nor
-      || code = Gate.code_xnor
-    then lnot !acc
-    else !acc
+    eval_batch b (Netlist.kinds g) (Netlist.fanin_csr g) off net;
+    Array.copy b.acc
   end
 
 (* A stuck-at fault is the injection of its stuck word against the good

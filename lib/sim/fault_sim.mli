@@ -129,11 +129,12 @@ val batch_value : t -> net:Netlist.net -> block:int -> int
     this simulator (bits above the block width are unspecified).  Valid
     until the next sweep. *)
 
-val batch_driven : t -> net:Netlist.net -> block:int -> int
-(** What [net]'s own driver outputs in the last sweep: its gate
-    evaluated over the fanins' {!batch_value} words, ignoring any pin on
+val batch_driven : t -> net:Netlist.net -> int array
+(** What [net]'s own driver outputs in the last sweep, one fresh word
+    per block: its gate evaluated over the fanins' {!batch_value}
+    words, by the kernel's own slab evaluator, ignoring any pin on
     [net] itself — the overlay simulator's [driven_of].  Inputs and
-    constants return their good-machine word. *)
+    constants return their good-machine words. *)
 
 val simulate_batch :
   t ->

@@ -8,14 +8,14 @@ let simulate_block t block =
   let values = Array.make (Netlist.num_nets t) 0 in
   load_pis t block values;
   let topo = Netlist.topo_order t in
-  let codes = Netlist.gate_codes t in
+  let kinds = Netlist.kinds t in
   let csr = Netlist.fanin_csr t in
   let off = Netlist.fanin_offsets t in
   for i = 0 to Array.length topo - 1 do
     let n = topo.(i) in
-    let code = codes.(n) in
-    if code <> Gate.code_input then
-      values.(n) <- Gate.eval_flat code values csr off.(n) off.(n + 1)
+    match kinds.(n) with
+    | Gate.Input -> ()
+    | kind -> values.(n) <- Gate.eval kind values csr off.(n) off.(n + 1)
   done;
   values
 
@@ -69,7 +69,7 @@ let simulate_block_overlay t block overrides =
     let value_of m = values.(m) in
     let driven_of m = driven.(m) in
     let topo = Netlist.topo_order t in
-    let codes = Netlist.gate_codes t in
+    let kinds = Netlist.kinds t in
     let csr = Netlist.fanin_csr t in
     let off = Netlist.fanin_offsets t in
     let changed = ref true in
@@ -79,9 +79,9 @@ let simulate_block_overlay t block overrides =
       incr sweeps;
       for i = 0 to Array.length topo - 1 do
         let m = topo.(i) in
-        let code = codes.(m) in
-        if code <> Gate.code_input then
-          driven.(m) <- Gate.eval_flat code values csr off.(m) off.(m + 1);
+        (match kinds.(m) with
+         | Gate.Input -> ()
+         | kind -> driven.(m) <- Gate.eval kind values csr off.(m) off.(m + 1));
         let v =
           match by_net.(m) with
           | None -> driven.(m)

@@ -12,9 +12,8 @@
     {!Fault_sim.simulate_batch} reports it: blocks ascending, PO
     positions ascending within a block, only non-zero
     masked diff words.  That compact form replays into an explanation
-    matrix without touching the simulator, and
-    [Session.signature_of_triples] expands it into the per-output
-    {!Bitvec.t} signatures the baselines consume.
+    matrix without touching the simulator, and the baselines score it
+    as it stands ([Scoring.score_triples]).
 
     Ownership: each [Diag.Session] creates exactly one instance with
     {!create} and owns it.  There is no process-wide registry and no

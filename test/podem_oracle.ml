@@ -6,25 +6,27 @@
    as the differential oracle for [Podem]'s incremental dual-rail engine
    and its undo trail. *)
 
+open Scalar_logic
+
 type result = Podem.result = Test of bool array | Untestable | Aborted
 
-type machines = { good : Logic.v3 array; faulty : Logic.v3 array }
+type machines = { good : v3 array; faulty : v3 array }
 
 let imply t fault pi_assign =
   let good = Ternary_sim.simulate t pi_assign in
   let faulty =
     Ternary_sim.simulate_forced t pi_assign
-      [ (fault.Fault_list.site, Logic.v3_of_bool fault.Fault_list.stuck) ]
+      [ (fault.Fault_list.site, v3_of_bool fault.Fault_list.stuck) ]
   in
   { good; faulty }
 
 let is_d m n =
   match (m.good.(n), m.faulty.(n)) with
-  | Logic.V0, Logic.V1 | Logic.V1, Logic.V0 -> true
-  | (Logic.V0 | Logic.V1 | Logic.X), _ -> false
+  | V0, V1 | V1, V0 -> true
+  | (V0 | V1 | X), _ -> false
 
 let is_potential m n =
-  Logic.v3_equal m.good.(n) Logic.X || Logic.v3_equal m.faulty.(n) Logic.X
+  v3_equal m.good.(n) X || v3_equal m.faulty.(n) X
 
 let detected t m =
   Array.exists (fun po -> is_d m po) (Netlist.pos t)
@@ -60,7 +62,7 @@ let x_path_exists t m =
    otherwise extend the D-frontier. *)
 let objective t fault m =
   let site = fault.Fault_list.site in
-  if Logic.v3_equal m.good.(site) Logic.X then
+  if v3_equal m.good.(site) X then
     Some (site, not fault.Fault_list.stuck)
   else begin
     (* D-frontier: a net with undecided value having at least one D
@@ -75,7 +77,7 @@ let objective t fault m =
         let fanin = Netlist.fanin t g in
         if Array.exists (fun src -> is_d m src) fanin then begin
           let x_input =
-            Array.find_opt (fun src -> Logic.v3_equal m.good.(src) Logic.X) fanin
+            Array.find_opt (fun src -> v3_equal m.good.(src) X) fanin
           in
           match x_input with
           | Some src ->
@@ -107,12 +109,12 @@ let backtrace t m (net0, v0) =
       | Gate.Not -> walk fanin.(0) (not v) (guard - 1)
       | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
         let v_eff = if Gate.inversion kind then not v else v in
-        (match Array.find_opt (fun src -> Logic.v3_equal m.good.(src) Logic.X) fanin with
+        (match Array.find_opt (fun src -> v3_equal m.good.(src) X) fanin with
         | Some src -> walk src v_eff (guard - 1)
         | None -> None)
       | Gate.Xor | Gate.Xnor ->
         let v_eff = if Gate.inversion kind then not v else v in
-        (match Array.find_opt (fun src -> Logic.v3_equal m.good.(src) Logic.X) fanin with
+        (match Array.find_opt (fun src -> v3_equal m.good.(src) X) fanin with
         | Some src ->
           let parity_known =
             Array.fold_left
@@ -120,8 +122,8 @@ let backtrace t m (net0, v0) =
                 if other = src then acc
                 else
                   match m.good.(other) with
-                  | Logic.V1 -> not acc
-                  | Logic.V0 | Logic.X -> acc)
+                  | V1 -> not acc
+                  | V0 | X -> acc)
               false fanin
           in
           walk src (v_eff <> parity_known) (guard - 1)
@@ -138,7 +140,7 @@ let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
   let pis = Netlist.pis t in
   let pi_pos_of_net = Hashtbl.create npis in
   Array.iteri (fun i pi -> Hashtbl.add pi_pos_of_net pi i) pis;
-  let pi_assign = Array.make npis Logic.X in
+  let pi_assign = Array.make npis X in
   let stack = ref [] in
   let backtracks = ref 0 in
   let aborted = ref false in
@@ -147,7 +149,7 @@ let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
     if detected t m then begin
       let pattern =
         Array.map
-          (fun v -> match Logic.bool_of_v3 v with Some b -> b | None -> Rng.bool rng)
+          (fun v -> match bool_of_v3 v with Some b -> b | None -> Rng.bool rng)
           pi_assign
       in
       Some pattern
@@ -156,10 +158,10 @@ let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
       let conflict =
         (* Fault can no longer be excited, or no propagation path
            remains: every extension of this assignment fails too. *)
-        (match Logic.bool_of_v3 m.good.(fault.Fault_list.site) with
+        (match bool_of_v3 m.good.(fault.Fault_list.site) with
         | Some b -> b = fault.Fault_list.stuck
         | None -> false)
-        || ((not (Logic.v3_equal m.good.(fault.Fault_list.site) Logic.X))
+        || ((not (v3_equal m.good.(fault.Fault_list.site) X))
            && not (x_path_exists t m))
       in
       if conflict then backtrack ()
@@ -171,7 +173,7 @@ let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
           | None -> backtrack ()
           | Some (pi_net, v) ->
             let pos = Hashtbl.find pi_pos_of_net pi_net in
-            pi_assign.(pos) <- Logic.v3_of_bool v;
+            pi_assign.(pos) <- v3_of_bool v;
             stack := { pi_pos = pos; value = v; flipped = false } :: !stack;
             solve (imply t fault pi_assign))
     end
@@ -187,14 +189,14 @@ let generate ?(backtrack_limit = 512) ?(fill_seed = 7) t fault =
         | [] -> None (* decision space exhausted *)
         | d :: rest ->
           if d.flipped then begin
-            pi_assign.(d.pi_pos) <- Logic.X;
+            pi_assign.(d.pi_pos) <- X;
             stack := rest;
             pop ()
           end
           else begin
             d.flipped <- true;
             d.value <- not d.value;
-            pi_assign.(d.pi_pos) <- Logic.v3_of_bool d.value;
+            pi_assign.(d.pi_pos) <- v3_of_bool d.value;
             Some ()
           end
       in

@@ -48,7 +48,7 @@ let scalar ?reach net =
 (* Faulty-machine gate evaluation: operand [i] is
    [good.(src) lxor delta.(src)] over the gate's CSR fanin slice.  Only
    reachable from fanout edges, so the driver is never an Input/Const. *)
-let eval_faulty code (good : int array) (delta : int array) (fanin : int array) lo hi =
+let eval_faulty kind (good : int array) (delta : int array) (fanin : int array) lo hi =
   let v i = good.(fanin.(i)) lxor delta.(fanin.(i)) in
   let fold op =
     let acc = ref (v lo) in
@@ -57,15 +57,17 @@ let eval_faulty code (good : int array) (delta : int array) (fanin : int array) 
     done;
     !acc
   in
-  if code = Gate.code_buf then v lo
-  else if code = Gate.code_not then lnot (v lo)
-  else if code = Gate.code_and then fold ( land )
-  else if code = Gate.code_nand then lnot (fold ( land ))
-  else if code = Gate.code_or then fold ( lor )
-  else if code = Gate.code_nor then lnot (fold ( lor ))
-  else if code = Gate.code_xor then fold ( lxor )
-  else if code = Gate.code_xnor then lnot (fold ( lxor ))
-  else invalid_arg "Reference.eval_faulty: unexpected gate in fanout cone"
+  match kind with
+  | Gate.Buf -> v lo
+  | Gate.Not -> lnot (v lo)
+  | Gate.And -> fold ( land )
+  | Gate.Nand -> lnot (fold ( land ))
+  | Gate.Or -> fold ( lor )
+  | Gate.Nor -> lnot (fold ( lor ))
+  | Gate.Xor -> fold ( lxor )
+  | Gate.Xnor -> lnot (fold ( lxor ))
+  | Gate.Input | Gate.Const _ ->
+    invalid_arg "Reference.eval_faulty: unexpected gate in fanout cone"
 
 let enqueue s m =
   if not s.queued.(m) then begin
@@ -86,7 +88,7 @@ let propagate s ~good ~site d0 =
   s.touched.(0) <- site;
   s.ntouched <- 1;
   let net = s.net in
-  let codes = Netlist.gate_codes net in
+  let kinds = Netlist.kinds net in
   let fi = Netlist.fanin_csr net and fi_off = Netlist.fanin_offsets net in
   let fo = Netlist.fanout_csr net and fo_off = Netlist.fanout_offsets net in
   for e = fo_off.(site) to fo_off.(site + 1) - 1 do
@@ -98,7 +100,7 @@ let propagate s ~good ~site d0 =
     for i = 0 to len - 1 do
       let m = s.bucket.(lvl).(i) in
       s.queued.(m) <- false;
-      let faulty = eval_faulty codes.(m) good s.delta fi fi_off.(m) fi_off.(m + 1) in
+      let faulty = eval_faulty kinds.(m) good s.delta fi fi_off.(m) fi_off.(m + 1) in
       let d = faulty lxor good.(m) in
       let old = s.delta.(m) in
       if old = 0 && d <> 0 then begin
@@ -273,11 +275,12 @@ let score_block net dlog overlay (block : Pattern.block) =
   for oi = 0 to npos - 1 do
     let predicted = (good.(pos.(oi)) lxor faulty.(pos.(oi))) land mask in
     let obs = observed.(oi) in
-    explained := !explained + Logic.popcount (predicted land obs);
-    missed := !missed + Logic.popcount (obs land lnot predicted);
+    explained := !explained + Bitvec.popcount_word (predicted land obs);
+    missed := !missed + Bitvec.popcount_word (obs land lnot predicted);
     let spurious = predicted land lnot obs in
-    spurious_fail := !spurious_fail + Logic.popcount (spurious land !fail_mask);
-    spurious_pass := !spurious_pass + Logic.popcount (spurious land lnot !fail_mask land mask)
+    spurious_fail := !spurious_fail + Bitvec.popcount_word (spurious land !fail_mask);
+    spurious_pass :=
+      !spurious_pass + Bitvec.popcount_word (spurious land lnot !fail_mask land mask)
   done;
   {
     Scoring.explained = !explained;

@@ -6,13 +6,16 @@
     forcing X on a candidate site and checking which outputs turn X
     bounds where that site could possibly propagate. *)
 
-val simulate : Netlist.t -> Logic.v3 array -> Logic.v3 array
+val simulate : Netlist.t -> Scalar_logic.v3 array -> Scalar_logic.v3 array
 (** [simulate t pi_values] evaluates the circuit with the given PI
     assignment (indexed by PI position, X allowed); returns per-net
     values. *)
 
 val simulate_forced :
-  Netlist.t -> Logic.v3 array -> (Netlist.net * Logic.v3) list -> Logic.v3 array
+  Netlist.t ->
+  Scalar_logic.v3 array ->
+  (Netlist.net * Scalar_logic.v3) list ->
+  Scalar_logic.v3 array
 (** Like {!simulate} but the listed nets take the forced value instead of
     their computed one. *)
 

@@ -80,6 +80,70 @@ let test_ranking_bounded () =
   let r = Dict_diag.diagnose ~keep:3 dict dlog in
   Alcotest.(check bool) "bounded" true (List.length r.Dict_diag.ranking <= 3)
 
+(* A die of two defects on a circuit with several pattern blocks (the
+   last one partial) and several failing outputs per pattern. *)
+let two_defect_die () =
+  let net = Generators.random_logic ~gates:120 ~pis:8 ~pos:6 ~seed:17 in
+  let pats = Pattern.random (Rng.create 17) ~npis:8 ~count:150 in
+  let defects = [ Defect.Stuck (g net "g40", true); Defect.Stuck (g net "g95", false) ] in
+  let net, pats, dlog = problem ~net ~pats defects in
+  Alcotest.(check bool) "die fails" true (Datalog.num_failing dlog > 0);
+  (net, pats, dlog)
+
+(* Over a whole ranking, not just its head: looked up in a
+   full-response dictionary and diagnosed by [Single_diag] on the same
+   session, the die ranks every representative alike, with equal
+   scores. *)
+let test_full_ranking_matches_single_diag () =
+  let net, pats, dlog = two_defect_die () in
+  let session = Session.create net pats in
+  let dict = Dict_diag.build_session Dict_diag.Full_response session in
+  let keep = Dict_diag.num_entries dict in
+  let d = Dict_diag.diagnose ~keep dict dlog in
+  let s = Single_diag.diagnose_session ~keep session dlog in
+  let of_dict = List.map (fun (r : Dict_diag.ranked) -> (r.fault, r.score)) d.ranking in
+  let of_single =
+    List.map (fun (r : Single_diag.ranked) -> (r.fault, r.score)) s.ranking
+  in
+  Alcotest.(check int) "every entry ranked" keep (List.length of_dict);
+  Alcotest.(check bool) "same ranking, same scores" true (of_dict = of_single)
+
+(* Every pass/fail score against a pattern-by-pattern count: the
+   fault's stuck line resimulated, a pattern predicted failing when any
+   output differs. *)
+let test_passfail_matches_per_pattern () =
+  let net, pats, dlog = two_defect_die () in
+  let dict = Dict_diag.build_session Dict_diag.Pass_fail (Session.create net pats) in
+  let keep = Dict_diag.num_entries dict in
+  let expected = Logic_sim.responses net pats in
+  List.iter
+    (fun (r : Dict_diag.ranked) ->
+      let f = r.fault in
+      let observed =
+        Injection.observed_responses net pats [ Defect.Stuck (f.site, f.stuck) ]
+      in
+      let explained = ref 0 and missed = ref 0 and spurious = ref 0 in
+      for p = 0 to Pattern.count pats - 1 do
+        let predicted =
+          Array.exists2 (fun e o -> Bitvec.get e p <> Bitvec.get o p) expected observed
+        in
+        match (Datalog.is_failing dlog p, predicted) with
+        | true, true -> incr explained
+        | true, false -> incr missed
+        | false, true -> incr spurious
+        | false, false -> ()
+      done;
+      let want =
+        {
+          Scoring.explained = !explained;
+          missed = !missed;
+          spurious_fail = 0;
+          spurious_pass = !spurious;
+        }
+      in
+      Alcotest.(check bool) "score" true (r.score = want))
+    (Dict_diag.diagnose ~keep dict dlog).ranking
+
 let suite =
   [
     ( "dict_diag",
@@ -90,5 +154,9 @@ let suite =
         Alcotest.test_case "passfail coarser" `Quick test_passfail_coarser_than_full;
         Alcotest.test_case "pattern count check" `Quick test_pattern_count_check;
         Alcotest.test_case "ranking bounded" `Quick test_ranking_bounded;
+        Alcotest.test_case "full ranking = single_diag's" `Quick
+          test_full_ranking_matches_single_diag;
+        Alcotest.test_case "passfail scores = per-pattern count" `Quick
+          test_passfail_matches_per_pattern;
       ] );
   ]

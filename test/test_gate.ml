@@ -27,12 +27,35 @@ let test_name_roundtrip () =
   Alcotest.(check bool) "nand lowercase" true (Gate.of_name "nand" = Some Gate.Nand);
   Alcotest.(check bool) "unknown" true (Gate.of_name "FOO" = None)
 
+(* [Gate.eval] on the operand words [args], read through a CSR slice
+   that starts past the front of a shuffled fanin array, so the kernel's
+   indexing is exercised as the simulators use it: operand [i] sits at
+   [values.(fanin.(lo + i))], with unrelated words around it. *)
+let eval_slice kind args =
+  let n = Array.length args in
+  let lo = 3 in
+  let values = Array.make (n + 5) 0x5555 in
+  let fanin = Array.make (lo + n + 2) 0 in
+  Array.iteri
+    (fun i w ->
+      let slot = n + 4 - i in
+      values.(slot) <- w;
+      fanin.(lo + i) <- slot)
+    args;
+  Gate.eval kind values fanin lo (lo + n)
+
 let test_eval_bool_truth_tables () =
   let check kind args expected =
+    let label =
+      Printf.sprintf "%s %s" (Gate.name kind)
+        (String.concat "" (List.map (fun b -> if b then "1" else "0") args))
+    in
+    Alcotest.(check bool) label expected (Scalar_logic.eval_bool kind args);
+    let words = Array.of_list (List.map (fun b -> if b then 1 else 0) args) in
     Alcotest.(check bool)
-      (Printf.sprintf "%s %s" (Gate.name kind)
-         (String.concat "" (List.map (fun b -> if b then "1" else "0") args)))
-      expected (Gate.eval_bool kind args)
+      ("Gate.eval " ^ label)
+      expected
+      (eval_slice kind words land 1 = 1)
   in
   check (Gate.Const true) [] true;
   check (Gate.Const false) [] false;
@@ -55,35 +78,55 @@ let test_eval_bool_truth_tables () =
   check Gate.Nor [ false; false; false ] true
 
 let test_eval_bool_arity_errors () =
-  Alcotest.check_raises "input" (Invalid_argument "Gate.eval: INPUT with wrong arity")
-    (fun () -> ignore (Gate.eval_bool Gate.Input []));
-  Alcotest.check_raises "and/1" (Invalid_argument "Gate.eval: AND with wrong arity")
-    (fun () -> ignore (Gate.eval_bool Gate.And [ true ]))
+  Alcotest.check_raises "input"
+    (Invalid_argument "Scalar_logic.eval: INPUT with wrong arity") (fun () ->
+      ignore (Scalar_logic.eval_bool Gate.Input []));
+  Alcotest.check_raises "and/1"
+    (Invalid_argument "Scalar_logic.eval: AND with wrong arity") (fun () ->
+      ignore (Scalar_logic.eval_bool Gate.And [ true ]));
+  Alcotest.check_raises "Gate.eval input" (Invalid_argument "Gate.eval: Input") (fun () ->
+      ignore (eval_slice Gate.Input [||]))
+
+(* Every kind a gate can have, each with its legal arities up to 5:
+   0 for constants, 1 for BUF/NOT, 2-5 for the n-ary kinds. *)
+let evaluable =
+  List.concat_map
+    (fun kind ->
+      List.filter_map
+        (fun n -> if Gate.arity_ok kind n then Some (kind, n) else None)
+        [ 0; 1; 2; 3; 4; 5 ])
+    ([ Gate.Const false; Gate.Const true; Gate.Buf; Gate.Not ] @ binary_kinds)
 
 (* eval_v3 on binary values must agree with eval_bool. *)
 let qcheck_v3_agrees_with_bool =
-  let kind_gen = QCheck.Gen.oneofl binary_kinds in
-  let gen = QCheck.Gen.(pair kind_gen (list_size (int_range 2 5) bool)) in
+  let gen = QCheck.Gen.(pair (oneofl evaluable) (list_repeat 5 bool)) in
   QCheck.Test.make ~name:"eval_v3 agrees with eval_bool on binary inputs" ~count:500
-    (QCheck.make gen) (fun (kind, args) ->
-      let v3 = Gate.eval_v3 kind (List.map Logic.v3_of_bool args) in
-      Logic.bool_of_v3 v3 = Some (Gate.eval_bool kind args))
+    (QCheck.make gen) (fun ((kind, n), bools) ->
+      let args = List.filteri (fun i _ -> i < n) bools in
+      let v3 = Scalar_logic.eval_v3 kind (List.map Scalar_logic.v3_of_bool args) in
+      Scalar_logic.bool_of_v3 v3 = Some (Scalar_logic.eval_bool kind args))
 
-(* eval_word must agree with eval_bool bit by bit. *)
+(* The library's one gate evaluator, and the word oracle beside it, must
+   agree with eval_bool on every bit: every kind at every legal arity up
+   to 5, on the same random operand words. *)
 let qcheck_word_agrees_with_bool =
-  let kind_gen = QCheck.Gen.oneofl binary_kinds in
-  let gen = QCheck.Gen.(pair kind_gen (list_size (int_range 2 4) (int_bound max_int))) in
+  let gen = QCheck.Gen.(array_repeat 5 (int_bound max_int)) in
   QCheck.Test.make ~name:"eval_word agrees with eval_bool per bit" ~count:300
-    (QCheck.make gen) (fun (kind, words) ->
-      let args = Array.of_list words in
-      let out = Gate.eval_word kind args in
-      let ok = ref true in
-      for bit = 0 to 20 do
-        let bools = List.map (fun w -> w lsr bit land 1 = 1) words in
-        let expect = Gate.eval_bool kind bools in
-        if out lsr bit land 1 = 1 <> expect then ok := false
-      done;
-      !ok)
+    (QCheck.make gen) (fun words ->
+      List.for_all
+        (fun (kind, n) ->
+          let args = Array.sub words 0 n in
+          let kernel = eval_slice kind args in
+          let oracle = Scalar_logic.eval_word kind args in
+          let ok = ref true in
+          for bit = 0 to Bitvec.word_bits - 1 do
+            let bools = Array.to_list (Array.map (fun w -> w lsr bit land 1 = 1) args) in
+            let expect = Scalar_logic.eval_bool kind bools in
+            let bit_of w = w lsr bit land 1 = 1 in
+            if bit_of kernel <> expect || bit_of oracle <> expect then ok := false
+          done;
+          !ok)
+        evaluable)
 
 (* An X input can never change a determined controlled output. *)
 let qcheck_v3_monotone =
@@ -93,14 +136,13 @@ let qcheck_v3_monotone =
     (QCheck.make gen) (fun (kind, args) ->
       (* Replace each position with X; the output must be the binary
          result or X, never the complement. *)
-      let full = Gate.eval_v3 kind (List.map Logic.v3_of_bool args) in
+      let open Scalar_logic in
+      let full = eval_v3 kind (List.map v3_of_bool args) in
       List.for_all
         (fun i ->
-          let degraded =
-            List.mapi (fun j b -> if i = j then Logic.X else Logic.v3_of_bool b) args
-          in
-          let out = Gate.eval_v3 kind degraded in
-          Logic.v3_equal out full || Logic.v3_equal out Logic.X)
+          let degraded = List.mapi (fun j b -> if i = j then X else v3_of_bool b) args in
+          let out = eval_v3 kind degraded in
+          v3_equal out full || v3_equal out X)
         (List.init (List.length args) Fun.id))
 
 let test_controlling () =

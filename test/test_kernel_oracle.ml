@@ -4,9 +4,31 @@
    signatures) must agree bit for bit with a brute-force overlay
    resimulation that shares none of its code. *)
 
+(* [net] with a VDD and a GND cell appended and wired into three gate
+   fanins in place of the nets they read, so the kernels evaluate
+   through tied cells (the [Const] arms of [Gate.eval]) and fault sites
+   include nets no pattern can toggle.  The original nets keep their
+   ids. *)
+let tied ~seed net =
+  let rng = Rng.create (seed + 97) in
+  let n = Netlist.num_nets net in
+  let vdd = n and gnd = n + 1 in
+  let fanins = Array.init n (Netlist.fanin net) in
+  let gates = List.filter (fun m -> fanins.(m) <> [||]) (List.init n Fun.id) in
+  for _ = 1 to 3 do
+    let f = fanins.(List.nth gates (Rng.int rng (List.length gates))) in
+    let tie = if Rng.bool rng then vdd else gnd in
+    if not (Array.mem tie f) then f.(Rng.int rng (Array.length f)) <- tie
+  done;
+  Netlist.make
+    ~names:(Array.append (Array.init n (Netlist.name net)) [| "tie_vdd"; "tie_gnd" |])
+    ~kinds:(Array.append (Netlist.kinds net) [| Gate.Const true; Gate.Const false |])
+    ~fanins:(Array.append fanins [| [||]; [||] |])
+    ~pos:(Netlist.pos net)
+
 let random_problem seed multiplicity =
   let gates = 40 + (seed mod 100) in
-  let net = Generators.random_logic ~gates ~pis:6 ~pos:5 ~seed in
+  let net = tied ~seed (Generators.random_logic ~gates ~pis:6 ~pos:5 ~seed) in
   let rng = Rng.create (seed * 7) in
   let pats = Pattern.random rng ~npis:6 ~count:80 in
   let expected = Logic_sim.responses net pats in
@@ -229,6 +251,23 @@ let test_layout_corner_cases () =
 
 (* --- signature ~goods ----------------------------------------------- *)
 
+(* One fault's triples expanded into per-PO signatures: bit [p] of PO
+   [oi]'s vector is set iff that PO differs from the good machine on
+   pattern [p]. *)
+let signature_of_triples session triples =
+  let blocks = Session.blocks session in
+  let npatterns = Pattern.count (Session.patterns session) in
+  let npos = Netlist.num_pos (Session.netlist session) in
+  let signature = Array.init npos (fun _ -> Bitvec.create npatterns) in
+  let i = ref 0 in
+  while !i < Array.length triples do
+    let bi = triples.(!i) and oi = triples.(!i + 1) and d = triples.(!i + 2) in
+    let base = blocks.(bi).Pattern.base in
+    Logic.iter_bits d (fun bit -> Bitvec.set signature.(oi) (base + bit) true);
+    i := !i + 3
+  done;
+  signature
+
 (* The scalar signature with precomputed goods, recomputing them, and
    the batch kernel's triples expanded by [Session] all agree. *)
 let prop_signature_goods_equivalent =
@@ -255,7 +294,7 @@ let prop_signature_goods_equivalent =
             ~fault:(fun _ -> (site, stuck))
             (fun _ bi oi w -> triples := w :: oi :: bi :: !triples);
           let triples = Array.of_list (List.rev !triples) in
-          let k = Session.signature_of_triples session triples in
+          let k = signature_of_triples session triples in
           Array.for_all2 Bitvec.equal a b && Array.for_all2 Bitvec.equal a k)
         [ false; true ])
 
@@ -272,7 +311,7 @@ let prop_simulate_batch_matches_scalar =
     QCheck.(pair (int_range 1 100_000) (int_range 1 17))
     (fun (seed, nfaults) ->
       let gates = 40 + (seed mod 120) in
-      let net = Generators.random_logic ~gates ~pis:7 ~pos:5 ~seed in
+      let net = tied ~seed (Generators.random_logic ~gates ~pis:7 ~pos:5 ~seed) in
       let pats = Pattern.random (Rng.create (seed + 11)) ~npis:7 ~count:150 in
       let blocks = Array.of_list (Pattern.blocks pats) in
       let goods = Array.map (Logic_sim.simulate_block net) blocks in
@@ -310,7 +349,7 @@ let prop_held_sweep_matches_scalar =
     ~count:20
     QCheck.(pair (int_range 1 100_000) (int_range 0 max_int))
     (fun (seed, delta_seed) ->
-      let net = Generators.random_logic ~gates:70 ~pis:6 ~pos:4 ~seed in
+      let net = tied ~seed (Generators.random_logic ~gates:70 ~pis:6 ~pos:4 ~seed) in
       let pats = Pattern.random (Rng.create (seed + 5)) ~npis:6 ~count:140 in
       let blocks = Array.of_list (Pattern.blocks pats) in
       let goods = Array.map (Logic_sim.simulate_block net) blocks in
@@ -571,7 +610,7 @@ let bridges_agree net pats dlog ~rest ~victim ~aggressor =
    relation was reached (a circuit may have no such pair). *)
 let bridge_case seed case =
   let gates = 50 + (seed mod 251) in
-  let net = Generators.random_logic ~gates ~pis:7 ~pos:5 ~seed in
+  let net = tied ~seed (Generators.random_logic ~gates ~pis:7 ~pos:5 ~seed) in
   let rng = Rng.create ((seed * 13) + case) in
   let pats = Pattern.random rng ~npis:7 ~count:150 in
   let expected = Logic_sim.responses net pats in
@@ -679,7 +718,9 @@ let test_bridge_corner_cases () =
    of a flipped site. *)
 let one_change_case seed =
   let rng = Rng.create ((seed * 29) + 1) in
-  let net = Generators.random_logic ~gates:(40 + (seed mod 120)) ~pis:6 ~pos:5 ~seed in
+  let net =
+    tied ~seed (Generators.random_logic ~gates:(40 + (seed mod 120)) ~pis:6 ~pos:5 ~seed)
+  in
   let count = 64 + Rng.int rng 150 in
   let count = if count mod Bitvec.word_bits = 0 then count + 1 else count in
   let pats = Pattern.random rng ~npis:6 ~count in

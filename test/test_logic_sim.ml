@@ -6,7 +6,7 @@ let reference_values net inputs =
     (fun n ->
       if not (Netlist.is_pi net n) then
         values.(n) <-
-          Gate.eval_bool (Netlist.kind net n)
+          Scalar_logic.eval_bool (Netlist.kind net n)
             (Array.to_list (Array.map (fun s -> values.(s)) (Netlist.fanin net n))))
     (Netlist.topo_order net);
   values
@@ -71,7 +71,7 @@ let test_overlay_force () =
           values.(n) <-
             (if n = g11 then true
              else
-               Gate.eval_bool (Netlist.kind net n)
+               Scalar_logic.eval_bool (Netlist.kind net n)
                  (Array.to_list (Array.map (fun s -> values.(s)) (Netlist.fanin net n)))))
       (Netlist.topo_order net);
     values

@@ -163,7 +163,7 @@ let same_netlist a b =
   && Netlist.fanin_offsets a = Netlist.fanin_offsets b
   && Netlist.fanout_csr a = Netlist.fanout_csr b
   && Netlist.fanout_offsets a = Netlist.fanout_offsets b
-  && Netlist.gate_codes a = Netlist.gate_codes b
+  && Netlist.kinds a = Netlist.kinds b
   && Netlist.level_array a = Netlist.level_array b
   && String.equal (structure a) (structure b)
   && List.for_all
@@ -266,7 +266,12 @@ let mutations =
     ( "arity mismatch",
       fun p ->
         let g, _ = two_input_gate p in
-        p.words.(codes_at + g) <- Gate.code_not;
+        (* 4 is NOT's opcode in the image: one fanin where there are two. *)
+        p.words.(codes_at + g) <- 4;
+        p );
+    ( "unknown opcode",
+      fun p ->
+        p.words.(codes_at) <- 11;
         p );
     ( "duplicate name",
       fun p ->
@@ -384,6 +389,27 @@ let test_resave_under_mapping () =
     (Sig_cache.frozen_bytes (cache reloaded));
   Obs.disable ()
 
+(* The bytes [Sig_cache.save_frozen] writes for c17 and its ATPG set,
+   with no signature section and after a prewarm, pinned.  The image
+   carries the netlist's opcode numbering, the pattern rows and the
+   arena as they are laid out on disk: a change to these bytes must
+   bump [Store_file.version], or an image an older build wrote is read
+   with the new layout. *)
+let test_image_bytes_pinned () =
+  let net = Generators.c17 () in
+  let pats = (Tpg.generate net).Tpg.patterns in
+  let session = Session.create net pats in
+  let cache = Option.get (Session.cache session) in
+  Temp_dir.with_dir @@ fun dir ->
+  let md5 () =
+    Alcotest.(check bool) "saved" true (Sig_cache.save_frozen ~dir cache);
+    Digest.to_hex (Digest.file (Store_file.path ~dir ~source:(Netlist.source net)))
+  in
+  Alcotest.(check string)
+    "no signature section" "1e14997d0523a6f9f29bdae8a81566b1" (md5 ());
+  ignore (Session.prewarm session : int);
+  Alcotest.(check string) "after prewarm" "601048108684c60754a0822d75788a8d" (md5 ())
+
 let suite =
   [
     ( "image_contract",
@@ -401,5 +427,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_netlist_round_trip;
         Alcotest.test_case "mutated netlist sections refused, never raised" `Quick
           test_mutated_sections;
+        Alcotest.test_case "image bytes pinned" `Quick test_image_bytes_pinned;
       ] );
   ]

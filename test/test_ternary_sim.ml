@@ -1,4 +1,4 @@
-let v3 = Alcotest.testable Logic.pp_v3 Logic.v3_equal
+let v3 = Alcotest.testable Scalar_logic.pp_v3 Scalar_logic.v3_equal
 
 let test_binary_agrees_with_bool () =
   let net = Generators.c17 () in
@@ -6,9 +6,9 @@ let test_binary_agrees_with_bool () =
   for p = 0 to Pattern.count pats - 1 do
     let inputs = Pattern.pattern pats p in
     let bool_values = Logic_sim.simulate_pattern net inputs in
-    let v3_values = Ternary_sim.simulate net (Array.map Logic.v3_of_bool inputs) in
+    let v3_values = Ternary_sim.simulate net (Array.map Scalar_logic.v3_of_bool inputs) in
     Netlist.iter_nets net (fun n ->
-        Alcotest.check v3 "agrees" (Logic.v3_of_bool bool_values.(n)) v3_values.(n))
+        Alcotest.check v3 "agrees" (Scalar_logic.v3_of_bool bool_values.(n)) v3_values.(n))
   done
 
 let test_x_propagation () =
@@ -20,19 +20,19 @@ let test_x_propagation () =
   Builder.mark_output b z;
   let net = Builder.finalize b in
   let sim pa pb = (Ternary_sim.simulate net [| pa; pb |]).(z) in
-  Alcotest.check v3 "0 kills X" Logic.V0 (sim Logic.V0 Logic.X);
-  Alcotest.check v3 "1 passes X" Logic.X (sim Logic.V1 Logic.X);
-  Alcotest.check v3 "X and X" Logic.X (sim Logic.X Logic.X)
+  Alcotest.check v3 "0 kills X" Scalar_logic.V0 (sim Scalar_logic.V0 Scalar_logic.X);
+  Alcotest.check v3 "1 passes X" Scalar_logic.X (sim Scalar_logic.V1 Scalar_logic.X);
+  Alcotest.check v3 "X and X" Scalar_logic.X (sim Scalar_logic.X Scalar_logic.X)
 
 let test_forced_overrides () =
   let net = Generators.c17 () in
   let g11 = Option.get (Netlist.find net "G11") in
-  let inputs = Array.make 5 Logic.V1 in
-  let values = Ternary_sim.simulate_forced net inputs [ (g11, Logic.X) ] in
-  Alcotest.check v3 "forced X" Logic.X values.(g11);
+  let inputs = Array.make 5 Scalar_logic.V1 in
+  let values = Ternary_sim.simulate_forced net inputs [ (g11, Scalar_logic.X) ] in
+  Alcotest.check v3 "forced X" Scalar_logic.X values.(g11);
   (* G16 = NAND(G2, G11) with G2=1: output = NOT G11 = X. *)
   let g16 = Option.get (Netlist.find net "G16") in
-  Alcotest.check v3 "X propagates" Logic.X values.(g16)
+  Alcotest.check v3 "X propagates" Scalar_logic.X values.(g16)
 
 let test_x_reach_exact_on_c17 () =
   (* x_reach over-approximates the outputs a flip can corrupt, and on
@@ -67,7 +67,7 @@ let test_x_reach_exact_on_c17 () =
 let test_pi_width_check () =
   let net = Generators.c17 () in
   Alcotest.check_raises "width" (Invalid_argument "Ternary_sim: PI vector width mismatch")
-    (fun () -> ignore (Ternary_sim.simulate net [| Logic.V0 |]))
+    (fun () -> ignore (Ternary_sim.simulate net [| Scalar_logic.V0 |]))
 
 let suite =
   [
