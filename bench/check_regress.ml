@@ -31,8 +31,8 @@
       key or the campaign's shared session regresses.
 
    3. Exact-agreement gate.  Differential oracle on the covering step:
-      the same seeded rnd1k trial stream diagnosed under the greedy and
-      the exact (implicit hitting-set) backends.  Hard invariant first
+      the same seeded rnd1k trial stream diagnosed on one session under
+      the greedy and the exact (implicit hitting-set) backends.  Hard invariant first
       — no trial may produce an exact cover larger than greedy's (the
       greedy result seeds the exact search's upper bound, so a larger
       cover is a soundness bug, not a tuning matter).  Then the
@@ -115,11 +115,6 @@ let counters_of f =
   Obs.with_sink sk f;
   (Obs.sink_snapshot sk).Obs.counters
 
-let session_at_1 ?(cover = Session.Greedy) net pats =
-  Session.create
-    ~config:{ Session.default_config with Session.domains = Some 1; cover }
-    net pats
-
 (* The summed counters of the two kernels, each captured on its own
    session that one untimed call has warmed: the steady state of a
    session serving its second die. *)
@@ -136,7 +131,7 @@ let capture_current () =
   let tally = Hashtbl.create 64 in
   List.iter
     (fun f ->
-      let s = session_at_1 net pats in
+      let s = Session.create net pats in
       f s;
       List.iter
         (fun (name, v) ->
@@ -228,12 +223,13 @@ let check_exact_agreement t =
   let net = rnd1k () in
   let pats = Campaign.test_set net in
   let dlogs = draw_dlogs net pats ~seed:77 12 in
-  let config = { Noassume.default_config with validate = false } in
+  let session = Session.create net pats in
   let arm cover =
-    let session = session_at_1 ~cover net pats in
+    let config = { Noassume.default_config with validate = false; cover } in
     List.map (fun dlog -> Noassume.diagnose_session ~config session dlog) dlogs
   in
-  let greedy = arm Session.Greedy and exact = arm Session.Exact in
+  let greedy = arm Noassume.Greedy
+  and exact = arm (Noassume.Exact Hitting_set.default_node_budget) in
   let size r = List.length r.Noassume.multiplet in
   let pairs = List.map2 (fun g e -> (size g, size e)) greedy exact in
   let count p l = List.length (List.filter p l) in
@@ -277,6 +273,9 @@ let write_baseline () =
     (List.length counters)
 
 let () =
+  (* Every gate runs its kernels on one domain, so the counters do not
+     depend on the host's core count. *)
+  Parallel.set_domains 1;
   if Array.mem "--write-baseline" Sys.argv then write_baseline ()
   else begin
     let t = load_thresholds () in

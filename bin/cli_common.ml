@@ -62,7 +62,7 @@ let cover_arg =
   in
   Arg.(
     value
-    & opt (some (enum [ ("greedy", Session.Greedy); ("exact", Session.Exact) ])) None
+    & opt (some (enum [ ("greedy", `Greedy); ("exact", `Exact) ])) None
     & info [ "cover" ] ~docv:"BACKEND" ~doc)
 
 let store_dir_arg =
@@ -103,6 +103,17 @@ let cover_budget_arg =
   in
   Arg.(value & opt (some positive) None & info [ "cover-budget" ] ~docv:"N" ~doc)
 
+(* The covering backend the two flags name; only [Exact] reads the
+   budget. *)
+let cover =
+  let backend backend budget =
+    match backend with
+    | None | Some `Greedy -> Noassume.Greedy
+    | Some `Exact ->
+      Noassume.Exact (Option.value budget ~default:Hitting_set.default_node_budget)
+  in
+  Term.(const backend $ cover_arg $ cover_budget_arg)
+
 (* The MDD_PREWARM and MDD_SIG_STORE environment switches are resolved
    here, once — nothing in lib/ reads them.  A flag wins; the boolean
    flag only pushes away from the default, so leaving it off keeps the
@@ -113,25 +124,14 @@ let env name = match Sys.getenv_opt name with None | Some "" -> None | Some v ->
 let prewarm flag = flag || env "MDD_PREWARM" <> None
 let store_dir flag = match flag with Some _ -> flag | None -> env "MDD_SIG_STORE"
 
-let session_config ?cover ?cover_budget ~domains () =
-  {
-    Session.domains;
-    cover = Option.value cover ~default:Session.default_config.Session.cover;
-    cover_budget = Option.value cover_budget ~default:Session.default_cover_budget;
-  }
-
 (* Resolved-configuration metadata for `--stats` reports: read back from
-   the config record and switches the run actually used, never
-   re-derived from the environment. *)
-let config_meta (c : Session.config) ~prewarm ~store_dir =
+   the config record, the process width and the switches the run
+   actually used, never re-derived from the environment. *)
+let config_meta (c : Noassume.config) ~prewarm ~store_dir =
   [
-    ( "domains",
-      string_of_int
-        (match c.Session.domains with
-        | Some d -> d
-        | None -> Parallel.default_domains ()) );
+    ("domains", string_of_int (Parallel.default_domains ()));
     ("prewarm", if prewarm then "on" else "off");
-    ("cover", match c.Session.cover with Session.Greedy -> "greedy" | Session.Exact -> "exact");
+    ("cover", match c.Noassume.cover with Greedy -> "greedy" | Exact _ -> "exact");
     ("store_dir", Option.value store_dir ~default:"off");
   ]
 

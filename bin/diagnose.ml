@@ -68,9 +68,10 @@ let no_validate_arg =
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
-    no_validate prewarm cover cover_budget store_dir domains stats =
+    no_validate prewarm cover store_dir domains stats =
   Cli_common.apply_domains domains;
-  let scfg = Cli_common.session_config ?cover ?cover_budget ~domains () in
+  (* One diagnosis configuration, shared by every mode. *)
+  let config = { Noassume.default_config with cover; validate = not no_validate } in
   let prewarm = Cli_common.prewarm prewarm in
   let store_dir = Cli_common.store_dir store_dir in
   let stats_dest = Cli_common.init_stats stats in
@@ -81,13 +82,12 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
   let session =
     Cli_common.or_die
       (Result.bind (Cli_common.circuit bench suite) (fun circuit ->
-           Design.session ~config:scfg ~prewarm ?store_dir circuit ~patterns:patterns_file))
+           Design.session ~prewarm ?store_dir circuit ~patterns:patterns_file))
   in
   let net = Session.netlist session in
   let circuit =
     match (suite, bench) with Some s, _ -> s | None, Some b -> b | None, None -> ""
   in
-  let config = { Noassume.default_config with validate = not no_validate } in
   let failed = ref 0 in
   (* A bad die costs one error record, never the batch or the service. *)
   let report_failure (f : Volume.failure) =
@@ -209,7 +209,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     ~meta:
       ([ ("tool", "diagnose"); ("circuit", circuit) ]
       @ mode_meta
-      @ Cli_common.config_meta scfg ~prewarm ~store_dir);
+      @ Cli_common.config_meta config ~prewarm ~store_dir);
   if !failed > 0 then exit 1
 
 let cmd =
@@ -234,8 +234,7 @@ let cmd =
     Term.(
       const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ Cli_common.patterns_arg
       $ datalog_arg $ batch_dir_arg $ serve_arg $ workers_arg $ out_arg $ method_arg
-      $ no_validate_arg $ Cli_common.prewarm_arg $ Cli_common.cover_arg
-      $ Cli_common.cover_budget_arg $ Cli_common.store_dir_arg
-      $ Cli_common.domains_arg $ Cli_common.stats_arg)
+      $ no_validate_arg $ Cli_common.prewarm_arg $ Cli_common.cover
+      $ Cli_common.store_dir_arg $ Cli_common.domains_arg $ Cli_common.stats_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -1,22 +1,18 @@
 type flavour = Full_response | Pass_fail
 
-type entry = {
-  fault : Fault_list.fault;
-  response : int array;
-      (* Full-response: the fault's signature triples.  Pass/fail: per
-         block, the OR of its diff words, a bit per pattern that fails
-         on some output. *)
-}
-
 type t = {
   flavour : flavour;
   blocks : Pattern.block array;
   npatterns : int;
   npos : int;
-  entries : entry list;
+  faults : Fault_list.fault array;
+  responses : int array array;
+      (* Per fault.  Full-response: the fault's signature triples.
+         Pass/fail: per block, the OR of its diff words, a bit per
+         pattern that fails on some output. *)
 }
 
-let num_entries t = List.length t.entries
+let num_entries t = Array.length t.faults
 
 let detect_words nblocks triples =
   let detect = Array.make nblocks 0 in
@@ -38,21 +34,18 @@ let build_session flavour session =
      consumer in the repo. *)
   let faults = Session.representatives session in
   let triples = Session.fault_triples session faults in
-  let entries =
-    List.init (Array.length faults) (fun i ->
-        let response =
-          match flavour with
-          | Full_response -> triples.(i)
-          | Pass_fail -> detect_words (Array.length blocks) triples.(i)
-        in
-        { fault = faults.(i); response })
+  let responses =
+    match flavour with
+    | Full_response -> triples
+    | Pass_fail -> Array.map (detect_words (Array.length blocks)) triples
   in
   {
     flavour;
     blocks;
     npatterns = Pattern.count (Session.patterns session);
     npos = Netlist.num_pos net;
-    entries;
+    faults;
+    responses;
   }
 
 let size_bits t =
@@ -62,10 +55,6 @@ let size_bits t =
     | Pass_fail -> t.npatterns
   in
   per_entry * num_entries t
-
-type ranked = { fault : Fault_list.fault; score : Scoring.score }
-
-type result = { best : ranked list; ranking : ranked list }
 
 (* Pass/fail matching: pattern-granular confusion counts, a word of
    patterns at a time against the datalog's failing-pattern words.
@@ -86,36 +75,16 @@ let score_passfail (words : Datalog.words) detect =
     spurious_pass = !spurious;
   }
 
-let diagnose ?(keep = 20) t dlog =
+let diagnose ?keep t dlog =
   if Datalog.npatterns dlog <> t.npatterns then
     invalid_arg "Dict_diag.diagnose: datalog pattern count differs from dictionary";
   let words = Datalog.observed_words dlog t.blocks in
-  let score (e : entry) =
+  let score =
     match t.flavour with
     | Full_response ->
       (* Per observation, read from the stored signature exactly as
          [Single_diag] scores a simulated one. *)
-      Scoring.score_triples words ~npos:t.npos e.response
-    | Pass_fail -> score_passfail words e.response
+      Scoring.score_triples words ~npos:t.npos
+    | Pass_fail -> score_passfail words
   in
-  let scored =
-    List.map (fun (e : entry) -> { fault = e.fault; score = score e }) t.entries
-  in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match Scoring.compare_score a.score b.score with
-        | 0 -> Fault_list.compare_fault a.fault b.fault
-        | c -> c)
-      scored
-  in
-  match sorted with
-  | [] -> { best = []; ranking = [] }
-  | top :: _ ->
-    {
-      best = List.filter (fun r -> Scoring.compare_score r.score top.score = 0) sorted;
-      ranking = List.filteri (fun i _ -> i < keep) sorted;
-    }
-
-let callout_nets r =
-  List.sort_uniq compare (List.map (fun rk -> rk.fault.Fault_list.site) r.best)
+  Single_diag.rank ?keep t.faults (Array.map score t.responses)

@@ -32,13 +32,10 @@ val size_bits : t -> int
 (** Storage footprint of the response data in bits — the number the
     dictionary-size tables of the literature report. *)
 
-type ranked = { fault : Fault_list.fault; score : Scoring.score }
-
-type result = { best : ranked list; ranking : ranked list }
-
-val diagnose : ?keep:int -> t -> Datalog.t -> result
-(** Look the datalog up.  Pass/fail dictionaries score at pattern
-    granularity (they cannot see which output failed); full-response
-    dictionaries score per observation, like {!Single_diag}. *)
-
-val callout_nets : result -> Netlist.net list
+val diagnose : ?keep:int -> t -> Datalog.t -> Single_diag.result
+(** Look the datalog up and rank the entries with {!Single_diag.rank}
+    ([keep] defaults to 20), so the callouts are
+    {!Single_diag.callout_nets}.  Pass/fail dictionaries score at
+    pattern granularity (they cannot see which output failed);
+    full-response dictionaries score per observation, like
+    {!Single_diag}. *)

@@ -37,7 +37,7 @@ val build_session : Session.t -> Datalog.t -> t
     Per-row signatures are looked up in, and on miss recorded into, the
     session's [Sig_cache] (one {!Sig_cache.missing} per build, keyed by
     {!Session.representative_key}): only the misses are simulated, by
-    one {!Session.simulate} sweep over the session's domains.  Every
+    one {!Session.simulate} sweep at the process width.  Every
     row, fresh or cached, is then decoded into one reused buffer
     ({!Sig_cache.decode}) and fills the matrix through one loop.
 

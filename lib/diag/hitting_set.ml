@@ -166,7 +166,12 @@ type result = {
   nodes : int;
 }
 
-let default_node_budget = Session.default_cover_budget
+(* Node budget for the whole implicit-hitting-set loop (all
+   branch-and-bound sub-solves summed).  Generous: the suite circuits
+   complete in well under 10^4 nodes; exhaustion on a pathological
+   datalog falls back to the greedy cover and is surfaced (counter
+   [cover.budget_fallbacks], [Run_report] meta). *)
+let default_node_budget = 2_000_000
 
 let c_iterations = Obs.counter "cover.hs_iterations"
 let c_ub_cuts = Obs.counter "cover.upper_bound_cuts"
@@ -178,7 +183,7 @@ let covered_by covers nobs ids =
   List.iter (fun c -> Bitvec.union_into ~dst:u covers.(c)) ids;
   u
 
-let solve ?(node_budget = default_node_budget) ~max_size ?covers ?(seed = []) m =
+let solve ~node_budget ~max_size ?covers ?(seed = []) m =
   let ncand = Array.length (Explain.candidates m) in
   let nobs = Array.length (Explain.observations m) in
   let covers =

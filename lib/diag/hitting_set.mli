@@ -87,8 +87,13 @@ type result = {
   nodes : int;  (** Branch-and-bound nodes summed over all sub-solves. *)
 }
 
+val default_node_budget : int
+(** The exact backend's node budget when none is given
+    ([--cover-budget]): 2,000,000 branch-and-bound nodes, summed over
+    the whole loop. *)
+
 val solve :
-  ?node_budget:int ->
+  node_budget:int ->
   max_size:int ->
   ?covers:Bitvec.t array ->
   ?seed:int list ->
@@ -104,8 +109,9 @@ val solve :
     bound (typically the greedy result); if it does not cover every
     coverable observation (greedy stopped at its multiplet cap) it
     seeds nothing and the search runs up to [max_size], the caller's
-    cap ({!Noassume} passes its [max_multiplet]).  [node_budget] (default
-    {!Session.default_cover_budget}) bounds the summed branch-and-bound nodes.
+    cap ({!Noassume} passes its [max_multiplet]).  [node_budget] bounds
+    the summed branch-and-bound nodes ({!Noassume} passes the budget
+    of its [Exact] backend).
 
     Deterministic: observation and element orders are fixed, ties break
     to the lowest index.  Counts ["cover.hs_iterations"] and

@@ -1,4 +1,7 @@
+type cover = Greedy | Exact of int
+
 type config = {
+  cover : cover;
   tie_break : bool;
   validate : bool;
   per_pattern : bool;
@@ -8,6 +11,7 @@ type config = {
 
 let default_config =
   {
+    cover = Greedy;
     tie_break = true;
     validate = true;
     per_pattern = false;
@@ -564,7 +568,7 @@ let validate_bridges config scorer multiplet callouts score =
 
 let diagnose_matrix ?(config = default_config) m =
   (* The cover phase runs the paper's greedy pass always; under
-     [cover = Exact] the greedy result then seeds the implicit
+     [cover = Exact _] the greedy result then seeds the implicit
      hitting-set loop as an upper bound.  When the loop proves greedy
      minimal it returns the seed list unchanged, so the rest of the
      pipeline — refine, callouts, bridge validation, report — is
@@ -574,14 +578,13 @@ let diagnose_matrix ?(config = default_config) m =
   let chosen, covers, cover_minimum, cover_complete =
     Obs.phase "cover" (fun () ->
         let chosen, covers = greedy_cover config m in
-        let scfg = Session.config (Explain.session m) in
-        match scfg.Session.cover with
-        | Session.Greedy -> (chosen, covers, None, true)
-        | Session.Exact ->
+        match config.cover with
+        | Greedy -> (chosen, covers, None, true)
+        | Exact node_budget ->
           let r =
             Obs.phase "cover.exact" (fun () ->
-                Hitting_set.solve ~node_budget:scfg.Session.cover_budget
-                  ~max_size:config.max_multiplet ~covers ~seed:chosen m)
+                Hitting_set.solve ~node_budget ~max_size:config.max_multiplet ~covers
+                  ~seed:chosen m)
           in
           if not r.Hitting_set.complete then begin
             if Obs.enabled () then Obs.incr c_budget_fallbacks;

@@ -13,11 +13,24 @@
       with each site's explained behaviour (stuck / bridge with inferred
       aggressors / byzantine).
 
-    The configuration switches exist for the ablation benches: turning
-    [validate] or [tie_break] off, or forcing [per_pattern] explanation,
-    reproduces the failure modes of the assumption-laden methods. *)
+    The configuration travels with each call, never with the session:
+    one session serves dies diagnosed under different configurations.
+    Beside the covering backend, the switches exist for the ablation
+    benches: turning [validate] or [tie_break] off, or forcing
+    [per_pattern] explanation, reproduces the failure modes of the
+    assumption-laden methods. *)
+
+(** Covering backend: the paper's greedy cover, or the exact
+    minimum-cardinality cover via the implicit hitting-set loop
+    ({!Hitting_set}, DESIGN.md §13) under a node budget summed over the
+    whole loop ({!Hitting_set.default_node_budget} is the CLI's
+    default).  [Exact] seeds with the greedy result as an upper bound
+    and falls back to it (with a warning counter) when the budget is
+    exhausted, so it never produces a worse multiplet than [Greedy]. *)
+type cover = Greedy | Exact of int
 
 type config = {
+  cover : cover;  (** Covering backend. *)
   tie_break : bool;  (** Prefer low-misprediction candidates on ties. *)
   validate : bool;  (** Run the multiplet refinement loop. *)
   per_pattern : bool;  (** Ablation: only exact (SLAT-style) explanations
@@ -30,8 +43,8 @@ type config = {
 }
 
 val default_config : config
-(** [tie_break = true; validate = true; per_pattern = false;
-    max_multiplet = 12; layout = None]. *)
+(** [cover = Greedy; tie_break = true; validate = true;
+    per_pattern = false; max_multiplet = 12; layout = None]. *)
 
 (** Fault models consistent with a called-out site. *)
 type model =
@@ -62,7 +75,7 @@ type result = {
   candidates_considered : int;
   refinement_steps : int;  (** Accepted drop/swap moves. *)
   cover_minimum : int option;
-      (** Under [Session.Exact]: proven minimum cover cardinality
+      (** Under [Exact]: proven minimum cover cardinality
           ({!Hitting_set}); [None] under [Greedy], on budget fallback,
           or when no cover within [max_multiplet] exists. *)
   cover_complete : bool;
@@ -73,7 +86,7 @@ type result = {
 
 val diagnose_session : ?config:config -> Session.t -> Datalog.t -> result
 (** Full pipeline against a prebuilt (warm) session ([config] defaults
-    to {!default_config}; the kernels' domain count is the session's).
+    to {!default_config}; the kernels run at {!Parallel}'s width).
     This is the volume-service entry point: one shared session, many
     datalogs. *)
 

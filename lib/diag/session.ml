@@ -8,29 +8,15 @@
    against one design, one diagnosis per domain — where the per-problem
    state must be computed once and shared, and two concurrent diagnoses
    must be able to run under different configurations without racing on
-   globals.  A [t] is created once, is immutable, and is safe to share
-   across domains: every field is either frozen after [create] or
-   internally synchronised ([Sig_cache]); the good machine is read by
-   every simulator it hands out and written by none.  The session owns
-   its signature cache outright — it builds it in [create] and nothing
-   else holds it — so a dropped session frees its cache. *)
-
-type cover = Greedy | Exact
-
-(* Node budget for the exact backend's whole implicit-hitting-set loop
-   (all branch-and-bound sub-solves summed).  Generous: the suite
-   circuits complete in well under 10^4 nodes; exhaustion on a
-   pathological datalog falls back to the greedy cover and is surfaced
-   (counter [cover.budget_fallbacks], [Run_report] meta). *)
-let default_cover_budget = 2_000_000
-
-type config = {
-  domains : int option;  (* kernel fan-out; [None] = Parallel default *)
-  cover : cover;  (* covering backend: greedy (paper) or exact (minimal) *)
-  cover_budget : int;  (* exact backend's hitting-set node budget *)
-}
-
-let default_config = { domains = None; cover = Greedy; cover_budget = default_cover_budget }
+   globals.  The session holds the problem and nothing else: each
+   diagnosis carries its own options ([Noassume.config]), and the
+   kernels' width is [Parallel]'s.  A [t] is created once, is
+   immutable, and is safe to share across domains: every field is
+   either frozen after [create] or internally synchronised
+   ([Sig_cache]); the good machine is read by every simulator it hands
+   out and written by none.  The session owns its signature cache
+   outright — it builds it in [create] and nothing else holds it — so a
+   dropped session frees its cache. *)
 
 type t = {
   net : Netlist.t;
@@ -40,7 +26,6 @@ type t = {
   blocks : Pattern.block array;
   good : Fault_sim.good; (* read by every simulator, never written *)
   cache : Sig_cache.t;
-  config : config;
 }
 
 let netlist t = t.net
@@ -49,7 +34,6 @@ let blocks t = t.blocks
 let good t = t.good
 let reach t = t.reach
 let cache t = Some t.cache
-let config t = t.config
 let representative_key t k = t.rep_keys.(k)
 
 let simulator t = Fault_sim.create ~reach:t.reach t.net t.good
@@ -122,7 +106,6 @@ let simulate t (faults : Fault_list.fault array) =
   let n = Array.length faults in
   let out = Array.make n [||] in
   if n > 0 then begin
-    let domains = t.config.domains in
     let depth = Netlist.depth t.net in
     let levels = Netlist.level_array t.net in
     let weights =
@@ -134,13 +117,13 @@ let simulate t (faults : Fault_list.fault array) =
     in
     let min_chunk_weight = 16 * (Array.fold_left ( + ) 0 weights / n) in
     let plan =
-      Parallel.weighted_chunks ?domains ~min_chunk_weight ~max_chunk_size:batch_tile ~weights ()
+      Parallel.weighted_chunks ~min_chunk_weight ~max_chunk_size:batch_tile ~weights ()
     in
-    let nslots = Parallel.plan_slots ?domains plan in
+    let nslots = Parallel.plan_slots plan in
     let sims = Array.init nslots (fun _ -> simulator t) in
     let tbs = Array.init nslots (fun _ -> { Sig_cache.data = Array.make 4096 0; len = 0 }) in
     let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
-    Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
+    Parallel.run_plan_slotted plan (fun ~slot _ci lo hi ->
         sweep_tile sims.(slot) tbs.(slot) startss.(slot) faults ~lo ~hi (fun i triples ->
             out.(i) <- triples));
     Array.iter Fault_sim.publish_stats sims
@@ -196,7 +179,7 @@ let prewarm t =
    ([Fault_list.representative_indices]): every diagnosis reads it
    instead of collapsing the netlist again, and no reader writes it,
    where the union-find compresses paths as it reads. *)
-let create ?(config = default_config) net pats =
+let create net pats =
   let reach = Obs.phase "po_reach" (fun () -> Po_reach.compute net) in
   let blocks = Array.of_list (Pattern.blocks pats) in
   let good = Obs.phase "session.goods" (fun () -> Fault_sim.good net blocks) in
@@ -204,4 +187,4 @@ let create ?(config = default_config) net pats =
     Obs.phase "session.collapse" (fun () ->
         Fault_list.representative_indices (Fault_list.collapse net))
   in
-  { net; pats; reach; rep_keys; blocks; good; cache = Sig_cache.create net pats; config }
+  { net; pats; reach; rep_keys; blocks; good; cache = Sig_cache.create net pats }

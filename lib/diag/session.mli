@@ -3,12 +3,15 @@
     A session bundles everything a diagnosis needs beyond the datalog:
     the netlist and its CSR views, the test set, the good-machine words
     of every pattern block, the PO-reachability screen, the cross-phase
-    signature cache and the resolved configuration record.  Every
-    phase — {!Explain}, {!Scoring}, {!Noassume}, {!Single_diag},
-    {!Dict_diag}, {!Slat_diag} — reads its cache and configuration from
-    the session instead of process-global state, so two concurrent
-    diagnoses can run under different configurations without touching
-    shared mutable state.
+    signature cache.  Every phase — {!Explain}, {!Scoring},
+    {!Noassume}, {!Single_diag}, {!Dict_diag}, {!Slat_diag} — reads
+    the problem and its cache from the session instead of
+    process-global state.  The session holds no engine option: each
+    diagnosis takes its own ([Noassume.config], covering backend
+    included), so two concurrent diagnoses on one session can run under
+    different configurations — one die greedy, another exact — without
+    touching shared mutable state.  The kernels' width is the process
+    width, {!Parallel.default_domains}.
 
     Sharing contract (DESIGN.md §11): a [t] is immutable after
     {!create} and safe to share across domains.  [net], [pats],
@@ -33,38 +36,9 @@
     or stale image) is [Design.session]'s, in [lib/expt]: it creates
     the session and fills its cache through {!cache} and {!prewarm}. *)
 
-(** Covering backend for {!Noassume}: the paper's greedy cover, or the
-    exact minimum-cardinality cover via the implicit hitting-set loop
-    ({!Hitting_set}, DESIGN.md §13).  [Exact] seeds with the greedy
-    result as an upper bound and falls back to it (with a warning
-    counter) when [cover_budget] is exhausted, so it never produces a
-    worse multiplet than [Greedy]. *)
-type cover = Greedy | Exact
-
-val default_cover_budget : int
-(** Node budget for the whole hitting-set loop (all branch-and-bound
-    sub-solves summed); 2,000,000. *)
-
-type config = {
-  domains : int option;
-      (** Kernel fan-out inside one diagnosis; [None] uses
-          {!Parallel.default_domains}.  Results are identical for every
-          value. *)
-  cover : cover;  (** Covering backend for {!Noassume} diagnoses. *)
-  cover_budget : int;
-      (** Node budget for the exact backend's hitting-set loop;
-          ignored under [Greedy]. *)
-}
-
-val default_config : config
-(** [domains = None], [cover = Greedy],
-    [cover_budget = default_cover_budget].  No environment switch is
-    read here — the CLI layer resolves them once into a config record
-    ([Cli_common.session_config]). *)
-
 type t
 
-val create : ?config:config -> Netlist.t -> Pattern.t -> t
+val create : Netlist.t -> Pattern.t -> t
 (** Build the context: the pattern blocks and their good machine
     (phase ["session.goods"]), the PO-reachability screen, the
     class-representative table ({!representative_key}) and a fresh
@@ -123,8 +97,6 @@ val cache : t -> Sig_cache.t option
 (** The session's signature-cache instance.  Always [Some]; the option
     type is kept for existing callers. *)
 
-val config : t -> config
-
 val simulate : t -> Fault_list.fault array -> int array array
 (** Signature triples for every fault, in the canonical
     [(block, PO, diff-word)] order of {!Fault_sim.simulate_batch}
@@ -132,10 +104,11 @@ val simulate : t -> Fault_list.fault array -> int array array
     freshly simulated: the cache is neither probed nor stored.  The
     engine's one cold path — {!Explain.build_session}'s misses,
     {!fault_triples} and {!prewarm} all call it.  One fork-join PPSFP
-    sweep, one {!simulator} per drain slot, chunked by cost (reachable
-    POs x remaining depth) into tiles of at most 512 faults.  Results
-    are written per fault index, so they are identical for every
-    [config.domains]. *)
+    sweep at the process width ({!Parallel.default_domains}; inline
+    when called from inside a {!Parallel} region), one {!simulator} per
+    drain slot, chunked by cost (reachable POs x remaining depth) into
+    tiles of at most 512 faults.  Results are written per fault index,
+    so they are identical for every width. *)
 
 val fault_triples : t -> Fault_list.fault array -> int array array
 (** {!simulate}, through the cache: the batch is looked up with one

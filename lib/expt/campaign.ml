@@ -68,8 +68,8 @@ let c_redraws = Obs.counter "campaign.redraws"
 let c_masked_trials = Obs.counter "campaign.masked_trials"
 
 let run ?(methods = all_methods) ?(config = Noassume.default_config)
-    ?(cover = Session.Greedy) ?(mix = Injection.default_mix) ?patterns ?layout ?domains
-    ~name net ~multiplicity ~trials ~seed =
+    ?(mix = Injection.default_mix) ?patterns ?layout ?domains ~name net ~multiplicity
+    ~trials ~seed =
   assert (multiplicity >= 1 && trials >= 1);
   let pats = match patterns with Some p -> p | None -> test_set net in
   let expected = Logic_sim.responses net pats in
@@ -82,18 +82,10 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
      only in the datalog — exactly the cross-trial reuse the cache
      exists for).  The session is immutable, so parallel trials share it
      safely.  With several trials in flight, each trial's own simulation
-     kernels run on one domain — trial-level parallelism is the outer
-     loop and scales best; a single trial still fans out its kernels. *)
-  let session =
-    Session.create
-      ~config:
-        {
-          Session.default_config with
-          Session.domains = (if trials > 1 then Some 1 else None);
-          cover;
-        }
-      net pats
-  in
+     kernels run inline ([Parallel]'s nesting rule) — trial-level
+     parallelism is the outer loop and scales best; a single trial still
+     fans out its kernels. *)
+  let session = Session.create net pats in
   let run_trial trial_rng =
     match failing_die ~mix ?layout trial_rng net pats ~expected ~multiplicity with
     | None, redrawn -> (None, redrawn)

@@ -74,7 +74,6 @@ val failing_die :
 val run :
   ?methods:methods ->
   ?config:Noassume.config ->
-  ?cover:Session.cover ->
   ?mix:Injection.kind_mix ->
   ?patterns:Pattern.t ->
   ?layout:Layout.t * float ->
@@ -86,8 +85,8 @@ val run :
   seed:int ->
   t
 (** Run [trials] trials.  [patterns] overrides {!test_set} (used by the
-    test-set-size sweep); [cover] selects the covering backend for the
-    campaign's shared session (default [Greedy]); [layout] constrains
+    test-set-size sweep); [config] is every trial's diagnosis options,
+    covering backend included; [layout] constrains
     injected bridges/opens to physically adjacent nets (the layout
     ablation — pass the same placement in [config.layout] to let
     diagnosis use it too).
@@ -95,9 +94,10 @@ val run :
     Trials are independent and run across [domains] OCaml domains
     ({!Parallel}'s default when omitted).  Per-trial defect draws come
     from generators split in trial order before any trial starts, so the
-    outcome list is identical for every domain count; when several
-    trials are in flight each trial's own simulation kernels run on one
-    domain. *)
+    outcome list is identical for every domain count.  When several
+    trials are in flight each trial's own simulation kernels run inline
+    ({!Parallel}'s nesting rule); a batch of width 1 leaves them at the
+    process width. *)
 
 val mean_slat_fraction : t -> float
 

@@ -80,8 +80,8 @@ let load_patterns net = function
    asks for the live sweep.  An image that is missing, or that lacks
    the signatures this call just swept or found corrupt, is then
    (re)written so the next process loads. *)
-let create ~config ~prewarm ?store_dir image net pats =
-  let session = Session.create ~config net pats in
+let create ~prewarm ?store_dir image net pats =
+  let session = Session.create net pats in
   let cache = Option.get (Session.cache session) in
   let adopted =
     match image with
@@ -102,8 +102,7 @@ let create ~config ~prewarm ?store_dir image net pats =
   | Some _ | None -> ());
   session
 
-let session ?(config = Session.default_config) ?(prewarm = false) ?store_dir circuit
-    ~patterns =
+let session ?(prewarm = false) ?store_dir circuit ~patterns =
   let ( let* ) = Result.bind in
   let* given =
     match patterns with
@@ -152,4 +151,4 @@ let session ?(config = Session.default_config) ?(prewarm = false) ?store_dir cir
   in
   Ok
     (Obs.phase "session.create" (fun () ->
-         create ~config ~prewarm ?store_dir image net pats))
+         create ~prewarm ?store_dir image net pats))

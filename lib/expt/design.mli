@@ -5,7 +5,10 @@
     This is the one home of the image's load-or-build rule.
     {!Session.create} does no file I/O, {!Sig_cache.save_frozen} is the
     one image writer, and the command-line tools only turn their flags
-    and environment into the arguments below. *)
+    and environment into the arguments below.  Nothing here is an
+    engine option: the session holds the problem, each diagnosis takes
+    its own {!Noassume.config}, and the kernels run at {!Parallel}'s
+    process width. *)
 
 type circuit =
   | File of string
@@ -28,7 +31,6 @@ val load_patterns : Netlist.t -> string option -> (Pattern.t, string) result
     count is an error that names the file. *)
 
 val session :
-  ?config:Session.config ->
   ?prewarm:bool ->
   ?store_dir:string ->
   circuit ->

@@ -194,7 +194,7 @@ let table6 ~trials ~seed =
             let r = Dict_diag.diagnose full dlog in
             qs :=
               Metrics.evaluate net ~injected:defects
-                ~callouts:(Dict_diag.callout_nets r)
+                ~callouts:(Single_diag.callout_nets r)
               :: !qs
         done;
         let diag, _, _ = Metrics.aggregate !qs in
@@ -499,7 +499,8 @@ let ablation_exact ~trials ~seed =
               (* Seeded as [Noassume] seeds [--cover=exact]: the greedy
                  multiplet's candidate indices bound the search. *)
               let exact =
-                Hitting_set.solve ~max_size:config.Noassume.max_multiplet
+                Hitting_set.solve ~node_budget:Hitting_set.default_node_budget
+                  ~max_size:config.Noassume.max_multiplet
                   ~seed:(List.filter_map (Explain.find_candidate m) greedy.Noassume.multiplet)
                   m
               in

@@ -5,9 +5,10 @@
    Per-die work (explanation matrix, covering, refinement) is far
    smaller than per-problem work (goods, PO reach, signature warm-up),
    so the service loads a [Session.t] once and drains the queue with
-   {e request-level} parallelism — one whole diagnosis per domain.  A
-   worker's own kernel calls run inline ([Parallel]'s nested calls do),
-   whatever domain count the session carries.
+   {e request-level} parallelism — one whole diagnosis per domain.
+   Every participant's own kernel calls run inline, the caller's
+   included ([Parallel]'s nesting rule); a one-worker drain leaves them
+   at the process width.
 
    A die that cannot be read, is empty or does not parse becomes one
    [{"name", "error"}] record; it never stops the rest of the queue.

@@ -4,8 +4,8 @@
     shares the netlist, the test set, the good-machine words and the
     signature cache — only the datalog differs.  The service creates one
     {!Session.t}, then drains the die queue with request-level
-    parallelism: one whole diagnosis per OCaml domain, each worker
-    running its kernels inline.  Per-die observability comes from a
+    parallelism: one whole diagnosis per OCaml domain, each participant
+    (the calling domain included) running its kernels inline.  Per-die observability comes from a
     private {!Obs.sink} per diagnosis, merged into the process registry
     after capture.  A die that cannot be read, is empty or is malformed
     becomes one {!failure} record and never stops the rest of the
@@ -63,8 +63,11 @@ val diagnose_die : ?config:Noassume.config -> Session.t -> die -> die_result
 val run :
   ?config:Noassume.config -> ?workers:int -> Session.t -> die list -> die_result list
 (** Drain the queue across [workers] domains ({!Parallel.map_array};
-    default {!Parallel.default_domains}).  Result order follows input
-    order whatever the worker count. *)
+    default {!Parallel.default_domains}).  With 2 or more workers every
+    die's kernels run inline, whichever participant drains it, so the
+    batch spawns at most [workers - 1] domains in all; one worker runs
+    the dies in order with their kernels at the process width.  Result
+    order follows input order whatever the worker count. *)
 
 val rollup : Session.t -> die_result list -> rollup
 (** [failed = 0]; {!write_results} counts the failures.  Rank nets by how many dies implicate them (ties: dies with a

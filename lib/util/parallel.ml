@@ -43,7 +43,10 @@ let default_domains () =
 
 let resolve = function Some d -> clamp d | None -> default_domains ()
 
-let in_worker = Domain.DLS.new_key (fun () -> false)
+(* Set on every participant of a batch while it drains — the spawned
+   workers and the caller alike — so a call made from inside a region
+   runs inline. *)
+let in_region = Domain.DLS.new_key (fun () -> false)
 
 (* Observability: batch/spawn counts and the per-participant chunk
    distribution (the balance signal — a skewed dist means one domain
@@ -64,10 +67,10 @@ let note_serial nchunks =
   end
 
 (* Effective parallelism of a call: capped by the work size, forced to 1
-   inside a worker domain (nested calls run inline). *)
+   inside a region (nested calls run inline). *)
 let width domains n =
   let d = min (resolve domains) n in
-  if Domain.DLS.get in_worker then 1 else d
+  if Domain.DLS.get in_region then 1 else d
 
 (* Run [body ~slot i lo hi] for every chunk, on [w] domains (the caller
    plus [w - 1] spawned workers).  The atomic cursor hands chunks out in
@@ -109,12 +112,17 @@ let run_chunks_slotted w chunks body =
   let workers =
     Array.init nworkers (fun i ->
         Domain.spawn (fun () ->
-            Domain.DLS.set in_worker true;
+            Domain.DLS.set in_region true;
             match sink with
             | Some sk -> Obs.with_sink sk (fun () -> drain (i + 1))
             | None -> drain (i + 1)))
   in
-  drain 0;
+  (* The caller drains as one more participant, in-region like the
+     workers: a nested call it makes runs inline instead of spawning
+     a second batch beside the one it is part of.  [w >= 2], so the
+     caller was not in a region before. *)
+  Domain.DLS.set in_region true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set in_region false) (fun () -> drain 0);
   Array.iter Domain.join workers;
   if Obs.enabled () then begin
     Obs.incr c_batches;

@@ -29,9 +29,17 @@
     The effective domain count of a call is, in decreasing precedence:
     the [?domains] argument, the value given to {!set_domains}, the
     [MDD_DOMAINS] environment variable, then
-    [Domain.recommended_domain_count ()] capped at 64.
-    Nested calls from inside a worker run sequentially (no domain
-    explosion, no deadlock). *)
+    [Domain.recommended_domain_count ()] capped at 8.  That process
+    width is the one knob: the kernels ([Session.simulate], [Tpg]'s
+    PODEM windows) pass no [?domains] and read it.
+
+    Nesting rule: while a batch of width 2 or more drains, every
+    participant — each spawned worker and the calling domain alike — is
+    in-region, and a call made from inside a region runs inline at
+    width 1 (no domain explosion, no deadlock).  So a die drained by a
+    [Volume.run ~workers:N] batch runs its kernels inline whichever
+    participant drains it, while a width-1 batch, which runs inline and
+    is no region, leaves its body's kernels at the process width. *)
 
 val default_domains : unit -> int
 (** The domain count used when [?domains] is omitted; at least 1. *)

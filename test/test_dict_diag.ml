@@ -30,8 +30,8 @@ let test_full_matches_single_diag () =
   let d = Dict_diag.diagnose dict dlog in
   let s = Single_diag.diagnose_session (Session.create net pats) dlog in
   Alcotest.(check (list int)) "same callouts" (Single_diag.callout_nets s)
-    (Dict_diag.callout_nets d);
-  let top_d = List.hd d.Dict_diag.best and top_s = List.hd s.Single_diag.best in
+    (Single_diag.callout_nets d);
+  let top_d = List.hd d.Single_diag.best and top_s = List.hd s.Single_diag.best in
   Alcotest.(check int) "same score" 0 (Scoring.compare_score top_d.score top_s.score)
 
 let test_single_stuck_hit () =
@@ -45,7 +45,7 @@ let test_single_stuck_hit () =
       let r = Dict_diag.diagnose dict dlog in
       let q =
         Metrics.evaluate net ~injected:[ Defect.Stuck (site, true) ]
-          ~callouts:(Dict_diag.callout_nets r)
+          ~callouts:(Single_diag.callout_nets r)
       in
       Alcotest.(check bool) "hit" true (q.Metrics.hits = 1))
     [ Dict_diag.Full_response; Dict_diag.Pass_fail ]
@@ -62,7 +62,7 @@ let test_passfail_coarser_than_full () =
   let full = diagnose Dict_diag.Full_response in
   let pf = diagnose Dict_diag.Pass_fail in
   Alcotest.(check bool) "coarser" true
-    (List.length pf.Dict_diag.best >= List.length full.Dict_diag.best)
+    (List.length pf.Single_diag.best >= List.length full.Single_diag.best)
 
 let test_pattern_count_check () =
   let net = Generators.c17 () in
@@ -78,7 +78,7 @@ let test_ranking_bounded () =
   let net, pats, dlog = problem ~net [ Defect.Stuck (g net "G10", true) ] in
   let dict = Dict_diag.build_session Dict_diag.Full_response (Session.create net pats) in
   let r = Dict_diag.diagnose ~keep:3 dict dlog in
-  Alcotest.(check bool) "bounded" true (List.length r.Dict_diag.ranking <= 3)
+  Alcotest.(check bool) "bounded" true (List.length r.Single_diag.ranking <= 3)
 
 (* A die of two defects on a circuit with several pattern blocks (the
    last one partial) and several failing outputs per pattern. *)
@@ -101,7 +101,7 @@ let test_full_ranking_matches_single_diag () =
   let keep = Dict_diag.num_entries dict in
   let d = Dict_diag.diagnose ~keep dict dlog in
   let s = Single_diag.diagnose_session ~keep session dlog in
-  let of_dict = List.map (fun (r : Dict_diag.ranked) -> (r.fault, r.score)) d.ranking in
+  let of_dict = List.map (fun (r : Single_diag.ranked) -> (r.fault, r.score)) d.ranking in
   let of_single =
     List.map (fun (r : Single_diag.ranked) -> (r.fault, r.score)) s.ranking
   in
@@ -117,7 +117,7 @@ let test_passfail_matches_per_pattern () =
   let keep = Dict_diag.num_entries dict in
   let expected = Logic_sim.responses net pats in
   List.iter
-    (fun (r : Dict_diag.ranked) ->
+    (fun (r : Single_diag.ranked) ->
       let f = r.fault in
       let observed =
         Injection.observed_responses net pats [ Defect.Stuck (f.site, f.stuck) ]

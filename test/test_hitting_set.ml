@@ -16,6 +16,7 @@
      only ever substitute a strictly smaller proven cover. *)
 
 let c17 = lazy (Generators.c17 ())
+let solve = Hitting_set.solve ~node_budget:Hitting_set.default_node_budget
 let c17_pats = lazy (Pattern.exhaustive ~npis:5)
 
 let make_dlog seed multiplicity =
@@ -65,7 +66,7 @@ let prop_oracle =
         let direct = Reference.exact_cover m in
         (match (direct.Reference.complete, direct.Reference.minimum) with
         | true, Some k ->
-          let hs = Hitting_set.solve ~max_size m in
+          let hs = solve ~max_size m in
           hs.Hitting_set.complete
           && hs.Hitting_set.minimum = Some k
           && List.length hs.Hitting_set.cover = k
@@ -93,14 +94,14 @@ let prop_seeded_never_larger =
             m
         in
         let seed_ids = multiplet_ids m greedy in
-        let hs = Hitting_set.solve ~max_size ~seed:seed_ids m in
+        let hs = solve ~max_size ~seed:seed_ids m in
         let capped =
           Noassume.diagnose_matrix
             ~config:{ Noassume.default_config with validate = false; max_multiplet = 1 }
             m
         in
         let capped_ids = multiplet_ids m capped in
-        let hs1 = Hitting_set.solve ~max_size:1 ~seed:capped_ids m in
+        let hs1 = solve ~max_size:1 ~seed:capped_ids m in
         let reach =
           if coverable_covered m capped_ids then List.length capped_ids else 1
         in
@@ -115,10 +116,13 @@ let prop_seeded_never_larger =
           && hs1.Hitting_set.minimum = (if k <= reach then Some k else None)
         | _ -> true))
 
-let cold_session cover =
-  Session.create
-    ~config:{ Session.default_config with Session.domains = Some 1; cover }
-    (Lazy.force c17) (Lazy.force c17_pats)
+(* Greedy and exact on one session at one domain: the backend is each
+   call's, so the pair shares the problem, its cache included. *)
+let both_backends ?(budget = Hitting_set.default_node_budget) config dlog =
+  With_domains.run 1 @@ fun () ->
+  let session = Session.create (Lazy.force c17) (Lazy.force c17_pats) in
+  let diagnose cover = Noassume.diagnose_session ~config:{ config with cover } session dlog in
+  (diagnose Noassume.Greedy, diagnose (Noassume.Exact budget))
 
 (* When the exact backend proves the greedy cover already minimal, the
    whole downstream pipeline sees the identical chosen list — the
@@ -133,12 +137,7 @@ let prop_byte_identity_when_greedy_minimal =
       | Some dlog ->
         let net = Lazy.force c17 in
         let config = { Noassume.default_config with validate = false } in
-        let greedy_r =
-          Noassume.diagnose_session ~config (cold_session Session.Greedy) dlog
-        in
-        let exact_r =
-          Noassume.diagnose_session ~config (cold_session Session.Exact) dlog
-        in
+        let greedy_r, exact_r = both_backends config dlog in
         (* Exact never produces a larger multiplet. *)
         List.length exact_r.Noassume.multiplet
         <= List.length greedy_r.Noassume.multiplet
@@ -161,11 +160,6 @@ let stuck_die names =
   in
   let dlog = Datalog.of_responses ~expected ~observed in
   (Explain.build_session (Session.create net pats) dlog, dlog)
-
-(* [Noassume] under both backends, one config. *)
-let both_backends config dlog =
-  ( Noassume.diagnose_session ~config (cold_session Session.Greedy) dlog,
-    Noassume.diagnose_session ~config (cold_session Session.Exact) dlog )
 
 let test_single_stuck_byte_identity () =
   let net = Lazy.force c17 in
@@ -224,14 +218,7 @@ let test_budget_fallback_byte_identity () =
   match make_dlog 4242 3 with
   | None -> Alcotest.fail "no failing c17 datalog"
   | Some dlog ->
-    let greedy_r = Noassume.diagnose_session (cold_session Session.Greedy) dlog in
-    let starved =
-      Session.create
-        ~config:
-          { Session.domains = Some 1; cover = Session.Exact; cover_budget = 1 }
-        (Lazy.force c17) (Lazy.force c17_pats)
-    in
-    let exact_r = Noassume.diagnose_session starved dlog in
+    let greedy_r, exact_r = both_backends ~budget:1 Noassume.default_config dlog in
     Alcotest.(check string) "byte-identical report"
       (Report.render net greedy_r)
       (Report.render net exact_r);
@@ -246,7 +233,7 @@ let test_empty_instance () =
   let resp = Logic_sim.responses net pats in
   let dlog = Datalog.of_responses ~expected:resp ~observed:resp in
   let m = Explain.build_session (Session.create net pats) dlog in
-  let r = Hitting_set.solve ~max_size m in
+  let r = solve ~max_size m in
   Alcotest.(check bool) "complete" true r.Hitting_set.complete;
   Alcotest.(check (option int)) "minimum 0" (Some 0) r.Hitting_set.minimum;
   Alcotest.(check bool) "empty cover" true (r.Hitting_set.cover = [])

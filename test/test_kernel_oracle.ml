@@ -2,7 +2,11 @@
    fast path (event-driven propagation with PO-reachability screening,
    the direct-indexed [Explain.build_session] accumulators, precomputed-goods
    signatures) must agree bit for bit with a brute-force overlay
-   resimulation that shares none of its code. *)
+   resimulation.  That reference shares one piece with the kernel: its
+   good machine and overlay words come from [Logic_sim], that is from
+   [Gate.eval], as the kernel's goods do.  So the session's good
+   machine is itself checked, pattern by pattern, against
+   [Scalar_logic.eval_bool], which shares no code with [Gate.eval]. *)
 
 (* [net] with a VDD and a GND cell appended and wired into three gate
    fanins in place of the nets they read, so the kernels evaluate
@@ -37,6 +41,44 @@ let random_problem seed multiplicity =
   let observed = Injection.observed_responses net pats defects in
   let dlog = Datalog.of_responses ~expected ~observed in
   (net, pats, dlog)
+
+(* --- The good machine against a scalar evaluation ------------------- *)
+
+(* Every word of [Session.good], masked to its block's live patterns,
+   holds the values [Scalar_logic.eval_bool] gives net by net in
+   topological order, one pattern at a time.  The tied cells put both
+   [Const] arms of [Gate.eval] under test. *)
+let prop_good_matches_scalar =
+  QCheck.Test.make ~name:"Session.good = per-pattern Scalar_logic.eval_bool (tied cells)"
+    ~count:10
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let gates = 40 + (seed mod 100) in
+      let net = tied ~seed (Generators.random_logic ~gates ~pis:6 ~pos:5 ~seed) in
+      let pats = Pattern.random (Rng.create (seed * 7)) ~npis:6 ~count:80 in
+      let session = Session.create net pats in
+      let { Fault_sim.words; nb; _ } = Session.good session in
+      let value = Array.make (Netlist.num_nets net) false in
+      let ok = ref true in
+      Array.iteri
+        (fun bi (b : Pattern.block) ->
+          for k = 0 to b.width - 1 do
+            Array.iteri
+              (fun i pi -> value.(pi) <- Pattern.get pats (b.base + k) i)
+              (Netlist.pis net);
+            Array.iter
+              (fun n ->
+                if not (Netlist.is_pi net n) then
+                  value.(n) <-
+                    Scalar_logic.eval_bool (Netlist.kind net n)
+                      (Array.to_list (Array.map (Array.get value) (Netlist.fanin net n))))
+              (Netlist.topo_order net);
+            Array.iteri
+              (fun n v -> if ((words.((n * nb) + bi) lsr k) land 1 = 1) <> v then ok := false)
+              value
+          done)
+        (Session.blocks session);
+      !ok)
 
 (* --- Scalar reference against overlay resimulation ------------------ *)
 
@@ -118,10 +160,8 @@ let prop_explain_matches_naive =
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
       else
-        let session =
-          Session.create ~config:{ Session.default_config with domains = Some 1 } net pats
-        in
-        matches_naive net pats dlog (Explain.build_session session dlog))
+        With_domains.run 1 (fun () ->
+            matches_naive net pats dlog (Explain.build_session (Session.create net pats) dlog)))
 
 (* --- Explain's layout against triples, brute force ----------------- *)
 
@@ -221,8 +261,8 @@ let layout_case seed =
   let pats = Pattern.random rng ~npis:6 ~count in
   let dlog = random_datalog rng ~npatterns:count ~npos:(Netlist.num_pos net) in
   let arena prewarm =
-    let config = { Session.default_config with domains = Some 1 } in
-    let session = Session.create ~config net pats in
+    With_domains.run 1 @@ fun () ->
+    let session = Session.create net pats in
     if prewarm then ignore (Session.prewarm session : int);
     layout_matches_triples net session dlog (Explain.build_session session dlog)
   in
@@ -899,9 +939,8 @@ let prop_explain_brute_force_and_replay =
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
       else begin
-        let session =
-          Session.create ~config:{ Session.default_config with domains = Some 4 } net pats
-        in
+        With_domains.run 4 @@ fun () ->
+        let session = Session.create net pats in
         let batched = Explain.build_session session dlog in
         let warm = Explain.build_session session dlog in
         matches_naive net pats dlog batched && explain_equal batched warm
@@ -979,6 +1018,7 @@ let suite =
            test_trial_needs_base
       :: List.map QCheck_alcotest.to_alcotest
         [
+          prop_good_matches_scalar;
           prop_delta_injection_matches_overlay;
           prop_explain_matches_naive;
           prop_layout_matches_triples;

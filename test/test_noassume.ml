@@ -196,11 +196,10 @@ let per_aggressor_ranking session m (r : Noassume.result) site =
    the one the per-aggressor screen produced.  Three-defect rnd1k dies
    on the campaign test set, as the counter gate draws them. *)
 let test_reports_match_per_aggressor_screen () =
+  With_domains.run 1 @@ fun () ->
   let net = Option.get (Generators.find_suite "rnd1k") in
   let pats = Campaign.test_set net in
-  let session =
-    Session.create ~config:{ Session.default_config with domains = Some 1 } net pats
-  in
+  let session = Session.create net pats in
   let expected = Logic_sim.responses net pats in
   let rng = Rng.create 41 in
   let rec die attempts =

@@ -96,9 +96,7 @@ let test_disabled_records_nothing () =
 let test_tpg_recorded () =
   let net = Generators.random_logic ~gates:300 ~pis:12 ~pos:6 ~seed:17 in
   let tpg_counters domains =
-    let orig = Parallel.default_domains () in
-    Parallel.set_domains domains;
-    Fun.protect ~finally:(fun () -> Parallel.set_domains orig) @@ fun () ->
+    With_domains.run domains @@ fun () ->
     isolated @@ fun () ->
     let r = Tpg.generate ~seed:1 ~backtrack_limit:4 net in
     let snap = Obs.snapshot () in

@@ -61,7 +61,7 @@ let test_plan_covers_each_index_once () =
 
 let test_nested_calls () =
   (* A parallel call inside a parallel call must complete and stay
-     correct (inner calls fall back to inline execution on workers). *)
+     correct (inner calls fall back to inline execution in a region). *)
   let expect i =
     Array.fold_left ( + ) 0 (Array.init (i + 5) (fun j -> i * j))
   in
@@ -73,6 +73,24 @@ let test_nested_calls () =
       (Array.init 9 Fun.id)
   in
   Alcotest.(check (array int)) "nested" (Array.init 9 expect) got
+
+(* The caller of a width-2 batch drains in-region, like its worker: a
+   nested call either participant makes runs inline, so the batch's one
+   worker is the only domain spawned. *)
+let test_nested_on_caller_inline () =
+  let inner i = Array.fold_left ( + ) 0 (Array.init 64 (fun j -> i * j)) in
+  let sk = Obs.sink () in
+  let got =
+    Obs.with_sink sk (fun () ->
+        Parallel.map_array ~domains:2
+          (fun i ->
+            Array.fold_left ( + ) 0
+              (Parallel.map_array ~domains:4 Fun.id (Array.init 64 (fun j -> i * j))))
+          (Array.init 2 Fun.id))
+  in
+  Alcotest.(check (array int)) "nested" (Array.init 2 inner) got;
+  Alcotest.(check (option int)) "parallel.spawns" (Some 1)
+    (List.assoc_opt "parallel.spawns" (Obs.sink_snapshot sk).Obs.counters)
 
 let test_chunk_failure_propagates () =
   Alcotest.check_raises "worker exception reaches the caller" Exit (fun () ->
@@ -137,8 +155,7 @@ let prop_matrix_identical_across_domains =
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
       let build d =
-        let config = { Session.default_config with Session.domains = Some d } in
-        Explain.build_session (Session.create ~config net pats) dlog
+        With_domains.run d (fun () -> Explain.build_session (Session.create net pats) dlog)
       in
       matrices_identical (build 1) (build 4))
 
@@ -151,9 +168,8 @@ let prop_diagnosis_identical_across_domains =
       if Datalog.num_failing dlog = 0 then true
       else begin
         let diagnose d =
-          Noassume.diagnose_session
-            (Session.create ~config:{ Session.default_config with Session.domains = Some d } net pats)
-            dlog
+          With_domains.run d (fun () ->
+              Noassume.diagnose_session (Session.create net pats) dlog)
         in
         let r1 = diagnose 1 and r4 = diagnose 4 in
         r1.Noassume.multiplet = r4.Noassume.multiplet
@@ -172,6 +188,8 @@ let suite =
         Alcotest.test_case "parallel_for covers exactly once" `Quick
           test_plan_covers_each_index_once;
         Alcotest.test_case "nested calls" `Quick test_nested_calls;
+        Alcotest.test_case "nested calls on the caller run inline" `Quick
+          test_nested_on_caller_inline;
         Alcotest.test_case "chunk failure propagates" `Quick test_chunk_failure_propagates;
         Alcotest.test_case "set_domains" `Quick test_set_domains;
       ]

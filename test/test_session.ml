@@ -31,16 +31,14 @@ let make_dlog seed multiplicity =
   draw 20
 
 (* A cold session: [Session.create] always builds a fresh cache. *)
-let cold_session config = Session.create ~config (Lazy.force net) (Lazy.force pats)
+let cold_session () = Session.create (Lazy.force net) (Lazy.force pats)
 
 (* A frozen session: the arena holds the whole pool before any
    diagnosis. *)
-let prewarmed_session config =
-  let session = cold_session config in
+let prewarmed_session () =
+  let session = cold_session () in
   ignore (Session.prewarm session : int);
   session
-
-let config ~domains = { Session.default_config with Session.domains = Some domains }
 
 let render_ranking ranked =
   String.concat "\n"
@@ -55,7 +53,7 @@ let render_ranking ranked =
    the whole pool before any diagnosis) sessions, at 1 and 4 domains, produce one report byte for
    byte — the cache may change who answers a probe, never the answer.
    The baselines' cold path ([Session.fault_triples], which simulates
-   its misses across the session's domains) is held to the same
+   its misses at the process width) is held to the same
    contract: the single-fault and pass/fail dictionary results on a
    cold session match the frozen session's at both domain counts. *)
 let prop_all_combos_identical =
@@ -81,19 +79,20 @@ let prop_all_combos_identical =
           let dict = Dict_diag.build_session Dict_diag.Pass_fail session in
           render_ranking
             (List.map
-               (fun (r : Dict_diag.ranked) -> (r.fault, r.score))
+               (fun (r : Single_diag.ranked) -> (r.fault, r.score))
                (Dict_diag.diagnose ~keep:max_int dict dlog).ranking)
         in
         let reports domains =
-          let session = cold_session (config ~domains) in
+          With_domains.run domains @@ fun () ->
+          let session = cold_session () in
           let cold = render session in
           let warm = render session in
-          let frozen_session = prewarmed_session (config ~domains) in
+          let frozen_session = prewarmed_session () in
           if Sig_cache.frozen_bytes (Option.get (Session.cache frozen_session)) = 0 then
             QCheck.Test.fail_report "prewarm left the arena empty";
           ( [ cold; warm; render frozen_session ],
-            [ single (cold_session (config ~domains)); single frozen_session ],
-            [ dict (cold_session (config ~domains)); dict frozen_session ] )
+            [ single (cold_session ()); single frozen_session ],
+            [ dict (cold_session ()); dict frozen_session ] )
         in
         let r1, s1, d1 = reports 1 and r4, s4, d4 = reports 4 in
         let same l = List.for_all (String.equal (List.hd l)) l in
@@ -169,12 +168,13 @@ let prop_concurrent_matches_sequential =
             String.equal a.Volume.text b.Volume.text
             && String.equal a.Volume.die b.Volume.die)
       in
-      let session = cold_session (config ~domains:1) in
+      With_domains.run 1 @@ fun () ->
+      let session = cold_session () in
       (* The sequential reference runs on a fresh session and warms it,
          so the second drain runs the warm-session fast path. *)
       let sequential = Volume.run ~workers:1 session dies in
       let warm = Volume.run ~workers:4 session dies in
-      let cold = Volume.run ~workers:4 (cold_session (config ~domains:1)) dies in
+      let cold = Volume.run ~workers:4 (cold_session ()) dies in
       same sequential warm && same sequential cold)
 
 (* Disk round trip through the design store ([Design.session]), at 1
@@ -196,23 +196,24 @@ let prop_store_round_trip_identical =
         let render session =
           Report.render (Lazy.force net) (Noassume.diagnose_session session dlog)
         in
-        let stored config =
+        let stored () =
           Result.get_ok
-            (Design.session ~config ~prewarm:true ~store_dir:dir
+            (Design.session ~prewarm:true ~store_dir:dir
                (Design.Built (Lazy.force net)) ~patterns:None)
         in
         let ok =
           List.for_all
             (fun domains ->
+              With_domains.run domains @@ fun () ->
               (* First open sweeps live and saves the image... *)
-              let saver = render (stored (config ~domains)) in
+              let saver = render (stored ()) in
               (* ...the second must adopt it from disk: one load and no
                  prewarm simulation.  A full arena alone would not
                  show it, since a rejected image falls back to a live
                  sweep that fills it too. *)
               let sk = Obs.sink () in
               let loaded_session =
-                Obs.with_sink sk (fun () -> stored (config ~domains))
+                Obs.with_sink sk stored
               in
               let counter name =
                 Option.value ~default:0
@@ -224,7 +225,7 @@ let prop_store_round_trip_identical =
                 QCheck.Test.fail_reportf "prewarm.faults = %d, want 0"
                   (counter "prewarm.faults");
               let loaded = render loaded_session in
-              let cold = render (cold_session (config ~domains)) in
+              let cold = render (cold_session ()) in
               String.equal saver loaded && String.equal saver cold)
             [ 1; 4 ]
         in
@@ -247,7 +248,8 @@ let prop_frozen_concurrent_matches_sequential =
         |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
       in
       QCheck.assume (dies <> []);
-      let session = prewarmed_session (config ~domains:1) in
+      With_domains.run 1 @@ fun () ->
+      let session = prewarmed_session () in
       let sequential = Volume.run ~workers:1 session dies in
       let concurrent = Volume.run ~workers:4 session dies in
       List.for_all2
@@ -255,16 +257,41 @@ let prop_frozen_concurrent_matches_sequential =
           String.equal a.Volume.text b.Volume.text && String.equal a.Volume.die b.Volume.die)
         sequential concurrent)
 
+(* The nesting rule, end to end: a two-worker drain at process width
+   2 spawns its one worker and nothing else.  Every die's kernels run
+   inline, the dies the calling domain drains included, although the
+   cold session makes each die simulate its misses.  Spawns are counted
+   under the caller's sink (the batch) and in each die's report (its
+   kernels). *)
+let test_volume_spawns_once () =
+  With_domains.run 2 @@ fun () ->
+  let dies =
+    List.filter_map (fun i -> make_dlog (7000 + i) 2) [ 1; 2; 3; 4 ]
+    |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
+  in
+  Alcotest.(check int) "four dies" 4 (List.length dies);
+  let spawns counters = Option.value ~default:0 (List.assoc_opt "parallel.spawns" counters) in
+  let sk = Obs.sink () in
+  let results = Obs.with_sink sk (fun () -> Volume.run ~workers:2 (cold_session ()) dies) in
+  let in_dies =
+    List.fold_left
+      (fun acc (r : Volume.die_result) -> acc + spawns (Run_report.counters r.Volume.report))
+      0 results
+  in
+  Alcotest.(check int) "parallel.spawns" 1
+    (spawns (Obs.sink_snapshot sk).Obs.counters + in_dies)
+
 (* Counters after a prewarm: the arena already holds every key a die
    probes, so each die's probes all hit and none misses — no die
    simulates a signature. *)
 let test_prewarmed_probes_hit () =
+  With_domains.run 1 @@ fun () ->
   let dies =
     List.filter_map (fun i -> make_dlog (3000 + i) 2) [ 1; 2 ]
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = prewarmed_session (config ~domains:1) in
+  let session = prewarmed_session () in
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
@@ -286,6 +313,7 @@ let test_prewarmed_probes_hit () =
    per triple here.  Allocation is deterministic at one domain, unlike the time it
    costs. *)
 let test_frozen_replay_allocation () =
+  With_domains.run 1 @@ fun () ->
   let dlog =
     match make_dlog 5000 3 with Some d -> d | None -> Alcotest.fail "no failing draw"
   in
@@ -295,8 +323,8 @@ let test_frozen_replay_allocation () =
     ignore (Sys.opaque_identity (Explain.build_session session dlog));
     Gc.minor_words () -. before
   in
-  let lazily_filled = replay_words (cold_session (config ~domains:1)) in
-  let prewarmed = replay_words (prewarmed_session (config ~domains:1)) in
+  let lazily_filled = replay_words (cold_session ()) in
+  let prewarmed = replay_words (prewarmed_session ()) in
   Alcotest.(check bool)
     (Printf.sprintf
        "prewarmed arena replay %.0f words <= lazily filled arena replay %.0f words" prewarmed
@@ -310,10 +338,11 @@ let test_frozen_replay_allocation () =
    8 bytes per (row, failing pattern), on a die where that product is
    large.  A row is a class representative. *)
 let test_build_allocates_below_matrix () =
+  With_domains.run 1 @@ fun () ->
   let dlog =
     match make_dlog 6000 4 with Some d -> d | None -> Alcotest.fail "no failing draw"
   in
-  let session = cold_session (config ~domains:1) in
+  let session = cold_session () in
   let m = Explain.build_session session dlog in
   let collapsed = Fault_list.collapse (Lazy.force net) in
   let rows =
@@ -333,12 +362,13 @@ let test_build_allocates_below_matrix () =
 
 (* The volume rollup ranks by dies-implicated and carries every die. *)
 let test_rollup () =
+  With_domains.run 1 @@ fun () ->
   let dies =
     List.filter_map (fun i -> make_dlog (1000 + i) 2) [ 1; 2; 3 ]
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = cold_session (config ~domains:1) in
+  let session = cold_session () in
   let results = Volume.run ~workers:1 session dies in
   let ru = Volume.rollup session results in
   Alcotest.(check int) "rollup die count" (List.length dies) ru.Volume.dies;
@@ -363,12 +393,13 @@ let test_rollup () =
    diagnosis always runs the explain phase at least once), and the
    volume drain does not require the global registry to be enabled. *)
 let test_per_die_sinks () =
+  With_domains.run 1 @@ fun () ->
   let dies =
     List.filter_map (fun i -> make_dlog (2000 + i) 2) [ 1; 2 ]
     |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
   in
   Alcotest.(check bool) "got dies" true (dies <> []);
-  let session = cold_session (config ~domains:1) in
+  let session = cold_session () in
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
@@ -384,6 +415,7 @@ let test_per_die_sinks () =
    report, byte-identical to a single-shot run, plus one error record
    per bad die, counted in the rollup and in [volume.failed]. *)
 let test_batch_dir_bad_dies () =
+  With_domains.run 1 @@ fun () ->
   let dlog =
     match make_dlog 4000 2 with Some d -> d | None -> Alcotest.fail "no failing draw"
   in
@@ -396,7 +428,7 @@ let test_batch_dir_bad_dies () =
   write "valid.datalog" (Datalog.to_text dlog);
   write "empty.datalog" "";
   write "malformed.datalog" "garbage line\n";
-  let session = cold_session (config ~domains:1) in
+  let session = cold_session () in
   let sk = Obs.sink () in
   let loaded = Obs.with_sink sk (fun () -> Volume.load_dir session dir) in
   Alcotest.(check (option int)) "volume.failed counter" (Some 2)
@@ -454,5 +486,7 @@ let suite =
             test_frozen_replay_allocation;
           Alcotest.test_case "warm build allocates less than a row x pattern matrix" `Quick
             test_build_allocates_below_matrix;
+          Alcotest.test_case "2-worker drain on a cold session spawns one domain" `Quick
+            test_volume_spawns_once;
         ] );
   ]

@@ -189,30 +189,24 @@ let test_pinned_ndetect () =
    discards, equal at every domain count too. *)
 let windowed_matches_reference ~backtrack_limit ~seed net =
   let want, work = Reference.tpg_generate ~seed ~backtrack_limit net in
-  let orig = Parallel.default_domains () in
   let runs =
-    Fun.protect
-      ~finally:(fun () -> Parallel.set_domains orig)
-      (fun () ->
-        List.map
-          (fun domains ->
-            Parallel.set_domains domains;
-            let sk = Obs.sink () in
-            let got =
-              Obs.with_sink sk (fun () -> Tpg.generate ~seed ~backtrack_limit net)
-            in
-            let counters = (Obs.sink_snapshot sk).Obs.counters in
-            let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
-            let same =
-              md5_text got.Tpg.patterns = md5_text want.Tpg.patterns
-              && { got with Tpg.patterns = want.Tpg.patterns } = want
-              && counter "tpg.podem_calls" = work.Podem.calls
-              && counter "tpg.backtracks" = work.Podem.backtracks
-              && counter "tpg.aborted" = work.Podem.aborted
-              && counter "tpg.implications" = work.Podem.implications
-            in
-            (same, counter "tpg.speculative_discards"))
-          [ 1; 2; 4 ])
+    List.map
+      (fun domains ->
+        With_domains.run domains @@ fun () ->
+        let sk = Obs.sink () in
+        let got = Obs.with_sink sk (fun () -> Tpg.generate ~seed ~backtrack_limit net) in
+        let counters = (Obs.sink_snapshot sk).Obs.counters in
+        let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
+        let same =
+          md5_text got.Tpg.patterns = md5_text want.Tpg.patterns
+          && { got with Tpg.patterns = want.Tpg.patterns } = want
+          && counter "tpg.podem_calls" = work.Podem.calls
+          && counter "tpg.backtracks" = work.Podem.backtracks
+          && counter "tpg.aborted" = work.Podem.aborted
+          && counter "tpg.implications" = work.Podem.implications
+        in
+        (same, counter "tpg.speculative_discards"))
+      [ 1; 2; 4 ]
   in
   match runs with
   | (_, discards) :: _ when List.for_all (fun (same, d) -> same && d = discards) runs ->
