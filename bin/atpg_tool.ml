@@ -1,5 +1,6 @@
-(* ATPG flow tool: generate a stuck-at test set for a circuit and report
-   coverage.
+(* ATPG flow tool: generate a circuit's stuck-at test set and report
+   coverage.  The set is the campaign flow's ([Campaign.test_report]),
+   the one every tool generates when given no pattern file.
 
      dune exec bin/atpg_tool.exe -- --circuit add8 -o patterns.txt *)
 
@@ -13,16 +14,12 @@ let compact_arg =
   let doc = "Run reverse-order static compaction on the generated set." in
   Arg.(value & flag & info [ "compact" ] ~doc)
 
-let backtrack_arg =
-  let doc = "PODEM backtrack limit." in
-  Arg.(value & opt int 512 & info [ "backtrack-limit" ] ~docv:"N" ~doc)
-
-let run bench suite seed compact output backtrack_limit =
+let run bench suite compact output =
   let net =
     Cli_common.or_die (Result.bind (Cli_common.circuit bench suite) Design.load_circuit)
   in
   Format.printf "circuit: %a@." Netlist.pp_stats net;
-  let report = Tpg.generate ~seed ~backtrack_limit net in
+  let report = Campaign.test_report net in
   Format.printf "collapsed faults: %d@." report.Tpg.total_faults;
   Format.printf "detected: %d, untestable: %d, aborted: %d@." report.Tpg.detected
     report.Tpg.untestable report.Tpg.aborted;
@@ -52,7 +49,6 @@ let cmd =
   Cmd.v
     (Cmd.info "atpg_tool" ~doc)
     Term.(
-      const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ Cli_common.seed_arg
-      $ compact_arg $ output_arg $ backtrack_arg)
+      const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ compact_arg $ output_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -173,17 +173,18 @@ let stats_dest stats_flag =
     | Some ("1" | "-" | "true" | "yes") -> Some `Stderr
     | Some path -> Some (`File path))
 
-let init_stats stats_flag =
-  let dest = stats_dest stats_flag in
-  if dest <> None then Obs.enable ();
-  dest
-
-let emit_stats dest ~meta =
-  match dest with
-  | None -> ()
-  | Some dest -> (
-    let report = Run_report.capture ~meta () in
-    match dest with
+(* [body ()] runs the tool and returns the report's metadata and the
+   exit code.  When a report was asked for, the body runs under a root
+   sink and the report is written after it. *)
+let with_stats stats_flag body =
+  match stats_dest stats_flag with
+  | None -> snd (body ())
+  | Some dest ->
+    let sink = Obs.sink () in
+    let meta, code = Obs.with_sink sink body in
+    let report = Run_report.capture ~sink ~meta () in
+    (match dest with
     | `Stdout -> print_string (Run_report.to_json report)
     | `Stderr -> prerr_string (Run_report.to_json report)
-    | `File path -> Run_report.write ~path report)
+    | `File path -> Run_report.write ~path report);
+    code

@@ -74,11 +74,11 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
   let config = { Noassume.default_config with cover; validate = not no_validate } in
   let prewarm = Cli_common.prewarm prewarm in
   let store_dir = Cli_common.store_dir store_dir in
-  let stats_dest = Cli_common.init_stats stats in
   (* Each layer of a run is a phase of the run report: pattern.parse,
      netlist.load (store.load, or netlist.build), tpg when the ATPG set
      is generated, session.create, datalog.parse, the engine's own
      phases and report.render. *)
+  Cli_common.with_stats stats @@ fun () ->
   let session =
     Cli_common.or_die
       (Result.bind (Cli_common.circuit bench suite) (fun circuit ->
@@ -205,12 +205,10 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
       in
       [ ("mode", "single"); ("method", method_name) ] @ cover_meta
   in
-  Cli_common.emit_stats stats_dest
-    ~meta:
-      ([ ("tool", "diagnose"); ("circuit", circuit) ]
-      @ mode_meta
-      @ Cli_common.config_meta config ~prewarm ~store_dir);
-  if !failed > 0 then exit 1
+  ( [ ("tool", "diagnose"); ("circuit", circuit) ]
+    @ mode_meta
+    @ Cli_common.config_meta config ~prewarm ~store_dir,
+    if !failed > 0 then 1 else 0 )
 
 let cmd =
   let doc = "locate multiple defects from tester datalogs" in
@@ -237,4 +235,4 @@ let cmd =
       $ no_validate_arg $ Cli_common.prewarm_arg $ Cli_common.cover
       $ Cli_common.store_dir_arg $ Cli_common.domains_arg $ Cli_common.stats_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -29,18 +29,14 @@ let run bench suite patterns_file seed multiplicity mix_name datalog_out =
     | None -> Cli_common.or_die (Error ("unknown mix " ^ mix_name))
   in
   let pats = Cli_common.or_die (Design.load_patterns net patterns_file) in
-  let rng = Rng.create seed in
   let expected = Logic_sim.responses net pats in
-  let rec draw attempts =
-    if attempts = 0 then Cli_common.or_die (Error "injected defects never failed the test")
-    else begin
-      let defects = Injection.random_defects rng net mix multiplicity in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then draw (attempts - 1) else (defects, dlog)
-    end
+  let defects, dlog =
+    match
+      fst (Campaign.failing_die ~mix (Rng.create seed) net pats ~expected ~multiplicity)
+    with
+    | Some die -> die
+    | None -> Cli_common.or_die (Error "injected defects never failed the test")
   in
-  let defects, dlog = draw 100 in
   Format.eprintf "# ground truth:@.";
   List.iter (fun d -> Format.eprintf "#   %s@." (Defect.describe net d)) defects;
   Format.eprintf "# %d failing patterns out of %d@." (Datalog.num_failing dlog)

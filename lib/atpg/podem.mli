@@ -57,5 +57,5 @@ val no_work : work
 val add_work : work -> work -> work
 
 val publish : work -> unit
-(** Add [work] to the {!Obs} registry (when enabled): [tpg.podem_calls],
+(** Add [work] to the bound {!Obs} sink, if any: [tpg.podem_calls],
     [tpg.backtracks], [tpg.aborted] and [tpg.implications]. *)

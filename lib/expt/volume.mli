@@ -5,11 +5,11 @@
     signature cache — only the datalog differs.  The service creates one
     {!Session.t}, then drains the die queue with request-level
     parallelism: one whole diagnosis per OCaml domain, each participant
-    (the calling domain included) running its kernels inline.  Per-die observability comes from a
-    private {!Obs.sink} per diagnosis, merged into the process registry
-    after capture.  A die that cannot be read, is empty or is malformed
-    becomes one {!failure} record and never stops the rest of the
-    queue.
+    (the calling domain included) running its kernels inline.  Per-die
+    observability comes from a private {!Obs.sink} per diagnosis,
+    merged after capture into the sink the caller bound, if any.  A die
+    that cannot be read, is empty or is malformed becomes one
+    {!failure} record and never stops the rest of the queue.
 
     Rendered diagnosis reports are byte-identical to single-shot
     [diagnose] runs of the same die; the per-die counter splits (cache
@@ -57,8 +57,10 @@ val load_dir : Session.t -> string -> (die, failure) result list
     name. *)
 
 val diagnose_die : ?config:Noassume.config -> Session.t -> die -> die_result
-(** One die under a private sink.  [config] defaults to
-    {!Noassume.default_config}. *)
+(** One die under a private sink, captured as the die's [report] and
+    then merged into the sink bound in the calling domain (nothing when
+    none is), so a caller's sink sees every die it drained.  [config]
+    defaults to {!Noassume.default_config}. *)
 
 val run :
   ?config:Noassume.config -> ?workers:int -> Session.t -> die list -> die_result list

@@ -1,14 +1,14 @@
 (* One registry type.  A sink is a set of name-keyed tallies behind one
-   mutex; the process-global registry is just the sink [global], and an
-   event bumps whichever sink is bound in the current domain (else
-   [global]).  Handles are interned names: instrumented modules register
-   theirs once at initialisation, which also records the name in the
-   inventory every snapshot lists.  Events are batch-granularity, so the
-   per-event lock and Hashtbl lookup stay off every hot path: even the
-   signature cache's hits and misses are added once per looked-up
-   batch ([Sig_cache.missing]), not once per row.  OCaml 5's
-   stdlib Mutex is domain-safe, so the library needs no dependency beyond
-   the monotonic clock. *)
+   mutex, and an event bumps the sink bound in the current domain — or
+   nothing, when none is.  Handles are interned names: instrumented
+   modules register theirs once at initialisation, which records the
+   name in the process-wide inventory every snapshot lists; the
+   inventory holds names only, never a tally.  Events are
+   batch-granularity, so the per-event lock and Hashtbl lookup stay off
+   every hot path: even the signature cache's hits and misses are added
+   once per looked-up batch ([Sig_cache.missing]), not once per row.
+   OCaml 5's stdlib Mutex is domain-safe, so the library needs no
+   dependency beyond the monotonic clock. *)
 
 type tally = {
   mutable count : int;
@@ -38,22 +38,15 @@ let sink () =
     phases = Hashtbl.create 8;
   }
 
-let global = sink ()
-
-let locked sk f =
-  Mutex.lock sk.lock;
+let locked lock f =
+  Mutex.lock lock;
   match f () with
   | v ->
-    Mutex.unlock sk.lock;
+    Mutex.unlock lock;
     v
   | exception e ->
-    Mutex.unlock sk.lock;
+    Mutex.unlock lock;
     raise e
-
-let clear sk =
-  Hashtbl.reset sk.counters;
-  Hashtbl.reset sk.dists;
-  Hashtbl.reset sk.phases
 
 (* The bump functions: the one place each kind of tally changes, shared
    by the event path and by [merge].  Callers hold [sk]'s lock.  A dist
@@ -84,57 +77,42 @@ let bump_phase sk name ~count ~ns ~gc =
 
 (* --- Binding ------------------------------------------------------- *)
 
-let bound : sink Domain.DLS.key = Domain.DLS.new_key (fun () -> global)
-let current () = Domain.DLS.get bound
-let bound_sink () = match current () with sk when sk == global -> None | sk -> Some sk
+let bound : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let bound_sink () = Domain.DLS.get bound
+let enabled () = Option.is_some (bound_sink ())
 
 let with_sink sk f =
-  let prev = current () in
-  Domain.DLS.set bound sk;
+  let prev = bound_sink () in
+  Domain.DLS.set bound (Some sk);
   Fun.protect ~finally:(fun () -> Domain.DLS.set bound prev) f
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "MDD_STATS" with
-    | Some s when String.trim s <> "" -> true
-    | Some _ | None -> false)
-
-let enabled () = !enabled_flag || current () != global
-let enable () = enabled_flag := true
-let disable () = enabled_flag := false
-let reset () = locked global (fun () -> clear global)
+(* An event's update, applied to the bound sink under its lock. *)
+let into_bound update =
+  match bound_sink () with
+  | Some sk -> locked sk.lock (fun () -> update sk)
+  | None -> ()
 
 (* --- Counters and dists -------------------------------------------- *)
 
-(* The inventory of registered names, under [global]'s lock. *)
+(* The inventory of registered names, under its own lock. *)
+let names_lock = Mutex.create ()
 let counter_names : (string, unit) Hashtbl.t = Hashtbl.create 32
 let dist_names : (string, unit) Hashtbl.t = Hashtbl.create 16
 
 let register names name =
-  locked global (fun () -> Hashtbl.replace names name ());
+  locked names_lock (fun () -> Hashtbl.replace names name ());
   name
 
 type counter = string
 
 let counter name = register counter_names name
-
-let add c n =
-  let sk = current () in
-  locked sk (fun () -> bump_counter sk c n)
-
+let add c n = into_bound (fun sk -> bump_counter sk c n)
 let incr c = add c 1
-
-let value c =
-  locked global (fun () ->
-      match Hashtbl.find_opt global.counters c with Some r -> !r | None -> 0)
 
 type dist = string
 
 let dist name = register dist_names name
-
-let record d v =
-  let sk = current () in
-  locked sk (fun () -> bump_dist sk d ~count:1 ~sum:v ~lo:v ~hi:v)
+let record d v = into_bound (fun sk -> bump_dist sk d ~count:1 ~sum:v ~lo:v ~hi:v)
 
 (* --- Phase timers --------------------------------------------------- *)
 
@@ -159,8 +137,7 @@ let span_end s =
     s.s_open <- false;
     let ns = now_ns () -. s.s_t0 in
     let gc = (Gc.quick_stat ()).Gc.major_collections - s.s_gc0 in
-    let sk = current () in
-    locked sk (fun () -> bump_phase sk s.s_name ~count:1 ~ns ~gc)
+    into_bound (fun sk -> bump_phase sk s.s_name ~count:1 ~ns ~gc)
   end
 
 let phase name f =
@@ -190,14 +167,16 @@ type snapshot = {
   dists : dist_stat list;
 }
 
-(* Locks are never nested: the inventory is read under [global]'s lock,
-   the tallies afterwards under [sk]'s (which may be [global] again). *)
+(* Locks are never nested: the inventory is read under its lock, the
+   tallies afterwards under [sk]'s. *)
 let sink_snapshot sk =
   let keys tbl =
     Hashtbl.fold (fun name () acc -> name :: acc) tbl [] |> List.sort compare
   in
-  let cnames, dnames = locked global (fun () -> (keys counter_names, keys dist_names)) in
-  locked sk (fun () ->
+  let cnames, dnames =
+    locked names_lock (fun () -> (keys counter_names, keys dist_names))
+  in
+  locked sk.lock (fun () ->
       let phases =
         Hashtbl.fold
           (fun name t acc ->
@@ -234,26 +213,29 @@ let sink_snapshot sk =
       in
       { phases; counters; dists })
 
-let snapshot () = sink_snapshot global
-
-(* Drain the sink under its own lock, then fold into [global] under
-   [global]'s through the same bump functions an event uses — never
-   through [add], which would route back into a bound sink. *)
+(* Drain the sink under its own lock, then fold into the bound sink
+   under that one's, through the same bump functions an event uses. *)
 let merge sk =
-  let cs, ds, ps =
-    locked sk (fun () ->
-        let taken =
-          (Hashtbl.copy sk.counters, Hashtbl.copy sk.dists, Hashtbl.copy sk.phases)
-        in
-        clear sk;
-        taken)
-  in
-  locked global (fun () ->
-      Hashtbl.iter (fun name r -> bump_counter global name !r) cs;
-      Hashtbl.iter
-        (fun name t -> bump_dist global name ~count:t.count ~sum:t.sum ~lo:t.lo ~hi:t.hi)
-        ds;
-      Hashtbl.iter
-        (fun name t ->
-          bump_phase global name ~count:t.ph_count ~ns:t.ph_ns ~gc:t.ph_gc_major)
-        ps)
+  match bound_sink () with
+  | None -> ()
+  | Some target ->
+    let cs, ds, ps =
+      locked sk.lock (fun () ->
+          let taken =
+            (Hashtbl.copy sk.counters, Hashtbl.copy sk.dists, Hashtbl.copy sk.phases)
+          in
+          Hashtbl.reset sk.counters;
+          Hashtbl.reset sk.dists;
+          Hashtbl.reset sk.phases;
+          taken)
+    in
+    locked target.lock (fun () ->
+        Hashtbl.iter (fun name r -> bump_counter target name !r) cs;
+        Hashtbl.iter
+          (fun name t ->
+            bump_dist target name ~count:t.count ~sum:t.sum ~lo:t.lo ~hi:t.hi)
+          ds;
+        Hashtbl.iter
+          (fun name t ->
+            bump_phase target name ~count:t.ph_count ~ns:t.ph_ns ~gc:t.ph_gc_major)
+          ps)

@@ -1,19 +1,20 @@
 (** Observability primitives: counters, value distributions and phase
-    timers, aggregated in a registry and snapshotted into {!Run_report}
-    JSON.  There is one registry type, {!sink}: the process-global
-    registry is one sink, and every event bumps the sink bound in the
-    current domain ({!with_sink}), else the global one.
+    timers, tallied in the {!sink} the caller binds and snapshotted
+    into {!Run_report} JSON.  Tallies live only in sinks: an event
+    bumps the sink bound in the current domain ({!with_sink}), and with
+    none bound it records nothing.  What is process-wide is the
+    inventory of registered names, never a count.
 
     Design contract (see DESIGN.md §9):
 
-    - {b Off by default, effectively free when off.}  Instrumented call
-      sites check {!enabled} once per batch — never per event — and the
-      innermost kernels keep plain [mutable int] fields that are folded
-      into the registry only after the hot region (see
-      [Fault_sim.publish_stats]).  Nothing here allocates on the increment
-      path.
-    - {b Domain-safe.}  Each registry keeps name-keyed tallies behind
-      one [Mutex]; counters, dists and phases are only touched at batch
+    - {b Off unless a sink is bound, effectively free when off.}
+      Instrumented call sites check {!enabled} once per batch — never
+      per event — and the innermost kernels keep plain [mutable int]
+      fields that are folded into the bound sink only after the hot
+      region (see [Fault_sim.publish_stats]).  Nothing here allocates on
+      the increment path.
+    - {b Domain-safe.}  Each sink keeps name-keyed tallies behind one
+      [Mutex]; counters, dists and phases are only touched at batch
       granularity, so the lock is never a hot point.  Spans are plain
       values, so nested and concurrent phases need no domain-local
       state.
@@ -27,19 +28,8 @@
     negative. *)
 
 val enabled : unit -> bool
-(** True when statistics collection is on: either the process-global
-    flag (initialised from the [MDD_STATS] environment variable — any
-    non-empty value enables) or a sink bound in the current domain (see
+(** True when a sink is bound in the current domain (see
     {!with_sink}). *)
-
-val enable : unit -> unit
-val disable : unit -> unit
-
-val reset : unit -> unit
-(** Zero every registered counter and distribution of the
-    process-global registry and drop its phase aggregates.
-    Registrations (the handles held by instrumented modules) survive
-    and keep working. *)
 
 (** {1 Counters} *)
 
@@ -51,10 +41,6 @@ type counter
 val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
-
-val value : counter -> int
-(** Current count in the process-global registry (sum over all
-    domains and merged sinks). *)
 
 (** {1 Distributions} *)
 
@@ -110,18 +96,15 @@ type snapshot = {
     registered name, including zero-valued ones — the report doubles as
     the counter inventory. *)
 
-val snapshot : unit -> snapshot
-
-(** {1 Per-session sinks}
+(** {1 Sinks}
 
     A sink is a private registry.  While one is bound in the current
     domain (via {!with_sink}), every counter increment, dist sample and
-    completed span routes into the sink instead of the process-global
-    one — so concurrent diagnoses, each under its own sink, don't
-    interleave their statistics.  Binding is domain-local, and
-    [Parallel]'s fork-join workers re-bind their caller's sink
-    ({!bound_sink}), so a sink captures the work of every domain its
-    region fans out to. *)
+    completed span routes into it, so concurrent diagnoses, each under
+    its own sink, don't interleave their statistics.  Binding is
+    domain-local, and [Parallel]'s fork-join workers re-bind their
+    caller's sink ({!bound_sink}), so a sink captures the work of every
+    domain its region fans out to. *)
 
 type sink
 
@@ -130,22 +113,21 @@ val sink : unit -> sink
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** [with_sink sk f] binds [sk] as the current domain's sink for the
-    duration of [f] (restoring any previous binding after), and turns
-    {!enabled} on for that domain regardless of the global flag. *)
+    duration of [f], restoring any previous binding after. *)
 
 val bound_sink : unit -> sink option
-(** The sink bound in the current domain, [None] when events go to the
-    process-global registry.  A fork-join primitive reads it before
-    spawning and re-binds it in each worker with {!with_sink}. *)
+(** The sink bound in the current domain, [None] when events go
+    nowhere.  A fork-join primitive reads it before spawning and
+    re-binds it in each worker with {!with_sink}. *)
 
 val merge : sink -> unit
-(** Fold the sink's tallies into the process-global registry and empty
-    the sink, through the same per-kind updates an event makes: counter
-    values add, dists combine count/sum/min/max, phase aggregates add.
-    Call after the sink's region has finished. *)
+(** Fold the sink's tallies into the sink bound in the current domain
+    and empty it, through the same per-kind updates an event makes:
+    counter values add, dists combine count/sum/min/max, phase
+    aggregates add.  Does nothing when no sink is bound.  Call after
+    the sink's region has finished. *)
 
 val sink_snapshot : sink -> snapshot
-(** Snapshot the sink's private tallies; [snapshot ()] is this applied
-    to the process-global registry.  The counter and dist listings
+(** Snapshot the sink's tallies.  The counter and dist listings
     enumerate every registered name (zero-valued when the sink never
-    saw it), so per-session reports keep the inventory property. *)
+    saw it), so every report keeps the inventory property. *)

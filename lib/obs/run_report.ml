@@ -1,10 +1,7 @@
 type t = { meta : (string * string) list; snap : Obs.snapshot }
 
-let capture ?sink ?(meta = []) () =
-  let snap =
-    match sink with Some sk -> Obs.sink_snapshot sk | None -> Obs.snapshot ()
-  in
-  { meta = List.sort compare meta; snap }
+let capture ~sink ?(meta = []) () =
+  { meta = List.sort compare meta; snap = Obs.sink_snapshot sink }
 
 (* Hand-rolled printing rather than an [Obs_json.t] round-trip: the
    report promises byte-stable layout (one entry per line, fixed float

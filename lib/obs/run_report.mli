@@ -1,7 +1,7 @@
 (** One diagnosis run, serialized.
 
-    A run report is an {!Obs.snapshot} plus free-form string metadata
-    (tool, circuit, method, domain count), rendered as deterministic
+    A run report is one sink's {!Obs.snapshot} plus free-form string
+    metadata (tool, circuit, method, domain count), rendered as deterministic
     JSON: every listing is sorted by name, numbers are printed with
     fixed formats, and the only nondeterministic fields — wall-clock
     phase durations and GC deltas — can be excluded so that two runs of
@@ -24,10 +24,9 @@
 
 type t = { meta : (string * string) list; snap : Obs.snapshot }
 
-val capture : ?sink:Obs.sink -> ?meta:(string * string) list -> unit -> t
-(** Snapshot the current {!Obs} registry — or, with [?sink], that
-    sink's private tallies ({!Obs.sink_snapshot}).  [meta] is sorted by
-    key. *)
+val capture : sink:Obs.sink -> ?meta:(string * string) list -> unit -> t
+(** Snapshot the sink's tallies ({!Obs.sink_snapshot}).  [meta] is
+    sorted by key. *)
 
 val to_json : ?timings:bool -> t -> string
 (** Pretty-printed (one entry per line), trailing newline.  [timings]

@@ -89,15 +89,15 @@ type t = {
   act : int array;
       (* Active blocks of the current sweep, ascending: the seed delta
          was non-zero there.  A zero seed in a block keeps the whole
-         cone at zero for that block, so eval, update, emission and the
-         next reset all restrict to this list.  [reset_batch] reads the
-         list of the sweep it is clearing; callers refill it
-         afterwards. *)
+         cone at zero for that block, so emission and the next reset
+         restrict to this list; the drain evaluates every block and
+         writes those zeros.  [reset_batch] reads the list of the sweep
+         it is clearing; callers refill it afterwards. *)
   mutable nact : int;
   (* Plain mutable stats, always maintained: one add per frontier level
      and per sweep, nothing per gate event, so the cost is noise even
-     with observability off.  Owners fold them into the global [Obs]
-     counters after their parallel region ([publish_stats]). *)
+     with observability off.  Owners fold them into the bound [Obs]
+     sink after their parallel region ([publish_stats]). *)
   mutable n_propagates : int;
   mutable n_screened : int;
   mutable n_gate_events : int;
@@ -245,62 +245,6 @@ let clear_frame b =
    offsets are [net * nb + bi] with [bi < nb], and each level bucket
    was sized to the number of nets at that level with the [queued] flag
    guaranteeing at most one entry per net. *)
-(* Sparse variant: only the active blocks of the current sweep.  The
-   indirect [act] index defeats the sequential-access pattern, so the
-   drain picks this only when some blocks are inactive; at full activity
-   the dense twin below wins. *)
-let eval_batch_act b (kinds : Gate.kind array) (fi : int array) (fi_off : int array) m =
-  let nb = b.nb in
-  let tg = b.tref and td = b.tdelta and acc = b.acc in
-  let act = b.act and nact = b.nact in
-  let lo = Array.unsafe_get fi_off m and hi = Array.unsafe_get fi_off (m + 1) in
-  let kind = Array.unsafe_get kinds m in
-  let o0 = Array.unsafe_get fi lo * nb in
-  for a = 0 to nact - 1 do
-    let bi = Array.unsafe_get act a in
-    Array.unsafe_set acc bi
-      (Array.unsafe_get tg (o0 + bi) lxor Array.unsafe_get td (o0 + bi))
-  done;
-  if kind == Gate.And || kind == Gate.Nand then
-    for i = lo + 1 to hi - 1 do
-      let o = Array.unsafe_get fi i * nb in
-      for a = 0 to nact - 1 do
-        let bi = Array.unsafe_get act a in
-        Array.unsafe_set acc bi
-          (Array.unsafe_get acc bi
-          land (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
-      done
-    done
-  else if kind == Gate.Or || kind == Gate.Nor then
-    for i = lo + 1 to hi - 1 do
-      let o = Array.unsafe_get fi i * nb in
-      for a = 0 to nact - 1 do
-        let bi = Array.unsafe_get act a in
-        Array.unsafe_set acc bi
-          (Array.unsafe_get acc bi
-          lor (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
-      done
-    done
-  else if kind == Gate.Xor || kind == Gate.Xnor then
-    for i = lo + 1 to hi - 1 do
-      let o = Array.unsafe_get fi i * nb in
-      for a = 0 to nact - 1 do
-        let bi = Array.unsafe_get act a in
-        Array.unsafe_set acc bi
-          (Array.unsafe_get acc bi
-          lxor (Array.unsafe_get tg (o + bi) lxor Array.unsafe_get td (o + bi)))
-      done
-    done
-  else if not (kind == Gate.Buf || kind == Gate.Not) then
-    invalid_arg "Fault_sim: unexpected gate in fanout cone";
-  if kind == Gate.Not || kind == Gate.Nand || kind == Gate.Nor || kind == Gate.Xnor then
-    for a = 0 to nact - 1 do
-      let bi = Array.unsafe_get act a in
-      Array.unsafe_set acc bi (lnot (Array.unsafe_get acc bi))
-    done
-
-(* Dense twin of [eval_batch_act] for fully-active sweeps: straight-line
-   sequential slab access, no index indirection. *)
 let eval_batch b (kinds : Gate.kind array) (fi : int array) (fi_off : int array) m =
   let nb = b.nb in
   let tg = b.tref and td = b.tdelta and acc = b.acc in
@@ -390,8 +334,7 @@ let drain_batch b =
   let fo = Netlist.fanout_csr net in
   let fo_off = Netlist.fanout_offsets net in
   let tg = b.tref and td = b.tdelta and acc = b.acc in
-  let act = b.act and nact = b.nact and masks = b.good.masks in
-  let dense = nact = nb in
+  let masks = b.good.masks in
   let lvl = ref b.minl in
   while !lvl <= b.maxl do
     let frontier = b.bucket.(!lvl) in
@@ -403,14 +346,12 @@ let drain_batch b =
       Array.unsafe_set b.queued m false;
       let pin = Array.unsafe_get b.pin m in
       if pin <> 1 then begin
-        if dense then eval_batch b kinds fi fi_off m
-        else eval_batch_act b kinds fi fi_off m;
+        eval_batch b kinds fi fi_off m;
         let o = m * nb in
         (* Branch-free change tracking: one OR-accumulator per question
            (any old word non-zero, any new word non-zero, any word
            changed) and unconditional writes — cheaper than per-word
-           conditionals at batch widths.  Each loop comes in the same
-           dense/sparse pair as the eval above. *)
+           conditionals at batch widths. *)
         let old_or = ref 0 in
         let new_or = ref 0 in
         let diff_or = ref 0 in
@@ -418,43 +359,19 @@ let drain_batch b =
            (* Flipped pin (multiplet byzantine site): invert the
               computed delta, re-masked because the inversion sets the
               dead high bits. *)
-           if dense then
-             for bi = 0 to nb - 1 do
-               let old = Array.unsafe_get td (o + bi) in
-               let d =
-                 lnot (Array.unsafe_get acc bi lxor Array.unsafe_get tg (o + bi))
-                 land Array.unsafe_get masks bi
-               in
-               old_or := !old_or lor old;
-               new_or := !new_or lor d;
-               diff_or := !diff_or lor (d lxor old);
-               Array.unsafe_set td (o + bi) d
-             done
-           else
-             for a = 0 to nact - 1 do
-               let bi = Array.unsafe_get act a in
-               let old = Array.unsafe_get td (o + bi) in
-               let d =
-                 lnot (Array.unsafe_get acc bi lxor Array.unsafe_get tg (o + bi))
-                 land Array.unsafe_get masks bi
-               in
-               old_or := !old_or lor old;
-               new_or := !new_or lor d;
-               diff_or := !diff_or lor (d lxor old);
-               Array.unsafe_set td (o + bi) d
-             done
-         else if dense then
            for bi = 0 to nb - 1 do
              let old = Array.unsafe_get td (o + bi) in
-             let d = Array.unsafe_get acc bi lxor Array.unsafe_get tg (o + bi) in
+             let d =
+               lnot (Array.unsafe_get acc bi lxor Array.unsafe_get tg (o + bi))
+               land Array.unsafe_get masks bi
+             in
              old_or := !old_or lor old;
              new_or := !new_or lor d;
              diff_or := !diff_or lor (d lxor old);
              Array.unsafe_set td (o + bi) d
            done
          else
-           for a = 0 to nact - 1 do
-             let bi = Array.unsafe_get act a in
+           for bi = 0 to nb - 1 do
              let old = Array.unsafe_get td (o + bi) in
              let d = Array.unsafe_get acc bi lxor Array.unsafe_get tg (o + bi) in
              old_or := !old_or lor old;
@@ -617,13 +534,14 @@ let hold b pins f =
     reset_batch b
   end
 
-(* Blocks outside the act list carry zero delta everywhere (every sweep
-   writes and resets active blocks only), so one XOR reads any block. *)
+(* Blocks outside the act list carry zero delta everywhere (a sweep
+   writes zeros there and resets active blocks only), so one XOR reads
+   any block. *)
 let batch_value b ~net ~block =
   let o = (net * b.nb) + block in
   b.tref.(o) lxor b.tdelta.(o)
 
-(* The dense evaluator over every block: blocks outside the act list
+(* The drain's evaluator over every block: blocks outside the act list
    read their zero delta, so each word is the gate over the fanins'
    [batch_value]s. *)
 let batch_driven b ~net =
@@ -642,8 +560,8 @@ let batch_driven b ~net =
    simulator's own [acc] scratch, and the site's reachable POs are
    gathered once into [reached]: triples come out blocks ascending,
    then POs ascending, masked words only — the order of every
-   [Sig_cache] entry.  Blocks where the seed delta is zero are skipped
-   outright: the whole cone carries zero there, so no PO word can
+   [Sig_cache] entry.  Blocks where the seed delta is zero are not
+   emitted: the whole cone carries zero there, so no PO word can
    differ. *)
 let simulate_batch b ~n ~fault f =
   b.n_batches <- b.n_batches + 1;

@@ -73,10 +73,10 @@ val publish_stats : t -> unit
     that pins nothing runs none), {!simulate_batch} faults screened away
     (zero delta on every live pattern, or no PO reachable from the site)
     and frontier entries drained, {!simulate_batch} calls and their
-    fault counts — into the global [Obs] counters
+    fault counts — into the [Obs] counters
     ["sim.faults_simulated"], ["sim.faults_screened"],
     ["sim.gate_events"], ["sim.batches"] and the
-    ["sim.faults_per_batch"] distribution (when observability is on),
+    ["sim.faults_per_batch"] distribution of the bound sink, if any,
     then reset them.  The stats are maintained unconditionally (plain
     field adds at frontier granularity) and are deterministic for a
     given workload, so regression gates may compare them exactly.

@@ -232,11 +232,11 @@ let split_large_chunks cap chunks =
    cursor absorbs weight-estimate error. *)
 let chunks_per_domain = 4
 
-let weighted_chunks ?domains ?(min_chunk_weight = 0) ?max_chunk_size ~weights () =
+let weighted_chunks ?(min_chunk_weight = 0) ?max_chunk_size ~weights () =
   let n = Array.length weights in
   if n = 0 then [||]
   else begin
-    let d = width domains n in
+    let d = width None n in
     let base =
       if d <= 1 then [| (0, n) |]
       else
@@ -249,15 +249,15 @@ let weighted_chunks ?domains ?(min_chunk_weight = 0) ?max_chunk_size ~weights ()
     | Some cap -> split_large_chunks cap base
   end
 
-let plan_slots ?domains plan =
+let plan_slots plan =
   match Array.length plan with
   | 0 -> 0
   | 1 -> 1
   | nchunks ->
-    let d = width domains nchunks in
+    let d = width None nchunks in
     if d <= 1 then 1 else min (d - 1) (nchunks - 1) + 1
 
-let run_plan_slotted ?domains plan body =
+let run_plan_slotted plan body =
   match Array.length plan with
   | 0 -> ()
   | 1 ->
@@ -265,7 +265,7 @@ let run_plan_slotted ?domains plan body =
     let lo, hi = plan.(0) in
     body ~slot:0 0 lo hi
   | nchunks ->
-    let d = width domains nchunks in
+    let d = width None nchunks in
     if d <= 1 then begin
       note_serial nchunks;
       Array.iteri (fun i (lo, hi) -> body ~slot:0 i lo hi) plan

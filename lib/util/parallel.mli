@@ -27,11 +27,12 @@
     body inline and pays no spawn or synchronisation overhead.
 
     The effective domain count of a call is, in decreasing precedence:
-    the [?domains] argument, the value given to {!set_domains}, the
-    [MDD_DOMAINS] environment variable, then
-    [Domain.recommended_domain_count ()] capped at 8.  That process
-    width is the one knob: the kernels ([Session.simulate], [Tpg]'s
-    PODEM windows) pass no [?domains] and read it.
+    the [?domains] argument of {!map_array} / {!mapi_array}, the value
+    given to {!set_domains}, the [MDD_DOMAINS] environment variable,
+    then [Domain.recommended_domain_count ()] capped at 8.  That
+    process width is the one knob of the kernels ([Session.simulate],
+    [Tpg]'s PODEM windows): a chunk plan takes no width argument and
+    reads it.
 
     Nesting rule: while a batch of width 2 or more drains, every
     participant — each spawned worker and the calling domain alike — is
@@ -50,7 +51,6 @@ val set_domains : int -> unit
     [MDD_DOMAINS]. *)
 
 val weighted_chunks :
-  ?domains:int ->
   ?min_chunk_weight:int ->
   ?max_chunk_size:int ->
   weights:int array ->
@@ -87,25 +87,26 @@ val weighted_chunks :
     boundaries.  The plan still depends only on the weights and the
     arguments, preserving determinism. *)
 
-val plan_slots : ?domains:int -> (int * int) array -> int
-(** Number of drain slots {!run_plan_slotted} will use for the plan
-    under the same [?domains]: 1 when the plan runs inline, otherwise
-    the caller plus one per spawned worker.  Callers preallocate one
+val plan_slots : (int * int) array -> int
+(** Number of drain slots {!run_plan_slotted} will use for the plan: 1
+    when the plan runs inline, otherwise the caller plus one per
+    spawned worker.  Callers preallocate one
     scratch structure per slot before entering the region. *)
 
 val run_plan_slotted :
-  ?domains:int -> (int * int) array -> (slot:int -> int -> int -> int -> unit) -> unit
+  (int * int) array -> (slot:int -> int -> int -> int -> unit) -> unit
 (** [run_plan_slotted plan body] calls [body ~slot i lo hi] once per
-    chunk of a {!weighted_chunks} plan, across at most [domains]
-    domains (the caller is one of them; a 1-chunk plan runs entirely
-    inline).  [slot] (in [0 .. plan_slots plan - 1]) is the drain slot
+    chunk of a {!weighted_chunks} plan, across at most the process
+    width's domains (the caller is one of them; a 1-chunk plan runs
+    entirely inline).  [slot] (in [0 .. plan_slots plan - 1]) is the drain slot
     of the participant running the chunk.  Chunk-to-slot assignment is
     dynamic and non-deterministic; a body may key {e scratch reuse} on
     the slot (heavy per-worker state such as the batched simulator's
     transposed delta slabs is allocated per slot, not per chunk) but
     must only write results disjoint per chunk, keyed on the chunk
-    index [i], so the output never depends on the assignment.  Pass the
-    same [?domains] given to {!weighted_chunks}. *)
+    index [i], so the output never depends on the assignment.  Plan,
+    slots and run read the process width when called, so make all
+    three calls at one width. *)
 
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f a] is [Array.map f a], chunked across domains.  [f] is

@@ -1,19 +1,14 @@
 (* The observability layer: counters/dists/phases record what happened
-   (and nothing when disabled), run reports are deterministic modulo
-   timings, and the bundled JSON reader understands everything the
-   layer writes. *)
+   in the sink bound around it (and nothing when none is), run reports
+   are deterministic modulo timings, and the bundled JSON reader
+   understands everything the layer writes. *)
 
-(* Every test owns the process-global registry for its duration and
-   restores the disabled/empty state afterwards, so ordering against
-   other suites (some of which run instrumented code) cannot matter. *)
-let isolated f =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    f
+(* [f ()] under a fresh sink, and that sink's snapshot: a case sees
+   only its own events, whatever ran before it. *)
+let recorded f =
+  let sk = Obs.sink () in
+  Obs.with_sink sk f;
+  Obs.sink_snapshot sk
 
 (* A small but non-trivial diagnosis problem: c17, two random defects,
    redrawn until the test set actually fails.  Everything derives from
@@ -44,9 +39,7 @@ let counter_value snap name =
   | None -> Alcotest.failf "counter %s not in snapshot" name
 
 let test_counters_and_phases_recorded () =
-  isolated @@ fun () ->
-  diagnose_once 42;
-  let snap = Obs.snapshot () in
+  let snap = recorded (fun () -> diagnose_once 42) in
   Alcotest.(check int) "one explain build" 1 (counter_value snap "explain.builds");
   Alcotest.(check bool)
     "faults were simulated" true
@@ -76,11 +69,17 @@ let test_counters_and_phases_recorded () =
   | Some d -> Alcotest.(check bool) "chunk dist populated" true (d.d_count > 0)
   | None -> Alcotest.fail "parallel.chunks_per_domain not in snapshot"
 
+(* With no sink bound nothing records: a span begun outside any sink
+   is inert, even when it ends inside one. *)
 let test_disabled_records_nothing () =
-  Obs.reset ();
-  Obs.disable ();
+  Alcotest.(check bool) "off with no sink bound" false (Obs.enabled ());
+  let unbound = Obs.span_begin "test.unbound" in
   diagnose_once 42;
-  let snap = Obs.snapshot () in
+  let snap =
+    recorded (fun () ->
+        Alcotest.(check bool) "on under a sink" true (Obs.enabled ());
+        Obs.span_end unbound)
+  in
   List.iter
     (fun (name, v) -> Alcotest.(check int) (name ^ " stays zero") 0 v)
     snap.Obs.counters;
@@ -97,9 +96,9 @@ let test_tpg_recorded () =
   let net = Generators.random_logic ~gates:300 ~pis:12 ~pos:6 ~seed:17 in
   let tpg_counters domains =
     With_domains.run domains @@ fun () ->
-    isolated @@ fun () ->
-    let r = Tpg.generate ~seed:1 ~backtrack_limit:4 net in
-    let snap = Obs.snapshot () in
+    let sk = Obs.sink () in
+    let r = Obs.with_sink sk (fun () -> Tpg.generate ~seed:1 ~backtrack_limit:4 net) in
+    let snap = Obs.sink_snapshot sk in
     Alcotest.(check bool) "podem ran" true (counter_value snap "tpg.podem_calls" > 0);
     Alcotest.(check bool)
       "implications counted" true
@@ -125,28 +124,14 @@ let test_tpg_recorded () =
   Alcotest.(check (list (pair string int))) "tpg.* counters at 1 and 4 domains" at1
     (tpg_counters 4)
 
-let test_reset_preserves_registrations () =
-  isolated @@ fun () ->
-  let c = Obs.counter "test.reset_probe" in
-  Obs.incr c;
-  Obs.add c 4;
-  Alcotest.(check int) "counted" 5 (Obs.value c);
-  Obs.reset ();
-  Alcotest.(check int) "reset to zero" 0 (Obs.value c);
-  Alcotest.(check bool)
-    "still listed after reset" true
-    (List.mem_assoc "test.reset_probe" (Obs.snapshot ()).Obs.counters);
-  Obs.incr c;
-  Alcotest.(check int) "old handle keeps working" 1 (Obs.value c)
-
 let test_span_nesting () =
-  isolated @@ fun () ->
-  let outer = Obs.span_begin "test.outer" in
-  Obs.phase "test.inner" (fun () -> ignore (Sys.opaque_identity (Array.make 64 0)));
-  Obs.span_end outer;
-  Obs.span_end outer;
-  (* double end: no-op *)
-  let snap = Obs.snapshot () in
+  let snap =
+    recorded (fun () ->
+        let outer = Obs.span_begin "test.outer" in
+        Obs.phase "test.inner" (fun () -> ignore (Sys.opaque_identity (Array.make 64 0)));
+        Obs.span_end outer;
+        Obs.span_end outer (* double end: no-op *))
+  in
   let stat name =
     match List.find_opt (fun p -> p.Obs.p_name = name) snap.Obs.phases with
     | Some p -> p
@@ -159,9 +144,10 @@ let test_span_nesting () =
     ((stat "test.outer").Obs.p_total_ns >= (stat "test.inner").Obs.p_total_ns)
 
 let test_parallel_chunk_dist () =
-  isolated @@ fun () ->
-  ignore (Parallel.map_array ~domains:2 succ (Array.make 100 0) : int array);
-  let snap = Obs.snapshot () in
+  let snap =
+    recorded (fun () ->
+        ignore (Parallel.map_array ~domains:2 succ (Array.make 100 0) : int array))
+  in
   Alcotest.(check int) "one batch" 1 (counter_value snap "parallel.batches");
   Alcotest.(check int) "one spawn" 1 (counter_value snap "parallel.spawns");
   let d =
@@ -173,10 +159,10 @@ let test_parallel_chunk_dist () =
   Alcotest.(check int) "two participants" 2 d.Obs.d_count;
   Alcotest.(check int) "two chunks drained" 2 d.Obs.d_sum
 
-(* [merge] folds a sink into the global registry through the same
-   per-kind updates events make, and leaves the sink empty. *)
+(* [merge] folds a sink into the sink bound in the calling domain
+   through the same per-kind updates events make, and leaves the merged
+   sink empty; with no sink bound it does nothing. *)
 let test_merge () =
-  isolated @@ fun () ->
   let c = Obs.counter "test.merge_count" and d = Obs.dist "test.merge_dist" in
   let dist_of snap =
     let d =
@@ -185,25 +171,21 @@ let test_merge () =
     [ d.d_count; d.d_sum; d.d_min; d.d_max ]
   in
   let phases snap = List.map (fun p -> (p.Obs.p_name, p.Obs.p_count)) snap.Obs.phases in
-  let fresh = Obs.sink_snapshot (Obs.sink ()) and global = Obs.snapshot () in
-  Alcotest.(check (list (pair string int)))
-    "fresh sink lists every registered counter at zero"
-    (List.map (fun (name, _) -> (name, 0)) global.Obs.counters)
-    fresh.Obs.counters;
-  Alcotest.(check (list string))
-    "fresh sink lists every registered dist"
-    (List.map (fun (d : Obs.dist_stat) -> d.d_name) global.Obs.dists)
-    (List.map (fun (d : Obs.dist_stat) -> d.d_name) fresh.Obs.dists);
+  let fresh = Obs.sink_snapshot (Obs.sink ()) in
+  Alcotest.(check (option int))
+    "fresh sink lists a registered counter at zero" (Some 0)
+    (List.assoc_opt "test.merge_count" fresh.Obs.counters);
+  Alcotest.(check bool)
+    "fresh sink counters are zero" true
+    (List.for_all (fun (_, v) -> v = 0) fresh.Obs.counters);
+  Alcotest.(check (list int)) "fresh sink lists a registered dist at zero" [ 0; 0; 0; 0 ]
+    (dist_of fresh);
   Alcotest.(check bool)
     "fresh sink dists are zero" true
     (List.for_all
        (fun (d : Obs.dist_stat) ->
          d.d_count = 0 && d.d_sum = 0 && d.d_min = 0 && d.d_max = 0)
        fresh.Obs.dists);
-  Obs.add c 3;
-  Obs.record d 10;
-  Obs.record d 20;
-  Obs.phase "test.merge_phase" ignore;
   let sk = Obs.sink () in
   Obs.with_sink sk (fun () ->
       Obs.add c 4;
@@ -211,9 +193,19 @@ let test_merge () =
       Obs.record d 15;
       Obs.phase "test.merge_phase" ignore;
       Obs.phase "test.merge_phase" ignore);
-  Alcotest.(check int) "global count untouched before merge" 3 (Obs.value c);
   Obs.merge sk;
-  let snap = Obs.snapshot () in
+  Alcotest.(check int) "unbound merge leaves the sink" 4
+    (counter_value (Obs.sink_snapshot sk) "test.merge_count");
+  let target = Obs.sink () in
+  Obs.with_sink target (fun () ->
+      Obs.add c 3;
+      Obs.record d 10;
+      Obs.record d 20;
+      Obs.phase "test.merge_phase" ignore;
+      Alcotest.(check int) "target untouched before merge" 3
+        (counter_value (Obs.sink_snapshot target) "test.merge_count");
+      Obs.merge sk);
+  let snap = Obs.sink_snapshot target in
   Alcotest.(check int) "counters add" 7 (counter_value snap "test.merge_count");
   Alcotest.(check (list int))
     "dists combine count, sum, min and max" [ 4; 50; 5; 20 ] (dist_of snap);
@@ -227,13 +219,9 @@ let test_merge () =
 (* --- Run reports ----------------------------------------------------- *)
 
 let capture_of_run seed =
-  Obs.reset ();
-  Obs.enable ();
-  diagnose_once seed;
-  let r = Run_report.capture ~meta:[ ("seed", string_of_int seed) ] () in
-  Obs.disable ();
-  Obs.reset ();
-  r
+  let sink = Obs.sink () in
+  Obs.with_sink sink (fun () -> diagnose_once seed);
+  Run_report.capture ~sink ~meta:[ ("seed", string_of_int seed) ] ()
 
 let qcheck_deterministic_report =
   QCheck.Test.make ~name:"identical runs produce byte-identical reports (sans timings)"
@@ -323,12 +311,10 @@ let suite =
           test_tpg_recorded;
         Alcotest.test_case "disabled run records nothing" `Quick
           test_disabled_records_nothing;
-        Alcotest.test_case "reset preserves registrations" `Quick
-          test_reset_preserves_registrations;
         Alcotest.test_case "span nesting" `Quick test_span_nesting;
         Alcotest.test_case "chunks-per-domain distribution" `Quick
           test_parallel_chunk_dist;
-        Alcotest.test_case "merge folds a sink into the global registry" `Quick
+        Alcotest.test_case "merge folds a sink into the bound sink" `Quick
           test_merge;
         Alcotest.test_case "run-report JSON parses and round-trips" `Quick
           test_report_json_parses;

@@ -41,13 +41,12 @@ let test_plan_covers_each_index_once () =
         (fun cap ->
           List.iter
             (fun d ->
-              let plan =
-                Parallel.weighted_chunks ~domains:d ~max_chunk_size:cap ~weights ()
-              in
-              let nslots = Parallel.plan_slots ~domains:d plan in
+              With_domains.run d @@ fun () ->
+              let plan = Parallel.weighted_chunks ~max_chunk_size:cap ~weights () in
+              let nslots = Parallel.plan_slots plan in
               let hits = Array.make n 0 in
               let slots_ok = Atomic.make true in
-              Parallel.run_plan_slotted ~domains:d plan (fun ~slot _ lo hi ->
+              Parallel.run_plan_slotted plan (fun ~slot _ lo hi ->
                   if slot < 0 || slot >= nslots then Atomic.set slots_ok false;
                   for i = lo to hi - 1 do
                     hits.(i) <- hits.(i) + 1

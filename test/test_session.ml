@@ -257,29 +257,49 @@ let prop_frozen_concurrent_matches_sequential =
           String.equal a.Volume.text b.Volume.text && String.equal a.Volume.die b.Volume.die)
         sequential concurrent)
 
+(* A two-worker drain of 4 cold dies at process width 2 under one
+   bound sink: that sink's counters and the dies' reports. *)
+let cold_drain =
+  lazy
+    (With_domains.run 2 @@ fun () ->
+     let dies =
+       List.filter_map (fun i -> make_dlog (7000 + i) 2) [ 1; 2; 3; 4 ]
+       |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
+     in
+     let sk = Obs.sink () in
+     let results =
+       Obs.with_sink sk (fun () -> Volume.run ~workers:2 (cold_session ()) dies)
+     in
+     ((Obs.sink_snapshot sk).Obs.counters, results))
+
+let count name counters = Option.value ~default:0 (List.assoc_opt name counters)
+
 (* The nesting rule, end to end: a two-worker drain at process width
    2 spawns its one worker and nothing else.  Every die's kernels run
    inline, the dies the calling domain drains included, although the
-   cold session makes each die simulate its misses.  Spawns are counted
-   under the caller's sink (the batch) and in each die's report (its
-   kernels). *)
+   cold session makes each die simulate its misses. *)
 let test_volume_spawns_once () =
-  With_domains.run 2 @@ fun () ->
-  let dies =
-    List.filter_map (fun i -> make_dlog (7000 + i) 2) [ 1; 2; 3; 4 ]
-    |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
-  in
-  Alcotest.(check int) "four dies" 4 (List.length dies);
-  let spawns counters = Option.value ~default:0 (List.assoc_opt "parallel.spawns" counters) in
-  let sk = Obs.sink () in
-  let results = Obs.with_sink sk (fun () -> Volume.run ~workers:2 (cold_session ()) dies) in
-  let in_dies =
-    List.fold_left
-      (fun acc (r : Volume.die_result) -> acc + spawns (Run_report.counters r.Volume.report))
-      0 results
-  in
-  Alcotest.(check int) "parallel.spawns" 1
-    (spawns (Obs.sink_snapshot sk).Obs.counters + in_dies)
+  let counters, results = Lazy.force cold_drain in
+  Alcotest.(check int) "four dies" 4 (List.length results);
+  Alcotest.(check int) "parallel.spawns" 1 (count "parallel.spawns" counters)
+
+(* Each die's sink is merged into the sink the caller bound, so that
+   sink alone holds every die's work: one Explain build per die, and
+   each die counter the sum of the dies' reports. *)
+let test_drain_sink_sees_dies () =
+  let counters, results = Lazy.force cold_drain in
+  Alcotest.(check int) "explain.builds" 4 (count "explain.builds" counters);
+  List.iter
+    (fun name ->
+      let per_die =
+        List.fold_left
+          (fun acc (r : Volume.die_result) ->
+            acc + count name (Run_report.counters r.Volume.report))
+          0 results
+      in
+      Alcotest.(check bool) (name ^ " counted") true (per_die > 0);
+      Alcotest.(check int) (name ^ " = per-die sum") per_die (count name counters))
+    [ "explain.candidates"; "scoring.evaluations"; "cache.misses"; "sim.gate_events" ]
 
 (* Counters after a prewarm: the arena already holds every key a die
    probes, so each die's probes all hit and none misses — no die
@@ -488,5 +508,7 @@ let suite =
             test_build_allocates_below_matrix;
           Alcotest.test_case "2-worker drain on a cold session spawns one domain" `Quick
             test_volume_spawns_once;
+          Alcotest.test_case "a sink bound around a drain holds every die's counters"
+            `Quick test_drain_sink_sees_dies;
         ] );
   ]

@@ -40,8 +40,6 @@ let populate c net pats =
     faults;
   faults
 
-let counter_value name = Obs.value (Obs.counter name)
-
 (* The design image [Sig_cache.save_frozen] writes for [net] under
    [dir]: named by the netlist's source alone. *)
 let image_path ~dir net = Store_file.path ~dir ~source:(Netlist.source net)
@@ -49,7 +47,7 @@ let image_path ~dir net = Store_file.path ~dir ~source:(Netlist.source net)
 (* Save a populated arena, load it into a fresh instance, and compare
    every key's decode — plus the save/load counter deltas. *)
 let test_round_trip () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let saves0 = counter_value "store.saves" and loads0 = counter_value "store.loads" in
   let c1, net, pats = fresh_instance () in
   ignore (populate c1 net pats : Fault_list.fault list);
@@ -71,8 +69,7 @@ let test_round_trip () =
       | None, None -> true
       | Some x, Some y -> x = y
       | _ -> false)
-  done;
-  Obs.disable ()
+  done
 
 (* A key stored with zero triples (a fault that diffs nowhere) must
    survive the round trip as [Some [||]], never collapse to [None] —
@@ -94,7 +91,7 @@ let test_empty_signature_round_trip () =
    instance is still cold, and a live prewarm + save recovers — the
    fallback path a session actually takes. *)
 let reject_case name mangle () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let c1, net, pats = fresh_instance () in
   ignore (populate c1 net pats : Fault_list.fault list);
   Temp_dir.with_dir @@ fun dir ->
@@ -118,8 +115,7 @@ let reject_case name mangle () =
   Alcotest.(check bool) (name ^ ": overwrite save") true (Sig_cache.save_frozen ~dir c2);
   let c3 = Sig_cache.create net pats in
   Alcotest.(check bool) (name ^ ": reload after overwrite") true
-    (Sig_cache.load_frozen ~dir c3);
-  Obs.disable ()
+    (Sig_cache.load_frozen ~dir c3)
 
 let flip b i =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
@@ -197,7 +193,7 @@ let truncated_word b =
    problem's path (the path is source-keyed, so only a copy can put a
    foreign arena there): the key must refuse it. *)
 let test_foreign_netlist_rejected () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let other_net = Generators.ripple_adder 4 in
   let other_pats =
     Pattern.random (Rng.create 11) ~npis:(Netlist.num_pis other_net) ~count:64
@@ -215,15 +211,14 @@ let test_foreign_netlist_rejected () =
   Alcotest.(check bool) "foreign netlist refused" false (Sig_cache.load_frozen ~dir c);
   Alcotest.(check int) "store.rejects bumped" (rejects0 + 1)
     (counter_value "store.rejects");
-  Alcotest.(check bool) "instance left cold" true (Sig_cache.frozen_bytes c = 0);
-  Obs.disable ()
+  Alcotest.(check bool) "instance left cold" true (Sig_cache.frozen_bytes c = 0)
 
 (* Same netlist, different pattern set: the file is found (the path
    only keys on the netlist's source, by design) but the header's key
    covers the patterns' origin and must refuse; the next save
    overwrites it rather than adding a sibling. *)
 let test_foreign_patterns_rejected () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let net, pats = Lazy.force problem in
   let c1 = Sig_cache.create net pats in
   ignore (populate c1 net pats : Fault_list.fault list);
@@ -240,18 +235,16 @@ let test_foreign_patterns_rejected () =
   Alcotest.(check (array string))
     "same structure, same path"
     [| Filename.basename (image_path ~dir net) |]
-    (Sys.readdir dir);
-  Obs.disable ()
+    (Sys.readdir dir)
 
 (* A missing file is a cold fleet, not a rejection. *)
 let test_missing_file_not_a_reject () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let c, _, _ = fresh_instance () in
   Temp_dir.with_dir @@ fun dir ->
   let rejects0 = counter_value "store.rejects" in
   Alcotest.(check bool) "load from empty dir" false (Sig_cache.load_frozen ~dir c);
-  Alcotest.(check int) "no reject counted" rejects0 (counter_value "store.rejects");
-  Obs.disable ()
+  Alcotest.(check int) "no reject counted" rejects0 (counter_value "store.rejects")
 
 (* Codec round trip through the public API: arbitrary triples —
    non-canonical order, negative and extreme diff words — must survive
@@ -507,7 +500,7 @@ let test_two_byte_deltas_load () =
 
 (* [reject_case] on the rnd2k snapshot, without the fallback fill. *)
 let reject_rnd2k name mangle () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let net, pats, _, raw = Lazy.force rnd2k_snapshot in
   Temp_dir.with_dir @@ fun dir ->
   let c = Sig_cache.create net pats in
@@ -523,8 +516,7 @@ let reject_rnd2k name mangle () =
   Alcotest.(check bool)
     (name ^ ": instance left cold")
     true
-    (Sig_cache.frozen_bytes c = 0);
-  Obs.disable ()
+    (Sig_cache.frozen_bytes c = 0)
 
 let suite =
   [

@@ -5,8 +5,6 @@
    mutated section must be refused — [None] from the decoder, a counted
    rejection from the loader — never an exception. *)
 
-let counter_value name = Obs.value (Obs.counter name)
-
 (* A small image with all three sections: c17, 64 patterns, every
    class representative swept. *)
 let saved =
@@ -284,7 +282,7 @@ let mutations =
   ]
 
 let test_mutated_sections () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let net = Generators.random_logic ~gates:60 ~pis:6 ~pos:4 ~seed:3 in
   let pats = Pattern.random (Rng.create 3) ~npis:6 ~count:16 in
   let good = encode net in
@@ -317,8 +315,7 @@ let test_mutated_sections () =
   done;
   let huge = Bytes.copy good in
   Bytes.set_int64_le huge 0 Int64.max_int;
-  Alcotest.(check bool) "huge count" true (decode huge = None);
-  Obs.disable ()
+  Alcotest.(check bool) "huge count" true (decode huge = None)
 
 (* --- The mapping contract ------------------------------------------- *)
 
@@ -331,7 +328,7 @@ let test_mutated_sections () =
    must be byte-identical to a fresh lazy session's, and a later load
    sees the re-saved image. *)
 let test_resave_under_mapping () =
-  Obs.enable ();
+  Counted.run @@ fun counter_value ->
   let net = Generators.random_logic ~gates:200 ~pis:12 ~pos:8 ~seed:11 in
   let pats = Pattern.random (Rng.create 11) ~npis:12 ~count:128 in
   let expected = Logic_sim.responses net pats in
@@ -386,8 +383,7 @@ let test_resave_under_mapping () =
   let reloaded = stored () in
   Alcotest.(check int) "later load sees the re-saved image"
     (Sig_cache.frozen_bytes (cache full))
-    (Sig_cache.frozen_bytes (cache reloaded));
-  Obs.disable ()
+    (Sig_cache.frozen_bytes (cache reloaded))
 
 (* The bytes [Sig_cache.save_frozen] writes for c17 and its ATPG set,
    with no signature section and after a prewarm, pinned.  The image
