@@ -102,7 +102,7 @@ let run_micro () =
       let r2 = match Analyze.OLS.r_square est with Some r -> r | None -> nan in
       Table.add_row table [ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.3f" r2 ])
     (List.sort compare rows);
-  Table.print table
+  print_endline (Table.render table)
 
 (* --- Table/figure drivers ------------------------------------------ *)
 
@@ -132,7 +132,7 @@ let run_experiment name =
   | Some f ->
     let t0 = Sys.time () in
     let table = f () in
-    Table.print table;
+    print_endline (Table.render table);
     (match !csv_dir with
     | Some dir ->
       let path = Filename.concat dir (name ^ ".csv") in

@@ -39,7 +39,7 @@ let () =
           Table.cell_float resolution;
         ])
     [ 1; 2; 3; 4; 5 ];
-  Table.print table;
+  print_endline (Table.render table);
   print_endline
     "Reading: the SLAT-pattern share decays with multiplicity (defect\n\
      interaction), yet diagnosability degrades slowly because explanation\n\

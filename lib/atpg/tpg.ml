@@ -80,6 +80,9 @@ let drop d pats detected =
 
 let flow_version = 1
 
+(* Four word-sized slabs of random patterns. *)
+let random_budget = 4 * Bitvec.word_bits
+
 (* Survivors per round of phase 2's PODEM runs.  A constant, not the
    domain count, so the runs, commits and discards are the same on
    every domain count. *)
@@ -87,7 +90,7 @@ let window = 32
 
 let c_discards = Obs.counter "tpg.speculative_discards"
 
-let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
+let generate ?(seed = 1) ?(backtrack_limit = 512) t =
   Obs.phase "tpg" @@ fun () ->
   let rng = Rng.create seed in
   let collapsed = Fault_list.collapse t in

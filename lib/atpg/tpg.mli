@@ -22,17 +22,16 @@ val flow_version : int
     so a bump makes every stored set stale.  The pinned test-set MD5s
     in the test suite catch such a change. *)
 
-val generate :
-  ?seed:int ->
-  ?random_budget:int ->
-  ?backtrack_limit:int ->
-  Netlist.t ->
-  report
-(** Run the flow.  [random_budget] (default [4 * 63]) bounds the initial
-    random-pattern phase; PODEM then targets every remaining collapsed
-    fault.  The PODEM runs go across domains a window of survivors at a
-    time and commit in fault order, so the report and the [tpg.*] work
-    counters are the same on every domain count (DESIGN.md §6b). *)
+val random_budget : int
+(** The pattern budget of the flow's random phase: [4 * 63] = 252.  A
+    stored test set's origin names it. *)
+
+val generate : ?seed:int -> ?backtrack_limit:int -> Netlist.t -> report
+(** Run the flow.  {!random_budget} bounds the initial random-pattern
+    phase; PODEM then targets every remaining collapsed fault.  The
+    PODEM runs go across domains a window of survivors at a time and
+    commit in fault order, so the report and the [tpg.*] work counters
+    are the same on every domain count (DESIGN.md §6b). *)
 
 val generate_ndetect :
   ?seed:int ->
@@ -57,4 +56,5 @@ val compact : Netlist.t -> Pattern.t -> Pattern.t
 val coverage_of : Netlist.t -> Pattern.t -> float
 (** Stuck-at coverage of an arbitrary pattern set over the collapsed
     universe (untestable faults are not excluded — use for relative
-    comparisons). *)
+    comparisons).  Test-only: the oracle [test_tpg] checks {!generate}'s
+    reported coverage and {!compact}'s kept coverage against it. *)

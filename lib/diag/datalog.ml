@@ -7,18 +7,9 @@ type t = {
   by_pattern : (int, int list) Hashtbl.t;
 }
 
+(* [(pattern, failing PO positions)] pairs already checked: distinct
+   in-range patterns, each with a non-empty list of in-range POs. *)
 let of_entries ~npatterns ~npos entries =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (p, pos) ->
-      if p < 0 || p >= npatterns then invalid_arg "Datalog: pattern index out of range";
-      if Hashtbl.mem seen p then invalid_arg "Datalog: duplicate pattern entry";
-      Hashtbl.add seen p ();
-      if pos = [] then invalid_arg "Datalog: empty failing-output list";
-      List.iter
-        (fun o -> if o < 0 || o >= npos then invalid_arg "Datalog: PO position out of range")
-        pos)
-    entries;
   let entries =
     List.sort compare (List.map (fun (p, pos) -> (p, List.sort_uniq compare pos)) entries)
   in
@@ -37,7 +28,6 @@ let npos t = t.npos
 
 let failing_patterns t = List.map fst t.entries
 let num_failing t = List.length t.entries
-let is_failing t p = Hashtbl.mem t.by_pattern p
 
 let failing_pos t p = match Hashtbl.find_opt t.by_pattern p with Some l -> l | None -> []
 
@@ -89,24 +79,40 @@ let to_text t =
     t.entries;
   Buffer.contents buf
 
+(* Each entry is checked on its own line, and every error names it.  A
+   number is plain decimal digits: [int_of_string] alone would also
+   read [0x10], [0b11], [1_0] and [+3]. *)
 let of_text ~npatterns ~npos text =
+  let seen = Hashtbl.create 16 in
   let entries = ref [] in
   List.iteri
     (fun lineno line ->
+      let error what =
+        invalid_arg (Printf.sprintf "Datalog.of_text: %s on line %d" what (lineno + 1))
+      in
+      let number s =
+        match int_of_string_opt s with
+        | Some n when String.for_all (function '0' .. '9' -> true | _ -> false) s -> n
+        | Some _ | None -> error "bad number"
+      in
       let line = String.trim line in
       if line <> "" then
         match String.split_on_char ':' line with
         | [ head; tail ] -> (
           match String.split_on_char ' ' (String.trim head) with
-          | [ "fail"; p ] -> (
+          | [ "fail"; p ] ->
             let pos =
               String.split_on_char ' ' (String.trim tail)
               |> List.filter (fun s -> s <> "")
             in
-            try entries := (int_of_string p, List.map int_of_string pos) :: !entries
-            with Failure _ ->
-              invalid_arg (Printf.sprintf "Datalog.of_text: bad number on line %d" (lineno + 1)))
-          | _ -> invalid_arg (Printf.sprintf "Datalog.of_text: bad header on line %d" (lineno + 1)))
-        | _ -> invalid_arg (Printf.sprintf "Datalog.of_text: expected ':' on line %d" (lineno + 1)))
+            let p = number p and pos = List.map number pos in
+            if p >= npatterns then error "pattern index out of range";
+            if Hashtbl.mem seen p then error "duplicate pattern entry";
+            Hashtbl.add seen p ();
+            if pos = [] then error "empty failing-output list";
+            if List.exists (fun o -> o >= npos) pos then error "PO position out of range";
+            entries := (p, pos) :: !entries
+          | _ -> error "bad header")
+        | _ -> error "expected ':'")
     (String.split_on_char '\n' text);
-  of_entries ~npatterns ~npos (List.rev !entries)
+  of_entries ~npatterns ~npos !entries

@@ -15,10 +15,6 @@ val of_responses :
   expected:Logic_sim.responses -> observed:Logic_sim.responses -> t
 (** Diff two response sets into a datalog (the tester's comparator). *)
 
-val of_entries : npatterns:int -> npos:int -> (int * int list) list -> t
-(** [(pattern, failing PO positions)] pairs; patterns must be distinct,
-    in-range and non-empty. *)
-
 val npatterns : t -> int
 val npos : t -> int
 
@@ -27,10 +23,10 @@ val failing_patterns : t -> int list
 
 val num_failing : t -> int
 
-val is_failing : t -> int -> bool
-
 val failing_pos : t -> int -> int list
-(** Failing PO positions of one pattern (empty when it passed). *)
+(** Failing PO positions of one pattern, ascending (empty when it
+    passed).  Test-only: the plain accessor the tests read a pattern's
+    logged failures through; the engine reads {!observed_words}. *)
 
 val observations : t -> observation array
 (** Every failing (pattern, PO) pair, ordered by pattern then PO. *)
@@ -53,5 +49,7 @@ val to_text : t -> string
 (** Line-oriented text form: [fail <pattern> : <po> <po> ...]. *)
 
 val of_text : npatterns:int -> npos:int -> string -> t
-(** Parse {!to_text} output; raises [Invalid_argument] on malformed
-    input. *)
+(** Parse {!to_text} output.  Raises [Invalid_argument] naming the
+    line (counted from 1) on a malformed line, a number that is not
+    plain decimal digits, a pattern index or PO position out of range,
+    a pattern listed twice or an empty failing-output list. *)

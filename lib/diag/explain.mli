@@ -77,13 +77,17 @@ val matched : t -> int -> int -> int
 (** [matched t c fp]: on failing pattern [failing t.(fp)], how many of
     its observed failing outputs candidate [c] flips.  Derived from
     {!covers}: the pattern's observations are a contiguous index range
-    (observations are in pattern order), counted a word at a time. *)
+    (observations are in pattern order), counted a word at a time.
+    Test-only: the explanation-matrix properties of
+    [test_kernel_oracle], [test_prune_oracle] and [test_explain] read
+    the matrix cell by cell through it and {!spurious_any}. *)
 
 val spurious_any : t -> int -> int -> bool
 (** [spurious_any t c fp]: candidate [c] flips at least one output on
     failing pattern [failing t.(fp)] that was observed passing.  A bit
     test in the row's spurious word for the pattern's block; the count
-    lives in {!mispredict_fail}, summed per row. *)
+    lives in {!mispredict_fail}, summed per row.  Test-only, as
+    {!matched}. *)
 
 val exact : t -> int -> int -> bool
 (** SLAT exactness: candidate [c] reproduces failing pattern [fp]'s

@@ -1,7 +1,3 @@
-let pp_fault net f =
-  Printf.sprintf "%s sa%d" (Netlist.name net f.Fault_list.site)
-    (Bool.to_int f.Fault_list.stuck)
-
 let pp_model net = function
   | Noassume.Stuck_at v -> Printf.sprintf "stuck-at-%d" (Bool.to_int v)
   | Noassume.Bridge_victim ags ->
@@ -22,7 +18,7 @@ let render net (r : Noassume.result) =
   let buf = Buffer.create 512 in
   Printf.bprintf buf "multiplet (%d members, %d candidates considered):\n"
     (List.length r.multiplet) r.candidates_considered;
-  List.iter (fun f -> Printf.bprintf buf "  %s\n" (pp_fault net f)) r.multiplet;
+  List.iter (fun f -> Printf.bprintf buf "  %s\n" (Fault_list.to_string net f)) r.multiplet;
   Printf.bprintf buf "callouts:\n";
   List.iteri
     (fun i (c : Noassume.callout) ->
@@ -39,7 +35,7 @@ let render_single net (r : Single_diag.result) =
   Printf.bprintf buf "single-fault baseline, best candidates:\n";
   List.iter
     (fun (rk : Single_diag.ranked) ->
-      Printf.bprintf buf "  %s (%s)\n" (pp_fault net rk.fault)
+      Printf.bprintf buf "  %s (%s)\n" (Fault_list.to_string net rk.fault)
         (Format.asprintf "%a" Scoring.pp rk.score))
     r.best;
   Buffer.contents buf
@@ -49,6 +45,6 @@ let render_slat net (r : Slat_diag.result) =
   Printf.bprintf buf "SLAT baseline: %d patterns ignored as non-SLAT\n"
     (List.length r.ignored_patterns);
   Printf.bprintf buf "multiplet:\n";
-  List.iter (fun f -> Printf.bprintf buf "  %s\n" (pp_fault net f)) r.multiplet;
+  List.iter (fun f -> Printf.bprintf buf "  %s\n" (Fault_list.to_string net f)) r.multiplet;
   Printf.bprintf buf "match: %s\n" (Format.asprintf "%a" Scoring.pp r.score);
   Buffer.contents buf

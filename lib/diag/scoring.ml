@@ -5,15 +5,11 @@ type score = {
   spurious_pass : int;
 }
 
-let total_observations s = s.explained + s.missed
-
 (* Missing an observed failure weighs far more than predicting an extra
    one: a stuck-line multiplet standing in for a pattern-dependent defect
    (open, intermittent, bridge) over-predicts by construction, and that
    must not be cheaper than explaining nothing. *)
 let penalty s = (10 * s.missed) + (2 * s.spurious_fail) + s.spurious_pass
-
-let perfect s = s.missed = 0 && s.spurious_fail = 0 && s.spurious_pass = 0
 
 let compare_score a b =
   match compare (penalty a) (penalty b) with

@@ -19,18 +19,12 @@ type score = {
                             passed entirely. *)
 }
 
-val total_observations : score -> int
-(** [explained + missed]: the datalog's failing-pair count. *)
-
 val penalty : score -> int
 (** [missed * 10 + spurious_fail * 2 + spurious_pass]: the hill-climbing
     objective.  Missing an observed failure is much worse than predicting
     an extra one — real defects include behaviours, like intermittents
     and condition-gated opens, that stuck-at multiplets necessarily
     over-predict. *)
-
-val perfect : score -> bool
-(** No misses and no spurious predictions. *)
 
 val compare_score : score -> score -> int
 (** Ascending in {!penalty}, ties broken by fewer spurious then more
@@ -42,7 +36,9 @@ val overlay_of_multiplet : Fault_list.fault list -> Logic_sim.override list
     appearing with {e both} polarities is a byzantine hypothesis (open /
     intermittent / bridge victim) and becomes a value {e flip} — two
     contradictory stuck overrides on one net would otherwise shadow each
-    other and the multiplet could never explain both directions. *)
+    other and the multiplet could never explain both directions.
+    Test-only: the oracle [Reference]'s overlay scorer resimulates it, and
+    [test_kernel_oracle] checks every sweep against that. *)
 
 val score_triples : Datalog.words -> npos:int -> int array -> score
 (** Score one single-fault signature, given as the canonical
@@ -121,7 +117,7 @@ val evaluate_bridges :
     (aggressor, kind) bridge hypothesis on [victim] together with the
     multiplet [rest] (which must not pin [victim]), in [hyps] order:
     each score equals that of an overlay resimulation of
-    [overlay_of_multiplet rest @ Defect.overlay bridge], including bridges that feed back through their own fanout cone,
+    [overlay_of_multiplet rest @ Defect.overlay_all [bridge]], including bridges that feed back through their own fanout cone,
     which the overlay simulator leaves wherever its
     [Logic_sim.max_sweeps] cap stops them.  One base sweep of [rest]
     ({!hold}, which it leaves held), then change sweeps on top of it:

@@ -18,7 +18,6 @@ type t = { circuit : string; outcomes : outcome list; redraws : int }
 (* The campaign ATPG flow's parameters; a stored test set's origin
    names them. *)
 let flow_seed = 1
-let flow_random_budget = 252
 let flow_backtrack_limit = 128
 
 (* What a generated set answers for, beside the netlist's source: the
@@ -26,7 +25,7 @@ let flow_backtrack_limit = 128
    bumps [Tpg.flow_version]. *)
 let atpg_origin =
   Printf.sprintf "atpg seed=%d random=%d backtrack=%d flow=%d" flow_seed
-    flow_random_budget flow_backtrack_limit Tpg.flow_version
+    Tpg.random_budget flow_backtrack_limit Tpg.flow_version
 
 let test_report_cache : (Netlist.t * Tpg.report) list ref = ref []
 
@@ -35,8 +34,7 @@ let test_report net =
   | Some (_, report) -> report
   | None ->
     let report =
-      Tpg.generate ~seed:flow_seed ~random_budget:flow_random_budget
-        ~backtrack_limit:flow_backtrack_limit net
+      Tpg.generate ~seed:flow_seed ~backtrack_limit:flow_backtrack_limit net
     in
     let report =
       { report with Tpg.patterns = Pattern.with_origin atpg_origin report.Tpg.patterns }

@@ -1,3 +1,5 @@
+(* The suite circuits injection campaigns run on: the small and medium
+   ones (the large ones appear in Table 1 and the runtime figure). *)
 let campaign_names =
   [
     "c17"; "par16"; "dec4"; "gray8"; "add8"; "penc4"; "crc16"; "cmp16"; "cla16";
@@ -95,7 +97,7 @@ let table3 ~trials ~seed =
           add_row t
             ((name :: cell_int m :: quality_cells qs) @ [ cell_float mean_fail ]))
         multiplicities;
-      add_rule t)
+      Table.add_rule t)
     (campaign_circuits ());
   t
 
@@ -130,7 +132,7 @@ let table4 ~trials ~seed =
       add_row t
         (("" :: "single-fault" :: [])
         @ quality_cells (gather (fun o -> o.Campaign.single)));
-      add_rule t)
+      Table.add_rule t)
     multiplicities;
   t
 
@@ -378,7 +380,7 @@ let ablation ~title ~configs ~trials ~seed =
           in
           add_row t ((label :: cell_int m :: []) @ quality_cells qs))
         [ 2; 4 ];
-      add_rule t)
+      Table.add_rule t)
     configs;
   t
 
@@ -453,7 +455,7 @@ let ablation_layout ~trials ~seed =
             ("layout-aware", { Noassume.default_config with layout = Some layout });
             ("layout-blind", Noassume.default_config);
           ];
-        add_rule t
+        Table.add_rule t
       end)
     (campaign_circuits ());
   t

@@ -5,11 +5,6 @@
     Each function is deterministic in [seed] and returns a rendered
     {!Table.t}; `bench/main.exe` is a thin driver over this module. *)
 
-val campaign_circuits : unit -> (string * Netlist.t) list
-(** The subset of the generator suite used for injection campaigns
-    (small/medium circuits; the large ones appear in Table 1 and the
-    runtime figure). *)
-
 val table1 : unit -> Table.t
 (** Circuit characteristics: PIs, POs, gates, depth, collapsed faults,
     ATPG pattern count and stuck-at coverage. *)

@@ -71,13 +71,6 @@ val run :
     the dies in order with their kernels at the process width.  Result
     order follows input order whatever the worker count. *)
 
-val rollup : Session.t -> die_result list -> rollup
-(** [failed = 0]; {!write_results} counts the failures.  Rank nets by how many dies implicate them (ties: dies with a
-    proven-minimal cover, then explained observations, then name) — the
-    volume signal that separates a systematic defect from random spot
-    defects.  Under [--cover=exact] the tie-break prefers sites backed
-    by provably-minimal multiplets over greedy-only implications. *)
-
 val die_json : die_result -> string
 (** One die as JSON: summary numbers, the rendered report, and the
     per-die run report (timings off, so the text is deterministic up to
@@ -92,4 +85,9 @@ val write_results :
 (** Write [<die>.json] per diagnosed die, an {!error_json} record as
     [<name>.json] per [failed] die, and [rollup.json] into [dir]
     (created if missing, one level), returning the rollup; its [dies]
-    and [failed] count the failures. *)
+    and [failed] count the failures.  The rollup ranks nets by how many
+    dies implicate them (ties: dies with a proven-minimal cover, then
+    explained observations, then name) — the volume signal that
+    separates a systematic defect from random spot defects.  Under
+    [--cover=exact] the tie-break prefers sites backed by
+    provably-minimal multiplets over greedy-only implications. *)

@@ -88,12 +88,6 @@ let overlay = function
 
 let overlay_all defects = List.concat_map overlay defects
 
-let kind_name = function
-  | Stuck _ -> "stuck"
-  | Bridge _ -> "bridge"
-  | Open_cond _ -> "open"
-  | Intermittent _ -> "intermittent"
-
 let describe net = function
   | Stuck (n, v) -> Printf.sprintf "%s stuck-at-%d" (Netlist.name net n) (Bool.to_int v)
   | Bridge { victim; aggressor; kind } ->

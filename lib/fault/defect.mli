@@ -38,19 +38,9 @@ val overridden : t -> Netlist.net list
     rewrites both).  Two defects in one injection must not override the
     same net, or their behaviours would silently shadow each other. *)
 
-val overlay : t -> Logic_sim.override list
-(** Compile to simulation overrides. *)
-
 val overlay_all : t list -> Logic_sim.override list
-(** Concatenation of {!overlay}; simulating with this list is true
-    multiple-defect simulation. *)
-
-val intermittent_word : salt:int -> base:int -> rate_pct:int -> int
-(** The deterministic flip mask used by [Intermittent] for the block at
-    pattern offset [base] (exposed for tests). *)
+(** Compile to simulation overrides, each defect's in turn; simulating
+    with this list is true multiple-defect simulation. *)
 
 val describe : Netlist.t -> t -> string
 (** Human-readable one-liner using net names. *)
-
-val kind_name : t -> string
-(** ["stuck"], ["bridge"], ["open"] or ["intermittent"]. *)

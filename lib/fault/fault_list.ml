@@ -3,13 +3,7 @@ type fault = { site : Netlist.net; stuck : bool }
 let compare_fault a b =
   match compare a.site b.site with 0 -> compare a.stuck b.stuck | c -> c
 
-let pp_fault net ppf f =
-  Format.fprintf ppf "%s sa%d" (Netlist.name net f.site) (Bool.to_int f.stuck)
-
-let all t =
-  List.concat_map
-    (fun site -> [ { site; stuck = false }; { site; stuck = true } ])
-    (List.init (Netlist.num_nets t) Fun.id)
+let to_string net f = Printf.sprintf "%s sa%d" (Netlist.name net f.site) (Bool.to_int f.stuck)
 
 type collapsed = { net : Netlist.t; parent : int array }
 
@@ -69,7 +63,6 @@ let collapse net =
       | Gate.Input | Gate.Const _ | Gate.Xor | Gate.Xnor -> ());
   { net; parent }
 
-let representative_of c f = fault_of_index (find c.parent (index f))
 (* [union] keeps the smaller root and [find] compresses to the root, so
    [parent.(i) <= i] always: one ascending pass resolves each index
    from its parent's already resolved entry, without [find]'s writes. *)

@@ -23,14 +23,6 @@ val default_mix : kind_mix
 val mix_of_string : string -> kind_mix option
 (** ["stuck"], ["bridge"], ["open"], ["intermittent"], ["mixed"]. *)
 
-val random_defect :
-  ?layout:Layout.t * float -> Rng.t -> Netlist.t -> kind_mix -> Defect.t
-(** Draw one defect.  Sites are uniform over non-PI nets (PIs model scan
-    cells and are excluded as defect sites so that every defect is inside
-    the logic).  With [?layout = (placement, radius)], bridge aggressors
-    and open-defect condition nets are drawn only from the site's
-    physical neighbourhood — shorts happen between adjacent wires. *)
-
 val capacity : Netlist.t -> int
 (** Number of eligible defect sites (non-PI nets) — an upper bound on
     the placeable multiplicity.  Campaigns skip (circuit, multiplicity)
@@ -39,8 +31,13 @@ val capacity : Netlist.t -> int
 val random_defects :
   ?layout:Layout.t * float -> Rng.t -> Netlist.t -> kind_mix -> int -> Defect.t list
 (** [random_defects rng t mix k]: [k] defects whose overridden nets are
-    pairwise disjoint.  Raises [Invalid_argument] when the circuit
-    cannot host them (see {!capacity}). *)
+    pairwise disjoint.  Sites are uniform over non-PI nets (PIs model
+    scan cells and are excluded as defect sites so that every defect is
+    inside the logic).  With [?layout = (placement, radius)], bridge
+    aggressors and open-defect condition nets are drawn only from the
+    site's physical neighbourhood — shorts happen between adjacent
+    wires.  Raises [Invalid_argument] when the circuit cannot host them
+    (see {!capacity}). *)
 
 val observed_responses :
   Netlist.t -> Pattern.t -> Defect.t list -> Logic_sim.responses

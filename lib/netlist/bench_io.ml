@@ -118,10 +118,6 @@ let parse_string text =
 
 let source_key text = "bench " ^ Digest.to_hex (Digest.string text)
 
-let parse_file path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  Netlist.with_source (source_key text) (parse_string text)
-
 let to_string t =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "# %d inputs, %d outputs, %d gates\n" (Netlist.num_pis t)
@@ -141,8 +137,3 @@ let to_string t =
         Printf.bprintf buf "%s = %s(%s)\n" (Netlist.name t n) (Gate.name kind) args)
     (Netlist.topo_order t);
   Buffer.contents buf
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

@@ -20,16 +20,12 @@ exception Parse_error of int * string
 val parse_string : string -> Netlist.t
 (** Parse a whole `.bench` file held in a string. *)
 
-val parse_file : string -> Netlist.t
-(** Read and parse a file from disk; the netlist carries
-    {!source_key} of the file's bytes as its {!Netlist.source}. *)
-
 val source_key : string -> string
 (** ["bench <hex>"], the MD5 of a file's bytes: the store key of the
     netlist parsed from them. *)
 
 val to_string : Netlist.t -> string
 (** Emit `.bench` text; [parse_string (to_string t)] is structurally
-    identical to [t]. *)
-
-val write_file : string -> Netlist.t -> unit
+    identical to [t].  Test-only: the round-trip properties of
+    [test_bench_io], [test_invariants] and [test_store_file] write
+    through it; no tool writes a netlist. *)

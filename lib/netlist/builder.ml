@@ -73,7 +73,6 @@ let auto b name prefix = match name with Some n -> n | None -> fresh b prefix
 let not_ b ?name a = gate b (auto b name "n") Gate.Not [ a ]
 let and_ b ?name args = gate b (auto b name "a") Gate.And args
 let or_ b ?name args = gate b (auto b name "o") Gate.Or args
-let nand_ b ?name args = gate b (auto b name "na") Gate.Nand args
 let nor_ b ?name args = gate b (auto b name "no") Gate.Nor args
 let xor_ b ?name args = gate b (auto b name "x") Gate.Xor args
 let xnor_ b ?name args = gate b (auto b name "xn") Gate.Xnor args

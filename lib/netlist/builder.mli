@@ -36,7 +36,6 @@ val finalize : t -> Netlist.t
 val not_ : t -> ?name:string -> Netlist.net -> Netlist.net
 val and_ : t -> ?name:string -> Netlist.net list -> Netlist.net
 val or_ : t -> ?name:string -> Netlist.net list -> Netlist.net
-val nand_ : t -> ?name:string -> Netlist.net list -> Netlist.net
 val nor_ : t -> ?name:string -> Netlist.net list -> Netlist.net
 val xor_ : t -> ?name:string -> Netlist.net list -> Netlist.net
 val xnor_ : t -> ?name:string -> Netlist.net list -> Netlist.net

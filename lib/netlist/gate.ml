@@ -10,8 +10,6 @@ type kind =
   | Xor
   | Xnor
 
-let equal (a : kind) (b : kind) = a = b
-
 let arity_ok kind n =
   match kind with
   | Input | Const _ -> n = 0

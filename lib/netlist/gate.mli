@@ -15,8 +15,6 @@ type kind =
   | Xor
   | Xnor
 
-val equal : kind -> kind -> bool
-
 val arity_ok : kind -> int -> bool
 (** [arity_ok kind n] says whether a gate of [kind] may have [n] fanins:
     0 for [Input]/[Const], 1 for [Buf]/[Not], >= 2 for the n-ary kinds. *)

@@ -18,56 +18,68 @@ val ripple_adder : int -> Netlist.t
 
 val multiplier : int -> Netlist.t
 (** [multiplier w]: [w]x[w] array multiplier with ripple reduction,
-    outputs [2w] product bits. *)
+    outputs [2w] product bits.  Test-only outside the suite, like every
+    family below that no tool names: [test_generators] checks its
+    function at small widths, and [test_tpg] and [test_podem] pin PODEM
+    runs on widths the suite lacks, so the tests build it directly. *)
 
 val alu : int -> Netlist.t
 (** [alu w]: [w]-bit ALU computing AND / OR / XOR / ADD selected by two
     control inputs, plus a zero flag. *)
 
 val parity : int -> Netlist.t
-(** [parity w]: balanced XOR tree over [w] inputs, one output. *)
+(** [parity w]: balanced XOR tree over [w] inputs, one output.
+    Test-only, as {!multiplier}. *)
 
 val decoder : int -> Netlist.t
-(** [decoder n]: n-to-2^n line decoder with enable. *)
+(** [decoder n]: n-to-2^n line decoder with enable.  Test-only, as
+    {!multiplier}. *)
 
 val comparator : int -> Netlist.t
 (** [comparator w]: [w]-bit magnitude comparator, outputs [eq], [lt],
-    [gt]. *)
+    [gt].  Test-only, as {!multiplier}. *)
 
 val mux_tree : int -> Netlist.t
-(** [mux_tree k]: 2^k-to-1 multiplexer built from 2-to-1 muxes. *)
+(** [mux_tree k]: 2^k-to-1 multiplexer built from 2-to-1 muxes.
+    Test-only, as {!multiplier}. *)
 
 val majority : int -> Netlist.t
 (** [majority w] ([w] odd): majority voter via full-adder population
-    count and comparison; classic TMR voter structure. *)
+    count and comparison; classic TMR voter structure.  Test-only, as
+    {!multiplier}. *)
 
 val carry_lookahead_adder : int -> Netlist.t
 (** [carry_lookahead_adder w]: [w]-bit adder with 4-bit lookahead groups
     (generate/propagate logic) — same function as {!ripple_adder}, very
     different structure (shallow, heavily reconvergent), useful for
-    structure-sensitivity experiments. *)
+    structure-sensitivity experiments.  Test-only, as {!multiplier}. *)
 
 val barrel_shifter : int -> Netlist.t
 (** [barrel_shifter k]: [2^k]-bit logical left shifter built from [k]
-    mux stages; inputs [d*] and shift amount [s*]. *)
+    mux stages; inputs [d*] and shift amount [s*].  Test-only, as
+    {!multiplier}. *)
 
 val priority_encoder : int -> Netlist.t
 (** [priority_encoder n]: [2^n]-input priority encoder (highest set input
-    wins) with a valid flag. *)
+    wins) with a valid flag.  Test-only, as {!multiplier}. *)
 
 val gray_decoder : int -> Netlist.t
-(** [gray_decoder w]: Gray-to-binary converter (XOR prefix chain). *)
+(** [gray_decoder w]: Gray-to-binary converter (XOR prefix chain).
+    Test-only, as {!multiplier}. *)
 
 val crc_step : int -> Netlist.t
 (** [crc_step w]: one combinational step of a CRC with a dense
     polynomial: next state = shifted state XOR (feedback AND taps) XOR
-    data bit; [w] state bits, inputs [s*] and [d]. *)
+    data bit; [w] state bits, inputs [s*] and [d].  Test-only, as
+    {!multiplier}. *)
 
 val random_logic : gates:int -> pis:int -> pos:int -> seed:int -> Netlist.t
 (** Random reconvergent DAG: each gate draws a kind and 1–4 distinct
     fanins from earlier nets with locality bias.  Dead logic is avoided by
     marking as additional outputs, in net order after the [pos]
-    requested ones, the gates that would otherwise be unread. *)
+    requested ones, the gates that would otherwise be unread.  Test-only
+    outside the suite (rnd1k and rnd2k are two of these): the
+    random-design properties draw their circuits from it. *)
 
 val suite : unit -> (string * Netlist.t) list
 (** The benchmark suite used by every table in `bench/main.exe`, ordered
@@ -100,14 +112,6 @@ val find_tier : string -> Netlist.t option
 (** Look a tier circuit up by name, forcing its construction. *)
 
 (** {1 Source keys} *)
-
-val version : int
-(** The generators' output version.  Every suite and generated tier
-    netlist carries ["generator <name> v<version>"] as its
-    {!Netlist.source}, the key its stored design image is found by, so
-    a change to any generator's output must bump it: an unbumped change
-    would load images of the old circuit.  The test suite pins every
-    generated circuit's structure digest next to this number. *)
 
 val source_key : string -> string option
 (** The {!Netlist.source} of the suite or tier circuit [name] — what

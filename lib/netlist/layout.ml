@@ -21,8 +21,6 @@ let synthesize net =
       pos.(m) <- (float_of_int l, y));
   { net; pos }
 
-let position t m = t.pos.(m)
-
 let distance t a b =
   let xa, ya = t.pos.(a) and xb, yb = t.pos.(b) in
   let dx = xa -. xb and dy = ya -. yb in

@@ -18,8 +18,6 @@ type t
 val synthesize : Netlist.t -> t
 (** Deterministic placement of every net. *)
 
-val position : t -> Netlist.net -> float * float
-
 val distance : t -> Netlist.net -> Netlist.net -> float
 (** Euclidean distance between the two nets' drivers. *)
 

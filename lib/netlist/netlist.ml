@@ -40,9 +40,7 @@ let num_pis t = Array.length t.pis
 let num_pos t = Array.length t.pos
 
 let kind t n = t.kinds.(n)
-let slice csr off n = Array.sub csr off.(n) (off.(n + 1) - off.(n))
-let fanin t n = slice t.fanin_csr t.fanin_off n
-let fanout t n = slice t.fanout_csr t.fanout_off n
+let fanin t n = Array.sub t.fanin_csr t.fanin_off.(n) (t.fanin_off.(n + 1) - t.fanin_off.(n))
 let level t n = t.levels.(n)
 let topo_order t = t.topo
 let name t n = String.sub t.names t.name_off.(n) (t.name_off.(n + 1) - t.name_off.(n))
@@ -56,7 +54,6 @@ let level_array t = t.levels
 
 let is_pi t n = match t.kinds.(n) with Gate.Input -> true | _ -> false
 let is_po t n = t.po_index.(n) >= 0
-let po_index t n = if t.po_index.(n) >= 0 then Some t.po_index.(n) else None
 
 let by_name t =
   match Atomic.get t.by_name with
@@ -228,12 +225,7 @@ let reach csr off root =
   visit root;
   seen
 
-let fanin_cone t root = reach t.fanin_csr t.fanin_off root
 let fanout_reach t root = reach t.fanout_csr t.fanout_off root
-
-let output_cone t root =
-  let reach = fanout_reach t root in
-  Array.to_list (Array.of_seq (Seq.filter (fun p -> reach.(p)) (Array.to_seq t.pos)))
 
 (* The opcode of each kind in the structure digest and the image
    section: a file format, not a kernel representation.  Renumbering

@@ -45,9 +45,6 @@ val num_pos : t -> int
 val is_pi : t -> net -> bool
 val is_po : t -> net -> bool
 
-val po_index : t -> net -> int option
-(** Position of a net in the PO list, if observed. *)
-
 val depth : t -> int
 (** Maximum level over all nets (0 when the circuit is only wires). *)
 
@@ -58,8 +55,6 @@ val fanin : t -> net -> net array
 (** A fresh copy of the net's fanins, in the order given to {!make};
     code that reads the adjacency per gate reads {!fanin_csr}. *)
 
-val fanout : t -> net -> net array
-(** A fresh copy of the nets that read the net, ascending. *)
 
 val level : t -> net -> int
 
@@ -107,7 +102,9 @@ val add_structure : Buffer.t -> t -> unit
     {!encode}), {!fanin_offsets}, {!fanin_csr} and the PO list.  Net
     names are left out.  Every on-disk store keys on this one identity:
     two netlists with equal bytes here simulate identically under every
-    pattern. *)
+    pattern.  Test-only: [test_generators] pins every generated
+    circuit's digest of it, and [test_store_file] compares decoded
+    netlists by it. *)
 
 (** {1 Source and design images}
 
@@ -148,15 +145,8 @@ val decode : ?source:string -> Bigstring.t -> off:int -> len:int -> t option
 
 (** {1 Analysis helpers} *)
 
-val fanin_cone : t -> net -> bool array
-(** [fanin_cone t n].(m) iff [m] is in the transitive fanin of [n]
-    (including [n] itself). *)
-
 val fanout_reach : t -> net -> bool array
 (** Transitive fanout membership, including the net itself. *)
-
-val output_cone : t -> net -> net list
-(** Primary outputs structurally reachable from the net. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: #PI #PO #gates depth. *)

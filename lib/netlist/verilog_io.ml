@@ -259,10 +259,6 @@ let parse_string text = build (parse_tokens (tokenize text))
 
 let source_key text = "verilog " ^ Digest.to_hex (Digest.string text)
 
-let parse_file path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  Netlist.with_source (source_key text) (parse_string text)
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 
@@ -277,7 +273,7 @@ let is_plain_ident s =
 
 let emit_name s = if is_plain_ident s then s else "\\" ^ s ^ " "
 
-let to_string ?(module_name = "top") t =
+let to_string t =
   let buf = Buffer.create 4096 in
   let name n = emit_name (Netlist.name t n) in
   Array.iter
@@ -287,7 +283,7 @@ let to_string ?(module_name = "top") t =
     (Netlist.pos t);
   let pis = Array.to_list (Array.map name (Netlist.pis t)) in
   let pos = Array.to_list (Array.map name (Netlist.pos t)) in
-  Printf.bprintf buf "module %s (%s);\n" module_name (String.concat ", " (pis @ pos));
+  Printf.bprintf buf "module top (%s);\n" (String.concat ", " (pis @ pos));
   if pis <> [] then Printf.bprintf buf "  input %s;\n" (String.concat ", " pis);
   if pos <> [] then Printf.bprintf buf "  output %s;\n" (String.concat ", " pos);
   let wires = ref [] in
@@ -313,8 +309,3 @@ let to_string ?(module_name = "top") t =
     (Netlist.topo_order t);
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
-
-let write_file ?module_name path t =
-  let oc = open_out path in
-  output_string oc (to_string ?module_name t);
-  close_out oc

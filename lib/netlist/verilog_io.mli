@@ -26,16 +26,12 @@ exception Parse_error of int * string
 
 val parse_string : string -> Netlist.t
 
-val parse_file : string -> Netlist.t
-(** Read and parse a file; the netlist carries {!source_key} of the
-    file's bytes as its {!Netlist.source}. *)
-
 val source_key : string -> string
 (** ["verilog <hex>"], the MD5 of a file's bytes. *)
 
-val to_string : ?module_name:string -> Netlist.t -> string
-(** Emit the subset above; [parse_string (to_string t)] is structurally
-    identical to [t].  Net names that are not plain Verilog identifiers
-    are emitted in escaped form. *)
-
-val write_file : ?module_name:string -> string -> Netlist.t -> unit
+val to_string : Netlist.t -> string
+(** Emit the subset above as [module top]; [parse_string (to_string t)]
+    is structurally identical to [t].  Net names that are not plain
+    Verilog identifiers are emitted in escaped form.  Test-only: the
+    round-trip properties of [test_verilog_io] and [test_invariants]
+    write through it; no tool writes a netlist. *)

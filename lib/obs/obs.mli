@@ -46,7 +46,9 @@ val add : counter -> int -> unit
 
 type dist
 (** A named value distribution, kept as count/sum/min/max — enough for
-    balance questions ("chunks per domain") without storing samples. *)
+    size questions ("chunks per region") without storing samples.  Like
+    a counter, a recorded value must depend only on the work done,
+    never on which domain did it. *)
 
 val dist : string -> dist
 val record : dist -> int -> unit

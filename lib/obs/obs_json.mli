@@ -16,7 +16,9 @@ type t =
 val parse : string -> (t, string) result
 (** Strict parser for the JSON subset this repo writes: no comments, no
     trailing commas; [\u] escapes are decoded to UTF-8.  Errors carry a
-    character offset. *)
+    character offset.  Test-only: tools read files ({!parse_file}), and
+    [test_obs] checks the reader and the run-report round trip on
+    strings through this, the parser behind it. *)
 
 val parse_file : string -> (t, string) result
 

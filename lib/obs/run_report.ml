@@ -84,7 +84,6 @@ let to_obs_json ?(timings = true) t =
       ("dists", Obs_json.Obj (List.map dist t.snap.Obs.dists));
     ]
 
-let counters t = t.snap.Obs.counters
 
 let counters_of_json json =
   match Obs_json.member "counters" json with

@@ -15,7 +15,7 @@
       "phases": [{"name": "cover", "count": 1,
                   "total_ms": 0.812, "gc_major": 0}, ...],
       "counters": {"cover.rounds": 3, ...},
-      "dists": {"parallel.chunks_per_domain":
+      "dists": {"parallel.chunks_per_region":
                  {"count": 2, "sum": 8, "min": 4, "max": 4}, ...}
     }
     v}
@@ -39,10 +39,8 @@ val to_obs_json : ?timings:bool -> t -> Obs_json.t
     a report inside another JSON document (the volume service embeds
     one per die).  [Obs_json.to_string] of it is compact (one line). *)
 
-val counters : t -> (string * int) list
-(** The counter listing, sorted by name — what regression gates compare
-    (see [bench/check_regress.ml]). *)
-
 val counters_of_json : Obs_json.t -> (string * int) list
-(** Re-extract the counter listing from parsed report JSON (a committed
-    baseline), sorted by name.  Non-integer members are dropped. *)
+(** Re-extract the counter listing ([snap]'s [counters], sorted by
+    name) from parsed report JSON (a committed baseline) — what the
+    regression gates compare (see [bench/check_regress.ml]).
+    Non-integer members are dropped. *)

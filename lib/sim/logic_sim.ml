@@ -19,20 +19,6 @@ let simulate_block t block =
   done;
   values
 
-let simulate_pattern t pi_vector =
-  let npis = Netlist.num_pis t in
-  if Array.length pi_vector <> npis then
-    invalid_arg "Logic_sim.simulate_pattern: PI vector width mismatch";
-  let block =
-    {
-      Pattern.base = 0;
-      width = 1;
-      pi_words = Array.map (fun b -> if b then 1 else 0) pi_vector;
-    }
-  in
-  let words = simulate_block t block in
-  Array.map (fun w -> w land 1 = 1) words
-
 type override = {
   target : Netlist.net;
   behave :

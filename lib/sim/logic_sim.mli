@@ -18,9 +18,6 @@ type net_values = int array
 val simulate_block : Netlist.t -> Pattern.block -> net_values
 (** Good-machine simulation of one pattern block. *)
 
-val simulate_pattern : Netlist.t -> bool array -> bool array
-(** Scalar convenience: per-net values for a single PI vector. *)
-
 (** {1 Overlay (faulty) simulation} *)
 
 type override = {
@@ -50,7 +47,9 @@ val max_sweeps : int
 val simulate_block_overlay :
   Netlist.t -> Pattern.block -> override list -> net_values
 (** Faulty simulation of one block under the overrides.  With an empty
-    list this equals {!simulate_block}. *)
+    list this equals {!simulate_block}.  Test-only: the oracle that
+    [Reference]'s overlay scorer and [test_fault_sim] check the PPSFP
+    kernels against. *)
 
 (** {1 Responses} *)
 

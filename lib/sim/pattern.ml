@@ -85,12 +85,14 @@ let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
 (* One pass over the lines: each is trimmed, a blank one skipped, and
    the rest checked in order — its width against the first line's,
-   then its characters — and copied into the rows. *)
+   then its characters — and copied into the rows.  An error names the
+   line, counted from 1. *)
 let of_text text =
   let len = String.length text in
   let rows = Buffer.create len in
-  let npis = ref (-1) and count = ref 0 and pos = ref 0 in
+  let npis = ref (-1) and count = ref 0 and pos = ref 0 and line = ref 0 in
   while !pos <= len do
+    incr line;
     let stop = Option.value (String.index_from_opt text !pos '\n') ~default:len in
     let a = ref !pos and b = ref stop in
     while !a < !b && is_blank text.[!a] do
@@ -102,11 +104,13 @@ let of_text text =
     let width = !b - !a in
     if width > 0 then begin
       if !npis < 0 then npis := width
-      else if width <> !npis then invalid_arg "Pattern.of_text: ragged pattern lines";
+      else if width <> !npis then
+        invalid_arg (Printf.sprintf "Pattern.of_text: ragged pattern lines on line %d" !line);
       for j = !a to !b - 1 do
         match text.[j] with
         | '0' | '1' -> ()
-        | c -> invalid_arg (Printf.sprintf "Pattern.of_text: bad character %c" c)
+        | c ->
+          invalid_arg (Printf.sprintf "Pattern.of_text: bad character %c on line %d" c !line)
       done;
       Buffer.add_substring rows text !a width;
       incr count

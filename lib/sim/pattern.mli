@@ -19,9 +19,6 @@ val exhaustive : npis:int -> t
 val count : t -> int
 val npis : t -> int
 
-val get : t -> int -> int -> bool
-(** [get t p i] is the value of PI position [i] under pattern [p]. *)
-
 val pattern : t -> int -> bool array
 (** Copy of one pattern's PI vector. *)
 
@@ -49,7 +46,8 @@ val to_text : t -> string
 
 val of_text : string -> t
 (** Parse {!to_text} output; the PI count is the first line's length.
-    Raises [Invalid_argument] on ragged lines or foreign characters. *)
+    Raises [Invalid_argument] on ragged lines or foreign characters,
+    naming the line (counted from 1, blank lines included). *)
 
 val read_file : string -> (t, string) result
 (** {!of_text} of a file's contents.  Never raises: an unreadable file

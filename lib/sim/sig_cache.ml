@@ -206,17 +206,6 @@ let decode t k b =
   let a = Atomic.get t.arena in
   if holds a k then walk a k b else invalid_arg "Sig_cache.decode: key not in the arena"
 
-let find t k =
-  let a = Atomic.get t.arena in
-  let hit = holds a k in
-  if Obs.enabled () then Obs.incr (if hit then c_hits else c_misses);
-  if not hit then None
-  else begin
-    let b = buffer () in
-    walk a k b;
-    Some b.data
-  end
-
 (* One read of the arena for the whole batch, and one bump of each
    counter. *)
 let missing t keys =

@@ -29,7 +29,7 @@
     never changes, so nothing is ever evicted.
 
     Concurrency and determinism: an instance is shared across domains.
-    Reads ({!mem}, {!missing}, {!find}, {!decode}) take no lock: each
+    Reads ({!mem}, {!missing}, {!decode}) take no lock: each
     is one [Atomic.get] of the current arena version plus, for a
     decode, one key's bytes.  Appends are serialised by one mutex and publish a new
     version with one [Atomic.set]; nothing a published version can reach
@@ -41,7 +41,7 @@
     several domains race on a cold key.
 
     Counters (DESIGN.md §9): ["cache.hits"], ["cache.misses"] (one per
-    key a {!find} or {!missing} looked up, added once per call),
+    key a {!missing} looked up, added once per call),
     ["cache.frozen_bytes"] (the arena's footprint). *)
 
 type t
@@ -74,16 +74,11 @@ val decode : t -> int -> buf -> unit
     are never removed, so the answer cannot go stale); raises
     [Invalid_argument] otherwise.  Touches no counters. *)
 
-val find : t -> int -> int array option
-(** Cached triples for one key, decoded by {!decode} into a fresh
-    array.  Bumps ["cache.hits"] or ["cache.misses"]. *)
-
 val missing : t -> int array -> int array
 (** [missing t keys]: the positions [i], ascending, of the keys the
     arena lacks, tested against one arena version.  Bumps
     ["cache.hits"] and ["cache.misses"] once each, by the batch's
-    totals — what one {!find} per key would add, without a counter
-    bump per key.  Callers that look up a batch ([Explain]'s rows, the
+    totals, not once per key.  Callers that look up a batch ([Explain]'s rows, the
     baselines' pool) use it, then {!decode} the hits. *)
 
 val mem : t -> int -> bool

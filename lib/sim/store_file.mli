@@ -42,9 +42,17 @@ type image = { data : Bigstring.t; sections : section array }
     section table fits the file exactly.  [data] is the whole file,
     mapped; a decoder may keep it but never writes it. *)
 
-val netlist_section : int
-val tests_section : int
 val signatures_section : int
+(** The signatures' index in [sections]. *)
+
+val netlist_section : int
+(** The netlist's index in [sections].  Test-only: the image forgery
+    tests ([test_store_file], [test_design]) edit a section by its
+    index with [Image_edit] and reseal the image with {!checksum}. *)
+
+val tests_section : int
+(** The test set's index in [sections].  Test-only, as
+    {!netlist_section}. *)
 
 val path : dir:string -> source:string -> string
 (** [dir/design-<12 hex>.mddimg], the hex taken from the MD5 of
@@ -64,7 +72,8 @@ val checksum : Bigstring.t -> pos:int -> len:int -> int * int
     length followed by the bytes, zero-padded to a multiple of 8.  [s1] is
     the plain sum and [s2] the sum of [s1]'s running values, i.e. each
     word weighted by its distance from the end.  See the
-    implementation for what it detects. *)
+    implementation for what it detects.  Test-only: [Image_edit]
+    reseals forged images with it. *)
 
 val save :
   path:string ->

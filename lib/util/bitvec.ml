@@ -140,13 +140,3 @@ let to_list t =
   let acc = ref [] in
   iter_set t (fun i -> acc := i :: !acc);
   List.rev !acc
-
-let of_list len idxs =
-  let t = create len in
-  List.iter (fun i -> set t i true) idxs;
-  t
-
-let pp ppf t =
-  for i = 0 to t.len - 1 do
-    Format.pp_print_char ppf (if get t i then '1' else '0')
-  done

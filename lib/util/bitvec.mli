@@ -68,9 +68,3 @@ val iter_set : t -> (int -> unit) -> unit
 
 val to_list : t -> int list
 (** Indices of set bits, ascending. *)
-
-val of_list : int -> int list -> t
-(** [of_list n idxs] builds a length-[n] vector with [idxs] set. *)
-
-val pp : Format.formatter -> t -> unit
-(** Bits as a ['0'/'1'] string, index 0 leftmost. *)

@@ -48,18 +48,16 @@ let resolve = function Some d -> clamp d | None -> default_domains ()
    runs inline. *)
 let in_region = Domain.DLS.new_key (fun () -> false)
 
-(* Observability: batch/spawn counts and the per-participant chunk
-   distribution (the balance signal — a skewed dist means one domain
-   dragged the batch).  All recording happens on the calling domain at
-   batch granularity, after the join; workers only bump a private slot
-   of a preallocated array. *)
+(* Observability: batch/spawn counts and each region's planned chunk
+   count, recorded once per region, serial or parallel, on the calling
+   domain.  The plan fixes the count, so it depends on the work alone;
+   which participant drains which chunk is never recorded, as it
+   varies from run to run. *)
 let c_batches = Obs.counter "parallel.batches"
 let c_spawns = Obs.counter "parallel.spawns"
 let c_serial_runs = Obs.counter "parallel.serial_runs"
-let d_chunks = Obs.dist "parallel.chunks_per_domain"
+let d_chunks = Obs.dist "parallel.chunks_per_region"
 
-(* An inline (single-domain) region still reports its chunk count, so
-   reports show the full picture at every domain count. *)
 let note_serial nchunks =
   if Obs.enabled () then begin
     Obs.incr c_serial_runs;
@@ -86,16 +84,13 @@ let run_chunks_slotted w chunks body =
   let cursor = Atomic.make 0 in
   let failure = Atomic.make None in
   let nworkers = min (w - 1) (nchunks - 1) in
-  (* Slot 0 is the caller; each worker owns slot [i + 1].  Disjoint
-     writes, read only after the join. *)
-  let drained = Array.make (nworkers + 1) 0 in
+  (* Slot 0 is the caller; each worker owns slot [i + 1]. *)
   let drain slot =
     let continue = ref true in
     while !continue do
       let i = Atomic.fetch_and_add cursor 1 in
       if i >= nchunks then continue := false
       else begin
-        drained.(slot) <- drained.(slot) + 1;
         let lo, hi = chunks.(i) in
         match body ~slot i lo hi with
         | () -> ()
@@ -127,7 +122,7 @@ let run_chunks_slotted w chunks body =
   if Obs.enabled () then begin
     Obs.incr c_batches;
     Obs.add c_spawns nworkers;
-    Array.iter (fun n -> Obs.record d_chunks n) drained
+    Obs.record d_chunks nchunks
   end;
   match Atomic.get failure with Some e -> raise e | None -> ()
 

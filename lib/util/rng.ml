@@ -17,8 +17,6 @@ let split t =
   let s = bits64 t in
   { state = mix64 s }
 
-let copy t = { state = t.state }
-
 (* Non-negative 62-bit int from the top bits, which are the best mixed. *)
 let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
@@ -34,50 +32,11 @@ let int t bound =
 
 let bool t = Int64.compare (bits64 t) 0L < 0
 
-let float t =
-  (* 53 random bits over 2^53: uniform double in [0,1). *)
+let chance t p =
+  (* 53 random bits over 2^53: a uniform double in [0,1). *)
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int r *. (1.0 /. 9007199254740992.0)
-
-let chance t p = float t < p
+  float_of_int r *. (1.0 /. 9007199254740992.0) < p
 
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let sample_distinct t k bound =
-  assert (k <= bound);
-  if k * 3 >= bound then begin
-    (* Dense case: shuffle a full index array and take a prefix. *)
-    let a = Array.init bound (fun i -> i) in
-    shuffle t a;
-    Array.to_list (Array.sub a 0 k)
-  end
-  else begin
-    (* Sparse case: rejection into a hash set. *)
-    let seen = Hashtbl.create (2 * k) in
-    let rec draw acc n =
-      if n = 0 then acc
-      else
-        let v = int t bound in
-        if Hashtbl.mem seen v then draw acc n
-        else begin
-          Hashtbl.add seen v ();
-          draw (v :: acc) (n - 1)
-        end
-    in
-    draw [] k
-  end

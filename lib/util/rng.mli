@@ -18,33 +18,17 @@ val split : t -> t
     produced by the parent after the split and by the child do not
     overlap in practice. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive. *)
 
 val bool : t -> bool
 (** Fair coin. *)
 
-val float : t -> float
-(** Uniform in [0, 1). *)
-
 val chance : t -> float -> bool
-(** [chance t p] is true with probability [p]. *)
+(** [chance t p] is true with probability [p].  Test-only, kept for
+    test case generation: the random datalogs of [test_kernel_oracle]
+    draw their failing patterns with it, so a different draw would
+    change which cases run. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val sample_distinct : t -> int -> int -> int list
-(** [sample_distinct t k bound] draws [k] distinct integers from
-    [0, bound), in random order.  Requires [k <= bound]. *)

@@ -2,37 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) xs) in
-    sqrt var
-
-let sorted xs = List.sort compare xs
-
-let median xs =
-  match sorted xs with
-  | [] -> 0.0
-  | s ->
-    let n = List.length s in
-    let a = Array.of_list s in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-let percentile p xs =
-  match sorted xs with
-  | [] -> 0.0
-  | s ->
-    let a = Array.of_list s in
-    let n = Array.length a in
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    let idx = max 0 (min (n - 1) (rank - 1)) in
-    a.(idx)
-
-let minimum = function [] -> 0.0 | x :: xs -> List.fold_left min x xs
-let maximum = function [] -> 0.0 | x :: xs -> List.fold_left max x xs
-
 let histogram ~bins ~lo ~hi xs =
   assert (bins > 0 && hi > lo);
   let counts = Array.make bins 0 in

@@ -3,20 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)
-
-val median : float list -> float
-(** Median (average of the two middle elements for even lengths); 0 on
-    the empty list. *)
-
-val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [0,100], nearest-rank method; 0 on the
-    empty list. *)
-
-val minimum : float list -> float
-val maximum : float list -> float
-
 val histogram : bins:int -> lo:float -> hi:float -> float list -> int array
 (** [histogram ~bins ~lo ~hi xs] counts values into [bins] equal-width
     bins over [lo, hi]; out-of-range values clamp to the end bins. *)

@@ -78,8 +78,6 @@ let render t =
   rule '-';
   Buffer.contents buf
 
-let print t = print_string (render t); print_newline ()
-
 let csv_cell s =
   let needs_quoting = String.exists (fun c -> c = ',' || c = '"' || c = '\n') s in
   if not needs_quoting then s

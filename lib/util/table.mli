@@ -25,9 +25,6 @@ val to_csv : t -> string
 (** Machine-readable form: header line then data rows, RFC-4180 quoting,
     rules omitted. *)
 
-val print : t -> unit
-(** [render] to stdout followed by a newline. *)
-
 val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string
 val cell_pct : ?decimals:int -> float -> string

@@ -54,7 +54,7 @@ let x_path_exists t m =
             seen.(w) <- true;
             Queue.add w queue
           end)
-        (Netlist.fanout t v)
+        (Reference.fanout t v)
   done;
   !found
 

@@ -8,6 +8,46 @@
    per-block scalar sweep — and shares no kernel code with the batched
    simulator under test. *)
 
+(* --- Datalogs ---------------------------------------------------------- *)
+
+(* The datalog of [(pattern, failing POs)] entries, through its text
+   form. *)
+let datalog ~npatterns ~npos entries =
+  Datalog.of_text ~npatterns ~npos
+    (String.concat ""
+       (List.map
+          (fun (p, pos) ->
+            Printf.sprintf "fail %d :%s\n" p
+              (String.concat "" (List.map (Printf.sprintf " %d") pos)))
+          entries))
+
+(* --- Netlist and fault structure ------------------------------------- *)
+
+(* A fault's class representative, read off the table
+   [Fault_list.representative_indices] returns: apply it to the table
+   once and the result to each fault. *)
+let representative_of reps (f : Fault_list.fault) =
+  let r = reps.((2 * f.site) + Bool.to_int f.stuck) in
+  { Fault_list.site = r / 2; stuck = r mod 2 = 1 }
+
+(* The nets that read [n], ascending: its slice of the fanout CSR. *)
+let fanout net n =
+  let off = Netlist.fanout_offsets net in
+  Array.sub (Netlist.fanout_csr net) off.(n) (off.(n + 1) - off.(n))
+
+(* [(fanin_cone net n).(m)] iff [m] is in the transitive fanin of [n],
+   [n] included. *)
+let fanin_cone net root =
+  let seen = Array.make (Netlist.num_nets net) false in
+  let rec visit n =
+    if not seen.(n) then begin
+      seen.(n) <- true;
+      Array.iter visit (Netlist.fanin net n)
+    end
+  in
+  visit root;
+  seen
+
 (* --- Scalar fault simulator ------------------------------------------ *)
 
 (* Event-driven single-block fault simulation: one fault's difference
@@ -170,7 +210,8 @@ let signature s ?goods pats ~site ~stuck =
    then one PODEM run per fault still undetected, in fault order, each
    test dropping the survivors it detects.  Returns the report and the
    summed work of every run. *)
-let tpg_generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) net =
+let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) net =
+  let random_budget = Tpg.random_budget in
   let s = scalar net in
   let faults = Array.of_list (Fault_list.representatives (Fault_list.collapse net)) in
   let nfaults = Array.length faults in
@@ -311,7 +352,7 @@ let seed_pool net dlog =
     (fun (ob : Datalog.observation) ->
       Array.iteri
         (fun n inside -> if inside then in_pool.(n) <- true)
-        (Netlist.fanin_cone net pos.(ob.po)))
+        (fanin_cone net pos.(ob.po)))
     (Datalog.observations dlog);
   let pool = ref [] in
   for n = Netlist.num_nets net - 1 downto 0 do
@@ -403,10 +444,21 @@ let signature_triples sim g ~site ~stuck =
     g.blocks;
   Array.of_list (List.rev !acc)
 
-(* [Sig_cache.find], filling a miss with the scalar triples. *)
+(* One key's triples, looked up as a diagnosis looks up a batch
+   ([Sig_cache.missing], then [decode]); [None] when the arena lacks
+   it. *)
+let cached c k =
+  if Sig_cache.missing c [| k |] <> [||] then None
+  else begin
+    let b = Sig_cache.buffer () in
+    Sig_cache.decode c k b;
+    Some (Array.sub b.data 0 b.len)
+  end
+
+(* [cached], filling a miss with the scalar triples. *)
 let lookup c sim g ~site ~stuck =
   let k = Sig_cache.key ~site ~stuck in
-  match Sig_cache.find c k with
+  match cached c k with
   | Some triples -> triples
   | None ->
     let triples = signature_triples sim g ~site ~stuck in

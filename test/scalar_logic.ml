@@ -2,7 +2,8 @@
    The library evaluates gates one way, [Gate.eval] over packed words;
    these evaluate a gate's argument list directly, so the properties in
    [Test_gate] can check that kernel bit by bit, and [Ternary_sim] (with
-   [Podem_oracle] above it) can imply over 0/1/X. *)
+   [Podem_oracle] above it) can imply over 0/1/X.  [simulate_pattern]
+   evaluates a whole netlist with them, one pattern at a time. *)
 
 (* --- Three-valued logic ------------------------------------------------ *)
 
@@ -108,3 +109,21 @@ let eval_word kind args =
   | Gate.Input | Gate.Const _ | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or
   | Gate.Nor | Gate.Xor | Gate.Xnor ->
     bad_eval kind
+
+(* --- Whole-netlist evaluation ------------------------------------------ *)
+
+(* Every net's value under one PI vector: [eval_bool] per gate, in
+   topological order. *)
+let simulate_pattern net inputs =
+  if Array.length inputs <> Netlist.num_pis net then
+    invalid_arg "Scalar_logic.simulate_pattern: PI vector width mismatch";
+  let values = Array.make (Netlist.num_nets net) false in
+  Array.iteri (fun i pi -> values.(pi) <- inputs.(i)) (Netlist.pis net);
+  Array.iter
+    (fun n ->
+      if not (Netlist.is_pi net n) then
+        values.(n) <-
+          eval_bool (Netlist.kind net n)
+            (Array.to_list (Array.map (fun s -> values.(s)) (Netlist.fanin net n))))
+    (Netlist.topo_order net);
+  values

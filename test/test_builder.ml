@@ -1,5 +1,5 @@
 let eval1 net inputs =
-  let values = Logic_sim.simulate_pattern net inputs in
+  let values = Scalar_logic.simulate_pattern net inputs in
   fun n -> values.(n)
 
 let test_combinators_truth () =
@@ -8,7 +8,7 @@ let test_combinators_truth () =
   let y = Builder.input b "y" in
   let n_and = Builder.and_ b [ x; y ] in
   let n_or = Builder.or_ b [ x; y ] in
-  let n_nand = Builder.nand_ b [ x; y ] in
+  let n_nand = Builder.gate b "n_nand" Gate.Nand [ x; y ] in
   let n_nor = Builder.nor_ b [ x; y ] in
   let n_xor = Builder.xor_ b [ x; y ] in
   let n_xnor = Builder.xnor_ b [ x; y ] in

@@ -1,4 +1,4 @@
-let mk entries = Datalog.of_entries ~npatterns:10 ~npos:4 entries
+let mk entries = Reference.datalog ~npatterns:10 ~npos:4 entries
 
 let test_basics () =
   let d = mk [ (3, [ 1; 0 ]); (7, [ 2 ]) ] in
@@ -6,8 +6,6 @@ let test_basics () =
   Alcotest.(check int) "npos" 4 (Datalog.npos d);
   Alcotest.(check int) "num_failing" 2 (Datalog.num_failing d);
   Alcotest.(check (list int)) "failing ascending" [ 3; 7 ] (Datalog.failing_patterns d);
-  Alcotest.(check bool) "is_failing" true (Datalog.is_failing d 3);
-  Alcotest.(check bool) "is_failing passing" false (Datalog.is_failing d 4);
   Alcotest.(check (list int)) "pos sorted" [ 0; 1 ] (Datalog.failing_pos d 3);
   Alcotest.(check (list int)) "pos of passing empty" [] (Datalog.failing_pos d 5)
 
@@ -20,15 +18,17 @@ let test_observations_order () =
     && obs.(1) = { Datalog.pattern = 3; po = 1 }
     && obs.(2) = { Datalog.pattern = 7; po = 2 })
 
+let rejects name text reason =
+  Alcotest.check_raises name
+    (Invalid_argument ("Datalog.of_text: " ^ reason))
+    (fun () -> ignore (Datalog.of_text ~npatterns:10 ~npos:4 text))
+
+(* Entry checks name the line that breaks them, blank lines counted. *)
 let test_validation () =
-  Alcotest.check_raises "range" (Invalid_argument "Datalog: pattern index out of range")
-    (fun () -> ignore (mk [ (10, [ 0 ]) ]));
-  Alcotest.check_raises "dup" (Invalid_argument "Datalog: duplicate pattern entry")
-    (fun () -> ignore (mk [ (1, [ 0 ]); (1, [ 1 ]) ]));
-  Alcotest.check_raises "empty" (Invalid_argument "Datalog: empty failing-output list")
-    (fun () -> ignore (mk [ (1, []) ]));
-  Alcotest.check_raises "po range" (Invalid_argument "Datalog: PO position out of range")
-    (fun () -> ignore (mk [ (1, [ 4 ]) ]))
+  rejects "range" "fail 2 : 0\nfail 10 : 0\n" "pattern index out of range on line 2";
+  rejects "dup" "fail 1 : 0\n\nfail 1 : 1\n" "duplicate pattern entry on line 3";
+  rejects "empty" "fail 1 :\n" "empty failing-output list on line 1";
+  rejects "po range" "fail 1 : 0\nfail 2 : 4\n" "PO position out of range on line 2"
 
 let test_of_responses () =
   let net = Generators.c17 () in
@@ -71,13 +71,22 @@ let test_text_format () =
   let d = mk [ (3, [ 0; 1 ]) ] in
   Alcotest.(check string) "format" "fail 3 : 0 1\n" (Datalog.to_text d)
 
+(* A number is plain decimal digits: hexadecimal, binary, underscored,
+   signed and overflowing forms are refused, not read as another
+   pattern. *)
 let test_of_text_errors () =
-  Alcotest.check_raises "bad number"
-    (Invalid_argument "Datalog.of_text: bad number on line 1") (fun () ->
-      ignore (Datalog.of_text ~npatterns:10 ~npos:4 "fail x : 0\n"));
-  Alcotest.check_raises "no colon"
-    (Invalid_argument "Datalog.of_text: expected ':' on line 1") (fun () ->
-      ignore (Datalog.of_text ~npatterns:10 ~npos:4 "fail 3 0\n"))
+  rejects "bad number" "fail x : 0\n" "bad number on line 1";
+  rejects "no colon" "fail 3 0\n" "expected ':' on line 1";
+  List.iter
+    (fun (name, line) -> rejects name ("fail 1 : 0\n" ^ line) "bad number on line 2")
+    [
+      ("hex pattern", "fail 0x10 : 1");
+      ("binary po", "fail 2 : 0b11");
+      ("underscore", "fail 1_0 : 0");
+      ("plus sign", "fail +3 : 0");
+      ("minus sign", "fail -3 : 0");
+      ("overflow", "fail 99999999999999999999 : 0");
+    ]
 
 let suite =
   [

@@ -71,40 +71,44 @@ let test_open_cond () =
     Alcotest.(check bool) "conditional flip" expect (Bitvec.get r.(0) p)
   done
 
+(* The patterns of [pats] on which an [Intermittent] defect at [o1]
+   flips it, read off the simulated responses. *)
+let intermittent_flips ~salt ~rate_pct pats =
+  let net, _, _, o1, _ = two_lane () in
+  let good = responses net [] pats in
+  let bad = responses net [ Defect.Intermittent { site = o1; salt; rate_pct } ] pats in
+  List.filter
+    (fun p -> Bitvec.get good.(0) p <> Bitvec.get bad.(0) p)
+    (List.init (Pattern.count pats) Fun.id)
+
+let random_pats seed count = Pattern.random (Rng.create seed) ~npis:2 ~count
+
 let test_intermittent_deterministic () =
-  let w1 = Defect.intermittent_word ~salt:42 ~base:0 ~rate_pct:50 in
-  let w2 = Defect.intermittent_word ~salt:42 ~base:0 ~rate_pct:50 in
-  Alcotest.(check int) "deterministic" w1 w2;
-  let w3 = Defect.intermittent_word ~salt:43 ~base:0 ~rate_pct:50 in
+  let pats = random_pats 1 Bitvec.word_bits in
+  let w1 = intermittent_flips ~salt:42 ~rate_pct:50 pats in
+  let w2 = intermittent_flips ~salt:42 ~rate_pct:50 pats in
+  Alcotest.(check (list int)) "deterministic" w1 w2;
+  let w3 = intermittent_flips ~salt:43 ~rate_pct:50 pats in
   Alcotest.(check bool) "salt matters" true (w1 <> w3);
-  Alcotest.(check int) "rate 0 no flips" 0 (Defect.intermittent_word ~salt:1 ~base:0 ~rate_pct:0);
-  Alcotest.(check int) "rate 100 all flips" Logic.ones
-    (Defect.intermittent_word ~salt:1 ~base:0 ~rate_pct:100)
+  Alcotest.(check (list int)) "rate 0 no flips" [] (intermittent_flips ~salt:1 ~rate_pct:0 pats);
+  Alcotest.(check int) "rate 100 all flips" Bitvec.word_bits
+    (List.length (intermittent_flips ~salt:1 ~rate_pct:100 pats))
 
 let test_intermittent_rate () =
   (* Over many patterns the flip fraction approaches rate_pct. *)
-  let flips = ref 0 in
   let n = 100 * Bitvec.word_bits in
-  for base = 0 to 99 do
-    let w = Defect.intermittent_word ~salt:7 ~base:(base * Bitvec.word_bits) ~rate_pct:30 in
-    let rec pop w acc = if w = 0 then acc else pop (w land (w - 1)) (acc + 1) in
-    flips := !flips + pop w 0
-  done;
-  let rate = float_of_int !flips /. float_of_int n in
+  let flips = List.length (intermittent_flips ~salt:7 ~rate_pct:30 (random_pats 2 n)) in
+  let rate = float_of_int flips /. float_of_int n in
   Alcotest.(check bool) "rate near 0.30" true (abs_float (rate -. 0.30) < 0.03)
 
 let test_intermittent_in_circuit () =
-  let net, _, _, o1, _ = two_lane () in
-  let pats = Pattern.exhaustive ~npis:2 in
-  let salt = 5 in
-  let r = responses net [ Defect.Intermittent { site = o1; salt; rate_pct = 50 } ] pats in
-  for p = 0 to 3 do
-    let a_v = p land 1 <> 0 in
-    let w = Defect.intermittent_word ~salt ~base:0 ~rate_pct:50 in
-    let flipped = w lsr p land 1 = 1 in
-    let expect = if flipped then a_v else not a_v in
-    Alcotest.(check bool) "matches word" expect (Bitvec.get r.(0) p)
-  done
+  (* The flips are keyed by the pattern's index, not its values: two
+     different pattern sets of one length flip the same indices, across
+     several blocks. *)
+  let n = 3 * Bitvec.word_bits in
+  Alcotest.(check (list int)) "same indices"
+    (intermittent_flips ~salt:5 ~rate_pct:50 (random_pats 3 n))
+    (intermittent_flips ~salt:5 ~rate_pct:50 (random_pats 4 n))
 
 let test_multiple_defects_interact () =
   (* Stuck + dominant bridge chained: o1 stuck 0, o2 follows o1 -> both 0
@@ -138,15 +142,6 @@ let test_nets_and_overridden () =
   Alcotest.(check (list int)) "open overrides site" [ 5 ] (Defect.overridden d4);
   Alcotest.(check (list int)) "intermittent" [ 7 ] (Defect.overridden d5)
 
-let test_kind_names () =
-  Alcotest.(check string) "stuck" "stuck" (Defect.kind_name (Defect.Stuck (0, true)));
-  Alcotest.(check string) "bridge" "bridge"
-    (Defect.kind_name (Defect.Bridge { victim = 0; aggressor = 1; kind = Defect.Dominant }));
-  Alcotest.(check string) "open" "open"
-    (Defect.kind_name (Defect.Open_cond { site = 0; cond = 1; cond_v = true }));
-  Alcotest.(check string) "intermittent" "intermittent"
-    (Defect.kind_name (Defect.Intermittent { site = 0; salt = 1; rate_pct = 5 }))
-
 let suite =
   [
     ( "defect",
@@ -162,6 +157,5 @@ let suite =
         Alcotest.test_case "intermittent in circuit" `Quick test_intermittent_in_circuit;
         Alcotest.test_case "multiple defects interact" `Quick test_multiple_defects_interact;
         Alcotest.test_case "nets/overridden" `Quick test_nets_and_overridden;
-        Alcotest.test_case "kind names" `Quick test_kind_names;
       ] );
   ]

@@ -68,7 +68,7 @@ let test_pattern_count_check () =
   let net = Generators.c17 () in
   let pats = Pattern.exhaustive ~npis:5 in
   let dict = Dict_diag.build_session Dict_diag.Pass_fail (Session.create net pats) in
-  let bad = Datalog.of_entries ~npatterns:5 ~npos:2 [ (1, [ 0 ]) ] in
+  let bad = Reference.datalog ~npatterns:5 ~npos:2 [ (1, [ 0 ]) ] in
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Dict_diag.diagnose: datalog pattern count differs from dictionary")
     (fun () -> ignore (Dict_diag.diagnose dict bad))
@@ -127,7 +127,7 @@ let test_passfail_matches_per_pattern () =
         let predicted =
           Array.exists2 (fun e o -> Bitvec.get e p <> Bitvec.get o p) expected observed
         in
-        match (Datalog.is_failing dlog p, predicted) with
+        match (Datalog.failing_pos dlog p <> [], predicted) with
         | true, true -> incr explained
         | true, false -> incr missed
         | false, true -> incr spurious

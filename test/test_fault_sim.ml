@@ -102,7 +102,7 @@ let qcheck_po_reach_matches_dfs =
         let rec walk u =
           if not seen.(u) then begin
             seen.(u) <- true;
-            Array.iter walk (Netlist.fanout net u)
+            Array.iter walk (Reference.fanout net u)
           end
         in
         walk v;
@@ -117,7 +117,7 @@ let qcheck_po_reach_matches_dfs =
       let all = List.init n Fun.id in
       (* The cases the circuit was built to hold really hold. *)
       Array.length pos > Bitvec.word_bits
-      && Array.exists (fun po -> Netlist.fanout net po <> [||]) pos
+      && Array.exists (fun po -> Reference.fanout net po <> [||]) pos
       && List.exists (fun v -> Po_reach.num_reachable reach v = 0) all
       && List.for_all agrees all)
 

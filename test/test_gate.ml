@@ -19,7 +19,7 @@ let test_name_roundtrip () =
       Alcotest.(check bool)
         (Gate.name k)
         true
-        (match Gate.of_name (Gate.name k) with Some k' -> Gate.equal k k' | None -> false))
+        (match Gate.of_name (Gate.name k) with Some k' -> k = k' | None -> false))
     ([ Gate.Input; Gate.Const true; Gate.Const false; Gate.Buf; Gate.Not ] @ binary_kinds);
   (* Aliases and case-insensitivity. *)
   Alcotest.(check bool) "buff" true (Gate.of_name "BUFF" = Some Gate.Buf);

@@ -1,10 +1,20 @@
 let net () = Generators.ripple_adder 8
 
+(* One defect: the first draw of a multiplet is always placed, so this
+   consumes the same stream as one draw. *)
+let draw rng net mix = List.hd (Injection.random_defects rng net mix 1)
+
+let kind_name = function
+  | Defect.Stuck _ -> "stuck"
+  | Defect.Bridge _ -> "bridge"
+  | Defect.Open_cond _ -> "open"
+  | Defect.Intermittent _ -> "intermittent"
+
 let test_random_defect_site_not_pi () =
   let net = net () in
   let rng = Rng.create 31 in
   for _ = 1 to 200 do
-    let d = Injection.random_defect rng net Injection.default_mix in
+    let d = draw rng net Injection.default_mix in
     List.iter
       (fun n -> Alcotest.(check bool) "not a PI" false (Netlist.is_pi net n))
       (Defect.overridden d)
@@ -17,8 +27,8 @@ let test_mix_purity () =
     (fun kind ->
       let mix = Option.get (Injection.mix_of_string kind) in
       for _ = 1 to 50 do
-        let d = Injection.random_defect rng net mix in
-        Alcotest.(check string) "kind" kind (Defect.kind_name d)
+        let d = draw rng net mix in
+        Alcotest.(check string) "kind" kind (kind_name d)
       done)
     [ "stuck"; "bridge"; "open"; "intermittent" ]
 
@@ -32,7 +42,7 @@ let test_companion_acyclic () =
   let net = net () in
   let rng = Rng.create 33 in
   for _ = 1 to 300 do
-    let d = Injection.random_defect rng net Injection.default_mix in
+    let d = draw rng net Injection.default_mix in
     match d with
     | Defect.Bridge { victim; aggressor; _ } ->
       let reach = Netlist.fanout_reach net victim in
@@ -107,8 +117,8 @@ let test_default_mix_weights () =
   let counts = Hashtbl.create 4 in
   let n = 2000 in
   for _ = 1 to n do
-    let d = Injection.random_defect rng net Injection.default_mix in
-    let k = Defect.kind_name d in
+    let d = draw rng net Injection.default_mix in
+    let k = kind_name d in
     Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
   done;
   let frac k = float_of_int (Option.value ~default:0 (Hashtbl.find_opt counts k)) /. float_of_int n in

@@ -22,7 +22,7 @@ let prop_truth_scores_perfect =
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let net, pats, _, _, defects, dlog = random_problem seed 3 in
-      Scoring.perfect (Reference.evaluate net pats dlog (Defect.overlay_all defects)))
+      Scoring.penalty (Reference.evaluate net pats dlog (Defect.overlay_all defects)) = 0)
 
 (* The datalog reconstructs the exact diff of expected vs observed. *)
 let prop_datalog_faithful =

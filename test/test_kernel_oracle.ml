@@ -64,7 +64,7 @@ let prop_good_matches_scalar =
         (fun bi (b : Pattern.block) ->
           for k = 0 to b.width - 1 do
             Array.iteri
-              (fun i pi -> value.(pi) <- Pattern.get pats (b.base + k) i)
+              (fun i pi -> value.(pi) <- (Pattern.pattern pats (b.base + k)).(i))
               (Netlist.pis net);
             Array.iter
               (fun n ->
@@ -246,7 +246,7 @@ let random_datalog rng ~npatterns ~npos =
           Some (p, if pos = [] then [ Rng.int rng npos ] else pos))
       (List.init npatterns Fun.id)
   in
-  Datalog.of_entries ~npatterns ~npos entries
+  Reference.datalog ~npatterns ~npos entries
 
 (* Pattern counts that are never a multiple of 63, so the last block is
    partial; a lazily filled arena (the build simulates its rows) and a
@@ -526,8 +526,8 @@ let prop_screen_matches_per_aggressor =
            (Array.mapi
               (fun bi g -> (g.(victim) lxor g.(comp)) land live bi = live bi)
               goods)
-      && Netlist.fanout net noise = [||]
-      && (case <> 1 || (Netlist.is_po net victim && Netlist.fanout net victim = [||]))
+      && Reference.fanout net noise = [||]
+      && (case <> 1 || (Netlist.is_po net victim && Reference.fanout net victim = [||]))
       && (case <> 2 || not (Netlist.is_po net victim))
       && got = want)
 
@@ -631,7 +631,7 @@ let bridges_agree net pats dlog ~rest ~victim ~aggressor =
       (fun kind ->
         Reference.evaluate net pats dlog
           (Scoring.overlay_of_multiplet rest
-          @ Defect.overlay (Defect.Bridge { victim; aggressor; kind })))
+          @ Defect.overlay_all [ Defect.Bridge { victim; aggressor; kind } ]))
       bridge_kinds
   in
   let sc = Scoring.create session dlog in
@@ -668,19 +668,19 @@ let bridge_case seed case =
     match case with
     | 1 ->
       Option.bind
-        (pick (fun v -> Array.length (Netlist.fanout net v) > 0))
+        (pick (fun v -> Array.length (Reference.fanout net v) > 0))
         (fun v ->
           Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanout_reach net v) v)))
     | 2 ->
       Option.bind
         (pick (fun v -> not (Netlist.is_pi net v)))
         (fun v ->
-          Option.map (fun a -> (v, a)) (pick (strictly (Netlist.fanin_cone net v) v)))
+          Option.map (fun a -> (v, a)) (pick (strictly (Reference.fanin_cone net v) v)))
     | 0 ->
       Option.bind
         (pick (fun _ -> true))
         (fun v ->
-          let down = Netlist.fanout_reach net v and up = Netlist.fanin_cone net v in
+          let down = Netlist.fanout_reach net v and up = Reference.fanin_cone net v in
           Option.map (fun a -> (v, a)) (pick (fun a -> (not down.(a)) && not up.(a))))
     | 4 ->
       let pis = Netlist.pis net in
@@ -983,7 +983,7 @@ let prop_packed_arena_matches_scalar =
       let agrees cache =
         List.for_all
           (fun (k, triples) ->
-            let decoded = Sig_cache.find cache k = Some triples in
+            let decoded = Reference.cached cache k = Some triples in
             let buffered =
               Sig_cache.mem cache k
               &&

@@ -3,14 +3,22 @@ let test_deterministic () =
   let a = Layout.synthesize net in
   let b = Layout.synthesize net in
   Netlist.iter_nets net (fun n ->
-      Alcotest.(check bool) "same position" true (Layout.position a n = Layout.position b n))
+      Netlist.iter_nets net (fun m ->
+          Alcotest.(check bool) "same distance" true
+            (Layout.distance a n m = Layout.distance b n m)))
 
 let test_columns_by_level () =
   let net = Generators.ripple_adder 8 in
   let l = Layout.synthesize net in
-  Netlist.iter_nets net (fun n ->
-      let x, _ = Layout.position l n in
-      Alcotest.(check bool) "x = level" true (x = float_of_int (Netlist.level net n)))
+  (* x is the level and rows are one pitch apart: two nets are at
+     least their level gap apart, and a whole number of pitches when
+     they share a column. *)
+  Netlist.iter_nets net (fun a ->
+      Netlist.iter_nets net (fun b ->
+          let gap = float_of_int (abs (Netlist.level net a - Netlist.level net b)) in
+          let d = Layout.distance l a b in
+          Alcotest.(check bool) "at least the level gap" true (d >= gap -. 1e-12);
+          if gap = 0.0 then Alcotest.(check bool) "whole pitches" true (Float.is_integer d)))
 
 let test_distance_metric () =
   let net = Generators.c17 () in
@@ -51,11 +59,11 @@ let test_layout_constrained_injection () =
   let rng = Rng.create 95 in
   let mix = Option.get (Injection.mix_of_string "bridge") in
   for _ = 1 to 100 do
-    match Injection.random_defect ~layout rng net mix with
-    | Defect.Bridge { victim; aggressor; _ } ->
+    match Injection.random_defects ~layout rng net mix 1 with
+    | [ Defect.Bridge { victim; aggressor; _ } ] ->
       Alcotest.(check bool) "adjacent" true
         (Layout.distance placement victim aggressor <= Layout.default_radius)
-    | Defect.Stuck _ | Defect.Open_cond _ | Defect.Intermittent _ ->
+    | _ ->
       Alcotest.fail "bridge mix drew a non-bridge"
   done
 

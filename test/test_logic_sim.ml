@@ -1,23 +1,13 @@
-(* Reference evaluator: direct recursive bool evaluation per net. *)
-let reference_values net inputs =
-  let values = Array.make (Netlist.num_nets net) false in
-  Array.iteri (fun i pi -> values.(pi) <- inputs.(i)) (Netlist.pis net);
-  Array.iter
-    (fun n ->
-      if not (Netlist.is_pi net n) then
-        values.(n) <-
-          Scalar_logic.eval_bool (Netlist.kind net n)
-            (Array.to_list (Array.map (fun s -> values.(s)) (Netlist.fanin net n))))
-    (Netlist.topo_order net);
-  values
-
+(* One-pattern blocks, each a width-1 block of its own set. *)
 let test_simulate_pattern_matches_reference () =
   let net = Generators.c17 () in
   let p = Pattern.exhaustive ~npis:5 in
   for i = 0 to Pattern.count p - 1 do
     let inputs = Pattern.pattern p i in
-    Alcotest.(check (array bool)) "values" (reference_values net inputs)
-      (Logic_sim.simulate_pattern net inputs)
+    let block = List.hd (Pattern.blocks (Pattern.of_list ~npis:5 [ inputs ])) in
+    Alcotest.(check (array bool)) "values"
+      (Scalar_logic.simulate_pattern net inputs)
+      (Array.map (fun w -> w land 1 = 1) (Logic_sim.simulate_block net block))
   done
 
 let test_block_matches_scalar () =
@@ -32,7 +22,7 @@ let test_block_matches_scalar () =
           let words = Logic_sim.simulate_block net block in
           for k = 0 to block.Pattern.width - 1 do
             let scalar =
-              Logic_sim.simulate_pattern net (Pattern.pattern pats (block.Pattern.base + k))
+              Scalar_logic.simulate_pattern net (Pattern.pattern pats (block.Pattern.base + k))
             in
             Netlist.iter_nets net (fun n ->
                 if words.(n) lsr k land 1 = 1 <> scalar.(n) then
@@ -64,7 +54,7 @@ let test_overlay_force () =
   (* Reference: simulate scalars with a manual override. *)
   let block_ref p =
     let values = Array.make (Netlist.num_nets net) false in
-    Array.iteri (fun i pi -> values.(pi) <- Pattern.get pats p i) (Netlist.pis net);
+    Array.iteri (fun i pi -> values.(pi) <- (Pattern.pattern pats p).(i)) (Netlist.pis net);
     Array.iter
       (fun n ->
         if not (Netlist.is_pi net n) then
@@ -226,7 +216,7 @@ let qcheck_block_vs_scalar_random_circuits =
           List.for_all
             (fun k ->
               let scalar =
-                Logic_sim.simulate_pattern net
+                Scalar_logic.simulate_pattern net
                   (Pattern.pattern pats (block.Pattern.base + k))
               in
               let ok = ref true in

@@ -18,7 +18,7 @@ let test_single_stuck_exact_localisation () =
       ~callouts:(Noassume.callout_nets r)
   in
   Alcotest.(check bool) "hit" true q.Metrics.success;
-  Alcotest.(check bool) "perfect score" true (Scoring.perfect r.Noassume.score);
+  Alcotest.(check bool) "perfect score" true (Scoring.penalty r.Noassume.score = 0);
   Alcotest.(check int) "single callout" 1 (List.length r.Noassume.callouts)
 
 let test_two_disjoint_stucks () =
@@ -74,7 +74,7 @@ let test_empty_datalog () =
   let result = Noassume.diagnose_session (Session.create net pats) dlog in
   Alcotest.(check int) "empty multiplet" 0 (List.length result.Noassume.multiplet);
   Alcotest.(check int) "no callouts" 0 (List.length result.Noassume.callouts);
-  Alcotest.(check bool) "perfect trivially" true (Scoring.perfect result.Noassume.score)
+  Alcotest.(check bool) "perfect trivially" true (Scoring.penalty result.Noassume.score = 0)
 
 let test_max_multiplet_respected () =
   let net = Generators.ripple_adder 8 in

@@ -62,12 +62,12 @@ let test_counters_and_phases_recorded () =
     snap.Obs.phases;
   let chunks =
     List.find_opt
-      (fun (d : Obs.dist_stat) -> d.d_name = "parallel.chunks_per_domain")
+      (fun (d : Obs.dist_stat) -> d.d_name = "parallel.chunks_per_region")
       snap.Obs.dists
   in
   match chunks with
   | Some d -> Alcotest.(check bool) "chunk dist populated" true (d.d_count > 0)
-  | None -> Alcotest.fail "parallel.chunks_per_domain not in snapshot"
+  | None -> Alcotest.fail "parallel.chunks_per_region not in snapshot"
 
 (* With no sink bound nothing records: a span begun outside any sink
    is inert, even when it ends inside one. *)
@@ -143,21 +143,39 @@ let test_span_nesting () =
     "outer spans inner" true
     ((stat "test.outer").Obs.p_total_ns >= (stat "test.inner").Obs.p_total_ns)
 
+(* Which participant drains which chunk varies from run to run; the
+   plan does not.  The dist records each region's planned chunk count
+   once, so every run of one region records the same values. *)
 let test_parallel_chunk_dist () =
-  let snap =
+  let run () =
     recorded (fun () ->
         ignore (Parallel.map_array ~domains:2 succ (Array.make 100 0) : int array))
   in
+  let dist snap =
+    let d =
+      List.find (fun (d : Obs.dist_stat) -> d.d_name = "parallel.chunks_per_region")
+        snap.Obs.dists
+    in
+    [ d.d_count; d.d_sum; d.d_min; d.d_max ]
+  in
+  let snap = run () in
   Alcotest.(check int) "one batch" 1 (counter_value snap "parallel.batches");
   Alcotest.(check int) "one spawn" 1 (counter_value snap "parallel.spawns");
-  let d =
-    List.find (fun (d : Obs.dist_stat) -> d.d_name = "parallel.chunks_per_domain")
-      snap.Obs.dists
+  Alcotest.(check (list int)) "one region of two chunks" [ 1; 2; 2; 2 ] (dist snap);
+  for _ = 1 to 20 do
+    Alcotest.(check (list int)) "the same on every run" (dist snap) (dist (run ()))
+  done;
+  (* A weighted plan oversplits: 8 chunks for 2 participants, which
+     drain them in whatever split the race gives. *)
+  With_domains.run 2 @@ fun () ->
+  let plan = Parallel.weighted_chunks ~weights:(Array.make 64 1) () in
+  let run_plan () =
+    dist (recorded (fun () -> Parallel.run_plan_slotted plan (fun ~slot:_ _ _ _ -> ())))
   in
-  (* Which participant drained which chunk is timing-dependent, but the
-     totals are not: two participants, two chunks drained overall. *)
-  Alcotest.(check int) "two participants" 2 d.Obs.d_count;
-  Alcotest.(check int) "two chunks drained" 2 d.Obs.d_sum
+  Alcotest.(check (list int)) "one region of eight chunks" [ 1; 8; 8; 8 ] (run_plan ());
+  for _ = 1 to 20 do
+    Alcotest.(check (list int)) "the plan, not the race" [ 1; 8; 8; 8 ] (run_plan ())
+  done
 
 (* [merge] folds a sink into the sink bound in the calling domain
    through the same per-kind updates events make, and leaves the merged
@@ -246,7 +264,7 @@ let test_report_json_parses () =
                Option.bind (Obs_json.member "seed" m) Obs_json.str));
         Alcotest.(check bool)
           "counters round-trip" true
-          (Run_report.counters_of_json json = Run_report.counters report))
+          (Run_report.counters_of_json json = report.Run_report.snap.Obs.counters))
     [ true; false ]
 
 (* --- The JSON reader ------------------------------------------------- *)
@@ -312,7 +330,7 @@ let suite =
         Alcotest.test_case "disabled run records nothing" `Quick
           test_disabled_records_nothing;
         Alcotest.test_case "span nesting" `Quick test_span_nesting;
-        Alcotest.test_case "chunks-per-domain distribution" `Quick
+        Alcotest.test_case "chunks-per-region distribution" `Quick
           test_parallel_chunk_dist;
         Alcotest.test_case "merge folds a sink into the bound sink" `Quick
           test_merge;

@@ -4,9 +4,9 @@ let test_of_list_get () =
   in
   Alcotest.(check int) "count" 2 (Pattern.count p);
   Alcotest.(check int) "npis" 3 (Pattern.npis p);
-  Alcotest.(check bool) "p0 i0" true (Pattern.get p 0 0);
-  Alcotest.(check bool) "p1 i0" false (Pattern.get p 1 0);
-  Alcotest.(check bool) "p1 i2" true (Pattern.get p 1 2)
+  Alcotest.(check bool) "p0 i0" true (Pattern.pattern p 0).(0);
+  Alcotest.(check bool) "p1 i0" false (Pattern.pattern p 1).(0);
+  Alcotest.(check bool) "p1 i2" true (Pattern.pattern p 1).(2)
 
 let test_width_mismatch () =
   Alcotest.check_raises "width" (Invalid_argument "Pattern: PI vector width mismatch")
@@ -16,10 +16,10 @@ let test_immutability () =
   let src = [| true; true |] in
   let p = Pattern.of_list ~npis:2 [ src ] in
   src.(0) <- false;
-  Alcotest.(check bool) "copied on build" true (Pattern.get p 0 0);
+  Alcotest.(check bool) "copied on build" true (Pattern.pattern p 0).(0);
   let v = Pattern.pattern p 0 in
   v.(1) <- false;
-  Alcotest.(check bool) "copied on read" true (Pattern.get p 0 1)
+  Alcotest.(check bool) "copied on read" true (Pattern.pattern p 0).(1)
 
 let test_exhaustive () =
   let p = Pattern.exhaustive ~npis:4 in
@@ -30,7 +30,7 @@ let test_exhaustive () =
       Alcotest.(check bool)
         (Printf.sprintf "v=%d i=%d" v i)
         (v land (1 lsl i) <> 0)
-        (Pattern.get p v i)
+        (Pattern.pattern p v).(i)
     done
   done
 
@@ -70,7 +70,7 @@ let test_blocks_packing () =
     (fun b ->
       for k = 0 to b.Pattern.width - 1 do
         for i = 0 to 2 do
-          Alcotest.(check bool) "bit" (Pattern.get p (b.Pattern.base + k) i)
+          Alcotest.(check bool) "bit" (Pattern.pattern p (b.Pattern.base + k)).(i)
             (b.Pattern.pi_words.(i) lsr k land 1 = 1)
         done
       done;
@@ -98,7 +98,7 @@ let qcheck_blocks_roundtrip =
             (fun k ->
               List.for_all
                 (fun i ->
-                  Pattern.get p (b.Pattern.base + k) i
+                  (Pattern.pattern p (b.Pattern.base + k)).(i)
                   = (b.Pattern.pi_words.(i) lsr k land 1 = 1))
                 (List.init npis Fun.id))
             (List.init b.Pattern.width Fun.id))
@@ -135,9 +135,9 @@ let test_read_file () =
         | Error msg ->
           Alcotest.(check string) name (path ^ ": Pattern.of_text: " ^ reason) msg)
   in
-  rejects "ragged" "0101\n011\n" "ragged pattern lines";
-  rejects "bad character" "0101\n01x1\n" "bad character x";
-  rejects "ragged before bad character" "0101\n01x\n" "ragged pattern lines";
+  rejects "ragged" "0101\n011\n" "ragged pattern lines on line 2";
+  rejects "bad character" "0101\n\n01x1\n" "bad character x on line 3";
+  rejects "ragged before bad character" "0101\n01x\n" "ragged pattern lines on line 2";
   match Pattern.read_file "/nonexistent/mdd-patterns.txt" with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()

@@ -28,7 +28,7 @@ let exercise_all_faults name net =
       | Podem.Test pattern ->
         if not (check_detects net fault pattern) then
           Alcotest.failf "%s: pattern does not detect %s" name
-            (Format.asprintf "%a" (Fault_list.pp_fault net) fault)
+            (Fault_list.to_string net fault)
       | Podem.Untestable -> ()
       | Podem.Aborted -> incr aborted)
     (Fault_list.representatives collapsed);
@@ -45,7 +45,7 @@ let test_c17_all_faults () =
         Alcotest.(check bool) "detects" true (check_detects net fault pattern)
       | Podem.Untestable | Podem.Aborted ->
         Alcotest.failf "c17 fault not covered: %s"
-          (Format.asprintf "%a" (Fault_list.pp_fault net) fault))
+          (Fault_list.to_string net fault))
     (Fault_list.representatives collapsed)
 
 let test_adder_all_faults () =
@@ -176,7 +176,7 @@ let check_oracle_searches net =
           let ((r, _, _) as got) = podem_search ~backtrack_limit ~fill_seed:7 podem fault in
           if got <> oracle_search ~backtrack_limit ~fill_seed:7 net fault then
             Alcotest.failf "oracle disagrees on %s at limit %d"
-              (Format.asprintf "%a" (Fault_list.pp_fault net) fault)
+              (Fault_list.to_string net fault)
               backtrack_limit;
           if backtrack_limit = 4 then
             match r with

@@ -130,7 +130,7 @@ let test_dropped_session_frees_cache () =
     let session = Session.create net pats in
     ignore (Session.prewarm session : int);
     let dlog =
-      Datalog.of_entries ~npatterns:(Pattern.count pats) ~npos:(Netlist.num_pos net)
+      Reference.datalog ~npatterns:(Pattern.count pats) ~npos:(Netlist.num_pos net)
         [ (3, [ 0 ]) ]
     in
     ignore (Noassume.diagnose_session session dlog : Noassume.result);
@@ -294,7 +294,7 @@ let test_drain_sink_sees_dies () =
       let per_die =
         List.fold_left
           (fun acc (r : Volume.die_result) ->
-            acc + count name (Run_report.counters r.Volume.report))
+            acc + count name r.Volume.report.Run_report.snap.Obs.counters)
           0 results
       in
       Alcotest.(check bool) (name ^ " counted") true (per_die > 0);
@@ -315,7 +315,7 @@ let test_prewarmed_probes_hit () =
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
-      let counters = Run_report.counters r.Volume.report in
+      let counters = r.Volume.report.Run_report.snap.Obs.counters in
       let get n = Option.value ~default:0 (List.assoc_opt n counters) in
       Alcotest.(check int)
         (Printf.sprintf "%s: no misses" r.Volume.die)
@@ -367,7 +367,7 @@ let test_build_allocates_below_matrix () =
   let collapsed = Fault_list.collapse (Lazy.force net) in
   let rows =
     Array.to_list (Explain.candidates m)
-    |> List.map (Fault_list.representative_of collapsed)
+    |> List.map (Reference.representative_of (Fault_list.representative_indices collapsed))
     |> List.sort_uniq Fault_list.compare_fault |> List.length
   in
   let matrix_bytes = 8. *. float_of_int (rows * Array.length (Explain.failing m)) in
@@ -390,7 +390,7 @@ let test_rollup () =
   Alcotest.(check bool) "got dies" true (dies <> []);
   let session = cold_session () in
   let results = Volume.run ~workers:1 session dies in
-  let ru = Volume.rollup session results in
+  let ru = Temp_dir.with_dir (fun dir -> Volume.write_results ~dir ~failed:[] session results) in
   Alcotest.(check int) "rollup die count" (List.length dies) ru.Volume.dies;
   let sorted_ok =
     let rec check = function
@@ -423,7 +423,7 @@ let test_per_die_sinks () =
   let results = Volume.run ~workers:1 session dies in
   List.iter
     (fun (r : Volume.die_result) ->
-      let counters = Run_report.counters r.Volume.report in
+      let counters = r.Volume.report.Run_report.snap.Obs.counters in
       let evals = Option.value ~default:0 (List.assoc_opt "scoring.evaluations" counters) in
       Alcotest.(check bool)
         (Printf.sprintf "%s scored at least one multiplet" r.Volume.die)

@@ -61,7 +61,7 @@ let test_round_trip () =
   Alcotest.(check int) "identical arena footprint" (Sig_cache.frozen_bytes c1)
     (Sig_cache.frozen_bytes c2);
   for k = 0 to (2 * Netlist.num_nets net) - 1 do
-    let a = Sig_cache.find c1 k and b = Sig_cache.find c2 k in
+    let a = Reference.cached c1 k and b = Reference.cached c2 k in
     Alcotest.(check bool)
       (Printf.sprintf "key %d decodes identically" k)
       true
@@ -77,14 +77,14 @@ let test_round_trip () =
 let test_empty_signature_round_trip () =
   let c1, net, pats = fresh_instance () in
   Sig_cache.store c1 [| 0 |] [| [||] |];
-  Alcotest.(check bool) "find = Some [||]" true (Sig_cache.find c1 0 = Some [||]);
-  Alcotest.(check bool) "absent key stays None" true (Sig_cache.find c1 2 = None);
+  Alcotest.(check bool) "find = Some [||]" true (Reference.cached c1 0 = Some [||]);
+  Alcotest.(check bool) "absent key stays None" true (Reference.cached c1 2 = None);
   Temp_dir.with_dir @@ fun dir ->
   Alcotest.(check bool) "save succeeds" true (Sig_cache.save_frozen ~dir c1);
   let c2 = Sig_cache.create net pats in
   Alcotest.(check bool) "load succeeds" true (Sig_cache.load_frozen ~dir c2);
-  Alcotest.(check bool) "loaded find = Some [||]" true (Sig_cache.find c2 0 = Some [||]);
-  Alcotest.(check bool) "loaded absent key stays None" true (Sig_cache.find c2 2 = None)
+  Alcotest.(check bool) "loaded find = Some [||]" true (Reference.cached c2 0 = Some [||]);
+  Alcotest.(check bool) "loaded absent key stays None" true (Reference.cached c2 2 = None)
 
 (* One rejection scenario: corrupt the snapshot with [mangle], then
    check the load is refused, ["store.rejects"] is bumped, the
@@ -263,12 +263,12 @@ let prop_codec_round_trip =
       in
       let c1, net, pats = fresh_instance () in
       Sig_cache.store c1 [| 0 |] [| triples |];
-      let from_memory = Sig_cache.find c1 0 in
+      let from_memory = Reference.cached c1 0 in
       Temp_dir.with_dir @@ fun dir ->
       let saved = Sig_cache.save_frozen ~dir c1 in
       let c2 = Sig_cache.create net pats in
       let loaded = Sig_cache.load_frozen ~dir c2 in
-      let from_disk = Sig_cache.find c2 0 in
+      let from_disk = Reference.cached c2 0 in
       saved && loaded && from_memory = Some triples && from_disk = Some triples)
 
 (* Real rows for a circuit large enough that batches of a few keys
@@ -320,7 +320,7 @@ let test_concurrent_appends () =
     (fun (k, triples) ->
       Alcotest.(check (option (array int)))
         (Printf.sprintf "key %d decodes to its scalar triples" k)
-        (Some triples) (Sig_cache.find c k))
+        (Some triples) (Reference.cached c k))
     rows
 
 (* The snapshot depends on which keys are present, never on the order
@@ -368,7 +368,7 @@ let test_append_after_load () =
     (fun (k, triples) ->
       Alcotest.(check (option (array int)))
         (Printf.sprintf "key %d" k)
-        (Some triples) (Sig_cache.find c2 k))
+        (Some triples) (Reference.cached c2 k))
     rows;
   let saved c =
     Temp_dir.with_dir @@ fun dir ->
@@ -495,7 +495,7 @@ let test_two_byte_deltas_load () =
     (fun k triples ->
       Alcotest.(check (option (array int)))
         (Printf.sprintf "key %d finds its scalar triples" k)
-        (Some triples) (Sig_cache.find c k))
+        (Some triples) (Reference.cached c k))
     rows
 
 (* [reject_case] on the rnd2k snapshot, without the fallback fill. *)

@@ -15,7 +15,7 @@ let test_single_stuck_top_ranked () =
      representative of the) true fault. *)
   List.iter
     (fun (rk : Single_diag.ranked) ->
-      Alcotest.(check bool) "best is perfect" true (Scoring.perfect rk.score))
+      Alcotest.(check bool) "best is perfect" true (Scoring.penalty rk.score = 0))
     r.Single_diag.best;
   let q =
     Metrics.evaluate net ~injected:[ Defect.Stuck (g16, true) ]
@@ -62,7 +62,7 @@ let test_breaks_under_two_defects () =
   let r = Single_diag.diagnose_session (Session.create net pats) dlog in
   List.iter
     (fun (rk : Single_diag.ranked) ->
-      Alcotest.(check bool) "imperfect" false (Scoring.perfect rk.score))
+      Alcotest.(check bool) "imperfect" false (Scoring.penalty rk.score = 0))
     r.Single_diag.best
 
 let suite =

@@ -166,13 +166,11 @@ let same_netlist a b =
   && String.equal (structure a) (structure b)
   && List.for_all
        (fun i ->
-         Gate.equal (Netlist.kind a i) (Netlist.kind b i)
+         Netlist.kind a i = Netlist.kind b i
          && Netlist.fanin a i = Netlist.fanin b i
-         && Netlist.fanout a i = Netlist.fanout b i
          && Netlist.level a i = Netlist.level b i
          && Netlist.is_pi a i = Netlist.is_pi b i
          && Netlist.is_po a i = Netlist.is_po b i
-         && Netlist.po_index a i = Netlist.po_index b i
          && String.equal (Netlist.name a i) (Netlist.name b i)
          && Netlist.find b (Netlist.name a i) = Some i)
        nets

@@ -18,8 +18,9 @@ let check_renders name table expected_words =
 
 let test_table1 () = check_renders "table1" (Tables.table1 ()) [ "c17"; "coverage"; "rnd2k" ]
 
-let test_table2 () =
-  check_renders "table2" (Tables.table2 ~trials:1 ~seed:5) [ "c17"; "k=5"; "%" ]
+let table2 = lazy (Tables.table2 ~trials:1 ~seed:5)
+
+let test_table2 () = check_renders "table2" (Lazy.force table2) [ "c17"; "k=5"; "%" ]
 
 let test_table3 () =
   check_renders "table3" (Tables.table3 ~trials:1 ~seed:5) [ "diagnosability"; "alu8" ]
@@ -71,8 +72,17 @@ let test_ablations () =
     (Tables.ablation_perpattern ~trials:1 ~seed:5)
     [ "per-output (proposed)"; "per-pattern (SLAT-style)" ]
 
+(* The circuits a campaign table has rows for: the first cell of each
+   row of table 2 after the header. *)
 let test_campaign_circuits_subset () =
-  let names = List.map fst (Tables.campaign_circuits ()) in
+  let names =
+    String.split_on_char '\n' (Table.render (Lazy.force table2))
+    |> List.filter_map (fun l ->
+           match String.split_on_char '|' l with
+           | "" :: cell :: _ -> Some (String.trim cell)
+           | _ -> None)
+    |> List.tl
+  in
   Alcotest.(check bool) "has c17" true (List.mem "c17" names);
   Alcotest.(check bool) "no rnd2k" false (List.mem "rnd2k" names);
   List.iter

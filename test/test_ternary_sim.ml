@@ -5,7 +5,7 @@ let test_binary_agrees_with_bool () =
   let pats = Pattern.exhaustive ~npis:5 in
   for p = 0 to Pattern.count pats - 1 do
     let inputs = Pattern.pattern pats p in
-    let bool_values = Logic_sim.simulate_pattern net inputs in
+    let bool_values = Scalar_logic.simulate_pattern net inputs in
     let v3_values = Ternary_sim.simulate net (Array.map Scalar_logic.v3_of_bool inputs) in
     Netlist.iter_nets net (fun n ->
         Alcotest.check v3 "agrees" (Scalar_logic.v3_of_bool bool_values.(n)) v3_values.(n))
@@ -41,7 +41,7 @@ let test_x_reach_exact_on_c17 () =
   let pats = Pattern.exhaustive ~npis:5 in
   for p = 0 to Pattern.count pats - 1 do
     let inputs = Pattern.pattern pats p in
-    let good = Logic_sim.simulate_pattern net inputs in
+    let good = Scalar_logic.simulate_pattern net inputs in
     Netlist.iter_nets net (fun site ->
         let reach = Ternary_sim.x_reach net inputs site in
         (* Actual flip effect via overlay simulation. *)
@@ -54,7 +54,7 @@ let test_x_reach_exact_on_c17 () =
           (fun oi po ->
             let changed =
               Bitvec.get flipped.(oi) 0
-              <> (Logic_sim.simulate_pattern net inputs).(po)
+              <> (Scalar_logic.simulate_pattern net inputs).(po)
             in
             if changed then
               Alcotest.(check bool)

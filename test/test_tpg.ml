@@ -89,7 +89,7 @@ let test_ndetect_reaches_n () =
   List.iter
     (fun f ->
       Alcotest.(check bool)
-        (Format.asprintf "%a detected %d times" (Fault_list.pp_fault net) f n)
+        (Printf.sprintf "%s detected %d times" (Fault_list.to_string net f) n)
         true
         (detection_count net r.Tpg.patterns f >= n))
     (Fault_list.representatives collapsed)
