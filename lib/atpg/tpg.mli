@@ -26,28 +26,24 @@ val random_budget : int
 (** The pattern budget of the flow's random phase: [4 * 63] = 252.  A
     stored test set's origin names it. *)
 
-val generate : ?seed:int -> ?backtrack_limit:int -> Netlist.t -> report
-(** Run the flow.  {!random_budget} bounds the initial random-pattern
-    phase; PODEM then targets every remaining collapsed fault.  The
-    PODEM runs go across domains a window of survivors at a time and
-    commit in fault order, so the report and the [tpg.*] work counters
-    are the same on every domain count (DESIGN.md §6b). *)
-
-val generate_ndetect :
-  ?seed:int ->
-  ?backtrack_limit:int ->
-  n:int ->
-  Netlist.t ->
-  report
-(** N-detect flow: every collapsed fault must be detected by at least
-    [n] {e distinct} patterns before it is dropped.  N-detect sets are
-    the standard lever for better diagnosis: each extra detection of a
-    fault observes it through a (usually) different propagation path,
-    which separates candidates the 1-detect set leaves tied.  [detected]
-    counts faults that reached [n] detections; PODEM tops off with
-    random-filled tests until no progress is possible.  The top-off
-    runs on the calling domain: each run's fill seed is drawn from the
-    flow's RNG in attempt order. *)
+val generate :
+  ?seed:int -> ?backtrack_limit:int -> ?detections:int -> Netlist.t -> report
+(** Run the flow.  Every collapsed fault is to be detected by
+    [detections] patterns (default 1; N-detect sets are the standard
+    lever for better diagnosis: each extra detection of a fault observes
+    it through a usually different propagation path, which separates
+    candidates a 1-detect set leaves tied).  Random word-sized slabs,
+    at most [detections * ]{!random_budget} patterns, credit each fault
+    one detection per detecting pattern until a slab credits nothing.
+    PODEM then tops off in rounds: round [a] runs attempt [a] for every
+    fault still short of [detections] that no run has proven untestable
+    or aborted, for at most [4 * detections] rounds.  Attempt 0 uses
+    {!Podem.run}'s default fill; a later attempt a fill seed keyed by
+    [seed], the fault and the attempt.  The PODEM runs go across domains
+    a window of survivors at a time and commit in fault order, so the
+    report and the [tpg.*] work counters are the same on every domain
+    count (DESIGN.md §6b).  [detected] counts the faults that reached
+    [detections].  Raises [Invalid_argument] if [detections < 1]. *)
 
 val compact : Netlist.t -> Pattern.t -> Pattern.t
 (** Reverse-order static compaction: keep a pattern only if it detects a

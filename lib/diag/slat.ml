@@ -1,28 +1,15 @@
-type t = {
-  slat : int list;
-  non_slat : int list;
-  explainers : (int * Fault_list.fault list) list;
-}
+type t = { slat : int list; non_slat : int list }
 
 let classify m =
-  let failing = Explain.failing m in
   let ncand = Array.length (Explain.candidates m) in
   let slat = ref [] in
   let non_slat = ref [] in
-  let explainers = ref [] in
   Array.iteri
     (fun fp p ->
-      let exact = ref [] in
-      for c = ncand - 1 downto 0 do
-        if Explain.exact m c fp then exact := (Explain.candidates m).(c) :: !exact
-      done;
-      match !exact with
-      | [] -> non_slat := p :: !non_slat
-      | l ->
-        slat := p :: !slat;
-        explainers := (p, l) :: !explainers)
-    failing;
-  { slat = List.rev !slat; non_slat = List.rev !non_slat; explainers = List.rev !explainers }
+      let rec exact c = c < ncand && (Explain.exact m c fp || exact (c + 1)) in
+      if exact 0 then slat := p :: !slat else non_slat := p :: !non_slat)
+    (Explain.failing m);
+  { slat = List.rev !slat; non_slat = List.rev !non_slat }
 
 let slat_fraction t =
   let ns = List.length t.slat and nn = List.length t.non_slat in

@@ -10,8 +10,6 @@
 type t = {
   slat : int list;  (** Failing patterns with >= 1 exact explainer. *)
   non_slat : int list;  (** Failing patterns no single stuck line explains. *)
-  explainers : (int * Fault_list.fault list) list;
-      (** Per SLAT pattern, its exact explainers. *)
 }
 
 val classify : Explain.t -> t

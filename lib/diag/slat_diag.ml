@@ -8,24 +8,22 @@ type result = {
 let max_multiplet = 12
 
 let diagnose m =
-  let classification = Slat.classify m in
   let cand = Explain.candidates m in
   let ncand = Array.length cand in
   let failing = Explain.failing m in
   let nfp = Array.length failing in
-  (* exact.(c) bit fp: candidate c exactly explains failing pattern fp. *)
+  (* exact.(c) bit fp: candidate c exactly explains failing pattern fp;
+     a pattern is SLAT when some candidate does. *)
+  let slat_set = Bitvec.create nfp in
   let exact =
     Array.init ncand (fun c ->
         let bv = Bitvec.create nfp in
         for fp = 0 to nfp - 1 do
           if Explain.exact m c fp then Bitvec.set bv fp true
         done;
+        Bitvec.union_into ~dst:slat_set bv;
         bv)
   in
-  let slat_set = Bitvec.create nfp in
-  Array.iteri
-    (fun fp p -> if List.mem p classification.Slat.slat then Bitvec.set slat_set fp true)
-    failing;
   (* Greedy cover of the SLAT patterns. *)
   let uncovered = Bitvec.copy slat_set in
   let chosen = ref [] in
@@ -64,7 +62,8 @@ let diagnose m =
   {
     multiplet;
     covered_patterns;
-    ignored_patterns = classification.Slat.non_slat;
+    ignored_patterns =
+      List.filteri (fun fp _ -> not (Bitvec.get slat_set fp)) (Array.to_list failing);
     score;
   }
 

@@ -27,15 +27,16 @@ let atpg_origin =
   Printf.sprintf "atpg seed=%d random=%d backtrack=%d flow=%d" flow_seed
     Tpg.random_budget flow_backtrack_limit Tpg.flow_version
 
+let flow_report ~detections net =
+  Tpg.generate ~seed:flow_seed ~backtrack_limit:flow_backtrack_limit ~detections net
+
 let test_report_cache : (Netlist.t * Tpg.report) list ref = ref []
 
 let test_report net =
   match List.find_opt (fun (n, _) -> n == net) !test_report_cache with
   | Some (_, report) -> report
   | None ->
-    let report =
-      Tpg.generate ~seed:flow_seed ~backtrack_limit:flow_backtrack_limit net
-    in
+    let report = flow_report ~detections:1 net in
     let report =
       { report with Tpg.patterns = Pattern.with_origin atpg_origin report.Tpg.patterns }
     in

@@ -35,6 +35,12 @@ type t = {
   redraws : int;  (** Defect draws discarded for producing no failures. *)
 }
 
+val flow_report : detections:int -> Netlist.t -> Tpg.report
+(** The campaign ATPG run at a detection target ({!Tpg.generate}'s
+    [detections]), not memoised: Figure 6's N-detect sets.  At
+    [~detections:1] it returns {!test_report}'s patterns, without the
+    origin. *)
+
 val test_report : Netlist.t -> Tpg.report
 (** The campaign ATPG run for a circuit (canonical seed, bounded PODEM
     backtracking).  Memoised per netlist — Table 1, the campaigns and the

@@ -400,7 +400,7 @@ let fig6 ~trials ~seed =
       let qs =
         List.concat_map
           (fun (name, net) ->
-            let report = Tpg.generate_ndetect ~seed:1 ~backtrack_limit:128 ~n:ndetect net in
+            let report = Campaign.flow_report ~detections:ndetect net in
             sizes := float_of_int (Pattern.count report.Tpg.patterns) :: !sizes;
             let c =
               Campaign.run ~methods:Campaign.only_noassume

@@ -15,12 +15,12 @@
 
    Each die runs under a private [Obs.sink], so its run report carries
    its own counters even with many diagnoses in flight, and the sink is
-   merged into the process registry afterwards so `--stats` totals
-   still add up.  Note the per-die cache.hits/misses split and the
-   cache.frozen_bytes growth depend on drain order (whoever reaches a
-   cold signature first pays the miss and appends it to the session's
-   arena); the rendered diagnosis reports do not — they are byte-identical to
-   single-shot runs of the same die. *)
+   merged afterwards into the sink the caller bound, if any, so
+   `--stats` totals still add up.  Note the per-die cache.hits/misses
+   split and the cache.frozen_bytes growth depend on drain order
+   (whoever reaches a cold signature first pays the miss and appends
+   it to the session's arena); the rendered diagnosis reports do not —
+   they are byte-identical to single-shot runs of the same die. *)
 
 type die = { name : string; dlog : Datalog.t }
 

@@ -22,11 +22,13 @@ let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling to avoid modulo bias. *)
+  (* Rejection sampling to avoid modulo bias: accept [r] when the whole
+     block of [bound] values holding it, [r - v .. r - v + bound - 1],
+     lies inside [bits]' range [0, max_int]. *)
   let rec draw () =
     let r = bits t in
     let v = r mod bound in
-    if r - v > (max_int / 2) * 2 - bound then draw () else v
+    if r - v > max_int - (bound - 1) then draw () else v
   in
   if bound land (bound - 1) = 0 then bits t land (bound - 1) else draw ()
 

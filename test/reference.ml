@@ -205,31 +205,34 @@ let signature s ?goods pats ~site ~stuck =
 
 (* --- Test generation ------------------------------------------------- *)
 
-(* [Tpg.generate] one fault at a time, dropping through the scalar
-   simulator: random word-sized slabs until one detects nothing new,
-   then one PODEM run per fault still undetected, in fault order, each
-   test dropping the survivors it detects.  Returns the report and the
-   summed work of every run. *)
-let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) net =
-  let random_budget = Tpg.random_budget in
+(* [Tpg.generate] one fault at a time, crediting detections through the
+   scalar simulator: random word-sized slabs until one credits nothing,
+   then rounds of PODEM runs, one per fault still short of [detections]
+   and not yet proven untestable or aborted, in fault order, each test
+   credited to its fault and to the survivors it detects.  Attempt [a]
+   of fault [i] fills with [Podem.run]'s default at [a = 0] and with the
+   flow's keyed seed after.  Returns the report and the summed work of
+   every run. *)
+let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) net =
+  let n = detections in
+  let budget = n * Tpg.random_budget in
   let s = scalar net in
   let faults = Array.of_list (Fault_list.representatives (Fault_list.collapse net)) in
   let nfaults = Array.length faults in
   let npis = Netlist.num_pis net in
-  let detected = Array.make nfaults false in
-  let drop pats =
+  let counts = Array.make nfaults 0 in
+  let credit ?(skip = -1) pats =
     let gained = ref 0 in
     List.iter
       (fun (block : Pattern.block) ->
         let good = Logic_sim.simulate_block net block in
         Array.iteri
           (fun i (f : Fault_list.fault) ->
-            if
-              (not detected.(i))
-              && detects s ~good ~width:block.width ~site:f.site ~stuck:f.stuck <> 0
-            then begin
-              detected.(i) <- true;
-              incr gained
+            if i <> skip && counts.(i) < n then begin
+              let w = detects s ~good ~width:block.width ~site:f.site ~stuck:f.stuck in
+              let add = min (n - counts.(i)) (Bitvec.popcount_word w) in
+              counts.(i) <- counts.(i) + add;
+              gained := !gained + add
             end)
           faults)
       (Pattern.blocks pats);
@@ -239,37 +242,50 @@ let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) net =
   let kept = ref [] in
   let continue = ref true in
   let used = ref 0 in
-  while !continue && !used < random_budget do
-    let count = min Bitvec.word_bits (random_budget - !used) in
+  while !continue && !used < budget do
+    let count = min Bitvec.word_bits (budget - !used) in
     let pats = Pattern.random rng ~npis ~count in
     used := !used + Pattern.count pats;
-    if drop pats > 0 then kept := pats :: !kept else continue := false
+    if credit pats > 0 then kept := pats :: !kept else continue := false
   done;
   let random_pats =
     match !kept with
     | [] -> Pattern.of_list ~npis []
     | l -> List.fold_left Pattern.append (List.hd l) (List.tl l)
   in
+  let attempts = 4 * n in
+  let stopped = Array.make nfaults false in
   let untestable = ref 0 in
   let aborted = ref 0 in
   let extra = ref [] in
   let work = ref Podem.no_work in
   let podem = Podem.create net in
-  Array.iteri
-    (fun i f ->
-      if not detected.(i) then begin
-        let result, w = Podem.run ~backtrack_limit podem f in
-        work := Podem.add_work !work w;
-        match result with
-        | Podem.Untestable -> incr untestable
-        | Podem.Aborted -> incr aborted
-        | Podem.Test pattern ->
-          extra := pattern :: !extra;
-          detected.(i) <- true;
-          ignore (drop (Pattern.of_list ~npis [ pattern ]) : int)
-      end)
-    faults;
-  let ndet = Array.fold_left (fun acc hit -> acc + Bool.to_int hit) 0 detected in
+  for a = 0 to attempts - 1 do
+    Array.iteri
+      (fun i f ->
+        if counts.(i) < n && not stopped.(i) then begin
+          let fill_seed =
+            if a = 0 then None
+            else
+              Some (Rng.int (Rng.create ((((seed * nfaults) + i) * attempts) + a)) max_int)
+          in
+          let result, w = Podem.run ~backtrack_limit ?fill_seed podem f in
+          work := Podem.add_work !work w;
+          match result with
+          | Podem.Untestable ->
+            stopped.(i) <- true;
+            incr untestable
+          | Podem.Aborted ->
+            stopped.(i) <- true;
+            incr aborted
+          | Podem.Test pattern ->
+            extra := pattern :: !extra;
+            counts.(i) <- counts.(i) + 1;
+            ignore (credit ~skip:i (Pattern.of_list ~npis [ pattern ]) : int)
+        end)
+      faults
+  done;
+  let ndet = Array.fold_left (fun acc c -> acc + Bool.to_int (c >= n)) 0 counts in
   ( {
       Tpg.patterns = Pattern.append random_pats (Pattern.of_list ~npis (List.rev !extra));
       total_faults = nfaults;

@@ -26,6 +26,20 @@ let test_int_power_of_two () =
     Alcotest.(check bool) "in range" true (v >= 0 && v < 64)
   done
 
+(* Bounds next to [max_int], where a rejection threshold off by a block
+   rejects every draw. *)
+let test_int_near_max_int () =
+  List.iter
+    (fun bound ->
+      let rng = Rng.create 13 in
+      let draws = List.init 1_000 (fun _ -> Rng.int rng bound) in
+      List.iter
+        (fun v -> Alcotest.(check bool) "in range" true (v >= 0 && v < bound))
+        draws;
+      Alcotest.(check bool) "not constant" true
+        (List.exists (fun v -> v <> List.hd draws) draws))
+    [ max_int; max_int - 1 ]
+
 let test_int_covers_range () =
   let rng = Rng.create 11 in
   let seen = Array.make 5 false in
@@ -106,6 +120,7 @@ let suite =
         Alcotest.test_case "int bounds" `Quick test_int_bounds;
         Alcotest.test_case "int power of two" `Quick test_int_power_of_two;
         Alcotest.test_case "int covers range" `Quick test_int_covers_range;
+        Alcotest.test_case "int near max_int" `Quick test_int_near_max_int;
         Alcotest.test_case "split independence" `Quick test_split_independence;
         Alcotest.test_case "split deterministic" `Quick test_split_deterministic;
         Alcotest.test_case "chance rate" `Quick test_chance_rate;

@@ -19,26 +19,35 @@ let test_single_stuck_all_slat () =
   Alcotest.(check int) "all failing slat" (Datalog.num_failing dlog)
     (List.length c.Slat.slat);
   Alcotest.(check bool) "fraction 1" true (Slat.slat_fraction c = 1.0);
-  (* The true fault is among the explainers of every SLAT pattern. *)
-  List.iter
-    (fun (_, faults) ->
-      Alcotest.(check bool) "true fault explains" true
-        (List.exists
-           (fun f -> f.Fault_list.site = g16 && f.Fault_list.stuck)
-           faults))
-    c.Slat.explainers
+  (* The true fault is an exact explainer of every failing pattern. *)
+  let cand = Explain.candidates m in
+  let c =
+    Option.get
+      (Array.find_index
+         (fun f -> f.Fault_list.site = g16 && f.Fault_list.stuck)
+         cand)
+  in
+  Array.iteri
+    (fun fp _ ->
+      Alcotest.(check bool) "true fault explains" true (Explain.exact m c fp))
+    (Explain.failing m)
 
+(* A failing pattern is SLAT exactly when some candidate explains it
+   exactly. *)
 let test_explainers_listed_only_for_slat () =
   let net = Generators.c17 () in
   let _, _, _, m = problem [ Defect.Stuck (g net "G10", false) ] in
   let c = Slat.classify m in
-  Alcotest.(check int) "one explainer list per slat pattern"
-    (List.length c.Slat.slat) (List.length c.Slat.explainers);
-  List.iter
-    (fun (p, faults) ->
-      Alcotest.(check bool) "pattern is slat" true (List.mem p c.Slat.slat);
-      Alcotest.(check bool) "non-empty" true (faults <> []))
-    c.Slat.explainers
+  let ncand = Array.length (Explain.candidates m) in
+  Array.iteri
+    (fun fp p ->
+      let explained =
+        List.exists (fun c -> Explain.exact m c fp) (List.init ncand Fun.id)
+      in
+      Alcotest.(check bool) "slat iff explained" explained (List.mem p c.Slat.slat);
+      Alcotest.(check bool)
+        "non-slat iff not" (not explained) (List.mem p c.Slat.non_slat))
+    (Explain.failing m)
 
 let test_interacting_defects_break_slat () =
   (* Two stuck defects whose cones overlap produce mixed responses on
@@ -55,10 +64,10 @@ let test_interacting_defects_break_slat () =
 
 let test_fraction_empty () =
   Alcotest.(check bool) "empty = 1.0" true
-    (Slat.slat_fraction { Slat.slat = []; non_slat = []; explainers = [] } = 1.0);
+    (Slat.slat_fraction { Slat.slat = []; non_slat = [] } = 1.0);
   Alcotest.(check bool) "half" true
     (abs_float
-       (Slat.slat_fraction { Slat.slat = [ 1 ]; non_slat = [ 2 ]; explainers = [] } -. 0.5)
+       (Slat.slat_fraction { Slat.slat = [ 1 ]; non_slat = [ 2 ] } -. 0.5)
     < 1e-9)
 
 (* Statistical: across random 3-defect injections on add8, the SLAT

@@ -83,7 +83,7 @@ let detection_count net pats f =
 let test_ndetect_reaches_n () =
   let net = Generators.ripple_adder 8 in
   let n = 3 in
-  let r = Tpg.generate_ndetect ~seed:1 ~n net in
+  let r = Tpg.generate ~seed:1 ~detections:n net in
   Alcotest.(check bool) "full n-coverage" true (r.Tpg.coverage >= 1.0 -. 1e-9);
   let collapsed = Fault_list.collapse net in
   List.iter
@@ -97,13 +97,13 @@ let test_ndetect_reaches_n () =
 let test_ndetect_1_equals_detect () =
   (* N=1 must still achieve full single-detect coverage. *)
   let net = Generators.decoder 3 in
-  let r = Tpg.generate_ndetect ~seed:1 ~n:1 net in
+  let r = Tpg.generate ~seed:1 ~detections:1 net in
   Alcotest.(check bool) "coverage" true (r.Tpg.coverage >= 1.0 -. 1e-9)
 
 let test_ndetect_grows_with_n () =
   let net = Generators.parity 8 in
-  let p1 = Tpg.generate_ndetect ~seed:1 ~n:1 net in
-  let p3 = Tpg.generate_ndetect ~seed:1 ~n:3 net in
+  let p1 = Tpg.generate ~seed:1 ~detections:1 net in
+  let p3 = Tpg.generate ~seed:1 ~detections:3 net in
   Alcotest.(check bool) "more patterns" true
     (Pattern.count p3.Tpg.patterns >= Pattern.count p1.Tpg.patterns)
 
@@ -176,25 +176,28 @@ let test_pinned_compactions () =
         (name ^ " compacted coverage_of") coverage (Tpg.coverage_of net compacted))
     pinned_compactions
 
-(* N-detect top-off calls PODEM with a fresh fill seed per attempt;
-   cmp16 needs hundreds of such calls beyond its random slabs. *)
+(* The 3-detect set of cmp16: rounds of PODEM top-off beyond its
+   random slabs, attempts after the first filled from keyed seeds. *)
 let test_pinned_ndetect () =
-  let r = Tpg.generate_ndetect ~seed:1 ~n:3 (Generators.comparator 16) in
-  Alcotest.(check int) "patterns" 847 (Pattern.count r.Tpg.patterns);
-  Alcotest.(check string) "digest" "8b6b3347fcfdf53b79fba74b0b555b02" (md5_text r.Tpg.patterns)
+  let r = Tpg.generate ~seed:1 ~detections:3 (Generators.comparator 16) in
+  Alcotest.(check int) "patterns" 831 (Pattern.count r.Tpg.patterns);
+  Alcotest.(check string)
+    "digest" "0f29cbd773362e70649db405c8805aed" (md5_text r.Tpg.patterns)
 
 (* The windowed PODEM top-off against [Reference.tpg_generate], one
    fault at a time: the same patterns, report and committed PODEM work
    ([tpg.*] counters) at 1, 2 and 4 domains.  Returns the windows'
    discards, equal at every domain count too. *)
-let windowed_matches_reference ~backtrack_limit ~seed net =
-  let want, work = Reference.tpg_generate ~seed ~backtrack_limit net in
+let windowed_matches_reference ?(detections = 1) ~backtrack_limit ~seed net =
+  let want, work = Reference.tpg_generate ~seed ~backtrack_limit ~detections net in
   let runs =
     List.map
       (fun domains ->
         With_domains.run domains @@ fun () ->
         let sk = Obs.sink () in
-        let got = Obs.with_sink sk (fun () -> Tpg.generate ~seed ~backtrack_limit net) in
+        let got =
+          Obs.with_sink sk (fun () -> Tpg.generate ~seed ~backtrack_limit ~detections net)
+        in
         let counters = (Obs.sink_snapshot sk).Obs.counters in
         let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
         let same =
@@ -242,6 +245,22 @@ let test_windowed_discards () =
   in
   Alcotest.(check bool) "some run discarded" true (discards > 0)
 
+(* The same at 3 detections, where faults take up to three rounds of
+   attempts with keyed fill seeds and a commit can take a later member
+   of its window to its target.  cmp16 takes 30 survivors into rounds
+   1 and 2; penc4 at backtrack limit 16 also has untestable and aborted
+   faults. *)
+let test_windowed_ndetect () =
+  List.iter
+    (fun (name, net, backtrack_limit) ->
+      match windowed_matches_reference ~detections:3 ~backtrack_limit ~seed:1 net with
+      | Some d -> Alcotest.(check bool) (name ^ ": some run discarded") true (d > 0)
+      | None -> Alcotest.failf "%s: 3-detect top-off differs from the reference" name)
+    [
+      ("cmp16", Generators.comparator 16, 128);
+      ("penc4", Generators.priority_encoder 4, 16);
+    ]
+
 let suite =
   [
     ( "tpg",
@@ -262,5 +281,7 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_windowed_matches_reference;
         Alcotest.test_case "windowed top-off discards some runs" `Quick
           test_windowed_discards;
+        Alcotest.test_case "windowed 3-detect top-off = reference" `Quick
+          test_windowed_ndetect;
       ] );
   ]
