@@ -4,14 +4,16 @@
 # `diagnose --batch-dir`.  Two ratios of best-of-3 drain wall times,
 # with the arms interleaved run by run:
 #
-#   kernel domains   --domains 1 / --domains N  (cold session)   >= 0.60
-#   request workers  --workers 1 / --workers N  (--prewarm)      >= 1.30
+#   kernel domains   --domains 1 / --domains N  (--workers 1)    >= 0.60
+#   request workers  --workers 1 / --workers N  (--domains 1)    >= 1.30
 #
-# N is `nproc`.  The first floor catches a fork-join collapse (extra
-# kernel domains making a cold drain much slower than one domain); the
-# second catches the volume drain serialising (a lock or a shared sink
-# on the warm session).  Skipped on a single-core host, where neither
-# ratio has a signal.
+# N is `nproc`.  A drain sweeps the whole signature arena before its
+# first die, fanned out over the kernel domains.  The first floor
+# catches a fork-join collapse (extra kernel domains making that sweep
+# and the dies' kernels much slower than one domain); the second
+# catches the volume drain serialising (a lock or a shared sink on the
+# warm session).  Skipped on a single-core host, where neither ratio
+# has a signal.
 #
 # Run from the repository root:  bash bench/multicore_floors.sh
 set -euo pipefail
@@ -51,8 +53,8 @@ d1= dn= w1= wn=
 for _ in 1 2 3; do
   d1=$(best "$d1" "$(drain --workers 1 --domains 1)")
   dn=$(best "$dn" "$(drain --workers 1 --domains "$n")")
-  w1=$(best "$w1" "$(drain --prewarm --domains 1 --workers 1)")
-  wn=$(best "$wn" "$(drain --prewarm --domains 1 --workers "$n")")
+  w1=$(best "$w1" "$(drain --domains 1 --workers 1)")
+  wn=$(best "$wn" "$(drain --domains 1 --workers "$n")")
 done
 
 status=0

@@ -39,19 +39,6 @@ let domains_arg =
    environment-derived default in place. *)
 let apply_domains = Option.iter Parallel.set_domains
 
-let prewarm_arg =
-  let doc =
-    "Before the first diagnosis, fault-simulate the whole collapsed \
-     fault pool in one batched sweep into the signature arena: every \
-     later signature read is an arena hit, and the cold first-die path \
-     disappears.  Pays off when many datalogs share one circuit \
-     ($(b,--batch-dir), $(b,--serve)); the MDD_PREWARM environment \
-     variable does the same.  With $(b,--store-dir), only signatures the \
-     design image lacks are swept, and the image is saved with them.  \
-     Results are identical either way."
-  in
-  Arg.(value & flag & info [ "prewarm" ] ~doc)
-
 let cover_arg =
   let doc =
     "Covering backend for the noassume engine: $(b,greedy) (the paper's \
@@ -68,20 +55,20 @@ let cover_arg =
 let store_dir_arg =
   let doc =
     "Directory of the design's store: one image file per design, holding \
-     the netlist, the test set and the signature arena.  The rule is one, \
-     with or without $(b,--prewarm): a valid image for this circuit and \
-     test set is loaded — no netlist build, no ATPG run, and no \
-     simulation for the signatures it holds — and otherwise the run \
-     builds what it needs and saves the image here.  $(b,--prewarm) only \
-     decides whether signatures the image lacks are swept before the \
-     first die (and saved with it).  An image is keyed by the circuit's \
-     source (a suite name and generator version, or a netlist file's \
-     content digest) and the test set (the ATPG flow's parameters, or \
-     the $(b,--patterns) set's digest), and checked against a checksum \
-     and its encoding version; a stale or corrupt image is rejected \
-     (counter store.rejects) and rewritten.  The MDD_SIG_STORE \
-     environment variable is the fallback.  Results are identical \
-     either way."
+     the netlist, the test set and the whole signature arena.  A valid \
+     image for this circuit and test set is loaded — no netlist build, \
+     no ATPG run and no signature simulation — and otherwise the run \
+     builds what it needs, simulates every fault class's signature in \
+     one sweep and saves the image here.  An image is keyed by the \
+     circuit's source (a suite name and generator version, or a netlist \
+     file's content digest) and the test set (the ATPG flow's \
+     parameters, or the $(b,--patterns) set's digest), and checked \
+     against a checksum and its encoding version; a stale or corrupt \
+     image is rejected (counter store.rejects) and rewritten.  Without a \
+     store, $(b,--batch-dir) and $(b,--serve) sweep the signatures once \
+     before the first die and a single die simulates only the ones it \
+     needs.  The MDD_SIG_STORE environment variable is the fallback.  \
+     Results are identical either way."
   in
   Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR" ~doc)
 
@@ -114,23 +101,21 @@ let cover =
   in
   Term.(const backend $ cover_arg $ cover_budget_arg)
 
-(* The MDD_PREWARM and MDD_SIG_STORE environment switches are resolved
-   here, once — nothing in lib/ reads them.  A flag wins; the boolean
-   flag only pushes away from the default, so leaving it off keeps the
-   environment-derived setting in place, mirroring [apply_domains].
-   Any non-empty value switches prewarm on or names the store
-   directory. *)
-let env name = match Sys.getenv_opt name with None | Some "" -> None | Some v -> Some v
-let prewarm flag = flag || env "MDD_PREWARM" <> None
-let store_dir flag = match flag with Some _ -> flag | None -> env "MDD_SIG_STORE"
+(* The MDD_SIG_STORE environment switch is resolved here, once —
+   nothing in lib/ reads it.  The flag wins; any non-empty value names
+   the store directory. *)
+let store_dir flag =
+  match (flag, Sys.getenv_opt "MDD_SIG_STORE") with
+  | Some _, _ -> flag
+  | None, (None | Some "") -> None
+  | None, env -> env
 
 (* Resolved-configuration metadata for `--stats` reports: read back from
    the config record, the process width and the switches the run
    actually used, never re-derived from the environment. *)
-let config_meta (c : Noassume.config) ~prewarm ~store_dir =
+let config_meta (c : Noassume.config) ~store_dir =
   [
     ("domains", string_of_int (Parallel.default_domains ()));
-    ("prewarm", if prewarm then "on" else "off");
     ("cover", match c.Noassume.cover with Greedy -> "greedy" | Exact _ -> "exact");
     ("store_dir", Option.value store_dir ~default:"off");
   ]

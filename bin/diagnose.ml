@@ -68,21 +68,20 @@ let no_validate_arg =
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
-    no_validate prewarm cover store_dir domains stats =
+    no_validate cover store_dir domains stats =
   Cli_common.apply_domains domains;
   (* One diagnosis configuration, shared by every mode. *)
   let config = { Noassume.default_config with cover; validate = not no_validate } in
-  let prewarm = Cli_common.prewarm prewarm in
   let store_dir = Cli_common.store_dir store_dir in
   (* Each layer of a run is a phase of the run report: pattern.parse,
      netlist.load (store.load, or netlist.build), tpg when the ATPG set
-     is generated, session.create, datalog.parse, the engine's own
-     phases and report.render. *)
+     is generated, session.create, prewarm before the first of many
+     dies, datalog.parse, the engine's own phases and report.render. *)
   Cli_common.with_stats stats @@ fun () ->
   let session =
     Cli_common.or_die
       (Result.bind (Cli_common.circuit bench suite) (fun circuit ->
-           Design.session ~prewarm ?store_dir circuit ~patterns:patterns_file))
+           Design.session ?store_dir circuit ~patterns:patterns_file))
   in
   let net = Session.netlist session in
   let circuit =
@@ -94,6 +93,10 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     incr failed;
     prerr_endline ("error: " ^ f.Volume.error)
   in
+  (* Many dies share one arena: it is filled in one sweep before the
+     first, so no die simulates a signature and every counter is the
+     same whatever the scheduling.  A no-op on an image's arena. *)
+  let sweep () = ignore (Session.prewarm session : int) in
   let mode_meta =
     match (batch_dir, serve) with
     | Some dir, _ ->
@@ -105,6 +108,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
       List.iter report_failure bad;
       Format.printf "circuit: %a@." Netlist.pp_stats net;
       Format.printf "volume: %d dies from %s@." (List.length loaded) dir;
+      sweep ();
       let results = Volume.run ~config ?workers session dies in
       let out = Option.value out ~default:"volume_reports" in
       let ru = Volume.write_results ~dir:out ~failed:bad session results in
@@ -138,6 +142,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
         | None -> print_string json);
         flush stdout
       in
+      sweep ();
       (try
          while true do
            let path = String.trim (input_line stdin) in
@@ -207,7 +212,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
   in
   ( [ ("tool", "diagnose"); ("circuit", circuit) ]
     @ mode_meta
-    @ Cli_common.config_meta config ~prewarm ~store_dir,
+    @ Cli_common.config_meta config ~store_dir,
     if !failed > 0 then 1 else 0 )
 
 let cmd =
@@ -232,7 +237,7 @@ let cmd =
     Term.(
       const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ Cli_common.patterns_arg
       $ datalog_arg $ batch_dir_arg $ serve_arg $ workers_arg $ out_arg $ method_arg
-      $ no_validate_arg $ Cli_common.prewarm_arg $ Cli_common.cover
+      $ no_validate_arg $ Cli_common.cover
       $ Cli_common.store_dir_arg $ Cli_common.domains_arg $ Cli_common.stats_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -27,16 +27,16 @@ let () =
 
   let matrix = Explain.build_session (Session.create net pats) dlog in
 
-  (* 1. What a SLAT classifier sees. *)
-  let classification = Slat.classify matrix in
+  (* 1. What a SLAT classifier sees: the baseline's own split. *)
+  let slat_result = Slat_diag.diagnose matrix in
+  let classification = slat_result.Slat_diag.classification in
   Format.printf
     "SLAT classification: %d SLAT, %d non-SLAT (%.0f%% usable by SLAT tools)@."
-    (List.length classification.Slat.slat)
-    (List.length classification.Slat.non_slat)
-    (100.0 *. Slat.slat_fraction classification);
+    (List.length classification.Slat_diag.slat)
+    (List.length classification.Slat_diag.non_slat)
+    (100.0 *. Slat_diag.slat_fraction classification);
 
   (* 2. The SLAT baseline: diagnoses only the SLAT patterns. *)
-  let slat_result = Slat_diag.diagnose matrix in
   Format.printf "@.--- SLAT-based baseline ---@.";
   print_string (Report.render_slat net slat_result);
   let slat_q =

@@ -36,36 +36,35 @@ let dropper net faults =
   }
 
 (* Credit every fault but [skip] that [counts] holds below [target]
-   with the detections [blocks] give it, up to [target]: one per
-   pattern that detects it, a set bit of the OR of its masked PO diff
-   words.  A fault that reaches [target] drops out of later sweeps.
-   Returns the detections credited. *)
-let credit d ~target ~skip counts blocks =
-  List.fold_left
-    (fun gained block ->
-      load d block;
-      let n = ref 0 in
-      for i = 0 to Array.length d.faults - 1 do
-        if counts.(i) < target && i <> skip then begin
-          d.idx.(!n) <- i;
-          d.det.(!n) <- 0;
-          incr n
-        end
-      done;
-      Fault_sim.simulate_batch d.sim ~n:!n
-        ~fault:(fun j ->
-          let f = d.faults.(d.idx.(j)) in
-          (f.Fault_list.site, f.Fault_list.stuck))
-        (fun j _ _ w -> d.det.(j) <- d.det.(j) lor w);
-      let gained = ref gained in
-      for j = 0 to !n - 1 do
-        let i = d.idx.(j) in
-        let add = min (target - counts.(i)) (Bitvec.popcount_word d.det.(j)) in
-        counts.(i) <- counts.(i) + add;
-        gained := !gained + add
-      done;
-      !gained)
-    0 blocks
+   with the detections [block]'s lanes in [lanes] give it, up to
+   [target]: one per lane that detects it, a set bit of the OR of its
+   masked PO diff words.  A fault that reaches [target] drops out of
+   later sweeps.  Returns the detections credited. *)
+let credit d ~target ~skip ?(lanes = -1) counts block =
+  load d block;
+  let n = ref 0 in
+  for i = 0 to Array.length d.faults - 1 do
+    if counts.(i) < target && i <> skip then begin
+      d.idx.(!n) <- i;
+      d.det.(!n) <- 0;
+      incr n
+    end
+  done;
+  Fault_sim.simulate_batch d.sim ~n:!n
+    ~fault:(fun j ->
+      let f = d.faults.(d.idx.(j)) in
+      (f.Fault_list.site, f.Fault_list.stuck))
+    (fun j _ _ w -> d.det.(j) <- d.det.(j) lor w);
+  let gained = ref 0 in
+  for j = 0 to !n - 1 do
+    let i = d.idx.(j) in
+    let add = min (target - counts.(i)) (Bitvec.popcount_word (d.det.(j) land lanes)) in
+    counts.(i) <- counts.(i) + add;
+    gained := !gained + add
+  done;
+  !gained
+
+let vector_key v = String.init (Array.length v) (fun k -> if v.(k) then '1' else '0')
 
 let flow_version = 1
 
@@ -89,8 +88,13 @@ let generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) t =
   let npis = Netlist.num_pis t in
   let d = dropper t faults in
   let counts = Array.make nfaults 0 in
+  (* Every vector in the set, by its text row: a detection is credited
+     once per distinct vector, so a repeat credits nothing. *)
+  let committed = Hashtbl.create 256 in
   (* Phase 1: random patterns in word-sized slabs, crediting detections
-     as we go and stopping early when a slab credits nothing. *)
+     as we go and stopping early when a slab credits nothing.  Only the
+     lanes whose vector is neither in a kept slab nor at an earlier
+     lane of its own slab credit. *)
   let budget = detections * random_budget in
   let kept = ref [] in
   let continue = ref true in
@@ -98,8 +102,21 @@ let generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) t =
   while !continue && !used < budget do
     let pats = Pattern.random rng ~npis ~count:(min Bitvec.word_bits (budget - !used)) in
     used := !used + Pattern.count pats;
-    if credit d ~target:detections ~skip:(-1) counts (Pattern.blocks pats) > 0 then
+    let fresh = Hashtbl.create Bitvec.word_bits in
+    let lanes = ref 0 in
+    for p = 0 to Pattern.count pats - 1 do
+      let key = Pattern.to_string pats p in
+      if not (Hashtbl.mem committed key || Hashtbl.mem fresh key) then begin
+        Hashtbl.add fresh key ();
+        lanes := !lanes lor (1 lsl p)
+      end
+    done;
+    (* A slab is at most one word: one block. *)
+    let block = List.hd (Pattern.blocks pats) in
+    if credit d ~target:detections ~skip:(-1) ~lanes:!lanes counts block > 0 then begin
+      Hashtbl.iter (fun key () -> Hashtbl.replace committed key ()) fresh;
       kept := pats :: !kept
+    end
     else continue := false
   done;
   let random_pats =
@@ -114,9 +131,11 @@ let generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) t =
      of the fault and the fill seed, so running one early changes
      nothing.  The window then commits in fault order, as if its faults
      had run one by one: a fault earlier commits took to [detections]
-     discards its run.  Attempt 0 takes [Podem.run]'s default fill; a
-     later one a seed drawn from a generator keyed by the flow seed, the
-     fault and the attempt, so that repeated tests of a fault differ. *)
+     discards its run, and a test equal to a committed pattern is not
+     committed, its fault going on to its next attempt.  Attempt 0
+     takes [Podem.run]'s default fill; a later one a seed drawn from a
+     generator keyed by the flow seed, the fault and the attempt, so
+     that repeated tests of a fault differ. *)
   let attempts = 4 * detections in
   let fill_seed i a =
     if a = 0 then None
@@ -170,11 +189,14 @@ let generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) t =
             stopped.(i) <- true;
             incr aborted
           | Podem.Test pattern ->
-            extra := pattern :: !extra;
-            counts.(i) <- counts.(i) + 1;
-            (* Credit the other survivors the new pattern detects. *)
-            ignore
-              (credit d ~target:detections ~skip:i counts [ unit_block pattern ] : int)
+            let key = vector_key pattern in
+            if not (Hashtbl.mem committed key) then begin
+              Hashtbl.add committed key ();
+              extra := pattern :: !extra;
+              counts.(i) <- counts.(i) + 1;
+              (* Credit the other survivors the new pattern detects. *)
+              ignore (credit d ~target:detections ~skip:i counts (unit_block pattern) : int)
+            end
         end
       done
     done;
@@ -208,7 +230,7 @@ let compact t pats =
      specific, so giving them first claim drops redundant early randoms. *)
   for p = Pattern.count pats - 1 downto 0 do
     let vec = Pattern.pattern pats p in
-    if credit d ~target:1 ~skip:(-1) covered [ unit_block vec ] > 0 then
+    if credit d ~target:1 ~skip:(-1) covered (unit_block vec) > 0 then
       keep := vec :: !keep
   done;
   Fault_sim.publish_stats d.sim;
@@ -219,6 +241,10 @@ let coverage_of t pats =
   let faults = Array.of_list (Fault_list.representatives collapsed) in
   let d = dropper t faults in
   let counts = Array.make (Array.length faults) 0 in
-  let ndet = credit d ~target:1 ~skip:(-1) counts (Pattern.blocks pats) in
+  let ndet =
+    List.fold_left
+      (fun acc block -> acc + credit d ~target:1 ~skip:(-1) counts block)
+      0 (Pattern.blocks pats)
+  in
   Fault_sim.publish_stats d.sim;
   Stats.ratio ndet (Array.length faults)

@@ -34,12 +34,15 @@ val generate :
     it through a usually different propagation path, which separates
     candidates a 1-detect set leaves tied).  Random word-sized slabs,
     at most [detections * ]{!random_budget} patterns, credit each fault
-    one detection per detecting pattern until a slab credits nothing.
-    PODEM then tops off in rounds: round [a] runs attempt [a] for every
-    fault still short of [detections] that no run has proven untestable
-    or aborted, for at most [4 * detections] rounds.  Attempt 0 uses
-    {!Podem.run}'s default fill; a later attempt a fill seed keyed by
-    [seed], the fault and the attempt.  The PODEM runs go across domains
+    one detection per distinct detecting vector until a slab credits
+    nothing: a vector already in the set credits nothing again.  PODEM
+    then tops off in rounds: round [a] runs attempt [a] for every fault
+    still short of [detections] that no run has proven untestable or
+    aborted, for at most [4 * detections] rounds; a test equal to a
+    pattern already in the set is not added, and its fault goes on to
+    its next attempt.  Attempt 0 uses {!Podem.run}'s default fill; a
+    later attempt a fill seed keyed by [seed], the fault and the
+    attempt.  The PODEM runs go across domains
     a window of survivors at a time and commit in fault order, so the
     report and the [tpg.*] work counters are the same on every domain
     count (DESIGN.md §6b).  [detected] counts the faults that reached

@@ -43,7 +43,7 @@ let render_single net (r : Single_diag.result) =
 let render_slat net (r : Slat_diag.result) =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "SLAT baseline: %d patterns ignored as non-SLAT\n"
-    (List.length r.ignored_patterns);
+    (List.length r.classification.non_slat);
   Printf.bprintf buf "multiplet:\n";
   List.iter (fun f -> Printf.bprintf buf "  %s\n" (Fault_list.to_string net f)) r.multiplet;
   Printf.bprintf buf "match: %s\n" (Format.asprintf "%a" Scoring.pp r.score);

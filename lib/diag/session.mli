@@ -31,10 +31,12 @@
     session; two sessions on the same [(net, pats)] never share
     anything; a dropped session frees its cache.
 
-    {!create} does no file I/O.  The design image's load-or-build rule
-    (find the image, adopt its signatures, prewarm, re-save a missing
-    or stale image) is [Design.session]'s, in [lib/expt]: it creates
-    the session and fills its cache through {!cache} and {!prewarm}. *)
+    {!create} does no file I/O and leaves the arena empty.  Who fills
+    it is decided by the run, not by an option: with a store,
+    [Design.session] (in [lib/expt]) adopts the design image's arena or
+    sweeps it with {!prewarm} and saves it; the command-line drains of
+    many dies call {!prewarm} before their first; a single die without
+    a store fills only what it misses. *)
 
 type t
 

@@ -1,9 +1,30 @@
+type classification = { slat : int list; non_slat : int list }
+
 type result = {
+  classification : classification;
   multiplet : Fault_list.fault list;
   covered_patterns : int list;
-  ignored_patterns : int list;
   score : Scoring.score;
 }
+
+(* Failing pattern [fp] is SLAT when [is_slat fp]. *)
+let split failing is_slat =
+  let slat = ref [] and non_slat = ref [] in
+  Array.iteri
+    (fun fp p -> if is_slat fp then slat := p :: !slat else non_slat := p :: !non_slat)
+    failing;
+  { slat = List.rev !slat; non_slat = List.rev !non_slat }
+
+(* Stops at a pattern's first exact explainer: no set is built. *)
+let classify m =
+  let ncand = Array.length (Explain.candidates m) in
+  split (Explain.failing m) (fun fp ->
+      let rec exact c = c < ncand && (Explain.exact m c fp || exact (c + 1)) in
+      exact 0)
+
+let slat_fraction t =
+  let ns = List.length t.slat and nn = List.length t.non_slat in
+  if ns + nn = 0 then 1.0 else float_of_int ns /. float_of_int (ns + nn)
 
 let max_multiplet = 12
 
@@ -59,13 +80,7 @@ let diagnose m =
     let scorer = Scoring.create (Explain.session m) (Explain.datalog m) in
     Scoring.evaluate_multiplet scorer multiplet
   in
-  {
-    multiplet;
-    covered_patterns;
-    ignored_patterns =
-      List.filteri (fun fp _ -> not (Bitvec.get slat_set fp)) (Array.to_list failing);
-    score;
-  }
+  { classification = split failing (Bitvec.get slat_set); multiplet; covered_patterns; score }
 
 let callout_nets r =
   List.sort_uniq compare (List.map (fun f -> f.Fault_list.site) r.multiplet)

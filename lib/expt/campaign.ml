@@ -93,7 +93,6 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
          are invisible to any diagnosis. *)
       let defects = Injection.contributing net pats defects in
       let matrix = Explain.build_session session dlog in
-      let classification = Slat.classify matrix in
       let noassume =
         if methods.run_noassume then begin
           let r = Noassume.diagnose_matrix ~config matrix in
@@ -102,13 +101,17 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
         end
         else None
       in
-      let slat =
+      (* The SLAT baseline's pass classifies the failing patterns too;
+         without it the classification runs on its own. *)
+      let classification, slat =
         if methods.run_slat then begin
           let r = Slat_diag.diagnose matrix in
-          Some
-            (Metrics.evaluate net ~injected:defects ~callouts:(Slat_diag.callout_nets r))
+          ( r.Slat_diag.classification,
+            Some
+              (Metrics.evaluate net ~injected:defects ~callouts:(Slat_diag.callout_nets r))
+          )
         end
-        else None
+        else (Slat_diag.classify matrix, None)
       in
       let single =
         if methods.run_single then begin
@@ -122,7 +125,7 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
           {
             defects;
             num_failing = Datalog.num_failing dlog;
-            slat_fraction = Slat.slat_fraction classification;
+            slat_fraction = Slat_diag.slat_fraction classification;
             noassume;
             slat;
             single;

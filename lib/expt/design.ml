@@ -1,6 +1,6 @@
 (* The design a diagnosis runs on, and the design image's load-or-build
    rule: find the image by what the run names, decode or build, create
-   the session, adopt or prewarm, re-save when stale. *)
+   the session, then adopt the image's arena or sweep it and save. *)
 
 type circuit = File of string | Named of string | Built of Netlist.t
 
@@ -75,34 +75,28 @@ let load_patterns net = function
   | None -> Ok (Campaign.test_set net)
 
 (* The session over a netlist and its set, given the image they came
-   from ([None]: no store, no file or a rejected one).  A valid image
-   publishes the whole arena with zero simulation; otherwise [prewarm]
-   asks for the live sweep.  An image that is missing, or that lacks
-   the signatures this call just swept or found corrupt, is then
-   (re)written so the next process loads. *)
-let create ~prewarm ?store_dir image net pats =
+   from ([None]: no store, no file or a rejected one).  Without a store
+   the arena starts empty.  With one it ends whole: a valid image
+   publishes it with zero simulation; otherwise the pool is swept and
+   the image (re)written, so the next process adopts. *)
+let create ?store_dir image net pats =
   let session = Session.create net pats in
-  let cache = Option.get (Session.cache session) in
-  let adopted =
-    match image with
-    | Some img -> Obs.phase "store.adopt" (fun () -> Sig_cache.adopt cache img)
-    | None -> false
-  in
-  if (not adopted) && prewarm then ignore (Session.prewarm session : int);
-  let stale =
-    match image with
-    | None -> true
-    | Some img ->
-      let sigs = img.Store_file.sections.(Store_file.signatures_section) in
-      (not adopted) && (prewarm || sigs.Store_file.len > 0)
-  in
   (match store_dir with
-  | Some dir when stale ->
-    Obs.phase "store.save" (fun () -> ignore (Sig_cache.save_frozen ~dir cache : bool))
-  | Some _ | None -> ());
+  | None -> ()
+  | Some dir ->
+    let cache = Option.get (Session.cache session) in
+    let adopted =
+      match image with
+      | Some img -> Obs.phase "store.adopt" (fun () -> Sig_cache.adopt cache img)
+      | None -> false
+    in
+    if not adopted then begin
+      ignore (Session.prewarm session : int);
+      Obs.phase "store.save" (fun () -> ignore (Sig_cache.save_frozen ~dir cache : bool))
+    end);
   session
 
-let session ?(prewarm = false) ?store_dir circuit ~patterns =
+let session ?store_dir circuit ~patterns =
   let ( let* ) = Result.bind in
   let* given =
     match patterns with
@@ -149,6 +143,4 @@ let session ?(prewarm = false) ?store_dir circuit ~patterns =
     | None, Some pats -> Ok pats
     | None, None -> Ok (Campaign.test_set net)
   in
-  Ok
-    (Obs.phase "session.create" (fun () ->
-         create ~prewarm ?store_dir image net pats))
+  Ok (Obs.phase "session.create" (fun () -> create ?store_dir image net pats))

@@ -31,7 +31,6 @@ val load_patterns : Netlist.t -> string option -> (Pattern.t, string) result
     count is an error that names the file. *)
 
 val session :
-  ?prewarm:bool ->
   ?store_dir:string ->
   circuit ->
   patterns:string option ->
@@ -45,14 +44,13 @@ val session :
     - on a hit, the netlist and the ATPG set are decoded from it; on a
       miss, the netlist is built (["netlist.build"]) and the set
       generated (["tpg"]);
-    - under ["session.create"], the session is created, and the image's
-      signatures are adopted (["store.adopt"]);
-    - when [prewarm] is set (default false) and no signatures were
-      adopted, {!Session.prewarm} sweeps the whole pool;
-    - a missing image, or one that lacks the signatures this call swept
-      or found corrupt, is re-saved through {!Sig_cache.save_frozen}
-      (["store.save"]).  An image without signatures that was not
-      prewarmed is loaded as it is and not rewritten.
+    - under ["session.create"], the session is created.  With
+      [store_dir] it ends with the whole arena: the image's signatures
+      are adopted (["store.adopt"]), or, when there is no valid image
+      or it holds no signatures, {!Session.prewarm} sweeps the pool and
+      the image is saved through {!Sig_cache.save_frozen}
+      (["store.save"]).  Without [store_dir] the arena starts empty and
+      each diagnosis simulates only its own misses.
 
     Without [store_dir] no file but the circuit and pattern files is
     read.  Reports are byte-identical whichever branch was taken.

@@ -444,13 +444,15 @@ let crc_step w =
   done;
   Builder.finalize b
 
-let random_logic ~gates ~pis ~pos ~seed =
-  assert (gates >= 1 && pis >= 2 && pos >= 1);
-  let rng = Rng.create seed in
+(* The random DAG both random generators draw, in one RNG stream:
+   [pis] inputs, then [gates] gates of random kinds, each reading
+   distinct earlier nets.  Builder numbers nets in creation order: PI
+   [i] is net [i] and gate [g] is net [pis + g].  Returns the builder,
+   outputs still unmarked, and [read], which marks the nets some gate
+   reads. *)
+let random_dag rng ~gates ~pis =
   let b = Builder.create () in
   let kinds = [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Not; Gate.Buf |] in
-  (* Builder numbers nets in creation order: PI [i] is net [i] and gate
-     [g] is net [pis + g].  [read] marks the nets some gate reads. *)
   let read = Array.make (pis + gates) false in
   for i = 0 to pis - 1 do
     ignore (Builder.input b (Printf.sprintf "pi%d" i) : Netlist.net)
@@ -482,6 +484,11 @@ let random_logic ~gates ~pis ~pos ~seed =
     List.iter (fun i -> read.(i) <- true) fanins;
     ignore (Builder.gate b (Printf.sprintf "g%d" g) kind fanins : Netlist.net)
   done;
+  (b, read)
+
+let random_logic ~gates ~pis ~pos ~seed =
+  assert (gates >= 1 && pis >= 2 && pos >= 1);
+  let b, read = random_dag (Rng.create seed) ~gates ~pis in
   (* Outputs: requested count from the last gates, then, in net order,
      every gate no other gate reads, so there is no dead logic. *)
   let marked = Array.make (pis + gates) false in
@@ -509,44 +516,11 @@ let random_logic ~gates ~pis ~pos ~seed =
    reachability masks, observation tables, emission scans.  The XOR
    sinks keep every net observable (XOR propagates any single fanin
    change) at an ISCAS-like PO count, so this is what the big tiers
-   use.  [random_logic] itself is untouched: rnd1k/rnd2k feed the
+   use.  [random_logic]'s outputs are untouched: rnd1k/rnd2k feed the
    committed paper tables. *)
 let random_logic_sink ~gates ~pis ~pos ~seed =
   assert (gates >= 1 && pis >= 2 && pos >= 1);
-  let rng = Rng.create seed in
-  let bl = Builder.create () in
-  let kinds = [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Not; Gate.Buf |] in
-  let all = Array.make (pis + gates) (-1) in
-  let read = Array.make (pis + gates) false in
-  for i = 0 to pis - 1 do
-    all.(i) <- Builder.input bl (Printf.sprintf "pi%d" i)
-  done;
-  for g = 0 to gates - 1 do
-    let avail = pis + g in
-    let kind = Rng.pick rng kinds in
-    let arity =
-      match kind with
-      | Gate.Not | Gate.Buf -> 1
-      | _ -> 2 + Rng.int rng 3
-    in
-    (* Same locality bias as [random_logic]. *)
-    let draw () =
-      if Rng.bool rng && avail > 8 then
-        avail - 1 - Rng.int rng (max 1 (avail / 4))
-      else Rng.int rng avail
-    in
-    let rec distinct k acc =
-      if k = 0 then acc
-      else
-        let c = draw () in
-        if List.mem c acc then distinct k acc else distinct (k - 1) (c :: acc)
-    in
-    let arity = min arity avail in
-    let kind = if arity = 1 then (if Rng.bool rng then Gate.Not else Gate.Buf) else kind in
-    let picked = distinct arity [] in
-    List.iter (fun i -> read.(i) <- true) picked;
-    all.(pis + g) <- Builder.gate bl (Printf.sprintf "g%d" g) kind (List.map (fun i -> all.(i)) picked)
-  done;
+  let bl, read = random_dag (Rng.create seed) ~gates ~pis in
   (* Output seeds, chosen as [random_logic] does; the sinks then fold
      every remaining unread net (gate or PI — an unread PI would
      otherwise be untestable) into one of the [pos] outputs. *)
@@ -556,7 +530,7 @@ let random_logic_sink ~gates ~pis ~pos ~seed =
   let k = ref 0 in
   for i = 0 to pis + gates - 1 do
     if not read.(i) then begin
-      buckets.(!k mod pos) <- all.(i) :: buckets.(!k mod pos);
+      buckets.(!k mod pos) <- i :: buckets.(!k mod pos);
       incr k
     end
   done;
@@ -572,7 +546,7 @@ let random_logic_sink ~gates ~pis ~pos ~seed =
       reduce (pair [] nets)
   in
   for i = 0 to pos - 1 do
-    Builder.mark_output bl (reduce (all.(seeds.(i)) :: buckets.(i)))
+    Builder.mark_output bl (reduce (seeds.(i) :: buckets.(i)))
   done;
   Builder.finalize bl
 

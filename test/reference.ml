@@ -209,7 +209,9 @@ let signature s ?goods pats ~site ~stuck =
    scalar simulator: random word-sized slabs until one credits nothing,
    then rounds of PODEM runs, one per fault still short of [detections]
    and not yet proven untestable or aborted, in fault order, each test
-   credited to its fault and to the survivors it detects.  Attempt [a]
+   credited to its fault and to the survivors it detects.  A vector
+   already in the set (or earlier in its slab) credits nothing, and a
+   test equal to one is dropped, its fault going on.  Attempt [a]
    of fault [i] fills with [Podem.run]'s default at [a = 0] and with the
    flow's keyed seed after.  Returns the report and the summed work of
    every run. *)
@@ -221,7 +223,10 @@ let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) net =
   let nfaults = Array.length faults in
   let npis = Netlist.num_pis net in
   let counts = Array.make nfaults 0 in
-  let credit ?(skip = -1) pats =
+  (* The vectors in the set so far; only a vector not among them
+     credits.  [fresh.(p)]: pattern [p] of [pats] credits. *)
+  let set = ref [] in
+  let credit ?(skip = -1) pats fresh =
     let gained = ref 0 in
     List.iter
       (fun (block : Pattern.block) ->
@@ -230,7 +235,11 @@ let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) net =
           (fun i (f : Fault_list.fault) ->
             if i <> skip && counts.(i) < n then begin
               let w = detects s ~good ~width:block.width ~site:f.site ~stuck:f.stuck in
-              let add = min (n - counts.(i)) (Bitvec.popcount_word w) in
+              let hits = ref 0 in
+              for k = 0 to block.width - 1 do
+                if (w lsr k) land 1 = 1 && fresh.(block.base + k) then incr hits
+              done;
+              let add = min (n - counts.(i)) !hits in
               counts.(i) <- counts.(i) + add;
               gained := !gained + add
             end)
@@ -246,7 +255,18 @@ let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) net =
     let count = min Bitvec.word_bits (budget - !used) in
     let pats = Pattern.random rng ~npis ~count in
     used := !used + Pattern.count pats;
-    if credit pats > 0 then kept := pats :: !kept else continue := false
+    let vectors = List.init count (Pattern.pattern pats) in
+    let fresh =
+      Array.of_list
+        (List.mapi
+           (fun p v -> not (List.mem v !set || List.mem v (List.filteri (fun q _ -> q < p) vectors)))
+           vectors)
+    in
+    if credit pats fresh > 0 then begin
+      set := List.rev_append vectors !set;
+      kept := pats :: !kept
+    end
+    else continue := false
   done;
   let random_pats =
     match !kept with
@@ -279,9 +299,12 @@ let tpg_generate ?(seed = 1) ?(backtrack_limit = 512) ?(detections = 1) net =
             stopped.(i) <- true;
             incr aborted
           | Podem.Test pattern ->
-            extra := pattern :: !extra;
-            counts.(i) <- counts.(i) + 1;
-            ignore (credit ~skip:i (Pattern.of_list ~npis [ pattern ]) : int)
+            if not (List.mem pattern !set) then begin
+              set := pattern :: !set;
+              extra := pattern :: !extra;
+              counts.(i) <- counts.(i) + 1;
+              ignore (credit ~skip:i (Pattern.of_list ~npis [ pattern ]) [| true |] : int)
+            end
         end)
       faults
   done;

@@ -4,9 +4,10 @@
    write for this design and flow is rejected — counted in
    ["store.rejects"] — and replaced by a freshly generated, freshly
    saved set.  A restart builds nothing, a pattern file of the wrong
-   width is an error, and an image saved without signatures is loaded
-   as it is.  Each call runs under its own sink, so its counters and
-   phases are read in isolation. *)
+   width is an error, and a store always ends with the whole signature
+   arena: adopted from a valid image, or swept and saved.  Each call
+   runs under its own sink, so its counters and phases are read in
+   isolation. *)
 
 (* penc4 has untestable faults, so generating its set runs PODEM; each
    call builds a fresh netlist, so [Campaign.test_report]'s per-netlist
@@ -23,11 +24,11 @@ type tally = {
   phase_count : string -> int;
 }
 
-let opened ?(prewarm = false) dir circuit =
+let opened ?store_dir circuit =
   let sk = Obs.sink () in
   let session =
     Obs.with_sink sk (fun () ->
-        Result.get_ok (Design.session ~prewarm ~store_dir:dir circuit ~patterns:None))
+        Result.get_ok (Design.session ?store_dir circuit ~patterns:None))
   in
   let snap = Obs.sink_snapshot sk in
   {
@@ -41,7 +42,7 @@ let opened ?(prewarm = false) dir circuit =
         | None -> 0);
   }
 
-let stored_set dir = opened dir (design ())
+let stored_set dir = opened ~store_dir:dir (design ())
 let read = Image_edit.read
 let write = Image_edit.write
 
@@ -99,7 +100,7 @@ let npis_mismatch b =
 (* Another design's valid file, copied onto this design's path. *)
 let foreign_netlist dir _ =
   let other = Design.Built (Generators.ripple_adder 4) in
-  ignore (opened dir other : tally);
+  ignore (opened ~store_dir:dir other : tally);
   read (image_path ~dir other)
 
 let reject_case name mangle () =
@@ -124,10 +125,10 @@ let reject_case name mangle () =
 let test_restart_builds_nothing () =
   Temp_dir.with_dir @@ fun dir ->
   let circuit = Design.Named "alu8" in
-  let first = opened ~prewarm:true dir circuit in
+  let first = opened ~store_dir:dir circuit in
   check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
   Alcotest.(check int) "first open builds" 1 (first.phase_count "netlist.build");
-  let again = opened ~prewarm:true dir circuit in
+  let again = opened ~store_dir:dir circuit in
   check_counts "restart" again ~loads:1 ~saves:0 ~rejects:0;
   let phases count names =
     List.iter
@@ -152,10 +153,10 @@ let test_restart_builds_nothing () =
    builds nothing.  Both must carry the file's digest as their source
    and render the same report. *)
 let check_bench_restart ~store ~text circuit =
-  let first = opened ~prewarm:true store circuit in
+  let first = opened ~store_dir:store circuit in
   check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
   Alcotest.(check int) "first open builds" 1 (first.phase_count "netlist.build");
-  let again = opened ~prewarm:true store circuit in
+  let again = opened ~store_dir:store circuit in
   check_counts "restart" again ~loads:1 ~saves:0 ~rejects:0;
   Alcotest.(check int) "restart builds nothing" 0 (again.phase_count "netlist.build");
   let source t = Netlist.source (Session.netlist t.session) in
@@ -228,31 +229,67 @@ let test_wrong_width_is_an_error () =
     [ ("no store", None); ("store", Some dir) ];
   Alcotest.(check int) "no image written" 0 (Array.length (Sys.readdir dir))
 
-(* Without prewarm the image holds no signatures; the next open loads it
-   as it is and does not rewrite it.  A prewarmed open then sweeps and
-   re-saves it with them. *)
-let test_unprewarmed_image_kept () =
+let arena t = Option.get (Session.cache t.session)
+
+(* The length of the signature section of [net]'s image at [path]. *)
+let signature_bytes ~path net =
+  let source = Netlist.source net in
+  Store_file.load ~path
+    ~key:(Store_file.key_of ~source ~origin:Campaign.atpg_origin)
+    (fun img -> img.Store_file.sections.(Store_file.signatures_section).Store_file.len)
+
+(* Every class representative's signature is in [t]'s arena. *)
+let holds_every_representative t =
+  Array.for_all
+    (fun (f : Fault_list.fault) ->
+      Sig_cache.mem (arena t) (Sig_cache.key ~site:f.site ~stuck:f.stuck))
+    (Session.representatives t.session)
+
+(* The run decides the arena.  Without a store it starts empty; a store
+   open that misses sweeps the pool and saves an image that holds every
+   representative, and the next open adopts that image: no sweep, no
+   save. *)
+let test_store_holds_whole_arena () =
+  let bare = opened (design ()) in
+  Alcotest.(check int) "no store: empty arena" 0 (Sig_cache.frozen_bytes (arena bare));
+  Alcotest.(check int) "no store: no sweep" 0 (bare.phase_count "prewarm");
   Temp_dir.with_dir @@ fun dir ->
   let first = stored_set dir in
-  check_counts "first open" first ~loads:0 ~saves:1 ~rejects:0;
-  let path = image_path ~dir (design ()) in
-  let signatures () =
-    let source = Netlist.source (Session.netlist first.session) in
-    Store_file.load ~path
-      ~key:(Store_file.key_of ~source ~origin:Campaign.atpg_origin)
-      (fun img -> img.Store_file.sections.(Store_file.signatures_section).Store_file.len)
-  in
-  Alcotest.(check (option int)) "no signature section" (Some 0) (signatures ());
-  let bytes = read path in
+  check_counts "miss" first ~loads:0 ~saves:1 ~rejects:0;
+  Alcotest.(check bool) "miss: swept" true (first.counter "prewarm.faults" > 0);
   let again = stored_set dir in
   check_counts "restart" again ~loads:1 ~saves:0 ~rejects:0;
+  Alcotest.(check int) "restart: prewarm.faults" 0 (again.counter "prewarm.faults");
   Alcotest.(check int) "restart: no store.save" 0 (again.phase_count "store.save");
-  Alcotest.(check bool) "file unchanged" true (Bytes.equal bytes (read path));
-  let warmed = opened ~prewarm:true dir (design ()) in
-  check_counts "prewarmed open" warmed ~loads:1 ~saves:1 ~rejects:0;
-  Alcotest.(check bool) "prewarmed open swept" true (warmed.counter "prewarm.faults" > 0);
+  Alcotest.(check bool) "adopted arena holds every representative" true
+    (holds_every_representative again);
+  Alcotest.(check int) "adopted arena = swept arena"
+    (Sig_cache.frozen_bytes (arena first))
+    (Sig_cache.frozen_bytes (arena again))
+
+(* An image without a signature section (what a save of an empty arena
+   writes) is loaded, swept and re-saved once; the open after that
+   adopts the signatures and writes nothing. *)
+let test_signature_less_image_swept () =
+  Temp_dir.with_dir @@ fun dir ->
+  let net = Generators.priority_encoder 4 in
+  let empty = Session.create net (Campaign.test_set net) in
+  Alcotest.(check bool) "empty image saved" true
+    (Sig_cache.save_frozen ~dir (Option.get (Session.cache empty)));
+  let path = image_path ~dir (design ()) in
+  Alcotest.(check (option int)) "no signature section" (Some 0) (signature_bytes ~path net);
+  let swept = stored_set dir in
+  check_counts "signature-less image" swept ~loads:1 ~saves:1 ~rejects:0;
+  Alcotest.(check bool) "swept" true (swept.counter "prewarm.faults" > 0);
   Alcotest.(check bool) "signatures saved" true
-    (match signatures () with Some n -> n > 0 | None -> false)
+    (match signature_bytes ~path net with Some n -> n > 0 | None -> false);
+  let bytes = read path in
+  let loaded = stored_set dir in
+  check_counts "re-saved image" loaded ~loads:1 ~saves:0 ~rejects:0;
+  Alcotest.(check int) "re-saved image: prewarm.faults" 0 (loaded.counter "prewarm.faults");
+  Alcotest.(check bool) "file unchanged" true (Bytes.equal bytes (read path));
+  Alcotest.(check bool) "loaded arena holds every representative" true
+    (holds_every_representative loaded)
 
 let suite =
   [
@@ -279,9 +316,11 @@ let suite =
           test_bench_file_restart;
         Alcotest.test_case "wrong-width pattern file is an error" `Quick
           test_wrong_width_is_an_error;
-        Alcotest.test_case "image without signatures kept" `Quick
-          test_unprewarmed_image_kept;
+        Alcotest.test_case "image without signatures swept once" `Quick
+          test_signature_less_image_swept;
         Alcotest.test_case "vendored bench tier: miss, then restart" `Quick
           test_vendored_tier_restart;
+        Alcotest.test_case "a store always holds the whole arena" `Quick
+          test_store_holds_whole_arena;
       ] );
   ]

@@ -110,7 +110,7 @@ let prop_single_stuck_slat =
       Datalog.num_failing dlog = 0
       ||
       let m = Explain.build_session (Session.create net pats) dlog in
-      Slat.slat_fraction (Slat.classify m) = 1.0)
+      Slat_diag.slat_fraction (Slat_diag.classify m) = 1.0)
 
 (* Contributing defects: by definition, removing a single defect that
    the filter kept must change some response.  (Removing all the

@@ -198,8 +198,8 @@ let prop_store_round_trip_identical =
         in
         let stored () =
           Result.get_ok
-            (Design.session ~prewarm:true ~store_dir:dir
-               (Design.Built (Lazy.force net)) ~patterns:None)
+            (Design.session ~store_dir:dir (Design.Built (Lazy.force net))
+               ~patterns:None)
         in
         let ok =
           List.for_all
@@ -325,6 +325,35 @@ let test_prewarmed_probes_hit () =
         true
         (get "cache.hits" > 0))
     results
+
+(* The drain every tool runs: two workers over 4 dies on a prewarmed
+   session, five times, each under its own sink.  With the whole arena
+   in place before the first die no die simulates a signature, so the
+   counted telemetry cannot depend on which worker drained which die:
+   every run counts the same counters and dists, and no miss. *)
+let test_prewarmed_drain_deterministic () =
+  With_domains.run 2 @@ fun () ->
+  let dies =
+    List.filter_map (fun i -> make_dlog (7000 + i) 2) [ 1; 2; 3; 4 ]
+    |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
+  in
+  Alcotest.(check int) "four dies" 4 (List.length dies);
+  let session = prewarmed_session () in
+  let drain () =
+    let sk = Obs.sink () in
+    ignore (Obs.with_sink sk (fun () -> Volume.run ~workers:2 session dies));
+    let snap = Obs.sink_snapshot sk in
+    (snap.Obs.counters, snap.Obs.dists)
+  in
+  let counters, dists = drain () in
+  Alcotest.(check int) "cache.misses" 0 (count "cache.misses" counters);
+  Alcotest.(check bool) "cache.hits counted" true (count "cache.hits" counters > 0);
+  for run = 2 to 5 do
+    let again_counters, again_dists = drain () in
+    Alcotest.(check bool) (Printf.sprintf "run %d: same counters" run) true
+      (again_counters = counters);
+    Alcotest.(check bool) (Printf.sprintf "run %d: same dists" run) true (again_dists = dists)
+  done
 
 (* Replay decodes each row out of the packed arena into one reused
    buffer, so replaying a prewarmed arena allocates no more than
@@ -510,5 +539,7 @@ let suite =
             test_volume_spawns_once;
           Alcotest.test_case "a sink bound around a drain holds every die's counters"
             `Quick test_drain_sink_sees_dies;
+          Alcotest.test_case "2-worker prewarmed drain: counters repeat, no miss" `Quick
+            test_prewarmed_drain_deterministic;
         ] );
   ]

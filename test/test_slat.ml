@@ -14,11 +14,11 @@ let test_single_stuck_all_slat () =
   let net = Generators.c17 () in
   let g16 = g net "G16" in
   let _, _, dlog, m = problem [ Defect.Stuck (g16, true) ] in
-  let c = Slat.classify m in
-  Alcotest.(check int) "no non-slat" 0 (List.length c.Slat.non_slat);
+  let c = Slat_diag.classify m in
+  Alcotest.(check int) "no non-slat" 0 (List.length c.Slat_diag.non_slat);
   Alcotest.(check int) "all failing slat" (Datalog.num_failing dlog)
-    (List.length c.Slat.slat);
-  Alcotest.(check bool) "fraction 1" true (Slat.slat_fraction c = 1.0);
+    (List.length c.Slat_diag.slat);
+  Alcotest.(check bool) "fraction 1" true (Slat_diag.slat_fraction c = 1.0);
   (* The true fault is an exact explainer of every failing pattern. *)
   let cand = Explain.candidates m in
   let c =
@@ -37,16 +37,16 @@ let test_single_stuck_all_slat () =
 let test_explainers_listed_only_for_slat () =
   let net = Generators.c17 () in
   let _, _, _, m = problem [ Defect.Stuck (g net "G10", false) ] in
-  let c = Slat.classify m in
+  let c = Slat_diag.classify m in
   let ncand = Array.length (Explain.candidates m) in
   Array.iteri
     (fun fp p ->
       let explained =
         List.exists (fun c -> Explain.exact m c fp) (List.init ncand Fun.id)
       in
-      Alcotest.(check bool) "slat iff explained" explained (List.mem p c.Slat.slat);
+      Alcotest.(check bool) "slat iff explained" explained (List.mem p c.Slat_diag.slat);
       Alcotest.(check bool)
-        "non-slat iff not" (not explained) (List.mem p c.Slat.non_slat))
+        "non-slat iff not" (not explained) (List.mem p c.Slat_diag.non_slat))
     (Explain.failing m)
 
 let test_interacting_defects_break_slat () =
@@ -57,17 +57,17 @@ let test_interacting_defects_break_slat () =
   let net = Generators.c17 () in
   let defects = [ Defect.Stuck (g net "G10", true); Defect.Stuck (g net "G11", true) ] in
   let _, _, dlog, m = problem defects in
-  let c = Slat.classify m in
+  let c = Slat_diag.classify m in
   (* At minimum the classification is consistent. *)
   Alcotest.(check int) "partition" (Datalog.num_failing dlog)
-    (List.length c.Slat.slat + List.length c.Slat.non_slat)
+    (List.length c.Slat_diag.slat + List.length c.Slat_diag.non_slat)
 
 let test_fraction_empty () =
   Alcotest.(check bool) "empty = 1.0" true
-    (Slat.slat_fraction { Slat.slat = []; non_slat = [] } = 1.0);
+    (Slat_diag.slat_fraction { Slat_diag.slat = []; non_slat = [] } = 1.0);
   Alcotest.(check bool) "half" true
     (abs_float
-       (Slat.slat_fraction { Slat.slat = [ 1 ]; non_slat = [ 2 ] } -. 0.5)
+       (Slat_diag.slat_fraction { Slat_diag.slat = [ 1 ]; non_slat = [ 2 ] } -. 0.5)
     < 1e-9)
 
 (* Statistical: across random 3-defect injections on add8, the SLAT
@@ -85,7 +85,7 @@ let test_multiplicity_reduces_slat () =
     let dlog = Datalog.of_responses ~expected ~observed in
     if Datalog.num_failing dlog > 0 then begin
       let m = Explain.build_session (Session.create net pats) dlog in
-      fractions := Slat.slat_fraction (Slat.classify m) :: !fractions
+      fractions := Slat_diag.slat_fraction (Slat_diag.classify m) :: !fractions
     end
   done;
   Alcotest.(check bool) "some trials below 1" true

@@ -11,7 +11,8 @@ let test_single_stuck_works () =
   let g16 = g net "G16" in
   let net, _, _, m = problem ~net [ Defect.Stuck (g16, true) ] in
   let r = Slat_diag.diagnose m in
-  Alcotest.(check int) "nothing ignored" 0 (List.length r.Slat_diag.ignored_patterns);
+  Alcotest.(check int) "nothing ignored" 0
+    (List.length r.Slat_diag.classification.Slat_diag.non_slat);
   let q =
     Metrics.evaluate net ~injected:[ Defect.Stuck (g16, true) ]
       ~callouts:(Slat_diag.callout_nets r)
@@ -27,17 +28,17 @@ let test_covers_all_slat_patterns () =
   ignore net;
   ignore dlog;
   let r = Slat_diag.diagnose m in
-  let classification = Slat.classify m in
-  (* covered + non-covered slat + ignored = failing patterns, and the
-     multiplet covers every SLAT pattern (each has an explainer, so the
-     greedy cover terminates only when all are covered or the cap is
-     hit). *)
+  let classification = Slat_diag.classify m in
+  (* The split diagnose derives from its exact-pattern sets is the one
+     [classify] finds on its own, and every covered pattern is SLAT. *)
   List.iter
     (fun p ->
-      Alcotest.(check bool) "covered is slat" true (List.mem p classification.Slat.slat))
+      Alcotest.(check bool) "covered is slat" true (List.mem p classification.Slat_diag.slat))
     r.Slat_diag.covered_patterns;
-  Alcotest.(check (list int)) "ignored = non-slat" classification.Slat.non_slat
-    r.Slat_diag.ignored_patterns
+  Alcotest.(check (list int)) "same SLAT patterns" classification.Slat_diag.slat
+    r.Slat_diag.classification.Slat_diag.slat;
+  Alcotest.(check (list int)) "ignored = non-slat" classification.Slat_diag.non_slat
+    r.Slat_diag.classification.Slat_diag.non_slat
 
 let test_ignores_non_slat () =
   (* An intermittent defect yields non-SLAT patterns whenever two flips

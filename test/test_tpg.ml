@@ -107,6 +107,33 @@ let test_ndetect_grows_with_n () =
   Alcotest.(check bool) "more patterns" true
     (Pattern.count p3.Tpg.patterns >= Pattern.count p1.Tpg.patterns)
 
+(* Detections are credited per distinct vector: a fault's credit is
+   the number of distinct vectors in the set that detect it, capped at
+   n.  So on dec4 at n = 5, whose 5 PIs allow only 32 vectors and whose
+   random slabs repeat many, the faults the report counts as detected
+   are exactly those with at least 5 distinct detecting vectors. *)
+let test_ndetect_distinct () =
+  let net = Generators.decoder 4 in
+  let n = 5 in
+  let r = Tpg.generate ~seed:1 ~detections:n net in
+  let pats = r.Tpg.patterns in
+  let vectors =
+    List.sort_uniq compare (List.init (Pattern.count pats) (Pattern.to_string pats))
+  in
+  let distinct = Pattern.of_list ~npis:(Pattern.npis pats)
+      (List.map (fun v -> Array.init (String.length v) (fun k -> v.[k] = '1')) vectors)
+  in
+  let reached =
+    List.length
+      (List.filter
+         (fun f -> detection_count net distinct f >= n)
+         (Fault_list.representatives (Fault_list.collapse net)))
+  in
+  Alcotest.(check bool) "repeats in the set" true
+    (List.length vectors < Pattern.count pats);
+  Alcotest.(check int) "detected = faults with n distinct detecting vectors" reached
+    r.Tpg.detected
+
 (* The CLI's test sets, pinned byte for byte: MD5 of [Pattern.to_text]
    of [Campaign.test_set] (seed 1, backtrack limit 128), with pattern
    count and coverage, for every suite circuit.  Recorded before PODEM's
@@ -177,12 +204,13 @@ let test_pinned_compactions () =
     pinned_compactions
 
 (* The 3-detect set of cmp16: rounds of PODEM top-off beyond its
-   random slabs, attempts after the first filled from keyed seeds. *)
+   random slabs, attempts after the first filled from keyed seeds, and
+   each detection credited to a distinct vector. *)
 let test_pinned_ndetect () =
   let r = Tpg.generate ~seed:1 ~detections:3 (Generators.comparator 16) in
-  Alcotest.(check int) "patterns" 831 (Pattern.count r.Tpg.patterns);
+  Alcotest.(check int) "patterns" 813 (Pattern.count r.Tpg.patterns);
   Alcotest.(check string)
-    "digest" "0f29cbd773362e70649db405c8805aed" (md5_text r.Tpg.patterns)
+    "digest" "859d962bde50d3efcc40a0d7e9e3bf4e" (md5_text r.Tpg.patterns)
 
 (* The windowed PODEM top-off against [Reference.tpg_generate], one
    fault at a time: the same patterns, report and committed PODEM work
@@ -283,5 +311,7 @@ let suite =
           test_windowed_discards;
         Alcotest.test_case "windowed 3-detect top-off = reference" `Quick
           test_windowed_ndetect;
+        Alcotest.test_case "n-detect credits distinct vectors (dec4)" `Quick
+          test_ndetect_distinct;
       ] );
   ]
