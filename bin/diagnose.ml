@@ -93,10 +93,6 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     incr failed;
     prerr_endline ("error: " ^ f.Volume.error)
   in
-  (* Many dies share one arena: it is filled in one sweep before the
-     first, so no die simulates a signature and every counter is the
-     same whatever the scheduling.  A no-op on an image's arena. *)
-  let sweep () = ignore (Session.prewarm session : int) in
   let mode_meta =
     match (batch_dir, serve) with
     | Some dir, _ ->
@@ -108,7 +104,6 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
       List.iter report_failure bad;
       Format.printf "circuit: %a@." Netlist.pp_stats net;
       Format.printf "volume: %d dies from %s@." (List.length loaded) dir;
-      sweep ();
       let results = Volume.run ~config ?workers session dies in
       let out = Option.value out ~default:"volume_reports" in
       let ru = Volume.write_results ~dir:out ~failed:bad session results in
@@ -142,7 +137,10 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
         | None -> print_string json);
         flush stdout
       in
-      sweep ();
+      (* Many dies share one arena: it is filled in one sweep before
+         the first, as [Volume.run] fills it, so no die simulates a
+         signature.  A no-op on an image's arena. *)
+      ignore (Session.prewarm session : int);
       (try
          while true do
            let path = String.trim (input_line stdin) in

@@ -75,7 +75,7 @@ let score_passfail (words : Datalog.words) detect =
     spurious_pass = !spurious;
   }
 
-let diagnose ?keep t dlog =
+let diagnose t dlog =
   if Datalog.npatterns dlog <> t.npatterns then
     invalid_arg "Dict_diag.diagnose: datalog pattern count differs from dictionary";
   let words = Datalog.observed_words dlog t.blocks in
@@ -87,4 +87,4 @@ let diagnose ?keep t dlog =
       Scoring.score_triples words ~npos:t.npos
     | Pass_fail -> score_passfail words
   in
-  Single_diag.rank ?keep t.faults (Array.map score t.responses)
+  Single_diag.rank t.faults (Array.map score t.responses)

@@ -32,9 +32,9 @@ val size_bits : t -> int
 (** Storage footprint of the response data in bits — the number the
     dictionary-size tables of the literature report. *)
 
-val diagnose : ?keep:int -> t -> Datalog.t -> Single_diag.result
-(** Look the datalog up and rank the entries with {!Single_diag.rank}
-    ([keep] defaults to 20), so the callouts are
+val diagnose : t -> Datalog.t -> Single_diag.result
+(** Look the datalog up and rank the entries with {!Single_diag.rank},
+    so the callouts are
     {!Single_diag.callout_nets}.  Pass/fail dictionaries score at
     pattern granularity (they cannot see which output failed);
     full-response dictionaries score per observation, like

@@ -108,16 +108,6 @@ let seed_candidates net observations =
   done;
   pool
 
-(* [Bitvec.popcount_word], repeated here so that the fill's popcounts
-   (one per diff word, one per matched bit) compile inline: dune's
-   default (dev) profile compiles every library [-opaque], which makes
-   each call into another module an indirect call. *)
-let[@inline] popcount w =
-  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
-  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
-  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
-  (w * 0x0101_0101_0101_0101) lsr 56
-
 let build_session session dlog =
   Obs.phase "explain-build" @@ fun () ->
   (* Sub-phases (nested spans, see [Obs]): prep = seeding, screening,
@@ -140,7 +130,7 @@ let build_session session dlog =
   let blocks = Session.blocks session in
   let nblocks = Array.length blocks in
   let scache = Option.get (Session.cache session) in
-  let good = (Session.good session).Fault_sim.words in
+  let good = Session.good session in
   (* Word-level observed-bit masks: the fill splits each diff word into
      matched ([w land obsmask]) and spurious
      ([w land fail_mask land lnot obsmask]) bits up front, so only
@@ -173,7 +163,7 @@ let build_session session dlog =
   let nslots = nblocks * npos in
   let slot_base = Array.make (nslots + 1) 0 in
   for s = 0 to nslots - 1 do
-    slot_base.(s + 1) <- slot_base.(s) + popcount obsmask.(s)
+    slot_base.(s + 1) <- slot_base.(s) + Bitvec.popcount_word obsmask.(s)
   done;
   let slot_obs = Array.make (max 1 nobs) 0 in
   let slot_next = Array.sub slot_base 0 (max 1 nslots) in
@@ -203,11 +193,11 @@ let build_session session dlog =
       for i = 0 to num_seeded - 1 do
         let f = seeded.(i) in
         let stuck_word = if f.Fault_list.stuck then -1 else 0 in
-        let o = f.Fault_list.site * nblocks in
         let active = ref false in
         let bi = ref 0 in
         while (not !active) && !bi < nblocks do
-          if (good.(o + !bi) lxor stuck_word) land fail_masks.(!bi) <> 0 then
+          let g = Fault_sim.good_word good f.Fault_list.site !bi in
+          if (g lxor stuck_word) land fail_masks.(!bi) <> 0 then
             active := true;
           incr bi
         done;
@@ -300,7 +290,7 @@ let build_session session dlog =
       and w = Array.unsafe_get d (!i + 2) in
       if bi <> !prev then begin
         if !prev >= 0 then begin
-          mpass := !mpass + popcount (!any land pass_masks.(!prev));
+          mpass := !mpass + Bitvec.popcount_word (!any land pass_masks.(!prev));
           spurious.(ro + !prev) <- !spur
         end;
         prev := bi;
@@ -320,17 +310,18 @@ let build_session session dlog =
         let sb = slot_base.(s) in
         while !wm <> 0 do
           let low = !wm land - !wm in
-          Bitvec.set rc (Array.unsafe_get slot_obs (sb + popcount (om land (low - 1)))) true;
+          let rank = Bitvec.popcount_word (om land (low - 1)) in
+          Bitvec.set rc (Array.unsafe_get slot_obs (sb + rank)) true;
           wm := !wm lxor low
         done
       end;
       let ws = wf land lnot om in
-      mfail := !mfail + popcount ws;
+      mfail := !mfail + Bitvec.popcount_word ws;
       spur := !spur lor ws;
       i := !i + 3
     done;
     if !prev >= 0 then begin
-      mpass := !mpass + popcount (!any land pass_masks.(!prev));
+      mpass := !mpass + Bitvec.popcount_word (!any land pass_masks.(!prev));
       spurious.(ro + !prev) <- !spur
     end;
     mispredict_fail.(r) <- !mfail;

@@ -5,7 +5,6 @@ type config = {
   tie_break : bool;
   validate : bool;
   per_pattern : bool;
-  max_multiplet : int;
   layout : (Layout.t * float) option;
 }
 
@@ -15,9 +14,10 @@ let default_config =
     tie_break = true;
     validate = true;
     per_pattern = false;
-    max_multiplet = 12;
     layout = None;
   }
+
+let max_multiplet = 12
 
 type model =
   | Stuck_at of bool
@@ -216,7 +216,7 @@ let greedy_cover config m =
   let nchosen = ref 0 in
   let rounds = ref 0 in
   let continue = ref true in
-  while !continue && !nchosen < config.max_multiplet do
+  while !continue && !nchosen < max_multiplet do
     incr rounds;
     match best () with
     | None -> continue := false
@@ -237,16 +237,6 @@ let greedy_cover config m =
   (List.rev !chosen, covers)
 
 let max_alternatives = 6
-
-(* [Bitvec.popcount_word], repeated here so the swap ranking's popcounts
-   compile inline: dune's default (dev) profile compiles every library
-   [-opaque], which makes each call into another module an indirect
-   call. *)
-let[@inline] popcount w =
-  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
-  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
-  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
-  (w * 0x0101_0101_0101_0101) lsr 56
 
 (* Drop members whose removal does not worsen the penalty; then try
    swapping each member for an alternative candidate that covers some of
@@ -325,7 +315,8 @@ let refine m scorer chosen covers =
                 let cw = cover_words.(a) in
                 let overlap = ref 0 in
                 for j = 0 to Array.length ex_at - 1 do
-                  overlap := !overlap + popcount (cw.(ex_at.(j)) land ex_w.(j))
+                  overlap :=
+                    !overlap + Bitvec.popcount_word (cw.(ex_at.(j)) land ex_w.(j))
                 done;
                 (* Ids ascend, so an equal overlap never displaces. *)
                 if
@@ -390,7 +381,8 @@ let max_aggressors = 16
 let infer_aggressors config m scorer site members covers =
   let net = Explain.netlist m in
   let obs = Explain.observations m in
-  let { Fault_sim.words = good; nb = nblocks; _ } = Session.good (Explain.session m) in
+  let session = Explain.session m in
+  let good = Session.good session and nblocks = Array.length (Session.blocks session) in
   (* Word-parallel hard filter: the needed (failing pattern, value)
      pairs as a (mask, expected) word pair per block, so testing an
      aggressor is a couple of word compares — this runs once per net in
@@ -427,8 +419,8 @@ let infer_aggressors config m scorer site members covers =
       let n = Array.length need_blocks in
       while !ok && !i < n do
         let bi = need_blocks.(!i) in
-        if (good.((a * nblocks) + bi) lxor need_val.(bi)) land need_mask.(bi) <> 0 then
-          ok := false;
+        let g = Fault_sim.good_word good a bi in
+        if (g lxor need_val.(bi)) land need_mask.(bi) <> 0 then ok := false;
         incr i
       done;
       !ok
@@ -583,7 +575,7 @@ let diagnose_matrix ?(config = default_config) m =
         | Exact node_budget ->
           let r =
             Obs.phase "cover.exact" (fun () ->
-                Hitting_set.solve ~node_budget ~max_size:config.max_multiplet ~covers
+                Hitting_set.solve ~node_budget ~max_size:max_multiplet ~covers
                   ~seed:chosen m)
           in
           if not r.Hitting_set.complete then begin

@@ -35,7 +35,6 @@ type config = {
   validate : bool;  (** Run the multiplet refinement loop. *)
   per_pattern : bool;  (** Ablation: only exact (SLAT-style) explanations
                            may cover — re-imposes the assumption. *)
-  max_multiplet : int;  (** Hard cap on multiplet size. *)
   layout : (Layout.t * float) option;
       (** Physical placement knowledge: when present, bridge aggressor
           candidates are restricted to the victim's neighbourhood within
@@ -44,7 +43,12 @@ type config = {
 
 val default_config : config
 (** [cover = Greedy; tie_break = true; validate = true;
-    per_pattern = false; max_multiplet = 12; layout = None]. *)
+    per_pattern = false; layout = None]. *)
+
+val max_multiplet : int
+(** The hard cap on multiplet size, 12: the greedy cover stops at it,
+    the exact backend searches within it, and the SLAT baseline
+    ([Slat_diag]) uses it too. *)
 
 (** Fault models consistent with a called-out site. *)
 type model =

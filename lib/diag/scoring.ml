@@ -70,7 +70,7 @@ let overlay_of_multiplet faults =
 type t = {
   net : Netlist.t;
   nblocks : int;
-  good : int array; (* the session's good words, [net * nblocks + bi] *)
+  good : Fault_sim.good; (* the session's good machine *)
   sim : Fault_sim.t;
   words : Datalog.words;
   npos : int;
@@ -93,7 +93,7 @@ let create session dlog =
   {
     net;
     nblocks = Array.length blocks;
-    good = (Session.good session).Fault_sim.words;
+    good = Session.good session;
     sim = Session.simulator session;
     flip = [||];
     words = Datalog.observed_words dlog blocks;
@@ -104,16 +104,6 @@ let create session dlog =
     stack = Array.make nets 0;
     epoch = 0;
   }
-
-(* [Bitvec.popcount_word], repeated here so the scoring loops' popcounts
-   compile inline: dune's default (dev) profile compiles every library
-   [-opaque], which makes each call into another module an indirect
-   call. *)
-let[@inline] popcount w =
-  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
-  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
-  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
-  (w * 0x0101_0101_0101_0101) lsr 56
 
 (* Score the diff words of one sweep.  Each [w] is already masked to its
    block's live width; unemitted (block, PO) words predict nothing, so
@@ -134,12 +124,12 @@ let score_words (words : Datalog.words) npos sweep =
   sweep (fun bi oi w ->
       let obs = s_obs.((bi * npos) + oi) in
       let fm = s_fail.(bi) in
-      explained := !explained + popcount (w land obs);
-      spurious_fail := !spurious_fail + popcount (w land lnot obs land fm);
+      explained := !explained + Bitvec.popcount_word (w land obs);
+      spurious_fail := !spurious_fail + Bitvec.popcount_word (w land lnot obs land fm);
       (* Observed bits only occur on failing patterns, so
          [w land lnot fm] is exactly predicted-and-not-observed on
          passing patterns. *)
-      spurious_pass := !spurious_pass + popcount (w land lnot fm));
+      spurious_pass := !spurious_pass + Bitvec.popcount_word (w land lnot fm));
   {
     explained = !explained;
     missed = words.total - !explained;
@@ -199,12 +189,17 @@ let corrected sc (base : score) sweep =
       let old = bdiff.(i) in
       let w = old lxor c in
       let obs = s_obs.(i) and fm = s_fail.(bi) in
-      explained := !explained + popcount (w land obs) - popcount (old land obs);
+      explained :=
+        !explained
+        + Bitvec.popcount_word (w land obs)
+        - Bitvec.popcount_word (old land obs);
       spurious_fail :=
-        !spurious_fail + popcount (w land lnot obs land fm)
-        - popcount (old land lnot obs land fm);
+        !spurious_fail + Bitvec.popcount_word (w land lnot obs land fm)
+        - Bitvec.popcount_word (old land lnot obs land fm);
       spurious_pass :=
-        !spurious_pass + popcount (w land lnot fm) - popcount (old land lnot fm));
+        !spurious_pass
+        + Bitvec.popcount_word (w land lnot fm)
+        - Bitvec.popcount_word (old land lnot fm));
   {
     explained = !explained;
     missed = sc.words.total - !explained;
@@ -253,10 +248,12 @@ let screen_aggressors sc ~victim aggressors =
     ignore (hold sc [] : score);
     let n = ref 0 in
     let s_obs = sc.words.obs and s_fail = sc.words.fail and npos = sc.npos in
-    let good = sc.good and nb = sc.nblocks in
+    let good = sc.good in
     (* Each flip word is split once, here, into the parts the three
        score components count; an aggressor's delta masks all three. *)
-    let flipped = Array.init nb (fun bi -> lnot good.((victim * nb) + bi)) in
+    let flipped =
+      Array.init sc.nblocks (fun bi -> lnot (Fault_sim.good_word good victim bi))
+    in
     Fault_sim.sweep sc.sim [ (victim, Fault_sim.Held flipped) ]
       (fun bi oi w ->
         reserve sc !n 4;
@@ -274,10 +271,10 @@ let screen_aggressors sc ~victim aggressors =
         let i = ref 0 in
         while !i < n do
           let bi = flip.(!i) in
-          let d = good.((victim * nb) + bi) lxor good.((a * nb) + bi) in
-          explained := !explained + popcount (d land flip.(!i + 1));
-          spurious_fail := !spurious_fail + popcount (d land flip.(!i + 2));
-          spurious_pass := !spurious_pass + popcount (d land flip.(!i + 3));
+          let d = Fault_sim.good_word good victim bi lxor Fault_sim.good_word good a bi in
+          explained := !explained + Bitvec.popcount_word (d land flip.(!i + 1));
+          spurious_fail := !spurious_fail + Bitvec.popcount_word (d land flip.(!i + 2));
+          spurious_pass := !spurious_pass + Bitvec.popcount_word (d land flip.(!i + 3));
           i := !i + 4
         done;
         {

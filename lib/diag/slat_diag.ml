@@ -26,8 +26,6 @@ let slat_fraction t =
   let ns = List.length t.slat and nn = List.length t.non_slat in
   if ns + nn = 0 then 1.0 else float_of_int ns /. float_of_int (ns + nn)
 
-let max_multiplet = 12
-
 let diagnose m =
   let cand = Explain.candidates m in
   let ncand = Array.length cand in
@@ -49,7 +47,7 @@ let diagnose m =
   let uncovered = Bitvec.copy slat_set in
   let chosen = ref [] in
   let continue = ref true in
-  while !continue && List.length !chosen < max_multiplet do
+  while !continue && List.length !chosen < Noassume.max_multiplet do
     let best = ref None in
     for c = 0 to ncand - 1 do
       if not (List.mem c !chosen) then begin

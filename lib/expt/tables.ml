@@ -502,7 +502,7 @@ let ablation_exact ~trials ~seed =
                  multiplet's candidate indices bound the search. *)
               let exact =
                 Hitting_set.solve ~node_budget:Hitting_set.default_node_budget
-                  ~max_size:config.Noassume.max_multiplet
+                  ~max_size:Noassume.max_multiplet
                   ~seed:(List.filter_map (Explain.find_candidate m) greedy.Noassume.multiplet)
                   m
               in

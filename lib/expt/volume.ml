@@ -16,11 +16,12 @@
    Each die runs under a private [Obs.sink], so its run report carries
    its own counters even with many diagnoses in flight, and the sink is
    merged afterwards into the sink the caller bound, if any, so
-   `--stats` totals still add up.  Note the per-die cache.hits/misses
-   split and the cache.frozen_bytes growth depend on drain order
-   (whoever reaches a cold signature first pays the miss and appends
-   it to the session's arena); the rendered diagnosis reports do not —
-   they are byte-identical to single-shot runs of the same die. *)
+   `--stats` totals still add up.  A drain fills the session's arena
+   before its first die ([Session.prewarm], a no-op on a full arena),
+   so no die simulates a signature: which worker drains which die
+   changes no counter.  Dies diagnosed one by one on a cold session
+   ([diagnose_die]) split cache hits and misses by arrival order
+   instead; their rendered reports are the same either way. *)
 
 type die = { name : string; dlog : Datalog.t }
 
@@ -107,6 +108,7 @@ let diagnose_die ?(config = Noassume.default_config) session d =
   }
 
 let run ?config ?workers session dies =
+  ignore (Session.prewarm session : int);
   Array.to_list
     (Parallel.map_array ?domains:workers
        (diagnose_die ?config session)

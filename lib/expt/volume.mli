@@ -12,8 +12,10 @@
     {!failure} record and never stops the rest of the queue.
 
     Rendered diagnosis reports are byte-identical to single-shot
-    [diagnose] runs of the same die; the per-die counter splits (cache
-    hits vs misses) depend on drain order and are not. *)
+    [diagnose] runs of the same die.  {!run} fills the arena before its
+    first die, so its counters depend only on the dies; dies passed to
+    {!diagnose_die} one by one on a cold session split cache hits and
+    misses by arrival order. *)
 
 type die = { name : string; dlog : Datalog.t }
 
@@ -60,21 +62,27 @@ val diagnose_die : ?config:Noassume.config -> Session.t -> die -> die_result
 (** One die under a private sink, captured as the die's [report] and
     then merged into the sink bound in the calling domain (nothing when
     none is), so a caller's sink sees every die it drained.  [config]
-    defaults to {!Noassume.default_config}. *)
+    defaults to {!Noassume.default_config}.  On a session whose arena
+    lacks a signature the die probes, the die simulates it (and, with
+    other dies in flight, may race them for it). *)
 
 val run :
   ?config:Noassume.config -> ?workers:int -> Session.t -> die list -> die_result list
-(** Drain the queue across [workers] domains ({!Parallel.map_array};
-    default {!Parallel.default_domains}).  With 2 or more workers every
-    die's kernels run inline, whichever participant drains it, so the
-    batch spawns at most [workers - 1] domains in all; one worker runs
-    the dies in order with their kernels at the process width.  Result
-    order follows input order whatever the worker count. *)
+(** Fill the session's arena ({!Session.prewarm}: one sweep at the
+    process width on a cold session, nothing on a full one), then drain
+    the queue across [workers] domains ({!Parallel.map_array}; default
+    {!Parallel.default_domains}).  No die simulates a signature, so the
+    scheduling changes no counter and no report.  With 2 or more
+    workers every die's kernels run inline, whichever participant
+    drains it, so the drain spawns at most [workers - 1] domains
+    beyond the sweep's; one worker runs the dies in order with their
+    kernels at the process width.  Result order follows input order
+    whatever the worker count. *)
 
 val die_json : die_result -> string
 (** One die as JSON: summary numbers, the rendered report, and the
-    per-die run report (timings off, so the text is deterministic up to
-    drain-order cache splits). *)
+    per-die run report (timings off, so a die drained by {!run} gives
+    the same text whatever the scheduling). *)
 
 val error_json : failure -> string
 (** One failed die as a [{"name", "error"}] JSON line — the record both

@@ -341,8 +341,6 @@ let has_duplicate names off =
   done;
   !dup
 
-external swap64 : int64 -> int64 = "%bswap_int64"
-
 (* Every check [make] makes, on untrusted ints: the section must be
    exactly as long as its counts say, every index in range, every
    arity legal, no PO listed twice and no name used twice; the stored
@@ -352,10 +350,7 @@ external swap64 : int64 -> int64 = "%bswap_int64"
    The names are copied out as one string, the blob they are stored
    as. *)
 let decode ?source (bytes : Bigstring.t) ~off ~len =
-  let word_at p =
-    let x = Bigstring.get64_ne bytes p in
-    Int64.to_int (if Sys.big_endian then swap64 x else x)
-  in
+  let word_at p = Int64.to_int (Bigstring.get_int64_le bytes p) in
   let word i = word_at (off + (8 * i)) in
   let check ok = if not ok then raise Malformed in
   try

@@ -41,7 +41,9 @@ type frame = {
 }
 
 (* The good machine of one block group: written once, by [good], and
-   read by every simulator bound to it. *)
+   read by every simulator bound to it.  [words.(net * nb + bi)] is the
+   word of [net] in block [bi]; [masks] holds each block's live-width
+   mask. *)
 type good = { nb : int; words : int array; masks : int array }
 
 let good net blocks =
@@ -63,6 +65,10 @@ let good net blocks =
   in
   let masks = Array.map (fun (b : Pattern.block) -> Logic.mask_of_width b.width) blocks in
   { nb; words; masks }
+
+let[@inline] good_word g net bi =
+  if bi < 0 || bi >= g.nb then invalid_arg "Fault_sim.good_word";
+  g.words.((net * g.nb) + bi)
 
 type t = {
   net : Netlist.t;

@@ -29,23 +29,22 @@
     matching overrides, which the test suite's kernel oracles check
     against a per-block scalar reference. *)
 
-type good = private {
-  nb : int;  (** Number of pattern blocks. *)
-  words : int array;
-      (** [words.(net * nb + bi)]: the good-machine word of [net] in
-          block [bi], net-major, so one net's blocks are contiguous.
-          Bits above a block's width are what the gates compute from
-          zero PI bits. *)
-  masks : int array;  (** Per block: its live-width mask. *)
-}
-(** The good machine of one block group.  Immutable by contract: built
-    once by {!good}, read by every simulator bound to it and by the
-    screens that test good values in place, written by none — so one
+type good
+(** The good machine of one block group.  Immutable: built once by
+    {!good}, read by every simulator bound to it and by the screens
+    that test good values ({!good_word}), written by none — so one
     value serves any number of simulators on any number of domains. *)
 
 val good : Netlist.t -> Pattern.block array -> good
 (** Simulate every block ([Logic_sim.simulate_block]) and transpose the
-    words once into {!good}'s net-major layout. *)
+    words once, net-major, so one net's blocks are contiguous. *)
+
+val good_word : good -> int -> int -> int
+(** [good_word g net bi]: the good-machine word of [net] in block [bi];
+    inlined at every call.  Bits above a block's width are what the
+    gates compute from zero PI bits.  Raises [Invalid_argument] when
+    [net] or [bi] is out of range (the blocks are those [good] was
+    built from). *)
 
 type t
 (** Simulator scratch bound to one netlist and one good machine.  Owned

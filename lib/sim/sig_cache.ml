@@ -156,21 +156,15 @@ type buf = { mutable data : int array; mutable len : int }
 
 let buffer () = { data = [||]; len = 0 }
 
-(* The diff word's 8-byte little-endian load without a bounds check:
-   [walk] only reads ranges that [scan_key] or [encode_triples] has
-   proved whole, as it already does for the varint bytes. *)
-external swap64 : int64 -> int64 = "%bswap_int64"
-
-let[@inline] get64u_le b i =
-  if Sys.big_endian then swap64 (Bigstring.get64u_ne b i) else Bigstring.get64u_ne b i
-
 (* The one decoder: key [k]'s triples out of [a] into [b], inverting
    [encode_triples].  [a] must hold [k].  The buffer grows to the row's
    length, or to twice its capacity if that is more, so a buffer grown
    from empty holds exactly the row, and the row's stores need no
    bounds check.  The deltas decode inline on a local position — one
    byte each in the canonical order, with [uvarint_at] only for the
-   rare longer one — and the word is a single 8-byte load. *)
+   rare longer one — and the word is a single 8-byte load, unchecked:
+   [walk] only reads ranges that [scan_key] or [encode_triples] has
+   proved whole, as it already does for the varint bytes. *)
 let walk a k b =
   let bytes = a.slab in
   let start = a.starts.(k) in
@@ -194,7 +188,7 @@ let walk a k b =
     oi := !oi + unzigzag doi;
     Array.unsafe_set data !i !bi;
     Array.unsafe_set data (!i + 1) !oi;
-    Array.unsafe_set data (!i + 2) (Int64.to_int (get64u_le bytes !pos));
+    Array.unsafe_set data (!i + 2) (Int64.to_int (Bigstring.get64u_le bytes !pos));
     pos := !pos + 8;
     i := !i + 3
   done;

@@ -52,11 +52,6 @@ let key net pats = key_of ~source:(Netlist.source net) ~origin:(Pattern.origin p
    process checks the whole image on every start. *)
 let p61 = (1 lsl 61) - 1
 
-external swap64 : int64 -> int64 = "%bswap_int64"
-
-let[@inline] get64u_le b i =
-  if Sys.big_endian then swap64 (Bigstring.get64u_ne b i) else Bigstring.get64u_ne b i
-
 (* [x] modulo p up to a small excess: 2^61 = 1 (mod p), so the bits
    above 61 fold onto the low ones.  Exact for any [x] below 2^63 read
    as unsigned — native ints wrap modulo 2^63 and [lsr] is logical —
@@ -88,7 +83,8 @@ let checksum (b : Bigstring.t) ~pos ~len =
   let s1 = ref s1 and s2 = ref s2 in
   let full = len / 8 in
   for i = 0 to (full / 2) - 1 do
-    let x = get64u_le b (pos + (16 * i)) and y = get64u_le b (pos + (16 * i) + 8) in
+    let x = Bigstring.get64u_le b (pos + (16 * i))
+    and y = Bigstring.get64u_le b (pos + (16 * i) + 8) in
     let w1 = Int64.to_int x land 0xffff_ffff
     and w2 = Int64.to_int (Int64.shift_right_logical x 32)
     and w3 = Int64.to_int y land 0xffff_ffff
@@ -98,7 +94,7 @@ let checksum (b : Bigstring.t) ~pos ~len =
     s1 := fold (s + w1 + w2 + w3 + w4)
   done;
   if full land 1 = 1 then begin
-    let x = get64u_le b (pos + (8 * (full - 1))) in
+    let x = Bigstring.get64u_le b (pos + (8 * (full - 1))) in
     let lo = Int64.to_int x land 0xffff_ffff
     and hi = Int64.to_int (Int64.shift_right_logical x 32) in
     let s = !s1 in

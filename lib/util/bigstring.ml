@@ -10,7 +10,11 @@ external bytes_get64u_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bytes_set64u_ne : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
-let get_int64_le b i = if Sys.big_endian then swap64 (get64_ne b i) else get64_ne b i
+let[@inline] get64u_le b i =
+  if Sys.big_endian then swap64 (get64u_ne b i) else get64u_ne b i
+
+let[@inline] get_int64_le b i =
+  if Sys.big_endian then swap64 (get64_ne b i) else get64_ne b i
 
 let check name ~src_len src_pos ~dst_len dst_pos len =
   if

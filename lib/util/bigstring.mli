@@ -14,15 +14,13 @@ val create : int -> t
 val empty : t
 (** Zero bytes long. *)
 
-external get64u_ne : t -> int -> int64 = "%caml_bigstring_get64u"
-(** The 8 bytes at a position in native byte order, unchecked. *)
-
-external get64_ne : t -> int -> int64 = "%caml_bigstring_get64"
-(** {!get64u_ne}, raising [Invalid_argument] past the end. *)
+val get64u_le : t -> int -> int64
+(** The little-endian int64 at a position, unchecked: one 8-byte load,
+    inlined at every call, so a caller that converts it at once
+    ([Int64.to_int]) boxes nothing. *)
 
 val get_int64_le : t -> int -> int64
-(** The little-endian int64 at a position; raises [Invalid_argument]
-    past the end. *)
+(** {!get64u_le}, raising [Invalid_argument] past the end. *)
 
 val of_bytes : Bytes.t -> t
 (** A copy. *)

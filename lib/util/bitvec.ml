@@ -49,8 +49,9 @@ let equal a b = a.len = b.len && a.words = b.words
    usual 64-bit constants truncated to 63 bits, so bit 62 forms a field
    on its own at every step; the final multiply sums the byte counts
    into bits 56-62, which hold any total up to 63 exactly (arithmetic is
-   mod 2^63, so the low bits of the product are exact). *)
-let popcount_word w =
+   mod 2^63, so the low bits of the product are exact).  Inlined into
+   the callers' word loops. *)
+let[@inline] popcount_word w =
   let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
   let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
   let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in

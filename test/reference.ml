@@ -511,14 +511,14 @@ let lookup c sim g ~site ~stuck =
    scored as a signature. *)
 let screen_per_aggressor session dlog ~victim aggressors =
   let blocks = Session.blocks session in
-  let { Fault_sim.words = good; nb; _ } = Session.good session in
+  let good = Session.good session and nb = Array.length blocks in
   let b = Session.simulator session in
   let words = Datalog.observed_words dlog blocks in
   List.map
     (fun a ->
       let triples = ref [] in
       Fault_sim.sweep b
-        [ (victim, Fault_sim.Held (Array.init nb (fun bi -> good.((a * nb) + bi)))) ]
+        [ (victim, Fault_sim.Held (Array.init nb (Fault_sim.good_word good a))) ]
         (fun bi oi w -> triples := w :: oi :: bi :: !triples);
       Scoring.score_triples words ~npos:(Datalog.npos dlog)
         (Array.of_list (List.rev !triples)))

@@ -73,13 +73,6 @@ let test_pattern_count_check () =
     (Invalid_argument "Dict_diag.diagnose: datalog pattern count differs from dictionary")
     (fun () -> ignore (Dict_diag.diagnose dict bad))
 
-let test_ranking_bounded () =
-  let net = Generators.c17 () in
-  let net, pats, dlog = problem ~net [ Defect.Stuck (g net "G10", true) ] in
-  let dict = Dict_diag.build_session Dict_diag.Full_response (Session.create net pats) in
-  let r = Dict_diag.diagnose ~keep:3 dict dlog in
-  Alcotest.(check bool) "bounded" true (List.length r.Single_diag.ranking <= 3)
-
 (* A die of two defects on a circuit with several pattern blocks (the
    last one partial) and several failing outputs per pattern. *)
 let two_defect_die () =
@@ -98,14 +91,14 @@ let test_full_ranking_matches_single_diag () =
   let net, pats, dlog = two_defect_die () in
   let session = Session.create net pats in
   let dict = Dict_diag.build_session Dict_diag.Full_response session in
-  let keep = Dict_diag.num_entries dict in
-  let d = Dict_diag.diagnose ~keep dict dlog in
-  let s = Single_diag.diagnose_session ~keep session dlog in
+  let d = Dict_diag.diagnose dict dlog in
+  let s = Single_diag.diagnose_session session dlog in
   let of_dict = List.map (fun (r : Single_diag.ranked) -> (r.fault, r.score)) d.ranking in
   let of_single =
     List.map (fun (r : Single_diag.ranked) -> (r.fault, r.score)) s.ranking
   in
-  Alcotest.(check int) "every entry ranked" keep (List.length of_dict);
+  Alcotest.(check int) "every entry ranked" (Dict_diag.num_entries dict)
+    (List.length of_dict);
   Alcotest.(check bool) "same ranking, same scores" true (of_dict = of_single)
 
 (* Every pass/fail score against a pattern-by-pattern count: the
@@ -114,7 +107,6 @@ let test_full_ranking_matches_single_diag () =
 let test_passfail_matches_per_pattern () =
   let net, pats, dlog = two_defect_die () in
   let dict = Dict_diag.build_session Dict_diag.Pass_fail (Session.create net pats) in
-  let keep = Dict_diag.num_entries dict in
   let expected = Logic_sim.responses net pats in
   List.iter
     (fun (r : Single_diag.ranked) ->
@@ -142,7 +134,7 @@ let test_passfail_matches_per_pattern () =
         }
       in
       Alcotest.(check bool) "score" true (r.score = want))
-    (Dict_diag.diagnose ~keep dict dlog).ranking
+    (Dict_diag.diagnose dict dlog).ranking
 
 let suite =
   [
@@ -153,7 +145,6 @@ let suite =
         Alcotest.test_case "single stuck hit" `Quick test_single_stuck_hit;
         Alcotest.test_case "passfail coarser" `Quick test_passfail_coarser_than_full;
         Alcotest.test_case "pattern count check" `Quick test_pattern_count_check;
-        Alcotest.test_case "ranking bounded" `Quick test_ranking_bounded;
         Alcotest.test_case "full ranking = single_diag's" `Quick
           test_full_ranking_matches_single_diag;
         Alcotest.test_case "passfail scores = per-pattern count" `Quick

@@ -35,7 +35,7 @@ let make_dlog seed multiplicity =
   draw 20
 
 (* The engine's multiplet cap, which [Noassume] passes as [max_size]. *)
-let max_size = Noassume.default_config.Noassume.max_multiplet
+let max_size = Noassume.max_multiplet
 
 let coverable_covered m cover =
   let nobs = Array.length (Explain.observations m) in
@@ -75,8 +75,9 @@ let prop_oracle =
 
 (* Seeded with the greedy cover, the result never exceeds the seed and
    still matches the direct oracle's minimum.  Greedy capped at one
-   member seeds a partial cover whenever one pick leaves something
-   uncovered; the loop then searches up to that cap on its own and
+   member ([Reference.greedy_cover], the oracle of [Noassume]'s greedy
+   pass, whose own cap is fixed) seeds a partial cover whenever one
+   pick leaves something uncovered; the loop then searches up to that cap on its own and
    proves the oracle's minimum if it fits, and no cover otherwise. *)
 let prop_seeded_never_larger =
   QCheck.Test.make ~name:"greedy-seeded hitting set: never larger, same minimum"
@@ -95,12 +96,7 @@ let prop_seeded_never_larger =
         in
         let seed_ids = multiplet_ids m greedy in
         let hs = solve ~max_size ~seed:seed_ids m in
-        let capped =
-          Noassume.diagnose_matrix
-            ~config:{ Noassume.default_config with validate = false; max_multiplet = 1 }
-            m
-        in
-        let capped_ids = multiplet_ids m capped in
+        let capped_ids = Reference.greedy_cover ~tie_break:true ~max_multiplet:1 m in
         let hs1 = solve ~max_size:1 ~seed:capped_ids m in
         let reach =
           if coverable_covered m capped_ids then List.length capped_ids else 1
@@ -174,41 +170,41 @@ let test_single_stuck_byte_identity () =
     greedy_r.Noassume.cover_minimum;
   Alcotest.(check bool) "greedy complete" true greedy_r.Noassume.cover_complete
 
+(* Greedy capped at one member ([Reference.greedy_cover], the oracle of
+   [Noassume]'s greedy pass) and the loop searching within that cap:
+   the instance [Noassume]'s exact backend solves when a die needs more
+   sites than its cap. *)
+let capped_at_one m =
+  let seed = Reference.greedy_cover ~tie_break:true ~max_multiplet:1 m in
+  (seed, solve ~max_size:1 ~seed m)
+
 (* Capped at one member on a die that needs two sites: greedy stops at
-   the cap with a partial cover, the loop finds no cover within it and
-   claims nothing, and the report is the greedy backend's. *)
+   the cap with a partial cover, and the loop finds no cover within it,
+   claims nothing and returns the seed, so [Noassume] keeps the greedy
+   multiplet and renders the greedy backend's report. *)
 let test_cap_below_minimum () =
-  let net = Lazy.force c17 in
-  let m, dlog = stuck_die [ "G1"; "G3" ] in
+  let m, _ = stuck_die [ "G1"; "G3" ] in
   let direct = Reference.exact_cover m in
   Alcotest.(check (option int)) "die needs two sites" (Some 2) direct.Reference.minimum;
-  let config = { Noassume.default_config with max_multiplet = 1 } in
-  let greedy_r, exact_r = both_backends config dlog in
-  Alcotest.(check bool) "greedy stopped short" false
-    (coverable_covered m (multiplet_ids m greedy_r));
-  Alcotest.(check bool) "complete" true exact_r.Noassume.cover_complete;
-  Alcotest.(check (option int)) "no cover within the cap" None
-    exact_r.Noassume.cover_minimum;
-  Alcotest.(check string) "byte-identical report"
-    (Report.render net greedy_r)
-    (Report.render net exact_r)
+  let seed, hs = capped_at_one m in
+  Alcotest.(check bool) "greedy stopped short" false (coverable_covered m seed);
+  Alcotest.(check bool) "complete" true hs.Hitting_set.complete;
+  Alcotest.(check (option int)) "no cover within the cap" None hs.Hitting_set.minimum;
+  Alcotest.(check (list int)) "the greedy multiplet stands" seed hs.Hitting_set.cover
 
 (* Capped at one member on a die one site covers, but not the site
    greedy picks first: the seed is partial, and the loop proves the
    one-member cover within the cap. *)
 let test_partial_seed_proven () =
-  let m, dlog = stuck_die [ "G1"; "G2" ] in
+  let m, _ = stuck_die [ "G1"; "G2" ] in
   let direct = Reference.exact_cover m in
   Alcotest.(check (option int)) "one site covers" (Some 1) direct.Reference.minimum;
-  let config = { Noassume.default_config with validate = false; max_multiplet = 1 } in
-  let greedy_r, exact_r = both_backends config dlog in
-  Alcotest.(check bool) "partial seed" false
-    (coverable_covered m (multiplet_ids m greedy_r));
-  Alcotest.(check bool) "complete" true exact_r.Noassume.cover_complete;
-  Alcotest.(check (option int)) "proven minimum" (Some 1) exact_r.Noassume.cover_minimum;
-  Alcotest.(check bool) "within the cap" true (List.length exact_r.Noassume.multiplet <= 1);
-  Alcotest.(check bool) "covers the die" true
-    (coverable_covered m (multiplet_ids m exact_r))
+  let seed, hs = capped_at_one m in
+  Alcotest.(check bool) "partial seed" false (coverable_covered m seed);
+  Alcotest.(check bool) "complete" true hs.Hitting_set.complete;
+  Alcotest.(check (option int)) "proven minimum" (Some 1) hs.Hitting_set.minimum;
+  Alcotest.(check bool) "within the cap" true (List.length hs.Hitting_set.cover <= 1);
+  Alcotest.(check bool) "covers the die" true (coverable_covered m hs.Hitting_set.cover)
 
 (* Budget exhaustion: fall back to the greedy cover with
    [cover_complete = false] — the report stays byte-identical to the

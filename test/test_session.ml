@@ -73,14 +73,14 @@ let prop_all_combos_identical =
           render_ranking
             (List.map
                (fun (r : Single_diag.ranked) -> (r.fault, r.score))
-               (Single_diag.diagnose_session ~keep:max_int session dlog).ranking)
+               (Single_diag.diagnose_session session dlog).ranking)
         in
         let dict session =
           let dict = Dict_diag.build_session Dict_diag.Pass_fail session in
           render_ranking
             (List.map
                (fun (r : Single_diag.ranked) -> (r.fault, r.score))
-               (Dict_diag.diagnose ~keep:max_int dict dlog).ranking)
+               (Dict_diag.diagnose dict dlog).ranking)
         in
         let reports domains =
           With_domains.run domains @@ fun () ->
@@ -145,9 +145,11 @@ let test_dropped_session_frees_cache () =
 
 (* Four dies drained concurrently over one shared session must produce
    exactly the reports their one-at-a-time runs produce — request-level
-   parallelism may not leak state between diagnoses.  Two arms: a warm
-   session, whose drain only reads the arena, and a fresh one, whose
-   four workers miss and append to the arena concurrently. *)
+   parallelism may not leak state between diagnoses.  Two arms: a
+   [Volume.run] drain, which fills the arena first and then only reads
+   it, and four dies mapped straight over a fresh session
+   ([Volume.diagnose_die], as a campaign's parallel trials run), whose
+   workers miss and append to the arena concurrently. *)
 let prop_concurrent_matches_sequential =
   QCheck.Test.make
     ~name:"4 concurrent diagnoses on one warm session = sequential, and on a cold one"
@@ -170,11 +172,14 @@ let prop_concurrent_matches_sequential =
       in
       With_domains.run 1 @@ fun () ->
       let session = cold_session () in
-      (* The sequential reference runs on a fresh session and warms it,
-         so the second drain runs the warm-session fast path. *)
       let sequential = Volume.run ~workers:1 session dies in
       let warm = Volume.run ~workers:4 session dies in
-      let cold = Volume.run ~workers:4 (cold_session ()) dies in
+      let cold =
+        Array.to_list
+          (Parallel.map_array ~domains:4
+             (Volume.diagnose_die (cold_session ()))
+             (Array.of_list dies))
+      in
       same sequential warm && same sequential cold)
 
 (* Disk round trip through the design store ([Design.session]), at 1
@@ -257,15 +262,17 @@ let prop_frozen_concurrent_matches_sequential =
           String.equal a.Volume.text b.Volume.text && String.equal a.Volume.die b.Volume.die)
         sequential concurrent)
 
-(* A two-worker drain of 4 cold dies at process width 2 under one
-   bound sink: that sink's counters and the dies' reports. *)
+(* The four rnd1k dies the drain cases share. *)
+let drain_dies () =
+  List.filter_map (fun i -> make_dlog (7000 + i) 2) [ 1; 2; 3; 4 ]
+  |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
+
+(* A two-worker drain of 4 dies on a cold session at process width 2
+   under one bound sink: that sink's counters and the dies' reports. *)
 let cold_drain =
   lazy
     (With_domains.run 2 @@ fun () ->
-     let dies =
-       List.filter_map (fun i -> make_dlog (7000 + i) 2) [ 1; 2; 3; 4 ]
-       |> List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%d" i; dlog })
-     in
+     let dies = drain_dies () in
      let sk = Obs.sink () in
      let results =
        Obs.with_sink sk (fun () -> Volume.run ~workers:2 (cold_session ()) dies)
@@ -274,21 +281,39 @@ let cold_drain =
 
 let count name counters = Option.value ~default:0 (List.assoc_opt name counters)
 
+(* The counters of the sweep [Volume.run] opens with on a cold session
+   at process width 2. *)
+let sweep_counters =
+  lazy
+    (With_domains.run 2 @@ fun () ->
+     let sk = Obs.sink () in
+     Obs.with_sink sk (fun () -> ignore (Session.prewarm (cold_session ()) : int));
+     (Obs.sink_snapshot sk).Obs.counters)
+
 (* The nesting rule, end to end: a two-worker drain at process width
-   2 spawns its one worker and nothing else.  Every die's kernels run
-   inline, the dies the calling domain drains included, although the
-   cold session makes each die simulate its misses. *)
+   2 spawns the arena sweep's one domain and its one worker, nothing
+   else.  Every die's kernels run inline, the dies the calling domain
+   drains included. *)
 let test_volume_spawns_once () =
   let counters, results = Lazy.force cold_drain in
   Alcotest.(check int) "four dies" 4 (List.length results);
-  Alcotest.(check int) "parallel.spawns" 1 (count "parallel.spawns" counters)
+  Alcotest.(check int) "the sweep spawns one" 1
+    (count "parallel.spawns" (Lazy.force sweep_counters));
+  Alcotest.(check int) "parallel.spawns" 2 (count "parallel.spawns" counters)
 
 (* Each die's sink is merged into the sink the caller bound, so that
    sink alone holds every die's work: one Explain build per die, and
-   each die counter the sum of the dies' reports. *)
+   each die counter the sum of the dies' reports.  The sink also holds
+   the arena sweep, which runs under no die: its simulation comes on
+   top of the dies', and no die misses. *)
 let test_drain_sink_sees_dies () =
   let counters, results = Lazy.force cold_drain in
+  let sweep = Lazy.force sweep_counters in
   Alcotest.(check int) "explain.builds" 4 (count "explain.builds" counters);
+  Alcotest.(check int) "cache.misses" 0 (count "cache.misses" counters);
+  Alcotest.(check bool) "the sweep simulates the pool" true
+    (count "prewarm.faults" sweep > 0
+    && count "prewarm.faults" counters = count "prewarm.faults" sweep);
   List.iter
     (fun name ->
       let per_die =
@@ -298,8 +323,58 @@ let test_drain_sink_sees_dies () =
           0 results
       in
       Alcotest.(check bool) (name ^ " counted") true (per_die > 0);
-      Alcotest.(check int) (name ^ " = per-die sum") per_die (count name counters))
-    [ "explain.candidates"; "scoring.evaluations"; "cache.misses"; "sim.gate_events" ]
+      Alcotest.(check int)
+        (name ^ " = per-die sum + the sweep's")
+        (per_die + count name sweep)
+        (count name counters))
+    [
+      "explain.candidates";
+      "scoring.evaluations";
+      "cache.hits";
+      "sim.faults_simulated";
+      "sim.gate_events";
+    ]
+
+(* Cold drains repeat: 4 dies, each drain on a fresh cold session,
+   five drains at one worker and five at two, at process width 2.  [Volume.run] fills the arena before the first die, so no die
+   misses, and the scheduling changes nothing: the five drains at one
+   worker count agree on every counter and dist, all ten agree on the
+   simulation they did, and every report is the one-worker drain's. *)
+let test_cold_drain_deterministic () =
+  With_domains.run 2 @@ fun () ->
+  let dies = drain_dies () in
+  Alcotest.(check int) "four dies" 4 (List.length dies);
+  let drain workers =
+    let sk = Obs.sink () in
+    let results =
+      Obs.with_sink sk (fun () -> Volume.run ~workers (cold_session ()) dies)
+    in
+    let snap = Obs.sink_snapshot sk in
+    (snap.Obs.counters, snap.Obs.dists, List.map (fun r -> r.Volume.text) results)
+  in
+  let groups =
+    List.map (fun workers -> (workers, List.init 5 (fun _ -> drain workers))) [ 1; 2 ]
+  in
+  let c1, _, texts = List.hd (List.assoc 1 groups) in
+  List.iter
+    (fun (workers, runs) ->
+      let counters, dists, _ = List.hd runs in
+      List.iteri
+        (fun run (again_counters, again_dists, again_texts) ->
+          let what = Printf.sprintf "%d workers, run %d" workers (run + 1) in
+          Alcotest.(check bool) (what ^ ": same counters") true
+            (again_counters = counters);
+          Alcotest.(check bool) (what ^ ": same dists") true (again_dists = dists);
+          Alcotest.(check int) (what ^ ": cache.misses") 0
+            (count "cache.misses" again_counters);
+          List.iter
+            (fun name ->
+              Alcotest.(check int) (what ^ ": " ^ name) (count name c1)
+                (count name again_counters))
+            [ "sim.faults_simulated"; "sim.gate_events" ];
+          Alcotest.(check (list string)) (what ^ ": reports") texts again_texts)
+        runs)
+    groups
 
 (* Counters after a prewarm: the arena already holds every key a die
    probes, so each die's probes all hit and none misses — no die
@@ -535,11 +610,13 @@ let suite =
             test_frozen_replay_allocation;
           Alcotest.test_case "warm build allocates less than a row x pattern matrix" `Quick
             test_build_allocates_below_matrix;
-          Alcotest.test_case "2-worker drain on a cold session spawns one domain" `Quick
+          Alcotest.test_case "2-worker drain on a cold session spawns two domains" `Quick
             test_volume_spawns_once;
           Alcotest.test_case "a sink bound around a drain holds every die's counters"
             `Quick test_drain_sink_sees_dies;
           Alcotest.test_case "2-worker prewarmed drain: counters repeat, no miss" `Quick
             test_prewarmed_drain_deterministic;
+          Alcotest.test_case "cold drains at 1 and 2 workers: counters repeat, no miss"
+            `Quick test_cold_drain_deterministic;
         ] );
   ]

@@ -23,11 +23,15 @@ let test_single_stuck_top_ranked () =
   in
   Alcotest.(check bool) "hit" true (q.Metrics.hits = 1)
 
-let test_ranking_sorted_and_bounded () =
+let test_ranking_sorted_and_complete () =
   let net = Generators.c17 () in
   let net, pats, dlog = problem ~net [ Defect.Stuck (g net "G10", false) ] in
-  let r = Single_diag.diagnose_session ~keep:5 (Session.create net pats) dlog in
-  Alcotest.(check bool) "bounded" true (List.length r.Single_diag.ranking <= 5);
+  let session = Session.create net pats in
+  let r = Single_diag.diagnose_session session dlog in
+  let ranked = List.map (fun (r : Single_diag.ranked) -> r.fault) r.Single_diag.ranking in
+  let sort = List.sort Fault_list.compare_fault in
+  Alcotest.(check bool) "every representative ranked once" true
+    (sort ranked = sort (Array.to_list (Session.representatives session)));
   let rec sorted = function
     | (a : Single_diag.ranked) :: (b :: _ as rest) ->
       Scoring.compare_score a.score b.score <= 0 && sorted rest
@@ -70,7 +74,8 @@ let suite =
     ( "single_diag",
       [
         Alcotest.test_case "single stuck top ranked" `Quick test_single_stuck_top_ranked;
-        Alcotest.test_case "ranking sorted/bounded" `Quick test_ranking_sorted_and_bounded;
+        Alcotest.test_case "ranking sorted/complete" `Quick
+          test_ranking_sorted_and_complete;
         Alcotest.test_case "best nonempty and tied" `Quick test_best_nonempty_and_tied;
         Alcotest.test_case "breaks under two defects" `Quick test_breaks_under_two_defects;
       ] );
